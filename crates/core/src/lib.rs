@@ -20,7 +20,7 @@
 //!   root edge, invalidated on DD garbage collection.
 //! * [`fusion`] — DMAV-aware gate fusion (3.3, Alg. 3) and the
 //!   k-operations baseline.
-//! * [`sim`] — [`FlatDdSimulator`], the hybrid driver (Fig. 3).
+//! * [`sim`] — [`FlatDdSimulator`], the hybrid driver (Fig. 3): two phases, one gate boundary.
 //! * [`pool`] — the fork-join thread pool behind every parallel kernel.
 //! * [`memory`] — peak-RSS probes for Table-1-style measurements.
 //! * [`govern`] — the resource governor: memory/time budgets, graceful

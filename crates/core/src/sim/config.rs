@@ -1,0 +1,155 @@
+//! Simulator configuration and the small public value types of the driver.
+
+use crate::cost::CostModel;
+use crate::ewma::EwmaConfig;
+use crate::govern::GovernorConfig;
+
+/// When to convert from DD-based simulation to DMAV.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ConversionPolicy {
+    /// EWMA-triggered (Section 3.1.1) — the FlatDD default.
+    Ewma(EwmaConfig),
+    /// Convert unconditionally after this many gates (for experiments).
+    AtGate(usize),
+    /// Start in DMAV mode immediately (pure-DMAV ablation).
+    Immediate,
+    /// Never convert (pure-DD ablation; FlatDD then degenerates to DDSIM
+    /// plus monitoring overhead).
+    Never,
+}
+
+impl ConversionPolicy {
+    /// Compact policy name used in telemetry events and the phase-transition
+    /// log line (`"ewma"`, `"at-gate"`, `"immediate"`, `"never"`).
+    pub fn label(&self) -> &'static str {
+        match self {
+            ConversionPolicy::Ewma(_) => "ewma",
+            ConversionPolicy::AtGate(_) => "at-gate",
+            ConversionPolicy::Immediate => "immediate",
+            ConversionPolicy::Never => "never",
+        }
+    }
+}
+
+/// Per-gate kernel selection for DMAV.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CachingPolicy {
+    /// Choose by the Section 3.2.3 cost model (`min(C1, C2)`) — default.
+    CostModel,
+    /// Always use the cached kernel (Algorithm 2).
+    Always,
+    /// Never cache (Algorithm 1 only).
+    Never,
+}
+
+/// Gate-fusion strategy for the DMAV phase.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FusionPolicy {
+    /// One DMAV per gate.
+    None,
+    /// DMAV-aware greedy fusion (Algorithm 3).
+    DmavAware,
+    /// Fuse every `k` gates unconditionally (the k-operations baseline
+    /// \[100\]).
+    KOperations(usize),
+}
+
+/// FlatDD configuration.
+#[derive(Clone, Copy, Debug)]
+pub struct FlatDdConfig {
+    /// Requested worker threads (clamped to a power of two `<= 2^(n-1)`).
+    pub threads: usize,
+    /// Worker threads for the *DD phase* (sharded unique/compute tables +
+    /// task-graph gate apply). `1` (the default) runs the exact sequential
+    /// DDSIM-equivalent path; higher values parallelize gate application
+    /// once the state DD is large enough to amortize the fork-join.
+    /// Defaults from `FLATDD_DD_THREADS` when set.
+    pub dd_threads: usize,
+    /// Flat-phase shard count: the dispatch granularity of conversion,
+    /// DMAV, gate kernels, measurement, the health watchdog, and
+    /// checkpoint chunking. `0` (the default) follows the worker-thread
+    /// count; explicit values are clamped like a thread count (power of
+    /// two, `log2 s < n`). Numerically the shard count is inert: `1`
+    /// reproduces the serial path bit-for-bit, any other value agrees to
+    /// rounding of the per-shard partial sums. Defaults from
+    /// `FLATDD_FLAT_SHARDS` when set.
+    pub flat_shards: usize,
+    /// Conversion timing.
+    pub conversion: ConversionPolicy,
+    /// DMAV kernel selection.
+    pub caching: CachingPolicy,
+    /// Gate fusion in the DMAV phase (only applies to [`super::FlatDdSimulator::run`]).
+    pub fusion: FusionPolicy,
+    /// Cost-model tunables.
+    pub cost_model: CostModel,
+    /// Record a per-gate trace (Figure 11 instrumentation).
+    pub trace: bool,
+    /// GC period (in DDMMs) during fusion.
+    pub fusion_gc_every: usize,
+    /// Byte budget of the DMAV plan cache (memoized `Assign`/`AssignCache`
+    /// task lists, keyed by matrix root edge). `0` disables memoization;
+    /// every DMAV then replans from scratch.
+    pub plan_cache_bytes: usize,
+    /// Resource budgets and watchdog cadence. The default picks budgets up
+    /// from `FLATDD_MEMORY_BUDGET_MB` / `FLATDD_RSS_BUDGET_MB` /
+    /// `FLATDD_DEADLINE_SECS` so whole test suites and CI jobs can run
+    /// governed without code changes.
+    pub governor: GovernorConfig,
+}
+
+impl Default for FlatDdConfig {
+    fn default() -> Self {
+        FlatDdConfig {
+            threads: 16,
+            dd_threads: std::env::var("FLATDD_DD_THREADS")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .filter(|&t: &usize| t >= 1)
+                .unwrap_or(1),
+            flat_shards: std::env::var("FLATDD_FLAT_SHARDS")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(0),
+            conversion: ConversionPolicy::Ewma(EwmaConfig::default()),
+            caching: CachingPolicy::CostModel,
+            fusion: FusionPolicy::None,
+            cost_model: CostModel::default(),
+            trace: false,
+            fusion_gc_every: 64,
+            plan_cache_bytes: 32 << 20,
+            governor: GovernorConfig::from_env(),
+        }
+    }
+}
+
+/// Which representation currently holds the state.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Phase {
+    /// DD-based simulation (before conversion).
+    Dd,
+    /// DMAV: DD matrices times a flat array state.
+    Dmav,
+}
+
+impl Phase {
+    /// Lower-case label used in telemetry events (`"dd"` / `"dmav"`).
+    pub fn label(self) -> &'static str {
+        match self {
+            Phase::Dd => "dd",
+            Phase::Dmav => "dmav",
+        }
+    }
+}
+
+/// One per-gate trace record (the Figure 11 data).
+#[derive(Clone, Copy, Debug)]
+pub struct GateTrace {
+    /// Gate index in application order.
+    pub gate_index: usize,
+    /// Phase the gate ran in.
+    pub phase: Phase,
+    /// Wall-clock seconds for this gate.
+    pub seconds: f64,
+    /// State-vector DD size after the gate (DD phase only).
+    pub dd_size: Option<usize>,
+}

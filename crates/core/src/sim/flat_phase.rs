@@ -1,0 +1,277 @@
+//! The flat phase: DMAV — DD gate matrices multiplied onto the array state
+//! (Section 3.2) — on single gates or on the blocks of a fused span
+//! (Section 3.3).
+
+use super::{CachingPolicy, Core, FusionPolicy, StepReport};
+use crate::dmav::{dmav_no_cache, DmavAssignment};
+use crate::dmav_cache::{dmav_cached, DmavCacheAssignment, PartialBuffers};
+use crate::error::FlatDdError;
+use crate::ewma::EwmaState;
+use crate::faults;
+use crate::fusion::{fuse_dmav_aware, fuse_k_operations, no_fusion, FusedGates};
+use crate::plan_cache::PlanCache;
+use crate::pool::ThreadPool;
+use qarray::{vecops, ShardedState};
+use qcircuit::{Complex64, Gate};
+use qdd::{MEdge, MacTable};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// State owned by the flat phase.
+pub(crate) struct FlatPhase {
+    /// The state vector.
+    pub(super) v: ShardedState,
+    /// DMAV output buffer, swapped with `v` after every multiply.
+    w: ShardedState,
+    scratch: PartialBuffers,
+    plans: PlanCache,
+    mac: MacTable,
+    /// Matrices of the current fused span and the gates each folds; the
+    /// ones from `next` on are still pending (and are the phase's GC roots).
+    fused: Vec<MEdge>,
+    gate_counts: Vec<usize>,
+    next: usize,
+    /// Plan-cache counters at the last per-run stats reset: the cache
+    /// outlives a run, so per-run numbers are deltas from here.
+    plan_hits_base: u64,
+    plan_misses_base: u64,
+    /// The DD phase's monitor state at conversion, kept only so checkpoint
+    /// headers written from here on carry it.
+    pub(super) ewma: EwmaState,
+}
+
+impl FlatPhase {
+    /// A flat phase over state `v` and an equally sized output buffer `w`.
+    pub(super) fn new(v: ShardedState, w: ShardedState, core: &Core, ewma: EwmaState) -> Self {
+        FlatPhase {
+            v,
+            w,
+            scratch: PartialBuffers::default(),
+            plans: PlanCache::new(core.cfg.plan_cache_bytes),
+            mac: MacTable::default(),
+            fused: Vec::new(),
+            gate_counts: Vec::new(),
+            next: 0,
+            plan_hits_base: 0,
+            plan_misses_base: 0,
+            ewma,
+        }
+    }
+
+    /// Fuses `gates` (the rest of the run, starting at the cursor) under
+    /// the configured policy into the pending span.
+    pub(super) fn fuse(&mut self, core: &mut Core, gates: &[Gate]) {
+        let telemetry = qtelemetry::enabled();
+        let fuse_ts = telemetry.then(qtelemetry::now_us);
+        let fuse_t0 = telemetry.then(Instant::now);
+        let (pkg, n, t) = (&mut core.pkg, core.n, core.t);
+        let (model, gc_every) = (&core.cfg.cost_model, core.cfg.fusion_gc_every);
+        let fused: FusedGates = match core.cfg.fusion {
+            FusionPolicy::DmavAware => fuse_dmav_aware(pkg, gates, n, t, model, gc_every),
+            FusionPolicy::KOperations(k) => fuse_k_operations(pkg, gates, n, t, k, model, gc_every),
+            FusionPolicy::None => no_fusion(pkg, gates, n, t, model),
+        };
+        self.mac.clear(); // fusion may have GC'd the package
+        core.stats.fused_matrices = fused.matrices.len();
+        if telemetry {
+            qtelemetry::emit(qtelemetry::Event::Fusion {
+                sim: core.telemetry_id,
+                ts_us: fuse_ts.unwrap_or(0.0),
+                dur_us: fuse_t0
+                    .map(|t| t.elapsed().as_secs_f64() * 1e6)
+                    .unwrap_or(0.0),
+                gates_in: gates.len(),
+                matrices_out: fused.matrices.len(),
+            });
+        }
+        debug_assert_eq!(fused.gate_counts.iter().sum::<usize>(), gates.len());
+        self.fused = fused.matrices;
+        self.gate_counts = fused.gate_counts;
+        self.next = 0;
+    }
+
+    /// Fused matrices not yet applied: the phase's GC roots.
+    pub(super) fn roots(&self) -> &[MEdge] {
+        &self.fused[self.next..]
+    }
+
+    /// Drops the pending span (a run ended; the next one re-fuses from its
+    /// own cursor).
+    pub(super) fn clear_fused(&mut self) {
+        self.fused.clear();
+        self.gate_counts.clear();
+        self.next = 0;
+    }
+
+    /// One DMAV: the pending fused block that starts at the cursor when a
+    /// span is loaded (advancing the cursor by the gates it folds),
+    /// otherwise `gate` itself.
+    pub(super) fn step(&mut self, core: &mut Core, gate: &Gate) -> Result<StepReport, FlatDdError> {
+        let fused = self.next < self.fused.len();
+        let (m, gates) = if fused {
+            (self.fused[self.next], self.gate_counts[self.next])
+        } else {
+            (core.pkg.gate_dd(gate, core.n), 1)
+        };
+        let plan_hit = self.dmav(core, m)?;
+        if fused {
+            self.next += 1;
+        }
+        if core.ctx.fires(faults::SITE_STATE_NAN).is_some() {
+            if let Some(a) = self.v.first_mut() {
+                *a = Complex64::new(f64::NAN, 0.0);
+            }
+        }
+        Ok(StepReport {
+            gates,
+            dd_size: None,
+            ewma: None,
+            plan_hit: Some(plan_hit),
+            fused,
+        })
+    }
+
+    /// `v <- m * v` with the configured kernel policy; returns whether the
+    /// plan lookup hit. The assignment is fetched through the plan cache,
+    /// so repeated gate matrices skip the recursive `Assign`/`AssignCache`
+    /// descent.
+    fn dmav(&mut self, core: &mut Core, m: MEdge) -> Result<bool, FlatDdError> {
+        enum Plan {
+            Cached(Arc<DmavCacheAssignment>),
+            Plain(Arc<DmavAssignment>),
+        }
+        // Plans are built over the shard geometry (one assignment group per
+        // shard); `PlanKey.t` therefore keys cached plans by shard count.
+        let (pkg, model, n, t) = (&core.pkg, core.cfg.cost_model, core.n, core.shards);
+        let hits_before = self.plans.hits();
+        // Clock read for the plan-build histogram rides behind `enabled()`
+        // (the overhead contract); the observe itself lands only on misses,
+        // where a plan was actually built.
+        let plan_t0 = qtelemetry::enabled().then(Instant::now);
+        let plan = match core.cfg.caching {
+            CachingPolicy::Always => Plan::Cached(self.plans.get_cached(pkg, m, n, t)?),
+            CachingPolicy::Never => Plan::Plain(self.plans.get_plain(pkg, m, n, t)?),
+            CachingPolicy::CostModel => {
+                let asg = self.plans.get_cached(pkg, m, n, t)?;
+                let analysis = model.analyze_with_assignment(pkg, &mut self.mac, &asg, m, n, t);
+                core.stats.modeled_cost += analysis.cost();
+                if analysis.prefer_cached() {
+                    Plan::Cached(asg)
+                } else {
+                    Plan::Plain(self.plans.get_plain(pkg, m, n, t)?)
+                }
+            }
+        };
+        // Cache counters are monotonic across the simulator's lifetime; the
+        // stats report the delta attributable to the current run.
+        core.stats.dmav_plan_hits = self.plans.hits().saturating_sub(self.plan_hits_base) as usize;
+        core.stats.dmav_plan_misses =
+            self.plans.misses().saturating_sub(self.plan_misses_base) as usize;
+        let plan_hit = self.plans.hits() > hits_before;
+        if let Some(t0) = plan_t0 {
+            if !plan_hit {
+                core.hist_plan_build.observe_duration_us(t0.elapsed());
+            }
+        }
+        let (pool, v, w) = (&core.pool, &self.v, &mut self.w);
+        match &plan {
+            Plan::Cached(asg) => {
+                let st = dmav_cached(pkg, asg, v, w, pool, &mut self.scratch);
+                core.stats.cache_hits += st.hits;
+                core.stats.cached_dmavs += 1;
+            }
+            Plan::Plain(asg) => {
+                dmav_no_cache(pkg, asg, v, w, pool);
+                core.stats.uncached_dmavs += 1;
+            }
+        }
+        std::mem::swap(&mut self.v, &mut self.w);
+        core.stats.gates_dmav += 1;
+        core.ctr_gates_dmav.inc();
+        Ok(plan_hit)
+    }
+
+    /// Re-baselines the per-run plan-cache deltas (top of a fresh run).
+    pub(super) fn rebase_plan_counters(&mut self) {
+        self.plan_hits_base = self.plans.hits();
+        self.plan_misses_base = self.plans.misses();
+    }
+
+    /// Drops the node-id-keyed cost memo; pairs with every package sweep.
+    pub(super) fn clear_memo(&mut self) {
+        self.mac.clear();
+    }
+
+    /// The scratch rung of the memory-pressure ladder: DMAV partial
+    /// buffers and memoized plans go, the state buffers stay.
+    pub(super) fn release_scratch(&mut self) {
+        self.scratch.release();
+        self.plans.clear();
+    }
+
+    /// Resident bytes of the phase's buffers, scratch and plan cache.
+    pub(super) fn memory_bytes(&self) -> usize {
+        (self.v.capacity() + self.w.capacity()) * std::mem::size_of::<Complex64>()
+            + self.scratch.memory_bytes()
+            + self.plans.memory_bytes()
+    }
+
+    /// The plan cache (read-only, for the metrics snapshot).
+    pub(super) fn plans(&self) -> &PlanCache {
+        &self.plans
+    }
+
+    /// Squared 2-norm of the state: per-shard partial sums (workers claim
+    /// shards round-robin) combined in shard order, so the result is
+    /// deterministic for a given shard count. One shard, or one worker,
+    /// falls back to the plain serial reduction bit-for-bit. Non-finite
+    /// amplitudes propagate into the sum.
+    pub(super) fn norm_sqr(&self, pool: &ThreadPool) -> f64 {
+        let v = &self.v;
+        let shards = v.shards();
+        let t = pool.size();
+        if t <= 1 || shards <= 1 {
+            return vecops::norm_sqr(v);
+        }
+        let mut partials = vec![0.0f64; shards];
+        let view = qarray::SyncUnsafeSlice::new(&mut partials);
+        pool.run(|tid| {
+            for s in (tid..shards).step_by(t) {
+                let r = qarray::shard_range(v.len(), shards, s);
+                // SAFETY: each partial slot is written by exactly one worker.
+                unsafe { view.write(s, vecops::norm_sqr(&v[r])) };
+            }
+        });
+        partials.iter().sum()
+    }
+}
+
+/// Fallibly allocates a zeroed, sharded flat buffer: the pool's workers
+/// first-touch (zero) the shards they will own round-robin, so on NUMA
+/// machines each shard's pages land on the node of the worker that operates
+/// on it. Allocator refusal maps to [`FlatDdError::AllocationFailed`]; the
+/// `alloc.flat` fault site makes the refusal injectable without a real OOM.
+pub(super) fn try_flat_buffer(
+    core: &Core,
+    context: &'static str,
+) -> Result<ShardedState, FlatDdError> {
+    let dim = 1usize << core.n;
+    let refused = || FlatDdError::AllocationFailed {
+        requested_bytes: dim * std::mem::size_of::<Complex64>(),
+        context,
+    };
+    if core.ctx.fires(faults::SITE_ALLOC_FLAT).is_some() {
+        return Err(refused());
+    }
+    let t = core.pool.size();
+    ShardedState::try_new_zeroed_with(dim, core.shards, |z| {
+        if t > 1 {
+            core.pool.run(|tid| {
+                for s in (tid..z.shards()).step_by(t) {
+                    z.zero_shard(s);
+                }
+            });
+        }
+    })
+    .map_err(|_| refused())
+}

@@ -1,0 +1,530 @@
+//! Unit tests of the hybrid driver.
+
+use super::*;
+use crate::govern::GovernorConfig;
+use qcircuit::complex::state_distance;
+use qcircuit::{dense, generators};
+use std::time::Duration;
+
+const TOL: f64 = 1e-8;
+
+fn cfg(threads: usize) -> FlatDdConfig {
+    FlatDdConfig {
+        threads,
+        governor: GovernorConfig::unlimited(),
+        ..FlatDdConfig::default()
+    }
+}
+
+#[test]
+fn default_config_matches_dense_on_all_families() {
+    for c in [
+        generators::ghz(7),
+        generators::adder_n(8),
+        generators::qft(6),
+        generators::dnn(6, 2, 5),
+        generators::vqe(6, 2, 5),
+        generators::swap_test(3, 5),
+        generators::knn(3, 5),
+        generators::supremacy(2, 3, 6, 5),
+        generators::w_state(6),
+        generators::random_circuit(6, 80, 5),
+    ] {
+        let got = simulate(&c, cfg(4));
+        let want = dense::simulate(&c);
+        assert!(state_distance(&got, &want) < TOL, "{}", c.name());
+    }
+}
+
+#[test]
+fn all_conversion_policies_agree() {
+    let c = generators::dnn(6, 2, 9);
+    let want = dense::simulate(&c);
+    for conversion in [
+        ConversionPolicy::Ewma(EwmaConfig::default()),
+        ConversionPolicy::AtGate(5),
+        ConversionPolicy::Immediate,
+        ConversionPolicy::Never,
+    ] {
+        let got = simulate(
+            &c,
+            FlatDdConfig {
+                conversion,
+                ..cfg(2)
+            },
+        );
+        assert!(state_distance(&got, &want) < TOL, "{conversion:?}");
+    }
+}
+
+#[test]
+fn all_caching_policies_agree() {
+    let c = generators::supremacy(2, 3, 6, 9);
+    let want = dense::simulate(&c);
+    for caching in [
+        CachingPolicy::CostModel,
+        CachingPolicy::Always,
+        CachingPolicy::Never,
+    ] {
+        let got = simulate(
+            &c,
+            FlatDdConfig {
+                caching,
+                conversion: ConversionPolicy::Immediate,
+                ..cfg(4)
+            },
+        );
+        assert!(state_distance(&got, &want) < TOL, "{caching:?}");
+    }
+}
+
+#[test]
+fn all_fusion_policies_agree() {
+    let c = generators::dnn(6, 3, 13);
+    let want = dense::simulate(&c);
+    for fusion in [
+        FusionPolicy::None,
+        FusionPolicy::DmavAware,
+        FusionPolicy::KOperations(4),
+    ] {
+        let got = simulate(
+            &c,
+            FlatDdConfig {
+                fusion,
+                conversion: ConversionPolicy::Immediate,
+                ..cfg(4)
+            },
+        );
+        assert!(state_distance(&got, &want) < TOL, "{fusion:?}");
+    }
+}
+
+#[test]
+fn regular_circuits_never_convert() {
+    let mut sim = FlatDdSimulator::new(10, cfg(2));
+    let outcome = sim.run(&generators::ghz(10)).unwrap();
+    assert_eq!(sim.phase(), Phase::Dd);
+    assert_eq!(sim.stats().converted_at, None);
+    assert_eq!(sim.stats().gates_dd, 10);
+    assert_eq!(sim.stats().gates_dmav, 0);
+    assert!(outcome.is_complete());
+    assert_eq!(outcome.gates_applied, 10);
+    assert_eq!(outcome.phase, Phase::Dd);
+}
+
+#[test]
+fn irregular_circuits_convert() {
+    let n = 10;
+    let mut sim = FlatDdSimulator::new(n, cfg(2));
+    sim.run(&generators::dnn(n, 3, 21)).unwrap();
+    assert_eq!(sim.phase(), Phase::Dmav, "DNN must trigger conversion");
+    let at = sim.stats().converted_at.expect("conversion gate recorded");
+    assert!(at > 0);
+    assert!(sim.stats().gates_dmav > 0);
+    let want = dense::simulate(&generators::dnn(n, 3, 21));
+    assert!(state_distance(&sim.amplitudes(), &want) < TOL);
+}
+
+#[test]
+fn trace_records_phase_transition() {
+    let n = 8;
+    let c = generators::dnn(n, 3, 2);
+    let mut sim = FlatDdSimulator::new(
+        n,
+        FlatDdConfig {
+            trace: true,
+            ..cfg(2)
+        },
+    );
+    sim.run(&c).unwrap();
+    let traces = sim.traces();
+    assert!(!traces.is_empty());
+    let dd_gates = traces.iter().filter(|t| t.phase == Phase::Dd).count();
+    let dmav_gates = traces.iter().filter(|t| t.phase == Phase::Dmav).count();
+    assert!(
+        dd_gates > 0 && dmav_gates > 0,
+        "dd={dd_gates} dmav={dmav_gates}"
+    );
+    // DD-phase records carry the DD size.
+    assert!(traces
+        .iter()
+        .filter(|t| t.phase == Phase::Dd)
+        .all(|t| t.dd_size.is_some()));
+}
+
+#[test]
+fn threads_are_clamped() {
+    let sim = FlatDdSimulator::new(4, cfg(64));
+    assert_eq!(sim.threads(), 8); // 2^(4-1)
+    let sim = FlatDdSimulator::new(10, cfg(6));
+    assert_eq!(sim.threads(), 4); // round down to power of two
+}
+
+#[test]
+fn apply_level_api_matches_run() {
+    let c = generators::random_circuit(6, 50, 31);
+    let mut a = FlatDdSimulator::new(6, cfg(2));
+    for g in c.iter() {
+        a.apply(g).unwrap();
+    }
+    let mut b = FlatDdSimulator::new(6, cfg(2));
+    b.run(&c).unwrap();
+    assert!(state_distance(&a.amplitudes(), &b.amplitudes()) < TOL);
+}
+
+#[test]
+fn amplitude_queries_work_in_both_phases() {
+    let mut sim = FlatDdSimulator::new(5, cfg(2));
+    sim.run(&generators::ghz(5)).unwrap();
+    assert!(sim.amplitude(0).abs() > 0.7 - TOL);
+    assert_eq!(sim.phase(), Phase::Dd);
+    sim.convert_now().unwrap();
+    assert_eq!(sim.phase(), Phase::Dmav);
+    assert!(sim.amplitude(0).abs() > 0.7 - TOL);
+    assert!(sim.amplitude(31).abs() > 0.7 - TOL);
+}
+
+#[test]
+fn cost_model_mixes_kernels_on_real_workloads() {
+    let n = 8;
+    let c = generators::supremacy(2, 4, 8, 7);
+    let mut sim = FlatDdSimulator::new(
+        n,
+        FlatDdConfig {
+            conversion: ConversionPolicy::Immediate,
+            ..cfg(4)
+        },
+    );
+    sim.run(&c).unwrap();
+    let st = sim.stats();
+    assert_eq!(st.cached_dmavs + st.uncached_dmavs, st.gates_dmav);
+    assert!(st.gates_dmav >= c.num_gates());
+    assert!(st.modeled_cost > 0.0);
+}
+
+#[test]
+fn plan_cache_hits_on_deep_repeated_gate_circuits() {
+    // 50 identical layers: after the first layer every gate matrix is a
+    // repeat, so nearly every DMAV plan lookup must hit.
+    let n = 8;
+    let mut c = Circuit::new(n);
+    for _ in 0..50 {
+        for q in 0..n {
+            c.h(q);
+            c.t(q);
+        }
+        for q in 0..n - 1 {
+            c.cx(q, q + 1);
+        }
+    }
+    let mut sim = FlatDdSimulator::new(
+        n,
+        FlatDdConfig {
+            conversion: ConversionPolicy::Immediate,
+            ..cfg(4)
+        },
+    );
+    sim.run(&c).unwrap();
+    let st = sim.stats();
+    // At least one plan lookup per DMAV (the cost-model path looks up
+    // both variants when it prefers the plain kernel).
+    let total = st.dmav_plan_hits + st.dmav_plan_misses;
+    assert!(total >= st.gates_dmav);
+    let rate = st.dmav_plan_hits as f64 / total as f64;
+    assert!(rate > 0.9, "plan hit rate {rate} (hits {total})");
+
+    // Disabling the cache must not change the result.
+    let mut plain = FlatDdSimulator::new(
+        n,
+        FlatDdConfig {
+            conversion: ConversionPolicy::Immediate,
+            plan_cache_bytes: 0,
+            ..cfg(4)
+        },
+    );
+    plain.run(&c).unwrap();
+    assert_eq!(plain.stats().dmav_plan_hits, 0);
+    assert!(plain.stats().dmav_plan_misses >= plain.stats().gates_dmav);
+    assert!(state_distance(&sim.amplitudes(), &plain.amplitudes()) < 1e-9);
+}
+
+#[test]
+fn memory_accounting_is_positive() {
+    let mut sim = FlatDdSimulator::new(6, cfg(2));
+    sim.run(&generators::dnn(6, 2, 1)).unwrap();
+    assert!(sim.memory_bytes() > 0);
+}
+
+#[test]
+fn sampling_and_marginals_agree_across_phases() {
+    let c = generators::ghz(6);
+    // DD phase.
+    let mut dd = FlatDdSimulator::new(6, cfg(2));
+    dd.run(&c).unwrap();
+    assert_eq!(dd.phase(), Phase::Dd);
+    // Forced flat phase.
+    let mut flat = FlatDdSimulator::new(6, cfg(2));
+    flat.run(&c).unwrap();
+    flat.convert_now().unwrap();
+    assert_eq!(flat.phase(), Phase::Dmav);
+    for q in 0..6 {
+        let a = dd.qubit_probability_one(q);
+        let b = flat.qubit_probability_one(q);
+        assert!((a - b).abs() < 1e-9 && (a - 0.5).abs() < 1e-9, "q={q}");
+    }
+    let mut rng = qdd::SplitMix64::new(4);
+    for _ in 0..50 {
+        let x = dd.sample(&mut rng.as_fn());
+        assert!(x == 0 || x == 63);
+        let y = flat.sample(&mut rng.as_fn());
+        assert!(y == 0 || y == 63);
+    }
+    let counts = flat.sample_counts(100, &mut rng.as_fn());
+    assert!(counts.len() <= 2);
+}
+
+#[test]
+fn expectation_agrees_across_phases() {
+    use qcircuit::{Hamiltonian, PauliString};
+    let c = generators::vqe(6, 2, 5);
+    let ham = Hamiltonian::transverse_ising(6, 1.0, 0.4);
+    let mut a = FlatDdSimulator::new(
+        6,
+        FlatDdConfig {
+            conversion: ConversionPolicy::Never,
+            ..cfg(2)
+        },
+    );
+    a.run(&c).unwrap();
+    let ea = a.expectation(&ham);
+    let mut b = FlatDdSimulator::new(
+        6,
+        FlatDdConfig {
+            conversion: ConversionPolicy::Immediate,
+            ..cfg(2)
+        },
+    );
+    b.run(&c).unwrap();
+    let eb = b.expectation(&ham);
+    assert!((ea - eb).abs() < 1e-8, "{ea} vs {eb}");
+    let p = PauliString::zz(1.0, 0, 1);
+    assert!((a.expectation_pauli(&p) - b.expectation_pauli(&p)).abs() < 1e-8);
+}
+
+#[test]
+fn reconversion_restores_the_dd_phase() {
+    // Hidden-shift ends in a basis state: after running flat, the back
+    // conversion must produce a tiny DD.
+    let n = 8;
+    let shift = 0b1011_0010u64;
+    let c = generators::hidden_shift(n, shift);
+    let mut sim = FlatDdSimulator::new(
+        n,
+        FlatDdConfig {
+            conversion: ConversionPolicy::Immediate,
+            ..cfg(2)
+        },
+    );
+    sim.run(&c).unwrap();
+    assert_eq!(sim.phase(), Phase::Dmav);
+    let size = sim.reconvert_to_dd().expect("was flat");
+    assert_eq!(sim.phase(), Phase::Dd);
+    assert!(
+        size <= n,
+        "final basis state must compress to <= n nodes, got {size}"
+    );
+    assert!((sim.amplitude(shift as usize).abs() - 1.0).abs() < 1e-8);
+    // Reconverting again is a no-op.
+    assert!(sim.reconvert_to_dd().is_none());
+    // And the engine keeps working in the DD phase.
+    sim.apply(&qcircuit::Gate::new(qcircuit::GateKind::X, 0))
+        .unwrap();
+    assert!((sim.amplitude((shift ^ 1) as usize).abs() - 1.0).abs() < 1e-8);
+}
+
+#[test]
+fn round_trip_conversion_preserves_state() {
+    let c = generators::dnn(7, 2, 3);
+    let mut sim = FlatDdSimulator::new(7, cfg(2));
+    sim.run(&c).unwrap();
+    let before = sim.amplitudes();
+    if sim.phase() == Phase::Dd {
+        sim.convert_now().unwrap();
+    }
+    sim.reconvert_to_dd();
+    sim.convert_now().unwrap();
+    let after = sim.amplitudes();
+    assert!(state_distance(&before, &after) < 1e-9);
+}
+
+#[test]
+fn measurement_collapse_in_both_phases() {
+    let c = generators::ghz(5);
+    let mut rng = qdd::SplitMix64::new(8);
+    for convert in [false, true] {
+        let mut sim = FlatDdSimulator::new(5, cfg(2));
+        sim.run(&c).unwrap();
+        if convert {
+            sim.convert_now().unwrap();
+        }
+        let outcome = sim.measure_qubit(2, &mut rng.as_fn());
+        for q in 0..5 {
+            let p1 = sim.qubit_probability_one(q);
+            assert!(
+                (p1 - if outcome { 1.0 } else { 0.0 }).abs() < 1e-9,
+                "convert={convert} q={q}"
+            );
+        }
+    }
+}
+
+// ------------------------------------------------------------------
+// Governor behavior
+// ------------------------------------------------------------------
+
+#[test]
+fn zero_qubits_is_invalid_input_not_a_panic() {
+    let err = FlatDdSimulator::try_new(0, cfg(1)).err();
+    assert!(
+        matches!(err, Some(FlatDdError::InvalidInput(_))),
+        "expected InvalidInput, got {err:?}"
+    );
+}
+
+#[test]
+fn width_mismatch_is_invalid_input() {
+    let mut sim = FlatDdSimulator::new(4, cfg(1));
+    let err = sim.run(&generators::ghz(6)).unwrap_err();
+    assert!(matches!(err, FlatDdError::InvalidInput(_)));
+    assert_eq!(err.exit_code(), 2);
+}
+
+#[test]
+fn zero_deadline_returns_partial_outcome() {
+    let mut g = cfg(2);
+    g.governor.deadline = Some(Duration::ZERO);
+    let mut sim = FlatDdSimulator::new(8, g);
+    std::thread::sleep(Duration::from_millis(2));
+    let err = sim.run(&generators::ghz(8)).unwrap_err();
+    match &err {
+        FlatDdError::Deadline { partial, .. } => {
+            assert_eq!(partial.total_gates, 8);
+            assert_eq!(partial.gates_applied, 0, "deadline checked pre-gate");
+            assert!(!partial.is_complete());
+            assert_eq!(partial.phase, Phase::Dd);
+        }
+        other => panic!("expected Deadline, got {other:?}"),
+    }
+    assert_eq!(err.exit_code(), 5);
+}
+
+#[test]
+fn refused_conversion_keeps_run_in_dd_mode() {
+    // Budget admits the DD tables but not the two 2^20 flat buffers
+    // (2 * 16 MiB), so the forced AtGate conversion must be refused and
+    // the run still complete correctly in DD mode.
+    let n = 20;
+    let mut g = cfg(2);
+    g.conversion = ConversionPolicy::AtGate(3);
+    g.governor.memory_budget_bytes = Some(16 * 1024 * 1024);
+    let mut sim = FlatDdSimulator::new(n, g);
+    let c = generators::ghz(n);
+    let outcome = sim.run(&c).expect("GHZ DD tables fit 16 MiB");
+    assert!(outcome.is_complete());
+    assert_eq!(sim.phase(), Phase::Dd, "conversion must have been refused");
+    assert!(sim.stats().conversion_refusals >= 1);
+    assert_eq!(sim.stats().converted_at, None);
+    assert!((sim.amplitude(0).abs() - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-9);
+}
+
+#[test]
+fn immediate_policy_over_budget_falls_back_to_dd() {
+    // 2 * 2^20 * 16 = 32 MiB of flat state against a 16 MiB budget.
+    let mut g = cfg(1);
+    g.conversion = ConversionPolicy::Immediate;
+    g.governor.memory_budget_bytes = Some(16 * 1024 * 1024);
+    let sim = FlatDdSimulator::new(20, g);
+    assert_eq!(sim.phase(), Phase::Dd);
+    assert_eq!(sim.stats().conversion_refusals, 1);
+}
+
+#[test]
+fn forced_conversion_over_budget_errors_with_refusal_recorded() {
+    let mut g = cfg(1);
+    g.governor.memory_budget_bytes = Some(16 * 1024 * 1024);
+    let mut sim = FlatDdSimulator::new(20, g);
+    let err = sim.convert_now().unwrap_err();
+    match err {
+        FlatDdError::MemoryBudgetExceeded { context, .. } => {
+            assert_eq!(context, "DD-to-array conversion");
+        }
+        other => panic!("expected MemoryBudgetExceeded, got {other:?}"),
+    }
+    assert_eq!(sim.stats().conversion_refusals, 1);
+    assert_eq!(sim.phase(), Phase::Dd);
+}
+
+#[test]
+fn one_qubit_circuits_run_under_governor() {
+    let mut g = cfg(8); // threads clamp to 1 for n = 1
+    g.governor.memory_budget_bytes = Some(8 * 1024 * 1024);
+    g.governor.deadline = Some(Duration::from_secs(60));
+    let mut sim = FlatDdSimulator::new(1, g);
+    assert_eq!(sim.threads(), 1);
+    let mut c = Circuit::new(1);
+    c.h(0);
+    c.z(0);
+    c.h(0);
+    let outcome = sim.run(&c).unwrap();
+    assert!(outcome.is_complete());
+    assert!((sim.amplitude(1).abs() - 1.0).abs() < 1e-9);
+}
+
+#[test]
+fn divergence_watchdog_catches_non_unitary_evolution() {
+    use qcircuit::{Gate, GateKind};
+    let mut g = cfg(1);
+    g.governor.health_check_every = 1;
+    let mut sim = FlatDdSimulator::new(3, g);
+    // 2*I is not unitary: the state norm doubles on application.
+    let double = [
+        Complex64::new(2.0, 0.0),
+        Complex64::ZERO,
+        Complex64::ZERO,
+        Complex64::new(2.0, 0.0),
+    ];
+    let err = sim
+        .apply(&Gate::new(GateKind::Unitary(double), 0))
+        .unwrap_err();
+    match err {
+        FlatDdError::NumericalDivergence { norm, .. } => {
+            assert!((norm - 2.0).abs() < 1e-9, "norm {norm}");
+        }
+        other => panic!("expected NumericalDivergence, got {other:?}"),
+    }
+}
+
+#[test]
+fn run_after_deadline_error_reports_progress() {
+    // Set a deadline that expires mid-run: first gates apply, then the
+    // error carries the partial gate count.
+    let mut g = cfg(2);
+    g.governor.deadline = Some(Duration::from_millis(5));
+    let mut sim = FlatDdSimulator::new(10, g);
+    // Enough gates that 5 ms cannot possibly finish them all... not
+    // guaranteed on fast machines, so loop until the deadline trips.
+    let c = generators::random_circuit(10, 200, 3);
+    let mut last = None;
+    for _ in 0..200 {
+        match sim.run(&c) {
+            Ok(_) => {}
+            Err(e) => {
+                last = Some(e);
+                break;
+            }
+        }
+    }
+    let err = last.expect("repeated runs must eventually pass the 5 ms deadline");
+    let partial = err.partial_outcome().expect("deadline carries partial");
+    assert!(partial.gates_applied <= partial.total_gates);
+}

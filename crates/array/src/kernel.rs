@@ -5,6 +5,7 @@
 //! a gate on target `k` touches amplitude pairs `(a_{..0_k..}, a_{..1_k..})`
 //! and each pair is independent, so pairs are partitioned across threads.
 
+use crate::pool::ThreadPool;
 use crate::sync_slice::SyncUnsafeSlice;
 use crate::vecops;
 use qcircuit::{Complex64, Gate};
@@ -135,48 +136,40 @@ fn apply_range_runs(state: &mut [Complex64], plan: &GatePlan, start: usize, end:
     }
 }
 
-/// Applies `gate` to `state` with `threads` worker threads (amplitude pairs
-/// are partitioned into contiguous group ranges; pairs never overlap, so the
-/// writes are disjoint). Equivalent to [`apply_gate_sharded`] with one shard
-/// per thread.
-pub fn apply_gate_parallel(state: &mut [Complex64], gate: &Gate, threads: usize) {
-    apply_gate_sharded(state, gate, threads, threads);
-}
-
-/// Applies `gate` to `state` with group space partitioned into `shards`
-/// contiguous ranges; `threads` workers pick shards round-robin
-/// (`tid, tid + T, ...`), so the worker that first-touched a state shard
-/// keeps operating on it. `pair_index` is monotone in the group index, so
-/// a contiguous group shard touches a disjoint set of amplitude pairs.
-/// `shards == threads` reproduces [`apply_gate_parallel`]'s partition
-/// exactly.
-pub fn apply_gate_sharded(state: &mut [Complex64], gate: &Gate, threads: usize, shards: usize) {
+/// Applies `gate` to `state` on `pool`, with group space partitioned into
+/// `shards` contiguous ranges dispatched by [`ThreadPool::for_each_shard`],
+/// so the worker that first-touched a state shard keeps operating on it.
+/// `pair_index` is monotone in the group index, so a contiguous group shard
+/// touches a disjoint set of amplitude pairs. States too small to amortize
+/// the fork-join barrier (and size-1 pools) take the serial kernel.
+pub fn apply_gate_pooled(state: &mut [Complex64], gate: &Gate, pool: &ThreadPool, shards: usize) {
     let groups = state.len() / 2;
-    if threads <= 1 || groups < threads * 64 {
+    if pool.size() <= 1 || groups < pool.size() * 64 {
         apply_gate_serial(state, gate);
         return;
     }
     let plan = &GatePlan::new(gate);
     let view = SyncUnsafeSlice::new(state);
     let shards = shards.max(1);
-    let workers = threads.min(shards);
-    std::thread::scope(|s| {
-        for tid in 0..workers {
-            s.spawn(move || {
-                for shard in (tid..shards).step_by(workers) {
-                    let r = crate::shard::shard_range(groups, shards, shard);
-                    if r.is_empty() {
-                        continue;
-                    }
-                    // SAFETY: shard group ranges are disjoint and each
-                    // group's pair indices are unique to that group, so no
-                    // element is touched by two threads.
-                    let full = unsafe { view.slice_mut(0, view.len()) };
-                    apply_range(full, plan, r.start, r.end);
-                }
-            });
+    pool.for_each_shard(shards, |shard| {
+        let r = crate::shard::shard_range(groups, shards, shard);
+        if r.is_empty() {
+            return;
         }
+        // SAFETY: shard group ranges are disjoint and each group's pair
+        // indices are unique to that group, so no element is touched by
+        // two threads.
+        let full = unsafe { view.slice_mut(0, view.len()) };
+        apply_range(full, plan, r.start, r.end);
     });
+}
+
+/// One-shot convenience over [`apply_gate_pooled`]: builds a transient
+/// `threads`-worker pool for this one gate (`threads <= 1` spawns nothing
+/// and runs inline). Anything applying more than one gate should own a
+/// [`ThreadPool`] and call the pooled kernel.
+pub fn apply_gate_sharded(state: &mut [Complex64], gate: &Gate, threads: usize, shards: usize) {
+    apply_gate_pooled(state, gate, &ThreadPool::new(threads), shards);
 }
 
 #[cfg(test)]
@@ -240,11 +233,12 @@ mod tests {
     fn parallel_matches_serial() {
         let n = 11; // big enough to pass the parallel threshold
         for threads in [2usize, 3, 4, 8] {
+            let pool = ThreadPool::new(threads);
             for g in gates_under_test() {
                 let mut a = rand_state(n, 7);
                 let mut b = a.clone();
                 apply_gate_serial(&mut a, &g);
-                apply_gate_parallel(&mut b, &g, threads);
+                apply_gate_pooled(&mut b, &g, &pool, threads);
                 assert!(state_distance(&a, &b) < TOL, "gate {g}, t={threads}");
             }
         }
@@ -272,7 +266,7 @@ mod tests {
         let mut a = rand_state(3, 5);
         let mut b = a.clone();
         let g = Gate::new(GateKind::H, 1);
-        apply_gate_parallel(&mut a, &g, 8);
+        apply_gate_sharded(&mut a, &g, 8, 8);
         apply_gate_serial(&mut b, &g);
         assert!(state_distance(&a, &b) < TOL);
     }

@@ -5,7 +5,10 @@
 //! a flat `2^n` amplitude array (Equations 2 and 3 of the paper), and
 //! independent amplitude pairs are partitioned across threads.
 //!
-//! * [`kernel`] — serial and multi-threaded in-place gate application with
+//! * [`pool`] — [`ThreadPool`], the persistent fork-join pool every
+//!   parallel site of the workspace dispatches on, and its
+//!   [`ThreadPool::for_each_shard`] shard-to-worker rule.
+//! * [`kernel`] — serial and pooled in-place gate application with
 //!   diagonal/anti-diagonal fast paths.
 //! * [`sim`] — [`ArraySimulator`], the full-state simulator.
 //! * [`shard`] — [`ShardedState`], the contiguous-but-sharded flat state
@@ -20,16 +23,18 @@
 
 pub mod kernel;
 pub mod measure;
+pub mod pool;
 pub mod shard;
 pub mod sim;
 pub mod sync_slice;
 pub mod vecops;
 
-pub use kernel::{apply_gate_parallel, apply_gate_serial, apply_gate_sharded};
+pub use kernel::{apply_gate_pooled, apply_gate_serial, apply_gate_sharded};
 pub use measure::{
     expectation, expectation_pauli, measure_qubit, measure_qubit_sharded, qubit_probability_one,
     qubit_probability_one_sharded, sample, sample_counts,
 };
-pub use shard::{first_touch_zeroed, shard_range, ShardZeroer, ShardedState};
+pub use pool::ThreadPool;
+pub use shard::{first_touch_zeroed, shard_range, sum_shards, ShardedState};
 pub use sim::{simulate, simulate_with_threads, try_zeroed_state, ArraySimulator};
 pub use sync_slice::SyncUnsafeSlice;

@@ -2,6 +2,9 @@
 //! collapse, and Pauli expectation values — the array-engine counterpart of
 //! `qdd::sampling` / `qdd::inner`.
 
+use crate::pool::ThreadPool;
+use crate::shard::{shard_range, sum_shards};
+use crate::sync_slice::SyncUnsafeSlice;
 use crate::vecops;
 use qcircuit::observable::{Hamiltonian, Pauli, PauliString};
 use qcircuit::Complex64;
@@ -49,28 +52,17 @@ pub fn sample_counts(
     out
 }
 
-/// Marginal probability that qubit `q` measures 1.
+/// Marginal probability that qubit `q` measures 1: the one-shard case of
+/// [`qubit_probability_one_sharded`].
 pub fn qubit_probability_one(state: &[Complex64], q: usize) -> f64 {
-    let bit = 1usize << q;
-    if bit >= state.len() {
-        return 0.0;
-    }
-    // Indices with bit `q` set form contiguous runs of length `bit`.
-    let mut p1 = 0.0;
-    let mut base = 0;
-    while base < state.len() {
-        p1 += vecops::norm_sqr(&state[base + bit..base + 2 * bit]);
-        base += 2 * bit;
-    }
-    p1
+    qubit_probability_one_sharded(state, q, 1, &ThreadPool::new(1))
 }
 
 /// The `|1>`-branch probability mass inside `state[range]`: the marginal's
 /// runs (`[base + bit, base + 2*bit)` for `base` a multiple of `2*bit`)
-/// clipped to the range. Summing the partials of a tiling of `state` in
-/// shard order reproduces [`qubit_probability_one`]'s accumulation exactly
-/// when there is one shard, and a fixed shard-ordered sum otherwise —
-/// deterministic for a given shard count regardless of thread count.
+/// clipped to the range. The partials of a tiling of `state` are summed in
+/// shard order, so the marginal is deterministic for a given shard count
+/// regardless of thread count.
 fn prob_one_partial(state: &[Complex64], bit: usize, range: std::ops::Range<usize>) -> f64 {
     let stride = 2 * bit;
     let mut p1 = 0.0;
@@ -86,70 +78,53 @@ fn prob_one_partial(state: &[Complex64], bit: usize, range: std::ops::Range<usiz
     p1
 }
 
-/// [`qubit_probability_one`] computed per shard: each of `shards`
-/// contiguous state ranges contributes a partial sum (workers pick shards
-/// round-robin), and the partials are added in shard order. One shard is
-/// bit-identical to the monolithic marginal.
+/// Marginal probability that qubit `q` measures 1, computed per shard:
+/// each of `shards` contiguous state ranges contributes a partial sum
+/// (dispatched by [`ThreadPool::for_each_shard`]), and the partials are
+/// added in shard order.
 pub fn qubit_probability_one_sharded(
     state: &[Complex64],
     q: usize,
     shards: usize,
-    threads: usize,
+    pool: &ThreadPool,
 ) -> f64 {
     let bit = 1usize << q;
     if bit >= state.len() {
         return 0.0;
     }
-    let shards = shards.max(1);
-    let mut partials = vec![0.0f64; shards];
-    let workers = threads.clamp(1, shards);
-    if workers <= 1 {
-        for (s, p) in partials.iter_mut().enumerate() {
-            *p = prob_one_partial(
-                state,
-                bit,
-                crate::shard::shard_range(state.len(), shards, s),
-            );
-        }
-    } else {
-        let view = crate::sync_slice::SyncUnsafeSlice::new(&mut partials);
-        std::thread::scope(|scope| {
-            for tid in 0..workers {
-                scope.spawn(move || {
-                    for s in (tid..shards).step_by(workers) {
-                        let r = crate::shard::shard_range(state.len(), shards, s);
-                        // SAFETY: each shard index is owned by one worker.
-                        unsafe { view.write(s, prob_one_partial(state, bit, r)) };
-                    }
-                });
-            }
-        });
-    }
-    partials.iter().sum()
+    sum_shards(pool, shards, |s| {
+        prob_one_partial(state, bit, shard_range(state.len(), shards, s))
+    })
 }
 
-/// Projectively measures qubit `q` with the collapse dispatched per shard:
-/// the outcome is drawn from the shard-ordered marginal, then each shard's
-/// range is scaled/zeroed independently (elementwise, so the result is
-/// identical to [`measure_qubit`] up to the marginal's summation order —
-/// and bit-identical with one shard).
+/// Projectively measures qubit `q` in place with the collapse dispatched
+/// per shard: the outcome is drawn from the shard-ordered marginal, the
+/// other branch is zeroed and the kept one renormalized, each shard's range
+/// independently (elementwise, so only the marginal's summation order
+/// depends on the shard count). Returns the outcome.
 pub fn measure_qubit_sharded(
     state: &mut [Complex64],
     q: usize,
     rand01: &mut impl FnMut() -> f64,
     shards: usize,
-    threads: usize,
+    pool: &ThreadPool,
 ) -> bool {
     let shards = shards.max(1);
-    let p1 = qubit_probability_one_sharded(state, q, shards, threads);
+    let p1 = qubit_probability_one_sharded(state, q, shards, pool);
     let outcome = rand01() < p1;
     let prob = if outcome { p1 } else { 1.0 - p1 };
     assert!(prob > 1e-15, "measured an impossible outcome");
     let bit = 1usize << q;
     let scale = Complex64::real(1.0 / prob.sqrt());
     let dim = state.len();
-    let workers = threads.clamp(1, shards);
-    let collapse = |chunk: &mut [Complex64], r: std::ops::Range<usize>| {
+    let view = SyncUnsafeSlice::new(state);
+    pool.for_each_shard(shards, |s| {
+        let r = shard_range(dim, shards, s);
+        if r.is_empty() {
+            return;
+        }
+        // SAFETY: shard ranges are disjoint and each runs on one worker.
+        let chunk = unsafe { view.slice_mut(r.start, r.len()) };
         if bit >= dim {
             // Qubit above the register: outcome is always 0, pure rescale.
             vecops::scale_in_place(chunk, scale);
@@ -173,64 +148,14 @@ pub fn measure_qubit_sharded(
             }
             base += stride;
         }
-    };
-    if workers <= 1 {
-        for s in 0..shards {
-            let r = crate::shard::shard_range(dim, shards, s);
-            if !r.is_empty() {
-                let chunk = &mut state[r.clone()];
-                collapse(chunk, r);
-            }
-        }
-    } else {
-        let view = crate::sync_slice::SyncUnsafeSlice::new(state);
-        let collapse = &collapse;
-        std::thread::scope(|scope| {
-            for tid in 0..workers {
-                scope.spawn(move || {
-                    for s in (tid..shards).step_by(workers) {
-                        let r = crate::shard::shard_range(dim, shards, s);
-                        if r.is_empty() {
-                            continue;
-                        }
-                        // SAFETY: shard ranges are disjoint per worker.
-                        let chunk = unsafe { view.slice_mut(r.start, r.len()) };
-                        collapse(chunk, r);
-                    }
-                });
-            }
-        });
-    }
+    });
     outcome
 }
 
-/// Projectively measures qubit `q` in place: draws the outcome, zeroes the
-/// other branch, renormalizes. Returns the outcome.
+/// Projectively measures qubit `q` in place: the one-shard case of
+/// [`measure_qubit_sharded`]. Returns the outcome.
 pub fn measure_qubit(state: &mut [Complex64], q: usize, rand01: &mut impl FnMut() -> f64) -> bool {
-    let p1 = qubit_probability_one(state, q);
-    let outcome = rand01() < p1;
-    let prob = if outcome { p1 } else { 1.0 - p1 };
-    assert!(prob > 1e-15, "measured an impossible outcome");
-    let bit = 1usize << q;
-    let scale = Complex64::real(1.0 / prob.sqrt());
-    if bit >= state.len() {
-        // Qubit above the register: outcome is always 0, nothing collapses.
-        vecops::scale_in_place(state, scale);
-        return outcome;
-    }
-    let mut base = 0;
-    while base < state.len() {
-        let (zero_half, one_half) = state[base..base + 2 * bit].split_at_mut(bit);
-        let (keep, kill) = if outcome {
-            (one_half, zero_half)
-        } else {
-            (zero_half, one_half)
-        };
-        vecops::scale_in_place(keep, scale);
-        kill.fill(Complex64::ZERO);
-        base += 2 * bit;
-    }
-    outcome
+    measure_qubit_sharded(state, q, rand01, 1, &ThreadPool::new(1))
 }
 
 /// Expectation `<psi| P |psi>` of one Pauli string (bit-twiddling, no
@@ -377,15 +302,28 @@ mod tests {
     fn sharded_marginal_matches_monolithic() {
         let c = generators::random_circuit(6, 60, 11);
         let v = dense::simulate(&c);
+        let one = ThreadPool::new(1);
         for q in 0..6 {
+            // Independent reference: the index-filtered sum.
+            let naive: f64 = v
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i & (1 << q) != 0)
+                .map(|(_, a)| a.norm_sqr())
+                .sum();
             let want = qubit_probability_one(&v, q);
-            // One shard must be bit-identical (same accumulation order).
-            assert_eq!(qubit_probability_one_sharded(&v, q, 1, 4), want);
+            assert!((want - naive).abs() < 1e-12, "q={q}");
+            // One shard is the monolithic marginal on any pool.
+            assert_eq!(
+                qubit_probability_one_sharded(&v, q, 1, &ThreadPool::new(4)),
+                want
+            );
             for (shards, threads) in [(2, 1), (4, 2), (8, 3), (16, 16), (3, 2)] {
-                let got = qubit_probability_one_sharded(&v, q, shards, threads);
+                let pool = ThreadPool::new(threads);
+                let got = qubit_probability_one_sharded(&v, q, shards, &pool);
                 assert!((got - want).abs() < 1e-12, "q={q} shards={shards}");
                 // Deterministic for a shard count regardless of threads.
-                assert_eq!(got, qubit_probability_one_sharded(&v, q, shards, 1));
+                assert_eq!(got, qubit_probability_one_sharded(&v, q, shards, &one));
             }
         }
     }
@@ -394,13 +332,14 @@ mod tests {
     fn sharded_collapse_matches_monolithic() {
         let c = generators::random_circuit(6, 60, 17);
         for (shards, threads) in [(1, 1), (4, 2), (8, 8), (5, 3)] {
+            let pool = ThreadPool::new(threads);
             for q in 0..6 {
                 let mut a = dense::simulate(&c);
                 let mut b = a.clone();
                 let mut r1 = SplitMix64::new(q as u64 + 1);
                 let mut r2 = SplitMix64::new(q as u64 + 1);
                 let oa = measure_qubit(&mut a, q, &mut r1.as_fn());
-                let ob = measure_qubit_sharded(&mut b, q, &mut r2.as_fn(), shards, threads);
+                let ob = measure_qubit_sharded(&mut b, q, &mut r2.as_fn(), shards, &pool);
                 assert_eq!(oa, ob, "q={q} shards={shards}");
                 assert!(
                     qcircuit::complex::state_distance(&a, &b) < 1e-12,

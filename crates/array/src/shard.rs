@@ -18,10 +18,11 @@
 //! keeps touching the same shards it first-touched regardless of whether
 //! the shard count equals, exceeds, or undershoots the thread count.
 
+use crate::pool::ThreadPool;
+use crate::sync_slice::SyncUnsafeSlice;
 use qcircuit::Complex64;
 use std::collections::TryReserveError;
 use std::ops::{Deref, DerefMut, Range};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Splits `dim` elements into `shards` contiguous ranges: every shard gets
 /// `ceil(dim / shards)` elements except a possibly short (or empty) tail.
@@ -35,75 +36,55 @@ pub fn shard_range(dim: usize, shards: usize, s: usize) -> Range<usize> {
     start..end
 }
 
-/// Hands out exclusive zeroing claims over the shards of an uninitialized
-/// buffer. Created by [`first_touch_zeroed`] / [`ShardedState`]
-/// constructors; the dispatch closure runs [`ShardZeroer::zero_shard`] from
-/// whichever thread should own each shard's pages.
-pub struct ShardZeroer {
-    ptr: *mut Complex64,
-    dim: usize,
-    shards: usize,
-    claimed: Vec<AtomicBool>,
-}
-
-// SAFETY: the raw pointer is only written through CAS-claimed, disjoint
-// shard ranges; `Complex64` is plain data.
-unsafe impl Send for ShardZeroer {}
-unsafe impl Sync for ShardZeroer {}
-
-impl ShardZeroer {
-    /// Number of shards to claim.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Claims shard `s` and zeroes its range; returns `false` when another
-    /// thread already claimed it (the range must not be touched again).
-    pub fn zero_shard(&self, s: usize) -> bool {
-        if s >= self.shards
-            || self.claimed[s]
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-        {
-            return false;
-        }
-        let r = shard_range(self.dim, self.shards, s);
-        // SAFETY: the CAS gives this thread exclusive ownership of the
-        // range; all-zero bytes are a valid `Complex64` (two 0.0 f64s).
-        unsafe { std::ptr::write_bytes(self.ptr.add(r.start), 0, r.len()) };
-        true
-    }
-}
-
 /// Replaces the contents of `v` with `dim` zeroed elements, reserving
-/// fallibly and letting `dispatch` first-touch the shards from its own
-/// worker threads. Shards the dispatcher never claims are zeroed serially
-/// afterwards, so the buffer is fully initialized on return no matter what
-/// the closure does.
+/// fallibly and letting `pool`'s workers first-touch the shards they will
+/// own afterwards ([`ThreadPool::for_each_shard`]'s round-robin rule): the
+/// one place a flat buffer gets zeroed in parallel.
 pub fn first_touch_zeroed(
     v: &mut Vec<Complex64>,
     dim: usize,
     shards: usize,
-    dispatch: impl FnOnce(&ShardZeroer),
+    pool: &ThreadPool,
 ) -> Result<(), TryReserveError> {
     v.clear();
     if v.capacity() < dim {
         v.try_reserve_exact(dim)?;
     }
     let shards = shards.max(1);
-    let zeroer = ShardZeroer {
-        ptr: v.as_mut_ptr(),
-        dim,
-        shards,
-        claimed: (0..shards).map(|_| AtomicBool::new(false)).collect(),
-    };
-    dispatch(&zeroer);
-    for s in 0..shards {
-        zeroer.zero_shard(s);
-    }
-    // SAFETY: every shard was zeroed exactly once (dispatch or fallback).
+    let spare = SyncUnsafeSlice::new(&mut v.spare_capacity_mut()[..dim]);
+    pool.for_each_shard(shards, |s| {
+        let r = shard_range(dim, shards, s);
+        // SAFETY: shard ranges tile `0..dim` without overlap and each shard
+        // runs on exactly one worker; all-zero bytes are a valid
+        // `Complex64` (two 0.0 f64s).
+        unsafe {
+            spare
+                .slice_mut(r.start, r.len())
+                .as_mut_ptr()
+                .write_bytes(0, r.len())
+        };
+    });
+    // SAFETY: the shards tile `0..dim` and `for_each_shard` returned, so
+    // every element below `dim` is initialized.
     unsafe { v.set_len(dim) };
     Ok(())
+}
+
+/// Sums `partial(s)` over the shards `0..shards`: the partials are computed
+/// on `pool` ([`ThreadPool::for_each_shard`]) and added in shard order, so
+/// the result depends on the shard count but never on the thread count.
+/// One shard is `partial(0)` itself.
+pub fn sum_shards(pool: &ThreadPool, shards: usize, partial: impl Fn(usize) -> f64 + Sync) -> f64 {
+    if shards <= 1 {
+        return partial(0);
+    }
+    let mut partials = vec![0.0f64; shards];
+    let view = SyncUnsafeSlice::new(&mut partials);
+    pool.for_each_shard(shards, |s| {
+        // SAFETY: each partial slot is written by exactly one worker.
+        unsafe { view.write(s, partial(s)) };
+    });
+    partials.iter().sum()
 }
 
 /// A `2^n` amplitude vector in one contiguous allocation, carved into
@@ -118,42 +99,28 @@ pub struct ShardedState {
 }
 
 impl ShardedState {
-    /// Allocates `dim` zeroed amplitudes in `shards` shards, first-touching
-    /// each shard from a scoped thread (one per shard, capped at `threads`,
-    /// round-robin). Use [`ShardedState::try_new_zeroed_with`] when a
-    /// persistent worker pool should do the touching instead.
+    /// One-shot convenience over [`Self::try_new_zeroed_on`]: builds a
+    /// transient `threads`-worker pool for the first touch (`threads <= 1`
+    /// spawns nothing and zeroes inline). A caller that goes on to operate
+    /// on the state should own the [`ThreadPool`] and pass it instead, so
+    /// the workers that paged a shard in are the ones that use it.
     pub fn try_new_zeroed(
         dim: usize,
         shards: usize,
         threads: usize,
     ) -> Result<Self, TryReserveError> {
-        Self::try_new_zeroed_with(dim, shards, |z| {
-            let t = threads.clamp(1, z.shards());
-            if t <= 1 {
-                return; // the serial fallback in first_touch_zeroed covers it
-            }
-            std::thread::scope(|scope| {
-                for tid in 0..t {
-                    scope.spawn(move || {
-                        for s in (tid..z.shards()).step_by(t) {
-                            z.zero_shard(s);
-                        }
-                    });
-                }
-            });
-        })
+        Self::try_new_zeroed_on(dim, shards, &ThreadPool::new(threads))
     }
 
-    /// Allocates `dim` zeroed amplitudes in `shards` shards; `dispatch`
-    /// gets a [`ShardZeroer`] and decides which threads first-touch which
-    /// shards (unclaimed shards are zeroed serially afterwards).
-    pub fn try_new_zeroed_with(
+    /// Allocates `dim` zeroed amplitudes in `shards` shards, each shard
+    /// first-touched by the `pool` worker that owns it.
+    pub fn try_new_zeroed_on(
         dim: usize,
         shards: usize,
-        dispatch: impl FnOnce(&ShardZeroer),
+        pool: &ThreadPool,
     ) -> Result<Self, TryReserveError> {
         let mut data = Vec::new();
-        first_touch_zeroed(&mut data, dim, shards, dispatch)?;
+        first_touch_zeroed(&mut data, dim, shards, pool)?;
         Ok(ShardedState {
             data,
             shards: shards.max(1),
@@ -235,22 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn first_touch_zeroes_everything_with_lazy_dispatchers() {
-        // Dispatcher claims nothing: the serial fallback must finish the job.
-        let st = ShardedState::try_new_zeroed_with(64, 4, |_| {}).unwrap();
-        assert_eq!(st.len(), 64);
-        assert!(st.iter().all(|a| a.is_zero()));
-        // Dispatcher claims a strict subset.
-        let st = ShardedState::try_new_zeroed_with(64, 4, |z| {
-            assert!(z.zero_shard(1));
-            assert!(!z.zero_shard(1), "double claim must be refused");
-            assert!(!z.zero_shard(99), "out-of-range claim must be refused");
-        })
-        .unwrap();
-        assert!(st.iter().all(|a| a.is_zero()));
-    }
-
-    #[test]
     fn parallel_first_touch_matches_serial() {
         for (shards, threads) in [(1, 1), (4, 2), (8, 8), (8, 3), (2, 16)] {
             let st = ShardedState::try_new_zeroed(1 << 8, shards, threads).unwrap();
@@ -278,12 +229,7 @@ mod tests {
         let mut v = Vec::with_capacity(32);
         v.extend((0..32).map(|i| Complex64::new(i as f64, 0.0)));
         let ptr = v.as_ptr();
-        first_touch_zeroed(&mut v, 32, 4, |z| {
-            for s in 0..z.shards() {
-                z.zero_shard(s);
-            }
-        })
-        .unwrap();
+        first_touch_zeroed(&mut v, 32, 4, &ThreadPool::new(2)).unwrap();
         assert_eq!(v.len(), 32);
         assert!(v.iter().all(|a| a.is_zero()));
         assert_eq!(ptr, v.as_ptr(), "no reallocation when capacity suffices");

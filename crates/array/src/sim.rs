@@ -1,16 +1,19 @@
 //! The array-based simulator (Quantum++-equivalent baseline).
 
-use crate::kernel::{apply_gate_serial, apply_gate_sharded};
+use crate::kernel::apply_gate_pooled;
+use crate::pool::ThreadPool;
 use crate::shard::ShardedState;
 use qcircuit::complex::norm_sqr;
 use qcircuit::{Circuit, Complex64, Gate};
 
 /// Full-state array-based simulator: a flat `2^n` amplitude vector with
-/// multi-threaded in-place gate application dispatched per shard.
+/// in-place gate application dispatched per shard on the simulator's own
+/// worker pool.
 pub struct ArraySimulator {
     state: Vec<Complex64>,
     n: usize,
-    threads: usize,
+    /// Workers for the gate kernels (size 1 = inline, no threads).
+    pool: ThreadPool,
     /// Gate-kernel dispatch granularity (defaults to the thread count).
     shards: usize,
     /// Cached handle on the global `array.gates` counter (one registry
@@ -27,8 +30,9 @@ impl ArraySimulator {
     /// Initializes `|0...0>` over `n` qubits with a worker-thread count.
     ///
     /// # Panics
-    /// When the `2^n` amplitude vector cannot be allocated; use
-    /// [`Self::try_with_threads`] to handle exhaustion gracefully.
+    /// When the `2^n` amplitude vector cannot be allocated (use
+    /// [`Self::try_with_threads`] to handle exhaustion gracefully) or the OS
+    /// refuses to spawn a worker thread.
     pub fn with_threads(n: usize, threads: usize) -> Self {
         Self::try_with_threads(n, threads)
             .unwrap_or_else(|_| panic!("cannot allocate 2^{n} amplitudes"))
@@ -37,20 +41,21 @@ impl ArraySimulator {
     /// Fallible [`Self::with_threads`]: a refused allocation comes back as
     /// a `TryReserveError` instead of aborting the process. The state is
     /// zero-initialized first-touch: each of `threads` shards is paged in
-    /// by the worker that will own it during gate application.
+    /// by the pool worker that owns it during gate application.
     pub fn try_with_threads(
         n: usize,
         threads: usize,
     ) -> Result<Self, std::collections::TryReserveError> {
         assert!(n >= 1 && n < usize::BITS as usize);
-        let threads = threads.max(1);
-        let mut state = ShardedState::try_new_zeroed(1usize << n, threads, threads)?.into_vec();
+        let pool = ThreadPool::new(threads);
+        let shards = pool.size();
+        let mut state = ShardedState::try_new_zeroed_on(1usize << n, shards, &pool)?.into_vec();
         state[0] = Complex64::ONE;
         Ok(ArraySimulator {
             state,
             n,
-            threads,
-            shards: threads,
+            pool,
+            shards,
             gates_applied: qtelemetry::counter("array.gates"),
         })
     }
@@ -59,11 +64,12 @@ impl ArraySimulator {
     pub fn from_state(state: Vec<Complex64>, threads: usize) -> Self {
         assert!(state.len().is_power_of_two() && state.len() >= 2);
         let n = state.len().trailing_zeros() as usize;
+        let pool = ThreadPool::new(threads);
         ArraySimulator {
             state,
             n,
-            threads: threads.max(1),
-            shards: threads.max(1),
+            shards: pool.size(),
+            pool,
             gates_applied: qtelemetry::counter("array.gates"),
         }
     }
@@ -73,19 +79,9 @@ impl ArraySimulator {
         self.n
     }
 
-    /// Configured worker-thread count.
+    /// Worker-thread count.
     pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Changes the worker-thread count (the shard count follows unless
-    /// [`Self::set_shards`] pinned it).
-    pub fn set_threads(&mut self, threads: usize) {
-        let follow = self.shards == self.threads;
-        self.threads = threads.max(1);
-        if follow {
-            self.shards = self.threads;
-        }
+        self.pool.size()
     }
 
     /// Gate-kernel dispatch shards.
@@ -112,11 +108,7 @@ impl ArraySimulator {
     /// Applies one gate in place.
     pub fn apply(&mut self, gate: &Gate) {
         self.gates_applied.inc();
-        if self.threads > 1 {
-            apply_gate_sharded(&mut self.state, gate, self.threads, self.shards);
-        } else {
-            apply_gate_serial(&mut self.state, gate);
-        }
+        apply_gate_pooled(&mut self.state, gate, &self.pool, self.shards);
     }
 
     /// Runs a whole circuit.
@@ -205,6 +197,17 @@ mod tests {
         for t in [2, 4, 8] {
             let b = simulate_with_threads(&c, t);
             assert!(state_distance(&a, &b) < TOL, "t={t}");
+        }
+    }
+
+    #[test]
+    fn pooled_threads_are_bit_identical_to_one_thread() {
+        // 2^9 groups clear the parallel threshold at 2 and 4 workers, and
+        // the kernels are elementwise per amplitude pair.
+        let c = generators::random_circuit(10, 200, 9);
+        let a = simulate(&c);
+        for t in [2, 4] {
+            assert_eq!(simulate_with_threads(&c, t), a, "t={t}");
         }
     }
 

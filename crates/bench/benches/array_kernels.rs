@@ -2,7 +2,7 @@
 //! (Equations 2/3): dense vs diagonal vs controlled, serial vs parallel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qarray::{apply_gate_parallel, apply_gate_serial};
+use qarray::{apply_gate_pooled, apply_gate_serial, ThreadPool};
 use qcircuit::gate::{Control, Gate, GateKind};
 use qcircuit::Complex64;
 
@@ -46,8 +46,9 @@ fn bench_parallel(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("h_mid", t), &t, |b, &t| {
             let g = Gate::new(GateKind::H, n / 2);
             let mut v = state(n);
+            let pool = ThreadPool::new(t);
             b.iter(|| {
-                apply_gate_parallel(&mut v, &g, t);
+                apply_gate_pooled(&mut v, &g, &pool, t);
                 std::hint::black_box(&v);
             });
         });

@@ -146,16 +146,12 @@ pub enum CheckpointState {
 pub enum CheckpointPayload<'a> {
     /// QDDV1 bytes.
     Dd(&'a [u8]),
-    /// Flat amplitudes. `shards` is the writer's flat-phase shard geometry:
-    /// encode chunks align to shard boundaries so encoding parallelizes per
-    /// shard. The bytes on disk are a plain concatenation under one running
-    /// CRC, so the file is byte-identical for every shard count and a
-    /// resume is valid under a different `--flat-shards` value.
+    /// Flat amplitudes, written as one chunked little-endian stream under
+    /// one running CRC. Nothing of the writer's shard geometry reaches the
+    /// file, so a resume is valid under a different `--flat-shards` value.
     Flat {
         /// The amplitude vector.
         amps: &'a [Complex64],
-        /// Writer-side shard count (1 = serial encode).
-        shards: usize,
     },
 }
 
@@ -419,24 +415,6 @@ pub fn sweep_stale_tmp(dir: &Path) -> Vec<PathBuf> {
     removed
 }
 
-/// Flat-payload chunk boundaries: each state shard split into
-/// [`FLAT_CHUNK`]-amplitude sub-chunks, in stream order. Chunking is
-/// invisible on disk (one concatenated byte stream, one running CRC), so
-/// any shard count produces the same file.
-fn flat_chunks(len: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
-    let mut chunks = Vec::new();
-    for s in 0..shards.max(1) {
-        let r = qarray::shard_range(len, shards.max(1), s);
-        let mut start = r.start;
-        while start < r.end {
-            let end = (start + FLAT_CHUNK).min(r.end);
-            chunks.push(start..end);
-            start = end;
-        }
-    }
-    chunks
-}
-
 /// Decodes one chunk of LE `(re, im)` f64 pairs into `dst`; returns `false`
 /// when any amplitude is non-finite.
 fn decode_flat_chunk(bytes: &[u8], dst: &mut [Complex64]) -> bool {
@@ -483,40 +461,15 @@ fn write_tmp(
             crc.update(bytes);
             w.write_all(bytes)?;
         }
-        CheckpointPayload::Flat { amps, shards } => {
+        CheckpointPayload::Flat { amps } => {
             w.write_all(&[1u8])?;
             w.write_all(&((amps.len() * 16) as u64).to_le_bytes())?;
-            let chunks = flat_chunks(amps.len(), shards);
-            if shards <= 1 {
-                let mut chunk = Vec::with_capacity(FLAT_CHUNK.min(amps.len()) * 16);
-                for r in chunks {
-                    chunk.clear();
-                    encode_flat_chunk(&amps[r], &mut chunk);
-                    crc.update(&chunk);
-                    w.write_all(&chunk)?;
-                }
-            } else {
-                // Shard-parallel encode: waves of `lanes` chunks are encoded
-                // concurrently into private slots, then CRC'd and written in
-                // order — the stream (and thus the CRC) is identical to the
-                // serial path.
-                let lanes = shards.min(8);
-                let mut slots: Vec<Vec<u8>> = vec![Vec::new(); lanes];
-                for wave in chunks.chunks(lanes) {
-                    std::thread::scope(|s| {
-                        for (slot, r) in slots.iter_mut().zip(wave) {
-                            let block = &amps[r.clone()];
-                            s.spawn(move || {
-                                slot.clear();
-                                encode_flat_chunk(block, slot);
-                            });
-                        }
-                    });
-                    for (slot, _) in slots.iter().zip(wave) {
-                        crc.update(slot);
-                        w.write_all(slot)?;
-                    }
-                }
+            let mut chunk = Vec::with_capacity(FLAT_CHUNK.min(amps.len()) * 16);
+            for block in amps.chunks(FLAT_CHUNK) {
+                chunk.clear();
+                encode_flat_chunk(block, &mut chunk);
+                crc.update(&chunk);
+                w.write_all(&chunk)?;
             }
         }
     }
@@ -766,58 +719,12 @@ pub fn read_checkpoint(path: &Path) -> Result<(CheckpointHeader, CheckpointState
             }
             let mut amps = qarray::try_zeroed_state(count)
                 .map_err(|_| corrupt("flat payload too large to allocate"))?;
-            // Decode lanes: chunks are read (and CRC'd) serially in stream
-            // order, then a wave of up to `lanes` chunks is decoded into
-            // disjoint amplitude ranges concurrently. The reader needs no
-            // knowledge of the writer's shard count.
-            let lanes = if count >= 2 * FLAT_CHUNK {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-                    .min(8)
-            } else {
-                1
-            };
-            let mut bufs: Vec<Vec<u8>> = vec![vec![0u8; FLAT_CHUNK.min(count) * 16]; lanes];
-            let mut filled = 0usize;
-            while filled < count {
-                let mut wave: Vec<(usize, usize)> = Vec::new(); // (start, take)
-                for b in bufs.iter_mut() {
-                    if filled >= count {
-                        break;
-                    }
-                    let take = FLAT_CHUNK.min(count - filled);
-                    let buf = &mut b[..take * 16];
-                    read_exactly(&mut r, buf, "flat payload")?;
-                    crc.update(buf);
-                    wave.push((filled, take));
-                    filled += take;
-                }
-                let mut ok = true;
-                if wave.len() <= 1 {
-                    for (&(start, take), b) in wave.iter().zip(&bufs) {
-                        ok &= decode_flat_chunk(&b[..take * 16], &mut amps[start..start + take]);
-                    }
-                } else {
-                    let mut tail: &mut [Complex64] = &mut amps;
-                    let mut consumed = 0usize;
-                    std::thread::scope(|s| {
-                        let mut handles = Vec::new();
-                        for (&(start, take), b) in wave.iter().zip(&bufs) {
-                            let (head, rest) =
-                                std::mem::take(&mut tail).split_at_mut(start + take - consumed);
-                            let dst = &mut head[start - consumed..];
-                            consumed = start + take;
-                            tail = rest;
-                            let bytes = &b[..take * 16];
-                            handles.push(s.spawn(move || decode_flat_chunk(bytes, dst)));
-                        }
-                        for h in handles {
-                            ok &= h.join().unwrap_or(false);
-                        }
-                    });
-                }
-                if !ok {
+            let mut buf = vec![0u8; FLAT_CHUNK.min(count) * 16];
+            for block in amps.chunks_mut(FLAT_CHUNK) {
+                let bytes = &mut buf[..block.len() * 16];
+                read_exactly(&mut r, bytes, "flat payload")?;
+                crc.update(bytes);
+                if !decode_flat_chunk(bytes, block) {
                     return Err(corrupt("non-finite amplitude in flat payload"));
                 }
             }
@@ -931,12 +838,11 @@ mod tests {
         let amps: Vec<Complex64> = (0..8)
             .map(|i| Complex64::new(i as f64 * 0.25, -(i as f64)))
             .collect();
-        let bytes = write_checkpoint(&path, &header(Phase::Dmav), {
-            CheckpointPayload::Flat {
-                amps: &amps,
-                shards: 1,
-            }
-        })
+        let bytes = write_checkpoint(
+            &path,
+            &header(Phase::Dmav),
+            CheckpointPayload::Flat { amps: &amps },
+        )
         .unwrap();
         assert_eq!(bytes, std::fs::metadata(&path).unwrap().len());
         assert!(!tmp_path(&path).exists(), "tmp file must be renamed away");
@@ -951,8 +857,9 @@ mod tests {
 
     #[test]
     fn flat_checkpoint_bytes_identical_for_every_shard_count() {
-        // Big enough to exercise multiple FLAT_CHUNK sub-chunks per shard
-        // and the wave-parallel encode/decode paths.
+        // Big enough for several FLAT_CHUNK chunks; the writer sees the
+        // sharded state only as a slice, so its geometry cannot reach the
+        // file.
         let n = 17u32;
         let amps: Vec<Complex64> = (0..1usize << n)
             .map(|i| Complex64::new((i as f64).sin(), (i as f64).cos() * 0.5))
@@ -962,15 +869,8 @@ mod tests {
         let mut reference: Option<Vec<u8>> = None;
         for shards in [1usize, 2, 4, 16] {
             let path = tmp_file(&format!("flat-shards-{shards}"));
-            write_checkpoint(
-                &path,
-                &h,
-                CheckpointPayload::Flat {
-                    amps: &amps,
-                    shards,
-                },
-            )
-            .unwrap();
+            let state = qarray::ShardedState::from_vec(amps.clone(), shards);
+            write_checkpoint(&path, &h, CheckpointPayload::Flat { amps: &state }).unwrap();
             let bytes = std::fs::read(&path).unwrap();
             match &reference {
                 None => reference = Some(bytes),
@@ -1010,10 +910,7 @@ mod tests {
         write_checkpoint(
             &path,
             &header(Phase::Dmav),
-            CheckpointPayload::Flat {
-                amps: &amps,
-                shards: 2,
-            },
+            CheckpointPayload::Flat { amps: &amps },
         )
         .unwrap();
         let good = std::fs::read(&path).unwrap();

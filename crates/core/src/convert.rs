@@ -190,63 +190,44 @@ pub struct ConversionBreakdown {
     pub scalar_tasks: usize,
 }
 
-/// Converts a vector DD into a flat array using the pool — the FlatDD
-/// parallel conversion of Figure 4. The output buffer is first-touch
-/// zeroed by the pool workers, shard-per-thread.
+/// Converts a vector DD into a freshly allocated flat array using the pool
+/// — the FlatDD parallel conversion of Figure 4 with one dispatch group per
+/// pool thread. Probes the process-global fault registry.
+///
+/// # Panics
+/// When the `2^n` output cannot be allocated.
 pub fn dd_to_array_parallel(
     pkg: &DdPackage,
     root: VEdge,
     n: usize,
     pool: &ThreadPool,
 ) -> Vec<Complex64> {
-    let t = pool.size();
+    dd_to_array_grouped(pkg, root, n, pool, pool.size())
+}
+
+/// [`dd_to_array_parallel`] with an explicit dispatch-group count.
+pub(crate) fn dd_to_array_grouped(
+    pkg: &DdPackage,
+    root: VEdge,
+    n: usize,
+    pool: &ThreadPool,
+    groups: usize,
+) -> Vec<Complex64> {
     let mut out = Vec::new();
-    qarray::first_touch_zeroed(&mut out, 1usize << n, t, |z| {
-        if t > 1 {
-            pool.run(|tid| {
-                for s in (tid..z.shards()).step_by(t) {
-                    z.zero_shard(s);
-                }
-            });
-        }
-    })
-    .unwrap_or_else(|_| panic!("cannot allocate 2^{n} amplitudes"));
-    let _ = dd_to_array_parallel_into(pkg, root, n, pool, &mut out);
+    qarray::first_touch_zeroed(&mut out, 1usize << n, groups, pool)
+        .unwrap_or_else(|_| panic!("cannot allocate 2^{n} amplitudes"));
+    let ctx = crate::RunContext::process();
+    dd_to_array_parallel_sharded_into_with(pkg, root, n, pool, groups, &mut out, &ctx);
     out
 }
 
-/// Same as [`dd_to_array_parallel`] but writing into a caller buffer
-/// (which must be zeroed). Returns the per-group breakdown for telemetry.
-/// Probes the process-global fault registry.
-pub fn dd_to_array_parallel_into(
-    pkg: &DdPackage,
-    root: VEdge,
-    n: usize,
-    pool: &ThreadPool,
-    out: &mut [Complex64],
-) -> ConversionBreakdown {
-    dd_to_array_parallel_into_probed(pkg, root, n, pool, pool.size(), out, &crate::faults::fires)
-}
-
-/// [`dd_to_array_parallel_into`] with the worker-panic fault site routed
-/// through a per-run context instead of the global registry, so chaos
-/// tests can panic one job's conversion without touching its neighbors.
-pub fn dd_to_array_parallel_into_with(
-    pkg: &DdPackage,
-    root: VEdge,
-    n: usize,
-    pool: &ThreadPool,
-    out: &mut [Complex64],
-    ctx: &crate::RunContext,
-) -> ConversionBreakdown {
-    dd_to_array_parallel_sharded_into_with(pkg, root, n, pool, pool.size(), out, ctx)
-}
-
-/// Sharded conversion: the plan is built with `shards` dispatch groups
-/// (instead of one per pool thread) and workers pick groups round-robin
-/// (`tid, tid + T, ...`), so group `s` of the fill aligns with shard `s` of
-/// the output state. `shards == pool.size()` reproduces the legacy
-/// per-thread dispatch exactly; `shards == 1` is a serial conversion.
+/// Converts a vector DD into the caller's (zeroed) buffer: the plan is
+/// built with `shards` dispatch groups and [`ThreadPool::for_each_shard`]
+/// hands them to the workers, so group `s` of the fill aligns with shard
+/// `s` of the output state. `shards == 1` is a serial conversion. The
+/// worker-panic fault site is probed through `ctx`, so chaos tests can
+/// panic one job's conversion without touching its neighbors. Returns the
+/// per-group breakdown for telemetry.
 pub fn dd_to_array_parallel_sharded_into_with(
     pkg: &DdPackage,
     root: VEdge,
@@ -256,63 +237,44 @@ pub fn dd_to_array_parallel_sharded_into_with(
     out: &mut [Complex64],
     ctx: &crate::RunContext,
 ) -> ConversionBreakdown {
-    dd_to_array_parallel_into_probed(pkg, root, n, pool, shards, out, &|site| ctx.fires(site))
-}
-
-fn dd_to_array_parallel_into_probed(
-    pkg: &DdPackage,
-    root: VEdge,
-    n: usize,
-    pool: &ThreadPool,
-    shards: usize,
-    out: &mut [Complex64],
-    probe: &(dyn Fn(&str) -> Option<crate::faults::FaultAction> + Sync),
-) -> ConversionBreakdown {
     assert_eq!(out.len(), 1usize << n);
     let t = pool.size();
     let shards = shards.max(1);
     let plan = ConversionPlan::build(pkg, root, n, shards);
     let view = SyncUnsafeSlice::new(out);
-    // Phase 1: parallel fill of disjoint ranges, one group per shard,
-    // workers picking groups round-robin. Per-group wall clocks are only
-    // taken when a telemetry sink is installed.
+    // Phase 1: parallel fill of disjoint ranges, one group per shard.
+    // Per-group wall clocks are only taken when a telemetry sink is
+    // installed.
     let timed = qtelemetry::enabled();
     let clocks: Vec<AtomicU64> = if timed {
         (0..shards).map(|_| AtomicU64::new(0)).collect()
     } else {
         Vec::new()
     };
-    pool.run(|tid| {
-        if tid == 0 && probe(crate::faults::SITE_CONVERT_WORKER).is_some() {
+    pool.for_each_shard(shards, |g| {
+        if g == 0 && ctx.fires(crate::faults::SITE_CONVERT_WORKER).is_some() {
             panic!("fault injection: conversion worker panic");
         }
-        for g in (tid..shards).step_by(t) {
-            let t0 = timed.then(Instant::now);
-            for task in &plan.fill[g] {
-                fill_task(pkg, task, &view);
-            }
-            if let Some(t0) = t0 {
-                clocks[g].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
+        let t0 = timed.then(Instant::now);
+        for task in &plan.fill[g] {
+            fill_task(pkg, task, &view);
+        }
+        if let Some(t0) = t0 {
+            clocks[g].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     });
     // Phase 2: scalar multiplications, deepest first (a shallower task's
     // source region contains the deeper tasks' destinations). Each task is
-    // internally parallelized across the pool.
+    // internally parallelized across the pool, one chunk per worker.
     for st in plan.scalar.iter().rev() {
-        let chunk = st.len.div_ceil(t);
-        pool.run(|tid| {
-            let start = tid * chunk;
-            if start >= st.len {
-                return;
-            }
-            let len = chunk.min(st.len - start);
+        pool.for_each_shard(t, |c| {
+            let r = qarray::shard_range(st.len, t, c);
             // SAFETY: src and dst ranges of one task are disjoint (sibling
-            // halves), and per-thread chunks partition them.
+            // halves), and per-worker chunks partition them.
             let (src, dst) = unsafe {
                 (
-                    view.slice(st.src + start, len),
-                    view.slice_mut(st.dst + start, len),
+                    view.slice(st.src + r.start, r.len()),
+                    view.slice_mut(st.dst + r.start, r.len()),
                 )
             };
             vecops::scale(dst, st.factor, src);

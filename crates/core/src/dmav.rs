@@ -199,10 +199,9 @@ pub(crate) fn run_task(
 /// arrays. `w` is fully overwritten.
 ///
 /// The assignment's `asg.t` groups are the dispatch shards: each group owns
-/// output rows `[g*h, (g+1)*h)` and pool workers pick groups round-robin
-/// (`tid, tid + T, ...`), so a worker keeps writing the shards it
-/// first-touched. `asg.t == pool.size()` reproduces the legacy one-group-
-/// per-thread partition exactly.
+/// output rows `[g*h, (g+1)*h)` and [`ThreadPool::for_each_shard`] hands
+/// groups to workers, so a worker keeps writing the shards it
+/// first-touched whatever the pool size.
 pub fn dmav_no_cache(
     pkg: &DdPackage,
     asg: &DmavAssignment,
@@ -214,27 +213,24 @@ pub fn dmav_no_cache(
     assert_eq!(w.len(), v.len());
     let view = SyncUnsafeSlice::new(w);
     let h = asg.h;
-    let t = pool.size();
-    pool.run(|tid| {
-        for g in (tid..asg.t).step_by(t) {
-            // SAFETY: group `g` exclusively owns output rows
-            // [g*h, (g+1)*h) — the row-space partition of Algorithm 1 —
-            // and each group is claimed by exactly one worker.
-            let chunk = unsafe { view.slice_mut(g * h, h) };
-            // Each worker zeroes its own rows: first-touch locality, and
-            // the dispatcher no longer walks all 2^n amplitudes serially.
-            chunk.fill(Complex64::ZERO);
-            for j in 0..asg.m_edges[g].len() {
-                run_task(
-                    pkg,
-                    asg.m_edges[g][j],
-                    v,
-                    chunk,
-                    asg.iv[g][j],
-                    0,
-                    asg.f[g][j],
-                );
-            }
+    pool.for_each_shard(asg.t, |g| {
+        // SAFETY: group `g` exclusively owns output rows [g*h, (g+1)*h) —
+        // the row-space partition of Algorithm 1 — and each group runs on
+        // exactly one worker.
+        let chunk = unsafe { view.slice_mut(g * h, h) };
+        // Each worker zeroes its own rows: first-touch locality, and the
+        // dispatcher does not walk all 2^n amplitudes serially.
+        chunk.fill(Complex64::ZERO);
+        for j in 0..asg.m_edges[g].len() {
+            run_task(
+                pkg,
+                asg.m_edges[g][j],
+                v,
+                chunk,
+                asg.iv[g][j],
+                0,
+                asg.f[g][j],
+            );
         }
     });
 }

@@ -209,8 +209,8 @@ impl PartialBuffers {
     /// Ensures `count` buffers of length `len`, zeroing only the segments
     /// this assignment will actually touch (segment size `h`, `len / h`
     /// segments per buffer). Both fresh and reused buffers are zeroed by
-    /// the pool workers claiming segments round-robin — first-touch
-    /// locality instead of the dispatcher walking them serially.
+    /// the pool worker that owns the segment — first-touch locality instead
+    /// of the dispatcher walking them serially.
     fn prepare(
         &mut self,
         count: usize,
@@ -220,23 +220,12 @@ impl PartialBuffers {
         pool: &ThreadPool,
     ) {
         let groups = len.checked_div(h).unwrap_or(1);
-        let t = pool.size();
         self.bufs.resize_with(count.max(self.bufs.len()), Vec::new);
         let mut reused: Vec<(SyncUnsafeSlice<'_, Complex64>, &Vec<bool>)> = Vec::new();
         for (b, segs) in self.bufs.iter_mut().zip(segments).take(count) {
             if b.len() != len {
-                // Fresh allocation: first-touch zero every segment from the
-                // worker that will own it during the multiply.
-                qarray::first_touch_zeroed(b, len, groups, |z| {
-                    if t > 1 {
-                        pool.run(|tid| {
-                            for s in (tid..z.shards()).step_by(t) {
-                                z.zero_shard(s);
-                            }
-                        });
-                    }
-                })
-                .unwrap_or_else(|_| panic!("cannot allocate DMAV partial buffer"));
+                qarray::first_touch_zeroed(b, len, groups, pool)
+                    .unwrap_or_else(|_| panic!("cannot allocate DMAV partial buffer"));
             } else {
                 reused.push((SyncUnsafeSlice::new(b.as_mut_slice()), segs));
             }
@@ -244,14 +233,12 @@ impl PartialBuffers {
         if reused.is_empty() {
             return;
         }
-        pool.run(|tid| {
-            for g in (tid..groups).step_by(t) {
-                for (view, segs) in &reused {
-                    if segs.get(g).copied().unwrap_or(false) {
-                        // SAFETY: each segment `g` is claimed by exactly one
-                        // worker (round-robin), per buffer.
-                        unsafe { view.slice_mut(g * h, h) }.fill(Complex64::ZERO);
-                    }
+        pool.for_each_shard(groups, |g| {
+            for (view, segs) in &reused {
+                if segs.get(g).copied().unwrap_or(false) {
+                    // SAFETY: each segment `g` runs on exactly one worker,
+                    // per buffer.
+                    unsafe { view.slice_mut(g * h, h) }.fill(Complex64::ZERO);
                 }
             }
         });
@@ -288,9 +275,8 @@ pub struct DmavCacheRunStats {
 
 /// DMAV with caching: `W = M * V`. `w` is fully overwritten.
 ///
-/// The assignment's `asg.t` groups are the dispatch shards; pool workers
-/// claim groups round-robin (`tid, tid + T, ...`). `asg.t == pool.size()`
-/// reproduces the legacy one-group-per-thread schedule exactly.
+/// The assignment's `asg.t` groups are the dispatch shards, handed to
+/// workers by [`ThreadPool::for_each_shard`].
 pub fn dmav_cached(
     pkg: &DdPackage,
     asg: &DmavCacheAssignment,
@@ -303,7 +289,6 @@ pub fn dmav_cached(
     assert_eq!(w.len(), v.len());
     let h = asg.h;
     let dim = v.len();
-    let t = pool.size();
     scratch.prepare(asg.num_buffers, dim, &asg.buffer_segments, h, pool);
     let views: Vec<SyncUnsafeSlice<'_, Complex64>> = scratch
         .bufs
@@ -313,39 +298,35 @@ pub fn dmav_cached(
         .collect();
     let hit_count = AtomicUsize::new(0);
 
-    pool.run(|tid| {
+    pool.for_each_shard(asg.t, |g| {
         // Per-group, per-gate cache: node id -> (effective weight, start).
-        // The cache must reset between groups: a cached result lives in the
+        // It must not outlive the group: a cached result lives in the
         // *group's* buffer and was computed from the *group's* input
         // sub-vector, so it is meaningless to any other group.
         let mut cache: FxHashMap<u32, (Complex64, usize)> = FxHashMap::default();
         let mut hits = 0usize;
-        for g in (tid..asg.t).step_by(t) {
-            cache.clear();
-            let buf = &views[asg.buffer_of[g]];
-            for j in 0..asg.m_edges[g].len() {
-                let edge = asg.m_edges[g][j];
-                let start = asg.ip[g][j];
-                // Effective linear factor of this task (includes the stored
-                // edge's own weight; two tasks with the same node differ
-                // only by this factor).
-                let full = asg.f[g][j] * pkg.cval(edge.w);
-                if let Some(&(cached_w, cached_start)) = cache.get(&edge.n) {
-                    let factor = full / cached_w;
-                    // SAFETY: `cached_start` is a segment this group wrote
-                    // earlier; `start` is a segment only this task writes.
-                    // Groups sharing the buffer own disjoint segment sets,
-                    // and each group is claimed by exactly one worker.
-                    let (src, dst) =
-                        unsafe { (buf.slice(cached_start, h), buf.slice_mut(start, h)) };
-                    vecops::scale(dst, factor, src);
-                    hits += 1;
-                } else {
-                    // SAFETY: same disjointness argument as above.
-                    let dst = unsafe { buf.slice_mut(start, h) };
-                    run_task(pkg, edge, v, dst, g * h, 0, asg.f[g][j]);
-                    cache.insert(edge.n, (full, start));
-                }
+        let buf = &views[asg.buffer_of[g]];
+        for j in 0..asg.m_edges[g].len() {
+            let edge = asg.m_edges[g][j];
+            let start = asg.ip[g][j];
+            // Effective linear factor of this task (includes the stored
+            // edge's own weight; two tasks with the same node differ only
+            // by this factor).
+            let full = asg.f[g][j] * pkg.cval(edge.w);
+            if let Some(&(cached_w, cached_start)) = cache.get(&edge.n) {
+                let factor = full / cached_w;
+                // SAFETY: `cached_start` is a segment this group wrote
+                // earlier; `start` is a segment only this task writes.
+                // Groups sharing the buffer own disjoint segment sets, and
+                // each group runs on exactly one worker.
+                let (src, dst) = unsafe { (buf.slice(cached_start, h), buf.slice_mut(start, h)) };
+                vecops::scale(dst, factor, src);
+                hits += 1;
+            } else {
+                // SAFETY: same disjointness argument as above.
+                let dst = unsafe { buf.slice_mut(start, h) };
+                run_task(pkg, edge, v, dst, g * h, 0, asg.f[g][j]);
+                cache.insert(edge.n, (full, start));
             }
         }
         hit_count.fetch_add(hits, Ordering::Relaxed);
@@ -355,19 +336,17 @@ pub fn dmav_cached(
     // rows [g*h, (g+1)*h). Only buffers whose segment `g` is occupied
     // contribute.
     let wview = SyncUnsafeSlice::new(w);
-    pool.run(|tid| {
-        for g in (tid..asg.t).step_by(t) {
-            // SAFETY: output row chunks are disjoint per group, each group
-            // is claimed by one worker; buffers are only read here.
-            let out = unsafe { wview.slice_mut(g * h, h) };
-            out.fill(Complex64::ZERO);
-            for (view, segs) in views.iter().zip(&asg.buffer_segments) {
-                if !segs[g] {
-                    continue;
-                }
-                let part = unsafe { view.slice(g * h, h) };
-                vecops::sum_into(out, part);
+    pool.for_each_shard(asg.t, |g| {
+        // SAFETY: output row chunks are disjoint per group, each group runs
+        // on one worker; buffers are only read here.
+        let out = unsafe { wview.slice_mut(g * h, h) };
+        out.fill(Complex64::ZERO);
+        for (view, segs) in views.iter().zip(&asg.buffer_segments) {
+            if !segs[g] {
+                continue;
             }
+            let part = unsafe { view.slice(g * h, h) };
+            vecops::sum_into(out, part);
         }
     });
 

@@ -91,8 +91,8 @@ pub use checkpoint::{
 };
 pub use context::RunContext;
 pub use convert::{
-    dd_to_array_parallel, dd_to_array_parallel_into, dd_to_array_parallel_into_with,
-    dd_to_array_parallel_sharded_into_with, ConversionBreakdown, ConversionPlan,
+    dd_to_array_parallel, dd_to_array_parallel_sharded_into_with, ConversionBreakdown,
+    ConversionPlan,
 };
 pub use cost::{CostAnalysis, CostModel};
 pub use dmav::{dmav, dmav_no_cache, DmavAssignment};

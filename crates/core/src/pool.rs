@@ -1,11 +1,11 @@
 //! Thread-pool plumbing for the FlatDD phases.
 //!
-//! The persistent fork-join [`ThreadPool`] itself lives in [`qdd::par`] (the
-//! bottom of the crate stack) so the DD phase, the DMAV kernels, and the
-//! converters all share one worker implementation; this module re-exports it
-//! and keeps the DMAV-specific thread-count clamp.
+//! The persistent fork-join [`ThreadPool`] itself lives in [`qarray::pool`]
+//! (the bottom of the crate stack) so the array kernels, the DD phase, the
+//! DMAV kernels and the converters all share one worker implementation;
+//! this module re-exports it and keeps the DMAV-specific thread-count clamp.
 
-pub use qdd::par::ThreadPool;
+pub use qarray::pool::ThreadPool;
 
 /// Clamps a requested thread count to the largest power of two that the
 /// DMAV assignment scheme supports for `n` qubits (`log2 t < n`).
@@ -34,20 +34,6 @@ pub fn clamp_shards(requested: usize, threads: usize, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn reexported_pool_runs_every_tid_once() {
-        let pool = ThreadPool::new(4);
-        let hits = AtomicUsize::new(0);
-        let mask = AtomicUsize::new(0);
-        pool.run(|tid| {
-            hits.fetch_add(1, Ordering::Relaxed);
-            mask.fetch_or(1 << tid, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 4);
-        assert_eq!(mask.load(Ordering::Relaxed), 0b1111);
-    }
 
     #[test]
     fn workers_partition_disjoint_slices() {

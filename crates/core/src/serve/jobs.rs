@@ -660,13 +660,16 @@ mod tests {
         let rec = JobRecord::new(1, spec());
         rec.persist(&dir).unwrap();
         std::fs::write(dir.join("job-2.json"), "{ not json at all").unwrap();
+        // Nested deep enough to overflow a recursive parser's stack.
+        std::fs::write(dir.join("job-4.json"), "[".repeat(1 << 20)).unwrap();
         std::fs::write(dir.join("job-3.json"), r#"{"id":3}"#).unwrap(); // no state/spec
         let loaded = load_spool(&dir);
         assert_eq!(loaded.records.len(), 1);
         assert_eq!(loaded.records[0].id, 1);
-        assert_eq!(loaded.quarantined, 2);
-        assert!(dir.join("quarantine").join("job-2.json").exists());
-        assert!(dir.join("quarantine").join("job-3.json").exists());
+        assert_eq!(loaded.quarantined, 3);
+        for name in ["job-2.json", "job-3.json", "job-4.json"] {
+            assert!(dir.join("quarantine").join(name).exists(), "{name}");
+        }
         assert!(!dir.join("job-2.json").exists(), "original must be moved");
         // A second pass finds a clean spool: quarantine is idempotent.
         let again = load_spool(&dir);

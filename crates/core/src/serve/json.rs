@@ -140,11 +140,18 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
-/// Parses a complete JSON document (rejects trailing garbage).
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level and its input comes from the network and the spool, so the
+/// bound is what keeps a body of `[[[[...` from overflowing the stack (an
+/// abort, not a catchable panic). Job records nest a handful of levels.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parses a complete JSON document (rejects trailing garbage and nesting
+/// deeper than [`MAX_DEPTH`]).
 pub fn parse(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
     let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -158,8 +165,13 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if depth > MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        ));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
@@ -175,7 +187,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -203,7 +215,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected `:` at byte {pos}"));
                 }
                 *pos += 1;
-                map.insert(key, parse_value(b, pos)?);
+                map.insert(key, parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -316,6 +328,18 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |d: usize| format!("{}1{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // The whole request-body allowance of open brackets, objects too:
+        // an error, not a stack overflow.
+        assert!(parse(&"[".repeat(4 << 20)).is_err());
+        assert!(parse(&"{\"a\":".repeat(1 << 18)).is_err());
     }
 
     #[test]

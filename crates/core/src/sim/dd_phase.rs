@@ -2,13 +2,11 @@
 //! the size monitor that decides when regularity has collapsed.
 
 use super::{ConversionPolicy, Core, FlatDdConfig};
-use crate::error::FlatDdError;
 use crate::ewma::{EwmaConfig, EwmaMonitor};
-use crate::pool::ThreadPool;
 use qcircuit::Gate;
 use qdd::VEdge;
 
-/// State owned by the DD phase. Dropped (pool included) by the conversion.
+/// State owned by the DD phase. Dropped by the conversion.
 pub(crate) struct DdPhase {
     /// Root edge of the state-vector DD.
     pub(super) state: VEdge,
@@ -16,22 +14,13 @@ pub(crate) struct DdPhase {
     pub(super) ewma: EwmaMonitor,
     /// State-DD size after the previous gate; gates on a DD smaller than
     /// the adaptive grain ([`qdd::par::adaptive_parallel_cap`]) skip the
-    /// parallel path, and mid-size DDs fork onto a capped subset of the pool.
+    /// parallel path, and mid-size DDs fork with a capped worker count.
     last_size: usize,
-    /// Pool for parallel gate application (`None` when
-    /// `cfg.dd_threads <= 1`: the exact sequential path).
-    pool: Option<ThreadPool>,
 }
 
 impl DdPhase {
-    /// Spawns the pool `cfg.dd_threads` asks for (`None` for `<= 1`).
-    pub(super) fn spawn_pool(cfg: &FlatDdConfig) -> Result<Option<ThreadPool>, FlatDdError> {
-        let spawn = || ThreadPool::try_new(cfg.dd_threads);
-        Ok((cfg.dd_threads > 1).then(spawn).transpose()?)
-    }
-
     /// A DD phase over `state` with a fresh monitor.
-    pub(super) fn new(state: VEdge, cfg: &FlatDdConfig, pool: Option<ThreadPool>) -> Self {
+    pub(super) fn new(state: VEdge, cfg: &FlatDdConfig) -> Self {
         let ewma_cfg = match cfg.conversion {
             ConversionPolicy::Ewma(e) => e,
             _ => EwmaConfig::default(),
@@ -40,7 +29,6 @@ impl DdPhase {
             state,
             ewma: EwmaMonitor::new(ewma_cfg),
             last_size: 0,
-            pool,
         }
     }
 
@@ -48,17 +36,21 @@ impl DdPhase {
     /// `(dd_size, policy_wants_conversion)`.
     pub(super) fn step(&mut self, core: &mut Core, gate: &Gate) -> (usize, bool) {
         let g = core.pkg.gate_dd(gate, core.n);
-        // Adaptive dispatch: cap the effective workers by the state-DD size
-        // (one worker per `PAR_GRAIN_NODES` nodes) instead of an
-        // all-or-nothing cutoff, so a wide pool never shreds a small DD
+        // Adaptive dispatch on the simulator's pool: `dd_threads` workers at
+        // most (`<= 1` is the exact sequential path), further capped by the
+        // state-DD size (one worker per `PAR_GRAIN_NODES` nodes) instead of
+        // an all-or-nothing cutoff, so a wide pool never shreds a small DD
         // into tasks dominated by the fork-join barrier.
-        let cap = qdd::par::adaptive_parallel_cap(self.last_size);
-        self.state = match &self.pool {
-            Some(pool) if cap > 1 => {
-                core.ctx.metrics().counter("core.dd_parallel_applies").inc();
-                core.pkg.mul_mv_parallel_capped(pool, g, self.state, cap)
-            }
-            _ => core.pkg.mul_mv(g, self.state),
+        let workers = core
+            .cfg
+            .dd_threads
+            .min(qdd::par::adaptive_parallel_cap(self.last_size));
+        self.state = if workers > 1 {
+            core.ctx.metrics().counter("core.dd_parallel_applies").inc();
+            core.pkg
+                .mul_mv_parallel_capped(&core.pool, g, self.state, workers)
+        } else {
+            core.pkg.mul_mv(g, self.state)
         };
         core.stats.gates_dd += 1;
         core.ctr_gates_dd.inc();

@@ -221,35 +221,20 @@ impl FlatPhase {
         &self.plans
     }
 
-    /// Squared 2-norm of the state: per-shard partial sums (workers claim
-    /// shards round-robin) combined in shard order, so the result is
-    /// deterministic for a given shard count. One shard, or one worker,
-    /// falls back to the plain serial reduction bit-for-bit. Non-finite
-    /// amplitudes propagate into the sum.
+    /// Squared 2-norm of the state: per-shard partial sums combined in
+    /// shard order, so the result is deterministic for a given shard count.
+    /// One shard is the plain serial reduction. Non-finite amplitudes
+    /// propagate into the sum.
     pub(super) fn norm_sqr(&self, pool: &ThreadPool) -> f64 {
         let v = &self.v;
-        let shards = v.shards();
-        let t = pool.size();
-        if t <= 1 || shards <= 1 {
-            return vecops::norm_sqr(v);
-        }
-        let mut partials = vec![0.0f64; shards];
-        let view = qarray::SyncUnsafeSlice::new(&mut partials);
-        pool.run(|tid| {
-            for s in (tid..shards).step_by(t) {
-                let r = qarray::shard_range(v.len(), shards, s);
-                // SAFETY: each partial slot is written by exactly one worker.
-                unsafe { view.write(s, vecops::norm_sqr(&v[r])) };
-            }
-        });
-        partials.iter().sum()
+        qarray::sum_shards(pool, v.shards(), |s| vecops::norm_sqr(&v[v.shard_range(s)]))
     }
 }
 
 /// Fallibly allocates a zeroed, sharded flat buffer: the pool's workers
-/// first-touch (zero) the shards they will own round-robin, so on NUMA
-/// machines each shard's pages land on the node of the worker that operates
-/// on it. Allocator refusal maps to [`FlatDdError::AllocationFailed`]; the
+/// first-touch (zero) the shards they will own, so on NUMA machines each
+/// shard's pages land on the node of the worker that operates on it.
+/// Allocator refusal maps to [`FlatDdError::AllocationFailed`]; the
 /// `alloc.flat` fault site makes the refusal injectable without a real OOM.
 pub(super) fn try_flat_buffer(
     core: &Core,
@@ -263,15 +248,5 @@ pub(super) fn try_flat_buffer(
     if core.ctx.fires(faults::SITE_ALLOC_FLAT).is_some() {
         return Err(refused());
     }
-    let t = core.pool.size();
-    ShardedState::try_new_zeroed_with(dim, core.shards, |z| {
-        if t > 1 {
-            core.pool.run(|tid| {
-                for s in (tid..z.shards()).step_by(t) {
-                    z.zero_shard(s);
-                }
-            });
-        }
-    })
-    .map_err(|_| refused())
+    ShardedState::try_new_zeroed_on(dim, core.shards, &core.pool).map_err(|_| refused())
 }

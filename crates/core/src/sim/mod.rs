@@ -39,7 +39,7 @@ pub(crate) use flat_phase::FlatPhase;
 pub(crate) use phase::{PhaseState, StepReport};
 
 use crate::context::RunContext;
-use crate::convert::dd_to_array_parallel;
+use crate::convert::dd_to_array_grouped;
 use crate::error::{FlatDdError, RunOutcome};
 use crate::ewma::{EwmaConfig, EwmaMonitor};
 use crate::govern::{Breach, ResourceGovernor};
@@ -49,8 +49,9 @@ use qarray::vecops;
 use qcircuit::{Circuit, Complex64};
 use qdd::DdPackage;
 
-/// What both phases and the boundary share: configuration, pools, the DD
-/// package, the governor, the run context, statistics and the gate cursor.
+/// What both phases and the boundary share: configuration, the worker pool,
+/// the DD package, the governor, the run context, statistics and the gate
+/// cursor.
 pub(crate) struct Core {
     cfg: FlatDdConfig,
     n: usize,
@@ -58,6 +59,9 @@ pub(crate) struct Core {
     /// Flat-phase shard count (resolved from `cfg.flat_shards`): the
     /// dispatch granularity of every flat-phase subsystem.
     shards: usize,
+    /// The simulator's one worker pool, `max(t, cfg.dd_threads)` wide: the
+    /// DD phase forks gate applies onto at most `cfg.dd_threads` of it, the
+    /// flat phase dispatches `shards` groups over it.
     pool: ThreadPool,
     pkg: DdPackage,
     gov: ResourceGovernor,
@@ -246,7 +250,7 @@ impl FlatDdSimulator {
             n,
             t,
             shards: crate::pool::clamp_shards(cfg.flat_shards, t, n),
-            pool: ThreadPool::try_new(t)?,
+            pool: ThreadPool::try_new(t.max(cfg.dd_threads))?,
             pkg: DdPackage::default(),
             gov: ResourceGovernor::new(cfg.governor),
             stats: FlatDdStats::default(),
@@ -279,8 +283,7 @@ impl FlatDdSimulator {
                 core.stats.conversion_refusals += 1;
                 core.conversion_blocked = true;
             }
-            let pool = DdPhase::spawn_pool(&cfg)?;
-            PhaseState::Dd(DdPhase::new(core.pkg.basis_state(n, 0), &cfg, pool))
+            PhaseState::Dd(DdPhase::new(core.pkg.basis_state(n, 0), &cfg))
         };
         Ok(FlatDdSimulator {
             core,
@@ -375,10 +378,8 @@ impl FlatDdSimulator {
         };
         let state = self.core.pkg.vector_from_slice(&flat.v);
         let size = self.core.pkg.vector_dd_size(state);
-        // Conversion monitoring restarts from scratch. Should the DD pool
-        // fail to respawn, the phase runs the exact sequential path.
-        let pool = DdPhase::spawn_pool(&self.core.cfg).unwrap_or(None);
-        self.phase = PhaseState::Dd(DdPhase::new(state, &self.core.cfg, pool));
+        // Conversion monitoring restarts from scratch.
+        self.phase = PhaseState::Dd(DdPhase::new(state, &self.core.cfg));
         self.phase.collect(&mut self.core);
         // The flat buffers are gone; a future conversion may fit again.
         self.core.conversion_blocked = false;
@@ -390,7 +391,8 @@ impl FlatDdSimulator {
     pub fn amplitudes(&self) -> Vec<Complex64> {
         match &self.phase {
             PhaseState::Dd(dd) => {
-                dd_to_array_parallel(&self.core.pkg, dd.state, self.core.n, &self.core.pool)
+                let core = &self.core;
+                dd_to_array_grouped(&core.pkg, dd.state, core.n, &core.pool, core.t)
             }
             PhaseState::Flat(flat) => flat.v.to_vec(),
         }
@@ -432,7 +434,7 @@ impl FlatDdSimulator {
         match &self.phase {
             PhaseState::Dd(dd) => core.pkg.qubit_probability_one(dd.state, q),
             PhaseState::Flat(flat) => {
-                qarray::qubit_probability_one_sharded(&flat.v, q, core.shards, core.t)
+                qarray::qubit_probability_one_sharded(&flat.v, q, core.shards, &core.pool)
             }
         }
     }
@@ -464,7 +466,7 @@ impl FlatDdSimulator {
                 outcome
             }
             PhaseState::Flat(flat) => {
-                qarray::measure_qubit_sharded(&mut flat.v, q, rand01, core.shards, core.t)
+                qarray::measure_qubit_sharded(&mut flat.v, q, rand01, core.shards, &core.pool)
             }
         }
     }

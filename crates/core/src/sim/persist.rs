@@ -70,10 +70,7 @@ impl Boundary {
                 dd_bytes = qdd::serialize::vector_dd_to_bytes(&core.pkg, dd.state, core.n)?;
                 CheckpointPayload::Dd(&dd_bytes)
             }
-            PhaseState::Flat(flat) => CheckpointPayload::Flat {
-                amps: &flat.v,
-                shards: core.shards,
-            },
+            PhaseState::Flat(flat) => CheckpointPayload::Flat { amps: &flat.v },
         };
         let bytes = checkpoint::write_checkpoint_with(&policy.path, &header, payload, &core.ctx)?;
         let dur_us = started.1.elapsed().as_secs_f64() * 1e6;
@@ -244,7 +241,7 @@ impl FlatDdSimulator {
                         detail: format!("DD payload is over {n2} qubits, header says {}", header.n),
                     });
                 }
-                let mut dd = DdPhase::new(root, &cfg, DdPhase::spawn_pool(&cfg)?);
+                let mut dd = DdPhase::new(root, &cfg);
                 dd.ewma.restore(header.ewma);
                 PhaseState::Dd(dd)
             }

@@ -11,7 +11,10 @@ use qcircuit::{Complex64, Gate};
 use qdd::{MEdge, VEdge};
 use std::time::Instant;
 
-/// The representation currently holding the state.
+/// The representation currently holding the state. One lives inside each
+/// simulator and is never moved in bulk, so the flat variant's extra size
+/// over the DD one is not worth a `Box` hop on every step.
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum PhaseState {
     /// DD-based simulation (before conversion).
     Dd(DdPhase),

@@ -1,14 +1,6 @@
-//! Parallel DD-phase execution: a persistent fork-join [`ThreadPool`] and a
-//! task-graph parallelization of the matrix-vector multiply.
-//!
-//! FlatDD launches `t` threads for *every* DMAV and every conversion
-//! (Algorithms 1 and 2 say "parallel for i in [0, t)"). Spawning OS threads
-//! per gate would dominate the runtime of shallow gates, so the pool keeps
-//! `t` workers parked and hands them one closure per dispatch; [`run`]
-//! blocks until all workers finish, which is exactly the fork-join shape of
-//! the paper's kernels. The pool lives in `qdd` (the bottom of the crate
-//! stack) so the DD phase, the DMAV kernels, and the converters can all
-//! share one set of workers.
+//! Parallel DD-phase execution: a task-graph parallelization of the
+//! matrix-vector multiply on the workspace's fork-join [`ThreadPool`]
+//! (re-exported here from its home, `qarray::pool`).
 //!
 //! The parallel multiply splits the recursion over the top `k` levels of
 //! the DD into a task graph (`k = log2(t) + 2`, so there are at least ~4x
@@ -19,187 +11,13 @@
 //! recursion — same additions, same normalizations, same cache keys — so
 //! results agree with the single-threaded path up to the interning of
 //! freshly created weights.
-//!
-//! [`run`]: ThreadPool::run
 
 use crate::ctable::CIdx;
 use crate::fxhash::FxHashMap;
 use crate::node::{MEdge, VEdge};
 use crate::package::DdPackage;
-use parking_lot::{Condvar, Mutex};
+pub use qarray::pool::ThreadPool;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-/// Type-erased job pointer. The pointed-to closure is guaranteed (by
-/// `run` blocking) to outlive its execution.
-#[derive(Clone, Copy)]
-struct Job(*const (dyn Fn(usize) + Sync));
-// SAFETY: the closure behind the pointer is `Sync`, and `run` keeps it alive
-// until every worker has finished with it.
-unsafe impl Send for Job {}
-
-struct State {
-    job: Option<Job>,
-    generation: u64,
-    active: usize,
-    shutdown: bool,
-    panicked: bool,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    work_cv: Condvar,
-    done_cv: Condvar,
-}
-
-/// Fixed-size fork-join thread pool.
-pub struct ThreadPool {
-    size: usize,
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ThreadPool {
-    /// Creates a pool with `size` workers (>= 1). A size-1 pool runs jobs
-    /// inline on the caller with no worker threads.
-    ///
-    /// # Panics
-    /// When the OS refuses to spawn a worker thread; use [`Self::try_new`]
-    /// to handle that as an error.
-    pub fn new(size: usize) -> Self {
-        Self::try_new(size).expect("failed to spawn pool worker")
-    }
-
-    /// Fallible [`Self::new`]: surfaces thread-spawn failure (resource
-    /// exhaustion under a tight process limit) as an `io::Error` instead of
-    /// panicking. Already-spawned workers are joined cleanly on failure.
-    pub fn try_new(size: usize) -> std::io::Result<Self> {
-        let size = size.max(1);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                job: None,
-                generation: 0,
-                active: 0,
-                shutdown: false,
-                panicked: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        });
-        let mut workers = Vec::new();
-        if size > 1 {
-            for tid in 0..size {
-                let shared_cl = Arc::clone(&shared);
-                let spawned = std::thread::Builder::new()
-                    .name(format!("flatdd-worker-{tid}"))
-                    .spawn(move || worker_loop(tid, &shared_cl));
-                match spawned {
-                    Ok(h) => workers.push(h),
-                    Err(e) => {
-                        // Shut down what we already started before bailing.
-                        {
-                            let mut st = shared.state.lock();
-                            st.shutdown = true;
-                            shared.work_cv.notify_all();
-                        }
-                        for w in workers {
-                            let _ = w.join();
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        Ok(ThreadPool {
-            size,
-            shared,
-            workers,
-        })
-    }
-
-    /// Number of workers.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Runs `f(tid)` for every `tid in 0..size` and waits for completion.
-    ///
-    /// Must not be called re-entrantly (from inside a running job) or from
-    /// two threads at once.
-    pub fn run<F: Fn(usize) + Sync>(&self, f: F) {
-        if self.size == 1 {
-            f(0);
-            return;
-        }
-        // SAFETY: `f` outlives this call, and this call does not return
-        // before every worker has finished executing the job — so erasing
-        // the lifetime of the trait object is sound.
-        let local: &(dyn Fn(usize) + Sync) = &f;
-        let ptr: *const (dyn Fn(usize) + Sync) = unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(local)
-        };
-        let mut st = self.shared.state.lock();
-        assert_eq!(st.active, 0, "ThreadPool::run is not re-entrant");
-        st.job = Some(Job(ptr));
-        st.generation += 1;
-        st.active = self.size;
-        self.shared.work_cv.notify_all();
-        while st.active > 0 {
-            self.shared.done_cv.wait(&mut st);
-        }
-        st.job = None;
-        if st.panicked {
-            st.panicked = false;
-            drop(st);
-            panic!("a ThreadPool job panicked on a worker thread");
-        }
-    }
-}
-
-fn worker_loop(tid: usize, shared: &Shared) {
-    let mut seen_gen = 0u64;
-    loop {
-        let job = {
-            let mut st = shared.state.lock();
-            while st.generation == seen_gen && !st.shutdown {
-                shared.work_cv.wait(&mut st);
-            }
-            if st.shutdown {
-                return;
-            }
-            seen_gen = st.generation;
-            st.job.expect("generation advanced without a job")
-        };
-        // SAFETY: the dispatcher keeps the closure alive until `active`
-        // drops to zero, which happens strictly after this call returns.
-        // A panicking job must still decrement `active`, or `run` would
-        // deadlock; the panic is surfaced on the dispatcher side instead.
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe { (*job.0)(tid) }));
-        let mut st = shared.state.lock();
-        if result.is_err() {
-            st.panicked = true;
-        }
-        st.active -= 1;
-        if st.active == 0 {
-            shared.done_cv.notify_all();
-        }
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock();
-            st.shutdown = true;
-            self.shared.work_cv.notify_all();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
 
 // ---- parallel matrix-vector multiply ---------------------------------------
 
@@ -476,69 +294,6 @@ impl DdPackage {
 mod tests {
     use super::*;
     use qcircuit::{dense, generators, Complex64};
-
-    #[test]
-    fn runs_every_tid_once() {
-        let pool = ThreadPool::new(4);
-        let hits = AtomicUsize::new(0);
-        let mask = AtomicUsize::new(0);
-        pool.run(|tid| {
-            hits.fetch_add(1, Ordering::Relaxed);
-            mask.fetch_or(1 << tid, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 4);
-        assert_eq!(mask.load(Ordering::Relaxed), 0b1111);
-    }
-
-    #[test]
-    fn sequential_dispatches_reuse_workers() {
-        let pool = ThreadPool::new(3);
-        let total = AtomicUsize::new(0);
-        for _ in 0..50 {
-            pool.run(|_| {
-                total.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        assert_eq!(total.load(Ordering::Relaxed), 150);
-    }
-
-    #[test]
-    fn single_worker_runs_inline() {
-        let pool = ThreadPool::new(1);
-        let cell = AtomicUsize::new(0);
-        pool.run(|tid| cell.store(tid + 99, Ordering::Relaxed));
-        assert_eq!(cell.load(Ordering::Relaxed), 99);
-        assert_eq!(pool.size(), 1);
-    }
-
-    #[test]
-    fn drop_joins_workers() {
-        let pool = ThreadPool::new(2);
-        pool.run(|_| {});
-        drop(pool); // must not hang
-    }
-
-    #[test]
-    fn panicking_job_does_not_deadlock() {
-        let pool = ThreadPool::new(2);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(|tid| {
-                if tid == 1 {
-                    panic!("boom");
-                }
-            });
-        }));
-        assert!(
-            result.is_err(),
-            "the dispatcher must re-raise the job panic"
-        );
-        // The pool is still usable afterwards.
-        let hits = AtomicUsize::new(0);
-        pool.run(|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 2);
-    }
 
     fn simulate_parallel(pool: &ThreadPool, c: &qcircuit::Circuit) -> Vec<Complex64> {
         let p = DdPackage::default();

@@ -55,6 +55,13 @@ fn submit_over_http_run_to_completion_and_observe() {
     let (code, _) = http(port, "GET", "/jobs/99999", None);
     assert_eq!(code, 404);
 
+    // A body nested far past the parser's depth cap is a 400, not a stack
+    // overflow of the accept loop: the daemon keeps answering.
+    let (code, body) = http(port, "POST", "/jobs", Some(&"[".repeat(1 << 20)));
+    assert_eq!(code, 400, "{body}");
+    let (code, _) = http(port, "GET", "/healthz", None);
+    assert_eq!(code, 200);
+
     daemon.drain(Duration::from_secs(30));
     std::fs::remove_dir_all(&spool).ok();
 }

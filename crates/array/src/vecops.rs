@@ -156,11 +156,37 @@ pub fn dot(a: &[Complex64], b: &[Complex64]) -> Complex64 {
 }
 
 /// One dense 2x2 complex MAC: `w[0] += m[0]*v0 + m[1]*v1` and
-/// `w[1] += m[2]*v0 + m[3]*v1` — the unrolled level-0 case of DMAV `Run`.
+/// `w[1] += m[2]*v0 + m[3]*v1`. Was the unrolled level-0 case of DMAV `Run`,
+/// which now goes through [`block2x2`]; kept because the benchmark times it.
 #[inline]
 pub fn mac2x2(w: &mut [Complex64], m: &[Complex64; 4], v0: Complex64, v1: Complex64) {
     debug_assert!(w.len() >= 2);
     dispatch!(scalar::mac2x2(w, m, v0, v1), avx2::mac2x2(w, m, v0, v1))
+}
+
+/// Out-of-place 2x2 block kernel, the `U (x) I_half` node of a compiled DMAV
+/// program: `w` and `v` are cut into blocks of `2 * half` amplitudes and in
+/// every block `(w_lo, w_hi) = m * (v_lo, v_hi)` over the two `half`-long
+/// runs. `half == 1` is the adjacent-pair case (a gate on qubit 0). Every
+/// element of `w` is stored, none is read.
+#[inline]
+pub fn block2x2(w: &mut [Complex64], m: &[Complex64; 4], v: &[Complex64], half: usize) {
+    debug_assert!(half > 0 && w.len() == v.len() && w.len().is_multiple_of(2 * half));
+    dispatch!(
+        scalar::block2x2::<false>(w, m, v, half),
+        avx2::block2x2::<false>(w, m, v, half)
+    )
+}
+
+/// Accumulating [`block2x2`]: `(w_lo, w_hi) += m * (v_lo, v_hi)` per block —
+/// the second and later columns of an output row.
+#[inline]
+pub fn block2x2_acc(w: &mut [Complex64], m: &[Complex64; 4], v: &[Complex64], half: usize) {
+    debug_assert!(half > 0 && w.len() == v.len() && w.len().is_multiple_of(2 * half));
+    dispatch!(
+        scalar::block2x2::<true>(w, m, v, half),
+        avx2::block2x2::<true>(w, m, v, half)
+    )
 }
 
 /// Applies a dense 2x2 matrix to paired amplitude runs:
@@ -226,6 +252,50 @@ pub(crate) mod scalar {
             let (a0, a1) = (*l, *h);
             *l = m[0] * a0 + m[1] * a1;
             *h = m[2] * a0 + m[3] * a1;
+        }
+    }
+
+    /// One block of [`block2x2`]: `(w_lo, w_hi) (+)= m * (v_lo, v_hi)`.
+    #[inline(always)]
+    pub fn block2x2_one<const ACC: bool>(
+        w_lo: &mut [Complex64],
+        w_hi: &mut [Complex64],
+        m: &[Complex64; 4],
+        v_lo: &[Complex64],
+        v_hi: &[Complex64],
+    ) {
+        for (((wl, wh), &a0), &a1) in w_lo.iter_mut().zip(w_hi.iter_mut()).zip(v_lo).zip(v_hi) {
+            let lo = m[0] * a0 + m[1] * a1;
+            let hi = m[2] * a0 + m[3] * a1;
+            if ACC {
+                *wl += lo;
+                *wh += hi;
+            } else {
+                *wl = lo;
+                *wh = hi;
+            }
+        }
+    }
+
+    pub fn block2x2<const ACC: bool>(
+        w: &mut [Complex64],
+        m: &[Complex64; 4],
+        v: &[Complex64],
+        half: usize,
+    ) {
+        if half == 1 {
+            // Adjacent pairs: constant-size chunks, so the per-block slice
+            // bookkeeping of the general loop compiles away.
+            for (wb, vb) in w.chunks_exact_mut(2).zip(v.chunks_exact(2)) {
+                let (w_lo, w_hi) = wb.split_at_mut(1);
+                block2x2_one::<ACC>(w_lo, w_hi, m, &vb[..1], &vb[1..]);
+            }
+            return;
+        }
+        for (wb, vb) in w.chunks_exact_mut(2 * half).zip(v.chunks_exact(2 * half)) {
+            let (w_lo, w_hi) = wb.split_at_mut(half);
+            let (v_lo, v_hi) = vb.split_at(half);
+            block2x2_one::<ACC>(w_lo, w_hi, m, v_lo, v_hi);
         }
     }
 }
@@ -421,6 +491,82 @@ mod avx2 {
         }
         scalar::apply_2x2(&mut lo[i..n], &mut hi[i..n], m);
     }
+
+    /// `half >= 2`: the two runs of a block are register-aligned streams, so
+    /// a block is [`apply_2x2`] read from `v` and written to `w`. `half == 1`:
+    /// one register holds the whole block `[v0, v1]`; each amplitude is
+    /// load-broadcast to both lanes and multiplied by a matrix *column*
+    /// (`[m0, m2]` for `v0`, `[m1, m3]` for `v1`), which lands `[w0, w1]` in
+    /// lane order with no shuffle of the result.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn block2x2<const ACC: bool>(
+        w: &mut [Complex64],
+        m: &[Complex64; 4],
+        v: &[Complex64],
+        half: usize,
+    ) {
+        let n = w.len().min(v.len());
+        let blocks = n / (2 * half);
+        let wp = w.as_mut_ptr() as *mut f64;
+        let vp = v.as_ptr() as *const f64;
+        if half == 1 {
+            let c0_re = _mm256_setr_pd(m[0].re, m[0].re, m[2].re, m[2].re);
+            let c0_im = _mm256_setr_pd(m[0].im, m[0].im, m[2].im, m[2].im);
+            let c1_re = _mm256_setr_pd(m[1].re, m[1].re, m[3].re, m[3].re);
+            let c1_im = _mm256_setr_pd(m[1].im, m[1].im, m[3].im, m[3].im);
+            for b in 0..blocks {
+                let x0 = _mm_loadu_pd(vp.add(4 * b));
+                let x1 = _mm_loadu_pd(vp.add(4 * b + 2));
+                let x0 = _mm256_set_m128d(x0, x0);
+                let x1 = _mm256_set_m128d(x1, x1);
+                let mut out =
+                    _mm256_add_pd(cmul_bcast(x0, c0_re, c0_im), cmul_bcast(x1, c1_re, c1_im));
+                if ACC {
+                    out = _mm256_add_pd(out, _mm256_loadu_pd(wp.add(4 * b)));
+                }
+                _mm256_storeu_pd(wp.add(4 * b), out);
+            }
+            return;
+        }
+        let m0_re = _mm256_set1_pd(m[0].re);
+        let m0_im = _mm256_set1_pd(m[0].im);
+        let m1_re = _mm256_set1_pd(m[1].re);
+        let m1_im = _mm256_set1_pd(m[1].im);
+        let m2_re = _mm256_set1_pd(m[2].re);
+        let m2_im = _mm256_set1_pd(m[2].im);
+        let m3_re = _mm256_set1_pd(m[3].re);
+        let m3_im = _mm256_set1_pd(m[3].im);
+        for b in 0..blocks {
+            let lo = 2 * half * b;
+            let hi = lo + half;
+            let mut i = 0usize;
+            while i + 2 <= half {
+                let a0 = _mm256_loadu_pd(vp.add(2 * (lo + i)));
+                let a1 = _mm256_loadu_pd(vp.add(2 * (hi + i)));
+                let mut new_lo =
+                    _mm256_add_pd(cmul_bcast(a0, m0_re, m0_im), cmul_bcast(a1, m1_re, m1_im));
+                let mut new_hi =
+                    _mm256_add_pd(cmul_bcast(a0, m2_re, m2_im), cmul_bcast(a1, m3_re, m3_im));
+                if ACC {
+                    new_lo = _mm256_add_pd(new_lo, _mm256_loadu_pd(wp.add(2 * (lo + i))));
+                    new_hi = _mm256_add_pd(new_hi, _mm256_loadu_pd(wp.add(2 * (hi + i))));
+                }
+                _mm256_storeu_pd(wp.add(2 * (lo + i)), new_lo);
+                _mm256_storeu_pd(wp.add(2 * (hi + i)), new_hi);
+                i += 2;
+            }
+            if i < half {
+                let (w_lo, w_hi) = w[lo..lo + 2 * half].split_at_mut(half);
+                scalar::block2x2_one::<ACC>(
+                    &mut w_lo[i..],
+                    &mut w_hi[i..],
+                    m,
+                    &v[lo + i..hi],
+                    &v[hi + i..hi + half],
+                );
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -568,6 +714,72 @@ mod tests {
         });
     }
 
+    /// `kernel(acc, w, m, v, half)` against the scalar reference: `half`
+    /// over the ragged lengths (odd halves take the scalar tail inside a
+    /// block), 1-3 blocks, store and accumulate. The store variant starts
+    /// from NaN, so an element it fails to write is caught.
+    fn check_block2x2(
+        kernel: impl Fn(bool, &mut [Complex64], &[Complex64; 4], &[Complex64], usize),
+    ) {
+        let m: [Complex64; 4] = rand_vec(4, 89).try_into().unwrap();
+        for_lengths(|half| {
+            if half == 0 {
+                return;
+            }
+            for blocks in 1..=3usize {
+                let len = 2 * half * blocks;
+                let v = rand_vec(len, 97);
+                for acc in [false, true] {
+                    let mut got = if acc {
+                        rand_vec(len, 101)
+                    } else {
+                        vec![Complex64::new(f64::NAN, f64::NAN); len]
+                    };
+                    let mut want = got.clone();
+                    kernel(acc, &mut got, &m, &v, half);
+                    if acc {
+                        scalar::block2x2::<true>(&mut want, &m, &v, half);
+                    } else {
+                        scalar::block2x2::<false>(&mut want, &m, &v, half);
+                    }
+                    assert!(
+                        got.iter().zip(&want).all(|(&a, &b)| close(a, b)),
+                        "half {half} blocks {blocks} acc {acc}"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn block2x2_matches_scalar_reference() {
+        check_block2x2(|acc, w, m, v, half| {
+            if acc {
+                block2x2_acc(w, m, v, half)
+            } else {
+                block2x2(w, m, v, half)
+            }
+        });
+    }
+
+    #[test]
+    fn block2x2_is_the_dense_kron_product() {
+        // Independent of the scalar kernel: entry (r, c) of `I (x) U (x) I_half`.
+        let m: [Complex64; 4] = rand_vec(4, 103).try_into().unwrap();
+        for half in [1usize, 2, 4] {
+            let len = 4 * half;
+            let v = rand_vec(len, 107);
+            let mut w = vec![Complex64::new(f64::NAN, 0.0); len];
+            block2x2(&mut w, &m, &v, half);
+            for (r, &got) in w.iter().enumerate() {
+                let i = (r / half) % 2;
+                let base = r - i * half;
+                let want = m[2 * i] * v[base] + m[2 * i + 1] * v[base + half];
+                assert!(close(got, want), "half {half} row {r}");
+            }
+        }
+    }
+
     #[test]
     fn backend_is_stable_and_named() {
         let b = backend();
@@ -641,6 +853,13 @@ mod tests {
                     && hi_a.iter().zip(&hi_b).all(|(&x, &y)| close(x, y)),
                 "apply_2x2 len {len}"
             );
+        });
+        check_block2x2(|acc, w, m, v, half| unsafe {
+            if acc {
+                avx2::block2x2::<true>(w, m, v, half)
+            } else {
+                avx2::block2x2::<false>(w, m, v, half)
+            }
         });
         let mut wa = rand_vec(2, 79);
         let mut wb = wa.clone();

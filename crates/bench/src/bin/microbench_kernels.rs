@@ -1,7 +1,14 @@
 //! Kernel microbenchmarks: ns/amplitude for the hot vecops primitives
-//! (`axpy`, `mac2x2`, `sum_into`, the conversion scalar task) and a whole
-//! per-gate DMAV application, under the SIMD backend selected at startup
+//! (`axpy`, `mac2x2`, `sum_into`, the conversion scalar task), a whole
+//! per-gate DMAV application, and a `dmav_by_target` block (one gate at
+//! n = 20 per target qubit: DMAV plain, DMAV cached, the array kernel),
+//! under the SIMD backend selected at startup
 //! (`FLATDD_SIMD={auto,scalar,avx2}`).
+//!
+//! `--check` exits 1 when an H through plain DMAV costs more than 3x as much
+//! on target 0 as on target n-1: constant per-amplitude cost at every target
+//! is what Section 3.2.1 claims, and both numbers come from this process, so
+//! the host's speed cancels.
 //!
 //! Emits `results/microbench_kernels.json` (override with `--json PATH`).
 //! Run once per backend and compare the `ns_per_amp` columns:
@@ -12,10 +19,12 @@
 //!     --json results/microbench_kernels_scalar.json
 //! ```
 
-use flatdd::{dmav_no_cache, DmavAssignment, ThreadPool};
+use flatdd::{
+    dmav_cached, dmav_no_cache, DmavAssignment, DmavCacheAssignment, PartialBuffers, ThreadPool,
+};
 use flatdd_bench::{HarnessArgs, JsonWriter, Table};
 use qarray::vecops;
-use qcircuit::gate::{Gate, GateKind};
+use qcircuit::gate::{Control, Gate, GateKind};
 use qcircuit::Complex64;
 use qdd::DdPackage;
 use std::time::Instant;
@@ -46,8 +55,97 @@ fn time_median(reps: usize, mut f: impl FnMut() -> usize) -> (f64, usize) {
     (times[times.len() / 2], amps)
 }
 
+/// Qubit count of the `dmav_by_target` block.
+const BY_TARGET_N: usize = 20;
+/// `--check`: largest accepted (H on target 0) / (H on target n-1) ratio of
+/// plain DMAV.
+const MAX_TARGET_RATIO: f64 = 3.0;
+
+/// One gate per row on a 2^20 state, one thread: H, T and CX (control on the
+/// top qubit / on qubit 0) at targets 0, 1, 2, n/2, n-1. Returns the plain
+/// DMAV ns/amplitude of H at target 0 and at target n-1.
+fn dmav_by_target(reps: usize, backend: &str, json: &mut JsonWriter) -> (f64, f64) {
+    let n = BY_TARGET_N;
+    let dim = 1usize << n;
+    let pkg = DdPackage::default();
+    let pool = ThreadPool::new(1);
+    let mut scratch = PartialBuffers::default();
+    let mut state = vec![Complex64::ZERO; dim];
+    let mut out = vec![Complex64::ZERO; dim];
+    fill(&mut state);
+    let mut table = Table::new(vec!["gate", "target", "dmav_plain", "dmav_cached", "array"]);
+    let mut h_ends = (f64::NAN, f64::NAN);
+    for target in [0, 1, 2, n / 2, n - 1] {
+        let gates = [
+            ("h", Some(Gate::new(GateKind::H, target))),
+            ("t", Some(Gate::new(GateKind::T, target))),
+            (
+                "cx_ctrl_above",
+                (target != n - 1)
+                    .then(|| Gate::controlled(GateKind::X, target, vec![Control::pos(n - 1)])),
+            ),
+            (
+                "cx_ctrl_below",
+                (target != 0).then(|| Gate::controlled(GateKind::X, target, vec![Control::pos(0)])),
+            ),
+        ];
+        for (name, gate) in gates {
+            let Some(gate) = gate else { continue };
+            let m = pkg.gate_dd(&gate, n);
+            let plain = DmavAssignment::build(&pkg, m, n, 1);
+            let cached = DmavCacheAssignment::build(&pkg, m, n, 1);
+            let ns = |secs: f64| secs * 1e9 / dim as f64;
+            let plain_ns = ns(time_median(reps, || {
+                dmav_no_cache(&pkg, &plain, &state, &mut out, &pool);
+                dim
+            })
+            .0);
+            let cached_ns = ns(time_median(reps, || {
+                dmav_cached(&pkg, &cached, &state, &mut out, &pool, &mut scratch);
+                dim
+            })
+            .0);
+            // In place on the scratch output: its values do not matter.
+            let array_ns = ns(time_median(reps, || {
+                qarray::apply_gate_serial(&mut out, &gate);
+                dim
+            })
+            .0);
+            if name == "h" && target == 0 {
+                h_ends.0 = plain_ns;
+            }
+            if name == "h" && target == n - 1 {
+                h_ends.1 = plain_ns;
+            }
+            table.row(vec![
+                name.into(),
+                target.to_string(),
+                format!("{plain_ns:.3}"),
+                format!("{cached_ns:.3}"),
+                format!("{array_ns:.3}"),
+            ]);
+            json.record(vec![
+                ("kernel", "dmav_by_target".into()),
+                ("backend", backend.into()),
+                ("gate", name.into()),
+                ("target", target.into()),
+                ("n", n.into()),
+                ("dmav_plain_ns_per_amp", plain_ns.into()),
+                ("dmav_cached_ns_per_amp", cached_ns.into()),
+                ("array_ns_per_amp", array_ns.into()),
+            ]);
+        }
+    }
+    println!("\ndmav_by_target — n = {n}, 1 thread, ns per amplitude");
+    table.print();
+    h_ends
+}
+
 fn main() {
-    let args = HarnessArgs::parse();
+    let mut raw: Vec<String> = std::env::args().skip(1).collect();
+    let check = raw.iter().any(|a| a == "--check");
+    raw.retain(|a| a != "--check");
+    let args = HarnessArgs::parse_from(raw);
     let reps = args.reps.max(5);
     // Cache-resident working set so the vector kernels measure compute, not
     // memory bandwidth; an inner loop amortizes the timer overhead.
@@ -145,6 +243,7 @@ fn main() {
     report("dmav_per_gate", secs, amps, &mut json);
 
     table.print();
+    let (h_low, h_high) = dmav_by_target(reps, backend, &mut json);
     // Embed the unified metrics registry (vecops backend label, DD package
     // gauges) in the results file.
     pkg.publish_metrics();
@@ -159,4 +258,15 @@ fn main() {
         }
     }
     json.write_if(&path);
+    if check {
+        let ratio = h_low / h_high;
+        println!(
+            "check: plain DMAV of H, target 0 / target {} = {ratio:.2} (limit {MAX_TARGET_RATIO})",
+            BY_TARGET_N - 1
+        );
+        // A NaN ratio (a cell that was not measured) must fail too.
+        if ratio.is_nan() || ratio > MAX_TARGET_RATIO {
+            std::process::exit(1);
+        }
+    }
 }

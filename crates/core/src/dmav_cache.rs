@@ -11,8 +11,13 @@
 //! Threads whose output segments don't overlap share one buffer (saving the
 //! memory and the final summation work); the buffers are summed into `W` at
 //! the end (Algorithm 2, lines 11-13).
+//!
+//! Tasks run the same compiled [`Program`] as the uncached variant, in store
+//! mode: every occupied buffer segment is written exactly once and in full
+//! (one task, or one `scale` on a cache hit), so no buffer is zeroed between
+//! gates.
 
-use crate::dmav::run_task;
+use crate::dmav::{task_list_bytes, Entry, Program};
 use crate::error::FlatDdError;
 use crate::pool::ThreadPool;
 use qarray::{vecops, SyncUnsafeSlice};
@@ -41,8 +46,12 @@ pub struct DmavCacheAssignment {
     /// Number of distinct buffers (`size(B)`).
     pub num_buffers: usize,
     /// `buffer_segments[b][seg]`: does buffer `b` hold live data for output
-    /// segment `seg`? (Unoccupied segments are neither zeroed nor summed.)
+    /// segment `seg`? (Unoccupied segments are neither written nor summed.)
     pub buffer_segments: Vec<Vec<bool>>,
+    /// The sub-DD under `m_edges`, compiled; what the tasks execute.
+    program: Program,
+    /// Per task, its entry into `program` (parallel to `m_edges`).
+    entries: Vec<Vec<Entry>>,
 }
 
 impl DmavCacheAssignment {
@@ -76,10 +85,13 @@ impl DmavCacheAssignment {
             buffer_of: vec![0; t],
             num_buffers: 0,
             buffer_segments: Vec::new(),
+            program: Program::default(),
+            entries: Vec::new(),
         };
         let border = n as i64 - log_t as i64 - 1;
         asg.assign(pkg, m, Complex64::ONE, 0, 0, n as i64 - 1, border);
         asg.assign_buffers();
+        (asg.program, asg.entries) = Program::compile(pkg, n, &asg.m_edges, &asg.f);
         Ok(asg)
     }
 
@@ -164,23 +176,18 @@ impl DmavCacheAssignment {
         self.m_edges.iter().map(|v| v.len()).sum()
     }
 
-    /// Heap bytes held by the task lists and buffer maps (for plan-cache
-    /// accounting).
+    /// Heap bytes held by the task lists, the compiled program and the
+    /// buffer maps (for plan-cache accounting).
     pub fn memory_bytes(&self) -> usize {
-        let per_task = std::mem::size_of::<MEdge>()
-            + std::mem::size_of::<usize>()
-            + std::mem::size_of::<Complex64>();
-        self.m_edges
-            .iter()
-            .map(|v| v.capacity() * per_task)
-            .sum::<usize>()
+        task_list_bytes(&self.m_edges)
+            + self.program.memory_bytes()
             + self.buffer_of.capacity() * std::mem::size_of::<usize>()
             + self
                 .buffer_segments
                 .iter()
                 .map(|v| v.capacity())
                 .sum::<usize>()
-            + 4 * self.t * std::mem::size_of::<Vec<()>>()
+            + 5 * self.t * std::mem::size_of::<Vec<()>>()
     }
 
     /// Number of cache hits this assignment will produce (repeated nodes
@@ -206,42 +213,20 @@ pub struct PartialBuffers {
 }
 
 impl PartialBuffers {
-    /// Ensures `count` buffers of length `len`, zeroing only the segments
-    /// this assignment will actually touch (segment size `h`, `len / h`
-    /// segments per buffer). Both fresh and reused buffers are zeroed by
-    /// the pool worker that owns the segment — first-touch locality instead
-    /// of the dispatcher walking them serially.
-    fn prepare(
-        &mut self,
-        count: usize,
-        len: usize,
-        segments: &[Vec<bool>],
-        h: usize,
-        pool: &ThreadPool,
-    ) {
+    /// Ensures `count` buffers of length `len` (`h`-sized segments). A fresh
+    /// buffer is first-touched by the pool workers that own its segments; a
+    /// reused one is left as it is — every segment the coming DMAV reads, it
+    /// has stored in full before (see [`Program::run`]), and stale segments
+    /// are never read.
+    fn prepare(&mut self, count: usize, len: usize, h: usize, pool: &ThreadPool) {
         let groups = len.checked_div(h).unwrap_or(1);
         self.bufs.resize_with(count.max(self.bufs.len()), Vec::new);
-        let mut reused: Vec<(SyncUnsafeSlice<'_, Complex64>, &Vec<bool>)> = Vec::new();
-        for (b, segs) in self.bufs.iter_mut().zip(segments).take(count) {
+        for b in self.bufs.iter_mut().take(count) {
             if b.len() != len {
                 qarray::first_touch_zeroed(b, len, groups, pool)
                     .unwrap_or_else(|_| panic!("cannot allocate DMAV partial buffer"));
-            } else {
-                reused.push((SyncUnsafeSlice::new(b.as_mut_slice()), segs));
             }
         }
-        if reused.is_empty() {
-            return;
-        }
-        pool.for_each_shard(groups, |g| {
-            for (view, segs) in &reused {
-                if segs.get(g).copied().unwrap_or(false) {
-                    // SAFETY: each segment `g` runs on exactly one worker,
-                    // per buffer.
-                    unsafe { view.slice_mut(g * h, h) }.fill(Complex64::ZERO);
-                }
-            }
-        });
     }
 
     /// Drops all held buffers (the DMAV rung of the memory-pressure
@@ -273,12 +258,14 @@ pub struct DmavCacheRunStats {
     pub buffers: usize,
 }
 
-/// DMAV with caching: `W = M * V`. `w` is fully overwritten.
+/// DMAV with caching: `W = M * V`. `w` is fully overwritten; what it held
+/// before is never read.
 ///
-/// The assignment's `asg.t` groups are the dispatch shards, handed to
-/// workers by [`ThreadPool::for_each_shard`].
+/// The tasks execute the assignment's compiled program; the package is not
+/// consulted. The assignment's `asg.t` groups are the dispatch shards,
+/// handed to workers by [`ThreadPool::for_each_shard`].
 pub fn dmav_cached(
-    pkg: &DdPackage,
+    _pkg: &DdPackage,
     asg: &DmavCacheAssignment,
     v: &[Complex64],
     w: &mut [Complex64],
@@ -289,7 +276,7 @@ pub fn dmav_cached(
     assert_eq!(w.len(), v.len());
     let h = asg.h;
     let dim = v.len();
-    scratch.prepare(asg.num_buffers, dim, &asg.buffer_segments, h, pool);
+    scratch.prepare(asg.num_buffers, dim, h, pool);
     let views: Vec<SyncUnsafeSlice<'_, Complex64>> = scratch
         .bufs
         .iter_mut()
@@ -299,22 +286,20 @@ pub fn dmav_cached(
     let hit_count = AtomicUsize::new(0);
 
     pool.for_each_shard(asg.t, |g| {
-        // Per-group, per-gate cache: node id -> (effective weight, start).
-        // It must not outlive the group: a cached result lives in the
-        // *group's* buffer and was computed from the *group's* input
+        // Per-group, per-gate cache: program node -> (effective weight,
+        // start). It must not outlive the group: a cached result lives in
+        // the *group's* buffer and was computed from the *group's* input
         // sub-vector, so it is meaningless to any other group.
         let mut cache: FxHashMap<u32, (Complex64, usize)> = FxHashMap::default();
         let mut hits = 0usize;
         let buf = &views[asg.buffer_of[g]];
-        for j in 0..asg.m_edges[g].len() {
-            let edge = asg.m_edges[g][j];
-            let start = asg.ip[g][j];
-            // Effective linear factor of this task (includes the stored
-            // edge's own weight; two tasks with the same node differ only
-            // by this factor).
-            let full = asg.f[g][j] * pkg.cval(edge.w);
-            if let Some(&(cached_w, cached_start)) = cache.get(&edge.n) {
-                let factor = full / cached_w;
+        let v_g = &v[g * h..(g + 1) * h];
+        // `entry.f` is the task's effective linear factor (it includes the
+        // stored edge's own weight): two tasks on the same node differ only
+        // by it.
+        for (entry, &start) in asg.entries[g].iter().zip(&asg.ip[g]) {
+            if let Some(&(cached_f, cached_start)) = cache.get(&entry.op) {
+                let factor = entry.f / cached_f;
                 // SAFETY: `cached_start` is a segment this group wrote
                 // earlier; `start` is a segment only this task writes.
                 // Groups sharing the buffer own disjoint segment sets, and
@@ -325,8 +310,8 @@ pub fn dmav_cached(
             } else {
                 // SAFETY: same disjointness argument as above.
                 let dst = unsafe { buf.slice_mut(start, h) };
-                run_task(pkg, edge, v, dst, g * h, 0, asg.f[g][j]);
-                cache.insert(edge.n, (full, start));
+                asg.program.run(entry.op, entry.f, v_g, dst, false);
+                cache.insert(entry.op, (entry.f, start));
             }
         }
         hit_count.fetch_add(hits, Ordering::Relaxed);
@@ -334,18 +319,23 @@ pub fn dmav_cached(
 
     // Sum the partial buffers into W (lines 11-13): group `g` owns output
     // rows [g*h, (g+1)*h). Only buffers whose segment `g` is occupied
-    // contribute.
+    // contribute: the first is copied, the rest are added, and rows no
+    // buffer covers are zero.
     let wview = SyncUnsafeSlice::new(w);
     pool.for_each_shard(asg.t, |g| {
         // SAFETY: output row chunks are disjoint per group, each group runs
         // on one worker; buffers are only read here.
         let out = unsafe { wview.slice_mut(g * h, h) };
-        out.fill(Complex64::ZERO);
-        for (view, segs) in views.iter().zip(&asg.buffer_segments) {
-            if !segs[g] {
-                continue;
-            }
-            let part = unsafe { view.slice(g * h, h) };
+        let mut parts = views
+            .iter()
+            .zip(&asg.buffer_segments)
+            .filter(|(_, segs)| segs[g])
+            .map(|(view, _)| unsafe { view.slice(g * h, h) });
+        match parts.next() {
+            Some(first) => out.copy_from_slice(first),
+            None => out.fill(Complex64::ZERO),
+        }
+        for part in parts {
             vecops::sum_into(out, part);
         }
     });
@@ -489,11 +479,50 @@ mod tests {
         let mut scratch = PartialBuffers::default();
         check_gate(&Gate::new(GateKind::H, 4), 5, 2);
         let pool = ThreadPool::new(2);
-        let segs = vec![vec![true, true], vec![true, false]];
-        scratch.prepare(2, 32, &segs, 16, &pool);
+        scratch.prepare(2, 32, 16, &pool);
         let bytes = scratch.memory_bytes();
-        scratch.prepare(2, 32, &segs, 16, &pool);
+        scratch.bufs[1][20] = Complex64::ONE;
+        scratch.prepare(2, 32, 16, &pool);
         assert_eq!(scratch.memory_bytes(), bytes, "no reallocation on reuse");
+        assert_eq!(
+            scratch.bufs[1][20],
+            Complex64::ONE,
+            "no re-zeroing on reuse"
+        );
+    }
+
+    #[test]
+    fn poisoned_scratch_and_output_never_reach_the_result() {
+        // Store-mode tasks write every occupied segment in full and the
+        // reduction copies before it adds: NaN left in the reused buffers
+        // and in `W` must not survive a gate, dense or sparse.
+        let n = 6;
+        let t = 4;
+        let pkg = DdPackage::default();
+        let pool = ThreadPool::new(2);
+        let mut scratch = PartialBuffers::default();
+        let v = rand_state(n, 17);
+        let nan = Complex64::new(f64::NAN, f64::NAN);
+        for g in [
+            Gate::new(GateKind::H, 5),
+            Gate::new(GateKind::T, 5),
+            Gate::controlled(GateKind::X, 0, vec![Control::pos(4)]),
+            Gate::controlled(GateKind::X, 5, vec![Control::pos(0)]),
+        ] {
+            let asg = DmavCacheAssignment::build(&pkg, pkg.gate_dd(&g, n), n, t);
+            let mut w = vec![nan; 1 << n];
+            dmav_cached(&pkg, &asg, &v, &mut w, &pool, &mut scratch);
+            let mut want = v.clone();
+            dense::apply_gate(&mut want, &g);
+            assert!(
+                w.iter().all(|a| a.re.is_finite() && a.im.is_finite()),
+                "gate {g}"
+            );
+            assert!(state_distance(&w, &want) < 1e-12, "gate {g}");
+            for b in &mut scratch.bufs {
+                b.fill(nan);
+            }
+        }
     }
 
     #[test]

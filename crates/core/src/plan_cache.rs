@@ -221,7 +221,11 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcircuit::gate::{Gate, GateKind};
+    use crate::dmav::dmav_no_cache;
+    use crate::pool::ThreadPool;
+    use qcircuit::complex::state_distance;
+    use qcircuit::gate::{Control, Gate, GateKind};
+    use qcircuit::{dense, Complex64};
 
     fn pkg_with_gate(n: usize) -> (DdPackage, MEdge) {
         let pkg = DdPackage::default();
@@ -263,10 +267,56 @@ mod tests {
         let (pkg, m) = pkg_with_gate(5);
         let mut cache = PlanCache::new(0);
         cache.get_plain(&pkg, m, 5, 2).unwrap();
-        cache.get_plain(&pkg, m, 5, 2).unwrap();
+        let plan = cache.get_plain(&pkg, m, 5, 2).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
         assert!(cache.is_empty());
         assert_eq!(cache.memory_bytes(), 0);
+        // The unstored plan is complete: it runs.
+        let v = vec![Complex64::ONE; 32];
+        let mut w = vec![Complex64::ZERO; 32];
+        dmav_no_cache(&pkg, &plan, &v, &mut w, &ThreadPool::new(1));
+        let mut want = v.clone();
+        dense::apply_gate(&mut want, &Gate::new(GateKind::H, 0));
+        assert!(state_distance(&w, &want) < 1e-12);
+    }
+
+    #[test]
+    fn compiled_program_is_charged_to_the_budget() {
+        // A fused product of entangling layers compiles to tens of general
+        // nodes; a single-qubit gate to a handful of Kronecker ops. Same
+        // geometry, same task count: the difference is the program.
+        let n = 6;
+        let pkg = DdPackage::default();
+        let gate = pkg.gate_dd(&Gate::new(GateKind::H, 2), n);
+        let mut fused = pkg.identity_dd(n);
+        for layer in 0..2 {
+            for q in 0..n {
+                let ry = Gate::new(GateKind::RY(0.3 + q as f64 + 0.5 * layer as f64), q);
+                let cx = Gate::controlled(GateKind::X, (q + 1) % n, vec![Control::pos(q)]);
+                for g in [ry, cx] {
+                    fused = pkg.mul_mm(pkg.gate_dd(&g, n), fused);
+                }
+            }
+        }
+        assert!(pkg.matrix_dd_size(fused) >= 40);
+        let mut cache = PlanCache::new(1 << 20);
+        let (small_p, big_p) = (
+            cache.get_plain(&pkg, gate, n, 1).unwrap(),
+            cache.get_plain(&pkg, fused, n, 1).unwrap(),
+        );
+        assert_eq!(small_p.total_tasks(), big_p.total_tasks());
+        assert!(big_p.memory_bytes() > small_p.memory_bytes());
+        let (small_c, big_c) = (
+            cache.get_cached(&pkg, gate, n, 1).unwrap(),
+            cache.get_cached(&pkg, fused, n, 1).unwrap(),
+        );
+        assert!(big_c.memory_bytes() > small_c.memory_bytes());
+        let charged = small_p.memory_bytes()
+            + big_p.memory_bytes()
+            + small_c.memory_bytes()
+            + big_c.memory_bytes()
+            + 2 * ENTRY_OVERHEAD;
+        assert_eq!(cache.memory_bytes(), charged);
     }
 
     #[test]

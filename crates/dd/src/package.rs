@@ -347,11 +347,22 @@ impl DdPackage {
     /// Id of the unique identity node at `level` (the node of the identity
     /// DD over levels `0..=level`), if that chain has been built. Because
     /// node construction is canonical, *any* sub-DD equal to a scalar times
-    /// the identity points at exactly this node — DMAV kernels use this to
-    /// turn identity blocks into SIMD-friendly axpy loops.
+    /// the identity points at exactly this node. Locks the chain per call:
+    /// code that classifies many nodes takes [`Self::identity_node_ids`]
+    /// once instead.
     #[inline]
     pub fn identity_node_id(&self, level: u8) -> Option<u32> {
         self.id_cache.lock().get(level as usize + 1).map(|e| e.n)
+    }
+
+    /// Snapshot of the identity chain under one lock: entry `l` is the id of
+    /// the identity node at level `l`, for as many of the levels `0..n` as
+    /// have been built (all of them once [`Self::gate_dd`] ran for `n`).
+    /// What DMAV plan compilation classifies nodes against, so nothing that
+    /// runs per amplitude has to ask [`Self::identity_node_id`].
+    pub fn identity_node_ids(&self, n: usize) -> Vec<u32> {
+        let cache = self.id_cache.lock();
+        cache.iter().skip(1).take(n).map(|e| e.n).collect()
     }
 
     /// Builds the `2^n x 2^n` matrix DD of a gate (single-qubit unitary with
@@ -361,7 +372,7 @@ impl DdPackage {
         assert!(gate.max_qubit() < n);
         // Ensure the identity chain exists through level n: the unique table
         // then shares every scalar-identity block of this gate with it, and
-        // `identity_node_id` recognizes those blocks during DMAV.
+        // DMAV plan compilation recognizes those blocks by node id.
         self.identity_dd(n);
         let mat = gate.kind.matrix();
         let t = gate.target;
@@ -633,6 +644,23 @@ mod tests {
                 assert!(close(&arr, &dense::basis_state(n, idx)), "n={n} idx={idx}");
             }
         }
+    }
+
+    #[test]
+    fn identity_snapshot_agrees_with_per_level_lookup() {
+        let p = DdPackage::default();
+        assert!(p.identity_node_ids(8).is_empty(), "nothing built yet");
+        let n = 7;
+        p.gate_dd(&Gate::controlled(GateKind::H, 2, vec![Control::pos(5)]), n);
+        let ids = p.identity_node_ids(n);
+        assert_eq!(ids.len(), n);
+        for (l, &id) in ids.iter().enumerate() {
+            assert_eq!(p.identity_node_id(l as u8), Some(id), "level {l}");
+            assert_eq!(p.identity_dd(l + 1).n, id);
+        }
+        // Fewer levels on request, never more than were built.
+        assert_eq!(p.identity_node_ids(3), ids[..3]);
+        assert_eq!(p.identity_node_ids(64), ids);
     }
 
     #[test]

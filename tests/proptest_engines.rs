@@ -102,6 +102,35 @@ proptest! {
     }
 
     #[test]
+    fn flat_phase_matches_dense_under_every_kernel_and_fusion_policy(
+        c in arb_circuit(6, 40),
+        threads in 1usize..4,
+        flat_shards in 1usize..9,
+    ) {
+        // Every gate (or fused block) goes through the compiled DMAV walk,
+        // row-space and column-space, with shard counts that differ from
+        // the pool size.
+        let want = dense::simulate(&c);
+        for fusion in [FusionPolicy::None, FusionPolicy::DmavAware] {
+            for caching in [CachingPolicy::Never, CachingPolicy::Always] {
+                let got = flatdd::simulate(&c, FlatDdConfig {
+                    threads,
+                    flat_shards,
+                    conversion: ConversionPolicy::Immediate,
+                    caching,
+                    fusion,
+                    ..Default::default()
+                });
+                let d = state_distance(&got, &want);
+                prop_assert!(
+                    d < 1e-10 && got.iter().all(|a| a.re.is_finite() && a.im.is_finite()),
+                    "{fusion:?} {caching:?} threads={threads} shards={flat_shards}: {d:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn unitarity_holds_on_random_circuits(c in arb_circuit(6, 60)) {
         let got = flatdd::simulate(&c, FlatDdConfig { threads: 2, ..Default::default() });
         prop_assert!((norm_sqr(&got) - 1.0).abs() < 1e-7);

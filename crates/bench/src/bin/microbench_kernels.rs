@@ -3,12 +3,18 @@
 //! per-gate DMAV application, and a `dmav_by_target` block (one gate at
 //! n = 20 per target qubit: DMAV plain, DMAV cached, the array kernel),
 //! under the SIMD backend selected at startup
-//! (`FLATDD_SIMD={auto,scalar,avx2}`).
+//! (`FLATDD_SIMD={auto,scalar,avx2}`), and a `dd_tables` block (the DD
+//! phase's fixed per-operation costs: complex-table `lookup` hit / miss and
+//! `DdPackage::stats()` at 10^3 and 10^6 interned values, `gate_dd` cold /
+//! warm at n = 14).
 //!
 //! `--check` exits 1 when an H through plain DMAV costs more than 3x as much
-//! on target 0 as on target n-1: constant per-amplitude cost at every target
-//! is what Section 3.2.1 claims, and both numbers come from this process, so
-//! the host's speed cancels.
+//! on target 0 as on target n-1 (constant per-amplitude cost at every target
+//! is what Section 3.2.1 claims), when `stats()` at 10^6 values costs more
+//! than 3x what it costs at 10^3 (the driver reads it every gate, so it must
+//! not walk the tables), or when a memoized `gate_dd` costs more than 1/5 of
+//! a first build. Every ratio is between two numbers of this process, so the
+//! host's speed cancels.
 //!
 //! Emits `results/microbench_kernels.json` (override with `--json PATH`).
 //! Run once per backend and compare the `ns_per_amp` columns:
@@ -141,6 +147,134 @@ fn dmav_by_target(reps: usize, backend: &str, json: &mut JsonWriter) -> (f64, f6
     h_ends
 }
 
+/// `--check`: largest accepted `stats()` cost at 10^6 interned values over
+/// its cost at 10^3.
+const MAX_STATS_RATIO: f64 = 3.0;
+/// `--check`: largest accepted warm / cold `gate_dd` ratio.
+const MAX_WARM_GATE_RATIO: f64 = 0.2;
+
+/// What `--check` reads from the `dd_tables` block (ns per call).
+struct DdTables {
+    stats_small: f64,
+    stats_large: f64,
+    gate_cold: f64,
+    gate_warm: f64,
+}
+
+/// The DD phase's fixed costs, one thread. Complex table: a fresh package
+/// per repetition interns `size` distinct values, then re-looks up to 10^5
+/// of them in a scattered order (hit), interns `size / 10` (at least 100)
+/// new ones (miss) and reads `stats()` 1000 times. Gate DDs at n = 14, a
+/// Toffoli/CX/H mix: cold = the build right after a sweep emptied the memo
+/// (the sweep itself untimed), warm = the same gates again.
+fn dd_tables(reps: usize, json: &mut JsonWriter) -> DdTables {
+    use std::hint::black_box;
+    // Distinct by construction: a 2^-40 lattice walked with an odd stride.
+    let value = |i: u64| {
+        let x = i.wrapping_mul(0x9e3779b97f4a7c15) >> 24;
+        Complex64::new(
+            (x & 0xf_ffff) as f64 / (1u64 << 20) as f64 - 0.5,
+            (x >> 20) as f64 / (1u64 << 20) as f64 - 0.5,
+        )
+    };
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    let mut table = Table::new(vec!["op", "values", "ns_per_call"]);
+    let mut record = |op: &str, values: usize, ns: f64, json: &mut JsonWriter| {
+        table.row(vec![op.into(), values.to_string(), format!("{ns:.1}")]);
+        json.record(vec![
+            ("kernel", "dd_tables".into()),
+            ("op", op.into()),
+            ("values", values.into()),
+            ("ns_per_call", ns.into()),
+        ]);
+    };
+    let mut stats_ns = [f64::NAN; 2];
+    for (slot, size) in [1_000usize, 1_000_000].into_iter().enumerate() {
+        let (mut hit, mut miss, mut stats) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..reps {
+            let pkg = DdPackage::default();
+            for i in 0..size as u64 {
+                pkg.clookup(value(i));
+            }
+            assert_eq!(
+                pkg.stats().complex_values,
+                size + 2,
+                "values must be distinct"
+            );
+            let hits = size.min(100_000) as u64;
+            let s = Instant::now();
+            for k in 0..hits {
+                black_box(pkg.clookup(value(k.wrapping_mul(7919) % size as u64)));
+            }
+            hit.push(s.elapsed().as_secs_f64() * 1e9 / hits as f64);
+            let misses = (size as u64 / 10).max(100);
+            let s = Instant::now();
+            for i in 0..misses {
+                black_box(pkg.clookup(value(size as u64 + i)));
+            }
+            miss.push(s.elapsed().as_secs_f64() * 1e9 / misses as f64);
+            // Few calls: a `stats()` that walked the tables again would
+            // cost milliseconds each at 10^6 values, and the check must
+            // fail on that, not time out.
+            let s = Instant::now();
+            for _ in 0..1000 {
+                black_box(black_box(&pkg).stats());
+            }
+            stats.push(s.elapsed().as_secs_f64() * 1e9 / 1e3);
+        }
+        stats_ns[slot] = median(stats);
+        record("lookup_hit", size, median(hit), json);
+        record("lookup_miss", size, median(miss), json);
+        record("stats", size, stats_ns[slot], json);
+    }
+
+    let n = 14;
+    let gates: Vec<Gate> = (0..12)
+        .flat_map(|q| {
+            [
+                Gate::controlled(
+                    GateKind::X,
+                    q + 2,
+                    vec![Control::pos(q), Control::pos(q + 1)],
+                ),
+                Gate::controlled(GateKind::X, q + 1, vec![Control::pos(q)]),
+                Gate::new(GateKind::H, q),
+            ]
+        })
+        .collect();
+    let mut pkg = DdPackage::default();
+    let (mut cold, mut warm) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        pkg.gc(&[], &[]);
+        let s = Instant::now();
+        for g in &gates {
+            black_box(pkg.gate_dd(g, n));
+        }
+        cold.push(s.elapsed().as_secs_f64() * 1e9 / gates.len() as f64);
+        let s = Instant::now();
+        for _ in 0..100 {
+            for g in &gates {
+                black_box(pkg.gate_dd(g, n));
+            }
+        }
+        warm.push(s.elapsed().as_secs_f64() * 1e9 / (100 * gates.len()) as f64);
+    }
+    let (gate_cold, gate_warm) = (median(cold), median(warm));
+    record("gate_dd_cold", 0, gate_cold, json);
+    record("gate_dd_warm", 0, gate_warm, json);
+    println!("\ndd_tables — 1 thread, gate_dd at n = {n}, ns per call");
+    table.print();
+    DdTables {
+        stats_small: stats_ns[0],
+        stats_large: stats_ns[1],
+        gate_cold,
+        gate_warm,
+    }
+}
+
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     let check = raw.iter().any(|a| a == "--check");
@@ -244,6 +378,7 @@ fn main() {
 
     table.print();
     let (h_low, h_high) = dmav_by_target(reps, backend, &mut json);
+    let dd = dd_tables(reps, &mut json);
     // Embed the unified metrics registry (vecops backend label, DD package
     // gauges) in the results file.
     pkg.publish_metrics();
@@ -264,8 +399,18 @@ fn main() {
             "check: plain DMAV of H, target 0 / target {} = {ratio:.2} (limit {MAX_TARGET_RATIO})",
             BY_TARGET_N - 1
         );
-        // A NaN ratio (a cell that was not measured) must fail too.
-        if ratio.is_nan() || ratio > MAX_TARGET_RATIO {
+        let stats_ratio = dd.stats_large / dd.stats_small;
+        println!(
+            "check: stats() at 10^6 interned values / at 10^3 = {stats_ratio:.2} (limit {MAX_STATS_RATIO})"
+        );
+        let gate_ratio = dd.gate_warm / dd.gate_cold;
+        println!("check: gate_dd warm / cold = {gate_ratio:.3} (limit {MAX_WARM_GATE_RATIO})");
+        // Negated "all within", so that a NaN ratio (a cell that was not
+        // measured) fails too.
+        let within = ratio <= MAX_TARGET_RATIO
+            && stats_ratio <= MAX_STATS_RATIO
+            && gate_ratio <= MAX_WARM_GATE_RATIO;
+        if !within {
             std::process::exit(1);
         }
     }

@@ -10,7 +10,7 @@
 //! evaluation), so the parallel writes are disjoint by construction.
 //!
 //! `Assign` also *compiles* the sub-DD under its task edges into a
-//! [`Program`]: a small table of nodes with resolved weights, each
+//! `Program`: a small table of nodes with resolved weights, each
 //! classified once. `Run` walks only that table — no package call, lock or
 //! interned-weight lookup per amplitude — and writes every output element
 //! exactly once before accumulating into it, so `W` is never zero-filled

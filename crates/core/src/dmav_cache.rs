@@ -12,7 +12,7 @@
 //! memory and the final summation work); the buffers are summed into `W` at
 //! the end (Algorithm 2, lines 11-13).
 //!
-//! Tasks run the same compiled [`Program`] as the uncached variant, in store
+//! Tasks run the same compiled `Program` as the uncached variant, in store
 //! mode: every occupied buffer segment is written exactly once and in full
 //! (one task, or one `scale` on a cache hit), so no buffer is zeroed between
 //! gates.

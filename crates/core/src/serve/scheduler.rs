@@ -398,7 +398,7 @@ impl SchedulerHandle {
     /// Execution context of a running or recently finished job: the
     /// progress ring behind `GET /jobs/{id}/events` and the scoped metrics
     /// registry. `None` once the context has aged out (see
-    /// [`RETAINED_JOB_CTXS`]) or for ids the daemon never ran.
+    /// `RETAINED_JOB_CTXS`) or for ids the daemon never ran.
     pub fn job_context(&self, id: u64) -> Option<RunContext> {
         self.inner.state.lock().job_ctxs.get(&id).cloned()
     }

@@ -76,11 +76,8 @@ pub fn stream_events(stream: &mut TcpStream, handle: &SchedulerHandle, id: u64, 
     }
     let mut cursor = since;
     let mut last_write = Instant::now();
-    loop {
-        let state = match handle.job(id) {
-            Some(rec) => rec.state,
-            None => break,
-        };
+    while let Some(rec) = handle.job(id) {
+        let state = rec.state;
         let mut wrote = false;
         if let Some(ctx) = handle.job_context(id) {
             let (samples, latest) = ctx.progress_since(cursor);

@@ -142,13 +142,16 @@ impl Boundary {
         core.cursor += report.gates;
         self.publish_progress(core, phase, false);
 
+        // The step's one package read serves both stages below: a sweep
+        // releases no reserved bytes (it recycles slots in place, and what
+        // its free lists add the next step's read charges).
         let live = core.pkg.stats();
-        if live.v_nodes + live.m_nodes > self.gc_threshold {
-            phase.collect(core);
-            let live = core.pkg.stats();
-            self.gc_threshold = ((live.v_nodes + live.m_nodes) * 2).max(1 << 16);
+        let nodes = live.v_nodes + live.m_nodes;
+        if nodes > self.gc_threshold {
+            let freed = phase.collect(core);
+            self.gc_threshold = ((nodes - freed) * 2).max(1 << 16);
         }
-        self.enforce_memory(core, phase)?;
+        self.enforce_memory(core, phase, live.memory_bytes + phase.flat_bytes())?;
         self.enforce_health(core, phase)?;
 
         self.gates_since_ckpt += report.gates;
@@ -218,16 +221,17 @@ impl Boundary {
         }
     }
 
-    /// Memory-budget enforcement: on a breach the degradation ladder runs
-    /// first (scratch release, sweep, compute-table flush), then — when
-    /// armed — the approximation rung, and only a still-standing breach
-    /// becomes an error.
+    /// Memory-budget enforcement over `used` accounted bytes: on a breach
+    /// the degradation ladder runs first (scratch release, sweep,
+    /// compute-table flush), then — when armed — the approximation rung,
+    /// and only a still-standing breach becomes an error.
     fn enforce_memory(
         &mut self,
         core: &mut Core,
         phase: &mut PhaseState,
+        used: usize,
     ) -> Result<(), FlatDdError> {
-        let breach = match core.gov.check_memory(phase.memory_bytes(core)) {
+        let breach = match core.gov.check_memory(used) {
             Ok(()) => return Ok(()),
             Err(b) => b,
         };
@@ -394,6 +398,29 @@ fn approx_truncate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{ConversionPolicy, FlatDdConfig, FlatDdSimulator};
+    use qcircuit::GateKind;
+
+    #[test]
+    fn one_step_reads_the_package_stats_once() {
+        let cfg = FlatDdConfig {
+            conversion: ConversionPolicy::Never,
+            ..FlatDdConfig::default()
+        };
+        let mut sim = FlatDdSimulator::new(4, cfg);
+        let gates: Vec<Gate> = (0..4).map(|q| Gate::new(GateKind::H, q)).collect();
+        for phase in [Phase::Dd, Phase::Dmav] {
+            assert_eq!(sim.phase(), phase);
+            // No progress sample falls due within 64 gates, no GC fires and
+            // no budget is breached: the step's own read is the only one.
+            for g in &gates {
+                let before = sim.package().stats_reads();
+                sim.apply(g).unwrap();
+                assert_eq!(sim.package().stats_reads() - before, 1, "{phase:?}");
+            }
+            sim.convert_now().unwrap();
+        }
+    }
 
     #[test]
     fn progress_throttle_does_not_depend_on_the_cursor_stride() {

@@ -79,13 +79,14 @@ impl PhaseState {
 
     /// The one package sweep: everything not reachable from the current
     /// phase's roots is reclaimed, and the node-id-keyed cost memo goes
-    /// with it.
-    pub(super) fn collect(&mut self, core: &mut Core) {
+    /// with it. Returns the number of nodes freed.
+    pub(super) fn collect(&mut self, core: &mut Core) -> usize {
         let (vectors, matrices) = self.roots();
-        core.pkg.gc(vectors, matrices);
+        let (v_freed, m_freed) = core.pkg.gc(vectors, matrices);
         if let PhaseState::Flat(flat) = self {
             flat.clear_memo();
         }
+        v_freed + m_freed
     }
 
     /// The degradation ladder's first rungs: release DMAV scratch, sweep
@@ -104,13 +105,18 @@ impl PhaseState {
         });
     }
 
-    /// Approximate resident bytes of all simulation data structures.
+    /// Bytes the phase holds outside the package (the flat phase's arrays,
+    /// scratch and caches).
+    pub(super) fn flat_bytes(&self) -> usize {
+        match self {
+            PhaseState::Dd(_) => 0,
+            PhaseState::Flat(flat) => flat.memory_bytes(),
+        }
+    }
+
+    /// Accounted bytes of all simulation data structures.
     pub(super) fn memory_bytes(&self, core: &Core) -> usize {
-        core.pkg.stats().memory_bytes
-            + match self {
-                PhaseState::Dd(_) => 0,
-                PhaseState::Flat(flat) => flat.memory_bytes(),
-            }
+        core.pkg.stats().memory_bytes + self.flat_bytes()
     }
 }
 

@@ -11,21 +11,34 @@
 //! an existing entry map to it, which keeps the unique table canonical under
 //! floating-point round-off.
 //!
+//! ## Index geometry
+//!
+//! The plane is cut into square cells `CELL_TOLS` (2^10) tolerances wide and a
+//! value is filed under the cell it floors into (the grid origin is shifted
+//! by a third of a cell, so `0`, `±1`, `±1/2` and every other short dyadic
+//! sit in cell interiors instead of on a grid line). Two values within
+//! tolerance of each other are in the same cell or in adjacent ones, and in
+//! the adjacent case both lie within tolerance of the shared side — so a
+//! lookup probes its own cell, plus a neighbour only across the sides the
+//! value is within `EDGE` of: one cell for all but ~0.4 % of uniformly
+//! placed values, four at a corner.
+//!
 //! ## Concurrency
 //!
 //! Values live in one global append-only store (so [`CIdx`] stays a dense
-//! index and `get` is lock-free); the quantized bucket grid is sharded into
-//! [`CTABLE_SHARDS`] lock-striped maps. A lookup probes the 3×3 neighbor
-//! cells of its quantized key, which can span multiple shards — the
-//! required shard locks are always taken in ascending shard order, so
-//! concurrent lookups cannot deadlock and an insert is atomic with respect
-//! to every probe that could have found it.
+//! index and `get` is lock-free); the cell index is sharded into
+//! [`CTABLE_SHARDS`] lock-striped open-addressed slot arrays. A lookup
+//! holds the lock of every shard it probes — taken in ascending shard
+//! order, so concurrent lookups cannot deadlock — from its first probe to
+//! its insert. Two values that could match each other always probe each
+//! other's home cell, hence share a lock, hence are serialized: an insert
+//! is atomic with respect to every probe that could have found it.
 
-use crate::fxhash::{hash_pair, FxHashMap};
+use crate::fxhash::hash_pair;
 use crate::sync::SlotVec;
 use parking_lot::{Mutex, MutexGuard};
 use qcircuit::Complex64;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// Index of an interned complex value.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -50,28 +63,103 @@ impl CIdx {
     }
 }
 
-/// Number of lock-striped shards of the bucket grid (power of two).
+/// Number of lock-striped shards of the cell index (power of two).
 pub const CTABLE_SHARDS: usize = 16;
 
-type Buckets = FxHashMap<(i64, i64), Vec<u32>>;
+/// Cell width in tolerances: wide enough that a value is rarely near a
+/// side, narrow enough that the values sharing a cell (and with it a probe
+/// chain) stay few.
+const CELL_TOLS: f64 = 1024.0;
+/// Shift of the grid origin, in cells.
+const GRID_SHIFT: f64 = 1.0 / 3.0;
+/// A value closer than this (in cells) to a side of its cell also probes
+/// the cell across that side: one tolerance, widened by 1/16 to absorb the
+/// rounding of the scaled coordinate (covers `|v| < 2^48 tol`).
+const EDGE: f64 = (1.0 + 1.0 / 16.0) / CELL_TOLS;
+/// Slots of a fresh shard (power of two).
+const INITIAL_SLOTS: usize = 64;
+
+/// One shard of the cell index: an open-addressed, linearly probed array of
+/// `hash tag << 32 | idx + 1` words (`0` = empty). The cell key is not
+/// stored — a tag match is confirmed against the value itself — which is
+/// also why the array can be regrown by re-keying the stored values.
+struct Slots {
+    words: Box<[u64]>,
+    len: usize,
+}
+
+impl Slots {
+    fn new(words: usize) -> Self {
+        Slots {
+            words: vec![0; words].into_boxed_slice(),
+            len: 0,
+        }
+    }
+
+    /// Links `idx` from the chain of cell hash `h`. The caller keeps the
+    /// load at or below 3/4, so an empty slot exists.
+    fn link(&mut self, h: u64, idx: u32) {
+        let mask = self.words.len() - 1;
+        let mut i = h as usize & mask;
+        while self.words[i] != 0 {
+            i = (i + 1) & mask;
+        }
+        self.words[i] = (h >> 32) << 32 | (idx as u64 + 1);
+        self.len += 1;
+    }
+}
 
 struct CShard {
-    buckets: Mutex<Buckets>,
+    slots: Mutex<Slots>,
     contended: AtomicU64,
+}
+
+/// Where a value files: its home cell and, per axis, the step (`-1`, `0`,
+/// `+1`) to the neighbour cell it could also match in.
+struct Place {
+    kr: i64,
+    ki: i64,
+    dr: i64,
+    di: i64,
+}
+
+impl Place {
+    /// Hash of the home cell.
+    #[inline(always)]
+    fn home(&self) -> u64 {
+        cell_hash(self.kr, self.ki)
+    }
+}
+
+/// Hash of a cell: the top 4 bits pick the shard, the top 32 are the slot
+/// tag, the low bits the home slot.
+#[inline(always)]
+fn cell_hash(kr: i64, ki: i64) -> u64 {
+    hash_pair(kr as u64, ki as u64)
+}
+
+#[inline(always)]
+fn shard_of(h: u64) -> usize {
+    (h >> 60) as usize
 }
 
 /// Interning table for complex edge weights. All methods take `&self` and
 /// are safe to call from many threads.
 pub struct ComplexTable {
-    /// Global value store: `CIdx` is a dense index into this.
-    values: SlotVec<Complex64>,
+    /// Global value store: `CIdx` is a dense index into this. Values are
+    /// never marked, so the slots carry no stamp.
+    values: SlotVec<Complex64, ()>,
     /// Values allocated so far (the next fresh index).
     next: AtomicU32,
     shards: Vec<CShard>,
+    /// Bytes reserved by the value segments and the slot arrays, updated
+    /// where either grows so that [`Self::memory_bytes`] is one load.
+    bytes: AtomicUsize,
     tol: f64,
-    inv_tol: f64,
+    /// Cells per unit length: `1 / (CELL_TOLS * tol)`.
+    inv_cell: f64,
     /// Cached handle into the global `dd.ctable_stall_ns` histogram for
-    /// contended bucket-shard lock waits.
+    /// contended shard lock waits.
     stall: qtelemetry::Histogram,
 }
 
@@ -81,33 +169,33 @@ impl Default for ComplexTable {
     }
 }
 
-#[inline(always)]
-fn shard_of(key: (i64, i64)) -> usize {
-    (hash_pair(key.0 as u64, key.1 as u64) >> 32) as usize & (CTABLE_SHARDS - 1)
-}
-
 impl ComplexTable {
     /// Creates a table with the given numerical tolerance.
     pub fn new(tol: f64) -> Self {
         assert!(tol > 0.0);
+        const _: () = assert!(CTABLE_SHARDS == 16, "shard_of takes the top 4 hash bits");
         let t = ComplexTable {
             values: SlotVec::default(),
             next: AtomicU32::new(0),
             shards: (0..CTABLE_SHARDS)
                 .map(|_| CShard {
-                    buckets: Mutex::new(Buckets::default()),
+                    slots: Mutex::new(Slots::new(INITIAL_SLOTS)),
                     contended: AtomicU64::new(0),
                 })
                 .collect(),
+            bytes: AtomicUsize::new(CTABLE_SHARDS * INITIAL_SLOTS * 8),
             tol,
-            inv_tol: 1.0 / tol,
+            inv_cell: 1.0 / (CELL_TOLS * tol),
             stall: qtelemetry::histogram("dd.ctable_stall_ns"),
         };
-        // Pre-intern the distinguished constants at fixed indices.
-        let z = t.insert_new_locked(Complex64::ZERO);
-        let o = t.insert_new_locked(Complex64::ONE);
-        debug_assert_eq!(z, CIdx::ZERO);
-        debug_assert_eq!(o, CIdx::ONE);
+        // Pre-intern the distinguished constants at fixed indices (`lookup`
+        // answers both without touching the index; a value merely within
+        // tolerance of one finds it here).
+        for (v, want) in [(Complex64::ZERO, CIdx::ZERO), (Complex64::ONE, CIdx::ONE)] {
+            let h = t.place(v).home();
+            let got = t.alloc_value(v, h, &mut t.lock_shard(shard_of(h)));
+            debug_assert_eq!(got, want);
+        }
         t
     }
 
@@ -136,94 +224,159 @@ impl ComplexTable {
         unsafe { *self.values.get(idx.0) }
     }
 
+    #[inline(always)]
+    fn place(&self, v: Complex64) -> Place {
+        let xr = v.re * self.inv_cell + GRID_SHIFT;
+        let xi = v.im * self.inv_cell + GRID_SHIFT;
+        let (fr, fi) = (xr.floor(), xi.floor());
+        // Position inside the cell, `[0, 1)`, against both sides.
+        let step = |frac: f64| (frac > 1.0 - EDGE) as i64 - (frac < EDGE) as i64;
+        Place {
+            kr: fr as i64,
+            ki: fi as i64,
+            dr: step(xr - fr),
+            di: step(xi - fi),
+        }
+    }
+
+    /// Locks shard `s`, counting (and, under telemetry, timing) a wait.
+    fn lock_shard(&self, s: usize) -> MutexGuard<'_, Slots> {
+        let shard = &self.shards[s];
+        if let Some(g) = shard.slots.try_lock() {
+            return g;
+        }
+        shard.contended.fetch_add(1, Ordering::Relaxed);
+        // Clock reads only when telemetry is on, and only on this
+        // already-blocking contended path.
+        if qtelemetry::enabled() {
+            let t0 = std::time::Instant::now();
+            let g = shard.slots.lock();
+            self.stall
+                .observe(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+            g
+        } else {
+            shard.slots.lock()
+        }
+    }
+
+    /// Walks the chain of cell hash `h` for a stored value within tolerance
+    /// of `v`. `slots` is the locked shard of `h`.
     #[inline]
-    fn key(&self, v: Complex64) -> (i64, i64) {
-        (
-            (v.re * self.inv_tol).round() as i64,
-            (v.im * self.inv_tol).round() as i64,
-        )
+    fn find(&self, slots: &Slots, h: u64, v: Complex64) -> Option<CIdx> {
+        let mask = slots.words.len() - 1;
+        let mut i = h as usize & mask;
+        loop {
+            let word = slots.words[i];
+            if word == 0 {
+                return None;
+            }
+            if word >> 32 == h >> 32 {
+                let idx = word as u32 - 1;
+                // SAFETY: `idx` was linked under the shard lock we hold.
+                if unsafe { *self.values.get(idx) }.approx_eq(v, self.tol) {
+                    return Some(CIdx(idx));
+                }
+            }
+            i = (i + 1) & mask;
+        }
     }
 
-    /// Appends `v` to the value store and links it from its home bucket,
-    /// taking the home-shard lock itself (used only at construction).
-    fn insert_new_locked(&self, v: Complex64) -> CIdx {
-        let key = self.key(v);
-        let mut g = self.shards[shard_of(key)].buckets.lock();
-        self.alloc_value(v, key, &mut g)
-    }
-
-    /// Appends `v` and links it from `key`'s bucket. The caller holds the
-    /// lock of `key`'s home shard (`guard`).
-    fn alloc_value(&self, v: Complex64, key: (i64, i64), guard: &mut Buckets) -> CIdx {
+    /// Appends `v` to the value store and links it from its home cell
+    /// (hash `h`), whose locked shard is `slots`.
+    fn alloc_value(&self, v: Complex64, h: u64, slots: &mut Slots) -> CIdx {
         let idx = self.next.fetch_add(1, Ordering::Relaxed);
         assert!(idx < u32::MAX, "complex table exhausted");
-        self.values.ensure(idx);
+        let mut grown = self.values.ensure(idx);
         // SAFETY: `idx` was exclusively reserved by the fetch_add above and
-        // is published only by the bucket insert below / the caller's use.
+        // is published only by the link below / the caller's use.
         unsafe { self.values.write(idx, v) };
-        guard.entry(key).or_default().push(idx);
+        if (slots.len + 1) * 4 > slots.words.len() * 3 {
+            grown += self.regrow(slots);
+        }
+        slots.link(h, idx);
+        if grown != 0 {
+            self.bytes.fetch_add(grown, Ordering::Relaxed);
+        }
         CIdx(idx)
+    }
+
+    /// Doubles a (locked) shard, re-keying every stored value into the new
+    /// array. Returns the bytes the shard grew by.
+    #[cold]
+    fn regrow(&self, slots: &mut Slots) -> usize {
+        let old = std::mem::replace(slots, Slots::new(slots.words.len() * 2));
+        for &word in old.words.iter().filter(|&&w| w != 0) {
+            let idx = word as u32 - 1;
+            // SAFETY: `idx` was linked under the shard lock the caller holds.
+            let stored = unsafe { *self.values.get(idx) };
+            slots.link(self.place(stored).home(), idx);
+        }
+        old.words.len() * 8
     }
 
     /// Interns `v`, returning the index of an existing entry within
     /// tolerance or a fresh one.
     pub fn lookup(&self, v: Complex64) -> CIdx {
-        // Fast path for exact zeros produced by algebra on canonical
-        // weights.
+        // Fast paths for the exact constants algebra on canonical weights
+        // keeps producing.
         if v.is_zero() {
             return CIdx::ZERO;
         }
-        let (kr, ki) = self.key(v);
-        // Shards covering the 3x3 neighborhood of the quantized key.
-        let mut need = 0u16;
-        for dr in -1..=1i64 {
-            for di in -1..=1i64 {
-                need |= 1 << shard_of((kr + dr, ki + di));
+        if v == Complex64::ONE {
+            return CIdx::ONE;
+        }
+        let p = self.place(v);
+        if p.dr | p.di != 0 {
+            return self.lookup_near_edge(v, &p);
+        }
+        let h = p.home();
+        let mut slots = self.lock_shard(shard_of(h));
+        match self.find(&slots, h, v) {
+            Some(idx) => idx,
+            None => self.alloc_value(v, h, &mut slots),
+        }
+    }
+
+    /// [`Self::lookup`] for a value within [`EDGE`] of a side of its cell:
+    /// probes the home cell and the one, or at a corner three, neighbours
+    /// across those sides.
+    #[cold]
+    fn lookup_near_edge(&self, v: Complex64, p: &Place) -> CIdx {
+        let (nr, ni) = (p.kr.wrapping_add(p.dr), p.ki.wrapping_add(p.di));
+        // Home first: it is where a miss inserts.
+        let mut cells = [p.home(); 4];
+        let mut n = 1;
+        for (probe, kr, ki) in [
+            (p.dr != 0, nr, p.ki),
+            (p.di != 0, p.kr, ni),
+            (p.dr != 0 && p.di != 0, nr, ni),
+        ] {
+            if probe {
+                cells[n] = cell_hash(kr, ki);
+                n += 1;
             }
         }
+        let cells = &cells[..n];
         // Lock in ascending shard order (deadlock-free by total order).
-        let mut guards: [Option<MutexGuard<'_, Buckets>>; CTABLE_SHARDS] =
-            std::array::from_fn(|_| None);
-        for (s, shard) in self.shards.iter().enumerate() {
-            if need & (1 << s) != 0 {
-                guards[s] = Some(match shard.buckets.try_lock() {
-                    Some(g) => g,
-                    None => {
-                        shard.contended.fetch_add(1, Ordering::Relaxed);
-                        // Clock reads only when telemetry is on, and only on
-                        // this already-blocking contended path.
-                        if qtelemetry::enabled() {
-                            let t0 = std::time::Instant::now();
-                            let g = shard.buckets.lock();
-                            self.stall
-                                .observe(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                            g
-                        } else {
-                            shard.buckets.lock()
-                        }
-                    }
-                });
+        let need = cells.iter().fold(0u16, |m, &h| m | 1 << shard_of(h));
+        type Held<'t> = (usize, MutexGuard<'t, Slots>);
+        let mut held: [Option<Held<'_>>; 4] = [None, None, None, None];
+        let shards = (0..CTABLE_SHARDS).filter(|s| need & (1 << s) != 0);
+        for (slot, s) in held.iter_mut().zip(shards) {
+            *slot = Some((s, self.lock_shard(s)));
+        }
+        fn slots_of<'a>(held: &'a mut [Option<Held<'_>>; 4], h: u64) -> &'a mut Slots {
+            held.iter_mut()
+                .flatten()
+                .find_map(|(s, g)| (*s == shard_of(h)).then_some(&mut **g))
+                .expect("probed shard is locked")
+        }
+        for &h in cells {
+            if let Some(idx) = self.find(slots_of(&mut held, h), h, v) {
+                return idx;
             }
         }
-        for dr in -1..=1i64 {
-            for di in -1..=1i64 {
-                let k = (kr + dr, ki + di);
-                let g = guards[shard_of(k)].as_ref().expect("neighbor shard locked");
-                if let Some(cands) = g.get(&k) {
-                    for &c in cands {
-                        // SAFETY: `c` was published under a shard lock we
-                        // now hold.
-                        let stored = unsafe { *self.values.get(c) };
-                        if stored.approx_eq(v, self.tol) {
-                            return CIdx(c);
-                        }
-                    }
-                }
-            }
-        }
-        let home = shard_of((kr, ki));
-        let g = guards[home].as_mut().expect("home shard locked");
-        self.alloc_value(v, (kr, ki), g)
+        self.alloc_value(v, cells[0], slots_of(&mut held, cells[0]))
     }
 
     /// Interns the product of two interned values.
@@ -271,21 +424,20 @@ impl ComplexTable {
         self.lookup(v)
     }
 
-    /// Approximate bytes held by the table (value storage + bucket grid).
+    /// Bytes reserved by the table (value segments + slot arrays). One
+    /// atomic load: the counter moves where a segment or a shard grows.
     pub fn memory_bytes(&self) -> usize {
-        self.values.allocated_bytes()
-            + self
-                .shards
-                .iter()
-                .map(|sh| {
-                    let g = sh.buckets.lock();
-                    g.len() * (std::mem::size_of::<(i64, i64)>() + std::mem::size_of::<Vec<u32>>())
-                        + g.values().map(|v| v.capacity() * 4).sum::<usize>()
-                })
-                .sum::<usize>()
+        self.bytes.load(Ordering::Relaxed)
     }
 
-    /// Total bucket-shard lock-contention events observed (telemetry).
+    /// [`Self::memory_bytes`] recounted from the structures themselves.
+    #[cfg(test)]
+    pub(crate) fn recount_bytes(&self) -> usize {
+        let slots = |sh: &CShard| sh.slots.lock().words.len() * 8;
+        self.values.allocated_bytes() + self.shards.iter().map(slots).sum::<usize>()
+    }
+
+    /// Total shard lock-contention events observed (telemetry).
     pub fn contended(&self) -> u64 {
         self.shards
             .iter()
@@ -326,14 +478,33 @@ mod tests {
         assert_ne!(a, c, "values outside tolerance must stay distinct");
     }
 
+    /// The coordinate `frac` of a cell into cell `k` of the default grid.
+    fn at_cell(k: i64, frac: f64) -> f64 {
+        (k as f64 - GRID_SHIFT + frac) * CELL_TOLS * 1e-10
+    }
+
     #[test]
-    fn dedup_across_bucket_boundary() {
+    fn dedup_across_cell_sides_and_corners() {
         let t = ComplexTable::new(1e-10);
-        // Two values straddling a quantization boundary but within tol.
-        let v = 0.5 + 0.5e-10; // boundary between buckets 5e9 and 5e9+1
-        let a = t.lookup(Complex64::new(v - 0.4e-10, 0.0));
-        let b = t.lookup(Complex64::new(v + 0.4e-10, 0.0));
-        assert_eq!(a, b);
+        // 0.8 tol apart across the side between cells 4882812 and 4882813.
+        let (lo, hi) = (
+            at_cell(4882813, -0.4 / CELL_TOLS),
+            at_cell(4882813, 0.4 / CELL_TOLS),
+        );
+        assert_ne!(
+            t.place(Complex64::real(lo)).kr,
+            t.place(Complex64::real(hi)).kr
+        );
+        assert_eq!(
+            t.lookup(Complex64::new(lo, 0.25)),
+            t.lookup(Complex64::new(hi, 0.25))
+        );
+        // Across a corner: the stored value is in the diagonal neighbour.
+        assert_eq!(
+            t.lookup(Complex64::new(lo, hi)),
+            t.lookup(Complex64::new(hi, lo))
+        );
+        assert_eq!(t.len(), 2 + 2);
     }
 
     #[test]
@@ -404,17 +575,61 @@ mod tests {
     }
 
     #[test]
+    fn every_value_stays_findable_across_three_regrows() {
+        let t = ComplexTable::default();
+        let value = |i: usize| Complex64::new(i as f64 * 1.7e-3 - 4.0, (i as f64 * 0.37).sin());
+        let idxs: Vec<CIdx> = (0..6000).map(|i| t.lookup(value(i))).collect();
+        assert_eq!(t.len(), 2 + 6000);
+        for sh in &t.shards {
+            let words = sh.slots.lock().words.len();
+            assert!(words >= INITIAL_SLOTS << 3, "shard regrew to only {words}");
+        }
+        for (i, &ix) in idxs.iter().enumerate() {
+            assert_eq!(t.lookup(value(i)), ix, "value {i} lost by a regrow");
+            assert_eq!(t.get(ix), value(i));
+        }
+        assert_eq!(t.len(), 2 + 6000, "a re-lookup interned a duplicate");
+        assert_eq!(t.lookup(Complex64::new(1e-12, -1e-12)), CIdx::ZERO);
+        assert_eq!(t.lookup(Complex64::new(1.0 - 1e-12, 1e-12)), CIdx::ONE);
+        assert_eq!(t.memory_bytes(), t.recount_bytes());
+    }
+
+    #[test]
     fn concurrent_interning_is_canonical() {
         let t = ComplexTable::default();
-        // 8 threads intern the same value set; every value must resolve to
-        // one index across all threads.
+        // Pairs within tolerance of each other on opposite sides of a cell
+        // side (every fourth one of a corner): whichever of a pair lands
+        // first must be what all 8 threads get for both.
+        let pairs: Vec<[Complex64; 2]> = (0..200)
+            .map(|i| {
+                let k = 1000 + 37 * i as i64;
+                let im = |d: f64| if i % 4 == 0 { at_cell(-k, d) } else { -0.5 };
+                [
+                    Complex64::new(at_cell(k, -2e-4), im(-2e-4)),
+                    Complex64::new(at_cell(k, 2e-4), im(2e-4)),
+                ]
+            })
+            .collect();
+        // 8 threads intern the same value set — the grid values in order,
+        // the pairs in opposite orders on alternating threads, released
+        // together; every value must resolve to one index everywhere.
+        let start = std::sync::Barrier::new(8);
         let per_thread: Vec<Vec<CIdx>> = std::thread::scope(|s| {
             let hs: Vec<_> = (0..8)
-                .map(|_| {
-                    s.spawn(|| {
-                        (0..500)
+                .map(|tid| {
+                    let (t, pairs, start) = (&t, &pairs, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let mut got: Vec<CIdx> = (0..500)
                             .map(|i| t.lookup(Complex64::new(i as f64 * 0.01, -0.5)))
-                            .collect::<Vec<_>>()
+                            .collect();
+                        for p in pairs {
+                            let first = t.lookup(p[tid % 2]);
+                            let second = t.lookup(p[1 - tid % 2]);
+                            assert_eq!(first, second, "a pair within tolerance split");
+                            got.push(first);
+                        }
+                        got
                     })
                 })
                 .collect();
@@ -423,6 +638,58 @@ mod tests {
         for other in &per_thread[1..] {
             assert_eq!(&per_thread[0], other);
         }
-        assert_eq!(t.len(), 2 + 500);
+        assert_eq!(t.len(), 2 + 500 + pairs.len());
+    }
+
+    mod geometry {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Position inside a cell: interior, hugging the lower side, or
+        /// hugging the upper one (a corner when both axes draw a side).
+        fn frac() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                0.01f64..0.99,
+                (0.0f64..2.0).prop_map(|d| d / CELL_TOLS),
+                (0.0f64..2.0).prop_map(|d| 1.0 - d / CELL_TOLS),
+            ]
+        }
+
+        /// A coordinate of magnitude ~1e-9..1e3 (log-uniform), either sign,
+        /// at `frac()` of its cell.
+        fn coord() -> impl Strategy<Value = f64> {
+            (-9.0f64..3.0, any::<bool>(), frac()).prop_map(|(exp, neg, frac)| {
+                let k = (10f64.powf(exp) / (CELL_TOLS * 1e-10)) as i64;
+                at_cell(if neg { -k - 1 } else { k }, frac)
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+            #[test]
+            fn lookup_unifies_exactly_the_values_within_tolerance(
+                re in coord(),
+                im in coord(),
+                dr in -1.5f64..1.5,
+                di in -1.5f64..1.5,
+                exact_tol in any::<bool>(),
+            ) {
+                let t = ComplexTable::default();
+                let tol = t.tolerance();
+                let s = Complex64::new(re, im);
+                // Offsets up to 1.5 tol per component, or exactly +-tol.
+                let off = |d: f64| if exact_tol { d.signum() * tol } else { d * tol };
+                let v = Complex64::new(re + off(dr), im + off(di));
+                for c in [Complex64::ZERO, Complex64::ONE] {
+                    prop_assume!(!s.approx_eq(c, 3.0 * tol));
+                }
+                let is = t.lookup(s);
+                prop_assert_eq!(is, CIdx(2));
+                let iv = t.lookup(v);
+                prop_assert_eq!(iv == is, v.approx_eq(s, tol), "s = {:?}, v = {:?}", s, v);
+                prop_assert_eq!(t.lookup(s), is);
+                prop_assert_eq!(t.lookup(v), iv);
+            }
+        }
     }
 }

@@ -159,6 +159,10 @@ pub struct NodeArena<T: Copy + Eq + Hash> {
     shards: Vec<Shard<T>>,
     alive: AtomicUsize,
     peak_alive: AtomicUsize,
+    /// Bytes reserved by every shard's slab, unique map and free list,
+    /// updated where any of them grows so that [`Self::memory_bytes`] is
+    /// one load.
+    bytes: AtomicUsize,
     /// Cached handle into the global `dd.unique_stall_ns` histogram, so the
     /// contended path records its wait without a registry lookup.
     stall: qtelemetry::Histogram,
@@ -170,6 +174,7 @@ impl<T: Copy + Eq + Hash> Default for NodeArena<T> {
             shards: (0..NODE_SHARDS).map(|_| Shard::default()).collect(),
             alive: AtomicUsize::new(0),
             peak_alive: AtomicUsize::new(0),
+            bytes: AtomicUsize::new(0),
             stall: qtelemetry::histogram("dd.unique_stall_ns"),
         }
     }
@@ -182,6 +187,19 @@ fn shard_of<T: Hash>(data: &T) -> usize {
     // The unique maps index with the *low* bits of the same hash; pick the
     // shard from remixed high bits so the two stay decorrelated.
     (hash_u64(h.finish()) >> 32) as usize & (NODE_SHARDS - 1)
+}
+
+/// Bytes a unique map of the given `capacity()` holds: std's hash map
+/// (hashbrown) keeps `capacity / 7 * 8` buckets (4 or 8 below that) of one
+/// entry plus one control byte each, and one trailing 16-byte control
+/// group (the SSE2 group width).
+fn unique_map_bytes<T>(capacity: usize) -> usize {
+    let buckets = match capacity {
+        0 => return 0,
+        c if c < 8 => c + 1,
+        c => c / 7 * 8,
+    };
+    (buckets * std::mem::size_of::<(T, u32)>()).next_multiple_of(16) + buckets + 16
 }
 
 #[inline(always)]
@@ -222,11 +240,12 @@ impl<T: Copy + Eq + Hash> NodeArena<T> {
         if let Some(&id) = core.unique.get(&data) {
             return id;
         }
+        let mut grown = 0;
         let local = core.free.pop().unwrap_or_else(|| {
             let l = core.len;
             assert!(l <= MAX_LOCAL, "node arena shard exhausted");
             core.len = l + 1;
-            sh.slots.ensure(l);
+            grown = sh.slots.ensure(l);
             l
         });
         // SAFETY: `local` is either freshly allocated (unknown to every
@@ -234,7 +253,14 @@ impl<T: Copy + Eq + Hash> NodeArena<T> {
         // hold the shard lock, which is also what publishes the id.
         unsafe { sh.slots.write(local, data) };
         let id = encode(local, s);
+        let cap = core.unique.capacity();
         core.unique.insert(data, id);
+        if core.unique.capacity() != cap {
+            grown += unique_map_bytes::<T>(core.unique.capacity()) - unique_map_bytes::<T>(cap);
+        }
+        if grown != 0 {
+            self.bytes.fetch_add(grown, Ordering::Relaxed);
+        }
         let alive = self.alive.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_alive.fetch_max(alive, Ordering::Relaxed);
         id
@@ -306,35 +332,49 @@ impl<T: Copy + Eq + Hash> NodeArena<T> {
     /// their transitive children) with `stamp` first.
     pub fn sweep(&mut self, stamp: u32) -> usize {
         let mut freed = 0usize;
+        let mut grown = 0usize;
+        let mut kept: Vec<(T, u32)> = Vec::new();
         for sh in &mut self.shards {
             let slots = &sh.slots;
             let core = sh.core.get_mut();
-            let free = &mut core.free;
-            core.unique.retain(|_, &mut id| {
+            let free_cap = core.free.capacity();
+            // Drained and re-inserted, not erased in place: `retain` leaves
+            // tombstones, after which `capacity()` — what the map's byte
+            // count is derived from — understates the buckets held. The
+            // drained map keeps its allocation, so only the free list grows.
+            for (data, id) in core.unique.drain() {
                 let (local, _) = decode(id);
                 if slots.stamp(local).load(Ordering::Relaxed) == stamp {
-                    true
+                    kept.push((data, id));
                 } else {
-                    free.push(local);
+                    core.free.push(local);
                     freed += 1;
-                    false
                 }
-            });
+            }
+            core.unique.extend(kept.drain(..));
+            grown += (core.free.capacity() - free_cap) * 4;
         }
+        *self.bytes.get_mut() += grown;
         self.alive.fetch_sub(freed, Ordering::Relaxed);
         freed
     }
 
-    /// Approximate bytes held by the shards' slabs + unique tables.
+    /// Bytes reserved by the shards' slabs, unique maps and free lists. One
+    /// atomic load: the counter moves where any of them grows.
     pub fn memory_bytes(&self) -> usize {
+        self.bytes.load(Ordering::Relaxed)
+    }
+
+    /// [`Self::memory_bytes`] recounted from the structures themselves.
+    #[cfg(test)]
+    pub(crate) fn recount_bytes(&self) -> usize {
         self.shards
             .iter()
             .map(|sh| {
                 let core = sh.core.lock();
                 sh.slots.allocated_bytes()
                     + core.free.capacity() * 4
-                    // HashMap overhead approximation: key + value + control byte.
-                    + core.unique.capacity() * (std::mem::size_of::<T>() + 4 + 1)
+                    + unique_map_bytes::<T>(core.unique.capacity())
             })
             .sum()
     }

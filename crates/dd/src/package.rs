@@ -9,11 +9,12 @@
 //! [`DdPackage::flush_caches`] — require `&mut self`.
 
 use crate::ctable::{CIdx, ComplexTable};
+use crate::fxhash::hash_u64;
 use crate::node::{MEdge, MNode, NodeArena, VEdge, VNode, TERM};
 use crate::ops::ComputeTables;
 use parking_lot::Mutex;
-use qcircuit::{Complex64, Gate};
-use std::sync::atomic::{AtomicU32, Ordering};
+use qcircuit::{Complex64, Gate, Mat2};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Memory/size statistics of a [`DdPackage`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -28,9 +29,102 @@ pub struct PackageStats {
     pub peak_m_nodes: usize,
     /// Distinct interned complex values.
     pub complex_values: usize,
-    /// Approximate resident bytes of all DD structures (sums the per-shard
-    /// arenas, the complex table, and the compute caches).
+    /// Bytes reserved by all DD structures: both node arenas, the complex
+    /// table, the compute caches and the gate memo.
     pub memory_bytes: usize,
+}
+
+/// Entries of the gate-DD memo (power of two).
+const GATE_MEMO_SLOTS: usize = 1024;
+
+/// Everything [`DdPackage::gate_dd`] reads from its arguments: the matrix
+/// bit for bit, the target, the controls as positive/negative qubit masks,
+/// and the width.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct GateKey {
+    mat: [u64; 8],
+    pos: u128,
+    neg: u128,
+    target: u8,
+    n: u16,
+}
+
+impl GateKey {
+    /// `None` for a gate touching a qubit the masks cannot name (such a
+    /// gate is built every time).
+    fn new(mat: &Mat2, gate: &Gate, n: usize) -> Option<GateKey> {
+        if n > 128 {
+            return None;
+        }
+        let mut key = GateKey {
+            mat: [0; 8],
+            pos: 0,
+            neg: 0,
+            target: gate.target as u8,
+            n: n as u16,
+        };
+        for (k, c) in mat.iter().enumerate() {
+            key.mat[2 * k] = c.re.to_bits();
+            key.mat[2 * k + 1] = c.im.to_bits();
+        }
+        for c in &gate.controls {
+            let mask = if c.positive {
+                &mut key.pos
+            } else {
+                &mut key.neg
+            };
+            *mask |= 1 << c.qubit;
+        }
+        Some(key)
+    }
+
+    fn slot(&self) -> usize {
+        let words = [
+            self.pos as u64,
+            (self.pos >> 64) as u64,
+            self.neg as u64,
+            (self.neg >> 64) as u64,
+            (self.n as u64) << 8 | self.target as u64,
+        ];
+        let h = self
+            .mat
+            .iter()
+            .chain(&words)
+            .fold(0, |h, &w| hash_u64(h ^ w));
+        h as usize & (GATE_MEMO_SLOTS - 1)
+    }
+}
+
+/// Direct-mapped memo of built gate DDs: a circuit repeats few distinct
+/// gates, so the second build of one is a probe here instead of `4t + n`
+/// `make_mnode` calls. Entries hold node ids and die with every sweep.
+struct GateMemo(Mutex<Box<[MemoEntry]>>);
+
+type MemoEntry = Option<(GateKey, MEdge)>;
+
+impl GateMemo {
+    fn new() -> Self {
+        GateMemo(Mutex::new(vec![None; GATE_MEMO_SLOTS].into_boxed_slice()))
+    }
+
+    fn get(&self, key: &GateKey) -> Option<MEdge> {
+        match &self.0.lock()[key.slot()] {
+            Some((k, e)) if k == key => Some(*e),
+            _ => None,
+        }
+    }
+
+    fn put(&self, key: GateKey, e: MEdge) {
+        self.0.lock()[key.slot()] = Some((key, e));
+    }
+
+    fn clear(&mut self) {
+        self.0.get_mut().fill(None);
+    }
+
+    fn memory_bytes(&self) -> usize {
+        GATE_MEMO_SLOTS * std::mem::size_of::<MemoEntry>()
+    }
 }
 
 /// A QMDD-style decision-diagram package.
@@ -45,6 +139,9 @@ pub struct DdPackage {
     pub(crate) compute: ComputeTables,
     /// Cached identity chains: `id_cache[l]` = identity DD over levels `0..l`.
     id_cache: Mutex<Vec<MEdge>>,
+    gate_memo: GateMemo,
+    /// Calls of [`Self::stats`] so far (see [`Self::stats_reads`]).
+    stats_reads: AtomicU64,
     stamp: AtomicU32,
     /// Bumped by every [`Self::gc`] sweep. Node ids are recycled by the
     /// sweep, so anything keyed by node id (e.g. the DMAV plan cache) must
@@ -76,6 +173,8 @@ impl DdPackage {
             m: NodeArena::default(),
             compute: ComputeTables::default(),
             id_cache: Mutex::new(vec![MEdge::terminal(CIdx::ONE)]),
+            gate_memo: GateMemo::new(),
+            stats_reads: AtomicU64::new(0),
             stamp: AtomicU32::new(0),
             gc_epoch: 0,
             telemetry_id: qtelemetry::next_id(),
@@ -344,37 +443,41 @@ impl DdPackage {
         cache[l]
     }
 
-    /// Id of the unique identity node at `level` (the node of the identity
-    /// DD over levels `0..=level`), if that chain has been built. Because
-    /// node construction is canonical, *any* sub-DD equal to a scalar times
-    /// the identity points at exactly this node. Locks the chain per call:
-    /// code that classifies many nodes takes [`Self::identity_node_ids`]
-    /// once instead.
-    #[inline]
-    pub fn identity_node_id(&self, level: u8) -> Option<u32> {
-        self.id_cache.lock().get(level as usize + 1).map(|e| e.n)
-    }
-
     /// Snapshot of the identity chain under one lock: entry `l` is the id of
-    /// the identity node at level `l`, for as many of the levels `0..n` as
-    /// have been built (all of them once [`Self::gate_dd`] ran for `n`).
-    /// What DMAV plan compilation classifies nodes against, so nothing that
-    /// runs per amplitude has to ask [`Self::identity_node_id`].
+    /// the identity node at level `l` (the node of the identity DD over
+    /// levels `0..=l`), for as many of the levels `0..n` as have been built
+    /// (all of them once [`Self::gate_dd`] ran for `n`). Because node
+    /// construction is canonical, *any* sub-DD equal to a scalar times the
+    /// identity points at exactly these nodes — what DMAV plan compilation
+    /// classifies nodes against.
     pub fn identity_node_ids(&self, n: usize) -> Vec<u32> {
         let cache = self.id_cache.lock();
         cache.iter().skip(1).take(n).map(|e| e.n).collect()
     }
 
-    /// Builds the `2^n x 2^n` matrix DD of a gate (single-qubit unitary with
-    /// arbitrary positive/negative controls), level by level from the
-    /// terminal up — the standard QMDD gate construction.
+    /// The `2^n x 2^n` matrix DD of a gate (single-qubit unitary with
+    /// arbitrary positive/negative controls): the memoized edge when this
+    /// gate was built since the last sweep, else built level by level from
+    /// the terminal up — the standard QMDD gate construction.
     pub fn gate_dd(&self, gate: &Gate, n: usize) -> MEdge {
         assert!(gate.max_qubit() < n);
+        let mat = gate.kind.matrix();
+        let key = GateKey::new(&mat, gate, n);
+        if let Some(e) = key.as_ref().and_then(|k| self.gate_memo.get(k)) {
+            return e;
+        }
+        let e = self.build_gate_dd(&mat, gate, n);
+        if let Some(k) = key {
+            self.gate_memo.put(k, e);
+        }
+        e
+    }
+
+    fn build_gate_dd(&self, mat: &Mat2, gate: &Gate, n: usize) -> MEdge {
         // Ensure the identity chain exists through level n: the unique table
         // then shares every scalar-identity block of this gate with it, and
         // DMAV plan compilation recognizes those blocks by node id.
         self.identity_dd(n);
-        let mat = gate.kind.matrix();
         let t = gate.target;
         // Per-entry chains below the target level.
         let mut e: [MEdge; 4] = [
@@ -515,6 +618,7 @@ impl DdPackage {
         let fv = self.v.sweep(stamp);
         let fm = self.m.sweep(stamp);
         self.compute.clear();
+        self.gate_memo.clear();
         self.gc_epoch += 1;
         qtelemetry::counter("dd.gc_sweeps").inc();
         qtelemetry::counter("dd.gc_nodes_freed").add((fv + fm) as u64);
@@ -544,10 +648,11 @@ impl DdPackage {
         before.saturating_sub(self.compute.memory_bytes())
     }
 
-    /// Current package statistics. Memory is summed over every shard of
-    /// both node arenas and the complex table, so the governor's charge
-    /// stays accurate under sharding.
+    /// Current package statistics. O(1): live counts and reserved bytes
+    /// are counters the arenas and the complex table keep current as they
+    /// grow, so the per-gate driver can afford to read this every step.
     pub fn stats(&self) -> PackageStats {
+        self.stats_reads.fetch_add(1, Ordering::Relaxed);
         PackageStats {
             v_nodes: self.v.len(),
             m_nodes: self.m.len(),
@@ -557,8 +662,15 @@ impl DdPackage {
             memory_bytes: self.v.memory_bytes()
                 + self.m.memory_bytes()
                 + self.ct.memory_bytes()
-                + self.compute.memory_bytes(),
+                + self.compute.memory_bytes()
+                + self.gate_memo.memory_bytes(),
         }
+    }
+
+    /// How many times [`Self::stats`] has been called — what the driver's
+    /// "one read per gate step" rule is tested against.
+    pub fn stats_reads(&self) -> u64 {
+        self.stats_reads.load(Ordering::Relaxed)
     }
 
     /// Hit/miss counters of the operation caches.
@@ -655,12 +767,100 @@ mod tests {
         let ids = p.identity_node_ids(n);
         assert_eq!(ids.len(), n);
         for (l, &id) in ids.iter().enumerate() {
-            assert_eq!(p.identity_node_id(l as u8), Some(id), "level {l}");
-            assert_eq!(p.identity_dd(l + 1).n, id);
+            assert_eq!(p.identity_dd(l + 1).n, id, "level {l}");
         }
         // Fewer levels on request, never more than were built.
         assert_eq!(p.identity_node_ids(3), ids[..3]);
         assert_eq!(p.identity_node_ids(64), ids);
+    }
+
+    #[test]
+    fn repeated_gate_is_answered_by_the_memo() {
+        let mut p = DdPackage::default();
+        let n = 6;
+        let toffoli =
+            |kind, target, c5: Control| Gate::controlled(kind, target, vec![Control::pos(1), c5]);
+        let g = toffoli(GateKind::X, 3, Control::neg(5));
+        let key = GateKey::new(&g.kind.matrix(), &g, n).unwrap();
+        assert_eq!(p.gate_memo.get(&key), None);
+        let e = p.gate_dd(&g, n);
+        assert_eq!(p.gate_memo.get(&key), Some(e));
+        let before = p.stats();
+        assert_eq!(p.gate_dd(&g, n), e);
+        let after = p.stats();
+        assert_eq!(after.m_nodes, before.m_nodes, "a hit builds no node");
+        assert_eq!(after.complex_values, before.complex_values);
+        // One control polarity, the width, the target or the matrix apart:
+        // a miss, and the DD of that gate (from the memo too, second time).
+        for (h, hn) in [
+            (toffoli(GateKind::X, 3, Control::pos(5)), n),
+            (g.clone(), n + 1),
+            (toffoli(GateKind::X, 2, Control::neg(5)), n),
+            (toffoli(GateKind::Y, 3, Control::neg(5)), n),
+        ] {
+            let hkey = GateKey::new(&h.kind.matrix(), &h, hn).unwrap();
+            assert_eq!(p.gate_memo.get(&hkey), None, "{h} at n = {hn}");
+            let built = p.gate_dd(&h, hn);
+            assert_ne!(built, e, "{h} at n = {hn}");
+            assert_eq!(p.gate_dd(&h, hn), built);
+            assert_eq!(p.gate_memo.get(&hkey), Some(built));
+            let want = dense::gate_matrix(hn, &h);
+            assert!(
+                close(&p.matrix_to_dense(built, hn), &want),
+                "{h} at n = {hn}"
+            );
+        }
+        // A sweep recycles node ids, so it empties the memo.
+        p.gc(&[], &[e]);
+        assert!(p.gate_memo.0.lock().iter().all(Option::is_none));
+        assert_eq!(p.gate_dd(&g, n), e, "rebuilt onto the surviving nodes");
+        // Too wide for the key's masks: built every time, still canonical.
+        let wide = Gate::controlled(GateKind::Z, 130, vec![Control::pos(0)]);
+        assert!(GateKey::new(&wide.kind.matrix(), &wide, 131).is_none());
+        assert_eq!(p.gate_dd(&wide, 131), p.gate_dd(&wide, 131));
+    }
+
+    #[test]
+    fn accounted_bytes_are_the_bytes_reserved() {
+        let mut p = DdPackage::default();
+        let recount = |p: &DdPackage| {
+            p.v.recount_bytes()
+                + p.m.recount_bytes()
+                + p.ct.recount_bytes()
+                + p.compute.memory_bytes()
+                + p.gate_memo.memory_bytes()
+        };
+        assert_eq!(p.stats().memory_bytes, recount(&p));
+        // 10^5 distinct weights (every complex-table shard regrows several
+        // times, the value store opens new segments) and a chain of 5 * 10^4
+        // distinct nodes (slabs, unique maps).
+        let (mut chain, mut keep) = (VEdge::terminal(CIdx::ONE), VEdge::ZERO);
+        for i in 0..100_000 {
+            p.clookup(Complex64::new(0.1 + i as f64 * 1e-6, -0.3));
+            if i % 2 == 0 {
+                chain = p.make_vnode(0, [chain, VEdge::ZERO]);
+            }
+            if i == 200 {
+                keep = chain;
+            }
+        }
+        let s = p.stats();
+        assert!(s.complex_values > 100_000 && s.v_nodes >= 50_000);
+        assert_eq!(s.memory_bytes, recount(&p));
+        let (freed, _) = p.gc(&[keep], &[]);
+        assert!(freed >= 49_000);
+        assert_eq!(p.stats().memory_bytes, recount(&p), "after the sweep");
+        assert!(
+            p.stats().memory_bytes >= s.memory_bytes,
+            "a sweep releases nothing"
+        );
+        // Recycled slots reserve nothing new.
+        let before = p.stats().memory_bytes;
+        for i in 0..1000 {
+            p.basis_state(10, i);
+        }
+        assert_eq!(p.stats().memory_bytes, before);
+        assert_eq!(before, recount(&p));
     }
 
     #[test]

@@ -30,21 +30,24 @@ const SEG0_BITS: u32 = 10;
 /// (~5.4e8 slots), comfortably above the `u32 >> 4` local-index space.
 const NSEGS: usize = 19;
 
-/// One slot: node/value payload plus an atomic mark/traversal stamp.
-struct Slot<T> {
-    stamp: AtomicU32,
+/// One slot: node/value payload plus its stamp — an atomic mark/traversal
+/// stamp for nodes, `()` (no bytes) for stores nothing ever marks.
+struct Slot<T, S> {
+    stamp: S,
     data: UnsafeCell<MaybeUninit<T>>,
 }
 
+type Segment<T, S> = Box<[Slot<T, S>]>;
+
 /// Segmented, append-only slot store with lock-free reads.
-pub(crate) struct SlotVec<T> {
-    segs: [OnceLock<Box<[Slot<T>]>>; NSEGS],
+pub(crate) struct SlotVec<T, S = AtomicU32> {
+    segs: [OnceLock<Segment<T, S>>; NSEGS],
 }
 
 // SAFETY: cross-thread access to `data` follows the publication protocol in
-// the module docs; `stamp` is atomic.
-unsafe impl<T: Send + Sync> Sync for SlotVec<T> {}
-unsafe impl<T: Send> Send for SlotVec<T> {}
+// the module docs; `stamp` is an atomic or `()`, shared as `S: Sync`.
+unsafe impl<T: Send + Sync, S: Sync> Sync for SlotVec<T, S> {}
+unsafe impl<T: Send, S: Send> Send for SlotVec<T, S> {}
 
 /// Maps a global slot index to (segment, offset).
 #[inline(always)]
@@ -60,7 +63,7 @@ fn seg_len(k: usize) -> usize {
     1usize << (SEG0_BITS + k as u32)
 }
 
-impl<T> Default for SlotVec<T> {
+impl<T, S> Default for SlotVec<T, S> {
     fn default() -> Self {
         SlotVec {
             segs: std::array::from_fn(|_| OnceLock::new()),
@@ -68,24 +71,30 @@ impl<T> Default for SlotVec<T> {
     }
 }
 
-impl<T> SlotVec<T> {
-    /// Makes sure the segment holding slot `i` is allocated. Callable from
-    /// any thread; racing allocators are serialized by the `OnceLock`.
-    pub(crate) fn ensure(&self, i: u32) {
+impl<T, S: Default> SlotVec<T, S> {
+    /// Makes sure the segment holding slot `i` is allocated and returns the
+    /// bytes this call reserved for it (`0` when the segment existed), so
+    /// owners can keep a running byte count instead of walking the
+    /// segments. Callable from any thread; racing allocators are serialized
+    /// by the `OnceLock`, and exactly one of them is told the size.
+    pub(crate) fn ensure(&self, i: u32) -> usize {
         let (k, _) = locate(i);
         assert!(k < NSEGS, "SlotVec capacity exhausted");
+        let mut reserved = 0;
         self.segs[k].get_or_init(|| {
+            reserved = seg_len(k) * std::mem::size_of::<Slot<T, S>>();
             (0..seg_len(k))
                 .map(|_| Slot {
-                    stamp: AtomicU32::new(0),
+                    stamp: S::default(),
                     data: UnsafeCell::new(MaybeUninit::uninit()),
                 })
                 .collect()
         });
+        reserved
     }
 
     #[inline(always)]
-    fn slot(&self, i: u32) -> &Slot<T> {
+    fn slot(&self, i: u32) -> &Slot<T, S> {
         let (k, off) = locate(i);
         let seg = self.segs[k].get().expect("slot segment not allocated");
         &seg[off]
@@ -114,18 +123,22 @@ impl<T> SlotVec<T> {
         (*self.slot(i).data.get()).assume_init_ref()
     }
 
+    /// Bytes held by all currently allocated segments (what the `ensure`
+    /// return values add up to).
+    #[cfg(test)]
+    pub(crate) fn allocated_bytes(&self) -> usize {
+        (0..NSEGS)
+            .filter(|&k| self.segs[k].get().is_some())
+            .map(|k| seg_len(k) * std::mem::size_of::<Slot<T, S>>())
+            .sum()
+    }
+}
+
+impl<T> SlotVec<T> {
     /// The atomic mark/traversal stamp of slot `i` (must be allocated).
     #[inline(always)]
     pub(crate) fn stamp(&self, i: u32) -> &AtomicU32 {
         &self.slot(i).stamp
-    }
-
-    /// Bytes held by all currently allocated segments.
-    pub(crate) fn allocated_bytes(&self) -> usize {
-        (0..NSEGS)
-            .filter(|&k| self.segs[k].get().is_some())
-            .map(|k| seg_len(k) * std::mem::size_of::<Slot<T>>())
-            .sum()
     }
 }
 
@@ -159,14 +172,19 @@ mod tests {
     #[test]
     fn write_then_read_round_trips() {
         let v: SlotVec<u64> = SlotVec::default();
+        let mut reserved = 0;
         for i in 0..5000u32 {
-            v.ensure(i);
+            reserved += v.ensure(i);
             unsafe { v.write(i, (i as u64) * 7 + 1) };
         }
         for i in 0..5000u32 {
             assert_eq!(unsafe { *v.get(i) }, (i as u64) * 7 + 1);
         }
-        assert!(v.allocated_bytes() > 0);
+        assert_eq!(reserved, v.allocated_bytes());
+        assert_eq!(reserved, (1024 + 2048 + 4096) * 16);
+        // Without a stamp a slot is its payload.
+        let bare: SlotVec<u64, ()> = SlotVec::default();
+        assert_eq!(bare.ensure(0), 1024 * 8);
     }
 
     #[test]

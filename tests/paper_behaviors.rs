@@ -28,26 +28,39 @@ fn regular_circuits_stay_in_dd_phase() {
 
 #[test]
 fn irregular_circuits_convert_early() {
-    for c in [
-        generators::dnn(10, 3, 5),
-        generators::vqe(10, 3, 5),
-        generators::supremacy_n(10, 12, 5),
-    ] {
-        let mut sim = FlatDdSimulator::new(
-            c.num_qubits(),
-            FlatDdConfig {
-                threads: 2,
-                ..Default::default()
-            },
-        );
-        sim.run(&c).unwrap();
-        assert_eq!(sim.phase(), Phase::Dmav, "{} must convert", c.name());
-        let at = sim.stats().converted_at.unwrap();
+    // A statement about the families, so asserted over a seed set: every
+    // instance converts, and the family's median conversion point lies in
+    // the first half of the circuit. (One instance proves nothing either
+    // way — a random supremacy circuit now and then stays regular for a
+    // few more cycles — and which instance a seed names depends on the
+    // `rand` build the generators run under.)
+    type Family = fn(u64) -> qcircuit::Circuit;
+    let families: [Family; 3] = [
+        |seed| generators::dnn(10, 3, seed),
+        |seed| generators::vqe(10, 3, seed),
+        |seed| generators::supremacy_n(10, 12, seed),
+    ];
+    for family in families {
+        let mut fractions: Vec<f64> = (1..=5)
+            .map(|seed| {
+                let c = family(seed);
+                let mut sim = FlatDdSimulator::new(
+                    c.num_qubits(),
+                    FlatDdConfig {
+                        threads: 2,
+                        ..Default::default()
+                    },
+                );
+                sim.run(&c).unwrap();
+                assert_eq!(sim.phase(), Phase::Dmav, "{} must convert", c.name());
+                sim.stats().converted_at.unwrap() as f64 / c.num_gates() as f64
+            })
+            .collect();
+        fractions.sort_by(f64::total_cmp);
         assert!(
-            at < c.num_gates() / 2,
-            "{}: conversion came too late (gate {at} of {})",
-            c.name(),
-            c.num_gates()
+            fractions[2] < 0.5,
+            "{}: conversion came too late (fractions of the circuit: {fractions:?})",
+            family(1).name()
         );
     }
 }

@@ -32,7 +32,7 @@ pub mod vecops;
 pub use kernel::{apply_gate_pooled, apply_gate_serial, apply_gate_sharded};
 pub use measure::{
     expectation, expectation_pauli, measure_qubit, measure_qubit_sharded, qubit_probability_one,
-    qubit_probability_one_sharded, sample, sample_counts,
+    qubit_probability_one_sharded, sample, sample_counts, top_amplitudes, TopAmplitudes,
 };
 pub use pool::ThreadPool;
 pub use shard::{first_touch_zeroed, shard_range, sum_shards, ShardedState};

@@ -52,6 +52,109 @@ pub fn sample_counts(
     out
 }
 
+/// One kept amplitude of a [`TopAmplitudes`]. `Ord` is the readout order:
+/// `norm_sqr` descending by `total_cmp`, index ascending on ties; `Less`
+/// is reported earlier.
+struct Ranked {
+    p: f64,
+    index: usize,
+    amp: Complex64,
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .p
+            .total_cmp(&self.p)
+            .then(self.index.cmp(&other.index))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Ranked {}
+
+/// The `k` heaviest of the amplitudes offered so far, in the readout order
+/// of the workspace: `norm_sqr` descending by `total_cmp`, index ascending
+/// on ties. An amplitude of probability exactly zero is never kept, so a
+/// sparse state reports fewer than `k`. This is the one selection rule
+/// behind [`top_amplitudes`] and `qdd`'s DD-native counterpart; memory is
+/// `O(min(k, offers))`.
+pub struct TopAmplitudes {
+    k: usize,
+    /// Max-heap under the readout order: its top is the last kept entry.
+    kept: std::collections::BinaryHeap<Ranked>,
+    floor: f64,
+}
+
+impl TopAmplitudes {
+    /// An empty selection of at most `k` amplitudes.
+    pub fn new(k: usize) -> Self {
+        TopAmplitudes {
+            k,
+            kept: std::collections::BinaryHeap::new(),
+            floor: if k == 0 { f64::INFINITY } else { 0.0 },
+        }
+    }
+
+    /// The `norm_sqr` an offer must reach to be kept: that of the last kept
+    /// entry once `k` are kept, `0.0` before.
+    pub fn floor(&self) -> f64 {
+        self.floor
+    }
+
+    /// Offers the amplitude of basis state `index`.
+    #[inline]
+    pub fn offer(&mut self, index: usize, amp: Complex64) {
+        let p = amp.norm_sqr();
+        if p < self.floor || p == 0.0 {
+            return;
+        }
+        self.insert(Ranked { p, index, amp });
+    }
+
+    fn insert(&mut self, r: Ranked) {
+        if self.kept.len() < self.k {
+            self.kept.push(r);
+        } else {
+            match self.kept.peek_mut() {
+                Some(mut last) if r < *last => *last = r,
+                _ => return,
+            }
+        }
+        if self.kept.len() == self.k {
+            self.floor = self.kept.peek().map_or(f64::INFINITY, |last| last.p);
+        }
+    }
+
+    /// The kept `(index, amplitude)` pairs, heaviest first.
+    pub fn into_sorted(self) -> Vec<(usize, Complex64)> {
+        let sorted = self.kept.into_sorted_vec().into_iter();
+        sorted.map(|r| (r.index, r.amp)).collect()
+    }
+}
+
+/// The `k` heaviest amplitudes of `state` as `(index, amplitude)`, heaviest
+/// first (the order of [`TopAmplitudes`]): one pass over the slice, no copy
+/// of it and no index vector.
+pub fn top_amplitudes(state: &[Complex64], k: usize) -> Vec<(usize, Complex64)> {
+    let mut top = TopAmplitudes::new(k);
+    for (i, &a) in state.iter().enumerate() {
+        top.offer(i, a);
+    }
+    top.into_sorted()
+}
+
 /// Marginal probability that qubit `q` measures 1: the one-shard case of
 /// [`qubit_probability_one_sharded`].
 pub fn qubit_probability_one(state: &[Complex64], q: usize) -> f64 {
@@ -238,6 +341,23 @@ mod tests {
         let v = dense::simulate(&c);
         let ham = Hamiltonian::heisenberg_xxz(6, 0.7, 1.3);
         assert!((expectation(&v, &ham) - ham.expectation_dense(&v)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn top_amplitudes_is_the_nonzero_prefix_of_copy_and_sort() {
+        // Ties, exact zeros and a NaN (heaviest under `total_cmp`).
+        let mut v = dense::simulate(&generators::random_circuit(5, 40, 6));
+        v[3] = v[17];
+        v[9] = Complex64::ZERO;
+        v[20] = Complex64::new(f64::NAN, 0.0);
+        let mut want: Vec<usize> = (0..v.len()).filter(|&i| v[i].norm_sqr() != 0.0).collect();
+        want.sort_by(|&a, &b| v[b].norm_sqr().total_cmp(&v[a].norm_sqr()).then(a.cmp(&b)));
+        assert_eq!(want[0], 20);
+        for k in [0, 1, 8, 31, 32, 40] {
+            let got: Vec<usize> = top_amplitudes(&v, k).iter().map(|&(i, _)| i).collect();
+            assert_eq!(got, want[..k.min(want.len())], "k = {k}");
+        }
+        assert_eq!(top_amplitudes(&v, 2)[1], (want[1], v[want[1]]));
     }
 
     #[test]

@@ -296,7 +296,6 @@ impl SchedulerHandle {
             faults::FaultRegistry::from_spec(fspec).map_err(SubmitError::Invalid)?;
         }
         // Validate the circuit and size it before taking a queue slot.
-        build_circuit(&spec).map_err(|e| SubmitError::Invalid(e.to_string()))?;
         let est = job_estimate(&self.inner.cfg, &spec).map_err(SubmitError::Invalid)?;
         let mut st = self.inner.state.lock();
         if st.queue.len() >= self.inner.cfg.queue_cap {
@@ -441,16 +440,16 @@ pub fn build_circuit(spec: &JobSpec) -> Result<Circuit, FlatDdError> {
     }
 }
 
-/// Admission estimate in bytes: the job's own budget when it declares one,
+/// Builds the spec's circuit once — which validates it — and returns the
+/// admission estimate in bytes: the job's own budget when it declares one,
 /// else two flat `2^n` buffers plus fixed overhead. Rejects jobs that can
 /// never fit under the server budget (they would starve forever).
 fn job_estimate(cfg: &ServeConfig, spec: &JobSpec) -> Result<u64, String> {
     const OVERHEAD: u64 = 32 << 20;
+    let n = build_circuit(spec).map_err(|e| e.to_string())?.num_qubits() as u32;
     let est = match spec.memory_budget_mb {
         Some(mb) => mb << 20,
         None => {
-            let circuit = build_circuit(spec).map_err(|e| e.to_string())?;
-            let n = circuit.num_qubits() as u32;
             let amps = 1u64.checked_shl(n).unwrap_or(u64::MAX);
             amps.saturating_mul(32).saturating_add(OVERHEAD)
         }
@@ -763,23 +762,12 @@ fn execute_job(
         approximate: sim.is_approximate(),
         fidelity: sim.fidelity(),
     };
-    // Top amplitudes at full precision (bounded work: only for states a
-    // status payload can sensibly carry).
-    if n <= 24 {
-        let amps = sim.amplitudes();
-        let mut idx: Vec<usize> = (0..amps.len()).collect();
-        idx.sort_by(|&a, &b| {
-            amps[b]
-                .norm_sqr()
-                .total_cmp(&amps[a].norm_sqr())
-                .then(a.cmp(&b))
-        });
-        result.heavy = idx
-            .into_iter()
-            .take(8)
-            .map(|i| (i, amps[i].re, amps[i].im))
-            .collect();
-    }
+    // Top amplitudes at full precision, read without materializing 2^n.
+    result.heavy = sim
+        .top_amplitudes(8)
+        .into_iter()
+        .map(|(i, a)| (i, a.re, a.im))
+        .collect();
     sim.publish_metrics();
     result.metrics_json = ctx.metrics().to_json();
     // The run is complete; its checkpoint has served its purpose.

@@ -406,6 +406,19 @@ impl FlatDdSimulator {
         }
     }
 
+    /// The `k` heaviest amplitudes as `(index, amplitude)`, heaviest first:
+    /// `norm_sqr` descending by `total_cmp`, index ascending on ties, zero
+    /// probabilities omitted ([`qarray::TopAmplitudes`]). Exact in both
+    /// phases without materializing the state: one pass over the flat array
+    /// in the DMAV phase, a pruned walk over the DD's non-zero paths in the
+    /// DD phase, each value equal to [`Self::amplitude`] of its index.
+    pub fn top_amplitudes(&self, k: usize) -> Vec<(usize, Complex64)> {
+        match &self.phase {
+            PhaseState::Dd(dd) => self.core.pkg.top_amplitudes(dd.state, self.core.n, k),
+            PhaseState::Flat(flat) => qarray::top_amplitudes(&flat.v, k),
+        }
+    }
+
     /// Draws one basis-state index from the output distribution. In the DD
     /// phase this is a single O(n) walk (fast weak simulation); in the DMAV
     /// phase an inverse-CDF draw over the flat array.

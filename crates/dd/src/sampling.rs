@@ -15,6 +15,7 @@ use crate::fxhash::FxHashMap;
 use crate::node::VEdge;
 use crate::package::DdPackage;
 use qcircuit::observable::{Pauli, PauliString};
+use qcircuit::Complex64;
 
 impl DdPackage {
     /// Draws one basis-state index from `|state|^2`. The state must be
@@ -51,6 +52,73 @@ impl DdPackage {
         let mut out: Vec<(usize, usize)> = counts.into_iter().collect();
         out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         out
+    }
+
+    /// The `k` heaviest amplitudes of an `n`-qubit state as `(index,
+    /// amplitude)`, heaviest first, selected by [`qarray::TopAmplitudes`] —
+    /// the DD-native counterpart of [`qarray::top_amplitudes`]. An
+    /// index-ordered depth-first walk over the non-zero paths only; each
+    /// value is the left-to-right product [`Self::amplitude`] computes. A
+    /// sub-DD is skipped once no path through it can reach the lightest
+    /// kept entry, so the work is bounded by the number of non-zero paths
+    /// (two for GHZ) and nothing of size `2^n` is ever allocated.
+    pub fn top_amplitudes(&self, state: VEdge, n: usize, k: usize) -> Vec<(usize, Complex64)> {
+        assert!(
+            state.is_terminal() || self.v_node(state.n).level as usize + 1 == n,
+            "state is not an {n}-qubit vector"
+        );
+        let mut top = qarray::TopAmplitudes::new(k);
+        let mut heaviest = FxHashMap::default();
+        self.top_rec(state, 0, Complex64::ONE, &mut heaviest, &mut top);
+        top.into_sorted()
+    }
+
+    fn top_rec(
+        &self,
+        e: VEdge,
+        index: usize,
+        weight: Complex64,
+        heaviest: &mut FxHashMap<u32, f64>,
+        top: &mut qarray::TopAmplitudes,
+    ) {
+        /// Relative head-room of the pruning bound over the rounding of the
+        /// path products (~`n` ulps), so near-ties are still compared by
+        /// their computed values.
+        const SLACK: f64 = 1e-9;
+        if e.is_zero() {
+            return;
+        }
+        let w = weight * self.cval(e.w);
+        if e.is_terminal() {
+            top.offer(index, w);
+            return;
+        }
+        if w.norm_sqr() * self.heaviest_path_sqr(e.n, heaviest) * (1.0 + SLACK) < top.floor() {
+            return;
+        }
+        let node = *self.v_node(e.n);
+        self.top_rec(node.e[0], index, w, heaviest, top);
+        self.top_rec(node.e[1], index | 1usize << node.level, w, heaviest, top);
+    }
+
+    /// Largest squared magnitude of a path-weight product from node `nid`
+    /// down to the terminal (memoized: one visit per node).
+    fn heaviest_path_sqr(&self, nid: u32, memo: &mut FxHashMap<u32, f64>) -> f64 {
+        if nid == crate::node::TERM {
+            return 1.0;
+        }
+        if let Some(&b) = memo.get(&nid) {
+            return b;
+        }
+        let node = *self.v_node(nid);
+        let mut best = 0.0f64;
+        for e in node.e {
+            if !e.is_zero() {
+                best = best.max(self.cval(e.w).norm_sqr() * self.heaviest_path_sqr(e.n, memo));
+            }
+        }
+        memo.insert(nid, best);
+        best
     }
 
     /// Marginal probability that qubit `q` measures 1 (memoized traversal,

@@ -82,12 +82,10 @@ fn main() {
     );
 
     // Print the measurement distribution's heaviest outcomes.
-    let mut idx: Vec<usize> = (0..state.len()).collect();
-    idx.sort_by(|&a, &b| state[b].norm_sqr().total_cmp(&state[a].norm_sqr()));
     println!("\nmost probable outcomes:");
     let width = circuit.num_qubits();
-    for &i in idx.iter().take(10) {
-        let p = state[i].norm_sqr();
+    for (i, a) in qarray::top_amplitudes(&state, 10) {
+        let p = a.norm_sqr();
         if p < 1e-9 {
             break;
         }

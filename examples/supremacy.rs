@@ -65,16 +65,9 @@ fn main() {
     println!("  E[(D*p)^2] = {m2:.4} (→ 2 for a fully scrambled circuit)");
 
     // Top-8 heavy outputs (what a sampling experiment would see most).
-    let mut idx: Vec<usize> = (0..state.len()).collect();
-    idx.sort_by(|&a, &b| state[b].norm_sqr().total_cmp(&state[a].norm_sqr()));
     println!("\nheaviest bitstrings:");
-    for &i in idx.iter().take(8) {
-        println!(
-            "  |{:0width$b}>  p = {:.3e}",
-            i,
-            state[i].norm_sqr(),
-            width = n
-        );
+    for (i, a) in sim.top_amplitudes(8) {
+        println!("  |{i:0n$b}>  p = {:.3e}", a.norm_sqr());
     }
 
     // Weak-simulation mode: draw samples and estimate the linear

@@ -522,7 +522,7 @@ fn cmd_run(args: &[String]) {
                     o.top,
                 );
             } else if sim.phase() == Phase::Dmav || n <= 22 {
-                print_heavy(&sim.amplitudes(), n, o.top);
+                print_heavy(&sim.top_amplitudes(o.top), n);
             }
         }
         "dd" => {
@@ -560,7 +560,7 @@ fn cmd_run(args: &[String]) {
                     o.top,
                 );
             } else if n <= 22 {
-                print_heavy(&sim.amplitudes(), n, o.top);
+                print_heavy(&sim.package().top_amplitudes(sim.state(), n, o.top), n);
             }
         }
         "array" => {
@@ -590,7 +590,7 @@ fn cmd_run(args: &[String]) {
                     o.top,
                 );
             } else {
-                print_heavy(sim.state(), n, o.top);
+                print_heavy(&qarray::top_amplitudes(sim.state(), o.top), n);
             }
         }
         other => {
@@ -602,12 +602,10 @@ fn cmd_run(args: &[String]) {
     tele.finish();
 }
 
-fn print_heavy(state: &[qcircuit::Complex64], n: usize, top: usize) {
-    let mut idx: Vec<usize> = (0..state.len()).collect();
-    idx.sort_by(|&a, &b| state[b].norm_sqr().total_cmp(&state[a].norm_sqr()));
+fn print_heavy(top: &[(usize, qcircuit::Complex64)], n: usize) {
     println!("most probable outcomes:");
-    for &i in idx.iter().take(top) {
-        let p = state[i].norm_sqr();
+    for &(i, a) in top {
+        let p = a.norm_sqr();
         if p < 1e-12 {
             break;
         }

@@ -29,7 +29,7 @@
 
 use flatdd::serve::{self, http, Scheduler, ServeConfig};
 use flatdd::signal;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -128,7 +128,7 @@ fn main() {
     cfg.default_dd_threads = dd_threads;
     cfg.default_flat_shards = flat_shards;
 
-    // Flag-based handlers: SIGTERM/SIGINT set a flag the accept loop polls,
+    // SIGTERM/SIGINT only set a flag and wake the shutdown watcher below,
     // so the drain runs on the main thread with everything still alive.
     signal::install_handlers();
 
@@ -151,11 +151,6 @@ fn main() {
     let bound = listener
         .local_addr()
         .expect("bound listener has an address");
-    // The accept loop must keep polling the signal flag, so the listener
-    // cannot block indefinitely.
-    listener
-        .set_nonblocking(true)
-        .expect("set_nonblocking on listener");
     let port_file = std::path::Path::new(&spool).join(serve::PORT_FILE);
     if let Err(e) = std::fs::write(&port_file, format!("{}\n", bound.port())) {
         eprintln!("flatdd-serve: cannot write {}: {e}", port_file.display());
@@ -163,11 +158,25 @@ fn main() {
     }
     eprintln!("[flatdd-serve] listening on {bound}, spool {spool}");
 
+    // The accept loop blocks in `accept()`. std retries EINTR and the C
+    // library restarts the call after a handler returns, so a signal alone
+    // cannot end it: the watcher blocks in `signal::wait()`, reports the
+    // signal, and connects to the listener to wake the loop.
+    let (shutdown_tx, shutdown_rx) = std::sync::mpsc::channel();
+    let watcher = std::thread::Builder::new()
+        .name("flatdd-serve-shutdown".into())
+        .spawn(move || {
+            let _ = shutdown_tx.send(signal::wait());
+            let _ = TcpStream::connect(bound);
+        })
+        .expect("spawn shutdown watcher");
+
     let drain_signal = loop {
-        if let Some(sig) = signal::take() {
+        let accepted = listener.accept();
+        if let Ok(sig) = shutdown_rx.try_recv() {
             break sig;
         }
-        match listener.accept() {
+        match accepted {
             Ok((mut stream, _peer)) => match http::read_request(&mut stream) {
                 Ok(req) => {
                     // Live event streams are long-lived chunked responses;
@@ -200,15 +209,17 @@ fn main() {
                     );
                 }
             },
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
             Err(e) => {
+                // EMFILE and the like persist until a stream thread exits:
+                // back off, but not past a shutdown request.
                 eprintln!("[flatdd-serve] accept error: {e}");
-                std::thread::sleep(Duration::from_millis(50));
+                if let Ok(sig) = shutdown_rx.recv_timeout(Duration::from_millis(50)) {
+                    break sig;
+                }
             }
         }
     };
+    watcher.join().expect("shutdown watcher panicked");
 
     eprintln!(
         "[flatdd-serve] received {}, draining: admission closed, checkpointing running jobs",

@@ -277,3 +277,77 @@ fn approximate_degradation_stamps_the_result() {
     daemon.drain(Duration::from_secs(30));
     std::fs::remove_dir_all(&spool).ok();
 }
+
+/// Median round trip of 20 `GET /healthz` requests, in milliseconds.
+fn healthz_median_ms(port: u16) -> f64 {
+    let mut ms: Vec<f64> = (0..20)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            let (code, _) = http(port, "GET", "/healthz", None);
+            assert_eq!(code, 200);
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    (ms[9] + ms[10]) / 2.0
+}
+
+#[test]
+fn idle_daemon_answers_without_a_polling_delay() {
+    let spool = fresh_spool("idle-rtt");
+    let daemon = Daemon::start(&spool, &["--workers", "1"]);
+    // An idle sleep in the accept loop delays every round of requests; a
+    // busy test host delays some. Five rounds tell the two apart.
+    let medians: Vec<f64> = (0..5).map(|_| healthz_median_ms(daemon.port)).collect();
+    assert!(
+        medians.iter().any(|&m| m < 2.0),
+        "median /healthz round trip per round: {medians:?} ms"
+    );
+    daemon.drain(Duration::from_secs(30));
+    std::fs::remove_dir_all(&spool).ok();
+}
+
+#[test]
+fn sigterm_wakes_a_daemon_blocked_in_accept() {
+    let spool = fresh_spool("idle-term");
+    let daemon = Daemon::start(&spool, &["--workers", "1"]);
+    let (code, _) = http(daemon.port, "GET", "/healthz", None);
+    assert_eq!(code, 200);
+    // No client is connected now and none will connect: only the signal
+    // can end the accept() the daemon has gone back to.
+    std::thread::sleep(Duration::from_millis(50));
+    daemon.drain(Duration::from_millis(500));
+    std::fs::remove_dir_all(&spool).ok();
+}
+
+#[test]
+fn wide_regular_job_is_read_out_without_materializing_the_state() {
+    let spool = fresh_spool("ghz24");
+    let daemon = Daemon::start(&spool, &["--workers", "1"]);
+    let port = daemon.port;
+    // Admission estimate 32 * 2^24 + 32 MiB = 544 MiB, inside the default
+    // 2 GiB budget; the run itself is a 24-node DD.
+    let (code, body) = http(
+        port,
+        "POST",
+        "/jobs",
+        Some(r#"{"circuit":"ghz:24","threads":1}"#),
+    );
+    assert_eq!(code, 202, "{body}");
+    let status = wait_terminal(port, job_id(&body), Duration::from_secs(60));
+    assert_eq!(job_state(&status), "done", "{status}");
+    let heavy = heavy_amplitudes(&status);
+    let arms: Vec<usize> = heavy.iter().map(|h| h.0).collect();
+    assert_eq!(arms, [0, (1 << 24) - 1], "{status}");
+    for &(_, re, im) in &heavy {
+        assert!((re * re + im * im - 0.5).abs() < 1e-12, "{heavy:?}");
+    }
+    // 2^24 amplitudes are 256 MiB; the daemon's high-water mark shows that
+    // nobody allocated them.
+    let proc_status = std::fs::read_to_string(format!("/proc/{}/status", daemon.child.id()))
+        .expect("daemon /proc status");
+    let hwm_kb = field_u64(&proc_status, "VmHWM:").expect("VmHWM line");
+    assert!(hwm_kb < 64 << 10, "daemon VmHWM {hwm_kb} kB");
+    daemon.drain(Duration::from_secs(30));
+    std::fs::remove_dir_all(&spool).ok();
+}

@@ -11,7 +11,6 @@
 //! the minimum.
 
 use crate::dmav_cache::DmavCacheAssignment;
-use qdd::fxhash::FxHashMap;
 use qdd::{DdPackage, MEdge, MacTable};
 
 /// Tunables of the cost model.
@@ -85,18 +84,12 @@ impl CostModel {
     ) -> CostAnalysis {
         let k1 = mac.count(pkg, m);
         // K2: MACs of unique border-level tasks; H: repeated tasks.
-        let mut k2 = 0u64;
-        let mut hits = 0u64;
-        for tasks in &asg.m_edges {
-            let mut seen: FxHashMap<u32, ()> = FxHashMap::default();
-            for e in tasks {
-                if seen.insert(e.n, ()).is_some() {
-                    hits += 1;
-                } else {
-                    k2 += mac.count(pkg, *e);
-                }
-            }
+        let (mut k2, mut unique) = (0u64, 0u64);
+        for e in asg.unique_tasks() {
+            k2 += mac.count(pkg, e);
+            unique += 1;
         }
+        let hits = asg.total_tasks() as u64 - unique;
         let c1 = self.cost_no_cache(k1, t);
         let c2 = self.cost_cached(k2, hits, asg.num_buffers, n, t);
         CostAnalysis {

@@ -54,7 +54,7 @@ enum Op {
 /// The sub-DD under a plan's task edges as a package-independent table:
 /// built once by `Assign`/`AssignCache`, memoized with the plan, and the
 /// only thing `Run` reads. Children precede their parents.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Program {
     ops: Vec<Op>,
 }
@@ -248,6 +248,106 @@ impl Program {
     }
 }
 
+/// Which side of a sub-matrix block picks the group that evaluates it: its
+/// row (`Assign`, Algorithm 1) or its column (`AssignCache`, Algorithm 2).
+#[derive(Clone, Copy)]
+pub(crate) enum Space {
+    Row,
+    Column,
+}
+
+/// What the descent to the border level yields per group: the paper's
+/// `v_M`, `v_V` (row space) or `v_P` (column space), and `v_f`.
+pub(crate) struct TaskLists {
+    pub(crate) m_edges: Vec<Vec<MEdge>>,
+    /// Start index of each task's sub-vector on the side its group does
+    /// not own: in `V` for [`Space::Row`], in the output for
+    /// [`Space::Column`].
+    pub(crate) at: Vec<Vec<usize>>,
+    pub(crate) f: Vec<Vec<Complex64>>,
+}
+
+/// `Assign` (Algorithm 1, lines 8-14) and `AssignCache` (Algorithm 2,
+/// lines 16-21) for matrix `m` over `n` qubits in `t` groups: `t` must be a
+/// power of two with `log2(t) <= n`, otherwise
+/// [`FlatDdError::InvalidInput`] is returned.
+pub(crate) fn assign_tasks(
+    pkg: &DdPackage,
+    m: MEdge,
+    n: usize,
+    t: usize,
+    space: Space,
+) -> Result<TaskLists, FlatDdError> {
+    if !t.is_power_of_two() {
+        return Err(FlatDdError::InvalidInput(format!(
+            "thread count must be a power of two, got {t}"
+        )));
+    }
+    let log_t = t.trailing_zeros() as usize;
+    if log_t > n {
+        return Err(FlatDdError::InvalidInput(format!(
+            "need log2(t) <= n for the border-level scheme, got t={t} n={n}"
+        )));
+    }
+    let mut descent = Descent {
+        pkg,
+        n,
+        t,
+        border: n as i64 - log_t as i64 - 1,
+        space,
+        tasks: TaskLists {
+            m_edges: vec![Vec::new(); t],
+            at: vec![Vec::new(); t],
+            f: vec![Vec::new(); t],
+        },
+    };
+    descent.assign(m, Complex64::ONE, 0, 0, n as i64 - 1);
+    Ok(descent.tasks)
+}
+
+/// The recursion of [`assign_tasks`] and what it carries unchanged.
+struct Descent<'a> {
+    pkg: &'a DdPackage,
+    n: usize,
+    t: usize,
+    border: i64,
+    space: Space,
+    tasks: TaskLists,
+}
+
+impl Descent<'_> {
+    fn assign(&mut self, m_r: MEdge, f_r: Complex64, u: usize, at: usize, l: i64) {
+        if m_r.is_zero() {
+            return;
+        }
+        if l == self.border {
+            self.tasks.m_edges[u].push(m_r);
+            self.tasks.at[u].push(at);
+            self.tasks.f[u].push(f_r);
+            return;
+        }
+        let pkg = self.pkg;
+        let node = pkg.m_node(m_r.n);
+        debug_assert_eq!(node.level as i64, l);
+        let e = node.e;
+        let w = f_r * pkg.cval(m_r.w);
+        // t / 2^(n-l)
+        let stride = self.t >> (self.n as i64 - l) as usize;
+        // Group-major traversal: the group index follows the block's row
+        // `i` in row space and its column `j` in column space (Algorithm 2,
+        // lines 20-21); the sub-vector index follows the other one.
+        for own in 0..2usize {
+            for other in 0..2usize {
+                let (i, j) = match self.space {
+                    Space::Row => (own, other),
+                    Space::Column => (other, own),
+                };
+                self.assign(e[2 * i + j], w, u + own * stride, at + (other << l), l - 1);
+            }
+        }
+    }
+}
+
 /// The per-thread multiplication tasks produced by `Assign`
 /// (the paper's `v_M`, `v_V`, `v_f`).
 pub struct DmavAssignment {
@@ -281,31 +381,18 @@ impl DmavAssignment {
     /// Fallible `Assign`: `t` must be a power of two with `log2(t) <= n`,
     /// otherwise [`FlatDdError::InvalidInput`] is returned.
     pub fn try_build(pkg: &DdPackage, m: MEdge, n: usize, t: usize) -> Result<Self, FlatDdError> {
-        if !t.is_power_of_two() {
-            return Err(FlatDdError::InvalidInput(format!(
-                "thread count must be a power of two, got {t}"
-            )));
-        }
-        let log_t = t.trailing_zeros() as usize;
-        if log_t > n {
-            return Err(FlatDdError::InvalidInput(format!(
-                "need log2(t) <= n for the border-level scheme, got t={t} n={n}"
-            )));
-        }
-        let mut asg = DmavAssignment {
+        let tasks = assign_tasks(pkg, m, n, t, Space::Row)?;
+        let (program, entries) = Program::compile(pkg, n, &tasks.m_edges, &tasks.f);
+        Ok(DmavAssignment {
             t,
             h: (1usize << n) / t,
             n,
-            m_edges: vec![Vec::new(); t],
-            iv: vec![Vec::new(); t],
-            f: vec![Vec::new(); t],
-            program: Program::default(),
-            entries: Vec::new(),
-        };
-        let border = n as i64 - log_t as i64 - 1;
-        asg.assign(pkg, m, Complex64::ONE, 0, 0, n as i64 - 1, border);
-        (asg.program, asg.entries) = Program::compile(pkg, n, &asg.m_edges, &asg.f);
-        Ok(asg)
+            m_edges: tasks.m_edges,
+            iv: tasks.at,
+            f: tasks.f,
+            program,
+            entries,
+        })
     }
 
     /// Total number of tasks across threads.
@@ -319,47 +406,6 @@ impl DmavAssignment {
         task_list_bytes(&self.m_edges)
             + self.program.memory_bytes()
             + 4 * self.t * std::mem::size_of::<Vec<()>>()
-    }
-
-    // The argument list mirrors Assign/AssignCache in the paper verbatim.
-    #[allow(clippy::too_many_arguments)]
-    fn assign(
-        &mut self,
-        pkg: &DdPackage,
-        m_r: MEdge,
-        f_r: Complex64,
-        u: usize,
-        i_v: usize,
-        l: i64,
-        border: i64,
-    ) {
-        if m_r.is_zero() {
-            return;
-        }
-        if l == border {
-            self.m_edges[u].push(m_r);
-            self.iv[u].push(i_v);
-            self.f[u].push(f_r);
-            return;
-        }
-        let node = pkg.m_node(m_r.n);
-        debug_assert_eq!(node.level as i64, l);
-        let e = node.e;
-        let w = f_r * pkg.cval(m_r.w);
-        let stride = self.t >> (self.n as i64 - l) as usize; // t / 2^(n-l)
-        for i in 0..2usize {
-            for j in 0..2usize {
-                self.assign(
-                    pkg,
-                    e[2 * i + j],
-                    w,
-                    u + i * stride,
-                    i_v + (j << l),
-                    l - 1,
-                    border,
-                );
-            }
-        }
     }
 }
 
@@ -436,47 +482,6 @@ mod tests {
         (0..(1usize << n))
             .map(|_| Complex64::new(next(), next()))
             .collect()
-    }
-
-    fn check_gate(g: &Gate, n: usize, t: usize) {
-        let pkg = DdPackage::default();
-        let m = pkg.gate_dd(g, n);
-        let v = rand_state(n, 7);
-        let mut w = vec![Complex64::ZERO; 1 << n];
-        let pool = ThreadPool::new(t);
-        dmav(&pkg, m, &v, &mut w, &pool);
-        let mut want = v.clone();
-        dense::apply_gate(&mut want, g);
-        assert!(state_distance(&w, &want) < TOL, "gate {g} n={n} t={t}");
-    }
-
-    #[test]
-    fn single_thread_matches_dense() {
-        for g in [
-            Gate::new(GateKind::H, 0),
-            Gate::new(GateKind::H, 4),
-            Gate::new(GateKind::T, 2),
-            Gate::controlled(GateKind::X, 1, vec![Control::pos(3)]),
-            Gate::controlled(GateKind::Z, 4, vec![Control::pos(0)]),
-        ] {
-            check_gate(&g, 5, 1);
-        }
-    }
-
-    #[test]
-    fn multi_thread_matches_dense() {
-        for t in [2usize, 4, 8] {
-            for g in [
-                Gate::new(GateKind::H, 0),
-                Gate::new(GateKind::H, 5),
-                Gate::new(GateKind::RY(0.9), 3),
-                Gate::controlled(GateKind::X, 2, vec![Control::pos(5)]),
-                Gate::controlled(GateKind::H, 5, vec![Control::neg(1)]),
-                Gate::controlled(GateKind::X, 0, vec![Control::pos(2), Control::pos(4)]),
-            ] {
-                check_gate(&g, 6, t);
-            }
-        }
     }
 
     #[test]
@@ -616,8 +621,9 @@ mod tests {
 
     #[test]
     fn compiled_walk_matches_dense_on_the_whole_gate_grid() {
-        // Every gate kind x every target x five control shapes x group
-        // counts on pools of another size x {plain, cached}.
+        // Every gate kind x every target x seven control shapes x group
+        // counts up to `2^(n-1)` (border level 0) on pools of another size
+        // x {plain, cached}.
         let n = 6;
         let unitary = {
             let (h, t) = (GateKind::H.matrix(), GateKind::T.matrix());
@@ -647,7 +653,7 @@ mod tests {
         ];
         let pools = [ThreadPool::new(1), ThreadPool::new(2), ThreadPool::new(3)];
         // (groups, index of a pool whose size differs from it)
-        let geometries = [(1usize, 1usize), (2, 2), (4, 0), (8, 2)];
+        let geometries = [(1usize, 1usize), (2, 2), (4, 0), (8, 2), (32, 1)];
         let v = rand_state(n, 41);
         for kind in kinds {
             for q in 0..n {
@@ -658,7 +664,9 @@ mod tests {
                     vec![Control::pos(above)],
                     vec![Control::pos(below)],
                     vec![Control::neg((q + 3) % n)],
+                    vec![Control::pos((q + 3) % n)],
                     vec![Control::pos(below), Control::neg(above)],
+                    vec![Control::pos(below), Control::pos(above)],
                 ];
                 for controls in control_shapes {
                     let g = Gate::controlled(kind, q, controls);
@@ -755,12 +763,6 @@ mod tests {
         for got in both_variants(&pkg, m, n, 8, &pool, &v) {
             assert!(max_err(&got, &want) < 1e-12);
         }
-    }
-
-    #[test]
-    fn t_equals_dimension_over_two_is_supported() {
-        // log2(t) == n - 1: border level 0, tasks are level-0 edges.
-        check_gate(&Gate::new(GateKind::H, 1), 3, 4);
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //! (one task, or one `scale` on a cache hit), so no buffer is zeroed between
 //! gates.
 
-use crate::dmav::{task_list_bytes, Entry, Program};
+use crate::dmav::{assign_tasks, task_list_bytes, Entry, Program, Space};
 use crate::error::FlatDdError;
 use crate::pool::ThreadPool;
 use qarray::{vecops, SyncUnsafeSlice};
 use qcircuit::Complex64;
-use qdd::fxhash::FxHashMap;
+use qdd::fxhash::{FxHashMap, FxHashSet};
 use qdd::{DdPackage, MEdge};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -64,78 +64,23 @@ impl DmavCacheAssignment {
     /// Fallible `AssignCache`: `t` must be a power of two with
     /// `log2(t) <= n`, otherwise [`FlatDdError::InvalidInput`] is returned.
     pub fn try_build(pkg: &DdPackage, m: MEdge, n: usize, t: usize) -> Result<Self, FlatDdError> {
-        if !t.is_power_of_two() {
-            return Err(FlatDdError::InvalidInput(format!(
-                "thread count must be a power of two, got {t}"
-            )));
-        }
-        let log_t = t.trailing_zeros() as usize;
-        if log_t > n {
-            return Err(FlatDdError::InvalidInput(format!(
-                "need log2(t) <= n for the border-level scheme, got t={t} n={n}"
-            )));
-        }
+        let tasks = assign_tasks(pkg, m, n, t, Space::Column)?;
+        let (program, entries) = Program::compile(pkg, n, &tasks.m_edges, &tasks.f);
         let mut asg = DmavCacheAssignment {
             t,
             h: (1usize << n) / t,
             n,
-            m_edges: vec![Vec::new(); t],
-            ip: vec![Vec::new(); t],
-            f: vec![Vec::new(); t],
+            m_edges: tasks.m_edges,
+            ip: tasks.at,
+            f: tasks.f,
             buffer_of: vec![0; t],
             num_buffers: 0,
             buffer_segments: Vec::new(),
-            program: Program::default(),
-            entries: Vec::new(),
+            program,
+            entries,
         };
-        let border = n as i64 - log_t as i64 - 1;
-        asg.assign(pkg, m, Complex64::ONE, 0, 0, n as i64 - 1, border);
         asg.assign_buffers();
-        (asg.program, asg.entries) = Program::compile(pkg, n, &asg.m_edges, &asg.f);
         Ok(asg)
-    }
-
-    // The argument list mirrors Assign/AssignCache in the paper verbatim.
-    #[allow(clippy::too_many_arguments)]
-    fn assign(
-        &mut self,
-        pkg: &DdPackage,
-        m_r: MEdge,
-        f_r: Complex64,
-        u: usize,
-        i_p: usize,
-        l: i64,
-        border: i64,
-    ) {
-        if m_r.is_zero() {
-            return;
-        }
-        if l == border {
-            self.m_edges[u].push(m_r);
-            self.ip[u].push(i_p);
-            self.f[u].push(f_r);
-            return;
-        }
-        let node = pkg.m_node(m_r.n);
-        debug_assert_eq!(node.level as i64, l);
-        let e = node.e;
-        let w = f_r * pkg.cval(m_r.w);
-        let stride = self.t >> (self.n as i64 - l) as usize; // t / 2^(n-l)
-                                                             // Column-major traversal: the thread index follows the column j,
-                                                             // the partial-output index follows the row i (lines 20-21).
-        for j in 0..2usize {
-            for i in 0..2usize {
-                self.assign(
-                    pkg,
-                    e[2 * i + j],
-                    w,
-                    u + j * stride,
-                    i_p + (i << l),
-                    l - 1,
-                    border,
-                );
-            }
-        }
     }
 
     /// Buffer sharing (lines 22-25): thread `i` joins the first buffer whose
@@ -190,19 +135,19 @@ impl DmavCacheAssignment {
             + 5 * self.t * std::mem::size_of::<Vec<()>>()
     }
 
+    /// The tasks that execute: the first of each group to meet a node. The
+    /// rest of the group's tasks on that node are the cache hits.
+    pub(crate) fn unique_tasks(&self) -> impl Iterator<Item = MEdge> + '_ {
+        self.m_edges.iter().flat_map(|tasks| {
+            let mut seen = FxHashSet::default();
+            tasks.iter().copied().filter(move |e| seen.insert(e.n))
+        })
+    }
+
     /// Number of cache hits this assignment will produce (repeated nodes
     /// within a thread's task list) — the `H` of the cost model.
     pub fn cache_hits(&self) -> usize {
-        let mut hits = 0;
-        for tasks in &self.m_edges {
-            let mut seen = FxHashMap::default();
-            for e in tasks {
-                if seen.insert(e.n, ()).is_some() {
-                    hits += 1;
-                }
-            }
-        }
-        hits
+        self.total_tasks() - self.unique_tasks().count()
     }
 }
 
@@ -383,24 +328,6 @@ mod tests {
         dense::apply_gate(&mut want, g);
         assert!(state_distance(&w, &want) < TOL, "gate {g} n={n} t={t}");
         stats
-    }
-
-    #[test]
-    fn cached_matches_dense_across_gates_and_threads() {
-        for t in [1usize, 2, 4, 8] {
-            for g in [
-                Gate::new(GateKind::H, 0),
-                Gate::new(GateKind::H, 5),
-                Gate::new(GateKind::RY(0.9), 3),
-                Gate::new(GateKind::T, 1),
-                Gate::controlled(GateKind::X, 2, vec![Control::pos(5)]),
-                Gate::controlled(GateKind::X, 5, vec![Control::pos(0)]),
-                Gate::controlled(GateKind::H, 4, vec![Control::neg(1)]),
-                Gate::controlled(GateKind::X, 0, vec![Control::pos(2), Control::pos(4)]),
-            ] {
-                check_gate(&g, 6, t);
-            }
-        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! * [`dmav_cache`] — DMAV with per-thread caching and buffer sharing
 //!   (3.2.2, Alg. 2).
 //! * [`cost`] — the MAC-count cost model `min(C1, C2)` (3.2.3).
-//! * [`plan_cache`] — LRU memoization of DMAV assignments keyed by matrix
-//!   root edge, invalidated on DD garbage collection.
+//! * `plan_cache` — the memo of the one DMAV plan that runs per gate
+//!   matrix, keyed by root edge, dropped wholesale on DD garbage collection.
 //! * [`fusion`] — DMAV-aware gate fusion (3.3, Alg. 3) and the
 //!   k-operations baseline.
 //! * [`sim`] — [`FlatDdSimulator`], the hybrid driver (Fig. 3): two phases, one gate boundary.
@@ -72,7 +72,7 @@ pub mod faults;
 pub mod fusion;
 pub mod govern;
 pub mod memory;
-pub mod plan_cache;
+mod plan_cache;
 pub mod pool;
 pub mod serve;
 pub mod signal;
@@ -101,7 +101,6 @@ pub use error::{FlatDdError, RunOutcome};
 pub use ewma::{EwmaConfig, EwmaMonitor};
 pub use fusion::{fuse_dmav_aware, fuse_k_operations, no_fusion, FusedGates};
 pub use govern::{Breach, GovernorConfig, ResourceGovernor};
-pub use plan_cache::PlanCache;
 pub use pool::{clamp_shards, clamp_threads, ThreadPool};
 pub use sim::{
     simulate, try_simulate, CachingPolicy, ConversionPolicy, FlatDdConfig, FlatDdSimulator,

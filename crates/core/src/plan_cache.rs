@@ -1,220 +1,157 @@
-//! Memoization of DMAV assignments (the "plan cache").
+//! Memo of DMAV plans.
 //!
-//! `Assign` / `AssignCache` (Algorithms 1-2) walk the gate-matrix DD down to
-//! the border level for **every** gate application, yet deep circuits apply
-//! the same small set of gate matrices thousands of times — and DDs are
-//! canonical, so a repeated gate produces the *identical* root edge. This
-//! cache keys the finished task lists by `(root node id, root weight, n, t)`
-//! and hands out shared [`Arc`]s, so repeated gates skip the recursive
-//! descent entirely.
+//! Which kernel multiplies a gate matrix onto the state — Algorithm 1 or
+//! Algorithm 2, by `min(C1, C2)` of Section 3.2.3 — and the task lists and
+//! compiled program it runs are properties of the *matrix DD*, and DDs are
+//! canonical: a repeated gate produces the identical root edge. The memo
+//! keeps, per `(root edge, n, shards)`, the one plan that will run and the
+//! modeled cost it charges, so a repeat is one lookup: no descent, no
+//! compile, no analysis.
 //!
-//! Node ids are recycled by [`DdPackage::gc`], which makes a stale plan
-//! silently wrong rather than just slow. Every lookup therefore compares the
-//! package's [`DdPackage::gc_epoch`] against the epoch the cache was filled
-//! under and drops everything on a mismatch. Held bytes are reported via
-//! [`PlanCache::memory_bytes`] so the resource governor charges them like
-//! any other cache, and the LRU budget keeps pathological circuits (many
-//! distinct fused matrices) from hoarding memory.
+//! One invalidation rule. Node ids are recycled by [`DdPackage::gc`], which
+//! makes a stale plan silently wrong rather than just slow, so every lookup
+//! compares the package's [`DdPackage::gc_epoch`] against the epoch the
+//! memo was filled under and drops everything on a mismatch. Like the
+//! compute tables the memo is lossy and never ages entries: an insert that
+//! would take it over [`CAP_BYTES`] clears it instead. Held bytes are
+//! reported via [`PlanCache::memory_bytes`] so the resource governor
+//! charges them like any other cache.
 
+use crate::cost::CostModel;
 use crate::dmav::DmavAssignment;
 use crate::dmav_cache::DmavCacheAssignment;
 use crate::error::FlatDdError;
+use crate::sim::CachingPolicy;
 use qdd::fxhash::FxHashMap;
-use qdd::{DdPackage, MEdge};
-use std::sync::Arc;
+use qdd::{DdPackage, MEdge, MacTable};
 
-/// Identity of a DMAV plan: the matrix root edge (node id + interned
-/// weight — canonical DDs make this a complete identity) plus the geometry
-/// the assignment was built for.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct PlanKey {
-    node: u32,
-    weight: qdd::CIdx,
-    n: u32,
-    t: u32,
-}
+/// Bytes of plans the memo holds at most. The spine's workloads end their
+/// runs holding under 0.12 MiB (EXPERIMENTS.md, "What the plan layer
+/// serves"); the cap only bounds circuits of many distinct fused matrices.
+const CAP_BYTES: usize = 32 << 20;
 
-impl PlanKey {
-    fn new(m: MEdge, n: usize, t: usize) -> Self {
-        PlanKey {
-            node: m.n,
-            weight: m.w,
-            n: n as u32,
-            t: t as u32,
-        }
-    }
-}
-
-/// Fixed per-entry overhead charged on top of the assignments' own heap
-/// bytes (key, map slot, `Arc` control blocks).
+/// Fixed per-entry overhead charged on top of the assignment's own heap
+/// bytes (key, map slot, the assignment's inline part).
 const ENTRY_OVERHEAD: usize = 128;
 
-struct Entry {
-    plain: Option<Arc<DmavAssignment>>,
-    cached: Option<Arc<DmavCacheAssignment>>,
-    last_used: u64,
-    bytes: usize,
+/// The kernel that runs a matrix, with what it runs.
+pub(crate) enum Plan {
+    /// Algorithm 1 (row space, no caching).
+    Plain(DmavAssignment),
+    /// Algorithm 2 (column space, cached partial results).
+    Cached(DmavCacheAssignment),
 }
 
-/// LRU cache of [`DmavAssignment`] / [`DmavCacheAssignment`] values keyed
-/// by matrix root edge, invalidated wholesale on DD garbage collection.
-pub struct PlanCache {
-    map: FxHashMap<PlanKey, Entry>,
+/// Memo of the [`Plan`] per gate matrix, invalidated wholesale on DD
+/// garbage collection.
+pub(crate) struct PlanCache {
+    caching: CachingPolicy,
+    model: CostModel,
+    /// Per matrix root edge (node id + interned weight — canonical DDs make
+    /// this a complete identity), qubit count and group count: the plan,
+    /// and what one application of it adds to `FlatDdStats::modeled_cost`
+    /// (`min(C1, C2)` under [`CachingPolicy::CostModel`], else 0).
+    map: FxHashMap<(MEdge, usize, usize), (Plan, f64)>,
     /// GC epoch the current contents were built under.
     epoch: u64,
-    /// Logical LRU clock (bumped per lookup).
-    clock: u64,
-    budget_bytes: usize,
     bytes: usize,
-    hits: u64,
-    misses: u64,
+    cap: usize,
 }
 
 impl PlanCache {
-    /// Creates a cache holding at most `budget_bytes` of plan data.
-    /// A budget of 0 disables storage: every lookup builds a fresh plan and
-    /// counts as a miss.
-    pub fn new(budget_bytes: usize) -> Self {
+    /// An empty memo whose misses plan under `caching` and `model`.
+    pub(crate) fn new(caching: CachingPolicy, model: CostModel) -> Self {
         PlanCache {
+            caching,
+            model,
             map: FxHashMap::default(),
             epoch: 0,
-            clock: 0,
-            budget_bytes,
             bytes: 0,
-            hits: 0,
-            misses: 0,
+            cap: CAP_BYTES,
         }
     }
 
-    /// Returns the row-space assignment for `(m, n, t)`, building and
-    /// memoizing it on a miss.
-    pub fn get_plain(
+    /// Calls `run(plan, modeled cost, hit)` with the plan for `(m, n, t)`,
+    /// planning and memoizing it on a miss. A geometry no plan exists for
+    /// is [`FlatDdError::InvalidInput`]; `run` is then not called and
+    /// nothing is stored.
+    pub(crate) fn with_plan<R>(
         &mut self,
         pkg: &DdPackage,
         m: MEdge,
         n: usize,
         t: usize,
-    ) -> Result<Arc<DmavAssignment>, FlatDdError> {
-        self.sync_epoch(pkg.gc_epoch());
-        self.clock += 1;
-        let key = PlanKey::new(m, n, t);
-        if let Some(e) = self.map.get_mut(&key) {
-            if let Some(p) = &e.plain {
-                e.last_used = self.clock;
-                self.hits += 1;
-                return Ok(Arc::clone(p));
-            }
+        run: impl FnOnce(&Plan, f64, bool) -> R,
+    ) -> Result<R, FlatDdError> {
+        if pkg.gc_epoch() != self.epoch {
+            self.clear();
+            self.epoch = pkg.gc_epoch();
         }
-        self.misses += 1;
-        let asg = Arc::new(DmavAssignment::try_build(pkg, m, n, t)?);
-        let cost = asg.memory_bytes();
-        self.store(key, cost, |e| e.plain = Some(Arc::clone(&asg)));
-        Ok(asg)
+        if let Some((plan, cost)) = self.map.get(&(m, n, t)) {
+            return Ok(run(plan, *cost, true));
+        }
+        let (plan, cost) = self.plan(pkg, m, n, t)?;
+        let bytes = ENTRY_OVERHEAD
+            + match &plan {
+                Plan::Plain(asg) => asg.memory_bytes(),
+                Plan::Cached(asg) => asg.memory_bytes(),
+            };
+        if self.bytes + bytes > self.cap {
+            self.clear();
+            return Ok(run(&plan, cost, false));
+        }
+        self.bytes += bytes;
+        let (plan, _) = self.map.entry((m, n, t)).or_insert((plan, cost));
+        Ok(run(plan, cost, false))
     }
 
-    /// Returns the column-space (caching) assignment for `(m, n, t)`,
-    /// building and memoizing it on a miss.
-    pub fn get_cached(
-        &mut self,
+    /// A miss: `Always` / `Never` build their variant; `CostModel` builds
+    /// the cached assignment, analyses it, and keeps it or drops it for the
+    /// plain one.
+    fn plan(
+        &self,
         pkg: &DdPackage,
         m: MEdge,
         n: usize,
         t: usize,
-    ) -> Result<Arc<DmavCacheAssignment>, FlatDdError> {
-        self.sync_epoch(pkg.gc_epoch());
-        self.clock += 1;
-        let key = PlanKey::new(m, n, t);
-        if let Some(e) = self.map.get_mut(&key) {
-            if let Some(p) = &e.cached {
-                e.last_used = self.clock;
-                self.hits += 1;
-                return Ok(Arc::clone(p));
+    ) -> Result<(Plan, f64), FlatDdError> {
+        let cached = || DmavCacheAssignment::try_build(pkg, m, n, t);
+        let plain = || DmavAssignment::try_build(pkg, m, n, t).map(Plan::Plain);
+        Ok(match self.caching {
+            CachingPolicy::Never => (plain()?, 0.0),
+            CachingPolicy::Always => (Plan::Cached(cached()?), 0.0),
+            CachingPolicy::CostModel => {
+                let cached = cached()?;
+                // The MAC counts are keyed by node id and die with this
+                // call, so no package sweep can outdate them.
+                let mut mac = MacTable::default();
+                let analysis = self
+                    .model
+                    .analyze_with_assignment(pkg, &mut mac, &cached, m, n, t);
+                let plan = if analysis.prefer_cached() {
+                    Plan::Cached(cached)
+                } else {
+                    plain()?
+                };
+                (plan, analysis.cost())
             }
-        }
-        self.misses += 1;
-        let asg = Arc::new(DmavCacheAssignment::try_build(pkg, m, n, t)?);
-        let cost = asg.memory_bytes();
-        self.store(key, cost, |e| e.cached = Some(Arc::clone(&asg)));
-        Ok(asg)
+        })
     }
 
-    /// Drops every stored plan when the package's GC epoch moved (node ids
-    /// may have been recycled). Hit/miss counters survive.
-    fn sync_epoch(&mut self, epoch: u64) {
-        if epoch != self.epoch {
-            self.map.clear();
-            self.bytes = 0;
-            self.epoch = epoch;
-        }
-    }
-
-    fn store(&mut self, key: PlanKey, cost: usize, fill: impl FnOnce(&mut Entry)) {
-        if self.budget_bytes == 0 {
-            return;
-        }
-        let clock = self.clock;
-        let e = self.map.entry(key).or_insert(Entry {
-            plain: None,
-            cached: None,
-            last_used: clock,
-            bytes: ENTRY_OVERHEAD,
-        });
-        if e.bytes == ENTRY_OVERHEAD && e.plain.is_none() && e.cached.is_none() {
-            self.bytes += ENTRY_OVERHEAD;
-        }
-        fill(e);
-        e.bytes += cost;
-        e.last_used = clock;
-        self.bytes += cost;
-        self.evict_over_budget();
-    }
-
-    /// Evicts least-recently-used entries until the budget holds. May evict
-    /// the entry just stored if it alone exceeds the budget (oversized plans
-    /// are simply never cached).
-    fn evict_over_budget(&mut self) {
-        while self.bytes > self.budget_bytes && !self.map.is_empty() {
-            let victim = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&k, _)| k)
-                .expect("map is non-empty");
-            if let Some(e) = self.map.remove(&victim) {
-                self.bytes = self.bytes.saturating_sub(e.bytes);
-            }
-        }
-    }
-
-    /// Drops all stored plans (memory-pressure relief). Counters survive.
-    pub fn clear(&mut self) {
+    /// Drops all stored plans (memory-pressure relief).
+    pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.bytes = 0;
     }
 
-    /// Bytes currently charged to the cache.
-    pub fn memory_bytes(&self) -> usize {
+    /// Bytes currently charged to the memo.
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.bytes
     }
 
-    /// Lookups answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that built a fresh plan.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Stored plans.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// True when no plans are stored.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -222,69 +159,117 @@ impl PlanCache {
 mod tests {
     use super::*;
     use crate::dmav::dmav_no_cache;
+    use crate::dmav_cache::{dmav_cached, PartialBuffers};
     use crate::pool::ThreadPool;
-    use qcircuit::complex::state_distance;
-    use qcircuit::gate::{Control, Gate, GateKind};
-    use qcircuit::{dense, Complex64};
+    use qcircuit::gate::{Gate, GateKind};
+    use qcircuit::Complex64;
 
-    fn pkg_with_gate(n: usize) -> (DdPackage, MEdge) {
+    const N: usize = 12;
+    const T: usize = 4;
+
+    fn memo(caching: CachingPolicy) -> PlanCache {
+        PlanCache::new(caching, CostModel::default())
+    }
+
+    /// `plan` applied to a fixed state.
+    fn apply(pkg: &DdPackage, plan: &Plan) -> Vec<Complex64> {
+        let v: Vec<Complex64> = (0..1usize << N)
+            .map(|i| Complex64::new(0.5 - (i % 7) as f64, (i % 5) as f64 / 3.0))
+            .collect();
+        let mut w = vec![Complex64::ZERO; v.len()];
+        let pool = ThreadPool::new(2);
+        match plan {
+            Plan::Plain(asg) => dmav_no_cache(pkg, asg, &v, &mut w, &pool),
+            Plan::Cached(asg) => {
+                dmav_cached(pkg, asg, &v, &mut w, &pool, &mut PartialBuffers::default());
+            }
+        }
+        w
+    }
+
+    #[test]
+    fn a_hit_runs_what_a_fresh_plan_of_the_preferred_kind_runs() {
+        // T on the top qubit repeats nothing (Algorithm 1); H there repeats
+        // a full-size identity block per group (Algorithm 2).
         let pkg = DdPackage::default();
-        let m = pkg.gate_dd(&Gate::new(GateKind::H, 0), n);
-        (pkg, m)
+        let mut plans = memo(CachingPolicy::CostModel);
+        for (kind, cached) in [(GateKind::T, false), (GateKind::H, true)] {
+            let m = pkg.gate_dd(&Gate::new(kind, N - 1), N);
+            let fresh = if cached {
+                Plan::Cached(DmavCacheAssignment::try_build(&pkg, m, N, T).unwrap())
+            } else {
+                Plan::Plain(DmavAssignment::try_build(&pkg, m, N, T).unwrap())
+            };
+            let want = apply(&pkg, &fresh);
+            let mut mac = MacTable::default();
+            let analysis = CostModel::default().analyze(&pkg, &mut mac, m, N, T);
+            assert_eq!(analysis.prefer_cached(), cached);
+            for expect_hit in [false, true] {
+                let (got, cost) = plans
+                    .with_plan(&pkg, m, N, T, |plan, cost, hit| {
+                        assert_eq!(hit, expect_hit);
+                        assert_eq!(matches!(plan, Plan::Cached(_)), cached);
+                        (apply(&pkg, plan), cost)
+                    })
+                    .unwrap();
+                assert!(got == want, "bit-identical to the fresh plan");
+                assert_eq!(cost, analysis.cost());
+            }
+        }
+        assert_eq!(plans.len(), 2, "one plan per matrix");
     }
 
     #[test]
-    fn repeated_lookups_hit() {
-        let (pkg, m) = pkg_with_gate(5);
-        let mut cache = PlanCache::new(1 << 20);
-        let a = cache.get_plain(&pkg, m, 5, 2).unwrap();
-        let b = cache.get_plain(&pkg, m, 5, 2).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "hit must return the same plan");
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        // The cached-variant plan is a separate slot under the same key.
-        cache.get_cached(&pkg, m, 5, 2).unwrap();
-        let c = cache.get_cached(&pkg, m, 5, 2).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (2, 2));
-        assert!(c.total_tasks() > 0);
-        assert_eq!(cache.len(), 1);
+    fn forced_policies_build_their_variant_and_charge_no_modeled_cost() {
+        let pkg = DdPackage::default();
+        let m = pkg.gate_dd(&Gate::new(GateKind::H, N - 1), N);
+        for (caching, cached) in [(CachingPolicy::Never, false), (CachingPolicy::Always, true)] {
+            memo(caching)
+                .with_plan(&pkg, m, N, T, |plan, cost, _| {
+                    assert_eq!(matches!(plan, Plan::Cached(_)), cached);
+                    assert_eq!(cost, 0.0);
+                })
+                .unwrap();
+        }
     }
 
     #[test]
-    fn gc_epoch_bump_invalidates() {
-        let (mut pkg, m) = pkg_with_gate(5);
-        let mut cache = PlanCache::new(1 << 20);
-        cache.get_plain(&pkg, m, 5, 2).unwrap();
-        assert_eq!(cache.len(), 1);
-        // GC recycles node ids: the cache must drop everything.
+    fn gc_epoch_cap_and_invalid_geometry_leave_nothing_stored() {
+        let (mut pkg, mut plans) = (DdPackage::default(), memo(CachingPolicy::CostModel));
+        let m = pkg.gate_dd(&Gate::new(GateKind::H, 0), N);
+        let invalid = |plans: &mut PlanCache, pkg: &DdPackage| {
+            let r = plans.with_plan(pkg, m, N, 3, |_, _, _| unreachable!("no plan to run"));
+            assert!(matches!(r, Err(FlatDdError::InvalidInput(_))));
+        };
+        invalid(&mut plans, &pkg);
+        assert_eq!((plans.len(), plans.memory_bytes()), (0, 0));
+
+        plans.with_plan(&pkg, m, N, T, |_, _, _| ()).unwrap();
+        let one_plan = plans.memory_bytes();
+        assert!(one_plan > ENTRY_OVERHEAD);
+        // GC recycles node ids: the next lookup, whatever it is for, finds
+        // the memo filled under another epoch and drops it.
         pkg.gc(&[], &[m]);
-        cache.get_plain(&pkg, m, 5, 2).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        assert_eq!(cache.len(), 1, "refilled under the new epoch");
+        invalid(&mut plans, &pkg);
+        assert_eq!((plans.len(), plans.memory_bytes()), (0, 0));
+        assert!(!plans.with_plan(&pkg, m, N, T, |_, _, hit| hit).unwrap());
+
+        // Room for the plan held and half of another: the second insert
+        // would go over the cap, so it runs unstored and the memo is empty.
+        plans.cap = one_plan + one_plan / 2;
+        let other = pkg.gate_dd(&Gate::new(GateKind::H, 1), N);
+        assert!(!plans.with_plan(&pkg, other, N, T, |_, _, hit| hit).unwrap());
+        assert_eq!((plans.len(), plans.memory_bytes()), (0, 0));
+        assert!(!plans.with_plan(&pkg, m, N, T, |_, _, hit| hit).unwrap());
+        assert_eq!(plans.memory_bytes(), one_plan, "refilled under the cap");
     }
 
     #[test]
-    fn zero_budget_disables_storage() {
-        let (pkg, m) = pkg_with_gate(5);
-        let mut cache = PlanCache::new(0);
-        cache.get_plain(&pkg, m, 5, 2).unwrap();
-        let plan = cache.get_plain(&pkg, m, 5, 2).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        assert!(cache.is_empty());
-        assert_eq!(cache.memory_bytes(), 0);
-        // The unstored plan is complete: it runs.
-        let v = vec![Complex64::ONE; 32];
-        let mut w = vec![Complex64::ZERO; 32];
-        dmav_no_cache(&pkg, &plan, &v, &mut w, &ThreadPool::new(1));
-        let mut want = v.clone();
-        dense::apply_gate(&mut want, &Gate::new(GateKind::H, 0));
-        assert!(state_distance(&w, &want) < 1e-12);
-    }
-
-    #[test]
-    fn compiled_program_is_charged_to_the_budget() {
+    fn compiled_program_is_charged_to_the_memo() {
         // A fused product of entangling layers compiles to tens of general
         // nodes; a single-qubit gate to a handful of Kronecker ops. Same
         // geometry, same task count: the difference is the program.
+        use qcircuit::gate::Control;
         let n = 6;
         let pkg = DdPackage::default();
         let gate = pkg.gate_dd(&Gate::new(GateKind::H, 2), n);
@@ -299,57 +284,22 @@ mod tests {
             }
         }
         assert!(pkg.matrix_dd_size(fused) >= 40);
-        let mut cache = PlanCache::new(1 << 20);
-        let (small_p, big_p) = (
-            cache.get_plain(&pkg, gate, n, 1).unwrap(),
-            cache.get_plain(&pkg, fused, n, 1).unwrap(),
-        );
-        assert_eq!(small_p.total_tasks(), big_p.total_tasks());
-        assert!(big_p.memory_bytes() > small_p.memory_bytes());
-        let (small_c, big_c) = (
-            cache.get_cached(&pkg, gate, n, 1).unwrap(),
-            cache.get_cached(&pkg, fused, n, 1).unwrap(),
-        );
-        assert!(big_c.memory_bytes() > small_c.memory_bytes());
-        let charged = small_p.memory_bytes()
-            + big_p.memory_bytes()
-            + small_c.memory_bytes()
-            + big_c.memory_bytes()
-            + 2 * ENTRY_OVERHEAD;
-        assert_eq!(cache.memory_bytes(), charged);
-    }
-
-    #[test]
-    fn lru_eviction_respects_budget() {
-        let pkg = DdPackage::default();
-        let gates: Vec<MEdge> = (0..4)
-            .map(|q| pkg.gate_dd(&Gate::new(GateKind::H, q), 6))
-            .collect();
-        let mut cache = PlanCache::new(1 << 20);
-        let one_plan = {
-            let a = cache.get_plain(&pkg, gates[0], 6, 2).unwrap();
-            a.memory_bytes() + ENTRY_OVERHEAD
-        };
-        // Budget for about two plans.
-        let mut cache = PlanCache::new(2 * one_plan + ENTRY_OVERHEAD);
-        for &g in &gates {
-            cache.get_plain(&pkg, g, 6, 2).unwrap();
+        for caching in [CachingPolicy::Never, CachingPolicy::Always] {
+            let mut plans = memo(caching);
+            let mut held = |m| {
+                let before = plans.memory_bytes();
+                let (tasks, bytes) = plans
+                    .with_plan(&pkg, m, n, 1, |plan, _, _| match plan {
+                        Plan::Plain(asg) => (asg.total_tasks(), asg.memory_bytes()),
+                        Plan::Cached(asg) => (asg.total_tasks(), asg.memory_bytes()),
+                    })
+                    .unwrap();
+                assert_eq!(plans.memory_bytes() - before, bytes + ENTRY_OVERHEAD);
+                (tasks, bytes)
+            };
+            let ((small_tasks, small), (big_tasks, big)) = (held(gate), held(fused));
+            assert_eq!(small_tasks, big_tasks);
+            assert!(big > small);
         }
-        assert!(cache.memory_bytes() <= 2 * one_plan + ENTRY_OVERHEAD);
-        assert!(cache.len() < gates.len(), "older plans must be evicted");
-        // The most recent plan survives.
-        cache.get_plain(&pkg, gates[3], 6, 2).unwrap();
-        assert_eq!(cache.misses(), 4, "last plan answered from cache");
-    }
-
-    #[test]
-    fn invalid_geometry_propagates_error() {
-        let (pkg, m) = pkg_with_gate(5);
-        let mut cache = PlanCache::new(1 << 20);
-        assert!(matches!(
-            cache.get_plain(&pkg, m, 5, 3),
-            Err(FlatDdError::InvalidInput(_))
-        ));
-        assert!(cache.is_empty());
     }
 }

@@ -533,7 +533,9 @@ fn worker_loop(inner: &Inner) {
                     if let Some(t) = st.enqueued_at.remove(&id) {
                         let wait_us = t.elapsed().as_micros().min(u64::MAX as u128) as u64;
                         inner.hist_queue_wait.observe(wait_us);
-                        ctx.metrics().gauge("serve.queue_wait_us").set(wait_us as f64);
+                        ctx.metrics()
+                            .gauge("serve.queue_wait_us")
+                            .set(wait_us as f64);
                     }
                     st.ctxs.insert(id, ctx.clone());
                     st.job_ctxs.insert(id, ctx.clone());

@@ -19,8 +19,8 @@ pub enum ConversionPolicy {
 }
 
 impl ConversionPolicy {
-    /// Compact policy name used in telemetry events and the phase-transition
-    /// log line (`"ewma"`, `"at-gate"`, `"immediate"`, `"never"`).
+    /// Compact policy name used in telemetry events (`"ewma"`, `"at-gate"`,
+    /// `"immediate"`, `"never"`).
     pub fn label(&self) -> &'static str {
         match self {
             ConversionPolicy::Ewma(_) => "ewma",
@@ -86,10 +86,6 @@ pub struct FlatDdConfig {
     pub trace: bool,
     /// GC period (in DDMMs) during fusion.
     pub fusion_gc_every: usize,
-    /// Byte budget of the DMAV plan cache (memoized `Assign`/`AssignCache`
-    /// task lists, keyed by matrix root edge). `0` disables memoization;
-    /// every DMAV then replans from scratch.
-    pub plan_cache_bytes: usize,
     /// Resource budgets and watchdog cadence. The default picks budgets up
     /// from `FLATDD_MEMORY_BUDGET_MB` / `FLATDD_RSS_BUDGET_MB` /
     /// `FLATDD_DEADLINE_SECS` so whole test suites and CI jobs can run
@@ -116,7 +112,6 @@ impl Default for FlatDdConfig {
             cost_model: CostModel::default(),
             trace: false,
             fusion_gc_every: 64,
-            plan_cache_bytes: 32 << 20,
             governor: GovernorConfig::from_env(),
         }
     }

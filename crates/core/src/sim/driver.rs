@@ -95,15 +95,12 @@ impl FlatDdSimulator {
         if resuming {
             self.core.ctx.metrics().counter("core.resumed_runs").inc();
         } else {
-            // Per-run statistics restart from zero, while monotonic sources
-            // (plan cache, DD compute tables) are re-baselined so
-            // [`Self::stats`] reports deltas attributable to this run.
+            // Per-run statistics restart from zero, while the monotonic
+            // DD compute-table counters are re-baselined so [`Self::stats`]
+            // reports deltas attributable to this run.
             self.core.stats = FlatDdStats::default();
             self.boundary.traces.clear();
             self.core.compute_base = self.core.pkg.compute_stats();
-            if let PhaseState::Flat(flat) = &mut self.phase {
-                flat.rebase_plan_counters();
-            }
             self.core.ctx.metrics().counter("core.runs").inc();
         }
         if resuming || self.boundary.ckpt.is_some() {

@@ -2,19 +2,18 @@
 //! (Section 3.2) — on single gates or on the blocks of a fused span
 //! (Section 3.3).
 
-use super::{CachingPolicy, Core, FusionPolicy, StepReport};
-use crate::dmav::{dmav_no_cache, DmavAssignment};
-use crate::dmav_cache::{dmav_cached, DmavCacheAssignment, PartialBuffers};
+use super::{Core, FusionPolicy, StepReport};
+use crate::dmav::dmav_no_cache;
+use crate::dmav_cache::{dmav_cached, PartialBuffers};
 use crate::error::FlatDdError;
 use crate::ewma::EwmaState;
 use crate::faults;
 use crate::fusion::{fuse_dmav_aware, fuse_k_operations, no_fusion, FusedGates};
-use crate::plan_cache::PlanCache;
+use crate::plan_cache::{Plan, PlanCache};
 use crate::pool::ThreadPool;
 use qarray::{vecops, ShardedState};
 use qcircuit::{Complex64, Gate};
-use qdd::{MEdge, MacTable};
-use std::sync::Arc;
+use qdd::MEdge;
 use std::time::Instant;
 
 /// State owned by the flat phase.
@@ -25,16 +24,11 @@ pub(crate) struct FlatPhase {
     w: ShardedState,
     scratch: PartialBuffers,
     plans: PlanCache,
-    mac: MacTable,
     /// Matrices of the current fused span and the gates each folds; the
     /// ones from `next` on are still pending (and are the phase's GC roots).
     fused: Vec<MEdge>,
     gate_counts: Vec<usize>,
     next: usize,
-    /// Plan-cache counters at the last per-run stats reset: the cache
-    /// outlives a run, so per-run numbers are deltas from here.
-    plan_hits_base: u64,
-    plan_misses_base: u64,
     /// The DD phase's monitor state at conversion, kept only so checkpoint
     /// headers written from here on carry it.
     pub(super) ewma: EwmaState,
@@ -47,13 +41,10 @@ impl FlatPhase {
             v,
             w,
             scratch: PartialBuffers::default(),
-            plans: PlanCache::new(core.cfg.plan_cache_bytes),
-            mac: MacTable::default(),
+            plans: PlanCache::new(core.cfg.caching, core.cfg.cost_model),
             fused: Vec::new(),
             gate_counts: Vec::new(),
             next: 0,
-            plan_hits_base: 0,
-            plan_misses_base: 0,
             ewma,
         }
     }
@@ -71,7 +62,6 @@ impl FlatPhase {
             FusionPolicy::KOperations(k) => fuse_k_operations(pkg, gates, n, t, k, model, gc_every),
             FusionPolicy::None => no_fusion(pkg, gates, n, t, model),
         };
-        self.mac.clear(); // fusion may have GC'd the package
         core.stats.fused_matrices = fused.matrices.len();
         if telemetry {
             qtelemetry::emit(qtelemetry::Event::Fusion {
@@ -131,75 +121,47 @@ impl FlatPhase {
         })
     }
 
-    /// `v <- m * v` with the configured kernel policy; returns whether the
-    /// plan lookup hit. The assignment is fetched through the plan cache,
-    /// so repeated gate matrices skip the recursive `Assign`/`AssignCache`
-    /// descent.
+    /// `v <- m * v`: look the matrix's plan up, run it, account it. Returns
+    /// whether the lookup hit; a miss plans under the configured kernel
+    /// policy (see [`PlanCache`]).
     fn dmav(&mut self, core: &mut Core, m: MEdge) -> Result<bool, FlatDdError> {
-        enum Plan {
-            Cached(Arc<DmavCacheAssignment>),
-            Plain(Arc<DmavAssignment>),
-        }
-        // Plans are built over the shard geometry (one assignment group per
-        // shard); `PlanKey.t` therefore keys cached plans by shard count.
-        let (pkg, model, n, t) = (&core.pkg, core.cfg.cost_model, core.n, core.shards);
-        let hits_before = self.plans.hits();
+        let (pkg, pool, stats) = (&core.pkg, &core.pool, &mut core.stats);
+        let hist = &core.hist_plan_build;
+        let (v, w, scratch) = (&self.v, &mut self.w, &mut self.scratch);
         // Clock read for the plan-build histogram rides behind `enabled()`
         // (the overhead contract); the observe itself lands only on misses,
         // where a plan was actually built.
         let plan_t0 = qtelemetry::enabled().then(Instant::now);
-        let plan = match core.cfg.caching {
-            CachingPolicy::Always => Plan::Cached(self.plans.get_cached(pkg, m, n, t)?),
-            CachingPolicy::Never => Plan::Plain(self.plans.get_plain(pkg, m, n, t)?),
-            CachingPolicy::CostModel => {
-                let asg = self.plans.get_cached(pkg, m, n, t)?;
-                let analysis = model.analyze_with_assignment(pkg, &mut self.mac, &asg, m, n, t);
-                core.stats.modeled_cost += analysis.cost();
-                if analysis.prefer_cached() {
-                    Plan::Cached(asg)
-                } else {
-                    Plan::Plain(self.plans.get_plain(pkg, m, n, t)?)
+        let run = |plan: &Plan, cost: f64, hit: bool| {
+            if let (Some(t0), false) = (plan_t0, hit) {
+                hist.observe_duration_us(t0.elapsed());
+            }
+            stats.modeled_cost += cost;
+            match plan {
+                Plan::Cached(asg) => {
+                    let st = dmav_cached(pkg, asg, v, w, pool, scratch);
+                    stats.cache_hits += st.hits;
+                    stats.cached_dmavs += 1;
+                }
+                Plan::Plain(asg) => {
+                    dmav_no_cache(pkg, asg, v, w, pool);
+                    stats.uncached_dmavs += 1;
                 }
             }
+            hit
         };
-        // Cache counters are monotonic across the simulator's lifetime; the
-        // stats report the delta attributable to the current run.
-        core.stats.dmav_plan_hits = self.plans.hits().saturating_sub(self.plan_hits_base) as usize;
-        core.stats.dmav_plan_misses =
-            self.plans.misses().saturating_sub(self.plan_misses_base) as usize;
-        let plan_hit = self.plans.hits() > hits_before;
-        if let Some(t0) = plan_t0 {
-            if !plan_hit {
-                core.hist_plan_build.observe_duration_us(t0.elapsed());
-            }
-        }
-        let (pool, v, w) = (&core.pool, &self.v, &mut self.w);
-        match &plan {
-            Plan::Cached(asg) => {
-                let st = dmav_cached(pkg, asg, v, w, pool, &mut self.scratch);
-                core.stats.cache_hits += st.hits;
-                core.stats.cached_dmavs += 1;
-            }
-            Plan::Plain(asg) => {
-                dmav_no_cache(pkg, asg, v, w, pool);
-                core.stats.uncached_dmavs += 1;
-            }
-        }
+        // Plans are built over the shard geometry (one assignment group per
+        // shard), so the memo keys them by shard count.
+        let plan_hit = self.plans.with_plan(pkg, m, core.n, core.shards, run)?;
         std::mem::swap(&mut self.v, &mut self.w);
+        if plan_hit {
+            core.stats.dmav_plan_hits += 1;
+        } else {
+            core.stats.dmav_plan_misses += 1;
+        }
         core.stats.gates_dmav += 1;
         core.ctr_gates_dmav.inc();
         Ok(plan_hit)
-    }
-
-    /// Re-baselines the per-run plan-cache deltas (top of a fresh run).
-    pub(super) fn rebase_plan_counters(&mut self) {
-        self.plan_hits_base = self.plans.hits();
-        self.plan_misses_base = self.plans.misses();
-    }
-
-    /// Drops the node-id-keyed cost memo; pairs with every package sweep.
-    pub(super) fn clear_memo(&mut self) {
-        self.mac.clear();
     }
 
     /// The scratch rung of the memory-pressure ladder: DMAV partial
@@ -209,16 +171,17 @@ impl FlatPhase {
         self.plans.clear();
     }
 
-    /// Resident bytes of the phase's buffers, scratch and plan cache.
+    /// Resident bytes of the phase's buffers, scratch and plan memo.
     pub(super) fn memory_bytes(&self) -> usize {
         (self.v.capacity() + self.w.capacity()) * std::mem::size_of::<Complex64>()
             + self.scratch.memory_bytes()
             + self.plans.memory_bytes()
     }
 
-    /// The plan cache (read-only, for the metrics snapshot).
-    pub(super) fn plans(&self) -> &PlanCache {
-        &self.plans
+    /// Plans memoized and the bytes charged for them (for the metrics
+    /// snapshot).
+    pub(super) fn plan_memo_size(&self) -> (usize, usize) {
+        (self.plans.len(), self.plans.memory_bytes())
     }
 
     /// Squared 2-norm of the state: per-shard partial sums combined in

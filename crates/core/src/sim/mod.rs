@@ -43,7 +43,6 @@ use crate::convert::dd_to_array_grouped;
 use crate::error::{FlatDdError, RunOutcome};
 use crate::ewma::{EwmaConfig, EwmaMonitor};
 use crate::govern::{Breach, ResourceGovernor};
-use crate::plan_cache::PlanCache;
 use crate::pool::{clamp_threads, ThreadPool};
 use qarray::vecops;
 use qcircuit::{Circuit, Complex64};
@@ -497,20 +496,14 @@ impl FlatDdSimulator {
         m.gauge("sim.threads").set(core.t as f64);
         m.gauge("sim.flat_shards").set(core.shards as f64);
         m.gauge("sim.memory_bytes").set(self.memory_bytes() as f64);
-        // The plan cache belongs to the flat phase; before it the gauges
+        // The plan memo belongs to the flat phase; before it the gauges
         // read zero.
-        let plans = match &self.phase {
-            PhaseState::Dd(_) => None,
-            PhaseState::Flat(flat) => Some(flat.plans()),
+        let (plans, plan_bytes) = match &self.phase {
+            PhaseState::Dd(_) => (0, 0),
+            PhaseState::Flat(flat) => flat.plan_memo_size(),
         };
-        m.gauge("plan_cache.entries")
-            .set(plans.map_or(0, PlanCache::len) as f64);
-        m.gauge("plan_cache.memory_bytes")
-            .set(plans.map_or(0, PlanCache::memory_bytes) as f64);
-        m.gauge("plan_cache.hits")
-            .set(plans.map_or(0, PlanCache::hits) as f64);
-        m.gauge("plan_cache.misses")
-            .set(plans.map_or(0, PlanCache::misses) as f64);
+        m.gauge("plan_cache.entries").set(plans as f64);
+        m.gauge("plan_cache.memory_bytes").set(plan_bytes as f64);
         m.gauge("governor.elapsed_seconds")
             .set(core.gov.elapsed().as_secs_f64());
         if let Some(b) = core.gov.config().memory_budget_bytes {

@@ -78,14 +78,11 @@ impl PhaseState {
     }
 
     /// The one package sweep: everything not reachable from the current
-    /// phase's roots is reclaimed, and the node-id-keyed cost memo goes
-    /// with it. Returns the number of nodes freed.
-    pub(super) fn collect(&mut self, core: &mut Core) -> usize {
+    /// phase's roots is reclaimed; the plan memo, keyed by node id, sees it
+    /// through the package's GC epoch. Returns the number of nodes freed.
+    pub(super) fn collect(&self, core: &mut Core) -> usize {
         let (vectors, matrices) = self.roots();
         let (v_freed, m_freed) = core.pkg.gc(vectors, matrices);
-        if let PhaseState::Flat(flat) = self {
-            flat.clear_memo();
-        }
         v_freed + m_freed
     }
 
@@ -230,8 +227,10 @@ pub(super) fn convert(core: &mut Core, phase: &mut PhaseState) -> Result<(), Fla
 }
 
 /// The automatic path: converts because the policy asked. A transition is
-/// announced and rotates the phase span; a refusal pins the run to the DD
-/// phase and is not an error.
+/// announced as a [`qtelemetry::Event::PhaseTransition`]
+/// (`FlatDdStats::converted_at` is the record when telemetry is off) and
+/// rotates the phase span; a refusal pins the run to the DD phase and is
+/// not an error.
 pub(super) fn convert_on_policy(
     core: &mut Core,
     phase: &mut PhaseState,
@@ -240,7 +239,16 @@ pub(super) fn convert_on_policy(
 ) -> Result<(), FlatDdError> {
     match convert(core, phase) {
         Ok(()) => {
-            announce_transition(core, dd_size, ewma);
+            if qtelemetry::enabled() {
+                qtelemetry::emit(qtelemetry::Event::PhaseTransition {
+                    sim: core.telemetry_id,
+                    ts_us: qtelemetry::now_us(),
+                    at_gate: core.cursor,
+                    dd_size,
+                    ewma,
+                    policy: core.cfg.conversion.label(),
+                });
+            }
             // Rotate the phase span: the DD segment ends here, the DMAV
             // segment starts (inside a run only).
             core.end_span(core.phase_span, "phase.dd", core.phase_start_us);
@@ -258,40 +266,4 @@ pub(super) fn convert_on_policy(
         }
         Err(e) => Err(e),
     }
-}
-
-/// Announces the DD-to-DMAV phase transition: a one-line human log on
-/// stderr (disable with `FLATDD_PHASE_LOG=0`) plus a structured
-/// [`qtelemetry::Event::PhaseTransition`] when telemetry is on.
-fn announce_transition(core: &Core, dd_size: usize, ewma: f64) {
-    let at_gate = core.cursor;
-    let policy = core.cfg.conversion.label();
-    if phase_log_enabled() {
-        eprintln!(
-            "[flatdd] phase transition at gate {at_gate}: dd_size={dd_size} \
-             ewma={ewma:.1} policy={policy} -> dmav"
-        );
-    }
-    if qtelemetry::enabled() {
-        qtelemetry::emit(qtelemetry::Event::PhaseTransition {
-            sim: core.telemetry_id,
-            ts_us: qtelemetry::now_us(),
-            at_gate,
-            dd_size,
-            ewma,
-            policy,
-        });
-    }
-}
-
-/// Whether the human-readable one-line phase-transition log is on (the
-/// default); `FLATDD_PHASE_LOG=0` (or `false`/`off`) silences it.
-fn phase_log_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        !matches!(
-            std::env::var("FLATDD_PHASE_LOG").as_deref(),
-            Ok("0") | Ok("false") | Ok("off")
-        )
-    })
 }

@@ -226,26 +226,10 @@ fn plan_cache_hits_on_deep_repeated_gate_circuits() {
     );
     sim.run(&c).unwrap();
     let st = sim.stats();
-    // At least one plan lookup per DMAV (the cost-model path looks up
-    // both variants when it prefers the plain kernel).
-    let total = st.dmav_plan_hits + st.dmav_plan_misses;
-    assert!(total >= st.gates_dmav);
-    let rate = st.dmav_plan_hits as f64 / total as f64;
-    assert!(rate > 0.9, "plan hit rate {rate} (hits {total})");
-
-    // Disabling the cache must not change the result.
-    let mut plain = FlatDdSimulator::new(
-        n,
-        FlatDdConfig {
-            conversion: ConversionPolicy::Immediate,
-            plan_cache_bytes: 0,
-            ..cfg(4)
-        },
-    );
-    plain.run(&c).unwrap();
-    assert_eq!(plain.stats().dmav_plan_hits, 0);
-    assert!(plain.stats().dmav_plan_misses >= plain.stats().gates_dmav);
-    assert!(state_distance(&sim.amplitudes(), &plain.amplitudes()) < 1e-9);
+    // One plan lookup per DMAV, whichever kernel the cost model picks.
+    assert_eq!(st.dmav_plan_hits + st.dmav_plan_misses, st.gates_dmav);
+    let rate = st.dmav_plan_hits as f64 / st.gates_dmav as f64;
+    assert!(rate > 0.9, "plan hit rate {rate} over {}", st.gates_dmav);
 }
 
 #[test]

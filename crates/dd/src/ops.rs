@@ -129,12 +129,12 @@ fn pack_u32s(a: u32, b: u32) -> u64 {
 }
 
 #[inline(always)]
-fn pack_vedge(e: VEdge) -> u64 {
+pub(crate) fn pack_vedge(e: VEdge) -> u64 {
     pack_u32s(e.n, e.w.0)
 }
 
 #[inline(always)]
-fn unpack_vedge(v: u64) -> VEdge {
+pub(crate) fn unpack_vedge(v: u64) -> VEdge {
     VEdge {
         n: (v >> 32) as u32,
         w: CIdx(v as u32),

@@ -15,24 +15,12 @@
 use crate::ctable::CIdx;
 use crate::fxhash::FxHashMap;
 use crate::node::{MEdge, VEdge};
+use crate::ops::{pack_vedge, unpack_vedge};
 use crate::package::DdPackage;
 pub use qarray::pool::ThreadPool;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 // ---- parallel matrix-vector multiply ---------------------------------------
-
-#[inline(always)]
-fn pack(e: VEdge) -> u64 {
-    ((e.n as u64) << 32) | e.w.0 as u64
-}
-
-#[inline(always)]
-fn unpack(v: u64) -> VEdge {
-    VEdge {
-        n: (v >> 32) as u32,
-        w: CIdx(v as u32),
-    }
-}
 
 /// One child multiplication of a split node.
 #[derive(Clone, Copy)]
@@ -92,7 +80,7 @@ impl Graph {
                 vn,
                 depth,
                 kind: TaskKind::Resolved,
-                result: AtomicU64::new(pack(hit)),
+                result: AtomicU64::new(pack_vedge(hit)),
             })
         } else if depth >= split_below {
             self.push(Task {
@@ -209,7 +197,7 @@ impl DdPackage {
         let split_below = t.trailing_zeros() + 2;
         let (graph, root) = Graph::build(self, m.n, v.n, split_below);
         self.execute(pool, &graph);
-        let r = unpack(graph.tasks[root as usize].result.load(Ordering::Relaxed));
+        let r = unpack_vedge(graph.tasks[root as usize].result.load(Ordering::Relaxed));
         self.scale_v(r, w)
     }
 
@@ -258,7 +246,8 @@ impl DdPackage {
                 let kid = |k: &Kid| match *k {
                     Kid::Done(e) => e,
                     Kid::Task { idx, w } => {
-                        let sub = unpack(graph.tasks[idx as usize].result.load(Ordering::Relaxed));
+                        let sub =
+                            unpack_vedge(graph.tasks[idx as usize].result.load(Ordering::Relaxed));
                         self.scale_v(sub, w)
                     }
                 };
@@ -273,7 +262,7 @@ impl DdPackage {
                 r
             }
         };
-        t.result.store(pack(r), Ordering::Relaxed);
+        t.result.store(pack_vedge(r), Ordering::Relaxed);
     }
 
     /// Parallel [`Self::apply_gate`]: builds the gate DD (cheap, sequential)

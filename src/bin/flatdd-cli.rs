@@ -225,10 +225,8 @@ fn parse_run_opts(args: &[String]) -> RunOpts {
             // A mistyped floor must not silently run exact (and die) or,
             // worse, accept arbitrarily lossy truncation.
             "--approx-fidelity-floor" => {
-                let f: f64 = parse_or_die(
-                    "--approx-fidelity-floor",
-                    &val("--approx-fidelity-floor"),
-                );
+                let f: f64 =
+                    parse_or_die("--approx-fidelity-floor", &val("--approx-fidelity-floor"));
                 if !f.is_finite() || f <= 0.0 || f > 1.0 {
                     eprintln!("--approx-fidelity-floor: must be in (0, 1], got {f}");
                     std::process::exit(2);

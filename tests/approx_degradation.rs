@@ -169,7 +169,7 @@ fn checkpoint_resume_preserves_the_fidelity_product() {
     );
     let fidelity_at_cut = sim.fidelity();
     let truncations_at_cut = sim.stats().approx_truncations;
-    assert!(fidelity_at_cut < 1.0 && fidelity_at_cut >= 0.9);
+    assert!((0.9..1.0).contains(&fidelity_at_cut));
     sim.save_checkpoint().unwrap();
     drop(sim);
 

@@ -262,7 +262,7 @@ fn approximate_degradation_stamps_the_result() {
         .split("\"fidelity\":")
         .nth(1)
         .and_then(|s| {
-            s.split(|c: char| c == ',' || c == '}')
+            s.split([',', '}'])
                 .next()?
                 .trim()
                 .parse::<f64>()

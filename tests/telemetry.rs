@@ -50,9 +50,10 @@ fn stats_reset_between_runs() {
         second.ct_mv_lookups, 0,
         "compute-table deltas are re-baselined per run"
     );
-    assert!(
-        second.dmav_plan_hits + second.dmav_plan_misses <= 2 * c.num_gates(),
-        "plan-cache deltas are per-run, not lifetime"
+    assert_eq!(
+        second.dmav_plan_hits + second.dmav_plan_misses,
+        c.num_gates(),
+        "plan lookups are counted per run, not over the simulator's lifetime"
     );
 }
 
@@ -107,25 +108,31 @@ fn conversion_and_run_events_emitted_exactly_once() {
 #[test]
 fn plan_cache_accounting_covers_every_dmav_gate() {
     let c = irregular_circuit();
-    let mut sim = FlatDdSimulator::new(
-        10,
-        FlatDdConfig {
-            threads: 2,
-            conversion: ConversionPolicy::Immediate,
-            caching: CachingPolicy::Always,
-            ..Default::default()
-        },
-    );
-    let stats = sim.run(&c).expect("run").stats;
-    assert_eq!(stats.gates_dd, 0, "Immediate converts at construction");
-    assert_eq!(stats.gates_dmav, c.num_gates());
-    assert_eq!(
-        stats.dmav_plan_hits + stats.dmav_plan_misses,
-        stats.gates_dmav,
-        "with CachingPolicy::Always every DMAV gate is exactly one plan \
-         lookup, and each lookup is a hit or a miss"
-    );
-    assert!(stats.dmav_plan_hits > 0, "repeated gate matrices must hit");
+    for caching in [
+        CachingPolicy::CostModel,
+        CachingPolicy::Always,
+        CachingPolicy::Never,
+    ] {
+        let mut sim = FlatDdSimulator::new(
+            10,
+            FlatDdConfig {
+                threads: 2,
+                conversion: ConversionPolicy::Immediate,
+                caching,
+                ..Default::default()
+            },
+        );
+        let stats = sim.run(&c).expect("run").stats;
+        assert_eq!(stats.gates_dd, 0, "Immediate converts at construction");
+        assert_eq!(stats.gates_dmav, c.num_gates());
+        assert_eq!(
+            stats.dmav_plan_hits + stats.dmav_plan_misses,
+            stats.gates_dmav,
+            "{caching:?}: every DMAV gate is exactly one plan lookup, and \
+             each lookup is a hit or a miss"
+        );
+        assert!(stats.dmav_plan_hits > 0, "repeated gate matrices must hit");
+    }
 }
 
 #[test]

@@ -6,15 +6,18 @@
 //! (`FLATDD_SIMD={auto,scalar,avx2}`), and a `dd_tables` block (the DD
 //! phase's fixed per-operation costs: complex-table `lookup` hit / miss and
 //! `DdPackage::stats()` at 10^3 and 10^6 interned values, `gate_dd` cold /
-//! warm at n = 14).
+//! warm at n = 14, and one DD gate — H on qubit 0, H on the top qubit, T on
+//! the top qubit — on a saturated 12-qubit state, ns per state node).
 //!
 //! `--check` exits 1 when an H through plain DMAV costs more than 3x as much
 //! on target 0 as on target n-1 (constant per-amplitude cost at every target
 //! is what Section 3.2.1 claims), when `stats()` at 10^6 values costs more
 //! than 3x what it costs at 10^3 (the driver reads it every gate, so it must
-//! not walk the tables), or when a memoized `gate_dd` costs more than 1/5 of
-//! a first build. Every ratio is between two numbers of this process, so the
-//! host's speed cancels.
+//! not walk the tables), when a memoized `gate_dd` costs more than 1/5 of
+//! a first build, or when a T on the top qubit of the saturated state costs
+//! more than 1/20 of an H there (the multiply must stop at the identity
+//! below the gate instead of walking the state). Every ratio is between two
+//! numbers of this process, so the host's speed cancels.
 //!
 //! Emits `results/microbench_kernels.json` (override with `--json PATH`).
 //! Run once per backend and compare the `ns_per_amp` columns:
@@ -152,6 +155,9 @@ fn dmav_by_target(reps: usize, backend: &str, json: &mut JsonWriter) -> (f64, f6
 const MAX_STATS_RATIO: f64 = 3.0;
 /// `--check`: largest accepted warm / cold `gate_dd` ratio.
 const MAX_WARM_GATE_RATIO: f64 = 0.2;
+/// `--check`: largest accepted (T on the top qubit) / (H on the top qubit)
+/// ratio of the DD multiply on a saturated state.
+const MAX_TOP_T_RATIO: f64 = 0.05;
 
 /// What `--check` reads from the `dd_tables` block (ns per call).
 struct DdTables {
@@ -159,6 +165,8 @@ struct DdTables {
     stats_large: f64,
     gate_cold: f64,
     gate_warm: f64,
+    h_top: f64,
+    t_top: f64,
 }
 
 /// The DD phase's fixed costs, one thread. Complex table: a fresh package
@@ -166,7 +174,11 @@ struct DdTables {
 /// of them in a scattered order (hit), interns `size / 10` (at least 100)
 /// new ones (miss) and reads `stats()` 1000 times. Gate DDs at n = 14, a
 /// Toffoli/CX/H mix: cold = the build right after a sweep emptied the memo
-/// (the sweep itself untimed), warm = the same gates again.
+/// (the sweep itself untimed), warm = the same gates again. DD gates at
+/// n = 12 on a saturated state (4095 nodes, a fresh package per repetition,
+/// gate DDs built before the clock starts): one cold `mul_mv` each — a
+/// second application would be answered by the `mv` table whether or not
+/// the first one walked the state.
 fn dd_tables(reps: usize, json: &mut JsonWriter) -> DdTables {
     use std::hint::black_box;
     // Distinct by construction: a 2^-40 lattice walked with an odd stride.
@@ -265,13 +277,53 @@ fn dd_tables(reps: usize, json: &mut JsonWriter) -> DdTables {
     let (gate_cold, gate_warm) = (median(cold), median(warm));
     record("gate_dd_cold", 0, gate_cold, json);
     record("gate_dd_warm", 0, gate_warm, json);
+
+    let dn = 12;
+    let amps: Vec<Complex64> = (0..1u64 << dn).map(|i| value(i + 1)).collect();
+    let nodes = (1usize << dn) - 1;
+    let mut per_node = [Vec::new(), Vec::new(), Vec::new()];
+    for _ in 0..reps {
+        let pkg = DdPackage::default();
+        let state = pkg.vector_from_slice(&amps);
+        assert_eq!(pkg.vector_dd_size(state), nodes, "state must be saturated");
+        let gate = |kind, q| pkg.gate_dd(&Gate::new(kind, q), dn);
+        let (h_low, h_top, t_top) = (
+            gate(GateKind::H, 0),
+            gate(GateKind::H, dn - 1),
+            gate(GateKind::T, dn - 1),
+        );
+        for (slot, g) in [h_low, h_top, t_top].into_iter().enumerate() {
+            let s = Instant::now();
+            black_box(pkg.mul_mv(g, state));
+            per_node[slot].push(s.elapsed().as_secs_f64() * 1e9 / nodes as f64);
+        }
+    }
+    let [h_low, h_top, t_top] = per_node.map(median);
     println!("\ndd_tables — 1 thread, gate_dd at n = {n}, ns per call");
+    table.print();
+    let mut table = Table::new(vec!["dd_gate", "ns_per_state_node"]);
+    for (op, ns) in [
+        ("mul_mv_h_q0", h_low),
+        ("mul_mv_h_top", h_top),
+        ("mul_mv_t_top", t_top),
+    ] {
+        table.row(vec![op.into(), format!("{ns:.3}")]);
+        json.record(vec![
+            ("kernel", "dd_tables".into()),
+            ("op", op.into()),
+            ("state_nodes", nodes.into()),
+            ("ns_per_state_node", ns.into()),
+        ]);
+    }
+    println!("\ndd_tables — 1 thread, one DD gate on a saturated n = {dn} state ({nodes} nodes)");
     table.print();
     DdTables {
         stats_small: stats_ns[0],
         stats_large: stats_ns[1],
         gate_cold,
         gate_warm,
+        h_top,
+        t_top,
     }
 }
 
@@ -405,11 +457,16 @@ fn main() {
         );
         let gate_ratio = dd.gate_warm / dd.gate_cold;
         println!("check: gate_dd warm / cold = {gate_ratio:.3} (limit {MAX_WARM_GATE_RATIO})");
+        let top_ratio = dd.t_top / dd.h_top;
+        println!(
+            "check: DD multiply, T / H on the top qubit of a saturated state = {top_ratio:.4} (limit {MAX_TOP_T_RATIO})"
+        );
         // Negated "all within", so that a NaN ratio (a cell that was not
         // measured) fails too.
         let within = ratio <= MAX_TARGET_RATIO
             && stats_ratio <= MAX_STATS_RATIO
-            && gate_ratio <= MAX_WARM_GATE_RATIO;
+            && gate_ratio <= MAX_WARM_GATE_RATIO
+            && top_ratio <= MAX_TOP_T_RATIO;
         if !within {
             std::process::exit(1);
         }

@@ -208,8 +208,8 @@ mod tests {
              \"conversion_seconds\": 0, \"cached_dmavs\": 0, \"uncached_dmavs\": 0, \
              \"cache_hits\": 0, \"fused_matrices\": 0, \"modeled_cost\": 0, \
              \"peak_state_dd_size\": 15, \"conversion_refusals\": 0, \"pressure_gcs\": 0, \
-             \"dmav_plan_hits\": 0, \"dmav_plan_misses\": 0, \"ct_mv_lookups\": 72, \
-             \"ct_mv_hits\": 10, \"ct_mv_hit_rate\": 0.1388888888888889, \
+             \"dmav_plan_hits\": 0, \"dmav_plan_misses\": 0, \"ct_mv_lookups\": 50, \
+             \"ct_mv_hits\": 0, \"ct_mv_hit_rate\": 0, \
              \"ct_mm_lookups\": 0, \"ct_mm_hits\": 0, \"ct_mm_hit_rate\": 0, \
              \"ct_add_lookups\": 0, \"ct_add_hits\": 0, \"ct_add_hit_rate\": 0, \
              \"approx_truncations\": 0, \"approximate\": false, \"fidelity\": 1}"

@@ -379,7 +379,9 @@ impl ComplexTable {
         self.alloc_value(v, cells[0], slots_of(&mut held, cells[0]))
     }
 
-    /// Interns the product of two interned values.
+    /// Interns the product of two interned values (what `scale_v` /
+    /// `scale_m` do to an interned edge; the DD arithmetic itself multiplies
+    /// the values and interns only what a node stores).
     #[inline]
     pub fn mul(&self, a: CIdx, b: CIdx) -> CIdx {
         if a.is_zero() || b.is_zero() {
@@ -392,35 +394,6 @@ impl ComplexTable {
             return a;
         }
         let v = self.get(a) * self.get(b);
-        self.lookup(v)
-    }
-
-    /// Interns the sum of two interned values.
-    #[inline]
-    pub fn add(&self, a: CIdx, b: CIdx) -> CIdx {
-        if a.is_zero() {
-            return b;
-        }
-        if b.is_zero() {
-            return a;
-        }
-        let v = self.get(a) + self.get(b);
-        self.lookup(v)
-    }
-
-    /// Interns the quotient `a / b`. Returns `ZERO` when `b` is zero.
-    #[inline]
-    pub fn div(&self, a: CIdx, b: CIdx) -> CIdx {
-        if a.is_zero() || b.is_zero() {
-            return CIdx::ZERO;
-        }
-        if b.is_one() {
-            return a;
-        }
-        if a == b {
-            return CIdx::ONE;
-        }
-        let v = self.get(a) / self.get(b);
         self.lookup(v)
     }
 
@@ -521,9 +494,6 @@ mod tests {
         assert_eq!(t.mul(CIdx::ZERO, a), CIdx::ZERO);
         assert_eq!(t.mul(CIdx::ONE, a), a);
         assert_eq!(t.mul(a, CIdx::ONE), a);
-        assert_eq!(t.add(CIdx::ZERO, a), a);
-        assert_eq!(t.div(a, a), CIdx::ONE);
-        assert_eq!(t.div(a, CIdx::ZERO), CIdx::ZERO);
     }
 
     #[test]
@@ -535,28 +505,6 @@ mod tests {
         let b = t.lookup(y);
         let p = t.mul(a, b);
         assert!(t.get(p).approx_eq(x * y, 1e-10));
-    }
-
-    #[test]
-    fn add_and_div_round_trip() {
-        let t = ComplexTable::default();
-        let x = Complex64::new(0.6, -0.8);
-        let y = Complex64::new(-0.1, 0.2);
-        let a = t.lookup(x);
-        let b = t.lookup(y);
-        let s = t.add(a, b);
-        assert!(t.get(s).approx_eq(x + y, 1e-10));
-        let q = t.div(s, b);
-        assert!(t.get(q).approx_eq((x + y) / y, 1e-9));
-    }
-
-    #[test]
-    fn negative_cancellation_interns_zero() {
-        let t = ComplexTable::default();
-        let a = t.lookup(Complex64::new(0.5, 0.0));
-        let b = t.lookup(Complex64::new(-0.5, 0.0));
-        let s = t.add(a, b);
-        assert_eq!(s, CIdx::ZERO);
     }
 
     #[test]

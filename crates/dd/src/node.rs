@@ -18,6 +18,7 @@ use crate::ctable::CIdx;
 use crate::fxhash::{hash_u64, FxHashMap, FxHasher};
 use crate::sync::SlotVec;
 use parking_lot::Mutex;
+use qcircuit::Complex64;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -91,6 +92,31 @@ macro_rules! edge_impl {
 }
 edge_impl!(VEdge);
 edge_impl!(MEdge);
+
+/// An edge as the arithmetic carries it: the target node id (vector or
+/// matrix, by context) and the weight *itself*, not an interned index.
+/// Products, sums and ratios of such weights are plain `f64` arithmetic;
+/// a weight is interned only where a node stores it (`make_vnode` /
+/// `make_mnode`) or where a public function hands a [`VEdge`] / [`MEdge`]
+/// back. The zero edge is exactly [`Lazy::ZERO`]: every constructor flushes
+/// a weight within the table's tolerance of zero to it.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) struct Lazy {
+    pub(crate) n: u32,
+    pub(crate) w: Complex64,
+}
+
+impl Lazy {
+    pub(crate) const ZERO: Lazy = Lazy {
+        n: TERM,
+        w: Complex64::ZERO,
+    };
+
+    #[inline(always)]
+    pub(crate) fn is_zero(self) -> bool {
+        self.w.is_zero()
+    }
+}
 
 /// Content of a vector node.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]

@@ -4,6 +4,14 @@
 //! "identical matrix-vector multiplications are avoided using hash tables"
 //! (Section 2.2 of the paper).
 //!
+//! Weights are *lazy* inside the arithmetic: an edge is a `Lazy` — node id
+//! plus the `Complex64` itself — and products, sums and ratios are plain
+//! `f64` arithmetic. The complex table's tolerance acts as a flush-to-zero
+//! (`DdPackage::weighted`) exactly where interning the intermediate used
+//! to answer `CIdx::ZERO`. A weight is interned only where a node stores it
+//! (`make_vnode_lazy` / `make_mnode_lazy`) and once where a public function
+//! hands an interned edge back.
+//!
 //! The caches are safe for concurrent *lossy* access: each slot is a tiny
 //! seq-lock (sequence counter + atomically stored key/value words). Racing
 //! writers skip the insert (the cache is allowed to lose entries), and a
@@ -13,28 +21,44 @@
 
 use crate::ctable::CIdx;
 use crate::fxhash::{hash_pair, hash_u64};
-use crate::node::{MEdge, VEdge, TERM};
+use crate::node::{Lazy, MEdge, VEdge, TERM};
 use crate::package::DdPackage;
+use qcircuit::Complex64;
+use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 
-/// One direct-mapped cache slot: a seq-lock over two key words and one
-/// value word. `seq == 0` means never written; odd means a write is in
-/// flight; even (> 0) means stable.
-struct CacheSlot {
+/// One direct-mapped cache slot: a seq-lock over `K` key words and a
+/// `(node, re, im)` result. `seq == 0` means never written; odd means a
+/// write is in flight; even (> 0) means stable. All-zero bytes are the
+/// empty slot, and the alignment stays natural (8), so a slot array comes
+/// straight from `calloc` (see [`zeroed_slots`]). `K = 1` is 32 bytes,
+/// `K = 3` is 48.
+struct CacheSlot<const K: usize> {
     seq: AtomicU32,
-    k0: AtomicU64,
-    k1: AtomicU64,
-    val: AtomicU64,
+    node: AtomicU32,
+    key: [AtomicU64; K],
+    re: AtomicU64,
+    im: AtomicU64,
 }
 
-impl CacheSlot {
-    fn new() -> Self {
-        CacheSlot {
-            seq: AtomicU32::new(0),
-            k0: AtomicU64::new(0),
-            k1: AtomicU64::new(0),
-            val: AtomicU64::new(0),
+/// `n` empty slots, allocated zeroed: the allocator hands large zeroed
+/// requests to the kernel as untouched pages, so a table costs nothing
+/// until its slots are written (building each slot in a loop faulted in
+/// every page of every table at package construction).
+fn zeroed_slots<const K: usize>(n: usize) -> Box<[CacheSlot<K>]> {
+    assert!(n > 0);
+    let layout = Layout::array::<CacheSlot<K>>(n).expect("slot array fits the address space");
+    // SAFETY: `layout` has non-zero size (`n > 0`, a slot is >= 32 bytes).
+    // A slot holds only atomic integers, for which every bit pattern —
+    // all-zero included — is a valid value, so the zeroed block is `n`
+    // initialized slots; it was allocated by the global allocator with
+    // exactly the layout `Box<[CacheSlot<K>]>` frees it with.
+    unsafe {
+        let p = alloc_zeroed(layout) as *mut CacheSlot<K>;
+        if p.is_null() {
+            handle_alloc_error(layout);
         }
+        Box::from_raw(std::ptr::slice_from_raw_parts_mut(p, n))
     }
 }
 
@@ -42,17 +66,17 @@ impl CacheSlot {
 /// overwrite, concurrent writers to one slot lose (lossy insert). This
 /// keeps the DDSIM compute-table design — bounded memory, O(1) lookup, no
 /// eviction bookkeeping — while allowing concurrent `&self` access.
-struct ConcurrentMap {
-    slots: Box<[CacheSlot]>,
+struct ConcurrentMap<const K: usize> {
+    slots: Box<[CacheSlot<K>]>,
     mask: u64,
     lookups: AtomicU64,
     hits: AtomicU64,
 }
 
-impl ConcurrentMap {
+impl<const K: usize> ConcurrentMap<K> {
     fn new(bits: u32) -> Self {
         ConcurrentMap {
-            slots: (0..1usize << bits).map(|_| CacheSlot::new()).collect(),
+            slots: zeroed_slots(1usize << bits),
             mask: (1u64 << bits) - 1,
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -60,28 +84,32 @@ impl ConcurrentMap {
     }
 
     #[inline(always)]
-    fn lookup(&self, k0: u64, k1: u64, hash: u64) -> Option<u64> {
+    fn lookup(&self, key: [u64; K], hash: u64) -> Option<Lazy> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(hash & self.mask) as usize];
         let s1 = slot.seq.load(Ordering::Acquire);
         if s1 == 0 || s1 & 1 == 1 {
             return None;
         }
-        let a = slot.k0.load(Ordering::Relaxed);
-        let b = slot.k1.load(Ordering::Relaxed);
-        let v = slot.val.load(Ordering::Relaxed);
+        let stored: [u64; K] = std::array::from_fn(|i| slot.key[i].load(Ordering::Relaxed));
+        let n = slot.node.load(Ordering::Relaxed);
+        let re = slot.re.load(Ordering::Relaxed);
+        let im = slot.im.load(Ordering::Relaxed);
         // Validate: the loads above belong to the generation we started
-        // with — otherwise a writer interleaved and (a, b, v) may be torn.
+        // with — otherwise a writer interleaved and they may be torn.
         fence(Ordering::Acquire);
-        if slot.seq.load(Ordering::Relaxed) != s1 || a != k0 || b != k1 {
+        if slot.seq.load(Ordering::Relaxed) != s1 || stored != key {
             return None;
         }
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(v)
+        Some(Lazy {
+            n,
+            w: Complex64::new(f64::from_bits(re), f64::from_bits(im)),
+        })
     }
 
     #[inline(always)]
-    fn insert(&self, k0: u64, k1: u64, hash: u64, val: u64) {
+    fn insert(&self, key: [u64; K], hash: u64, val: Lazy) {
         let slot = &self.slots[(hash & self.mask) as usize];
         let s = slot.seq.load(Ordering::Relaxed);
         if s & 1 == 1 {
@@ -96,9 +124,12 @@ impl ConcurrentMap {
         {
             return;
         }
-        slot.k0.store(k0, Ordering::Relaxed);
-        slot.k1.store(k1, Ordering::Relaxed);
-        slot.val.store(val, Ordering::Relaxed);
+        for (word, k) in slot.key.iter().zip(key) {
+            word.store(k, Ordering::Relaxed);
+        }
+        slot.node.store(val.n, Ordering::Relaxed);
+        slot.re.store(val.w.re.to_bits(), Ordering::Relaxed);
+        slot.im.store(val.w.im.to_bits(), Ordering::Relaxed);
         slot.seq.store(s.wrapping_add(2), Ordering::Release);
     }
 
@@ -114,12 +145,12 @@ impl ConcurrentMap {
     /// the memory-pressure ladder to actually release cache memory (a plain
     /// `clear` keeps the capacity).
     fn shrink_to_bits(&mut self, bits: u32) {
-        self.slots = (0..1usize << bits).map(|_| CacheSlot::new()).collect();
+        self.slots = zeroed_slots(1usize << bits);
         self.mask = (1u64 << bits) - 1;
     }
 
     fn memory_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<CacheSlot>()
+        self.slots.len() * std::mem::size_of::<CacheSlot<K>>()
     }
 }
 
@@ -128,47 +159,42 @@ fn pack_u32s(a: u32, b: u32) -> u64 {
     ((a as u64) << 32) | b as u64
 }
 
+/// Key of a cached sum `A + ratio * B`: the two nodes and the ratio rounded
+/// to the tolerance grid (`1 / tol` steps per unit, per axis). The caller
+/// factors out the operand of larger magnitude, so `|ratio| <= 1` and the
+/// coordinates stay far inside `i64` (they could saturate, and distinct
+/// ratios alias, only for a tolerance below ~1e-19). A hit therefore reuses
+/// the sum computed for a ratio less than one tolerance away per axis —
+/// the distance at which interning would have unified the two ratios.
 #[inline(always)]
-pub(crate) fn pack_vedge(e: VEdge) -> u64 {
-    pack_u32s(e.n, e.w.0)
+fn add_key(an: u32, bn: u32, ratio: Complex64, inv_tol: f64) -> ([u64; 3], u64) {
+    // Round half away from zero without a libm call.
+    let grid = |x: f64| (x * inv_tol + 0.5f64.copysign(x)) as i64 as u64;
+    let key = [pack_u32s(an, bn), grid(ratio.re), grid(ratio.im)];
+    let hash = hash_u64(hash_u64(hash_pair(an as u64, bn as u64) ^ key[1]) ^ key[2]);
+    (key, hash)
 }
 
-#[inline(always)]
-pub(crate) fn unpack_vedge(v: u64) -> VEdge {
-    VEdge {
-        n: (v >> 32) as u32,
-        w: CIdx(v as u32),
-    }
-}
-
-#[inline(always)]
-fn pack_medge(e: MEdge) -> u64 {
-    pack_u32s(e.n, e.w.0)
-}
-
-#[inline(always)]
-fn unpack_medge(v: u64) -> MEdge {
-    MEdge {
-        n: (v >> 32) as u32,
-        w: CIdx(v as u32),
-    }
-}
+/// log2 slots of the multiply tables (32-byte slots) and of the addition
+/// tables (48-byte slots): 2 x 2 MiB + 2 x 1.5 MiB = 7 MiB per package.
+const MUL_BITS: u32 = 16;
+const ADD_BITS: u32 = 15;
 
 /// Operation caches of a package. Concurrent lossy access via `&self`.
 pub(crate) struct ComputeTables {
-    mv: ConcurrentMap,
-    mm: ConcurrentMap,
-    add_v: ConcurrentMap,
-    add_m: ConcurrentMap,
+    mv: ConcurrentMap<1>,
+    mm: ConcurrentMap<1>,
+    add_v: ConcurrentMap<3>,
+    add_m: ConcurrentMap<3>,
 }
 
 impl Default for ComputeTables {
     fn default() -> Self {
         ComputeTables {
-            mv: ConcurrentMap::new(16),
-            mm: ConcurrentMap::new(16),
-            add_v: ConcurrentMap::new(16),
-            add_m: ConcurrentMap::new(16),
+            mv: ConcurrentMap::new(MUL_BITS),
+            mm: ConcurrentMap::new(MUL_BITS),
+            add_v: ConcurrentMap::new(ADD_BITS),
+            add_m: ConcurrentMap::new(ADD_BITS),
         }
     }
 }
@@ -192,12 +218,12 @@ impl ComputeTables {
     }
 
     pub(crate) fn stats(&self) -> ComputeStats {
-        let ld = |m: &ConcurrentMap| {
+        fn ld<const K: usize>(m: &ConcurrentMap<K>) -> (u64, u64) {
             (
                 m.lookups.load(Ordering::Relaxed),
                 m.hits.load(Ordering::Relaxed),
             )
-        };
+        }
         let (mvl, mvh) = ld(&self.mv);
         let (mml, mmh) = ld(&self.mm);
         let (avl, avh) = ld(&self.add_v);
@@ -219,66 +245,18 @@ impl ComputeTables {
             + self.add_m.memory_bytes()
     }
 
-    // Typed slot accessors (shared by the sequential recursions and the
-    // parallel apply in `par`).
+    // The matrix-vector table is shared with the parallel apply in `par`.
 
     #[inline(always)]
-    pub(crate) fn lookup_mv(&self, mn: u32, vn: u32) -> Option<VEdge> {
-        let key = pack_u32s(mn, vn);
+    pub(crate) fn lookup_mv(&self, mn: u32, vn: u32) -> Option<Lazy> {
         self.mv
-            .lookup(key, 0, hash_pair(mn as u64, vn as u64))
-            .map(unpack_vedge)
+            .lookup([pack_u32s(mn, vn)], hash_pair(mn as u64, vn as u64))
     }
 
     #[inline(always)]
-    pub(crate) fn insert_mv(&self, mn: u32, vn: u32, r: VEdge) {
-        let key = pack_u32s(mn, vn);
+    pub(crate) fn insert_mv(&self, mn: u32, vn: u32, r: Lazy) {
         self.mv
-            .insert(key, 0, hash_pair(mn as u64, vn as u64), pack_vedge(r));
-    }
-
-    #[inline(always)]
-    fn lookup_mm(&self, an: u32, bn: u32) -> Option<MEdge> {
-        let key = pack_u32s(an, bn);
-        let hash = hash_u64(hash_pair(an as u64, bn as u64)) ^ 0x33;
-        self.mm.lookup(key, 0, hash).map(unpack_medge)
-    }
-
-    #[inline(always)]
-    fn insert_mm(&self, an: u32, bn: u32, r: MEdge) {
-        let key = pack_u32s(an, bn);
-        let hash = hash_u64(hash_pair(an as u64, bn as u64)) ^ 0x33;
-        self.mm.insert(key, 0, hash, pack_medge(r));
-    }
-
-    #[inline(always)]
-    fn lookup_add_v(&self, an: u32, bn: u32, ratio: CIdx) -> Option<VEdge> {
-        let hash = hash_pair(hash_pair(an as u64, bn as u64), ratio.0 as u64);
-        self.add_v
-            .lookup(pack_u32s(an, bn), ratio.0 as u64, hash)
-            .map(unpack_vedge)
-    }
-
-    #[inline(always)]
-    fn insert_add_v(&self, an: u32, bn: u32, ratio: CIdx, r: VEdge) {
-        let hash = hash_pair(hash_pair(an as u64, bn as u64), ratio.0 as u64);
-        self.add_v
-            .insert(pack_u32s(an, bn), ratio.0 as u64, hash, pack_vedge(r));
-    }
-
-    #[inline(always)]
-    fn lookup_add_m(&self, an: u32, bn: u32, ratio: CIdx) -> Option<MEdge> {
-        let hash = hash_pair(hash_pair(an as u64, bn as u64), ratio.0 as u64) ^ 0x5a5a;
-        self.add_m
-            .lookup(pack_u32s(an, bn), ratio.0 as u64, hash)
-            .map(unpack_medge)
-    }
-
-    #[inline(always)]
-    fn insert_add_m(&self, an: u32, bn: u32, ratio: CIdx, r: MEdge) {
-        let hash = hash_pair(hash_pair(an as u64, bn as u64), ratio.0 as u64) ^ 0x5a5a;
-        self.add_m
-            .insert(pack_u32s(an, bn), ratio.0 as u64, hash, pack_medge(r));
+            .insert([pack_u32s(mn, vn)], hash_pair(mn as u64, vn as u64), r);
     }
 }
 
@@ -299,37 +277,164 @@ pub struct ComputeStats {
     pub add_hits: u64,
 }
 
+/// What the non-recursive prologue of a product `m * v` decides.
+pub(crate) enum Product {
+    /// The product itself: zero, a terminal, or — under an identity — the
+    /// other operand re-weighted.
+    Done(Lazy),
+    /// `w *` the product of the two target nodes.
+    Nodes(Complex64),
+}
+
+/// What the non-recursive prologue of a sum `a + b` decides.
+enum Sum {
+    /// The sum itself: one operand is zero, or both point at one node.
+    Done(Lazy),
+    /// `x.w * (X + ratio * Y)` over the nodes of `x` and of the lighter
+    /// operand `yn`, `|ratio| <= 1`.
+    Nodes { x: Lazy, yn: u32, ratio: Complex64 },
+}
+
 impl DdPackage {
+    // ---- lazy edges ------------------------------------------------------------
+
+    /// Edge to `n` with weight `w`, flushed to the zero edge when `w` is
+    /// within tolerance of zero — where interning `w` answered `CIdx::ZERO`.
+    #[inline(always)]
+    pub(crate) fn weighted(&self, n: u32, w: Complex64) -> Lazy {
+        if w.approx_zero(self.ct.tolerance()) {
+            Lazy::ZERO
+        } else {
+            Lazy { n, w }
+        }
+    }
+
+    /// `w * e`, flushed like [`Self::weighted`].
+    #[inline(always)]
+    pub(crate) fn scaled(&self, e: Lazy, w: Complex64) -> Lazy {
+        self.weighted(e.n, e.w * w)
+    }
+
+    /// The value of an interned weight. The two constants — every weight of
+    /// a basis state, most weights of a gate DD — are answered from the index,
+    /// without the dependent loads into the value store.
+    #[inline(always)]
+    fn weight(&self, w: CIdx) -> Complex64 {
+        if w.0 <= CIdx::ONE.0 {
+            Complex64::real(w.0 as f64)
+        } else {
+            self.ct.get(w)
+        }
+    }
+
+    /// Weight of a product of two edges, the left one still interned so that
+    /// a zero operand or a unit weight costs neither a table read nor a
+    /// multiply; `None` when the product is (flushed to) zero.
+    #[inline(always)]
+    fn product_weight(&self, a: CIdx, b: Complex64) -> Option<Complex64> {
+        if a.is_zero() || b.is_zero() {
+            return None;
+        }
+        if a.is_one() {
+            return Some(b);
+        }
+        let w = self.weight(a) * b;
+        (!w.approx_zero(self.ct.tolerance())).then_some(w)
+    }
+
+    /// An interned vector edge with its weight resolved.
+    #[inline(always)]
+    pub(crate) fn lazy_v(&self, e: VEdge) -> Lazy {
+        Lazy {
+            n: e.n,
+            w: self.weight(e.w),
+        }
+    }
+
+    /// An interned matrix edge with its weight resolved.
+    #[inline(always)]
+    pub(crate) fn lazy_m(&self, e: MEdge) -> Lazy {
+        Lazy {
+            n: e.n,
+            w: self.weight(e.w),
+        }
+    }
+
+    /// Interns the weight of a result edge (the one lookup a public
+    /// arithmetic function performs outside node construction).
+    #[inline]
+    pub(crate) fn intern_v(&self, e: Lazy) -> VEdge {
+        match self.ct.lookup(e.w) {
+            w if w.is_zero() => VEdge::ZERO,
+            w => VEdge { n: e.n, w },
+        }
+    }
+
+    /// Matrix form of [`Self::intern_v`].
+    #[inline]
+    pub(crate) fn intern_m(&self, e: Lazy) -> MEdge {
+        match self.ct.lookup(e.w) {
+            w if w.is_zero() => MEdge::ZERO,
+            w => MEdge { n: e.n, w },
+        }
+    }
+
+    /// Level of the node a matrix edge points at (the children of a
+    /// level-`l` node sit at `l - 1`, which the recursions pass down
+    /// instead of loading each child to ask).
+    #[inline(always)]
+    pub(crate) fn m_level(&self, e: MEdge) -> u8 {
+        if e.is_terminal() {
+            0
+        } else {
+            self.m.get(e.n).level
+        }
+    }
+
     // ---- vector addition -----------------------------------------------------
 
     /// Adds two vector DDs: `a + b`.
     pub fn add_vectors(&self, a: VEdge, b: VEdge) -> VEdge {
-        if a.is_zero() {
-            return b;
-        }
-        if b.is_zero() {
-            return a;
-        }
-        // Same function: amplitudes add on the shared top weight.
-        if a.n == b.n {
-            let w = self.ct.add(a.w, b.w);
-            return if w.is_zero() {
-                VEdge::ZERO
-            } else {
-                VEdge { n: a.n, w }
-            };
-        }
-        if a.is_terminal() && b.is_terminal() {
-            return VEdge::terminal(self.ct.add(a.w, b.w));
-        }
-        // Factor the left weight out: a + b = a.w * (A + (b.w/a.w) * B).
-        let ratio = self.ct.div(b.w, a.w);
-        let r = self.add_v_rec(a.n, b.n, ratio);
-        self.scale_v(r, a.w)
+        self.intern_v(self.add_v(self.lazy_v(a), self.lazy_v(b)))
     }
 
-    fn add_v_rec(&self, an: u32, bn: u32, ratio: CIdx) -> VEdge {
-        if let Some(hit) = self.compute.lookup_add_v(an, bn, ratio) {
+    /// The part of `a + b` that needs no recursion.
+    #[inline(always)]
+    fn add_prologue(&self, a: Lazy, b: Lazy) -> Sum {
+        if a.is_zero() {
+            return Sum::Done(b);
+        }
+        if b.is_zero() {
+            return Sum::Done(a);
+        }
+        // Same function (or both terminal): amplitudes add on the weight.
+        if a.n == b.n {
+            return Sum::Done(self.weighted(a.n, a.w + b.w));
+        }
+        // Factor the heavier weight out: x + y = x.w * (X + (y.w / x.w) * Y).
+        let (x, y) = if b.w.norm_sqr() > a.w.norm_sqr() {
+            (b, a)
+        } else {
+            (a, b)
+        };
+        let ratio = y.w / x.w;
+        if ratio.approx_zero(self.ct.tolerance()) {
+            return Sum::Done(x);
+        }
+        Sum::Nodes { x, yn: y.n, ratio }
+    }
+
+    #[inline(always)]
+    pub(crate) fn add_v(&self, a: Lazy, b: Lazy) -> Lazy {
+        match self.add_prologue(a, b) {
+            Sum::Done(e) => e,
+            Sum::Nodes { x, yn, ratio } => self.scaled(self.add_v_rec(x.n, yn, ratio), x.w),
+        }
+    }
+
+    fn add_v_rec(&self, an: u32, bn: u32, ratio: Complex64) -> Lazy {
+        let (key, hash) = add_key(an, bn, ratio, self.inv_tol);
+        if let Some(hit) = self.compute.add_v.lookup(key, hash) {
             return hit;
         }
         let av = *self.v.get(an);
@@ -338,14 +443,12 @@ impl DdPackage {
             av.level, bv.level,
             "level-skipped DDs are not produced here"
         );
-        let mut es = [VEdge::ZERO; 2];
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..2 {
-            let be = self.scale_v(bv.e[i], ratio);
-            es[i] = self.add_vectors(av.e[i], be);
-        }
-        let r = self.make_vnode(av.level, es);
-        self.compute.insert_add_v(an, bn, ratio, r);
+        let es = std::array::from_fn(|i| {
+            let be = self.weighted(bv.e[i].n, self.weight(bv.e[i].w) * ratio);
+            self.add_v(self.lazy_v(av.e[i]), be)
+        });
+        let r = self.make_vnode_lazy(av.level, es);
+        self.compute.add_v.insert(key, hash, r);
         r
     }
 
@@ -375,43 +478,30 @@ impl DdPackage {
 
     /// Adds two matrix DDs: `a + b`.
     pub fn add_matrices(&self, a: MEdge, b: MEdge) -> MEdge {
-        if a.is_zero() {
-            return b;
-        }
-        if b.is_zero() {
-            return a;
-        }
-        if a.n == b.n {
-            let w = self.ct.add(a.w, b.w);
-            return if w.is_zero() {
-                MEdge::ZERO
-            } else {
-                MEdge { n: a.n, w }
-            };
-        }
-        if a.is_terminal() && b.is_terminal() {
-            return MEdge::terminal(self.ct.add(a.w, b.w));
-        }
-        let ratio = self.ct.div(b.w, a.w);
-        let r = self.add_m_rec(a.n, b.n, ratio);
-        self.scale_m(r, a.w)
+        self.intern_m(self.add_m(self.lazy_m(a), self.lazy_m(b)))
     }
 
-    fn add_m_rec(&self, an: u32, bn: u32, ratio: CIdx) -> MEdge {
-        if let Some(hit) = self.compute.lookup_add_m(an, bn, ratio) {
+    fn add_m(&self, a: Lazy, b: Lazy) -> Lazy {
+        match self.add_prologue(a, b) {
+            Sum::Done(e) => e,
+            Sum::Nodes { x, yn, ratio } => self.scaled(self.add_m_rec(x.n, yn, ratio), x.w),
+        }
+    }
+
+    fn add_m_rec(&self, an: u32, bn: u32, ratio: Complex64) -> Lazy {
+        let (key, hash) = add_key(an, bn, ratio, self.inv_tol);
+        if let Some(hit) = self.compute.add_m.lookup(key, hash) {
             return hit;
         }
         let am = *self.m.get(an);
         let bm = *self.m.get(bn);
         debug_assert_eq!(am.level, bm.level);
-        let mut es = [MEdge::ZERO; 4];
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..4 {
-            let be = self.scale_m(bm.e[i], ratio);
-            es[i] = self.add_matrices(am.e[i], be);
-        }
-        let r = self.make_mnode(am.level, es);
-        self.compute.insert_add_m(an, bn, ratio, r);
+        let es = std::array::from_fn(|i| {
+            let be = self.weighted(bm.e[i].n, self.weight(bm.e[i].w) * ratio);
+            self.add_m(self.lazy_m(am.e[i]), be)
+        });
+        let r = self.make_mnode_lazy(am.level, es);
+        self.compute.add_m.insert(key, hash, r);
         r
     }
 
@@ -421,19 +511,36 @@ impl DdPackage {
     /// DD-based simulation (done DFS-style with the operation cache, as
     /// described in Section 2.2).
     pub fn mul_mv(&self, m: MEdge, v: VEdge) -> VEdge {
-        let w = self.ct.mul(m.w, v.w);
-        if w.is_zero() {
-            return VEdge::ZERO;
-        }
-        if m.is_terminal() {
-            debug_assert!(v.is_terminal());
-            return VEdge::terminal(w);
-        }
-        let r = self.mul_mv_rec(m.n, v.n);
-        self.scale_v(r, w)
+        self.intern_v(self.mul_mv_edge(m, self.lazy_v(v), self.m_level(m)))
     }
 
-    pub(crate) fn mul_mv_rec(&self, mn: u32, vn: u32) -> VEdge {
+    /// The part of `m * v` that needs no recursion. `level` is the level of
+    /// `m`'s node.
+    #[inline(always)]
+    pub(crate) fn mul_mv_prologue(&self, m: MEdge, v: Lazy, level: u8) -> Product {
+        let Some(w) = self.product_weight(m.w, v.w) else {
+            return Product::Done(Lazy::ZERO);
+        };
+        if m.is_terminal() {
+            debug_assert_eq!(v.n, TERM);
+            return Product::Done(Lazy { n: TERM, w });
+        }
+        // I_l * v = v: decided on the node id alone.
+        if m.n == self.identity_at(level) {
+            return Product::Done(Lazy { n: v.n, w });
+        }
+        Product::Nodes(w)
+    }
+
+    #[inline(always)]
+    fn mul_mv_edge(&self, m: MEdge, v: Lazy, level: u8) -> Lazy {
+        match self.mul_mv_prologue(m, v, level) {
+            Product::Done(e) => e,
+            Product::Nodes(w) => self.scaled(self.mul_mv_rec(m.n, v.n), w),
+        }
+    }
+
+    pub(crate) fn mul_mv_rec(&self, mn: u32, vn: u32) -> Lazy {
         debug_assert_ne!(mn, TERM);
         debug_assert_ne!(vn, TERM);
         if let Some(hit) = self.compute.lookup_mv(mn, vn) {
@@ -442,14 +549,14 @@ impl DdPackage {
         let mnode = *self.m.get(mn);
         let vnode = *self.v.get(vn);
         debug_assert_eq!(mnode.level, vnode.level);
-        let mut es = [VEdge::ZERO; 2];
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..2 {
-            let p0 = self.mul_mv(mnode.e[2 * i], vnode.e[0]);
-            let p1 = self.mul_mv(mnode.e[2 * i + 1], vnode.e[1]);
-            es[i] = self.add_vectors(p0, p1);
-        }
-        let r = self.make_vnode(mnode.level, es);
+        let below = mnode.level.wrapping_sub(1);
+        let ve = [self.lazy_v(vnode.e[0]), self.lazy_v(vnode.e[1])];
+        let es = std::array::from_fn(|i| {
+            let p0 = self.mul_mv_edge(mnode.e[2 * i], ve[0], below);
+            let p1 = self.mul_mv_edge(mnode.e[2 * i + 1], ve[1], below);
+            self.add_v(p0, p1)
+        });
+        let r = self.make_vnode_lazy(mnode.level, es);
         self.compute.insert_mv(mn, vn, r);
         r
     }
@@ -458,37 +565,49 @@ impl DdPackage {
 
     /// Multiplies two matrix DDs: `a * b` (apply `b` first, then `a`).
     pub fn mul_mm(&self, a: MEdge, b: MEdge) -> MEdge {
-        let w = self.ct.mul(a.w, b.w);
-        if w.is_zero() {
-            return MEdge::ZERO;
-        }
-        if a.is_terminal() {
-            debug_assert!(b.is_terminal());
-            return MEdge::terminal(w);
-        }
-        let r = self.mul_mm_rec(a.n, b.n);
-        self.scale_m(r, w)
+        self.intern_m(self.mul_mm_edge(a, self.lazy_m(b), self.m_level(a)))
     }
 
-    fn mul_mm_rec(&self, an: u32, bn: u32) -> MEdge {
+    fn mul_mm_edge(&self, a: MEdge, b: Lazy, level: u8) -> Lazy {
+        let Some(w) = self.product_weight(a.w, b.w) else {
+            return Lazy::ZERO;
+        };
+        if a.is_terminal() {
+            debug_assert_eq!(b.n, TERM);
+            return Lazy { n: TERM, w };
+        }
+        // I_l * b = b and a * I_l = a, decided on the node ids alone.
+        let identity = self.identity_at(level);
+        if a.n == identity {
+            return Lazy { n: b.n, w };
+        }
+        if b.n == identity {
+            return Lazy { n: a.n, w };
+        }
+        self.scaled(self.mul_mm_rec(a.n, b.n), w)
+    }
+
+    fn mul_mm_rec(&self, an: u32, bn: u32) -> Lazy {
         debug_assert_ne!(an, TERM);
         debug_assert_ne!(bn, TERM);
-        if let Some(hit) = self.compute.lookup_mm(an, bn) {
+        let key = [pack_u32s(an, bn)];
+        let hash = hash_pair(an as u64, bn as u64);
+        if let Some(hit) = self.compute.mm.lookup(key, hash) {
             return hit;
         }
         let am = *self.m.get(an);
         let bm = *self.m.get(bn);
         debug_assert_eq!(am.level, bm.level);
-        let mut es = [MEdge::ZERO; 4];
-        for i in 0..2 {
-            for j in 0..2 {
-                let p0 = self.mul_mm(am.e[2 * i], bm.e[j]);
-                let p1 = self.mul_mm(am.e[2 * i + 1], bm.e[2 + j]);
-                es[2 * i + j] = self.add_matrices(p0, p1);
-            }
-        }
-        let r = self.make_mnode(am.level, es);
-        self.compute.insert_mm(an, bn, r);
+        let below = am.level.wrapping_sub(1);
+        let be: [Lazy; 4] = std::array::from_fn(|k| self.lazy_m(bm.e[k]));
+        let es = std::array::from_fn(|k| {
+            let (i, j) = (k / 2, k % 2);
+            let p0 = self.mul_mm_edge(am.e[2 * i], be[j], below);
+            let p1 = self.mul_mm_edge(am.e[2 * i + 1], be[2 + j], below);
+            self.add_m(p0, p1)
+        });
+        let r = self.make_mnode_lazy(am.level, es);
+        self.compute.mm.insert(key, hash, r);
         r
     }
 
@@ -658,15 +777,123 @@ mod tests {
 
     #[test]
     fn mm_with_identity_is_identity_op() {
+        // I * g = g * I = g, decided on the identity node's id: the edge
+        // itself comes back and the `mm` table is never probed.
         let p = DdPackage::default();
+        let n = 10;
         let g = Gate::controlled(GateKind::RY(0.4), 2, vec![Control::pos(0)]);
-        let e = p.gate_dd(&g, 3);
-        let id = p.identity_dd(3);
-        let left = p.mul_mm(id, e);
-        let right = p.mul_mm(e, id);
-        let want = p.matrix_to_dense(e, 3);
-        assert!(close(&p.matrix_to_dense(left, 3), &want));
-        assert!(close(&p.matrix_to_dense(right, 3), &want));
+        let e = p.gate_dd(&g, n);
+        let id = p.identity_dd(n);
+        let before = p.compute_stats();
+        assert_eq!(p.mul_mm(id, e), e);
+        assert_eq!(p.mul_mm(e, id), e);
+        assert_eq!(p.compute_stats().mm_lookups, before.mm_lookups);
+        // Below the gate's lowest qubit only: the product recurses through
+        // the levels the factors touch and stops at the identity under them.
+        let h = p.gate_dd(&Gate::new(GateKind::H, 7), n);
+        let prod = p.mul_mm(h, e);
+        assert!(p.compute_stats().mm_lookups - before.mm_lookups <= n as u64);
+        let (m1, m2) = (dense::gate_matrix(n, &h_gate(7)), dense::gate_matrix(n, &g));
+        assert!(close(
+            &p.matrix_to_dense(prod, n),
+            &dense::mat_mul(&m1, &m2, 1 << n)
+        ));
+    }
+
+    fn h_gate(q: usize) -> Gate {
+        Gate::new(GateKind::H, q)
+    }
+
+    /// A saturated state: `2^n - 1` nodes, no two sub-vectors alike.
+    fn saturated(p: &DdPackage, n: usize, seed: u64) -> (Vec<Complex64>, VEdge) {
+        let v = rand_vec(n, seed);
+        let e = p.vector_from_slice(&v);
+        assert_eq!(p.vector_dd_size(e), (1 << n) - 1);
+        (v, e)
+    }
+
+    #[test]
+    fn weights_are_interned_only_where_a_node_stores_them() {
+        // Every value a multiply adds to the complex table is one of the two
+        // weights of a vector node it created, or the top weight it hands
+        // back (interning every intermediate product, sum and ratio read
+        // ~9 per node).
+        let p = DdPackage::default();
+        let n = 10;
+        let (_, mut s) = saturated(&p, n, 11);
+        for q in 0..n {
+            let g = p.gate_dd(&h_gate(q), n);
+            let before = p.stats();
+            s = p.mul_mv(g, s);
+            let after = p.stats();
+            let nodes = after.v_nodes - before.v_nodes;
+            let values = after.complex_values - before.complex_values;
+            assert!(nodes > 0, "H on qubit {q} rebuilt nothing");
+            assert!(
+                values <= 2 * nodes + 1,
+                "H on qubit {q}: {values} values interned for {nodes} new nodes"
+            );
+        }
+    }
+
+    #[test]
+    fn gates_on_the_top_qubits_do_not_walk_the_state() {
+        // Under the gate's lowest qubit the gate DD is the identity, which
+        // the recursion recognizes by node id: the state's 2^n - 1 nodes are
+        // neither visited nor probed for.
+        let p = DdPackage::default();
+        let n = 10;
+        let (v, s) = saturated(&p, n, 12);
+        for g in [
+            Gate::new(GateKind::T, n - 1),
+            Gate::controlled(GateKind::Z, n - 1, vec![Control::pos(n - 2)]),
+        ] {
+            let gd = p.gate_dd(&g, n);
+            let before = p.compute_stats();
+            let r = p.mul_mv(gd, s);
+            let probes = p.compute_stats().mv_lookups - before.mv_lookups;
+            assert!(probes <= n as u64, "gate {g}: {probes} mv probes");
+            let mut want = v.clone();
+            dense::apply_gate(&mut want, &g);
+            assert!(close(&p.vector_to_array(r, n), &want), "gate {g}");
+        }
+        // The identity itself hands the state edge back.
+        assert_eq!(p.mul_mv(p.identity_dd(n), s), s);
+    }
+
+    #[test]
+    fn add_factors_out_the_heavier_operand() {
+        let n = 6;
+        let (a, b) = (rand_vec(n, 21), rand_vec(n, 22));
+        for scale in [1e12, 1e-12, 3.0, 1.0 / 3.0] {
+            let p = DdPackage::default();
+            let b: Vec<Complex64> = b.iter().map(|&x| x * scale).collect();
+            let (ea, eb) = (p.vector_from_slice(&a), p.vector_from_slice(&b));
+            let want: Vec<Complex64> = a.iter().zip(&b).map(|(&x, &y)| x + y).collect();
+            let size = want.iter().map(|x| x.abs()).fold(0.0, f64::max);
+            let before = p.compute_stats();
+            let ab = p.add_vectors(ea, eb);
+            let first = p.compute_stats();
+            let ba = p.add_vectors(eb, ea);
+            let second = p.compute_stats();
+            assert_eq!(ab, ba, "scale {scale}");
+            let got = p.vector_to_array(ab, n);
+            let err = got.iter().zip(&want).map(|(&x, &y)| (x - y).abs());
+            assert!(err.fold(0.0, f64::max) <= 1e-9 * size, "scale {scale}");
+            if !(1e-6..=1e6).contains(&scale) {
+                // The ratio is below the tolerance whichever operand comes
+                // first (factoring the lighter one out would put 1e22 on the
+                // key grid): the sum is the heavier operand, no recursion.
+                assert_eq!(ab.n, if scale > 1.0 { eb.n } else { ea.n });
+                assert_eq!(second.add_lookups, before.add_lookups);
+            } else {
+                // `a + b` and `b + a` are one entry: the second order is
+                // answered by the root probe.
+                assert!(first.add_lookups > before.add_lookups);
+                assert_eq!(second.add_lookups, first.add_lookups + 1);
+                assert_eq!(second.add_hits, first.add_hits + 1);
+            }
+        }
     }
 
     #[test]
@@ -736,13 +963,18 @@ mod tests {
         assert!(close(&got, &want));
     }
 
-    #[test]
-    fn concurrent_cache_hits_are_exact_key_matches() {
-        // Hammer one ConcurrentMap from 8 threads with keys whose correct
-        // value is derivable from the key; every hit must satisfy that
-        // relation (a torn read would violate it).
-        let map = ConcurrentMap::new(6); // tiny: maximal slot contention
-        let f = |k: u64| k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xABCD;
+    /// Hammers one `ConcurrentMap<K>` from 8 threads with keys whose correct
+    /// `(node, re, im)` is derivable from the key; every hit must satisfy
+    /// that relation in all three words (a torn read would violate it).
+    fn hammer<const K: usize>() {
+        let map = ConcurrentMap::<K>::new(6); // tiny: maximal slot contention
+        let f = |key: [u64; K]| {
+            let k = key.iter().fold(0u64, |h, &w| hash_pair(h, w));
+            Lazy {
+                n: k as u32,
+                w: Complex64::new((k >> 11) as f64, -((k >> 40) as f64)),
+            }
+        };
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let map = &map;
@@ -752,17 +984,12 @@ mod tests {
                         x ^= x << 13;
                         x ^= x >> 7;
                         x ^= x << 17;
-                        let k0 = x & 0xFFFF;
-                        let k1 = (x >> 16) & 0xFFFF;
-                        let hash = hash_pair(k0, k1);
-                        if let Some(v) = map.lookup(k0, k1, hash) {
-                            assert_eq!(
-                                v,
-                                f(k0 ^ k1),
-                                "cache hit returned a value not stored with this key"
-                            );
+                        let key: [u64; K] = std::array::from_fn(|i| (x >> (8 * i)) & 0xFF);
+                        let hash = key.iter().fold(0, |h, &w| hash_pair(h, w));
+                        if let Some(v) = map.lookup(key, hash) {
+                            assert_eq!(v, f(key), "hit returned a value not stored with its key");
                         } else {
-                            map.insert(k0, k1, hash, f(k0 ^ k1));
+                            map.insert(key, hash, f(key));
                         }
                     }
                 });
@@ -770,6 +997,15 @@ mod tests {
         });
         // The cache saw real traffic.
         assert!(map.lookups.load(Ordering::Relaxed) >= 8 * 200_000);
+        assert!(map.hits.load(Ordering::Relaxed) > 0);
+    }
+
+    #[test]
+    fn concurrent_cache_hits_are_exact_key_matches() {
+        assert_eq!(std::mem::size_of::<CacheSlot<1>>(), 32);
+        assert_eq!(std::mem::size_of::<CacheSlot<3>>(), 48);
+        hammer::<1>(); // mv / mm
+        hammer::<3>(); // add_v / add_m
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::ctable::{CIdx, ComplexTable};
 use crate::fxhash::hash_u64;
-use crate::node::{MEdge, MNode, NodeArena, VEdge, VNode, TERM};
+use crate::node::{Lazy, MEdge, MNode, NodeArena, VEdge, VNode, TERM};
 use crate::ops::ComputeTables;
 use parking_lot::Mutex;
 use qcircuit::{Complex64, Gate, Mat2};
@@ -137,8 +137,18 @@ pub struct DdPackage {
     pub(crate) v: NodeArena<VNode>,
     pub(crate) m: NodeArena<MNode>,
     pub(crate) compute: ComputeTables,
+    /// `1 / tolerance`: steps per unit of the grid addition-cache keys
+    /// round their ratio to.
+    pub(crate) inv_tol: f64,
     /// Cached identity chains: `id_cache[l]` = identity DD over levels `0..l`.
     id_cache: Mutex<Vec<MEdge>>,
+    /// `id_nodes[l]` = id of the identity node at level `l` (top node of
+    /// `id_cache[l + 1]`), [`TERM`] until built: the lock-free view of the
+    /// chain the multiply recursions and DMAV plan compilation compare node
+    /// ids against. `Relaxed` on both sides — a reader only compares the id
+    /// with one it already holds (never follows it), and a reader that still
+    /// sees `TERM` merely skips the short-circuit.
+    id_nodes: [AtomicU32; 256],
     gate_memo: GateMemo,
     /// Calls of [`Self::stats`] so far (see [`Self::stats_reads`]).
     stats_reads: AtomicU64,
@@ -172,7 +182,9 @@ impl DdPackage {
             v: NodeArena::default(),
             m: NodeArena::default(),
             compute: ComputeTables::default(),
+            inv_tol: 1.0 / tolerance,
             id_cache: Mutex::new(vec![MEdge::terminal(CIdx::ONE)]),
+            id_nodes: std::array::from_fn(|_| AtomicU32::new(TERM)),
             gate_memo: GateMemo::new(),
             stats_reads: AtomicU64::new(0),
             stamp: AtomicU32::new(0),
@@ -227,44 +239,63 @@ impl DdPackage {
     /// outgoing weights get 2-norm 1 with the first non-zero weight real
     /// positive; the extracted factor becomes the returned edge weight.
     pub fn make_vnode(&self, level: u8, e: [VEdge; 2]) -> VEdge {
-        let z0 = e[0].is_zero();
-        let z1 = e[1].is_zero();
-        if z0 && z1 {
-            return VEdge::ZERO;
+        self.intern_v(self.make_vnode_lazy(level, e.map(|e| self.lazy_v(e))))
+    }
+
+    /// [`Self::make_vnode`] on lazy edges: interns the two weights the node
+    /// stores and returns the factor as it is.
+    pub(crate) fn make_vnode_lazy(&self, level: u8, e: [Lazy; 2]) -> Lazy {
+        // One live child: the node is (1, 0) / (0, 1) and the child's
+        // weight passes up unchanged.
+        let one_child = |i: usize| {
+            let mut edges = [VEdge::ZERO; 2];
+            edges[i] = VEdge {
+                n: e[i].n,
+                w: CIdx::ONE,
+            };
+            Lazy {
+                n: self.v.get_or_insert(VNode { level, e: edges }),
+                w: e[i].w,
+            }
+        };
+        match (e[0].is_zero(), e[1].is_zero()) {
+            (true, true) => return Lazy::ZERO,
+            (false, true) => return one_child(0),
+            (true, false) => return one_child(1),
+            (false, false) => {}
         }
-        let w0 = self.ct.get(e[0].w);
-        let w1 = self.ct.get(e[1].w);
+        let (w0, w1) = (e[0].w, e[1].w);
+        let tol = self.ct.tolerance();
         let norm = (w0.norm_sqr() + w1.norm_sqr()).sqrt();
-        // Phase reference: first non-zero weight becomes real positive.
-        let (nw0, nw1, factor);
-        if !z0 {
-            let mag0 = w0.abs();
-            factor = w0 * (norm / mag0);
-            nw0 = Complex64::real(mag0 / norm);
-            nw1 = if z1 { Complex64::ZERO } else { w1 / factor };
-        } else {
-            let mag1 = w1.abs();
-            factor = w1 * (norm / mag1);
-            nw0 = Complex64::ZERO;
-            nw1 = Complex64::real(mag1 / norm);
+        // Phase reference: the first weight becomes real positive. A child
+        // whose normalized weight would intern as zero is a zero edge, so
+        // the node is the one-child node of the other.
+        let mag0 = w0.abs();
+        let nw0 = mag0 / norm;
+        if nw0 <= tol {
+            return one_child(1);
+        }
+        let factor = w0 * (norm / mag0);
+        let nw1 = w1 / factor;
+        if nw1.approx_zero(tol) {
+            return one_child(0);
         }
         let node = VNode {
             level,
             e: [
                 VEdge {
-                    n: if z0 { TERM } else { e[0].n },
-                    w: self.ct.lookup(nw0),
+                    n: e[0].n,
+                    w: self.ct.lookup(Complex64::real(nw0)),
                 },
                 VEdge {
-                    n: if z1 { TERM } else { e[1].n },
+                    n: e[1].n,
                     w: self.ct.lookup(nw1),
                 },
             ],
         };
-        let id = self.v.get_or_insert(node);
-        VEdge {
-            n: id,
-            w: self.ct.lookup(factor),
+        Lazy {
+            n: self.v.get_or_insert(node),
+            w: factor,
         }
     }
 
@@ -272,29 +303,28 @@ impl DdPackage {
     /// weights are divided by the first maximum-magnitude weight, which
     /// becomes the returned edge weight (cf. Figure 2a of the paper).
     pub fn make_mnode(&self, level: u8, e: [MEdge; 4]) -> MEdge {
-        let ws: [Complex64; 4] = [
-            self.ct.get(e[0].w),
-            self.ct.get(e[1].w),
-            self.ct.get(e[2].w),
-            self.ct.get(e[3].w),
-        ];
+        self.intern_m(self.make_mnode_lazy(level, e.map(|e| self.lazy_m(e))))
+    }
+
+    /// [`Self::make_mnode`] on lazy edges: interns the (up to three) weights
+    /// the node stores beside the unit one and returns the factor as it is.
+    pub(crate) fn make_mnode_lazy(&self, level: u8, e: [Lazy; 4]) -> Lazy {
         let mut k = usize::MAX;
         let mut best = 0.0f64;
         let tol = self.ct.tolerance();
-        for (i, w) in ws.iter().enumerate() {
-            let mag = w.norm_sqr();
+        for (i, edge) in e.iter().enumerate() {
+            let mag = edge.w.norm_sqr();
             if mag > best * (1.0 + tol) && mag > 0.0 {
                 best = mag;
                 k = i;
             }
         }
         if k == usize::MAX {
-            return MEdge::ZERO;
+            return Lazy::ZERO;
         }
-        let factor = ws[k];
-        let mut ne = [MEdge::ZERO; 4];
-        for i in 0..4 {
-            ne[i] = if e[i].is_zero() {
+        let factor = e[k].w;
+        let ne = std::array::from_fn(|i| {
+            if e[i].is_zero() {
                 MEdge::ZERO
             } else if i == k {
                 MEdge {
@@ -302,18 +332,15 @@ impl DdPackage {
                     w: CIdx::ONE,
                 }
             } else {
-                let w = self.ct.lookup(ws[i] / factor);
-                if w.is_zero() {
-                    MEdge::ZERO
-                } else {
-                    MEdge { n: e[i].n, w }
+                match self.ct.lookup(e[i].w / factor) {
+                    w if w.is_zero() => MEdge::ZERO,
+                    w => MEdge { n: e[i].n, w },
                 }
-            };
-        }
-        let id = self.m.get_or_insert(MNode { level, e: ne });
-        MEdge {
-            n: id,
-            w: self.ct.lookup(factor),
+            }
+        });
+        Lazy {
+            n: self.m.get_or_insert(MNode { level, e: ne }),
+            w: factor,
         }
     }
 
@@ -436,23 +463,35 @@ impl DdPackage {
         let mut cache = self.id_cache.lock();
         while cache.len() <= l {
             let prev = *cache.last().unwrap();
-            let level = (cache.len() - 1) as u8;
-            let e = self.make_mnode(level, [prev, MEdge::ZERO, MEdge::ZERO, prev]);
+            let level = cache.len() - 1;
+            let e = self.make_mnode(level as u8, [prev, MEdge::ZERO, MEdge::ZERO, prev]);
+            self.id_nodes[level].store(e.n, Ordering::Relaxed);
             cache.push(e);
         }
         cache[l]
     }
 
-    /// Snapshot of the identity chain under one lock: entry `l` is the id of
-    /// the identity node at level `l` (the node of the identity DD over
-    /// levels `0..=l`), for as many of the levels `0..n` as have been built
-    /// (all of them once [`Self::gate_dd`] ran for `n`). Because node
-    /// construction is canonical, *any* sub-DD equal to a scalar times the
-    /// identity points at exactly these nodes — what DMAV plan compilation
+    /// Id of the identity node at `level`, [`TERM`] while the chain has not
+    /// been built that far. Because node construction is canonical, *any*
+    /// sub-DD equal to a scalar times the identity points at exactly this
+    /// node.
+    #[inline(always)]
+    pub(crate) fn identity_at(&self, level: u8) -> u32 {
+        self.id_nodes[level as usize].load(Ordering::Relaxed)
+    }
+
+    /// Snapshot of the identity chain: entry `l` is the id of the identity
+    /// node at level `l` (the node of the identity DD over levels `0..=l`),
+    /// for as many of the levels `0..n` as have been built (all of them once
+    /// [`Self::gate_dd`] ran for `n`) — what DMAV plan compilation
     /// classifies nodes against.
     pub fn identity_node_ids(&self, n: usize) -> Vec<u32> {
-        let cache = self.id_cache.lock();
-        cache.iter().skip(1).take(n).map(|e| e.n).collect()
+        self.id_nodes
+            .iter()
+            .take(n)
+            .map(|id| id.load(Ordering::Relaxed))
+            .take_while(|&id| id != TERM)
+            .collect()
     }
 
     /// The `2^n x 2^n` matrix DD of a gate (single-qubit unitary with
@@ -880,9 +919,15 @@ mod tests {
         }
         let want = p.vector_to_array(s, 6);
         let before = p.stats().memory_bytes;
+        let probes = p.compute_stats().mv_lookups;
         let released = p.flush_caches();
         assert!(released > 0, "shrinking the compute tables must free bytes");
         assert!(p.stats().memory_bytes < before);
+        assert_eq!(
+            p.compute_stats().mv_lookups,
+            probes,
+            "the counters outlive the slot arrays (run stats are differences)"
+        );
         // The package still computes correctly with cold, smaller caches.
         for g in c.iter() {
             let m = p.gate_dd(g, 6);
@@ -953,6 +998,35 @@ mod tests {
         let eb = p.vector_from_slice(&b);
         assert_eq!(ea.n, eb.n, "scaled vectors must share the node");
         assert!(p.cval(eb.w).approx_eq(p.cval(ea.w) * w, TOL));
+    }
+
+    #[test]
+    fn negligible_child_is_the_canonical_zero_edge() {
+        // A non-zero child weight that normalizes to within tolerance of
+        // zero is flushed to the zero edge, node id included: the node is
+        // the one built without that child (keeping the id stored a
+        // non-canonical zero edge that defeated sharing and kept the dead
+        // subtree reachable).
+        let p = DdPackage::default();
+        let (a, b) = (p.basis_state(3, 2), p.basis_state(3, 5));
+        let (big, small) = (
+            p.clookup(Complex64::new(0.0, 1e4)),
+            p.clookup(Complex64::real(1e-9)),
+        );
+        let second_negligible = p.make_vnode(3, [a.with_weight(big), b.with_weight(small)]);
+        assert_eq!(
+            second_negligible,
+            p.make_vnode(3, [a.with_weight(big), VEdge::ZERO])
+        );
+        assert_eq!(p.v_node(second_negligible.n).e[1], VEdge::ZERO);
+        let first_negligible = p.make_vnode(3, [a.with_weight(small), b.with_weight(big)]);
+        assert_eq!(
+            first_negligible,
+            p.make_vnode(3, [VEdge::ZERO, b.with_weight(big)])
+        );
+        assert_eq!(p.v_node(first_negligible.n).e[0], VEdge::ZERO);
+        // The phase reference is the surviving child, not the flushed one.
+        assert_eq!(first_negligible.w, big);
     }
 
     #[test]

@@ -8,27 +8,29 @@
 //! leaves as ordinary sequential recursions over the shared concurrent
 //! package, and then folds the split nodes bottom-up level by level. Every
 //! arithmetic step performs *exactly* the operations of the sequential
-//! recursion — same additions, same normalizations, same cache keys — so
-//! results agree with the single-threaded path up to the interning of
-//! freshly created weights.
+//! recursion — same prologue (`DdPackage::mul_mv_prologue`), same
+//! additions, same normalizations, same cache keys — so results agree with
+//! the single-threaded path up to the interning order of the weights the
+//! new nodes store.
 
-use crate::ctable::CIdx;
 use crate::fxhash::FxHashMap;
-use crate::node::{MEdge, VEdge};
-use crate::ops::{pack_vedge, unpack_vedge};
+use crate::node::{Lazy, MEdge, VEdge};
+use crate::ops::Product;
 use crate::package::DdPackage;
 pub use qarray::pool::ThreadPool;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use qcircuit::Complex64;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 // ---- parallel matrix-vector multiply ---------------------------------------
 
 /// One child multiplication of a split node.
 #[derive(Clone, Copy)]
 enum Kid {
-    /// Resolved during graph construction (zero product or terminal).
-    Done(VEdge),
-    /// `scale_v(result(task), w)` once the task has run.
-    Task { idx: u32, w: CIdx },
+    /// Resolved during graph construction (zero, terminal or identity).
+    Done(Lazy),
+    /// `w * result(task)` once the task has run.
+    Task { idx: u32, w: Complex64 },
 }
 
 enum TaskKind {
@@ -47,8 +49,11 @@ struct Task {
     vn: u32,
     depth: u32,
     kind: TaskKind,
-    /// Packed [`VEdge`] result, written once by the executing worker.
-    result: AtomicU64,
+    /// The product, set once: at build time for a resolved task, else by
+    /// the one worker that runs the task. A split reads its kids' cells only
+    /// in a later round — the pool barrier between rounds orders the `set`
+    /// before the `get`, and the cell's own release/acquire publishes it.
+    result: OnceLock<Lazy>,
 }
 
 struct Graph {
@@ -74,53 +79,35 @@ impl Graph {
         if let Some(&i) = self.memo.get(&(mn, vn)) {
             return i;
         }
+        let task = |kind, result| Task {
+            mn,
+            vn,
+            depth,
+            kind,
+            result,
+        };
         let idx = if let Some(hit) = pkg.compute.lookup_mv(mn, vn) {
-            self.push(Task {
-                mn,
-                vn,
-                depth,
-                kind: TaskKind::Resolved,
-                result: AtomicU64::new(pack_vedge(hit)),
-            })
+            self.push(task(TaskKind::Resolved, OnceLock::from(hit)))
         } else if depth >= split_below {
-            self.push(Task {
-                mn,
-                vn,
-                depth,
-                kind: TaskKind::Leaf,
-                result: AtomicU64::new(0),
-            })
+            self.push(task(TaskKind::Leaf, OnceLock::new()))
         } else {
             let mnode = *pkg.m_node(mn);
             let vnode = *pkg.v_node(vn);
-            let mut kids = [Kid::Done(VEdge::ZERO); 4];
-            for i in 0..2 {
-                for j in 0..2 {
-                    let me = mnode.e[2 * i + j];
-                    let ve = vnode.e[j];
-                    // Mirror of the sequential `mul_mv` prologue.
-                    let w = pkg.ct.mul(me.w, ve.w);
-                    kids[2 * i + j] = if w.is_zero() {
-                        Kid::Done(VEdge::ZERO)
-                    } else if me.is_terminal() {
-                        Kid::Done(VEdge::terminal(w))
-                    } else {
-                        let child = self.visit(pkg, me.n, ve.n, depth + 1, split_below);
-                        Kid::Task { idx: child, w }
-                    };
-                }
+            let below = mnode.level.wrapping_sub(1);
+            let mut kids = [Kid::Done(Lazy::ZERO); 4];
+            for (k, kid) in kids.iter_mut().enumerate() {
+                let (me, ve) = (mnode.e[k], vnode.e[k % 2]);
+                *kid = match pkg.mul_mv_prologue(me, pkg.lazy_v(ve), below) {
+                    Product::Done(e) => Kid::Done(e),
+                    Product::Nodes(w) => Kid::Task {
+                        idx: self.visit(pkg, me.n, ve.n, depth + 1, split_below),
+                        w,
+                    },
+                };
             }
             self.max_split_depth = self.max_split_depth.max(depth);
-            self.push(Task {
-                mn,
-                vn,
-                depth,
-                kind: TaskKind::Split {
-                    level: mnode.level,
-                    kids,
-                },
-                result: AtomicU64::new(0),
-            })
+            let level = mnode.level;
+            self.push(task(TaskKind::Split { level, kids }, OnceLock::new()))
         };
         self.memo.insert((mn, vn), idx);
         idx
@@ -129,6 +116,14 @@ impl Graph {
     fn push(&mut self, t: Task) -> u32 {
         self.tasks.push(t);
         (self.tasks.len() - 1) as u32
+    }
+
+    /// Product of a task that ran in an earlier round.
+    fn result(&self, idx: u32) -> Lazy {
+        *self.tasks[idx as usize]
+            .result
+            .get()
+            .expect("a task's kids ran in an earlier round")
     }
 }
 
@@ -161,7 +156,7 @@ impl DdPackage {
     /// Performs the same arithmetic (and feeds the same operation-cache
     /// entries) as the sequential multiply, so a 1-thread run is bit-for-bit
     /// identical and a t-thread run differs at most by the tolerance-bounded
-    /// interning order of freshly created weights.
+    /// interning order of the weights new nodes store.
     pub fn mul_mv_parallel(&self, pool: &ThreadPool, m: MEdge, v: VEdge) -> VEdge {
         self.mul_mv_parallel_capped(pool, m, v, pool.size())
     }
@@ -183,22 +178,17 @@ impl DdPackage {
         if t <= 1 {
             return self.mul_mv(m, v);
         }
-        let w = self.ct.mul(m.w, v.w);
-        if w.is_zero() {
-            return VEdge::ZERO;
-        }
-        if m.is_terminal() {
-            debug_assert!(v.is_terminal());
-            return VEdge::terminal(w);
-        }
+        let w = match self.mul_mv_prologue(m, self.lazy_v(v), self.m_level(m)) {
+            Product::Done(e) => return self.intern_v(e),
+            Product::Nodes(w) => w,
+        };
         // Split the top k levels: ~4^k potential leaves bound the frontier,
         // but structural sharing usually collapses that to a few times the
         // worker count — enough slack to balance uneven subtrees.
         let split_below = t.trailing_zeros() + 2;
         let (graph, root) = Graph::build(self, m.n, v.n, split_below);
         self.execute(pool, &graph);
-        let r = unpack_vedge(graph.tasks[root as usize].result.load(Ordering::Relaxed));
-        self.scale_v(r, w)
+        self.intern_v(self.scaled(graph.result(root), w))
     }
 
     /// Runs the graph: all leaves first (they are mutually independent),
@@ -245,24 +235,20 @@ impl DdPackage {
             TaskKind::Split { level, kids } => {
                 let kid = |k: &Kid| match *k {
                     Kid::Done(e) => e,
-                    Kid::Task { idx, w } => {
-                        let sub =
-                            unpack_vedge(graph.tasks[idx as usize].result.load(Ordering::Relaxed));
-                        self.scale_v(sub, w)
-                    }
+                    Kid::Task { idx, w } => self.scaled(graph.result(idx), w),
                 };
                 let es = [
-                    self.add_vectors(kid(&kids[0]), kid(&kids[1])),
-                    self.add_vectors(kid(&kids[2]), kid(&kids[3])),
+                    self.add_v(kid(&kids[0]), kid(&kids[1])),
+                    self.add_v(kid(&kids[2]), kid(&kids[3])),
                 ];
-                let r = self.make_vnode(*level, es);
+                let r = self.make_vnode_lazy(*level, es);
                 // Feed the operation cache exactly like the sequential
                 // recursion, so later gates hit it either way.
                 self.compute.insert_mv(t.mn, t.vn, r);
                 r
             }
         };
-        t.result.store(pack_vedge(r), Ordering::Relaxed);
+        t.result.set(r).expect("a task runs once");
     }
 
     /// Parallel [`Self::apply_gate`]: builds the gate DD (cheap, sequential)
@@ -336,6 +322,36 @@ mod tests {
                     "threads={threads} seed={seed}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn four_thread_graph_publishes_every_task_result() {
+        // The result cells of the task graph: every task of a 4-thread
+        // multiply of a saturated state ends with its product set, splits
+        // read their kids' cells a round later, and the root agrees with the
+        // sequential recursion on a package of its own.
+        let pool = ThreadPool::new(4);
+        let n = 9;
+        let v: Vec<Complex64> = (0..1 << n)
+            .map(|i| Complex64::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
+            .collect();
+        for q in [0, 3, 5] {
+            let g = qcircuit::Gate::new(qcircuit::gate::GateKind::H, q);
+            let (par, seq) = (DdPackage::default(), DdPackage::default());
+            let (m, s) = (par.gate_dd(&g, n), par.vector_from_slice(&v));
+            let (graph, root) = Graph::build(&par, m.n, s.n, 4);
+            par.execute(&pool, &graph);
+            assert!(graph.tasks.len() > 4, "qubit {q}: nothing was split");
+            assert!(graph.tasks.iter().all(|t| t.result.get().is_some()));
+            let got = par.scaled(graph.result(root), par.cval(m.w) * par.cval(s.w));
+            let got = par.vector_to_array(par.intern_v(got), n);
+            let want = seq.mul_mv(seq.gate_dd(&g, n), seq.vector_from_slice(&v));
+            let want = seq.vector_to_array(want, n);
+            assert!(
+                qcircuit::complex::state_distance(&got, &want) < 1e-12,
+                "qubit {q}"
+            );
         }
     }
 

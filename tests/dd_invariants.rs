@@ -2,7 +2,7 @@
 //! canonical and exact under everything the FlatDD pipeline does to it —
 //! multiplication chains, fusion products, GC, conversion, cost analysis.
 
-use flatdd::{CostModel, ThreadPool};
+use flatdd::{ConversionPolicy, CostModel, FlatDdConfig, FlatDdSimulator, ThreadPool};
 use qcircuit::complex::state_distance;
 use qcircuit::gate::{Control, Gate, GateKind};
 use qcircuit::{dense, generators, Complex64};
@@ -168,5 +168,36 @@ fn package_stats_monotone_peaks() {
         assert!(s.peak_v_nodes >= prev_peak);
         prev_peak = s.peak_v_nodes;
         assert!(s.v_nodes <= s.peak_v_nodes);
+    }
+}
+
+#[test]
+fn dd_phase_interns_a_weight_only_where_a_node_stores_it() {
+    // A run pinned to the DD phase on a state that saturates at 4095 nodes:
+    // the complex table ends with the weights nodes stored, not with every
+    // product, sum and ratio the 176 multiplies went through. Instances of
+    // `supremacy_n(12, 10, _)` end between 112 k and 297 k values (484 k to
+    // 1152 k when every intermediate was interned; the generator's stream
+    // depends on the `rand` in use, so the bound is not one instance's).
+    for seed in 1..=3 {
+        let c = generators::supremacy_n(12, 10, seed);
+        let cfg = FlatDdConfig {
+            conversion: ConversionPolicy::Never,
+            threads: 1,
+            dd_threads: 1,
+            ..Default::default()
+        };
+        let mut sim = FlatDdSimulator::try_new(12, cfg).unwrap();
+        sim.run(&c).unwrap();
+        let stats = sim.package().stats();
+        assert!(
+            stats.peak_v_nodes >= 4095,
+            "seed {seed}: state never saturated"
+        );
+        assert!(
+            stats.complex_values <= 400_000,
+            "seed {seed}: {} interned values",
+            stats.complex_values
+        );
     }
 }

@@ -246,7 +246,7 @@ fn approximate_degradation_stamps_the_result() {
         "POST",
         "/jobs",
         Some(
-            r#"{"circuit":"vqe:12,3","seed":7,"threads":1,"convert_at_gate":100000,"memory_budget_mb":24,"approx_fidelity_floor":0.9}"#,
+            r#"{"circuit":"vqe:12,3","seed":7,"threads":1,"convert_at_gate":100000,"memory_budget_mb":12,"approx_fidelity_floor":0.9}"#,
         ),
     );
     assert_eq!(code, 202, "{body}");

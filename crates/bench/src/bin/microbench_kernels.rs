@@ -6,18 +6,23 @@
 //! (`FLATDD_SIMD={auto,scalar,avx2}`), and a `dd_tables` block (the DD
 //! phase's fixed per-operation costs: complex-table `lookup` hit / miss and
 //! `DdPackage::stats()` at 10^3 and 10^6 interned values, `gate_dd` cold /
-//! warm at n = 14, and one DD gate — H on qubit 0, H on the top qubit, T on
-//! the top qubit — on a saturated 12-qubit state, ns per state node).
+//! warm at n = 14, one DD gate — H on qubit 0, H on the top qubit, T on
+//! the top qubit — on a saturated 12-qubit state, ns per state node, and the
+//! unique table at 65 536 nodes per arena: insert / hit / sweep in ns per
+//! node and the bytes both arenas reserve per vector + matrix node pair).
 //!
 //! `--check` exits 1 when an H through plain DMAV costs more than 3x as much
 //! on target 0 as on target n-1 (constant per-amplitude cost at every target
 //! is what Section 3.2.1 claims), when `stats()` at 10^6 values costs more
 //! than 3x what it costs at 10^3 (the driver reads it every gate, so it must
 //! not walk the tables), when a memoized `gate_dd` costs more than 1/5 of
-//! a first build, or when a T on the top qubit of the saturated state costs
+//! a first build, when a T on the top qubit of the saturated state costs
 //! more than 1/20 of an H there (the multiply must stop at the identity
-//! below the gate instead of walking the state). Every ratio is between two
-//! numbers of this process, so the host's speed cancels.
+//! below the gate instead of walking the state), or when the arenas reserve
+//! more than 180 bytes per node pair (a node is stored once; 244 with a
+//! second copy as a hash-map key). Every ratio is between two numbers of
+//! this process, so the host's speed cancels, and the byte count does not
+//! depend on it.
 //!
 //! Emits `results/microbench_kernels.json` (override with `--json PATH`).
 //! Run once per backend and compare the `ns_per_amp` columns:
@@ -35,7 +40,8 @@ use flatdd_bench::{HarnessArgs, JsonWriter, Table};
 use qarray::vecops;
 use qcircuit::gate::{Control, Gate, GateKind};
 use qcircuit::Complex64;
-use qdd::DdPackage;
+use qdd::node::{MEdge, MNode, Node, NodeArena, VEdge, VNode, TERM};
+use qdd::{CIdx, DdPackage};
 use std::time::Instant;
 
 /// Deterministic, non-trivial amplitudes (no RNG dependency).
@@ -159,8 +165,53 @@ const MAX_WARM_GATE_RATIO: f64 = 0.2;
 /// ratio of the DD multiply on a saturated state.
 const MAX_TOP_T_RATIO: f64 = 0.05;
 
-/// What `--check` reads from the `dd_tables` block (ns per call).
+/// `--check`: most bytes the two arenas may reserve per vector + matrix
+/// node pair at [`UNIQUE_NODES`] nodes each (a 24-byte and a 40-byte slot
+/// in segments that double, two index words at a load between 3/8 and 3/4).
+const MAX_NODE_PAIR_BYTES: f64 = 180.0;
+/// Nodes per arena of the unique-table rows: the GC threshold of a run.
+const UNIQUE_NODES: u32 = 1 << 16;
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// One arena's unique-table costs at [`UNIQUE_NODES`] distinct nodes, a
+/// fresh arena per repetition: median ns per node of inserting them, of
+/// finding them again in a scattered order, and of a sweep that frees every
+/// other one — and the bytes the full arena reserves.
+fn unique_table<T: Node>(reps: usize, node: impl Fn(u32) -> T) -> ([f64; 3], usize) {
+    use std::hint::black_box;
+    let per_node = |s: Instant| s.elapsed().as_secs_f64() * 1e9 / UNIQUE_NODES as f64;
+    let mut ns = [Vec::new(), Vec::new(), Vec::new()];
+    let mut bytes = 0;
+    for _ in 0..reps {
+        let mut arena: NodeArena<T> = NodeArena::default();
+        let s = Instant::now();
+        for i in 0..UNIQUE_NODES {
+            black_box(arena.get_or_insert(node(i)));
+        }
+        ns[0].push(per_node(s));
+        let s = Instant::now();
+        for k in 0..UNIQUE_NODES {
+            black_box(arena.get_or_insert(node(k.wrapping_mul(7919) % UNIQUE_NODES)));
+        }
+        ns[1].push(per_node(s));
+        assert_eq!(arena.len(), UNIQUE_NODES as usize, "nodes must be distinct");
+        bytes = arena.memory_bytes();
+        // Ids are slot indices in allocation order.
+        arena.mark_reachable((0..UNIQUE_NODES).step_by(2), 1);
+        let s = Instant::now();
+        black_box(arena.sweep(1));
+        ns[2].push(per_node(s));
+    }
+    (ns.map(median), bytes)
+}
+
+/// What `--check` reads from the `dd_tables` block (ns per call, bytes).
 struct DdTables {
+    pair_bytes: f64,
     stats_small: f64,
     stats_large: f64,
     gate_cold: f64,
@@ -188,10 +239,6 @@ fn dd_tables(reps: usize, json: &mut JsonWriter) -> DdTables {
             (x & 0xf_ffff) as f64 / (1u64 << 20) as f64 - 0.5,
             (x >> 20) as f64 / (1u64 << 20) as f64 - 0.5,
         )
-    };
-    let median = |mut xs: Vec<f64>| {
-        xs.sort_by(f64::total_cmp);
-        xs[xs.len() / 2]
     };
     let mut table = Table::new(vec!["op", "values", "ns_per_call"]);
     let mut record = |op: &str, values: usize, ns: f64, json: &mut JsonWriter| {
@@ -317,7 +364,48 @@ fn dd_tables(reps: usize, json: &mut JsonWriter) -> DdTables {
     }
     println!("\ndd_tables — 1 thread, one DD gate on a saturated n = {dn} state ({nodes} nodes)");
     table.print();
+
+    // Terminal children, distinct by their (never dereferenced) weights.
+    let edge = |w: u32| (TERM, CIdx(w));
+    let (v_ns, v_bytes) = unique_table(reps, |i| VNode {
+        level: 0,
+        e: [edge(i), edge(!i)].map(|(n, w)| VEdge { n, w }),
+    });
+    let (m_ns, m_bytes) = unique_table(reps, |i| MNode {
+        level: 0,
+        e: [edge(i), edge(!i), edge(i ^ 0x5555), edge(1)].map(|(n, w)| MEdge { n, w }),
+    });
+    let pair_bytes = (v_bytes + m_bytes) as f64 / UNIQUE_NODES as f64;
+    let mut table = Table::new(vec!["unique_table", "vnode", "mnode"]);
+    for (slot, op) in ["insert", "hit", "sweep"].into_iter().enumerate() {
+        table.row(vec![
+            format!("{op}_ns_per_node"),
+            format!("{:.1}", v_ns[slot]),
+            format!("{:.1}", m_ns[slot]),
+        ]);
+        json.record(vec![
+            ("kernel", "dd_tables".into()),
+            ("op", format!("unique_{op}").into()),
+            ("nodes", (UNIQUE_NODES as usize).into()),
+            ("vnode_ns_per_node", v_ns[slot].into()),
+            ("mnode_ns_per_node", m_ns[slot].into()),
+        ]);
+    }
+    table.row(vec![
+        "arena_bytes_per_node".into(),
+        format!("{:.1}", v_bytes as f64 / UNIQUE_NODES as f64),
+        format!("{:.1}", m_bytes as f64 / UNIQUE_NODES as f64),
+    ]);
+    json.record(vec![
+        ("kernel", "dd_tables".into()),
+        ("op", "unique_bytes_per_node_pair".into()),
+        ("nodes", (UNIQUE_NODES as usize).into()),
+        ("bytes", pair_bytes.into()),
+    ]);
+    println!("\ndd_tables — 1 thread, unique table at {UNIQUE_NODES} nodes per arena");
+    table.print();
     DdTables {
+        pair_bytes,
         stats_small: stats_ns[0],
         stats_large: stats_ns[1],
         gate_cold,
@@ -461,9 +549,14 @@ fn main() {
         println!(
             "check: DD multiply, T / H on the top qubit of a saturated state = {top_ratio:.4} (limit {MAX_TOP_T_RATIO})"
         );
+        println!(
+            "check: arena bytes per v+m node pair = {:.1} (limit {MAX_NODE_PAIR_BYTES})",
+            dd.pair_bytes
+        );
         // Negated "all within", so that a NaN ratio (a cell that was not
         // measured) fails too.
-        let within = ratio <= MAX_TARGET_RATIO
+        let within = dd.pair_bytes <= MAX_NODE_PAIR_BYTES
+            && ratio <= MAX_TARGET_RATIO
             && stats_ratio <= MAX_STATS_RATIO
             && gate_ratio <= MAX_WARM_GATE_RATIO
             && top_ratio <= MAX_TOP_T_RATIO;

@@ -27,7 +27,9 @@
 //!
 //! Values live in one global append-only store (so [`CIdx`] stays a dense
 //! index and `get` is lock-free); the cell index is sharded into
-//! [`CTABLE_SHARDS`] lock-striped open-addressed slot arrays. A lookup
+//! [`CTABLE_SHARDS`] lock-striped tag indexes (`crate::sync::TagIndex`: the
+//! cell key is not stored, a tag match is confirmed against the value
+//! itself, and a regrow re-keys the stored values). A lookup
 //! holds the lock of every shard it probes — taken in ascending shard
 //! order, so concurrent lookups cannot deadlock — from its first probe to
 //! its insert. Two values that could match each other always probe each
@@ -35,10 +37,10 @@
 //! is atomic with respect to every probe that could have found it.
 
 use crate::fxhash::hash_pair;
-use crate::sync::SlotVec;
-use parking_lot::{Mutex, MutexGuard};
+use crate::sync::{stripe_of, SlotVec, Stripe, TagIndex, STRIPES};
+use parking_lot::MutexGuard;
 use qcircuit::Complex64;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Index of an interned complex value.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -64,7 +66,7 @@ impl CIdx {
 }
 
 /// Number of lock-striped shards of the cell index (power of two).
-pub const CTABLE_SHARDS: usize = 16;
+pub const CTABLE_SHARDS: usize = STRIPES;
 
 /// Cell width in tolerances: wide enough that a value is rarely near a
 /// side, narrow enough that the values sharing a cell (and with it a probe
@@ -78,41 +80,6 @@ const GRID_SHIFT: f64 = 1.0 / 3.0;
 const EDGE: f64 = (1.0 + 1.0 / 16.0) / CELL_TOLS;
 /// Slots of a fresh shard (power of two).
 const INITIAL_SLOTS: usize = 64;
-
-/// One shard of the cell index: an open-addressed, linearly probed array of
-/// `hash tag << 32 | idx + 1` words (`0` = empty). The cell key is not
-/// stored — a tag match is confirmed against the value itself — which is
-/// also why the array can be regrown by re-keying the stored values.
-struct Slots {
-    words: Box<[u64]>,
-    len: usize,
-}
-
-impl Slots {
-    fn new(words: usize) -> Self {
-        Slots {
-            words: vec![0; words].into_boxed_slice(),
-            len: 0,
-        }
-    }
-
-    /// Links `idx` from the chain of cell hash `h`. The caller keeps the
-    /// load at or below 3/4, so an empty slot exists.
-    fn link(&mut self, h: u64, idx: u32) {
-        let mask = self.words.len() - 1;
-        let mut i = h as usize & mask;
-        while self.words[i] != 0 {
-            i = (i + 1) & mask;
-        }
-        self.words[i] = (h >> 32) << 32 | (idx as u64 + 1);
-        self.len += 1;
-    }
-}
-
-struct CShard {
-    slots: Mutex<Slots>,
-    contended: AtomicU64,
-}
 
 /// Where a value files: its home cell and, per axis, the step (`-1`, `0`,
 /// `+1`) to the neighbour cell it could also match in.
@@ -138,11 +105,6 @@ fn cell_hash(kr: i64, ki: i64) -> u64 {
     hash_pair(kr as u64, ki as u64)
 }
 
-#[inline(always)]
-fn shard_of(h: u64) -> usize {
-    (h >> 60) as usize
-}
-
 /// Interning table for complex edge weights. All methods take `&self` and
 /// are safe to call from many threads.
 pub struct ComplexTable {
@@ -151,7 +113,7 @@ pub struct ComplexTable {
     values: SlotVec<Complex64, ()>,
     /// Values allocated so far (the next fresh index).
     next: AtomicU32,
-    shards: Vec<CShard>,
+    shards: Vec<Stripe<TagIndex>>,
     /// Bytes reserved by the value segments and the slot arrays, updated
     /// where either grows so that [`Self::memory_bytes`] is one load.
     bytes: AtomicUsize,
@@ -173,15 +135,11 @@ impl ComplexTable {
     /// Creates a table with the given numerical tolerance.
     pub fn new(tol: f64) -> Self {
         assert!(tol > 0.0);
-        const _: () = assert!(CTABLE_SHARDS == 16, "shard_of takes the top 4 hash bits");
         let t = ComplexTable {
             values: SlotVec::default(),
             next: AtomicU32::new(0),
             shards: (0..CTABLE_SHARDS)
-                .map(|_| CShard {
-                    slots: Mutex::new(Slots::new(INITIAL_SLOTS)),
-                    contended: AtomicU64::new(0),
-                })
+                .map(|_| Stripe::new(TagIndex::new(INITIAL_SLOTS)))
                 .collect(),
             bytes: AtomicUsize::new(CTABLE_SHARDS * INITIAL_SLOTS * 8),
             tol,
@@ -193,7 +151,7 @@ impl ComplexTable {
         // tolerance of one finds it here).
         for (v, want) in [(Complex64::ZERO, CIdx::ZERO), (Complex64::ONE, CIdx::ONE)] {
             let h = t.place(v).home();
-            let got = t.alloc_value(v, h, &mut t.lock_shard(shard_of(h)));
+            let got = t.alloc_value(v, h, &mut t.shards[stripe_of(h)].lock(&t.stall));
             debug_assert_eq!(got, want);
         }
         t
@@ -239,79 +197,35 @@ impl ComplexTable {
         }
     }
 
-    /// Locks shard `s`, counting (and, under telemetry, timing) a wait.
-    fn lock_shard(&self, s: usize) -> MutexGuard<'_, Slots> {
-        let shard = &self.shards[s];
-        if let Some(g) = shard.slots.try_lock() {
-            return g;
-        }
-        shard.contended.fetch_add(1, Ordering::Relaxed);
-        // Clock reads only when telemetry is on, and only on this
-        // already-blocking contended path.
-        if qtelemetry::enabled() {
-            let t0 = std::time::Instant::now();
-            let g = shard.slots.lock();
-            self.stall
-                .observe(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            g
-        } else {
-            shard.slots.lock()
-        }
-    }
-
     /// Walks the chain of cell hash `h` for a stored value within tolerance
     /// of `v`. `slots` is the locked shard of `h`.
     #[inline]
-    fn find(&self, slots: &Slots, h: u64, v: Complex64) -> Option<CIdx> {
-        let mask = slots.words.len() - 1;
-        let mut i = h as usize & mask;
-        loop {
-            let word = slots.words[i];
-            if word == 0 {
-                return None;
-            }
-            if word >> 32 == h >> 32 {
-                let idx = word as u32 - 1;
-                // SAFETY: `idx` was linked under the shard lock we hold.
-                if unsafe { *self.values.get(idx) }.approx_eq(v, self.tol) {
-                    return Some(CIdx(idx));
-                }
-            }
-            i = (i + 1) & mask;
-        }
+    fn find(&self, slots: &TagIndex, h: u64, v: Complex64) -> Option<CIdx> {
+        // SAFETY: an index in `slots` was filed under the shard lock we hold.
+        slots
+            .find(h, |idx| {
+                unsafe { *self.values.get(idx) }.approx_eq(v, self.tol)
+            })
+            .map(CIdx)
     }
 
-    /// Appends `v` to the value store and links it from its home cell
+    /// Appends `v` to the value store and files it under its home cell
     /// (hash `h`), whose locked shard is `slots`.
-    fn alloc_value(&self, v: Complex64, h: u64, slots: &mut Slots) -> CIdx {
+    fn alloc_value(&self, v: Complex64, h: u64, slots: &mut TagIndex) -> CIdx {
         let idx = self.next.fetch_add(1, Ordering::Relaxed);
         assert!(idx < u32::MAX, "complex table exhausted");
         let mut grown = self.values.ensure(idx);
         // SAFETY: `idx` was exclusively reserved by the fetch_add above and
-        // is published only by the link below / the caller's use.
+        // is published only by the insert below / the caller's use.
         unsafe { self.values.write(idx, v) };
-        if (slots.len + 1) * 4 > slots.words.len() * 3 {
-            grown += self.regrow(slots);
-        }
-        slots.link(h, idx);
+        // SAFETY: as in `find`; a regrow re-keys every stored value.
+        grown += slots.insert(h, idx, |i| {
+            self.place(unsafe { *self.values.get(i) }).home()
+        });
         if grown != 0 {
             self.bytes.fetch_add(grown, Ordering::Relaxed);
         }
         CIdx(idx)
-    }
-
-    /// Doubles a (locked) shard, re-keying every stored value into the new
-    /// array. Returns the bytes the shard grew by.
-    #[cold]
-    fn regrow(&self, slots: &mut Slots) -> usize {
-        let old = std::mem::replace(slots, Slots::new(slots.words.len() * 2));
-        for &word in old.words.iter().filter(|&&w| w != 0) {
-            let idx = word as u32 - 1;
-            // SAFETY: `idx` was linked under the shard lock the caller holds.
-            let stored = unsafe { *self.values.get(idx) };
-            slots.link(self.place(stored).home(), idx);
-        }
-        old.words.len() * 8
     }
 
     /// Interns `v`, returning the index of an existing entry within
@@ -330,7 +244,7 @@ impl ComplexTable {
             return self.lookup_near_edge(v, &p);
         }
         let h = p.home();
-        let mut slots = self.lock_shard(shard_of(h));
+        let mut slots = self.shards[stripe_of(h)].lock(&self.stall);
         match self.find(&slots, h, v) {
             Some(idx) => idx,
             None => self.alloc_value(v, h, &mut slots),
@@ -358,17 +272,17 @@ impl ComplexTable {
         }
         let cells = &cells[..n];
         // Lock in ascending shard order (deadlock-free by total order).
-        let need = cells.iter().fold(0u16, |m, &h| m | 1 << shard_of(h));
-        type Held<'t> = (usize, MutexGuard<'t, Slots>);
+        let need = cells.iter().fold(0u16, |m, &h| m | 1 << stripe_of(h));
+        type Held<'t> = (usize, MutexGuard<'t, TagIndex>);
         let mut held: [Option<Held<'_>>; 4] = [None, None, None, None];
         let shards = (0..CTABLE_SHARDS).filter(|s| need & (1 << s) != 0);
         for (slot, s) in held.iter_mut().zip(shards) {
-            *slot = Some((s, self.lock_shard(s)));
+            *slot = Some((s, self.shards[s].lock(&self.stall)));
         }
-        fn slots_of<'a>(held: &'a mut [Option<Held<'_>>; 4], h: u64) -> &'a mut Slots {
+        fn slots_of<'a>(held: &'a mut [Option<Held<'_>>; 4], h: u64) -> &'a mut TagIndex {
             held.iter_mut()
                 .flatten()
-                .find_map(|(s, g)| (*s == shard_of(h)).then_some(&mut **g))
+                .find_map(|(s, g)| (*s == stripe_of(h)).then_some(&mut **g))
                 .expect("probed shard is locked")
         }
         for &h in cells {
@@ -406,16 +320,13 @@ impl ComplexTable {
     /// [`Self::memory_bytes`] recounted from the structures themselves.
     #[cfg(test)]
     pub(crate) fn recount_bytes(&self) -> usize {
-        let slots = |sh: &CShard| sh.slots.lock().words.len() * 8;
+        let slots = |sh: &Stripe<TagIndex>| sh.lock(&self.stall).words() * 8;
         self.values.allocated_bytes() + self.shards.iter().map(slots).sum::<usize>()
     }
 
     /// Total shard lock-contention events observed (telemetry).
     pub fn contended(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|sh| sh.contended.load(Ordering::Relaxed))
-            .sum()
+        self.shards.iter().map(Stripe::contended).sum()
     }
 }
 
@@ -529,7 +440,7 @@ mod tests {
         let idxs: Vec<CIdx> = (0..6000).map(|i| t.lookup(value(i))).collect();
         assert_eq!(t.len(), 2 + 6000);
         for sh in &t.shards {
-            let words = sh.slots.lock().words.len();
+            let words = sh.lock(&t.stall).words();
             assert!(words >= INITIAL_SLOTS << 3, "shard regrew to only {words}");
         }
         for (i, &ix) in idxs.iter().enumerate() {

@@ -1,41 +1,38 @@
-//! DD nodes, edges, and the sharded unique-table arena.
+//! DD nodes, edges, and the unique-table arena.
 //!
 //! Vector nodes have two outgoing edges, matrix nodes four (row-major).
-//! Nodes live in per-shard slab storage addressed by `u32` ids; a unique
-//! table maps node *content* (level + edges) to its id, so structurally
-//! identical sub-DDs are shared — the defining property of a decision
-//! diagram.
+//! Nodes live in one slab per arena whose slot index is the node's `u32`
+//! id; a unique table maps node *content* (level + edges) to its id, so
+//! structurally identical sub-DDs are shared — the defining property of a
+//! decision diagram.
 //!
-//! The arena is sharded for shared-memory parallelism: node content hashes
-//! to one of [`NODE_SHARDS`] lock-striped shards, each with its own unique
-//! map, free list, and slab segment store. Ids encode the shard in their
-//! low bits, so `get` decodes the shard and reads the slab without any
-//! lock; only inserts take the (per-shard) lock. Mark stamps are atomic,
-//! letting concurrent traversals mark while other threads insert; the
-//! sweep itself is stop-the-world (`&mut self`).
+//! The unique table is striped for shared-memory parallelism: node content
+//! hashes to one of [`NODE_SHARDS`] locks, each over its own tag index
+//! (`crate::sync::TagIndex`, the structure the complex table files values
+//! in) and free list. `get` reads the slab without any lock; only inserts
+//! take the (per-stripe) lock. Mark stamps are atomic, letting concurrent
+//! traversals mark while other threads insert; the sweep itself is
+//! stop-the-world (`&mut self`).
 
 use crate::ctable::CIdx;
-use crate::fxhash::{hash_u64, FxHashMap, FxHasher};
-use crate::sync::SlotVec;
-use parking_lot::Mutex;
+use crate::fxhash::{hash_u64, FxHasher};
+use crate::sync::{stripe_of, SlotVec, Stripe, TagIndex, STRIPES};
 use qcircuit::Complex64;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Sentinel node id of the terminal node ("1" in Figure 2 of the paper).
 pub const TERM: u32 = u32::MAX;
 
-/// Number of lock-striped shards in a [`NodeArena`] (power of two).
+/// Number of lock stripes of a [`NodeArena`]'s unique table (power of two).
 ///
-/// 16 shards keep the insert-lock collision probability below ~`t/16` for
-/// `t` worker threads while the per-shard constant overhead (a mutex, a
-/// hash map, one slab) stays negligible next to the nodes themselves.
-pub const NODE_SHARDS: usize = 16;
-const SHARD_BITS: u32 = 4;
-const SHARD_MASK: u32 = NODE_SHARDS as u32 - 1;
-/// Largest per-shard local index: `local << SHARD_BITS | shard` must never
-/// collide with [`TERM`].
-const MAX_LOCAL: u32 = (TERM >> SHARD_BITS) - 1;
+/// 16 stripes keep the insert-lock collision probability below ~`t/16` for
+/// `t` worker threads while the per-stripe constant overhead (a mutex, an
+/// index of 64 words to start with) stays negligible next to the nodes
+/// themselves.
+pub const NODE_SHARDS: usize = STRIPES;
+/// Index words of a fresh stripe (power of two).
+const INITIAL_WORDS: usize = 64;
 
 /// A weighted edge to a vector node (or the terminal).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -136,154 +133,124 @@ pub struct MNode {
     pub e: [MEdge; 4],
 }
 
-/// Lock-protected part of one shard.
-struct ShardCore<T> {
-    /// Node content -> global id.
-    unique: FxHashMap<T, u32>,
-    /// Recycled *local* slot indices.
-    free: Vec<u32>,
-    /// Local slots allocated so far.
-    len: u32,
+/// What the arena needs of a node's content beyond identity: where its
+/// edges lead.
+pub trait Node: Copy + Eq + Hash {
+    /// Ids of the nodes the edges point at ([`TERM`] included: a zero edge
+    /// is the terminal's, every constructor flushes it there).
+    fn children(&self) -> impl Iterator<Item = u32>;
 }
 
-struct Shard<T> {
-    core: Mutex<ShardCore<T>>,
-    slots: SlotVec<T>,
-    /// Times an inserter found this shard's lock held (contention signal).
-    contended: AtomicU64,
-}
-
-impl<T> Default for Shard<T> {
-    fn default() -> Self {
-        Shard {
-            core: Mutex::new(ShardCore {
-                unique: FxHashMap::default(),
-                free: Vec::new(),
-                len: 0,
-            }),
-            slots: SlotVec::default(),
-            contended: AtomicU64::new(0),
-        }
+impl Node for VNode {
+    #[inline(always)]
+    fn children(&self) -> impl Iterator<Item = u32> {
+        self.e.iter().map(|e| e.n)
     }
 }
 
-/// Per-shard occupancy/contention snapshot (telemetry).
+impl Node for MNode {
+    #[inline(always)]
+    fn children(&self) -> impl Iterator<Item = u32> {
+        self.e.iter().map(|e| e.n)
+    }
+}
+
+/// Lock-protected part of one stripe.
+struct StripeCore {
+    /// Hash of node content -> id, for the content hashing to this stripe.
+    index: TagIndex,
+    /// Ids this stripe's sweeps freed. A recycled slot is re-written only
+    /// under the lock of the stripe that freed it ([`SlotVec`]'s one-writer
+    /// rule), which is why the free lists are per stripe.
+    free: Vec<u32>,
+}
+
+/// Per-stripe occupancy/contention snapshot (telemetry).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardStats {
-    /// Live nodes in the shard.
+    /// Live nodes filed in the stripe.
     pub live: usize,
-    /// Slab slots allocated in the shard.
-    pub slots: usize,
     /// Lock-contention events observed on insert.
     pub contended: u64,
 }
 
-/// Sharded slab arena with structural sharing (unique table) and
-/// mark/sweep support. Inserts, reads, and marks take `&self` and are safe
-/// to call from many threads; the sweep is stop-the-world.
-pub struct NodeArena<T: Copy + Eq + Hash> {
-    shards: Vec<Shard<T>>,
+/// Slab arena with structural sharing (unique table) and mark/sweep
+/// support: one slot store whose index *is* the node id, and an index from
+/// content to id striped [`NODE_SHARDS`] ways by content hash. Inserts,
+/// reads, and marks take `&self` and are safe to call from many threads;
+/// the sweep is stop-the-world.
+pub struct NodeArena<T: Node> {
+    slots: SlotVec<T>,
+    /// Slots allocated so far (the next fresh id).
+    next: AtomicU32,
+    stripes: Vec<Stripe<StripeCore>>,
     alive: AtomicUsize,
     peak_alive: AtomicUsize,
-    /// Bytes reserved by every shard's slab, unique map and free list,
-    /// updated where any of them grows so that [`Self::memory_bytes`] is
-    /// one load.
+    /// Bytes reserved by the slab, the indexes and the free lists, updated
+    /// where any of them grows so that [`Self::memory_bytes`] is one load.
     bytes: AtomicUsize,
     /// Cached handle into the global `dd.unique_stall_ns` histogram, so the
     /// contended path records its wait without a registry lookup.
     stall: qtelemetry::Histogram,
 }
 
-impl<T: Copy + Eq + Hash> Default for NodeArena<T> {
+impl<T: Node> Default for NodeArena<T> {
     fn default() -> Self {
+        let core = || StripeCore {
+            index: TagIndex::new(INITIAL_WORDS),
+            free: Vec::new(),
+        };
         NodeArena {
-            shards: (0..NODE_SHARDS).map(|_| Shard::default()).collect(),
+            slots: SlotVec::default(),
+            next: AtomicU32::new(0),
+            stripes: (0..NODE_SHARDS).map(|_| Stripe::new(core())).collect(),
             alive: AtomicUsize::new(0),
             peak_alive: AtomicUsize::new(0),
-            bytes: AtomicUsize::new(0),
+            bytes: AtomicUsize::new(NODE_SHARDS * INITIAL_WORDS * 8),
             stall: qtelemetry::histogram("dd.unique_stall_ns"),
         }
     }
 }
 
+/// Hash of node content, computed once per lookup: the top 4 bits pick the
+/// stripe, the top 32 are the index tag, the low bits the home word (the
+/// split `ctable` makes of a cell hash).
 #[inline(always)]
-fn shard_of<T: Hash>(data: &T) -> usize {
+fn node_hash<T: Hash>(data: &T) -> u64 {
     let mut h = FxHasher::default();
     data.hash(&mut h);
-    // The unique maps index with the *low* bits of the same hash; pick the
-    // shard from remixed high bits so the two stay decorrelated.
-    (hash_u64(h.finish()) >> 32) as usize & (NODE_SHARDS - 1)
+    hash_u64(h.finish())
 }
 
-/// Bytes a unique map of the given `capacity()` holds: std's hash map
-/// (hashbrown) keeps `capacity / 7 * 8` buckets (4 or 8 below that) of one
-/// entry plus one control byte each, and one trailing 16-byte control
-/// group (the SSE2 group width).
-fn unique_map_bytes<T>(capacity: usize) -> usize {
-    let buckets = match capacity {
-        0 => return 0,
-        c if c < 8 => c + 1,
-        c => c / 7 * 8,
-    };
-    (buckets * std::mem::size_of::<(T, u32)>()).next_multiple_of(16) + buckets + 16
-}
-
-#[inline(always)]
-fn encode(local: u32, shard: usize) -> u32 {
-    (local << SHARD_BITS) | shard as u32
-}
-
-#[inline(always)]
-fn decode(id: u32) -> (u32, usize) {
-    (id >> SHARD_BITS, (id & SHARD_MASK) as usize)
-}
-
-impl<T: Copy + Eq + Hash> NodeArena<T> {
+impl<T: Node> NodeArena<T> {
     /// Returns the id of a node with this content, inserting if new.
     /// Concurrent callers inserting equal content all receive the same id.
     #[inline]
     pub fn get_or_insert(&self, data: T) -> u32 {
-        let s = shard_of(&data);
-        let sh = &self.shards[s];
-        let mut core = match sh.core.try_lock() {
-            Some(g) => g,
-            None => {
-                sh.contended.fetch_add(1, Ordering::Relaxed);
-                // Stall timing costs two clock reads, so only when telemetry
-                // is on (one relaxed load otherwise) — and only on this
-                // already-blocking path, never on the uncontended fast path.
-                if qtelemetry::enabled() {
-                    let t0 = std::time::Instant::now();
-                    let g = sh.core.lock();
-                    self.stall
-                        .observe(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                    g
-                } else {
-                    sh.core.lock()
-                }
-            }
-        };
-        if let Some(&id) = core.unique.get(&data) {
+        let h = node_hash(&data);
+        let mut core = self.stripes[stripe_of(h)].lock(&self.stall);
+        // SAFETY (both reads below): an id in this stripe's index was
+        // written before it was filed, under the stripe lock we hold.
+        if let Some(id) = core
+            .index
+            .find(h, |id| unsafe { self.slots.get(id) } == &data)
+        {
             return id;
         }
         let mut grown = 0;
-        let local = core.free.pop().unwrap_or_else(|| {
-            let l = core.len;
-            assert!(l <= MAX_LOCAL, "node arena shard exhausted");
-            core.len = l + 1;
-            grown = sh.slots.ensure(l);
-            l
+        let id = core.free.pop().unwrap_or_else(|| {
+            let id = self.next.fetch_add(1, Ordering::Relaxed);
+            // Refuses the id (capacity assert) before it can reach `TERM`.
+            grown = self.slots.ensure(id);
+            id
         });
-        // SAFETY: `local` is either freshly allocated (unknown to every
-        // other thread) or was proven unreachable by the last sweep; we
-        // hold the shard lock, which is also what publishes the id.
-        unsafe { sh.slots.write(local, data) };
-        let id = encode(local, s);
-        let cap = core.unique.capacity();
-        core.unique.insert(data, id);
-        if core.unique.capacity() != cap {
-            grown += unique_map_bytes::<T>(core.unique.capacity()) - unique_map_bytes::<T>(cap);
-        }
+        // SAFETY: `id` is either freshly allocated (unknown to every other
+        // thread) or was proven unreachable by the last sweep of this
+        // stripe; we hold the stripe lock, which is also what publishes it.
+        unsafe { self.slots.write(id, data) };
+        grown += core
+            .index
+            .insert(h, id, |i| node_hash(unsafe { self.slots.get(i) }));
         if grown != 0 {
             self.bytes.fetch_add(grown, Ordering::Relaxed);
         }
@@ -296,10 +263,9 @@ impl<T: Copy + Eq + Hash> NodeArena<T> {
     #[inline(always)]
     pub fn get(&self, id: u32) -> &T {
         debug_assert_ne!(id, TERM, "terminal has no content");
-        let (local, s) = decode(id);
-        // SAFETY: a valid id was published after its slot write (shard
+        // SAFETY: a valid id was published after its slot write (stripe
         // lock / cache-entry release); liveness is the caller's contract.
-        unsafe { self.shards[s].slots.get(local) }
+        unsafe { self.slots.get(id) }
     }
 
     /// Number of live (reachable-or-not-yet-collected) nodes.
@@ -317,38 +283,27 @@ impl<T: Copy + Eq + Hash> NodeArena<T> {
         self.peak_alive.load(Ordering::Relaxed)
     }
 
-    /// Total slab slots allocated across all shards (memory accounting).
-    pub fn slots(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|sh| sh.core.lock().len as usize)
-            .sum()
-    }
-
     /// Marks `id` with `stamp`; returns `true` when it was not yet marked
     /// (i.e. the caller should recurse into its children). Safe to call
     /// concurrently — exactly one of the racing markers gets `true`.
     #[inline(always)]
-    pub fn mark(&self, id: u32, stamp: u32) -> bool {
-        if id == TERM {
-            return false;
-        }
-        let (local, s) = decode(id);
-        self.shards[s]
-            .slots
-            .stamp(local)
-            .swap(stamp, Ordering::Relaxed)
-            != stamp
+    fn mark(&self, id: u32, stamp: u32) -> bool {
+        id != TERM && self.slots.stamp(id).swap(stamp, Ordering::Relaxed) != stamp
     }
 
-    /// True when `id` carries `stamp`.
-    #[inline(always)]
-    pub fn is_marked(&self, id: u32, stamp: u32) -> bool {
-        if id == TERM {
-            return false;
+    /// Marks every node reachable from `roots` with `stamp` and returns how
+    /// many this call marked (nodes already carrying `stamp` are neither
+    /// counted nor walked again).
+    pub fn mark_reachable(&self, roots: impl IntoIterator<Item = u32>, stamp: u32) -> usize {
+        let mut stack: Vec<u32> = roots.into_iter().collect();
+        let mut marked = 0;
+        while let Some(id) = stack.pop() {
+            if self.mark(id, stamp) {
+                marked += 1;
+                stack.extend(self.get(id).children());
+            }
         }
-        let (local, s) = decode(id);
-        self.shards[s].slots.stamp(local).load(Ordering::Relaxed) == stamp
+        marked
     }
 
     /// Frees every node *not* carrying `stamp`. Returns the number freed.
@@ -357,35 +312,34 @@ impl<T: Copy + Eq + Hash> NodeArena<T> {
     /// inserters can exist. The caller must have marked all roots (and
     /// their transitive children) with `stamp` first.
     pub fn sweep(&mut self, stamp: u32) -> usize {
-        let mut freed = 0usize;
-        let mut grown = 0usize;
-        let mut kept: Vec<(T, u32)> = Vec::new();
-        for sh in &mut self.shards {
-            let slots = &sh.slots;
-            let core = sh.core.get_mut();
-            let free_cap = core.free.capacity();
-            // Drained and re-inserted, not erased in place: `retain` leaves
-            // tombstones, after which `capacity()` — what the map's byte
-            // count is derived from — understates the buckets held. The
-            // drained map keeps its allocation, so only the free list grows.
-            for (data, id) in core.unique.drain() {
-                let (local, _) = decode(id);
-                if slots.stamp(local).load(Ordering::Relaxed) == stamp {
-                    kept.push((data, id));
-                } else {
-                    core.free.push(local);
-                    freed += 1;
-                }
-            }
-            core.unique.extend(kept.drain(..));
-            grown += (core.free.capacity() - free_cap) * 4;
+        let slots = &self.slots;
+        let (mut freed, mut grown) = (0, 0);
+        for stripe in &mut self.stripes {
+            let StripeCore { index, free } = stripe.get_mut();
+            let (held, free_cap) = (index.len(), free.capacity());
+            // An index of the same size: a sweep releases nothing.
+            index.rebuild(
+                index.words(),
+                |id| {
+                    let keep = slots.stamp(id).load(Ordering::Relaxed) == stamp;
+                    if !keep {
+                        free.push(id);
+                    }
+                    keep
+                },
+                // SAFETY: every id in the index was written before it was
+                // filed, and `&mut self` orders this after all of them.
+                |id| node_hash(unsafe { slots.get(id) }),
+            );
+            freed += held - index.len();
+            grown += (free.capacity() - free_cap) * 4;
         }
         *self.bytes.get_mut() += grown;
-        self.alive.fetch_sub(freed, Ordering::Relaxed);
+        *self.alive.get_mut() -= freed;
         freed
     }
 
-    /// Bytes reserved by the shards' slabs, unique maps and free lists. One
+    /// Bytes reserved by the slab, the indexes and the free lists. One
     /// atomic load: the counter moves where any of them grows.
     pub fn memory_bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed)
@@ -394,28 +348,20 @@ impl<T: Copy + Eq + Hash> NodeArena<T> {
     /// [`Self::memory_bytes`] recounted from the structures themselves.
     #[cfg(test)]
     pub(crate) fn recount_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|sh| {
-                let core = sh.core.lock();
-                sh.slots.allocated_bytes()
-                    + core.free.capacity() * 4
-                    + unique_map_bytes::<T>(core.unique.capacity())
-            })
-            .sum()
+        let held = |st: &Stripe<StripeCore>| {
+            let core = st.lock(&self.stall);
+            core.index.words() * 8 + core.free.capacity() * 4
+        };
+        self.slots.allocated_bytes() + self.stripes.iter().map(held).sum::<usize>()
     }
 
-    /// Per-shard occupancy and lock-contention counters (telemetry).
+    /// Per-stripe occupancy and lock-contention counters (telemetry).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
+        self.stripes
             .iter()
-            .map(|sh| {
-                let core = sh.core.lock();
-                ShardStats {
-                    live: core.unique.len(),
-                    slots: core.len as usize,
-                    contended: sh.contended.load(Ordering::Relaxed),
-                }
+            .map(|st| ShardStats {
+                live: st.lock(&self.stall).index.len(),
+                contended: st.contended(),
             })
             .collect()
     }
@@ -484,33 +430,45 @@ mod tests {
     }
 
     #[test]
-    fn freed_slots_are_recycled_within_a_shard() {
+    fn ids_are_slot_indices_in_allocation_order() {
+        let a: NodeArena<VNode> = NodeArena::default();
+        // Far past the first regrow of every stripe (16 x 48 entries).
+        for i in 0..5000u32 {
+            assert_eq!(a.get_or_insert(vnode((i % 7) as u8, i, TERM)), i);
+        }
+        for i in 0..5000u32 {
+            assert_eq!(a.get_or_insert(vnode((i % 7) as u8, i, TERM)), i, "hit");
+            assert_eq!(*a.get(i), vnode((i % 7) as u8, i, TERM));
+        }
+        assert_eq!(a.len(), 5000);
+    }
+
+    #[test]
+    fn sweep_then_reinsert_recycles_the_slot() {
         let mut a: NodeArena<VNode> = NodeArena::default();
         let x = a.get_or_insert(vnode(0, TERM, TERM));
-        a.sweep(99); // nothing marked: frees x
+        assert_eq!(a.sweep(99), 1, "nothing marked: frees x");
         assert_eq!(a.len(), 0);
-        // Same content hashes to the same shard and reuses the freed slot.
+        // Same content hashes to the same stripe, whose free list holds the
+        // slot: a recycled id and a fresh index entry, no second slot.
         let y = a.get_or_insert(vnode(0, TERM, TERM));
         assert_eq!(x, y, "slot must be reused");
-        assert_eq!(a.slots(), 1);
-    }
-
-    #[test]
-    fn sweep_then_reinsert_same_content() {
-        let mut a: NodeArena<VNode> = NodeArena::default();
-        let x = a.get_or_insert(vnode(0, TERM, TERM));
-        a.sweep(5);
-        let y = a.get_or_insert(vnode(0, TERM, TERM));
-        // Same content gets a (recycled) id and a fresh unique entry.
-        assert_eq!(x, y);
         assert_eq!(a.len(), 1);
+        assert_eq!(a.get_or_insert(vnode(1, TERM, TERM)), 1, "next fresh id");
     }
 
     #[test]
-    fn terminal_never_marks() {
+    fn mark_reachable_counts_each_node_once() {
         let a: NodeArena<VNode> = NodeArena::default();
-        assert!(!a.mark(TERM, 3));
-        assert!(!a.is_marked(TERM, 3));
+        let leaf = a.get_or_insert(vnode(0, TERM, TERM));
+        let mid = a.get_or_insert(vnode(1, leaf, leaf));
+        let top = a.get_or_insert(vnode(2, mid, leaf));
+        let other = a.get_or_insert(vnode(2, leaf, TERM));
+        assert_eq!(a.mark_reachable([top, TERM], 3), 3);
+        assert_eq!(a.mark_reachable([top], 3), 0, "already carrying the stamp");
+        assert_eq!(a.mark_reachable([other, mid], 3), 1);
+        assert_eq!(a.mark_reachable([top, other], 4), 4);
+        assert_eq!(a.mark_reachable([TERM], 5), 0);
     }
 
     #[test]
@@ -522,9 +480,40 @@ mod tests {
         let stats = a.shard_stats();
         assert_eq!(stats.len(), NODE_SHARDS);
         assert_eq!(stats.iter().map(|s| s.live).sum::<usize>(), 100);
-        assert_eq!(stats.iter().map(|s| s.slots).sum::<usize>(), a.slots());
-        // 100 distinct contents should spread over more than one shard.
+        // 100 distinct contents should spread over more than one stripe.
         assert!(stats.iter().filter(|s| s.live > 0).count() > 1);
+    }
+
+    #[test]
+    fn accounted_bytes_survive_grow_sweep_and_regrow() {
+        let mut a: NodeArena<MNode> = NodeArena::default();
+        let mnode = |i: u32| MNode {
+            level: (i % 5) as u8,
+            e: [
+                MEdge { n: i, w: CIdx::ONE },
+                MEdge::ZERO,
+                MEdge::ZERO,
+                MEdge::ZERO,
+            ],
+        };
+        assert_eq!(a.memory_bytes(), a.recount_bytes(), "fresh");
+        let ids: Vec<u32> = (0..20_000).map(|i| a.get_or_insert(mnode(i))).collect();
+        assert_eq!(a.memory_bytes(), a.recount_bytes(), "grown");
+        // Keep every third node: the free lists grow, the indexes do not.
+        let grown = a.memory_bytes();
+        let kept = a.mark_reachable(ids.iter().copied().step_by(3), 1);
+        assert_eq!(a.sweep(1), 20_000 - kept);
+        assert_eq!(a.memory_bytes(), a.recount_bytes(), "swept");
+        assert!(a.memory_bytes() > grown, "a sweep releases nothing");
+        for &id in ids.iter().step_by(3) {
+            assert_eq!(a.get_or_insert(mnode(id)), id, "a kept node stays findable");
+        }
+        // Through the recycled slots and on into new segments and regrows.
+        for i in 20_000..60_000 {
+            a.get_or_insert(mnode(i));
+        }
+        assert_eq!(a.len(), kept + 40_000);
+        assert_eq!(a.memory_bytes(), a.recount_bytes(), "regrown");
     }
 
     #[test]
@@ -538,5 +527,52 @@ mod tests {
         });
         assert!(ids.windows(2).all(|w| w[0] == w[1]));
         assert_eq!(a.len(), 1);
+    }
+
+    #[test]
+    fn concurrent_overlapping_inserts_across_regrows_get_one_id_per_content() {
+        // 8 threads, released together, each insert 3/4 of 24 000 distinct
+        // contents in its own order: every stripe regrows several times
+        // under contention and every content is raced for by 6 threads.
+        const N: u32 = 24_000;
+        let a: NodeArena<VNode> = NodeArena::default();
+        let content = |i: u32| vnode((i % 11) as u8, i, i / 3);
+        let start = std::sync::Barrier::new(8);
+        let per_thread: Vec<Vec<(u32, u32)>> = std::thread::scope(|s| {
+            let hs: Vec<_> = (0..8u32)
+                .map(|t| {
+                    let (a, start) = (&a, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        (0..N)
+                            .map(|k| (k * 7 + t * 3001) % N)
+                            .filter(|i| i % 8 != t && i % 8 != (t + 1) % 8)
+                            .map(|i| (i, a.get_or_insert(content(i))))
+                            .collect()
+                    })
+                })
+                .collect();
+            hs.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut id_of = vec![TERM; N as usize];
+        for (i, id) in per_thread.into_iter().flatten() {
+            assert!(id < N, "ids are dense");
+            assert_eq!(*a.get(id), content(i));
+            let seen = std::mem::replace(&mut id_of[i as usize], id);
+            assert!(
+                seen == TERM || seen == id,
+                "content {i} got ids {seen} and {id}"
+            );
+        }
+        assert!(
+            id_of.iter().all(|&id| id != TERM),
+            "every content was inserted"
+        );
+        let mut ids = id_of.clone();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), N as usize, "one id per content");
+        assert_eq!(a.len(), N as usize);
+        assert_eq!(a.memory_bytes(), a.recount_bytes());
     }
 }

@@ -71,6 +71,10 @@ struct ConcurrentMap<const K: usize> {
     mask: u64,
     lookups: AtomicU64,
     hits: AtomicU64,
+    /// What `lookups` read when the table was last empty. Every insert site
+    /// probes the same table first (a result is stored where its lookup
+    /// missed), so `lookups == empty_at` means nothing was written since.
+    empty_at: u64,
 }
 
 impl<const K: usize> ConcurrentMap<K> {
@@ -80,6 +84,7 @@ impl<const K: usize> ConcurrentMap<K> {
             mask: (1u64 << bits) - 1,
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
+            empty_at: 0,
         }
     }
 
@@ -110,6 +115,11 @@ impl<const K: usize> ConcurrentMap<K> {
 
     #[inline(always)]
     fn insert(&self, key: [u64; K], hash: u64, val: Lazy) {
+        debug_assert_ne!(
+            self.lookups.load(Ordering::Relaxed),
+            self.empty_at,
+            "an insert follows a lookup of the same table"
+        );
         let slot = &self.slots[(hash & self.mask) as usize];
         let s = slot.seq.load(Ordering::Relaxed);
         if s & 1 == 1 {
@@ -133,12 +143,21 @@ impl<const K: usize> ConcurrentMap<K> {
         slot.seq.store(s.wrapping_add(2), Ordering::Release);
     }
 
-    /// Drops every entry. Exclusive access means no readers can observe
-    /// the intermediate states.
-    fn clear(&mut self) {
-        for s in self.slots.iter() {
-            s.seq.store(0, Ordering::Relaxed);
+    /// Drops every entry and says whether there could be any. A table not
+    /// probed since it was last empty is left alone: storing into every
+    /// slot would fault in pages `calloc` never had to back (the `mm` and
+    /// `add_m` tables of a run that multiplies no matrices). Exclusive
+    /// access means no readers can observe the intermediate states.
+    fn clear(&mut self) -> bool {
+        let probes = *self.lookups.get_mut();
+        if probes == self.empty_at {
+            return false;
         }
+        for s in self.slots.iter_mut() {
+            *s.seq.get_mut() = 0;
+        }
+        self.empty_at = probes;
+        true
     }
 
     /// Reallocates the slot array at `bits`, dropping every entry. Used by
@@ -147,6 +166,7 @@ impl<const K: usize> ConcurrentMap<K> {
     fn shrink_to_bits(&mut self, bits: u32) {
         self.slots = zeroed_slots(1usize << bits);
         self.mask = (1u64 << bits) - 1;
+        self.empty_at = *self.lookups.get_mut();
     }
 
     fn memory_bytes(&self) -> usize {
@@ -200,11 +220,15 @@ impl Default for ComputeTables {
 }
 
 impl ComputeTables {
-    pub(crate) fn clear(&mut self) {
-        self.mv.clear();
-        self.mm.clear();
-        self.add_v.clear();
-        self.add_m.clear();
+    /// Empties the tables; which of `[mv, mm, add_v, add_m]` held anything
+    /// to drop (see [`ConcurrentMap::clear`]).
+    pub(crate) fn clear(&mut self) -> [bool; 4] {
+        [
+            self.mv.clear(),
+            self.mm.clear(),
+            self.add_v.clear(),
+            self.add_m.clear(),
+        ]
     }
 
     /// Shrinks every cache to a minimal footprint (memory-pressure relief).
@@ -930,6 +954,37 @@ mod tests {
         let after = p.compute_stats();
         assert_eq!(s1, s2, "cached result must be identical");
         assert!(after.mv_hits > before.mv_hits, "no cache hit on repeat");
+    }
+
+    #[test]
+    fn clear_empties_exactly_the_tables_probed_since_they_were_empty() {
+        let mut p = DdPackage::default();
+        assert_eq!(p.compute.clear(), [false; 4], "fresh tables are empty");
+        let n = 5;
+        let (_, state) = saturated(&p, n, 4);
+        let gd = p.gate_dd(&h_gate(2), n);
+        let product = p.mul_mv(gd, state);
+        let stats = p.compute_stats();
+        assert!(stats.mv_lookups > 0 && stats.add_lookups > 0);
+        assert_eq!(stats.mm_lookups, 0, "mv-only traffic");
+        assert_eq!(p.mul_mv(gd, state), product);
+        assert_eq!(p.compute_stats().mv_hits, stats.mv_hits + 1, "stored");
+        // Matrix-vector products probe `mv` and `add_v`, never `mm`/`add_m`.
+        assert_eq!(p.compute.clear(), [true, false, true, false]);
+        assert_eq!(p.compute.clear(), [false; 4], "nothing probed in between");
+        // What was stored before the clear never hits after it: the repeat
+        // recomputes every (distinct) node pair, then is stored again.
+        let hits = p.compute_stats().mv_hits;
+        assert_eq!(p.mul_mv(gd, state), product);
+        assert_eq!(p.compute_stats().mv_hits, hits, "a cleared entry hit");
+        assert_eq!(p.mul_mv(gd, state), product);
+        assert_eq!(p.compute_stats().mv_hits, hits + 1);
+        // A shrink leaves empty tables too.
+        p.compute.shrink_for_pressure();
+        assert_eq!(p.compute.clear(), [false; 4]);
+        p.mul_mm(gd, gd);
+        let [mv, mm, add_v, _] = p.compute.clear();
+        assert!(mm && !mv && !add_v, "a matrix product probes `mm` only");
     }
 
     #[test]

@@ -587,39 +587,12 @@ impl DdPackage {
     /// Number of DD nodes reachable from a vector edge — the paper's
     /// "DD size" `s_i` monitored by the EWMA (terminal excluded).
     pub fn vector_dd_size(&self, e: VEdge) -> usize {
-        let stamp = self.next_stamp();
-        let mut count = 0usize;
-        let mut stack = vec![e];
-        while let Some(cur) = stack.pop() {
-            if cur.is_zero() || cur.is_terminal() {
-                continue;
-            }
-            if self.v.mark(cur.n, stamp) {
-                count += 1;
-                let node = *self.v.get(cur.n);
-                stack.push(node.e[0]);
-                stack.push(node.e[1]);
-            }
-        }
-        count
+        self.v.mark_reachable([e.n], self.next_stamp())
     }
 
     /// Number of DD nodes reachable from a matrix edge (terminal excluded).
     pub fn matrix_dd_size(&self, e: MEdge) -> usize {
-        let stamp = self.next_stamp();
-        let mut count = 0usize;
-        let mut stack = vec![e];
-        while let Some(cur) = stack.pop() {
-            if cur.is_zero() || cur.is_terminal() {
-                continue;
-            }
-            if self.m.mark(cur.n, stamp) {
-                count += 1;
-                let node = *self.m.get(cur.n);
-                stack.extend_from_slice(&node.e);
-            }
-        }
-        count
+        self.m.mark_reachable([e.n], self.next_stamp())
     }
 
     /// Marks and sweeps: frees every node unreachable from the given roots.
@@ -632,28 +605,10 @@ impl DdPackage {
         let sweep_t0 =
             qtelemetry::enabled().then(|| (qtelemetry::now_us(), std::time::Instant::now()));
         let stamp = self.next_stamp();
-        let mut vstack: Vec<VEdge> = v_roots.to_vec();
-        while let Some(cur) = vstack.pop() {
-            if cur.is_zero() || cur.is_terminal() {
-                continue;
-            }
-            if self.v.mark(cur.n, stamp) {
-                let node = *self.v.get(cur.n);
-                vstack.push(node.e[0]);
-                vstack.push(node.e[1]);
-            }
-        }
-        let mut mstack: Vec<MEdge> = m_roots.to_vec();
-        mstack.extend_from_slice(self.id_cache.get_mut());
-        while let Some(cur) = mstack.pop() {
-            if cur.is_zero() || cur.is_terminal() {
-                continue;
-            }
-            if self.m.mark(cur.n, stamp) {
-                let node = *self.m.get(cur.n);
-                mstack.extend_from_slice(&node.e);
-            }
-        }
+        self.v.mark_reachable(v_roots.iter().map(|e| e.n), stamp);
+        let id_chain = self.id_cache.get_mut().iter();
+        self.m
+            .mark_reachable(m_roots.iter().chain(id_chain).map(|e| e.n), stamp);
         let fv = self.v.sweep(stamp);
         let fm = self.m.sweep(stamp);
         self.compute.clear();
@@ -752,7 +707,6 @@ impl DdPackage {
         gauge("dd.peak_m_nodes").set(s.peak_m_nodes as f64);
         gauge("dd.complex_values").set(s.complex_values as f64);
         gauge("dd.memory_bytes").set(s.memory_bytes as f64);
-        gauge("dd.bytes").set(s.memory_bytes as f64);
         let c = self.compute_stats();
         gauge("dd.ct_mv_lookups").set(c.mv_lookups as f64);
         gauge("dd.ct_mv_hit_rate").set(ratio(c.mv_hits, c.mv_lookups));

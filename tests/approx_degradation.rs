@@ -17,8 +17,8 @@ use qcircuit::{generators, Circuit, Complex64};
 use qdd::DdPackage;
 
 /// The reference fatally-breaching pair: a 12-qubit VQE ansatz whose pure-DD
-/// run peaks at 21.8 MiB of accounted memory and, under a budget, outgrows
-/// what the exact rungs of the ladder can give back from 14 MiB down.
+/// run peaks at 19.4 MiB of accounted memory and, under a budget, outgrows
+/// what the exact rungs of the ladder can give back from 12 MiB down.
 fn breaching_circuit() -> Circuit {
     generators::vqe(12, 3, 7)
 }
@@ -161,12 +161,21 @@ fn checkpoint_resume_preserves_the_fidelity_product() {
     let cfg = breaching_cfg(Some(BREACHING_BUDGET), Some(0.9));
     let mut sim = FlatDdSimulator::try_new(c.num_qubits(), cfg).unwrap();
     sim.set_checkpoint_policy(Some(CheckpointPolicy::at(&path)));
-    // Run far enough that truncations have fired, then suspend.
-    let cut = 110;
+    // Run far enough that truncations have fired, then suspend: the armed
+    // run is the unarmed one up to the gate where that one breaches (gate
+    // 112 of 117 here; 96 while a node was also kept as a hash-map key).
+    let unarmed = breaching_cfg(Some(BREACHING_BUDGET), None);
+    let cut = match FlatDdSimulator::try_new(c.num_qubits(), unarmed)
+        .unwrap()
+        .run(&c)
+    {
+        Err(FlatDdError::MemoryBudgetExceeded { partial, .. }) => partial.gates_applied + 1,
+        other => panic!("expected MemoryBudgetExceeded, got {other:?}"),
+    };
     sim.run_prefix(&c, cut).unwrap();
     assert!(
         sim.stats().approx_truncations >= 1,
-        "prefix did not trigger the rung; test needs a longer prefix"
+        "the rung did not fire where the unarmed run breaches"
     );
     let fidelity_at_cut = sim.fidelity();
     let truncations_at_cut = sim.stats().approx_truncations;

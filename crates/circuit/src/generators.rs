@@ -11,8 +11,7 @@
 //! reproducible.
 
 use crate::circuit::Circuit;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::Rng;
 use std::f64::consts::PI;
 
 /// GHZ state preparation: `H` then a CNOT chain. Highly regular — the state
@@ -118,19 +117,19 @@ pub fn qft(n: usize) -> Circuit {
 /// distribution with diverse phases), while the permutation/diagonal
 /// entangler makes it the fusion-friendly workload of Table 2.
 pub fn dnn(n: usize, layers: usize, seed: u64) -> Circuit {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut c = Circuit::named(n, format!("dnn_{n}"));
     for q in 0..n {
         c.h(q);
     }
     for _ in 0..layers {
         for q in 0..n {
-            c.ry(rng.gen_range(0.0..2.0 * PI), q);
+            c.ry(rng.f64_in(0.0..2.0 * PI), q);
         }
         for q in 0..n - 1 {
             // exp(-i theta/2 Z_q Z_{q+1}) via CX-RZ-CX.
             c.cx(q, q + 1);
-            c.rz(rng.gen_range(0.0..2.0 * PI), q + 1);
+            c.rz(rng.f64_in(0.0..2.0 * PI), q + 1);
             c.cx(q, q + 1);
         }
     }
@@ -156,12 +155,12 @@ pub fn dnn_paper(n: usize, seed: u64) -> Circuit {
 /// Hardware-efficient VQE ansatz: `depth` layers of RY/RZ rotations with a
 /// linear CX entangler, pseudo-random parameters. Irregular.
 pub fn vqe(n: usize, depth: usize, seed: u64) -> Circuit {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut c = Circuit::named(n, format!("vqe_{n}"));
     for _ in 0..depth {
         for q in 0..n {
-            c.ry(rng.gen_range(0.0..2.0 * PI), q);
-            c.rz(rng.gen_range(0.0..2.0 * PI), q);
+            c.ry(rng.f64_in(0.0..2.0 * PI), q);
+            c.rz(rng.f64_in(0.0..2.0 * PI), q);
         }
         for q in 0..n - 1 {
             c.cx(q, q + 1);
@@ -169,7 +168,7 @@ pub fn vqe(n: usize, depth: usize, seed: u64) -> Circuit {
     }
     // Final rotation layer (standard for hardware-efficient ansatze).
     for q in 0..n {
-        c.ry(rng.gen_range(0.0..2.0 * PI), q);
+        c.ry(rng.f64_in(0.0..2.0 * PI), q);
     }
     c
 }
@@ -185,11 +184,11 @@ pub fn vqe_paper(n: usize, seed: u64) -> Circuit {
 /// controlled-SWAP per register pair, and a closing `H`.
 pub fn swap_test(m: usize, seed: u64) -> Circuit {
     let n = 2 * m + 1;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut c = Circuit::named(n, format!("swaptest_{n}"));
     // Ancilla is qubit 0; register X at 1..=m, register Y at m+1..=2m.
     for q in 1..n {
-        c.ry(rng.gen_range(0.0..PI), q);
+        c.ry(rng.f64_in(0.0..PI), q);
     }
     c.h(0);
     for i in 0..m {
@@ -204,15 +203,15 @@ pub fn swap_test(m: usize, seed: u64) -> Circuit {
 /// angle distribution to distinguish the two preparations.
 pub fn knn(m: usize, seed: u64) -> Circuit {
     let n = 2 * m + 1;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut c = Circuit::named(n, format!("knn_{n}"));
     for q in 1..=m {
-        c.ry(rng.gen_range(0.0..PI), q);
+        c.ry(rng.f64_in(0.0..PI), q);
     }
     for q in m + 1..n {
         // Training register: RY then RZ (mixed-phase encoding).
-        c.ry(rng.gen_range(0.0..PI), q);
-        c.rz(rng.gen_range(0.0..2.0 * PI), q);
+        c.ry(rng.f64_in(0.0..PI), q);
+        c.rz(rng.f64_in(0.0..2.0 * PI), q);
     }
     c.h(0);
     for i in 0..m {
@@ -229,7 +228,7 @@ pub fn knn(m: usize, seed: u64) -> Circuit {
 /// through eight grid configurations. Maximally irregular.
 pub fn supremacy(rows: usize, cols: usize, cycles: usize, seed: u64) -> Circuit {
     let n = rows * cols;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut c = Circuit::named(n, format!("supremacy_{n}"));
     let q = |r: usize, col: usize| r * cols + col;
 
@@ -237,14 +236,14 @@ pub fn supremacy(rows: usize, cols: usize, cycles: usize, seed: u64) -> Circuit 
         c.h(qu);
     }
     // last single-qubit gate id per qubit: 0=sx, 1=sy, 2=t, 3=h(none yet)
-    let mut last = vec![3u8; n];
+    let mut last = vec![3usize; n];
     for cycle in 0..cycles {
         // Single-qubit layer.
         #[allow(clippy::needless_range_loop)]
         for qu in 0..n {
-            let mut g = rng.gen_range(0..3u8);
+            let mut g = rng.range(0..3);
             while g == last[qu] {
-                g = rng.gen_range(0..3u8);
+                g = rng.range(0..3);
             }
             last[qu] = g;
             match g {
@@ -326,7 +325,7 @@ pub fn supremacy(rows: usize, cols: usize, cycles: usize, seed: u64) -> Circuit 
 /// experiment, rather than the CZ-based 2017 proposal.
 pub fn supremacy_fsim(rows: usize, cols: usize, cycles: usize, seed: u64) -> Circuit {
     let n = rows * cols;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut c = Circuit::named(n, format!("sycamore_{n}"));
     let q = |r: usize, col: usize| r * cols + col;
     let theta = std::f64::consts::FRAC_PI_2;
@@ -335,13 +334,13 @@ pub fn supremacy_fsim(rows: usize, cols: usize, cycles: usize, seed: u64) -> Cir
     for qu in 0..n {
         c.h(qu);
     }
-    let mut last = vec![3u8; n];
+    let mut last = vec![3usize; n];
     for cycle in 0..cycles {
         #[allow(clippy::needless_range_loop)]
         for qu in 0..n {
-            let mut g = rng.gen_range(0..3u8);
+            let mut g = rng.range(0..3);
             while g == last[qu] {
-                g = rng.gen_range(0..3u8);
+                g = rng.range(0..3);
             }
             last[qu] = g;
             match g {
@@ -485,9 +484,9 @@ pub fn qaoa_with_angles(n: usize, edges: &[(usize, usize)], angles: &[(f64, f64)
 /// [`qaoa_edges`] when you need optimized parameters).
 pub fn qaoa(n: usize, p: usize, seed: u64) -> Circuit {
     let edges = qaoa_edges(n, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xA0A0);
+    let mut rng = Rng::seed_from_u64(seed ^ 0xA0A0);
     let angles: Vec<(f64, f64)> = (0..p)
-        .map(|_| (rng.gen_range(0.0..PI), rng.gen_range(0.0..PI)))
+        .map(|_| (rng.f64_in(0.0..PI), rng.f64_in(0.0..PI)))
         .collect();
     qaoa_with_angles(n, &edges, &angles)
 }
@@ -495,11 +494,11 @@ pub fn qaoa(n: usize, p: usize, seed: u64) -> Circuit {
 /// QAOA's problem graph for a given `(n, seed)` — paired with [`qaoa`] so
 /// callers can evaluate the cut value of sampled bitstrings.
 pub fn qaoa_edges(n: usize, seed: u64) -> Vec<(usize, usize)> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
     for _ in 0..n / 2 {
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
+        let a = rng.range(0..n);
+        let b = rng.range(0..n);
         if a != b && !edges.contains(&(a, b)) && !edges.contains(&(b, a)) {
             edges.push((a.min(b), a.max(b)));
         }
@@ -617,37 +616,37 @@ pub fn phase_estimation(bits: usize, theta: f64) -> Circuit {
 /// Uniformly random circuit over a universal gate set — used by property
 /// tests to cross-validate the simulation engines.
 pub fn random_circuit(n: usize, num_gates: usize, seed: u64) -> Circuit {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut c = Circuit::named(n, format!("random_{n}_{num_gates}"));
     for _ in 0..num_gates {
-        let q = rng.gen_range(0..n);
-        match rng.gen_range(0..10u8) {
+        let q = rng.range(0..n);
+        match rng.range(0..10) {
             0 => c.h(q),
             1 => c.x(q),
             2 => c.t(q),
             3 => c.s(q),
-            4 => c.ry(rng.gen_range(0.0..2.0 * PI), q),
-            5 => c.rz(rng.gen_range(0.0..2.0 * PI), q),
+            4 => c.ry(rng.f64_in(0.0..2.0 * PI), q),
+            5 => c.rz(rng.f64_in(0.0..2.0 * PI), q),
             6 => c.sx(q),
             7 | 8 if n >= 2 => {
-                let mut p = rng.gen_range(0..n);
+                let mut p = rng.range(0..n);
                 while p == q {
-                    p = rng.gen_range(0..n);
+                    p = rng.range(0..n);
                 }
-                if rng.gen_bool(0.5) {
+                if rng.bool(0.5) {
                     c.cx(p, q)
                 } else {
                     c.cz(p, q)
                 }
             }
             _ if n >= 3 => {
-                let mut a = rng.gen_range(0..n);
+                let mut a = rng.range(0..n);
                 while a == q {
-                    a = rng.gen_range(0..n);
+                    a = rng.range(0..n);
                 }
-                let mut b = rng.gen_range(0..n);
+                let mut b = rng.range(0..n);
                 while b == q || b == a {
-                    b = rng.gen_range(0..n);
+                    b = rng.range(0..n);
                 }
                 c.ccx(a, b, q)
             }

@@ -12,6 +12,8 @@
 //!   quantum-supremacy random circuits, Grover, W state).
 //! * [`dense`] — naive dense reference simulation used as ground truth by
 //!   the test suites of every crate.
+//! * [`rng`] — the seeded generators behind every randomized family and
+//!   every sampler; [`prop`] — the property runner the test suites share.
 //!
 //! ## Conventions
 //!
@@ -26,14 +28,14 @@ pub mod complex;
 pub mod dense;
 pub mod gate;
 pub mod generators;
-pub mod noise;
 pub mod observable;
+pub mod prop;
 pub mod qasm;
+pub mod rng;
 pub mod transform;
 
 pub use circuit::Circuit;
 pub use complex::Complex64;
 pub use gate::{Control, Gate, GateKind, Mat2};
-pub use noise::{NoiseChannel, NoiseModel};
 pub use observable::{Hamiltonian, ObservableError, Pauli, PauliString};
 pub use qasm::{parse_qasm, QasmError};

@@ -986,4 +986,21 @@ mod tests {
              run may resume with the floor newly armed)"
         );
     }
+
+    /// A family, its parameters and a seed name one circuit everywhere,
+    /// because `qcircuit::rng` is pinned: the recorded numbers' instances.
+    #[test]
+    fn seeded_families_generate_the_recorded_instances() {
+        use qcircuit::generators as g;
+        for (c, gates, want) in [
+            (g::supremacy_n(12, 10, 1), 176, 0x530a30fd2956e114),
+            (g::dnn(10, 3, 1), 121, 0x6aefed15977f7b24),
+            (g::vqe(10, 3, 1), 97, 0xaaa5c8d64ff4ce76),
+            (g::knn(6, 1), 38, 0xed93edb9d15a271b),
+            (g::random_circuit(7, 40, 1), 40, 0xcfa28e11266708fe),
+        ] {
+            assert_eq!(c.num_gates(), gates, "{}", c.name());
+            assert_eq!(circuit_fingerprint(&c), want, "{}", c.name());
+        }
+    }
 }

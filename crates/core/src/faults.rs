@@ -55,9 +55,11 @@ pub const SITE_STATE_NAN: &str = "state.nan";
 pub const SITE_CKPT_TRUNCATE: &str = "checkpoint.truncate";
 /// Flips one bit of a checkpoint file before its atomic installation.
 pub const SITE_CKPT_BITFLIP: &str = "checkpoint.bitflip";
-/// IO error while persisting a spool job record (`flatdd-serve`). Any
-/// action degrades to `error`: the persist call reports failure and the
-/// caller's in-memory state must stay coherent.
+/// IO error while persisting a spool job record (`flatdd-serve`): the
+/// persist call reports failure and the caller's in-memory state must stay
+/// coherent. The `panic` action dies at the write instead — the scheduler
+/// persists under its lock, so this is the seam for a holder of that lock
+/// panicking; every other action degrades to `error`.
 pub const SITE_SPOOL_WRITE: &str = "spool.write";
 /// Disk-full (`ENOSPC`-shaped IO error) at checkpoint installation time —
 /// the temp file is written but the atomic rename is denied. The `panic`

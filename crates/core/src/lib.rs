@@ -77,7 +77,6 @@ pub mod pool;
 pub mod serve;
 pub mod signal;
 pub mod sim;
-pub mod trajectories;
 
 /// The unified telemetry surface (structured events, Chrome-trace export,
 /// cross-crate metrics registry), re-exported so downstream users need only
@@ -106,4 +105,3 @@ pub use sim::{
     simulate, try_simulate, CachingPolicy, ConversionPolicy, FlatDdConfig, FlatDdSimulator,
     FlatDdStats, FusionPolicy, GateTrace, Phase,
 };
-pub use trajectories::{noisy_expectation, TrajectoryEstimate};

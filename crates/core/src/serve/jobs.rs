@@ -465,9 +465,13 @@ impl JobRecord {
     /// Probes the `spool.write` fault site (process-global registry —
     /// record persistence is a daemon-level concern, not scoped to any one
     /// job's chaos spec): when armed, the write reports an IO error and
-    /// the on-disk record is left as it was.
+    /// the on-disk record is left as it was; the `panic` action dies here
+    /// instead, which under the scheduler is a panic holding its lock.
     pub fn persist(&self, spool: &Path) -> Result<(), FlatDdError> {
-        if crate::faults::fires(crate::faults::SITE_SPOOL_WRITE).is_some() {
+        if let Some(action) = crate::faults::fires(crate::faults::SITE_SPOOL_WRITE) {
+            if action == crate::faults::FaultAction::Panic {
+                panic!("fault injection: crash persisting job record {}", self.id);
+            }
             return Err(FlatDdError::Io(std::io::Error::other(format!(
                 "injected IO error persisting job record {} (fault site {})",
                 self.id,

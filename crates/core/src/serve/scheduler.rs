@@ -30,13 +30,12 @@ use crate::error::FlatDdError;
 use crate::govern::GovernorConfig;
 use crate::sim::{FlatDdConfig, FlatDdSimulator};
 use crate::{faults, signal};
-use parking_lot::{Condvar, Mutex};
 use qcircuit::{generators, qasm, Circuit};
 use qtelemetry::MetricsRegistry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Daemon-wide configuration.
@@ -151,6 +150,23 @@ struct Inner {
     started: Instant,
 }
 
+type Locked<'a> = MutexGuard<'a, SchedState>;
+
+impl Inner {
+    /// The scheduler lock does not poison: a worker that dies holding it
+    /// (a panic outside the per-job containment) takes its own job down,
+    /// not every later request.
+    fn lock(&self) -> Locked<'_> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits on the scheduler's condition variable for at most `timeout`.
+    fn wait<'a>(&self, st: Locked<'a>, timeout: Duration) -> Locked<'a> {
+        let waited = self.cv.wait_timeout(st, timeout);
+        waited.unwrap_or_else(PoisonError::into_inner).0
+    }
+}
+
 /// The job scheduler. Cheap handles are obtained with [`Scheduler::handle`]
 /// for the HTTP edge; the owning instance joins its workers on
 /// [`Scheduler::drain`].
@@ -237,7 +253,7 @@ impl Scheduler {
             draining: AtomicBool::new(false),
             started: Instant::now(),
         });
-        publish_gauges(&inner, &inner.state.lock());
+        publish_gauges(&inner, &inner.lock());
         let workers = (0..inner.cfg.workers.max(1))
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -264,7 +280,7 @@ impl Scheduler {
     pub fn drain(self) {
         self.inner.draining.store(true, Ordering::SeqCst);
         {
-            let st = self.inner.state.lock();
+            let st = self.inner.lock();
             for ctx in st.ctxs.values() {
                 ctx.cancel(signal::SIGTERM);
             }
@@ -297,7 +313,7 @@ impl SchedulerHandle {
         }
         // Validate the circuit and size it before taking a queue slot.
         let est = job_estimate(&self.inner.cfg, &spec).map_err(SubmitError::Invalid)?;
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.lock();
         if st.queue.len() >= self.inner.cfg.queue_cap {
             self.inner
                 .metrics
@@ -322,7 +338,7 @@ impl SchedulerHandle {
 
     /// Requests cancellation of a job.
     pub fn cancel(&self, id: u64) -> CancelOutcome {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.lock();
         let Some(rec) = st.records.get(&id) else {
             return CancelOutcome::NotFound;
         };
@@ -353,17 +369,17 @@ impl SchedulerHandle {
 
     /// Snapshot of one record.
     pub fn job(&self, id: u64) -> Option<JobRecord> {
-        self.inner.state.lock().records.get(&id).cloned()
+        self.inner.lock().records.get(&id).cloned()
     }
 
     /// Snapshot of every record, ascending by id.
     pub fn jobs(&self) -> Vec<JobRecord> {
-        self.inner.state.lock().records.values().cloned().collect()
+        self.inner.lock().records.values().cloned().collect()
     }
 
     /// `(running, queued)` counts for health reporting.
     pub fn load(&self) -> (usize, usize) {
-        let st = self.inner.state.lock();
+        let st = self.inner.lock();
         (st.running, st.queue.len())
     }
 
@@ -371,7 +387,7 @@ impl SchedulerHandle {
     /// helper; returns false on timeout).
     pub fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.lock();
         loop {
             let busy = st.running > 0 || !st.queue.is_empty();
             if !busy {
@@ -381,7 +397,7 @@ impl SchedulerHandle {
             if now >= deadline {
                 return false;
             }
-            self.inner.cv.wait_for(&mut st, deadline - now);
+            st = self.inner.wait(st, deadline - now);
         }
     }
 
@@ -399,14 +415,13 @@ impl SchedulerHandle {
     /// registry. `None` once the context has aged out (see
     /// `RETAINED_JOB_CTXS`) or for ids the daemon never ran.
     pub fn job_context(&self, id: u64) -> Option<RunContext> {
-        self.inner.state.lock().job_ctxs.get(&id).cloned()
+        self.inner.lock().job_ctxs.get(&id).cloned()
     }
 
     /// `(id, registry)` for every tracked job, ascending by id — the
     /// per-job section of the Prometheus scrape.
     pub fn job_registries(&self) -> Vec<(u64, MetricsRegistry)> {
         self.inner
-            .state
             .lock()
             .job_ctxs
             .iter()
@@ -508,7 +523,7 @@ fn worker_loop(inner: &Inner) {
     loop {
         // Claim phase: wait for an admissible job (or drain).
         let (id, ctx) = {
-            let mut st = inner.state.lock();
+            let mut st = inner.lock();
             loop {
                 if inner.draining.load(Ordering::SeqCst) {
                     return;
@@ -547,13 +562,13 @@ fn worker_loop(inner: &Inner) {
                     break (id, ctx);
                 }
                 maybe_preempt(inner, &mut st);
-                inner.cv.wait_for(&mut st, Duration::from_millis(200));
+                st = inner.wait(st, Duration::from_millis(200));
             }
         };
 
         // Run phase: outside the lock. Any panic that escapes the
         // simulator's own containment is still confined to this job.
-        let spec = inner.state.lock().records[&id].spec.clone();
+        let spec = inner.lock().records[&id].spec.clone();
         let started = Instant::now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             execute_job(inner, id, &spec, &ctx)
@@ -564,7 +579,7 @@ fn worker_loop(inner: &Inner) {
         // Transition phase.
         let mut backoff: Option<Duration> = None;
         {
-            let mut st = inner.state.lock();
+            let mut st = inner.lock();
             let est = st.est[&id];
             st.mem_in_use -= est;
             st.running -= 1;

@@ -38,9 +38,9 @@
 
 use crate::fxhash::hash_pair;
 use crate::sync::{stripe_of, SlotVec, Stripe, TagIndex, STRIPES};
-use parking_lot::MutexGuard;
 use qcircuit::Complex64;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::MutexGuard;
 
 /// Index of an interned complex value.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -333,6 +333,7 @@ impl ComplexTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcircuit::prop::Gen;
 
     #[test]
     fn constants_have_fixed_indices() {
@@ -500,55 +501,48 @@ mod tests {
         assert_eq!(t.len(), 2 + 500 + pairs.len());
     }
 
-    mod geometry {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// Position inside a cell: interior, hugging the lower side, or
-        /// hugging the upper one (a corner when both axes draw a side).
-        fn frac() -> impl Strategy<Value = f64> {
-            prop_oneof![
-                0.01f64..0.99,
-                (0.0f64..2.0).prop_map(|d| d / CELL_TOLS),
-                (0.0f64..2.0).prop_map(|d| 1.0 - d / CELL_TOLS),
-            ]
+    /// Position inside a cell: interior, hugging the lower side, or
+    /// hugging the upper one (a corner when both axes draw a side).
+    fn frac(g: &mut Gen) -> f64 {
+        match g.rng.range(0..3) {
+            0 => g.rng.f64_in(0.01..0.99),
+            1 => g.rng.f64_in(0.0..2.0) / CELL_TOLS,
+            _ => 1.0 - g.rng.f64_in(0.0..2.0) / CELL_TOLS,
         }
+    }
 
-        /// A coordinate of magnitude ~1e-9..1e3 (log-uniform), either sign,
-        /// at `frac()` of its cell.
-        fn coord() -> impl Strategy<Value = f64> {
-            (-9.0f64..3.0, any::<bool>(), frac()).prop_map(|(exp, neg, frac)| {
-                let k = (10f64.powf(exp) / (CELL_TOLS * 1e-10)) as i64;
-                at_cell(if neg { -k - 1 } else { k }, frac)
-            })
-        }
+    /// A coordinate of magnitude ~1e-9..1e3 (log-uniform), either sign,
+    /// at `frac()` of its cell.
+    fn coord(g: &mut Gen) -> f64 {
+        let k = (10f64.powf(g.rng.f64_in(-9.0..3.0)) / (CELL_TOLS * 1e-10)) as i64;
+        at_cell(if g.rng.bool(0.5) { -k - 1 } else { k }, frac(g))
+    }
 
-        proptest! {
-            #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
-            #[test]
-            fn lookup_unifies_exactly_the_values_within_tolerance(
-                re in coord(),
-                im in coord(),
-                dr in -1.5f64..1.5,
-                di in -1.5f64..1.5,
-                exact_tol in any::<bool>(),
-            ) {
-                let t = ComplexTable::default();
-                let tol = t.tolerance();
-                let s = Complex64::new(re, im);
-                // Offsets up to 1.5 tol per component, or exactly +-tol.
-                let off = |d: f64| if exact_tol { d.signum() * tol } else { d * tol };
-                let v = Complex64::new(re + off(dr), im + off(di));
-                for c in [Complex64::ZERO, Complex64::ONE] {
-                    prop_assume!(!s.approx_eq(c, 3.0 * tol));
-                }
-                let is = t.lookup(s);
-                prop_assert_eq!(is, CIdx(2));
-                let iv = t.lookup(v);
-                prop_assert_eq!(iv == is, v.approx_eq(s, tol), "s = {:?}, v = {:?}", s, v);
-                prop_assert_eq!(t.lookup(s), is);
-                prop_assert_eq!(t.lookup(v), iv);
+    #[test]
+    fn lookup_unifies_exactly_the_values_within_tolerance() {
+        qcircuit::prop::check(2000, |g| {
+            let (re, im) = (coord(g), coord(g));
+            let (dr, di) = (g.rng.f64_in(-1.5..1.5), g.rng.f64_in(-1.5..1.5));
+            let exact_tol = g.rng.bool(0.5);
+            let t = ComplexTable::default();
+            let tol = t.tolerance();
+            let s = Complex64::new(re, im);
+            // Offsets up to 1.5 tol per component, or exactly +-tol.
+            let off = |d: f64| if exact_tol { d.signum() * tol } else { d * tol };
+            let v = Complex64::new(re + off(dr), im + off(di));
+            // The two pre-interned constants would take index 2's place.
+            if [Complex64::ZERO, Complex64::ONE]
+                .iter()
+                .any(|&c| s.approx_eq(c, 3.0 * tol))
+            {
+                return;
             }
-        }
+            let is = t.lookup(s);
+            assert_eq!(is, CIdx(2));
+            let iv = t.lookup(v);
+            assert_eq!(iv == is, v.approx_eq(s, tol), "s = {s:?}, v = {v:?}");
+            assert_eq!(t.lookup(s), is);
+            assert_eq!(t.lookup(v), iv);
+        });
     }
 }

@@ -51,6 +51,6 @@ pub use node::{MEdge, MNode, VEdge, VNode, TERM};
 pub use ops::ComputeStats;
 pub use package::{DdPackage, PackageStats};
 pub use par::ThreadPool;
-pub use sampling::SplitMix64;
+pub use qcircuit::rng::SplitMix64;
 pub use sim::{DdSimStats, DdSimulator};
 pub use verify::{check_equivalence, circuit_unitary_dd, unitaries_equal, Equivalence};

@@ -12,9 +12,10 @@ use crate::ctable::{CIdx, ComplexTable};
 use crate::fxhash::hash_u64;
 use crate::node::{Lazy, MEdge, MNode, NodeArena, VEdge, VNode, TERM};
 use crate::ops::ComputeTables;
-use parking_lot::Mutex;
+use crate::sync::{get_mut, lock};
 use qcircuit::{Complex64, Gate, Mat2};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Memory/size statistics of a [`DdPackage`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -108,18 +109,18 @@ impl GateMemo {
     }
 
     fn get(&self, key: &GateKey) -> Option<MEdge> {
-        match &self.0.lock()[key.slot()] {
+        match &lock(&self.0)[key.slot()] {
             Some((k, e)) if k == key => Some(*e),
             _ => None,
         }
     }
 
     fn put(&self, key: GateKey, e: MEdge) {
-        self.0.lock()[key.slot()] = Some((key, e));
+        lock(&self.0)[key.slot()] = Some((key, e));
     }
 
     fn clear(&mut self) {
-        self.0.get_mut().fill(None);
+        get_mut(&mut self.0).fill(None);
     }
 
     fn memory_bytes(&self) -> usize {
@@ -460,7 +461,7 @@ impl DdPackage {
 
     /// Identity DD over levels `0..l` (an `l`-qubit identity matrix).
     pub fn identity_dd(&self, l: usize) -> MEdge {
-        let mut cache = self.id_cache.lock();
+        let mut cache = lock(&self.id_cache);
         while cache.len() <= l {
             let prev = *cache.last().unwrap();
             let level = cache.len() - 1;
@@ -606,7 +607,7 @@ impl DdPackage {
             qtelemetry::enabled().then(|| (qtelemetry::now_us(), std::time::Instant::now()));
         let stamp = self.next_stamp();
         self.v.mark_reachable(v_roots.iter().map(|e| e.n), stamp);
-        let id_chain = self.id_cache.get_mut().iter();
+        let id_chain = get_mut(&mut self.id_cache).iter();
         self.m
             .mark_reachable(m_roots.iter().chain(id_chain).map(|e| e.n), stamp);
         let fv = self.v.sweep(stamp);
@@ -805,7 +806,7 @@ mod tests {
         }
         // A sweep recycles node ids, so it empties the memo.
         p.gc(&[], &[e]);
-        assert!(p.gate_memo.0.lock().iter().all(Option::is_none));
+        assert!(lock(&p.gate_memo.0).iter().all(Option::is_none));
         assert_eq!(p.gate_dd(&g, n), e, "rebuilt onto the surviving nodes");
         // Too wide for the key's masks: built every time, still canonical.
         let wide = Gate::controlled(GateKind::Z, 130, vec![Control::pos(0)]);

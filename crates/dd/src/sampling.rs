@@ -220,42 +220,11 @@ impl DdPackage {
     }
 }
 
-/// A tiny deterministic SplitMix64-based uniform generator for examples and
-/// tests (not cryptographic).
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Seeds the generator.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform `f64` in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// A `FnMut() -> f64` closure borrowing this generator.
-    pub fn as_fn(&mut self) -> impl FnMut() -> f64 + '_ {
-        move || self.next_f64()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qcircuit::generators;
+    use qcircuit::rng::SplitMix64;
 
     fn state_dd(c: &qcircuit::Circuit) -> (DdPackage, VEdge) {
         let pkg = DdPackage::default();

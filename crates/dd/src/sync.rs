@@ -26,11 +26,10 @@
 //!   whose final store is `Release`), so the slot write happens-before
 //!   every cross-thread read of that slot.
 
-use parking_lot::{Mutex, MutexGuard};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 
 /// log2 of the first segment's slot count.
 const SEG0_BITS: u32 = 10;
@@ -260,8 +259,19 @@ pub(crate) fn stripe_of(h: u64) -> usize {
     (h >> 60) as usize
 }
 
+/// Locks `m` without poisoning: a holder that panicked leaves the state as
+/// it was at that point and later lockers proceed (as in `qarray::pool`).
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`] for an exclusive borrow (stop-the-world paths).
+pub(crate) fn get_mut<T>(m: &mut Mutex<T>) -> &mut T {
+    m.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One lock stripe of an interning table: the state it guards and how often
-/// a locker found it held.
+/// a locker found it held. Like [`lock`], it does not poison.
 pub(crate) struct Stripe<T> {
     state: Mutex<T>,
     contended: AtomicU64,
@@ -281,8 +291,9 @@ impl<T> Stripe<T> {
     #[inline(always)]
     pub(crate) fn lock(&self, stall: &qtelemetry::Histogram) -> MutexGuard<'_, T> {
         match self.state.try_lock() {
-            Some(g) => g,
-            None => self.wait(stall),
+            Ok(g) => g,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => self.wait(stall),
         }
     }
 
@@ -290,17 +301,17 @@ impl<T> Stripe<T> {
     fn wait(&self, stall: &qtelemetry::Histogram) -> MutexGuard<'_, T> {
         self.contended.fetch_add(1, Ordering::Relaxed);
         if !qtelemetry::enabled() {
-            return self.state.lock();
+            return lock(&self.state);
         }
         let t0 = std::time::Instant::now();
-        let g = self.state.lock();
+        let g = lock(&self.state);
         stall.observe(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         g
     }
 
     /// The guarded state through an exclusive borrow (stop-the-world paths).
     pub(crate) fn get_mut(&mut self) -> &mut T {
-        self.state.get_mut()
+        get_mut(&mut self.state)
     }
 
     /// Times [`Self::lock`] had to wait.
@@ -391,7 +402,7 @@ mod tests {
     fn tag_index_matches_a_hashmap_model() {
         use std::collections::HashMap;
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut rand = move |n: u64| {
+        let mut draw = move |n: u64| {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
@@ -404,7 +415,7 @@ mod tests {
         let (mut regrows, mut bytes) = (0, 8 * 8);
         for round in 0..40 {
             for _ in 0..100 {
-                let key = rand(1 << 20) as u32;
+                let key = draw(1 << 20) as u32;
                 let (slab_ref, found) = (&slab, model.get(&key).copied());
                 let got = index.find(weak_hash(key), |idx| slab_ref[idx as usize] == key);
                 assert_eq!(got, found, "key {key}");
@@ -470,5 +481,30 @@ mod tests {
         assert_eq!(stripe.contended(), 1);
         let mut stripe = stripe;
         assert_eq!(*stripe.get_mut(), 2);
+    }
+
+    #[test]
+    fn a_panic_under_the_guard_leaves_the_stripe_usable() {
+        let mut stripe = Stripe::new(7u32);
+        let stall = qtelemetry::Histogram::new();
+        let dies = || {
+            *stripe.lock(&stall) += 1;
+            let _held = stripe.lock(&stall);
+            panic!("dies holding the stripe");
+        };
+        assert!(std::thread::scope(|s| s.spawn(dies).join()).is_err());
+        // The free path (`try_lock`) and the waiting one both see the state
+        // the dead thread left, not a poisoned-lock panic.
+        let held = stripe.lock(&stall);
+        assert_eq!(*held, 8);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| *stripe.lock(&stall) += 1);
+            while stripe.contended() == 0 {
+                std::thread::yield_now();
+            }
+            drop(held);
+            waiter.join().unwrap();
+        });
+        assert_eq!(*stripe.get_mut(), 9);
     }
 }

@@ -12,7 +12,7 @@
 use flatdd::{
     CheckpointPolicy, ConversionPolicy, FlatDdConfig, FlatDdError, FlatDdSimulator, GovernorConfig,
 };
-use proptest::prelude::*;
+use qcircuit::prop;
 use qcircuit::{generators, Circuit, Complex64};
 use qdd::DdPackage;
 
@@ -209,33 +209,6 @@ fn checkpoint_resume_preserves_the_fidelity_product() {
 // Truncation-primitive invariants (property tests over random circuits).
 // ---------------------------------------------------------------------------
 
-fn arb_gate(n: usize) -> impl Strategy<Value = qcircuit::Gate> {
-    use qcircuit::GateKind;
-    let kind = prop_oneof![
-        Just(GateKind::H),
-        Just(GateKind::X),
-        Just(GateKind::T),
-        (-3.0f64..3.0).prop_map(GateKind::RY),
-        (-3.0f64..3.0).prop_map(GateKind::RZ),
-    ];
-    (kind, 0..n, proptest::option::of(0..n)).prop_map(move |(kind, target, ctl)| match ctl {
-        Some(c) if c != target => {
-            qcircuit::Gate::controlled(kind, target, vec![qcircuit::Control::pos(c)])
-        }
-        _ => qcircuit::Gate::new(kind, target),
-    })
-}
-
-fn arb_circuit(n: usize, max_gates: usize) -> impl Strategy<Value = Circuit> {
-    proptest::collection::vec(arb_gate(n), 4..max_gates).prop_map(move |gates| {
-        let mut c = Circuit::new(n);
-        for g in gates {
-            c.push(g);
-        }
-        c
-    })
-}
-
 /// Dense fidelity `|<a|b>|^2`, computed independently of the DD package's
 /// own inner product.
 fn dense_fidelity(pkg: &DdPackage, a: qdd::VEdge, b: qdd::VEdge, n: usize) -> f64 {
@@ -245,16 +218,15 @@ fn dense_fidelity(pkg: &DdPackage, a: qdd::VEdge, b: qdd::VEdge, n: usize) -> f6
     overlap.norm_sqr()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    #[test]
-    fn truncation_chain_invariants(c in arb_circuit(6, 30)) {
+#[test]
+fn truncation_chain_invariants() {
+    prop::check(12, |g| {
+        let c = g.circuit(6, 4..30);
         let n = c.num_qubits();
         let mut pkg = DdPackage::default();
         let mut s = pkg.basis_state(n, 0);
-        for g in c.iter() {
-            s = pkg.apply_gate(s, g, n);
+        for gate in c.iter() {
+            s = pkg.apply_gate(s, gate, n);
         }
         // A chain of escalating truncations, exactly as the governor rung
         // walks its threshold ladder.
@@ -264,26 +236,23 @@ proptest! {
             let nodes_before = pkg.vector_dd_size(s);
             let r = pkg.approximate(s, threshold);
             // Truncation never grows the DD.
-            prop_assert!(r.nodes_after <= nodes_before,
-                "nodes grew {} -> {}", nodes_before, r.nodes_after);
-            prop_assert_eq!(r.nodes_before, nodes_before);
+            assert!(r.nodes_after <= nodes_before, "{r:?} from {nodes_before}");
+            assert_eq!(r.nodes_before, nodes_before);
             // Per-step fidelity lives in (0, 1] (up to f64 rounding).
-            prop_assert!(r.fidelity > 0.0 && r.fidelity <= 1.0 + 1e-12,
-                "step fidelity {} outside (0, 1]", r.fidelity);
+            assert!(r.fidelity > 0.0 && r.fidelity <= 1.0 + 1e-12, "{r:?}");
             // The reported step fidelity matches a dense recomputation.
             let dense = dense_fidelity(&pkg, s, r.state, n);
-            prop_assert!((r.fidelity - dense).abs() < 1e-12,
-                "reported {} vs dense {}", r.fidelity, dense);
+            assert!((r.fidelity - dense).abs() < 1e-12, "{r:?} vs dense {dense}");
             tracked_product *= r.fidelity;
             independent_product *= dense;
             s = r.state;
         }
         // The cumulative product the simulator would track matches the
         // independently recomputed product to 1e-12.
-        prop_assert!((tracked_product - independent_product).abs() < 1e-12);
+        assert!((tracked_product - independent_product).abs() < 1e-12);
         // The surviving state is still normalized.
         let arr = pkg.vector_to_array(s, n);
         let norm: f64 = arr.iter().map(|a| a.norm_sqr()).sum();
-        prop_assert!((norm - 1.0).abs() < 1e-9, "norm {}", norm);
-    }
+        assert!((norm - 1.0).abs() < 1e-9, "norm {}", norm);
+    });
 }

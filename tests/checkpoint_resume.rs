@@ -8,10 +8,8 @@ use flatdd::{
     CheckpointPolicy, ConversionPolicy, FlatDdConfig, FlatDdError, FlatDdSimulator, FusionPolicy,
     Phase,
 };
-use proptest::prelude::*;
 use qcircuit::complex::state_distance;
-use qcircuit::gate::{Control, Gate, GateKind};
-use qcircuit::{generators, Circuit};
+use qcircuit::{generators, prop, Circuit};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -299,58 +297,13 @@ fn dmav_aware_fusion_checkpoint_resumes_exactly() {
     }
 }
 
-/// Strategy: one random gate over `n` qubits (mirrors the engine
-/// cross-validation suite).
-fn arb_gate(n: usize) -> impl Strategy<Value = Gate> {
-    let kind = prop_oneof![
-        Just(GateKind::H),
-        Just(GateKind::X),
-        Just(GateKind::S),
-        Just(GateKind::T),
-        (-3.2f64..3.2).prop_map(GateKind::RX),
-        (-3.2f64..3.2).prop_map(GateKind::RY),
-        (-3.2f64..3.2).prop_map(GateKind::RZ),
-    ];
-    (
-        kind,
-        0..n,
-        proptest::collection::vec((0..n, any::<bool>()), 0..2),
-    )
-        .prop_map(move |(kind, target, raw_controls)| {
-            let mut controls: Vec<Control> = Vec::new();
-            for (q, pos) in raw_controls {
-                if q != target && !controls.iter().any(|c| c.qubit == q) {
-                    controls.push(Control {
-                        qubit: q,
-                        positive: pos,
-                    });
-                }
-            }
-            Gate::controlled(kind, target, controls)
-        })
-}
-
-fn arb_circuit(n: usize, max_gates: usize) -> impl Strategy<Value = Circuit> {
-    proptest::collection::vec(arb_gate(n), 8..max_gates).prop_map(move |gates| {
-        let mut c = Circuit::new(n);
-        for g in gates {
-            c.push(g);
-        }
-        c
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    /// Checkpoint at a random gate of a random circuit, with a random
-    /// forced conversion point, and resume: amplitudes match to 1e-12.
-    #[test]
-    fn random_cut_resumes_exactly(
-        c in arb_circuit(6, 48),
-        cut_frac in 0.0f64..1.0,
-        conv_frac in 0.0f64..1.0,
-    ) {
+/// Checkpoint at a random gate of a random circuit, with a random
+/// forced conversion point, and resume: amplitudes match to 1e-12.
+#[test]
+fn random_cut_resumes_exactly() {
+    prop::check(16, |g| {
+        let c = g.circuit(6, 8..48);
+        let (cut_frac, conv_frac) = (g.rng.f64_in(0.0..1.0), g.rng.f64_in(0.0..1.0));
         let total = c.num_gates();
         let cut = ((cut_frac * total as f64) as usize).min(total);
         let k = 1 + (conv_frac * total as f64) as usize;
@@ -359,6 +312,6 @@ proptest! {
             conversion: ConversionPolicy::AtGate(k),
             ..Default::default()
         };
-        assert_resume_matches(&c, &cfg, cut, "proptest");
-    }
+        assert_resume_matches(&c, &cfg, cut, "random-cut");
+    });
 }

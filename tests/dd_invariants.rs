@@ -177,8 +177,8 @@ fn dd_phase_interns_a_weight_only_where_a_node_stores_it() {
     // the complex table ends with the weights nodes stored, not with every
     // product, sum and ratio the 176 multiplies went through. Instances of
     // `supremacy_n(12, 10, _)` end between 112 k and 297 k values (484 k to
-    // 1152 k when every intermediate was interned; the generator's stream
-    // depends on the `rand` in use, so the bound is not one instance's).
+    // 1152 k when every intermediate was interned), so the bound is the
+    // family's, not one instance's.
     for seed in 1..=3 {
         let c = generators::supremacy_n(12, 10, seed);
         let cfg = FlatDdConfig {

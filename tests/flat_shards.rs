@@ -6,9 +6,8 @@
 //! circuits must agree between sharded and monolithic application.
 
 use flatdd::{CheckpointPolicy, ConversionPolicy, FlatDdConfig, FlatDdSimulator, Phase};
-use proptest::prelude::*;
 use qcircuit::complex::state_distance;
-use qcircuit::{dense, generators, Circuit};
+use qcircuit::{dense, generators, prop, Circuit};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -130,23 +129,17 @@ fn mid_conversion_checkpoint_resumes_under_different_shard_count() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    /// Random circuit, random conversion point, random shard count: the
-    /// sharded state matches the monolithic (single-shard) state.
-    #[test]
-    fn sharded_matches_monolithic_on_random_circuits(
-        seed in 0u64..1000,
-        conv_frac in 0.0f64..1.0,
-        shards in 2usize..12,
-        threads in 1usize..5,
-    ) {
-        let c = generators::random_circuit(7, 40, seed);
-        let k = 1 + (conv_frac * c.num_gates() as f64) as usize;
+/// Random circuit, random conversion point, random shard count: the
+/// sharded state matches the monolithic (single-shard) state.
+#[test]
+fn sharded_matches_monolithic_on_random_circuits() {
+    prop::check(12, |g| {
+        let c = generators::random_circuit(7, 40, g.rng.range(0..1000) as u64);
+        let k = 1 + (g.rng.f64_in(0.0..1.0) * c.num_gates() as f64) as usize;
+        let (shards, threads) = (g.rng.range(2..12), g.rng.range(1..5));
         let mono = flatdd::simulate(&c, cfg(2, 1, k));
         let sharded = flatdd::simulate(&c, cfg(threads, shards, k));
         let d = state_distance(&sharded, &mono);
-        prop_assert!(d < TOL, "shards={shards} threads={threads} k={k}: {d:.3e}");
-    }
+        assert!(d < TOL, "shards={shards} threads={threads} k={k}: {d:.3e}");
+    });
 }

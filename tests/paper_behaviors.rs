@@ -31,9 +31,8 @@ fn irregular_circuits_convert_early() {
     // A statement about the families, so asserted over a seed set: every
     // instance converts, and the family's median conversion point lies in
     // the first half of the circuit. (One instance proves nothing either
-    // way — a random supremacy circuit now and then stays regular for a
-    // few more cycles — and which instance a seed names depends on the
-    // `rand` build the generators run under.)
+    // way: a random supremacy circuit now and then stays regular for a
+    // few more cycles.)
     type Family = fn(u64) -> qcircuit::Circuit;
     let families: [Family; 3] = [
         |seed| generators::dnn(10, 3, seed),

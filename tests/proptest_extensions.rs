@@ -3,54 +3,17 @@
 //! checking.
 
 use flatdd::{ConversionPolicy, FlatDdConfig, FlatDdSimulator};
-use proptest::prelude::*;
 use qcircuit::complex::{norm_sqr, state_distance_up_to_phase};
 use qcircuit::observable::{Pauli, PauliString};
+use qcircuit::prop::{self, Gen};
 use qcircuit::transform::{fuse_single_qubit_runs, peephole_optimize};
-use qcircuit::{dense, Circuit, Complex64, Gate, GateKind};
+use qcircuit::{dense, Circuit, Complex64};
 use qdd::DdPackage;
 
-fn arb_gate(n: usize) -> impl Strategy<Value = Gate> {
-    let kind = prop_oneof![
-        Just(GateKind::H),
-        Just(GateKind::X),
-        Just(GateKind::S),
-        Just(GateKind::Sdg),
-        Just(GateKind::T),
-        Just(GateKind::Tdg),
-        (-3.0f64..3.0).prop_map(GateKind::RY),
-        (-3.0f64..3.0).prop_map(GateKind::RZ),
-    ];
-    (kind, 0..n, proptest::option::of(0..n)).prop_map(move |(kind, target, ctl)| match ctl {
-        Some(c) if c != target => Gate::controlled(kind, target, vec![qcircuit::Control::pos(c)]),
-        _ => Gate::new(kind, target),
-    })
-}
-
-fn arb_circuit(n: usize, max_gates: usize) -> impl Strategy<Value = Circuit> {
-    proptest::collection::vec(arb_gate(n), 1..max_gates).prop_map(move |gates| {
-        let mut c = Circuit::new(n);
-        for g in gates {
-            c.push(g);
-        }
-        c
-    })
-}
-
-fn arb_pauli_string(n: usize) -> impl Strategy<Value = PauliString> {
-    (
-        proptest::collection::vec(
-            prop_oneof![
-                Just(Pauli::I),
-                Just(Pauli::X),
-                Just(Pauli::Y),
-                Just(Pauli::Z)
-            ],
-            n,
-        ),
-        -2.0f64..2.0,
-    )
-        .prop_map(|(ps, coeff)| PauliString::new(coeff, ps.into_iter().enumerate().collect()))
+fn arb_pauli_string(g: &mut Gen, n: usize) -> PauliString {
+    const PAULIS: [Pauli; 4] = [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z];
+    let ops = (0..n).map(|q| (q, PAULIS[g.rng.range(0..4)])).collect();
+    PauliString::new(g.rng.f64_in(-2.0..2.0), ops)
 }
 
 fn build_state(pkg: &mut DdPackage, c: &Circuit) -> qdd::VEdge {
@@ -169,105 +132,133 @@ fn dd_phase_top_amplitudes_of_ghz_40_are_the_two_arms() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
+const CASES: usize = 20;
 
-    #[test]
-    fn top_amplitudes_match_copy_and_sort_on_random_circuits(c in arb_circuit(5, 40)) {
-        assert_top_amplitudes_match_the_oracles(&c, "random circuit");
-    }
+#[test]
+fn top_amplitudes_match_copy_and_sort_on_random_circuits() {
+    prop::check(CASES, |g| {
+        assert_top_amplitudes_match_the_oracles(&g.circuit(5, 1..40), "random circuit");
+    });
+}
 
-    #[test]
-    fn pauli_expectation_agrees_everywhere(c in arb_circuit(5, 30), p in arb_pauli_string(5)) {
+#[test]
+fn pauli_expectation_agrees_everywhere() {
+    prop::check(CASES, |g| {
+        let (c, p) = (g.circuit(5, 1..30), arb_pauli_string(g, 5));
         let v = dense::simulate(&c);
         let want = p.expectation_dense(&v);
         let mut pkg = DdPackage::default();
         let s = build_state(&mut pkg, &c);
-        prop_assert!((pkg.expectation_pauli(s, &p, 5) - want).abs() < 1e-8);
-        prop_assert!((qarray::expectation_pauli(&v, &p) - want).abs() < 1e-9);
+        assert!((pkg.expectation_pauli(s, &p, 5) - want).abs() < 1e-8);
+        assert!((qarray::expectation_pauli(&v, &p) - want).abs() < 1e-9);
         // Hermitian observables have real expectations bounded by |coeff|.
-        prop_assert!(want.abs() <= p.coeff.abs() + 1e-9);
-    }
+        assert!(want.abs() <= p.coeff.abs() + 1e-9);
+    });
+}
 
-    #[test]
-    fn approximation_invariants(c in arb_circuit(6, 40), log_t in -8.0f64..-1.0) {
-        let threshold = 10f64.powf(log_t);
+#[test]
+fn approximation_invariants() {
+    prop::check(CASES, |g| {
+        let c = g.circuit(6, 1..40);
+        let threshold = 10f64.powf(g.rng.f64_in(-8.0..-1.0));
         let mut pkg = DdPackage::default();
         let s = build_state(&mut pkg, &c);
         let r = pkg.approximate(s, threshold);
         // The result is always normalized...
         let arr = pkg.vector_to_array(r.state, 6);
-        prop_assert!((norm_sqr(&arr) - 1.0).abs() < 1e-7);
+        assert!((norm_sqr(&arr) - 1.0).abs() < 1e-7);
         // ...never larger than the input...
-        prop_assert!(r.nodes_after <= r.nodes_before);
+        assert!(r.nodes_after <= r.nodes_before);
         // ...with a valid fidelity in [0, 1].
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&r.fidelity));
+        assert!((0.0..=1.0 + 1e-9).contains(&r.fidelity));
         // Pruned mass bounds the infidelity loosely: fidelity >= 1 - nodes*threshold*C.
         if threshold < 1e-6 {
-            prop_assert!(r.fidelity > 0.99, "fidelity {} at threshold {threshold}", r.fidelity);
+            assert!(
+                r.fidelity > 0.99,
+                "fidelity {} at threshold {threshold}",
+                r.fidelity
+            );
         }
-    }
+    });
+}
 
-    #[test]
-    fn adjoint_respects_dagger_on_random_products(c in arb_circuit(4, 12)) {
+#[test]
+fn adjoint_respects_dagger_on_random_products() {
+    prop::check(CASES, |g| {
+        let c = g.circuit(4, 1..12);
         let mut pkg = DdPackage::default();
         let n = 4;
         let mut u = pkg.identity_dd(n);
-        for g in c.iter() {
-            let gd = pkg.gate_dd(g, n);
+        for gate in c.iter() {
+            let gd = pkg.gate_dd(gate, n);
             u = pkg.mul_mm(gd, u);
         }
         let adj = pkg.adjoint(u);
         let prod = pkg.mul_mm(adj, u);
         let id = pkg.identity_dd(n);
-        prop_assert_eq!(prod.n, id.n, "U†U must be (a phase times) the identity node");
-        prop_assert!((pkg.cval(prod.w).abs() - 1.0).abs() < 1e-7);
-    }
+        assert_eq!(
+            prod.n, id.n,
+            "U†U must be (a phase times) the identity node"
+        );
+        assert!((pkg.cval(prod.w).abs() - 1.0).abs() < 1e-7);
+    });
+}
 
-    #[test]
-    fn transforms_preserve_semantics(c in arb_circuit(5, 50)) {
+#[test]
+fn transforms_preserve_semantics() {
+    prop::check(CASES, |g| {
+        let c = g.circuit(5, 1..50);
         let want = dense::simulate(&c);
         let opt = peephole_optimize(&c);
-        prop_assert!(opt.num_gates() <= c.num_gates());
-        prop_assert!(state_distance_up_to_phase(&dense::simulate(&opt), &want) < 1e-8);
+        assert!(opt.num_gates() <= c.num_gates());
+        assert!(state_distance_up_to_phase(&dense::simulate(&opt), &want) < 1e-8);
         let fused = fuse_single_qubit_runs(&c);
-        prop_assert!(state_distance_up_to_phase(&dense::simulate(&fused), &want) < 1e-8);
-    }
+        assert!(state_distance_up_to_phase(&dense::simulate(&fused), &want) < 1e-8);
+    });
+}
 
-    #[test]
-    fn equivalence_checker_accepts_self_and_rejects_perturbation(c in arb_circuit(4, 25)) {
-        prop_assert!(qdd::check_equivalence(&c, &c.clone()).is_equivalent());
+#[test]
+fn equivalence_checker_accepts_self_and_rejects_perturbation() {
+    prop::check(CASES, |g| {
+        let c = g.circuit(4, 1..25);
+        assert!(qdd::check_equivalence(&c, &c.clone()).is_equivalent());
         let mut perturbed = c.clone();
         perturbed.ry(0.37, 1); // a non-trivial extra rotation
-        prop_assert!(!qdd::check_equivalence(&c, &perturbed).is_equivalent());
-    }
+        assert!(!qdd::check_equivalence(&c, &perturbed).is_equivalent());
+    });
+}
 
-    #[test]
-    fn inner_product_is_cauchy_schwarz_bounded(
-        c1 in arb_circuit(5, 25),
-        c2 in arb_circuit(5, 25),
-    ) {
+#[test]
+fn inner_product_is_cauchy_schwarz_bounded() {
+    prop::check(CASES, |g| {
+        let (c1, c2) = (g.circuit(5, 1..25), g.circuit(5, 1..25));
         let mut pkg = DdPackage::default();
         let a = build_state(&mut pkg, &c1);
         let b = build_state(&mut pkg, &c2);
         let ip = pkg.inner_product(a, b);
-        prop_assert!(ip.abs() <= 1.0 + 1e-8, "|<a|b>| = {} > 1", ip.abs());
+        assert!(ip.abs() <= 1.0 + 1e-8, "|<a|b>| = {} > 1", ip.abs());
         // Consistency with the dense inner product.
         let va = dense::simulate(&c1);
         let vb = dense::simulate(&c2);
         let want: Complex64 = va.iter().zip(&vb).map(|(&x, &y)| x.conj() * y).sum();
-        prop_assert!(ip.approx_eq(want, 1e-8));
-    }
+        assert!(ip.approx_eq(want, 1e-8));
+    });
+}
 
-    #[test]
-    fn dd_sampler_never_emits_zero_probability_outcomes(c in arb_circuit(5, 30), seed in 0u64..1000) {
+#[test]
+fn dd_sampler_never_emits_zero_probability_outcomes() {
+    prop::check(CASES, |g| {
+        let c = g.circuit(5, 1..30);
         let mut pkg = DdPackage::default();
         let s = build_state(&mut pkg, &c);
         let v = dense::simulate(&c);
-        let mut rng = qdd::SplitMix64::new(seed);
+        let mut rng = qdd::SplitMix64::new(g.rng.range(0..1000) as u64);
         for _ in 0..32 {
             let idx = pkg.sample(s, &mut rng.as_fn());
-            prop_assert!(v[idx].norm_sqr() > 1e-18, "sampled impossible outcome {idx}");
+            assert!(
+                v[idx].norm_sqr() > 1e-18,
+                "sampled impossible outcome {idx}"
+            );
         }
-    }
+    });
 }

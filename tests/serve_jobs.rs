@@ -119,6 +119,43 @@ fn worker_panic_fails_one_job_and_spares_the_daemon() {
 }
 
 #[test]
+fn worker_dying_under_the_scheduler_lock_does_not_poison_the_daemon() {
+    let spool = fresh_spool("lock-panic");
+    // The daemon-level `spool.write` site fires on its second hit: the first
+    // is the submit handler persisting the new record, the second the worker
+    // persisting `running` in its claim phase — under the scheduler lock and
+    // outside the per-job containment, so that worker thread is gone.
+    let env = [("FLATDD_FAULTS", "spool.write:panic:2")];
+    let daemon = Daemon::start_with_env(&spool, &["--workers", "2"], &env);
+    let port = daemon.port;
+    let submit = || {
+        let body = r#"{"circuit":"ghz:8","threads":1}"#;
+        let (code, body) = http(port, "POST", "/jobs", Some(body));
+        assert_eq!(code, 202, "{body}");
+        job_id(&body)
+    };
+    let state = |id| job_state(&http(port, "GET", &format!("/jobs/{id}"), None).1);
+
+    let lost = submit();
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while state(lost) != "running" {
+        assert!(std::time::Instant::now() < deadline, "job never claimed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Every later locker — status, health, submit, the surviving worker's
+    // claim and its condvar wait — proceeds on the state the dead worker
+    // left behind.
+    let (code, body) = http(port, "GET", "/healthz", None);
+    assert!(code == 200 && body.contains("\"status\":\"ok\""), "{body}");
+    let status = wait_terminal(port, submit(), Duration::from_secs(60));
+    assert_eq!(job_state(&status), "done", "{status}");
+    assert_eq!(state(lost), "running");
+
+    daemon.drain(Duration::from_secs(30));
+    std::fs::remove_dir_all(&spool).ok();
+}
+
+#[test]
 fn bounded_queue_rejects_and_cancel_works() {
     let spool = fresh_spool("queue");
     let daemon = Daemon::start(&spool, &["--workers", "1", "--queue-cap", "1"]);

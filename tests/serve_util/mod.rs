@@ -22,6 +22,11 @@ impl Daemon {
     /// Spawns `flatdd-serve --spool <spool> --port 0 <extra...>` and waits
     /// for the port file.
     pub fn start(spool: &Path, extra: &[&str]) -> Daemon {
+        Self::start_with_env(spool, extra, &[])
+    }
+
+    /// [`Self::start`] with extra environment variables for the daemon.
+    pub fn start_with_env(spool: &Path, extra: &[&str], env: &[(&str, &str)]) -> Daemon {
         std::fs::create_dir_all(spool).unwrap();
         let port_file = spool.join("serve.port");
         // A stale port file from a previous instance must not be read as
@@ -30,6 +35,7 @@ impl Daemon {
         let child = Command::new(SERVE)
             .args(["--spool", spool.to_str().unwrap(), "--port", "0"])
             .args(extra)
+            .envs(env.iter().copied())
             .stdout(Stdio::null())
             .stderr(Stdio::inherit())
             .spawn()

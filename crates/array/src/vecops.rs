@@ -197,6 +197,134 @@ pub fn apply_2x2(lo: &mut [Complex64], hi: &mut [Complex64], m: &[Complex64; 4])
     dispatch!(scalar::apply_2x2(lo, hi, m), avx2::apply_2x2(lo, hi, m))
 }
 
+/// Longest period the tiled kernels ([`PairTile`], [`mul_diag_tiled`])
+/// accept: 16 amplitudes, eight register positions of the AVX2 kernels.
+pub const MAX_TILE: usize = 16;
+
+/// Whether `m` is exactly the 2x2 identity: a pair it would leave as it is,
+/// which the in-place kernels and their callers skip instead of multiply.
+#[inline]
+pub fn is_identity(m: &[Complex64; 4]) -> bool {
+    m[0] == Complex64::ONE && m[3] == Complex64::ONE && m[1].is_zero() && m[2].is_zero()
+}
+
+/// Whether `p` is a period the tiled kernels accept.
+fn tile_period_ok(p: usize) -> bool {
+    p.is_power_of_two() && p <= MAX_TILE
+}
+
+/// In-place 2x2 on adjacent pairs, `(v[2k], v[2k+1]) <- m * (v[2k], v[2k+1])`:
+/// a gate on qubit 0 of the in-place DMAV walk, where both amplitudes of a
+/// pair sit in one register. An odd trailing element is left alone.
+#[inline]
+pub fn pairs2x2(v: &mut [Complex64], m: &[Complex64; 4]) {
+    dispatch!(scalar::pairs2x2(v, m), avx2::pairs2x2(v, m))
+}
+
+/// A short period of 2x2 matrices, prepared once and applied to any number
+/// of runs: [`apply_2x2`] with a matrix per position,
+/// `(lo[i], hi[i]) <- tile[i % p] * (lo[i], hi[i])`. This is a gate
+/// controlled from *below* its target in the in-place DMAV walk: the 2x2 a
+/// pair sees depends on the low bits of its index (identity where a control
+/// is off), so the lanes of a register carry different matrices. Positions
+/// whose matrix is exactly the identity are not touched. A period of 1 is a
+/// plain `U (x) I`.
+///
+/// Preparing costs a few hundred bytes of table writes; a walk that meets
+/// the same period in many small regions keeps the value.
+pub struct PairTile {
+    /// The period's matrices, row-major (`p` of them are meaningful).
+    tile: [[Complex64; 4]; MAX_TILE],
+    p: usize,
+    /// Per amplitude of the period: its matrix is the exact identity.
+    identity: [bool; MAX_TILE],
+    /// Per register position (amplitudes `2r, 2r + 1` of the period; a
+    /// period of 1 fills both lanes with its one matrix): `[re, im]` of the
+    /// four matrix entries, lane `k` holding amplitude `k`'s. Plain arrays,
+    /// so the type is the same on every target; the AVX2 kernels load them.
+    coef: [[[f64; 4]; 8]; MAX_TILE / 2],
+    /// Register positions both of whose matrices are the identity.
+    skip: [bool; MAX_TILE / 2],
+    positions: usize,
+}
+
+impl PairTile {
+    /// Prepares the period `tile`.
+    ///
+    /// # Panics
+    /// Unless `tile.len()` is a power of two `<= MAX_TILE`.
+    pub fn new(tile: &[[Complex64; 4]]) -> Self {
+        let p = tile.len();
+        assert!(tile_period_ok(p));
+        let mut t = PairTile {
+            tile: [[Complex64::ZERO; 4]; MAX_TILE],
+            p,
+            identity: [false; MAX_TILE],
+            coef: [[[0.0; 4]; 8]; MAX_TILE / 2],
+            skip: [false; MAX_TILE / 2],
+            positions: p.div_ceil(2),
+        };
+        t.tile[..p].copy_from_slice(tile);
+        for (id, m) in t.identity.iter_mut().zip(tile) {
+            *id = is_identity(m);
+        }
+        for r in 0..t.positions {
+            let (j0, j1) = ((2 * r) % p, (2 * r + 1) % p);
+            let (a, b) = (&tile[j0], &tile[j1]);
+            for k in 0..4 {
+                t.coef[r][2 * k] = [a[k].re, a[k].re, b[k].re, b[k].re];
+                t.coef[r][2 * k + 1] = [a[k].im, a[k].im, b[k].im, b[k].im];
+            }
+            t.skip[r] = t.identity[j0] && t.identity[j1];
+        }
+        t
+    }
+
+    /// `(lo[i], hi[i]) <- tile[i % p] * (lo[i], hi[i])`.
+    ///
+    /// # Panics
+    /// Unless `lo.len() == hi.len()` and the period divides it (the AVX2
+    /// loop steps by the period without a tail, so this is asserted in
+    /// release builds too).
+    #[inline]
+    pub fn apply(&self, lo: &mut [Complex64], hi: &mut [Complex64]) {
+        assert!(lo.len() == hi.len() && lo.len().is_multiple_of(self.p));
+        dispatch!(
+            scalar::pair_tile_run(self, lo, hi),
+            avx2::pair_tile_apply(self, lo, hi)
+        )
+    }
+
+    /// [`Self::apply`] on every `2 * half`-sized block of `v`, the two
+    /// `half`-long runs of a block as `lo` and `hi` — the in-place
+    /// counterpart of [`block2x2`], with the block loop inside the kernel so
+    /// that a run of two amplitudes costs one register pass, not one call.
+    ///
+    /// # Panics
+    /// Unless the period divides `half` and `2 * half` divides `v.len()`.
+    #[inline]
+    pub fn apply_blocks(&self, v: &mut [Complex64], half: usize) {
+        assert!(half > 0 && half.is_multiple_of(self.p) && v.len().is_multiple_of(2 * half));
+        dispatch!(
+            scalar::pair_tile_blocks(self, v, half),
+            avx2::pair_tile_blocks(self, v, half)
+        )
+    }
+}
+
+/// `v[i] <- d[i % p] * v[i]` with `p = d.len()`: a diagonal gate matrix whose
+/// entries repeat with a short period (T or CZ on low qubits), flattened once
+/// per gate. Register positions whose factors are exactly 1 are not touched.
+///
+/// # Panics
+/// Unless `p` is a power of two `<= MAX_TILE` that divides `v.len()`.
+#[inline]
+pub fn mul_diag_tiled(v: &mut [Complex64], d: &[Complex64]) {
+    let p = d.len();
+    assert!(tile_period_ok(p) && v.len().is_multiple_of(p));
+    dispatch!(scalar::mul_diag_tiled(v, d), avx2::mul_diag_tiled(v, d))
+}
+
 /// Portable reference implementations (and the tail handlers of the AVX2
 /// path).
 pub(crate) mod scalar {
@@ -255,6 +383,46 @@ pub(crate) mod scalar {
         }
     }
 
+    pub fn pairs2x2(v: &mut [Complex64], m: &[Complex64; 4]) {
+        for pair in v.chunks_exact_mut(2) {
+            let (a0, a1) = (pair[0], pair[1]);
+            pair[0] = m[0] * a0 + m[1] * a1;
+            pair[1] = m[2] * a0 + m[3] * a1;
+        }
+    }
+
+    pub fn pair_tile_run(t: &super::PairTile, lo: &mut [Complex64], hi: &mut [Complex64]) {
+        if t.p == 1 {
+            return apply_2x2(lo, hi, &t.tile[0]);
+        }
+        let (tile, identity) = (&t.tile[..t.p], &t.identity[..t.p]);
+        for (lo_t, hi_t) in lo.chunks_exact_mut(t.p).zip(hi.chunks_exact_mut(t.p)) {
+            for (((l, h), m), &identity) in lo_t.iter_mut().zip(hi_t).zip(tile).zip(identity) {
+                if identity {
+                    continue;
+                }
+                let (a0, a1) = (*l, *h);
+                *l = m[0] * a0 + m[1] * a1;
+                *h = m[2] * a0 + m[3] * a1;
+            }
+        }
+    }
+
+    pub fn pair_tile_blocks(t: &super::PairTile, v: &mut [Complex64], half: usize) {
+        for block in v.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            pair_tile_run(t, lo, hi);
+        }
+    }
+
+    pub fn mul_diag_tiled(v: &mut [Complex64], d: &[Complex64]) {
+        for t in v.chunks_exact_mut(d.len()) {
+            for (a, &f) in t.iter_mut().zip(d) {
+                *a = f * *a;
+            }
+        }
+    }
+
     /// One block of [`block2x2`]: `(w_lo, w_hi) (+)= m * (v_lo, v_hi)`.
     #[inline(always)]
     pub fn block2x2_one<const ACC: bool>(
@@ -305,7 +473,7 @@ pub(crate) mod scalar {
 /// `fmaddsub` shuffle recipe (3 shuffles + 1 mul + 1 fused op per pair).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{scalar, Complex64};
+    use super::{scalar, Complex64, PairTile, MAX_TILE};
     use std::arch::x86_64::*;
 
     /// `x * f` for a packed pair, with `f` pre-broadcast as
@@ -492,12 +660,164 @@ mod avx2 {
         scalar::apply_2x2(&mut lo[i..n], &mut hi[i..n], m);
     }
 
+    /// `blocks` adjacent pairs read from `vp`, through `m`, stored (`ACC`:
+    /// added) to `wp`: one register holds a whole pair `[v0, v1]`; each
+    /// amplitude is load-broadcast to both lanes and multiplied by a matrix
+    /// *column* (`[m0, m2]` for `v0`, `[m1, m3]` for `v1`), which lands
+    /// `[w0, w1]` in lane order with no shuffle of the result. A pair is
+    /// loaded before it is stored, so `wp == vp` is the in-place form.
+    #[inline(always)]
+    unsafe fn pairs_raw<const ACC: bool>(
+        wp: *mut f64,
+        vp: *const f64,
+        blocks: usize,
+        m: &[Complex64; 4],
+    ) {
+        let c0_re = _mm256_setr_pd(m[0].re, m[0].re, m[2].re, m[2].re);
+        let c0_im = _mm256_setr_pd(m[0].im, m[0].im, m[2].im, m[2].im);
+        let c1_re = _mm256_setr_pd(m[1].re, m[1].re, m[3].re, m[3].re);
+        let c1_im = _mm256_setr_pd(m[1].im, m[1].im, m[3].im, m[3].im);
+        for b in 0..blocks {
+            let x0 = _mm_loadu_pd(vp.add(4 * b));
+            let x1 = _mm_loadu_pd(vp.add(4 * b + 2));
+            let x0 = _mm256_set_m128d(x0, x0);
+            let x1 = _mm256_set_m128d(x1, x1);
+            let mut out = _mm256_add_pd(cmul_bcast(x0, c0_re, c0_im), cmul_bcast(x1, c1_re, c1_im));
+            if ACC {
+                out = _mm256_add_pd(out, _mm256_loadu_pd(wp.add(4 * b)));
+            }
+            _mm256_storeu_pd(wp.add(4 * b), out);
+        }
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn pairs2x2(v: &mut [Complex64], m: &[Complex64; 4]) {
+        let p = v.as_mut_ptr() as *mut f64;
+        // SAFETY: pair `b < v.len() / 2` is elements `2b, 2b + 1` of `v`,
+        // four f64s from `4b` (`pairs2x2_matches_scalar_reference`,
+        // `avx2_kernels_match_scalar_directly`).
+        pairs_raw::<false>(p, p, v.len() / 2, m);
+    }
+
+    /// Register positions of a period: [`MAX_TILE`] amplitudes, two a register.
+    const POSITIONS: usize = MAX_TILE / 2;
+
+    /// One register of `lo` and one of `hi` through their lanes' matrices,
+    /// `c` the `[re, im]` registers of the four entries.
+    #[inline(always)]
+    unsafe fn pair_step(lp: *mut f64, hp: *mut f64, c: &[__m256d; 8]) {
+        let a0 = _mm256_loadu_pd(lp);
+        let a1 = _mm256_loadu_pd(hp);
+        let new_lo = _mm256_add_pd(cmul_bcast(a0, c[0], c[1]), cmul_bcast(a1, c[2], c[3]));
+        let new_hi = _mm256_add_pd(cmul_bcast(a0, c[4], c[5]), cmul_bcast(a1, c[6], c[7]));
+        _mm256_storeu_pd(lp, new_lo);
+        _mm256_storeu_pd(hp, new_hi);
+    }
+
+    /// The coefficient registers of register position `r` of `t`.
+    #[inline(always)]
+    unsafe fn pair_coef(t: &PairTile, r: usize) -> [__m256d; 8] {
+        t.coef[r].map(|lanes| _mm256_loadu_pd(lanes.as_ptr()))
+    }
+
+    /// `len` amplitudes from `lp` paired with `len` from `hp`; `len` is even
+    /// and a multiple of the period, so whole passes over the table cover it.
+    #[inline(always)]
+    unsafe fn pair_run(lp: *mut f64, hp: *mut f64, len: usize, t: &PairTile) {
+        if t.positions == 1 {
+            let c = pair_coef(t, 0);
+            let mut i = 0usize;
+            while i < len {
+                pair_step(lp.add(2 * i), hp.add(2 * i), &c);
+                i += 2;
+            }
+            return;
+        }
+        let mut i = 0usize;
+        while i < len {
+            for r in 0..t.positions {
+                if !t.skip[r] {
+                    let at = 2 * (i + 2 * r);
+                    pair_step(lp.add(at), hp.add(at), &pair_coef(t, r));
+                }
+            }
+            i += 2 * t.positions;
+        }
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn pair_tile_apply(t: &PairTile, lo: &mut [Complex64], hi: &mut [Complex64]) {
+        let len = lo.len().min(hi.len());
+        if len % 2 == 1 {
+            // Only a period of 1 divides an odd length.
+            return scalar::pair_tile_run(t, lo, hi);
+        }
+        // SAFETY: `lo` and `hi` are distinct `len`-element slices, and
+        // `PairTile::apply` asserted that the period divides `len`, so every
+        // register `pair_run` touches lies inside them
+        // (`pair_tile_matches_the_defining_formula`,
+        // `avx2_kernels_match_scalar_directly`).
+        pair_run(
+            lo.as_mut_ptr() as *mut f64,
+            hi.as_mut_ptr() as *mut f64,
+            len,
+            t,
+        );
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn pair_tile_blocks(t: &PairTile, v: &mut [Complex64], half: usize) {
+        if half % 2 == 1 {
+            return scalar::pair_tile_blocks(t, v, half);
+        }
+        let p = v.as_mut_ptr() as *mut f64;
+        for b in 0..v.len() / (2 * half) {
+            // SAFETY: block `b` is elements `[2*half*b, 2*half*(b+1))` of
+            // `v`, its runs the two disjoint halves of that;
+            // `PairTile::apply_blocks` asserted that the period divides the
+            // even `half` (`pair_tile_matches_the_defining_formula`,
+            // `avx2_kernels_match_scalar_directly`).
+            let lp = p.add(2 * (2 * half * b));
+            pair_run(lp, lp.add(2 * half), half, t);
+        }
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn mul_diag_tiled(v: &mut [Complex64], d: &[Complex64]) {
+        let period = d.len();
+        if period == 1 {
+            return scale_in_place(v, d[0]);
+        }
+        let positions = period / 2;
+        let mut re = [_mm256_setzero_pd(); POSITIONS];
+        let mut im = [_mm256_setzero_pd(); POSITIONS];
+        let mut skip = [false; POSITIONS];
+        for r in 0..positions {
+            let (a, b) = (d[2 * r], d[2 * r + 1]);
+            re[r] = _mm256_setr_pd(a.re, a.re, b.re, b.re);
+            im[r] = _mm256_setr_pd(a.im, a.im, b.im, b.im);
+            skip[r] = a == Complex64::ONE && b == Complex64::ONE;
+        }
+        let p = v.as_mut_ptr() as *mut f64;
+        let mut i = 0usize;
+        while i < v.len() {
+            for r in 0..positions {
+                if !skip[r] {
+                    // SAFETY: the public wrapper asserted that the even
+                    // period divides `v.len()`, so elements `i + 2r` and
+                    // `i + 2r + 1` exist (`mul_diag_tiled_matches_scalar_reference`,
+                    // `avx2_kernels_match_scalar_directly`).
+                    let x = _mm256_loadu_pd(p.add(2 * (i + 2 * r)));
+                    _mm256_storeu_pd(p.add(2 * (i + 2 * r)), cmul_bcast(x, re[r], im[r]));
+                }
+            }
+            i += period;
+        }
+    }
+
     /// `half >= 2`: the two runs of a block are register-aligned streams, so
     /// a block is [`apply_2x2`] read from `v` and written to `w`. `half == 1`:
-    /// one register holds the whole block `[v0, v1]`; each amplitude is
-    /// load-broadcast to both lanes and multiplied by a matrix *column*
-    /// (`[m0, m2]` for `v0`, `[m1, m3]` for `v1`), which lands `[w0, w1]` in
-    /// lane order with no shuffle of the result.
+    /// [`pairs_raw`].
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn block2x2<const ACC: bool>(
         w: &mut [Complex64],
@@ -510,23 +830,9 @@ mod avx2 {
         let wp = w.as_mut_ptr() as *mut f64;
         let vp = v.as_ptr() as *const f64;
         if half == 1 {
-            let c0_re = _mm256_setr_pd(m[0].re, m[0].re, m[2].re, m[2].re);
-            let c0_im = _mm256_setr_pd(m[0].im, m[0].im, m[2].im, m[2].im);
-            let c1_re = _mm256_setr_pd(m[1].re, m[1].re, m[3].re, m[3].re);
-            let c1_im = _mm256_setr_pd(m[1].im, m[1].im, m[3].im, m[3].im);
-            for b in 0..blocks {
-                let x0 = _mm_loadu_pd(vp.add(4 * b));
-                let x1 = _mm_loadu_pd(vp.add(4 * b + 2));
-                let x0 = _mm256_set_m128d(x0, x0);
-                let x1 = _mm256_set_m128d(x1, x1);
-                let mut out =
-                    _mm256_add_pd(cmul_bcast(x0, c0_re, c0_im), cmul_bcast(x1, c1_re, c1_im));
-                if ACC {
-                    out = _mm256_add_pd(out, _mm256_loadu_pd(wp.add(4 * b)));
-                }
-                _mm256_storeu_pd(wp.add(4 * b), out);
-            }
-            return;
+            // SAFETY: `blocks` pairs fit in both `w` and `v`
+            // (`block2x2_matches_scalar_reference`).
+            return pairs_raw::<ACC>(wp, vp, blocks, m);
         }
         let m0_re = _mm256_set1_pd(m[0].re);
         let m0_im = _mm256_set1_pd(m[0].im);
@@ -780,6 +1086,146 @@ mod tests {
         }
     }
 
+    /// A period of `p` matrices with every third one the exact identity (the
+    /// positions a tiled kernel may skip).
+    fn rand_tile(p: usize, seed: u64) -> Vec<[Complex64; 4]> {
+        let identity = [
+            Complex64::ONE,
+            Complex64::ZERO,
+            Complex64::ZERO,
+            Complex64::ONE,
+        ];
+        rand_vec(4 * p, seed)
+            .chunks_exact(4)
+            .enumerate()
+            .map(|(j, m)| {
+                if j % 3 == 1 {
+                    identity
+                } else {
+                    m.try_into().unwrap()
+                }
+            })
+            .collect()
+    }
+
+    /// `kernel(lo, hi, tile)` against the defining formula, over periods
+    /// 1..=16 and 1-5 periods per run (a run of one amplitude included).
+    fn check_apply_tiled(kernel: impl Fn(&mut [Complex64], &mut [Complex64], &[[Complex64; 4]])) {
+        for p in [1usize, 2, 4, 8, 16] {
+            let tile = rand_tile(p, 109 + p as u64);
+            for periods in 1..=5usize {
+                let len = p * periods;
+                let (lo, hi) = (rand_vec(len, 113), rand_vec(len, 127));
+                let (mut lo_got, mut hi_got) = (lo.clone(), hi.clone());
+                kernel(&mut lo_got, &mut hi_got, &tile);
+                for i in 0..len {
+                    let m = &tile[i % p];
+                    assert!(
+                        close(lo_got[i], m[0] * lo[i] + m[1] * hi[i])
+                            && close(hi_got[i], m[2] * lo[i] + m[3] * hi[i]),
+                        "p {p} len {len} at {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `kernel(v, tile, half)` against the defining formula: every period
+    /// that divides `half`, halves 1..=32, 1-3 blocks.
+    fn check_block_tiled(kernel: impl Fn(&mut [Complex64], &[[Complex64; 4]], usize)) {
+        for half in [1usize, 2, 4, 8, 16, 32] {
+            for p in [1usize, 2, 4, 8, 16] {
+                if p > half {
+                    continue;
+                }
+                let tile = rand_tile(p, 131 + p as u64);
+                for blocks in 1..=3usize {
+                    let v = rand_vec(2 * half * blocks, 137);
+                    let mut got = v.clone();
+                    kernel(&mut got, &tile, half);
+                    for (i, &g) in got.iter().enumerate() {
+                        let (row, j) = ((i / half) % 2, i % half);
+                        let base = i - row * half;
+                        let m = &tile[j % p];
+                        let want = m[2 * row] * v[base] + m[2 * row + 1] * v[base + half];
+                        assert!(close(g, want), "half {half} p {p} blocks {blocks} at {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `kernel(v, d)` against `v[i] * d[i % p]`, with runs of exact ones in
+    /// the diagonal (the positions the kernel may skip).
+    fn check_mul_diag(kernel: impl Fn(&mut [Complex64], &[Complex64])) {
+        for p in [1usize, 2, 4, 8, 16] {
+            let mut d = rand_vec(p, 139 + p as u64);
+            // Elements 2 and 3 of every four: a whole register of ones.
+            for (j, f) in d.iter_mut().enumerate() {
+                if j % 4 >= 2 {
+                    *f = Complex64::ONE;
+                }
+            }
+            for periods in 1..=5usize {
+                let v = rand_vec(p * periods, 149);
+                let mut got = v.clone();
+                kernel(&mut got, &d);
+                for (i, &g) in got.iter().enumerate() {
+                    assert!(close(g, d[i % p] * v[i]), "p {p} at {i}");
+                }
+            }
+        }
+    }
+
+    /// `kernel(v, m)` against the defining formula on 0-4 pairs and on odd
+    /// lengths, whose last element must stay as it was.
+    fn check_pairs2x2(kernel: impl Fn(&mut [Complex64], &[Complex64; 4])) {
+        let m: [Complex64; 4] = rand_vec(4, 151).try_into().unwrap();
+        for len in 0..=9usize {
+            let v = rand_vec(len, 157);
+            let mut got = v.clone();
+            kernel(&mut got, &m);
+            for k in 0..len / 2 {
+                let (a0, a1) = (v[2 * k], v[2 * k + 1]);
+                assert!(
+                    close(got[2 * k], m[0] * a0 + m[1] * a1)
+                        && close(got[2 * k + 1], m[2] * a0 + m[3] * a1),
+                    "len {len} pair {k}"
+                );
+            }
+            if len % 2 == 1 {
+                assert_eq!(got[len - 1], v[len - 1], "len {len}: odd tail touched");
+            }
+        }
+    }
+
+    #[test]
+    fn pairs2x2_matches_scalar_reference() {
+        check_pairs2x2(scalar::pairs2x2);
+        check_pairs2x2(pairs2x2);
+    }
+
+    #[test]
+    fn pair_tile_matches_the_defining_formula() {
+        check_apply_tiled(|lo, hi, tile| scalar::pair_tile_run(&PairTile::new(tile), lo, hi));
+        check_apply_tiled(|lo, hi, tile| PairTile::new(tile).apply(lo, hi));
+        check_block_tiled(|v, tile, half| scalar::pair_tile_blocks(&PairTile::new(tile), v, half));
+        check_block_tiled(|v, tile, half| PairTile::new(tile).apply_blocks(v, half));
+    }
+
+    #[test]
+    fn mul_diag_tiled_matches_scalar_reference() {
+        check_mul_diag(scalar::mul_diag_tiled);
+        check_mul_diag(mul_diag_tiled);
+    }
+
+    #[test]
+    #[should_panic]
+    fn pair_tile_refuses_a_period_that_does_not_divide_the_run() {
+        let tile = rand_tile(4, 163);
+        PairTile::new(&tile).apply(&mut rand_vec(6, 167), &mut rand_vec(6, 173));
+    }
+
     #[test]
     fn backend_is_stable_and_named() {
         let b = backend();
@@ -861,6 +1307,16 @@ mod tests {
                 avx2::block2x2::<false>(w, m, v, half)
             }
         });
+        // SAFETY (the four closures below): AVX2 and FMA were detected at
+        // the top of this test.
+        check_pairs2x2(|v, m| unsafe { avx2::pairs2x2(v, m) });
+        check_apply_tiled(|lo, hi, tile| unsafe {
+            avx2::pair_tile_apply(&PairTile::new(tile), lo, hi)
+        });
+        check_block_tiled(|v, tile, half| unsafe {
+            avx2::pair_tile_blocks(&PairTile::new(tile), v, half)
+        });
+        check_mul_diag(|v, d| unsafe { avx2::mul_diag_tiled(v, d) });
         let mut wa = rand_vec(2, 79);
         let mut wb = wa.clone();
         let v = rand_vec(2, 83);

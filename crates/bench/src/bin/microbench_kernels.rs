@@ -1,8 +1,8 @@
 //! Kernel microbenchmarks: ns/amplitude for the hot vecops primitives
 //! (`axpy`, `mac2x2`, `sum_into`, the conversion scalar task), a whole
 //! per-gate DMAV application, and a `dmav_by_target` block (one gate at
-//! n = 20 per target qubit: DMAV plain, DMAV cached, the array kernel),
-//! under the SIMD backend selected at startup
+//! n = 20 per target qubit: DMAV plain, DMAV cached, DMAV in place, the
+//! array kernel), under the SIMD backend selected at startup
 //! (`FLATDD_SIMD={auto,scalar,avx2}`), and a `dd_tables` block (the DD
 //! phase's fixed per-operation costs: complex-table `lookup` hit / miss and
 //! `DdPackage::stats()` at 10^3 and 10^6 interned values, `gate_dd` cold /
@@ -11,11 +11,16 @@
 //! unique table at 65 536 nodes per arena: insert / hit / sweep in ns per
 //! node and the bytes both arenas reserve per vector + matrix node pair).
 //!
-//! `--check` exits 1 when an H through plain DMAV costs more than 3x as much
-//! on target 0 as on target n-1 (constant per-amplitude cost at every target
-//! is what Section 3.2.1 claims), when `stats()` at 10^6 values costs more
-//! than 3x what it costs at 10^3 (the driver reads it every gate, so it must
-//! not walk the tables), when a memoized `gate_dd` costs more than 1/5 of
+//! `--check` exits 1 when an H through plain DMAV, or through DMAV in place,
+//! costs more than 3x as much on target 0 as on target n-1 (constant
+//! per-amplitude cost at every target is what Section 3.2.1 claims), when an
+//! in-place CX controlled from qubit 0 costs more than 3x the CX controlled
+//! from the top qubit on target 1 or 2 (a control below the target must not
+//! fall off the vector kernels), when in-place H, T or CX-from-above on
+//! target 10 costs more than 1.25x the array kernel's in-place update (the
+//! gate DD's structure must buy something, not cost something), when
+//! `stats()` at 10^6 values costs more than 3x what it costs at 10^3 (the
+//! driver reads it every gate, so it must not walk the tables), when a memoized `gate_dd` costs more than 1/5 of
 //! a first build, when a T on the top qubit of the saturated state costs
 //! more than 1/20 of an H there (the multiply must stop at the identity
 //! below the gate instead of walking the state), or when the arenas reserve
@@ -34,7 +39,8 @@
 //! ```
 
 use flatdd::{
-    dmav_cached, dmav_no_cache, DmavAssignment, DmavCacheAssignment, PartialBuffers, ThreadPool,
+    dmav_cached, dmav_in_place, dmav_no_cache, DmavAssignment, DmavCacheAssignment, PartialBuffers,
+    ThreadPool,
 };
 use flatdd_bench::{HarnessArgs, JsonWriter, Table};
 use qarray::vecops;
@@ -73,13 +79,30 @@ fn time_median(reps: usize, mut f: impl FnMut() -> usize) -> (f64, usize) {
 /// Qubit count of the `dmav_by_target` block.
 const BY_TARGET_N: usize = 20;
 /// `--check`: largest accepted (H on target 0) / (H on target n-1) ratio of
-/// plain DMAV.
+/// plain DMAV and of DMAV in place.
 const MAX_TARGET_RATIO: f64 = 3.0;
+/// `--check`: largest accepted in-place (CX controlled from qubit 0) / (CX
+/// controlled from qubit n-1) ratio on targets 1 and 2.
+const MAX_CONTROL_BELOW_RATIO: f64 = 3.0;
+/// `--check`: largest accepted (DMAV in place) / (array kernel) ratio of H, T
+/// and CX-from-above on [`VS_ARRAY_TARGET`].
+const MAX_VS_ARRAY_RATIO: f64 = 1.25;
+/// Target of the rows [`MAX_VS_ARRAY_RATIO`] is held on (n / 2).
+const VS_ARRAY_TARGET: usize = BY_TARGET_N / 2;
+
+/// One row of the `dmav_by_target` block, ns per amplitude.
+struct TargetRow {
+    gate: &'static str,
+    target: usize,
+    plain: f64,
+    in_place: f64,
+    array: f64,
+}
 
 /// One gate per row on a 2^20 state, one thread: H, T and CX (control on the
-/// top qubit / on qubit 0) at targets 0, 1, 2, n/2, n-1. Returns the plain
-/// DMAV ns/amplitude of H at target 0 and at target n-1.
-fn dmav_by_target(reps: usize, backend: &str, json: &mut JsonWriter) -> (f64, f64) {
+/// top qubit / on qubit 0) at targets 0, 1, 2, n/2, n-1, through plain and
+/// cached DMAV (out of place), DMAV in place, and the array kernel.
+fn dmav_by_target(reps: usize, backend: &str, json: &mut JsonWriter) -> Vec<TargetRow> {
     let n = BY_TARGET_N;
     let dim = 1usize << n;
     let pkg = DdPackage::default();
@@ -88,8 +111,15 @@ fn dmav_by_target(reps: usize, backend: &str, json: &mut JsonWriter) -> (f64, f6
     let mut state = vec![Complex64::ZERO; dim];
     let mut out = vec![Complex64::ZERO; dim];
     fill(&mut state);
-    let mut table = Table::new(vec!["gate", "target", "dmav_plain", "dmav_cached", "array"]);
-    let mut h_ends = (f64::NAN, f64::NAN);
+    let mut table = Table::new(vec![
+        "gate",
+        "target",
+        "dmav_plain",
+        "dmav_cached",
+        "dmav_in_place",
+        "array",
+    ]);
+    let mut rows = Vec::new();
     for target in [0, 1, 2, n / 2, n - 1] {
         let gates = [
             ("h", Some(Gate::new(GateKind::H, target))),
@@ -120,23 +150,24 @@ fn dmav_by_target(reps: usize, backend: &str, json: &mut JsonWriter) -> (f64, f6
                 dim
             })
             .0);
-            // In place on the scratch output: its values do not matter.
+            // Both in-place kernels run on the scratch output: its values do
+            // not matter (every gate here is unitary, so they stay finite).
+            let in_place_ns = ns(time_median(reps, || {
+                dmav_in_place(&plain, &mut out, &pool);
+                dim
+            })
+            .0);
             let array_ns = ns(time_median(reps, || {
                 qarray::apply_gate_serial(&mut out, &gate);
                 dim
             })
             .0);
-            if name == "h" && target == 0 {
-                h_ends.0 = plain_ns;
-            }
-            if name == "h" && target == n - 1 {
-                h_ends.1 = plain_ns;
-            }
             table.row(vec![
                 name.into(),
                 target.to_string(),
                 format!("{plain_ns:.3}"),
                 format!("{cached_ns:.3}"),
+                format!("{in_place_ns:.3}"),
                 format!("{array_ns:.3}"),
             ]);
             json.record(vec![
@@ -147,13 +178,21 @@ fn dmav_by_target(reps: usize, backend: &str, json: &mut JsonWriter) -> (f64, f6
                 ("n", n.into()),
                 ("dmav_plain_ns_per_amp", plain_ns.into()),
                 ("dmav_cached_ns_per_amp", cached_ns.into()),
+                ("dmav_in_place_ns_per_amp", in_place_ns.into()),
                 ("array_ns_per_amp", array_ns.into()),
             ]);
+            rows.push(TargetRow {
+                gate: name,
+                target,
+                plain: plain_ns,
+                in_place: in_place_ns,
+                array: array_ns,
+            });
         }
     }
     println!("\ndmav_by_target — n = {n}, 1 thread, ns per amplitude");
     table.print();
-    h_ends
+    rows
 }
 
 /// `--check`: largest accepted `stats()` cost at 10^6 interned values over
@@ -517,7 +556,7 @@ fn main() {
     report("dmav_per_gate", secs, amps, &mut json);
 
     table.print();
-    let (h_low, h_high) = dmav_by_target(reps, backend, &mut json);
+    let by_target = dmav_by_target(reps, backend, &mut json);
     let dd = dd_tables(reps, &mut json);
     // Embed the unified metrics registry (vecops backend label, DD package
     // gauges) in the results file.
@@ -534,11 +573,45 @@ fn main() {
     }
     json.write_if(&path);
     if check {
-        let ratio = h_low / h_high;
-        println!(
-            "check: plain DMAV of H, target 0 / target {} = {ratio:.2} (limit {MAX_TARGET_RATIO})",
-            BY_TARGET_N - 1
+        // NaN for a row that was not measured, which fails its check.
+        let cell = |gate: &str, target: usize, read: fn(&TargetRow) -> f64| {
+            let row = by_target
+                .iter()
+                .find(|r| r.gate == gate && r.target == target);
+            row.map_or(f64::NAN, read)
+        };
+        let top = BY_TARGET_N - 1;
+        let mut dmav_within = true;
+        let mut hold = |what: String, ratio: f64, limit: f64| {
+            println!("check: {what} = {ratio:.2} (limit {limit})");
+            dmav_within &= ratio <= limit;
+        };
+        hold(
+            format!("plain DMAV of H, target 0 / target {top}"),
+            cell("h", 0, |r| r.plain) / cell("h", top, |r| r.plain),
+            MAX_TARGET_RATIO,
         );
+        hold(
+            format!("in-place DMAV of H, target 0 / target {top}"),
+            cell("h", 0, |r| r.in_place) / cell("h", top, |r| r.in_place),
+            MAX_TARGET_RATIO,
+        );
+        for target in [1, 2] {
+            hold(
+                format!("in-place DMAV of CX on target {target}, control 0 / control {top}"),
+                cell("cx_ctrl_below", target, |r| r.in_place)
+                    / cell("cx_ctrl_above", target, |r| r.in_place),
+                MAX_CONTROL_BELOW_RATIO,
+            );
+        }
+        for gate in ["h", "t", "cx_ctrl_above"] {
+            hold(
+                format!("{gate} on target {VS_ARRAY_TARGET}, in-place DMAV / array kernel"),
+                cell(gate, VS_ARRAY_TARGET, |r| r.in_place)
+                    / cell(gate, VS_ARRAY_TARGET, |r| r.array),
+                MAX_VS_ARRAY_RATIO,
+            );
+        }
         let stats_ratio = dd.stats_large / dd.stats_small;
         println!(
             "check: stats() at 10^6 interned values / at 10^3 = {stats_ratio:.2} (limit {MAX_STATS_RATIO})"
@@ -556,7 +629,7 @@ fn main() {
         // Negated "all within", so that a NaN ratio (a cell that was not
         // measured) fails too.
         let within = dd.pair_bytes <= MAX_NODE_PAIR_BYTES
-            && ratio <= MAX_TARGET_RATIO
+            && dmav_within
             && stats_ratio <= MAX_STATS_RATIO
             && gate_ratio <= MAX_WARM_GATE_RATIO
             && top_ratio <= MAX_TOP_T_RATIO;

@@ -15,10 +15,18 @@
 //! interned-weight lookup per amplitude — and writes every output element
 //! exactly once before accumulating into it, so `W` is never zero-filled
 //! (DESIGN.md §8.1).
+//!
+//! The same table has a second interpreter, `Program::run_in_place`: a
+//! matrix whose compiled structure maps every block of the state onto
+//! itself — every single gate matrix at one group, and at `t` groups every
+//! one that stays below the border level — updates `V` where it lies
+//! ([`dmav_in_place`]): identity blocks cost nothing, a diagonal block
+//! touches only the runs it changes, and no `W` is needed at all.
 
 use crate::error::FlatDdError;
 use crate::pool::ThreadPool;
-use qarray::{vecops, SyncUnsafeSlice};
+use qarray::vecops::{self, PairTile};
+use qarray::SyncUnsafeSlice;
 use qcircuit::Complex64;
 use qdd::fxhash::FxHashMap;
 use qdd::{DdPackage, MEdge, TERM};
@@ -56,7 +64,80 @@ enum Op {
 /// only thing `Run` reads. Children precede their parents.
 #[derive(Debug)]
 pub(crate) struct Program {
-    ops: Vec<Op>,
+    ops: Vec<Node>,
+}
+
+/// One table entry: the op and what [`Program::compile`] derived from it
+/// and its children (which precede it).
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    op: Op,
+    /// The sub-matrix is diagonal.
+    diag: bool,
+    /// [`Program::run_in_place`] can apply the sub-matrix to its span.
+    in_place: bool,
+}
+
+/// A diagonal sub-matrix on its way down the pair walk: the table node
+/// ([`TERM`] or [`NO_CHILD`] for a constant) and the factor in front of it
+/// (zero for [`NO_CHILD`]).
+type Diag = (u32, Complex64);
+
+/// Diagonals whose period is at most this many amplitudes are flattened to
+/// a dense tile and applied by one tiled kernel instead of walked.
+const TILE: usize = vecops::MAX_TILE;
+
+/// Most leaves a [`PairPlan`] may hold. The gates this serves — controls
+/// below the target — resolve to a handful; a region that needs more is
+/// irregular and is split before it is resolved.
+const PLAN_LEAVES: usize = 64;
+
+/// What the four diagonals of a pair walk do to one period of the region
+/// they span, resolved once: the regions where the 2x2 is not the identity,
+/// each with one matrix or one prepared tile. Replaying it costs a kernel
+/// call per leaf, with no descent — under a second control further up, a
+/// control on a low qubit makes the same few leaves recur thousands of times.
+struct PairPlan {
+    /// Amplitudes the diagonals repeat after; the region is a multiple.
+    span: usize,
+    leaves: Vec<Leaf>,
+    /// The distinct prepared periods, with the diagonals each came from.
+    tiles: Vec<([Diag; 4], PairTile)>,
+}
+
+/// `len` pairs from offset `at` of every period, and what to do to them.
+struct Leaf {
+    at: usize,
+    len: usize,
+    step: Step,
+}
+
+enum Step {
+    /// One 2x2 for the whole leaf.
+    Const([Complex64; 4]),
+    /// The prepared period `tiles[.]`.
+    Tile(usize),
+}
+
+impl PairPlan {
+    /// Applies the plan to every period of the pair region `(lo, hi)`.
+    fn run(&self, lo: &mut [Complex64], hi: &mut [Complex64]) {
+        let periods = lo
+            .chunks_exact_mut(self.span)
+            .zip(hi.chunks_exact_mut(self.span));
+        for (lo, hi) in periods {
+            for leaf in &self.leaves {
+                let (lo, hi) = (
+                    &mut lo[leaf.at..][..leaf.len],
+                    &mut hi[leaf.at..][..leaf.len],
+                );
+                match &leaf.step {
+                    Step::Const(m) => pair_const(lo, hi, m),
+                    Step::Tile(i) => self.tiles[*i].1.apply(lo, hi),
+                }
+            }
+        }
+    }
 }
 
 /// Where a task enters its [`Program`]: the table index of the task edge's
@@ -77,7 +158,8 @@ struct Compiler<'a> {
     identity: Vec<u32>,
     /// Package node id -> table index.
     index: FxHashMap<u32, u32>,
-    ops: Vec<Op>,
+    /// The table so far (children precede their parents).
+    table: Program,
 }
 
 impl Compiler<'_> {
@@ -107,7 +189,7 @@ impl Compiler<'_> {
         } else if node.e[1].is_zero() && node.e[2].is_zero() && node.e[0] == node.e[3] {
             // I_2 (x) child: fold into what the child compiled to.
             let c = self.node(node.e[0].n);
-            match self.ops[c as usize] {
+            match self.table.ops[c as usize].op {
                 Op::Kron { half, u } => Op::Kron {
                     half,
                     u: u.map(|x| w[0] * x),
@@ -138,8 +220,9 @@ impl Compiler<'_> {
             }
             Op::General { child, w }
         };
-        let i = self.ops.len() as u32;
-        self.ops.push(op);
+        let i = self.table.ops.len() as u32;
+        let (diag, in_place) = self.table.flags(&op);
+        self.table.ops.push(Node { op, diag, in_place });
         self.index.insert(id, i);
         i
     }
@@ -159,7 +242,7 @@ impl Program {
             pkg,
             identity: pkg.identity_node_ids(n),
             index: FxHashMap::default(),
-            ops: Vec::new(),
+            table: Program { ops: Vec::new() },
         };
         let entries = m_edges
             .iter()
@@ -175,12 +258,12 @@ impl Program {
                     .collect()
             })
             .collect();
-        (Program { ops: compiler.ops }, entries)
+        (compiler.table, entries)
     }
 
     /// Heap bytes of the table (for plan-cache accounting).
     pub(crate) fn memory_bytes(&self) -> usize {
-        self.ops.capacity() * std::mem::size_of::<Op>()
+        self.ops.capacity() * std::mem::size_of::<Node>()
     }
 
     /// `w = f * M * v` (`acc == false`) or `w += f * M * v` (`acc == true`)
@@ -205,7 +288,7 @@ impl Program {
             w[0] = if acc { w[0].mac(f, v[0]) } else { f * v[0] };
             return;
         }
-        match self.ops[op as usize] {
+        match self.ops[op as usize].op {
             Op::Identity if acc => vecops::axpy(w, f, v),
             Op::Identity => vecops::scale(w, f, v),
             Op::Kron { half, u } => {
@@ -245,6 +328,364 @@ impl Program {
                 }
             }
         }
+    }
+
+    /// `(diag, in_place)` of `op`, whose children are already in the table.
+    fn flags(&self, op: &Op) -> (bool, bool) {
+        match *op {
+            Op::Identity => (true, true),
+            Op::Kron { u, .. } => (u[1].is_zero() && u[2].is_zero(), true),
+            Op::Lift { base, .. } => (self.diag(base), self.in_place(base)),
+            Op::General { child, .. } => {
+                let all_diag = child.iter().all(|&c| self.diag(c));
+                let block_diagonal = child[1] == NO_CHILD && child[2] == NO_CHILD;
+                (all_diag && block_diagonal, all_diag || self.splits(&child))
+            }
+        }
+    }
+
+    /// Whether the sub-matrix under `op` is diagonal. A zero block is: the
+    /// constant 0.
+    fn diag(&self, op: u32) -> bool {
+        op == TERM || op == NO_CHILD || self.ops[op as usize].diag
+    }
+
+    /// Whether [`Self::run_in_place`] accepts the sub-matrix under `op`. A
+    /// zero block cannot be run in place on its own: the only in-place way
+    /// through it is the pair walk of a parent whose four blocks are all
+    /// diagonal.
+    fn in_place(&self, op: u32) -> bool {
+        op != NO_CHILD && (op == TERM || self.ops[op as usize].in_place)
+    }
+
+    /// Whether a `General` node with these children runs in place as two
+    /// independent halves (if in place at all, else: as the pair walk of
+    /// four diagonals).
+    fn splits(&self, child: &[u32; 4]) -> bool {
+        child[1] == NO_CHILD
+            && child[2] == NO_CHILD
+            && self.in_place(child[0])
+            && self.in_place(child[3])
+    }
+
+    /// `v = f * M * v` for the sub-matrix `M` under table node `op`, which
+    /// must be [`Self::in_place`]; `v` is exactly the amplitudes the node
+    /// spans.
+    ///
+    /// In-place rule: an op reads and writes only its own span, and inside
+    /// it only what `f * M` changes. An identity block under `f == 1` is not
+    /// touched, a diagonal `Kron` skips the run its `1` entry leaves alone,
+    /// `Lift` and a block-diagonal `General` hand each child its own part of
+    /// the span, and a `General` whose four blocks are all diagonal — the
+    /// node of a target controlled from below — is a 2x2 on each pair
+    /// `(lo[i], hi[i])` of its two halves ([`Self::pair_walk`]).
+    pub(crate) fn run_in_place(&self, op: u32, f: Complex64, v: &mut [Complex64]) {
+        if op == TERM {
+            v[0] = f * v[0];
+            return;
+        }
+        let node = self.ops[op as usize];
+        if node.diag && v.len() <= TILE && !matches!(node.op, Op::Identity) {
+            // The bottom of an irregular diagonal (a fused product of phase
+            // gates): one dense multiply instead of a descent to its pairs.
+            let mut d = [Complex64::ZERO; TILE];
+            self.flatten((op, f), &mut d[..v.len()]);
+            return vecops::mul_diag_tiled(v, &d[..v.len()]);
+        }
+        match node.op {
+            Op::Identity => {
+                if f != Complex64::ONE {
+                    vecops::scale_in_place(v, f);
+                }
+            }
+            Op::Kron { half, u } => kron_in_place(v, &u.map(|x| f * x), half),
+            Op::Lift {
+                base,
+                w: below,
+                block,
+            } => {
+                let f = f * below;
+                if !self.blocks_in_place(base, f, v, block) {
+                    for v_b in v.chunks_exact_mut(block) {
+                        self.run_in_place(base, f, v_b);
+                    }
+                }
+            }
+            Op::General { child, w: cw } => {
+                let (lo, hi) = v.split_at_mut(v.len() / 2);
+                if self.splits(&child) {
+                    self.run_in_place(child[0], f * cw[0], lo);
+                    self.run_in_place(child[3], f * cw[3], hi);
+                } else {
+                    self.pair_walk(diagonals(&child, &cw, f), lo, hi);
+                }
+            }
+        }
+    }
+
+    /// `v = f * (I (x) B) * v` for a base node `B` of `block` amplitudes,
+    /// resolved once instead of entered per block: a diagonal `B` of at most
+    /// [`TILE`] amplitudes becomes one dense diagonal, a `B` of four
+    /// diagonal blocks one prepared period (every block in one kernel call)
+    /// or one [`PairPlan`] (replayed per block). `false` (nothing done) for
+    /// any other base.
+    fn blocks_in_place(&self, base: u32, f: Complex64, v: &mut [Complex64], block: usize) -> bool {
+        let node = self.ops[base as usize];
+        if node.diag {
+            if block > TILE {
+                return false;
+            }
+            let mut d = [Complex64::ZERO; TILE];
+            self.flatten((base, f), &mut d[..block]);
+            vecops::mul_diag_tiled(v, &d[..block]);
+            return true;
+        }
+        let Op::General { child, w } = node.op else {
+            return false;
+        };
+        if self.splits(&child) {
+            return false;
+        }
+        let (d, half) = (diagonals(&child, &w, f), block / 2);
+        let period = self.joint_period(&d, half);
+        if period <= TILE {
+            self.tile(&d, period).apply_blocks(v, half);
+        } else if let Some(plan) = self.pair_plan(d, period) {
+            for v_b in v.chunks_exact_mut(block) {
+                let (lo, hi) = v_b.split_at_mut(half);
+                plan.run(lo, hi);
+            }
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// `(lo[i], hi[i]) = [[d0_i, d1_i], [d2_i, d3_i]] * (lo[i], hi[i])` for
+    /// the four diagonals `d` over `lo.len()` amplitudes. All four constant:
+    /// one 2x2 for the region (nothing for the identity: the control-off
+    /// part of the state is never loaded). A joint period of at most
+    /// [`TILE`] that the region repeats: one tiled kernel call. A longer
+    /// period the region repeats: resolved once into a [`PairPlan`] and
+    /// replayed. Otherwise — no repetition at this level, or a period too
+    /// irregular to resolve — each half of each period on its own.
+    fn pair_walk(&self, d: [Diag; 4], lo: &mut [Complex64], hi: &mut [Complex64]) {
+        let len = lo.len();
+        let d = d.map(|x| self.unlift(x, len));
+        let period = self.joint_period(&d, len);
+        if period == 1 {
+            return pair_const(lo, hi, &d.map(|(_, c)| c));
+        }
+        if period == len && len <= TILE {
+            // One period and no more (the bottom of an irregular diagonal,
+            // a fused product under the target): straight from the four
+            // flattened diagonals — preparing a tile for a single use costs
+            // more than its 16 pairs.
+            let mut flat = [[Complex64::ZERO; TILE]; 4];
+            for (k, &d_k) in d.iter().enumerate() {
+                self.flatten(d_k, &mut flat[k][..len]);
+            }
+            for (i, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
+                let (a0, a1) = (*l, *h);
+                *l = flat[0][i] * a0 + flat[1][i] * a1;
+                *h = flat[2][i] * a0 + flat[3][i] * a1;
+            }
+            return;
+        }
+        if period <= TILE {
+            return self.tile(&d, period).apply(lo, hi);
+        }
+        if period < len {
+            if let Some(plan) = self.pair_plan(d, period) {
+                return plan.run(lo, hi);
+            }
+        }
+        let halves = d.map(|x| self.halves(self.unlift(x, period), period));
+        for (lo, hi) in lo.chunks_exact_mut(period).zip(hi.chunks_exact_mut(period)) {
+            let (lo_0, lo_1) = lo.split_at_mut(period / 2);
+            let (hi_0, hi_1) = hi.split_at_mut(period / 2);
+            self.pair_walk(halves.map(|h| h.0), lo_0, hi_0);
+            self.pair_walk(halves.map(|h| h.1), lo_1, hi_1);
+        }
+    }
+
+    /// The diagonals `d`, which repeat after `span > TILE` amplitudes,
+    /// resolved over one such period; `None` when that needs more than
+    /// [`PLAN_LEAVES`] leaves.
+    fn pair_plan(&self, d: [Diag; 4], span: usize) -> Option<PairPlan> {
+        let mut plan = PairPlan {
+            span,
+            leaves: Vec::new(),
+            tiles: Vec::new(),
+        };
+        self.resolve(d, 0, span, &mut plan).then_some(plan)
+    }
+
+    /// [`Self::pair_walk`] without the amplitudes: descends the four
+    /// diagonals `d` together over `[at, at + len)` of a period and records
+    /// where they become constant (no leaf for the identity) or repeat with
+    /// a period of at most [`TILE`] (one prepared tile per distinct `d`).
+    /// `false` once the plan is over [`PLAN_LEAVES`].
+    fn resolve(&self, d: [Diag; 4], at: usize, len: usize, plan: &mut PairPlan) -> bool {
+        let d = d.map(|x| self.unlift(x, len));
+        let step = match self.joint_period(&d, len) {
+            1 => {
+                let m = d.map(|(_, c)| c);
+                if vecops::is_identity(&m) {
+                    return true;
+                }
+                Step::Const(m)
+            }
+            p if p <= TILE => {
+                let known = plan.tiles.iter().position(|(from, _)| *from == d);
+                Step::Tile(known.unwrap_or_else(|| {
+                    plan.tiles.push((d, self.tile(&d, p)));
+                    plan.tiles.len() - 1
+                }))
+            }
+            _ => {
+                let halves = d.map(|x| self.halves(x, len));
+                return self.resolve(halves.map(|h| h.0), at, len / 2, plan)
+                    && self.resolve(halves.map(|h| h.1), at + len / 2, len / 2, plan);
+            }
+        };
+        plan.leaves.push(Leaf { at, len, step });
+        plan.leaves.len() <= PLAN_LEAVES
+    }
+
+    /// Longest period among the diagonals `d` over a region of `len`
+    /// amplitudes (1 = all four constant).
+    fn joint_period(&self, d: &[Diag; 4], len: usize) -> usize {
+        d.iter().fold(1, |p, &(op, _)| p.max(self.period(op, len)))
+    }
+
+    /// One period (`p` amplitudes) of the 2x2 matrices the diagonals `d`
+    /// form, prepared for the tiled kernel.
+    fn tile(&self, d: &[Diag; 4], p: usize) -> PairTile {
+        let mut tile = [[Complex64::ZERO; 4]; TILE];
+        let mut flat = [Complex64::ZERO; TILE];
+        for (k, &d_k) in d.iter().enumerate() {
+            self.flatten(d_k, &mut flat[..p]);
+            for (m, &x) in tile.iter_mut().zip(&flat) {
+                m[k] = x;
+            }
+        }
+        PairTile::new(&tile[..p])
+    }
+
+    /// Period of the diagonal under `op` over a region of `len` amplitudes
+    /// (1 = constant). A `General` node's is the region itself.
+    fn period(&self, op: u32, len: usize) -> usize {
+        if op == TERM || op == NO_CHILD {
+            return 1;
+        }
+        match self.ops[op as usize].op {
+            Op::Identity => 1,
+            Op::Kron { half, .. } => 2 * half,
+            Op::Lift { block, .. } => block,
+            Op::General { .. } => len,
+        }
+    }
+
+    /// A `Lift` over a region of exactly one of its blocks is its base.
+    fn unlift(&self, d: Diag, len: usize) -> Diag {
+        match (d.0 != TERM && d.0 != NO_CHILD).then(|| self.ops[d.0 as usize].op) {
+            Some(Op::Lift { base, w, block }) if block == len => (base, d.1 * w),
+            _ => d,
+        }
+    }
+
+    /// The diagonal `d` over `len` amplitudes as its lower and upper half.
+    fn halves(&self, d: Diag, len: usize) -> (Diag, Diag) {
+        let (op, c) = d;
+        if op == TERM || op == NO_CHILD {
+            return (d, d);
+        }
+        match self.ops[op as usize].op {
+            Op::Kron { half, u } if len == 2 * half => ((TERM, c * u[0]), (TERM, c * u[3])),
+            Op::General { child, w } => ((child[0], c * w[0]), (child[3], c * w[3])),
+            // The identity, and `I_2 (x) .` chains longer than the region's
+            // two halves.
+            Op::Identity | Op::Kron { .. } | Op::Lift { .. } => (d, d),
+        }
+    }
+
+    /// Writes the diagonal `d` over `out.len()` amplitudes, a multiple of
+    /// its period, into `out`.
+    fn flatten(&self, d: Diag, out: &mut [Complex64]) {
+        let (op, c) = d;
+        if op == TERM || op == NO_CHILD {
+            return out.fill(c);
+        }
+        match self.ops[op as usize].op {
+            Op::Identity => out.fill(c),
+            Op::Kron { half, u } => {
+                for run in out.chunks_exact_mut(2 * half) {
+                    run[..half].fill(c * u[0]);
+                    run[half..].fill(c * u[3]);
+                }
+            }
+            Op::Lift { base, w, block } => {
+                for run in out.chunks_exact_mut(block) {
+                    self.flatten((base, c * w), run);
+                }
+            }
+            Op::General { child, w } => {
+                let (lo, hi) = out.split_at_mut(out.len() / 2);
+                self.flatten((child[0], c * w[0]), lo);
+                self.flatten((child[3], c * w[3]), hi);
+            }
+        }
+    }
+}
+
+/// The four blocks of a `General` node as [`Diag`]s under the factor `f`
+/// (a zero edge's weight is zero, so its constant is).
+fn diagonals(child: &[u32; 4], w: &[Complex64; 4], f: Complex64) -> [Diag; 4] {
+    std::array::from_fn(|k| (child[k], f * w[k]))
+}
+
+/// In-place `I (x) m (x) I_half` over `v`. A diagonal `m` multiplies only the
+/// runs whose entry is not 1 (T touches half of `v`, the Z block of a CZ a
+/// quarter of the state).
+fn kron_in_place(v: &mut [Complex64], m: &[Complex64; 4], half: usize) {
+    if !(m[1].is_zero() && m[2].is_zero()) {
+        if half == 1 {
+            vecops::pairs2x2(v, m);
+        } else if v.len() == 2 * half {
+            // One block (a `Kron` entered per block of a chain above it):
+            // not worth preparing a tile for.
+            let (lo, hi) = v.split_at_mut(half);
+            vecops::apply_2x2(lo, hi, m);
+        } else {
+            PairTile::new(std::slice::from_ref(m)).apply_blocks(v, half);
+        }
+    } else if 2 * half <= TILE {
+        let mut d = [m[0]; TILE];
+        for run in d.chunks_exact_mut(2 * half) {
+            run[half..].fill(m[3]);
+        }
+        vecops::mul_diag_tiled(v, &d[..2 * half]);
+    } else {
+        for block in v.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            pair_const(lo, hi, m);
+        }
+    }
+}
+
+/// `(lo[i], hi[i]) = m * (lo[i], hi[i])` with one `m` for the whole region;
+/// a diagonal `m` scales only the run whose entry is not 1.
+fn pair_const(lo: &mut [Complex64], hi: &mut [Complex64], m: &[Complex64; 4]) {
+    if m[1].is_zero() && m[2].is_zero() {
+        if m[0] != Complex64::ONE {
+            vecops::scale_in_place(lo, m[0]);
+        }
+        if m[3] != Complex64::ONE {
+            vecops::scale_in_place(hi, m[3]);
+        }
+    } else {
+        vecops::apply_2x2(lo, hi, m);
     }
 }
 
@@ -368,6 +809,9 @@ pub struct DmavAssignment {
     program: Program,
     /// Per task, its entry into `program` (parallel to `m_edges`).
     entries: Vec<Vec<Entry>>,
+    /// Every group has exactly one task, on its own rows, that
+    /// [`Program::run_in_place`] accepts.
+    in_place: bool,
 }
 
 impl DmavAssignment {
@@ -383,16 +827,30 @@ impl DmavAssignment {
     pub fn try_build(pkg: &DdPackage, m: MEdge, n: usize, t: usize) -> Result<Self, FlatDdError> {
         let tasks = assign_tasks(pkg, m, n, t, Space::Row)?;
         let (program, entries) = Program::compile(pkg, n, &tasks.m_edges, &tasks.f);
+        let h = (1usize << n) / t;
+        let in_place = entries.iter().zip(&tasks.at).enumerate().all(|(g, (e, at))| {
+            matches!((&e[..], &at[..]), ([e], [at]) if *at == g * h && program.in_place(e.op))
+        });
         Ok(DmavAssignment {
             t,
-            h: (1usize << n) / t,
+            h,
             n,
             m_edges: tasks.m_edges,
             iv: tasks.at,
             f: tasks.f,
             program,
             entries,
+            in_place,
         })
+    }
+
+    /// Whether [`dmav_in_place`] can apply this assignment: the matrix maps
+    /// every group's rows onto themselves, through structure the in-place
+    /// walk knows. At one group that is every single gate matrix
+    /// (`DdPackage::gate_dd`); general fused products, and at `t > 1` gates
+    /// whose structure crosses the border level, are not.
+    pub fn in_place(&self) -> bool {
+        self.in_place
     }
 
     /// Total number of tasks across threads.
@@ -441,7 +899,8 @@ pub fn dmav_no_cache(
     pool.for_each_shard(asg.t, |g| {
         // SAFETY: group `g` exclusively owns output rows [g*h, (g+1)*h) —
         // the row-space partition of Algorithm 1 — and each group runs on
-        // exactly one worker.
+        // exactly one worker
+        // (`compiled_walk_matches_dense_on_the_whole_gate_grid`).
         let chunk = unsafe { view.slice_mut(g * h, h) };
         // Every task of the group covers all `h` rows from another column
         // block: the first stores, the rest accumulate.
@@ -452,6 +911,29 @@ pub fn dmav_no_cache(
         if asg.entries[g].is_empty() {
             chunk.fill(Complex64::ZERO);
         }
+    });
+}
+
+/// DMAV in place: `V = M * V` for an assignment that is
+/// [`DmavAssignment::in_place`] — one state vector, no `W`. Each group runs
+/// its one task on its own rows of `v`; identity blocks are not touched.
+///
+/// # Panics
+/// When the assignment is not in place (run [`dmav_no_cache`] instead).
+pub fn dmav_in_place(asg: &DmavAssignment, v: &mut [Complex64], pool: &ThreadPool) {
+    assert!(asg.in_place, "assignment has no in-place form");
+    assert_eq!(v.len(), 1usize << asg.n);
+    let view = SyncUnsafeSlice::new(v);
+    let h = asg.h;
+    pool.for_each_shard(asg.t, |g| {
+        // SAFETY: group `g` reads and writes rows [g*h, (g+1)*h) only — its
+        // one task starts at column `g*h` (checked by `try_build`) and the
+        // in-place walk stays inside the span it is given — and each group
+        // runs on exactly one worker
+        // (`in_place_walk_matches_dense_on_the_whole_gate_grid`).
+        let chunk = unsafe { view.slice_mut(g * h, h) };
+        let entry = asg.entries[g][0];
+        asg.program.run_in_place(entry.op, entry.f, chunk);
     });
 }
 
@@ -586,26 +1068,23 @@ mod tests {
         })
     }
 
-    /// Plain and cached DMAV of `m` over `t` groups on `pool`, each into a
-    /// `W` pre-filled with NaN so a row the walk fails to store shows.
-    fn both_variants(
+    /// Every DMAV variant of `m` over `t` groups on `pool`: plain and
+    /// cached, each into a `W` pre-filled with NaN so a row the walk fails
+    /// to store shows, and — when the plain assignment has one — in place on
+    /// a copy of `v`. Also returns whether it has one.
+    fn all_variants(
         pkg: &DdPackage,
         m: MEdge,
         n: usize,
         t: usize,
         pool: &ThreadPool,
         v: &[Complex64],
-    ) -> [Vec<Complex64>; 2] {
+    ) -> (Vec<(&'static str, Vec<Complex64>)>, bool) {
         use crate::dmav_cache::{dmav_cached, DmavCacheAssignment, PartialBuffers};
         let nan = Complex64::new(f64::NAN, f64::NAN);
         let mut plain = vec![nan; 1 << n];
-        dmav_no_cache(
-            pkg,
-            &DmavAssignment::build(pkg, m, n, t),
-            v,
-            &mut plain,
-            pool,
-        );
+        let plain_asg = DmavAssignment::build(pkg, m, n, t);
+        dmav_no_cache(pkg, &plain_asg, v, &mut plain, pool);
         let mut cached = vec![nan; 1 << n];
         let asg = DmavCacheAssignment::build(pkg, m, n, t);
         dmav_cached(
@@ -616,14 +1095,22 @@ mod tests {
             pool,
             &mut PartialBuffers::default(),
         );
-        [plain, cached]
+        let mut variants = vec![("plain", plain), ("cached", cached)];
+        if plain_asg.in_place() {
+            let mut in_place = v.to_vec();
+            dmav_in_place(&plain_asg, &mut in_place, pool);
+            variants.push(("in place", in_place));
+        }
+        (variants, plain_asg.in_place())
     }
 
     #[test]
     fn compiled_walk_matches_dense_on_the_whole_gate_grid() {
-        // Every gate kind x every target x seven control shapes x group
-        // counts up to `2^(n-1)` (border level 0) on pools of another size
-        // x {plain, cached}.
+        // Every gate kind x every target x controls {none, one, two} x
+        // {positive, negative} x {above, below, both sides} x group counts
+        // up to `2^(n-1)` (border level 0) on pools of another size x
+        // {plain, cached, in place}. At one group every gate matrix must
+        // have an in-place form.
         let n = 6;
         let unitary = {
             let (h, t) = (GateKind::H.matrix(), GateKind::T.matrix());
@@ -655,18 +1142,30 @@ mod tests {
         // (groups, index of a pool whose size differs from it)
         let geometries = [(1usize, 1usize), (2, 2), (4, 0), (8, 2), (32, 1)];
         let v = rand_state(n, 41);
+        let mut in_place_beyond_one_group = 0;
         for kind in kinds {
             for q in 0..n {
                 let below = if q > 0 { q - 1 } else { q + 2 };
                 let above = if q < n - 1 { q + 1 } else { q - 2 };
+                // Farthest qubits on either side (the target itself at the
+                // ends, where the shape falls back to the near one).
+                let (lowest, highest) = (
+                    if q > 0 { 0 } else { below },
+                    if q < n - 1 { n - 1 } else { above },
+                );
                 let control_shapes = [
                     vec![],
                     vec![Control::pos(above)],
                     vec![Control::pos(below)],
+                    vec![Control::neg(above)],
+                    vec![Control::neg(below)],
                     vec![Control::neg((q + 3) % n)],
                     vec![Control::pos((q + 3) % n)],
+                    vec![Control::pos(lowest)],
+                    vec![Control::neg(highest)],
                     vec![Control::pos(below), Control::neg(above)],
                     vec![Control::pos(below), Control::pos(above)],
+                    vec![Control::neg(lowest), Control::pos(highest)],
                 ];
                 for controls in control_shapes {
                     let g = Gate::controlled(kind, q, controls);
@@ -675,10 +1174,10 @@ mod tests {
                     let pkg = DdPackage::default();
                     let m = pkg.gate_dd(&g, n);
                     for (t, pool) in geometries {
-                        for (got, variant) in both_variants(&pkg, m, n, t, &pools[pool], &v)
-                            .iter()
-                            .zip(["plain", "cached"])
-                        {
+                        let (variants, in_place) = all_variants(&pkg, m, n, t, &pools[pool], &v);
+                        assert!(in_place || t > 1, "{g}: no in-place form at one group");
+                        in_place_beyond_one_group += usize::from(in_place && t > 1);
+                        for (variant, got) in &variants {
                             let err = max_err(got, &want);
                             assert!(err < 1e-12, "{variant} {g} t={t}: {err:e}");
                         }
@@ -686,40 +1185,194 @@ mod tests {
                 }
             }
         }
+        // Gates whose structure stays below the border level keep their
+        // in-place form under sharding.
+        assert!(in_place_beyond_one_group > 1000);
+    }
+
+    #[test]
+    fn two_controls_on_one_side_run_in_place() {
+        // Toffoli shapes the grid's one-per-side pairs do not reach: both
+        // controls below the target (a diagonal block that is itself a
+        // general node) and both above, at a size where the pair walk
+        // descends before it tiles.
+        let n = 9;
+        let v = rand_state(n, 43);
+        let pool = ThreadPool::new(2);
+        // (7, 0, 5): below the top qubit, so the resolved plan is replayed
+        // per block of an `I_2 (x) .` chain.
+        for (target, c0, c1) in [
+            (7, 0, 5),
+            (8, 0, 6),
+            (8, 5, 6),
+            (7, 1, 2),
+            (0, 3, 8),
+            (4, 0, 8),
+            (6, 5, 7),
+        ] {
+            for kind in [GateKind::X, GateKind::H, GateKind::T] {
+                let g = Gate::controlled(kind, target, vec![Control::pos(c0), Control::neg(c1)]);
+                let mut want = v.clone();
+                dense::apply_gate(&mut want, &g);
+                let pkg = DdPackage::default();
+                let m = pkg.gate_dd(&g, n);
+                for t in [1usize, 2, 8] {
+                    let (variants, in_place) = all_variants(&pkg, m, n, t, &pool, &v);
+                    assert!(in_place || t > 1, "{g}");
+                    for (variant, got) in &variants {
+                        let err = max_err(got, &want);
+                        assert!(err < 1e-12, "{variant} {g} t={t}: {err:e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_walk_leaves_identity_blocks_untouched() {
+        // CX controlled from above: the control-off half of the state is
+        // never written, so NaNs parked there survive (a scale by 1 or a
+        // copy would not tell; a touch of any kind turns up in `dense`).
+        let n = 8;
+        let pkg = DdPackage::default();
+        let g = Gate::controlled(GateKind::X, 2, vec![Control::pos(n - 1)]);
+        let asg = DmavAssignment::build(&pkg, pkg.gate_dd(&g, n), n, 1);
+        assert!(asg.in_place());
+        let mut v = rand_state(n, 47);
+        let mut want = v.clone();
+        dense::apply_gate(&mut want, &g);
+        let half = 1 << (n - 1);
+        let before = v[..half].to_vec();
+        dmav_in_place(&asg, &mut v, &ThreadPool::new(1));
+        assert!(v[..half] == before[..], "identity block was rewritten");
+        assert!(max_err(&v, &want) < 1e-12);
+    }
+
+    /// The product of `gates` as one matrix DD.
+    fn product(pkg: &DdPackage, gates: &[Gate], n: usize) -> MEdge {
+        gates.iter().fold(pkg.identity_dd(n), |fused, g| {
+            pkg.mul_mm(pkg.gate_dd(g, n), fused)
+        })
+    }
+
+    /// `m * v` through the DD's own dense matrix, so interning error inside
+    /// `mul_mm` is not the walk's to answer for.
+    fn dense_product(pkg: &DdPackage, m: MEdge, n: usize, v: &[Complex64]) -> Vec<Complex64> {
+        let dim = 1usize << n;
+        let dense_m = pkg.matrix_to_dense(m, n);
+        (0..dim)
+            .map(|r| {
+                (0..dim).fold(Complex64::ZERO, |acc, c| {
+                    acc.mac(dense_m[r * dim + c], v[c])
+                })
+            })
+            .collect()
     }
 
     #[test]
     fn compiled_walk_matches_the_dd_matrix_on_random_fused_products() {
-        // Products of 10-30 random gates: general nodes at every level. The
-        // oracle is the DD's own dense matrix, so interning error inside
-        // `mul_mm` is not the walk's to answer for.
+        // Products of 10-30 random gates: general nodes at every level, no
+        // in-place form at any group count, the out-of-place walk as before.
         let pool = ThreadPool::new(3);
         for (n, gates, seed) in [(5usize, 10usize, 3u64), (6, 17, 5), (7, 24, 7), (8, 30, 9)] {
             let pkg = DdPackage::default();
-            let mut fused = pkg.identity_dd(n);
-            for g in generators::random_circuit(n, gates, seed).iter() {
-                fused = pkg.mul_mm(pkg.gate_dd(g, n), fused);
-            }
-            let dim = 1usize << n;
-            let dense_m = pkg.matrix_to_dense(fused, n);
+            let c = generators::random_circuit(n, gates, seed);
+            let fused = product(&pkg, c.gates(), n);
             let v = rand_state(n, seed);
-            let want: Vec<Complex64> = (0..dim)
-                .map(|r| {
-                    (0..dim).fold(Complex64::ZERO, |acc, c| {
-                        acc.mac(dense_m[r * dim + c], v[c])
-                    })
-                })
-                .collect();
+            let want = dense_product(&pkg, fused, n, &v);
             for t in [1usize, 2, 4, 8] {
-                for (got, variant) in both_variants(&pkg, fused, n, t, &pool, &v)
-                    .iter()
-                    .zip(["plain", "cached"])
-                {
+                let (variants, in_place) = all_variants(&pkg, fused, n, t, &pool, &v);
+                assert!(!in_place, "n={n} t={t}: a general product ran in place");
+                for (variant, got) in &variants {
                     let err = max_err(got, &want);
                     assert!(err < 1e-12, "{variant} n={n} t={t}: {err:e}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn zero_row_products_fall_back_to_the_write_once_walk() {
+        // A projector on the top qubit times gates below it: the lower half
+        // of the rows is zero, and the block that is not is not diagonal.
+        // No in-place form; the out-of-place walk zero-fills those rows.
+        let n = 6;
+        let zero = Complex64::ZERO;
+        let projector = GateKind::Unitary([Complex64::ONE, zero, zero, zero]);
+        let pkg = DdPackage::default();
+        let gates = [
+            Gate::new(GateKind::H, 2),
+            Gate::controlled(GateKind::X, 4, vec![Control::pos(1)]),
+            Gate::new(projector, n - 1),
+        ];
+        let fused = product(&pkg, &gates, n);
+        let v = rand_state(n, 53);
+        let want = dense_product(&pkg, fused, n, &v);
+        assert!(want[1 << (n - 1)..].iter().all(|a| a.is_zero()));
+        let pool = ThreadPool::new(2);
+        for t in [1usize, 2, 4] {
+            let (variants, in_place) = all_variants(&pkg, fused, n, t, &pool, &v);
+            assert!(!in_place, "t={t}: a zero-row product ran in place");
+            for (variant, got) in &variants {
+                let err = max_err(got, &want);
+                assert!(err < 1e-12, "{variant} t={t}: {err:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_diagonal_products_run_in_place() {
+        // A product of diagonal gates is one diagonal matrix with distinct
+        // entries everywhere: in place through nested block-diagonal nodes,
+        // and under a control from below through a pair walk that descends
+        // to single amplitudes.
+        let n = 7;
+        let pkg = DdPackage::default();
+        let phases: Vec<Gate> = (0..n)
+            .map(|q| Gate::new(GateKind::RZ(0.3 + q as f64), q))
+            .chain((0..n - 1).map(|q| {
+                Gate::controlled(
+                    GateKind::Phase(0.2 * (q + 1) as f64),
+                    q + 1,
+                    vec![Control::pos(q)],
+                )
+            }))
+            .collect();
+        let diagonal = product(&pkg, &phases, n);
+        let mut with_x = phases.clone();
+        with_x.push(Gate::new(GateKind::X, n - 1));
+        let v = rand_state(n, 59);
+        let pool = ThreadPool::new(2);
+        for m in [diagonal, product(&pkg, &with_x, n)] {
+            let want = dense_product(&pkg, m, n, &v);
+            let (variants, in_place) = all_variants(&pkg, m, n, 1, &pool, &v);
+            assert!(in_place);
+            for (variant, got) in &variants {
+                let err = max_err(got, &want);
+                assert!(err < 1e-12, "{variant}: {err:e}");
+            }
+        }
+        // 13 qubits, the phases on the low 11 and qubit 11 left alone: under
+        // the X the 2^11 distinct 2x2 matrices repeat once, a period with
+        // more leaves than one plan holds, so the walk gives up resolving it
+        // and splits it. Too large for the dense matrix; the out-of-place
+        // walk over the same DD is the oracle.
+        let n = 13;
+        let mut gates: Vec<Gate> = (0..n - 2)
+            .map(|q| Gate::new(GateKind::RZ(0.3 + q as f64), q))
+            .collect();
+        gates.extend((0..n - 3).map(|q| {
+            let phase = GateKind::Phase(0.2 * (q + 1) as f64);
+            Gate::controlled(phase, q + 1, vec![Control::pos(q)])
+        }));
+        gates.push(Gate::new(GateKind::X, n - 1));
+        let v = rand_state(n, 61);
+        let (variants, in_place) = all_variants(&pkg, product(&pkg, &gates, n), n, 1, &pool, &v);
+        assert!(in_place);
+        let [(_, plain), _, (_, got)] = &variants[..] else {
+            panic!("plain, cached, in place");
+        };
+        assert!(max_err(got, plain) < 1e-12);
     }
 
     #[test]
@@ -732,7 +1385,7 @@ mod tests {
         let asg = DmavAssignment::build(&pkg, m, n, 1);
         let entry = asg.entries[0][0];
         assert!(matches!(
-            asg.program.ops[entry.op as usize],
+            asg.program.ops[entry.op as usize].op,
             Op::Kron { half: 1, .. }
         ));
         // The identity sub-DD of a controlled gate is one op, not a chain.
@@ -742,7 +1395,7 @@ mod tests {
             .program
             .ops
             .iter()
-            .filter(|op| matches!(op, Op::Identity))
+            .filter(|node| matches!(node.op, Op::Identity))
             .count();
         assert_eq!(identities, 1);
         assert!(asg.program.ops.len() <= n);
@@ -760,8 +1413,12 @@ mod tests {
         let mut want = v.clone();
         dense::apply_gate(&mut want, &g);
         let pool = ThreadPool::new(2);
-        for got in both_variants(&pkg, m, n, 8, &pool, &v) {
-            assert!(max_err(&got, &want) < 1e-12);
+        let (variants, in_place) = all_variants(&pkg, m, n, 8, &pool, &v);
+        // H on qubit 1 controlled by qubit 0 mixes rows: four of the eight
+        // one-row groups have two tasks.
+        assert!(!in_place);
+        for (variant, got) in &variants {
+            assert!(max_err(got, &want) < 1e-12, "{variant}");
         }
     }
 

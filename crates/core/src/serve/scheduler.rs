@@ -457,8 +457,11 @@ pub fn build_circuit(spec: &JobSpec) -> Result<Circuit, FlatDdError> {
 
 /// Builds the spec's circuit once — which validates it — and returns the
 /// admission estimate in bytes: the job's own budget when it declares one,
-/// else two flat `2^n` buffers plus fixed overhead. Rejects jobs that can
-/// never fit under the server budget (they would starve forever).
+/// else two flat `2^n` buffers plus fixed overhead — the worst case: a job
+/// on one flat shard holds the state alone, one whose shards make gates
+/// cross their border also the DMAV output vector, and which it is shows
+/// only gate by gate. Rejects jobs that can never fit under the server
+/// budget (they would starve forever).
 fn job_estimate(cfg: &ServeConfig, spec: &JobSpec) -> Result<u64, String> {
     const OVERHEAD: u64 = 32 << 20;
     let n = build_circuit(spec).map_err(|e| e.to_string())?.num_qubits() as u32;

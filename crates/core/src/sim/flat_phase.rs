@@ -2,8 +2,8 @@
 //! (Section 3.2) — on single gates or on the blocks of a fused span
 //! (Section 3.3).
 
-use super::{Core, FusionPolicy, StepReport};
-use crate::dmav::dmav_no_cache;
+use super::{Core, FusionPolicy, Phase, StepReport};
+use crate::dmav::{dmav_in_place, dmav_no_cache};
 use crate::dmav_cache::{dmav_cached, PartialBuffers};
 use crate::error::FlatDdError;
 use crate::ewma::EwmaState;
@@ -20,8 +20,10 @@ use std::time::Instant;
 pub(crate) struct FlatPhase {
     /// The state vector.
     pub(super) v: ShardedState,
-    /// DMAV output buffer, swapped with `v` after every multiply.
-    w: ShardedState,
+    /// Output buffer of the out-of-place DMAV walks, swapped with `v` after
+    /// each. Allocated by the first of them ([`output_vector`]): a run whose
+    /// every matrix has an in-place form holds one vector.
+    w: Option<ShardedState>,
     scratch: PartialBuffers,
     plans: PlanCache,
     /// Matrices of the current fused span and the gates each folds; the
@@ -35,11 +37,11 @@ pub(crate) struct FlatPhase {
 }
 
 impl FlatPhase {
-    /// A flat phase over state `v` and an equally sized output buffer `w`.
-    pub(super) fn new(v: ShardedState, w: ShardedState, core: &Core, ewma: EwmaState) -> Self {
+    /// A flat phase over state `v`.
+    pub(super) fn new(v: ShardedState, core: &Core, ewma: EwmaState) -> Self {
         FlatPhase {
             v,
-            w,
+            w: None,
             scratch: PartialBuffers::default(),
             plans: PlanCache::new(core.cfg.caching, core.cfg.cost_model),
             fused: Vec::new(),
@@ -123,59 +125,94 @@ impl FlatPhase {
 
     /// `v <- m * v`: look the matrix's plan up, run it, account it. Returns
     /// whether the lookup hit; a miss plans under the configured kernel
-    /// policy (see [`PlanCache`]).
+    /// policy (see [`PlanCache`]). A plain plan with an in-place form runs
+    /// on `v` itself; every other plan writes `w` (allocated here on first
+    /// need — an error from that leaves `v` as it was) and swaps.
     fn dmav(&mut self, core: &mut Core, m: MEdge) -> Result<bool, FlatDdError> {
-        let (pkg, pool, stats) = (&core.pkg, &core.pool, &mut core.stats);
+        /// Which kernel a plan ran.
+        enum Ran {
+            InPlace,
+            Plain,
+            Cached { hits: usize },
+        }
+        let held = self.memory_bytes();
+        let (v, w, scratch) = (&mut self.v, &mut self.w, &mut self.scratch);
+        let (pkg, pool) = (&core.pkg, &core.pool);
         let hist = &core.hist_plan_build;
-        let (v, w, scratch) = (&self.v, &mut self.w, &mut self.scratch);
         // Clock read for the plan-build histogram rides behind `enabled()`
         // (the overhead contract); the observe itself lands only on misses,
         // where a plan was actually built.
         let plan_t0 = qtelemetry::enabled().then(Instant::now);
-        let run = |plan: &Plan, cost: f64, hit: bool| {
+        let run = |plan: &Plan, cost: f64, hit: bool| -> Result<_, FlatDdError> {
             if let (Some(t0), false) = (plan_t0, hit) {
                 hist.observe_duration_us(t0.elapsed());
             }
-            stats.modeled_cost += cost;
-            match plan {
-                Plan::Cached(asg) => {
-                    let st = dmav_cached(pkg, asg, v, w, pool, scratch);
-                    stats.cache_hits += st.hits;
-                    stats.cached_dmavs += 1;
+            let ran = match plan {
+                Plan::Plain(asg) if asg.in_place() => {
+                    dmav_in_place(asg, v, pool);
+                    Ran::InPlace
                 }
                 Plan::Plain(asg) => {
+                    let w = output_vector(w, core, held)?;
                     dmav_no_cache(pkg, asg, v, w, pool);
-                    stats.uncached_dmavs += 1;
+                    std::mem::swap(v, w);
+                    Ran::Plain
                 }
-            }
-            hit
+                Plan::Cached(asg) => {
+                    let w = output_vector(w, core, held)?;
+                    let hits = dmav_cached(pkg, asg, v, w, pool, scratch).hits;
+                    std::mem::swap(v, w);
+                    Ran::Cached { hits }
+                }
+            };
+            Ok((ran, cost, hit))
         };
         // Plans are built over the shard geometry (one assignment group per
         // shard), so the memo keys them by shard count.
-        let plan_hit = self.plans.with_plan(pkg, m, core.n, core.shards, run)?;
-        std::mem::swap(&mut self.v, &mut self.w);
-        if plan_hit {
-            core.stats.dmav_plan_hits += 1;
-        } else {
-            core.stats.dmav_plan_misses += 1;
+        let (ran, cost, plan_hit) = self.plans.with_plan(pkg, m, core.n, core.shards, run)??;
+        let stats = &mut core.stats;
+        stats.modeled_cost += cost;
+        match ran {
+            // An in-place gate is an uncached DMAV that needed no `W`.
+            Ran::InPlace => {
+                stats.uncached_dmavs += 1;
+                core.ctr_dmav_in_place.inc();
+            }
+            Ran::Plain => stats.uncached_dmavs += 1,
+            Ran::Cached { hits } => {
+                stats.cache_hits += hits;
+                stats.cached_dmavs += 1;
+            }
         }
-        core.stats.gates_dmav += 1;
+        if plan_hit {
+            stats.dmav_plan_hits += 1;
+        } else {
+            stats.dmav_plan_misses += 1;
+        }
+        stats.gates_dmav += 1;
         core.ctr_gates_dmav.inc();
         Ok(plan_hit)
     }
 
-    /// The scratch rung of the memory-pressure ladder: DMAV partial
-    /// buffers and memoized plans go, the state buffers stay.
+    /// The scratch rung of the memory-pressure ladder: the DMAV output
+    /// vector (the next out-of-place walk allocates it again, if the budget
+    /// then admits it), partial buffers and memoized plans go, the state
+    /// stays.
     pub(super) fn release_scratch(&mut self) {
+        self.w = None;
         self.scratch.release();
         self.plans.clear();
     }
 
-    /// Resident bytes of the phase's buffers, scratch and plan memo.
+    /// Resident bytes of the state and, once allocated, the output vector.
+    pub(super) fn vector_bytes(&self) -> usize {
+        let w = self.w.as_ref().map_or(0, ShardedState::capacity);
+        (self.v.capacity() + w) * std::mem::size_of::<Complex64>()
+    }
+
+    /// Resident bytes of the phase's vectors, scratch and plan memo.
     pub(super) fn memory_bytes(&self) -> usize {
-        (self.v.capacity() + self.w.capacity()) * std::mem::size_of::<Complex64>()
-            + self.scratch.memory_bytes()
-            + self.plans.memory_bytes()
+        self.vector_bytes() + self.scratch.memory_bytes() + self.plans.memory_bytes()
     }
 
     /// Plans memoized and the bytes charged for them (for the metrics
@@ -191,6 +228,35 @@ impl FlatPhase {
     pub(super) fn norm_sqr(&self, pool: &ThreadPool) -> f64 {
         let v = &self.v;
         qarray::sum_shards(pool, v.shards(), |s| vecops::norm_sqr(&v[v.shard_range(s)]))
+    }
+}
+
+/// The flat phase's output vector, allocated on first need: admission
+/// against the memory budget on top of what is held now (`held` flat-phase
+/// bytes plus the package), then [`try_flat_buffer`]. Both refusals are
+/// typed and happen before the gate that asked touches the state.
+fn output_vector<'a>(
+    w: &'a mut Option<ShardedState>,
+    core: &Core,
+    held: usize,
+) -> Result<&'a mut ShardedState, FlatDdError> {
+    // (The package is read only under a budget: an unbudgeted step reads
+    // its statistics once, at the boundary.)
+    if let (None, Some(budget_bytes)) = (&w, core.gov.config().memory_budget_bytes) {
+        let used = core.pkg.stats().memory_bytes + held;
+        let need = (1usize << core.n) * std::mem::size_of::<Complex64>();
+        if !core.gov.admits_allocation(used, need) {
+            return Err(FlatDdError::MemoryBudgetExceeded {
+                budget_bytes,
+                observed_bytes: used.saturating_add(need),
+                context: "DMAV output vector",
+                partial: Box::new(core.snapshot(Phase::Dmav)),
+            });
+        }
+    }
+    match w {
+        Some(w) => Ok(w),
+        None => Ok(w.insert(try_flat_buffer(core, "DMAV output vector")?)),
     }
 }
 

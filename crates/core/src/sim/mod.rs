@@ -93,11 +93,28 @@ pub(crate) struct Core {
     /// relaxed add per gate).
     ctr_gates_dd: qtelemetry::Counter,
     ctr_gates_dmav: qtelemetry::Counter,
+    ctr_dmav_in_place: qtelemetry::Counter,
     hist_convert: qtelemetry::Histogram,
     hist_plan_build: qtelemetry::Histogram,
 }
 
 impl Core {
+    /// Bytes of flat `2^n` vectors the flat phase of this configuration will
+    /// hold, which is what entering it asks the memory budget for: the state
+    /// alone when every DMAV is a single gate's on one group and no policy
+    /// forces Algorithm 2 — each then has an in-place form
+    /// ([`crate::DmavAssignment::in_place`]) — else the state and the
+    /// out-of-place walks' output vector. (Should a one-vector run meet a
+    /// matrix without an in-place form after all, the output vector is
+    /// admitted or refused when that gate asks for it.)
+    fn flat_phase_bytes(&self) -> usize {
+        let in_place = self.cfg.fusion == FusionPolicy::None
+            && self.shards == 1
+            && self.cfg.caching != CachingPolicy::Always;
+        let vectors = if in_place { 1 } else { 2 };
+        vectors * (1usize << self.n) * std::mem::size_of::<Complex64>()
+    }
+
     /// Run statistics including the DD compute-table hit rates (computed
     /// as deltas from the last per-run reset).
     fn stats(&self) -> FlatDdStats {
@@ -263,18 +280,18 @@ impl FlatDdSimulator {
             phase_start_us: 0.0,
             ctr_gates_dd: metrics.counter("core.gates_dd"),
             ctr_gates_dmav: metrics.counter("core.gates_dmav"),
+            ctr_dmav_in_place: metrics.counter("core.dmav_in_place"),
             hist_convert: metrics.histogram("sim.conversion_us"),
             hist_plan_build: metrics.histogram("sim.plan_build_us"),
             ctx,
         };
-        let flat_bytes = 2 * (1usize << n) * std::mem::size_of::<Complex64>();
         let start_flat = cfg.conversion == ConversionPolicy::Immediate;
-        let phase = if start_flat && core.gov.admits_allocation(0, flat_bytes) {
+        let held = core.pkg.stats().memory_bytes;
+        let phase = if start_flat && core.gov.admits_allocation(held, core.flat_phase_bytes()) {
             let mut v = flat_phase::try_flat_buffer(&core, "initial flat state")?;
             v[0] = Complex64::ONE;
-            let w = flat_phase::try_flat_buffer(&core, "initial flat scratch")?;
             let ewma = EwmaMonitor::new(EwmaConfig::default()).state();
-            PhaseState::Flat(FlatPhase::new(v, w, &core, ewma))
+            PhaseState::Flat(FlatPhase::new(v, &core, ewma))
         } else {
             if start_flat {
                 // The flat state would bust the budget before the first

@@ -1,7 +1,6 @@
 //! Checkpointing of the driver: policy, the FDCP1 write at the current
 //! gate boundary, the best-effort periodic write, and resume.
 
-use super::flat_phase::try_flat_buffer;
 use super::{Boundary, Core, DdPhase, FlatDdConfig, FlatDdSimulator, FlatPhase, PhaseState};
 use crate::checkpoint::{
     self, CheckpointHeader, CheckpointPayload, CheckpointPolicy, CheckpointState,
@@ -248,9 +247,8 @@ impl FlatDdSimulator {
             CheckpointState::Flat(v) => {
                 // The payload is shard-agnostic: re-shard under *this*
                 // simulator's geometry, which may differ from the writer's.
-                let w = try_flat_buffer(core, "resume scratch vector")?;
                 let v = qarray::ShardedState::from_vec(v, core.shards);
-                PhaseState::Flat(FlatPhase::new(v, w, core, header.ewma))
+                PhaseState::Flat(FlatPhase::new(v, core, header.ewma))
             }
         };
         // Drop the |0...0> state try_new built.

@@ -7,7 +7,7 @@
 use super::flat_phase::try_flat_buffer;
 use super::{Core, DdPhase, FlatPhase, Phase};
 use crate::error::FlatDdError;
-use qcircuit::{Complex64, Gate};
+use qcircuit::Gate;
 use qdd::{MEdge, VEdge};
 use std::time::Instant;
 
@@ -128,7 +128,7 @@ pub(super) fn convert(core: &mut Core, phase: &mut PhaseState) -> Result<(), Fla
         return Ok(());
     };
     let (state, ewma) = (dd.state, dd.ewma.state());
-    let need = 2 * (1usize << core.n) * std::mem::size_of::<Complex64>();
+    let need = core.flat_phase_bytes();
     if !core.gov.admits_allocation(phase.memory_bytes(core), need) {
         // Try to make room before giving up.
         phase.relieve_pressure(core);
@@ -146,13 +146,10 @@ pub(super) fn convert(core: &mut Core, phase: &mut PhaseState) -> Result<(), Fla
     let telemetry = qtelemetry::enabled();
     let ts_us = telemetry.then(qtelemetry::now_us);
     let start = Instant::now();
-    let alloc = |core: &mut Core, context| {
-        try_flat_buffer(core, context).inspect_err(|_| {
-            let used = core.pkg.stats().memory_bytes;
-            core.refuse_conversion(used);
-        })
-    };
-    let mut v = alloc(core, "conversion output")?;
+    let mut v = try_flat_buffer(core, "conversion output").inspect_err(|_| {
+        let used = core.pkg.stats().memory_bytes;
+        core.refuse_conversion(used);
+    })?;
     // Worker panics (including injected ones) are contained here: the pool
     // re-raises a job panic on the dispatching thread, the DD state is
     // untouched, and the caller gets a typed error instead of an abort.
@@ -171,7 +168,6 @@ pub(super) fn convert(core: &mut Core, phase: &mut PhaseState) -> Result<(), Fla
         context: "DD-to-array conversion",
         partial: Box::new(core.snapshot(phase.phase())),
     })?;
-    let w = alloc(core, "DMAV scratch vector")?;
     core.stats.conversion_seconds = start.elapsed().as_secs_f64();
     core.stats.converted_at = Some(core.cursor);
     core.hist_convert
@@ -220,7 +216,7 @@ pub(super) fn convert(core: &mut Core, phase: &mut PhaseState) -> Result<(), Fla
         }
         core.emit_span(conv_span, "conversion", conv_start_us, dur_us);
     }
-    *phase = PhaseState::Flat(FlatPhase::new(v, w, core, ewma));
+    *phase = PhaseState::Flat(FlatPhase::new(v, core, ewma));
     // Drop all vector nodes (and stale gate matrices).
     phase.collect(core);
     Ok(())

@@ -240,6 +240,39 @@ fn memory_accounting_is_positive() {
 }
 
 #[test]
+fn a_run_that_never_fuses_holds_one_state_vector() {
+    // Every single-gate matrix has an in-place form on one shard, so the
+    // output vector of the out-of-place walk is never allocated.
+    let n = 12;
+    let c = generators::supremacy_n(n, 6, 1);
+    let mut sim = FlatDdSimulator::new(n, cfg(1));
+    sim.run(&c).unwrap();
+    let PhaseState::Flat(flat) = &sim.phase else {
+        panic!("supremacy converts");
+    };
+    let one_vector = (1usize << n) * std::mem::size_of::<Complex64>();
+    assert!(flat.vector_bytes() < one_vector * 11 / 10);
+    let stats = sim.stats();
+    assert!(stats.gates_dmav > 0);
+    assert_eq!(stats.cached_dmavs + stats.uncached_dmavs, stats.gates_dmav);
+    assert!(state_distance(&sim.amplitudes(), &dense::simulate(&c)) < 1e-12);
+    // The same run on two shards meets gates that cross the shard border.
+    let mut sharded = FlatDdSimulator::new(
+        n,
+        FlatDdConfig {
+            flat_shards: 2,
+            ..cfg(2)
+        },
+    );
+    sharded.run(&c).unwrap();
+    let PhaseState::Flat(flat) = &sharded.phase else {
+        panic!("supremacy converts");
+    };
+    assert_eq!(flat.vector_bytes(), 2 * one_vector);
+    assert!(state_distance(&sharded.amplitudes(), &dense::simulate(&c)) < 1e-12);
+}
+
+#[test]
 fn sampling_and_marginals_agree_across_phases() {
     let c = generators::ghz(6);
     // DD phase.

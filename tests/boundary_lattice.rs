@@ -186,8 +186,11 @@ fn pressure_sweep_inside_a_fused_span_keeps_the_pending_matrices() {
         caching: CachingPolicy::Always,
         ..lane_cfg(Lane::FusedFlat)
     };
+    // A fresh flat simulator holds the state; the output vector comes with
+    // the first out-of-place DMAV.
     let at_start = FlatDdSimulator::try_new(n, cfg).unwrap().memory_bytes();
-    cfg.governor.memory_budget_bytes = Some(at_start + (256 << 10));
+    let output_vector = (1usize << n) * std::mem::size_of::<qcircuit::Complex64>();
+    cfg.governor.memory_budget_bytes = Some(at_start + output_vector + (256 << 10));
     let mut sim = FlatDdSimulator::try_new(n, cfg).unwrap();
     assert_eq!(sim.phase(), Phase::Dmav, "the budget admits the flat state");
     sim.run(&c).unwrap();

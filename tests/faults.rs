@@ -9,9 +9,10 @@
 
 use flatdd::{
     faults, CheckpointPolicy, ConversionPolicy, FlatDdConfig, FlatDdError, FlatDdSimulator,
-    GovernorConfig, Phase,
+    FusionPolicy, GovernorConfig, Phase,
 };
-use qcircuit::generators;
+use qcircuit::complex::state_distance;
+use qcircuit::{dense, generators, Circuit};
 use std::sync::Mutex;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -55,6 +56,43 @@ fn alloc_failure_degrades_to_dd_phase() {
     assert_eq!(sim.phase(), Phase::Dd);
     assert!(sim.stats().conversion_refusals >= 1);
     assert_eq!(sim.stats().converted_at, None);
+}
+
+#[test]
+fn output_vector_alloc_failure_mid_phase_is_typed_and_leaves_the_state() {
+    // The second flat buffer of a run is the DMAV output vector, allocated
+    // when the first out-of-place (here: fused) matrix asks for it — after
+    // the conversion, before that gate touches the state.
+    let _armed = Armed::new("alloc.flat:error:2");
+    let c = generators::from_spec("vqe:8,2", 1).unwrap();
+    let cfg = FlatDdConfig {
+        conversion: ConversionPolicy::AtGate(6),
+        fusion: FusionPolicy::DmavAware,
+        ..Default::default()
+    };
+    let mut sim = FlatDdSimulator::try_new(8, cfg).unwrap();
+    let err = sim.run(&c).unwrap_err();
+    match &err {
+        FlatDdError::AllocationFailed { context, .. } => {
+            assert_eq!(*context, "DMAV output vector");
+        }
+        other => panic!("expected AllocationFailed, got {other}"),
+    }
+    assert_eq!(err.exit_code(), 4);
+    assert_eq!(sim.phase(), Phase::Dmav, "the conversion itself succeeded");
+    // The state is the one the applied gates produced, nothing more.
+    let applied = sim.gates_applied();
+    assert!((6..c.num_gates()).contains(&applied), "{applied}");
+    let mut prefix = Circuit::new(8);
+    for g in &c.gates()[..applied] {
+        prefix.push(g.clone());
+    }
+    let d = state_distance(&sim.amplitudes(), &dense::simulate(&prefix));
+    assert!(d < 1e-12, "state moved by the failed gate: {d:e}");
+    // One-shot fault: the same simulator finishes the run from where it is.
+    sim.run_from(&c).unwrap();
+    let d = state_distance(&sim.amplitudes(), &dense::simulate(&c));
+    assert!(d < 1e-10, "{d:e}");
 }
 
 #[test]

@@ -6,8 +6,12 @@
 //! governor refuses the DD-to-array conversion, records the refusal, and
 //! the run finishes in DD mode instead of aborting or getting OOM-killed.
 
-use flatdd::{ConversionPolicy, FlatDdConfig, FlatDdError, FlatDdSimulator, GovernorConfig, Phase};
-use qcircuit::generators;
+use flatdd::{
+    CheckpointPolicy, ConversionPolicy, FlatDdConfig, FlatDdError, FlatDdSimulator, FusionPolicy,
+    GovernorConfig, Phase,
+};
+use qcircuit::complex::state_distance;
+use qcircuit::{dense, generators};
 use std::time::Duration;
 
 fn governed(budget_bytes: usize) -> GovernorConfig {
@@ -84,4 +88,98 @@ fn env_lookup_governs_without_code_changes() {
     assert_eq!(cfg.memory_budget_bytes, Some(256 << 20));
     assert_eq!(cfg.deadline, Some(Duration::from_secs(30)));
     assert_eq!(cfg.rss_budget_bytes, None);
+}
+
+#[test]
+fn conversion_admission_asks_for_the_vectors_the_run_will_hold() {
+    // GHZ keeps the DD tiny, so the budget is about the flat vectors: at
+    // n = 20 one is 16 MiB, and the package's tables account at most 8 MiB
+    // more (less once the ladder's flush has shrunk them). 28 MiB holds one
+    // vector and never two.
+    let n = 20;
+    let c = generators::ghz(n);
+    let cfg = FlatDdConfig {
+        threads: 1,
+        conversion: ConversionPolicy::AtGate(3),
+        governor: governed(28 << 20),
+        ..Default::default()
+    };
+
+    // No fusion on one shard: every gate runs in place, the state is the
+    // only vector, and it fits.
+    let mut sim = FlatDdSimulator::try_new(n, cfg).unwrap();
+    sim.run(&c).unwrap();
+    assert_eq!(sim.phase(), Phase::Dmav);
+    assert_eq!(sim.stats().conversion_refusals, 0);
+    assert!(sim.stats().converted_at.is_some());
+    assert!(state_distance(&sim.amplitudes(), &dense::simulate(&c)) < 1e-12);
+
+    // Fused matrices take the out-of-place walk, so the same budget cannot
+    // hold the run: refused where the conversion asks, not at the first
+    // fused block, and the run completes DD-based.
+    let fused = FlatDdConfig {
+        fusion: FusionPolicy::DmavAware,
+        ..cfg
+    };
+    let mut sim = FlatDdSimulator::try_new(n, fused).unwrap();
+    let outcome = sim.run(&c).unwrap();
+    assert!(outcome.is_complete());
+    assert_eq!(sim.phase(), Phase::Dd);
+    assert_eq!(sim.stats().conversion_refusals, 1);
+    assert_eq!(sim.stats().converted_at, None);
+    assert_eq!(sim.stats().gates_dmav, 0);
+}
+
+#[test]
+fn output_vector_refused_at_the_point_of_need_is_typed_and_resumable() {
+    // A flat checkpoint resumes with the state alone; under a budget that
+    // cannot hold a second vector the first fused block is refused before
+    // it runs, with the cursor and the state where the checkpoint left them.
+    let n = 12;
+    let c = generators::dnn(n, 2, 3);
+    let cut = c.num_gates() / 2;
+    let unbudgeted = FlatDdConfig {
+        threads: 1,
+        conversion: ConversionPolicy::AtGate(4),
+        fusion: FusionPolicy::DmavAware,
+        ..Default::default()
+    };
+    let path = std::env::temp_dir().join(format!(
+        "flatdd-governor-test-{}-output-vector.ckpt",
+        std::process::id()
+    ));
+    let mut first = FlatDdSimulator::try_new(n, unbudgeted).unwrap();
+    first.set_checkpoint_policy(Some(CheckpointPolicy::at(&path)));
+    first.run_prefix(&c, cut).unwrap();
+    assert_eq!(first.phase(), Phase::Dmav);
+    first.save_checkpoint().unwrap();
+    let at_cut = first.amplitudes();
+
+    // The governor is not part of the checkpoint's config fingerprint.
+    let mut budgeted = unbudgeted;
+    // The DD phase's footprint plus one and a half vectors: no relief is
+    // attempted at the point of need, so the tables count in full.
+    let dd_phase = FlatDdSimulator::try_new(n, unbudgeted)
+        .unwrap()
+        .memory_bytes();
+    budgeted.governor = governed(dd_phase + 3 * (1usize << n) * 16 / 2);
+    let (mut resumed, _) = FlatDdSimulator::resume_from(&path, budgeted, &c).unwrap();
+    let err = resumed.run_from(&c).unwrap_err();
+    match &err {
+        FlatDdError::MemoryBudgetExceeded {
+            context, partial, ..
+        } => {
+            assert_eq!(*context, "DMAV output vector");
+            assert_eq!(partial.gates_applied, cut);
+            assert_eq!(partial.phase, Phase::Dmav);
+        }
+        other => panic!("expected MemoryBudgetExceeded, got {other}"),
+    }
+    assert!(err.is_resumable());
+    assert_eq!(resumed.gates_applied(), cut);
+    assert!(
+        resumed.amplitudes() == at_cut,
+        "the refused gate moved the state"
+    );
+    let _ = std::fs::remove_file(&path);
 }

@@ -2,7 +2,10 @@
 //! simulate identically on every engine, and core DD invariants must hold
 //! for arbitrary states.
 
-use flatdd::{CachingPolicy, ConversionPolicy, FlatDdConfig, FusionPolicy, ThreadPool};
+use flatdd::{
+    CachingPolicy, CheckpointPolicy, ConversionPolicy, FlatDdConfig, FlatDdSimulator, FusionPolicy,
+    ThreadPool,
+};
 use qcircuit::complex::{norm_sqr, state_distance};
 use qcircuit::gate::{Gate, GateKind};
 use qcircuit::prop::{self, Gen};
@@ -85,6 +88,58 @@ fn flat_phase_matches_dense_under_every_kernel_and_fusion_policy() {
                 assert!(
                     d < 1e-10 && got.iter().all(|a| a.re.is_finite() && a.im.is_finite()),
                     "{fusion:?} {caching:?} threads={threads} shards={flat_shards}: {d:e}"
+                );
+            }
+        }
+    });
+}
+
+#[test]
+fn in_place_and_out_of_place_gates_mix_within_a_run_and_across_a_resume() {
+    // Without fusion at one shard every gate runs in place on the one state
+    // vector; at 2 or 4 shards the gates that cross the shard border take
+    // the out-of-place walk (and allocate `W` when the first one comes);
+    // under DMAV-aware fusion single gates left unfused run in place between
+    // out-of-place fused blocks. A checkpoint at a random gate drops `W`, so
+    // the resumed half starts from one vector again.
+    static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    prop::check(CASES, |g| {
+        let c = g.circuit(6, 2..40);
+        let cut = g.rng.range(0..c.num_gates() + 1);
+        let want = dense::simulate(&c);
+        for fusion in [FusionPolicy::None, FusionPolicy::DmavAware] {
+            for flat_shards in [1usize, 2, 4] {
+                let cfg = FlatDdConfig {
+                    threads: 2,
+                    flat_shards,
+                    conversion: ConversionPolicy::Immediate,
+                    fusion,
+                    ..Default::default()
+                };
+                let path = std::env::temp_dir().join(format!(
+                    "flatdd-prop-in-place-{}-{}.ckpt",
+                    std::process::id(),
+                    SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+                ));
+                let mut first = FlatDdSimulator::try_new(6, cfg).unwrap();
+                first.set_checkpoint_policy(Some(CheckpointPolicy::at(&path)));
+                first.run_prefix(&c, cut).unwrap();
+                first.save_checkpoint().unwrap();
+                drop(first);
+                let (mut resumed, _) = FlatDdSimulator::resume_from(&path, cfg, &c).unwrap();
+                let _ = std::fs::remove_file(&path);
+                resumed.run_from(&c).unwrap();
+                let stats = resumed.stats();
+                assert_eq!(
+                    stats.cached_dmavs + stats.uncached_dmavs,
+                    stats.gates_dmav,
+                    "in-place gates count as uncached"
+                );
+                let d = state_distance(&resumed.amplitudes(), &want);
+                assert!(
+                    d < 1e-12,
+                    "{fusion:?} shards={flat_shards} cut={cut}/{}: {d:e}",
+                    c.num_gates()
                 );
             }
         }

@@ -325,10 +325,170 @@ pub fn mul_diag_tiled(v: &mut [Complex64], d: &[Complex64]) {
     dispatch!(scalar::mul_diag_tiled(v, d), avx2::mul_diag_tiled(v, d))
 }
 
+/// Two complex numbers in the broadcast layout of the AVX2 kernels:
+/// `[a.re, a.re, b.re, b.re]` and `[a.im, a.im, b.im, b.im]` — one register
+/// each, multiplied into a register of two amplitudes with one shuffle.
+fn lanes(a: Complex64, b: Complex64) -> [[f64; 4]; 2] {
+    [[a.re, a.re, b.re, b.re], [a.im, a.im, b.im, b.im]]
+}
+
+/// The order [`DiagTable`] keeps four consecutive entries in.
+const SPLIT_ORDER: [usize; 4] = [0, 2, 1, 3];
+
+/// A dense diagonal of any length `p` that is a multiple of 4, prepared
+/// once per plan (the plan-time tile of an irregular fused diagonal,
+/// DESIGN.md §8.1) and applied to every `p`-amplitude block of a vector
+/// under one factor.
+#[derive(Debug)]
+pub struct DiagTable {
+    /// Per four consecutive entries `a, b, c, d`: the real parts as
+    /// `[a, c, b, d]` ([`SPLIT_ORDER`]), then the imaginary parts. That is
+    /// the order unpacking two registers of amplitudes (`[a, b]`, `[c, d]`)
+    /// into one of real and one of imaginary parts leaves them in, so the
+    /// table is multiplied in without a shuffle of its own, at 16 bytes an
+    /// entry.
+    coef: Vec<[[f64; 4]; 2]>,
+}
+
+impl DiagTable {
+    /// Prepares the diagonal `d`.
+    ///
+    /// # Panics
+    /// Unless `d.len()` is a non-zero multiple of 4.
+    pub fn new(d: &[Complex64]) -> Self {
+        assert!(!d.is_empty() && d.len().is_multiple_of(4));
+        let coef = d
+            .chunks_exact(4)
+            .map(|x| {
+                let split = SPLIT_ORDER.map(|k| x[k]);
+                [split.map(|c| c.re), split.map(|c| c.im)]
+            })
+            .collect();
+        DiagTable { coef }
+    }
+
+    /// Entries of the diagonal: the period it repeats with over `v`.
+    pub fn period(&self) -> usize {
+        4 * self.coef.len()
+    }
+
+    /// Heap bytes of the table.
+    pub fn memory_bytes(&self) -> usize {
+        self.coef.capacity() * std::mem::size_of::<[[f64; 4]; 2]>()
+    }
+
+    /// `v[i] <- f * d[i % p] * v[i]`.
+    ///
+    /// # Panics
+    /// Unless `p` divides `v.len()` (the AVX2 loop steps by it).
+    #[inline]
+    pub fn apply(&self, v: &mut [Complex64], f: Complex64) {
+        assert!(v.len().is_multiple_of(self.period()));
+        dispatch!(
+            scalar::diag_table_apply(self, v, f),
+            avx2::diag_table_apply(self, v, f)
+        )
+    }
+}
+
+/// 2x2 matrices, one per amplitude pair of a span at one stride, prepared
+/// once per plan: the span is cut into blocks of `2 * stride` amplitudes,
+/// and pair `j = b * stride + i` is `(v[2 * stride * b + i],
+/// v[2 * stride * b + stride + i])` — the plan-time tile of a node whose
+/// only non-diagonal level is one pair stride (an `RY` folded with an
+/// irregular diagonal, DESIGN.md §8.1). Unlike [`PairTile`] the matrices do
+/// not repeat: a table is as long as the span it covers.
+#[derive(Debug)]
+pub struct PairTable {
+    /// Per two consecutive pairs `j, j + 1`: entry `k` of their matrices as
+    /// [`lanes`] at `[2k]` (real parts) and `[2k + 1]` (imaginary) — the
+    /// layout of one [`PairTile`] register position.
+    coef: Vec<[[f64; 4]; 8]>,
+    stride: usize,
+}
+
+impl PairTable {
+    /// Prepares one matrix per pair, in pair order.
+    ///
+    /// # Panics
+    /// Unless `stride` is a power of two and `mats.len()` a non-zero, even
+    /// multiple of it.
+    pub fn new(mats: &[[Complex64; 4]], stride: usize) -> Self {
+        let pairs = mats.len();
+        assert!(stride.is_power_of_two() && pairs > 0);
+        assert!(pairs.is_multiple_of(2) && pairs.is_multiple_of(stride));
+        let coef = mats
+            .chunks_exact(2)
+            .map(|m| {
+                let entries: [[[f64; 4]; 2]; 4] = std::array::from_fn(|k| lanes(m[0][k], m[1][k]));
+                std::array::from_fn(|x| entries[x / 2][x % 2])
+            })
+            .collect();
+        PairTable { coef, stride }
+    }
+
+    /// Amplitudes the table covers.
+    pub fn span(&self) -> usize {
+        4 * self.coef.len()
+    }
+
+    /// Heap bytes of the table.
+    pub fn memory_bytes(&self) -> usize {
+        self.coef.capacity() * std::mem::size_of::<[[f64; 4]; 8]>()
+    }
+
+    /// `(lo, hi) <- f * m_j * (lo, hi)` for every pair `j` of every
+    /// [`Self::span`]-sized block of `v`.
+    ///
+    /// # Panics
+    /// Unless the span divides `v.len()`.
+    #[inline]
+    pub fn apply(&self, v: &mut [Complex64], f: Complex64) {
+        assert!(v.len().is_multiple_of(self.span()));
+        dispatch!(
+            scalar::pair_table_apply(self, v, f),
+            avx2::pair_table_apply(self, v, f)
+        )
+    }
+}
+
 /// Portable reference implementations (and the tail handlers of the AVX2
 /// path).
 pub(crate) mod scalar {
     use super::Complex64;
+
+    pub fn diag_table_apply(t: &super::DiagTable, v: &mut [Complex64], f: Complex64) {
+        for block in v.chunks_exact_mut(t.period()) {
+            for (x, [re, im]) in block.chunks_exact_mut(4).zip(&t.coef) {
+                // `f * d` four lanes at a time (the compiler vectorizes
+                // this), then one product per amplitude.
+                let fd_re: [f64; 4] = std::array::from_fn(|k| f.re * re[k] - f.im * im[k]);
+                let fd_im: [f64; 4] = std::array::from_fn(|k| f.re * im[k] + f.im * re[k]);
+                for (a, lane) in x.iter_mut().zip(super::SPLIT_ORDER) {
+                    *a = Complex64::new(fd_re[lane], fd_im[lane]) * *a;
+                }
+            }
+        }
+    }
+
+    pub fn pair_table_apply(t: &super::PairTable, v: &mut [Complex64], f: Complex64) {
+        let (s, shift) = (t.stride, t.stride.trailing_zeros());
+        for span in v.chunks_exact_mut(t.span()) {
+            for (r, c) in t.coef.iter().enumerate() {
+                for lane in 0..2 {
+                    // Pair `j` is `span[at]` and `span[at + s]`.
+                    let j = 2 * r + lane;
+                    let at = ((j >> shift) << (shift + 1)) + (j & (s - 1));
+                    let m: [Complex64; 4] = std::array::from_fn(|k| {
+                        Complex64::new(c[2 * k][2 * lane], c[2 * k + 1][2 * lane])
+                    });
+                    let (a0, a1) = (f * span[at], f * span[at + s]);
+                    span[at] = m[0] * a0 + m[1] * a1;
+                    span[at + s] = m[2] * a0 + m[3] * a1;
+                }
+            }
+        }
+    }
 
     pub fn axpy(dst: &mut [Complex64], f: Complex64, src: &[Complex64]) {
         for (d, &s) in dst.iter_mut().zip(src) {
@@ -473,7 +633,7 @@ pub(crate) mod scalar {
 /// `fmaddsub` shuffle recipe (3 shuffles + 1 mul + 1 fused op per pair).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{scalar, Complex64, PairTile, MAX_TILE};
+    use super::{scalar, Complex64, DiagTable, PairTable, PairTile, MAX_TILE};
     use std::arch::x86_64::*;
 
     /// `x * f` for a packed pair, with `f` pre-broadcast as
@@ -702,22 +862,34 @@ mod avx2 {
     /// Register positions of a period: [`MAX_TILE`] amplitudes, two a register.
     const POSITIONS: usize = MAX_TILE / 2;
 
-    /// One register of `lo` and one of `hi` through their lanes' matrices,
-    /// `c` the `[re, im]` registers of the four entries.
+    /// A register of `lo` amplitudes and one of `hi` through their lanes'
+    /// matrices, `c` the `[re, im]` registers of the four entries.
+    #[inline(always)]
+    unsafe fn pair_mul(a0: __m256d, a1: __m256d, c: &[__m256d; 8]) -> (__m256d, __m256d) {
+        (
+            _mm256_add_pd(cmul_bcast(a0, c[0], c[1]), cmul_bcast(a1, c[2], c[3])),
+            _mm256_add_pd(cmul_bcast(a0, c[4], c[5]), cmul_bcast(a1, c[6], c[7])),
+        )
+    }
+
+    /// [`pair_mul`] on the registers at `lp` and `hp`, in place.
     #[inline(always)]
     unsafe fn pair_step(lp: *mut f64, hp: *mut f64, c: &[__m256d; 8]) {
-        let a0 = _mm256_loadu_pd(lp);
-        let a1 = _mm256_loadu_pd(hp);
-        let new_lo = _mm256_add_pd(cmul_bcast(a0, c[0], c[1]), cmul_bcast(a1, c[2], c[3]));
-        let new_hi = _mm256_add_pd(cmul_bcast(a0, c[4], c[5]), cmul_bcast(a1, c[6], c[7]));
+        let (new_lo, new_hi) = pair_mul(_mm256_loadu_pd(lp), _mm256_loadu_pd(hp), c);
         _mm256_storeu_pd(lp, new_lo);
         _mm256_storeu_pd(hp, new_hi);
+    }
+
+    /// Registers of prepared lanes (`super::lanes` layout).
+    #[inline(always)]
+    unsafe fn load_lanes<const N: usize>(c: &[[f64; 4]; N]) -> [__m256d; N] {
+        c.map(|lanes| _mm256_loadu_pd(lanes.as_ptr()))
     }
 
     /// The coefficient registers of register position `r` of `t`.
     #[inline(always)]
     unsafe fn pair_coef(t: &PairTile, r: usize) -> [__m256d; 8] {
-        t.coef[r].map(|lanes| _mm256_loadu_pd(lanes.as_ptr()))
+        load_lanes(&t.coef[r])
     }
 
     /// `len` amplitudes from `lp` paired with `len` from `hp`; `len` is even
@@ -779,6 +951,90 @@ mod avx2 {
             // `avx2_kernels_match_scalar_directly`).
             let lp = p.add(2 * (2 * half * b));
             pair_run(lp, lp.add(2 * half), half, t);
+        }
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn diag_table_apply(t: &DiagTable, v: &mut [Complex64], f: Complex64) {
+        let (f_re, f_im) = (_mm256_set1_pd(f.re), _mm256_set1_pd(f.im));
+        let p = v.as_mut_ptr() as *mut f64;
+        for o in (0..v.len()).step_by(t.period()) {
+            for (r, c) in t.coef.iter().enumerate() {
+                // SAFETY: `DiagTable::apply` asserted that the period, a
+                // multiple of 4, divides `v.len()`, so amplitudes `o + 4r`
+                // to `o + 4r + 3` exist (`diag_table_matches_the_defining_formula`,
+                // `avx2_kernels_match_scalar_directly`).
+                let at = p.add(2 * (o + 4 * r));
+                let (x0, x1) = (_mm256_loadu_pd(at), _mm256_loadu_pd(at.add(4)));
+                // Real and imaginary parts in `DiagTable`'s order.
+                let (re, im) = (_mm256_unpacklo_pd(x0, x1), _mm256_unpackhi_pd(x0, x1));
+                let y_re = _mm256_fmsub_pd(re, f_re, _mm256_mul_pd(im, f_im));
+                let y_im = _mm256_fmadd_pd(re, f_im, _mm256_mul_pd(im, f_re));
+                let [t_re, t_im] = load_lanes(c);
+                let z_re = _mm256_fmsub_pd(y_re, t_re, _mm256_mul_pd(y_im, t_im));
+                let z_im = _mm256_fmadd_pd(y_re, t_im, _mm256_mul_pd(y_im, t_re));
+                _mm256_storeu_pd(at, _mm256_unpacklo_pd(z_re, z_im));
+                _mm256_storeu_pd(at.add(4), _mm256_unpackhi_pd(z_re, z_im));
+            }
+        }
+    }
+
+    /// Two pairs, `lo = [lo_j, lo_j+1]` and `hi = [hi_j, hi_j+1]`, through
+    /// `f` and their matrices (`c`: [`PairTable`]'s entry for `j, j + 1`).
+    #[inline(always)]
+    unsafe fn table_step(
+        lo: __m256d,
+        hi: __m256d,
+        c: &[[f64; 4]; 8],
+        f: Option<(__m256d, __m256d)>,
+    ) -> (__m256d, __m256d) {
+        let (lo, hi) = match f {
+            Some((f_re, f_im)) => (cmul_bcast(lo, f_re, f_im), cmul_bcast(hi, f_re, f_im)),
+            None => (lo, hi),
+        };
+        pair_mul(lo, hi, &load_lanes(c))
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn pair_table_apply(t: &PairTable, v: &mut [Complex64], f: Complex64) {
+        let f = (f != Complex64::ONE).then(|| (_mm256_set1_pd(f.re), _mm256_set1_pd(f.im)));
+        let (s, span) = (t.stride, t.span());
+        let p = v.as_mut_ptr() as *mut f64;
+        for o in (0..v.len()).step_by(span) {
+            // SAFETY: `PairTable::apply` asserted that the span divides
+            // `v.len()`, so every register below lies in the span at `o`;
+            // `PairTable::new` made the pair count even, so pairs come in
+            // twos (`pair_table_matches_the_defining_formula`,
+            // `avx2_kernels_match_scalar_directly`).
+            let sp = p.add(2 * o);
+            if s == 1 {
+                // Pairs `2r, 2r + 1` are amplitudes `4r .. 4r + 4`: split
+                // the two registers into a `lo` and a `hi` one and back.
+                for (r, c) in t.coef.iter().enumerate() {
+                    let (a, b) = (
+                        _mm256_loadu_pd(sp.add(8 * r)),
+                        _mm256_loadu_pd(sp.add(8 * r + 4)),
+                    );
+                    let lo = _mm256_permute2f128_pd(a, b, 0x20);
+                    let hi = _mm256_permute2f128_pd(a, b, 0x31);
+                    let (lo, hi) = table_step(lo, hi, c, f);
+                    _mm256_storeu_pd(sp.add(8 * r), _mm256_permute2f128_pd(lo, hi, 0x20));
+                    _mm256_storeu_pd(sp.add(8 * r + 4), _mm256_permute2f128_pd(lo, hi, 0x31));
+                }
+                continue;
+            }
+            for b in 0..span / (2 * s) {
+                let lp = sp.add(2 * (2 * s * b));
+                let hp = lp.add(2 * s);
+                for i in (0..s).step_by(2) {
+                    let c = &t.coef[(b * s + i) / 2];
+                    let lo = _mm256_loadu_pd(lp.add(2 * i));
+                    let hi = _mm256_loadu_pd(hp.add(2 * i));
+                    let (lo, hi) = table_step(lo, hi, c, f);
+                    _mm256_storeu_pd(lp.add(2 * i), lo);
+                    _mm256_storeu_pd(hp.add(2 * i), hi);
+                }
+            }
         }
     }
 
@@ -1199,6 +1455,84 @@ mod tests {
         }
     }
 
+    /// `kernel(table, v, f)` against `f * d[i % p] * v[i]`: periods 4 to 64,
+    /// 1-3 blocks, `f` of 1 and not.
+    fn check_diag_table(kernel: impl Fn(&DiagTable, &mut [Complex64], Complex64)) {
+        for p in [4usize, 8, 32, 64] {
+            let d = rand_vec(p, 179 + p as u64);
+            let table = DiagTable::new(&d);
+            assert_eq!(table.period(), p);
+            for f in [Complex64::ONE, Complex64::new(0.3, -1.1)] {
+                for blocks in 1..=3usize {
+                    let v = rand_vec(p * blocks, 181);
+                    let mut got = v.clone();
+                    kernel(&table, &mut got, f);
+                    for (i, &g) in got.iter().enumerate() {
+                        assert!(close(g, f * d[i % p] * v[i]), "p {p} f {f:?} at {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Random matrices, one per pair of a span of `pairs` pairs.
+    fn rand_mats(pairs: usize, seed: u64) -> Vec<[Complex64; 4]> {
+        rand_vec(4 * pairs, seed)
+            .chunks_exact(4)
+            .map(|m| m.try_into().unwrap())
+            .collect()
+    }
+
+    /// `kernel(table, v, f)` against the defining formula: strides 1 to 16
+    /// over spans of 1-4 blocks, 1-3 spans, `f` of 1 and not.
+    fn check_pair_table(kernel: impl Fn(&PairTable, &mut [Complex64], Complex64)) {
+        for stride in [1usize, 2, 4, 16] {
+            for blocks in 1..=4usize {
+                let pairs = stride * blocks;
+                if pairs % 2 == 1 {
+                    continue;
+                }
+                let mats = rand_mats(pairs, 191 + pairs as u64);
+                let table = PairTable::new(&mats, stride);
+                assert_eq!(table.span(), 2 * pairs);
+                for f in [Complex64::ONE, Complex64::new(-0.7, 0.4)] {
+                    for spans in 1..=3usize {
+                        let v = rand_vec(2 * pairs * spans, 193);
+                        let mut got = v.clone();
+                        kernel(&table, &mut got, f);
+                        for (i, &g) in got.iter().enumerate() {
+                            let at = i % (2 * pairs);
+                            let (b, row, k) = (at / (2 * stride), at / stride % 2, at % stride);
+                            let base = i - row * stride;
+                            let m = &mats[b * stride + k];
+                            let want =
+                                f * (m[2 * row] * v[base] + m[2 * row + 1] * v[base + stride]);
+                            assert!(close(g, want), "stride {stride} pairs {pairs} at {i}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn diag_table_matches_the_defining_formula() {
+        check_diag_table(scalar::diag_table_apply);
+        check_diag_table(|t, v, f| t.apply(v, f));
+    }
+
+    #[test]
+    fn pair_table_matches_the_defining_formula() {
+        check_pair_table(scalar::pair_table_apply);
+        check_pair_table(|t, v, f| t.apply(v, f));
+    }
+
+    #[test]
+    #[should_panic]
+    fn pair_table_refuses_an_odd_pair_count() {
+        PairTable::new(&rand_mats(3, 197), 1);
+    }
+
     #[test]
     fn pairs2x2_matches_scalar_reference() {
         check_pairs2x2(scalar::pairs2x2);
@@ -1307,7 +1641,7 @@ mod tests {
                 avx2::block2x2::<false>(w, m, v, half)
             }
         });
-        // SAFETY (the four closures below): AVX2 and FMA were detected at
+        // SAFETY (the six closures below): AVX2 and FMA were detected at
         // the top of this test.
         check_pairs2x2(|v, m| unsafe { avx2::pairs2x2(v, m) });
         check_apply_tiled(|lo, hi, tile| unsafe {
@@ -1317,6 +1651,8 @@ mod tests {
             avx2::pair_tile_blocks(&PairTile::new(tile), v, half)
         });
         check_mul_diag(|v, d| unsafe { avx2::mul_diag_tiled(v, d) });
+        check_diag_table(|t, v, f| unsafe { avx2::diag_table_apply(t, v, f) });
+        check_pair_table(|t, v, f| unsafe { avx2::pair_table_apply(t, v, f) });
         let mut wa = rand_vec(2, 79);
         let mut wb = wa.clone();
         let v = rand_vec(2, 83);

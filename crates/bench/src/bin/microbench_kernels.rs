@@ -1,9 +1,11 @@
 //! Kernel microbenchmarks: ns/amplitude for the hot vecops primitives
 //! (`axpy`, `mac2x2`, `sum_into`, the conversion scalar task), a whole
-//! per-gate DMAV application, and a `dmav_by_target` block (one gate at
+//! per-gate DMAV application, a `dmav_by_target` block (one gate at
 //! n = 20 per target qubit: DMAV plain, DMAV cached, DMAV in place, the
-//! array kernel), under the SIMD backend selected at startup
-//! (`FLATDD_SIMD={auto,scalar,avx2}`), and a `dd_tables` block (the DD
+//! array kernel), a `fused_blocks` block (`dnn`'s fused matrices at n = 20
+//! in place, out of place and as their gates one by one), under the SIMD
+//! backend selected at startup (`FLATDD_SIMD={auto,scalar,avx2}`), and a
+//! `dd_tables` block (the DD
 //! phase's fixed per-operation costs: complex-table `lookup` hit / miss and
 //! `DdPackage::stats()` at 10^3 and 10^6 interned values, `gate_dd` cold /
 //! warm at n = 14, one DD gate — H on qubit 0, H on the top qubit, T on
@@ -18,7 +20,11 @@
 //! from the top qubit on target 1 or 2 (a control below the target must not
 //! fall off the vector kernels), when in-place H, T or CX-from-above on
 //! target 10 costs more than 1.25x the array kernel's in-place update (the
-//! gate DD's structure must buy something, not cost something), when
+//! gate DD's structure must buy something, not cost something), when the
+//! tiled ZZ-layer diagonal costs more than 3x (4x on the portable path) an
+//! in-place T on target 10 timed in turns with it, or a tiled fused block
+//! more than its gates run
+//! one by one (a plan-time tile must not fall back to the leaf walk), when
 //! `stats()` at 10^6 values costs more than 3x what it costs at 10^3 (the
 //! driver reads it every gate, so it must not walk the tables), when a memoized `gate_dd` costs more than 1/5 of
 //! a first build, when a T on the top qubit of the saturated state costs
@@ -74,6 +80,30 @@ fn time_median(reps: usize, mut f: impl FnMut() -> usize) -> (f64, usize) {
     }
     times.sort_by(f64::total_cmp);
     (times[times.len() / 2], amps)
+}
+
+/// Median seconds of `reps` runs each of `a` and `b` on `v`, taken in turns
+/// so a change of host speed during the block moves both alike.
+fn time_interleaved(
+    reps: usize,
+    v: &mut [Complex64],
+    mut a: impl FnMut(&mut [Complex64]),
+    mut b: impl FnMut(&mut [Complex64]),
+) -> (f64, f64) {
+    let mut times = [Vec::with_capacity(reps), Vec::with_capacity(reps)];
+    for _ in 0..reps.max(1) {
+        let s = Instant::now();
+        a(v);
+        times[0].push(s.elapsed().as_secs_f64());
+        let s = Instant::now();
+        b(v);
+        times[1].push(s.elapsed().as_secs_f64());
+    }
+    let [a, b] = times.map(|mut t| {
+        t.sort_by(f64::total_cmp);
+        t[t.len() / 2]
+    });
+    (a, b)
 }
 
 /// Qubit count of the `dmav_by_target` block.
@@ -191,6 +221,137 @@ fn dmav_by_target(reps: usize, backend: &str, json: &mut JsonWriter) -> Vec<Targ
         }
     }
     println!("\ndmav_by_target — n = {n}, 1 thread, ns per amplitude");
+    table.print();
+    rows
+}
+
+/// `--check`: largest accepted (tiled ZZ-layer diagonal, in place) / (T on
+/// [`VS_ARRAY_TARGET`], in place) ratio — 3 under AVX2, 4 on the portable
+/// path. A tiled diagonal is two complex products per amplitude (its
+/// occurrence's factor, then its entry) where T is one on half the state;
+/// AVX2 hides most of that under the memory stream (2.5–2.8), the SSE2
+/// code the portable loops compile to does not (3.0–3.1, EXPERIMENTS.md).
+fn max_tiled_diagonal_ratio(backend: vecops::Backend) -> f64 {
+    match backend {
+        vecops::Backend::Avx2 => 3.0,
+        vecops::Backend::Scalar => 4.0,
+    }
+}
+
+/// One row of the `fused_blocks` block, ns per amplitude (NaN in place for
+/// a block without an in-place form).
+struct FusedRow {
+    block: &'static str,
+    /// The block runs in place through plan-time tiles.
+    tiled: bool,
+    in_place: f64,
+    /// In-place T on [`VS_ARRAY_TARGET`], timed in turns with `in_place`.
+    t_in_place: f64,
+    unfused: f64,
+}
+
+/// `dnn`'s fused shapes on a 2^20 state, one thread: the CX–RZ–CX ladder
+/// over every neighbouring pair (one irregular diagonal `zz`), `RY(0)`
+/// after it, `RY(19)` before it, and `RY` on two neighbouring qubits —
+/// through DMAV in place (the tiled walk, in turns with an in-place T on
+/// [`VS_ARRAY_TARGET`] as the ratio's reference), out of place, and as the
+/// sum of its gates run one by one in place. Products read right to left:
+/// in `ry0·zz` the ladder comes first.
+fn fused_blocks(reps: usize, backend: &str, json: &mut JsonWriter) -> Vec<FusedRow> {
+    let n = BY_TARGET_N;
+    let dim = 1usize << n;
+    let pkg = DdPackage::default();
+    let pool = ThreadPool::new(1);
+    let mut state = vec![Complex64::ZERO; dim];
+    let mut out = vec![Complex64::ZERO; dim];
+    fill(&mut state);
+    let ry = |q: usize| Gate::new(GateKind::RY(0.7 + 0.1 * q as f64), q);
+    let zz: Vec<Gate> = (0..n - 1)
+        .flat_map(|q| {
+            let cx = Gate::controlled(GateKind::X, q + 1, vec![Control::pos(q)]);
+            let rz = Gate::new(GateKind::RZ(0.3 + 0.2 * q as f64), q + 1);
+            [cx.clone(), rz, cx]
+        })
+        .collect();
+    // (name, gates, runs in place through tiles)
+    let blocks = [
+        ("zz", zz.clone(), true),
+        ("ry0·zz", [zz.clone(), vec![ry(0)]].concat(), true),
+        ("zz·ry19", [vec![ry(n - 1)], zz].concat(), true),
+        ("ry9·ry10", vec![ry(9), ry(10)], false),
+    ];
+    let ns = |secs: f64| secs * 1e9 / dim as f64;
+    let t_gate = Gate::new(GateKind::T, VS_ARRAY_TARGET);
+    let t_asg = DmavAssignment::build(&pkg, pkg.gate_dd(&t_gate, n), n, 1);
+    let mut table = Table::new(vec![
+        "block",
+        "gates",
+        "in_place",
+        "t_in_place",
+        "out_of_place",
+        "unfused_in_place",
+    ]);
+    let mut rows = Vec::new();
+    for (name, gates, tiled) in blocks {
+        let m = gates.iter().fold(pkg.identity_dd(n), |acc, g| {
+            pkg.mul_mm(pkg.gate_dd(g, n), acc)
+        });
+        let asg = DmavAssignment::build(&pkg, m, n, 1);
+        let (in_place, t_in_place) = if asg.in_place() {
+            let (block, t) = time_interleaved(
+                reps,
+                &mut out,
+                |v| dmav_in_place(&asg, v, &pool),
+                |v| dmav_in_place(&t_asg, v, &pool),
+            );
+            (ns(block), ns(t))
+        } else {
+            (f64::NAN, f64::NAN)
+        };
+        let out_of_place = ns(time_median(reps, || {
+            dmav_no_cache(&pkg, &asg, &state, &mut out, &pool);
+            dim
+        })
+        .0);
+        let unfused: f64 = gates
+            .iter()
+            .map(|g| {
+                let single = DmavAssignment::build(&pkg, pkg.gate_dd(g, n), n, 1);
+                ns(time_median(reps, || {
+                    dmav_in_place(&single, &mut out, &pool);
+                    dim
+                })
+                .0)
+            })
+            .sum();
+        table.row(vec![
+            name.into(),
+            gates.len().to_string(),
+            format!("{in_place:.3}"),
+            format!("{t_in_place:.3}"),
+            format!("{out_of_place:.3}"),
+            format!("{unfused:.3}"),
+        ]);
+        json.record(vec![
+            ("kernel", "fused_blocks".into()),
+            ("backend", backend.into()),
+            ("block", name.into()),
+            ("gates", gates.len().into()),
+            ("n", n.into()),
+            ("in_place_ns_per_amp", in_place.into()),
+            ("t_in_place_ns_per_amp", t_in_place.into()),
+            ("out_of_place_ns_per_amp", out_of_place.into()),
+            ("unfused_ns_per_amp", unfused.into()),
+        ]);
+        rows.push(FusedRow {
+            block: name,
+            tiled,
+            in_place,
+            t_in_place,
+            unfused,
+        });
+    }
+    println!("\nfused_blocks — n = {n}, 1 thread, ns per amplitude");
     table.print();
     rows
 }
@@ -557,6 +718,7 @@ fn main() {
 
     table.print();
     let by_target = dmav_by_target(reps, backend, &mut json);
+    let fused = fused_blocks(reps, backend, &mut json);
     let dd = dd_tables(reps, &mut json);
     // Embed the unified metrics registry (vecops backend label, DD package
     // gauges) in the results file.
@@ -610,6 +772,19 @@ fn main() {
                 cell(gate, VS_ARRAY_TARGET, |r| r.in_place)
                     / cell(gate, VS_ARRAY_TARGET, |r| r.array),
                 MAX_VS_ARRAY_RATIO,
+            );
+        }
+        let zz = fused.iter().find(|r| r.block == "zz");
+        hold(
+            format!("tiled zz diagonal / in-place T on target {VS_ARRAY_TARGET}"),
+            zz.map_or(f64::NAN, |r| r.in_place / r.t_in_place),
+            max_tiled_diagonal_ratio(vecops::backend()),
+        );
+        for row in fused.iter().filter(|r| r.tiled) {
+            hold(
+                format!("{} in place / its gates unfused", row.block),
+                row.in_place / row.unfused,
+                1.0,
             );
         }
         let stats_ratio = dd.stats_large / dd.stats_small;

@@ -1,12 +1,16 @@
 //! Table 2: FlatDD with DMAV-aware gate fusion vs FlatDD without fusion vs
 //! FlatDD with k-operations \[100\] on the six deep circuits.
 //!
-//! Expected shape: DMAV-aware fusion wins both runtime and modeled cost
-//! (paper: 13.1x / 9.94x vs no fusion, 5.27x / 5.59x vs k-operations in
-//! geometric mean).
+//! Expected shape in the paper: DMAV-aware fusion wins both runtime and
+//! modeled cost (13.1x / 9.94x vs no fusion, 5.27x / 5.59x vs k-operations
+//! in geometric mean). The cost columns are `FlatDdStats::modeled_cost`,
+//! the paper's `min(C1, C2)` summed over the DMAVs that ran; fusion itself
+//! decides by the walk each product will take (DESIGN.md §2), so it no
+//! longer minimizes that sum and the runtime columns are the ones to read.
+//! The first line names the machine.
 
 use flatdd::{ConversionPolicy, FlatDdConfig, FlatDdSimulator, FusionPolicy};
-use flatdd_bench::{geo_mean, HarnessArgs, JsonWriter, Table};
+use flatdd_bench::{geo_mean, machine_header, HarnessArgs, JsonWriter, Table};
 use qcircuit::Circuit;
 
 struct Arm {
@@ -44,6 +48,7 @@ fn main() {
     let args = HarnessArgs::parse();
     let k = 4usize; // the k-operations chunk size
     let workloads = flatdd_bench::suite::deep_workloads(args.scale, args.seed);
+    println!("{}", machine_header());
     println!(
         "Table 2 — gate fusion on deep circuits (scale {:.2}, {} threads, k-operations k={k})\n",
         args.scale, args.threads

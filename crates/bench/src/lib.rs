@@ -13,5 +13,5 @@ pub mod suite;
 
 pub use cli::HarnessArgs;
 pub use engines::{run_array, run_ddsim, run_flatdd, EngineResult, RunStatus};
-pub use report::{geo_mean, JsonWriter, Table};
+pub use report::{geo_mean, machine_header, JsonWriter, Table};
 pub use suite::{table1_workloads, Workload};

@@ -17,6 +17,28 @@ pub fn geo_mean(values: &[f64]) -> f64 {
     (logs.iter().sum::<f64>() / logs.len() as f64).exp()
 }
 
+/// One line naming the machine a result was recorded on: CPU model,
+/// hardware threads, memory, and the SIMD backend the kernels run.
+pub fn machine_header() -> String {
+    let read = |path| std::fs::read_to_string(path).unwrap_or_default();
+    let field = |text: &str, key: &str| {
+        let line = text.lines().find(|l| l.starts_with(key))?;
+        Some(line.split_once(':')?.1.trim().to_string())
+    };
+    let cpu = field(&read("/proc/cpuinfo"), "model name").unwrap_or_else(|| "unknown".into());
+    let mem_gib = field(&read("/proc/meminfo"), "MemTotal")
+        .and_then(|kib| kib.trim_end_matches(" kB").parse::<f64>().ok())
+        .map_or_else(
+            || "?".into(),
+            |kib| format!("{:.0}", kib / (1u64 << 20) as f64),
+        );
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!(
+        "host: {cpu}, {threads} hardware threads, {mem_gib} GiB, vecops {}",
+        qarray::vecops::backend().name()
+    )
+}
+
 /// A column-aligned plain-text table (what the harness binaries print).
 pub struct Table {
     headers: Vec<String>,

@@ -259,12 +259,7 @@ impl RunContext {
         if since >= latest {
             return (Vec::new(), latest);
         }
-        let out: Vec<Progress> = ring
-            .buf
-            .iter()
-            .filter(|p| p.seq > since)
-            .cloned()
-            .collect();
+        let out: Vec<Progress> = ring.buf.iter().filter(|p| p.seq > since).cloned().collect();
         (out, latest)
     }
 

@@ -9,9 +9,25 @@
 //!
 //! FlatDD picks caching per gate by evaluating both equations and choosing
 //! the minimum.
+//!
+//! Fusion prices a matrix by the walk its DMAV will take
+//! ([`CostModel::walk_cost`]). Eq. 5 models one out-of-place walk, but a
+//! matrix whose assignment runs in place updates the state where it lies
+//! and pays about half as much per modelled MAC ([`OUT_OF_PLACE_PRICE`]).
+//! This is a deviation from the paper, which prices every DMAV by `C1`
+//! (DESIGN.md §2). `min(C1, C2)` still picks Algorithm 1 or 2 per matrix,
+//! and `FlatDdStats::modeled_cost` still sums it.
 
+use crate::dmav::runs_in_place;
 use crate::dmav_cache::DmavCacheAssignment;
 use qdd::{DdPackage, MEdge, MacTable};
+
+/// What a modelled MAC costs on the write-once walk into `W`, in units of
+/// its cost on the in-place walk. PR 24 measured 0.7–1.9 ns per MAC out of
+/// place against 0.34–0.98 in place (EXPERIMENTS.md, "DMAV in place"):
+/// 1.8–2.0 to one for dense gates, the class a general product is made of,
+/// and more (up to 4.5) for diagonal and controlled ones.
+pub const OUT_OF_PLACE_PRICE: f64 = 2.0;
 
 /// Tunables of the cost model.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -60,6 +76,26 @@ impl CostModel {
     /// Eq. 5 only: the no-cache cost for a given MAC count.
     pub fn cost_no_cache(&self, k1: u64, t: usize) -> f64 {
         k1 as f64 / t as f64
+    }
+
+    /// The price fusion charges a DMAV of `m` over `n` qubits in `t` groups:
+    /// Eq. 5's `K1 / t` when its assignment at `t` groups runs in place
+    /// ([`crate::DmavAssignment::in_place`]), [`OUT_OF_PLACE_PRICE`] times
+    /// that when it takes the write-once walk.
+    pub fn walk_cost(
+        &self,
+        pkg: &DdPackage,
+        mac: &mut MacTable,
+        m: MEdge,
+        n: usize,
+        t: usize,
+    ) -> f64 {
+        let c1 = self.cost_no_cache(mac.count(pkg, m), t);
+        if runs_in_place(pkg, m, n, t) {
+            c1
+        } else {
+            OUT_OF_PLACE_PRICE * c1
+        }
     }
 
     /// Eq. 6 only.
@@ -192,6 +228,24 @@ mod tests {
         let a = CostModel::default().analyze(&pkg, &mut mac, m, n, 4);
         assert_eq!(a.hits, 0);
         assert!(!a.prefer_cached(), "C1={} C2={}", a.c1, a.c2);
+    }
+
+    #[test]
+    fn the_walk_price_doubles_eq_5_off_the_in_place_walk() {
+        // H on qubit 2 runs in place at one group; H on the top qubit at two
+        // groups gives each group two tasks, and the product of two H's on
+        // different qubits is a general block: both take the write-once walk.
+        use qdd::mac_count;
+        let (pkg, cm) = (DdPackage::default(), CostModel::default());
+        let mut mac = MacTable::default();
+        let n = 6;
+        let h = |q| pkg.gate_dd(&Gate::new(GateKind::H, q), n);
+        let eq5 = |m, t| cm.cost_no_cache(mac_count(&pkg, m), t);
+        let product = pkg.mul_mm(h(2), h(3));
+        for (m, t, factor) in [(h(2), 1, 1.0), (h(n - 1), 2, 2.0), (product, 1, 2.0)] {
+            let price = cm.walk_cost(&pkg, &mut mac, m, n, t);
+            assert_eq!(price, factor * eq5(m, t));
+        }
     }
 
     #[test]

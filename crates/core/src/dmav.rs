@@ -65,6 +65,8 @@ enum Op {
 #[derive(Debug)]
 pub(crate) struct Program {
     ops: Vec<Node>,
+    /// Plan-time tiles of irregular in-place nodes ([`Program::plant_tiles`]).
+    tiles: Vec<Tile>,
 }
 
 /// One table entry: the op and what [`Program::compile`] derived from it
@@ -72,11 +74,65 @@ pub(crate) struct Program {
 #[derive(Clone, Copy, Debug)]
 struct Node {
     op: Op,
+    /// The node spans `2^(level + 1)` amplitudes.
+    level: u8,
     /// The sub-matrix is diagonal.
     diag: bool,
     /// [`Program::run_in_place`] can apply the sub-matrix to its span.
     in_place: bool,
+    /// Levels at which the sub-matrix is not `I_2 (x) .` (saturating). A
+    /// gate branches only at its own qubits, so every gate `gate_dd` builds
+    /// with up to two controls has at most [`GATE_DEPTH`].
+    depth: u8,
+    /// `Some(s)`: not diagonal, but block-diagonal above one level whose
+    /// four blocks are diagonal — one 2x2 per pair of amplitudes `s` apart
+    /// (an `RY` on qubit 0 folded with a diagonal: `s = 1`).
+    stride: Option<usize>,
+    /// Index of the node's plan-time tile in `Program::tiles`, if it has one.
+    tile: Option<u32>,
 }
+
+/// The dense form of one node's sub-matrix, built at plan time for a node
+/// the in-place walk would otherwise descend to [`TILE`]-sized leaves (an
+/// irregular fused diagonal, alone or under one pair stride) and streamed by
+/// one kernel per occurrence.
+#[derive(Debug)]
+enum Tile {
+    /// The diagonal's entries.
+    Diag(vecops::DiagTable),
+    /// One 2x2 per pair at the node's stride.
+    Pairs(vecops::PairTable),
+}
+
+impl Tile {
+    /// `v = f * T * v` on every tile-sized block of `v`.
+    fn apply(&self, v: &mut [Complex64], f: Complex64) {
+        match self {
+            Tile::Diag(d) => d.apply(v, f),
+            Tile::Pairs(table) => table.apply(v, f),
+        }
+    }
+
+    fn memory_bytes(&self) -> usize {
+        match self {
+            Tile::Diag(d) => d.memory_bytes(),
+            Tile::Pairs(table) => table.memory_bytes(),
+        }
+    }
+}
+
+/// Most levels a gate with two controls branches at ([`Node::depth`]). A
+/// sub-matrix that branches at more is a fused product; only those get
+/// tiles, so the single-gate workloads keep the walk they were tuned on.
+const GATE_DEPTH: u8 = 3;
+
+/// Largest span of a plan-time tile: 2^10 amplitudes, 32 KiB as a diagonal
+/// and 64 KiB as a pair table in the kernels' layout, so a tile streams
+/// from L1/L2.
+const TILE_SPAN: usize = 1 << 10;
+
+/// Most bytes of tiles one program builds; past it the untiled walk runs.
+const TILE_BYTES: usize = 1 << 20;
 
 /// A diagonal sub-matrix on its way down the pair walk: the table node
 /// ([`TERM`] or [`NO_CHILD`] for a constant) and the factor in front of it
@@ -221,8 +277,8 @@ impl Compiler<'_> {
             Op::General { child, w }
         };
         let i = self.table.ops.len() as u32;
-        let (diag, in_place) = self.table.flags(&op);
-        self.table.ops.push(Node { op, diag, in_place });
+        let node = self.table.derive(op, l as u8);
+        self.table.ops.push(node);
         self.index.insert(id, i);
         i
     }
@@ -242,7 +298,10 @@ impl Program {
             pkg,
             identity: pkg.identity_node_ids(n),
             index: FxHashMap::default(),
-            table: Program { ops: Vec::new() },
+            table: Program {
+                ops: Vec::new(),
+                tiles: Vec::new(),
+            },
         };
         let entries = m_edges
             .iter()
@@ -261,9 +320,109 @@ impl Program {
         (compiler.table, entries)
     }
 
-    /// Heap bytes of the table (for plan-cache accounting).
+    /// Heap bytes of the table and its tiles (for plan-cache accounting).
     pub(crate) fn memory_bytes(&self) -> usize {
         self.ops.capacity() * std::mem::size_of::<Node>()
+            + self.tiles.capacity() * std::mem::size_of::<Tile>()
+            + self.tiles.iter().map(Tile::memory_bytes).sum::<usize>()
+    }
+
+    /// Builds the tiles of an in-place program whose tasks enter it at
+    /// `roots`: from each root down, the first node that spans more than
+    /// [`TILE`] and at most [`TILE_SPAN`] amplitudes, runs in place as a
+    /// diagonal or under one pair stride, and branches at more levels than
+    /// a gate can ([`GATE_DEPTH`]) gets the dense form of its sub-matrix,
+    /// until the next tile would take them over `budget` bytes
+    /// ([`TILE_BYTES`]). Regular nodes get none.
+    fn plant_tiles(&mut self, roots: impl IntoIterator<Item = u32>, budget: usize) {
+        let mut seen = vec![false; self.ops.len()];
+        let mut stack: Vec<u32> = roots.into_iter().collect();
+        let mut bytes = 0;
+        while let Some(op) = stack.pop() {
+            if op == TERM || op == NO_CHILD || std::mem::replace(&mut seen[op as usize], true) {
+                continue;
+            }
+            let node = self.ops[op as usize];
+            let span = 2usize << node.level;
+            if span <= TILE {
+                continue;
+            }
+            let shaped = node.diag || node.stride.is_some();
+            if span <= TILE_SPAN && node.in_place && shaped && node.depth > GATE_DEPTH {
+                let tile = self.tile_of(op);
+                bytes += tile.memory_bytes();
+                if bytes > budget {
+                    return;
+                }
+                self.ops[op as usize].tile = Some(self.tiles.len() as u32);
+                self.tiles.push(tile);
+                continue;
+            }
+            match node.op {
+                Op::General { child, .. } => stack.extend(child),
+                Op::Lift { base, .. } => stack.push(base),
+                Op::Identity | Op::Kron { .. } => {}
+            }
+        }
+    }
+
+    /// The dense form of the diagonal or single-stride sub-matrix under
+    /// `op`, with a factor of 1.
+    fn tile_of(&self, op: u32) -> Tile {
+        let node = self.ops[op as usize];
+        let span = 2usize << node.level;
+        match node.stride {
+            None => {
+                let mut d = vec![Complex64::ZERO; span];
+                self.flatten((op, Complex64::ONE), &mut d);
+                Tile::Diag(vecops::DiagTable::new(&d))
+            }
+            Some(s) => {
+                let mut pairs = vec![[Complex64::ZERO; 4]; span / 2];
+                self.fill_pairs((op, Complex64::ONE), s, &mut pairs);
+                Tile::Pairs(vecops::PairTable::new(&pairs, s))
+            }
+        }
+    }
+
+    /// Writes the 2x2 of every pair at stride `s` of the region under `d` —
+    /// a diagonal, or a node with that [`Node::stride`] — into `out`, one
+    /// entry per pair in [`vecops::PairTable`] order.
+    fn fill_pairs(&self, d: Diag, s: usize, out: &mut [[Complex64; 4]]) {
+        let (op, c) = d;
+        if self.diag(op) {
+            let mut flat = vec![Complex64::ZERO; 2 * out.len()];
+            self.flatten(d, &mut flat);
+            for (j, m) in out.iter_mut().enumerate() {
+                let at = 2 * s * (j / s) + j % s;
+                *m = [flat[at], Complex64::ZERO, Complex64::ZERO, flat[at + s]];
+            }
+            return;
+        }
+        match self.ops[op as usize].op {
+            Op::Kron { u, .. } => out.fill(u.map(|x| c * x)),
+            Op::Lift { base, w, block } => {
+                for chunk in out.chunks_exact_mut(block / 2) {
+                    self.fill_pairs((base, c * w), s, chunk);
+                }
+            }
+            // The stride's own level: four diagonals of `s` amplitudes.
+            Op::General { child, w } if out.len() == s => {
+                let mut flat = vec![Complex64::ZERO; s];
+                for k in 0..4 {
+                    self.flatten((child[k], c * w[k]), &mut flat);
+                    for (m, &x) in out.iter_mut().zip(&flat) {
+                        m[k] = x;
+                    }
+                }
+            }
+            Op::General { child, w } => {
+                let (lo, hi) = out.split_at_mut(out.len() / 2);
+                self.fill_pairs((child[0], c * w[0]), s, lo);
+                self.fill_pairs((child[3], c * w[3]), s, hi);
+            }
+            Op::Identity => unreachable!("the identity is diagonal"),
+        }
     }
 
     /// `w = f * M * v` (`acc == false`) or `w += f * M * v` (`acc == true`)
@@ -330,16 +489,48 @@ impl Program {
         }
     }
 
-    /// `(diag, in_place)` of `op`, whose children are already in the table.
-    fn flags(&self, op: &Op) -> (bool, bool) {
-        match *op {
-            Op::Identity => (true, true),
-            Op::Kron { u, .. } => (u[1].is_zero() && u[2].is_zero(), true),
-            Op::Lift { base, .. } => (self.diag(base), self.in_place(base)),
+    /// The table entry of `op` at `level`, whose children are already in
+    /// the table.
+    fn derive(&self, op: Op, level: u8) -> Node {
+        let node = |diag, in_place, depth, stride| Node {
+            op,
+            level,
+            diag,
+            in_place,
+            depth,
+            stride,
+            tile: None,
+        };
+        match op {
+            Op::Identity => node(true, true, 0, None),
+            Op::Kron { half, u } => {
+                let diag = u[1].is_zero() && u[2].is_zero();
+                node(diag, true, 1, (!diag).then_some(half))
+            }
+            Op::Lift { base, .. } => Node {
+                op,
+                level,
+                tile: None,
+                ..self.ops[base as usize]
+            },
             Op::General { child, .. } => {
                 let all_diag = child.iter().all(|&c| self.diag(c));
                 let block_diagonal = child[1] == NO_CHILD && child[2] == NO_CHILD;
-                (all_diag && block_diagonal, all_diag || self.splits(&child))
+                let splits = self.splits(&child);
+                let depth = child.iter().map(|&c| self.depth(c)).max().unwrap_or(0);
+                let stride = if all_diag && !block_diagonal {
+                    Some(1 << level)
+                } else if splits {
+                    self.common_stride(child[0], child[3])
+                } else {
+                    None
+                };
+                node(
+                    all_diag && block_diagonal,
+                    all_diag || splits,
+                    depth.saturating_add(1),
+                    stride,
+                )
             }
         }
     }
@@ -348,6 +539,33 @@ impl Program {
     /// constant 0.
     fn diag(&self, op: u32) -> bool {
         op == TERM || op == NO_CHILD || self.ops[op as usize].diag
+    }
+
+    /// [`Node::depth`] of `op` (0 for a constant).
+    fn depth(&self, op: u32) -> u8 {
+        if op == TERM || op == NO_CHILD {
+            0
+        } else {
+            self.ops[op as usize].depth
+        }
+    }
+
+    /// The pair stride of a block-diagonal node with diagonal blocks `a`
+    /// and `b`: theirs when they agree or one of them is diagonal.
+    fn common_stride(&self, a: u32, b: u32) -> Option<usize> {
+        let stride = |op: u32| {
+            if op == TERM || op == NO_CHILD {
+                None
+            } else {
+                self.ops[op as usize].stride
+            }
+        };
+        match (stride(a), stride(b)) {
+            (Some(x), Some(y)) => (x == y).then_some(x),
+            (Some(x), None) if self.diag(b) => Some(x),
+            (None, Some(y)) if self.diag(a) => Some(y),
+            _ => None,
+        }
     }
 
     /// Whether [`Self::run_in_place`] accepts the sub-matrix under `op`. A
@@ -378,13 +596,17 @@ impl Program {
     /// `Lift` and a block-diagonal `General` hand each child its own part of
     /// the span, and a `General` whose four blocks are all diagonal — the
     /// node of a target controlled from below — is a 2x2 on each pair
-    /// `(lo[i], hi[i])` of its two halves ([`Self::pair_walk`]).
+    /// `(lo[i], hi[i])` of its two halves ([`Self::pair_walk`]). A node with
+    /// a plan-time tile is one kernel call over its span.
     pub(crate) fn run_in_place(&self, op: u32, f: Complex64, v: &mut [Complex64]) {
         if op == TERM {
             v[0] = f * v[0];
             return;
         }
-        let node = self.ops[op as usize];
+        let node = &self.ops[op as usize];
+        if let Some(tile) = node.tile {
+            return self.tiles[tile as usize].apply(v, f);
+        }
         if node.diag && v.len() <= TILE && !matches!(node.op, Op::Identity) {
             // The bottom of an irregular diagonal (a fused product of phase
             // gates): one dense multiply instead of a descent to its pairs.
@@ -424,13 +646,18 @@ impl Program {
     }
 
     /// `v = f * (I (x) B) * v` for a base node `B` of `block` amplitudes,
-    /// resolved once instead of entered per block: a diagonal `B` of at most
-    /// [`TILE`] amplitudes becomes one dense diagonal, a `B` of four
+    /// resolved once instead of entered per block: a tiled `B` is one kernel
+    /// call over the whole span, a diagonal `B` of at most [`TILE`]
+    /// amplitudes becomes one dense diagonal, a `B` of four
     /// diagonal blocks one prepared period (every block in one kernel call)
     /// or one [`PairPlan`] (replayed per block). `false` (nothing done) for
     /// any other base.
     fn blocks_in_place(&self, base: u32, f: Complex64, v: &mut [Complex64], block: usize) -> bool {
-        let node = self.ops[base as usize];
+        let node = &self.ops[base as usize];
+        if let Some(tile) = node.tile {
+            self.tiles[tile as usize].apply(v, f);
+            return true;
+        }
         if node.diag {
             if block > TILE {
                 return false;
@@ -476,6 +703,9 @@ impl Program {
         if period == 1 {
             return pair_const(lo, hi, &d.map(|(_, c)| c));
         }
+        if period == len && self.tiled_pairs(&d, lo, hi) {
+            return;
+        }
         if period == len && len <= TILE {
             // One period and no more (the bottom of an irregular diagonal,
             // a fused product under the target): straight from the four
@@ -507,6 +737,61 @@ impl Program {
             self.pair_walk(halves.map(|h| h.0), lo_0, hi_0);
             self.pair_walk(halves.map(|h| h.1), lo_1, hi_1);
         }
+    }
+
+    /// [`Self::pair_walk`] over a region whose four diagonals are tiles or
+    /// constants, one diagonal shared per column — the 2x2 of the four
+    /// factors acts after them: `U * diag(X, Y)`, an `RY` on the target
+    /// folded onto a diagonal below it — or per row (`diag(X, Y) * U`, the
+    /// `RY` first): the two diagonals through their tiles and the 2x2, one
+    /// pass each over the region. `false` (nothing done) for any other
+    /// region.
+    fn tiled_pairs(&self, d: &[Diag; 4], lo: &mut [Complex64], hi: &mut [Complex64]) -> bool {
+        let len = lo.len();
+        // The diagonal two blocks have in common; a zero block shares any.
+        let shared = |a: Diag, b: Diag| {
+            if a.1.is_zero() {
+                Some(b.0)
+            } else if b.1.is_zero() || a.0 == b.0 {
+                Some(a.0)
+            } else {
+                None
+            }
+        };
+        // A shared diagonal's tile (`Some(None)` for a constant, whose
+        // value the factors carry).
+        let tile = |op: u32| -> Option<Option<&vecops::DiagTable>> {
+            if op == TERM || op == NO_CHILD {
+                return Some(None);
+            }
+            let node = &self.ops[op as usize];
+            match (node.op, node.tile.map(|t| &self.tiles[t as usize])) {
+                (Op::Identity, _) => Some(None),
+                (_, Some(Tile::Diag(t))) if t.period() == len => Some(Some(t)),
+                _ => None,
+            }
+        };
+        let through = |v: &mut [Complex64], t: Option<&vecops::DiagTable>| {
+            if let Some(t) = t {
+                t.apply(v, Complex64::ONE);
+            }
+        };
+        let m = d.map(|(_, c)| c);
+        let columns = shared(d[0], d[2]).zip(shared(d[1], d[3]));
+        if let Some((Some(x), Some(y))) = columns.map(|(x, y)| (tile(x), tile(y))) {
+            through(lo, x);
+            through(hi, y);
+            pair_const(lo, hi, &m);
+            return true;
+        }
+        let rows = shared(d[0], d[1]).zip(shared(d[2], d[3]));
+        if let Some((Some(x), Some(y))) = rows.map(|(x, y)| (tile(x), tile(y))) {
+            pair_const(lo, hi, &m);
+            through(lo, x);
+            through(hi, y);
+            return true;
+        }
+        false
     }
 
     /// The diagonals `d`, which repeat after `span > TILE` amplitudes,
@@ -825,15 +1110,18 @@ impl DmavAssignment {
     /// Fallible `Assign`: `t` must be a power of two with `log2(t) <= n`,
     /// otherwise [`FlatDdError::InvalidInput`] is returned.
     pub fn try_build(pkg: &DdPackage, m: MEdge, n: usize, t: usize) -> Result<Self, FlatDdError> {
-        let tasks = assign_tasks(pkg, m, n, t, Space::Row)?;
-        let (program, entries) = Program::compile(pkg, n, &tasks.m_edges, &tasks.f);
-        let h = (1usize << n) / t;
-        let in_place = entries.iter().zip(&tasks.at).enumerate().all(|(g, (e, at))| {
-            matches!((&e[..], &at[..]), ([e], [at]) if *at == g * h && program.in_place(e.op))
-        });
+        let RowSpace {
+            tasks,
+            mut program,
+            entries,
+            in_place,
+        } = compile_row_space(pkg, m, n, t)?;
+        if in_place {
+            program.plant_tiles(entries.iter().map(|e| e[0].op), TILE_BYTES);
+        }
         Ok(DmavAssignment {
             t,
-            h,
+            h: (1usize << n) / t,
             n,
             m_edges: tasks.m_edges,
             iv: tasks.at,
@@ -865,6 +1153,44 @@ impl DmavAssignment {
             + self.program.memory_bytes()
             + 4 * self.t * std::mem::size_of::<Vec<()>>()
     }
+}
+
+/// `Assign` and the compile of its sub-DD, before any tile is planted.
+struct RowSpace {
+    tasks: TaskLists,
+    program: Program,
+    entries: Vec<Vec<Entry>>,
+    /// Every group has exactly one task, on its own rows, that
+    /// [`Program::run_in_place`] accepts.
+    in_place: bool,
+}
+
+/// [`RowSpace`] of `m` over `n` qubits in `t` groups.
+fn compile_row_space(
+    pkg: &DdPackage,
+    m: MEdge,
+    n: usize,
+    t: usize,
+) -> Result<RowSpace, FlatDdError> {
+    let tasks = assign_tasks(pkg, m, n, t, Space::Row)?;
+    let (program, entries) = Program::compile(pkg, n, &tasks.m_edges, &tasks.f);
+    let h = (1usize << n) / t;
+    let in_place = entries.iter().zip(&tasks.at).enumerate().all(|(g, (e, at))| {
+        matches!((&e[..], &at[..]), ([e], [at]) if *at == g * h && program.in_place(e.op))
+    });
+    Ok(RowSpace {
+        tasks,
+        program,
+        entries,
+        in_place,
+    })
+}
+
+/// Whether `m`'s assignment over `n` qubits in `t` groups is
+/// [`DmavAssignment::in_place`], without building its tiles (`false` for a
+/// geometry no assignment exists for).
+pub(crate) fn runs_in_place(pkg: &DdPackage, m: MEdge, n: usize, t: usize) -> bool {
+    compile_row_space(pkg, m, n, t).is_ok_and(|plan| plan.in_place)
 }
 
 /// Heap bytes of the per-task vectors (edge, index, weight product, entry)
@@ -1176,6 +1502,10 @@ mod tests {
                     for (t, pool) in geometries {
                         let (variants, in_place) = all_variants(&pkg, m, n, t, &pools[pool], &v);
                         assert!(in_place || t > 1, "{g}: no in-place form at one group");
+                        // The guard that keeps the single-gate workloads on
+                        // the walk they were tuned on.
+                        let tiles = DmavAssignment::build(&pkg, m, n, t).program.tiles.len();
+                        assert_eq!(tiles, 0, "{g} t={t}: a single gate built a tile");
                         in_place_beyond_one_group += usize::from(in_place && t > 1);
                         for (variant, got) in &variants {
                             let err = max_err(got, &want);
@@ -1219,6 +1549,8 @@ mod tests {
                 for t in [1usize, 2, 8] {
                     let (variants, in_place) = all_variants(&pkg, m, n, t, &pool, &v);
                     assert!(in_place || t > 1, "{g}");
+                    let tiles = DmavAssignment::build(&pkg, m, n, t).program.tiles.len();
+                    assert_eq!(tiles, 0, "{g} t={t}: a single gate built a tile");
                     for (variant, got) in &variants {
                         let err = max_err(got, &want);
                         assert!(err < 1e-12, "{variant} {g} t={t}: {err:e}");
@@ -1373,6 +1705,123 @@ mod tests {
             panic!("plain, cached, in place");
         };
         assert!(max_err(got, plain) < 1e-12);
+    }
+
+    /// `dnn`'s entangling layer on `n` qubits: CX–RZ–CX on every
+    /// neighbouring pair, one irregular diagonal.
+    fn zz_ladder(n: usize) -> Vec<Gate> {
+        (0..n - 1)
+            .flat_map(|q| {
+                let cx = Gate::controlled(GateKind::X, q + 1, vec![Control::pos(q)]);
+                let rz = Gate::new(GateKind::RZ(0.4 + 0.3 * q as f64), q + 1);
+                [cx.clone(), rz, cx]
+            })
+            .collect()
+    }
+
+    /// The fused shapes that get tiles, each times a phase so that no task
+    /// enters its program with a factor of 1: the ladder (a diagonal), `RY`
+    /// on qubit 0 after it (one pair stride of 1 over it), and `RY` on the
+    /// top qubit after and before it (a pair walk over its two halves,
+    /// sharing a diagonal per column and per row).
+    fn tiled_products(pkg: &DdPackage, n: usize) -> Vec<(&'static str, MEdge)> {
+        let ry = |q| Gate::new(GateKind::RY(1.1), q);
+        let zz = zz_ladder(n);
+        let phase = pkg.cval(pkg.gate_dd(&Gate::new(GateKind::RZ(0.9), 0), n).w);
+        [
+            ("zz", zz.clone()),
+            ("ry0·zz", [zz.clone(), vec![ry(0)]].concat()),
+            ("ry_top·zz", [zz.clone(), vec![ry(n - 1)]].concat()),
+            ("zz·ry_top", [vec![ry(n - 1)], zz].concat()),
+        ]
+        .into_iter()
+        .map(|(name, gates)| {
+            let m = product(pkg, &gates, n);
+            let w = pkg.clookup(pkg.cval(m.w) * phase);
+            (name, MEdge { n: m.n, w })
+        })
+        .collect()
+    }
+
+    #[test]
+    fn diagonal_and_pair_stride_tiles_match_dense() {
+        // n = 8: the tiles sit at the task entries themselves — the whole
+        // matrix at one group (a pair stride of 128 for the `RY` on the
+        // top qubit), the border-level nodes at 2, 4 and 8 groups, where
+        // the top-qubit products have no in-place form.
+        let n = 8;
+        let pkg = DdPackage::default();
+        let pool = ThreadPool::new(2);
+        let v = rand_state(n, 67);
+        for (name, m) in tiled_products(&pkg, n) {
+            let want = dense_product(&pkg, m, n, &v);
+            for t in [1usize, 2, 4, 8] {
+                let asg = DmavAssignment::build(&pkg, m, n, t);
+                if !asg.in_place() {
+                    assert!(name.contains("top") && t > 1, "{name} t={t}");
+                    continue;
+                }
+                assert!(!asg.program.tiles.is_empty(), "{name} t={t}: no tile");
+                assert!(asg.entries.iter().all(|e| e[0].f != Complex64::ONE));
+                let mut got = v.clone();
+                dmav_in_place(&asg, &mut got, &pool);
+                let err = max_err(&got, &want);
+                assert!(err < 1e-12, "{name} t={t}: {err:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn tiles_below_the_span_cap_match_the_write_once_walk() {
+        // n = 11: the ladder's nodes of 2^10 amplitudes are tiled under a
+        // split of the top node, under a pair walk over them (the `RY` on
+        // the top qubit, both orders), and under an `RY` on qubit 0. Too
+        // large for the dense matrix; the out-of-place walk over the same
+        // DD is the oracle.
+        let n = 11;
+        let pkg = DdPackage::default();
+        let pool = ThreadPool::new(1);
+        let v = rand_state(n, 71);
+        for (name, m) in tiled_products(&pkg, n) {
+            let asg = DmavAssignment::build(&pkg, m, n, 1);
+            assert!(asg.in_place() && !asg.program.tiles.is_empty(), "{name}");
+            let mut want = vec![Complex64::ZERO; 1 << n];
+            dmav_no_cache(&pkg, &asg, &v, &mut want, &pool);
+            let mut got = v.clone();
+            dmav_in_place(&asg, &mut got, &pool);
+            let err = max_err(&got, &want);
+            assert!(err < 1e-12, "{name}: {err:e}");
+        }
+    }
+
+    #[test]
+    fn tile_bytes_are_charged_and_capped() {
+        let n = 11;
+        let pkg = DdPackage::default();
+        let pool = ThreadPool::new(1);
+        let v = rand_state(n, 73);
+        for (name, m) in tiled_products(&pkg, n) {
+            let asg = DmavAssignment::build(&pkg, m, n, 1);
+            let RowSpace {
+                program: mut untiled,
+                entries,
+                ..
+            } = compile_row_space(&pkg, m, n, 1).unwrap();
+            let tiles: usize = asg.program.tiles.iter().map(Tile::memory_bytes).sum();
+            assert!(tiles >= 1 << 14, "{name}: {tiles} bytes of tiles");
+            assert!(asg.program.memory_bytes() >= untiled.memory_bytes() + tiles);
+            // A budget one byte short of the first tile: the program runs
+            // on the leaf walk, and still agrees.
+            let first = asg.program.tiles[0].memory_bytes();
+            untiled.plant_tiles(entries.iter().map(|e| e[0].op), first - 1);
+            assert!(untiled.tiles.is_empty(), "{name}: planted over the cap");
+            let mut want = v.clone();
+            dmav_in_place(&asg, &mut want, &pool);
+            let mut got = v.clone();
+            untiled.run_in_place(entries[0][0].op, entries[0][0].f, &mut got);
+            let err = max_err(&got, &want);
+            assert!(err < 1e-12, "{name}: {err:e}");
+        }
     }
 
     #[test]

@@ -150,9 +150,7 @@ pub fn route(handle: &SchedulerHandle, req: &http::Request) -> (u32, &'static st
             match stream::events_batch(handle, id, since) {
                 Some((body, cursor)) => {
                     let mut body = body;
-                    body.push_str(&format!(
-                        "{{\"event\":\"cursor\",\"cursor\":{cursor}}}\n"
-                    ));
+                    body.push_str(&format!("{{\"event\":\"cursor\",\"cursor\":{cursor}}}\n"));
                     (200, stream::NDJSON_CONTENT_TYPE, body)
                 }
                 None => match handle.job(id) {

@@ -56,9 +56,7 @@ fn heartbeat_line(cursor: u64) -> String {
 }
 
 fn end_line(state: &str, cursor: u64) -> String {
-    format!(
-        "{{\"event\":\"end\",\"state\":\"{state}\",\"cursor\":{cursor}}}\n"
-    )
+    format!("{{\"event\":\"end\",\"state\":\"{state}\",\"cursor\":{cursor}}}\n")
 }
 
 /// Serves one chunked NDJSON connection: forwards progress samples as the
@@ -119,14 +117,12 @@ pub fn stream_events(stream: &mut TcpStream, handle: &SchedulerHandle, id: u64, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::{ServeConfig, Scheduler};
+    use crate::serve::{Scheduler, ServeConfig};
 
     #[test]
     fn batch_resumes_from_cursor() {
-        let spool = std::env::temp_dir().join(format!(
-            "flatdd-serve-stream-batch-{}",
-            std::process::id()
-        ));
+        let spool =
+            std::env::temp_dir().join(format!("flatdd-serve-stream-batch-{}", std::process::id()));
         std::fs::remove_dir_all(&spool).ok();
         let mut cfg = ServeConfig::at(&spool);
         cfg.workers = 1;

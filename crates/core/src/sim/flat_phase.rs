@@ -57,7 +57,9 @@ impl FlatPhase {
         let telemetry = qtelemetry::enabled();
         let fuse_ts = telemetry.then(qtelemetry::now_us);
         let fuse_t0 = telemetry.then(Instant::now);
-        let (pkg, n, t) = (&mut core.pkg, core.n, core.t);
+        // Priced over the shard geometry its plans will use (one group per
+        // shard): whether a matrix runs in place depends on it.
+        let (pkg, n, t) = (&mut core.pkg, core.n, core.shards);
         let (model, gc_every) = (&core.cfg.cost_model, core.cfg.fusion_gc_every);
         let fused: FusedGates = match core.cfg.fusion {
             FusionPolicy::DmavAware => fuse_dmav_aware(pkg, gates, n, t, model, gc_every),

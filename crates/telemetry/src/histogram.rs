@@ -215,7 +215,11 @@ impl HistogramSnapshot {
             let before = seen;
             seen += n;
             if (seen as f64) >= rank {
-                let lo = if i == 0 { 0.0 } else { bucket_bound(i - 1) as f64 };
+                let lo = if i == 0 {
+                    0.0
+                } else {
+                    bucket_bound(i - 1) as f64
+                };
                 let hi = bucket_bound(i) as f64;
                 let frac = (rank - before as f64) / n as f64;
                 return lo + (hi - lo) * frac.clamp(0.0, 1.0);

@@ -56,11 +56,11 @@ pub use metrics::{
     counter, gauge, histogram, metrics_json, reset_metrics, set_label, Counter, Gauge,
     MetricsRegistry,
 };
-pub use span::Span;
 pub use sink::{
     add_sink, clear_sinks, emit, enabled, flush_sinks, remove_sink, EventSink, JsonlSink, Recorder,
     SinkId,
 };
+pub use span::Span;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;

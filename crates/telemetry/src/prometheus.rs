@@ -161,14 +161,14 @@ mod tests {
 
     #[test]
     fn names_are_sanitized_into_the_charset() {
-        assert_eq!(metric_name("serve.queue_wait_us"), "flatdd_serve_queue_wait_us");
+        assert_eq!(
+            metric_name("serve.queue_wait_us"),
+            "flatdd_serve_queue_wait_us"
+        );
         assert_eq!(metric_name("weird-name!x"), "flatdd_weird_name_x");
         let ok = |s: &str| {
             s.chars().enumerate().all(|(i, c)| {
-                c.is_ascii_alphabetic()
-                    || c == '_'
-                    || c == ':'
-                    || (i > 0 && c.is_ascii_digit())
+                c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit())
             })
         };
         assert!(ok(&metric_name("dd.ct_mv_lookups")));
@@ -187,7 +187,8 @@ mod tests {
         let text = render_registry(&r, &[], true);
         assert!(text.contains("# TYPE flatdd_t_count counter\nflatdd_t_count 3\n"));
         assert!(text.contains("# TYPE flatdd_t_gauge gauge\nflatdd_t_gauge 1.5\n"));
-        assert!(text.contains("flatdd_label_info{name=\"t.backend\",value=\"avx2 \\\"quoted\\\\\\n\"} 1"));
+        assert!(text
+            .contains("flatdd_label_info{name=\"t.backend\",value=\"avx2 \\\"quoted\\\\\\n\"} 1"));
         assert!(text.contains("# TYPE flatdd_t_lat_us histogram"));
         assert!(text.contains("flatdd_t_lat_us_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("flatdd_t_lat_us_sum 102"));
@@ -223,7 +224,10 @@ mod tests {
                 (false, '"') => in_value = true,
                 (true, '\\') => {
                     let n = chars.next().expect("dangling escape");
-                    assert!(matches!(n, '\\' | '"' | 'n'), "bad escape \\{n} in {line:?}");
+                    assert!(
+                        matches!(n, '\\' | '"' | 'n'),
+                        "bad escape \\{n} in {line:?}"
+                    );
                 }
                 (true, '"') => in_value = false,
                 _ => {}

@@ -100,11 +100,7 @@ fn armed_floor_completes_with_bounded_fidelity() {
         FlatDdSimulator::try_new(c.num_qubits(), breaching_cfg(None, None)).unwrap();
     exact_sim.run(&c).unwrap();
     let exact = exact_sim.amplitudes();
-    let overlap: Complex64 = exact
-        .iter()
-        .zip(&approx)
-        .map(|(a, b)| a.conj() * *b)
-        .sum();
+    let overlap: Complex64 = exact.iter().zip(&approx).map(|(a, b)| a.conj() * *b).sum();
     assert!(
         overlap.norm_sqr() > 0.9,
         "true fidelity {} too far from the tracked product {}",
@@ -198,7 +194,9 @@ fn checkpoint_resume_preserves_the_fidelity_product() {
     assert_eq!(resumed.stats().approx_truncations, truncations_at_cut);
     assert!(resumed.is_approximate());
     // Finishing the run only multiplies the product further down.
-    resumed.run_from(&c).expect("resumed armed run must complete");
+    resumed
+        .run_from(&c)
+        .expect("resumed armed run must complete");
     assert_eq!(resumed.gates_applied(), c.num_gates());
     assert!(resumed.fidelity() <= fidelity_at_cut);
     assert!(resumed.fidelity() >= 0.9);

@@ -61,8 +61,12 @@ fn alloc_failure_degrades_to_dd_phase() {
 #[test]
 fn output_vector_alloc_failure_mid_phase_is_typed_and_leaves_the_state() {
     // The second flat buffer of a run is the DMAV output vector, allocated
-    // when the first out-of-place (here: fused) matrix asks for it — after
-    // the conversion, before that gate touches the state.
+    // when the first out-of-place matrix asks for it — after the
+    // conversion, before that gate touches the state. Under DMAV-aware
+    // fusion that is the first block without an in-place form — a fused
+    // permutation or dense product (fused diagonals stay in place) — or,
+    // on this test's default 16 shards, a gate that crosses the shard
+    // border.
     let _armed = Armed::new("alloc.flat:error:2");
     let c = generators::from_spec("vqe:8,2", 1).unwrap();
     let cfg = FlatDdConfig {

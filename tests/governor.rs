@@ -133,11 +133,17 @@ fn conversion_admission_asks_for_the_vectors_the_run_will_hold() {
 #[test]
 fn output_vector_refused_at_the_point_of_need_is_typed_and_resumable() {
     // A flat checkpoint resumes with the state alone; under a budget that
-    // cannot hold a second vector the first fused block is refused before
-    // it runs, with the cursor and the state where the checkpoint left them.
+    // cannot hold a second vector the first out-of-place block is refused
+    // before it runs, with the cursor and the state where the checkpoint
+    // left them. Priced by the walk it will take, fusion leaves `dnn`'s
+    // rotations and diagonal layers in place; what still fuses into a
+    // matrix without an in-place form is a permutation — here a SWAP
+    // written as three CXs, which opens the span after the cut.
     let n = 12;
-    let c = generators::dnn(n, 2, 3);
-    let cut = c.num_gates() / 2;
+    let mut c = generators::dnn(n, 1, 3);
+    let cut = c.num_gates();
+    c.cx(0, 5).cx(5, 0).cx(0, 5);
+    c.extend(&generators::dnn(n, 1, 4));
     let unbudgeted = FlatDdConfig {
         threads: 1,
         conversion: ConversionPolicy::AtGate(4),

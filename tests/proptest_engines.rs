@@ -9,7 +9,7 @@ use flatdd::{
 use qcircuit::complex::{norm_sqr, state_distance};
 use qcircuit::gate::{Gate, GateKind};
 use qcircuit::prop::{self, Gen};
-use qcircuit::{dense, Circuit, Complex64};
+use qcircuit::{dense, generators, Circuit, Complex64};
 use qdd::DdPackage;
 
 const TOL: f64 = 1e-8;
@@ -100,11 +100,17 @@ fn in_place_and_out_of_place_gates_mix_within_a_run_and_across_a_resume() {
     // vector; at 2 or 4 shards the gates that cross the shard border take
     // the out-of-place walk (and allocate `W` when the first one comes);
     // under DMAV-aware fusion single gates left unfused run in place between
-    // out-of-place fused blocks. A checkpoint at a random gate drops `W`, so
-    // the resumed half starts from one vector again.
+    // out-of-place fused blocks. Half the cases are `dnn` circuits, whose
+    // CX–RZ–CX ladders fuse into irregular diagonals that run through
+    // plan-time tiles (alone and under an `RY`). A checkpoint at a random
+    // gate drops `W`, so the resumed half starts from one vector again.
     static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     prop::check(CASES, |g| {
-        let c = g.circuit(6, 2..40);
+        let c = if g.rng.bool(0.5) {
+            generators::dnn(6, g.rng.range(1..4), g.rng.next_u64())
+        } else {
+            g.circuit(6, 2..40)
+        };
         let cut = g.rng.range(0..c.num_gates() + 1);
         let want = dense::simulate(&c);
         for fusion in [FusionPolicy::None, FusionPolicy::DmavAware] {

@@ -298,13 +298,7 @@ fn approximate_degradation_stamps_the_result() {
     let fidelity = status
         .split("\"fidelity\":")
         .nth(1)
-        .and_then(|s| {
-            s.split([',', '}'])
-                .next()?
-                .trim()
-                .parse::<f64>()
-                .ok()
-        })
+        .and_then(|s| s.split([',', '}']).next()?.trim().parse::<f64>().ok())
         .expect("result carries a fidelity");
     assert!(
         (0.9..1.0).contains(&fidelity),

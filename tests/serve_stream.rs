@@ -28,9 +28,8 @@ impl EventStream {
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
             .unwrap();
-        let req = format!(
-            "GET /jobs/{id}/events?since={since} HTTP/1.1\r\nHost: localhost\r\n\r\n"
-        );
+        let req =
+            format!("GET /jobs/{id}/events?since={since} HTTP/1.1\r\nHost: localhost\r\n\r\n");
         (&stream).write_all(req.as_bytes()).expect("write request");
         let mut reader = BufReader::new(stream);
         let mut head = String::new();
@@ -76,9 +75,7 @@ fn seq_of(line: &str) -> Option<u64> {
 /// progress-throttle windows even on fast hardware: `layers` repetitions
 /// of an H + ladder-CX block over 6 qubits.
 fn long_qasm(layers: usize) -> String {
-    let mut q = String::from(
-        "OPENQASM 2.0;\\ninclude \\\"qelib1.inc\\\";\\nqreg q[6];\\n",
-    );
+    let mut q = String::from("OPENQASM 2.0;\\ninclude \\\"qelib1.inc\\\";\\nqreg q[6];\\n");
     for _ in 0..layers {
         for i in 0..6 {
             q.push_str(&format!("h q[{i}];\\n"));

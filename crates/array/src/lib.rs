@@ -11,8 +11,9 @@
 //! * [`kernel`] — serial and pooled in-place gate application with
 //!   diagonal/anti-diagonal fast paths.
 //! * [`sim`] — [`ArraySimulator`], the full-state simulator.
-//! * [`shard`] — [`ShardedState`], the contiguous-but-sharded flat state
-//!   with first-touch (NUMA-aware) zero initialization.
+//! * [`shard`] — [`ShardedState`], the contiguous-but-sharded flat state,
+//!   and the one allocation path of flat buffers (kernel-zeroed,
+//!   huge-page-advised, faulted in by the first worker to write a page).
 //! * [`sync_slice`] — [`SyncUnsafeSlice`], the disjoint-parallel-write
 //!   primitive shared with FlatDD's DMAV kernels.
 //! * [`vecops`] — vectorized complex primitives (axpy/scale/dot/2x2 blocks)

@@ -7,8 +7,15 @@
 //! system. [`ShardedState`] keeps the *storage* contiguous — DMAV tasks and
 //! gate kernels index arbitrary absolute amplitudes, so a split allocation
 //! would cost an indirection per access — but carves it into `shards`
-//! contiguous, equally sized ranges and lets the worker that will *own* a
-//! shard be the first to touch (zero) its pages.
+//! contiguous, equally sized ranges.
+//!
+//! A fresh buffer comes zeroed from the kernel ([`first_touch_zeroed`]:
+//! `alloc_zeroed`, which for a large block is a fresh mapping that no user
+//! pass writes), so each page is faulted in — and on NUMA placed — by the
+//! first worker that writes it: the conversion fill group or gate kernel
+//! that owns its shard. Buffers of at least [`HUGE_PAGE_MIN_BYTES`] are
+//! advised onto transparent huge pages on Linux, which turns 512 faults
+//! into one where the kernel honours the advice.
 //!
 //! The shard is the unit of dispatch everywhere in the flat phase:
 //! DD-to-array conversion groups, DMAV assignment groups, gate-kernel
@@ -36,10 +43,83 @@ pub fn shard_range(dim: usize, shards: usize, s: usize) -> Range<usize> {
     start..end
 }
 
-/// Replaces the contents of `v` with `dim` zeroed elements, reserving
-/// fallibly and letting `pool`'s workers first-touch the shards they will
-/// own afterwards ([`ThreadPool::for_each_shard`]'s round-robin rule): the
-/// one place a flat buffer gets zeroed in parallel.
+/// Smallest flat buffer advised onto transparent huge pages (4 MiB: below
+/// that the 2 MiB-aligned interior holds at most one huge page, and the
+/// served jobs' small states stay on 4 KiB pages).
+pub const HUGE_PAGE_MIN_BYTES: usize = 4 << 20;
+/// Size and alignment of a transparent huge page on x86-64 and arm64 Linux.
+const HUGE_PAGE: usize = 2 << 20;
+
+/// The 2 MiB-aligned interior of the `bytes`-long block at `addr`: the
+/// range `madvise(MADV_HUGEPAGE)` is applied to. `None` below
+/// [`HUGE_PAGE_MIN_BYTES`] or when no whole huge page fits.
+fn huge_page_interior(addr: usize, bytes: usize) -> Option<Range<usize>> {
+    if bytes < HUGE_PAGE_MIN_BYTES {
+        return None;
+    }
+    let start = addr.checked_next_multiple_of(HUGE_PAGE)?;
+    let end = addr.saturating_add(bytes) / HUGE_PAGE * HUGE_PAGE;
+    (start < end).then_some(start..end)
+}
+
+#[cfg(target_os = "linux")]
+mod thp {
+    // Bind the C library's `madvise(2)` directly, as `flatdd::signal` binds
+    // `signal(2)`: the workspace takes no libc dependency.
+    extern "C" {
+        fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
+    }
+
+    const MADV_HUGEPAGE: i32 = 14;
+
+    /// Asks for transparent huge pages on `range`. The result is ignored:
+    /// a kernel without THP (or with it set to `never`) refuses, and the
+    /// buffer then simply stays on 4 KiB pages.
+    pub(super) fn advise(range: std::ops::Range<usize>) {
+        // SAFETY: `range` is the page-aligned interior of a live allocation
+        // this module just made (`huge_page_interior`; covered by
+        // `fresh_buffers_read_zero_and_are_advised`), and MADV_HUGEPAGE
+        // changes only how its pages are backed, never their contents.
+        unsafe { madvise(range.start as *mut u8, range.len(), MADV_HUGEPAGE) };
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+mod thp {
+    pub(super) fn advise(_range: std::ops::Range<usize>) {}
+}
+
+/// A fresh `dim`-element buffer from `alloc_zeroed`: the allocator hands a
+/// large block over as a new mapping the kernel zeroes at fault time, so no
+/// user pass writes it. `None` when the allocator refuses (or `dim` is 0).
+fn kernel_zeroed(dim: usize) -> Option<Vec<Complex64>> {
+    let layout = std::alloc::Layout::array::<Complex64>(dim).ok()?;
+    if layout.size() == 0 {
+        return None;
+    }
+    // SAFETY: `layout` has a non-zero size, checked above
+    // (`fresh_buffers_read_zero_and_are_advised` asks for 0 amplitudes).
+    let ptr = unsafe { std::alloc::alloc_zeroed(layout) }.cast::<Complex64>();
+    if ptr.is_null() {
+        return None;
+    }
+    if let Some(interior) = huge_page_interior(ptr as usize, layout.size()) {
+        thp::advise(interior);
+    }
+    // SAFETY: `ptr` was allocated by the global allocator with the layout of
+    // `dim` `Complex64`s, which is what `Vec` frees it with; all-zero bytes
+    // are a valid `Complex64` (two 0.0 f64s), so all `dim` elements are
+    // initialized (`fresh_buffers_read_zero_and_are_advised`).
+    Some(unsafe { Vec::from_raw_parts(ptr, dim, dim) })
+}
+
+/// Replaces the contents of `v` with `dim` zeroed elements, fallibly: the
+/// one allocation path of every flat buffer. Fresh capacity comes zeroed
+/// from the kernel (and huge-page-advised from [`HUGE_PAGE_MIN_BYTES`]
+/// up), so its pages are faulted in by whichever worker first writes them.
+/// Capacity `v` already holds is zeroed explicitly, each shard by the
+/// `pool` worker that will own it ([`ThreadPool::for_each_shard`]'s
+/// round-robin rule). A refused reservation is the `TryReserveError`.
 pub fn first_touch_zeroed(
     v: &mut Vec<Complex64>,
     dim: usize,
@@ -48,6 +128,13 @@ pub fn first_touch_zeroed(
 ) -> Result<(), TryReserveError> {
     v.clear();
     if v.capacity() < dim {
+        if let Some(fresh) = kernel_zeroed(dim) {
+            *v = fresh;
+            return Ok(());
+        }
+        // Refused (or empty): the std reservation reports the typed error,
+        // or — should memory have come free meanwhile — succeeds and the
+        // buffer is zeroed below.
         v.try_reserve_exact(dim)?;
     }
     let shards = shards.max(1);
@@ -99,21 +186,20 @@ pub struct ShardedState {
 }
 
 impl ShardedState {
-    /// One-shot convenience over [`Self::try_new_zeroed_on`]: builds a
-    /// transient `threads`-worker pool for the first touch (`threads <= 1`
-    /// spawns nothing and zeroes inline). A caller that goes on to operate
-    /// on the state should own the [`ThreadPool`] and pass it instead, so
-    /// the workers that paged a shard in are the ones that use it.
+    /// One-shot convenience over [`Self::try_new_zeroed_on`]. A fresh buffer
+    /// needs no worker (the kernel zeroes it), so no pool is spawned and
+    /// `_threads` is ignored.
     pub fn try_new_zeroed(
         dim: usize,
         shards: usize,
-        threads: usize,
+        _threads: usize,
     ) -> Result<Self, TryReserveError> {
-        Self::try_new_zeroed_on(dim, shards, &ThreadPool::new(threads))
+        Self::try_new_zeroed_on(dim, shards, &ThreadPool::new(1))
     }
 
-    /// Allocates `dim` zeroed amplitudes in `shards` shards, each shard
-    /// first-touched by the `pool` worker that owns it.
+    /// Allocates `dim` zeroed amplitudes in `shards` shards through
+    /// [`first_touch_zeroed`]: kernel-zeroed, so each page is faulted in by
+    /// the first worker that writes it.
     pub fn try_new_zeroed_on(
         dim: usize,
         shards: usize,
@@ -222,6 +308,77 @@ mod tests {
         let back = ShardedState::from_vec(v, 4);
         assert_eq!(back.shards(), 4);
         assert_eq!(back[3], Complex64::new(1.5, -0.5));
+    }
+
+    #[test]
+    fn huge_page_interior_is_the_aligned_inside_from_4_mib() {
+        const MIB: usize = 1 << 20;
+        assert_eq!(huge_page_interior(0, 4 * MIB - 1), None);
+        assert_eq!(huge_page_interior(2 * MIB, 4 * MIB - 16), None);
+        assert_eq!(huge_page_interior(0, 4 * MIB), Some(0..4 * MIB));
+        // glibc hands a large block over 16 bytes into a fresh mapping.
+        let addr = 0x7f00_0000_0000 + 16;
+        assert_eq!(
+            huge_page_interior(addr, 32 * MIB),
+            Some(0x7f00_0000_0000 + 2 * MIB..0x7f00_0000_0000 + 32 * MIB)
+        );
+        // A misaligned 4 MiB block still holds one whole huge page.
+        assert_eq!(huge_page_interior(MIB + 8, 4 * MIB), Some(2 * MIB..4 * MIB));
+        assert_eq!(huge_page_interior(MIB, 4 * MIB), Some(2 * MIB..4 * MIB));
+        assert_eq!(huge_page_interior(usize::MAX - MIB, 4 * MIB), None);
+    }
+
+    /// The `VmFlags` line of the mapping in `/proc/self/smaps` that holds
+    /// `addr` (Linux only).
+    fn vm_flags(addr: usize) -> Option<String> {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").ok()?;
+        let mut inside = false;
+        for line in smaps.lines() {
+            let range = line.split_whitespace().next().and_then(|r| {
+                let (a, b) = r.split_once('-')?;
+                Some(usize::from_str_radix(a, 16).ok()?..usize::from_str_radix(b, 16).ok()?)
+            });
+            if let Some(r) = range {
+                inside = r.contains(&addr);
+            } else if inside && line.starts_with("VmFlags:") {
+                return Some(line.to_string());
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn fresh_buffers_read_zero_and_are_advised() {
+        let pool = ThreadPool::new(2);
+        for dim in [0, 1 << 4, 1 << 17, (1 << 18) + 3, 1 << 20] {
+            let mut v = vec![Complex64::new(f64::NAN, 1.0); 3];
+            first_touch_zeroed(&mut v, dim, 4, &pool).unwrap();
+            assert_eq!(v.len(), dim);
+            assert!(v.iter().all(|a| a.is_zero()), "dim={dim}");
+            let bytes = dim * std::mem::size_of::<Complex64>();
+            let interior = huge_page_interior(v.as_ptr() as usize, bytes);
+            assert_eq!(
+                interior.is_some(),
+                bytes >= HUGE_PAGE_MIN_BYTES,
+                "dim={dim}"
+            );
+            // Where the kernel has transparent huge pages, the advice is on
+            // the mapping ("hg" in its flags); elsewhere it is a no-op.
+            let thp = std::path::Path::new("/sys/kernel/mm/transparent_hugepage/enabled");
+            if let (Some(r), true) = (interior, cfg!(target_os = "linux") && thp.exists()) {
+                let flags = vm_flags(r.start).expect("the buffer is mapped");
+                assert!(flags.split_whitespace().any(|f| f == "hg"), "{flags}");
+            }
+        }
+    }
+
+    #[test]
+    fn refused_allocation_is_a_typed_error() {
+        // 2^62 bytes: a valid layout no allocator can grant.
+        let mut v = vec![Complex64::ONE; 8];
+        assert!(first_touch_zeroed(&mut v, 1 << 58, 2, &ThreadPool::new(1)).is_err());
+        assert!(ShardedState::try_new_zeroed(1 << 58, 4, 2).is_err());
+        assert!(crate::try_zeroed_state(1 << 58).is_err());
     }
 
     #[test]

@@ -153,15 +153,13 @@ pub fn simulate_with_threads(circuit: &Circuit, threads: usize) -> Vec<Complex64
     sim.into_state()
 }
 
-/// Allocates a zeroed amplitude vector of length `dim` fallibly: the
-/// reservation goes through `try_reserve_exact`, so an impossible request
-/// (e.g. a `2^n` conversion buffer over a memory budget) is an `Err`, not
-/// an abort. Zero-filling is cheap relative to gate application and keeps
-/// the buffer semantics identical to `vec![ZERO; dim]`.
+/// Allocates a zeroed amplitude vector of length `dim` fallibly, through
+/// the flat buffers' one allocation path ([`crate::first_touch_zeroed`]):
+/// an impossible request (e.g. a `2^n` buffer over what the allocator
+/// grants) is an `Err`, not an abort.
 pub fn try_zeroed_state(dim: usize) -> Result<Vec<Complex64>, std::collections::TryReserveError> {
-    let mut v: Vec<Complex64> = Vec::new();
-    v.try_reserve_exact(dim)?;
-    v.resize(dim, Complex64::ZERO);
+    let mut v = Vec::new();
+    crate::first_touch_zeroed(&mut v, dim, 1, &ThreadPool::new(1))?;
     Ok(v)
 }
 

@@ -3,14 +3,16 @@
 //!
 //! For each of the 10 irregular-suite circuits the simulation is driven in
 //! DD mode up to the EWMA conversion point; both conversion algorithms then
-//! run on the *same* state DD.
+//! run on the *same* state DD. `run_conv_pct` is the conversion's share of
+//! one full FlatDD run (`FlatDdStats::conversion_seconds` over its wall
+//! time), the paper's Fig. 13 quantity measured inside the engine.
 //!
 //! Expected shape: the parallel conversion wins everywhere (paper: 22.34x
 //! geo-mean at 16 threads) and drops the conversion share of total runtime
 //! from up to ~83% to a few percent.
 
 use flatdd::{dd_to_array_parallel, EwmaConfig, EwmaMonitor, FlatDdConfig, ThreadPool};
-use flatdd_bench::{geo_mean, run_flatdd, HarnessArgs, JsonWriter, Table};
+use flatdd_bench::{geo_mean, machine_header, run_flatdd, HarnessArgs, JsonWriter, Table};
 use qdd::DdSimulator;
 use std::time::Instant;
 
@@ -20,6 +22,7 @@ fn main() {
         .into_iter()
         .filter(|w| !w.regular)
         .collect();
+    println!("{}", machine_header());
     println!(
         "Figure 13 — DD-to-array conversion: parallel (FlatDD, {} threads) vs sequential (DDSIM)\n",
         args.threads
@@ -34,6 +37,7 @@ fn main() {
         "speedup",
         "seq_pct_of_total",
         "par_pct_of_total",
+        "run_conv_pct",
     ]);
     let mut json = JsonWriter::new();
     let mut speedups = Vec::new();
@@ -105,6 +109,7 @@ fn main() {
             format!("{:.2}x", speedup),
             format!("{:.2}%", 100.0 * seq_s / total_seq),
             format!("{:.2}%", 100.0 * par_s / total_par),
+            format!("{:.2}%", 100.0 * total.conversion_seconds / total_par),
         ]);
         json.record(vec![
             ("family", w.family.into()),
@@ -115,6 +120,7 @@ fn main() {
             ("sequential_seconds", seq_s.into()),
             ("parallel_seconds", par_s.into()),
             ("total_seconds", total_par.into()),
+            ("run_conversion_seconds", total.conversion_seconds.into()),
         ]);
     }
     table.print();

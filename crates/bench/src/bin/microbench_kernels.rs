@@ -1,4 +1,7 @@
-//! Kernel microbenchmarks: ns/amplitude for the hot vecops primitives
+//! Kernel microbenchmarks: a `convert` block (the DD-to-array conversion
+//! split into allocate + fault, zero pass and fill, at n = 18, 21, 24 on
+//! the `knn` and `dnn` states at their conversion point), ns/amplitude for
+//! the hot vecops primitives
 //! (`axpy`, `mac2x2`, `sum_into`, the conversion scalar task), a whole
 //! per-gate DMAV application, a `dmav_by_target` block (one gate at
 //! n = 20 per target qubit: DMAV plain, DMAV cached, DMAV in place, the
@@ -25,6 +28,9 @@
 //! in-place T on target 10 timed in turns with it, or a tiled fused block
 //! more than its gates run
 //! one by one (a plan-time tile must not fall back to the leaf walk), when
+//! the block-wise conversion fill of the `knn` state at n = 21 costs more
+//! than 2x one `vecops::scale` pass over as many amplitudes (the fill must
+//! run at memory speed, not walk the DD per amplitude), when
 //! `stats()` at 10^6 values costs more than 3x what it costs at 10^3 (the
 //! driver reads it every gate, so it must not walk the tables), when a memoized `gate_dd` costs more than 1/5 of
 //! a first build, when a T on the top qubit of the saturated state costs
@@ -45,15 +51,15 @@
 //! ```
 
 use flatdd::{
-    dmav_cached, dmav_in_place, dmav_no_cache, DmavAssignment, DmavCacheAssignment, PartialBuffers,
-    ThreadPool,
+    dd_to_array_parallel_sharded_into_with, dmav_cached, dmav_in_place, dmav_no_cache,
+    DmavAssignment, DmavCacheAssignment, EwmaConfig, EwmaMonitor, PartialBuffers, ThreadPool,
 };
 use flatdd_bench::{HarnessArgs, JsonWriter, Table};
 use qarray::vecops;
 use qcircuit::gate::{Control, Gate, GateKind};
-use qcircuit::Complex64;
+use qcircuit::{generators, Complex64};
 use qdd::node::{MEdge, MNode, Node, NodeArena, VEdge, VNode, TERM};
-use qdd::{CIdx, DdPackage};
+use qdd::{CIdx, DdPackage, DdSimulator};
 use std::time::Instant;
 
 /// Deterministic, non-trivial amplitudes (no RNG dependency).
@@ -356,6 +362,175 @@ fn fused_blocks(reps: usize, backend: &str, json: &mut JsonWriter) -> Vec<FusedR
     rows
 }
 
+/// Qubit counts of the `convert` block.
+const CONVERT_NS: [usize; 3] = [18, 21, 24];
+/// `--check`: largest accepted (block-wise fill of the `knn` state at
+/// n = [`CHECK_FILL_N`] into a pre-faulted buffer) / (one `vecops::scale`
+/// pass over as many amplitudes). The fill writes 16 bytes per amplitude
+/// from tables that stay in cache, the pass reads 16 and writes 16.
+const MAX_FILL_SCALE_RATIO: f64 = 2.0;
+/// Qubit count [`MAX_FILL_SCALE_RATIO`] is held at (`knn_wide`'s).
+const CHECK_FILL_N: usize = 21;
+/// Most bytes the allocate + fault rows hold at once: their buffers are
+/// freed only after the last repetition, because freeing a block below
+/// 32 MiB raises glibc's mmap threshold and the next one of its size
+/// would come pre-faulted from the heap.
+const FAULT_HOLD_BYTES: usize = 256 << 20;
+
+/// This process's `AnonHugePages` in KiB (`/proc/self/smaps_rollup`; 0
+/// where unreadable).
+fn anon_huge_kib() -> usize {
+    let rollup = std::fs::read_to_string("/proc/self/smaps_rollup").unwrap_or_default();
+    let line = rollup.lines().find(|l| l.starts_with("AnonHugePages:"));
+    line.and_then(|l| l.split_whitespace().nth(1)?.parse().ok())
+        .unwrap_or(0)
+}
+
+/// Median ms to allocate `dim` amplitudes with `alloc` and write each once,
+/// and the `AnonHugePages` growth per buffer in KiB. The buffers stay
+/// alive until every repetition is done ([`FAULT_HOLD_BYTES`]).
+fn alloc_and_fault(reps: usize, dim: usize, alloc: impl Fn() -> Vec<Complex64>) -> (f64, usize) {
+    let bytes = dim * std::mem::size_of::<Complex64>();
+    let reps = reps.min(FAULT_HOLD_BYTES / bytes).max(1);
+    let before = anon_huge_kib();
+    let mut held = Vec::with_capacity(reps);
+    let mut ms = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let s = Instant::now();
+        let mut v = alloc();
+        v.clear();
+        v.resize(dim, Complex64::ONE);
+        ms.push(s.elapsed().as_secs_f64() * 1e3);
+        held.push(v);
+    }
+    let huge = anon_huge_kib().saturating_sub(before) / reps;
+    (median(ms), huge)
+}
+
+/// What `--check` reads from the `convert` block.
+struct ConvertCheck {
+    fill_block_ms: f64,
+    scale_ms: f64,
+}
+
+/// The DD-to-array conversion split into its parts at n = 18, 21, 24 (one
+/// thread): allocate + fault, with 4 KiB pages (a plain reservation) and
+/// with the flat buffers' kernel-zeroed, huge-page-advised path; the zero
+/// pass the fill no longer needs; the old per-amplitude fill
+/// (`DdPackage::write_vector`) against the block-wise fill, both into a
+/// pre-faulted buffer; and one `vecops::scale` pass as the memory-speed
+/// reference. States: `knn` (`m = (n - 1) / 2`, the top qubit idle at even
+/// n) and `dnn(n, 5)`, each at its EWMA conversion point.
+fn convert_block(reps: usize, backend: &str, json: &mut JsonWriter) -> Option<ConvertCheck> {
+    let pool = ThreadPool::new(1);
+    let ctx = flatdd::RunContext::isolated();
+    let ms = |secs: f64| secs * 1e3;
+    let mut table = Table::new(vec![
+        "state",
+        "n",
+        "dd_nodes",
+        "alloc_fault_4k",
+        "alloc_fault_huge",
+        "huge_kib",
+        "zero",
+        "fill_per_amp",
+        "fill_block",
+        "scale",
+    ]);
+    let mut check = None;
+    for n in CONVERT_NS {
+        let dim = 1usize << n;
+        let flat_buffer = || {
+            let mut v = Vec::new();
+            qarray::first_touch_zeroed(&mut v, dim, 1, &pool).expect("flat buffer");
+            v
+        };
+        let (fault_4k, huge_4k) = alloc_and_fault(reps, dim, || Vec::with_capacity(dim));
+        let (fault_huge, huge_kib) = alloc_and_fault(reps, dim, flat_buffer);
+        let mut buf = flat_buffer();
+        buf.fill(Complex64::ONE);
+        let zero = ms(time_median(reps, || {
+            qarray::first_touch_zeroed(&mut buf, dim, 1, &pool).expect("reused capacity");
+            dim
+        })
+        .0);
+        let mut src = vec![Complex64::ZERO; dim];
+        fill(&mut src);
+        let f = Complex64::new(std::f64::consts::FRAC_1_SQRT_2, -0.25);
+        let scale = ms(time_median(reps, || {
+            vecops::scale(&mut buf, f, &src);
+            dim
+        })
+        .0);
+        drop(src);
+        let circuits = [
+            ("knn", generators::knn((n - 1) / 2, 11)),
+            ("dnn", generators::dnn(n, 5, 11)),
+        ];
+        for (family, c) in circuits {
+            let mut sim = DdSimulator::new(n);
+            let mut monitor = EwmaMonitor::new(EwmaConfig::default());
+            for g in c.iter() {
+                sim.apply(g);
+                if monitor.observe(sim.state_dd_size()) {
+                    break;
+                }
+            }
+            let nodes = sim.state_dd_size();
+            let (pkg, state) = (sim.package(), sim.state());
+            let per_amp = ms(time_median(reps, || {
+                pkg.write_vector(state, n, &mut buf);
+                dim
+            })
+            .0);
+            let block = ms(time_median(reps, || {
+                dd_to_array_parallel_sharded_into_with(pkg, state, n, &pool, 1, &mut buf, &ctx);
+                dim
+            })
+            .0);
+            if family == "knn" && n == CHECK_FILL_N {
+                check = Some(ConvertCheck {
+                    fill_block_ms: block,
+                    scale_ms: scale,
+                });
+            }
+            table.row(vec![
+                family.into(),
+                n.to_string(),
+                nodes.to_string(),
+                format!("{fault_4k:.2}"),
+                format!("{fault_huge:.2}"),
+                format!("{huge_4k}/{huge_kib}"),
+                format!("{zero:.2}"),
+                format!("{per_amp:.2}"),
+                format!("{block:.2}"),
+                format!("{scale:.2}"),
+            ]);
+            json.record(vec![
+                ("kernel", "convert".into()),
+                ("backend", backend.into()),
+                ("state", family.into()),
+                ("n", n.into()),
+                ("dd_nodes", nodes.into()),
+                ("alloc_fault_4k_ms", fault_4k.into()),
+                ("alloc_fault_huge_ms", fault_huge.into()),
+                ("anon_huge_kib_4k", huge_4k.into()),
+                ("anon_huge_kib_advised", huge_kib.into()),
+                ("zero_ms", zero.into()),
+                ("fill_per_amp_ms", per_amp.into()),
+                ("fill_block_ms", block.into()),
+                ("scale_ms", scale.into()),
+            ]);
+        }
+    }
+    println!(
+        "\nconvert — 1 thread, ms per 2^n amplitudes; huge_kib = AnonHugePages growth per \
+         buffer, 4 KiB / advised (0 / 0: the kernel did not back the advice)"
+    );
+    table.print();
+    check
+}
+
 /// `--check`: largest accepted `stats()` cost at 10^6 interned values over
 /// its cost at 10^3.
 const MAX_STATS_RATIO: f64 = 3.0;
@@ -629,6 +804,9 @@ fn main() {
     println!(
         "Kernel microbenchmarks — backend {backend}, {len} amplitudes x {iters} iters, {reps} reps\n"
     );
+    let mut json = JsonWriter::new();
+    // First, while no large block has been freed (see FAULT_HOLD_BYTES).
+    let convert = convert_block(reps, backend, &mut json);
 
     let mut v = vec![Complex64::ZERO; len];
     let mut w = vec![Complex64::ZERO; len];
@@ -636,7 +814,6 @@ fn main() {
     fill(&mut w);
     let f = Complex64::new(std::f64::consts::FRAC_1_SQRT_2, -0.25);
 
-    let mut json = JsonWriter::new();
     let mut table = Table::new(vec!["kernel", "ns_per_amp", "amplitudes"]);
     let mut report = |name: &str, secs: f64, amps: usize, json: &mut JsonWriter| {
         let ns = secs * 1e9 / amps.max(1) as f64;
@@ -787,6 +964,11 @@ fn main() {
                 1.0,
             );
         }
+        hold(
+            format!("block-wise fill of the knn state at n = {CHECK_FILL_N} / one scale pass"),
+            convert.map_or(f64::NAN, |c| c.fill_block_ms / c.scale_ms),
+            MAX_FILL_SCALE_RATIO,
+        );
         let stats_ratio = dd.stats_large / dd.stats_small;
         println!(
             "check: stats() at 10^6 interned values / at 10^3 = {stats_ratio:.2} (limit {MAX_STATS_RATIO})"

@@ -38,6 +38,8 @@ pub struct EngineResult {
     pub memory_bytes: usize,
     /// Gate index of the DD-to-DMAV conversion (FlatDD only).
     pub converted_at: Option<usize>,
+    /// Seconds the DD-to-array conversion took (FlatDD only; 0 otherwise).
+    pub conversion_seconds: f64,
 }
 
 impl EngineResult {
@@ -73,6 +75,7 @@ pub fn run_ddsim(circuit: &Circuit, timeout_secs: f64) -> EngineResult {
         gates_done: done,
         memory_bytes: st.memory_bytes,
         converted_at: None,
+        conversion_seconds: 0.0,
     }
 }
 
@@ -98,6 +101,7 @@ pub fn run_array(circuit: &Circuit, threads: usize, timeout_secs: f64) -> Engine
         gates_done: done,
         memory_bytes: mem,
         converted_at: None,
+        conversion_seconds: 0.0,
     }
 }
 
@@ -138,6 +142,7 @@ pub fn run_flatdd(circuit: &Circuit, cfg: FlatDdConfig, timeout_secs: f64) -> En
         gates_done: done,
         memory_bytes: sim.memory_bytes(),
         converted_at: stats.converted_at,
+        conversion_seconds: stats.conversion_seconds,
     }
 }
 
@@ -213,6 +218,7 @@ mod tests {
                 gates_done: 0,
                 memory_bytes: 0,
                 converted_at: None,
+                conversion_seconds: 0.0,
             }
         });
         assert_eq!(r.outcome, RunStatus::Completed);

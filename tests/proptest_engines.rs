@@ -171,17 +171,69 @@ fn dd_round_trip_from_array() {
     });
 }
 
+/// A product of random 1-3 qubit states (each [`arb_state`]) over `n`
+/// qubits: every sub-DD below a factor's top repeats under each path above.
+fn arb_product(g: &mut Gen, n: usize) -> Vec<Complex64> {
+    let mut v = vec![Complex64::ONE];
+    while v.len() < 1 << n {
+        let k = g.rng.range(1..4).min(n - v.len().trailing_zeros() as usize);
+        let f = arb_state(g, k);
+        v = f
+            .iter()
+            .flat_map(|&a| v.iter().map(move |&b| a * b))
+            .collect();
+    }
+    v
+}
+
+/// A structured `n`-qubit circuit (`knn` leaves the top qubit idle at even
+/// `n`): the states whose sub-DDs repeat.
+fn arb_structured(g: &mut Gen, n: usize) -> Circuit {
+    let seed = g.rng.next_u64();
+    match g.rng.range(0..7) {
+        0 => generators::ghz(n),
+        1 => generators::w_state(n),
+        2 => generators::qft(n),
+        3 => generators::knn((n - 1) / 2, seed),
+        4 => generators::dnn(n, g.rng.range(1..4), seed),
+        5 => generators::supremacy_n(n, g.rng.range(2..9), seed),
+        _ => generators::random_circuit(n, g.rng.range(10..80), seed),
+    }
+}
+
 #[test]
 fn parallel_conversion_equals_sequential() {
+    // Three kinds of state at n = 8-12: dense random vectors (no sub-DD
+    // repeats), products of random 1-3 qubit states and the DDs of
+    // structured circuits (sub-DDs repeat, so the fill's per-node tables
+    // are hit). Each converts into a NaN-poisoned buffer, so an amplitude
+    // the write-once fill skipped would show.
+    let ctx = flatdd::RunContext::default();
     prop::check(CASES, |g| {
-        let v = arb_state(g, 6);
-        let pkg = DdPackage::default();
-        let e = pkg.vector_from_slice(&v);
-        let seq = pkg.vector_to_array(e, 6);
-        for t in [1usize, 2, 4] {
-            let pool = ThreadPool::new(t);
-            let par = flatdd::dd_to_array_parallel(&pkg, e, 6, &pool);
-            assert!(state_distance(&par, &seq) < 1e-10, "t={t}");
+        let n = g.rng.range(8..13);
+        let mut sim = qdd::DdSimulator::new(n);
+        let e = match g.rng.range(0..3) {
+            0 => sim.package().vector_from_slice(&arb_state(g, n)),
+            1 => sim.package().vector_from_slice(&arb_product(g, n)),
+            _ => {
+                for gate in arb_structured(g, n).iter() {
+                    sim.apply(gate);
+                }
+                sim.state()
+            }
+        };
+        let pkg = sim.package();
+        let want = pkg.vector_to_array(e, n);
+        let threads = g.rng.range(1..5);
+        let pool = ThreadPool::new(threads);
+        for shards in [1, 2, 4, 8] {
+            let mut out = vec![Complex64::new(f64::NAN, f64::NAN); 1 << n];
+            flatdd::dd_to_array_parallel_sharded_into_with(
+                pkg, e, n, &pool, shards, &mut out, &ctx,
+            );
+            let finite = out.iter().all(|a| a.re.is_finite() && a.im.is_finite());
+            let d = state_distance(&out, &want);
+            assert!(finite && d <= 1e-12, "n={n} t={threads} s={shards}: {d:e}");
         }
     });
 }

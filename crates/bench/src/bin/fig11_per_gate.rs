@@ -28,7 +28,14 @@ fn per_gate_times(
         },
     );
     flat.run(c).expect("benchmark run failed");
-    let flat_times: Vec<f64> = flat.traces().iter().map(|t| t.seconds).collect();
+    // One record per step; a flat step that folds several gates (a run of
+    // in-place matrices) is spread evenly over them, so the series stays
+    // indexed by gate and no step reads as one slow gate.
+    let flat_times: Vec<f64> = flat
+        .traces()
+        .iter()
+        .flat_map(|t| std::iter::repeat_n(t.seconds / t.gates.max(1) as f64, t.gates))
+        .collect();
     let converted_at = flat.stats().converted_at;
     flat.publish_metrics();
 

@@ -6,7 +6,10 @@
 //! per-gate DMAV application, a `dmav_by_target` block (one gate at
 //! n = 20 per target qubit: DMAV plain, DMAV cached, DMAV in place, the
 //! array kernel), a `fused_blocks` block (`dnn`'s fused matrices at n = 20
-//! in place, out of place and as their gates one by one), under the SIMD
+//! in place, out of place and as their gates one by one), a `blocked_runs`
+//! block (the flat tails of `dnn(20, 5)` fused and `supremacy_n(21, 4)`
+//! one matrix at a time and in blocked runs at block levels 12–18, with the
+//! share of matrices that joined a run), under the SIMD
 //! backend selected at startup (`FLATDD_SIMD={auto,scalar,avx2}`), and a
 //! `dd_tables` block (the DD
 //! phase's fixed per-operation costs: complex-table `lookup` hit / miss and
@@ -28,6 +31,9 @@
 //! in-place T on target 10 timed in turns with it, or a tiled fused block
 //! more than its gates run
 //! one by one (a plan-time tile must not fall back to the leaf walk), when
+//! the `dnn` tail in blocked runs at `BLOCK_LEVEL` costs more than 0.9x
+//! (1.1x on the portable path) the same tail one matrix at a time, timed in
+//! turns (a run must stream the state once, not once per matrix), when
 //! the block-wise conversion fill of the `knn` state at n = 21 costs more
 //! than 2x one `vecops::scale` pass over as many amplitudes (the fill must
 //! run at memory speed, not walk the DD per amplitude), when
@@ -52,7 +58,8 @@
 
 use flatdd::{
     dd_to_array_parallel_sharded_into_with, dmav_cached, dmav_in_place, dmav_no_cache,
-    DmavAssignment, DmavCacheAssignment, EwmaConfig, EwmaMonitor, PartialBuffers, ThreadPool,
+    dmav_run_in_place, fuse_dmav_aware, CostModel, DmavAssignment, DmavCacheAssignment, EwmaConfig,
+    EwmaMonitor, PartialBuffers, ThreadPool, BLOCK_LEVEL,
 };
 use flatdd_bench::{HarnessArgs, JsonWriter, Table};
 use qarray::vecops;
@@ -358,6 +365,226 @@ fn fused_blocks(reps: usize, backend: &str, json: &mut JsonWriter) -> Vec<FusedR
         });
     }
     println!("\nfused_blocks — n = {n}, 1 thread, ns per amplitude");
+    table.print();
+    rows
+}
+
+/// Block levels the `blocked_runs` block sweeps.
+const RUN_LEVELS: std::ops::RangeInclusive<usize> = 12..=18;
+/// `--check`: largest accepted (the `dnn` tail in blocked runs at
+/// [`BLOCK_LEVEL`]) / (the same tail one matrix at a time) — 0.9 under
+/// AVX2, 1.1 on the portable path. A dense 2x2 streams at 0.74
+/// ns/amplitude from L3 and 0.64 from L2 under AVX2, so fewer passes show
+/// (0.78–0.87); the SSE2 code the portable loops compile to is compute
+/// bound at about 1 ns/amplitude wherever the block sits (1.00–1.04,
+/// EXPERIMENTS.md), so there the rule only holds that runs cost nothing.
+fn max_blocked_ratio(backend: vecops::Backend) -> f64 {
+    match backend {
+        vecops::Backend::Avx2 => 0.9,
+        vecops::Backend::Scalar => 1.1,
+    }
+}
+
+/// One row of the `blocked_runs` block.
+struct RunRow {
+    tail: &'static str,
+    /// `None`: one matrix at a time; `Some(level)`: blocked runs at it.
+    level: Option<usize>,
+    ms: f64,
+    /// The per-matrix walk, timed in turns with `ms` (the checked level).
+    per_matrix_ms: f64,
+}
+
+/// The flat tail of `c` after the EWMA conversion, at one group: the
+/// state the conversion hands over and the plans of the matrices after it
+/// (`dnn`'s fused by DMAV-aware fusion, as `dnn_fused` runs them) with the
+/// gates each folds.
+fn flat_tail(c: &qcircuit::Circuit, fuse: bool) -> (Vec<Complex64>, Vec<(DmavAssignment, usize)>) {
+    let n = c.num_qubits();
+    let mut sim = DdSimulator::new(n);
+    let mut monitor = EwmaMonitor::new(EwmaConfig::default());
+    let mut at = c.num_gates();
+    for (i, g) in c.iter().enumerate() {
+        sim.apply(g);
+        if monitor.observe(sim.state_dd_size()) {
+            at = i + 1;
+            break;
+        }
+    }
+    let state = sim.package().vector_to_array(sim.state(), n);
+    let mut pkg = DdPackage::default();
+    let tail = &c.gates()[at..];
+    let (matrices, folds) = if fuse {
+        let fused = fuse_dmav_aware(&mut pkg, tail, n, 1, &CostModel::default(), 64);
+        (fused.matrices, fused.gate_counts)
+    } else {
+        (
+            tail.iter().map(|g| pkg.gate_dd(g, n)).collect(),
+            vec![1; tail.len()],
+        )
+    };
+    let plans = matrices
+        .into_iter()
+        .map(|m| DmavAssignment::build(&pkg, m, n, 1))
+        .zip(folds)
+        .collect();
+    (state, plans)
+}
+
+/// The plans cut into runs at `level` the way the engine cuts them:
+/// maximal sequences of in-place plans that mix rows only below the level,
+/// at most 64 gates each (a run of one for everything else).
+fn runs_at(plans: &[(DmavAssignment, usize)], level: usize) -> Vec<Vec<&DmavAssignment>> {
+    let joins = |asg: &DmavAssignment| asg.in_place() && asg.mixing_level() <= level;
+    let mut runs: Vec<Vec<&DmavAssignment>> = Vec::new();
+    let mut folded = 0;
+    for (asg, gates) in plans {
+        match runs.last_mut() {
+            Some(run) if joins(asg) && joins(run[0]) && folded + gates <= 64 => {
+                run.push(asg);
+                folded += gates;
+            }
+            _ => {
+                runs.push(vec![asg]);
+                folded = *gates;
+            }
+        }
+    }
+    runs
+}
+
+/// A flat tail's plans and what they run on, one matrix at a time or in
+/// blocked runs. A plan without an in-place form (neither tail has one at
+/// one group) runs out of place into `w`, copied back.
+struct Tail<'a> {
+    plans: &'a [(DmavAssignment, usize)],
+    pkg: &'a DdPackage,
+    pool: &'a ThreadPool,
+}
+
+impl Tail<'_> {
+    fn one(&self, asg: &DmavAssignment, v: &mut [Complex64], w: &mut [Complex64]) {
+        if asg.in_place() {
+            dmav_in_place(asg, v, self.pool);
+        } else {
+            dmav_no_cache(self.pkg, asg, v, w, self.pool);
+            v.copy_from_slice(w);
+        }
+    }
+
+    fn per_matrix(&self, v: &mut [Complex64], w: &mut [Complex64]) {
+        for (asg, _) in self.plans {
+            self.one(asg, v, w);
+        }
+    }
+
+    fn blocked(
+        &self,
+        runs: &[Vec<&DmavAssignment>],
+        level: usize,
+        v: &mut [Complex64],
+        w: &mut [Complex64],
+    ) {
+        for run in runs {
+            match &run[..] {
+                [asg] => self.one(asg, v, w),
+                _ => dmav_run_in_place(run, v, self.pool, level),
+            }
+        }
+    }
+}
+
+/// The flat tails of `dnn(20, 5)` (DMAV-aware fused, as `dnn_fused` runs
+/// it) and `supremacy_n(21, 4)` after their EWMA conversion, one thread:
+/// one matrix at a time against blocked runs at every level of
+/// [`RUN_LEVELS`], and the share of matrices that joined a run of two or
+/// more. At [`BLOCK_LEVEL`] the two are timed in turns, for `--check`.
+fn blocked_runs(reps: usize, backend: &str, json: &mut JsonWriter) -> Vec<RunRow> {
+    let pool = ThreadPool::new(1);
+    let pkg = DdPackage::default();
+    let mut table = Table::new(vec![
+        "tail",
+        "matrices",
+        "level",
+        "passes",
+        "blocked_share",
+        "ms",
+    ]);
+    let mut rows = Vec::new();
+    for (tail, c, fuse) in [
+        ("dnn", generators::dnn(20, 5, 11), true),
+        ("supremacy", generators::supremacy_n(21, 4, 1), false),
+    ] {
+        let (mut v, plans) = flat_tail(&c, fuse);
+        let (mut w, mut w2) = (
+            vec![Complex64::ZERO; v.len()],
+            vec![Complex64::ZERO; v.len()],
+        );
+        let walk = Tail {
+            plans: &plans,
+            pkg: &pkg,
+            pool: &pool,
+        };
+        let mut record = |level: Option<usize>, passes: usize, share: f64, ms: f64, per: f64| {
+            let label = level.map_or("per matrix".into(), |l| l.to_string());
+            table.row(vec![
+                tail.into(),
+                plans.len().to_string(),
+                label,
+                passes.to_string(),
+                format!("{share:.2}"),
+                format!("{ms:.2}"),
+            ]);
+            json.record(vec![
+                ("kernel", "blocked_runs".into()),
+                ("backend", backend.into()),
+                ("tail", tail.into()),
+                ("matrices", plans.len().into()),
+                ("level", level.into()),
+                ("passes", passes.into()),
+                ("blocked_share", share.into()),
+                ("ms", ms.into()),
+            ]);
+            rows.push(RunRow {
+                tail,
+                level,
+                ms,
+                per_matrix_ms: per,
+            });
+        };
+        let per = time_median(reps, || {
+            walk.per_matrix(&mut v, &mut w);
+            1
+        })
+        .0 * 1e3;
+        record(None, plans.len(), 0.0, per, per);
+        for level in RUN_LEVELS {
+            let runs = runs_at(&plans, level);
+            let joined = runs
+                .iter()
+                .filter(|r| r.len() > 1)
+                .map(Vec::len)
+                .sum::<usize>();
+            let share = joined as f64 / plans.len() as f64;
+            let (ms, per) = if level == BLOCK_LEVEL {
+                let (ms, per) = time_interleaved(
+                    reps,
+                    &mut v,
+                    |v| walk.blocked(&runs, level, v, &mut w),
+                    |v| walk.per_matrix(v, &mut w2),
+                );
+                (ms * 1e3, per * 1e3)
+            } else {
+                let ms = time_median(reps, || {
+                    walk.blocked(&runs, level, &mut v, &mut w);
+                    1
+                });
+                (ms.0 * 1e3, per)
+            };
+            record(Some(level), runs.len(), share, ms, per);
+        }
+    }
+    println!("\nblocked_runs — flat tails after the EWMA conversion, 1 thread, ms per tail");
     table.print();
     rows
 }
@@ -896,6 +1123,7 @@ fn main() {
     table.print();
     let by_target = dmav_by_target(reps, backend, &mut json);
     let fused = fused_blocks(reps, backend, &mut json);
+    let runs = blocked_runs(reps, backend, &mut json);
     let dd = dd_tables(reps, &mut json);
     // Embed the unified metrics registry (vecops backend label, DD package
     // gauges) in the results file.
@@ -964,6 +1192,14 @@ fn main() {
                 1.0,
             );
         }
+        let dnn_runs = runs
+            .iter()
+            .find(|r| r.tail == "dnn" && r.level == Some(BLOCK_LEVEL));
+        hold(
+            format!("dnn tail in blocked runs at level {BLOCK_LEVEL} / one matrix at a time"),
+            dnn_runs.map_or(f64::NAN, |r| r.ms / r.per_matrix_ms),
+            max_blocked_ratio(vecops::backend()),
+        );
         hold(
             format!("block-wise fill of the knn state at n = {CHECK_FILL_N} / one scale pass"),
             convert.map_or(f64::NAN, |c| c.fill_block_ms / c.scale_ms),

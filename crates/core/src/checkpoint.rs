@@ -156,10 +156,19 @@ pub enum CheckpointPayload<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE, reflected) with a const-built table — no dependencies.
+// CRC32 (IEEE, reflected), slicing-by-16 over const-built tables — no
+// dependencies. A flat checkpoint is 16 bytes per amplitude, so the digest
+// must run near the speed of the write and the read it guards: the bytewise
+// loop (kept as the test reference) managed 0.37 GB/s.
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Bytes one step of [`Crc32::update`] folds in.
+const SLICES: usize = 16;
+
+/// `CRC_TABLES[0]` is the bytewise table: the CRC of byte `i` alone.
+/// `CRC_TABLES[k][i]` is that byte followed by `k` zero bytes, so the
+/// bytes of one 16-byte step are looked up independently and combined.
+const fn crc32_tables() -> [[u32; 256]; SLICES] {
+    let mut tables = [[0u32; 256]; SLICES];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -172,13 +181,23 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; SLICES] = crc32_tables();
 
 /// Incremental CRC32 (IEEE 802.3 polynomial).
 #[derive(Clone, Copy)]
@@ -190,11 +209,20 @@ impl Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
-    /// Feeds `bytes` into the digest.
+    /// Feeds `bytes` into the digest: 16 bytes per step, the running CRC
+    /// folded into the first four, then the tail byte by byte.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
         let mut c = self.0;
-        for &b in bytes {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut steps = bytes.chunks_exact(SLICES);
+        for s in &mut steps {
+            let mut x: [u8; SLICES] = s.try_into().expect("a whole step");
+            let head = c ^ u32::from_le_bytes([x[0], x[1], x[2], x[3]]);
+            x[..4].copy_from_slice(&head.to_le_bytes());
+            c = (0..SLICES).fold(0, |acc, k| acc ^ t[SLICES - 1 - k][x[k] as usize]);
+        }
+        for &b in steps.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.0 = c;
     }
@@ -781,6 +809,38 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The bytewise table loop, the reference the slicing digest is held to.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let table = &CRC_TABLES[0];
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn slicing_crc_matches_the_bytewise_reference() {
+        // Random lengths 0-4 KiB at every alignment of the start within a
+        // step, as one call and split at a random point into two (the flat
+        // writer feeds chunk by chunk).
+        let mut rng = qcircuit::rng::Rng::seed_from_u64(0xC3C3);
+        let buf: Vec<u8> = (0..4096 + SLICES).map(|_| rng.next_u64() as u8).collect();
+        for _ in 0..200 {
+            let len = rng.range(0..4097);
+            for at in 0..SLICES {
+                let bytes = &buf[at..at + len];
+                let want = crc32_bytewise(bytes);
+                assert_eq!(crc32(bytes), want, "len {len} at {at}");
+                let cut = rng.range(0..len + 1);
+                let mut split = Crc32::new();
+                split.update(&bytes[..cut]);
+                split.update(&bytes[cut..]);
+                assert_eq!(split.finish(), want, "len {len} at {at} cut {cut}");
+            }
+        }
+    }
+
     #[test]
     fn header_encode_decode_round_trips() {
         for phase in [Phase::Dd, Phase::Dmav] {
@@ -872,6 +932,8 @@ mod tests {
             let state = qarray::ShardedState::from_vec(amps.clone(), shards);
             write_checkpoint(&path, &h, CheckpointPayload::Flat { amps: &state }).unwrap();
             let bytes = std::fs::read(&path).unwrap();
+            // The file's bytes, pinned across digest implementations.
+            assert_eq!(crc32(&bytes), 0xF011_2881, "shards={shards}");
             match &reference {
                 None => reference = Some(bytes),
                 Some(want) => assert_eq!(&bytes, want, "shards={shards}"),

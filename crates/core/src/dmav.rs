@@ -22,6 +22,13 @@
 //! one that stays below the border level — updates `V` where it lies
 //! ([`dmav_in_place`]): identity blocks cost nothing, a diagonal block
 //! touches only the runs it changes, and no `W` is needed at all.
+//!
+//! A sequence of such matrices whose rows mix only inside aligned blocks of
+//! `2^level` amplitudes is a *run* ([`dmav_run_in_place`]): each block is
+//! taken through every matrix of the run while it sits in cache, entered at
+//! the node `run_in_place` would reach it through, so the state is streamed
+//! once per run instead of once per matrix, and comes out as the
+//! per-matrix walk leaves it.
 
 use crate::error::FlatDdError;
 use crate::pool::ThreadPool;
@@ -88,6 +95,13 @@ struct Node {
     /// four blocks are diagonal — one 2x2 per pair of amplitudes `s` apart
     /// (an `RY` on qubit 0 folded with a diagonal: `s = 1`).
     stride: Option<usize>,
+    /// The sub-matrix maps every aligned block of `2^mix` amplitudes onto
+    /// itself, as [`Program::run_in_place`] walks it: `mix` is one above the
+    /// highest level at which it is not block-diagonal — 0 for a diagonal,
+    /// the top of the `U` of a `Kron`, the node's own span for a node the
+    /// walk does not enter per half (a pair walk, a plan-time tile). Only
+    /// meaningful for an in-place node.
+    mix: u8,
     /// Index of the node's plan-time tile in `Program::tiles`, if it has one.
     tile: Option<u32>,
 }
@@ -333,7 +347,9 @@ impl Program {
     /// diagonal or under one pair stride, and branches at more levels than
     /// a gate can ([`GATE_DEPTH`]) gets the dense form of its sub-matrix,
     /// until the next tile would take them over `budget` bytes
-    /// ([`TILE_BYTES`]). Regular nodes get none.
+    /// ([`TILE_BYTES`]). Regular nodes get none. A tiled node is one kernel
+    /// call over its span, so it and the nodes above it re-derive
+    /// [`Node::mix`].
     fn plant_tiles(&mut self, roots: impl IntoIterator<Item = u32>, budget: usize) {
         let mut seen = vec![false; self.ops.len()];
         let mut stack: Vec<u32> = roots.into_iter().collect();
@@ -352,7 +368,7 @@ impl Program {
                 let tile = self.tile_of(op);
                 bytes += tile.memory_bytes();
                 if bytes > budget {
-                    return;
+                    break;
                 }
                 self.ops[op as usize].tile = Some(self.tiles.len() as u32);
                 self.tiles.push(tile);
@@ -362,6 +378,15 @@ impl Program {
                 Op::General { child, .. } => stack.extend(child),
                 Op::Lift { base, .. } => stack.push(base),
                 Op::Identity | Op::Kron { .. } => {}
+            }
+        }
+        if !self.tiles.is_empty() {
+            for i in 0..self.ops.len() {
+                let node = self.ops[i];
+                self.ops[i].mix = match node.tile {
+                    Some(_) => node.level + 1,
+                    None => self.mix(node.op, node.level),
+                };
             }
         }
     }
@@ -499,6 +524,7 @@ impl Program {
             in_place,
             depth,
             stride,
+            mix: self.mix(op, level),
             tile: None,
         };
         match op {
@@ -550,6 +576,27 @@ impl Program {
         }
     }
 
+    /// [`Node::mix`] of an untiled `op` at `level`, from its children's:
+    /// the walk enters a `Lift`'s base per block and a splitting `General`
+    /// per half, and applies every other node to its span as a whole.
+    fn mix(&self, op: Op, level: u8) -> u8 {
+        let of = |op: u32| {
+            if op == TERM || op == NO_CHILD {
+                0
+            } else {
+                self.ops[op as usize].mix
+            }
+        };
+        match op {
+            Op::Identity => 0,
+            Op::Kron { u, .. } if u[1].is_zero() && u[2].is_zero() => 0,
+            Op::Kron { half, .. } => (2 * half).trailing_zeros() as u8,
+            Op::Lift { base, .. } => of(base),
+            Op::General { child, .. } if self.splits(&child) => of(child[0]).max(of(child[3])),
+            Op::General { .. } => level + 1,
+        }
+    }
+
     /// The pair stride of a block-diagonal node with diagonal blocks `a`
     /// and `b`: theirs when they agree or one of them is diagonal.
     fn common_stride(&self, a: u32, b: u32) -> Option<usize> {
@@ -597,10 +644,15 @@ impl Program {
     /// the span, and a `General` whose four blocks are all diagonal — the
     /// node of a target controlled from below — is a 2x2 on each pair
     /// `(lo[i], hi[i])` of its two halves ([`Self::pair_walk`]). A node with
-    /// a plan-time tile is one kernel call over its span.
+    /// a plan-time tile is one kernel call over its span. [`TERM`] is the
+    /// constant `f` over whatever it is given: one amplitude for a terminal
+    /// task edge, a block [`Self::enter`] found inside a run of a diagonal
+    /// `Kron`.
     pub(crate) fn run_in_place(&self, op: u32, f: Complex64, v: &mut [Complex64]) {
         if op == TERM {
-            v[0] = f * v[0];
+            if f != Complex64::ONE {
+                vecops::scale_in_place(v, f);
+            }
             return;
         }
         let node = &self.ops[op as usize];
@@ -643,6 +695,52 @@ impl Program {
                 }
             }
         }
+    }
+
+    /// Where [`Self::run_in_place`] meets the `block` amplitudes at offset
+    /// `at` of a task's `span`, when the task enters at `e`: the descent
+    /// through the levels above the block forms the factors the walk forms
+    /// on its way down — through a splitting `General` to the half holding
+    /// the block, through a `Lift` to its base — and stops at the first
+    /// node whose action on the block is the whole node's action restricted
+    /// to it: one no wider than the block, the identity, a `Kron` or `Lift`
+    /// whose period divides the block, or — inside one run of a diagonal
+    /// `Kron` — that run's entry as the constant [`TERM`]. The sub-matrix
+    /// under `e` must map every aligned block onto itself ([`Node::mix`]),
+    /// so the descent never meets a pair walk or a plan-time tile wider
+    /// than the block.
+    fn enter(&self, e: Entry, mut span: usize, mut at: usize, block: usize) -> Entry {
+        let Entry { mut op, mut f } = e;
+        while span > block && op != TERM {
+            let node = &self.ops[op as usize];
+            debug_assert!(
+                node.tile.is_none() && 1usize << node.mix <= block,
+                "entered below a node that mixes rows across a block of {block}"
+            );
+            match node.op {
+                Op::Identity => break,
+                Op::Kron { half, .. } if 2 * half <= block => break,
+                Op::Kron { half, u } => {
+                    // Diagonal: the block lies in one run of `half`.
+                    f *= u[if at % (2 * half) < half { 0 } else { 3 }];
+                    op = TERM;
+                }
+                Op::Lift { block: period, .. } if period <= block => break,
+                Op::Lift {
+                    base,
+                    w,
+                    block: period,
+                } => {
+                    (op, f, span, at) = (base, f * w, period, at % period);
+                }
+                Op::General { child, w } => {
+                    let half = span / 2;
+                    let k = if at < half { 0 } else { 3 };
+                    (op, f, span, at) = (child[k], f * w[k], half, at % half);
+                }
+            }
+        }
+        Entry { op, f }
     }
 
     /// `v = f * (I (x) B) * v` for a base node `B` of `block` amplitudes,
@@ -1097,6 +1195,8 @@ pub struct DmavAssignment {
     /// Every group has exactly one task, on its own rows, that
     /// [`Program::run_in_place`] accepts.
     in_place: bool,
+    /// Largest [`Node::mix`] of the groups' entries.
+    mix: usize,
 }
 
 impl DmavAssignment {
@@ -1119,6 +1219,12 @@ impl DmavAssignment {
         if in_place {
             program.plant_tiles(entries.iter().map(|e| e[0].op), TILE_BYTES);
         }
+        let mix = entries
+            .iter()
+            .flat_map(|e| e.first())
+            .map(|e| program.ops.get(e.op as usize).map_or(0, |node| node.mix))
+            .max()
+            .unwrap_or(0);
         Ok(DmavAssignment {
             t,
             h: (1usize << n) / t,
@@ -1129,7 +1235,16 @@ impl DmavAssignment {
             program,
             entries,
             in_place,
+            mix: mix.into(),
         })
+    }
+
+    /// For an assignment that is [`Self::in_place`]: every aligned block of
+    /// `2^mixing_level()` amplitudes is mapped onto itself — rows mix only
+    /// below that level — so the matrix can join a run of
+    /// [`dmav_run_in_place`] at any level at or above it.
+    pub fn mixing_level(&self) -> usize {
+        self.mix
     }
 
     /// Whether [`dmav_in_place`] can apply this assignment: the matrix maps
@@ -1242,24 +1357,71 @@ pub fn dmav_no_cache(
 
 /// DMAV in place: `V = M * V` for an assignment that is
 /// [`DmavAssignment::in_place`] — one state vector, no `W`. Each group runs
-/// its one task on its own rows of `v`; identity blocks are not touched.
+/// its one task on its own rows of `v`; identity blocks are not touched. A
+/// run of one ([`dmav_run_in_place`]) whose block is the group's rows.
 ///
 /// # Panics
 /// When the assignment is not in place (run [`dmav_no_cache`] instead).
 pub fn dmav_in_place(asg: &DmavAssignment, v: &mut [Complex64], pool: &ThreadPool) {
-    assert!(asg.in_place, "assignment has no in-place form");
-    assert_eq!(v.len(), 1usize << asg.n);
+    dmav_run_in_place(&[asg], v, pool, asg.n);
+}
+
+/// Block level of the engine's runs: 2^16 amplitudes, 1 MiB — half the
+/// 2 MiB L2 of the reference box (EXPERIMENTS.md), so a block stays cached
+/// through a run of matrices while the next one streams in. Swept over 10–18 on `dnn(20, 5)` and
+/// `supremacy_n(21, 4)` (EXPERIMENTS.md, "Blocked flat runs"): 15–17 is a
+/// plateau, below it fewer matrices qualify and each extra block costs a
+/// descent per matrix.
+pub const BLOCK_LEVEL: usize = 16;
+
+/// `V = M_k * ... * M_1 * V` for the run `[M_1, ..., M_k]` in one dispatch:
+/// every group walks its rows in blocks of `2^min(level, log2 h)`
+/// amplitudes and takes each block through every matrix of the run in
+/// order, so a block is loaded once per run instead of once per matrix.
+/// Each matrix runs the in-place walk (`Program::run_in_place`) entered
+/// where it meets the block, so the state comes out as one
+/// [`dmav_in_place`] per matrix leaves it (amplitude for amplitude, at
+/// blocks of at least two AVX2 registers).
+///
+/// # Panics
+/// Unless every assignment is [`DmavAssignment::in_place`] over the same
+/// `n` and group count, with a [`DmavAssignment::mixing_level`] of at most
+/// the block's.
+pub fn dmav_run_in_place(
+    run: &[&DmavAssignment],
+    v: &mut [Complex64],
+    pool: &ThreadPool,
+    level: usize,
+) {
+    let Some(first) = run.first() else {
+        return;
+    };
+    let (n, t, h) = (first.n, first.t, first.h);
+    let block = h.min(1usize << level.min(usize::BITS as usize - 1));
+    let block_level = block.trailing_zeros() as usize;
+    for asg in run {
+        assert!(asg.in_place, "assignment has no in-place form");
+        assert_eq!((asg.n, asg.t), (n, t), "a run shares one geometry");
+        assert!(asg.mix <= block_level, "rows mix across a block of {block}");
+    }
+    assert_eq!(v.len(), 1usize << n);
     let view = SyncUnsafeSlice::new(v);
-    let h = asg.h;
-    pool.for_each_shard(asg.t, |g| {
-        // SAFETY: group `g` reads and writes rows [g*h, (g+1)*h) only — its
-        // one task starts at column `g*h` (checked by `try_build`) and the
-        // in-place walk stays inside the span it is given — and each group
-        // runs on exactly one worker
-        // (`in_place_walk_matches_dense_on_the_whole_gate_grid`).
-        let chunk = unsafe { view.slice_mut(g * h, h) };
-        let entry = asg.entries[g][0];
-        asg.program.run_in_place(entry.op, entry.f, chunk);
+    pool.for_each_shard(t, |g| {
+        // SAFETY: group `g` reads and writes rows [g*h, (g+1)*h) only — the
+        // one task of every assignment in the run starts at column `g*h`
+        // (checked by `try_build`), each matrix maps every aligned block of
+        // `block` rows onto itself (`mix`, asserted above) and the in-place
+        // walk stays inside the block it is given — and each group runs on
+        // exactly one worker
+        // (`in_place_walk_matches_dense_on_the_whole_gate_grid`,
+        // `blocked_runs_match_the_per_matrix_walk_at_every_level`).
+        let rows = unsafe { view.slice_mut(g * h, h) };
+        for (b, v_b) in rows.chunks_exact_mut(block).enumerate() {
+            for asg in run {
+                let entry = asg.program.enter(asg.entries[g][0], h, b * block, block);
+                asg.program.run_in_place(entry.op, entry.f, v_b);
+            }
+        }
     });
 }
 
@@ -1822,6 +1984,151 @@ mod tests {
             let err = max_err(&got, &want);
             assert!(err < 1e-12, "{name}: {err:e}");
         }
+    }
+
+    #[test]
+    fn mixing_level_is_one_above_the_highest_level_rows_mix_at() {
+        // n = 8, one group: a gate mixes rows at its target (pairs `2^q`
+        // apart), a diagonal nowhere, and a control only gates the mixing.
+        let n = 8;
+        let pkg = DdPackage::default();
+        let level = |g: &Gate, t: usize| {
+            let asg = DmavAssignment::build(&pkg, pkg.gate_dd(g, n), n, t);
+            assert!(asg.in_place(), "{g}");
+            asg.mixing_level()
+        };
+        for q in 0..n {
+            assert_eq!(level(&Gate::new(GateKind::H, q), 1), q + 1);
+            assert_eq!(level(&Gate::new(GateKind::T, q), 1), 0);
+            for c in (0..n).filter(|&c| c != q) {
+                let cx = Gate::controlled(GateKind::X, q, vec![Control::pos(c)]);
+                assert_eq!(level(&cx, 1), q + 1, "{cx}");
+                let cz = Gate::controlled(GateKind::Z, q, vec![Control::neg(c)]);
+                assert_eq!(level(&cz, 1), 0, "{cz}");
+            }
+        }
+        // At two groups a group's entry spans its own half of the rows.
+        assert_eq!(level(&Gate::new(GateKind::H, 3), 2), 4);
+        // A plan-time tile is one kernel call over its span: a product
+        // tiled below the top mixes at the tile's span, not at the
+        // diagonal's level 0.
+        let zz = DmavAssignment::build(&pkg, product(&pkg, &zz_ladder(11), 11), 11, 1);
+        let widest = zz.program.ops.iter().filter(|node| node.tile.is_some());
+        let tile_level = widest.map(|node| usize::from(node.level) + 1).max();
+        assert_eq!(tile_level, Some(10));
+        assert_eq!(zz.mixing_level(), 10);
+    }
+
+    /// The plans of `plans` applied one at a time, in place where a plan
+    /// can, else out of place and swapped.
+    fn per_matrix(plans: &[DmavAssignment], v: &mut Vec<Complex64>, pool: &ThreadPool) {
+        let mut w = vec![Complex64::ZERO; v.len()];
+        for asg in plans {
+            if asg.in_place() {
+                dmav_in_place(asg, v, pool);
+            } else {
+                dmav_no_cache(&DdPackage::default(), asg, v, &mut w, pool);
+                std::mem::swap(v, &mut w);
+            }
+        }
+    }
+
+    /// [`per_matrix`], except that every maximal sequence of plans that can
+    /// join a run at `level` runs blocked. Returns how many plans joined a
+    /// run of two or more.
+    fn blocked(
+        plans: &[DmavAssignment],
+        v: &mut Vec<Complex64>,
+        pool: &ThreadPool,
+        level: usize,
+    ) -> usize {
+        let joins = |asg: &DmavAssignment| asg.in_place() && asg.mixing_level() <= level;
+        let mut joined = 0;
+        let mut rest = plans;
+        while !rest.is_empty() {
+            let k = rest.iter().take_while(|asg| joins(asg)).count();
+            if k > 1 {
+                let run: Vec<&DmavAssignment> = rest[..k].iter().collect();
+                dmav_run_in_place(&run, v, pool, level);
+                joined += k;
+            } else {
+                per_matrix(&rest[..k.max(1)], v, pool);
+            }
+            rest = &rest[k.max(1)..];
+        }
+        joined
+    }
+
+    #[test]
+    fn blocked_runs_match_the_per_matrix_walk_at_every_level() {
+        // Table 1 families and random circuits at n = 8-14, fused by the
+        // walk-priced rule or left as gates, planned over 1, 2 or 4 groups:
+        // at every block level from 2 to n, the runs leave the state as the
+        // matrices applied one at a time leave it, amplitude for amplitude,
+        // and that is the dense simulation's to 1e-12. A plan joins a run
+        // only at a level no plan-time tile of it is wider than.
+        qcircuit::prop::check(32, |g| {
+            let n = g.rng.range(8..15);
+            let seed = g.rng.next_u64();
+            let c = match g.rng.range(0..5) {
+                0 => generators::random_circuit(n, g.rng.range(10..60), seed),
+                1 => generators::supremacy_n(n, g.rng.range(2..6), seed),
+                2 => generators::dnn(n, g.rng.range(1..3), seed),
+                3 => generators::qft(n),
+                _ => generators::knn(n / 2, seed),
+            };
+            let n = c.num_qubits();
+            let t = [1, 2, 4][g.rng.range(0..3)];
+            let fuse = g.rng.bool(0.5);
+            let mut pkg = DdPackage::default();
+            let matrices = if fuse {
+                let model = crate::cost::CostModel::default();
+                crate::fusion::fuse_dmav_aware(&mut pkg, c.gates(), n, t, &model, 64).matrices
+            } else {
+                c.iter().map(|gate| pkg.gate_dd(gate, n)).collect()
+            };
+            let plans: Vec<DmavAssignment> = matrices
+                .iter()
+                .map(|&m| DmavAssignment::build(&pkg, m, n, t))
+                .collect();
+            let pool = ThreadPool::new(2);
+            let mut start = rand_state(n, seed);
+            let norm = qcircuit::complex::norm_sqr(&start).sqrt();
+            start
+                .iter_mut()
+                .for_each(|a| *a *= Complex64::new(1.0 / norm, 0.0));
+            let mut want = start.clone();
+            for gate in c.iter() {
+                dense::apply_gate(&mut want, gate);
+            }
+            let mut one_at_a_time = start.clone();
+            per_matrix(&plans, &mut one_at_a_time, &pool);
+            let err = max_err(&one_at_a_time, &want);
+            let case = format!("{} n={n} t={t} fused={fuse}", c.name());
+            assert!(err < 1e-12, "{case}: {err:e} from dense");
+            let mut joined_somewhere = false;
+            for level in 2..=n {
+                let block = (1usize << n) / t;
+                let block = block.min(1 << level);
+                for asg in plans
+                    .iter()
+                    .filter(|a| a.in_place() && a.mixing_level() <= level)
+                {
+                    let wide = asg.program.ops.iter().filter(|node| node.tile.is_some());
+                    assert!(
+                        wide.clone().all(|node| 2usize << node.level <= block),
+                        "{case} level {level}: a tile wider than the block"
+                    );
+                }
+                let mut got = start.clone();
+                joined_somewhere |= blocked(&plans, &mut got, &pool, level) > 0;
+                assert!(
+                    got == one_at_a_time,
+                    "{case} level {level}: not the per-matrix state"
+                );
+            }
+            assert!(joined_somewhere, "{case}: no run formed at any level");
+        });
     }
 
     #[test]

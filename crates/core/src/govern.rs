@@ -183,8 +183,10 @@ impl ResourceGovernor {
     }
 
     /// Checks the memory budgets against the caller's accounted bytes, and
-    /// (periodically) the process RSS. Called after every gate.
-    pub fn check_memory(&mut self, accounted_bytes: usize) -> Result<(), Breach> {
+    /// (every [`GovernorConfig::rss_probe_every`] gates) the process RSS.
+    /// Called after every step, with the `gates` it applied (1, or the
+    /// gates a fused block or a run folds).
+    pub fn check_memory(&mut self, accounted_bytes: usize, gates: usize) -> Result<(), Breach> {
         if let Some(budget) = self.cfg.memory_budget_bytes {
             if accounted_bytes > budget {
                 return Err(Breach::Memory {
@@ -195,7 +197,7 @@ impl ResourceGovernor {
             }
         }
         if let Some(budget) = self.cfg.rss_budget_bytes {
-            self.gates_since_rss_probe += 1;
+            self.gates_since_rss_probe += gates;
             if self.gates_since_rss_probe >= self.cfg.rss_probe_every.max(1) {
                 self.gates_since_rss_probe = 0;
                 if let Some(rss) = crate::memory::current_rss_bytes() {
@@ -222,15 +224,27 @@ impl ResourceGovernor {
         }
     }
 
-    /// Advances the health-check counter; `true` means a numerical-health
-    /// check is due this gate.
-    pub fn health_check_due(&mut self) -> bool {
-        self.gates_since_health += 1;
+    /// Advances the health-check counter by the `gates` a step applied;
+    /// `true` means a numerical-health check is due after it.
+    pub fn health_check_due(&mut self, gates: usize) -> bool {
+        self.gates_since_health += gates;
         if self.gates_since_health >= self.cfg.health_check_every.max(1) {
             self.gates_since_health = 0;
             true
         } else {
             false
+        }
+    }
+
+    /// Gates until the next health check or (under an RSS budget) RSS probe
+    /// falls due (at least 1): the most a step may fold for every periodic
+    /// check to land on the gate it counts to.
+    pub fn gates_until_due(&self) -> usize {
+        let left = |every: usize, since: usize| every.max(1).saturating_sub(since).max(1);
+        let health = left(self.cfg.health_check_every, self.gates_since_health);
+        match self.cfg.rss_budget_bytes {
+            Some(_) => health.min(left(self.cfg.rss_probe_every, self.gates_since_rss_probe)),
+            None => health,
         }
     }
 }
@@ -244,7 +258,7 @@ mod tests {
         let mut g = ResourceGovernor::new(GovernorConfig::default());
         assert!(g.config().is_unlimited());
         assert!(g.check_deadline().is_ok());
-        assert!(g.check_memory(usize::MAX / 2).is_ok());
+        assert!(g.check_memory(usize::MAX / 2, 1).is_ok());
         assert!(g.admits_allocation(usize::MAX / 2, usize::MAX / 2));
     }
 
@@ -254,8 +268,8 @@ mod tests {
             memory_budget_bytes: Some(1000),
             ..GovernorConfig::default()
         });
-        assert!(g.check_memory(1000).is_ok(), "budget is inclusive");
-        match g.check_memory(1001) {
+        assert!(g.check_memory(1000, 1).is_ok(), "budget is inclusive");
+        match g.check_memory(1001, 1) {
             Err(Breach::Memory {
                 budget_bytes,
                 observed_bytes,
@@ -313,8 +327,33 @@ mod tests {
             health_check_every: 3,
             ..GovernorConfig::default()
         });
-        let due: Vec<bool> = (0..7).map(|_| g.health_check_due()).collect();
+        let due: Vec<bool> = (0..7).map(|_| g.health_check_due(1)).collect();
         assert_eq!(due, [false, false, true, false, false, true, false]);
+    }
+
+    #[test]
+    fn cadences_count_gates_not_steps() {
+        let mut g = ResourceGovernor::new(GovernorConfig {
+            health_check_every: 8,
+            rss_probe_every: 5,
+            ..GovernorConfig::default()
+        });
+        // Without an RSS budget only the watchdog bounds a step.
+        assert_eq!(g.gates_until_due(), 8);
+        assert!(!g.health_check_due(3));
+        assert_eq!(g.gates_until_due(), 5);
+        // A step of five gates (a fused block, a run) reaches the check.
+        assert!(g.health_check_due(5));
+        assert_eq!(g.gates_until_due(), 8);
+        // One that overshoots it still counts as due, once.
+        assert!(g.health_check_due(11));
+        assert!(!g.health_check_due(1));
+        g.cfg.rss_budget_bytes = Some(usize::MAX);
+        assert_eq!(g.gates_until_due(), 5);
+        g.check_memory(0, 4).unwrap();
+        assert_eq!(g.gates_until_due(), 1);
+        g.check_memory(0, 1).unwrap();
+        assert_eq!(g.gates_until_due(), 5, "probed and reset after gate 5");
     }
 
     #[test]

@@ -94,7 +94,9 @@ pub use convert::{
     ConversionPlan,
 };
 pub use cost::{CostAnalysis, CostModel};
-pub use dmav::{dmav, dmav_in_place, dmav_no_cache, DmavAssignment};
+pub use dmav::{
+    dmav, dmav_in_place, dmav_no_cache, dmav_run_in_place, DmavAssignment, BLOCK_LEVEL,
+};
 pub use dmav_cache::{dmav_cached, DmavCacheAssignment, DmavCacheRunStats, PartialBuffers};
 pub use error::{FlatDdError, RunOutcome};
 pub use ewma::{EwmaConfig, EwmaMonitor};

@@ -24,6 +24,7 @@ use crate::error::FlatDdError;
 use crate::sim::CachingPolicy;
 use qdd::fxhash::FxHashMap;
 use qdd::{DdPackage, MEdge, MacTable};
+use std::sync::Arc;
 
 /// Bytes of plans the memo holds at most. The spine's workloads end their
 /// runs holding under 0.12 MiB (EXPERIMENTS.md, "What the plan layer
@@ -42,16 +43,27 @@ pub(crate) enum Plan {
     Cached(DmavCacheAssignment),
 }
 
+/// What one lookup hands back.
+pub(crate) struct Lookup {
+    /// The plan, shared with the memo: a run of matrices holds several at
+    /// once, and one the memo dropped (past its cap) lives as long as that.
+    pub(crate) plan: Arc<Plan>,
+    /// What one application adds to `FlatDdStats::modeled_cost`
+    /// (`min(C1, C2)` under [`CachingPolicy::CostModel`], else 0).
+    pub(crate) cost: f64,
+    /// The memo answered; a miss planned.
+    pub(crate) hit: bool,
+}
+
 /// Memo of the [`Plan`] per gate matrix, invalidated wholesale on DD
 /// garbage collection.
 pub(crate) struct PlanCache {
     caching: CachingPolicy,
     model: CostModel,
     /// Per matrix root edge (node id + interned weight — canonical DDs make
-    /// this a complete identity), qubit count and group count: the plan,
-    /// and what one application of it adds to `FlatDdStats::modeled_cost`
-    /// (`min(C1, C2)` under [`CachingPolicy::CostModel`], else 0).
-    map: FxHashMap<(MEdge, usize, usize), (Plan, f64)>,
+    /// this a complete identity), qubit count and group count: the plan and
+    /// its modeled cost per application.
+    map: FxHashMap<(MEdge, usize, usize), (Arc<Plan>, f64)>,
     /// GC epoch the current contents were built under.
     epoch: u64,
     bytes: usize,
@@ -71,24 +83,26 @@ impl PlanCache {
         }
     }
 
-    /// Calls `run(plan, modeled cost, hit)` with the plan for `(m, n, t)`,
-    /// planning and memoizing it on a miss. A geometry no plan exists for
-    /// is [`FlatDdError::InvalidInput`]; `run` is then not called and
-    /// nothing is stored.
-    pub(crate) fn with_plan<R>(
+    /// The plan for `(m, n, t)`, planned and memoized on a miss. A geometry
+    /// no plan exists for is [`FlatDdError::InvalidInput`], and nothing is
+    /// stored.
+    pub(crate) fn lookup(
         &mut self,
         pkg: &DdPackage,
         m: MEdge,
         n: usize,
         t: usize,
-        run: impl FnOnce(&Plan, f64, bool) -> R,
-    ) -> Result<R, FlatDdError> {
+    ) -> Result<Lookup, FlatDdError> {
         if pkg.gc_epoch() != self.epoch {
             self.clear();
             self.epoch = pkg.gc_epoch();
         }
         if let Some((plan, cost)) = self.map.get(&(m, n, t)) {
-            return Ok(run(plan, *cost, true));
+            return Ok(Lookup {
+                plan: Arc::clone(plan),
+                cost: *cost,
+                hit: true,
+            });
         }
         let (plan, cost) = self.plan(pkg, m, n, t)?;
         let bytes = ENTRY_OVERHEAD
@@ -96,13 +110,18 @@ impl PlanCache {
                 Plan::Plain(asg) => asg.memory_bytes(),
                 Plan::Cached(asg) => asg.memory_bytes(),
             };
+        let plan = Arc::new(plan);
         if self.bytes + bytes > self.cap {
             self.clear();
-            return Ok(run(&plan, cost, false));
+        } else {
+            self.bytes += bytes;
+            self.map.insert((m, n, t), (Arc::clone(&plan), cost));
         }
-        self.bytes += bytes;
-        let (plan, _) = self.map.entry((m, n, t)).or_insert((plan, cost));
-        Ok(run(plan, cost, false))
+        Ok(Lookup {
+            plan,
+            cost,
+            hit: false,
+        })
     }
 
     /// A miss: `Always` / `Never` build their variant; `CostModel` builds
@@ -205,15 +224,14 @@ mod tests {
             let analysis = CostModel::default().analyze(&pkg, &mut mac, m, N, T);
             assert_eq!(analysis.prefer_cached(), cached);
             for expect_hit in [false, true] {
-                let (got, cost) = plans
-                    .with_plan(&pkg, m, N, T, |plan, cost, hit| {
-                        assert_eq!(hit, expect_hit);
-                        assert_eq!(matches!(plan, Plan::Cached(_)), cached);
-                        (apply(&pkg, plan), cost)
-                    })
-                    .unwrap();
-                assert!(got == want, "bit-identical to the fresh plan");
-                assert_eq!(cost, analysis.cost());
+                let looked = plans.lookup(&pkg, m, N, T).unwrap();
+                assert_eq!(looked.hit, expect_hit);
+                assert_eq!(matches!(*looked.plan, Plan::Cached(_)), cached);
+                assert!(
+                    apply(&pkg, &looked.plan) == want,
+                    "bit-identical to the fresh plan"
+                );
+                assert_eq!(looked.cost, analysis.cost());
             }
         }
         assert_eq!(plans.len(), 2, "one plan per matrix");
@@ -224,12 +242,9 @@ mod tests {
         let pkg = DdPackage::default();
         let m = pkg.gate_dd(&Gate::new(GateKind::H, N - 1), N);
         for (caching, cached) in [(CachingPolicy::Never, false), (CachingPolicy::Always, true)] {
-            memo(caching)
-                .with_plan(&pkg, m, N, T, |plan, cost, _| {
-                    assert_eq!(matches!(plan, Plan::Cached(_)), cached);
-                    assert_eq!(cost, 0.0);
-                })
-                .unwrap();
+            let looked = memo(caching).lookup(&pkg, m, N, T).unwrap();
+            assert_eq!(matches!(*looked.plan, Plan::Cached(_)), cached);
+            assert_eq!(looked.cost, 0.0);
         }
     }
 
@@ -238,13 +253,13 @@ mod tests {
         let (mut pkg, mut plans) = (DdPackage::default(), memo(CachingPolicy::CostModel));
         let m = pkg.gate_dd(&Gate::new(GateKind::H, 0), N);
         let invalid = |plans: &mut PlanCache, pkg: &DdPackage| {
-            let r = plans.with_plan(pkg, m, N, 3, |_, _, _| unreachable!("no plan to run"));
+            let r = plans.lookup(pkg, m, N, 3);
             assert!(matches!(r, Err(FlatDdError::InvalidInput(_))));
         };
         invalid(&mut plans, &pkg);
         assert_eq!((plans.len(), plans.memory_bytes()), (0, 0));
 
-        plans.with_plan(&pkg, m, N, T, |_, _, _| ()).unwrap();
+        plans.lookup(&pkg, m, N, T).unwrap();
         let one_plan = plans.memory_bytes();
         assert!(one_plan > ENTRY_OVERHEAD);
         // GC recycles node ids: the next lookup, whatever it is for, finds
@@ -252,15 +267,15 @@ mod tests {
         pkg.gc(&[], &[m]);
         invalid(&mut plans, &pkg);
         assert_eq!((plans.len(), plans.memory_bytes()), (0, 0));
-        assert!(!plans.with_plan(&pkg, m, N, T, |_, _, hit| hit).unwrap());
+        assert!(!plans.lookup(&pkg, m, N, T).unwrap().hit);
 
         // Room for the plan held and half of another: the second insert
         // would go over the cap, so it runs unstored and the memo is empty.
         plans.cap = one_plan + one_plan / 2;
         let other = pkg.gate_dd(&Gate::new(GateKind::H, 1), N);
-        assert!(!plans.with_plan(&pkg, other, N, T, |_, _, hit| hit).unwrap());
+        assert!(!plans.lookup(&pkg, other, N, T).unwrap().hit);
         assert_eq!((plans.len(), plans.memory_bytes()), (0, 0));
-        assert!(!plans.with_plan(&pkg, m, N, T, |_, _, hit| hit).unwrap());
+        assert!(!plans.lookup(&pkg, m, N, T).unwrap().hit);
         assert_eq!(plans.memory_bytes(), one_plan, "refilled under the cap");
     }
 
@@ -288,12 +303,10 @@ mod tests {
             let mut plans = memo(caching);
             let mut held = |m| {
                 let before = plans.memory_bytes();
-                let (tasks, bytes) = plans
-                    .with_plan(&pkg, m, n, 1, |plan, _, _| match plan {
-                        Plan::Plain(asg) => (asg.total_tasks(), asg.memory_bytes()),
-                        Plan::Cached(asg) => (asg.total_tasks(), asg.memory_bytes()),
-                    })
-                    .unwrap();
+                let (tasks, bytes) = match &*plans.lookup(&pkg, m, n, 1).unwrap().plan {
+                    Plan::Plain(asg) => (asg.total_tasks(), asg.memory_bytes()),
+                    Plan::Cached(asg) => (asg.total_tasks(), asg.memory_bytes()),
+                };
                 assert_eq!(plans.memory_bytes() - before, bytes + ENTRY_OVERHEAD);
                 (tasks, bytes)
             };

@@ -1,7 +1,8 @@
 //! The gate boundary: everything that happens around one step of the
-//! current phase — a gate, or a fused block — in one fixed order (see
-//! [`Boundary::step`]; DESIGN.md "Driver: phases and the gate boundary"
-//! tabulates which error can leave at each stage and where the cursor is).
+//! current phase — a gate, a fused block, or a run of in-place matrices —
+//! in one fixed order (see [`Boundary::step`]; DESIGN.md "Driver: phases
+//! and the gate boundary" tabulates which error can leave at each stage and
+//! where the cursor is).
 
 use super::{Core, GateTrace, Phase, PhaseState};
 use crate::checkpoint::CheckpointPolicy;
@@ -18,6 +19,9 @@ use std::time::{Duration, Instant};
 const PROGRESS_MIN_GATES: usize = 64;
 /// Floor between two throttled progress samples.
 const PROGRESS_MIN_INTERVAL: Duration = Duration::from_millis(100);
+/// Most gates one step folds into a run, so that the cancel and deadline
+/// polls before each step stay this many gates apart at most.
+const MAX_RUN_GATES: usize = 64;
 
 /// The throttle decision for a non-forced progress sample. `elapsed` (time
 /// since the last sample) is only evaluated once enough gates have passed,
@@ -73,19 +77,20 @@ impl Boundary {
         }
     }
 
-    /// Runs one step of `phase` at the cursor and returns the number of
-    /// circuit gates it consumed. Stage order: cancel poll, deadline, the
-    /// step itself (including a policy conversion and its forced progress
-    /// sample), trace + telemetry, cursor advance, progress throttle,
-    /// rooted GC, memory ladder, health watchdog, periodic checkpoint.
-    /// Both exits before the step leave the state untouched and every exit
-    /// after it leaves the cursor in sync with the state, so any resumable
-    /// error can be checkpointed where it surfaced.
+    /// Runs one step of `phase` at the cursor, whose gates start `gates`,
+    /// and returns the number of circuit gates it consumed. Stage order:
+    /// cancel poll, deadline, the step itself (including a policy
+    /// conversion and its forced progress sample), trace + telemetry,
+    /// cursor advance, progress throttle, rooted GC, memory ladder, health
+    /// watchdog, periodic checkpoint. Both exits before the step leave the
+    /// state untouched and every exit after it leaves the cursor in sync
+    /// with the state, so any resumable error can be checkpointed where it
+    /// surfaced.
     pub(super) fn step(
         &mut self,
         core: &mut Core,
         phase: &mut PhaseState,
-        gate: &Gate,
+        gates: &[Gate],
     ) -> Result<usize, FlatDdError> {
         // One relaxed load when quiet: a delivered SIGINT/SIGTERM — or a
         // per-job cancel on this run's context — ends the run with a typed,
@@ -106,7 +111,7 @@ impl Boundary {
         let start = (core.cfg.trace || telemetry).then(Instant::now);
         let ts_us = telemetry.then(qtelemetry::now_us);
         let ran_in = phase.phase();
-        let report = phase.step(core, gate)?;
+        let report = phase.step(core, gates, self.gates_until_due(core))?;
         if phase.phase() != ran_in {
             // Phase edge: the conversion forces a progress sample.
             self.publish_progress(core, phase, true);
@@ -116,6 +121,7 @@ impl Boundary {
         if core.cfg.trace {
             self.traces.push(GateTrace {
                 gate_index: core.cursor,
+                gates: report.gates,
                 phase: ran_in,
                 seconds,
                 dd_size: report.dd_size,
@@ -131,6 +137,7 @@ impl Boundary {
                 ts_us: ts_us.unwrap_or(0.0),
                 dur_us: seconds * 1e6,
                 index: core.cursor,
+                gates: report.gates,
                 phase: ran_in.label(),
                 dd_size: report.dd_size,
                 ewma: report.ewma,
@@ -151,8 +158,9 @@ impl Boundary {
             let freed = phase.collect(core);
             self.gc_threshold = ((nodes - freed) * 2).max(1 << 16);
         }
-        self.enforce_memory(core, phase, live.memory_bytes + phase.flat_bytes())?;
-        self.enforce_health(core, phase)?;
+        let used = live.memory_bytes + phase.flat_bytes();
+        self.enforce_memory(core, phase, used, report.gates)?;
+        self.enforce_health(core, phase, report.gates)?;
 
         self.gates_since_ckpt += report.gates;
         if let Some(every) = self.ckpt.as_ref().and_then(|p| p.every_gates) {
@@ -161,6 +169,21 @@ impl Boundary {
             }
         }
         Ok(report.gates)
+    }
+
+    /// Most gates the next step may fold into a run: [`MAX_RUN_GATES`], cut
+    /// where a periodic checkpoint, a health check or an RSS probe falls
+    /// due, so each lands on the gate it would land on gate by gate (at
+    /// least 1: a step always applies its first matrix, whatever it folds).
+    fn gates_until_due(&self, core: &Core) -> usize {
+        let ckpt = match self.ckpt.as_ref().and_then(|p| p.every_gates) {
+            Some(every) => every.saturating_sub(self.gates_since_ckpt),
+            None => usize::MAX,
+        };
+        MAX_RUN_GATES
+            .min(ckpt)
+            .min(core.gov.gates_until_due())
+            .max(1)
     }
 
     /// Publishes a [`Progress`] sample into the run context's ring (the
@@ -221,17 +244,19 @@ impl Boundary {
         }
     }
 
-    /// Memory-budget enforcement over `used` accounted bytes: on a breach
-    /// the degradation ladder runs first (scratch release, sweep,
-    /// compute-table flush), then — when armed — the approximation rung,
-    /// and only a still-standing breach becomes an error.
+    /// Memory-budget enforcement over `used` accounted bytes after a step
+    /// of `gates` gates: on a breach the degradation ladder runs first
+    /// (scratch release, sweep, compute-table flush), then — when armed —
+    /// the approximation rung, and only a still-standing breach becomes an
+    /// error.
     fn enforce_memory(
         &mut self,
         core: &mut Core,
         phase: &mut PhaseState,
         used: usize,
+        gates: usize,
     ) -> Result<(), FlatDdError> {
-        let breach = match core.gov.check_memory(used) {
+        let breach = match core.gov.check_memory(used, gates) {
             Ok(()) => return Ok(()),
             Err(b) => b,
         };
@@ -261,12 +286,18 @@ impl Boundary {
         Err(core.breach_to_error(standing, phase.phase()))
     }
 
-    /// Periodic numerical-health watchdog. In the DD phase the
-    /// normalization invariant (outgoing weights of every vector node have
-    /// 2-norm 1) makes the state norm equal to the root weight's magnitude,
-    /// so the check is O(1); in the flat phase it scans the array.
-    fn enforce_health(&mut self, core: &mut Core, phase: &PhaseState) -> Result<(), FlatDdError> {
-        if !core.gov.health_check_due() {
+    /// Periodic numerical-health watchdog, counted in gates (`gates` after
+    /// this step). In the DD phase the normalization invariant (outgoing
+    /// weights of every vector node have 2-norm 1) makes the state norm
+    /// equal to the root weight's magnitude, so the check is O(1); in the
+    /// flat phase it scans the array.
+    fn enforce_health(
+        &mut self,
+        core: &mut Core,
+        phase: &PhaseState,
+        gates: usize,
+    ) -> Result<(), FlatDdError> {
+        if !core.gov.health_check_due(gates) {
             return Ok(());
         }
         core.ctx.metrics().counter("core.watchdog_checks").inc();

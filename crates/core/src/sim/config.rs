@@ -136,14 +136,18 @@ impl Phase {
     }
 }
 
-/// One per-gate trace record (the Figure 11 data).
+/// One trace record per boundary step (the Figure 11 data): a gate, or in
+/// the flat phase a fused block or a run of in-place matrices.
 #[derive(Clone, Copy, Debug)]
 pub struct GateTrace {
-    /// Gate index in application order.
+    /// Index of the step's first gate in application order.
     pub gate_index: usize,
-    /// Phase the gate ran in.
+    /// Circuit gates the step applied: 1, the gates a fused block folds, or
+    /// the length of a run.
+    pub gates: usize,
+    /// Phase the step ran in.
     pub phase: Phase,
-    /// Wall-clock seconds for this gate.
+    /// Wall-clock seconds for the whole step.
     pub seconds: f64,
     /// State-vector DD size after the gate (DD phase only).
     pub dd_size: Option<usize>,

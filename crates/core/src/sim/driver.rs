@@ -1,6 +1,6 @@
 //! The run loop: one validated entry for `run`/`run_prefix`/`run_from`,
-//! and a loop that hands the gate at the cursor to the [`Boundary`] until
-//! the circuit is consumed.
+//! and a loop that hands the gates from the cursor on to the
+//! [`Boundary`] until the circuit is consumed.
 //!
 //! [`Boundary`]: super::Boundary
 
@@ -20,10 +20,10 @@ enum Span {
 }
 
 impl FlatDdSimulator {
-    /// Applies one gate (no fusion at this granularity).
+    /// Applies one gate (no fusion and no run at this granularity).
     pub fn apply(&mut self, gate: &Gate) -> Result<(), FlatDdError> {
         self.boundary
-            .step(&mut self.core, &mut self.phase, gate)
+            .step(&mut self.core, &mut self.phase, std::slice::from_ref(gate))
             .map(|_| ())
     }
 
@@ -168,10 +168,11 @@ impl FlatDdSimulator {
         outcome
     }
 
-    /// Hands the gate at the cursor to the boundary until `gates` is
+    /// Hands the gates from the cursor on to the boundary until `gates` is
     /// consumed. In the flat phase under a fusion policy the rest of the
     /// run is fused once, on entry, and each boundary step then applies
-    /// one pending block and advances by the gates it folds.
+    /// one pending block, or a run of them, and advances by the gates they
+    /// fold; without fusion a step is a gate or a run of gates.
     fn run_gates(&mut self, gates: &[Gate]) -> Result<(), FlatDdError> {
         let fusing = self.core.cfg.fusion != FusionPolicy::None;
         let mut idx = 0;
@@ -184,7 +185,7 @@ impl FlatDdSimulator {
             }
             idx += self
                 .boundary
-                .step(&mut self.core, &mut self.phase, &gates[idx])?;
+                .step(&mut self.core, &mut self.phase, &gates[idx..])?;
         }
         Ok(())
     }

@@ -1,15 +1,15 @@
 //! The flat phase: DMAV — DD gate matrices multiplied onto the array state
 //! (Section 3.2) — on single gates or on the blocks of a fused span
-//! (Section 3.3).
+//! (Section 3.3), consecutive in-place matrices as one blocked run.
 
 use super::{Core, FusionPolicy, Phase, StepReport};
-use crate::dmav::{dmav_in_place, dmav_no_cache};
+use crate::dmav::{dmav_in_place, dmav_no_cache, dmav_run_in_place, DmavAssignment, BLOCK_LEVEL};
 use crate::dmav_cache::{dmav_cached, PartialBuffers};
 use crate::error::FlatDdError;
 use crate::ewma::EwmaState;
 use crate::faults;
 use crate::fusion::{fuse_dmav_aware, fuse_k_operations, no_fusion, FusedGates};
-use crate::plan_cache::{Plan, PlanCache};
+use crate::plan_cache::{Lookup, Plan, PlanCache};
 use crate::pool::ThreadPool;
 use qarray::{vecops, ShardedState};
 use qcircuit::{Complex64, Gate};
@@ -31,9 +31,18 @@ pub(crate) struct FlatPhase {
     fused: Vec<MEdge>,
     gate_counts: Vec<usize>,
     next: usize,
+    /// The lookup of the matrix at the cursor, made by the step before it
+    /// when that matrix could not join its run: the step that applies the
+    /// matrix uses and counts it, so every matrix is one counted lookup.
+    peeked: Option<Lookup>,
     /// The DD phase's monitor state at conversion, kept only so checkpoint
     /// headers written from here on carry it.
     pub(super) ewma: EwmaState,
+}
+
+/// Whether a plan can join a blocked run at [`BLOCK_LEVEL`].
+fn joins_runs(plan: &Plan) -> bool {
+    matches!(plan, Plan::Plain(asg) if asg.in_place() && asg.mixing_level() <= BLOCK_LEVEL)
 }
 
 impl FlatPhase {
@@ -47,6 +56,7 @@ impl FlatPhase {
             fused: Vec::new(),
             gate_counts: Vec::new(),
             next: 0,
+            peeked: None,
             ewma,
         }
     }
@@ -95,21 +105,60 @@ impl FlatPhase {
         self.fused.clear();
         self.gate_counts.clear();
         self.next = 0;
+        self.peeked = None;
     }
 
-    /// One DMAV: the pending fused block that starts at the cursor when a
-    /// span is loaded (advancing the cursor by the gates it folds),
-    /// otherwise `gate` itself.
-    pub(super) fn step(&mut self, core: &mut Core, gate: &Gate) -> Result<StepReport, FlatDdError> {
+    /// One step at the cursor, over `gates` (the rest of the run, or the
+    /// one gate `apply` was given) and folding at most `budget` of them
+    /// unless the first matrix alone folds more. The matrices are the
+    /// pending fused blocks when a span is loaded, otherwise the gates'
+    /// own. The first matrix that has no place in a blocked run is applied
+    /// on its own; otherwise every following matrix that has one and fits
+    /// the budget joins it — a run, applied block by block in one dispatch.
+    pub(super) fn step(
+        &mut self,
+        core: &mut Core,
+        gates: &[Gate],
+        budget: usize,
+    ) -> Result<StepReport, FlatDdError> {
         let fused = self.next < self.fused.len();
-        let (m, gates) = if fused {
-            (self.fused[self.next], self.gate_counts[self.next])
-        } else {
-            (core.pkg.gate_dd(gate, core.n), 1)
-        };
-        let plan_hit = self.dmav(core, m)?;
+        let mut run: Vec<Lookup> = Vec::new();
+        let mut folded = 0;
+        loop {
+            let i = run.len();
+            let pending = if fused {
+                self.gate_counts.get(self.next + i).copied()
+            } else {
+                (i < gates.len()).then_some(1)
+            };
+            let Some(k) = pending else { break };
+            if i > 0 && folded + k > budget {
+                break;
+            }
+            let looked = match self.peeked.take() {
+                Some(looked) => looked,
+                None => {
+                    let m = match fused {
+                        true => self.fused[self.next + i],
+                        false => core.pkg.gate_dd(&gates[i], core.n),
+                    };
+                    self.lookup(core, m)?
+                }
+            };
+            let joins = joins_runs(&looked.plan);
+            if i > 0 && !joins {
+                self.peeked = Some(looked);
+                break;
+            }
+            run.push(looked);
+            folded += k;
+            if !joins {
+                break;
+            }
+        }
+        self.dmav(core, &run)?;
         if fused {
-            self.next += 1;
+            self.next += run.len();
         }
         if core.ctx.fires(faults::SITE_STATE_NAN).is_some() {
             if let Some(a) = self.v.first_mut() {
@@ -117,83 +166,86 @@ impl FlatPhase {
             }
         }
         Ok(StepReport {
-            gates,
+            gates: folded,
             dd_size: None,
             ewma: None,
-            plan_hit: Some(plan_hit),
+            plan_hit: Some(run.iter().all(|looked| looked.hit)),
             fused,
         })
     }
 
-    /// `v <- m * v`: look the matrix's plan up, run it, account it. Returns
-    /// whether the lookup hit; a miss plans under the configured kernel
-    /// policy (see [`PlanCache`]). A plain plan with an in-place form runs
-    /// on `v` itself; every other plan writes `w` (allocated here on first
-    /// need — an error from that leaves `v` as it was) and swaps.
-    fn dmav(&mut self, core: &mut Core, m: MEdge) -> Result<bool, FlatDdError> {
-        /// Which kernel a plan ran.
-        enum Ran {
-            InPlace,
-            Plain,
-            Cached { hits: usize },
-        }
-        let held = self.memory_bytes();
-        let (v, w, scratch) = (&mut self.v, &mut self.w, &mut self.scratch);
-        let (pkg, pool) = (&core.pkg, &core.pool);
-        let hist = &core.hist_plan_build;
+    /// The plan of `m` over the shard geometry (one assignment group per
+    /// shard, so the memo keys plans by shard count); a miss plans under
+    /// the configured kernel policy (see [`PlanCache`]).
+    fn lookup(&mut self, core: &Core, m: MEdge) -> Result<Lookup, FlatDdError> {
         // Clock read for the plan-build histogram rides behind `enabled()`
         // (the overhead contract); the observe itself lands only on misses,
         // where a plan was actually built.
-        let plan_t0 = qtelemetry::enabled().then(Instant::now);
-        let run = |plan: &Plan, cost: f64, hit: bool| -> Result<_, FlatDdError> {
-            if let (Some(t0), false) = (plan_t0, hit) {
-                hist.observe_duration_us(t0.elapsed());
+        let t0 = qtelemetry::enabled().then(Instant::now);
+        let looked = self.plans.lookup(&core.pkg, m, core.n, core.shards)?;
+        if let (Some(t0), false) = (t0, looked.hit) {
+            core.hist_plan_build.observe_duration_us(t0.elapsed());
+        }
+        Ok(looked)
+    }
+
+    /// `v <- M_k * ... * M_1 * v` for the looked-up `run`, then account
+    /// every matrix. A run of several is in place by construction and runs
+    /// block by block; a plain plan with an in-place form runs on `v`
+    /// itself; every other plan writes `w` (allocated here on first need —
+    /// an error from that leaves `v` as it was) and swaps.
+    fn dmav(&mut self, core: &mut Core, run: &[Lookup]) -> Result<(), FlatDdError> {
+        let (pkg, pool) = (&core.pkg, &core.pool);
+        let mut cache_hits = None;
+        match &*run[0].plan {
+            _ if run.len() > 1 => {
+                let asgs: Vec<&DmavAssignment> = run
+                    .iter()
+                    .map(|looked| match &*looked.plan {
+                        Plan::Plain(asg) => asg,
+                        Plan::Cached(_) => unreachable!("only in-place plans join a run"),
+                    })
+                    .collect();
+                dmav_run_in_place(&asgs, &mut self.v, pool, BLOCK_LEVEL);
             }
-            let ran = match plan {
-                Plan::Plain(asg) if asg.in_place() => {
-                    dmav_in_place(asg, v, pool);
-                    Ran::InPlace
-                }
-                Plan::Plain(asg) => {
-                    let w = output_vector(w, core, held)?;
-                    dmav_no_cache(pkg, asg, v, w, pool);
-                    std::mem::swap(v, w);
-                    Ran::Plain
-                }
-                Plan::Cached(asg) => {
-                    let w = output_vector(w, core, held)?;
-                    let hits = dmav_cached(pkg, asg, v, w, pool, scratch).hits;
-                    std::mem::swap(v, w);
-                    Ran::Cached { hits }
-                }
-            };
-            Ok((ran, cost, hit))
-        };
-        // Plans are built over the shard geometry (one assignment group per
-        // shard), so the memo keys them by shard count.
-        let (ran, cost, plan_hit) = self.plans.with_plan(pkg, m, core.n, core.shards, run)??;
+            Plan::Plain(asg) if asg.in_place() => dmav_in_place(asg, &mut self.v, pool),
+            Plan::Plain(asg) => {
+                let held = self.memory_bytes();
+                let w = output_vector(&mut self.w, core, held)?;
+                dmav_no_cache(pkg, asg, &self.v, w, pool);
+                std::mem::swap(&mut self.v, w);
+            }
+            Plan::Cached(asg) => {
+                let held = self.memory_bytes();
+                let w = output_vector(&mut self.w, core, held)?;
+                cache_hits = Some(dmav_cached(pkg, asg, &self.v, w, pool, &mut self.scratch).hits);
+                std::mem::swap(&mut self.v, w);
+            }
+        }
         let stats = &mut core.stats;
-        stats.modeled_cost += cost;
-        match ran {
-            // An in-place gate is an uncached DMAV that needed no `W`.
-            Ran::InPlace => {
-                stats.uncached_dmavs += 1;
-                core.ctr_dmav_in_place.inc();
+        for looked in run {
+            stats.modeled_cost += looked.cost;
+            match (&*looked.plan, cache_hits) {
+                (_, Some(hits)) => {
+                    stats.cache_hits += hits;
+                    stats.cached_dmavs += 1;
+                }
+                // An in-place gate is an uncached DMAV that needed no `W`.
+                (Plan::Plain(asg), None) if asg.in_place() => {
+                    stats.uncached_dmavs += 1;
+                    core.ctr_dmav_in_place.inc();
+                }
+                _ => stats.uncached_dmavs += 1,
             }
-            Ran::Plain => stats.uncached_dmavs += 1,
-            Ran::Cached { hits } => {
-                stats.cache_hits += hits;
-                stats.cached_dmavs += 1;
+            if looked.hit {
+                stats.dmav_plan_hits += 1;
+            } else {
+                stats.dmav_plan_misses += 1;
             }
+            stats.gates_dmav += 1;
+            core.ctr_gates_dmav.inc();
         }
-        if plan_hit {
-            stats.dmav_plan_hits += 1;
-        } else {
-            stats.dmav_plan_misses += 1;
-        }
-        stats.gates_dmav += 1;
-        core.ctr_gates_dmav.inc();
-        Ok(plan_hit)
+        Ok(())
     }
 
     /// The scratch rung of the memory-pressure ladder: the DMAV output

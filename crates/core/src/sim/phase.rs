@@ -24,7 +24,8 @@ pub(crate) enum PhaseState {
 
 /// What one step did, for the boundary's trace, telemetry and cursor.
 pub(crate) struct StepReport {
-    /// Circuit gates the step consumed (a fused block folds several).
+    /// Circuit gates the step consumed (a fused block or a run folds
+    /// several).
     pub(super) gates: usize,
     /// State-DD size after the gate (DD phase only).
     pub(super) dd_size: Option<usize>,
@@ -32,7 +33,7 @@ pub(crate) struct StepReport {
     pub(super) ewma: Option<f64>,
     /// Whether the DMAV plan lookup hit (flat phase only).
     pub(super) plan_hit: Option<bool>,
-    /// The step applied a fused block.
+    /// The step applied fused blocks rather than circuit gates.
     pub(super) fused: bool,
 }
 
@@ -45,14 +46,20 @@ impl PhaseState {
         }
     }
 
-    /// One step at the cursor: a DD gate (followed by the conversion when
-    /// the policy asks for it and the budget admits it), a flat gate, or
-    /// the pending fused block.
-    pub(super) fn step(&mut self, core: &mut Core, gate: &Gate) -> Result<StepReport, FlatDdError> {
+    /// One step at the cursor of `gates` (the rest of the run): a DD gate
+    /// (followed by the conversion when the policy asks for it and the
+    /// budget admits it), or a flat step — a gate, the pending fused block,
+    /// or a run of in-place matrices folding at most `budget` gates.
+    pub(super) fn step(
+        &mut self,
+        core: &mut Core,
+        gates: &[Gate],
+        budget: usize,
+    ) -> Result<StepReport, FlatDdError> {
         match self {
-            PhaseState::Flat(flat) => flat.step(core, gate),
+            PhaseState::Flat(flat) => flat.step(core, gates, budget),
             PhaseState::Dd(dd) => {
-                let (size, wanted) = dd.step(core, gate);
+                let (size, wanted) = dd.step(core, &gates[0]);
                 let ewma = dd.ewma.value();
                 if wanted && !core.conversion_blocked {
                     convert_on_policy(core, self, size, ewma)?;

@@ -545,3 +545,148 @@ fn run_after_deadline_error_reports_progress() {
     let partial = err.partial_outcome().expect("deadline carries partial");
     assert!(partial.gates_applied <= partial.total_gates);
 }
+
+/// `c` from `|0...0>` in the flat phase on `shards` groups, in a run
+/// context of its own and with the watchdog off (so only a run's own cuts
+/// bound it), through `run` (consecutive in-place matrices fold into
+/// blocked runs) or gate by gate through `apply` (one matrix per step),
+/// traced; with a checkpoint every 10 gates into `ckpt` when given.
+fn flat_run(
+    c: &Circuit,
+    shards: usize,
+    by_gate: bool,
+    ckpt: Option<&std::path::Path>,
+) -> FlatDdSimulator {
+    let mut config = FlatDdConfig {
+        threads: shards,
+        flat_shards: shards,
+        conversion: ConversionPolicy::Immediate,
+        trace: true,
+        ..cfg(shards)
+    };
+    config.governor.health_check_every = usize::MAX;
+    let mut sim =
+        FlatDdSimulator::try_new_with(c.num_qubits(), config, crate::RunContext::isolated())
+            .unwrap();
+    if let Some(path) = ckpt {
+        sim.set_checkpoint_policy(Some(crate::CheckpointPolicy::at(path).every(10)));
+    }
+    if by_gate {
+        c.iter().for_each(|g| sim.apply(g).unwrap());
+    } else {
+        sim.run(c).unwrap();
+    }
+    sim
+}
+
+#[test]
+fn runs_leave_the_state_as_gate_by_gate_steps_do() {
+    // n = 18 is wider than one block of 2^16: the runs walk several
+    // blocks per shard and leave every amplitude as the per-gate walk
+    // does. At n = 14 one block is the whole state and every gate joins,
+    // so only the 64-gate cap ends a run. Each step is one trace record
+    // and one gate event that says how many gates it folded; the DMAV
+    // counters still count matrices.
+    let wide = generators::supremacy_n(18, 5, 3);
+    let narrow = generators::supremacy_n(14, 8, 3);
+    for (c, shards) in [(&wide, 1), (&wide, 2), (&narrow, 1)] {
+        let case = format!("{} shards={shards}", c.name());
+        let runs = flat_run(c, shards, false, None);
+        let gates = flat_run(c, shards, true, None);
+        assert!(runs.amplitudes() == gates.amplitudes(), "{case}");
+        let folded: Vec<usize> = runs.traces().iter().map(|t| t.gates).collect();
+        assert_eq!(folded.iter().sum::<usize>(), c.num_gates());
+        assert!(folded.iter().any(|&k| k > 1), "{case}: no run formed");
+        let longest = folded.iter().copied().max().unwrap_or(0);
+        assert!(longest <= 64, "{case}: a run past 64 gates: {folded:?}");
+        if c.num_qubits() == 14 {
+            assert_eq!(longest, 64, "{case}: {folded:?}");
+        }
+        assert!(gates.traces().iter().all(|t| t.gates == 1));
+        let stats = runs.stats();
+        assert_eq!(stats.gates_dmav, c.num_gates());
+        assert_eq!(
+            stats.dmav_plan_hits + stats.dmav_plan_misses,
+            stats.gates_dmav
+        );
+        assert_eq!(
+            (stats.dmav_plan_hits, stats.dmav_plan_misses),
+            (gates.stats().dmav_plan_hits, gates.stats().dmav_plan_misses),
+            "{case}: a matrix looked up while a run was formed is counted once, where it runs"
+        );
+    }
+}
+
+#[test]
+fn runs_write_periodic_checkpoints_where_gate_by_gate_steps_do() {
+    // Every 10 gates, on a circuit whose every gate joins a run: a run is
+    // cut where a checkpoint falls due, so runs write as many checkpoints
+    // as gate-by-gate steps and the last one at the same cursor.
+    let c = generators::supremacy_n(14, 8, 3);
+    let dir = std::env::temp_dir();
+    let path = |what: &str| dir.join(format!("flatdd-runs-{what}-{}.fdcp", std::process::id()));
+    let (runs_path, gates_path) = (path("runs"), path("gates"));
+    let runs = flat_run(&c, 1, false, Some(&runs_path));
+    let gates = flat_run(&c, 1, true, Some(&gates_path));
+    let writes = |sim: &FlatDdSimulator| sim.context().metrics().counter("checkpoint.writes").get();
+    assert_eq!(writes(&runs), (c.num_gates() / 10) as u64);
+    assert_eq!(writes(&runs), writes(&gates));
+    let cursor = |p: &std::path::Path| crate::checkpoint::read_header(p).unwrap().gate_cursor;
+    assert_eq!(cursor(&runs_path), cursor(&gates_path));
+    assert_eq!(cursor(&runs_path) % 10, 0);
+    for p in [runs_path, gates_path] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+/// `core.watchdog_checks` of `sim`'s run context.
+fn watchdog_checks(sim: &FlatDdSimulator) -> u64 {
+    sim.context()
+        .metrics()
+        .counter("core.watchdog_checks")
+        .get()
+}
+
+#[test]
+fn health_checks_count_gates_across_fused_blocks_and_runs() {
+    // Every 8 gates: a run is cut where the count comes due, so a run of
+    // gates checks exactly as often as gate-by-gate steps; a fused block
+    // folds its gates into the count (checked after the block that reaches
+    // it), where stepping by blocks checked once per eight blocks.
+    let every = 8;
+    let c = generators::dnn(10, 3, 4);
+    for fusion in [FusionPolicy::None, FusionPolicy::DmavAware] {
+        let mut config = FlatDdConfig {
+            threads: 1,
+            conversion: ConversionPolicy::Immediate,
+            fusion,
+            trace: true,
+            ..cfg(1)
+        };
+        config.governor.health_check_every = every;
+        let mut sim =
+            FlatDdSimulator::try_new_with(10, config, crate::RunContext::isolated()).unwrap();
+        sim.run(&c).unwrap();
+        let steps: Vec<usize> = sim.traces().iter().map(|t| t.gates).collect();
+        assert!(
+            steps.iter().any(|&k| k > 1),
+            "{fusion:?}: every step one gate"
+        );
+        let (mut since, mut due) = (0, 0);
+        for k in &steps {
+            since += k;
+            if since >= every {
+                (since, due) = (0, due + 1);
+            }
+        }
+        assert_eq!(watchdog_checks(&sim), due, "{fusion:?}");
+        if fusion == FusionPolicy::None {
+            assert_eq!(due as usize, c.num_gates() / every);
+        } else {
+            assert!(
+                due as usize > steps.len() / every,
+                "{fusion:?}: counted steps"
+            );
+        }
+    }
+}

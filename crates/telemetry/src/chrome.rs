@@ -175,6 +175,7 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 ts_us,
                 dur_us,
                 index,
+                gates,
                 phase,
                 dd_size,
                 ewma,
@@ -183,13 +184,20 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
             } => {
                 let tl = sims.entry(*sim).or_default();
                 tl.see(*ts_us + *dur_us);
-                let name = match (*phase, *fused) {
-                    ("dmav", true) => "fused dmav gate",
-                    ("dmav", false) => "dmav gate",
-                    _ => "dd gate",
+                let kind = match (*phase, *fused) {
+                    ("dmav", true) => "fused dmav",
+                    ("dmav", false) => "dmav",
+                    _ => "dd",
                 };
-                t.span(name, *sim, TID_GATES, *ts_us, *dur_us);
+                // A step that folds several gates says so in its label, so
+                // a long span reads as many gates, not one slow one.
+                let name = match gates {
+                    1 => format!("{kind} gate"),
+                    k => format!("{kind} step ({k} gates)"),
+                };
+                t.span(&name, *sim, TID_GATES, *ts_us, *dur_us);
                 t.arg_num("index", *index as f64, true);
+                t.arg_num("gates", *gates as f64, false);
                 if let Some(s) = dd_size {
                     t.arg_num("dd_size", *s as f64, false);
                 }
@@ -435,6 +443,7 @@ mod tests {
                 ts_us: 1.0,
                 dur_us: 2.0,
                 index: 0,
+                gates: 1,
                 phase: "dd",
                 dd_size: Some(8),
                 ewma: Some(7.5),
@@ -467,6 +476,19 @@ mod tests {
                 ts_us: 11.0,
                 dur_us: 1.0,
                 index: 1,
+                gates: 1,
+                phase: "dmav",
+                dd_size: None,
+                ewma: None,
+                plan_hit: Some(true),
+                fused: false,
+            },
+            Event::Gate {
+                sim: 3,
+                ts_us: 12.0,
+                dur_us: 0.5,
+                index: 2,
+                gates: 3,
                 phase: "dmav",
                 dd_size: None,
                 ewma: None,
@@ -486,6 +508,8 @@ mod tests {
         assert!(s.ends_with("]}"));
         assert!(s.contains("\"name\":\"dd gate\""));
         assert!(s.contains("\"name\":\"dmav gate\""));
+        assert!(s.contains("\"name\":\"dmav step (3 gates)\""));
+        assert!(s.contains("\"gates\":3"));
         assert!(s.contains("\"name\":\"conversion\""));
         assert!(s.contains("\"name\":\"fill\""));
         assert!(s.contains("\"name\":\"dd phase\""));

@@ -58,16 +58,20 @@ pub enum Event {
         /// Whether the run completed without a typed error.
         ok: bool,
     },
-    /// One gate application (or one fused DMAV matrix).
+    /// One step of the gate boundary: a gate application, or in the DMAV
+    /// phase a fused matrix or a run of in-place matrices.
     Gate {
         /// Emitting simulator id.
         sim: u64,
-        /// Gate start timestamp (µs).
+        /// Step start timestamp (µs).
         ts_us: f64,
-        /// Gate duration (µs).
+        /// Step duration (µs).
         dur_us: f64,
-        /// Gate index in application order.
+        /// Index of the step's first gate in application order.
         index: usize,
+        /// Circuit gates the step applied: 1, the gates a fused matrix
+        /// folds, or the length of a run.
+        gates: usize,
         /// Phase the gate ran in (`"dd"` / `"dmav"`).
         phase: &'static str,
         /// State-vector DD size after the gate (DD phase only).
@@ -275,6 +279,7 @@ impl Event {
                 ts_us,
                 dur_us,
                 index,
+                gates,
                 phase,
                 dd_size,
                 ewma,
@@ -285,6 +290,7 @@ impl Event {
                 push_f64(&mut o, "ts_us", *ts_us);
                 push_f64(&mut o, "dur_us", *dur_us);
                 push_usize(&mut o, "index", *index);
+                push_usize(&mut o, "gates", *gates);
                 push_str(&mut o, "phase", phase);
                 if let Some(s) = dd_size {
                     push_usize(&mut o, "dd_size", *s);
@@ -472,6 +478,7 @@ mod tests {
             ts_us: 12.5,
             dur_us: 3.25,
             index: 42,
+            gates: 1,
             phase: "dd",
             dd_size: Some(128),
             ewma: Some(96.5),
@@ -482,6 +489,7 @@ mod tests {
         assert!(s.starts_with("{\"type\":\"gate\""), "{s}");
         assert!(s.contains("\"sim\":7"));
         assert!(s.contains("\"index\":42"));
+        assert!(s.contains("\"gates\":1"));
         assert!(s.contains("\"dd_size\":128"));
         assert!(s.contains("\"ewma\":96.5"));
         assert!(!s.contains("plan_hit"), "None fields must be omitted");

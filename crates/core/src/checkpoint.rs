@@ -280,8 +280,10 @@ pub fn circuit_fingerprint(circuit: &Circuit) -> u64 {
 /// count, trace/telemetry flags, and governor budgets are excluded: they
 /// change performance, not the final state, so a resume may legitimately
 /// use different values (e.g. a larger memory budget after a breach).
+/// `CostModel` stands where the retired kernel policy was rendered, so
+/// files written under its default still resume.
 pub fn config_fingerprint(cfg: &crate::sim::FlatDdConfig) -> u64 {
-    let s = format!("{:?}|{:?}|{:?}", cfg.conversion, cfg.caching, cfg.fusion);
+    let s = format!("{:?}|CostModel|{:?}", cfg.conversion, cfg.fusion);
     fnv1a(FNV_OFFSET, s.as_bytes())
 }
 
@@ -1047,6 +1049,24 @@ mod tests {
             "the approx floor must not affect the fingerprint (a breached \
              run may resume with the floor newly armed)"
         );
+    }
+
+    /// The values written by every release that had a kernel policy (under
+    /// its default), so their FDCP1 files and spooled checkpoints resume.
+    #[test]
+    fn config_fingerprints_keep_their_recorded_values() {
+        use crate::sim::{ConversionPolicy, FlatDdConfig, FusionPolicy};
+        let fused_at_12 = FlatDdConfig {
+            conversion: ConversionPolicy::AtGate(12),
+            fusion: FusionPolicy::DmavAware,
+            ..FlatDdConfig::default()
+        };
+        for (cfg, want) in [
+            (FlatDdConfig::default(), 0xd1b09eec55633a0c),
+            (fused_at_12, 0xbf0db32205ec6521),
+        ] {
+            assert_eq!(config_fingerprint(&cfg), want, "{cfg:?}");
+        }
     }
 
     /// A family, its parameters and a seed name one circuit everywhere,

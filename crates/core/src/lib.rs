@@ -14,10 +14,11 @@
 //!   scalar-multiplication optimizations (3.1.2, Fig. 4).
 //! * [`dmav`](mod@dmav) — DMAV without caching (3.2.1, Alg. 1).
 //! * [`dmav_cache`] — DMAV with per-thread caching and buffer sharing
-//!   (3.2.2, Alg. 2).
+//!   (3.2.2, Alg. 2), a standalone kernel: the simulator runs Alg. 1 only
+//!   (DESIGN.md §2).
 //! * [`cost`] — the MAC-count cost model `min(C1, C2)` (3.2.3).
-//! * `plan_cache` — the memo of the one DMAV plan that runs per gate
-//!   matrix, keyed by root edge, dropped wholesale on DD garbage collection.
+//! * `plan_cache` — the memo of the Alg. 1 plan per gate matrix, keyed by
+//!   root edge, dropped wholesale on DD garbage collection.
 //! * [`fusion`] — DMAV-aware gate fusion (3.3, Alg. 3) and the
 //!   k-operations baseline.
 //! * [`sim`] — [`FlatDdSimulator`], the hybrid driver (Fig. 3): two phases, one gate boundary.
@@ -104,6 +105,6 @@ pub use fusion::{fuse_dmav_aware, fuse_k_operations, no_fusion, FusedGates};
 pub use govern::{Breach, GovernorConfig, ResourceGovernor};
 pub use pool::{clamp_shards, clamp_threads, ThreadPool};
 pub use sim::{
-    simulate, try_simulate, CachingPolicy, ConversionPolicy, FlatDdConfig, FlatDdSimulator,
-    FlatDdStats, FusionPolicy, GateTrace, Phase,
+    simulate, try_simulate, ConversionPolicy, FlatDdConfig, FlatDdSimulator, FlatDdStats,
+    FusionPolicy, GateTrace, Phase,
 };

@@ -1,6 +1,5 @@
 //! Simulator configuration and the small public value types of the driver.
 
-use crate::cost::CostModel;
 use crate::ewma::EwmaConfig;
 use crate::govern::GovernorConfig;
 
@@ -29,17 +28,6 @@ impl ConversionPolicy {
             ConversionPolicy::Never => "never",
         }
     }
-}
-
-/// Per-gate kernel selection for DMAV.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CachingPolicy {
-    /// Choose by the Section 3.2.3 cost model (`min(C1, C2)`) — default.
-    CostModel,
-    /// Always use the cached kernel (Algorithm 2).
-    Always,
-    /// Never cache (Algorithm 1 only).
-    Never,
 }
 
 /// Gate-fusion strategy for the DMAV phase.
@@ -76,12 +64,8 @@ pub struct FlatDdConfig {
     pub flat_shards: usize,
     /// Conversion timing.
     pub conversion: ConversionPolicy,
-    /// DMAV kernel selection.
-    pub caching: CachingPolicy,
     /// Gate fusion in the DMAV phase (only applies to [`super::FlatDdSimulator::run`]).
     pub fusion: FusionPolicy,
-    /// Cost-model tunables.
-    pub cost_model: CostModel,
     /// Record a per-gate trace (Figure 11 instrumentation).
     pub trace: bool,
     /// GC period (in DDMMs) during fusion.
@@ -107,9 +91,7 @@ impl Default for FlatDdConfig {
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(0),
             conversion: ConversionPolicy::Ewma(EwmaConfig::default()),
-            caching: CachingPolicy::CostModel,
             fusion: FusionPolicy::None,
-            cost_model: CostModel::default(),
             trace: false,
             fusion_gc_every: 64,
             governor: GovernorConfig::from_env(),

@@ -3,13 +3,13 @@
 //! (Section 3.3), consecutive in-place matrices as one blocked run.
 
 use super::{Core, FusionPolicy, Phase, StepReport};
+use crate::cost::CostModel;
 use crate::dmav::{dmav_in_place, dmav_no_cache, dmav_run_in_place, DmavAssignment, BLOCK_LEVEL};
-use crate::dmav_cache::{dmav_cached, PartialBuffers};
 use crate::error::FlatDdError;
 use crate::ewma::EwmaState;
 use crate::faults;
 use crate::fusion::{fuse_dmav_aware, fuse_k_operations, no_fusion, FusedGates};
-use crate::plan_cache::{Lookup, Plan, PlanCache};
+use crate::plan_cache::{Lookup, PlanCache};
 use crate::pool::ThreadPool;
 use qarray::{vecops, ShardedState};
 use qcircuit::{Complex64, Gate};
@@ -24,7 +24,6 @@ pub(crate) struct FlatPhase {
     /// each. Allocated by the first of them ([`output_vector`]): a run whose
     /// every matrix has an in-place form holds one vector.
     w: Option<ShardedState>,
-    scratch: PartialBuffers,
     plans: PlanCache,
     /// Matrices of the current fused span and the gates each folds; the
     /// ones from `next` on are still pending (and are the phase's GC roots).
@@ -41,18 +40,17 @@ pub(crate) struct FlatPhase {
 }
 
 /// Whether a plan can join a blocked run at [`BLOCK_LEVEL`].
-fn joins_runs(plan: &Plan) -> bool {
-    matches!(plan, Plan::Plain(asg) if asg.in_place() && asg.mixing_level() <= BLOCK_LEVEL)
+fn joins_runs(plan: &DmavAssignment) -> bool {
+    plan.in_place() && plan.mixing_level() <= BLOCK_LEVEL
 }
 
 impl FlatPhase {
     /// A flat phase over state `v`.
-    pub(super) fn new(v: ShardedState, core: &Core, ewma: EwmaState) -> Self {
+    pub(super) fn new(v: ShardedState, ewma: EwmaState) -> Self {
         FlatPhase {
             v,
             w: None,
-            scratch: PartialBuffers::default(),
-            plans: PlanCache::new(core.cfg.caching, core.cfg.cost_model),
+            plans: PlanCache::new(),
             fused: Vec::new(),
             gate_counts: Vec::new(),
             next: 0,
@@ -70,7 +68,7 @@ impl FlatPhase {
         // Priced over the shard geometry its plans will use (one group per
         // shard): whether a matrix runs in place depends on it.
         let (pkg, n, t) = (&mut core.pkg, core.n, core.shards);
-        let (model, gc_every) = (&core.cfg.cost_model, core.cfg.fusion_gc_every);
+        let (model, gc_every) = (&CostModel::default(), core.cfg.fusion_gc_every);
         let fused: FusedGates = match core.cfg.fusion {
             FusionPolicy::DmavAware => fuse_dmav_aware(pkg, gates, n, t, model, gc_every),
             FusionPolicy::KOperations(k) => fuse_k_operations(pkg, gates, n, t, k, model, gc_every),
@@ -175,8 +173,8 @@ impl FlatPhase {
     }
 
     /// The plan of `m` over the shard geometry (one assignment group per
-    /// shard, so the memo keys plans by shard count); a miss plans under
-    /// the configured kernel policy (see [`PlanCache`]).
+    /// shard, so the memo keys plans by shard count); a miss builds it (see
+    /// [`PlanCache`]).
     fn lookup(&mut self, core: &Core, m: MEdge) -> Result<Lookup, FlatDdError> {
         // Clock read for the plan-build histogram rides behind `enabled()`
         // (the overhead contract); the observe itself lands only on misses,
@@ -191,51 +189,30 @@ impl FlatPhase {
 
     /// `v <- M_k * ... * M_1 * v` for the looked-up `run`, then account
     /// every matrix. A run of several is in place by construction and runs
-    /// block by block; a plain plan with an in-place form runs on `v`
-    /// itself; every other plan writes `w` (allocated here on first need —
-    /// an error from that leaves `v` as it was) and swaps.
+    /// block by block; a plan with an in-place form runs on `v` itself; the
+    /// others write `w` (allocated here on first need — an error from that
+    /// leaves `v` as it was) and swap.
     fn dmav(&mut self, core: &mut Core, run: &[Lookup]) -> Result<(), FlatDdError> {
         let (pkg, pool) = (&core.pkg, &core.pool);
-        let mut cache_hits = None;
-        match &*run[0].plan {
-            _ if run.len() > 1 => {
-                let asgs: Vec<&DmavAssignment> = run
-                    .iter()
-                    .map(|looked| match &*looked.plan {
-                        Plan::Plain(asg) => asg,
-                        Plan::Cached(_) => unreachable!("only in-place plans join a run"),
-                    })
-                    .collect();
-                dmav_run_in_place(&asgs, &mut self.v, pool, BLOCK_LEVEL);
-            }
-            Plan::Plain(asg) if asg.in_place() => dmav_in_place(asg, &mut self.v, pool),
-            Plan::Plain(asg) => {
-                let held = self.memory_bytes();
-                let w = output_vector(&mut self.w, core, held)?;
-                dmav_no_cache(pkg, asg, &self.v, w, pool);
-                std::mem::swap(&mut self.v, w);
-            }
-            Plan::Cached(asg) => {
-                let held = self.memory_bytes();
-                let w = output_vector(&mut self.w, core, held)?;
-                cache_hits = Some(dmav_cached(pkg, asg, &self.v, w, pool, &mut self.scratch).hits);
-                std::mem::swap(&mut self.v, w);
-            }
+        let first = &run[0].plan;
+        if run.len() > 1 {
+            let asgs: Vec<&DmavAssignment> = run.iter().map(|looked| &*looked.plan).collect();
+            dmav_run_in_place(&asgs, &mut self.v, pool, BLOCK_LEVEL);
+        } else if first.in_place() {
+            dmav_in_place(first, &mut self.v, pool);
+        } else {
+            let held = self.memory_bytes();
+            let w = output_vector(&mut self.w, core, held)?;
+            dmav_no_cache(pkg, first, &self.v, w, pool);
+            std::mem::swap(&mut self.v, w);
         }
         let stats = &mut core.stats;
         for looked in run {
             stats.modeled_cost += looked.cost;
-            match (&*looked.plan, cache_hits) {
-                (_, Some(hits)) => {
-                    stats.cache_hits += hits;
-                    stats.cached_dmavs += 1;
-                }
-                // An in-place gate is an uncached DMAV that needed no `W`.
-                (Plan::Plain(asg), None) if asg.in_place() => {
-                    stats.uncached_dmavs += 1;
-                    core.ctr_dmav_in_place.inc();
-                }
-                _ => stats.uncached_dmavs += 1,
+            stats.uncached_dmavs += 1;
+            // An in-place matrix is a DMAV that needed no `W`.
+            if looked.plan.in_place() {
+                core.ctr_dmav_in_place.inc();
             }
             if looked.hit {
                 stats.dmav_plan_hits += 1;
@@ -250,11 +227,9 @@ impl FlatPhase {
 
     /// The scratch rung of the memory-pressure ladder: the DMAV output
     /// vector (the next out-of-place walk allocates it again, if the budget
-    /// then admits it), partial buffers and memoized plans go, the state
-    /// stays.
+    /// then admits it) and the memoized plans go, the state stays.
     pub(super) fn release_scratch(&mut self) {
         self.w = None;
-        self.scratch.release();
         self.plans.clear();
     }
 
@@ -264,9 +239,9 @@ impl FlatPhase {
         (self.v.capacity() + w) * std::mem::size_of::<Complex64>()
     }
 
-    /// Resident bytes of the phase's vectors, scratch and plan memo.
+    /// Resident bytes of the phase's vectors and plan memo.
     pub(super) fn memory_bytes(&self) -> usize {
-        self.vector_bytes() + self.scratch.memory_bytes() + self.plans.memory_bytes()
+        self.vector_bytes() + self.plans.memory_bytes()
     }
 
     /// Plans memoized and the bytes charged for them (for the metrics

@@ -30,7 +30,7 @@ mod stats;
 #[cfg(test)]
 mod tests;
 
-pub use config::{CachingPolicy, ConversionPolicy, FlatDdConfig, FusionPolicy, GateTrace, Phase};
+pub use config::{ConversionPolicy, FlatDdConfig, FusionPolicy, GateTrace, Phase};
 pub use stats::FlatDdStats;
 
 pub(crate) use boundary::Boundary;
@@ -101,16 +101,13 @@ pub(crate) struct Core {
 impl Core {
     /// Bytes of flat `2^n` vectors the flat phase of this configuration will
     /// hold, which is what entering it asks the memory budget for: the state
-    /// alone when every DMAV is a single gate's on one group and no policy
-    /// forces Algorithm 2 — each then has an in-place form
-    /// ([`crate::DmavAssignment::in_place`]) — else the state and the
-    /// out-of-place walks' output vector. (Should a one-vector run meet a
-    /// matrix without an in-place form after all, the output vector is
-    /// admitted or refused when that gate asks for it.)
+    /// alone when every DMAV is a single gate's on one group — each then has
+    /// an in-place form ([`crate::DmavAssignment::in_place`]) — else the
+    /// state and the out-of-place walks' output vector. (Should a one-vector
+    /// run meet a matrix without an in-place form after all, the output
+    /// vector is admitted or refused when that gate asks for it.)
     fn flat_phase_bytes(&self) -> usize {
-        let in_place = self.cfg.fusion == FusionPolicy::None
-            && self.shards == 1
-            && self.cfg.caching != CachingPolicy::Always;
+        let in_place = self.cfg.fusion == FusionPolicy::None && self.shards == 1;
         let vectors = if in_place { 1 } else { 2 };
         vectors * (1usize << self.n) * std::mem::size_of::<Complex64>()
     }
@@ -291,7 +288,7 @@ impl FlatDdSimulator {
             let mut v = flat_phase::try_flat_buffer(&core, "initial flat state")?;
             v[0] = Complex64::ONE;
             let ewma = EwmaMonitor::new(EwmaConfig::default()).state();
-            PhaseState::Flat(FlatPhase::new(v, &core, ewma))
+            PhaseState::Flat(FlatPhase::new(v, ewma))
         } else {
             if start_flat {
                 // The flat state would bust the budget before the first

@@ -248,7 +248,7 @@ impl FlatDdSimulator {
                 // The payload is shard-agnostic: re-shard under *this*
                 // simulator's geometry, which may differ from the writer's.
                 let v = qarray::ShardedState::from_vec(v, core.shards);
-                PhaseState::Flat(FlatPhase::new(v, core, header.ewma))
+                PhaseState::Flat(FlatPhase::new(v, header.ewma))
             }
         };
         // Drop the |0...0> state try_new built.

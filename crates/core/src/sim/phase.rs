@@ -223,7 +223,7 @@ pub(super) fn convert(core: &mut Core, phase: &mut PhaseState) -> Result<(), Fla
         }
         core.emit_span(conv_span, "conversion", conv_start_us, dur_us);
     }
-    *phase = PhaseState::Flat(FlatPhase::new(v, core, ewma));
+    *phase = PhaseState::Flat(FlatPhase::new(v, ewma));
     // Drop all vector nodes (and stale gate matrices).
     phase.collect(core);
     Ok(())

@@ -59,15 +59,19 @@ stats_table! {
     converted_at: Option<usize> = None, OptCount, gauge;
     /// Wall-clock seconds of the DD-to-array conversion.
     conversion_seconds: f64 = 0.0, Real, gauge;
-    /// DMAVs that used the cached kernel.
+    /// DMAVs that used the cached kernel (Algorithm 2). Always 0: the
+    /// simulator runs Algorithm 1 only; kept for the checkpoint header and
+    /// the stats JSON.
     cached_dmavs: usize = 0, Count, gauge;
-    /// DMAVs that used the plain kernel.
+    /// DMAVs that used the plain kernel (Algorithm 1): every DMAV.
     uncached_dmavs: usize = 0, Count, gauge;
-    /// Total cache hits across cached DMAVs.
+    /// Total cache hits across cached DMAVs. Always 0, like
+    /// `cached_dmavs`.
     cache_hits: usize = 0, Count, gauge;
     /// Matrices produced by fusion (0 when fusion is off).
     fused_matrices: usize = 0, Count, gauge;
-    /// Total modeled DMAV cost (MACs/thread) accumulated.
+    /// Total modeled DMAV cost accumulated: Eq. 5's `K1 / t` (MACs per
+    /// group) per DMAV.
     modeled_cost: f64 = 0.0, Real, gauge;
     /// Largest state-vector DD observed during the DD phase.
     peak_state_dd_size: usize = 0, Count, gauge;

@@ -58,24 +58,26 @@ fn all_conversion_policies_agree() {
 }
 
 #[test]
-fn all_caching_policies_agree() {
-    let c = generators::supremacy(2, 3, 6, 9);
-    let want = dense::simulate(&c);
-    for caching in [
-        CachingPolicy::CostModel,
-        CachingPolicy::Always,
-        CachingPolicy::Never,
-    ] {
-        let got = simulate(
-            &c,
-            FlatDdConfig {
-                caching,
-                conversion: ConversionPolicy::Immediate,
-                ..cfg(4)
-            },
-        );
-        assert!(state_distance(&got, &want) < TOL, "{caching:?}");
-    }
+fn a_gate_eq_6_prices_below_eq_5_still_runs_algorithm_1() {
+    // H on the top qubit at two groups repeats one identity block per
+    // group: Eq. 6 prices it at 3,584 MACs per group against Eq. 5's 4,096,
+    // so `min(C1, C2)` would send it to Algorithm 2. The engine runs
+    // Algorithm 1 and charges Eq. 5.
+    let n = 12;
+    let mut c = Circuit::new(n);
+    c.h(n - 1);
+    let mut sim = FlatDdSimulator::new(
+        n,
+        FlatDdConfig {
+            conversion: ConversionPolicy::Immediate,
+            ..cfg(2)
+        },
+    );
+    sim.run(&c).unwrap();
+    let st = sim.stats();
+    assert_eq!((st.gates_dmav, st.cached_dmavs, st.cache_hits), (1, 0, 0));
+    assert_eq!(st.modeled_cost, 4096.0);
+    assert!(state_distance(&sim.amplitudes(), &dense::simulate(&c)) < 1e-12);
 }
 
 #[test]
@@ -185,21 +187,26 @@ fn amplitude_queries_work_in_both_phases() {
 }
 
 #[test]
-fn cost_model_mixes_kernels_on_real_workloads() {
-    let n = 8;
+fn modeled_cost_sums_eq_5_on_real_workloads() {
+    let (n, t) = (8, 4);
     let c = generators::supremacy(2, 4, 8, 7);
     let mut sim = FlatDdSimulator::new(
         n,
         FlatDdConfig {
             conversion: ConversionPolicy::Immediate,
-            ..cfg(4)
+            ..cfg(t)
         },
     );
     sim.run(&c).unwrap();
     let st = sim.stats();
-    assert_eq!(st.cached_dmavs + st.uncached_dmavs, st.gates_dmav);
-    assert!(st.gates_dmav >= c.num_gates());
-    assert!(st.modeled_cost > 0.0);
+    assert_eq!((st.cached_dmavs, st.uncached_dmavs), (0, st.gates_dmav));
+    assert_eq!(st.gates_dmav, c.num_gates());
+    let pkg = DdPackage::default();
+    let k1_per_group: f64 = c
+        .iter()
+        .map(|g| qdd::mac_count(&pkg, pkg.gate_dd(g, n)) as f64 / t as f64)
+        .sum();
+    assert_eq!(st.modeled_cost, k1_per_group);
 }
 
 #[test]
@@ -226,7 +233,7 @@ fn plan_cache_hits_on_deep_repeated_gate_circuits() {
     );
     sim.run(&c).unwrap();
     let st = sim.stats();
-    // One plan lookup per DMAV, whichever kernel the cost model picks.
+    // One plan lookup per DMAV.
     assert_eq!(st.dmav_plan_hits + st.dmav_plan_misses, st.gates_dmav);
     let rate = st.dmav_plan_hits as f64 / st.gates_dmav as f64;
     assert!(rate > 0.9, "plan hit rate {rate} over {}", st.gates_dmav);

@@ -64,8 +64,8 @@ fn main() {
         stats.converted_at
     );
     println!(
-        "gates in DD phase: {}, DMAVs: {} ({} cached / {} plain)",
-        stats.gates_dd, stats.gates_dmav, stats.cached_dmavs, stats.uncached_dmavs
+        "gates in DD phase: {}, DMAVs: {}",
+        stats.gates_dd, stats.gates_dmav
     );
     let norm: f64 = sim2.amplitudes().iter().map(|a| a.norm_sqr()).sum();
     println!("state norm check: {norm:.12} (must be 1)");

@@ -42,12 +42,8 @@ fn main() {
         stats.converted_at
     );
     println!(
-        "DD-phase gates: {}, DMAVs: {} (cached {}, plain {}), peak state-DD: {} nodes",
-        stats.gates_dd,
-        stats.gates_dmav,
-        stats.cached_dmavs,
-        stats.uncached_dmavs,
-        stats.peak_state_dd_size
+        "DD-phase gates: {}, DMAVs: {}, peak state-DD: {} nodes",
+        stats.gates_dd, stats.gates_dmav, stats.peak_state_dd_size
     );
 
     // Porter-Thomas check: for a chaotic circuit the scaled probabilities

@@ -9,8 +9,8 @@
 //! where the pending fused matrices are the package's only live roots.
 
 use flatdd::{
-    CachingPolicy, CheckpointPolicy, ConversionPolicy, FlatDdConfig, FlatDdError, FlatDdSimulator,
-    FusionPolicy, GovernorConfig, Phase, RunContext,
+    CheckpointPolicy, ConversionPolicy, FlatDdConfig, FlatDdError, FlatDdSimulator, FusionPolicy,
+    GovernorConfig, Phase, RunContext,
 };
 use qcircuit::complex::state_distance;
 use qcircuit::{dense, generators, Circuit};
@@ -174,23 +174,26 @@ fn every_exit_in_every_lane_is_typed_in_sync_and_resumable() {
     }
 }
 
-/// A budget just above the two flat buffers: the first cached DMAV's
-/// partial buffers bust it mid-span, the ladder releases them and sweeps
-/// the package while later fused matrices are still pending. Those are the
-/// sweep's roots; the run must finish exactly.
+/// A budget half the plan memo under what the unbudgeted run ends up
+/// holding (state, output vector, package, plans) is busted mid-span (after
+/// the third of seven steps): the ladder drops the output vector and the
+/// plans and sweeps the package while later fused matrices are still
+/// pending. Those are the sweep's roots; the run must finish exactly.
 #[test]
 fn pressure_sweep_inside_a_fused_span_keeps_the_pending_matrices() {
     let n = 16;
     let c = generators::dnn(n, 2, 7);
-    let mut cfg = FlatDdConfig {
-        caching: CachingPolicy::Always,
-        ..lane_cfg(Lane::FusedFlat)
-    };
-    // A fresh flat simulator holds the state; the output vector comes with
-    // the first out-of-place DMAV.
-    let at_start = FlatDdSimulator::try_new(n, cfg).unwrap().memory_bytes();
-    let output_vector = (1usize << n) * std::mem::size_of::<qcircuit::Complex64>();
-    cfg.governor.memory_budget_bytes = Some(at_start + output_vector + (256 << 10));
+    let mut cfg = lane_cfg(Lane::FusedFlat);
+    let mut free = FlatDdSimulator::try_new_with(n, cfg, RunContext::isolated()).unwrap();
+    free.run(&c).unwrap();
+    free.publish_metrics();
+    let plans = free
+        .context()
+        .metrics()
+        .gauge("plan_cache.memory_bytes")
+        .get() as usize;
+    assert!(plans > 0);
+    cfg.governor.memory_budget_bytes = Some(free.memory_bytes() - plans / 2);
     let mut sim = FlatDdSimulator::try_new(n, cfg).unwrap();
     assert_eq!(sim.phase(), Phase::Dmav, "the budget admits the flat state");
     sim.run(&c).unwrap();

@@ -3,7 +3,7 @@
 //! engine, the Quantum++-equivalent array engine) and the dense reference
 //! must produce the same final state.
 
-use flatdd::{CachingPolicy, ConversionPolicy, EwmaConfig, FlatDdConfig, FusionPolicy};
+use flatdd::{ConversionPolicy, EwmaConfig, FlatDdConfig, FusionPolicy};
 use qcircuit::complex::state_distance;
 use qcircuit::{dense, generators, Circuit};
 
@@ -89,32 +89,24 @@ fn flatdd_policy_grid_agrees() {
         ConversionPolicy::Immediate,
         ConversionPolicy::Never,
     ];
-    let cachings = [
-        CachingPolicy::CostModel,
-        CachingPolicy::Always,
-        CachingPolicy::Never,
-    ];
     let fusions = [
         FusionPolicy::None,
         FusionPolicy::DmavAware,
         FusionPolicy::KOperations(3),
     ];
     for conversion in conversions {
-        for caching in cachings {
-            for fusion in fusions {
-                let cfg = FlatDdConfig {
-                    threads: 2,
-                    conversion,
-                    caching,
-                    fusion,
-                    ..Default::default()
-                };
-                let got = flatdd::simulate(&c, cfg);
-                assert!(
-                    state_distance(&got, &want) < TOL,
-                    "{conversion:?} / {caching:?} / {fusion:?}"
-                );
-            }
+        for fusion in fusions {
+            let cfg = FlatDdConfig {
+                threads: 2,
+                conversion,
+                fusion,
+                ..Default::default()
+            };
+            let got = flatdd::simulate(&c, cfg);
+            assert!(
+                state_distance(&got, &want) < TOL,
+                "{conversion:?} / {fusion:?}"
+            );
         }
     }
 }

@@ -4,8 +4,8 @@
 
 use flatdd::telemetry::{self, Event, EventSink};
 use flatdd::{
-    CachingPolicy, CheckpointPolicy, ConversionPolicy, FlatDdConfig, FlatDdError, FlatDdSimulator,
-    FusionPolicy, RunContext, ThreadPool,
+    CheckpointPolicy, ConversionPolicy, FlatDdConfig, FlatDdError, FlatDdSimulator, FusionPolicy,
+    RunContext, ThreadPool,
 };
 use qcircuit::complex::{norm_sqr, state_distance};
 use qcircuit::gate::{Gate, GateKind};
@@ -59,7 +59,6 @@ fn flatdd_matches_dense() {
 fn flatdd_pure_dmav_with_fusion_matches_dense() {
     let cfg = FlatDdConfig {
         conversion: ConversionPolicy::Immediate,
-        caching: CachingPolicy::Always,
         fusion: FusionPolicy::DmavAware,
         ..with_threads(4)
     };
@@ -72,26 +71,23 @@ fn flat_phase_matches_dense_under_every_kernel_and_fusion_policy() {
         let c = g.circuit(6, 1..40);
         let (threads, flat_shards) = (g.rng.range(1..4), g.rng.range(1..9));
         // Every gate (or fused block) goes through the compiled DMAV walk,
-        // row-space and column-space, with shard counts that differ from
-        // the pool size.
+        // in place or out of place, with shard counts that differ from the
+        // pool size.
         let want = dense::simulate(&c);
         for fusion in [FusionPolicy::None, FusionPolicy::DmavAware] {
-            for caching in [CachingPolicy::Never, CachingPolicy::Always] {
-                let cfg = FlatDdConfig {
-                    threads,
-                    flat_shards,
-                    conversion: ConversionPolicy::Immediate,
-                    caching,
-                    fusion,
-                    ..Default::default()
-                };
-                let got = flatdd::simulate(&c, cfg);
-                let d = state_distance(&got, &want);
-                assert!(
-                    d < 1e-10 && got.iter().all(|a| a.re.is_finite() && a.im.is_finite()),
-                    "{fusion:?} {caching:?} threads={threads} shards={flat_shards}: {d:e}"
-                );
-            }
+            let cfg = FlatDdConfig {
+                threads,
+                flat_shards,
+                conversion: ConversionPolicy::Immediate,
+                fusion,
+                ..Default::default()
+            };
+            let got = flatdd::simulate(&c, cfg);
+            let d = state_distance(&got, &want);
+            assert!(
+                d < 1e-10 && got.iter().all(|a| a.re.is_finite() && a.im.is_finite()),
+                "{fusion:?} threads={threads} shards={flat_shards}: {d:e}"
+            );
         }
     });
 }
@@ -139,9 +135,9 @@ fn in_place_and_out_of_place_gates_mix_within_a_run_and_across_a_resume() {
                 resumed.run_from(&c).unwrap();
                 let stats = resumed.stats();
                 assert_eq!(
-                    stats.cached_dmavs + stats.uncached_dmavs,
-                    stats.gates_dmav,
-                    "in-place gates count as uncached"
+                    (stats.cached_dmavs, stats.uncached_dmavs),
+                    (0, stats.gates_dmav),
+                    "every DMAV, in place or not, is an Algorithm 1 walk"
                 );
                 let d = state_distance(&resumed.amplitudes(), &want);
                 assert!(

@@ -7,7 +7,7 @@
 //! its own simulator's `telemetry_id`.
 
 use flatdd::telemetry::{self, Event};
-use flatdd::{CachingPolicy, ConversionPolicy, FlatDdConfig, FlatDdSimulator};
+use flatdd::{ConversionPolicy, FlatDdConfig, FlatDdSimulator};
 use qcircuit::generators;
 use std::sync::{Mutex, MutexGuard};
 
@@ -114,31 +114,25 @@ fn conversion_and_run_events_emitted_exactly_once() {
 #[test]
 fn plan_cache_accounting_covers_every_dmav_gate() {
     let c = irregular_circuit();
-    for caching in [
-        CachingPolicy::CostModel,
-        CachingPolicy::Always,
-        CachingPolicy::Never,
-    ] {
-        let mut sim = FlatDdSimulator::new(
-            10,
-            FlatDdConfig {
-                threads: 2,
-                conversion: ConversionPolicy::Immediate,
-                caching,
-                ..Default::default()
-            },
-        );
-        let stats = sim.run(&c).expect("run").stats;
-        assert_eq!(stats.gates_dd, 0, "Immediate converts at construction");
-        assert_eq!(stats.gates_dmav, c.num_gates());
-        assert_eq!(
-            stats.dmav_plan_hits + stats.dmav_plan_misses,
-            stats.gates_dmav,
-            "{caching:?}: every DMAV gate is exactly one plan lookup, and \
-             each lookup is a hit or a miss"
-        );
-        assert!(stats.dmav_plan_hits > 0, "repeated gate matrices must hit");
-    }
+    let mut sim = FlatDdSimulator::new(
+        10,
+        FlatDdConfig {
+            threads: 2,
+            conversion: ConversionPolicy::Immediate,
+            ..Default::default()
+        },
+    );
+    let stats = sim.run(&c).expect("run").stats;
+    assert_eq!(stats.gates_dd, 0, "Immediate converts at construction");
+    assert_eq!(stats.gates_dmav, c.num_gates());
+    assert_eq!(
+        stats.dmav_plan_hits + stats.dmav_plan_misses,
+        stats.gates_dmav,
+        "every DMAV gate is exactly one plan lookup, and each lookup is a \
+         hit or a miss"
+    );
+    assert!(stats.dmav_plan_hits > 0, "repeated gate matrices must hit");
+    assert_eq!(stats.cached_dmavs, 0, "the engine runs Algorithm 1 only");
 }
 
 #[test]

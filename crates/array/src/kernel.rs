@@ -6,7 +6,6 @@
 //! and each pair is independent, so pairs are partitioned across threads.
 
 use crate::pool::ThreadPool;
-use crate::sync_slice::SyncUnsafeSlice;
 use crate::vecops;
 use qcircuit::{Complex64, Gate};
 
@@ -14,7 +13,6 @@ use qcircuit::{Complex64, Gate};
 struct GatePlan {
     m: [Complex64; 4],
     tbit: usize,
-    low_mask: usize,
     /// Bits that must be 1 for the gate to act.
     pos_mask: usize,
     /// Bits that must be 0 for the gate to act.
@@ -39,18 +37,11 @@ impl GatePlan {
         GatePlan {
             m,
             tbit,
-            low_mask: tbit - 1,
             pos_mask,
             neg_mask,
             diagonal: m[1].is_zero() && m[2].is_zero(),
             anti_diagonal: m[0].is_zero() && m[3].is_zero(),
         }
-    }
-
-    /// Pair-base index of group `g`: inserts a 0 bit at the target position.
-    #[inline(always)]
-    fn pair_index(&self, g: usize) -> usize {
-        ((g & !self.low_mask) << 1) | (g & self.low_mask)
     }
 
     #[inline(always)]
@@ -61,87 +52,84 @@ impl GatePlan {
 
 /// Applies `gate` to `state` on one thread.
 pub fn apply_gate_serial(state: &mut [Complex64], gate: &Gate) {
-    let plan = GatePlan::new(gate);
-    let groups = state.len() / 2;
-    apply_range(state, &plan, 0, groups);
+    apply_blocks(state, &GatePlan::new(gate), 0);
 }
 
-fn apply_range(state: &mut [Complex64], plan: &GatePlan, start: usize, end: usize) {
+/// A run of amplitude pairs: the index of its first low amplitude, the low
+/// amplitudes and their partners.
+type Run<'a> = (usize, &'a mut [Complex64], &'a mut [Complex64]);
+
+/// Applies the gate to `part`, whole `2 * tbit`-amplitude blocks of the
+/// state starting at amplitude `base`: each block is its low and high half.
+fn apply_blocks(part: &mut [Complex64], plan: &GatePlan, base: usize) {
+    let (tbit, block) = (plan.tbit, 2 * plan.tbit);
+    let runs = part.chunks_exact_mut(block).enumerate().map(|(b, pairs)| {
+        let (lo, hi) = pairs.split_at_mut(tbit);
+        (base + b * block, lo, hi)
+    });
+    apply_runs(plan, runs);
+}
+
+/// Applies the gate to `runs`: in run `(base, lo, hi)`, `lo[k]` is
+/// amplitude `base + k` (target bit 0) and `hi[k]` its partner.
+fn apply_runs<'a>(plan: &GatePlan, runs: impl Iterator<Item = Run<'a>>) {
     let m = plan.m;
     if plan.pos_mask | plan.neg_mask == 0 && plan.tbit >= 2 {
-        // Control-free gates touch *contiguous* amplitude runs, which the
-        // vectorized kernels eat whole (targets 0 produce unit runs, where
-        // the scalar loops below are faster).
-        apply_range_runs(state, plan, start, end);
-        return;
-    }
-    if plan.diagonal {
-        // Diagonal fast path: no pairing, pure scaling.
-        for g in start..end {
-            let i = plan.pair_index(g);
-            if !plan.controls_ok(i) {
-                continue;
+        // Control-free gates on a target above 0 pair whole contiguous
+        // runs, which the vectorized kernels eat whole (target 0 produces
+        // unit runs, where the scalar loops below are faster).
+        for (_, lo, hi) in runs {
+            if plan.diagonal {
+                vecops::scale_in_place(lo, m[0]);
+                vecops::scale_in_place(hi, m[3]);
+            } else {
+                // General and anti-diagonal blocks share the dense 2x2
+                // kernel (the zero entries multiply out exactly).
+                vecops::apply_2x2(lo, hi, &m);
             }
-            state[i] = m[0] * state[i];
-            let j = i | plan.tbit;
-            state[j] = m[3] * state[j];
         }
+    } else if plan.diagonal {
+        // Diagonal fast path: no pairing, pure scaling.
+        for_each_pair(plan, runs, |l, h| {
+            *l = m[0] * *l;
+            *h = m[3] * *h;
+        });
     } else if plan.anti_diagonal {
         // Anti-diagonal fast path (X, Y): swap-and-scale.
-        for g in start..end {
-            let i = plan.pair_index(g);
-            if !plan.controls_ok(i) {
-                continue;
-            }
-            let j = i | plan.tbit;
-            let (a0, a1) = (state[i], state[j]);
-            state[i] = m[1] * a1;
-            state[j] = m[2] * a0;
-        }
+        for_each_pair(plan, runs, |l, h| (*l, *h) = (m[1] * *h, m[2] * *l));
     } else {
-        for g in start..end {
-            let i = plan.pair_index(g);
-            if !plan.controls_ok(i) {
-                continue;
+        for_each_pair(plan, runs, |l, h| {
+            let (a0, a1) = (*l, *h);
+            *l = m[0] * a0 + m[1] * a1;
+            *h = m[2] * a0 + m[3] * a1;
+        });
+    }
+}
+
+/// `act(lo, hi)` on every pair of `runs` whose controls are satisfied.
+#[inline(always)]
+fn for_each_pair<'a>(
+    plan: &GatePlan,
+    runs: impl Iterator<Item = Run<'a>>,
+    act: impl Fn(&mut Complex64, &mut Complex64),
+) {
+    for (base, lo, hi) in runs {
+        for (k, (l, h)) in lo.iter_mut().zip(hi).enumerate() {
+            if plan.controls_ok(base + k) {
+                act(l, h);
             }
-            let j = i | plan.tbit;
-            let (a0, a1) = (state[i], state[j]);
-            state[i] = m[0] * a0 + m[1] * a1;
-            state[j] = m[2] * a0 + m[3] * a1;
         }
     }
 }
 
-/// Control-free run decomposition: consecutive groups sharing their high
-/// bits map to the contiguous slices `state[i..i+run]` (target bit 0) and
-/// `state[i+tbit..i+tbit+run]` (target bit 1), so one [`vecops`] call
-/// processes a whole run instead of one amplitude pair per iteration.
-fn apply_range_runs(state: &mut [Complex64], plan: &GatePlan, start: usize, end: usize) {
-    let mut g = start;
-    while g < end {
-        let i = plan.pair_index(g);
-        let run = (plan.tbit - (g & plan.low_mask)).min(end - g);
-        let (head, tail) = state.split_at_mut(i + plan.tbit);
-        let lo = &mut head[i..i + run];
-        let hi = &mut tail[..run];
-        if plan.diagonal {
-            vecops::scale_in_place(lo, plan.m[0]);
-            vecops::scale_in_place(hi, plan.m[3]);
-        } else {
-            // General and anti-diagonal blocks share the dense 2x2 kernel
-            // (the zero entries multiply out exactly).
-            vecops::apply_2x2(lo, hi, &plan.m);
-        }
-        g += run;
-    }
-}
-
-/// Applies `gate` to `state` on `pool`, with group space partitioned into
-/// `shards` contiguous ranges dispatched by [`ThreadPool::for_each_shard`],
-/// so the worker that first-touched a state shard keeps operating on it.
-/// `pair_index` is monotone in the group index, so a contiguous group shard
-/// touches a disjoint set of amplitude pairs. States too small to amortize
-/// the fork-join barrier (and size-1 pools) take the serial kernel.
+/// Applies `gate` to `state` on `pool`, with group space (one group per
+/// amplitude pair) partitioned into `shards` contiguous ranges handed out
+/// by [`ThreadPool::for_each_part`], so the worker that first-touched a
+/// state shard keeps operating on it. A shard of at least `tbit` groups is
+/// whole `2 * tbit` blocks of the state; a smaller one is a matching pair
+/// of runs inside one block's low and high half. States too small to
+/// amortize the fork-join barrier (and size-1 pools) take the serial
+/// kernel.
 pub fn apply_gate_pooled(state: &mut [Complex64], gate: &Gate, pool: &ThreadPool, shards: usize) {
     let groups = state.len() / 2;
     if pool.size() <= 1 || groups < pool.size() * 64 {
@@ -149,19 +137,23 @@ pub fn apply_gate_pooled(state: &mut [Complex64], gate: &Gate, pool: &ThreadPool
         return;
     }
     let plan = &GatePlan::new(gate);
-    let view = SyncUnsafeSlice::new(state);
-    let shards = shards.max(1);
-    pool.for_each_shard(shards, |shard| {
-        let r = crate::shard::shard_range(groups, shards, shard);
-        if r.is_empty() {
-            return;
-        }
-        // SAFETY: shard group ranges are disjoint and each group's pair
-        // indices are unique to that group, so no element is touched by
-        // two threads.
-        let full = unsafe { view.slice_mut(0, view.len()) };
-        apply_range(full, plan, r.start, r.end);
-    });
+    let (tbit, chunk) = (plan.tbit, groups.div_ceil(shards.max(1)));
+    if chunk >= tbit {
+        let span = 2 * chunk.next_multiple_of(tbit);
+        let parts = state.chunks_mut(span).enumerate();
+        pool.for_each_part(parts, |(s, part)| apply_blocks(part, plan, s * span));
+    } else {
+        let parts = state
+            .chunks_exact_mut(2 * tbit)
+            .enumerate()
+            .flat_map(|(b, block)| {
+                let (lo, hi) = block.split_at_mut(tbit);
+                let runs = lo.chunks_mut(chunk).zip(hi.chunks_mut(chunk));
+                runs.enumerate()
+                    .map(move |(r, (lo, hi))| (2 * tbit * b + r * chunk, lo, hi))
+            });
+        pool.for_each_part(parts, |run| apply_runs(plan, std::iter::once(run)));
+    }
 }
 
 /// One-shot convenience over [`apply_gate_pooled`]: builds a transient
@@ -240,6 +232,33 @@ mod tests {
                 apply_gate_serial(&mut a, &g);
                 apply_gate_pooled(&mut b, &g, &pool, threads);
                 assert!(state_distance(&a, &b) < TOL, "gate {g}, t={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_is_bit_identical_to_serial_on_every_target() {
+        // n = 10: 512 groups, so shards of 512 / s groups meet targets on
+        // both sides of `tbit` (whole blocks per part, or runs of a half).
+        let n = 10;
+        let pool = ThreadPool::new(2);
+        for t in 0..n {
+            let (up, down) = ((t + 1) % n, (t + n - 1) % n);
+            for g in [
+                Gate::new(GateKind::H, t),
+                Gate::new(GateKind::RZ(0.37), t),
+                Gate::new(GateKind::Y, t),
+                Gate::controlled(GateKind::U(0.5, 1.0, -0.7), t, vec![Control::pos(up)]),
+                Gate::controlled(GateKind::Phase(0.9), t, vec![Control::neg(down)]),
+                Gate::controlled(GateKind::X, t, vec![Control::pos(up), Control::pos(down)]),
+            ] {
+                let mut want = rand_state(n, 21);
+                apply_gate_serial(&mut want, &g);
+                for shards in [1, 2, 4, 8] {
+                    let mut got = rand_state(n, 21);
+                    apply_gate_pooled(&mut got, &g, &pool, shards);
+                    assert_eq!(got, want, "gate {g}, shards={shards}");
+                }
             }
         }
     }

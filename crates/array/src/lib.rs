@@ -6,28 +6,27 @@
 //! independent amplitude pairs are partitioned across threads.
 //!
 //! * [`pool`] — [`ThreadPool`], the persistent fork-join pool every
-//!   parallel site of the workspace dispatches on, and its
-//!   [`ThreadPool::for_each_shard`] shard-to-worker rule.
+//!   parallel site of the workspace dispatches on, and
+//!   [`ThreadPool::for_each_part`], its shard-to-worker rule, which hands
+//!   each worker the disjoint `&mut` parts of an output it writes.
 //! * [`kernel`] — serial and pooled in-place gate application with
 //!   diagonal/anti-diagonal fast paths.
 //! * [`sim`] — [`ArraySimulator`], the full-state simulator.
 //! * [`shard`] — [`ShardedState`], the contiguous-but-sharded flat state,
 //!   and the one allocation path of flat buffers (kernel-zeroed,
 //!   huge-page-advised, faulted in by the first worker to write a page).
-//! * [`sync_slice`] — [`SyncUnsafeSlice`], the disjoint-parallel-write
-//!   primitive shared with FlatDD's DMAV kernels.
 //! * [`vecops`] — vectorized complex primitives (axpy/scale/dot/2x2 blocks)
 //!   with runtime scalar-vs-AVX2 dispatch, shared by every hot loop of the
 //!   workspace.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod kernel;
 pub mod measure;
 pub mod pool;
 pub mod shard;
 pub mod sim;
-pub mod sync_slice;
 pub mod vecops;
 
 pub use kernel::{apply_gate_pooled, apply_gate_serial, apply_gate_sharded};
@@ -38,4 +37,3 @@ pub use measure::{
 pub use pool::ThreadPool;
 pub use shard::{first_touch_zeroed, shard_range, sum_shards, ShardedState};
 pub use sim::{simulate, simulate_with_threads, try_zeroed_state, ArraySimulator};
-pub use sync_slice::SyncUnsafeSlice;

@@ -3,8 +3,7 @@
 //! `qdd::sampling` / `qdd::inner`.
 
 use crate::pool::ThreadPool;
-use crate::shard::{shard_range, sum_shards};
-use crate::sync_slice::SyncUnsafeSlice;
+use crate::shard::{shard_parts, shard_range, sum_shards};
 use crate::vecops;
 use qcircuit::observable::{Hamiltonian, Pauli, PauliString};
 use qcircuit::Complex64;
@@ -183,7 +182,7 @@ fn prob_one_partial(state: &[Complex64], bit: usize, range: std::ops::Range<usiz
 
 /// Marginal probability that qubit `q` measures 1, computed per shard:
 /// each of `shards` contiguous state ranges contributes a partial sum
-/// (dispatched by [`ThreadPool::for_each_shard`]), and the partials are
+/// (dispatched by [`ThreadPool::for_each_part`]), and the partials are
 /// added in shard order.
 pub fn qubit_probability_one_sharded(
     state: &[Complex64],
@@ -220,14 +219,8 @@ pub fn measure_qubit_sharded(
     let bit = 1usize << q;
     let scale = Complex64::real(1.0 / prob.sqrt());
     let dim = state.len();
-    let view = SyncUnsafeSlice::new(state);
-    pool.for_each_shard(shards, |s| {
+    pool.for_each_part(shard_parts(state, shards).enumerate(), |(s, chunk)| {
         let r = shard_range(dim, shards, s);
-        if r.is_empty() {
-            return;
-        }
-        // SAFETY: shard ranges are disjoint and each runs on one worker.
-        let chunk = unsafe { view.slice_mut(r.start, r.len()) };
         if bit >= dim {
             // Qubit above the register: outcome is always 0, pure rescale.
             vecops::scale_in_place(chunk, scale);

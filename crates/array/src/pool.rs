@@ -9,11 +9,11 @@
 //! the paper's kernels. The pool lives in `qarray` (the bottom of the crate
 //! stack: `qdd` and `flatdd` both depend on it) so the array kernels, the DD
 //! phase, the DMAV kernels and the converters all share one set of workers,
-//! and [`for_each_shard`] is the one place the shard-to-worker rule is
+//! and [`for_each_part`] is the one place the shard-to-worker rule is
 //! written down.
 //!
 //! [`run`]: ThreadPool::run
-//! [`for_each_shard`]: ThreadPool::for_each_shard
+//! [`for_each_part`]: ThreadPool::for_each_part
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -23,7 +23,7 @@ use std::thread::JoinHandle;
 #[derive(Clone, Copy)]
 struct Job(*const (dyn Fn(usize) + Sync));
 // SAFETY: the closure behind the pointer is `Sync`, and `run` keeps it alive
-// until every worker has finished with it.
+// until every worker has finished with it (`runs_every_tid_once`).
 unsafe impl Send for Job {}
 
 struct State {
@@ -126,10 +126,12 @@ impl ThreadPool {
         // The lock guards no data, so a poisoned one (a previous dispatch
         // re-raised a job panic while holding it) is as good as a clean one.
         let _dispatch = self.dispatch.lock().unwrap_or_else(PoisonError::into_inner);
+        let local: &(dyn Fn(usize) + Sync) = &f;
         // SAFETY: `f` outlives this call, and this call does not return
         // before every worker has finished executing the job — so erasing
-        // the lifetime of the trait object is sound.
-        let local: &(dyn Fn(usize) + Sync) = &f;
+        // the lifetime of the trait object is sound
+        // (`panicking_job_surfaces_on_the_dispatcher_and_the_pool_survives`,
+        // `second_dispatcher_waits_for_the_first`).
         let ptr: *const (dyn Fn(usize) + Sync) = unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(local)
         };
@@ -154,21 +156,36 @@ impl ThreadPool {
         }
     }
 
-    /// Runs `f(s)` once for every shard `s in 0..shards` and waits for
-    /// completion: worker `tid` takes shards `tid, tid + T, tid + 2T, ...`
-    /// (`T` = pool size), so a worker keeps operating on the shards it
-    /// first-touched whether the shard count equals, exceeds or undershoots
-    /// the pool size. A size-1 pool, or a single shard, runs inline on the
-    /// caller.
-    pub fn for_each_shard<F: Fn(usize) + Sync>(&self, shards: usize, f: F) {
-        let t = self.size;
-        if t == 1 || shards <= 1 {
-            (0..shards).for_each(f);
-            return;
+    /// Runs `f(part)` once for every item of `parts` and waits for
+    /// completion. Part `s` is shard `s`: worker `tid` takes parts `tid,
+    /// tid + T, tid + 2T, ...` (`T` = pool size), so a worker keeps
+    /// operating on the shards it first-touched whether the shard count
+    /// equals, exceeds or undershoots the pool size. This is the one way a
+    /// parallel writer gets its output: the caller carves disjoint `&mut`
+    /// pieces (or tuples of them) with safe slicing, so no two workers can
+    /// reach one element. A size-1 pool, or a single part, runs inline on
+    /// the caller and allocates nothing.
+    pub fn for_each_part<P: Send>(&self, parts: impl IntoIterator<Item = P>, f: impl Fn(P) + Sync) {
+        let mut parts = parts.into_iter();
+        if self.size == 1 {
+            return parts.for_each(f);
         }
+        let Some(first) = parts.next() else {
+            return;
+        };
+        let Some(second) = parts.next() else {
+            return f(first);
+        };
+        let slots: Vec<Mutex<Option<P>>> = [first, second]
+            .into_iter()
+            .chain(parts)
+            .map(|p| Mutex::new(Some(p)))
+            .collect();
+        let t = self.size;
         self.run(|tid| {
-            for s in (tid..shards).step_by(t) {
-                f(s);
+            for slot in slots.iter().skip(tid).step_by(t) {
+                let part = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+                f(part.expect("every part is handed out once"));
             }
         });
     }
@@ -194,7 +211,8 @@ fn worker_loop(tid: usize, shared: &Shared) {
         // SAFETY: the dispatcher keeps the closure alive until `active`
         // drops to zero, which happens strictly after this call returns.
         // A panicking job must still decrement `active`, or `run` would
-        // deadlock; the panic is surfaced on the dispatcher side instead.
+        // deadlock; the panic is surfaced on the dispatcher side instead
+        // (`panicking_job_surfaces_on_the_dispatcher_and_the_pool_survives`).
         let result =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe { (*job.0)(tid) }));
         let mut st = shared.lock();
@@ -273,49 +291,44 @@ mod tests {
         let pool = ThreadPool::new(2);
         for _ in 0..2 {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.for_each_shard(4, |s| {
-                    if s == 1 {
-                        panic!("boom");
-                    }
-                });
+                pool.for_each_part(0..4, |s| assert_ne!(s, 1, "boom"));
             }));
             assert!(
                 result.is_err(),
                 "the dispatcher must re-raise the job panic"
             );
-            let hits = AtomicUsize::new(0);
-            pool.run(|_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(hits.load(Ordering::Relaxed), 2);
+            let mut out = [0usize; 4];
+            pool.for_each_part(out.iter_mut().enumerate(), |(s, o)| *o = s);
+            assert_eq!(out, [0, 1, 2, 3]);
         }
     }
 
     #[test]
-    fn for_each_shard_visits_every_shard_exactly_once() {
-        let pool = ThreadPool::new(4);
-        for shards in [0usize, 1, 3, 4, 5, 8, 13] {
-            let visits: Vec<AtomicUsize> = (0..shards).map(|_| AtomicUsize::new(0)).collect();
-            pool.for_each_shard(shards, |s| {
-                visits[s].fetch_add(1, Ordering::Relaxed);
-            });
-            for (s, v) in visits.iter().enumerate() {
-                assert_eq!(v.load(Ordering::Relaxed), 1, "shards={shards} s={s}");
+    fn for_each_part_hands_out_every_part_exactly_once() {
+        for size in 1..=4 {
+            let pool = ThreadPool::new(size);
+            for parts in [0usize, 1, 3, 8, 17] {
+                let mut seen = vec![0u32; parts];
+                pool.for_each_part(seen.iter_mut().enumerate(), |(s, hits)| {
+                    *hits += 1 + s as u32;
+                });
+                let want: Vec<u32> = (1..=parts as u32).collect();
+                assert_eq!(seen, want, "pool {size}, {parts} parts");
             }
         }
     }
 
     #[test]
-    fn for_each_shard_keeps_a_shard_on_one_worker() {
-        // Round-robin ownership: shard `s` always runs on worker `s % T`.
+    fn for_each_part_keeps_a_part_on_one_worker() {
+        // Round-robin ownership: part `s` always runs on worker `s % T`.
         let pool = ThreadPool::new(2);
         let owner: Vec<Mutex<Option<std::thread::ThreadId>>> =
             (0..6).map(|_| Mutex::new(None)).collect();
         for _ in 0..3 {
-            pool.for_each_shard(6, |s| {
+            pool.for_each_part(0..6, |s| {
                 let me = std::thread::current().id();
                 let mut slot = owner[s].lock().unwrap();
-                assert_eq!(*slot.get_or_insert(me), me, "shard {s} changed worker");
+                assert_eq!(*slot.get_or_insert(me), me, "part {s} changed worker");
             });
         }
         let id = |s: usize| owner[s].lock().unwrap().unwrap();
@@ -325,15 +338,15 @@ mod tests {
     }
 
     #[test]
-    fn size_one_pool_runs_shards_inline_on_the_caller() {
+    fn size_one_pool_runs_parts_inline_in_order() {
         let pool = ThreadPool::new(1);
         let me = std::thread::current().id();
         let seen = Mutex::new(Vec::new());
-        pool.for_each_shard(5, |s| {
+        pool.for_each_part(["a", "b", "c"], |p| {
             assert_eq!(std::thread::current().id(), me);
-            seen.lock().unwrap().push(s);
+            seen.lock().unwrap().push(p);
         });
-        assert_eq!(*seen.lock().unwrap(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(*seen.lock().unwrap(), ["a", "b", "c"]);
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //! the shard count equals, exceeds, or undershoots the thread count.
 
 use crate::pool::ThreadPool;
-use crate::sync_slice::SyncUnsafeSlice;
 use qcircuit::Complex64;
 use std::collections::TryReserveError;
+use std::mem::MaybeUninit;
 use std::ops::{Deref, DerefMut, Range};
 
 /// Splits `dim` elements into `shards` contiguous ranges: every shard gets
@@ -41,6 +41,13 @@ pub fn shard_range(dim: usize, shards: usize, s: usize) -> Range<usize> {
     let start = (s * len).min(dim);
     let end = ((s + 1) * len).min(dim);
     start..end
+}
+
+/// `v` cut at the [`shard_range`]s of `shards` shards: part `s` is shard
+/// `s`, and the empty tail shards of a short `v` are left out — the parts
+/// a sharded writer hands to [`ThreadPool::for_each_part`].
+pub(crate) fn shard_parts<T>(v: &mut [T], shards: usize) -> std::slice::ChunksMut<'_, T> {
+    v.chunks_mut(v.len().div_ceil(shards.max(1)).max(1))
 }
 
 /// Smallest flat buffer advised onto transparent huge pages (4 MiB: below
@@ -118,8 +125,8 @@ fn kernel_zeroed(dim: usize) -> Option<Vec<Complex64>> {
 /// from the kernel (and huge-page-advised from [`HUGE_PAGE_MIN_BYTES`]
 /// up), so its pages are faulted in by whichever worker first writes them.
 /// Capacity `v` already holds is zeroed explicitly, each shard by the
-/// `pool` worker that will own it ([`ThreadPool::for_each_shard`]'s
-/// round-robin rule). A refused reservation is the `TryReserveError`.
+/// `pool` worker that will own it ([`ThreadPool::for_each_part`]). A
+/// refused reservation is the `TryReserveError`.
 pub fn first_touch_zeroed(
     v: &mut Vec<Complex64>,
     dim: usize,
@@ -137,28 +144,19 @@ pub fn first_touch_zeroed(
         // buffer is zeroed below.
         v.try_reserve_exact(dim)?;
     }
-    let shards = shards.max(1);
-    let spare = SyncUnsafeSlice::new(&mut v.spare_capacity_mut()[..dim]);
-    pool.for_each_shard(shards, |s| {
-        let r = shard_range(dim, shards, s);
-        // SAFETY: shard ranges tile `0..dim` without overlap and each shard
-        // runs on exactly one worker; all-zero bytes are a valid
-        // `Complex64` (two 0.0 f64s).
-        unsafe {
-            spare
-                .slice_mut(r.start, r.len())
-                .as_mut_ptr()
-                .write_bytes(0, r.len())
-        };
+    let spare = &mut v.spare_capacity_mut()[..dim];
+    pool.for_each_part(shard_parts(spare, shards), |part| {
+        part.fill(MaybeUninit::new(Complex64::ZERO));
     });
-    // SAFETY: the shards tile `0..dim` and `for_each_shard` returned, so
-    // every element below `dim` is initialized.
+    // SAFETY: the shard parts tile `0..dim` and `for_each_part` returned, so
+    // every element below `dim` is initialized
+    // (`first_touch_reuses_existing_capacity`).
     unsafe { v.set_len(dim) };
     Ok(())
 }
 
 /// Sums `partial(s)` over the shards `0..shards`: the partials are computed
-/// on `pool` ([`ThreadPool::for_each_shard`]) and added in shard order, so
+/// on `pool` ([`ThreadPool::for_each_part`]) and added in shard order, so
 /// the result depends on the shard count but never on the thread count.
 /// One shard is `partial(0)` itself.
 pub fn sum_shards(pool: &ThreadPool, shards: usize, partial: impl Fn(usize) -> f64 + Sync) -> f64 {
@@ -166,11 +164,7 @@ pub fn sum_shards(pool: &ThreadPool, shards: usize, partial: impl Fn(usize) -> f
         return partial(0);
     }
     let mut partials = vec![0.0f64; shards];
-    let view = SyncUnsafeSlice::new(&mut partials);
-    pool.for_each_shard(shards, |s| {
-        // SAFETY: each partial slot is written by exactly one worker.
-        unsafe { view.write(s, partial(s)) };
-    });
+    pool.for_each_part(partials.iter_mut().enumerate(), |(s, p)| *p = partial(s));
     partials.iter().sum()
 }
 

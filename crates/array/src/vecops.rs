@@ -101,7 +101,8 @@ macro_rules! dispatch {
             Backend::Avx2 => {
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: `backend()` only returns `Avx2` after runtime
-                // detection of both AVX2 and FMA.
+                // detection of both AVX2 and FMA, the features every `avx2`
+                // kernel enables (`backend_is_stable_and_named`).
                 unsafe {
                     $avx2
                 }
@@ -158,9 +159,12 @@ pub fn dot(a: &[Complex64], b: &[Complex64]) -> Complex64 {
 /// One dense 2x2 complex MAC: `w[0] += m[0]*v0 + m[1]*v1` and
 /// `w[1] += m[2]*v0 + m[3]*v1`. Was the unrolled level-0 case of DMAV `Run`,
 /// which now goes through [`block2x2`]; kept because the benchmark times it.
+///
+/// # Panics
+/// When `w` holds fewer than two amplitudes.
 #[inline]
 pub fn mac2x2(w: &mut [Complex64], m: &[Complex64; 4], v0: Complex64, v1: Complex64) {
-    debug_assert!(w.len() >= 2);
+    let w = w.first_chunk_mut().expect("mac2x2 writes two amplitudes");
     dispatch!(scalar::mac2x2(w, m, v0, v1), avx2::mac2x2(w, m, v0, v1))
 }
 
@@ -530,7 +534,7 @@ pub(crate) mod scalar {
         acc
     }
 
-    pub fn mac2x2(w: &mut [Complex64], m: &[Complex64; 4], v0: Complex64, v1: Complex64) {
+    pub fn mac2x2(w: &mut [Complex64; 2], m: &[Complex64; 4], v0: Complex64, v1: Complex64) {
         w[0] = w[0].mac(m[0], v0).mac(m[1], v1);
         w[1] = w[1].mac(m[2], v0).mac(m[3], v1);
     }
@@ -631,133 +635,181 @@ pub(crate) mod scalar {
 /// AVX2+FMA kernels. One `__m256d` holds two `Complex64` values as
 /// `[re0, im0, re1, im1]`; complex multiplication is the standard
 /// `fmaddsub` shuffle recipe (3 shuffles + 1 mul + 1 fused op per pair).
+///
+/// Every kernel is a safe `#[target_feature]` fn that walks its slices as
+/// `[Complex64; 2]` registers (`as_chunks`, `chunks_exact`,
+/// `split_at_mut`), so bounds are the slices' own. Only the register
+/// primitives [`load`], [`store`] and [`load_lanes`] touch a pointer, each
+/// on a whole array reference; the one `unsafe` a caller needs is the call
+/// into this module, which `dispatch!` makes after runtime detection.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{scalar, Complex64, DiagTable, PairTable, PairTile, MAX_TILE};
     use std::arch::x86_64::*;
 
+    /// The register of two amplitudes.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn load(x: &[Complex64; 2]) -> __m256d {
+        // SAFETY: `x` is 32 readable bytes (`Complex64` is `#[repr(C)]` of
+        // two f64s) and the load is unaligned
+        // (`avx2_kernels_match_scalar_directly`).
+        unsafe { _mm256_loadu_pd(x.as_ptr().cast()) }
+    }
+
+    /// Stores a register into two amplitudes.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn store(x: &mut [Complex64; 2], r: __m256d) {
+        // SAFETY: `x` is 32 writable bytes of two `#[repr(C)]` f64 pairs, any
+        // bit pattern of which is a valid `Complex64`
+        // (`avx2_kernels_match_scalar_directly`).
+        unsafe { _mm256_storeu_pd(x.as_mut_ptr().cast(), r) }
+    }
+
+    /// Registers of prepared lanes (`super::lanes` layout).
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn load_lanes<const N: usize>(c: &[[f64; 4]; N]) -> [__m256d; N] {
+        // SAFETY: each `lanes` is 32 readable bytes; the load is unaligned
+        // (`avx2_kernels_match_scalar_directly`).
+        c.map(|lanes| unsafe { _mm256_loadu_pd(lanes.as_ptr()) })
+    }
+
+    /// `v` as registers of two amplitudes (an odd last one left out).
+    #[inline(always)]
+    fn regs(v: &[Complex64]) -> &[[Complex64; 2]] {
+        v.as_chunks().0
+    }
+
+    /// [`regs`], mutably.
+    #[inline(always)]
+    fn regs_mut(v: &mut [Complex64]) -> &mut [[Complex64; 2]] {
+        v.as_chunks_mut().0
+    }
+
     /// `x * f` for a packed pair, with `f` pre-broadcast as
     /// (`f_re` = `[f.re; 4]`, `f_im` = `[f.im; 4]`).
     ///
     /// Even lanes: `x.re*f.re - x.im*f.im`; odd: `x.im*f.re + x.re*f.im`.
-    #[inline(always)]
-    unsafe fn cmul_bcast(x: __m256d, f_re: __m256d, f_im: __m256d) -> __m256d {
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn cmul_bcast(x: __m256d, f_re: __m256d, f_im: __m256d) -> __m256d {
         let x_swap = _mm256_permute_pd(x, 0b0101);
         _mm256_fmaddsub_pd(x, f_re, _mm256_mul_pd(x_swap, f_im))
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn axpy(dst: &mut [Complex64], f: Complex64, src: &[Complex64]) {
+    /// One amplitude in both halves of a register.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn bcast(x: &Complex64) -> __m256d {
+        let x = _mm_setr_pd(x.re, x.im);
+        _mm256_set_m128d(x, x)
+    }
+
+    /// The registers of a 2x2 matrix applied to a register of `lo`
+    /// amplitudes and one of `hi`: `[re, im]` broadcasts of `m0` to `m3`,
+    /// the [`PairTile`] layout of a period of 1.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn matrix_regs(m: &[Complex64; 4]) -> [__m256d; 8] {
+        std::array::from_fn(|x| {
+            let e = m[x / 2];
+            _mm256_set1_pd(if x % 2 == 0 { e.re } else { e.im })
+        })
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub fn axpy(dst: &mut [Complex64], f: Complex64, src: &[Complex64]) {
         let n = dst.len().min(src.len());
         let f_re = _mm256_set1_pd(f.re);
         let f_im = _mm256_set1_pd(f.im);
-        let dp = dst.as_mut_ptr() as *mut f64;
-        let sp = src.as_ptr() as *const f64;
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let v = _mm256_loadu_pd(sp.add(2 * i));
-            let w = _mm256_loadu_pd(dp.add(2 * i));
+        for (d, s) in regs_mut(&mut dst[..n]).iter_mut().zip(regs(&src[..n])) {
+            let v = load(s);
+            let w = load(d);
             let prod = cmul_bcast(v, f_re, f_im);
-            _mm256_storeu_pd(dp.add(2 * i), _mm256_add_pd(w, prod));
-            i += 2;
+            store(d, _mm256_add_pd(w, prod));
         }
+        let i = n / 2 * 2;
         scalar::axpy(&mut dst[i..n], f, &src[i..n]);
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn scale(dst: &mut [Complex64], f: Complex64, src: &[Complex64]) {
+    #[target_feature(enable = "avx2,fma")]
+    pub fn scale(dst: &mut [Complex64], f: Complex64, src: &[Complex64]) {
         let n = dst.len().min(src.len());
         let f_re = _mm256_set1_pd(f.re);
         let f_im = _mm256_set1_pd(f.im);
-        let dp = dst.as_mut_ptr() as *mut f64;
-        let sp = src.as_ptr() as *const f64;
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let v = _mm256_loadu_pd(sp.add(2 * i));
-            _mm256_storeu_pd(dp.add(2 * i), cmul_bcast(v, f_re, f_im));
-            i += 2;
+        for (d, s) in regs_mut(&mut dst[..n]).iter_mut().zip(regs(&src[..n])) {
+            store(d, cmul_bcast(load(s), f_re, f_im));
         }
+        let i = n / 2 * 2;
         scalar::scale(&mut dst[i..n], f, &src[i..n]);
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn scale_in_place(v: &mut [Complex64], f: Complex64) {
-        let n = v.len();
+    #[target_feature(enable = "avx2,fma")]
+    pub fn scale_in_place(v: &mut [Complex64], f: Complex64) {
         let f_re = _mm256_set1_pd(f.re);
         let f_im = _mm256_set1_pd(f.im);
-        let p = v.as_mut_ptr() as *mut f64;
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let x = _mm256_loadu_pd(p.add(2 * i));
-            _mm256_storeu_pd(p.add(2 * i), cmul_bcast(x, f_re, f_im));
-            i += 2;
+        let (pairs, tail) = v.as_chunks_mut();
+        for x in pairs {
+            store(x, cmul_bcast(load(x), f_re, f_im));
         }
-        scalar::scale_in_place(&mut v[i..n], f);
+        scalar::scale_in_place(tail, f);
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn sum_into(dst: &mut [Complex64], src: &[Complex64]) {
+    #[target_feature(enable = "avx2,fma")]
+    pub fn sum_into(dst: &mut [Complex64], src: &[Complex64]) {
         let n = dst.len().min(src.len());
-        let dp = dst.as_mut_ptr() as *mut f64;
-        let sp = src.as_ptr() as *const f64;
+        let i = n / 4 * 4;
+        let (dst, dst_tail) = dst[..n].split_at_mut(i);
+        let (src, src_tail) = src[..n].split_at(i);
         // Treat the pair stream as flat f64 addition (no shuffles at all).
-        let flat = 2 * n;
-        let mut k = 0usize;
-        while k + 8 <= flat {
-            let a0 = _mm256_loadu_pd(dp.add(k));
-            let b0 = _mm256_loadu_pd(sp.add(k));
-            let a1 = _mm256_loadu_pd(dp.add(k + 4));
-            let b1 = _mm256_loadu_pd(sp.add(k + 4));
-            _mm256_storeu_pd(dp.add(k), _mm256_add_pd(a0, b0));
-            _mm256_storeu_pd(dp.add(k + 4), _mm256_add_pd(a1, b1));
-            k += 8;
+        let quads = regs_mut(dst).as_chunks_mut().0.iter_mut();
+        for ([d0, d1], [s0, s1]) in quads.zip(regs(src).as_chunks().0) {
+            let a0 = load(d0);
+            let b0 = load(s0);
+            let a1 = load(d1);
+            let b1 = load(s1);
+            store(d0, _mm256_add_pd(a0, b0));
+            store(d1, _mm256_add_pd(a1, b1));
         }
-        let i = k / 2;
-        scalar::sum_into(&mut dst[i..n], &src[i..n]);
+        scalar::sum_into(dst_tail, src_tail);
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn norm_sqr(v: &[Complex64]) -> f64 {
-        let p = v.as_ptr() as *const f64;
-        let flat = 2 * v.len();
+    #[target_feature(enable = "avx2,fma")]
+    pub fn norm_sqr(v: &[Complex64]) -> f64 {
+        let (pairs, tail) = v.as_chunks();
+        let (quads, odd) = pairs.as_chunks();
         let mut acc0 = _mm256_setzero_pd();
         let mut acc1 = _mm256_setzero_pd();
-        let mut k = 0usize;
-        while k + 8 <= flat {
-            let x0 = _mm256_loadu_pd(p.add(k));
-            let x1 = _mm256_loadu_pd(p.add(k + 4));
+        for [a, b] in quads {
+            let x0 = load(a);
+            let x1 = load(b);
             acc0 = _mm256_fmadd_pd(x0, x0, acc0);
             acc1 = _mm256_fmadd_pd(x1, x1, acc1);
-            k += 8;
         }
-        while k + 4 <= flat {
-            let x = _mm256_loadu_pd(p.add(k));
+        for a in odd {
+            let x = load(a);
             acc0 = _mm256_fmadd_pd(x, x, acc0);
-            k += 4;
         }
         let acc = _mm256_add_pd(acc0, acc1);
         let lo = _mm256_castpd256_pd128(acc);
         let hi = _mm256_extractf128_pd(acc, 1);
         let s = _mm_add_pd(lo, hi);
         let mut sum = _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
-        while k < flat {
-            let x = *p.add(k);
+        for x in tail.iter().flat_map(|a| [a.re, a.im]) {
             sum += x * x;
-            k += 1;
         }
         sum
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot(a: &[Complex64], b: &[Complex64]) -> Complex64 {
+    #[target_feature(enable = "avx2,fma")]
+    pub fn dot(a: &[Complex64], b: &[Complex64]) -> Complex64 {
         let n = a.len().min(b.len());
-        let ap = a.as_ptr() as *const f64;
-        let bp = b.as_ptr() as *const f64;
         let mut acc = _mm256_setzero_pd();
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let av = _mm256_loadu_pd(ap.add(2 * i));
-            let bv = _mm256_loadu_pd(bp.add(2 * i));
+        for (x, y) in regs(&a[..n]).iter().zip(regs(&b[..n])) {
+            let av = load(x);
+            let bv = load(y);
             // conj(a)*b: even lanes a.re*b.re + a.im*b.im,
             //            odd lanes  a.re*b.im - a.im*b.re.
             let a_re = _mm256_movedup_pd(av);
@@ -765,207 +817,161 @@ mod avx2 {
             let b_swap = _mm256_permute_pd(bv, 0b0101);
             let prod = _mm256_fmsubadd_pd(bv, a_re, _mm256_mul_pd(b_swap, a_im));
             acc = _mm256_add_pd(acc, prod);
-            i += 2;
         }
         let lo = _mm256_castpd256_pd128(acc);
         let hi = _mm256_extractf128_pd(acc, 1);
         let s = _mm_add_pd(lo, hi);
         let mut out = Complex64::new(_mm_cvtsd_f64(s), _mm_cvtsd_f64(_mm_unpackhi_pd(s, s)));
+        let i = n / 2 * 2;
         out += scalar::dot(&a[i..n], &b[i..n]);
         out
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn mac2x2(w: &mut [Complex64], m: &[Complex64; 4], v0: Complex64, v1: Complex64) {
+    #[target_feature(enable = "avx2,fma")]
+    pub fn mac2x2(w: &mut [Complex64; 2], m: &[Complex64; 4], v0: Complex64, v1: Complex64) {
         // [m0*v0, m1*v1] and [m2*v0, m3*v1] in two vector multiplies, then
         // horizontal-add each register's halves into one complex each.
-        let mp = m.as_ptr() as *const f64;
-        let top = _mm256_loadu_pd(mp); // [m0, m1]
-        let bot = _mm256_loadu_pd(mp.add(4)); // [m2, m3]
+        let (top, bot) = (load(&[m[0], m[1]]), load(&[m[2], m[3]]));
         let v = _mm256_setr_pd(v0.re, v0.im, v1.re, v1.im);
         let v_re = _mm256_movedup_pd(v);
         let v_im = _mm256_permute_pd(v, 0b1111);
         let tp = cmul_bcast(top, v_re, v_im);
-        let bp_ = cmul_bcast(bot, v_re, v_im);
+        let bp = cmul_bcast(bot, v_re, v_im);
         let t = _mm_add_pd(_mm256_castpd256_pd128(tp), _mm256_extractf128_pd(tp, 1));
-        let b = _mm_add_pd(_mm256_castpd256_pd128(bp_), _mm256_extractf128_pd(bp_, 1));
-        let wp = w.as_mut_ptr() as *mut f64;
-        _mm_storeu_pd(wp, _mm_add_pd(_mm_loadu_pd(wp), t));
-        _mm_storeu_pd(wp.add(2), _mm_add_pd(_mm_loadu_pd(wp.add(2)), b));
+        let b = _mm_add_pd(_mm256_castpd256_pd128(bp), _mm256_extractf128_pd(bp, 1));
+        store(w, _mm256_add_pd(load(w), _mm256_set_m128d(b, t)));
     }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn apply_2x2(lo: &mut [Complex64], hi: &mut [Complex64], m: &[Complex64; 4]) {
-        let n = lo.len().min(hi.len());
-        let m0_re = _mm256_set1_pd(m[0].re);
-        let m0_im = _mm256_set1_pd(m[0].im);
-        let m1_re = _mm256_set1_pd(m[1].re);
-        let m1_im = _mm256_set1_pd(m[1].im);
-        let m2_re = _mm256_set1_pd(m[2].re);
-        let m2_im = _mm256_set1_pd(m[2].im);
-        let m3_re = _mm256_set1_pd(m[3].re);
-        let m3_im = _mm256_set1_pd(m[3].im);
-        let lp = lo.as_mut_ptr() as *mut f64;
-        let hp = hi.as_mut_ptr() as *mut f64;
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let a0 = _mm256_loadu_pd(lp.add(2 * i));
-            let a1 = _mm256_loadu_pd(hp.add(2 * i));
-            let new_lo = _mm256_add_pd(cmul_bcast(a0, m0_re, m0_im), cmul_bcast(a1, m1_re, m1_im));
-            let new_hi = _mm256_add_pd(cmul_bcast(a0, m2_re, m2_im), cmul_bcast(a1, m3_re, m3_im));
-            _mm256_storeu_pd(lp.add(2 * i), new_lo);
-            _mm256_storeu_pd(hp.add(2 * i), new_hi);
-            i += 2;
-        }
-        scalar::apply_2x2(&mut lo[i..n], &mut hi[i..n], m);
-    }
-
-    /// `blocks` adjacent pairs read from `vp`, through `m`, stored (`ACC`:
-    /// added) to `wp`: one register holds a whole pair `[v0, v1]`; each
-    /// amplitude is load-broadcast to both lanes and multiplied by a matrix
-    /// *column* (`[m0, m2]` for `v0`, `[m1, m3]` for `v1`), which lands
-    /// `[w0, w1]` in lane order with no shuffle of the result. A pair is
-    /// loaded before it is stored, so `wp == vp` is the in-place form.
-    #[inline(always)]
-    unsafe fn pairs_raw<const ACC: bool>(
-        wp: *mut f64,
-        vp: *const f64,
-        blocks: usize,
-        m: &[Complex64; 4],
-    ) {
-        let c0_re = _mm256_setr_pd(m[0].re, m[0].re, m[2].re, m[2].re);
-        let c0_im = _mm256_setr_pd(m[0].im, m[0].im, m[2].im, m[2].im);
-        let c1_re = _mm256_setr_pd(m[1].re, m[1].re, m[3].re, m[3].re);
-        let c1_im = _mm256_setr_pd(m[1].im, m[1].im, m[3].im, m[3].im);
-        for b in 0..blocks {
-            let x0 = _mm_loadu_pd(vp.add(4 * b));
-            let x1 = _mm_loadu_pd(vp.add(4 * b + 2));
-            let x0 = _mm256_set_m128d(x0, x0);
-            let x1 = _mm256_set_m128d(x1, x1);
-            let mut out = _mm256_add_pd(cmul_bcast(x0, c0_re, c0_im), cmul_bcast(x1, c1_re, c1_im));
-            if ACC {
-                out = _mm256_add_pd(out, _mm256_loadu_pd(wp.add(4 * b)));
-            }
-            _mm256_storeu_pd(wp.add(4 * b), out);
-        }
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn pairs2x2(v: &mut [Complex64], m: &[Complex64; 4]) {
-        let p = v.as_mut_ptr() as *mut f64;
-        // SAFETY: pair `b < v.len() / 2` is elements `2b, 2b + 1` of `v`,
-        // four f64s from `4b` (`pairs2x2_matches_scalar_reference`,
-        // `avx2_kernels_match_scalar_directly`).
-        pairs_raw::<false>(p, p, v.len() / 2, m);
-    }
-
-    /// Register positions of a period: [`MAX_TILE`] amplitudes, two a register.
-    const POSITIONS: usize = MAX_TILE / 2;
 
     /// A register of `lo` amplitudes and one of `hi` through their lanes'
     /// matrices, `c` the `[re, im]` registers of the four entries.
-    #[inline(always)]
-    unsafe fn pair_mul(a0: __m256d, a1: __m256d, c: &[__m256d; 8]) -> (__m256d, __m256d) {
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn pair_mul(a0: __m256d, a1: __m256d, c: &[__m256d; 8]) -> (__m256d, __m256d) {
         (
             _mm256_add_pd(cmul_bcast(a0, c[0], c[1]), cmul_bcast(a1, c[2], c[3])),
             _mm256_add_pd(cmul_bcast(a0, c[4], c[5]), cmul_bcast(a1, c[6], c[7])),
         )
     }
 
-    /// [`pair_mul`] on the registers at `lp` and `hp`, in place.
-    #[inline(always)]
-    unsafe fn pair_step(lp: *mut f64, hp: *mut f64, c: &[__m256d; 8]) {
-        let (new_lo, new_hi) = pair_mul(_mm256_loadu_pd(lp), _mm256_loadu_pd(hp), c);
-        _mm256_storeu_pd(lp, new_lo);
-        _mm256_storeu_pd(hp, new_hi);
+    /// [`pair_mul`] on the registers `lo` and `hi`, in place.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn pair_step(lo: &mut [Complex64; 2], hi: &mut [Complex64; 2], c: &[__m256d; 8]) {
+        let (new_lo, new_hi) = pair_mul(load(lo), load(hi), c);
+        store(lo, new_lo);
+        store(hi, new_hi);
     }
 
-    /// Registers of prepared lanes (`super::lanes` layout).
-    #[inline(always)]
-    unsafe fn load_lanes<const N: usize>(c: &[[f64; 4]; N]) -> [__m256d; N] {
-        c.map(|lanes| _mm256_loadu_pd(lanes.as_ptr()))
+    #[target_feature(enable = "avx2,fma")]
+    pub fn apply_2x2(lo: &mut [Complex64], hi: &mut [Complex64], m: &[Complex64; 4]) {
+        let n = lo.len().min(hi.len());
+        let c = matrix_regs(m);
+        for (l, h) in regs_mut(&mut lo[..n])
+            .iter_mut()
+            .zip(regs_mut(&mut hi[..n]))
+        {
+            pair_step(l, h, &c);
+        }
+        let i = n / 2 * 2;
+        scalar::apply_2x2(&mut lo[i..n], &mut hi[i..n], m);
     }
 
-    /// The coefficient registers of register position `r` of `t`.
-    #[inline(always)]
-    unsafe fn pair_coef(t: &PairTile, r: usize) -> [__m256d; 8] {
-        load_lanes(&t.coef[r])
+    /// The matrix *columns* of `m` for [`pair_out`]: `[m0, m2]` and
+    /// `[m1, m3]`, real and imaginary parts broadcast within each half.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn columns(m: &[Complex64; 4]) -> [__m256d; 4] {
+        [
+            _mm256_setr_pd(m[0].re, m[0].re, m[2].re, m[2].re),
+            _mm256_setr_pd(m[0].im, m[0].im, m[2].im, m[2].im),
+            _mm256_setr_pd(m[1].re, m[1].re, m[3].re, m[3].re),
+            _mm256_setr_pd(m[1].im, m[1].im, m[3].im, m[3].im),
+        ]
     }
 
-    /// `len` amplitudes from `lp` paired with `len` from `hp`; `len` is even
-    /// and a multiple of the period, so whole passes over the table cover it.
-    #[inline(always)]
-    unsafe fn pair_run(lp: *mut f64, hp: *mut f64, len: usize, t: &PairTile) {
+    /// `m * [v0, v1]` for the adjacent pair `v`: each amplitude is
+    /// broadcast to both lanes and multiplied by a matrix column
+    /// ([`columns`]), which lands `[w0, w1]` in lane order with no shuffle
+    /// of the result.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn pair_out(v: &[Complex64; 2], c: &[__m256d; 4]) -> __m256d {
+        let (x0, x1) = (bcast(&v[0]), bcast(&v[1]));
+        _mm256_add_pd(cmul_bcast(x0, c[0], c[1]), cmul_bcast(x1, c[2], c[3]))
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub fn pairs2x2(v: &mut [Complex64], m: &[Complex64; 4]) {
+        let c = columns(m);
+        for pair in regs_mut(v) {
+            store(pair, pair_out(pair, &c));
+        }
+    }
+
+    /// Register positions of a period: [`MAX_TILE`] amplitudes, two a register.
+    const POSITIONS: usize = MAX_TILE / 2;
+
+    /// Pairs of runs `lo` and `hi` of one length, even and a multiple of
+    /// the period, so whole passes over the table cover them.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn pair_runs<'a>(
+        t: &PairTile,
+        runs: impl Iterator<Item = (&'a mut [Complex64], &'a mut [Complex64])>,
+    ) {
         if t.positions == 1 {
-            let c = pair_coef(t, 0);
-            let mut i = 0usize;
-            while i < len {
-                pair_step(lp.add(2 * i), hp.add(2 * i), &c);
-                i += 2;
+            let c = load_lanes(&t.coef[0]);
+            for (lo, hi) in runs {
+                for (l, h) in regs_mut(lo).iter_mut().zip(regs_mut(hi)) {
+                    pair_step(l, h, &c);
+                }
             }
             return;
         }
-        let mut i = 0usize;
-        while i < len {
-            for r in 0..t.positions {
-                if !t.skip[r] {
-                    let at = 2 * (i + 2 * r);
-                    pair_step(lp.add(at), hp.add(at), &pair_coef(t, r));
+        for (lo, hi) in runs {
+            let (lo, hi) = (regs_mut(lo), regs_mut(hi));
+            let periods = lo
+                .chunks_exact_mut(t.positions)
+                .zip(hi.chunks_exact_mut(t.positions));
+            for (lo, hi) in periods {
+                for (((l, h), c), &skip) in lo.iter_mut().zip(hi).zip(&t.coef).zip(&t.skip) {
+                    if !skip {
+                        pair_step(l, h, &load_lanes(c));
+                    }
                 }
             }
-            i += 2 * t.positions;
         }
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn pair_tile_apply(t: &PairTile, lo: &mut [Complex64], hi: &mut [Complex64]) {
+    #[target_feature(enable = "avx2,fma")]
+    pub fn pair_tile_apply(t: &PairTile, lo: &mut [Complex64], hi: &mut [Complex64]) {
         let len = lo.len().min(hi.len());
         if len % 2 == 1 {
             // Only a period of 1 divides an odd length.
             return scalar::pair_tile_run(t, lo, hi);
         }
-        // SAFETY: `lo` and `hi` are distinct `len`-element slices, and
-        // `PairTile::apply` asserted that the period divides `len`, so every
-        // register `pair_run` touches lies inside them
-        // (`pair_tile_matches_the_defining_formula`,
-        // `avx2_kernels_match_scalar_directly`).
-        pair_run(
-            lo.as_mut_ptr() as *mut f64,
-            hi.as_mut_ptr() as *mut f64,
-            len,
-            t,
-        );
+        pair_runs(t, std::iter::once((&mut lo[..len], &mut hi[..len])));
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn pair_tile_blocks(t: &PairTile, v: &mut [Complex64], half: usize) {
+    #[target_feature(enable = "avx2,fma")]
+    pub fn pair_tile_blocks(t: &PairTile, v: &mut [Complex64], half: usize) {
         if half % 2 == 1 {
             return scalar::pair_tile_blocks(t, v, half);
         }
-        let p = v.as_mut_ptr() as *mut f64;
-        for b in 0..v.len() / (2 * half) {
-            // SAFETY: block `b` is elements `[2*half*b, 2*half*(b+1))` of
-            // `v`, its runs the two disjoint halves of that;
-            // `PairTile::apply_blocks` asserted that the period divides the
-            // even `half` (`pair_tile_matches_the_defining_formula`,
-            // `avx2_kernels_match_scalar_directly`).
-            let lp = p.add(2 * (2 * half * b));
-            pair_run(lp, lp.add(2 * half), half, t);
-        }
+        pair_runs(
+            t,
+            v.chunks_exact_mut(2 * half)
+                .map(|block| block.split_at_mut(half)),
+        );
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn diag_table_apply(t: &DiagTable, v: &mut [Complex64], f: Complex64) {
+    #[target_feature(enable = "avx2,fma")]
+    pub fn diag_table_apply(t: &DiagTable, v: &mut [Complex64], f: Complex64) {
         let (f_re, f_im) = (_mm256_set1_pd(f.re), _mm256_set1_pd(f.im));
-        let p = v.as_mut_ptr() as *mut f64;
-        for o in (0..v.len()).step_by(t.period()) {
-            for (r, c) in t.coef.iter().enumerate() {
-                // SAFETY: `DiagTable::apply` asserted that the period, a
-                // multiple of 4, divides `v.len()`, so amplitudes `o + 4r`
-                // to `o + 4r + 3` exist (`diag_table_matches_the_defining_formula`,
-                // `avx2_kernels_match_scalar_directly`).
-                let at = p.add(2 * (o + 4 * r));
-                let (x0, x1) = (_mm256_loadu_pd(at), _mm256_loadu_pd(at.add(4)));
+        for block in v.chunks_exact_mut(t.period()) {
+            let quads = regs_mut(block).as_chunks_mut().0.iter_mut();
+            for ([a, b], c) in quads.zip(&t.coef) {
+                let (x0, x1) = (load(a), load(b));
                 // Real and imaginary parts in `DiagTable`'s order.
                 let (re, im) = (_mm256_unpacklo_pd(x0, x1), _mm256_unpackhi_pd(x0, x1));
                 let y_re = _mm256_fmsub_pd(re, f_re, _mm256_mul_pd(im, f_im));
@@ -973,16 +979,17 @@ mod avx2 {
                 let [t_re, t_im] = load_lanes(c);
                 let z_re = _mm256_fmsub_pd(y_re, t_re, _mm256_mul_pd(y_im, t_im));
                 let z_im = _mm256_fmadd_pd(y_re, t_im, _mm256_mul_pd(y_im, t_re));
-                _mm256_storeu_pd(at, _mm256_unpacklo_pd(z_re, z_im));
-                _mm256_storeu_pd(at.add(4), _mm256_unpackhi_pd(z_re, z_im));
+                store(a, _mm256_unpacklo_pd(z_re, z_im));
+                store(b, _mm256_unpackhi_pd(z_re, z_im));
             }
         }
     }
 
     /// Two pairs, `lo = [lo_j, lo_j+1]` and `hi = [hi_j, hi_j+1]`, through
     /// `f` and their matrices (`c`: [`PairTable`]'s entry for `j, j + 1`).
-    #[inline(always)]
-    unsafe fn table_step(
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn table_step(
         lo: __m256d,
         hi: __m256d,
         c: &[[f64; 4]; 8],
@@ -995,51 +1002,40 @@ mod avx2 {
         pair_mul(lo, hi, &load_lanes(c))
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn pair_table_apply(t: &PairTable, v: &mut [Complex64], f: Complex64) {
+    #[target_feature(enable = "avx2,fma")]
+    pub fn pair_table_apply(t: &PairTable, v: &mut [Complex64], f: Complex64) {
         let f = (f != Complex64::ONE).then(|| (_mm256_set1_pd(f.re), _mm256_set1_pd(f.im)));
-        let (s, span) = (t.stride, t.span());
-        let p = v.as_mut_ptr() as *mut f64;
-        for o in (0..v.len()).step_by(span) {
-            // SAFETY: `PairTable::apply` asserted that the span divides
-            // `v.len()`, so every register below lies in the span at `o`;
-            // `PairTable::new` made the pair count even, so pairs come in
-            // twos (`pair_table_matches_the_defining_formula`,
-            // `avx2_kernels_match_scalar_directly`).
-            let sp = p.add(2 * o);
+        let s = t.stride;
+        for span in v.chunks_exact_mut(t.span()) {
             if s == 1 {
                 // Pairs `2r, 2r + 1` are amplitudes `4r .. 4r + 4`: split
                 // the two registers into a `lo` and a `hi` one and back.
-                for (r, c) in t.coef.iter().enumerate() {
-                    let (a, b) = (
-                        _mm256_loadu_pd(sp.add(8 * r)),
-                        _mm256_loadu_pd(sp.add(8 * r + 4)),
-                    );
+                let quads = regs_mut(span).as_chunks_mut().0.iter_mut();
+                for ([x, y], c) in quads.zip(&t.coef) {
+                    let (a, b) = (load(x), load(y));
                     let lo = _mm256_permute2f128_pd(a, b, 0x20);
                     let hi = _mm256_permute2f128_pd(a, b, 0x31);
                     let (lo, hi) = table_step(lo, hi, c, f);
-                    _mm256_storeu_pd(sp.add(8 * r), _mm256_permute2f128_pd(lo, hi, 0x20));
-                    _mm256_storeu_pd(sp.add(8 * r + 4), _mm256_permute2f128_pd(lo, hi, 0x31));
+                    store(x, _mm256_permute2f128_pd(lo, hi, 0x20));
+                    store(y, _mm256_permute2f128_pd(lo, hi, 0x31));
                 }
                 continue;
             }
-            for b in 0..span / (2 * s) {
-                let lp = sp.add(2 * (2 * s * b));
-                let hp = lp.add(2 * s);
-                for i in (0..s).step_by(2) {
-                    let c = &t.coef[(b * s + i) / 2];
-                    let lo = _mm256_loadu_pd(lp.add(2 * i));
-                    let hi = _mm256_loadu_pd(hp.add(2 * i));
-                    let (lo, hi) = table_step(lo, hi, c, f);
-                    _mm256_storeu_pd(lp.add(2 * i), lo);
-                    _mm256_storeu_pd(hp.add(2 * i), hi);
+            // Block `b` of `2 * s` amplitudes holds pairs `b*s .. (b+1)*s`,
+            // two a table entry.
+            for (block, coef) in span.chunks_exact_mut(2 * s).zip(t.coef.chunks_exact(s / 2)) {
+                let (lo, hi) = block.split_at_mut(s);
+                for ((l, h), c) in regs_mut(lo).iter_mut().zip(regs_mut(hi)).zip(coef) {
+                    let (new_lo, new_hi) = table_step(load(l), load(h), c, f);
+                    store(l, new_lo);
+                    store(h, new_hi);
                 }
             }
         }
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn mul_diag_tiled(v: &mut [Complex64], d: &[Complex64]) {
+    #[target_feature(enable = "avx2,fma")]
+    pub fn mul_diag_tiled(v: &mut [Complex64], d: &[Complex64]) {
         let period = d.len();
         if period == 1 {
             return scale_in_place(v, d[0]);
@@ -1054,77 +1050,62 @@ mod avx2 {
             im[r] = _mm256_setr_pd(a.im, a.im, b.im, b.im);
             skip[r] = a == Complex64::ONE && b == Complex64::ONE;
         }
-        let p = v.as_mut_ptr() as *mut f64;
-        let mut i = 0usize;
-        while i < v.len() {
+        for block in v.chunks_exact_mut(period) {
+            let block = regs_mut(block);
             for r in 0..positions {
                 if !skip[r] {
-                    // SAFETY: the public wrapper asserted that the even
-                    // period divides `v.len()`, so elements `i + 2r` and
-                    // `i + 2r + 1` exist (`mul_diag_tiled_matches_scalar_reference`,
-                    // `avx2_kernels_match_scalar_directly`).
-                    let x = _mm256_loadu_pd(p.add(2 * (i + 2 * r)));
-                    _mm256_storeu_pd(p.add(2 * (i + 2 * r)), cmul_bcast(x, re[r], im[r]));
+                    let x = &mut block[r];
+                    store(x, cmul_bcast(load(x), re[r], im[r]));
                 }
             }
-            i += period;
         }
     }
 
     /// `half >= 2`: the two runs of a block are register-aligned streams, so
     /// a block is [`apply_2x2`] read from `v` and written to `w`. `half == 1`:
-    /// [`pairs_raw`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn block2x2<const ACC: bool>(
+    /// [`pair_out`] per pair.
+    #[target_feature(enable = "avx2,fma")]
+    pub fn block2x2<const ACC: bool>(
         w: &mut [Complex64],
         m: &[Complex64; 4],
         v: &[Complex64],
         half: usize,
     ) {
         let n = w.len().min(v.len());
-        let blocks = n / (2 * half);
-        let wp = w.as_mut_ptr() as *mut f64;
-        let vp = v.as_ptr() as *const f64;
+        let (w, v) = (&mut w[..n], &v[..n]);
         if half == 1 {
-            // SAFETY: `blocks` pairs fit in both `w` and `v`
-            // (`block2x2_matches_scalar_reference`).
-            return pairs_raw::<ACC>(wp, vp, blocks, m);
-        }
-        let m0_re = _mm256_set1_pd(m[0].re);
-        let m0_im = _mm256_set1_pd(m[0].im);
-        let m1_re = _mm256_set1_pd(m[1].re);
-        let m1_im = _mm256_set1_pd(m[1].im);
-        let m2_re = _mm256_set1_pd(m[2].re);
-        let m2_im = _mm256_set1_pd(m[2].im);
-        let m3_re = _mm256_set1_pd(m[3].re);
-        let m3_im = _mm256_set1_pd(m[3].im);
-        for b in 0..blocks {
-            let lo = 2 * half * b;
-            let hi = lo + half;
-            let mut i = 0usize;
-            while i + 2 <= half {
-                let a0 = _mm256_loadu_pd(vp.add(2 * (lo + i)));
-                let a1 = _mm256_loadu_pd(vp.add(2 * (hi + i)));
-                let mut new_lo =
-                    _mm256_add_pd(cmul_bcast(a0, m0_re, m0_im), cmul_bcast(a1, m1_re, m1_im));
-                let mut new_hi =
-                    _mm256_add_pd(cmul_bcast(a0, m2_re, m2_im), cmul_bcast(a1, m3_re, m3_im));
+            let c = columns(m);
+            for (wp, vp) in regs_mut(w).iter_mut().zip(regs(v)) {
+                let mut out = pair_out(vp, &c);
                 if ACC {
-                    new_lo = _mm256_add_pd(new_lo, _mm256_loadu_pd(wp.add(2 * (lo + i))));
-                    new_hi = _mm256_add_pd(new_hi, _mm256_loadu_pd(wp.add(2 * (hi + i))));
+                    out = _mm256_add_pd(out, load(wp));
                 }
-                _mm256_storeu_pd(wp.add(2 * (lo + i)), new_lo);
-                _mm256_storeu_pd(wp.add(2 * (hi + i)), new_hi);
-                i += 2;
+                store(wp, out);
             }
-            if i < half {
-                let (w_lo, w_hi) = w[lo..lo + 2 * half].split_at_mut(half);
+            return;
+        }
+        let c = matrix_regs(m);
+        for (wb, vb) in w.chunks_exact_mut(2 * half).zip(v.chunks_exact(2 * half)) {
+            let (w_lo, w_hi) = wb.split_at_mut(half);
+            let (v_lo, v_hi) = vb.split_at(half);
+            let ws = regs_mut(w_lo).iter_mut().zip(regs_mut(w_hi));
+            for ((wl, wh), (a0, a1)) in ws.zip(regs(v_lo).iter().zip(regs(v_hi))) {
+                let (mut new_lo, mut new_hi) = pair_mul(load(a0), load(a1), &c);
+                if ACC {
+                    new_lo = _mm256_add_pd(new_lo, load(wl));
+                    new_hi = _mm256_add_pd(new_hi, load(wh));
+                }
+                store(wl, new_lo);
+                store(wh, new_hi);
+            }
+            if half % 2 == 1 {
+                let i = half - 1;
                 scalar::block2x2_one::<ACC>(
                     &mut w_lo[i..],
                     &mut w_hi[i..],
                     m,
-                    &v[lo + i..hi],
-                    &v[hi + i..hi + half],
+                    &v_lo[i..],
+                    &v_hi[i..],
                 );
             }
         }
@@ -1251,11 +1232,19 @@ mod tests {
     fn mac2x2_matches_scalar_reference() {
         let m: [Complex64; 4] = rand_vec(4, 29).try_into().unwrap();
         let v = rand_vec(2, 31);
-        let mut got = rand_vec(2, 37);
-        let mut want = got.clone();
+        let mut got = rand_vec(3, 37);
+        let mut want: [Complex64; 2] = got[..2].try_into().unwrap();
         mac2x2(&mut got, &m, v[0], v[1]);
         scalar::mac2x2(&mut want, &m, v[0], v[1]);
         assert!(close(got[0], want[0]) && close(got[1], want[1]));
+        assert_eq!(got[2], rand_vec(3, 37)[2], "only two outputs are written");
+    }
+
+    #[test]
+    #[should_panic(expected = "two amplitudes")]
+    fn mac2x2_refuses_a_short_output_in_every_build() {
+        let m: [Complex64; 4] = rand_vec(4, 29).try_into().unwrap();
+        mac2x2(&mut [Complex64::ZERO], &m, Complex64::ONE, Complex64::ONE);
     }
 
     #[test]
@@ -1578,13 +1567,23 @@ mod tests {
         {
             return; // nothing to compare on this host
         }
+        // SAFETY: AVX2 and FMA were detected just above.
+        unsafe { avx2_against_scalar() }
+    }
+
+    /// Every `avx2` kernel against its scalar reference, at every length
+    /// of the checks above (odd tails included). The kernels are called
+    /// from inside the features they enable, so no call needs `unsafe`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    fn avx2_against_scalar() {
         let f = Complex64::new(1.3, -0.2);
         let m: [Complex64; 4] = rand_vec(4, 53).try_into().unwrap();
         for_lengths(|len| {
             let src = rand_vec(len, 59);
             let mut a = rand_vec(len, 61);
             let mut b = a.clone();
-            unsafe { avx2::axpy(&mut a, f, &src) };
+            avx2::axpy(&mut a, f, &src);
             scalar::axpy(&mut b, f, &src);
             assert!(
                 a.iter().zip(&b).all(|(&x, &y)| close(x, y)),
@@ -1593,29 +1592,38 @@ mod tests {
 
             let mut a = vec![Complex64::ZERO; len];
             let mut b = vec![Complex64::ZERO; len];
-            unsafe { avx2::scale(&mut a, f, &src) };
+            avx2::scale(&mut a, f, &src);
             scalar::scale(&mut b, f, &src);
             assert!(
                 a.iter().zip(&b).all(|(&x, &y)| close(x, y)),
                 "scale len {len}"
             );
 
+            let mut a = src.clone();
+            let mut b = src.clone();
+            avx2::scale_in_place(&mut a, f);
+            scalar::scale_in_place(&mut b, f);
+            assert!(
+                a.iter().zip(&b).all(|(&x, &y)| close(x, y)),
+                "scale_in_place len {len}"
+            );
+
             let other = rand_vec(len, 67);
             let mut a = other.clone();
             let mut b = other.clone();
-            unsafe { avx2::sum_into(&mut a, &src) };
+            avx2::sum_into(&mut a, &src);
             scalar::sum_into(&mut b, &src);
             assert!(
                 a.iter().zip(&b).all(|(&x, &y)| close(x, y)),
                 "sum len {len}"
             );
 
-            let n_avx = unsafe { avx2::norm_sqr(&src) };
+            let n_avx = avx2::norm_sqr(&src);
             assert!(
                 (n_avx - scalar::norm_sqr(&src)).abs() < TOL * (len as f64 + 1.0),
                 "norm len {len}"
             );
-            let d_avx = unsafe { avx2::dot(&src, &other) };
+            let d_avx = avx2::dot(&src, &other);
             let d_ref = scalar::dot(&src, &other);
             assert!(
                 (d_avx - d_ref).abs() < TOL * (len as f64 + 1.0),
@@ -1626,7 +1634,7 @@ mod tests {
             let mut hi_a = rand_vec(len, 73);
             let mut lo_b = lo_a.clone();
             let mut hi_b = hi_a.clone();
-            unsafe { avx2::apply_2x2(&mut lo_a, &mut hi_a, &m) };
+            avx2::apply_2x2(&mut lo_a, &mut hi_a, &m);
             scalar::apply_2x2(&mut lo_b, &mut hi_b, &m);
             assert!(
                 lo_a.iter().zip(&lo_b).all(|(&x, &y)| close(x, y))
@@ -1634,29 +1642,23 @@ mod tests {
                 "apply_2x2 len {len}"
             );
         });
-        check_block2x2(|acc, w, m, v, half| unsafe {
+        check_block2x2(|acc, w, m, v, half| {
             if acc {
                 avx2::block2x2::<true>(w, m, v, half)
             } else {
                 avx2::block2x2::<false>(w, m, v, half)
             }
         });
-        // SAFETY (the six closures below): AVX2 and FMA were detected at
-        // the top of this test.
-        check_pairs2x2(|v, m| unsafe { avx2::pairs2x2(v, m) });
-        check_apply_tiled(|lo, hi, tile| unsafe {
-            avx2::pair_tile_apply(&PairTile::new(tile), lo, hi)
-        });
-        check_block_tiled(|v, tile, half| unsafe {
-            avx2::pair_tile_blocks(&PairTile::new(tile), v, half)
-        });
-        check_mul_diag(|v, d| unsafe { avx2::mul_diag_tiled(v, d) });
-        check_diag_table(|t, v, f| unsafe { avx2::diag_table_apply(t, v, f) });
-        check_pair_table(|t, v, f| unsafe { avx2::pair_table_apply(t, v, f) });
-        let mut wa = rand_vec(2, 79);
-        let mut wb = wa.clone();
+        check_pairs2x2(|v, m| avx2::pairs2x2(v, m));
+        check_apply_tiled(|lo, hi, tile| avx2::pair_tile_apply(&PairTile::new(tile), lo, hi));
+        check_block_tiled(|v, tile, half| avx2::pair_tile_blocks(&PairTile::new(tile), v, half));
+        check_mul_diag(|v, d| avx2::mul_diag_tiled(v, d));
+        check_diag_table(|t, v, f| avx2::diag_table_apply(t, v, f));
+        check_pair_table(|t, v, f| avx2::pair_table_apply(t, v, f));
+        let mut wa: [Complex64; 2] = rand_vec(2, 79).try_into().unwrap();
+        let mut wb = wa;
         let v = rand_vec(2, 83);
-        unsafe { avx2::mac2x2(&mut wa, &m, v[0], v[1]) };
+        avx2::mac2x2(&mut wa, &m, v[0], v[1]);
         scalar::mac2x2(&mut wb, &m, v[0], v[1]);
         assert!(close(wa[0], wb[0]) && close(wa[1], wb[1]));
     }

@@ -6,6 +6,8 @@
 //! soft timeout (the paper kills runs at 24 h; we default to seconds-scale
 //! budgets), the scaled Table-1 workload suite, and plain-text/JSON output.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod engines;
 pub mod report;

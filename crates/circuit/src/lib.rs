@@ -22,6 +22,7 @@
 //! natural index order.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod circuit;
 pub mod complex;

@@ -30,7 +30,7 @@
 //!   sub-DD: the 52-node state `knn_wide` converts is 2^21 amplitudes.
 
 use crate::pool::ThreadPool;
-use qarray::{vecops, SyncUnsafeSlice};
+use qarray::vecops;
 use qcircuit::Complex64;
 use qdd::fxhash::FxHashMap;
 use qdd::{DdPackage, VEdge};
@@ -133,6 +133,37 @@ impl ConversionPlan {
             .iter()
             .map(|tasks| tasks.iter().map(|t| span(pkg, t.edge)).sum())
             .collect()
+    }
+
+    /// Cuts `out` into every group's phase-1 pieces — its zero runs (no
+    /// task) and fill tasks, each with the range it writes — in one pass
+    /// over all of them sorted by start. A group's fill tasks stay in plan
+    /// order.
+    ///
+    /// # Panics
+    /// When two pieces overlap: the plan promises they tile the output
+    /// (scalar destinations aside) without overlap.
+    fn carve<'a>(&'a self, pkg: &DdPackage, out: &'a mut [Complex64]) -> Vec<Vec<Piece<'a>>> {
+        let mut order: Vec<(usize, usize, usize, Option<&FillTask>)> = Vec::new();
+        for (g, (zero, fill)) in self.zero.iter().zip(&self.fill).enumerate() {
+            order.extend(zero.iter().map(|r| (r.start, r.len(), g, None)));
+            order.extend(
+                fill.iter()
+                    .map(|t| (t.index, span(pkg, t.edge), g, Some(t))),
+            );
+        }
+        order.sort_unstable_by_key(|&(start, ..)| start);
+        let mut shares: Vec<Vec<Piece<'a>>> = self.fill.iter().map(|_| Vec::new()).collect();
+        let (mut rest, mut at) = (out, 0);
+        for (start, len, g, task) in order {
+            let gap = start
+                .checked_sub(at)
+                .expect("conversion plan pieces overlap");
+            let (dst, tail) = std::mem::take(&mut rest)[gap..].split_at_mut(len);
+            shares[g].push((task, dst));
+            (rest, at) = (tail, start + len);
+        }
+        shares
     }
 
     /// Lists `run` as zero, split at shard boundaries.
@@ -275,26 +306,19 @@ fn walk(pkg: &DdPackage, edge: VEdge, weight: Complex64, dst: &mut [Complex64]) 
     walk(pkg, node.e[1], w, hi);
 }
 
-/// Phase 1 for group `g`: its zero runs, then its fill tasks. Returns the
-/// number of tables the group built.
-fn fill_group(
-    pkg: &DdPackage,
-    plan: &ConversionPlan,
-    g: usize,
-    view: &SyncUnsafeSlice<'_, Complex64>,
-) -> usize {
-    for run in &plan.zero[g] {
-        // SAFETY: the plan's fill ranges, zero runs and scalar destinations
-        // tile the output without overlap, and group `g` runs on one worker
-        // (`nan_poisoned_buffers_match_dense_at_every_geometry`).
-        unsafe { view.slice_mut(run.start, run.len()) }.fill(Complex64::ZERO);
-    }
+/// One piece of a group's phase-1 share: a fill task (`None`: a zero run)
+/// and the output range it writes.
+type Piece<'a> = (Option<&'a FillTask>, &'a mut [Complex64]);
+
+/// Phase 1 for one group: its zero runs and fill tasks. Returns the number
+/// of tables the group built.
+fn fill_group(pkg: &DdPackage, share: Vec<Piece<'_>>) -> usize {
     let mut tables = Tables::default();
-    for task in &plan.fill[g] {
-        // SAFETY: as above, this task's range is written by this group only
-        // (`nan_poisoned_buffers_match_dense_at_every_geometry`).
-        let dst = unsafe { view.slice_mut(task.index, span(pkg, task.edge)) };
-        tables.fill(pkg, task.edge, task.weight, dst);
+    for (task, dst) in share {
+        match task {
+            Some(task) => tables.fill(pkg, task.edge, task.weight, dst),
+            None => dst.fill(Complex64::ZERO),
+        }
     }
     tables.built
 }
@@ -349,8 +373,8 @@ pub(crate) fn dd_to_array_grouped(
 
 /// Converts a vector DD into the caller's buffer, whatever it holds: every
 /// amplitude is written exactly once. The plan is built with `shards`
-/// dispatch groups and [`ThreadPool::for_each_shard`] hands them to the
-/// workers, so group `s` of the fill aligns with shard `s` of the output
+/// dispatch groups and [`ThreadPool::for_each_part`] hands each its pieces
+/// of `out`, so group `s` of the fill aligns with shard `s` of the output
 /// state. `shards == 1` is a serial conversion. The worker-panic fault site
 /// is probed through `ctx`, so chaos tests can panic one job's conversion
 /// without touching its neighbors. Returns the per-group breakdown for
@@ -368,7 +392,6 @@ pub fn dd_to_array_parallel_sharded_into_with(
     let t = pool.size();
     let shards = shards.max(1);
     let plan = ConversionPlan::build(pkg, root, n, shards);
-    let view = SyncUnsafeSlice::new(out);
     // Phase 1: parallel fill of disjoint ranges, one group per shard.
     // Per-group wall clocks are only taken when a telemetry sink is
     // installed.
@@ -378,32 +401,31 @@ pub fn dd_to_array_parallel_sharded_into_with(
     } else {
         Vec::new()
     };
-    pool.for_each_shard(shards, |g| {
+    let shares = plan.carve(pkg, out);
+    pool.for_each_part(shares.into_iter().enumerate(), |(g, share)| {
         if g == 0 && ctx.fires(crate::faults::SITE_CONVERT_WORKER).is_some() {
             panic!("fault injection: conversion worker panic");
         }
         let t0 = timed.then(Instant::now);
-        fill_group(pkg, &plan, g, &view);
+        fill_group(pkg, share);
         if let Some(t0) = t0 {
             clocks[g].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     });
     // Phase 2: scalar multiplications, deepest first (a shallower task's
-    // source region contains the deeper tasks' destinations). Each task is
-    // internally parallelized across the pool, one chunk per worker.
+    // source region contains the deeper tasks' destinations). Each task
+    // copies a left sibling half into the right one, cut into one chunk per
+    // worker.
     for st in plan.scalar.iter().rev() {
-        pool.for_each_shard(t, |c| {
-            let r = qarray::shard_range(st.len, t, c);
-            // SAFETY: src and dst ranges of one task are disjoint (sibling
-            // halves), and per-worker chunks partition them.
-            let (src, dst) = unsafe {
-                (
-                    view.slice(st.src + r.start, r.len()),
-                    view.slice_mut(st.dst + r.start, r.len()),
-                )
-            };
-            vecops::scale(dst, st.factor, src);
-        });
+        assert_eq!(
+            st.dst,
+            st.src + st.len,
+            "a scalar task copies a sibling half"
+        );
+        let (src, dst) = out[st.src..st.dst + st.len].split_at_mut(st.len);
+        let chunk = st.len.div_ceil(t);
+        let chunks = src.chunks(chunk).zip(dst.chunks_mut(chunk));
+        pool.for_each_part(chunks, |(src, dst)| vecops::scale(dst, st.factor, src));
     }
     ConversionBreakdown {
         fill_tasks: plan.fill_counts(),
@@ -542,7 +564,7 @@ mod tests {
         assert_eq!((distinct + 1) << TABLE_LEVEL, 2 * TABLE_CAP);
         let plan = ConversionPlan::build(&pkg, e, n, 1);
         let mut out = vec![Complex64::new(f64::NAN, 0.0); 1 << n];
-        let tables = fill_group(&pkg, &plan, 0, &SyncUnsafeSlice::new(&mut out));
+        let tables = fill_group(&pkg, plan.carve(&pkg, &mut out).remove(0));
         assert_eq!(
             tables,
             distinct + 1,
@@ -575,17 +597,29 @@ mod tests {
         // factor, met under each of the 16 paths above it.
         assert_eq!(boundary_nodes(&pkg, &[e]).len(), 1);
         let mut out = vec![Complex64::ZERO; 1 << n];
-        let view = SyncUnsafeSlice::new(&mut out);
         for shards in [1, 2, 4, 8] {
             let plan = ConversionPlan::build(&pkg, e, n, shards);
-            for g in 0..shards {
+            for (g, share) in plan.carve(&pkg, &mut out).into_iter().enumerate() {
                 let roots: Vec<VEdge> = plan.fill[g].iter().map(|t| t.edge).collect();
-                let tables = fill_group(&pkg, &plan, g, &view);
+                let tables = fill_group(&pkg, share);
                 let distinct = boundary_nodes(&pkg, &roots).len();
                 assert_eq!(tables, distinct, "s={shards} g={g}");
             }
         }
         assert_fills_poisoned(&pkg, e, n, &pkg.vector_to_array(e, n), "product");
+    }
+
+    #[test]
+    #[should_panic(expected = "overlap")]
+    fn carving_an_overlapping_plan_panics() {
+        let pkg = DdPackage::default();
+        let plan = ConversionPlan {
+            fill: vec![Vec::new(), Vec::new()],
+            zero: vec![vec![0..4], vec![3..8]],
+            scalar: Vec::new(),
+            dim: 8,
+        };
+        plan.carve(&pkg, &mut [Complex64::ZERO; 8]);
     }
 
     #[test]

@@ -33,7 +33,6 @@
 use crate::error::FlatDdError;
 use crate::pool::ThreadPool;
 use qarray::vecops::{self, PairTile};
-use qarray::SyncUnsafeSlice;
 use qcircuit::Complex64;
 use qdd::fxhash::FxHashMap;
 use qdd::{DdPackage, MEdge, TERM};
@@ -1323,9 +1322,9 @@ pub(crate) fn task_list_bytes(m_edges: &[Vec<MEdge>]) -> usize {
 ///
 /// `Run` (Algorithm 1, lines 16-22) executes the assignment's compiled
 /// program; the package is not consulted. The assignment's `asg.t` groups
-/// are the dispatch shards: each group owns output rows `[g*h, (g+1)*h)`
-/// and [`ThreadPool::for_each_shard`] hands groups to workers, so a worker
-/// keeps writing the shards it first-touched whatever the pool size.
+/// are the dispatch shards: [`ThreadPool::for_each_part`] hands group `g`
+/// its output rows `[g*h, (g+1)*h)`, so a worker keeps writing the shards
+/// it first-touched whatever the pool size.
 pub fn dmav_no_cache(
     _pkg: &DdPackage,
     asg: &DmavAssignment,
@@ -1335,14 +1334,8 @@ pub fn dmav_no_cache(
 ) {
     assert_eq!(v.len(), 1usize << asg.n);
     assert_eq!(w.len(), v.len());
-    let view = SyncUnsafeSlice::new(w);
     let h = asg.h;
-    pool.for_each_shard(asg.t, |g| {
-        // SAFETY: group `g` exclusively owns output rows [g*h, (g+1)*h) —
-        // the row-space partition of Algorithm 1 — and each group runs on
-        // exactly one worker
-        // (`compiled_walk_matches_dense_on_the_whole_gate_grid`).
-        let chunk = unsafe { view.slice_mut(g * h, h) };
+    pool.for_each_part(w.chunks_exact_mut(h).enumerate(), |(g, chunk)| {
         // Every task of the group covers all `h` rows from another column
         // block: the first stores, the rest accumulate.
         for (j, (entry, &i_v)) in asg.entries[g].iter().zip(&asg.iv[g]).enumerate() {
@@ -1405,17 +1398,11 @@ pub fn dmav_run_in_place(
         assert!(asg.mix <= block_level, "rows mix across a block of {block}");
     }
     assert_eq!(v.len(), 1usize << n);
-    let view = SyncUnsafeSlice::new(v);
-    pool.for_each_shard(t, |g| {
-        // SAFETY: group `g` reads and writes rows [g*h, (g+1)*h) only — the
-        // one task of every assignment in the run starts at column `g*h`
-        // (checked by `try_build`), each matrix maps every aligned block of
-        // `block` rows onto itself (`mix`, asserted above) and the in-place
-        // walk stays inside the block it is given — and each group runs on
-        // exactly one worker
-        // (`in_place_walk_matches_dense_on_the_whole_gate_grid`,
-        // `blocked_runs_match_the_per_matrix_walk_at_every_level`).
-        let rows = unsafe { view.slice_mut(g * h, h) };
+    // Group `g` needs its own rows only: the one task of every assignment
+    // in the run starts at column `g*h` (checked by `try_build`), and each
+    // matrix maps every aligned block of `block` rows onto itself (`mix`,
+    // asserted above).
+    pool.for_each_part(v.chunks_exact_mut(h).enumerate(), |(g, rows)| {
         for (b, v_b) in rows.chunks_exact_mut(block).enumerate() {
             for asg in run {
                 let entry = asg.program.enter(asg.entries[g][0], h, b * block, block);

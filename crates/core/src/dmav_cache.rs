@@ -20,7 +20,7 @@
 use crate::dmav::{assign_tasks, task_list_bytes, Entry, Program, Space};
 use crate::error::FlatDdError;
 use crate::pool::ThreadPool;
-use qarray::{vecops, SyncUnsafeSlice};
+use qarray::vecops;
 use qcircuit::Complex64;
 use qdd::fxhash::{FxHashMap, FxHashSet};
 use qdd::{DdPackage, MEdge};
@@ -207,8 +207,9 @@ pub struct DmavCacheRunStats {
 /// before is never read.
 ///
 /// The tasks execute the assignment's compiled program; the package is not
-/// consulted. The assignment's `asg.t` groups are the dispatch shards,
-/// handed to workers by [`ThreadPool::for_each_shard`].
+/// consulted. The assignment's `asg.t` groups are the dispatch shards:
+/// [`ThreadPool::for_each_part`] hands each group its own partial-buffer
+/// segments, then its own rows of `w`.
 pub fn dmav_cached(
     _pkg: &DdPackage,
     asg: &DmavCacheAssignment,
@@ -222,41 +223,49 @@ pub fn dmav_cached(
     let h = asg.h;
     let dim = v.len();
     scratch.prepare(asg.num_buffers, dim, h, pool);
-    let views: Vec<SyncUnsafeSlice<'_, Complex64>> = scratch
-        .bufs
+    // Every group takes its own segments, in task order: task `k` of group
+    // `g` writes segment `ip[g][k] / h` of buffer `buffer_of[g]`, and groups
+    // sharing a buffer occupy disjoint segments.
+    let mut segments: Vec<Vec<Option<&mut [Complex64]>>> = scratch.bufs[..asg.num_buffers]
         .iter_mut()
-        .take(asg.num_buffers)
-        .map(|b| SyncUnsafeSlice::new(b.as_mut_slice()))
+        .map(|b| b.chunks_exact_mut(h).map(Some).collect())
+        .collect();
+    let parts: Vec<(usize, Vec<&mut [Complex64]>)> = (0..asg.t)
+        .map(|g| {
+            let segs = &mut segments[asg.buffer_of[g]];
+            let own = asg.ip[g].iter().map(|&start| {
+                assert!(start.is_multiple_of(h), "segment starts are multiples of h");
+                segs[start / h]
+                    .take()
+                    .expect("a partial-buffer segment has one writer")
+            });
+            (g, own.collect())
+        })
         .collect();
     let hit_count = AtomicUsize::new(0);
 
-    pool.for_each_shard(asg.t, |g| {
+    pool.for_each_part(parts, |(g, mut segs)| {
         // Per-group, per-gate cache: program node -> (effective weight,
-        // start). It must not outlive the group: a cached result lives in
-        // the *group's* buffer and was computed from the *group's* input
-        // sub-vector, so it is meaningless to any other group.
+        // task whose segment holds it). It must not outlive the group: a
+        // cached result lives in the *group's* buffer and was computed from
+        // the *group's* input sub-vector, so it is meaningless to any other
+        // group.
         let mut cache: FxHashMap<u32, (Complex64, usize)> = FxHashMap::default();
         let mut hits = 0usize;
-        let buf = &views[asg.buffer_of[g]];
         let v_g = &v[g * h..(g + 1) * h];
         // `entry.f` is the task's effective linear factor (it includes the
         // stored edge's own weight): two tasks on the same node differ only
         // by it.
-        for (entry, &start) in asg.entries[g].iter().zip(&asg.ip[g]) {
-            if let Some(&(cached_f, cached_start)) = cache.get(&entry.op) {
-                let factor = entry.f / cached_f;
-                // SAFETY: `cached_start` is a segment this group wrote
-                // earlier; `start` is a segment only this task writes.
-                // Groups sharing the buffer own disjoint segment sets, and
-                // each group runs on exactly one worker.
-                let (src, dst) = unsafe { (buf.slice(cached_start, h), buf.slice_mut(start, h)) };
-                vecops::scale(dst, factor, src);
+        for (k, entry) in asg.entries[g].iter().enumerate() {
+            if let Some(&(cached_f, cached_k)) = cache.get(&entry.op) {
+                let [src, dst] = segs
+                    .get_disjoint_mut([cached_k, k])
+                    .expect("a task and its cached result are distinct segments");
+                vecops::scale(dst, entry.f / cached_f, src);
                 hits += 1;
             } else {
-                // SAFETY: same disjointness argument as above.
-                let dst = unsafe { buf.slice_mut(start, h) };
-                asg.program.run(entry.op, entry.f, v_g, dst, false);
-                cache.insert(entry.op, (entry.f, start));
+                asg.program.run(entry.op, entry.f, v_g, segs[k], false);
+                cache.insert(entry.op, (entry.f, k));
             }
         }
         hit_count.fetch_add(hits, Ordering::Relaxed);
@@ -266,16 +275,13 @@ pub fn dmav_cached(
     // rows [g*h, (g+1)*h). Only buffers whose segment `g` is occupied
     // contribute: the first is copied, the rest are added, and rows no
     // buffer covers are zero.
-    let wview = SyncUnsafeSlice::new(w);
-    pool.for_each_shard(asg.t, |g| {
-        // SAFETY: output row chunks are disjoint per group, each group runs
-        // on one worker; buffers are only read here.
-        let out = unsafe { wview.slice_mut(g * h, h) };
-        let mut parts = views
+    let bufs = &scratch.bufs[..asg.num_buffers];
+    pool.for_each_part(w.chunks_exact_mut(h).enumerate(), |(g, out)| {
+        let mut parts = bufs
             .iter()
             .zip(&asg.buffer_segments)
             .filter(|(_, segs)| segs[g])
-            .map(|(view, _)| unsafe { view.slice(g * h, h) });
+            .map(|(buf, _)| &buf[g * h..(g + 1) * h]);
         match parts.next() {
             Some(first) => out.copy_from_slice(first),
             None => out.fill(Complex64::ZERO),
@@ -345,6 +351,44 @@ mod tests {
         let stats = check_gate(&Gate::new(GateKind::T, 5), 6, 2);
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.buffers, 1);
+    }
+
+    #[test]
+    fn a_hit_reads_the_segment_of_the_task_it_repeats() {
+        // H on qubits 5 and 4, then Z on qubit 0 controlled by qubit 5: at
+        // t = 4 every column holds the tasks [I, I, Z, Z] (scaled), so the
+        // second hit of a group repeats its third task, not its first.
+        let (n, t) = (6, 4);
+        let pkg = DdPackage::default();
+        let mut m = pkg.identity_dd(n);
+        for g in [
+            Gate::new(GateKind::H, 5),
+            Gate::new(GateKind::H, 4),
+            Gate::controlled(GateKind::Z, 0, vec![Control::pos(5)]),
+        ] {
+            m = pkg.mul_mm(pkg.gate_dd(&g, n), m);
+        }
+        let asg = DmavCacheAssignment::build(&pkg, m, n, t);
+        assert_eq!(asg.cache_hits(), 2 * t);
+        let v = rand_state(n, 29);
+        let pool = ThreadPool::new(t);
+        let (mut want, mut got) = (vec![Complex64::ZERO; 1 << n], vec![Complex64::ZERO; 1 << n]);
+        dmav_no_cache(
+            &pkg,
+            &DmavAssignment::build(&pkg, m, n, t),
+            &v,
+            &mut want,
+            &pool,
+        );
+        dmav_cached(
+            &pkg,
+            &asg,
+            &v,
+            &mut got,
+            &pool,
+            &mut PartialBuffers::default(),
+        );
+        assert!(state_distance(&got, &want) < TOL);
     }
 
     #[test]

@@ -60,6 +60,8 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod checkpoint;
 pub mod context;
@@ -76,6 +78,7 @@ pub mod memory;
 mod plan_cache;
 pub mod pool;
 pub mod serve;
+#[allow(unsafe_code)] // the `signal(2)` / `write(2)` FFI
 pub mod signal;
 pub mod sim;
 

@@ -39,10 +39,7 @@ mod tests {
     fn workers_partition_disjoint_slices() {
         let pool = ThreadPool::new(4);
         let mut data = vec![0usize; 64];
-        let view = qarray::SyncUnsafeSlice::new(&mut data);
-        pool.run(|tid| {
-            // SAFETY: 16-element ranges are disjoint per tid.
-            let chunk = unsafe { view.slice_mut(tid * 16, 16) };
+        pool.for_each_part(data.chunks_mut(16).enumerate(), |(tid, chunk)| {
             for (i, v) in chunk.iter_mut().enumerate() {
                 *v = tid * 16 + i;
             }

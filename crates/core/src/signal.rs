@@ -99,6 +99,11 @@ mod imp {
     pub(super) fn install(signums: &[i32]) -> bool {
         let mut ok = true;
         for &s in signums {
+            // SAFETY: `on_signal` is an `extern "C" fn(i32)` that only sets
+            // an atomic, writes one byte to a pipe and resets its own
+            // disposition, all async-signal-safe
+            // (`tests/crash_recovery.rs::sigterm_checkpoints_and_exits_resumable`,
+            // `tests/serve_jobs.rs::sigterm_wakes_a_daemon_blocked_in_accept`).
             ok &= unsafe { signal(s, on_signal as extern "C" fn(i32) as usize) } != SIG_ERR;
         }
         ok

@@ -201,9 +201,10 @@ impl ComplexTable {
     /// of `v`. `slots` is the locked shard of `h`.
     #[inline]
     fn find(&self, slots: &TagIndex, h: u64, v: Complex64) -> Option<CIdx> {
-        // SAFETY: an index in `slots` was filed under the shard lock we hold.
         slots
             .find(h, |idx| {
+                // SAFETY: an index in `slots` was filed under the shard lock
+                // we hold (`concurrent_interning_is_canonical`).
                 unsafe { *self.values.get(idx) }.approx_eq(v, self.tol)
             })
             .map(CIdx)
@@ -218,8 +219,9 @@ impl ComplexTable {
         // SAFETY: `idx` was exclusively reserved by the fetch_add above and
         // is published only by the insert below / the caller's use.
         unsafe { self.values.write(idx, v) };
-        // SAFETY: as in `find`; a regrow re-keys every stored value.
         grown += slots.insert(h, idx, |i| {
+            // SAFETY: as in `find`; a regrow re-keys every stored value
+            // (`every_value_stays_findable_across_three_regrows`).
             self.place(unsafe { *self.values.get(i) }).home()
         });
         if grown != 0 {

@@ -26,6 +26,7 @@
 //! tables rely on.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod approx;
 pub mod ctable;

@@ -229,12 +229,12 @@ impl<T: Node> NodeArena<T> {
     pub fn get_or_insert(&self, data: T) -> u32 {
         let h = node_hash(&data);
         let mut core = self.stripes[stripe_of(h)].lock(&self.stall);
-        // SAFETY (both reads below): an id in this stripe's index was
-        // written before it was filed, under the stripe lock we hold.
-        if let Some(id) = core
-            .index
-            .find(h, |id| unsafe { self.slots.get(id) } == &data)
-        {
+        // SAFETY: `stored` only reads ids filed in this stripe's index (and
+        // `id` below, written before it is filed), and an id is written
+        // before it is filed, under the stripe lock we hold
+        // (`concurrent_overlapping_inserts_across_regrows_get_one_id_per_content`).
+        let stored = |id: u32| unsafe { self.slots.get(id) };
+        if let Some(id) = core.index.find(h, |id| stored(id) == &data) {
             return id;
         }
         let mut grown = 0;
@@ -248,9 +248,7 @@ impl<T: Node> NodeArena<T> {
         // thread) or was proven unreachable by the last sweep of this
         // stripe; we hold the stripe lock, which is also what publishes it.
         unsafe { self.slots.write(id, data) };
-        grown += core
-            .index
-            .insert(h, id, |i| node_hash(unsafe { self.slots.get(i) }));
+        grown += core.index.insert(h, id, |i| node_hash(stored(i)));
         if grown != 0 {
             self.bytes.fetch_add(grown, Ordering::Relaxed);
         }

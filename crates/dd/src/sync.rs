@@ -54,8 +54,11 @@ pub(crate) struct SlotVec<T, S = AtomicU32> {
 }
 
 // SAFETY: cross-thread access to `data` follows the publication protocol in
-// the module docs; `stamp` is an atomic or `()`, shared as `S: Sync`.
+// the module docs; `stamp` is an atomic or `()`, shared as `S: Sync`
+// (`node::tests::concurrent_overlapping_inserts_across_regrows_get_one_id_per_content`).
 unsafe impl<T: Send + Sync, S: Sync> Sync for SlotVec<T, S> {}
+// SAFETY: a `SlotVec` owns its payloads and stamps, so moving it to another
+// thread moves `T`s and `S`s (`write_then_read_round_trips`).
 unsafe impl<T: Send, S: Send> Send for SlotVec<T, S> {}
 
 /// Maps a global slot index to (segment, offset).
@@ -362,9 +365,11 @@ mod tests {
         let mut reserved = 0;
         for i in 0..5000u32 {
             reserved += v.ensure(i);
+            // SAFETY: slot `i` was just ensured and this thread owns `v`.
             unsafe { v.write(i, (i as u64) * 7 + 1) };
         }
         for i in 0..5000u32 {
+            // SAFETY: every slot below 5000 was written above.
             assert_eq!(unsafe { *v.get(i) }, (i as u64) * 7 + 1);
         }
         assert_eq!(reserved, v.allocated_bytes());

@@ -40,6 +40,7 @@
 //! stays within the budget.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chrome;
 pub mod event;

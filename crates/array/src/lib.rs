@@ -14,7 +14,9 @@
 //! * [`sim`] — [`ArraySimulator`], the full-state simulator.
 //! * [`shard`] — [`ShardedState`], the contiguous-but-sharded flat state,
 //!   and the one allocation path of flat buffers (kernel-zeroed,
-//!   huge-page-advised, faulted in by the first worker to write a page).
+//!   huge-page-advised, faulted in by the first worker to write a page),
+//!   and [`widen`], the kernel that doubles a state in place by inserting a
+//!   qubit.
 //! * [`vecops`] — vectorized complex primitives (axpy/scale/dot/2x2 blocks)
 //!   with runtime scalar-vs-AVX2 dispatch, shared by every hot loop of the
 //!   workspace.
@@ -35,5 +37,5 @@ pub use measure::{
     qubit_probability_one_sharded, sample, sample_counts, top_amplitudes, TopAmplitudes,
 };
 pub use pool::ThreadPool;
-pub use shard::{first_touch_zeroed, shard_range, sum_shards, ShardedState};
+pub use shard::{first_touch_zeroed, shard_range, sum_shards, widen, ShardedState};
 pub use sim::{simulate, simulate_with_threads, try_zeroed_state, ArraySimulator};

@@ -26,6 +26,7 @@
 //! the shard count equals, exceeds, or undershoots the thread count.
 
 use crate::pool::ThreadPool;
+use crate::vecops;
 use qcircuit::Complex64;
 use std::collections::TryReserveError;
 use std::mem::MaybeUninit;
@@ -168,14 +169,77 @@ pub fn sum_shards(pool: &ThreadPool, shards: usize, partial: impl Fn(usize) -> f
     partials.iter().sum()
 }
 
+/// Below this chunk length the widen kernel moves single amplitudes; from
+/// it up it moves whole chunks through [`vecops`].
+const WIDEN_MIN_CHUNK: usize = 8;
+
+/// Doubles the state held in the first half of `v` into all of `v` by
+/// inserting a qubit at bit `p` of the index: old amplitude `i`, with `lo`
+/// its low `p` bits and `hi` the rest, goes to `c[0] * v[i]` at new index
+/// `hi << (p + 1) | lo` and to `c[1] * v[i]` at that index plus `2^p`.
+/// `c = [1, 0]` (or `[0, 1]`) spreads the state onto the qubit's `|0>` (or
+/// `|1>`) half; `c = [u00, u10]` widens and applies a one-qubit gate's first
+/// column at once. Works back to front over chunks of `2^p`, in place: a
+/// chunk's destination never overlaps a chunk not yet read. A coefficient
+/// of exactly 0 writes zeros and one of exactly 1 copies.
+///
+/// # Panics
+/// When `v` has odd length or `2^p` exceeds its half.
+pub fn widen(v: &mut [Complex64], p: usize, c: [Complex64; 2]) {
+    let len = v.len() / 2;
+    let s = 1usize << p;
+    assert!(v.len() == 2 * len && s <= len, "widen needs 2^p <= len");
+    if s < WIDEN_MIN_CHUNK {
+        for i in (0..len).rev() {
+            let a = v[i];
+            let lo = i + (i & !(s - 1));
+            v[lo] = c[0] * a;
+            v[lo + s] = c[1] * a;
+        }
+        return;
+    }
+    for chunk in (1..len / s).rev() {
+        let (head, tail) = v.split_at_mut(2 * chunk * s);
+        let old = &head[chunk * s..(chunk + 1) * s];
+        let (lo, hi) = tail[..2 * s].split_at_mut(s);
+        put(lo, c[0], old);
+        put(hi, c[1], old);
+    }
+    // The first chunk is its own `lo` destination: write `hi` from it first.
+    let (lo, hi) = v[..2 * s].split_at_mut(s);
+    put(hi, c[1], lo);
+    if c[0].is_zero() {
+        lo.fill(Complex64::ZERO);
+    } else if c[0] != Complex64::ONE {
+        vecops::scale_in_place(lo, c[0]);
+    }
+}
+
+/// `dst = f * src`, as a fill for `f == 0` and a copy for `f == 1`.
+fn put(dst: &mut [Complex64], f: Complex64, src: &[Complex64]) {
+    if f.is_zero() {
+        dst.fill(Complex64::ZERO);
+    } else if f == Complex64::ONE {
+        dst.copy_from_slice(src);
+    } else {
+        vecops::scale(dst, f, src);
+    }
+}
+
 /// A `2^n` amplitude vector in one contiguous allocation, carved into
 /// explicitly tracked shards. Derefs to `[Complex64]`, so every existing
 /// slice consumer (kernels, DMAV, measurement, checkpointing) works
 /// unchanged; the shard geometry travels with the state so each subsystem
 /// dispatches over the same ranges.
+///
+/// The state may use only a prefix of its buffer (its *active* length,
+/// [`Self::set_active`]): it derefs to, and shards, that prefix, while
+/// [`Self::capacity`] still counts the whole buffer. [`Self::widen`] doubles
+/// the prefix in place.
 #[derive(Debug)]
 pub struct ShardedState {
     data: Vec<Complex64>,
+    len: usize,
     shards: usize,
 }
 
@@ -202,6 +266,7 @@ impl ShardedState {
         let mut data = Vec::new();
         first_touch_zeroed(&mut data, dim, shards, pool)?;
         Ok(ShardedState {
+            len: data.len(),
             data,
             shards: shards.max(1),
         })
@@ -212,14 +277,41 @@ impl ShardedState {
     /// are shard-agnostic.
     pub fn from_vec(data: Vec<Complex64>, shards: usize) -> Self {
         ShardedState {
+            len: data.len(),
             data,
             shards: shards.max(1),
         }
     }
 
-    /// Consumes the state, returning the flat vector.
+    /// Consumes the state, returning the flat vector (its active prefix).
     pub fn into_vec(self) -> Vec<Complex64> {
-        self.data
+        let mut data = self.data;
+        data.truncate(self.len);
+        data
+    }
+
+    /// Makes the first `len` amplitudes of the buffer the state, cut into
+    /// `shards` shards. What lies beyond them is left as it is.
+    ///
+    /// # Panics
+    /// When `len` exceeds the buffer.
+    pub fn set_active(&mut self, len: usize, shards: usize) {
+        assert!(len <= self.data.len(), "active prefix beyond the buffer");
+        self.len = len;
+        self.shards = shards.max(1);
+    }
+
+    /// Doubles the state in place by inserting a qubit at bit `p` of the
+    /// index ([`widen`]): the amplitude of old index `i` goes to the two
+    /// new indices around it, times `c[0]` where the new bit is 0 and
+    /// `c[1]` where it is 1. The result is cut into `shards` shards.
+    ///
+    /// # Panics
+    /// When the buffer holds less than twice the state, or `2^p` exceeds it.
+    pub fn widen(&mut self, p: usize, c: [Complex64; 2], shards: usize) {
+        let len = self.len;
+        widen(&mut self.data[..2 * len], p, c);
+        self.set_active(2 * len, shards);
     }
 
     /// Shard count.
@@ -229,7 +321,7 @@ impl ShardedState {
 
     /// Index range of shard `s` (equal-sized contiguous ranges).
     pub fn shard_range(&self, s: usize) -> Range<usize> {
-        shard_range(self.data.len(), self.shards, s)
+        shard_range(self.len, self.shards, s)
     }
 
     /// Allocated capacity in elements (for memory accounting).
@@ -242,6 +334,7 @@ impl Clone for ShardedState {
     fn clone(&self) -> Self {
         ShardedState {
             data: self.data.clone(),
+            len: self.len,
             shards: self.shards,
         }
     }
@@ -250,13 +343,13 @@ impl Clone for ShardedState {
 impl Deref for ShardedState {
     type Target = [Complex64];
     fn deref(&self) -> &[Complex64] {
-        &self.data
+        &self.data[..self.len]
     }
 }
 
 impl DerefMut for ShardedState {
     fn deref_mut(&mut self) -> &mut [Complex64] {
-        &mut self.data
+        &mut self.data[..self.len]
     }
 }
 
@@ -302,6 +395,51 @@ mod tests {
         let back = ShardedState::from_vec(v, 4);
         assert_eq!(back.shards(), 4);
         assert_eq!(back[3], Complex64::new(1.5, -0.5));
+    }
+
+    /// The widen kernel against its definition, index by index.
+    fn widen_reference(old: &[Complex64], p: usize, c: [Complex64; 2]) -> Vec<Complex64> {
+        let mut new = vec![Complex64::ZERO; 2 * old.len()];
+        for (i, &a) in old.iter().enumerate() {
+            let lo = (i >> p << (p + 1)) | (i & ((1 << p) - 1));
+            new[lo] = c[0] * a;
+            new[lo | 1 << p] = c[1] * a;
+        }
+        new
+    }
+
+    #[test]
+    fn widen_inserts_a_qubit_at_every_position() {
+        let u = Complex64::new(0.6, -0.3);
+        let coefficients = [
+            [Complex64::ONE, Complex64::ZERO],
+            [Complex64::ZERO, Complex64::ONE],
+            [u, Complex64::new(-0.2, 0.7)],
+            [Complex64::ZERO, u],
+        ];
+        for width in [0usize, 1, 3, 4, 7] {
+            let old: Vec<Complex64> = (0..1usize << width)
+                .map(|i| Complex64::new(i as f64 + 1.0, -(i as f64) * 0.5))
+                .collect();
+            for p in 0..=width {
+                for c in coefficients {
+                    let mut st =
+                        ShardedState::from_vec(vec![Complex64::new(f64::NAN, 0.0); 4 << width], 1);
+                    st[..old.len()].copy_from_slice(&old);
+                    st.set_active(old.len(), 1);
+                    st.widen(p, c, 2);
+                    assert_eq!(st.len(), 2 << width);
+                    assert_eq!(st.shard_range(1), 1 << width..2 << width);
+                    // (`vecops::scale` may fuse its multiply-adds.)
+                    let want = widen_reference(&old, p, c);
+                    let close = st
+                        .iter()
+                        .zip(&want)
+                        .all(|(a, b)| a.approx_eq(*b, 1e-15 * (1.0 + b.abs())));
+                    assert!(close, "width={width} p={p} c={c:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! in place, out of place and as their gates one by one), a `blocked_runs`
 //! block (the flat tails of `dnn(20, 5)` fused and `supremacy_n(21, 4)`
 //! one matrix at a time and in blocked runs at block levels 12–18, with the
-//! share of matrices that joined a run), under the SIMD
+//! share of matrices that joined a run), a `widen` block (the flat phase's
+//! widen-and-apply of an uncontrolled 2x2 into 2^16–2^21 amplitudes against
+//! one in-place 2x2 pass at the new width), under the SIMD
 //! backend selected at startup (`FLATDD_SIMD={auto,scalar,avx2}`), and a
 //! `dd_tables` block (the DD
 //! phase's fixed per-operation costs: complex-table `lookup` hit / miss and
@@ -36,7 +38,10 @@
 //! turns (a run must stream the state once, not once per matrix), when
 //! the block-wise conversion fill of the `knn` state at n = 21 costs more
 //! than 2x one `vecops::scale` pass over as many amplitudes (the fill must
-//! run at memory speed, not walk the DD per amplitude), when
+//! run at memory speed, not walk the DD per amplitude), when widening a
+//! state by a qubit at its middle bit while applying a one-qubit gate costs
+//! more than 1.8x one in-place 2x2 pass over the widened state (the widen
+//! kernel must stream, not move single amplitudes), when
 //! `stats()` at 10^6 values costs more than 3x what it costs at 10^3 (the
 //! driver reads it every gate, so it must not walk the tables), when a memoized `gate_dd` costs more than 1/5 of
 //! a first build, when a T on the top qubit of the saturated state costs
@@ -589,6 +594,76 @@ fn blocked_runs(reps: usize, backend: &str, json: &mut JsonWriter) -> Vec<RunRow
     rows
 }
 
+/// New widths of the `widen` block.
+const WIDEN_NS: std::ops::RangeInclusive<usize> = 16..=21;
+/// `--check`: largest accepted (widen-and-apply of an uncontrolled 2x2 into
+/// a `2^n` state) / (one in-place 2x2 pass of the array kernel over it) at
+/// the middle qubit. The widening reads half the amplitudes the pass reads
+/// and writes as many, but its writes land on lines it has not read, so
+/// out of cache each costs a read for ownership as well: 2.5 state sizes
+/// of traffic against the pass's 2, and 1.3–1.6x measured from n = 18 up
+/// (EXPERIMENTS.md, "Active-width flat phase"). A kernel that moved
+/// single amplitudes would read 2.5x and more.
+const MAX_WIDEN_RATIO: f64 = 1.8;
+
+/// One row of the `widen` block, ns per amplitude of the new width.
+struct WidenRow {
+    n: usize,
+    p: usize,
+    widen: f64,
+    pass: f64,
+}
+
+/// The flat phase's widen kernel: a `2^(n-1)` state widened by a qubit at
+/// bit `p` while an uncontrolled RY is applied to it (`qarray::widen` with
+/// the gate's first column), against one in-place pass of the array
+/// kernel's RY on bit `p` of the `2^n` result, timed in turns, at
+/// n = 16–21 and p = 0, n/2, n-1. One thread.
+fn widen_block(reps: usize, backend: &str, json: &mut JsonWriter) -> Vec<WidenRow> {
+    let kind = GateKind::RY(0.7);
+    let m = kind.matrix();
+    let mut table = Table::new(vec!["n", "p", "widen_ns", "pass_ns", "ratio"]);
+    let mut rows = Vec::new();
+    for n in WIDEN_NS {
+        let dim = 1usize << n;
+        let mut v = vec![Complex64::ZERO; dim];
+        fill(&mut v);
+        for p in [0, n / 2, n - 1] {
+            let gate = Gate::new(kind, p);
+            // Both keep the state's norm, so repeated timing stays clear of
+            // subnormals.
+            let (widen, pass) = time_interleaved(
+                reps,
+                &mut v,
+                |v| qarray::widen(v, p, [m[0], m[2]]),
+                |v| qarray::apply_gate_serial(v, &gate),
+            );
+            let [widen, pass] = [widen, pass].map(|s| s * 1e9 / dim as f64);
+            table.row(vec![
+                n.to_string(),
+                p.to_string(),
+                format!("{widen:.3}"),
+                format!("{pass:.3}"),
+                format!("{:.2}", widen / pass),
+            ]);
+            json.record(vec![
+                ("kernel", "widen".into()),
+                ("backend", backend.into()),
+                ("n", n.into()),
+                ("p", p.into()),
+                ("widen_ns_per_amp", widen.into()),
+                ("pass_ns_per_amp", pass.into()),
+            ]);
+            rows.push(WidenRow { n, p, widen, pass });
+        }
+    }
+    println!(
+        "\nwiden — widen-and-apply of RY into 2^n against one in-place RY pass, ns per amplitude"
+    );
+    table.print();
+    rows
+}
+
 /// Qubit counts of the `convert` block.
 const CONVERT_NS: [usize; 3] = [18, 21, 24];
 /// `--check`: largest accepted (block-wise fill of the `knn` state at
@@ -1124,6 +1199,7 @@ fn main() {
     let by_target = dmav_by_target(reps, backend, &mut json);
     let fused = fused_blocks(reps, backend, &mut json);
     let runs = blocked_runs(reps, backend, &mut json);
+    let widened = widen_block(reps, backend, &mut json);
     let dd = dd_tables(reps, &mut json);
     // Embed the unified metrics registry (vecops backend label, DD package
     // gauges) in the results file.
@@ -1205,6 +1281,17 @@ fn main() {
             convert.map_or(f64::NAN, |c| c.fill_block_ms / c.scale_ms),
             MAX_FILL_SCALE_RATIO,
         );
+        for n in WIDEN_NS {
+            let row = widened.iter().find(|r| r.n == n && r.p == n / 2);
+            hold(
+                format!(
+                    "widen-and-apply into 2^{n} / one in-place 2x2 pass, bit {}",
+                    n / 2
+                ),
+                row.map_or(f64::NAN, |r| r.widen / r.pass),
+                MAX_WIDEN_RATIO,
+            );
+        }
         let stats_ratio = dd.stats_large / dd.stats_small;
         println!(
             "check: stats() at 10^6 interned values / at 10^3 = {stats_ratio:.2} (limit {MAX_STATS_RATIO})"

@@ -947,6 +947,55 @@ mod tests {
             }
             std::fs::remove_file(&path).ok();
         }
+        // A supremacy state checkpointed while the flat phase holds qubits
+        // out (the first layer's √Y turns |+> into |1>, and the CZs after
+        // the conversion only add phases): the writer spreads them back in,
+        // so its payload — everything after the header, whose statistics
+        // carry timings — is the one the full-width state gives under every
+        // shard count, and the one a resume of it (at full width, under
+        // another shard count) writes again.
+        let payload_of = |path: &std::path::Path| {
+            let bytes = std::fs::read(path).unwrap();
+            std::fs::remove_file(path).ok();
+            let header_len = u32::from_le_bytes(bytes[10..14].try_into().unwrap()) as usize;
+            bytes[14 + header_len + 4..].to_vec()
+        };
+        let c = qcircuit::generators::supremacy_n(12, 5, 1);
+        let cfg = |shards| crate::FlatDdConfig {
+            threads: 1,
+            flat_shards: shards,
+            conversion: crate::ConversionPolicy::AtGate(24),
+            ..crate::FlatDdConfig::default()
+        };
+        let ctx = crate::RunContext::isolated();
+        let mut sim = crate::FlatDdSimulator::try_new_with(12, cfg(1), ctx).unwrap();
+        let held_path = tmp_file("flat-held-out");
+        sim.set_checkpoint_policy(Some(CheckpointPolicy::at(&held_path)));
+        sim.run_prefix(&c, 30).unwrap();
+        let metrics = sim.context().metrics();
+        assert!(metrics.gauge("sim.active_qubits").get() < 12.0);
+        assert_eq!(metrics.counter("sim.widenings").get(), 0);
+        sim.save_checkpoint().unwrap();
+        let full = sim.amplitudes();
+        let held = payload_of(&held_path);
+        assert_eq!(held.len(), 1 + 8 + (16 << 12) + 4);
+        h.n = 12;
+        for shards in [1usize, 2, 4] {
+            let path = tmp_file(&format!("flat-full-{shards}"));
+            let state = qarray::ShardedState::from_vec(full.clone(), shards);
+            write_checkpoint(&path, &h, CheckpointPayload::Flat { amps: &state }).unwrap();
+            assert!(payload_of(&path) == held, "full width, shards={shards}");
+            if shards > 1 {
+                let path = tmp_file(&format!("flat-held-out-{shards}"));
+                sim.set_checkpoint_policy(Some(CheckpointPolicy::at(&path)));
+                sim.save_checkpoint().unwrap();
+                let (mut resumed, _) =
+                    crate::FlatDdSimulator::resume_from(&path, cfg(shards), &c).unwrap();
+                resumed.set_checkpoint_policy(Some(CheckpointPolicy::at(&path)));
+                resumed.save_checkpoint().unwrap();
+                assert!(payload_of(&path) == held, "resumed, shards={shards}");
+            }
+        }
     }
 
     #[test]

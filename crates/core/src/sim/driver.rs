@@ -170,16 +170,18 @@ impl FlatDdSimulator {
 
     /// Hands the gates from the cursor on to the boundary until `gates` is
     /// consumed. In the flat phase under a fusion policy the rest of the
-    /// run is fused once, on entry, and each boundary step then applies
+    /// run is fused on entry — up to the first gate that widens a fixed
+    /// qubit, and again from there — and each boundary step then applies
     /// one pending block, or a run of them, and advances by the gates they
     /// fold; without fusion a step is a gate or a run of gates.
     fn run_gates(&mut self, gates: &[Gate]) -> Result<(), FlatDdError> {
         let fusing = self.core.cfg.fusion != FusionPolicy::None;
-        let mut idx = 0;
+        let (mut idx, mut first) = (0, true);
         while idx < gates.len() {
             match &mut self.phase {
                 PhaseState::Flat(flat) if fusing && flat.roots().is_empty() => {
-                    flat.fuse(&mut self.core, &gates[idx..]);
+                    flat.fuse(&mut self.core, &gates[idx..], first);
+                    first = false;
                 }
                 PhaseState::Flat(_) | PhaseState::Dd(_) => {}
             }

@@ -1,7 +1,10 @@
 //! The flat phase: DMAV — DD gate matrices multiplied onto the array state
 //! (Section 3.2) — on single gates or on the blocks of a fused span
-//! (Section 3.3), consecutive in-place matrices as one blocked run.
+//! (Section 3.3), consecutive in-place matrices as one blocked run. The
+//! array holds only the qubits not fixed in a basis state ([`Fixed`]); a
+//! gate that superposes a fixed one widens it back in, in place.
 
+use super::active::{Fixed, Reduced};
 use super::{Core, FusionPolicy, Phase, StepReport};
 use crate::cost::CostModel;
 use crate::dmav::{dmav_in_place, dmav_no_cache, dmav_run_in_place, DmavAssignment, BLOCK_LEVEL};
@@ -14,12 +17,16 @@ use crate::pool::ThreadPool;
 use qarray::{vecops, ShardedState};
 use qcircuit::{Complex64, Gate};
 use qdd::MEdge;
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// State owned by the flat phase.
 pub(crate) struct FlatPhase {
-    /// The state vector.
-    pub(super) v: ShardedState,
+    /// The amplitudes of the active qubits: the first `2^(n - k)` of a
+    /// `2^n` buffer, `k` the qubits `fixed` holds out.
+    v: ShardedState,
+    /// The qubits held out of `v`, their values and the pending factor.
+    fixed: Fixed,
     /// Output buffer of the out-of-place DMAV walks, swapped with `v` after
     /// each. Allocated by the first of them ([`output_vector`]): a run whose
     /// every matrix has an in-place form holds one vector.
@@ -29,6 +36,9 @@ pub(crate) struct FlatPhase {
     /// ones from `next` on are still pending (and are the phase's GC roots).
     fused: Vec<MEdge>,
     gate_counts: Vec<usize>,
+    /// What the gates each fused matrix folds do to `fixed` (a factor and
+    /// the fixed qubits they flip), applied when the matrix is.
+    effects: Vec<(Complex64, usize)>,
     next: usize,
     /// The lookup of the matrix at the cursor, made by the step before it
     /// when that matrix could not join its run: the step that applies the
@@ -44,37 +54,91 @@ fn joins_runs(plan: &DmavAssignment) -> bool {
     plan.in_place() && plan.mixing_level() <= BLOCK_LEVEL
 }
 
+/// Shard count of the flat state at `width` active qubits: the configured
+/// one, clamped as for a `width`-qubit simulator.
+pub(super) fn shards_at(core: &Core, width: usize) -> usize {
+    crate::pool::clamp_shards(core.cfg.flat_shards, core.t, width)
+}
+
 impl FlatPhase {
-    /// A flat phase over state `v`.
-    pub(super) fn new(v: ShardedState, ewma: EwmaState) -> Self {
+    /// A flat phase over `v`, the state with the `fixed` qubits held out
+    /// ([`Fixed::NONE`]: `v` is the whole state).
+    pub(super) fn new(v: ShardedState, fixed: Fixed, ewma: EwmaState) -> Self {
         FlatPhase {
             v,
+            fixed,
             w: None,
             plans: PlanCache::new(),
             fused: Vec::new(),
             gate_counts: Vec::new(),
+            effects: Vec::new(),
             next: 0,
             peeked: None,
             ewma,
         }
     }
 
+    /// Active qubits: the width the array runs at.
+    fn width(&self) -> usize {
+        self.v.len().trailing_zeros() as usize
+    }
+
     /// Fuses `gates` (the rest of the run, starting at the cursor) under
-    /// the configured policy into the pending span.
-    pub(super) fn fuse(&mut self, core: &mut Core, gates: &[Gate]) {
+    /// the configured policy into the pending span, reduced against the
+    /// fixed qubits at the active width. The span ends before the first
+    /// gate that widens, so the next span is fused at the new width; a span
+    /// with no gate left to fuse loads nothing and the steps take the gates
+    /// one at a time. `first` marks a run's first span, which restarts
+    /// [`FlatDdStats::fused_matrices`](super::FlatDdStats::fused_matrices).
+    pub(super) fn fuse(&mut self, core: &mut Core, gates: &[Gate], first: bool) {
+        if first {
+            core.stats.fused_matrices = 0;
+        }
         let telemetry = qtelemetry::enabled();
         let fuse_ts = telemetry.then(qtelemetry::now_us);
         let fuse_t0 = telemetry.then(Instant::now);
+        // Each reduced gate carries the circuit gates it stands for (itself
+        // and the skipped or factored ones before it) and their effect.
+        let mut fixed = self.fixed;
+        let (mut reduced, mut counts, mut effects) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut held, mut effect) = (0, (Complex64::ONE, 0));
+        for g in gates {
+            match fixed.reduce(g) {
+                Reduced::Widen(_) => break,
+                Reduced::Skip => held += 1,
+                Reduced::Factor(c, flip) => {
+                    fixed.absorb(c, flip);
+                    effect = (effect.0 * c, effect.1 ^ flip);
+                    held += 1;
+                }
+                Reduced::Gate(g) => {
+                    reduced.push(g);
+                    counts.push(held + 1);
+                    effects.push(effect);
+                    (held, effect) = (0, (Complex64::ONE, 0));
+                }
+            }
+        }
+        // Trailing skipped or factored gates ride on the last matrix.
+        let (Some(count), Some(last)) = (counts.last_mut(), effects.last_mut()) else {
+            return;
+        };
+        *count += held;
+        *last = (last.0 * effect.0, last.1 ^ effect.1);
         // Priced over the shard geometry its plans will use (one group per
         // shard): whether a matrix runs in place depends on it.
-        let (pkg, n, t) = (&mut core.pkg, core.n, core.shards);
+        let (pkg, n, t) = (&mut core.pkg, self.width(), self.v.shards());
         let (model, gc_every) = (&CostModel::default(), core.cfg.fusion_gc_every);
         let fused: FusedGates = match core.cfg.fusion {
-            FusionPolicy::DmavAware => fuse_dmav_aware(pkg, gates, n, t, model, gc_every),
-            FusionPolicy::KOperations(k) => fuse_k_operations(pkg, gates, n, t, k, model, gc_every),
-            FusionPolicy::None => no_fusion(pkg, gates, n, t, model),
+            FusionPolicy::DmavAware => fuse_dmav_aware(pkg, &reduced, n, t, model, gc_every),
+            FusionPolicy::KOperations(k) => {
+                fuse_k_operations(pkg, &reduced, n, t, k, model, gc_every)
+            }
+            FusionPolicy::None => no_fusion(pkg, &reduced, n, t, model),
         };
-        core.stats.fused_matrices = fused.matrices.len();
+        debug_assert_eq!(fused.gate_counts.iter().sum::<usize>(), reduced.len());
+        let spanned: usize = counts.iter().sum();
+        core.stats.fused_matrices += fused.matrices.len();
         if telemetry {
             qtelemetry::emit(qtelemetry::Event::Fusion {
                 sim: core.telemetry_id,
@@ -82,13 +146,22 @@ impl FlatPhase {
                 dur_us: fuse_t0
                     .map(|t| t.elapsed().as_secs_f64() * 1e6)
                     .unwrap_or(0.0),
-                gates_in: gates.len(),
+                gates_in: spanned,
                 matrices_out: fused.matrices.len(),
             });
         }
-        debug_assert_eq!(fused.gate_counts.iter().sum::<usize>(), gates.len());
+        self.gate_counts.clear();
+        self.effects.clear();
+        let mut at = 0;
+        for k in fused.gate_counts {
+            self.gate_counts.push(counts[at..at + k].iter().sum());
+            let folded = effects[at..at + k]
+                .iter()
+                .fold((Complex64::ONE, 0), |(c, f), &(c2, f2)| (c * c2, f ^ f2));
+            self.effects.push(folded);
+            at += k;
+        }
         self.fused = fused.matrices;
-        self.gate_counts = fused.gate_counts;
         self.next = 0;
     }
 
@@ -102,6 +175,7 @@ impl FlatPhase {
     pub(super) fn clear_fused(&mut self) {
         self.fused.clear();
         self.gate_counts.clear();
+        self.effects.clear();
         self.next = 0;
         self.peeked = None;
     }
@@ -110,6 +184,8 @@ impl FlatPhase {
     /// one gate `apply` was given) and folding at most `budget` of them
     /// unless the first matrix alone folds more. The matrices are the
     /// pending fused blocks when a span is loaded, otherwise the gates'
+    /// own, reduced against the fixed qubits: a skipped or factored gate
+    /// costs no matrix, and one that widens a fixed qubit is a step of its
     /// own. The first matrix that has no place in a blocked run is applied
     /// on its own; otherwise every following matrix that has one and fits
     /// the budget joins it — a run, applied block by block in one dispatch.
@@ -119,29 +195,59 @@ impl FlatPhase {
         gates: &[Gate],
         budget: usize,
     ) -> Result<StepReport, FlatDdError> {
+        let report = self.advance(core, gates, budget)?;
+        if core.ctx.fires(faults::SITE_STATE_NAN).is_some() {
+            if let Some(a) = self.v.first_mut() {
+                *a = Complex64::new(f64::NAN, 0.0);
+            }
+        }
+        Ok(report)
+    }
+
+    /// [`Self::step`] short of its fault probe.
+    fn advance(
+        &mut self,
+        core: &mut Core,
+        gates: &[Gate],
+        budget: usize,
+    ) -> Result<StepReport, FlatDdError> {
         let fused = self.next < self.fused.len();
+        // The fixed set as the step leaves it, committed once its matrices
+        // have run.
+        let mut fixed = self.fixed;
         let mut run: Vec<Lookup> = Vec::new();
-        let mut folded = 0;
+        let (mut folded, mut bypassed) = (0, 0);
         loop {
             let i = run.len();
             let pending = if fused {
                 self.gate_counts.get(self.next + i).copied()
             } else {
-                (i < gates.len()).then_some(1)
+                (folded < gates.len()).then_some(1)
             };
             let Some(k) = pending else { break };
-            if i > 0 && folded + k > budget {
+            if folded > 0 && folded + k > budget {
                 break;
             }
             let looked = match self.peeked.take() {
                 Some(looked) => looked,
-                None => {
-                    let m = match fused {
-                        true => self.fused[self.next + i],
-                        false => core.pkg.gate_dd(&gates[i], core.n),
-                    };
-                    self.lookup(core, m)?
-                }
+                None if fused => self.lookup(core, self.fused[self.next + i])?,
+                None => match fixed.reduce(&gates[folded]) {
+                    Reduced::Gate(g) => {
+                        let m = core.pkg.gate_dd(&g, self.width());
+                        self.lookup(core, m)?
+                    }
+                    // A widening ends the run.
+                    Reduced::Widen(_) if folded > 0 => break,
+                    Reduced::Widen(q) => return self.widen_step(core, &gates[0], q),
+                    bypass => {
+                        if let Reduced::Factor(c, flip) = bypass {
+                            fixed.absorb(c, flip);
+                        }
+                        folded += 1;
+                        bypassed += 1;
+                        continue;
+                    }
+                },
             };
             let joins = joins_runs(&looked.plan);
             if i > 0 && !joins {
@@ -154,14 +260,18 @@ impl FlatPhase {
                 break;
             }
         }
-        self.dmav(core, &run)?;
+        if !run.is_empty() {
+            self.dmav(core, &run)?;
+        }
         if fused {
+            for &(c, flip) in &self.effects[self.next..self.next + run.len()] {
+                fixed.absorb(c, flip);
+            }
             self.next += run.len();
         }
-        if core.ctx.fires(faults::SITE_STATE_NAN).is_some() {
-            if let Some(a) = self.v.first_mut() {
-                *a = Complex64::new(f64::NAN, 0.0);
-            }
+        self.fixed = fixed;
+        for _ in 0..bypassed {
+            account(core, 0.0, true, true);
         }
         Ok(StepReport {
             gates: folded,
@@ -172,6 +282,106 @@ impl FlatPhase {
         })
     }
 
+    /// The step of a gate that superposes fixed qubit `q`: widen `q` in,
+    /// then apply the gate. With no active control the two are one pass —
+    /// the widening writes the gate's column `b` — else the widening
+    /// spreads the state onto `|b>` and the gate runs as any other.
+    fn widen_step(
+        &mut self,
+        core: &mut Core,
+        gate: &Gate,
+        q: usize,
+    ) -> Result<StepReport, FlatDdError> {
+        let (b, m) = (self.fixed.bit(q), gate.kind.matrix());
+        let lone = gate.controls.iter().all(|c| self.fixed.holds(c.qubit));
+        let column = match lone {
+            true => [m[b], m[2 + b]],
+            false => self.fixed.spread(q, Complex64::ONE),
+        };
+        self.widen(core, q, column);
+        let hit = if lone {
+            account(core, 0.0, true, true);
+            true
+        } else {
+            let Reduced::Gate(g) = self.fixed.reduce(gate) else {
+                unreachable!("a gate whose fixed target is widened in reduces to a gate");
+            };
+            let m = core.pkg.gate_dd(&g, self.width());
+            let looked = self.lookup(core, m)?;
+            self.dmav(core, std::slice::from_ref(&looked))?;
+            looked.hit
+        };
+        Ok(StepReport {
+            gates: 1,
+            dd_size: None,
+            ewma: None,
+            plan_hit: Some(hit),
+            fused: false,
+        })
+    }
+
+    /// Widens fixed qubit `q` into the array in place: every amplitude goes
+    /// to the two halves of `q` times `column` and the pending factor.
+    fn widen(&mut self, core: &Core, q: usize, column: [Complex64; 2]) {
+        let p = self.fixed.position(q);
+        let f = self.fixed.factor;
+        let c = match f == Complex64::ONE {
+            true => column,
+            false => column.map(|x| x * f),
+        };
+        self.fixed.release(q);
+        self.v.widen(p, c, shards_at(core, self.width() + 1));
+        core.ctx.metrics().counter("sim.widenings").inc();
+    }
+
+    /// The state over all `n` qubits: the array itself while no qubit is
+    /// fixed, else a copy with each fixed qubit spread back in and the
+    /// pending factor applied. Every full-width reader goes through here.
+    pub(super) fn full_state(&self, n: usize) -> Cow<'_, [Complex64]> {
+        if self.fixed.mask == 0 {
+            return Cow::Borrowed(&self.v);
+        }
+        let mut full = vec![Complex64::ZERO; 1usize << n];
+        let mut len = self.v.len();
+        full[..len].copy_from_slice(&self.v);
+        let mut f = self.fixed.factor;
+        // Ascending, so every qubit below `q` is in place when `q` is.
+        for q in (0..n).filter(|&q| self.fixed.holds(q)) {
+            qarray::widen(&mut full[..2 * len], q, self.fixed.spread(q, f));
+            (len, f) = (2 * len, Complex64::ONE);
+        }
+        Cow::Owned(full)
+    }
+
+    /// The amplitude of basis state `index` (over all qubits), read without
+    /// spreading the array.
+    pub(super) fn amplitude(&self, index: usize) -> Complex64 {
+        let fx = &self.fixed;
+        if fx.mask == 0 {
+            return self.v[index];
+        }
+        if index & fx.mask != fx.bits {
+            return Complex64::ZERO;
+        }
+        let top = usize::BITS - index.leading_zeros();
+        let (mut at, mut j) = (0, 0);
+        for q in (0..top as usize).filter(|&q| !fx.holds(q)) {
+            at |= (index >> q & 1) << j;
+            j += 1;
+        }
+        self.v[at] * fx.factor
+    }
+
+    /// The array as the whole state, for the readers that collapse or
+    /// overwrite it: every fixed qubit is widened back in first.
+    pub(super) fn state_mut(&mut self, core: &Core) -> &mut ShardedState {
+        while self.fixed.mask != 0 {
+            let q = self.fixed.mask.trailing_zeros() as usize;
+            self.widen(core, q, self.fixed.spread(q, Complex64::ONE));
+        }
+        &mut self.v
+    }
+
     /// The plan of `m` over the shard geometry (one assignment group per
     /// shard, so the memo keys plans by shard count); a miss builds it (see
     /// [`PlanCache`]).
@@ -180,7 +390,9 @@ impl FlatPhase {
         // (the overhead contract); the observe itself lands only on misses,
         // where a plan was actually built.
         let t0 = qtelemetry::enabled().then(Instant::now);
-        let looked = self.plans.lookup(&core.pkg, m, core.n, core.shards)?;
+        let looked = self
+            .plans
+            .lookup(&core.pkg, m, self.width(), self.v.shards())?;
         if let (Some(t0), false) = (t0, looked.hit) {
             core.hist_plan_build.observe_duration_us(t0.elapsed());
         }
@@ -191,7 +403,7 @@ impl FlatPhase {
     /// every matrix. A run of several is in place by construction and runs
     /// block by block; a plan with an in-place form runs on `v` itself; the
     /// others write `w` (allocated here on first need — an error from that
-    /// leaves `v` as it was) and swap.
+    /// leaves `v` as it was), cut to `v`'s width, and swap.
     fn dmav(&mut self, core: &mut Core, run: &[Lookup]) -> Result<(), FlatDdError> {
         let (pkg, pool) = (&core.pkg, &core.pool);
         let first = &run[0].plan;
@@ -203,24 +415,12 @@ impl FlatPhase {
         } else {
             let held = self.memory_bytes();
             let w = output_vector(&mut self.w, core, held)?;
+            w.set_active(self.v.len(), self.v.shards());
             dmav_no_cache(pkg, first, &self.v, w, pool);
             std::mem::swap(&mut self.v, w);
         }
-        let stats = &mut core.stats;
         for looked in run {
-            stats.modeled_cost += looked.cost;
-            stats.uncached_dmavs += 1;
-            // An in-place matrix is a DMAV that needed no `W`.
-            if looked.plan.in_place() {
-                core.ctr_dmav_in_place.inc();
-            }
-            if looked.hit {
-                stats.dmav_plan_hits += 1;
-            } else {
-                stats.dmav_plan_misses += 1;
-            }
-            stats.gates_dmav += 1;
-            core.ctr_gates_dmav.inc();
+            account(core, looked.cost, looked.hit, looked.plan.in_place());
         }
         Ok(())
     }
@@ -256,8 +456,32 @@ impl FlatPhase {
     /// propagate into the sum.
     pub(super) fn norm_sqr(&self, pool: &ThreadPool) -> f64 {
         let v = &self.v;
-        qarray::sum_shards(pool, v.shards(), |s| vecops::norm_sqr(&v[v.shard_range(s)]))
+        let sq = qarray::sum_shards(pool, v.shards(), |s| vecops::norm_sqr(&v[v.shard_range(s)]));
+        match self.fixed.mask {
+            0 => sq,
+            _ => sq * self.fixed.factor.norm_sqr(),
+        }
     }
+}
+
+/// Accounts one flat-phase matrix of modelled `cost`: a DMAV, or a gate the
+/// fixed qubits reduced to no matrix (cost 0, nothing to look up, in
+/// place), so the counters still add up to the gates and blocks consumed.
+fn account(core: &mut Core, cost: f64, hit: bool, in_place: bool) {
+    let stats = &mut core.stats;
+    stats.modeled_cost += cost;
+    stats.uncached_dmavs += 1;
+    // An in-place matrix is a DMAV that needed no `W`.
+    if in_place {
+        core.ctr_dmav_in_place.inc();
+    }
+    if hit {
+        stats.dmav_plan_hits += 1;
+    } else {
+        stats.dmav_plan_misses += 1;
+    }
+    stats.gates_dmav += 1;
+    core.ctr_gates_dmav.inc();
 }
 
 /// The flat phase's output vector, allocated on first need: admission

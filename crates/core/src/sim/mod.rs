@@ -19,6 +19,7 @@
 //! is *refused* and the run continues in DD mode, with the refusal recorded
 //! in [`FlatDdStats::conversion_refusals`].
 
+mod active;
 mod boundary;
 mod config;
 mod dd_phase;
@@ -288,7 +289,7 @@ impl FlatDdSimulator {
             let mut v = flat_phase::try_flat_buffer(&core, "initial flat state")?;
             v[0] = Complex64::ONE;
             let ewma = EwmaMonitor::new(EwmaConfig::default()).state();
-            PhaseState::Flat(FlatPhase::new(v, ewma))
+            PhaseState::Flat(FlatPhase::new(v, active::Fixed::NONE, ewma))
         } else {
             if start_flat {
                 // The flat state would bust the budget before the first
@@ -389,7 +390,10 @@ impl FlatDdSimulator {
         let PhaseState::Flat(flat) = &self.phase else {
             return None;
         };
-        let state = self.core.pkg.vector_from_slice(&flat.v);
+        let state = self
+            .core
+            .pkg
+            .vector_from_slice(&flat.full_state(self.core.n));
         let size = self.core.pkg.vector_dd_size(state);
         // Conversion monitoring restarts from scratch.
         self.phase = PhaseState::Dd(DdPhase::new(state, &self.core.cfg));
@@ -400,14 +404,14 @@ impl FlatDdSimulator {
     }
 
     /// The final amplitudes (DD phase: parallel conversion; DMAV phase: the
-    /// flat array itself).
+    /// flat array at full width).
     pub fn amplitudes(&self) -> Vec<Complex64> {
         match &self.phase {
             PhaseState::Dd(dd) => {
                 let core = &self.core;
                 dd_to_array_grouped(&core.pkg, dd.state, core.n, &core.pool, core.t)
             }
-            PhaseState::Flat(flat) => flat.v.to_vec(),
+            PhaseState::Flat(flat) => flat.full_state(self.core.n).into_owned(),
         }
     }
 
@@ -415,7 +419,7 @@ impl FlatDdSimulator {
     pub fn amplitude(&self, index: usize) -> Complex64 {
         match &self.phase {
             PhaseState::Dd(dd) => self.core.pkg.amplitude(dd.state, index),
-            PhaseState::Flat(flat) => flat.v[index],
+            PhaseState::Flat(flat) => flat.amplitude(index),
         }
     }
 
@@ -428,7 +432,7 @@ impl FlatDdSimulator {
     pub fn top_amplitudes(&self, k: usize) -> Vec<(usize, Complex64)> {
         match &self.phase {
             PhaseState::Dd(dd) => self.core.pkg.top_amplitudes(dd.state, self.core.n, k),
-            PhaseState::Flat(flat) => qarray::top_amplitudes(&flat.v, k),
+            PhaseState::Flat(flat) => qarray::top_amplitudes(&flat.full_state(self.core.n), k),
         }
     }
 
@@ -438,7 +442,7 @@ impl FlatDdSimulator {
     pub fn sample(&self, rand01: &mut impl FnMut() -> f64) -> usize {
         match &self.phase {
             PhaseState::Dd(dd) => self.core.pkg.sample(dd.state, rand01),
-            PhaseState::Flat(flat) => qarray::sample(&flat.v, rand01),
+            PhaseState::Flat(flat) => qarray::sample(&flat.full_state(self.core.n), rand01),
         }
     }
 
@@ -450,7 +454,9 @@ impl FlatDdSimulator {
     ) -> Vec<(usize, usize)> {
         match &self.phase {
             PhaseState::Dd(dd) => self.core.pkg.sample_counts(dd.state, shots, rand01),
-            PhaseState::Flat(flat) => qarray::sample_counts(&flat.v, shots, rand01),
+            PhaseState::Flat(flat) => {
+                qarray::sample_counts(&flat.full_state(self.core.n), shots, rand01)
+            }
         }
     }
 
@@ -460,7 +466,8 @@ impl FlatDdSimulator {
         match &self.phase {
             PhaseState::Dd(dd) => core.pkg.qubit_probability_one(dd.state, q),
             PhaseState::Flat(flat) => {
-                qarray::qubit_probability_one_sharded(&flat.v, q, core.shards, &core.pool)
+                let v = flat.full_state(core.n);
+                qarray::qubit_probability_one_sharded(&v, q, core.shards, &core.pool)
             }
         }
     }
@@ -469,7 +476,7 @@ impl FlatDdSimulator {
     pub fn expectation_pauli(&mut self, p: &qcircuit::PauliString) -> f64 {
         match &self.phase {
             PhaseState::Dd(dd) => self.core.pkg.expectation_pauli(dd.state, p, self.core.n),
-            PhaseState::Flat(flat) => qarray::expectation_pauli(&flat.v, p),
+            PhaseState::Flat(flat) => qarray::expectation_pauli(&flat.full_state(self.core.n), p),
         }
     }
 
@@ -477,7 +484,7 @@ impl FlatDdSimulator {
     pub fn expectation(&mut self, ham: &qcircuit::Hamiltonian) -> f64 {
         match &self.phase {
             PhaseState::Dd(dd) => self.core.pkg.expectation(dd.state, ham, self.core.n),
-            PhaseState::Flat(flat) => qarray::expectation(&flat.v, ham),
+            PhaseState::Flat(flat) => qarray::expectation(&flat.full_state(self.core.n), ham),
         }
     }
 
@@ -492,7 +499,8 @@ impl FlatDdSimulator {
                 outcome
             }
             PhaseState::Flat(flat) => {
-                qarray::measure_qubit_sharded(&mut flat.v, q, rand01, core.shards, &core.pool)
+                let v = flat.state_mut(core);
+                qarray::measure_qubit_sharded(v, q, rand01, core.shards, &core.pool)
             }
         }
     }

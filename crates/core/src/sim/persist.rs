@@ -1,6 +1,7 @@
 //! Checkpointing of the driver: policy, the FDCP1 write at the current
 //! gate boundary, the best-effort periodic write, and resume.
 
+use super::active::Fixed;
 use super::{Boundary, Core, DdPhase, FlatDdConfig, FlatDdSimulator, FlatPhase, PhaseState};
 use crate::checkpoint::{
     self, CheckpointHeader, CheckpointPayload, CheckpointPolicy, CheckpointState,
@@ -63,13 +64,18 @@ impl Boundary {
             rng_pos: 0,
             stats: core.stats,
         };
-        let dd_bytes;
+        let (dd_bytes, amps);
         let payload = match phase {
             PhaseState::Dd(dd) => {
                 dd_bytes = qdd::serialize::vector_dd_to_bytes(&core.pkg, dd.state, core.n)?;
                 CheckpointPayload::Dd(&dd_bytes)
             }
-            PhaseState::Flat(flat) => CheckpointPayload::Flat { amps: &flat.v },
+            // Always the full-width state: the file does not depend on which
+            // qubits the flat phase holds out.
+            PhaseState::Flat(flat) => {
+                amps = flat.full_state(core.n);
+                CheckpointPayload::Flat { amps: &amps }
+            }
         };
         let bytes = checkpoint::write_checkpoint_with(&policy.path, &header, payload, &core.ctx)?;
         let dur_us = started.1.elapsed().as_secs_f64() * 1e6;
@@ -247,8 +253,9 @@ impl FlatDdSimulator {
             CheckpointState::Flat(v) => {
                 // The payload is shard-agnostic: re-shard under *this*
                 // simulator's geometry, which may differ from the writer's.
+                // The flat phase resumes at full width.
                 let v = qarray::ShardedState::from_vec(v, core.shards);
-                PhaseState::Flat(FlatPhase::new(v, header.ewma))
+                PhaseState::Flat(FlatPhase::new(v, Fixed::NONE, header.ewma))
             }
         };
         // Drop the |0...0> state try_new built.

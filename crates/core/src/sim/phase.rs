@@ -4,10 +4,11 @@
 //! 3.1.2), the only place a [`DdPhase`] is consumed and a [`FlatPhase`]
 //! takes its place.
 
-use super::flat_phase::try_flat_buffer;
+use super::active::Fixed;
+use super::flat_phase::{shards_at, try_flat_buffer};
 use super::{Core, DdPhase, FlatPhase, Phase};
 use crate::error::FlatDdError;
-use qcircuit::Gate;
+use qcircuit::{Complex64, Gate};
 use qdd::{MEdge, VEdge};
 use std::time::Instant;
 
@@ -157,19 +158,24 @@ pub(super) fn convert(core: &mut Core, phase: &mut PhaseState) -> Result<(), Fla
         let used = core.pkg.stats().memory_bytes;
         core.refuse_conversion(used);
     })?;
+    // Qubits the state holds in a basis state are projected out: the fill
+    // writes the first 2^width amplitudes of the buffer, sharded at that
+    // width, and the flat phase widens them back in as gates superpose them.
+    let (mask, bits, state) = core.pkg.project_definite(state, core.n);
+    let width = core.n - mask.count_ones() as usize;
+    let shards = shards_at(core, width);
+    v.set_active(1usize << width, shards);
     // Worker panics (including injected ones) are contained here: the pool
     // re-raises a job panic on the dispatching thread, the DD state is
     // untouched, and the caller gets a typed error instead of an abort.
-    let breakdown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        crate::convert::dd_to_array_parallel_sharded_into_with(
-            &core.pkg,
-            state,
-            core.n,
-            &core.pool,
-            core.shards,
-            &mut v,
-            &core.ctx,
-        )
+    let breakdown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match width {
+        0 => {
+            v[0] = core.pkg.cval(state.w);
+            crate::convert::ConversionBreakdown::default()
+        }
+        _ => crate::convert::dd_to_array_parallel_sharded_into_with(
+            &core.pkg, state, width, &core.pool, shards, &mut v, &core.ctx,
+        ),
     }))
     .map_err(|_| FlatDdError::WorkerPanic {
         context: "DD-to-array conversion",
@@ -180,6 +186,10 @@ pub(super) fn convert(core: &mut Core, phase: &mut PhaseState) -> Result<(), Fla
     core.hist_convert
         .observe((core.stats.conversion_seconds * 1e6) as u64);
     core.ctx.metrics().counter("core.conversions").inc();
+    core.ctx
+        .metrics()
+        .gauge("sim.active_qubits")
+        .set(width as f64);
     if telemetry {
         // The load-balance breakdown is keyed by shard id (one entry per
         // conversion dispatch group).
@@ -223,7 +233,12 @@ pub(super) fn convert(core: &mut Core, phase: &mut PhaseState) -> Result<(), Fla
         }
         core.emit_span(conv_span, "conversion", conv_start_us, dur_us);
     }
-    *phase = PhaseState::Flat(FlatPhase::new(v, ewma));
+    let fixed = Fixed {
+        mask,
+        bits,
+        factor: Complex64::ONE,
+    };
+    *phase = PhaseState::Flat(FlatPhase::new(v, fixed, ewma));
     // Drop all vector nodes (and stale gate matrices).
     phase.collect(core);
     Ok(())

@@ -697,3 +697,117 @@ fn health_checks_count_gates_across_fused_blocks_and_runs() {
         }
     }
 }
+
+/// An 8-qubit state with qubits 1, 4 and 7 at |0> and 6 at |1> when it
+/// converts after the first 12 gates, then gates the fixed qubits reduce: a
+/// factor, a controlled phase onto an active qubit, a flip and a skip.
+/// Returns the circuit, the flat run (still holding qubits out) and the
+/// `Never` run of the same circuit.
+fn held_out() -> (qcircuit::Circuit, FlatDdSimulator, FlatDdSimulator) {
+    use qcircuit::{Control, Gate, GateKind};
+    let n = 8;
+    let mut c = qcircuit::Circuit::new(n);
+    for q in [0, 2, 3, 5] {
+        c.h(q);
+    }
+    c.x(6).t(0).cx(0, 2).t(2).cx(3, 5);
+    c.push(Gate::new(GateKind::RY(0.4), 5)).cx(2, 3).t(3);
+    c.z(6).cz(0, 6).x(1);
+    c.push(Gate::controlled(GateKind::H, 3, vec![Control::pos(4)]));
+    let run = |conversion| {
+        let config = FlatDdConfig {
+            conversion,
+            ..cfg(2)
+        };
+        let mut sim =
+            FlatDdSimulator::try_new_with(n, config, crate::RunContext::isolated()).unwrap();
+        sim.run(&c).unwrap();
+        sim
+    };
+    let flat = run(ConversionPolicy::AtGate(12));
+    assert_eq!(flat.phase(), Phase::Dmav);
+    let active = flat.context().metrics().gauge("sim.active_qubits").get();
+    assert_eq!(active, 4.0, "qubits 1, 4, 6 and 7 held out");
+    assert_eq!(flat.context().metrics().counter("sim.widenings").get(), 0);
+    let dd = run(ConversionPolicy::Never);
+    (c, flat, dd)
+}
+
+#[test]
+fn full_width_readers_agree_with_the_dd_phase_while_qubits_are_held_out() {
+    let (c, flat, dd) = held_out();
+    let want = dense::simulate(&c);
+    assert!(state_distance(&dd.amplitudes(), &want) < 1e-12);
+    assert!(state_distance(&flat.amplitudes(), &want) < 1e-12);
+    for (i, w) in want.iter().enumerate() {
+        assert!(flat.amplitude(i).approx_eq(*w, 1e-12), "amplitude {i}");
+    }
+    // Every non-zero amplitude, compared as index -> amplitude.
+    let (mut top, mut top_dd) = (flat.top_amplitudes(256), dd.top_amplitudes(256));
+    top.sort_by_key(|&(i, _)| i);
+    top_dd.sort_by_key(|&(i, _)| i);
+    assert_eq!(top.len(), top_dd.len());
+    for ((i, a), (j, b)) in top.iter().zip(&top_dd) {
+        assert!(i == j && a.approx_eq(*b, 1e-12), "top {i} / {j}");
+    }
+    // The flat phase samples by inverse CDF over the full-width state (the
+    // DD phase walks the diagram, which maps a draw elsewhere).
+    let amps = dd.amplitudes();
+    for k in 0..10 {
+        let r = 0.05 + 0.1 * k as f64;
+        assert_eq!(
+            flat.sample(&mut || r),
+            qarray::sample(&amps, &mut || r),
+            "draw {r}"
+        );
+    }
+    let draws = |seed| {
+        let mut rng = qcircuit::rng::SplitMix64::new(seed);
+        move || rng.next_f64()
+    };
+    assert_eq!(
+        flat.sample_counts(200, &mut draws(3)),
+        qarray::sample_counts(&amps, 200, &mut draws(3))
+    );
+    for q in 0..8 {
+        let (a, b) = (flat.qubit_probability_one(q), dd.qubit_probability_one(q));
+        assert!((a - b).abs() < 1e-12, "qubit {q}: {a} vs {b}");
+    }
+}
+
+#[test]
+fn observables_measurement_reconversion_and_checkpoints_see_the_full_state() {
+    use qcircuit::{Hamiltonian, PauliString};
+    let (c, mut flat, mut dd) = held_out();
+    let ham = Hamiltonian::transverse_ising(8, 1.0, 0.4);
+    assert!((flat.expectation(&ham) - dd.expectation(&ham)).abs() < 1e-12);
+    for label in ["ZIIIIIZI", "XIIZIIIX", "IZYIIXII"] {
+        let p = PauliString::parse(label).unwrap();
+        let (a, b) = (flat.expectation_pauli(&p), dd.expectation_pauli(&p));
+        assert!((a - b).abs() < 1e-12, "{label}: {a} vs {b}");
+    }
+    // The FDCP1 payload is the full-width state.
+    let path = std::env::temp_dir().join(format!("flatdd-held-out-{}.fdcp", std::process::id()));
+    flat.set_checkpoint_policy(Some(crate::CheckpointPolicy::at(&path)));
+    flat.save_checkpoint().unwrap();
+    let (_, state) = crate::checkpoint::read_checkpoint(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    match state {
+        crate::checkpoint::CheckpointState::Flat(v) => assert!(v == flat.amplitudes()),
+        _ => panic!("a flat checkpoint"),
+    }
+    // Measuring widens first: an active qubit and a held-out one.
+    let mut twin = held_out().1;
+    for (q, r) in [(2, 0.3), (6, 0.9)] {
+        let (a, b) = (
+            flat.measure_qubit(q, &mut || r),
+            dd.measure_qubit(q, &mut || r),
+        );
+        assert_eq!(a, b, "qubit {q}");
+        assert!(state_distance(&flat.amplitudes(), &dd.amplitudes()) < 1e-12);
+    }
+    assert_eq!(flat.context().metrics().counter("sim.widenings").get(), 4);
+    // Reconversion reads the full state too.
+    assert!(twin.reconvert_to_dd().is_some());
+    assert!(state_distance(&twin.amplitudes(), &dense::simulate(&c)) < 1e-12);
+}

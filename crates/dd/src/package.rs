@@ -9,7 +9,7 @@
 //! [`DdPackage::flush_caches`] — require `&mut self`.
 
 use crate::ctable::{CIdx, ComplexTable};
-use crate::fxhash::hash_u64;
+use crate::fxhash::{hash_u64, FxHashMap};
 use crate::node::{Lazy, MEdge, MNode, NodeArena, VEdge, VNode, TERM};
 use crate::ops::ComputeTables;
 use crate::sync::{get_mut, lock};
@@ -423,6 +423,76 @@ impl DdPackage {
             let node = self.v.get(cur.n);
             cur = node.e[(index >> node.level) & 1];
         }
+    }
+
+    /// The qubits `e` holds in a definite basis state, and `e` without them:
+    /// `(mask, bits, projected)`. Level `l` is fixed at `b` when every node
+    /// reachable at it has a zero edge `1 - b`, so every amplitude with the
+    /// other value there is zero; `mask` has bit `l` set and `bits` holds
+    /// `b` there. `projected` is the DD over the other `n - k` levels,
+    /// renumbered downwards in order, each kept edge with its weight and
+    /// each dropped level's weight carried onto the edge above: its
+    /// amplitude at an index with the fixed bits deleted is `e`'s amplitude
+    /// at the full index. With no level fixed, `projected` is `e`.
+    pub fn project_definite(&self, e: VEdge, n: usize) -> (usize, usize, VEdge) {
+        if e.is_zero() || e.is_terminal() {
+            return (0, 0, e);
+        }
+        let all = if n >= usize::BITS as usize {
+            usize::MAX
+        } else {
+            (1usize << n) - 1
+        };
+        let (mut at0, mut at1) = (all, all);
+        let mut seen: FxHashMap<u32, VEdge> = FxHashMap::default();
+        let mut stack = vec![e.n];
+        while let Some(id) = stack.pop() {
+            if id == TERM || seen.insert(id, VEdge::ZERO).is_some() {
+                continue;
+            }
+            let node = self.v.get(id);
+            let bit = 1usize << node.level;
+            if !node.e[1].is_zero() {
+                at0 &= !bit;
+            }
+            if !node.e[0].is_zero() {
+                at1 &= !bit;
+            }
+            stack.extend([node.e[0].n, node.e[1].n]);
+        }
+        let mask = at0 | at1;
+        if mask == 0 {
+            return (0, 0, e);
+        }
+        seen.clear();
+        let projected = self.scale_v(self.project_rec(e.n, mask, &mut seen), e.w);
+        (mask, at1, projected)
+    }
+
+    /// The sub-DD under node `id` without the `mask` levels (unit weight on
+    /// top; `memo` by node id).
+    fn project_rec(&self, id: u32, mask: usize, memo: &mut FxHashMap<u32, VEdge>) -> VEdge {
+        if id == TERM {
+            return VEdge::terminal(CIdx::ONE);
+        }
+        if let Some(&r) = memo.get(&id) {
+            return r;
+        }
+        let node = *self.v.get(id);
+        let level = node.level as usize;
+        let mut child = |c: VEdge| match c.is_zero() {
+            true => VEdge::ZERO,
+            false => self.scale_v(self.project_rec(c.n, mask, memo), c.w),
+        };
+        let r = if mask >> level & 1 == 1 {
+            child(node.e[usize::from(node.e[0].is_zero())])
+        } else {
+            let below = (mask & ((1usize << level) - 1)).count_ones() as usize;
+            let e = [child(node.e[0]), child(node.e[1])];
+            self.make_vnode((level - below) as u8, e)
+        };
+        memo.insert(id, r);
+        r
     }
 
     /// Matrix entry `M[row][col]` of a matrix DD (cf. Figure 2a).
@@ -855,6 +925,43 @@ mod tests {
         }
         assert_eq!(p.stats().memory_bytes, before);
         assert_eq!(before, recount(&p));
+    }
+
+    #[test]
+    fn projecting_definite_levels_keeps_every_amplitude() {
+        // |1> on qubit 1, |0> on qubit 4, a 4-qubit state with some
+        // structure on qubits 0, 2, 3, 5.
+        let n = 6;
+        let pkg = DdPackage::default();
+        let mut a = vec![Complex64::ZERO; 1 << n];
+        let active = [0usize, 2, 3, 5];
+        for k in 0..16usize {
+            let full = active
+                .iter()
+                .enumerate()
+                .fold(0b10, |idx, (j, &q)| idx | ((k >> j) & 1) << q);
+            a[full] = Complex64::new(0.1 + k as f64, 0.3 - (k % 3) as f64);
+        }
+        let e = pkg.vector_from_slice(&a);
+        let (mask, bits, p) = pkg.project_definite(e, n);
+        assert_eq!((mask, bits), (0b01_0010, 0b00_0010));
+        for (k, got) in pkg.vector_to_array(p, 4).iter().enumerate() {
+            let full = active
+                .iter()
+                .enumerate()
+                .fold(0b10, |idx, (j, &q)| idx | ((k >> j) & 1) << q);
+            assert!(got.approx_eq(a[full], 1e-12), "k={k}");
+        }
+        // Nothing fixed: the edge itself. A basis state: every level fixed.
+        let ghz = pkg.vector_from_slice(&{
+            let mut g = vec![Complex64::ZERO; 8];
+            (g[0], g[7]) = (Complex64::real(0.6), Complex64::real(0.8));
+            g
+        });
+        assert_eq!(pkg.project_definite(ghz, 3), (0, 0, ghz));
+        let (mask, bits, p) = pkg.project_definite(pkg.basis_state(5, 0b10110), 5);
+        assert_eq!((mask, bits), (0b11111, 0b10110));
+        assert!(p.is_terminal() && pkg.cval(p.w).approx_eq(Complex64::ONE, 1e-15));
     }
 
     #[test]

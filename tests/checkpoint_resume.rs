@@ -315,3 +315,43 @@ fn random_cut_resumes_exactly() {
         assert_resume_matches(&c, &cfg, cut, "random-cut");
     });
 }
+
+/// `tests/fixtures/fdcp1_v2_flat_supremacy_8.fdcp` was written by a build
+/// whose flat phase always stored all `2^n` amplitudes: `supremacy_n(8, 5,
+/// 1)` under `AtGate(16)` at one thread, checkpointed after gate 20. Here
+/// the same conversion holds four qubits out; the older file still resumes
+/// (at full width) and finishes at the dense state, as does a checkpoint
+/// this build writes at the same gate, whose payload is the same state.
+#[test]
+fn a_version_2_flat_checkpoint_from_a_full_width_writer_still_resumes() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/fdcp1_v2_flat_supremacy_8.fdcp");
+    let c = generators::supremacy_n(8, 5, 1);
+    let cfg = FlatDdConfig {
+        threads: 1,
+        conversion: ConversionPolicy::AtGate(16),
+        ..FlatDdConfig::default()
+    };
+    let want = qcircuit::dense::simulate(&c);
+    let (mut old, header) = FlatDdSimulator::resume_from(&fixture, cfg, &c).unwrap();
+    assert_eq!((header.gate_cursor, header.phase), (20, Phase::Dmav));
+    let before = old.amplitudes();
+    old.run_from(&c).unwrap();
+    assert!(state_distance(&old.amplitudes(), &want) < TOL);
+
+    let ctx = flatdd::RunContext::isolated();
+    let mut new = FlatDdSimulator::try_new_with(8, cfg, ctx).unwrap();
+    let path = tmp_ckpt("v2-held-out");
+    new.set_checkpoint_policy(Some(CheckpointPolicy::at(&path)));
+    new.run_prefix(&c, 20).unwrap();
+    let metrics = new.context().metrics();
+    assert_eq!(metrics.gauge("sim.active_qubits").get(), 4.0);
+    assert_eq!(metrics.counter("sim.widenings").get(), 0);
+    new.save_checkpoint().unwrap();
+    let (_, state) = flatdd::checkpoint::read_checkpoint(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let flatdd::checkpoint::CheckpointState::Flat(v) = state else {
+        panic!("a flat checkpoint");
+    };
+    assert!(state_distance(&v, &before) < TOL);
+}

@@ -880,7 +880,7 @@ fn unique_table<T: Node>(reps: usize, node: impl Fn(u32) -> T) -> ([f64; 3], usi
         // Ids are slot indices in allocation order.
         arena.mark_reachable((0..UNIQUE_NODES).step_by(2), 1);
         let s = Instant::now();
-        black_box(arena.sweep(1));
+        black_box(arena.sweep(1, |_| {}));
         ns[2].push(per_node(s));
     }
     (ns.map(median), bytes)

@@ -38,8 +38,6 @@ pub(super) fn progress_due(
 pub(crate) struct Boundary {
     /// Per-gate trace (filled only under `cfg.trace`).
     pub(super) traces: Vec<GateTrace>,
-    /// Live-node count above which the GC stage sweeps the package.
-    gc_threshold: usize,
     /// Wall clock (`None` until the first) and gate cursor of the last
     /// published progress sample.
     progress_at: Option<Instant>,
@@ -64,7 +62,6 @@ impl Boundary {
     pub(super) fn new(metrics: &qtelemetry::MetricsRegistry) -> Self {
         Boundary {
             traces: Vec::new(),
-            gc_threshold: 1 << 16,
             progress_at: None,
             progress_cursor: 0,
             ckpt: None,
@@ -81,7 +78,8 @@ impl Boundary {
     /// and returns the number of circuit gates it consumed. Stage order:
     /// cancel poll, deadline, the step itself (including a policy
     /// conversion and its forced progress sample), trace + telemetry,
-    /// cursor advance, progress throttle, rooted GC, memory ladder, health
+    /// cursor advance, progress throttle, rooted GC when the package's rule
+    /// says it is due, memory ladder, health
     /// watchdog, periodic checkpoint. Both exits before the step leave the
     /// state untouched and every exit after it leaves the cursor in sync
     /// with the state, so any resumable error can be checkpointed where it
@@ -149,16 +147,11 @@ impl Boundary {
         core.cursor += report.gates;
         self.publish_progress(core, phase, false);
 
-        // The step's one package read serves both stages below: a sweep
-        // releases no reserved bytes (it recycles slots in place, and what
-        // its free lists add the next step's read charges).
-        let live = core.pkg.stats();
-        let nodes = live.v_nodes + live.m_nodes;
-        if nodes > self.gc_threshold {
-            let freed = phase.collect(core);
-            self.gc_threshold = ((nodes - freed) * 2).max(1 << 16);
-        }
-        let used = live.memory_bytes + phase.flat_bytes();
+        // The package sweeps when its own rule says so; the step's one
+        // package read comes after, so the budget is charged what the
+        // package holds now.
+        phase.collect_if_due(core);
+        let used = core.pkg.stats().memory_bytes + phase.flat_bytes();
         self.enforce_memory(core, phase, used, report.gates)?;
         self.enforce_health(core, phase, report.gates)?;
 

@@ -87,11 +87,16 @@ impl PhaseState {
 
     /// The one package sweep: everything not reachable from the current
     /// phase's roots is reclaimed; the plan memo, keyed by node id, sees it
-    /// through the package's GC epoch. Returns the number of nodes freed.
-    pub(super) fn collect(&self, core: &mut Core) -> usize {
+    /// through the package's GC epoch.
+    pub(super) fn collect(&self, core: &mut Core) {
         let (vectors, matrices) = self.roots();
-        let (v_freed, m_freed) = core.pkg.gc(vectors, matrices);
-        v_freed + m_freed
+        core.pkg.gc(vectors, matrices);
+    }
+
+    /// [`Self::collect`] when the package's sweep rule says it is due.
+    pub(super) fn collect_if_due(&self, core: &mut Core) {
+        let (vectors, matrices) = self.roots();
+        core.pkg.gc_if_due(vectors, matrices);
     }
 
     /// The degradation ladder's first rungs: release DMAV scratch, sweep

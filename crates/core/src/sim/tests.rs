@@ -444,16 +444,17 @@ fn zero_deadline_returns_partial_outcome() {
 
 #[test]
 fn refused_conversion_keeps_run_in_dd_mode() {
-    // Budget admits the DD tables but not the two 2^20 flat buffers
-    // (2 * 16 MiB), so the forced AtGate conversion must be refused and
-    // the run still complete correctly in DD mode.
+    // Budget admits the DD tables and one 2^20 flat buffer (16 MiB) but not
+    // the two a two-thread run holds (2 * 16 MiB), so the forced AtGate
+    // conversion must be refused and the run still complete correctly in
+    // DD mode.
     let n = 20;
     let mut g = cfg(2);
     g.conversion = ConversionPolicy::AtGate(3);
-    g.governor.memory_budget_bytes = Some(16 * 1024 * 1024);
+    g.governor.memory_budget_bytes = Some(24 * 1024 * 1024);
     let mut sim = FlatDdSimulator::new(n, g);
     let c = generators::ghz(n);
-    let outcome = sim.run(&c).expect("GHZ DD tables fit 16 MiB");
+    let outcome = sim.run(&c).expect("GHZ DD tables fit 24 MiB");
     assert!(outcome.is_complete());
     assert_eq!(sim.phase(), Phase::Dd, "conversion must have been refused");
     assert!(sim.stats().conversion_refusals >= 1);
@@ -463,10 +464,11 @@ fn refused_conversion_keeps_run_in_dd_mode() {
 
 #[test]
 fn immediate_policy_over_budget_falls_back_to_dd() {
-    // 2 * 2^20 * 16 = 32 MiB of flat state against a 16 MiB budget.
+    // One in-place 2^20 flat buffer, 16 MiB, against an 8 MiB budget that
+    // the DD phase fits.
     let mut g = cfg(1);
     g.conversion = ConversionPolicy::Immediate;
-    g.governor.memory_budget_bytes = Some(16 * 1024 * 1024);
+    g.governor.memory_budget_bytes = Some(8 * 1024 * 1024);
     let sim = FlatDdSimulator::new(20, g);
     assert_eq!(sim.phase(), Phase::Dd);
     assert_eq!(sim.stats().conversion_refusals, 1);
@@ -474,8 +476,9 @@ fn immediate_policy_over_budget_falls_back_to_dd() {
 
 #[test]
 fn forced_conversion_over_budget_errors_with_refusal_recorded() {
+    // The 16 MiB flat buffer alone is over the budget.
     let mut g = cfg(1);
-    g.governor.memory_budget_bytes = Some(16 * 1024 * 1024);
+    g.governor.memory_budget_bytes = Some(8 * 1024 * 1024);
     let mut sim = FlatDdSimulator::new(20, g);
     let err = sim.convert_now().unwrap_err();
     match err {
@@ -491,7 +494,7 @@ fn forced_conversion_over_budget_errors_with_refusal_recorded() {
 #[test]
 fn one_qubit_circuits_run_under_governor() {
     let mut g = cfg(8); // threads clamp to 1 for n = 1
-    g.governor.memory_budget_bytes = Some(8 * 1024 * 1024);
+    g.governor.memory_budget_bytes = Some(1024 * 1024); // a fresh package holds ~0.6 MiB
     g.governor.deadline = Some(Duration::from_secs(60));
     let mut sim = FlatDdSimulator::new(1, g);
     assert_eq!(sim.threads(), 1);

@@ -35,6 +35,16 @@
 //! its insert. Two values that could match each other always probe each
 //! other's home cell, hence share a lock, hence are serialized: an insert
 //! is atomic with respect to every probe that could have found it.
+//!
+//! ## Sweeping
+//!
+//! The package's stop-the-world sweep (`ComplexTable::sweep`) hands over
+//! a `ValueMarks` bitmap of the values live nodes and root edges still
+//! store. Each shard's index is rebuilt with only those, and the unmarked
+//! indices go onto that shard's free list, where the next insert filed in
+//! the same shard takes them — under the lock of the shard whose sweep
+//! freed them, the store's one-writer rule. A live value keeps its [`CIdx`];
+//! [`CIdx::ZERO`] and [`CIdx::ONE`] are never freed.
 
 use crate::fxhash::hash_pair;
 use crate::sync::{stripe_of, SlotVec, Stripe, TagIndex, STRIPES};
@@ -81,6 +91,31 @@ const EDGE: f64 = (1.0 + 1.0 / 16.0) / CELL_TOLS;
 /// Slots of a fresh shard (power of two).
 const INITIAL_SLOTS: usize = 64;
 
+/// Lock-protected part of one shard.
+struct Shard {
+    /// Cell hash -> value index, for the cells hashing to this shard.
+    index: TagIndex,
+    /// Indices this shard's sweeps freed, re-filled only under its lock.
+    free: Vec<u32>,
+}
+
+/// Which value indices a sweep keeps: one bit per index, built for one
+/// sweep and dropped with it (the value store itself carries no stamp).
+pub(crate) struct ValueMarks(Vec<u64>);
+
+impl ValueMarks {
+    /// Marks `w` live.
+    #[inline(always)]
+    pub(crate) fn set(&mut self, w: CIdx) {
+        self.0[w.0 as usize / 64] |= 1 << (w.0 % 64);
+    }
+
+    #[inline(always)]
+    fn get(&self, i: u32) -> bool {
+        self.0[i as usize / 64] >> (i % 64) & 1 == 1
+    }
+}
+
 /// Where a value files: its home cell and, per axis, the step (`-1`, `0`,
 /// `+1`) to the neighbour cell it could also match in.
 struct Place {
@@ -98,6 +133,22 @@ impl Place {
     }
 }
 
+/// Where `v` files on a grid of `inv_cell` cells per unit length.
+#[inline(always)]
+fn place(v: Complex64, inv_cell: f64) -> Place {
+    let xr = v.re * inv_cell + GRID_SHIFT;
+    let xi = v.im * inv_cell + GRID_SHIFT;
+    let (fr, fi) = (xr.floor(), xi.floor());
+    // Position inside the cell, `[0, 1)`, against both sides.
+    let step = |frac: f64| (frac > 1.0 - EDGE) as i64 - (frac < EDGE) as i64;
+    Place {
+        kr: fr as i64,
+        ki: fi as i64,
+        dr: step(xr - fr),
+        di: step(xi - fi),
+    }
+}
+
 /// Hash of a cell: the top 4 bits pick the shard, the top 32 are the slot
 /// tag, the low bits the home slot.
 #[inline(always)]
@@ -108,14 +159,17 @@ fn cell_hash(kr: i64, ki: i64) -> u64 {
 /// Interning table for complex edge weights. All methods take `&self` and
 /// are safe to call from many threads.
 pub struct ComplexTable {
-    /// Global value store: `CIdx` is a dense index into this. Values are
-    /// never marked, so the slots carry no stamp.
+    /// Global value store: `CIdx` is a dense index into this. A sweep marks
+    /// values in a transient [`ValueMarks`], so the slots carry no stamp.
     values: SlotVec<Complex64, ()>,
-    /// Values allocated so far (the next fresh index).
+    /// Value slots allocated so far (the next fresh index).
     next: AtomicU32,
-    shards: Vec<Stripe<TagIndex>>,
-    /// Bytes reserved by the value segments and the slot arrays, updated
-    /// where either grows so that [`Self::memory_bytes`] is one load.
+    /// Values filed in the shards (allocated slots minus the free lists).
+    live: AtomicUsize,
+    shards: Vec<Stripe<Shard>>,
+    /// Bytes reserved by the value segments, the slot arrays and the free
+    /// lists, updated where any of them grows so that
+    /// [`Self::memory_bytes`] is one load.
     bytes: AtomicUsize,
     tol: f64,
     /// Cells per unit length: `1 / (CELL_TOLS * tol)`.
@@ -138,8 +192,14 @@ impl ComplexTable {
         let t = ComplexTable {
             values: SlotVec::default(),
             next: AtomicU32::new(0),
+            live: AtomicUsize::new(0),
             shards: (0..CTABLE_SHARDS)
-                .map(|_| Stripe::new(TagIndex::new(INITIAL_SLOTS)))
+                .map(|_| {
+                    Stripe::new(Shard {
+                        index: TagIndex::new(INITIAL_SLOTS),
+                        free: Vec::new(),
+                    })
+                })
                 .collect(),
             bytes: AtomicUsize::new(CTABLE_SHARDS * INITIAL_SLOTS * 8),
             tol,
@@ -162,8 +222,13 @@ impl ComplexTable {
         self.tol
     }
 
-    /// Number of distinct values stored.
+    /// Number of distinct values stored (live or not yet swept).
     pub fn len(&self) -> usize {
+        self.live.load(Ordering::Relaxed)
+    }
+
+    /// Value slots allocated: [`Self::len`] plus the free lists.
+    pub fn slots(&self) -> usize {
         self.next.load(Ordering::Relaxed) as usize
     }
 
@@ -175,58 +240,56 @@ impl ComplexTable {
     /// The value behind an index. Lock-free.
     #[inline(always)]
     pub fn get(&self, idx: CIdx) -> Complex64 {
-        debug_assert!((idx.0 as usize) < self.len());
+        debug_assert!((idx.0 as usize) < self.slots());
         // SAFETY: a valid index was published after its slot write (the
         // allocating thread wrote the value before the index escaped
-        // through a shard unlock or a cache-entry release).
+        // through a shard unlock or a cache-entry release, or filed it in
+        // the index whose lock `find` and a regrow hold while they read);
+        // the slot is re-written only after a sweep proved it unmarked.
         unsafe { *self.values.get(idx.0) }
     }
 
     #[inline(always)]
     fn place(&self, v: Complex64) -> Place {
-        let xr = v.re * self.inv_cell + GRID_SHIFT;
-        let xi = v.im * self.inv_cell + GRID_SHIFT;
-        let (fr, fi) = (xr.floor(), xi.floor());
-        // Position inside the cell, `[0, 1)`, against both sides.
-        let step = |frac: f64| (frac > 1.0 - EDGE) as i64 - (frac < EDGE) as i64;
-        Place {
-            kr: fr as i64,
-            ki: fi as i64,
-            dr: step(xr - fr),
-            di: step(xi - fi),
-        }
+        place(v, self.inv_cell)
     }
 
     /// Walks the chain of cell hash `h` for a stored value within tolerance
-    /// of `v`. `slots` is the locked shard of `h`.
+    /// of `v`. `shard` is the locked shard of `h`.
     #[inline]
-    fn find(&self, slots: &TagIndex, h: u64, v: Complex64) -> Option<CIdx> {
-        slots
-            .find(h, |idx| {
-                // SAFETY: an index in `slots` was filed under the shard lock
-                // we hold (`concurrent_interning_is_canonical`).
-                unsafe { *self.values.get(idx) }.approx_eq(v, self.tol)
-            })
+    fn find(&self, shard: &Shard, h: u64, v: Complex64) -> Option<CIdx> {
+        // An index in `shard` was written before it was filed under the lock
+        // we hold (`concurrent_interning_is_canonical`).
+        shard
+            .index
+            .find(h, |idx| self.get(CIdx(idx)).approx_eq(v, self.tol))
             .map(CIdx)
     }
 
-    /// Appends `v` to the value store and files it under its home cell
-    /// (hash `h`), whose locked shard is `slots`.
-    fn alloc_value(&self, v: Complex64, h: u64, slots: &mut TagIndex) -> CIdx {
-        let idx = self.next.fetch_add(1, Ordering::Relaxed);
-        assert!(idx < u32::MAX, "complex table exhausted");
-        let mut grown = self.values.ensure(idx);
-        // SAFETY: `idx` was exclusively reserved by the fetch_add above and
-        // is published only by the insert below / the caller's use.
-        unsafe { self.values.write(idx, v) };
-        grown += slots.insert(h, idx, |i| {
-            // SAFETY: as in `find`; a regrow re-keys every stored value
-            // (`every_value_stays_findable_across_three_regrows`).
-            self.place(unsafe { *self.values.get(i) }).home()
+    /// Stores `v` in a slot the locked `shard` freed, or else in a fresh
+    /// one, and files it under its home cell (hash `h`).
+    fn alloc_value(&self, v: Complex64, h: u64, shard: &mut Shard) -> CIdx {
+        let mut grown = 0;
+        let idx = shard.free.pop().unwrap_or_else(|| {
+            let idx = self.next.fetch_add(1, Ordering::Relaxed);
+            assert!(idx < u32::MAX, "complex table exhausted");
+            grown = self.values.ensure(idx);
+            idx
         });
+        // SAFETY: `idx` is either freshly reserved by the fetch_add above or
+        // was proven unmarked by the last sweep of this shard, whose lock we
+        // hold; it is published only by the insert below / the caller's use
+        // (`recycled_slots_take_new_values_and_live_ones_keep_theirs`).
+        unsafe { self.values.write(idx, v) };
+        // A regrow re-keys every filed value, as `find` reads them
+        // (`every_value_stays_findable_across_three_regrows`).
+        grown += shard
+            .index
+            .insert(h, idx, |i| self.place(self.get(CIdx(i))).home());
         if grown != 0 {
             self.bytes.fetch_add(grown, Ordering::Relaxed);
         }
+        self.live.fetch_add(1, Ordering::Relaxed);
         CIdx(idx)
     }
 
@@ -246,10 +309,10 @@ impl ComplexTable {
             return self.lookup_near_edge(v, &p);
         }
         let h = p.home();
-        let mut slots = self.shards[stripe_of(h)].lock(&self.stall);
-        match self.find(&slots, h, v) {
+        let mut shard = self.shards[stripe_of(h)].lock(&self.stall);
+        match self.find(&shard, h, v) {
             Some(idx) => idx,
-            None => self.alloc_value(v, h, &mut slots),
+            None => self.alloc_value(v, h, &mut shard),
         }
     }
 
@@ -275,24 +338,24 @@ impl ComplexTable {
         let cells = &cells[..n];
         // Lock in ascending shard order (deadlock-free by total order).
         let need = cells.iter().fold(0u16, |m, &h| m | 1 << stripe_of(h));
-        type Held<'t> = (usize, MutexGuard<'t, TagIndex>);
+        type Held<'t> = (usize, MutexGuard<'t, Shard>);
         let mut held: [Option<Held<'_>>; 4] = [None, None, None, None];
         let shards = (0..CTABLE_SHARDS).filter(|s| need & (1 << s) != 0);
         for (slot, s) in held.iter_mut().zip(shards) {
             *slot = Some((s, self.shards[s].lock(&self.stall)));
         }
-        fn slots_of<'a>(held: &'a mut [Option<Held<'_>>; 4], h: u64) -> &'a mut TagIndex {
+        fn shard_of<'a>(held: &'a mut [Option<Held<'_>>; 4], h: u64) -> &'a mut Shard {
             held.iter_mut()
                 .flatten()
                 .find_map(|(s, g)| (*s == stripe_of(h)).then_some(&mut **g))
                 .expect("probed shard is locked")
         }
         for &h in cells {
-            if let Some(idx) = self.find(slots_of(&mut held, h), h, v) {
+            if let Some(idx) = self.find(shard_of(&mut held, h), h, v) {
                 return idx;
             }
         }
-        self.alloc_value(v, cells[0], slots_of(&mut held, cells[0]))
+        self.alloc_value(v, cells[0], shard_of(&mut held, cells[0]))
     }
 
     /// Interns the product of two interned values (what `scale_v` /
@@ -313,8 +376,45 @@ impl ComplexTable {
         self.lookup(v)
     }
 
-    /// Bytes reserved by the table (value segments + slot arrays). One
-    /// atomic load: the counter moves where a segment or a shard grows.
+    /// An empty mark bitmap covering every allocated value slot.
+    pub(crate) fn marks(&self) -> ValueMarks {
+        ValueMarks(vec![0; self.slots().div_ceil(64)])
+    }
+
+    /// Frees every value `marks` does not hold ([`CIdx::ZERO`] and
+    /// [`CIdx::ONE`] stay): each shard's index is rebuilt at its size with
+    /// the marked values only, and the rest go onto that shard's free list.
+    /// Returns the number freed. Stop-the-world (`&mut self`): the caller
+    /// marked every value a live node or a held edge stores.
+    pub(crate) fn sweep(&mut self, marks: &ValueMarks) -> usize {
+        let (values, inv_cell) = (&self.values, self.inv_cell);
+        let (mut freed, mut grown) = (0, 0);
+        for shard in &mut self.shards {
+            let Shard { index, free } = shard.get_mut();
+            let (held, free_cap) = (index.len(), free.capacity());
+            index.rebuild(
+                index.words(),
+                |idx| {
+                    let keep = idx <= CIdx::ONE.0 || marks.get(idx);
+                    if !keep {
+                        free.push(idx);
+                    }
+                    keep
+                },
+                // SAFETY: every filed index was written before it was filed,
+                // and `&mut self` orders this after all of them.
+                |i| place(unsafe { *values.get(i) }, inv_cell).home(),
+            );
+            freed += held - index.len();
+            grown += (free.capacity() - free_cap) * 4;
+        }
+        *self.bytes.get_mut() += grown;
+        *self.live.get_mut() -= freed;
+        freed
+    }
+
+    /// Bytes reserved by the table (value segments, slot arrays and free
+    /// lists). One atomic load: the counter moves where any of them grows.
     pub fn memory_bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed)
     }
@@ -322,8 +422,11 @@ impl ComplexTable {
     /// [`Self::memory_bytes`] recounted from the structures themselves.
     #[cfg(test)]
     pub(crate) fn recount_bytes(&self) -> usize {
-        let slots = |sh: &Stripe<TagIndex>| sh.lock(&self.stall).words() * 8;
-        self.values.allocated_bytes() + self.shards.iter().map(slots).sum::<usize>()
+        let held = |sh: &Stripe<Shard>| {
+            let shard = sh.lock(&self.stall);
+            shard.index.words() * 8 + shard.free.capacity() * 4
+        };
+        self.values.allocated_bytes() + self.shards.iter().map(held).sum::<usize>()
     }
 
     /// Total shard lock-contention events observed (telemetry).
@@ -443,7 +546,7 @@ mod tests {
         let idxs: Vec<CIdx> = (0..6000).map(|i| t.lookup(value(i))).collect();
         assert_eq!(t.len(), 2 + 6000);
         for sh in &t.shards {
-            let words = sh.lock(&t.stall).words();
+            let words = sh.lock(&t.stall).index.words();
             assert!(words >= INITIAL_SLOTS << 3, "shard regrew to only {words}");
         }
         for (i, &ix) in idxs.iter().enumerate() {
@@ -454,6 +557,46 @@ mod tests {
         assert_eq!(t.lookup(Complex64::new(1e-12, -1e-12)), CIdx::ZERO);
         assert_eq!(t.lookup(Complex64::new(1.0 - 1e-12, 1e-12)), CIdx::ONE);
         assert_eq!(t.memory_bytes(), t.recount_bytes());
+    }
+
+    #[test]
+    fn recycled_slots_take_new_values_and_live_ones_keep_theirs() {
+        let mut t = ComplexTable::default();
+        let value = |i: usize| Complex64::new(i as f64 * 1.3e-3 - 2.0, (i as f64 * 0.71).cos());
+        let idxs: Vec<CIdx> = (0..5000).map(|i| t.lookup(value(i))).collect();
+        let mut marks = t.marks();
+        idxs.iter().step_by(3).for_each(|&ix| marks.set(ix));
+        assert_eq!(t.sweep(&marks), 5000 - 1667);
+        assert_eq!((t.len(), t.slots()), (2 + 1667, 2 + 5000));
+        assert_eq!(t.memory_bytes(), t.recount_bytes(), "swept");
+        for (i, &ix) in idxs.iter().enumerate().step_by(3) {
+            assert_eq!(t.get(ix), value(i), "a live value moved");
+            assert_eq!(t.lookup(value(i)), ix, "a live value lost its filing");
+        }
+        // A freed value files in the shard that freed its slot, so the same
+        // values again take exactly the freed slots: no fresh one.
+        let freed: std::collections::HashSet<CIdx> = idxs
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % 3 != 0)
+            .map(|(_, &ix)| ix)
+            .collect();
+        for i in (0..5000).filter(|i| i % 3 != 0) {
+            let ix = t.lookup(value(i));
+            assert!(
+                freed.contains(&ix),
+                "value {i} took a slot that was not free"
+            );
+            assert_eq!(t.get(ix), value(i));
+        }
+        assert_eq!((t.len(), t.slots()), (2 + 5000, 2 + 5000));
+        assert_eq!(t.memory_bytes(), t.recount_bytes(), "refilled");
+        // Nothing marked: everything but the two constants goes.
+        let marks = t.marks();
+        assert_eq!(t.sweep(&marks), 5000);
+        assert_eq!(t.lookup(Complex64::new(1.0 + 1e-12, 0.0)), CIdx::ONE);
+        assert_eq!(t.lookup(Complex64::new(-1e-12, 1e-12)), CIdx::ZERO);
+        assert_eq!(t.get(CIdx::ONE), Complex64::ONE);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::ctable::CIdx;
 use crate::fxhash::{hash_u64, FxHasher};
 use crate::sync::{stripe_of, SlotVec, Stripe, TagIndex, STRIPES};
 use qcircuit::Complex64;
+use std::cell::Cell;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
@@ -133,26 +134,38 @@ pub struct MNode {
     pub e: [MEdge; 4],
 }
 
-/// What the arena needs of a node's content beyond identity: where its
-/// edges lead.
+/// What the arena and the package's sweep need of a node's content beyond
+/// identity: where its edges lead and which weights it stores.
 pub trait Node: Copy + Eq + Hash {
     /// Ids of the nodes the edges point at ([`TERM`] included: a zero edge
     /// is the terminal's, every constructor flushes it there).
     fn children(&self) -> impl Iterator<Item = u32>;
+    /// The interned weights of the edges.
+    fn weights(&self) -> impl Iterator<Item = CIdx>;
 }
 
-impl Node for VNode {
-    #[inline(always)]
-    fn children(&self) -> impl Iterator<Item = u32> {
-        self.e.iter().map(|e| e.n)
-    }
-}
+macro_rules! node_impl {
+    ($t:ident) => {
+        impl Node for $t {
+            #[inline(always)]
+            fn children(&self) -> impl Iterator<Item = u32> {
+                self.e.iter().map(|e| e.n)
+            }
 
-impl Node for MNode {
-    #[inline(always)]
-    fn children(&self) -> impl Iterator<Item = u32> {
-        self.e.iter().map(|e| e.n)
-    }
+            #[inline(always)]
+            fn weights(&self) -> impl Iterator<Item = CIdx> {
+                self.e.iter().map(|e| e.w)
+            }
+        }
+    };
+}
+node_impl!(VNode);
+node_impl!(MNode);
+
+thread_local! {
+    /// The mark walk's stack, kept between calls: the per-gate size probe
+    /// (`DdPackage::vector_dd_size`) allocates nothing once it is warm.
+    static MARK_STACK: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
 }
 
 /// Lock-protected part of one stripe.
@@ -293,24 +306,32 @@ impl<T: Node> NodeArena<T> {
     /// many this call marked (nodes already carrying `stamp` are neither
     /// counted nor walked again).
     pub fn mark_reachable(&self, roots: impl IntoIterator<Item = u32>, stamp: u32) -> usize {
-        let mut stack: Vec<u32> = roots.into_iter().collect();
+        let mut stack = MARK_STACK.take();
         let mut marked = 0;
-        while let Some(id) = stack.pop() {
-            if self.mark(id, stamp) {
-                marked += 1;
-                stack.extend(self.get(id).children());
+        for root in roots {
+            stack.push(root);
+            while let Some(id) = stack.pop() {
+                if self.mark(id, stamp) {
+                    marked += 1;
+                    stack.extend(self.get(id).children());
+                }
             }
         }
+        MARK_STACK.set(stack);
         marked
     }
 
-    /// Frees every node *not* carrying `stamp`. Returns the number freed.
+    /// Frees every node *not* carrying `stamp` and hands each kept one to
+    /// `kept`. Returns the number freed.
     ///
     /// Stop-the-world: requires `&mut self`, so no concurrent readers or
     /// inserters can exist. The caller must have marked all roots (and
     /// their transitive children) with `stamp` first.
-    pub fn sweep(&mut self, stamp: u32) -> usize {
+    pub fn sweep(&mut self, stamp: u32, mut kept: impl FnMut(&T)) -> usize {
         let slots = &self.slots;
+        // SAFETY: every id in the index was written before it was filed, and
+        // `&mut self` orders this after all of them.
+        let node = |id: u32| unsafe { slots.get(id) };
         let (mut freed, mut grown) = (0, 0);
         for stripe in &mut self.stripes {
             let StripeCore { index, free } = stripe.get_mut();
@@ -320,14 +341,14 @@ impl<T: Node> NodeArena<T> {
                 index.words(),
                 |id| {
                     let keep = slots.stamp(id).load(Ordering::Relaxed) == stamp;
-                    if !keep {
+                    if keep {
+                        kept(node(id));
+                    } else {
                         free.push(id);
                     }
                     keep
                 },
-                // SAFETY: every id in the index was written before it was
-                // filed, and `&mut self` orders this after all of them.
-                |id| node_hash(unsafe { slots.get(id) }),
+                |id| node_hash(node(id)),
             );
             freed += held - index.len();
             grown += (free.capacity() - free_cap) * 4;
@@ -421,7 +442,7 @@ mod tests {
         let stamp = 7;
         assert!(a.mark(keep, stamp));
         assert!(!a.mark(keep, stamp), "second mark reports already-marked");
-        let freed = a.sweep(stamp);
+        let freed = a.sweep(stamp, |_| {});
         assert_eq!(freed, 1);
         assert_eq!(a.len(), 1);
         assert_eq!(a.peak(), 2);
@@ -445,7 +466,7 @@ mod tests {
     fn sweep_then_reinsert_recycles_the_slot() {
         let mut a: NodeArena<VNode> = NodeArena::default();
         let x = a.get_or_insert(vnode(0, TERM, TERM));
-        assert_eq!(a.sweep(99), 1, "nothing marked: frees x");
+        assert_eq!(a.sweep(99, |_| {}), 1, "nothing marked: frees x");
         assert_eq!(a.len(), 0);
         // Same content hashes to the same stripe, whose free list holds the
         // slot: a recycled id and a fresh index entry, no second slot.
@@ -500,7 +521,7 @@ mod tests {
         // Keep every third node: the free lists grow, the indexes do not.
         let grown = a.memory_bytes();
         let kept = a.mark_reachable(ids.iter().copied().step_by(3), 1);
-        assert_eq!(a.sweep(1), 20_000 - kept);
+        assert_eq!(a.sweep(1, |_| {}), 20_000 - kept);
         assert_eq!(a.memory_bytes(), a.recount_bytes(), "swept");
         assert!(a.memory_bytes() > grown, "a sweep releases nothing");
         for &id in ids.iter().step_by(3) {

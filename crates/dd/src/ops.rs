@@ -196,9 +196,13 @@ fn add_key(an: u32, bn: u32, ratio: Complex64, inv_tol: f64) -> ([u64; 3], u64) 
 }
 
 /// log2 slots of the multiply tables (32-byte slots) and of the addition
-/// tables (48-byte slots): 2 x 2 MiB + 2 x 1.5 MiB = 7 MiB per package.
-const MUL_BITS: u32 = 16;
-const ADD_BITS: u32 = 15;
+/// tables (48-byte slots): 2 x 128 KiB + 2 x 96 KiB = 448 KiB per package.
+/// What a table buys is reuse within a product and between neighbouring
+/// gates; sizes grown with each table's traffic (up to 2^16 / 2^15) were
+/// measured against these and were no faster on any workload, the spine's
+/// or DDs of 65 k-197 k nodes (EXPERIMENTS.md).
+const MUL_BITS: u32 = 12;
+const ADD_BITS: u32 = 11;
 
 /// Operation caches of a package. Concurrent lossy access via `&self`.
 pub(crate) struct ComputeTables {

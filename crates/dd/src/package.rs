@@ -5,12 +5,12 @@
 //! from many threads sharing one package: the unique tables and the complex
 //! table are sharded and lock-striped, the compute caches are lossy
 //! seq-locked slots, and traversal stamps are atomic. Only the
-//! stop-the-world operations — [`DdPackage::gc`] and
-//! [`DdPackage::flush_caches`] — require `&mut self`.
+//! stop-the-world operations — [`DdPackage::gc_if_due`], [`DdPackage::gc`]
+//! and [`DdPackage::flush_caches`] — require `&mut self`.
 
 use crate::ctable::{CIdx, ComplexTable};
 use crate::fxhash::{hash_u64, FxHashMap};
-use crate::node::{Lazy, MEdge, MNode, NodeArena, VEdge, VNode, TERM};
+use crate::node::{Lazy, MEdge, MNode, Node, NodeArena, VEdge, VNode, TERM};
 use crate::ops::ComputeTables;
 use crate::sync::{get_mut, lock};
 use qcircuit::{Complex64, Gate, Mat2};
@@ -28,8 +28,11 @@ pub struct PackageStats {
     pub peak_v_nodes: usize,
     /// Peak live matrix nodes observed.
     pub peak_m_nodes: usize,
-    /// Distinct interned complex values.
+    /// Distinct interned complex values (live, or not yet swept).
     pub complex_values: usize,
+    /// Value slots allocated: `complex_values` plus the slots sweeps freed
+    /// and no value has taken again yet.
+    pub complex_slots: usize,
     /// Bytes reserved by all DD structures: both node arenas, the complex
     /// table, the compute caches and the gate memo.
     pub memory_bytes: usize,
@@ -38,17 +41,19 @@ pub struct PackageStats {
 /// Entries of the gate-DD memo (power of two).
 const GATE_MEMO_SLOTS: usize = 1024;
 
+/// Fewest live nodes (vector + matrix) at which [`DdPackage::gc_if_due`]
+/// sweeps: below it a sweep would run every few gates on a small state and
+/// empty the compute tables each time.
+const SWEEP_FLOOR: usize = 1 << 13;
+
+/// Words of a gate-memo key.
+const KEY_WORDS: usize = 13;
+
 /// Everything [`DdPackage::gate_dd`] reads from its arguments: the matrix
-/// bit for bit, the target, the controls as positive/negative qubit masks,
-/// and the width.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct GateKey {
-    mat: [u64; 8],
-    pos: u128,
-    neg: u128,
-    target: u8,
-    n: u16,
-}
+/// bit for bit (8 words), the controls as positive and negative qubit masks
+/// (2 words each), and `n << 8 | target`, never 0 (`n >= 1`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct GateKey([u64; KEY_WORDS]);
 
 impl GateKey {
     /// `None` for a gate touching a qubit the masks cannot name (such a
@@ -57,41 +62,22 @@ impl GateKey {
         if n > 128 {
             return None;
         }
-        let mut key = GateKey {
-            mat: [0; 8],
-            pos: 0,
-            neg: 0,
-            target: gate.target as u8,
-            n: n as u16,
-        };
+        let mut key = [0; KEY_WORDS];
         for (k, c) in mat.iter().enumerate() {
-            key.mat[2 * k] = c.re.to_bits();
-            key.mat[2 * k + 1] = c.im.to_bits();
+            key[2 * k] = c.re.to_bits();
+            key[2 * k + 1] = c.im.to_bits();
         }
         for c in &gate.controls {
-            let mask = if c.positive {
-                &mut key.pos
-            } else {
-                &mut key.neg
-            };
-            *mask |= 1 << c.qubit;
+            let (bit, mask) = (1u128 << c.qubit, if c.positive { 8 } else { 10 });
+            key[mask] |= bit as u64;
+            key[mask + 1] |= (bit >> 64) as u64;
         }
-        Some(key)
+        key[12] = (n as u64) << 8 | gate.target as u64;
+        Some(GateKey(key))
     }
 
     fn slot(&self) -> usize {
-        let words = [
-            self.pos as u64,
-            (self.pos >> 64) as u64,
-            self.neg as u64,
-            (self.neg >> 64) as u64,
-            (self.n as u64) << 8 | self.target as u64,
-        ];
-        let h = self
-            .mat
-            .iter()
-            .chain(&words)
-            .fold(0, |h, &w| hash_u64(h ^ w));
+        let h = self.0.iter().fold(0, |h, &w| hash_u64(h ^ w));
         h as usize & (GATE_MEMO_SLOTS - 1)
     }
 }
@@ -101,26 +87,36 @@ impl GateKey {
 /// `make_mnode` calls. Entries hold node ids and die with every sweep.
 struct GateMemo(Mutex<Box<[MemoEntry]>>);
 
-type MemoEntry = Option<(GateKey, MEdge)>;
+/// A key's words, then the root edge as `n << 32 | w`; all zero when
+/// empty. 128 B, so the memo is one zeroed 128 KiB allocation, which
+/// `calloc` serves as untouched pages instead of faulting them in at
+/// package construction.
+type MemoEntry = [u64; 16];
 
 impl GateMemo {
     fn new() -> Self {
-        GateMemo(Mutex::new(vec![None; GATE_MEMO_SLOTS].into_boxed_slice()))
+        GateMemo(Mutex::new(
+            vec![[0; 16]; GATE_MEMO_SLOTS].into_boxed_slice(),
+        ))
     }
 
     fn get(&self, key: &GateKey) -> Option<MEdge> {
-        match &lock(&self.0)[key.slot()] {
-            Some((k, e)) if k == key => Some(*e),
-            _ => None,
-        }
+        let entry = &lock(&self.0)[key.slot()];
+        let e = entry[KEY_WORDS];
+        (entry[..KEY_WORDS] == key.0).then_some(MEdge {
+            n: (e >> 32) as u32,
+            w: CIdx(e as u32),
+        })
     }
 
     fn put(&self, key: GateKey, e: MEdge) {
-        lock(&self.0)[key.slot()] = Some((key, e));
+        let entry = &mut lock(&self.0)[key.slot()];
+        entry[..KEY_WORDS].copy_from_slice(&key.0);
+        entry[KEY_WORDS] = (e.n as u64) << 32 | e.w.0 as u64;
     }
 
     fn clear(&mut self) {
-        get_mut(&mut self.0).fill(None);
+        get_mut(&mut self.0).fill([0; 16]);
     }
 
     fn memory_bytes(&self) -> usize {
@@ -158,6 +154,9 @@ pub struct DdPackage {
     /// sweep, so anything keyed by node id (e.g. the DMAV plan cache) must
     /// be dropped when this changes.
     gc_epoch: u64,
+    /// Live nodes above which [`Self::gc_if_due`] sweeps: twice the live
+    /// count the last sweep left, and at least [`SWEEP_FLOOR`].
+    sweep_at: usize,
     /// Process-unique id stamped on this package's telemetry events.
     telemetry_id: u64,
 }
@@ -190,6 +189,7 @@ impl DdPackage {
             stats_reads: AtomicU64::new(0),
             stamp: AtomicU32::new(0),
             gc_epoch: 0,
+            sweep_at: SWEEP_FLOOR,
             telemetry_id: qtelemetry::next_id(),
         }
     }
@@ -666,9 +666,20 @@ impl DdPackage {
         self.m.mark_reachable([e.n], self.next_stamp())
     }
 
-    /// Marks and sweeps: frees every node unreachable from the given roots.
-    /// The operation caches are invalidated. Returns `(vector_nodes_freed,
-    /// matrix_nodes_freed)`.
+    /// The package's one sweep rule, for callers at a step boundary:
+    /// [`Self::gc`] when the live node count has passed twice what the last
+    /// sweep left (and `SWEEP_FLOOR`, 2^13). Callers pass only what they
+    /// hold — every edge they will use after the call. Returns what the
+    /// sweep freed, `None` when none was due.
+    pub fn gc_if_due(&mut self, v_roots: &[VEdge], m_roots: &[MEdge]) -> Option<(usize, usize)> {
+        (self.v.len() + self.m.len() > self.sweep_at).then(|| self.gc(v_roots, m_roots))
+    }
+
+    /// Marks and sweeps: frees every node unreachable from the given roots,
+    /// and every interned value that neither a live node nor a root edge
+    /// stores ([`CIdx::ZERO`] and [`CIdx::ONE`] stay). A live value keeps
+    /// its index. The operation caches and the gate memo are emptied.
+    /// Returns `(vector_nodes_freed, matrix_nodes_freed)`.
     ///
     /// Stop-the-world by construction: `&mut self` means no other thread
     /// holds the package, so no insert/read can race the sweep.
@@ -676,17 +687,30 @@ impl DdPackage {
         let sweep_t0 =
             qtelemetry::enabled().then(|| (qtelemetry::now_us(), std::time::Instant::now()));
         let stamp = self.next_stamp();
+        let id_chain = get_mut(&mut self.id_cache);
+        let mut marks = self.ct.marks();
+        v_roots.iter().for_each(|e| marks.set(e.w));
+        m_roots
+            .iter()
+            .chain(id_chain.iter())
+            .for_each(|e| marks.set(e.w));
         self.v.mark_reachable(v_roots.iter().map(|e| e.n), stamp);
-        let id_chain = get_mut(&mut self.id_cache).iter();
         self.m
-            .mark_reachable(m_roots.iter().chain(id_chain).map(|e| e.n), stamp);
-        let fv = self.v.sweep(stamp);
-        let fm = self.m.sweep(stamp);
+            .mark_reachable(m_roots.iter().chain(id_chain.iter()).map(|e| e.n), stamp);
+        let fv = self
+            .v
+            .sweep(stamp, |n| n.weights().for_each(|w| marks.set(w)));
+        let fm = self
+            .m
+            .sweep(stamp, |n| n.weights().for_each(|w| marks.set(w)));
+        let fw = self.ct.sweep(&marks);
         self.compute.clear();
         self.gate_memo.clear();
         self.gc_epoch += 1;
+        self.sweep_at = (2 * (self.v.len() + self.m.len())).max(SWEEP_FLOOR);
         qtelemetry::counter("dd.gc_sweeps").inc();
         qtelemetry::counter("dd.gc_nodes_freed").add((fv + fm) as u64);
+        qtelemetry::counter("dd.gc_values_freed").add(fw as u64);
         if let Some((ts_us, t0)) = sweep_t0 {
             qtelemetry::emit(qtelemetry::Event::GcSweep {
                 pkg: self.telemetry_id,
@@ -724,6 +748,7 @@ impl DdPackage {
             peak_v_nodes: self.v.peak(),
             peak_m_nodes: self.m.peak(),
             complex_values: self.ct.len(),
+            complex_slots: self.ct.slots(),
             memory_bytes: self.v.memory_bytes()
                 + self.m.memory_bytes()
                 + self.ct.memory_bytes()
@@ -876,7 +901,7 @@ mod tests {
         }
         // A sweep recycles node ids, so it empties the memo.
         p.gc(&[], &[e]);
-        assert!(lock(&p.gate_memo.0).iter().all(Option::is_none));
+        assert!(lock(&p.gate_memo.0).iter().all(|e| *e == [0; 16]));
         assert_eq!(p.gate_dd(&g, n), e, "rebuilt onto the surviving nodes");
         // Too wide for the key's masks: built every time, still canonical.
         let wide = Gate::controlled(GateKind::Z, 130, vec![Control::pos(0)]);
@@ -1176,6 +1201,60 @@ mod tests {
         let e = p.gate_dd(&g, 3);
         let id = p.identity_dd(3);
         assert_eq!(e, id, "Id gate must share the cached identity chain");
+    }
+
+    /// Every weight the DD under `e` stores, with its value.
+    fn live_weights(p: &DdPackage, e: VEdge) -> Vec<(CIdx, Complex64)> {
+        let (mut out, mut stack, mut seen) = (vec![(e.w, p.cval(e.w))], vec![e.n], Vec::new());
+        while let Some(id) = stack.pop() {
+            if id == TERM || seen.contains(&id) {
+                continue;
+            }
+            seen.push(id);
+            for c in p.v_node(id).e {
+                out.push((c.w, p.cval(c.w)));
+                stack.push(c.n);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_sweep_frees_exactly_the_weights_no_live_edge_stores() {
+        let mut p = DdPackage::default();
+        let (n, c) = (8, qcircuit::generators::random_circuit(8, 150, 3));
+        let mut s = p.basis_state(n, 0);
+        for g in c.iter() {
+            s = p.apply_gate(s, g, n);
+        }
+        let want = p.vector_to_array(s, n);
+        let live = live_weights(&p, s);
+        let before = p.stats();
+        p.gc(&[s], &[]);
+        let after = p.stats();
+        // The identity chain stores only 0 and 1, which are always kept.
+        let mut distinct: Vec<CIdx> = live.iter().map(|&(w, _)| w).collect();
+        distinct.extend([CIdx::ZERO, CIdx::ONE]);
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(after.complex_values, distinct.len());
+        assert!(
+            before.complex_values > 4 * after.complex_values,
+            "{before:?}"
+        );
+        for (w, v) in live {
+            assert_eq!(p.cval(w), v, "a live weight changed under its index");
+        }
+        let got = p.vector_to_array(s, n);
+        assert!(got.iter().zip(&want).all(|(a, b)| a == b), "bit for bit");
+        assert_eq!(after.complex_slots, before.complex_slots);
+        // Freed slots are taken before fresh ones: a few more gates intern
+        // new values into the slots the sweep freed.
+        for g in c.iter().take(4) {
+            s = p.apply_gate(s, g, n);
+        }
+        assert!(p.stats().complex_values > after.complex_values);
+        assert_eq!(p.stats().complex_slots, before.complex_slots);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A DDSIM-equivalent DD-based simulator.
 //!
 //! Applies every gate by building its matrix DD and multiplying it onto the
-//! state-vector DD, with periodic garbage collection — the strategy of
+//! state-vector DD, with garbage collection when the package says it is
+//! due ([`DdPackage::gc_if_due`]) — the strategy of
 //! Zulehner & Wille's "Advanced simulation of quantum computations" \[99\],
 //! which is both a baseline of the paper (Table 1) and the front half of
 //! FlatDD itself (before the EWMA-triggered conversion).
@@ -30,7 +31,6 @@ pub struct DdSimulator {
     pkg: DdPackage,
     state: VEdge,
     n: usize,
-    gc_threshold: usize,
     stats: DdSimStats,
 }
 
@@ -43,7 +43,6 @@ impl DdSimulator {
             pkg,
             state,
             n,
-            gc_threshold: 1 << 16,
             stats: DdSimStats::default(),
         }
     }
@@ -75,8 +74,7 @@ impl DdSimulator {
     }
 
     /// Applies one gate (gate-DD construction + DD matrix-vector multiply),
-    /// collecting garbage when the node count crosses the adaptive
-    /// threshold.
+    /// collecting garbage when the package's sweep rule says it is due.
     pub fn apply(&mut self, gate: &Gate) {
         let g = self.pkg.gate_dd(gate, self.n);
         self.state = self.pkg.mul_mv(g, self.state);
@@ -84,8 +82,8 @@ impl DdSimulator {
         let live = self.pkg.stats();
         self.stats.peak_v_nodes = self.stats.peak_v_nodes.max(live.v_nodes);
         self.stats.peak_m_nodes = self.stats.peak_m_nodes.max(live.m_nodes);
-        if live.v_nodes + live.m_nodes > self.gc_threshold {
-            self.collect_garbage();
+        if self.pkg.gc_if_due(&[self.state], &[]).is_some() {
+            self.stats.gc_runs += 1;
         }
     }
 
@@ -101,9 +99,6 @@ impl DdSimulator {
     pub fn collect_garbage(&mut self) {
         self.pkg.gc(&[self.state], &[]);
         self.stats.gc_runs += 1;
-        let live = self.pkg.stats();
-        // Adapt: keep headroom of 2x the live set, with a floor.
-        self.gc_threshold = ((live.v_nodes + live.m_nodes) * 2).max(1 << 16);
     }
 
     /// Current DD size of the state vector (the paper's `s_i`), updating the
@@ -176,12 +171,28 @@ mod tests {
     }
 
     #[test]
-    fn gc_threshold_shrinks_node_count() {
+    fn forced_collections_keep_the_state() {
+        let c = generators::random_circuit(6, 120, 5);
         let mut sim = DdSimulator::new(6);
-        sim.gc_threshold = 64; // force frequent GC
-        sim.run(&generators::random_circuit(6, 120, 5));
-        assert!(sim.stats().gc_runs > 0, "GC never triggered");
-        let want = dense::simulate(&generators::random_circuit(6, 120, 5));
+        for g in c.iter() {
+            sim.apply(g);
+            sim.collect_garbage();
+        }
+        assert!(sim.stats().gc_runs >= c.num_gates());
+        let want = dense::simulate(&c);
+        assert!(state_distance(&sim.amplitudes(), &want) < TOL);
+    }
+
+    #[test]
+    fn the_package_sweeps_when_its_rule_says_so() {
+        // Supremacy at 12 qubits: a few thousand nodes per gate, so the
+        // floor is passed within a few gates and again after each sweep.
+        let c = generators::supremacy(3, 4, 10, 1);
+        let mut sim = DdSimulator::new(12);
+        sim.run(&c);
+        let st = sim.stats();
+        assert!(st.gc_runs >= 2, "{st:?}");
+        let want = dense::simulate(&c);
         assert!(state_distance(&sim.amplitudes(), &want) < TOL);
     }
 

@@ -16,14 +16,16 @@ use qcircuit::prop;
 use qcircuit::{generators, Circuit, Complex64};
 use qdd::DdPackage;
 
-/// The reference fatally-breaching pair: a 12-qubit VQE ansatz whose pure-DD
-/// run peaks at 19.4 MiB of accounted memory and, under a budget, outgrows
-/// what the exact rungs of the ladder can give back from 12 MiB down.
+/// The reference fatally-breaching pair: a 14-qubit DNN whose pure-DD state
+/// saturates at gate 80 of 120 into a DD that, alone in a fresh package,
+/// still accounts 2.53 MiB — a live state over its 2 MiB budget, which no
+/// exact rung of the ladder can give back
+/// (`the_breaching_state_alone_exceeds_the_budget`).
 fn breaching_circuit() -> Circuit {
-    generators::vqe(12, 3, 7)
+    generators::dnn(14, 2, 7)
 }
 
-const BREACHING_BUDGET: usize = 12 << 20;
+const BREACHING_BUDGET: usize = 2 << 20;
 
 /// Pure-DD run (no conversion) under `budget` bytes, optionally armed.
 fn breaching_cfg(budget: Option<usize>, floor: Option<f64>) -> FlatDdConfig {
@@ -64,6 +66,48 @@ fn unarmed_breach_stays_fatal() {
     assert_eq!(sim.fidelity(), 1.0);
     assert!(!sim.is_approximate());
     assert!(sim.stats().to_json().contains("\"approximate\": false"));
+}
+
+#[test]
+fn the_breaching_state_alone_exceeds_the_budget() {
+    let c = breaching_circuit();
+    let mut sim =
+        FlatDdSimulator::try_new(c.num_qubits(), breaching_cfg(Some(BREACHING_BUDGET), None))
+            .unwrap();
+    let Err(FlatDdError::MemoryBudgetExceeded { partial, .. }) = sim.run(&c) else {
+        panic!("the unarmed run must breach");
+    };
+    // The exact state at the breach, serialized into a fresh package: what
+    // the ladder's compaction would leave, with no garbage and no history.
+    let n = c.num_qubits();
+    let pkg = DdPackage::default();
+    let mut state = pkg.basis_state(n, 0);
+    for gate in c.iter().take(partial.gates_applied) {
+        state = pkg.apply_gate(state, gate, n);
+    }
+    let bytes = qdd::serialize::vector_dd_to_bytes(&pkg, state, n).unwrap();
+    let mut fresh = DdPackage::default();
+    qdd::serialize::vector_dd_from_bytes(&mut fresh, &bytes).unwrap();
+    let live = fresh.stats().memory_bytes;
+    assert!(
+        live > BREACHING_BUDGET,
+        "live state {live} B fits the budget"
+    );
+}
+
+#[test]
+fn the_former_breaching_pair_completes_exactly_under_12_mib() {
+    // `vqe(12, 3, 7)` breached 12 MiB while sweeps freed no weight and the
+    // compute tables stood at 7 MiB; its live state is under 1 MiB.
+    let c = generators::vqe(12, 3, 7);
+    let mut sim =
+        FlatDdSimulator::try_new(c.num_qubits(), breaching_cfg(Some(12 << 20), None)).unwrap();
+    let outcome = sim.run(&c).expect("the live state fits 12 MiB");
+    assert_eq!(outcome.gates_applied, c.num_gates());
+    assert_eq!(sim.stats().approx_truncations, 0);
+    assert_eq!(sim.stats().pressure_gcs, 0);
+    assert_eq!(sim.fidelity(), 1.0);
+    assert!(!sim.is_approximate());
 }
 
 #[test]
@@ -159,7 +203,7 @@ fn checkpoint_resume_preserves_the_fidelity_product() {
     sim.set_checkpoint_policy(Some(CheckpointPolicy::at(&path)));
     // Run far enough that truncations have fired, then suspend: the armed
     // run is the unarmed one up to the gate where that one breaches (gate
-    // 112 of 117 here; 96 while a node was also kept as a hash-map key).
+    // 80 of 120 here).
     let unarmed = breaching_cfg(Some(BREACHING_BUDGET), None);
     let cut = match FlatDdSimulator::try_new(c.num_qubits(), unarmed)
         .unwrap()

@@ -276,14 +276,15 @@ fn approximate_degradation_stamps_the_result() {
     let port = daemon.port;
 
     // Pure-DD job (conversion gate beyond the circuit) under a budget its
-    // exact run cannot hold; the armed per-job floor turns the breach into
-    // a completed, fidelity-stamped approximate result.
+    // live state exceeds (the reference pair of `approx_degradation.rs`);
+    // the armed per-job floor turns the breach into a completed,
+    // fidelity-stamped approximate result.
     let (code, body) = http(
         port,
         "POST",
         "/jobs",
         Some(
-            r#"{"circuit":"vqe:12,3","seed":7,"threads":1,"convert_at_gate":100000,"memory_budget_mb":12,"approx_fidelity_floor":0.9}"#,
+            r#"{"circuit":"dnn:14,2","seed":7,"threads":1,"convert_at_gate":100000,"memory_budget_mb":2,"approx_fidelity_floor":0.9}"#,
         ),
     );
     assert_eq!(code, 202, "{body}");

@@ -7,7 +7,7 @@
 //! time where the DD is big.
 //!
 //! ```text
-//! dd_traffic [--reps N] [--only name,name,...]
+//! dd_traffic [--reps N]
 //! ```
 
 use flatdd::{ConversionPolicy, FlatDdConfig, FlatDdSimulator};
@@ -41,12 +41,11 @@ fn workloads() -> Vec<(&'static str, Circuit)> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opt = |name: &str| {
-        let at = args.iter().position(|a| a == name)?;
-        args.get(at + 1).cloned()
-    };
-    let reps: usize = opt("--reps").and_then(|s| s.parse().ok()).unwrap_or(5);
-    let only = opt("--only");
+    let reps: usize = args
+        .iter()
+        .position(|a| a == "--reps")
+        .and_then(|at| args.get(at + 1)?.parse().ok())
+        .unwrap_or(5);
     println!("{}", machine_header());
     let mut table = Table::new(vec![
         "circuit",
@@ -60,12 +59,6 @@ fn main() {
         "add_hit",
     ]);
     for (name, c) in workloads() {
-        if only
-            .as_ref()
-            .is_some_and(|o| !o.split(',').any(|w| w == name))
-        {
-            continue;
-        }
         let cfg = FlatDdConfig {
             conversion: ConversionPolicy::Never,
             threads: 1,

@@ -47,7 +47,7 @@
 //! [`CIdx::ZERO`] and [`CIdx::ONE`] are never freed.
 
 use crate::fxhash::hash_pair;
-use crate::sync::{stripe_of, SlotVec, Stripe, TagIndex, STRIPES};
+use crate::sync::{stripe_of, FreeListIndex, SlotVec, Stripe, STRIPES};
 use qcircuit::Complex64;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::MutexGuard;
@@ -90,14 +90,6 @@ const GRID_SHIFT: f64 = 1.0 / 3.0;
 const EDGE: f64 = (1.0 + 1.0 / 16.0) / CELL_TOLS;
 /// Slots of a fresh shard (power of two).
 const INITIAL_SLOTS: usize = 64;
-
-/// Lock-protected part of one shard.
-struct Shard {
-    /// Cell hash -> value index, for the cells hashing to this shard.
-    index: TagIndex,
-    /// Indices this shard's sweeps freed, re-filled only under its lock.
-    free: Vec<u32>,
-}
 
 /// Which value indices a sweep keeps: one bit per index, built for one
 /// sweep and dropped with it (the value store itself carries no stamp).
@@ -166,7 +158,9 @@ pub struct ComplexTable {
     next: AtomicU32,
     /// Values filed in the shards (allocated slots minus the free lists).
     live: AtomicUsize,
-    shards: Vec<Stripe<Shard>>,
+    /// Cell hash -> value index, for the cells hashing to each shard, and
+    /// the indices that shard's sweeps freed.
+    shards: Vec<Stripe<FreeListIndex>>,
     /// Bytes reserved by the value segments, the slot arrays and the free
     /// lists, updated where any of them grows so that
     /// [`Self::memory_bytes`] is one load.
@@ -194,12 +188,7 @@ impl ComplexTable {
             next: AtomicU32::new(0),
             live: AtomicUsize::new(0),
             shards: (0..CTABLE_SHARDS)
-                .map(|_| {
-                    Stripe::new(Shard {
-                        index: TagIndex::new(INITIAL_SLOTS),
-                        free: Vec::new(),
-                    })
-                })
+                .map(|_| Stripe::new(FreeListIndex::new(INITIAL_SLOTS)))
                 .collect(),
             bytes: AtomicUsize::new(CTABLE_SHARDS * INITIAL_SLOTS * 8),
             tol,
@@ -210,7 +199,7 @@ impl ComplexTable {
         // answers both without touching the index; a value merely within
         // tolerance of one finds it here).
         for (v, want) in [(Complex64::ZERO, CIdx::ZERO), (Complex64::ONE, CIdx::ONE)] {
-            let h = t.place(v).home();
+            let h = place(v, t.inv_cell).home();
             let got = t.alloc_value(v, h, &mut t.shards[stripe_of(h)].lock(&t.stall));
             debug_assert_eq!(got, want);
         }
@@ -249,15 +238,10 @@ impl ComplexTable {
         unsafe { *self.values.get(idx.0) }
     }
 
-    #[inline(always)]
-    fn place(&self, v: Complex64) -> Place {
-        place(v, self.inv_cell)
-    }
-
     /// Walks the chain of cell hash `h` for a stored value within tolerance
     /// of `v`. `shard` is the locked shard of `h`.
     #[inline]
-    fn find(&self, shard: &Shard, h: u64, v: Complex64) -> Option<CIdx> {
+    fn find(&self, shard: &FreeListIndex, h: u64, v: Complex64) -> Option<CIdx> {
         // An index in `shard` was written before it was filed under the lock
         // we hold (`concurrent_interning_is_canonical`).
         shard
@@ -268,15 +252,9 @@ impl ComplexTable {
 
     /// Stores `v` in a slot the locked `shard` freed, or else in a fresh
     /// one, and files it under its home cell (hash `h`).
-    fn alloc_value(&self, v: Complex64, h: u64, shard: &mut Shard) -> CIdx {
-        let mut grown = 0;
-        let idx = shard.free.pop().unwrap_or_else(|| {
-            let idx = self.next.fetch_add(1, Ordering::Relaxed);
-            assert!(idx < u32::MAX, "complex table exhausted");
-            grown = self.values.ensure(idx);
-            idx
-        });
-        // SAFETY: `idx` is either freshly reserved by the fetch_add above or
+    fn alloc_value(&self, v: Complex64, h: u64, shard: &mut FreeListIndex) -> CIdx {
+        let (idx, mut grown) = shard.take_slot(&self.next, &self.values);
+        // SAFETY: `idx` is either freshly reserved by `take_slot` or
         // was proven unmarked by the last sweep of this shard, whose lock we
         // hold; it is published only by the insert below / the caller's use
         // (`recycled_slots_take_new_values_and_live_ones_keep_theirs`).
@@ -285,7 +263,7 @@ impl ComplexTable {
         // (`every_value_stays_findable_across_three_regrows`).
         grown += shard
             .index
-            .insert(h, idx, |i| self.place(self.get(CIdx(i))).home());
+            .insert(h, idx, |i| place(self.get(CIdx(i)), self.inv_cell).home());
         if grown != 0 {
             self.bytes.fetch_add(grown, Ordering::Relaxed);
         }
@@ -304,7 +282,7 @@ impl ComplexTable {
         if v == Complex64::ONE {
             return CIdx::ONE;
         }
-        let p = self.place(v);
+        let p = place(v, self.inv_cell);
         if p.dr | p.di != 0 {
             return self.lookup_near_edge(v, &p);
         }
@@ -338,13 +316,13 @@ impl ComplexTable {
         let cells = &cells[..n];
         // Lock in ascending shard order (deadlock-free by total order).
         let need = cells.iter().fold(0u16, |m, &h| m | 1 << stripe_of(h));
-        type Held<'t> = (usize, MutexGuard<'t, Shard>);
+        type Held<'t> = (usize, MutexGuard<'t, FreeListIndex>);
         let mut held: [Option<Held<'_>>; 4] = [None, None, None, None];
         let shards = (0..CTABLE_SHARDS).filter(|s| need & (1 << s) != 0);
         for (slot, s) in held.iter_mut().zip(shards) {
             *slot = Some((s, self.shards[s].lock(&self.stall)));
         }
-        fn shard_of<'a>(held: &'a mut [Option<Held<'_>>; 4], h: u64) -> &'a mut Shard {
+        fn shard_of<'a>(held: &'a mut [Option<Held<'_>>; 4], h: u64) -> &'a mut FreeListIndex {
             held.iter_mut()
                 .flatten()
                 .find_map(|(s, g)| (*s == stripe_of(h)).then_some(&mut **g))
@@ -390,23 +368,14 @@ impl ComplexTable {
         let (values, inv_cell) = (&self.values, self.inv_cell);
         let (mut freed, mut grown) = (0, 0);
         for shard in &mut self.shards {
-            let Shard { index, free } = shard.get_mut();
-            let (held, free_cap) = (index.len(), free.capacity());
-            index.rebuild(
-                index.words(),
-                |idx| {
-                    let keep = idx <= CIdx::ONE.0 || marks.get(idx);
-                    if !keep {
-                        free.push(idx);
-                    }
-                    keep
-                },
+            let (f, g) = shard.get_mut().sweep(
+                |idx| idx <= CIdx::ONE.0 || marks.get(idx),
                 // SAFETY: every filed index was written before it was filed,
                 // and `&mut self` orders this after all of them.
                 |i| place(unsafe { *values.get(i) }, inv_cell).home(),
             );
-            freed += held - index.len();
-            grown += (free.capacity() - free_cap) * 4;
+            freed += f;
+            grown += g;
         }
         *self.bytes.get_mut() += grown;
         *self.live.get_mut() -= freed;
@@ -422,10 +391,7 @@ impl ComplexTable {
     /// [`Self::memory_bytes`] recounted from the structures themselves.
     #[cfg(test)]
     pub(crate) fn recount_bytes(&self) -> usize {
-        let held = |sh: &Stripe<Shard>| {
-            let shard = sh.lock(&self.stall);
-            shard.index.words() * 8 + shard.free.capacity() * 4
-        };
+        let held = |sh: &Stripe<FreeListIndex>| sh.lock(&self.stall).bytes();
         self.values.allocated_bytes() + self.shards.iter().map(held).sum::<usize>()
     }
 
@@ -482,8 +448,8 @@ mod tests {
             at_cell(4882813, 0.4 / CELL_TOLS),
         );
         assert_ne!(
-            t.place(Complex64::real(lo)).kr,
-            t.place(Complex64::real(hi)).kr
+            place(Complex64::real(lo), t.inv_cell).kr,
+            place(Complex64::real(hi), t.inv_cell).kr
         );
         assert_eq!(
             t.lookup(Complex64::new(lo, 0.25)),

@@ -16,7 +16,7 @@
 
 use crate::ctable::CIdx;
 use crate::fxhash::{hash_u64, FxHasher};
-use crate::sync::{stripe_of, SlotVec, Stripe, TagIndex, STRIPES};
+use crate::sync::{stripe_of, FreeListIndex, SlotVec, Stripe, STRIPES};
 use qcircuit::Complex64;
 use std::cell::Cell;
 use std::hash::{Hash, Hasher};
@@ -168,16 +168,6 @@ thread_local! {
     static MARK_STACK: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
 }
 
-/// Lock-protected part of one stripe.
-struct StripeCore {
-    /// Hash of node content -> id, for the content hashing to this stripe.
-    index: TagIndex,
-    /// Ids this stripe's sweeps freed. A recycled slot is re-written only
-    /// under the lock of the stripe that freed it ([`SlotVec`]'s one-writer
-    /// rule), which is why the free lists are per stripe.
-    free: Vec<u32>,
-}
-
 /// Per-stripe occupancy/contention snapshot (telemetry).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardStats {
@@ -196,7 +186,9 @@ pub struct NodeArena<T: Node> {
     slots: SlotVec<T>,
     /// Slots allocated so far (the next fresh id).
     next: AtomicU32,
-    stripes: Vec<Stripe<StripeCore>>,
+    /// Hash of node content -> id, for the content hashing to each stripe,
+    /// and the ids that stripe's sweeps freed.
+    stripes: Vec<Stripe<FreeListIndex>>,
     alive: AtomicUsize,
     peak_alive: AtomicUsize,
     /// Bytes reserved by the slab, the indexes and the free lists, updated
@@ -209,14 +201,12 @@ pub struct NodeArena<T: Node> {
 
 impl<T: Node> Default for NodeArena<T> {
     fn default() -> Self {
-        let core = || StripeCore {
-            index: TagIndex::new(INITIAL_WORDS),
-            free: Vec::new(),
-        };
         NodeArena {
             slots: SlotVec::default(),
             next: AtomicU32::new(0),
-            stripes: (0..NODE_SHARDS).map(|_| Stripe::new(core())).collect(),
+            stripes: (0..NODE_SHARDS)
+                .map(|_| Stripe::new(FreeListIndex::new(INITIAL_WORDS)))
+                .collect(),
             alive: AtomicUsize::new(0),
             peak_alive: AtomicUsize::new(0),
             bytes: AtomicUsize::new(NODE_SHARDS * INITIAL_WORDS * 8),
@@ -250,13 +240,8 @@ impl<T: Node> NodeArena<T> {
         if let Some(id) = core.index.find(h, |id| stored(id) == &data) {
             return id;
         }
-        let mut grown = 0;
-        let id = core.free.pop().unwrap_or_else(|| {
-            let id = self.next.fetch_add(1, Ordering::Relaxed);
-            // Refuses the id (capacity assert) before it can reach `TERM`.
-            grown = self.slots.ensure(id);
-            id
-        });
+        // Fresh ids stop short of `TERM` (`SlotVec::ensure`'s assert).
+        let (id, mut grown) = core.take_slot(&self.next, &self.slots);
         // SAFETY: `id` is either freshly allocated (unknown to every other
         // thread) or was proven unreachable by the last sweep of this
         // stripe; we hold the stripe lock, which is also what publishes it.
@@ -334,24 +319,18 @@ impl<T: Node> NodeArena<T> {
         let node = |id: u32| unsafe { slots.get(id) };
         let (mut freed, mut grown) = (0, 0);
         for stripe in &mut self.stripes {
-            let StripeCore { index, free } = stripe.get_mut();
-            let (held, free_cap) = (index.len(), free.capacity());
-            // An index of the same size: a sweep releases nothing.
-            index.rebuild(
-                index.words(),
+            let (f, g) = stripe.get_mut().sweep(
                 |id| {
                     let keep = slots.stamp(id).load(Ordering::Relaxed) == stamp;
                     if keep {
                         kept(node(id));
-                    } else {
-                        free.push(id);
                     }
                     keep
                 },
                 |id| node_hash(node(id)),
             );
-            freed += held - index.len();
-            grown += (free.capacity() - free_cap) * 4;
+            freed += f;
+            grown += g;
         }
         *self.bytes.get_mut() += grown;
         *self.alive.get_mut() -= freed;
@@ -367,10 +346,7 @@ impl<T: Node> NodeArena<T> {
     /// [`Self::memory_bytes`] recounted from the structures themselves.
     #[cfg(test)]
     pub(crate) fn recount_bytes(&self) -> usize {
-        let held = |st: &Stripe<StripeCore>| {
-            let core = st.lock(&self.stall);
-            core.index.words() * 8 + core.free.capacity() * 4
-        };
+        let held = |st: &Stripe<FreeListIndex>| st.lock(&self.stall).bytes();
         self.slots.allocated_bytes() + self.stripes.iter().map(held).sum::<usize>()
     }
 

@@ -11,7 +11,8 @@
 //! * [`TagIndex`] is the index over such a store: an open-addressed array of
 //!   `hash tag << 32 | idx + 1` words. It stores no key — a tag match is
 //!   confirmed against the slot by the caller — and holds the only probe
-//!   loop of the crate.
+//!   loop of the crate. [`FreeListIndex`] pairs it with the free list of
+//!   the slots a sweep released, and is what each stripe's lock guards.
 //! * [`Stripe`] is the lock a table puts around each of its indexes, with
 //!   the contention count (and, under telemetry, wait time) both report.
 //!
@@ -248,6 +249,75 @@ impl TagIndex {
                 self.link(rehash(idx), idx);
             }
         }
+    }
+}
+
+/// The lock-protected part of one stripe of an interning table: its
+/// [`TagIndex`] and the slots its sweeps freed. A freed slot is handed out
+/// again only by [`Self::take_slot`] under this stripe's lock, which is
+/// what keeps [`SlotVec`]'s one-writer rule for recycled slots.
+pub(crate) struct FreeListIndex {
+    pub(crate) index: TagIndex,
+    free: Vec<u32>,
+}
+
+impl FreeListIndex {
+    /// An empty index of `words` words (a power of two), nothing freed.
+    pub(crate) fn new(words: usize) -> Self {
+        FreeListIndex {
+            index: TagIndex::new(words),
+            free: Vec::new(),
+        }
+    }
+
+    /// A slot of `slots` for a new entry: one this stripe's sweeps freed,
+    /// else the next fresh one of `next`, whose segment is made sure of.
+    /// Returns the slot and the bytes `slots` grew by.
+    #[inline(always)]
+    pub(crate) fn take_slot<T, S: Default>(
+        &mut self,
+        next: &AtomicU32,
+        slots: &SlotVec<T, S>,
+    ) -> (u32, usize) {
+        match self.free.pop() {
+            Some(i) => (i, 0),
+            None => {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                // Refuses the index (capacity assert) before `u32::MAX`.
+                (i, slots.ensure(i))
+            }
+        }
+    }
+
+    /// Rebuilds the index at its size with the indices `keep` accepts (under
+    /// the hash `rehash` gives each) and frees the rest onto the free list.
+    /// Returns how many were freed and the bytes the free list grew by.
+    pub(crate) fn sweep(
+        &mut self,
+        mut keep: impl FnMut(u32) -> bool,
+        rehash: impl FnMut(u32) -> u64,
+    ) -> (usize, usize) {
+        let FreeListIndex { index, free } = self;
+        let (held, free_cap) = (index.len(), free.capacity());
+        // An index of the same size: a sweep releases nothing.
+        index.rebuild(
+            index.words(),
+            |i| {
+                let kept = keep(i);
+                if !kept {
+                    free.push(i);
+                }
+                kept
+            },
+            rehash,
+        );
+        (held - index.len(), (free.capacity() - free_cap) * 4)
+    }
+
+    /// Bytes held by the index and the free list.
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> usize {
+        self.index.words() * 8 + self.free.capacity() * 4
     }
 }
 

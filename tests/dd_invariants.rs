@@ -2,7 +2,7 @@
 //! canonical and exact under everything the FlatDD pipeline does to it —
 //! multiplication chains, fusion products, GC, conversion, cost analysis.
 
-use flatdd::{ConversionPolicy, CostModel, FlatDdConfig, FlatDdSimulator, ThreadPool};
+use flatdd::{CostModel, ThreadPool};
 use qcircuit::complex::state_distance;
 use qcircuit::gate::{Control, Gate, GateKind};
 use qcircuit::{dense, generators, Complex64};
@@ -173,23 +173,21 @@ fn package_stats_monotone_peaks() {
 
 #[test]
 fn dd_phase_interns_a_weight_only_where_a_node_stores_it() {
-    // A run pinned to the DD phase on a state that saturates at 4095 nodes:
-    // the complex table ends with the weights nodes stored, not with every
-    // product, sum and ratio the 176 multiplies went through. Instances of
+    // The gates of a state that saturates at 4095 nodes, applied to a
+    // package that never sweeps, so the complex table ends holding every
+    // value the run interned: the weights nodes stored, not every product,
+    // sum and ratio the 176 multiplies went through. Instances of
     // `supremacy_n(12, 10, _)` end between 112 k and 297 k values (484 k to
     // 1152 k when every intermediate was interned), so the bound is the
     // family's, not one instance's.
     for seed in 1..=3 {
         let c = generators::supremacy_n(12, 10, seed);
-        let cfg = FlatDdConfig {
-            conversion: ConversionPolicy::Never,
-            threads: 1,
-            dd_threads: 1,
-            ..Default::default()
-        };
-        let mut sim = FlatDdSimulator::try_new(12, cfg).unwrap();
-        sim.run(&c).unwrap();
-        let stats = sim.package().stats();
+        let pkg = DdPackage::default();
+        let mut state = pkg.basis_state(12, 0);
+        for g in c.iter() {
+            state = pkg.apply_gate(state, g, 12);
+        }
+        let stats = pkg.stats();
         assert!(
             stats.peak_v_nodes >= 4095,
             "seed {seed}: state never saturated"

@@ -1,5 +1,6 @@
 //! Plain-text tables, JSON output, and summary statistics.
 
+use flatdd::serve::json::{self, Json};
 use std::fmt::Write as _;
 use std::io::Write as _;
 
@@ -106,74 +107,18 @@ impl Table {
     }
 }
 
-/// A tiny hand-rolled JSON emitter (arrays of flat objects), avoiding an
-/// extra dependency for the harness outputs.
+/// The harness outputs: an array of flat records, each keeping its fields
+/// in the order given, written through the workspace's JSON codec.
+#[derive(Default)]
 pub struct JsonWriter {
-    records: Vec<Vec<(String, JsonValue)>>,
+    records: Vec<Vec<(String, Json)>>,
     meta: Option<String>,
-}
-
-/// A JSON scalar.
-pub enum JsonValue {
-    /// Number (rendered with full precision).
-    Num(f64),
-    /// String.
-    Str(String),
-    /// Boolean.
-    Bool(bool),
-    /// Null.
-    Null,
-}
-
-impl From<f64> for JsonValue {
-    fn from(v: f64) -> Self {
-        JsonValue::Num(v)
-    }
-}
-impl From<usize> for JsonValue {
-    fn from(v: usize) -> Self {
-        JsonValue::Num(v as f64)
-    }
-}
-impl From<u64> for JsonValue {
-    fn from(v: u64) -> Self {
-        JsonValue::Num(v as f64)
-    }
-}
-impl From<&str> for JsonValue {
-    fn from(v: &str) -> Self {
-        JsonValue::Str(v.to_string())
-    }
-}
-impl From<String> for JsonValue {
-    fn from(v: String) -> Self {
-        JsonValue::Str(v)
-    }
-}
-impl From<bool> for JsonValue {
-    fn from(v: bool) -> Self {
-        JsonValue::Bool(v)
-    }
-}
-impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
-    fn from(v: Option<T>) -> Self {
-        v.map(Into::into).unwrap_or(JsonValue::Null)
-    }
-}
-
-impl Default for JsonWriter {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl JsonWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
-        JsonWriter {
-            records: Vec::new(),
-            meta: None,
-        }
+        Self::default()
     }
 
     /// Attaches an already-serialized JSON value (e.g.
@@ -185,7 +130,7 @@ impl JsonWriter {
     }
 
     /// Appends one flat record.
-    pub fn record(&mut self, fields: Vec<(&str, JsonValue)>) {
+    pub fn record(&mut self, fields: Vec<(&str, Json)>) {
         self.records.push(
             fields
                 .into_iter()
@@ -197,48 +142,23 @@ impl JsonWriter {
     /// Serializes the records — a bare JSON array, or (with
     /// [`Self::set_meta_raw`]) an object wrapping metadata and records.
     pub fn render(&self) -> String {
-        match &self.meta {
-            None => self.render_records(),
-            Some(meta) => format!(
-                "{{\n\"metrics\": {},\n\"records\": {}\n}}",
-                meta,
-                self.render_records()
-            ),
-        }
-    }
-
-    fn render_records(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, rec) in self.records.iter().enumerate() {
-            out.push_str("  {");
-            for (j, (k, v)) in rec.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{}: ", escape(k));
-                match v {
-                    JsonValue::Num(x) => {
-                        if x.is_finite() {
-                            let _ = write!(out, "{x}");
-                        } else {
-                            out.push_str("null");
-                        }
-                    }
-                    JsonValue::Str(s) => out.push_str(&escape(s)),
-                    JsonValue::Bool(b) => {
-                        let _ = write!(out, "{b}");
-                    }
-                    JsonValue::Null => out.push_str("null"),
-                }
+        json::render(|w| {
+            if let Some(meta) = &self.meta {
+                w.begin_obj().key("metrics").raw(meta).key("records");
             }
-            out.push('}');
-            if i + 1 < self.records.len() {
-                out.push(',');
+            w.begin_arr();
+            for rec in &self.records {
+                w.begin_obj();
+                for (k, v) in rec {
+                    v.write(w.key(k));
+                }
+                w.end_obj();
             }
-            out.push('\n');
-        }
-        out.push(']');
-        out
+            w.end_arr();
+            if self.meta.is_some() {
+                w.end_obj();
+            }
+        })
     }
 
     /// Writes to `path` if `Some`.
@@ -250,25 +170,6 @@ impl JsonWriter {
             }
         }
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -316,13 +217,20 @@ mod tests {
             ("missing", Option::<usize>::None.into()),
         ]);
         let s = w.render();
-        assert!(s.contains("\"a\\\"b\\\\c\""));
-        assert!(s.contains("\"x\": 1.5"));
-        assert!(s.contains("\"n\": 7"));
-        assert!(s.contains("\"ok\": true"));
-        assert!(s.contains("\"missing\": null"));
-        assert!(s.starts_with('['));
-        assert!(s.ends_with(']'));
+        assert_eq!(
+            s,
+            r#"[{"name":"a\"b\\c","x":1.5,"n":7,"ok":true,"missing":null}]"#
+        );
+        let rec = &json::parse(&s).unwrap();
+        let rec = match rec {
+            Json::Arr(items) => &items[0],
+            other => panic!("not an array: {other}"),
+        };
+        assert_eq!(rec.get("name"), Some(&"a\"b\\c".into()));
+        assert_eq!(rec.get("x"), Some(&Json::Num(1.5)));
+        assert_eq!(rec.get("n"), Some(&Json::Num(7.0)));
+        assert_eq!(rec.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(rec.get("missing"), Some(&Json::Null));
     }
 
     #[test]

@@ -62,24 +62,20 @@ pub struct Progress {
 impl Progress {
     /// Serializes as one NDJSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut o = String::with_capacity(192);
-        let _ = write!(
-            o,
-            "{{\"event\":\"progress\",\"seq\":{},\"ts_us\":{:.0},\"phase\":\"{}\",\"gate\":{},\"total_gates\":{},\"gates_per_sec\":{:.1},\"dd_nodes\":{},\"governor_rung\":{},\"shard_fill\":{},\"run_span\":{},\"phase_span\":{}}}",
-            self.seq,
-            self.ts_us,
-            self.phase,
-            self.gate,
-            self.total_gates,
-            self.gates_per_sec,
-            self.dd_nodes,
-            self.governor_rung,
-            self.shard_fill,
-            self.run_span,
-            self.phase_span,
-        );
-        o
+        qtelemetry::json::render(|w| {
+            w.begin_obj().key("event").string("progress");
+            w.key("seq").uint(self.seq);
+            w.key("ts_us").fixed(self.ts_us, Some(0));
+            w.key("phase").string(self.phase);
+            w.key("gate").uint(self.gate as u64);
+            w.key("total_gates").uint(self.total_gates as u64);
+            w.key("gates_per_sec").fixed(self.gates_per_sec, Some(1));
+            w.key("dd_nodes").uint(self.dd_nodes as u64);
+            w.key("governor_rung").uint(self.governor_rung.into());
+            w.key("shard_fill").uint(self.shard_fill as u64);
+            w.key("run_span").uint(self.run_span);
+            w.key("phase_span").uint(self.phase_span).end_obj();
+        })
     }
 }
 

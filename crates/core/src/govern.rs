@@ -40,9 +40,6 @@ pub struct GovernorConfig {
     /// Gates between numerical-health checks (norm + NaN/Inf). In the DMAV
     /// phase one check costs `O(2^n)`.
     pub health_check_every: usize,
-    /// Allowed drift of the state 2-norm away from 1 before the watchdog
-    /// reports divergence.
-    pub norm_tolerance: f64,
     /// Arms the approximation rung of the degradation ladder: on a memory
     /// breach that survives every exact relief measure, the DD-phase state
     /// may be truncated (lowest-contribution edges pruned, renormalized) as
@@ -61,7 +58,6 @@ impl Default for GovernorConfig {
             deadline: None,
             rss_probe_every: 256,
             health_check_every: 64,
-            norm_tolerance: 1e-6,
             approx_fidelity_floor: None,
         }
     }

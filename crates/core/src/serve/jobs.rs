@@ -19,7 +19,6 @@
 
 use super::json::{self, Json};
 use crate::error::FlatDdError;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Default priority for jobs that do not ask for one.
@@ -176,40 +175,35 @@ impl JobSpec {
 
     /// Serializes the spec (inverse of [`JobSpec::from_json`]).
     pub fn to_json(&self) -> Json {
-        let mut m = BTreeMap::new();
-        m.insert("circuit".into(), Json::Str(self.circuit.clone()));
-        if let Some(q) = &self.qasm {
-            m.insert("qasm".into(), Json::Str(q.clone()));
-        }
-        m.insert("seed".into(), Json::Num(self.seed as f64));
-        m.insert("threads".into(), Json::Num(self.threads as f64));
-        if let Some(t) = self.dd_threads {
-            m.insert("dd_threads".into(), Json::Num(t as f64));
-        }
-        if let Some(s) = self.flat_shards {
-            m.insert("flat_shards".into(), Json::Num(s as f64));
-        }
-        m.insert("priority".into(), Json::Num(self.priority as f64));
-        if let Some(s) = self.deadline_secs {
-            m.insert("deadline_secs".into(), Json::Num(s));
-        }
-        if let Some(mb) = self.memory_budget_mb {
-            m.insert("memory_budget_mb".into(), Json::Num(mb as f64));
-        }
-        if let Some(g) = self.checkpoint_every {
-            m.insert("checkpoint_every".into(), Json::Num(g as f64));
-        }
-        if let Some(g) = self.convert_at_gate {
-            m.insert("convert_at_gate".into(), Json::Num(g as f64));
-        }
-        if let Some(f) = &self.faults {
-            m.insert("faults".into(), Json::Str(f.clone()));
-        }
-        if let Some(f) = self.approx_fidelity_floor {
-            m.insert("approx_fidelity_floor".into(), Json::Num(f));
-        }
-        Json::Obj(m)
+        present(vec![
+            ("circuit", Some(self.circuit.as_str().into())),
+            ("qasm", self.qasm.as_deref().map(Json::from)),
+            ("seed", Some(self.seed.into())),
+            ("threads", Some(self.threads.into())),
+            ("dd_threads", self.dd_threads.map(Json::from)),
+            ("flat_shards", self.flat_shards.map(Json::from)),
+            ("priority", Some(Json::Num(self.priority as f64))),
+            ("deadline_secs", self.deadline_secs.map(Json::Num)),
+            ("memory_budget_mb", self.memory_budget_mb.map(Json::from)),
+            ("checkpoint_every", self.checkpoint_every.map(Json::from)),
+            ("convert_at_gate", self.convert_at_gate.map(Json::from)),
+            ("faults", self.faults.as_deref().map(Json::from)),
+            (
+                "approx_fidelity_floor",
+                self.approx_fidelity_floor.map(Json::Num),
+            ),
+        ])
     }
+}
+
+/// An object of the pairs whose value is present.
+fn present(pairs: Vec<(&str, Option<Json>)>) -> Json {
+    Json::Obj(
+        pairs
+            .into_iter()
+            .filter_map(|(k, v)| Some((k.to_string(), v?)))
+            .collect(),
+    )
 }
 
 /// Lifecycle of one job. `Preempted` is non-terminal: the job was
@@ -362,47 +356,37 @@ impl JobRecord {
     /// Full status object served on `GET /jobs/{id}` (also the persisted
     /// on-disk form — one schema, one parser).
     pub fn to_json(&self) -> Json {
-        let mut m = BTreeMap::new();
-        m.insert("id".into(), Json::Num(self.id as f64));
-        m.insert("state".into(), Json::Str(self.state.label().into()));
-        m.insert("spec".into(), self.spec.to_json());
-        m.insert("retries".into(), Json::Num(self.retries as f64));
-        m.insert("preemptions".into(), Json::Num(self.preemptions as f64));
-        m.insert("panics".into(), Json::Num(self.panics as f64));
-        if let Some(c) = self.exit_code {
-            m.insert("exit_code".into(), Json::Num(c as f64));
-        }
-        if let Some(e) = &self.error {
-            m.insert("error".into(), Json::Str(e.clone()));
-        }
-        if let Some(r) = &self.result {
-            let heavy: Vec<Json> = r
-                .heavy
-                .iter()
-                .map(|&(i, re, im)| {
-                    Json::obj(vec![
-                        ("index", Json::Num(i as f64)),
-                        ("re", Json::Num(re)),
-                        ("im", Json::Num(im)),
-                    ])
-                })
-                .collect();
-            m.insert(
-                "result".into(),
+        let result = self.result.as_ref().map(|r| {
+            let heavy = r.heavy.iter().map(|&(i, re, im)| {
                 Json::obj(vec![
-                    ("gates_applied", Json::Num(r.gates_applied as f64)),
-                    ("total_gates", Json::Num(r.total_gates as f64)),
-                    ("phase", Json::Str(r.phase.clone())),
-                    ("elapsed_secs", Json::Num(r.elapsed_secs)),
-                    ("approximate", Json::Bool(r.approximate)),
-                    ("fidelity", Json::Num(r.fidelity)),
-                    ("heavy", Json::Arr(heavy)),
-                    ("stats", raw_or_null(&r.stats_json)),
-                    ("metrics", raw_or_null(&r.metrics_json)),
-                ]),
-            );
-        }
-        Json::Obj(m)
+                    ("index", i.into()),
+                    ("re", re.into()),
+                    ("im", im.into()),
+                ])
+            });
+            Json::obj(vec![
+                ("gates_applied", r.gates_applied.into()),
+                ("total_gates", r.total_gates.into()),
+                ("phase", r.phase.as_str().into()),
+                ("elapsed_secs", r.elapsed_secs.into()),
+                ("approximate", r.approximate.into()),
+                ("fidelity", r.fidelity.into()),
+                ("heavy", Json::Arr(heavy.collect())),
+                ("stats", raw_or_null(&r.stats_json)),
+                ("metrics", raw_or_null(&r.metrics_json)),
+            ])
+        });
+        present(vec![
+            ("id", Some(self.id.into())),
+            ("state", Some(self.state.label().into())),
+            ("spec", Some(self.spec.to_json())),
+            ("retries", Some(self.retries.into())),
+            ("preemptions", Some(self.preemptions.into())),
+            ("panics", Some(self.panics.into())),
+            ("exit_code", self.exit_code.map(Json::from)),
+            ("error", self.error.as_deref().map(Json::from)),
+            ("result", result),
+        ])
     }
 
     /// Parses a persisted record (tolerates `result` payloads from newer

@@ -31,9 +31,12 @@
 
 pub mod http;
 pub mod jobs;
-pub mod json;
 pub mod scheduler;
 pub mod stream;
+
+/// The workspace's JSON codec, re-exported under the path the daemon's
+/// clients import it from.
+pub use qtelemetry::json;
 
 pub use jobs::{JobRecord, JobResult, JobSpec, JobState};
 pub use scheduler::{CancelOutcome, Scheduler, SchedulerHandle, ServeConfig, SubmitError};
@@ -43,9 +46,17 @@ use json::Json;
 /// Name of the file (inside the spool) holding the bound TCP port.
 pub const PORT_FILE: &str = "serve.port";
 
-fn err_body(msg: &str) -> String {
-    Json::obj(vec![("error", Json::Str(msg.into()))]).to_string()
+/// The `{"error": msg}` body of every non-2xx response.
+pub fn err_body(msg: &str) -> String {
+    Json::obj(vec![("error", msg.into())]).to_string()
 }
+
+/// The build profile `/healthz` and the Prometheus build info report.
+const PROFILE: &str = if cfg!(debug_assertions) {
+    "debug"
+} else {
+    "release"
+};
 
 /// JSON content type for the default API responses.
 pub const JSON_CONTENT_TYPE: &str = "application/json";
@@ -72,13 +83,8 @@ fn prometheus_body(handle: &SchedulerHandle) -> String {
     out.push_str("# HELP flatdd_build_info Build metadata of the running daemon.\n");
     out.push_str("# TYPE flatdd_build_info gauge\n");
     out.push_str(&format!(
-        "flatdd_build_info{{version=\"{}\",profile=\"{}\"}} 1\n",
+        "flatdd_build_info{{version=\"{}\",profile=\"{PROFILE}\"}} 1\n",
         env!("CARGO_PKG_VERSION"),
-        if cfg!(debug_assertions) {
-            "debug"
-        } else {
-            "release"
-        },
     ));
     out.push_str(&qtelemetry::prometheus::render_registry(
         handle.metrics(),
@@ -108,22 +114,12 @@ pub fn route(handle: &SchedulerHandle, req: &http::Request) -> (u32, &'static st
             json(
                 200,
                 Json::obj(vec![
-                    ("status", Json::Str(status.into())),
-                    ("running", Json::Num(running as f64)),
-                    ("queued", Json::Num(queued as f64)),
-                    ("uptime_secs", Json::Num(handle.uptime_secs())),
-                    ("version", Json::Str(env!("CARGO_PKG_VERSION").into())),
-                    (
-                        "profile",
-                        Json::Str(
-                            if cfg!(debug_assertions) {
-                                "debug"
-                            } else {
-                                "release"
-                            }
-                            .into(),
-                        ),
-                    ),
+                    ("status", status.into()),
+                    ("running", running.into()),
+                    ("queued", queued.into()),
+                    ("uptime_secs", handle.uptime_secs().into()),
+                    ("version", env!("CARGO_PKG_VERSION").into()),
+                    ("profile", PROFILE.into()),
                 ])
                 .to_string(),
             )
@@ -148,19 +144,14 @@ pub fn route(handle: &SchedulerHandle, req: &http::Request) -> (u32, &'static st
                 .and_then(|s| s.parse().ok())
                 .unwrap_or(0);
             match stream::events_batch(handle, id, since) {
-                Some((body, cursor)) => {
-                    let mut body = body;
-                    body.push_str(&format!("{{\"event\":\"cursor\",\"cursor\":{cursor}}}\n"));
+                Some((mut body, cursor)) => {
+                    body.push_str(&stream::cursor_line(cursor));
                     (200, stream::NDJSON_CONTENT_TYPE, body)
                 }
                 None => match handle.job(id) {
                     // Known but never dispatched (or aged out): an empty
                     // batch with a zero cursor, not an error.
-                    Some(_) => (
-                        200,
-                        stream::NDJSON_CONTENT_TYPE,
-                        "{\"event\":\"cursor\",\"cursor\":0}\n".into(),
-                    ),
+                    Some(_) => (200, stream::NDJSON_CONTENT_TYPE, stream::cursor_line(0)),
                     None => json(404, err_body("no such job")),
                 },
             }
@@ -206,7 +197,7 @@ pub fn route(handle: &SchedulerHandle, req: &http::Request) -> (u32, &'static st
         }
         ("GET", ["jobs", id]) => match parse_id(id) {
             Some(id) => match handle.job(id) {
-                Some(rec) => json(200, format!("{}", rec.to_json())),
+                Some(rec) => json(200, rec.to_json().to_string()),
                 None => json(404, err_body("no such job")),
             },
             None => json(400, err_body("bad job id")),

@@ -17,8 +17,9 @@
 //!   [`crate::context::PROGRESS_RING_CAP`] samples).
 //!
 //! Every line is a complete JSON object; the `event` field tags the kind
-//! (`progress`, `heartbeat`, `end`).
+//! (`progress`, `heartbeat`, `end`, and `cursor` closing a batch).
 
+use super::json::{self, Writer};
 use super::scheduler::SchedulerHandle;
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -47,16 +48,36 @@ pub fn events_batch(handle: &SchedulerHandle, id: u64, since: u64) -> Option<(St
     Some((out, cursor))
 }
 
-fn heartbeat_line(cursor: u64) -> String {
-    format!(
-        "{{\"event\":\"heartbeat\",\"ts_us\":{:.0},\"cursor\":{}}}\n",
-        qtelemetry::now_us(),
-        cursor
+/// One control line, `{"event": kind, <fields>, "cursor": n}` and its
+/// newline.
+fn control_line(kind: &str, fields: impl FnOnce(&mut Writer), cursor: u64) -> String {
+    let mut line = json::render(|w| {
+        w.begin_obj().key("event").string(kind);
+        fields(w);
+        w.key("cursor").uint(cursor).end_obj();
+    });
+    line.push('\n');
+    line
+}
+
+/// The line that closes a batch: where the next `?since=` resumes.
+pub fn cursor_line(cursor: u64) -> String {
+    control_line("cursor", |_| {}, cursor)
+}
+
+/// The line that keeps an idle stream alive.
+pub fn heartbeat_line(cursor: u64) -> String {
+    let ts_us = qtelemetry::now_us();
+    control_line(
+        "heartbeat",
+        |w| _ = w.key("ts_us").fixed(ts_us, Some(0)),
+        cursor,
     )
 }
 
-fn end_line(state: &str, cursor: u64) -> String {
-    format!("{{\"event\":\"end\",\"state\":\"{state}\",\"cursor\":{cursor}}}\n")
+/// The line that closes a stream, with the job's final `state`.
+pub fn end_line(state: &str, cursor: u64) -> String {
+    control_line("end", |w| _ = w.key("state").string(state), cursor)
 }
 
 /// Serves one chunked NDJSON connection: forwards progress samples as the

@@ -279,6 +279,10 @@ impl Boundary {
         Err(core.breach_to_error(standing, phase.phase()))
     }
 
+    /// Allowed drift of the state 2-norm away from 1 before the watchdog
+    /// reports divergence.
+    const NORM_TOLERANCE: f64 = 1e-6;
+
     /// Periodic numerical-health watchdog, counted in gates (`gates` after
     /// this step). In the DD phase the normalization invariant (outgoing
     /// weights of every vector node have 2-norm 1) makes the state norm
@@ -294,7 +298,6 @@ impl Boundary {
             return Ok(());
         }
         core.ctx.metrics().counter("core.watchdog_checks").inc();
-        let tol = core.gov.config().norm_tolerance;
         let (norm, detail) = match phase {
             PhaseState::Dd(dd) => {
                 let root = dd.state;
@@ -310,7 +313,7 @@ impl Boundary {
                 _ => (f64::NAN, "non-finite amplitude in flat state"),
             },
         };
-        let ok = norm.is_finite() && (norm - 1.0).abs() <= tol;
+        let ok = norm.is_finite() && (norm - 1.0).abs() <= Self::NORM_TOLERANCE;
         if qtelemetry::enabled() {
             qtelemetry::emit(qtelemetry::Event::Watchdog {
                 sim: core.telemetry_id,

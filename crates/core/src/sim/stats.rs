@@ -125,22 +125,21 @@ impl FlatDdStats {
     /// `fidelity`; `converted_at` is `null` when no conversion happened).
     /// This is what the CLI's `--stats-json` prints.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut o = String::from("{");
-        for (name, value, _) in self.fields() {
-            if name == "fidelity" {
-                let _ = write!(o, "\"approximate\": {}, ", self.is_approximate());
+        qtelemetry::json::render(|w| {
+            w.begin_obj();
+            for (name, value, _) in self.fields() {
+                if name == "fidelity" {
+                    w.key("approximate").bool(self.is_approximate());
+                }
+                match value {
+                    StatValue::Count(v) => w.key(name).uint(v),
+                    StatValue::OptCount(Some(g)) => w.key(name).uint(g as u64),
+                    StatValue::OptCount(None) => w.key(name).null(),
+                    StatValue::Real(v) => w.key(name).num(v),
+                };
             }
-            let _ = match value {
-                StatValue::Count(v) => write!(o, "\"{name}\": {v}, "),
-                StatValue::OptCount(Some(v)) => write!(o, "\"{name}\": {v}, "),
-                StatValue::Real(v) if v.is_finite() => write!(o, "\"{name}\": {v}, "),
-                StatValue::OptCount(None) | StatValue::Real(_) => write!(o, "\"{name}\": null, "),
-            };
-        }
-        o.truncate(o.len() - 2);
-        o.push('}');
-        o
+            w.end_obj();
+        })
     }
 
     /// Publishes the `sim.<name>` gauge of every table row that carries one.
@@ -161,6 +160,7 @@ impl FlatDdStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qtelemetry::json::Json;
 
     #[test]
     fn json_matches_the_golden_string() {
@@ -177,22 +177,29 @@ mod tests {
         };
         assert_eq!(
             s.to_json(),
-            "{\"gates_dd\": 3, \"gates_dmav\": 0, \"converted_at\": 2, \
-             \"conversion_seconds\": 0.5, \"cached_dmavs\": 0, \"uncached_dmavs\": 0, \
-             \"cache_hits\": 0, \"fused_matrices\": 0, \"modeled_cost\": null, \
-             \"peak_state_dd_size\": 0, \"conversion_refusals\": 0, \"pressure_gcs\": 0, \
-             \"dmav_plan_hits\": 0, \"dmav_plan_misses\": 0, \"ct_mv_lookups\": 7, \
-             \"ct_mv_hits\": 0, \"ct_mv_hit_rate\": 0.25, \"ct_mm_lookups\": 0, \
-             \"ct_mm_hits\": 0, \"ct_mm_hit_rate\": 0, \"ct_add_lookups\": 0, \
-             \"ct_add_hits\": 0, \"ct_add_hit_rate\": 0, \"approx_truncations\": 1, \
-             \"approximate\": true, \"fidelity\": 0.75}"
+            "{\"gates_dd\":3,\"gates_dmav\":0,\"converted_at\":2,\
+             \"conversion_seconds\":0.5,\"cached_dmavs\":0,\"uncached_dmavs\":0,\
+             \"cache_hits\":0,\"fused_matrices\":0,\"modeled_cost\":null,\
+             \"peak_state_dd_size\":0,\"conversion_refusals\":0,\"pressure_gcs\":0,\
+             \"dmav_plan_hits\":0,\"dmav_plan_misses\":0,\"ct_mv_lookups\":7,\
+             \"ct_mv_hits\":0,\"ct_mv_hit_rate\":0.25,\"ct_mm_lookups\":0,\
+             \"ct_mm_hits\":0,\"ct_mm_hit_rate\":0,\"ct_add_lookups\":0,\
+             \"ct_add_hits\":0,\"ct_add_hit_rate\":0,\"approx_truncations\":1,\
+             \"approximate\":true,\"fidelity\":0.75}"
         );
         let d = FlatDdStats::default().to_json();
-        assert!(d.contains("\"converted_at\": null, "), "{d}");
-        assert!(
-            d.ends_with("\"approximate\": false, \"fidelity\": 1}"),
-            "{d}"
+        assert!(d.contains("\"converted_at\":null,"), "{d}");
+        assert!(d.ends_with("\"approximate\":false,\"fidelity\":1}"), "{d}");
+        let v = qtelemetry::json::parse(&s.to_json()).unwrap();
+        let field = |k: &str| v.get(k).cloned();
+        assert_eq!(field("converted_at"), Some(Json::Num(2.0)));
+        assert_eq!(
+            field("modeled_cost"),
+            Some(Json::Null),
+            "NaN is written as null"
         );
+        assert_eq!(field("approximate"), Some(Json::Bool(true)));
+        assert_eq!(field("fidelity"), Some(Json::Num(0.75)));
     }
 
     /// What `flatdd-cli run ghz:8 --stats-json -` prints.
@@ -208,16 +215,21 @@ mod tests {
         sim.run(&qcircuit::generators::ghz(8)).unwrap();
         assert_eq!(
             sim.stats().to_json(),
-            "{\"gates_dd\": 8, \"gates_dmav\": 0, \"converted_at\": null, \
-             \"conversion_seconds\": 0, \"cached_dmavs\": 0, \"uncached_dmavs\": 0, \
-             \"cache_hits\": 0, \"fused_matrices\": 0, \"modeled_cost\": 0, \
-             \"peak_state_dd_size\": 15, \"conversion_refusals\": 0, \"pressure_gcs\": 0, \
-             \"dmav_plan_hits\": 0, \"dmav_plan_misses\": 0, \"ct_mv_lookups\": 50, \
-             \"ct_mv_hits\": 0, \"ct_mv_hit_rate\": 0, \
-             \"ct_mm_lookups\": 0, \"ct_mm_hits\": 0, \"ct_mm_hit_rate\": 0, \
-             \"ct_add_lookups\": 0, \"ct_add_hits\": 0, \"ct_add_hit_rate\": 0, \
-             \"approx_truncations\": 0, \"approximate\": false, \"fidelity\": 1}"
+            "{\"gates_dd\":8,\"gates_dmav\":0,\"converted_at\":null,\
+             \"conversion_seconds\":0,\"cached_dmavs\":0,\"uncached_dmavs\":0,\
+             \"cache_hits\":0,\"fused_matrices\":0,\"modeled_cost\":0,\
+             \"peak_state_dd_size\":15,\"conversion_refusals\":0,\"pressure_gcs\":0,\
+             \"dmav_plan_hits\":0,\"dmav_plan_misses\":0,\"ct_mv_lookups\":50,\
+             \"ct_mv_hits\":0,\"ct_mv_hit_rate\":0,\
+             \"ct_mm_lookups\":0,\"ct_mm_hits\":0,\"ct_mm_hit_rate\":0,\
+             \"ct_add_lookups\":0,\"ct_add_hits\":0,\"ct_add_hit_rate\":0,\
+             \"approx_truncations\":0,\"approximate\":false,\"fidelity\":1}"
         );
+        let v = qtelemetry::json::parse(&sim.stats().to_json()).unwrap();
+        assert_eq!(v.get("gates_dd"), Some(&Json::Num(8.0)));
+        assert_eq!(v.get("peak_state_dd_size"), Some(&Json::Num(15.0)));
+        assert_eq!(v.get("ct_mv_lookups"), Some(&Json::Num(50.0)));
+        assert_eq!(v.get("converted_at"), Some(&Json::Null));
     }
 
     /// `derive(Debug)` names every struct field, so its output is the

@@ -9,9 +9,8 @@
 //! tid `10 + w` the conversion fill sub-span of worker `w`.
 
 use crate::event::Event;
-use crate::{escape_into, json_f64};
+use crate::json::Writer;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 const TID_PHASES: u64 = 0;
 const TID_GATES: u64 = 1;
@@ -20,86 +19,36 @@ const TID_GOVERNOR: u64 = 3;
 const TID_SPANS: u64 = 4;
 const TID_WORKER_BASE: u64 = 10;
 
-/// Accumulates `traceEvents` entries.
-struct Trace {
-    out: String,
-    first: bool,
+/// Opens one `traceEvents` entry with its `name, ph, pid, tid` header.
+fn entry(w: &mut Writer, name: &str, ph: &str, pid: u64, tid: u64) {
+    w.begin_obj().key("name").string(name).key("ph").string(ph);
+    w.key("pid").uint(pid).key("tid").uint(tid);
 }
 
-impl Trace {
-    fn new() -> Self {
-        Trace {
-            out: String::from("{\"traceEvents\":[\n"),
-            first: true,
-        }
-    }
+/// Complete span (`ph:"X"`), left open in its `args`: write them, then
+/// [`close`].
+fn span(w: &mut Writer, name: &str, pid: u64, tid: u64, ts: f64, dur: f64) {
+    entry(w, name, "X", pid, tid);
+    w.key("ts").num(ts.max(0.0)).key("dur").num(dur.max(0.0));
+    w.key("args").begin_obj();
+}
 
-    fn open(&mut self, name: &str, ph: char, pid: u64, tid: u64, ts: f64) {
-        if !self.first {
-            self.out.push_str(",\n");
-        }
-        self.first = false;
-        self.out.push_str("{\"name\":\"");
-        escape_into(&mut self.out, name);
-        let _ = write!(
-            self.out,
-            "\",\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":"
-        );
-        json_f64(&mut self.out, ts.max(0.0));
-    }
+/// Instant event (`ph:"i"`, thread scope), left open like [`span`].
+fn instant(w: &mut Writer, name: &str, pid: u64, tid: u64, ts: f64) {
+    entry(w, name, "i", pid, tid);
+    w.key("ts").num(ts.max(0.0)).key("s").string("t");
+    w.key("args").begin_obj();
+}
 
-    /// Complete span (`ph:"X"`); call `arg_*` then [`Trace::close`] after.
-    fn span(&mut self, name: &str, pid: u64, tid: u64, ts: f64, dur: f64) {
-        self.open(name, 'X', pid, tid, ts);
-        self.out.push_str(",\"dur\":");
-        json_f64(&mut self.out, dur.max(0.0));
-        self.out.push_str(",\"args\":{");
-    }
+/// Closes an entry's `args` and the entry.
+fn close(w: &mut Writer) {
+    w.end_obj().end_obj();
+}
 
-    /// Instant event (`ph:"i"`, thread scope).
-    fn instant(&mut self, name: &str, pid: u64, tid: u64, ts: f64) {
-        self.open(name, 'i', pid, tid, ts);
-        self.out.push_str(",\"s\":\"t\",\"args\":{");
-    }
-
-    fn arg_num(&mut self, key: &str, v: f64, first: bool) {
-        if !first {
-            self.out.push(',');
-        }
-        let _ = write!(self.out, "\"{key}\":");
-        json_f64(&mut self.out, v);
-    }
-
-    fn arg_str(&mut self, key: &str, v: &str, first: bool) {
-        if !first {
-            self.out.push(',');
-        }
-        let _ = write!(self.out, "\"{key}\":\"");
-        escape_into(&mut self.out, v);
-        self.out.push('"');
-    }
-
-    fn close(&mut self) {
-        self.out.push_str("}}");
-    }
-
-    fn thread_name(&mut self, pid: u64, tid: u64, name: &str) {
-        if !self.first {
-            self.out.push_str(",\n");
-        }
-        self.first = false;
-        let _ = write!(
-            self.out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\""
-        );
-        escape_into(&mut self.out, name);
-        self.out.push_str("\"}}");
-    }
-
-    fn finish(mut self) -> String {
-        self.out.push_str("\n]}");
-        self.out
-    }
+fn thread_name(w: &mut Writer, pid: u64, tid: u64, name: &str) {
+    entry(w, "thread_name", "M", pid, tid);
+    w.key("args").begin_obj().key("name").string(name);
+    close(w);
 }
 
 /// Per-simulator bookkeeping for the derived DD/DMAV phase spans.
@@ -129,7 +78,9 @@ impl SimTimeline {
 /// `"dmav phase"` span from conversion end to run end; without one, a
 /// single span covering the whole run, named after its starting phase.
 pub fn chrome_trace_json(events: &[Event]) -> String {
-    let mut t = Trace::new();
+    let mut out = String::new();
+    let t = &mut Writer::new(&mut out);
+    t.begin_obj().key("traceEvents").begin_arr();
     let mut sims: BTreeMap<u64, SimTimeline> = BTreeMap::new();
     let mut gc_pids: Vec<u64> = Vec::new();
 
@@ -148,11 +99,11 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                     tl.start = Some((*ts_us, phase));
                 }
                 tl.see(*ts_us);
-                t.instant("run_start", *sim, TID_PHASES, *ts_us);
-                t.arg_num("qubits", *qubits as f64, true);
-                t.arg_num("threads", *threads as f64, false);
-                t.arg_num("gates", *gates as f64, false);
-                t.close();
+                instant(t, "run_start", *sim, TID_PHASES, *ts_us);
+                t.key("qubits").uint(*qubits as u64);
+                t.key("threads").uint(*threads as u64);
+                t.key("gates").uint(*gates as u64);
+                close(t);
             }
             Event::RunEnd {
                 sim,
@@ -164,11 +115,11 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 let tl = sims.entry(*sim).or_default();
                 tl.end = Some(*ts_us);
                 tl.see(*ts_us);
-                t.instant("run_end", *sim, TID_PHASES, *ts_us);
-                t.arg_num("gates_applied", *gates_applied as f64, true);
-                t.arg_str("phase", phase, false);
-                t.arg_str("ok", if *ok { "true" } else { "false" }, false);
-                t.close();
+                instant(t, "run_end", *sim, TID_PHASES, *ts_us);
+                t.key("gates_applied").uint(*gates_applied as u64);
+                t.key("phase").string(phase);
+                t.key("ok").string(if *ok { "true" } else { "false" });
+                close(t);
             }
             Event::Gate {
                 sim,
@@ -195,19 +146,19 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                     1 => format!("{kind} gate"),
                     k => format!("{kind} step ({k} gates)"),
                 };
-                t.span(&name, *sim, TID_GATES, *ts_us, *dur_us);
-                t.arg_num("index", *index as f64, true);
-                t.arg_num("gates", *gates as f64, false);
+                span(t, &name, *sim, TID_GATES, *ts_us, *dur_us);
+                t.key("index").uint(*index as u64);
+                t.key("gates").uint(*gates as u64);
                 if let Some(s) = dd_size {
-                    t.arg_num("dd_size", *s as f64, false);
+                    t.key("dd_size").uint(*s as u64);
                 }
                 if let Some(e) = ewma {
-                    t.arg_num("ewma", *e, false);
+                    t.key("ewma").num(*e);
                 }
                 if let Some(h) = plan_hit {
-                    t.arg_str("plan_hit", if *h { "hit" } else { "miss" }, false);
+                    t.key("plan_hit").string(if *h { "hit" } else { "miss" });
                 }
-                t.close();
+                close(t);
             }
             Event::PhaseTransition {
                 sim,
@@ -218,12 +169,12 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 policy,
             } => {
                 sims.entry(*sim).or_default().see(*ts_us);
-                t.instant("phase_transition", *sim, TID_PHASES, *ts_us);
-                t.arg_num("at_gate", *at_gate as f64, true);
-                t.arg_num("dd_size", *dd_size as f64, false);
-                t.arg_num("ewma", *ewma, false);
-                t.arg_str("policy", policy, false);
-                t.close();
+                instant(t, "phase_transition", *sim, TID_PHASES, *ts_us);
+                t.key("at_gate").uint(*at_gate as u64);
+                t.key("dd_size").uint(*dd_size as u64);
+                t.key("ewma").num(*ewma);
+                t.key("policy").string(policy);
+                close(t);
             }
             Event::Conversion {
                 sim,
@@ -238,24 +189,25 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                     tl.conv = Some((*ts_us, *dur_us));
                 }
                 tl.see(*ts_us + *dur_us);
-                t.span("conversion", *sim, TID_PHASES, *ts_us, *dur_us);
-                t.arg_num("at_gate", *at_gate as f64, true);
-                t.arg_num("workers", workers.len() as f64, false);
-                t.arg_num("scalar_tasks", *scalar_tasks as f64, false);
-                t.close();
+                span(t, "conversion", *sim, TID_PHASES, *ts_us, *dur_us);
+                t.key("at_gate").uint(*at_gate as u64);
+                t.key("workers").uint(workers.len() as u64);
+                t.key("scalar_tasks").uint(*scalar_tasks as u64);
+                close(t);
                 for w in workers {
                     let cur = tl.max_worker.map_or(0, |m| m.max(w.worker));
                     tl.max_worker = Some(cur.max(w.worker));
-                    t.span(
+                    span(
+                        t,
                         "fill",
                         *sim,
                         TID_WORKER_BASE + w.worker as u64,
                         *ts_us,
                         w.dur_us,
                     );
-                    t.arg_num("tasks", w.tasks as f64, true);
-                    t.arg_num("amps", w.amps as f64, false);
-                    t.close();
+                    t.key("tasks").uint(w.tasks as u64);
+                    t.key("amps").uint(w.amps as u64);
+                    close(t);
                 }
             }
             Event::Fusion {
@@ -266,10 +218,10 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 matrices_out,
             } => {
                 sims.entry(*sim).or_default().see(*ts_us + *dur_us);
-                t.span("fusion", *sim, TID_PHASES, *ts_us, *dur_us);
-                t.arg_num("gates_in", *gates_in as f64, true);
-                t.arg_num("matrices_out", *matrices_out as f64, false);
-                t.close();
+                span(t, "fusion", *sim, TID_PHASES, *ts_us, *dur_us);
+                t.key("gates_in").uint(*gates_in as u64);
+                t.key("matrices_out").uint(*matrices_out as u64);
+                close(t);
             }
             Event::GcSweep {
                 pkg,
@@ -282,11 +234,11 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 if !gc_pids.contains(pkg) {
                     gc_pids.push(*pkg);
                 }
-                t.span("gc_sweep", *pkg, TID_GC, *ts_us, *dur_us);
-                t.arg_num("v_freed", *v_freed as f64, true);
-                t.arg_num("m_freed", *m_freed as f64, false);
-                t.arg_num("epoch", *epoch as f64, false);
-                t.close();
+                span(t, "gc_sweep", *pkg, TID_GC, *ts_us, *dur_us);
+                t.key("v_freed").uint(*v_freed as u64);
+                t.key("m_freed").uint(*m_freed as u64);
+                t.key("epoch").uint(*epoch);
+                close(t);
             }
             Event::Governor {
                 sim,
@@ -295,10 +247,10 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 detail,
             } => {
                 sims.entry(*sim).or_default().see(*ts_us);
-                t.instant("governor", *sim, TID_GOVERNOR, *ts_us);
-                t.arg_str("action", action, true);
-                t.arg_str("detail", detail, false);
-                t.close();
+                instant(t, "governor", *sim, TID_GOVERNOR, *ts_us);
+                t.key("action").string(action);
+                t.key("detail").string(detail);
+                close(t);
             }
             Event::Watchdog {
                 sim,
@@ -307,10 +259,10 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 ok,
             } => {
                 sims.entry(*sim).or_default().see(*ts_us);
-                t.instant("watchdog", *sim, TID_GOVERNOR, *ts_us);
-                t.arg_num("norm", *norm, true);
-                t.arg_str("ok", if *ok { "true" } else { "false" }, false);
-                t.close();
+                instant(t, "watchdog", *sim, TID_GOVERNOR, *ts_us);
+                t.key("norm").num(*norm);
+                t.key("ok").string(if *ok { "true" } else { "false" });
+                close(t);
             }
             Event::Checkpoint {
                 sim,
@@ -328,11 +280,11 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 } else {
                     "checkpoint write"
                 };
-                t.span(name, *sim, TID_PHASES, *ts_us, *dur_us);
-                t.arg_num("bytes", *bytes as f64, true);
-                t.arg_num("gate_cursor", *gate_cursor as f64, false);
-                t.arg_str("phase", phase, false);
-                t.close();
+                span(t, name, *sim, TID_PHASES, *ts_us, *dur_us);
+                t.key("bytes").uint(*bytes);
+                t.key("gate_cursor").uint(*gate_cursor as u64);
+                t.key("phase").string(phase);
+                close(t);
             }
             Event::Fault {
                 ts_us,
@@ -342,10 +294,10 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 // Faults carry no simulator id; park them on the first
                 // simulator's governor track (pid 0 when none recorded yet).
                 let pid = sims.keys().next().copied().unwrap_or(0);
-                t.instant("fault_injected", pid, TID_GOVERNOR, *ts_us);
-                t.arg_str("site", site, true);
-                t.arg_str("action", action, false);
-                t.close();
+                instant(t, "fault_injected", pid, TID_GOVERNOR, *ts_us);
+                t.key("site").string(site);
+                t.key("action").string(action);
+                close(t);
             }
             Event::Span {
                 sim,
@@ -358,10 +310,10 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 let tl = sims.entry(*sim).or_default();
                 tl.has_spans = true;
                 tl.see(*ts_us + *dur_us);
-                t.span(name, *sim, TID_SPANS, *ts_us, *dur_us);
-                t.arg_num("span", *id as f64, true);
-                t.arg_num("parent", *parent as f64, false);
-                t.close();
+                span(t, name, *sim, TID_SPANS, *ts_us, *dur_us);
+                t.key("span").uint(*id);
+                t.key("parent").uint(*parent);
+                close(t);
             }
         }
     }
@@ -372,17 +324,25 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
             let end_ts = tl.end.unwrap_or(tl.max_ts);
             match tl.conv {
                 Some((conv_ts, conv_dur)) => {
-                    t.span("dd phase", *sim, TID_PHASES, start_ts, conv_ts - start_ts);
-                    t.close();
+                    span(
+                        t,
+                        "dd phase",
+                        *sim,
+                        TID_PHASES,
+                        start_ts,
+                        conv_ts - start_ts,
+                    );
+                    close(t);
                     let dmav_start = conv_ts + conv_dur;
-                    t.span(
+                    span(
+                        t,
                         "dmav phase",
                         *sim,
                         TID_PHASES,
                         dmav_start,
                         end_ts - dmav_start,
                     );
-                    t.close();
+                    close(t);
                 }
                 None => {
                     let name = if start_phase == "dmav" {
@@ -390,30 +350,30 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                     } else {
                         "dd phase"
                     };
-                    t.span(name, *sim, TID_PHASES, start_ts, end_ts - start_ts);
-                    t.close();
+                    span(t, name, *sim, TID_PHASES, start_ts, end_ts - start_ts);
+                    close(t);
                 }
             }
         }
-        t.thread_name(*sim, TID_PHASES, "phases");
-        t.thread_name(*sim, TID_GATES, "gates");
-        t.thread_name(*sim, TID_GOVERNOR, "governor/watchdog");
+        thread_name(t, *sim, TID_PHASES, "phases");
+        thread_name(t, *sim, TID_GATES, "gates");
+        thread_name(t, *sim, TID_GOVERNOR, "governor/watchdog");
         if tl.has_spans {
-            t.thread_name(*sim, TID_SPANS, "spans");
+            thread_name(t, *sim, TID_SPANS, "spans");
         }
         if let Some(max_w) = tl.max_worker {
             for w in 0..=max_w {
-                let mut name = String::from("conversion worker ");
-                let _ = write!(name, "{w}");
-                t.thread_name(*sim, TID_WORKER_BASE + w as u64, &name);
+                let name = format!("conversion worker {w}");
+                thread_name(t, *sim, TID_WORKER_BASE + w as u64, &name);
             }
         }
     }
     for pid in gc_pids {
-        t.thread_name(pid, TID_GC, "dd gc");
+        thread_name(t, pid, TID_GC, "dd gc");
     }
 
-    t.finish()
+    t.end_arr().end_obj();
+    out
 }
 
 #[cfg(test)]
@@ -424,7 +384,7 @@ mod tests {
     #[test]
     fn empty_stream_is_valid_shell() {
         let s = chrome_trace_json(&[]);
-        assert_eq!(s, "{\"traceEvents\":[\n\n]}");
+        assert_eq!(s, "{\"traceEvents\":[]}");
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! (gates, conversions, fusion, GC sweeps) stamp their *start* time plus a
 //! `dur_us` duration, which is what the Chrome-trace exporter needs.
 
-use crate::{escape_into, json_f64};
-use std::fmt::Write as _;
+use crate::json::Writer;
 
 /// Per-worker share of the parallel DD-to-array conversion (the Figure 4a
 /// load-balance breakdown).
@@ -239,12 +238,12 @@ impl Event {
         }
     }
 
-    /// Serializes the event as one JSON object (no trailing newline).
+    /// Serializes the event as one JSON object (no trailing newline):
+    /// `type` first, then the fields in declaration order.
     pub fn to_jsonl(&self) -> String {
         let mut o = String::with_capacity(160);
-        o.push_str("{\"type\":\"");
-        o.push_str(self.kind());
-        o.push('"');
+        let w = &mut Writer::new(&mut o);
+        w.begin_obj().key("type").string(self.kind());
         match self {
             Event::RunStart {
                 sim,
@@ -254,12 +253,11 @@ impl Event {
                 gates,
                 phase,
             } => {
-                push_u64(&mut o, "sim", *sim);
-                push_f64(&mut o, "ts_us", *ts_us);
-                push_usize(&mut o, "qubits", *qubits);
-                push_usize(&mut o, "threads", *threads);
-                push_usize(&mut o, "gates", *gates);
-                push_str(&mut o, "phase", phase);
+                w.key("sim").uint(*sim).key("ts_us").num(*ts_us);
+                w.key("qubits").uint(*qubits as u64);
+                w.key("threads").uint(*threads as u64);
+                w.key("gates").uint(*gates as u64);
+                w.key("phase").string(phase);
             }
             Event::RunEnd {
                 sim,
@@ -268,11 +266,9 @@ impl Event {
                 phase,
                 ok,
             } => {
-                push_u64(&mut o, "sim", *sim);
-                push_f64(&mut o, "ts_us", *ts_us);
-                push_usize(&mut o, "gates_applied", *gates_applied);
-                push_str(&mut o, "phase", phase);
-                push_bool(&mut o, "ok", *ok);
+                w.key("sim").uint(*sim).key("ts_us").num(*ts_us);
+                w.key("gates_applied").uint(*gates_applied as u64);
+                w.key("phase").string(phase).key("ok").bool(*ok);
             }
             Event::Gate {
                 sim,
@@ -286,23 +282,26 @@ impl Event {
                 plan_hit,
                 fused,
             } => {
-                push_u64(&mut o, "sim", *sim);
-                push_f64(&mut o, "ts_us", *ts_us);
-                push_f64(&mut o, "dur_us", *dur_us);
-                push_usize(&mut o, "index", *index);
-                push_usize(&mut o, "gates", *gates);
-                push_str(&mut o, "phase", phase);
+                w.key("sim").uint(*sim).key("ts_us").num(*ts_us);
+                w.key("dur_us")
+                    .num(*dur_us)
+                    .key("index")
+                    .uint(*index as u64);
+                w.key("gates")
+                    .uint(*gates as u64)
+                    .key("phase")
+                    .string(phase);
                 if let Some(s) = dd_size {
-                    push_usize(&mut o, "dd_size", *s);
+                    w.key("dd_size").uint(*s as u64);
                 }
                 if let Some(e) = ewma {
-                    push_f64(&mut o, "ewma", *e);
+                    w.key("ewma").num(*e);
                 }
                 if let Some(h) = plan_hit {
-                    push_bool(&mut o, "plan_hit", *h);
+                    w.key("plan_hit").bool(*h);
                 }
                 if *fused {
-                    push_bool(&mut o, "fused", true);
+                    w.key("fused").bool(true);
                 }
             }
             Event::PhaseTransition {
@@ -313,12 +312,10 @@ impl Event {
                 ewma,
                 policy,
             } => {
-                push_u64(&mut o, "sim", *sim);
-                push_f64(&mut o, "ts_us", *ts_us);
-                push_usize(&mut o, "at_gate", *at_gate);
-                push_usize(&mut o, "dd_size", *dd_size);
-                push_f64(&mut o, "ewma", *ewma);
-                push_str(&mut o, "policy", policy);
+                w.key("sim").uint(*sim).key("ts_us").num(*ts_us);
+                w.key("at_gate").uint(*at_gate as u64);
+                w.key("dd_size").uint(*dd_size as u64);
+                w.key("ewma").num(*ewma).key("policy").string(policy);
             }
             Event::Conversion {
                 sim,
@@ -328,25 +325,20 @@ impl Event {
                 workers,
                 scalar_tasks,
             } => {
-                push_u64(&mut o, "sim", *sim);
-                push_f64(&mut o, "ts_us", *ts_us);
-                push_f64(&mut o, "dur_us", *dur_us);
-                push_usize(&mut o, "at_gate", *at_gate);
-                push_usize(&mut o, "scalar_tasks", *scalar_tasks);
-                o.push_str(",\"workers\":[");
-                for (i, w) in workers.iter().enumerate() {
-                    if i > 0 {
-                        o.push(',');
-                    }
-                    let _ = write!(
-                        o,
-                        "{{\"worker\":{},\"tasks\":{},\"amps\":{},\"dur_us\":",
-                        w.worker, w.tasks, w.amps
-                    );
-                    json_f64(&mut o, w.dur_us);
-                    o.push('}');
+                w.key("sim").uint(*sim).key("ts_us").num(*ts_us);
+                w.key("dur_us")
+                    .num(*dur_us)
+                    .key("at_gate")
+                    .uint(*at_gate as u64);
+                w.key("scalar_tasks").uint(*scalar_tasks as u64);
+                w.key("workers").begin_arr();
+                for f in workers {
+                    w.begin_obj().key("worker").uint(f.worker as u64);
+                    w.key("tasks").uint(f.tasks as u64);
+                    w.key("amps").uint(f.amps as u64);
+                    w.key("dur_us").num(f.dur_us).end_obj();
                 }
-                o.push(']');
+                w.end_arr();
             }
             Event::Fusion {
                 sim,
@@ -355,11 +347,10 @@ impl Event {
                 gates_in,
                 matrices_out,
             } => {
-                push_u64(&mut o, "sim", *sim);
-                push_f64(&mut o, "ts_us", *ts_us);
-                push_f64(&mut o, "dur_us", *dur_us);
-                push_usize(&mut o, "gates_in", *gates_in);
-                push_usize(&mut o, "matrices_out", *matrices_out);
+                w.key("sim").uint(*sim).key("ts_us").num(*ts_us);
+                w.key("dur_us").num(*dur_us);
+                w.key("gates_in").uint(*gates_in as u64);
+                w.key("matrices_out").uint(*matrices_out as u64);
             }
             Event::GcSweep {
                 pkg,
@@ -369,12 +360,11 @@ impl Event {
                 m_freed,
                 epoch,
             } => {
-                push_u64(&mut o, "pkg", *pkg);
-                push_f64(&mut o, "ts_us", *ts_us);
-                push_f64(&mut o, "dur_us", *dur_us);
-                push_usize(&mut o, "v_freed", *v_freed);
-                push_usize(&mut o, "m_freed", *m_freed);
-                push_u64(&mut o, "epoch", *epoch);
+                w.key("pkg").uint(*pkg).key("ts_us").num(*ts_us);
+                w.key("dur_us").num(*dur_us);
+                w.key("v_freed").uint(*v_freed as u64);
+                w.key("m_freed").uint(*m_freed as u64);
+                w.key("epoch").uint(*epoch);
             }
             Event::Governor {
                 sim,
@@ -382,10 +372,8 @@ impl Event {
                 action,
                 detail,
             } => {
-                push_u64(&mut o, "sim", *sim);
-                push_f64(&mut o, "ts_us", *ts_us);
-                push_str(&mut o, "action", action);
-                push_str(&mut o, "detail", detail);
+                w.key("sim").uint(*sim).key("ts_us").num(*ts_us);
+                w.key("action").string(action).key("detail").string(detail);
             }
             Event::Watchdog {
                 sim,
@@ -393,10 +381,8 @@ impl Event {
                 norm,
                 ok,
             } => {
-                push_u64(&mut o, "sim", *sim);
-                push_f64(&mut o, "ts_us", *ts_us);
-                push_f64(&mut o, "norm", *norm);
-                push_bool(&mut o, "ok", *ok);
+                w.key("sim").uint(*sim).key("ts_us").num(*ts_us);
+                w.key("norm").num(*norm).key("ok").bool(*ok);
             }
             Event::Checkpoint {
                 sim,
@@ -407,21 +393,18 @@ impl Event {
                 gate_cursor,
                 phase,
             } => {
-                push_u64(&mut o, "sim", *sim);
-                push_f64(&mut o, "ts_us", *ts_us);
-                push_f64(&mut o, "dur_us", *dur_us);
-                push_u64(&mut o, "bytes", *bytes);
-                push_usize(&mut o, "gate_cursor", *gate_cursor);
-                push_str(&mut o, "phase", phase);
+                w.key("sim").uint(*sim).key("ts_us").num(*ts_us);
+                w.key("dur_us").num(*dur_us).key("bytes").uint(*bytes);
+                w.key("gate_cursor").uint(*gate_cursor as u64);
+                w.key("phase").string(phase);
             }
             Event::Fault {
                 ts_us,
                 site,
                 action,
             } => {
-                push_f64(&mut o, "ts_us", *ts_us);
-                push_str(&mut o, "site", site);
-                push_str(&mut o, "action", action);
+                w.key("ts_us").num(*ts_us).key("site").string(site);
+                w.key("action").string(action);
             }
             Event::Span {
                 sim,
@@ -431,40 +414,14 @@ impl Event {
                 parent,
                 name,
             } => {
-                push_u64(&mut o, "sim", *sim);
-                push_f64(&mut o, "ts_us", *ts_us);
-                push_f64(&mut o, "dur_us", *dur_us);
-                push_u64(&mut o, "id", *id);
-                push_u64(&mut o, "parent", *parent);
-                push_str(&mut o, "name", name);
+                w.key("sim").uint(*sim).key("ts_us").num(*ts_us);
+                w.key("dur_us").num(*dur_us).key("id").uint(*id);
+                w.key("parent").uint(*parent).key("name").string(name);
             }
         }
-        o.push('}');
+        w.end_obj();
         o
     }
-}
-
-fn push_u64(o: &mut String, k: &str, v: u64) {
-    let _ = write!(o, ",\"{k}\":{v}");
-}
-
-fn push_usize(o: &mut String, k: &str, v: usize) {
-    let _ = write!(o, ",\"{k}\":{v}");
-}
-
-fn push_bool(o: &mut String, k: &str, v: bool) {
-    let _ = write!(o, ",\"{k}\":{v}");
-}
-
-fn push_f64(o: &mut String, k: &str, v: f64) {
-    let _ = write!(o, ",\"{k}\":");
-    json_f64(o, v);
-}
-
-fn push_str(o: &mut String, k: &str, v: &str) {
-    let _ = write!(o, ",\"{k}\":\"");
-    escape_into(o, v);
-    o.push('"');
 }
 
 #[cfg(test)]

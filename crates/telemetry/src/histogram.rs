@@ -26,6 +26,7 @@
 //! Units are the caller's choice and belong in the metric name
 //! (`serve.queue_wait_us`, `dd.unique_stall_ns`).
 
+use crate::json::Writer;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -249,20 +250,15 @@ impl HistogramSnapshot {
         out
     }
 
-    /// Renders as a compact JSON object (used by
+    /// Writes `{count, sum, mean, p50, p90, p99}` (used by
     /// [`crate::MetricsRegistry::to_json`]).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        use std::fmt::Write as _;
-        let _ = write!(out, "\"count\": {}, \"sum\": {}, ", self.count, self.sum);
-        out.push_str("\"mean\": ");
-        crate::json_f64(&mut out, self.mean());
+    pub(crate) fn write_json(&self, w: &mut Writer) {
+        w.begin_obj().key("count").uint(self.count);
+        w.key("sum").uint(self.sum).key("mean").num(self.mean());
         for (label, q) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
-            let _ = write!(out, ", \"{label}\": ");
-            crate::json_f64(&mut out, self.quantile(q));
+            w.key(label).num(self.quantile(q));
         }
-        out.push('}');
-        out
+        w.end_obj();
     }
 }
 

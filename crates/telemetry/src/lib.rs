@@ -45,6 +45,7 @@
 pub mod chrome;
 pub mod event;
 pub mod histogram;
+pub mod json;
 pub mod metrics;
 pub mod prometheus;
 pub mod sink;
@@ -83,34 +84,6 @@ pub fn next_id() -> u64 {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Escapes `s` as the *contents* of a JSON string (no surrounding quotes).
-pub(crate) fn escape_into(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Renders an `f64` as a JSON number (`null` when not finite).
-pub(crate) fn json_f64(out: &mut String, v: f64) {
-    use std::fmt::Write as _;
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,18 +96,5 @@ mod tests {
         let i = next_id();
         let j = next_id();
         assert_ne!(i, j);
-    }
-
-    #[test]
-    fn escaping_covers_specials() {
-        let mut s = String::new();
-        escape_into(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001");
-        let mut n = String::new();
-        json_f64(&mut n, f64::NAN);
-        assert_eq!(n, "null");
-        let mut n = String::new();
-        json_f64(&mut n, 1.5);
-        assert_eq!(n, "1.5");
     }
 }

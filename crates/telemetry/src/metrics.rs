@@ -18,12 +18,12 @@
 //! the output is stable across runs and directly diffable / `jq`-able:
 //!
 //! ```json
-//! {"counters": {"dd.gc_sweeps": 3, ...},
-//!  "gauges": {"sim.gates_dmav": 120.0, ...},
-//!  "labels": {"array.vecops_backend": "avx2"}}
+//! {"counters":{"dd.gc_sweeps":3,...},"gauges":{"sim.gates_dmav":120,...},
+//!  "histograms":{...},"labels":{"array.vecops_backend":"avx2"}}
 //! ```
 
 use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::json::{self, Writer};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -200,74 +200,37 @@ impl MetricsRegistry {
 
     /// Serializes the registry as stable (sorted-key) JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        {
-            let map = lock(&self.inner.counters);
-            for (i, (k, v)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n    \"");
-                crate::escape_into(&mut out, k);
-                use std::fmt::Write as _;
-                let _ = write!(out, "\": {}", v.load(Ordering::Relaxed));
-            }
-            if !map.is_empty() {
-                out.push_str("\n  ");
-            }
-        }
-        out.push_str("},\n  \"gauges\": {");
-        {
-            let map = lock(&self.inner.gauges);
-            for (i, (k, v)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n    \"");
-                crate::escape_into(&mut out, k);
-                out.push_str("\": ");
-                crate::json_f64(&mut out, f64::from_bits(v.load(Ordering::Relaxed)));
-            }
-            if !map.is_empty() {
-                out.push_str("\n  ");
-            }
-        }
-        out.push_str("},\n  \"histograms\": {");
-        {
-            let map = lock(&self.inner.histograms);
-            for (i, (k, v)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n    \"");
-                crate::escape_into(&mut out, k);
-                out.push_str("\": ");
-                out.push_str(&v.snapshot().to_json());
-            }
-            if !map.is_empty() {
-                out.push_str("\n  ");
-            }
-        }
-        out.push_str("},\n  \"labels\": {");
-        {
-            let map = lock(&self.inner.labels);
-            for (i, (k, v)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n    \"");
-                crate::escape_into(&mut out, k);
-                out.push_str("\": \"");
-                crate::escape_into(&mut out, v);
-                out.push('"');
-            }
-            if !map.is_empty() {
-                out.push_str("\n  ");
-            }
-        }
-        out.push_str("}\n}");
-        out
+        let inner = &self.inner;
+        json::render(|w| {
+            w.begin_obj();
+            section(w, "counters", &inner.counters, |w, v| {
+                w.uint(v.load(Ordering::Relaxed));
+            });
+            section(w, "gauges", &inner.gauges, |w, v| {
+                w.num(f64::from_bits(v.load(Ordering::Relaxed)));
+            });
+            section(w, "histograms", &inner.histograms, |w, h| {
+                h.snapshot().write_json(w)
+            });
+            section(w, "labels", &inner.labels, |w, v| _ = w.string(v));
+            w.end_obj();
+        })
     }
+}
+
+/// Writes `"name": {key: value, ...}` from one registry map, under its lock
+/// (a snapshot would copy every name first).
+fn section<V>(
+    w: &mut Writer,
+    name: &str,
+    map: &Mutex<BTreeMap<String, V>>,
+    value: impl Fn(&mut Writer, &V),
+) {
+    w.key(name).begin_obj();
+    for (k, v) in lock(map).iter() {
+        value(w.key(k), v);
+    }
+    w.end_obj();
 }
 
 /// The process-global registry — the default sink for single-tenant runs
@@ -311,6 +274,7 @@ pub fn metrics_json() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn counters_and_gauges_round_trip() {
@@ -327,13 +291,14 @@ mod tests {
         assert_eq!(g.get(), 2.5);
         set_label("test.metrics.label", "hello");
 
-        let json = metrics_json();
-        assert!(json.contains("\"test.metrics.count\""));
-        assert!(json.contains("\"test.metrics.gauge\": 2.5"));
-        assert!(json.contains("\"test.metrics.label\": \"hello\""));
-        assert!(json.contains("\"counters\""));
-        assert!(json.contains("\"gauges\""));
-        assert!(json.contains("\"labels\""));
+        let json = json::parse(&metrics_json()).unwrap();
+        let at = |section: &str, name: &str| json.get(section)?.get(name).cloned();
+        assert_eq!(
+            at("counters", "test.metrics.count"),
+            Some((before + 3).into())
+        );
+        assert_eq!(at("gauges", "test.metrics.gauge"), Some(Json::Num(2.5)));
+        assert_eq!(at("labels", "test.metrics.label"), Some("hello".into()));
     }
 
     #[test]
@@ -346,8 +311,18 @@ mod tests {
         assert!(r.histogram("test.hist.us").same_as(&h));
         assert_eq!(r.histogram("test.hist.us").snapshot().count, 2);
         let json = r.to_json();
-        assert!(json.contains("\"histograms\""), "{json}");
-        assert!(json.contains("\"test.hist.us\": {\"count\": 2"), "{json}");
+        let h_json = json::parse(&json).unwrap();
+        let snap = h_json.get("histograms").and_then(|h| h.get("test.hist.us"));
+        assert_eq!(
+            snap.and_then(|s| s.get("count")),
+            Some(&Json::Num(2.0)),
+            "{json}"
+        );
+        assert_eq!(
+            snap.and_then(|s| s.get("sum")),
+            Some(&Json::Num(105.0)),
+            "{json}"
+        );
         r.reset();
         assert_eq!(h.snapshot().count, 0, "reset zeroes histograms");
     }

@@ -190,7 +190,7 @@ fn main() {
                             .unwrap_or(0);
                         let known = h.job(id).is_some();
                         if !known {
-                            http::respond_json(&mut stream, 404, "{\"error\":\"no such job\"}");
+                            http::respond_json(&mut stream, 404, &serve::err_body("no such job"));
                         } else {
                             std::thread::spawn(move || {
                                 serve::stream::stream_events(&mut stream, &h, id, since);
@@ -201,13 +201,7 @@ fn main() {
                         http::respond(&mut stream, status, content_type, &body);
                     }
                 }
-                Err(e) => {
-                    http::respond_json(
-                        &mut stream,
-                        400,
-                        &format!("{{\"error\":{:?}}}", e.to_string()),
-                    );
-                }
+                Err(e) => http::respond_json(&mut stream, 400, &serve::err_body(&e)),
             },
             Err(e) => {
                 // EMFILE and the like persist until a stream thread exits:

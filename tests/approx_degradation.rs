@@ -9,6 +9,7 @@
 //! across process boundaries. The property block at the bottom pins the
 //! truncation primitive's invariants against dense recomputation.
 
+use flatdd::telemetry::json::{self, Json};
 use flatdd::{
     CheckpointPolicy, ConversionPolicy, FlatDdConfig, FlatDdError, FlatDdSimulator, GovernorConfig,
 };
@@ -65,7 +66,8 @@ fn unarmed_breach_stays_fatal() {
     assert_eq!(sim.stats().approx_truncations, 0);
     assert_eq!(sim.fidelity(), 1.0);
     assert!(!sim.is_approximate());
-    assert!(sim.stats().to_json().contains("\"approximate\": false"));
+    let stats = json::parse(&sim.stats().to_json()).unwrap();
+    assert_eq!(stats.get("approximate"), Some(&Json::Bool(false)));
 }
 
 #[test]
@@ -131,9 +133,18 @@ fn armed_floor_completes_with_bounded_fidelity() {
     );
     // The result self-describes as approximate, with the fidelity last in
     // the stats payload.
-    let json = stats.to_json();
-    assert!(json.contains("\"approximate\": true"), "{json}");
-    assert!(json.contains("\"fidelity\":"), "{json}");
+    let text = stats.to_json();
+    let v = json::parse(&text).unwrap();
+    assert_eq!(v.get("approximate"), Some(&Json::Bool(true)), "{text}");
+    assert_eq!(
+        v.get("fidelity"),
+        Some(&Json::Num(sim.fidelity())),
+        "{text}"
+    );
+    assert!(
+        text.ends_with(&format!("\"fidelity\":{}}}", sim.fidelity())),
+        "{text}"
+    );
     // The truncated state is still a normalized quantum state, and it is
     // genuinely close to the exact result (the floor bounds the tracked
     // product; the dense cross-check guards against accounting bugs).
@@ -153,7 +164,9 @@ fn armed_floor_completes_with_bounded_fidelity() {
     );
     // The cumulative product is published as a gauge for the serve layer.
     sim.publish_metrics();
-    assert!(sim.context().metrics().to_json().contains("sim.fidelity"));
+    let metrics = json::parse(&sim.context().metrics().to_json()).unwrap();
+    let gauge = metrics.get("gauges").and_then(|g| g.get("sim.fidelity"));
+    assert_eq!(gauge, Some(&Json::Num(sim.fidelity())));
 }
 
 #[test]

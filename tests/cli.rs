@@ -1,6 +1,7 @@
 //! End-to-end tests of the `flatdd-cli` binary (cargo builds it for
 //! integration tests and exposes the path via `CARGO_BIN_EXE_*`).
 
+use flatdd::telemetry::json::{self, Json};
 use std::process::Command;
 
 fn cli() -> Command {
@@ -175,15 +176,32 @@ fn telemetry_flags_write_valid_files() {
         events.to_str().unwrap(),
     ]);
     let trace = std::fs::read_to_string(&trace).unwrap();
-    assert!(trace.starts_with("{\"traceEvents\":["));
-    assert!(trace.contains("\"dmav phase\""), "DNN must convert");
+    let Some(Json::Arr(entries)) = json::parse(&trace).unwrap().get("traceEvents").cloned() else {
+        panic!("no traceEvents array: {trace}");
+    };
+    assert!(
+        entries
+            .iter()
+            .any(|e| e.get("name") == Some(&"dmav phase".into())),
+        "DNN must convert"
+    );
     let metrics = std::fs::read_to_string(&metrics).unwrap();
-    assert!(metrics.contains("\"core.runs\": 1"), "{metrics}");
-    assert!(metrics.contains("\"sim.gates_dmav\""));
+    let m = json::parse(&metrics).unwrap();
+    let section = |name: &str, key: &str| m.get(name).and_then(|s| s.get(key)).cloned();
+    assert_eq!(
+        section("counters", "core.runs"),
+        Some(Json::Num(1.0)),
+        "{metrics}"
+    );
+    assert!(section("gauges", "sim.gates_dmav").is_some(), "{metrics}");
     let events = std::fs::read_to_string(&events).unwrap();
     assert!(events.lines().count() > 2);
     assert!(events.lines().all(|l| l.starts_with("{\"type\":\"")));
-    assert!(events.contains("\"type\":\"phase_transition\""));
+    let types: Vec<Json> = events
+        .lines()
+        .map(|l| json::parse(l).unwrap().get("type").cloned().unwrap())
+        .collect();
+    assert!(types.contains(&"phase_transition".into()));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -7,6 +7,8 @@
 #[path = "serve_util/mod.rs"]
 mod util;
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 use util::*;
 
@@ -18,7 +20,7 @@ fn submit_over_http_run_to_completion_and_observe() {
 
     let (code, body) = http(port, "GET", "/healthz", None);
     assert_eq!(code, 200);
-    assert!(body.contains("\"status\":\"ok\""), "{body}");
+    assert_eq!(field(&body, &["status"]), Some("ok".into()), "{body}");
 
     let (code, body) = http(
         port,
@@ -31,8 +33,9 @@ fn submit_over_http_run_to_completion_and_observe() {
 
     let status = wait_terminal(port, id, Duration::from_secs(60));
     assert_eq!(job_state(&status), "done", "{status}");
-    assert!(
-        status.contains("\"total_gates\":"),
+    assert_eq!(
+        field_u64(&status, &["result", "total_gates"]),
+        Some(8),
         "result payload missing: {status}"
     );
     // GHZ heaviest outcomes are |0..0> and |1..1> at p = 1/2 each.
@@ -43,12 +46,19 @@ fn submit_over_http_run_to_completion_and_observe() {
 
     let (code, body) = http(port, "GET", "/jobs", None);
     assert_eq!(code, 200);
-    assert!(body.contains("\"circuit\":\"ghz:8\""), "{body}");
+    let Some(Json::Arr(jobs)) = field(&body, &["jobs"]) else {
+        panic!("no job list in {body}");
+    };
+    assert!(
+        jobs.iter()
+            .any(|j| j.get("circuit") == Some(&"ghz:8".into())),
+        "{body}"
+    );
 
     let (code, body) = http(port, "GET", "/metrics", None);
     assert_eq!(code, 200);
     assert!(
-        field_u64(&body, "\"serve.jobs_completed\":") >= Some(1),
+        field_u64(&body, &["counters", "serve.jobs_completed"]) >= Some(1),
         "{body}"
     );
 
@@ -97,7 +107,7 @@ fn worker_panic_fails_one_job_and_spares_the_daemon() {
     let status = wait_terminal(port, poisoned, Duration::from_secs(60));
     assert_eq!(job_state(&status), "failed", "{status}");
     assert_eq!(
-        field_u64(&status, "\"exit_code\":"),
+        field_u64(&status, &["exit_code"]),
         Some(10),
         "worker panic must map to exit code 10: {status}"
     );
@@ -112,7 +122,7 @@ fn worker_panic_fails_one_job_and_spares_the_daemon() {
     // The daemon itself survived.
     let (code, body) = http(port, "GET", "/healthz", None);
     assert_eq!(code, 200);
-    assert!(body.contains("\"status\":\"ok\""), "{body}");
+    assert_eq!(field(&body, &["status"]), Some("ok".into()), "{body}");
 
     daemon.drain(Duration::from_secs(30));
     std::fs::remove_dir_all(&spool).ok();
@@ -146,7 +156,10 @@ fn worker_dying_under_the_scheduler_lock_does_not_poison_the_daemon() {
     // claim and its condvar wait — proceeds on the state the dead worker
     // left behind.
     let (code, body) = http(port, "GET", "/healthz", None);
-    assert!(code == 200 && body.contains("\"status\":\"ok\""), "{body}");
+    assert!(
+        code == 200 && field(&body, &["status"]) == Some("ok".into()),
+        "{body}"
+    );
     let status = wait_terminal(port, submit(), Duration::from_secs(60));
     assert_eq!(job_state(&status), "done", "{status}");
     assert_eq!(state(lost), "running");
@@ -240,13 +253,13 @@ fn crash_loop_is_poisoned_after_the_retry_budget() {
 
     let status = wait_terminal(port, id, Duration::from_secs(60));
     assert_eq!(job_state(&status), "failed", "{status}");
-    assert_eq!(field_u64(&status, "\"exit_code\":"), Some(10), "{status}");
+    assert_eq!(field_u64(&status, &["exit_code"]), Some(10), "{status}");
     assert!(
-        status.contains("poisoned"),
+        field(&status, &["error"]).is_some_and(|e| e.as_str().unwrap().contains("poisoned")),
         "error should mark the job as crash-loop poisoned: {status}"
     );
     // Both attempts are accounted in the persisted record.
-    assert_eq!(field_u64(&status, "\"panics\":"), Some(2), "{status}");
+    assert_eq!(field_u64(&status, &["panics"]), Some(2), "{status}");
 
     // The daemon itself survived both panics and still serves work.
     let (code, body) = http(
@@ -261,7 +274,7 @@ fn crash_loop_is_poisoned_after_the_retry_budget() {
     assert_eq!(job_state(&status), "done", "{status}");
     let (_, metrics) = http(port, "GET", "/metrics", None);
     assert!(
-        field_u64(&metrics, "\"serve.worker_panics\":") >= Some(2),
+        field_u64(&metrics, &["counters", "serve.worker_panics"]) >= Some(2),
         "{metrics}"
     );
 
@@ -292,14 +305,13 @@ fn approximate_degradation_stamps_the_result() {
 
     let status = wait_terminal(port, id, Duration::from_secs(120));
     assert_eq!(job_state(&status), "done", "{status}");
-    assert!(
-        status.contains("\"approximate\":true"),
+    assert_eq!(
+        field(&status, &["result", "approximate"]),
+        Some(Json::Bool(true)),
         "result must self-describe as approximate: {status}"
     );
-    let fidelity = status
-        .split("\"fidelity\":")
-        .nth(1)
-        .and_then(|s| s.split([',', '}']).next()?.trim().parse::<f64>().ok())
+    let fidelity = field(&status, &["result", "fidelity"])
+        .and_then(|f| f.as_f64())
         .expect("result carries a fidelity");
     assert!(
         (0.9..1.0).contains(&fidelity),
@@ -322,6 +334,32 @@ fn healthz_median_ms(port: u16) -> f64 {
         .collect();
     ms.sort_by(f64::total_cmp);
     (ms[9] + ms[10]) / 2.0
+}
+
+/// A request the daemon cannot read is answered with a JSON `error` body,
+/// control characters in the reason included.
+#[test]
+fn unreadable_request_gets_a_json_400() {
+    let spool = fresh_spool("bad-request");
+    let daemon = Daemon::start(&spool, &["--workers", "1"]);
+    let mut stream = TcpStream::connect(("127.0.0.1", daemon.port)).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+        .write_all(b"POST /jobs HTTP/1.1\r\nHost: localhost\r\nContent-Length: 1\x01\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response:?}");
+    let (_, body) = response.split_once("\r\n\r\n").expect("head and body");
+    assert_eq!(
+        field(body, &["error"]),
+        Some("bad Content-Length `1\u{1}`".into()),
+        "{body:?}"
+    );
+    daemon.drain(Duration::from_secs(30));
+    std::fs::remove_dir_all(&spool).ok();
 }
 
 #[test]
@@ -378,7 +416,16 @@ fn wide_regular_job_is_read_out_without_materializing_the_state() {
     // nobody allocated them.
     let proc_status = std::fs::read_to_string(format!("/proc/{}/status", daemon.child.id()))
         .expect("daemon /proc status");
-    let hwm_kb = field_u64(&proc_status, "VmHWM:").expect("VmHWM line");
+    let hwm_kb: u64 = proc_status
+        .lines()
+        .find_map(|l| {
+            l.strip_prefix("VmHWM:")?
+                .trim()
+                .strip_suffix(" kB")?
+                .parse()
+                .ok()
+        })
+        .expect("VmHWM line");
     assert!(hwm_kb < 64 << 10, "daemon VmHWM {hwm_kb} kB");
     daemon.drain(Duration::from_secs(30));
     std::fs::remove_dir_all(&spool).ok();

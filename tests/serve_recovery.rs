@@ -111,7 +111,7 @@ fn sigkill_mid_flight_restart_completes_and_matches() {
     let (code, body) = http(daemon.port, "GET", "/metrics", None);
     assert_eq!(code, 200);
     assert!(
-        field_u64(&body, "\"serve.jobs_recovered\":") >= Some(1),
+        field_u64(&body, &["counters", "serve.jobs_recovered"]) >= Some(1),
         "restart must report the recovered job: {body}"
     );
     let status = wait_terminal(daemon.port, id, Duration::from_secs(300));
@@ -148,7 +148,7 @@ fn sigterm_drain_parks_the_job_and_restart_finishes_it() {
     let record = std::fs::read_to_string(spool.join(format!("job-{id}.json")))
         .expect("drained daemon must persist the job record");
     assert!(
-        record.contains("\"state\":\"preempted\""),
+        job_state(&record) == "preempted",
         "drained job must be parked as preempted: {record}"
     );
     assert!(
@@ -161,7 +161,7 @@ fn sigterm_drain_parks_the_job_and_restart_finishes_it() {
     let status = wait_terminal(daemon.port, id, Duration::from_secs(300));
     assert_eq!(job_state(&status), "done", "{status}");
     assert!(
-        field_u64(&status, "\"preemptions\":") >= Some(1),
+        field_u64(&status, &["preemptions"]) >= Some(1),
         "the drain must be visible in the record: {status}"
     );
     assert_heavy_matches(&status);

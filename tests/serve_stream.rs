@@ -60,14 +60,15 @@ impl EventStream {
         let mut buf = vec![0u8; size + 2]; // payload + trailing CRLF
         self.reader.read_exact(&mut buf).expect("chunk payload");
         let line = String::from_utf8(buf[..size].to_vec()).expect("utf8 event");
+        json(&line); // every line of the stream is one JSON document
         Some(line.trim_end().to_string())
     }
 }
 
-/// `"seq":N` out of a progress line.
+/// The `seq` of a progress line.
 fn seq_of(line: &str) -> Option<u64> {
-    line.contains("\"event\":\"progress\"")
-        .then(|| field_u64(line, "\"seq\":"))
+    (field(line, &["event"])? == "progress".into())
+        .then(|| field_u64(line, &["seq"]))
         .flatten()
 }
 
@@ -128,7 +129,7 @@ fn stream_survives_reconnect_without_seq_gap() {
                 break;
             }
         }
-        if line.contains("\"event\":\"end\"") {
+        if field(&line, &["event"]) == Some("end".into()) {
             saw_end_early = true;
             break;
         }
@@ -150,7 +151,7 @@ fn stream_survives_reconnect_without_seq_gap() {
         if let Some(s) = seq_of(&line) {
             seqs.push(s);
         }
-        if line.contains("\"event\":\"end\"") {
+        if field(&line, &["event"]) == Some("end".into()) {
             ended = true;
             break;
         }

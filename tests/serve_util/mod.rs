@@ -3,6 +3,7 @@
 
 #![allow(dead_code)]
 
+pub use flatdd::serve::json::{parse, Json};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -116,31 +117,33 @@ pub fn http(port: u16, method: &str, path: &str, body: Option<&str>) -> (u32, St
     (status, payload)
 }
 
-/// Extracts a top-level `"id": N` from a submit response.
+/// Parses a response body (or an NDJSON line), failing the test with the
+/// text when it is not JSON.
+pub fn json(body: &str) -> Json {
+    parse(body).unwrap_or_else(|e| panic!("not JSON ({e}): {body:?}"))
+}
+
+/// The value at `path` (object keys from the root) of a JSON body.
+pub fn field(body: &str, path: &[&str]) -> Option<Json> {
+    path.iter().try_fold(json(body), |v, k| v.get(k).cloned())
+}
+
+/// [`field`] as a non-negative integer.
+pub fn field_u64(body: &str, path: &[&str]) -> Option<u64> {
+    field(body, path)?.as_u64()
+}
+
+/// The `id` of a submit response.
 pub fn job_id(body: &str) -> u64 {
-    field_u64(body, "\"id\":").unwrap_or_else(|| panic!("no id in {body:?}"))
+    field_u64(body, &["id"]).unwrap_or_else(|| panic!("no id in {body:?}"))
 }
 
-/// Pulls the number right after `key` out of a JSON string (the tests
-/// only need flat, known-shape payloads — no full parser required).
-pub fn field_u64(body: &str, key: &str) -> Option<u64> {
-    let i = body.find(key)? + key.len();
-    let digits: String = body[i..]
-        .chars()
-        .skip_while(|c| c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// The job's `"state"` value from a status payload.
+/// The job's `state` from a status payload.
 pub fn job_state(body: &str) -> String {
-    let key = "\"state\":\"";
-    let i = body
-        .find(key)
-        .unwrap_or_else(|| panic!("no state in {body:?}"))
-        + key.len();
-    body[i..].chars().take_while(|&c| c != '"').collect()
+    match field(body, &["state"]) {
+        Some(Json::Str(s)) => s,
+        _ => panic!("no state in {body:?}"),
+    }
 }
 
 /// Polls `GET /jobs/{id}` until the state is terminal; returns the final
@@ -162,33 +165,22 @@ pub fn wait_terminal(port: u16, id: u64, timeout: Duration) -> String {
     }
 }
 
-/// Parses the `heavy` array of a `done` status payload into
-/// `(index, re, im)` triples.
+/// The `result.heavy` array of a `done` status payload as `(index, re,
+/// im)` triples (empty when the job has no result).
 pub fn heavy_amplitudes(body: &str) -> Vec<(usize, f64, f64)> {
-    let mut out = Vec::new();
-    let Some(start) = body.find("\"heavy\":[") else {
-        return out;
+    let Some(Json::Arr(items)) = field(body, &["result", "heavy"]) else {
+        return Vec::new();
     };
-    let rest = &body[start + "\"heavy\":[".len()..];
-    let end = rest.find(']').unwrap_or(rest.len());
-    for item in rest[..end].split("},") {
-        let idx = field_u64(item, "\"index\":");
-        let re = field_f64(item, "\"re\":");
-        let im = field_f64(item, "\"im\":");
-        if let (Some(idx), Some(re), Some(im)) = (idx, re, im) {
-            out.push((idx as usize, re, im));
-        }
-    }
-    out
-}
-
-fn field_f64(body: &str, key: &str) -> Option<f64> {
-    let i = body.find(key)? + key.len();
-    let num: String = body[i..]
-        .chars()
-        .take_while(|&c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-        .collect();
-    num.parse().ok()
+    let num = |it: &Json, k: &str| it.get(k).and_then(Json::as_f64);
+    items
+        .iter()
+        .map(
+            |it| match (num(it, "index"), num(it, "re"), num(it, "im")) {
+                (Some(i), Some(re), Some(im)) => (i as usize, re, im),
+                _ => panic!("malformed heavy entry {it} in {body:?}"),
+            },
+        )
+        .collect()
 }
 
 /// A fresh spool directory under the system temp dir.

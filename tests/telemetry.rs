@@ -6,6 +6,7 @@
 //! a sink serializes on [`TELEMETRY_LOCK`] and filters recorded events by
 //! its own simulator's `telemetry_id`.
 
+use flatdd::telemetry::json::{self, Json};
 use flatdd::telemetry::{self, Event};
 use flatdd::{ConversionPolicy, FlatDdConfig, FlatDdSimulator};
 use qcircuit::generators;
@@ -182,18 +183,22 @@ fn chrome_trace_renders_phases_and_workers() {
     sim.run(&irregular_circuit()).expect("run");
     telemetry::remove_sink(id);
 
-    let json = telemetry::chrome_trace_json(&rec.events());
-    assert!(json.starts_with("{\"traceEvents\":["));
-    assert!(json.ends_with("]}"));
-    for needle in [
-        "\"dd phase\"",
-        "\"dmav phase\"",
-        "\"conversion\"",
-        "\"conversion worker 0\"",
-        "\"thread_name\"",
-    ] {
-        assert!(json.contains(needle), "missing {needle}");
+    let trace = telemetry::chrome_trace_json(&rec.events());
+    assert!(trace.starts_with("{\"traceEvents\":["));
+    let Some(Json::Arr(entries)) = json::parse(&trace).unwrap().get("traceEvents").cloned() else {
+        panic!("no traceEvents array");
+    };
+    let names: Vec<&str> = entries
+        .iter()
+        .filter_map(|e| e.get("name")?.as_str())
+        .collect();
+    for needle in ["dd phase", "dmav phase", "conversion", "thread_name"] {
+        assert!(names.contains(&needle), "missing {needle}");
     }
+    let worker_track = entries
+        .iter()
+        .find(|e| e.get("args").and_then(|a| a.get("name")) == Some(&"conversion worker 0".into()));
+    assert!(worker_track.is_some(), "missing conversion worker 0");
 }
 
 #[test]
@@ -205,14 +210,28 @@ fn metrics_registry_round_trips_and_resets() {
     ctr.inc();
     telemetry::gauge("test.roundtrip_gauge").set(2.5);
     telemetry::set_label("test.roundtrip_label", "hello \"world\"");
-    let json = telemetry::metrics_json();
-    assert!(json.contains("\"test.roundtrip_counter\": 42"), "{json}");
-    assert!(json.contains("\"test.roundtrip_gauge\": 2.5"), "{json}");
-    assert!(json.contains("\"test.roundtrip_label\": \"hello \\\"world\\\"\""));
-    assert!(json.starts_with("{\n  \"counters\": {"));
+    let text = telemetry::metrics_json();
+    assert!(text.starts_with("{\"counters\":{"), "{text}");
+    let m = json::parse(&text).unwrap();
+    let at = |m: &Json, section: &str, key: &str| m.get(section)?.get(key).cloned();
+    assert_eq!(
+        at(&m, "counters", "test.roundtrip_counter"),
+        Some(Json::Num(42.0))
+    );
+    assert_eq!(
+        at(&m, "gauges", "test.roundtrip_gauge"),
+        Some(Json::Num(2.5))
+    );
+    assert_eq!(
+        at(&m, "labels", "test.roundtrip_label"),
+        Some("hello \"world\"".into())
+    );
 
     telemetry::reset_metrics();
     assert_eq!(ctr.get(), 0, "reset zeroes live counter handles");
-    let json = telemetry::metrics_json();
-    assert!(json.contains("\"test.roundtrip_counter\": 0"));
+    let m = json::parse(&telemetry::metrics_json()).unwrap();
+    assert_eq!(
+        at(&m, "counters", "test.roundtrip_counter"),
+        Some(Json::Num(0.0))
+    );
 }

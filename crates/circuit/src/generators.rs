@@ -752,7 +752,7 @@ mod tests {
     #[test]
     fn adder_adds() {
         // k=3 bits: a=3, b=5 => b' = 8 mod 8 = 0 with carry-out 1.
-        for (a_val, b_val) in [(3u64, 5u64), (1, 2), (7, 7), (0, 0), (6, 1)] {
+        for (a_val, b_val) in [(3u64, 5u64), (1, 2), (7, 7), (0, 0), (6, 1), (5, 6)] {
             let k = 3;
             let c = adder(k, a_val, b_val);
             let v = simulate(&c);
@@ -847,11 +847,11 @@ mod tests {
 
     #[test]
     fn grover_amplifies_marked_item() {
-        let n = 5;
-        let marked = 19;
-        let v = simulate(&grover(n, marked, None));
-        let p_marked = v[marked].norm_sqr();
-        assert!(p_marked > 0.9, "p={p_marked}");
+        for (n, marked) in [(5, 19), (8, 173)] {
+            let v = simulate(&grover(n, marked, None));
+            let p_marked = v[marked].norm_sqr();
+            assert!(p_marked > 0.9, "n={n}: p={p_marked}");
+        }
     }
 
     #[test]

@@ -60,6 +60,33 @@ impl Fixed {
         q - (self.mask & ((1usize << q) - 1)).count_ones() as usize
     }
 
+    /// Index into the array of basis state `index` (over all qubits): its
+    /// bits on the active qubits, in order; `None` where a fixed qubit
+    /// reads the other value, whose amplitude is zero.
+    pub(super) fn array_index(&self, index: usize) -> Option<usize> {
+        if index & self.mask != self.bits {
+            return None;
+        }
+        let top = (usize::BITS - index.leading_zeros()) as usize;
+        let (mut at, mut j) = (0, 0);
+        for q in (0..top).filter(|&q| !self.holds(q)) {
+            at |= (index >> q & 1) << j;
+            j += 1;
+        }
+        Some(at)
+    }
+
+    /// The basis state (over all qubits) of array index `at`: the inverse
+    /// of [`Self::array_index`]. Both keep index order.
+    pub(super) fn full_index(&self, at: usize) -> usize {
+        let (mut index, mut rest, mut free) = (self.bits, at, !self.mask);
+        while rest != 0 {
+            index |= (rest & 1) << free.trailing_zeros();
+            (rest, free) = (rest >> 1, free & (free - 1));
+        }
+        index
+    }
+
     /// The coefficients that put the state on fixed qubit `q`'s value,
     /// times `f`: what a widening that only spreads writes.
     pub(super) fn spread(&self, q: usize, f: Complex64) -> [Complex64; 2] {
@@ -222,6 +249,18 @@ mod tests {
         for kind in [H, SqrtX, SqrtY, RY(0.3)] {
             assert_eq!(f.reduce(&Gate::new(kind, 3)), Reduced::Widen(3));
         }
+    }
+
+    #[test]
+    fn the_index_maps_are_inverse_and_keep_order() {
+        let f = fixed(0b101001, 0b100001);
+        let full: Vec<usize> = (0..8).map(|at| f.full_index(at)).collect();
+        assert_eq!(full, [33, 35, 37, 39, 49, 51, 53, 55]);
+        for (at, &index) in full.iter().enumerate() {
+            assert_eq!(f.array_index(index), Some(at));
+        }
+        assert_eq!(f.array_index(0b000010), None);
+        assert_eq!(Fixed::NONE.full_index(13), 13);
     }
 
     #[test]

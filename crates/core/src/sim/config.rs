@@ -51,7 +51,6 @@ pub struct FlatDdConfig {
     /// task-graph gate apply). `1` (the default) runs the exact sequential
     /// DDSIM-equivalent path; higher values parallelize gate application
     /// once the state DD is large enough to amortize the fork-join.
-    /// Defaults from `FLATDD_DD_THREADS` when set.
     pub dd_threads: usize,
     /// Flat-phase shard count: the dispatch granularity of conversion,
     /// DMAV, gate kernels, measurement, the health watchdog, and
@@ -59,8 +58,7 @@ pub struct FlatDdConfig {
     /// count; explicit values are clamped like a thread count (power of
     /// two, `log2 s < n`). Numerically the shard count is inert: `1`
     /// reproduces the serial path bit-for-bit, any other value agrees to
-    /// rounding of the per-shard partial sums. Defaults from
-    /// `FLATDD_FLAT_SHARDS` when set.
+    /// rounding of the per-shard partial sums.
     pub flat_shards: usize,
     /// Conversion timing.
     pub conversion: ConversionPolicy,
@@ -81,15 +79,8 @@ impl Default for FlatDdConfig {
     fn default() -> Self {
         FlatDdConfig {
             threads: 16,
-            dd_threads: std::env::var("FLATDD_DD_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&t: &usize| t >= 1)
-                .unwrap_or(1),
-            flat_shards: std::env::var("FLATDD_FLAT_SHARDS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
+            dd_threads: 1,
+            flat_shards: 0,
             conversion: ConversionPolicy::Ewma(EwmaConfig::default()),
             fusion: FusionPolicy::None,
             trace: false,

@@ -336,7 +336,8 @@ impl FlatPhase {
 
     /// The state over all `n` qubits: the array itself while no qubit is
     /// fixed, else a copy with each fixed qubit spread back in and the
-    /// pending factor applied. Every full-width reader goes through here.
+    /// pending factor applied. Every full-width reader but
+    /// [`Self::amplitude`] and [`Self::top_amplitudes`] goes through here.
     pub(super) fn full_state(&self, n: usize) -> Cow<'_, [Complex64]> {
         if self.fixed.mask == 0 {
             return Cow::Borrowed(&self.v);
@@ -360,16 +361,28 @@ impl FlatPhase {
         if fx.mask == 0 {
             return self.v[index];
         }
-        if index & fx.mask != fx.bits {
-            return Complex64::ZERO;
+        fx.array_index(index)
+            .map_or(Complex64::ZERO, |at| self.v[at] * fx.factor)
+    }
+
+    /// The `k` heaviest amplitudes over all qubits, in the order of
+    /// [`qarray::TopAmplitudes`]: one pass over the array, each entry
+    /// offered at its full index with the value [`Self::amplitude`] reads,
+    /// so nothing of width `2^n` is built while qubits are held out.
+    pub(super) fn top_amplitudes(&self, k: usize) -> Vec<(usize, Complex64)> {
+        let fx = &self.fixed;
+        if fx.mask == 0 {
+            return qarray::top_amplitudes(&self.v, k);
         }
-        let top = usize::BITS - index.leading_zeros();
-        let (mut at, mut j) = (0, 0);
-        for q in (0..top as usize).filter(|&q| !fx.holds(q)) {
-            at |= (index >> q & 1) << j;
-            j += 1;
+        let mut top = qarray::TopAmplitudes::new(k);
+        for (at, &a) in self.v.iter().enumerate() {
+            let a = a * fx.factor;
+            // Only an entry that can be kept pays for its index.
+            if a.norm_sqr() >= top.floor() {
+                top.offer(fx.full_index(at), a);
+            }
         }
-        self.v[at] * fx.factor
+        top.into_sorted()
     }
 
     /// The array as the whole state, for the readers that collapse or

@@ -403,13 +403,14 @@ impl FlatDdSimulator {
         Some(size)
     }
 
-    /// The final amplitudes (DD phase: parallel conversion; DMAV phase: the
-    /// flat array at full width).
+    /// The final amplitudes (DD phase: parallel conversion in the flat
+    /// phase's shard geometry, so the bits do not depend on the thread
+    /// count; DMAV phase: the flat array at full width).
     pub fn amplitudes(&self) -> Vec<Complex64> {
         match &self.phase {
             PhaseState::Dd(dd) => {
                 let core = &self.core;
-                dd_to_array_grouped(&core.pkg, dd.state, core.n, &core.pool, core.t)
+                dd_to_array_grouped(&core.pkg, dd.state, core.n, &core.pool, core.shards)
             }
             PhaseState::Flat(flat) => flat.full_state(self.core.n).into_owned(),
         }
@@ -432,7 +433,7 @@ impl FlatDdSimulator {
     pub fn top_amplitudes(&self, k: usize) -> Vec<(usize, Complex64)> {
         match &self.phase {
             PhaseState::Dd(dd) => self.core.pkg.top_amplitudes(dd.state, self.core.n, k),
-            PhaseState::Flat(flat) => qarray::top_amplitudes(&flat.full_state(self.core.n), k),
+            PhaseState::Flat(flat) => flat.top_amplitudes(k),
         }
     }
 

@@ -12,10 +12,9 @@
 //!   --engine flatdd|dd|array   engine selection (default flatdd)
 //!   --threads <t>              worker threads (default 4)
 //!   --dd-threads <t>           DD-phase worker threads (default 1 =
-//!                              sequential DDSIM-equivalent; or
-//!                              FLATDD_DD_THREADS)
+//!                              sequential DDSIM-equivalent)
 //!   --flat-shards <s>          flat-phase state shards (default auto = one
-//!                              shard per thread; or FLATDD_FLAT_SHARDS)
+//!                              shard per thread)
 //!   --shots <k>                sample k bitstrings from the output
 //!   --top <k>                  print the k most probable outcomes (default 8)
 //!   --seed <u64>               generator / sampling seed (default 42)
@@ -386,11 +385,9 @@ fn cmd_run(args: &[String]) {
             if o.no_convert {
                 cfg.conversion = flatdd::ConversionPolicy::Never;
             }
-            // Flag beats FLATDD_DD_THREADS (already folded into the default).
             if let Some(t) = o.dd_threads {
                 cfg.dd_threads = t;
             }
-            // Likewise --flat-shards beats FLATDD_FLAT_SHARDS.
             if let Some(s) = o.flat_shards {
                 cfg.flat_shards = s;
             }

@@ -62,7 +62,6 @@ fn main() {
         let cfg = FlatDdConfig {
             conversion: ConversionPolicy::Never,
             threads: 1,
-            dd_threads: 1,
             flat_shards: 1,
             ..FlatDdConfig::default()
         };

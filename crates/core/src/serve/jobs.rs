@@ -36,9 +36,6 @@ pub struct JobSpec {
     pub seed: u64,
     /// Worker threads for this job's simulator.
     pub threads: usize,
-    /// DD-phase worker threads (`None` = the daemon default, which itself
-    /// defaults to 1 = sequential).
-    pub dd_threads: Option<usize>,
     /// Flat-phase state shards (`None` = the daemon default, which itself
     /// defaults to auto = one shard per worker thread).
     pub flat_shards: Option<usize>,
@@ -71,7 +68,6 @@ impl Default for JobSpec {
             qasm: None,
             seed: 42,
             threads: 2,
-            dd_threads: None,
             flat_shards: None,
             priority: DEFAULT_PRIORITY,
             deadline_secs: None,
@@ -109,6 +105,8 @@ impl JobSpec {
                     }
                     spec.threads = t as usize;
                 }
+                // Retired: the DD phase runs on one thread. Still validated
+                // and then dropped, so an earlier daemon's spool loads.
                 "dd_threads" => {
                     let t = v
                         .as_u64()
@@ -116,7 +114,6 @@ impl JobSpec {
                     if t == 0 {
                         return Err("`dd_threads` must be at least 1".into());
                     }
-                    spec.dd_threads = Some(t as usize);
                 }
                 "flat_shards" => {
                     let s = v
@@ -180,7 +177,6 @@ impl JobSpec {
             ("qasm", self.qasm.as_deref().map(Json::from)),
             ("seed", Some(self.seed.into())),
             ("threads", Some(self.threads.into())),
-            ("dd_threads", self.dd_threads.map(Json::from)),
             ("flat_shards", self.flat_shards.map(Json::from)),
             ("priority", Some(Json::Num(self.priority as f64))),
             ("deadline_secs", self.deadline_secs.map(Json::Num)),
@@ -549,7 +545,6 @@ mod tests {
             circuit: "ghz:6".into(),
             seed: 7,
             threads: 1,
-            dd_threads: Some(4),
             flat_shards: Some(8),
             priority: 3,
             deadline_secs: Some(2.5),

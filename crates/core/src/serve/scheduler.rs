@@ -56,9 +56,6 @@ pub struct ServeConfig {
     pub retry_backoff_ms: u64,
     /// Periodic checkpoint interval (gates) for jobs that do not set one.
     pub default_checkpoint_every: Option<usize>,
-    /// DD-phase worker threads for jobs that do not set `dd_threads`
-    /// (`None` = sequential DD phase).
-    pub default_dd_threads: Option<usize>,
     /// Flat-phase state shards for jobs that do not set `flat_shards`
     /// (`None` = auto: one shard per worker thread).
     pub default_flat_shards: Option<usize>,
@@ -78,7 +75,6 @@ impl ServeConfig {
             retry_max: 3,
             retry_backoff_ms: 50,
             default_checkpoint_every: None,
-            default_dd_threads: None,
             default_flat_shards: None,
         }
     }
@@ -723,9 +719,6 @@ fn execute_job(
         governor,
         ..Default::default()
     };
-    if let Some(t) = spec.dd_threads.or(inner.cfg.default_dd_threads) {
-        cfg.dd_threads = t;
-    }
     if let Some(s) = spec.flat_shards.or(inner.cfg.default_flat_shards) {
         cfg.flat_shards = s;
     }

@@ -47,10 +47,8 @@ pub enum FusionPolicy {
 pub struct FlatDdConfig {
     /// Requested worker threads (clamped to a power of two `<= 2^(n-1)`).
     pub threads: usize,
-    /// Worker threads for the *DD phase* (sharded unique/compute tables +
-    /// task-graph gate apply). `1` (the default) runs the exact sequential
-    /// DDSIM-equivalent path; higher values parallelize gate application
-    /// once the state DD is large enough to amortize the fork-join.
+    /// Ignored: the DD phase runs on one thread (DESIGN.md §12). The field
+    /// stays because the benchmark harness still sets it.
     pub dd_threads: usize,
     /// Flat-phase shard count: the dispatch granularity of conversion,
     /// DMAV, gate kernels, measurement, the health watchdog, and

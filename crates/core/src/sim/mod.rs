@@ -59,9 +59,9 @@ pub(crate) struct Core {
     /// Flat-phase shard count (resolved from `cfg.flat_shards`): the
     /// dispatch granularity of every flat-phase subsystem.
     shards: usize,
-    /// The simulator's one worker pool, `max(t, cfg.dd_threads)` wide: the
-    /// DD phase forks gate applies onto at most `cfg.dd_threads` of it, the
-    /// flat phase dispatches `shards` groups over it.
+    /// The simulator's one worker pool, `t` wide: the flat phase
+    /// dispatches `shards` groups over it, and the conversion reads the DD
+    /// package from its workers. The DD phase runs on the caller's thread.
     pool: ThreadPool,
     pkg: DdPackage,
     gov: ResourceGovernor,
@@ -264,7 +264,7 @@ impl FlatDdSimulator {
             n,
             t,
             shards: crate::pool::clamp_shards(cfg.flat_shards, t, n),
-            pool: ThreadPool::try_new(t.max(cfg.dd_threads))?,
+            pool: ThreadPool::try_new(t)?,
             pkg: DdPackage::default(),
             gov: ResourceGovernor::new(cfg.governor),
             stats: FlatDdStats::default(),

@@ -207,7 +207,6 @@ mod tests {
     fn ghz_run_json_matches_the_golden_string() {
         let cfg = crate::FlatDdConfig {
             threads: 1,
-            dd_threads: 1,
             governor: crate::GovernorConfig::unlimited(),
             ..Default::default()
         };

@@ -37,7 +37,6 @@ pub mod mac;
 pub mod node;
 pub mod ops;
 pub mod package;
-pub mod par;
 pub mod sampling;
 pub mod serialize;
 pub mod sim;
@@ -51,7 +50,6 @@ pub use node::ShardStats;
 pub use node::{MEdge, MNode, VEdge, VNode, TERM};
 pub use ops::ComputeStats;
 pub use package::{DdPackage, PackageStats};
-pub use par::ThreadPool;
 pub use qcircuit::rng::SplitMix64;
 pub use sim::{DdSimStats, DdSimulator};
 pub use verify::{check_equivalence, circuit_unitary_dd, unitaries_equal, Equivalence};

@@ -272,20 +272,6 @@ impl ComputeTables {
             + self.add_v.memory_bytes()
             + self.add_m.memory_bytes()
     }
-
-    // The matrix-vector table is shared with the parallel apply in `par`.
-
-    #[inline(always)]
-    pub(crate) fn lookup_mv(&self, mn: u32, vn: u32) -> Option<Lazy> {
-        self.mv
-            .lookup([pack_u32s(mn, vn)], hash_pair(mn as u64, vn as u64))
-    }
-
-    #[inline(always)]
-    pub(crate) fn insert_mv(&self, mn: u32, vn: u32, r: Lazy) {
-        self.mv
-            .insert([pack_u32s(mn, vn)], hash_pair(mn as u64, vn as u64), r);
-    }
 }
 
 /// Hit/miss counters of the operation caches.
@@ -303,15 +289,6 @@ pub struct ComputeStats {
     pub add_lookups: u64,
     /// Addition cache hits.
     pub add_hits: u64,
-}
-
-/// What the non-recursive prologue of a product `m * v` decides.
-pub(crate) enum Product {
-    /// The product itself: zero, a terminal, or — under an identity — the
-    /// other operand re-weighted.
-    Done(Lazy),
-    /// `w *` the product of the two target nodes.
-    Nodes(Complex64),
 }
 
 /// What the non-recursive prologue of a sum `a + b` decides.
@@ -542,36 +519,29 @@ impl DdPackage {
         self.intern_v(self.mul_mv_edge(m, self.lazy_v(v), self.m_level(m)))
     }
 
-    /// The part of `m * v` that needs no recursion. `level` is the level of
-    /// `m`'s node.
+    /// `m * v` for `m` at `level`.
     #[inline(always)]
-    pub(crate) fn mul_mv_prologue(&self, m: MEdge, v: Lazy, level: u8) -> Product {
+    fn mul_mv_edge(&self, m: MEdge, v: Lazy, level: u8) -> Lazy {
         let Some(w) = self.product_weight(m.w, v.w) else {
-            return Product::Done(Lazy::ZERO);
+            return Lazy::ZERO;
         };
         if m.is_terminal() {
             debug_assert_eq!(v.n, TERM);
-            return Product::Done(Lazy { n: TERM, w });
+            return Lazy { n: TERM, w };
         }
         // I_l * v = v: decided on the node id alone.
         if m.n == self.identity_at(level) {
-            return Product::Done(Lazy { n: v.n, w });
+            return Lazy { n: v.n, w };
         }
-        Product::Nodes(w)
+        self.scaled(self.mul_mv_rec(m.n, v.n), w)
     }
 
-    #[inline(always)]
-    fn mul_mv_edge(&self, m: MEdge, v: Lazy, level: u8) -> Lazy {
-        match self.mul_mv_prologue(m, v, level) {
-            Product::Done(e) => e,
-            Product::Nodes(w) => self.scaled(self.mul_mv_rec(m.n, v.n), w),
-        }
-    }
-
-    pub(crate) fn mul_mv_rec(&self, mn: u32, vn: u32) -> Lazy {
+    fn mul_mv_rec(&self, mn: u32, vn: u32) -> Lazy {
         debug_assert_ne!(mn, TERM);
         debug_assert_ne!(vn, TERM);
-        if let Some(hit) = self.compute.lookup_mv(mn, vn) {
+        let key = [pack_u32s(mn, vn)];
+        let hash = hash_pair(mn as u64, vn as u64);
+        if let Some(hit) = self.compute.mv.lookup(key, hash) {
             return hit;
         }
         let mnode = *self.m.get(mn);
@@ -585,7 +555,7 @@ impl DdPackage {
             self.add_v(p0, p1)
         });
         let r = self.make_vnode_lazy(mnode.level, es);
-        self.compute.insert_mv(mn, vn, r);
+        self.compute.mv.insert(key, hash, r);
         r
     }
 
@@ -644,6 +614,18 @@ impl DdPackage {
     pub fn apply_gate(&self, state: VEdge, gate: &qcircuit::Gate, n: usize) -> VEdge {
         let g = self.gate_dd(gate, n);
         self.mul_mv(g, state)
+    }
+
+    /// [`Self::apply_gate`]; `_pool` is ignored. A package has one writer
+    /// (DESIGN.md §12), and the benchmark harness still calls this name.
+    pub fn apply_gate_parallel(
+        &self,
+        _pool: &qarray::pool::ThreadPool,
+        state: VEdge,
+        gate: &qcircuit::Gate,
+        n: usize,
+    ) -> VEdge {
+        self.apply_gate(state, gate, n)
     }
 }
 

@@ -775,7 +775,7 @@ impl DdPackage {
     }
 
     /// Total lock-contention events observed across the unique-table and
-    /// complex-table shards (telemetry signal for `--dd-threads` tuning).
+    /// complex-table shards.
     pub fn contention_events(&self) -> u64 {
         let arena = |s: &[crate::node::ShardStats]| s.iter().map(|x| x.contended).sum::<u64>();
         let (vs, ms) = self.shard_stats();

@@ -1,12 +1,12 @@
-//! Cross-thread stress tests for the sharded DD package: canonicity of the
-//! unique/complex tables under concurrent insertion, exactness of the lossy
-//! compute caches, and equivalence of the parallel gate apply against the
-//! sequential engine. These run through the public API only — the same
-//! surface `FlatDdSimulator` uses — so they double as a contract check.
+//! Cross-thread stress tests for the DD package, which stays `Sync`: the
+//! simulator has one writer per package, but the conversion reads it from
+//! pool workers. Canonicity of the unique/complex tables under concurrent
+//! insertion and exactness of the lossy compute caches. These run through
+//! the public API only, so they double as a contract check.
 
 use qcircuit::complex::state_distance;
 use qcircuit::{dense, generators, Circuit, Complex64};
-use qdd::{DdPackage, ThreadPool};
+use qdd::DdPackage;
 use std::thread;
 
 /// Deterministic pseudo-random amplitudes (no external RNG crates).
@@ -93,43 +93,5 @@ fn concurrent_gate_applies_on_one_package_match_private_runs() {
             "{} diverged under shared-package contention",
             c.name()
         );
-    }
-}
-
-#[test]
-fn parallel_apply_stress_matches_sequential() {
-    // The task-graph parallel multiply at 2/4/8 workers against a fresh
-    // sequential run, across seeds and circuit families. 1e-12: the only
-    // permitted divergence is tolerance-bounded weight interning order.
-    let circuits = vec![
-        generators::random_circuit(7, 80, 5),
-        generators::qft(6),
-        generators::supremacy(2, 3, 8, 11),
-        generators::w_state(7),
-    ];
-    for c in &circuits {
-        let n = c.num_qubits();
-        let seq = DdPackage::default();
-        let mut want = seq.basis_state(n, 0);
-        for g in c.iter() {
-            let m = seq.gate_dd(g, n);
-            want = seq.mul_mv(m, want);
-        }
-        let want = seq.vector_to_array(want, n);
-        for t in [2usize, 4, 8] {
-            let pkg = DdPackage::default();
-            let pool = ThreadPool::new(t);
-            let mut state = pkg.basis_state(n, 0);
-            for g in c.iter() {
-                let m = pkg.gate_dd(g, n);
-                state = pkg.mul_mv_parallel(&pool, m, state);
-            }
-            let got = pkg.vector_to_array(state, n);
-            assert!(
-                state_distance(&got, &want) < 1e-12,
-                "{} diverged at {t} threads",
-                c.name()
-            );
-        }
     }
 }

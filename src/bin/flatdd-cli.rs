@@ -11,8 +11,6 @@
 //! run options:
 //!   --engine flatdd|dd|array   engine selection (default flatdd)
 //!   --threads <t>              worker threads (default 4)
-//!   --dd-threads <t>           DD-phase worker threads (default 1 =
-//!                              sequential DDSIM-equivalent)
 //!   --flat-shards <s>          flat-phase state shards (default auto = one
 //!                              shard per thread)
 //!   --shots <k>                sample k bitstrings from the output
@@ -79,8 +77,7 @@ const USAGE: &str = "\
 flatdd-cli — hybrid DD + flat-array quantum circuit simulator
 
 Usage:
-  flatdd-cli run <circuit> [--engine flatdd|dd|array] [--threads t] [--dd-threads t]
-                 [--flat-shards s]
+  flatdd-cli run <circuit> [--engine flatdd|dd|array] [--threads t] [--flat-shards s]
                  [--shots k] [--top k] [--seed s] [--expect PAULI] [--stats]
                  [--stats-json path|-] [--trace-out path]
                  [--metrics-out path|-] [--events-out path]
@@ -129,7 +126,6 @@ struct RunOpts {
     circuit: String,
     engine: String,
     threads: usize,
-    dd_threads: Option<usize>,
     flat_shards: Option<usize>,
     shots: usize,
     top: usize,
@@ -155,7 +151,6 @@ fn parse_run_opts(args: &[String]) -> RunOpts {
         circuit: String::new(),
         engine: "flatdd".into(),
         threads: 4,
-        dd_threads: None,
         flat_shards: None,
         shots: 0,
         top: 8,
@@ -186,10 +181,6 @@ fn parse_run_opts(args: &[String]) -> RunOpts {
         match a.as_str() {
             "--engine" => o.engine = val("--engine"),
             "--threads" => o.threads = val("--threads").parse().unwrap_or(4),
-            "--dd-threads" => {
-                o.dd_threads =
-                    Some(parse_or_die::<usize>("--dd-threads", &val("--dd-threads")).max(1))
-            }
             "--flat-shards" => {
                 o.flat_shards =
                     Some(parse_or_die::<usize>("--flat-shards", &val("--flat-shards")).max(1))
@@ -384,9 +375,6 @@ fn cmd_run(args: &[String]) {
             };
             if o.no_convert {
                 cfg.conversion = flatdd::ConversionPolicy::Never;
-            }
-            if let Some(t) = o.dd_threads {
-                cfg.dd_threads = t;
             }
             if let Some(s) = o.flat_shards {
                 cfg.flat_shards = s;

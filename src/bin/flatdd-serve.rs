@@ -11,8 +11,6 @@
 //!   --queue-cap <n>            bounded queue size, 429 beyond it (default 16)
 //!   --retry-max <n>            transient-failure retries per job (default 3)
 //!   --checkpoint-every <g>     default periodic checkpoint interval (gates)
-//!   --dd-threads <t>           default DD-phase worker threads per job
-//!                              (default 1 = sequential)
 //!   --flat-shards <s>          default flat-phase state shards per job
 //!                              (default auto = one shard per thread)
 //! ```
@@ -38,7 +36,7 @@ flatdd-serve — long-running FlatDD simulation daemon
 Usage:
   flatdd-serve --spool DIR [--port p] [--workers n] [--memory-budget-mb mb]
                [--queue-cap n] [--retry-max n] [--checkpoint-every gates]
-               [--dd-threads t] [--flat-shards s]";
+               [--flat-shards s]";
 
 /// `GET /jobs/{id}/events` → `Some(id)`; anything else `None`.
 fn event_stream_target(req: &http::Request) -> Option<u64> {
@@ -68,7 +66,6 @@ fn main() {
     let mut queue_cap = 16usize;
     let mut retry_max = 3u32;
     let mut checkpoint_every: Option<usize> = None;
-    let mut dd_threads: Option<usize> = None;
     let mut flat_shards: Option<usize> = None;
 
     let mut it = args.iter();
@@ -96,10 +93,6 @@ fn main() {
                 }
                 checkpoint_every = Some(g);
             }
-            "--dd-threads" => {
-                let t: usize = parse_or_die("--dd-threads", &val("--dd-threads"));
-                dd_threads = Some(t.max(1));
-            }
             "--flat-shards" => {
                 let s: usize = parse_or_die("--flat-shards", &val("--flat-shards"));
                 flat_shards = Some(s.max(1));
@@ -125,7 +118,6 @@ fn main() {
     cfg.queue_cap = queue_cap.max(1);
     cfg.retry_max = retry_max;
     cfg.default_checkpoint_every = checkpoint_every;
-    cfg.default_dd_threads = dd_threads;
     cfg.default_flat_shards = flat_shards;
 
     // SIGTERM/SIGINT only set a flag and wake the shutdown watcher below,

@@ -50,7 +50,6 @@ fn lane_cfg(lane: Lane) -> FlatDdConfig {
     };
     FlatDdConfig {
         threads: 2,
-        dd_threads: 1,
         conversion,
         fusion,
         governor: GovernorConfig::unlimited(),

@@ -14,7 +14,7 @@ use flatdd::{
     FusionPolicy, Phase, RunContext,
 };
 use qcircuit::complex::state_distance;
-use qcircuit::Circuit;
+use qcircuit::{Circuit, Complex64};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -272,18 +272,16 @@ fn four_concurrent_jobs_keep_stats_and_faults_isolated() {
     );
 }
 
-/// Two jobs running their *DD phases* concurrently with `dd_threads = 2`
-/// each own an independent `DdPackage` (unique/complex/compute tables) and
-/// an independent worker pool: both produce their own sequential reference
-/// amplitudes, and each job's parallel-apply counter counts only its own
-/// gates. Before the per-job `RunContext` refactor the DD package was
-/// effectively global; this pins the de-globalized behavior under the new
-/// threaded engine.
+/// Two jobs running their *DD phases* concurrently each own an
+/// independent `DdPackage` (unique/complex/compute tables): both reproduce
+/// their solo reference amplitudes bit for bit, and each job's `gates_dd`
+/// counter counts only its own gates. Before the per-job `RunContext`
+/// refactor the DD package was effectively global; this pins the
+/// de-globalized behavior.
 #[test]
 fn concurrent_dd_phase_jobs_use_independent_packages() {
     let n = 8;
-    // Irregular circuits so the state DD crosses the parallel-dispatch
-    // threshold and the threaded apply actually runs.
+    // Irregular circuits, so the two packages fill with different nodes.
     let mk = |seed: u64| {
         let mut c = Circuit::new(n);
         for l in 0..12 {
@@ -300,16 +298,11 @@ fn concurrent_dd_phase_jobs_use_independent_packages() {
     let (ca, cb) = (mk(0), mk(5));
     let cfg = FlatDdConfig {
         threads: 1,
-        dd_threads: 2,
         conversion: ConversionPolicy::Never,
         ..Default::default()
     };
-    let seq = FlatDdConfig {
-        dd_threads: 1,
-        ..cfg
-    };
     let reference = |c: &Circuit| {
-        let mut sim = FlatDdSimulator::try_new(n, seq).unwrap();
+        let mut sim = FlatDdSimulator::try_new(n, cfg).unwrap();
         sim.run(c).unwrap();
         sim.amplitudes()
     };
@@ -329,27 +322,23 @@ fn concurrent_dd_phase_jobs_use_independent_packages() {
     let got_a = a.join().unwrap();
     let got_b = b.join().unwrap();
 
-    let da = state_distance(&got_a, &want_a);
-    let db = state_distance(&got_b, &want_b);
+    let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+        v.iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect()
+    };
     assert!(
-        da < 1e-12,
-        "job A deviates by {da:.3e} — packages not isolated?"
+        bits(&got_a) == bits(&want_a),
+        "job A deviates by {:.3e} — packages not isolated?",
+        state_distance(&got_a, &want_a)
     );
     assert!(
-        db < 1e-12,
-        "job B deviates by {db:.3e} — packages not isolated?"
+        bits(&got_b) == bits(&want_b),
+        "job B deviates by {:.3e} — packages not isolated?",
+        state_distance(&got_b, &want_b)
     );
 
-    // Each context counted parallel DD applies for its own job only: both
-    // jobs took the threaded path, and neither counter double-counts the
-    // neighbor (a shared package/pool would funnel both jobs through one
-    // registry).
-    let pa = ctx_a.metrics().counter("core.dd_parallel_applies").get();
-    let pb = ctx_b.metrics().counter("core.dd_parallel_applies").get();
-    assert!(pa > 0, "job A never dispatched a parallel apply");
-    assert!(pb > 0, "job B never dispatched a parallel apply");
-    assert!(
-        pa <= ca.num_gates() as u64 && pb <= cb.num_gates() as u64,
-        "parallel-apply counters bled between jobs (A={pa}, B={pb})"
-    );
+    // Each context counted its own job's DD gates and nothing of the
+    // neighbor's (a shared registry would read the sum in both).
+    let gates = |ctx: &RunContext| ctx.metrics().counter("core.gates_dd").get();
+    assert_eq!(gates(&ctx_a), ca.num_gates() as u64, "job A's gates_dd");
+    assert_eq!(gates(&ctx_b), cb.num_gates() as u64, "job B's gates_dd");
 }

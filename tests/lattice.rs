@@ -4,7 +4,7 @@
 //! fires every active-width reduction rule, or any of these on fewer qubits
 //! than the register holds, so the idle ones stay held out of the flat
 //! array), a conversion policy, a fusion policy, a geometry (`threads`,
-//! `dd_threads`, `flat_shards`), a checkpoint at a random gate resumed
+//! `flat_shards`), a checkpoint at a random gate resumed
 //! under a second geometry, the fidelity floor armed at 1.0 or unset, and a
 //! telemetry sink on or off. The run must agree with the dense, DD and
 //! array engines to 1e-12, its readers with their oracles, and itself bit
@@ -34,11 +34,10 @@ const TOL: f64 = 1e-12;
 /// the cases are counted and printed.
 const DD_DRIFT: f64 = 1e-10;
 
-/// `threads`, `dd_threads` and `flat_shards` of one run.
+/// `threads` and `flat_shards` of one run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Geometry {
     threads: usize,
-    dd_threads: usize,
     flat_shards: usize,
 }
 
@@ -46,7 +45,6 @@ impl Geometry {
     fn draw(g: &mut Gen) -> Self {
         Geometry {
             threads: [1, 2, 4, 16][g.rng.range(0..4)],
-            dd_threads: g.rng.range(1..3),
             flat_shards: [0, 1, 2, 3, 8][g.rng.range(0..5)],
         }
     }
@@ -54,7 +52,6 @@ impl Geometry {
     fn config(self, base: FlatDdConfig) -> FlatDdConfig {
         FlatDdConfig {
             threads: self.threads,
-            dd_threads: self.dd_threads,
             flat_shards: self.flat_shards,
             ..base
         }
@@ -64,7 +61,6 @@ impl Geometry {
     fn change(self, other: Geometry) -> String {
         let changed: Vec<&str> = [
             (self.threads != other.threads, "threads"),
-            (self.dd_threads != other.dd_threads, "dd_threads"),
             (self.flat_shards != other.flat_shards, "flat_shards"),
         ]
         .into_iter()
@@ -293,10 +289,10 @@ fn every_configuration_reaches_the_dense_state() {
             assert_eq!(drawn, inverse_cdf(&want, r), "{case}: draw {r}");
         }
 
-        // The twin run. Where the DD phase is sequential (`dd_threads = 1`)
-        // the design promises the same bits on a rerun, with telemetry off
-        // against on, with the floor unset against armed but unpressured,
-        // and at another thread count when the flat phase has one shard.
+        // The twin run. The design promises the same bits on a rerun, with
+        // telemetry off against on, with the floor unset against armed but
+        // unpressured, and at another thread count when the flat phase has
+        // one shard.
         let mut twin = geometry;
         if twin.flat_shards == 1 {
             twin.threads = [1, 2, 4, 16][g.rng.range(0..4)];
@@ -306,14 +302,10 @@ fn every_configuration_reaches_the_dense_state() {
         let again = run(&c, twin.config(unarmed), false).amplitudes();
         let d = state_distance(&again, &got);
         assert!(d < tol, "{case}: twin {twin:?} {d:e} away");
-        if geometry.dd_threads == 1 {
-            assert!(
-                same_bits(&again, &got),
-                "{case}: twin {twin:?} changed bits"
-            );
-        } else {
-            compare(&mut pairs, "rerun at dd_threads = 2", &again, &got);
-        }
+        assert!(
+            same_bits(&again, &got),
+            "{case}: twin {twin:?} changed bits"
+        );
 
         // A checkpoint at a random gate, resumed under the second geometry.
         let cut = g.rng.range(0..gates + 1);
@@ -344,7 +336,6 @@ fn every_configuration_reaches_the_dense_state() {
         let active = metrics.gauge("sim.active_qubits").get() as u64;
         let (converted, fused) = (stats.converted_at.is_some(), stats.fused_matrices > 0);
         let never = conv == ConversionPolicy::Never && sim.phase() == Phase::Dd;
-        let parallel = counter("core.dd_parallel_applies") > 0;
         let out_of_place = stats.uncached_dmavs as u64 > in_place;
         let dmav_aware = fused && fus == FusionPolicy::DmavAware;
         let k_operations = fused && matches!(fus, FusionPolicy::KOperations(_));
@@ -357,7 +348,6 @@ fn every_configuration_reaches_the_dense_state() {
         for (what, hit) in [
             ("conversion", converted),
             ("Never ending in DD", never),
-            ("parallel DD apply", parallel),
             ("in-place DMAV", in_place > 0),
             ("out-of-place DMAV", out_of_place),
             ("DmavAware fusion", dmav_aware),

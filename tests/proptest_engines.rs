@@ -157,7 +157,6 @@ fn stored_weights(pkg: &DdPackage, e: qdd::VEdge) -> Vec<(qdd::CIdx, Complex64)>
 
 #[test]
 fn a_sweep_after_every_gate_keeps_the_state_and_reuses_value_slots() {
-    let pool = ThreadPool::new(2);
     prop::check(CASES, |g| {
         let n = g.rng.range(3..7);
         let c = g.circuit(n, 1..60);
@@ -168,39 +167,34 @@ fn a_sweep_after_every_gate_keeps_the_state_and_reuses_value_slots() {
             unswept = never.apply_gate(unswept, gate, n);
         }
         let unswept = never.vector_to_array(unswept, n);
-        // One DD worker, and two through the task graph (forced: these DDs
-        // are far below the size the simulator would fork at).
-        for workers in [1, 2] {
-            let mut pkg = DdPackage::default();
-            let mut state = pkg.basis_state(n, 0);
-            let mut peak = 0;
-            for gate in c.iter() {
-                let m = pkg.gate_dd(gate, n);
-                state = pkg.mul_mv_parallel_capped(&pool, m, state, workers);
-                let before = stored_weights(&pkg, state);
-                // Live values of the last sweep plus this interval's.
-                peak = peak.max(pkg.stats().complex_values);
-                pkg.gc(&[state], &[]);
-                for (w, v) in before {
-                    let now = pkg.cval(w);
-                    assert!(
-                        now.re.to_bits() == v.re.to_bits() && now.im.to_bits() == v.im.to_bits(),
-                        "weight {w:?} read {v:?} before the sweep and {now:?} after"
-                    );
-                }
-                // Freed slots are taken again: the slots stay within the
-                // most values ever held at once, up to what the per-shard
-                // free lists leave unevenly spread.
-                let slots = pkg.stats().complex_slots;
+        let mut pkg = DdPackage::default();
+        let mut state = pkg.basis_state(n, 0);
+        let mut peak = 0;
+        for gate in c.iter() {
+            state = pkg.apply_gate(state, gate, n);
+            let before = stored_weights(&pkg, state);
+            // Live values of the last sweep plus this interval's.
+            peak = peak.max(pkg.stats().complex_values);
+            pkg.gc(&[state], &[]);
+            for (w, v) in before {
+                let now = pkg.cval(w);
                 assert!(
-                    slots <= 2 * peak + 64,
-                    "{slots} slots for a peak of {peak} values"
+                    now.re.to_bits() == v.re.to_bits() && now.im.to_bits() == v.im.to_bits(),
+                    "weight {w:?} read {v:?} before the sweep and {now:?} after"
                 );
             }
-            let got = pkg.vector_to_array(state, n);
-            assert!(state_distance(&got, &want) < TOL, "workers = {workers}");
-            assert!(state_distance(&got, &unswept) < TOL, "workers = {workers}");
+            // Freed slots are taken again: the slots stay within the
+            // most values ever held at once, up to what the per-shard
+            // free lists leave unevenly spread.
+            let slots = pkg.stats().complex_slots;
+            assert!(
+                slots <= 2 * peak + 64,
+                "{slots} slots for a peak of {peak} values"
+            );
         }
+        let got = pkg.vector_to_array(state, n);
+        assert!(state_distance(&got, &want) < TOL);
+        assert!(state_distance(&got, &unswept) < TOL);
     });
 }
 

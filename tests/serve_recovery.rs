@@ -169,3 +169,28 @@ fn sigterm_drain_parks_the_job_and_restart_finishes_it() {
     daemon.drain(Duration::from_secs(30));
     std::fs::remove_dir_all(&spool).ok();
 }
+
+/// A job an earlier daemon queued with `dd_threads`, a field since retired,
+/// is re-admitted and run, not quarantined, and the field is not written
+/// back.
+#[test]
+fn a_queued_record_with_the_retired_dd_threads_field_loads_and_runs() {
+    let spool = fresh_spool("retired-dd-threads");
+    std::fs::write(
+        spool.join("job-1.json"),
+        r#"{"id":1,"state":"queued","spec":{"circuit":"ghz:6","seed":1,"threads":1,"dd_threads":4}}"#,
+    )
+    .unwrap();
+    let daemon = Daemon::start(&spool, &["--workers", "1"]);
+    let status = wait_terminal(daemon.port, 1, Duration::from_secs(60));
+    assert_eq!(job_state(&status), "done", "{status}");
+    assert_eq!(field(&status, &["spec", "dd_threads"]), None, "{status}");
+    daemon.drain(Duration::from_secs(30));
+    assert!(
+        !spool.join("quarantine").exists(),
+        "the record was quarantined"
+    );
+    let record = std::fs::read_to_string(spool.join("job-1.json")).unwrap();
+    assert!(!record.contains("dd_threads"), "{record}");
+    std::fs::remove_dir_all(&spool).ok();
+}

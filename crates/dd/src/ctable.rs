@@ -25,32 +25,29 @@
 //!
 //! ## Concurrency
 //!
-//! Values live in one global append-only store (so [`CIdx`] stays a dense
-//! index and `get` is lock-free); the cell index is sharded into
-//! [`CTABLE_SHARDS`] lock-striped tag indexes (`crate::sync::TagIndex`: the
-//! cell key is not stored, a tag match is confirmed against the value
-//! itself, and a regrow re-keys the stored values). A lookup
-//! holds the lock of every shard it probes — taken in ascending shard
-//! order, so concurrent lookups cannot deadlock — from its first probe to
-//! its insert. Two values that could match each other always probe each
-//! other's home cell, hence share a lock, hence are serialized: an insert
-//! is atomic with respect to every probe that could have found it.
+//! Values live in one append-only store (so [`CIdx`] stays a dense index
+//! and `get` is lock-free); the cell index is one tag index
+//! (`crate::sync::TagIndex`: the cell key is not stored, a tag match is
+//! confirmed against the value itself, and a regrow re-keys the stored
+//! values) behind one lock. A package has one writer, but the table stays
+//! `Sync`: a lookup holds the lock from its first probe to its insert, so
+//! an insert is atomic with respect to every probe that could have found
+//! it.
 //!
 //! ## Sweeping
 //!
 //! The package's stop-the-world sweep (`ComplexTable::sweep`) hands over
 //! a `ValueMarks` bitmap of the values live nodes and root edges still
-//! store. Each shard's index is rebuilt with only those, and the unmarked
-//! indices go onto that shard's free list, where the next insert filed in
-//! the same shard takes them — under the lock of the shard whose sweep
-//! freed them, the store's one-writer rule. A live value keeps its [`CIdx`];
+//! store. The index is rebuilt with only those, and the unmarked indices
+//! go onto the free list, where the next insert takes them — under the
+//! table's lock, the store's one-writer rule. A live value keeps its [`CIdx`];
 //! [`CIdx::ZERO`] and [`CIdx::ONE`] are never freed.
 
 use crate::fxhash::hash_pair;
-use crate::sync::{stripe_of, FreeListIndex, SlotVec, Stripe, STRIPES};
+use crate::sync::{get_mut, lock, FreeListIndex, SlotVec};
 use qcircuit::Complex64;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::MutexGuard;
+use std::sync::Mutex;
 
 /// Index of an interned complex value.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -75,9 +72,6 @@ impl CIdx {
     }
 }
 
-/// Number of lock-striped shards of the cell index (power of two).
-pub const CTABLE_SHARDS: usize = STRIPES;
-
 /// Cell width in tolerances: wide enough that a value is rarely near a
 /// side, narrow enough that the values sharing a cell (and with it a probe
 /// chain) stay few.
@@ -88,8 +82,8 @@ const GRID_SHIFT: f64 = 1.0 / 3.0;
 /// the cell across that side: one tolerance, widened by 1/16 to absorb the
 /// rounding of the scaled coordinate (covers `|v| < 2^48 tol`).
 const EDGE: f64 = (1.0 + 1.0 / 16.0) / CELL_TOLS;
-/// Slots of a fresh shard (power of two).
-const INITIAL_SLOTS: usize = 64;
+/// Words of a fresh cell index (power of two), as for the unique table.
+const INITIAL_SLOTS: usize = 1024;
 
 /// Which value indices a sweep keeps: one bit per index, built for one
 /// sweep and dropped with it (the value store itself carries no stamp).
@@ -141,8 +135,8 @@ fn place(v: Complex64, inv_cell: f64) -> Place {
     }
 }
 
-/// Hash of a cell: the top 4 bits pick the shard, the top 32 are the slot
-/// tag, the low bits the home slot.
+/// Hash of a cell: the top 32 bits are the slot tag, the low bits the home
+/// slot.
 #[inline(always)]
 fn cell_hash(kr: i64, ki: i64) -> u64 {
     hash_pair(kr as u64, ki as u64)
@@ -156,21 +150,17 @@ pub struct ComplexTable {
     values: SlotVec<Complex64, ()>,
     /// Value slots allocated so far (the next fresh index).
     next: AtomicU32,
-    /// Values filed in the shards (allocated slots minus the free lists).
+    /// Values filed in the index (allocated slots minus the free list).
     live: AtomicUsize,
-    /// Cell hash -> value index, for the cells hashing to each shard, and
-    /// the indices that shard's sweeps freed.
-    shards: Vec<Stripe<FreeListIndex>>,
-    /// Bytes reserved by the value segments, the slot arrays and the free
-    /// lists, updated where any of them grows so that
-    /// [`Self::memory_bytes`] is one load.
+    /// Cell hash -> value index, and the indices the sweeps freed.
+    index: Mutex<FreeListIndex>,
+    /// Bytes reserved by the value segments, the index and the free list,
+    /// updated where any of them grows so that [`Self::memory_bytes`] is
+    /// one load.
     bytes: AtomicUsize,
     tol: f64,
     /// Cells per unit length: `1 / (CELL_TOLS * tol)`.
     inv_cell: f64,
-    /// Cached handle into the global `dd.ctable_stall_ns` histogram for
-    /// contended shard lock waits.
-    stall: qtelemetry::Histogram,
 }
 
 impl Default for ComplexTable {
@@ -187,20 +177,17 @@ impl ComplexTable {
             values: SlotVec::default(),
             next: AtomicU32::new(0),
             live: AtomicUsize::new(0),
-            shards: (0..CTABLE_SHARDS)
-                .map(|_| Stripe::new(FreeListIndex::new(INITIAL_SLOTS)))
-                .collect(),
-            bytes: AtomicUsize::new(CTABLE_SHARDS * INITIAL_SLOTS * 8),
+            index: Mutex::new(FreeListIndex::new(INITIAL_SLOTS)),
+            bytes: AtomicUsize::new(INITIAL_SLOTS * 8),
             tol,
             inv_cell: 1.0 / (CELL_TOLS * tol),
-            stall: qtelemetry::histogram("dd.ctable_stall_ns"),
         };
         // Pre-intern the distinguished constants at fixed indices (`lookup`
         // answers both without touching the index; a value merely within
         // tolerance of one finds it here).
         for (v, want) in [(Complex64::ZERO, CIdx::ZERO), (Complex64::ONE, CIdx::ONE)] {
             let h = place(v, t.inv_cell).home();
-            let got = t.alloc_value(v, h, &mut t.shards[stripe_of(h)].lock(&t.stall));
+            let got = t.alloc_value(v, h, &mut lock(&t.index));
             debug_assert_eq!(got, want);
         }
         t
@@ -232,36 +219,36 @@ impl ComplexTable {
         debug_assert!((idx.0 as usize) < self.slots());
         // SAFETY: a valid index was published after its slot write (the
         // allocating thread wrote the value before the index escaped
-        // through a shard unlock or a cache-entry release, or filed it in
-        // the index whose lock `find` and a regrow hold while they read);
+        // through the table's unlock or a cache-entry release, or filed it
+        // in the index whose lock `find` and a regrow hold while they read);
         // the slot is re-written only after a sweep proved it unmarked.
         unsafe { *self.values.get(idx.0) }
     }
 
-    /// Walks the chain of cell hash `h` for a stored value within tolerance
-    /// of `v`. `shard` is the locked shard of `h`.
+    /// Walks the chain of cell hash `h` in the locked `index` for a stored
+    /// value within tolerance of `v`.
     #[inline]
-    fn find(&self, shard: &FreeListIndex, h: u64, v: Complex64) -> Option<CIdx> {
-        // An index in `shard` was written before it was filed under the lock
+    fn find(&self, index: &FreeListIndex, h: u64, v: Complex64) -> Option<CIdx> {
+        // An index in `index` was written before it was filed under the lock
         // we hold (`concurrent_interning_is_canonical`).
-        shard
+        index
             .index
             .find(h, |idx| self.get(CIdx(idx)).approx_eq(v, self.tol))
             .map(CIdx)
     }
 
-    /// Stores `v` in a slot the locked `shard` freed, or else in a fresh
+    /// Stores `v` in a slot the locked `index` freed, or else in a fresh
     /// one, and files it under its home cell (hash `h`).
-    fn alloc_value(&self, v: Complex64, h: u64, shard: &mut FreeListIndex) -> CIdx {
-        let (idx, mut grown) = shard.take_slot(&self.next, &self.values);
+    fn alloc_value(&self, v: Complex64, h: u64, index: &mut FreeListIndex) -> CIdx {
+        let (idx, mut grown) = index.take_slot(&self.next, &self.values);
         // SAFETY: `idx` is either freshly reserved by `take_slot` or
-        // was proven unmarked by the last sweep of this shard, whose lock we
-        // hold; it is published only by the insert below / the caller's use
+        // was proven unmarked by the last sweep, and we hold the table's
+        // lock; it is published only by the insert below / the caller's use
         // (`recycled_slots_take_new_values_and_live_ones_keep_theirs`).
         unsafe { self.values.write(idx, v) };
         // A regrow re-keys every filed value, as `find` reads them
         // (`every_value_stays_findable_across_three_regrows`).
-        grown += shard
+        grown += index
             .index
             .insert(h, idx, |i| place(self.get(CIdx(i)), self.inv_cell).home());
         if grown != 0 {
@@ -283,57 +270,29 @@ impl ComplexTable {
             return CIdx::ONE;
         }
         let p = place(v, self.inv_cell);
-        if p.dr | p.di != 0 {
-            return self.lookup_near_edge(v, &p);
-        }
         let h = p.home();
-        let mut shard = self.shards[stripe_of(h)].lock(&self.stall);
-        match self.find(&shard, h, v) {
-            Some(idx) => idx,
-            None => self.alloc_value(v, h, &mut shard),
+        let mut index = lock(&self.index);
+        let mut found = self.find(&index, h, v);
+        if found.is_none() && p.dr | p.di != 0 {
+            found = self.find_across_sides(&index, v, &p);
         }
+        found.unwrap_or_else(|| self.alloc_value(v, h, &mut index))
     }
 
-    /// [`Self::lookup`] for a value within [`EDGE`] of a side of its cell:
-    /// probes the home cell and the one, or at a corner three, neighbours
+    /// The value within tolerance of `v`, which lies within [`EDGE`] of a
+    /// side of its cell, in the one, or at a corner three, neighbours
     /// across those sides.
     #[cold]
-    fn lookup_near_edge(&self, v: Complex64, p: &Place) -> CIdx {
+    fn find_across_sides(&self, index: &FreeListIndex, v: Complex64, p: &Place) -> Option<CIdx> {
         let (nr, ni) = (p.kr.wrapping_add(p.dr), p.ki.wrapping_add(p.di));
-        // Home first: it is where a miss inserts.
-        let mut cells = [p.home(); 4];
-        let mut n = 1;
-        for (probe, kr, ki) in [
+        [
             (p.dr != 0, nr, p.ki),
             (p.di != 0, p.kr, ni),
             (p.dr != 0 && p.di != 0, nr, ni),
-        ] {
-            if probe {
-                cells[n] = cell_hash(kr, ki);
-                n += 1;
-            }
-        }
-        let cells = &cells[..n];
-        // Lock in ascending shard order (deadlock-free by total order).
-        let need = cells.iter().fold(0u16, |m, &h| m | 1 << stripe_of(h));
-        type Held<'t> = (usize, MutexGuard<'t, FreeListIndex>);
-        let mut held: [Option<Held<'_>>; 4] = [None, None, None, None];
-        let shards = (0..CTABLE_SHARDS).filter(|s| need & (1 << s) != 0);
-        for (slot, s) in held.iter_mut().zip(shards) {
-            *slot = Some((s, self.shards[s].lock(&self.stall)));
-        }
-        fn shard_of<'a>(held: &'a mut [Option<Held<'_>>; 4], h: u64) -> &'a mut FreeListIndex {
-            held.iter_mut()
-                .flatten()
-                .find_map(|(s, g)| (*s == stripe_of(h)).then_some(&mut **g))
-                .expect("probed shard is locked")
-        }
-        for &h in cells {
-            if let Some(idx) = self.find(shard_of(&mut held, h), h, v) {
-                return idx;
-            }
-        }
-        self.alloc_value(v, cells[0], shard_of(&mut held, cells[0]))
+        ]
+        .into_iter()
+        .filter(|&(probe, _, _)| probe)
+        .find_map(|(_, kr, ki)| self.find(index, cell_hash(kr, ki), v))
     }
 
     /// Interns the product of two interned values (what `scale_v` /
@@ -360,30 +319,25 @@ impl ComplexTable {
     }
 
     /// Frees every value `marks` does not hold ([`CIdx::ZERO`] and
-    /// [`CIdx::ONE`] stay): each shard's index is rebuilt at its size with
-    /// the marked values only, and the rest go onto that shard's free list.
+    /// [`CIdx::ONE`] stay): the index is rebuilt at its size with the
+    /// marked values only, and the rest go onto the free list.
     /// Returns the number freed. Stop-the-world (`&mut self`): the caller
     /// marked every value a live node or a held edge stores.
     pub(crate) fn sweep(&mut self, marks: &ValueMarks) -> usize {
         let (values, inv_cell) = (&self.values, self.inv_cell);
-        let (mut freed, mut grown) = (0, 0);
-        for shard in &mut self.shards {
-            let (f, g) = shard.get_mut().sweep(
-                |idx| idx <= CIdx::ONE.0 || marks.get(idx),
-                // SAFETY: every filed index was written before it was filed,
-                // and `&mut self` orders this after all of them.
-                |i| place(unsafe { *values.get(i) }, inv_cell).home(),
-            );
-            freed += f;
-            grown += g;
-        }
+        let (freed, grown) = get_mut(&mut self.index).sweep(
+            |idx| idx <= CIdx::ONE.0 || marks.get(idx),
+            // SAFETY: every filed index was written before it was filed,
+            // and `&mut self` orders this after all of them.
+            |i| place(unsafe { *values.get(i) }, inv_cell).home(),
+        );
         *self.bytes.get_mut() += grown;
         *self.live.get_mut() -= freed;
         freed
     }
 
-    /// Bytes reserved by the table (value segments, slot arrays and free
-    /// lists). One atomic load: the counter moves where any of them grows.
+    /// Bytes reserved by the table (value segments, index and free list).
+    /// One atomic load: the counter moves where any of them grows.
     pub fn memory_bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed)
     }
@@ -391,13 +345,7 @@ impl ComplexTable {
     /// [`Self::memory_bytes`] recounted from the structures themselves.
     #[cfg(test)]
     pub(crate) fn recount_bytes(&self) -> usize {
-        let held = |sh: &Stripe<FreeListIndex>| sh.lock(&self.stall).bytes();
-        self.values.allocated_bytes() + self.shards.iter().map(held).sum::<usize>()
-    }
-
-    /// Total shard lock-contention events observed (telemetry).
-    pub fn contended(&self) -> u64 {
-        self.shards.iter().map(Stripe::contended).sum()
+        self.values.allocated_bytes() + lock(&self.index).bytes()
     }
 }
 
@@ -511,10 +459,11 @@ mod tests {
         let value = |i: usize| Complex64::new(i as f64 * 1.7e-3 - 4.0, (i as f64 * 0.37).sin());
         let idxs: Vec<CIdx> = (0..6000).map(|i| t.lookup(value(i))).collect();
         assert_eq!(t.len(), 2 + 6000);
-        for sh in &t.shards {
-            let words = sh.lock(&t.stall).index.words();
-            assert!(words >= INITIAL_SLOTS << 3, "shard regrew to only {words}");
-        }
+        let words = lock(&t.index).index.words();
+        assert!(
+            words >= INITIAL_SLOTS << 3,
+            "the index regrew to only {words}"
+        );
         for (i, &ix) in idxs.iter().enumerate() {
             assert_eq!(t.lookup(value(i)), ix, "value {i} lost by a regrow");
             assert_eq!(t.get(ix), value(i));
@@ -539,8 +488,8 @@ mod tests {
             assert_eq!(t.get(ix), value(i), "a live value moved");
             assert_eq!(t.lookup(value(i)), ix, "a live value lost its filing");
         }
-        // A freed value files in the shard that freed its slot, so the same
-        // values again take exactly the freed slots: no fresh one.
+        // New values take the freed slots first, so the same values again
+        // take exactly the freed slots: no fresh one.
         let freed: std::collections::HashSet<CIdx> = idxs
             .iter()
             .enumerate()

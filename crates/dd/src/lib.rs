@@ -46,7 +46,6 @@ pub mod verify;
 pub use approx::ApproxResult;
 pub use ctable::{CIdx, ComplexTable};
 pub use mac::{mac_count, MacTable};
-pub use node::ShardStats;
 pub use node::{MEdge, MNode, VEdge, VNode, TERM};
 pub use ops::ComputeStats;
 pub use package::{DdPackage, PackageStats};

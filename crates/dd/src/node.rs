@@ -6,34 +6,28 @@
 //! structurally identical sub-DDs are shared — the defining property of a
 //! decision diagram.
 //!
-//! The unique table is striped for shared-memory parallelism: node content
-//! hashes to one of [`NODE_SHARDS`] locks, each over its own tag index
-//! (`crate::sync::TagIndex`, the structure the complex table files values
-//! in) and free list. `get` reads the slab without any lock; only inserts
-//! take the (per-stripe) lock. Mark stamps are atomic, letting concurrent
-//! traversals mark while other threads insert; the sweep itself is
-//! stop-the-world (`&mut self`).
+//! The unique table is one tag index (`crate::sync::TagIndex`, the
+//! structure the complex table files values in) and free list behind one
+//! lock. A package has one writer, but stays `Sync` for the conversion's
+//! readers: `get` reads the slab without any lock, only inserts take the
+//! lock, and mark stamps are atomic. The sweep is stop-the-world
+//! (`&mut self`).
 
 use crate::ctable::CIdx;
 use crate::fxhash::{hash_u64, FxHasher};
-use crate::sync::{stripe_of, FreeListIndex, SlotVec, Stripe, STRIPES};
+use crate::sync::{get_mut, lock, FreeListIndex, SlotVec};
 use qcircuit::Complex64;
 use std::cell::Cell;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Sentinel node id of the terminal node ("1" in Figure 2 of the paper).
 pub const TERM: u32 = u32::MAX;
 
-/// Number of lock stripes of a [`NodeArena`]'s unique table (power of two).
-///
-/// 16 stripes keep the insert-lock collision probability below ~`t/16` for
-/// `t` worker threads while the per-stripe constant overhead (a mutex, an
-/// index of 64 words to start with) stays negligible next to the nodes
-/// themselves.
-pub const NODE_SHARDS: usize = STRIPES;
-/// Index words of a fresh stripe (power of two).
-const INITIAL_WORDS: usize = 64;
+/// Index words of a fresh unique table (power of two). 1024 measured no
+/// worse in peak RSS than 64 (EXPERIMENTS.md, "One writer").
+const INITIAL_WORDS: usize = 1024;
 
 /// A weighted edge to a vector node (or the terminal).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -168,35 +162,21 @@ thread_local! {
     static MARK_STACK: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
 }
 
-/// Per-stripe occupancy/contention snapshot (telemetry).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ShardStats {
-    /// Live nodes filed in the stripe.
-    pub live: usize,
-    /// Lock-contention events observed on insert.
-    pub contended: u64,
-}
-
 /// Slab arena with structural sharing (unique table) and mark/sweep
 /// support: one slot store whose index *is* the node id, and an index from
-/// content to id striped [`NODE_SHARDS`] ways by content hash. Inserts,
-/// reads, and marks take `&self` and are safe to call from many threads;
-/// the sweep is stop-the-world.
+/// content to id. Inserts, reads, and marks take `&self` and are safe to
+/// call from many threads; the sweep is stop-the-world.
 pub struct NodeArena<T: Node> {
     slots: SlotVec<T>,
     /// Slots allocated so far (the next fresh id).
     next: AtomicU32,
-    /// Hash of node content -> id, for the content hashing to each stripe,
-    /// and the ids that stripe's sweeps freed.
-    stripes: Vec<Stripe<FreeListIndex>>,
+    /// Hash of node content -> id, and the ids the sweeps freed.
+    index: Mutex<FreeListIndex>,
     alive: AtomicUsize,
     peak_alive: AtomicUsize,
-    /// Bytes reserved by the slab, the indexes and the free lists, updated
+    /// Bytes reserved by the slab, the index and the free list, updated
     /// where any of them grows so that [`Self::memory_bytes`] is one load.
     bytes: AtomicUsize,
-    /// Cached handle into the global `dd.unique_stall_ns` histogram, so the
-    /// contended path records its wait without a registry lookup.
-    stall: qtelemetry::Histogram,
 }
 
 impl<T: Node> Default for NodeArena<T> {
@@ -204,20 +184,17 @@ impl<T: Node> Default for NodeArena<T> {
         NodeArena {
             slots: SlotVec::default(),
             next: AtomicU32::new(0),
-            stripes: (0..NODE_SHARDS)
-                .map(|_| Stripe::new(FreeListIndex::new(INITIAL_WORDS)))
-                .collect(),
+            index: Mutex::new(FreeListIndex::new(INITIAL_WORDS)),
             alive: AtomicUsize::new(0),
             peak_alive: AtomicUsize::new(0),
-            bytes: AtomicUsize::new(NODE_SHARDS * INITIAL_WORDS * 8),
-            stall: qtelemetry::histogram("dd.unique_stall_ns"),
+            bytes: AtomicUsize::new(INITIAL_WORDS * 8),
         }
     }
 }
 
-/// Hash of node content, computed once per lookup: the top 4 bits pick the
-/// stripe, the top 32 are the index tag, the low bits the home word (the
-/// split `ctable` makes of a cell hash).
+/// Hash of node content, computed once per lookup: the top 32 bits are the
+/// index tag, the low bits the home word (the split `ctable` makes of a
+/// cell hash).
 #[inline(always)]
 fn node_hash<T: Hash>(data: &T) -> u64 {
     let mut h = FxHasher::default();
@@ -231,10 +208,10 @@ impl<T: Node> NodeArena<T> {
     #[inline]
     pub fn get_or_insert(&self, data: T) -> u32 {
         let h = node_hash(&data);
-        let mut core = self.stripes[stripe_of(h)].lock(&self.stall);
-        // SAFETY: `stored` only reads ids filed in this stripe's index (and
-        // `id` below, written before it is filed), and an id is written
-        // before it is filed, under the stripe lock we hold
+        let mut core = lock(&self.index);
+        // SAFETY: `stored` only reads ids filed in the index (and `id`
+        // below, written before it is filed), and an id is written before
+        // it is filed, under the lock we hold
         // (`concurrent_overlapping_inserts_across_regrows_get_one_id_per_content`).
         let stored = |id: u32| unsafe { self.slots.get(id) };
         if let Some(id) = core.index.find(h, |id| stored(id) == &data) {
@@ -243,8 +220,8 @@ impl<T: Node> NodeArena<T> {
         // Fresh ids stop short of `TERM` (`SlotVec::ensure`'s assert).
         let (id, mut grown) = core.take_slot(&self.next, &self.slots);
         // SAFETY: `id` is either freshly allocated (unknown to every other
-        // thread) or was proven unreachable by the last sweep of this
-        // stripe; we hold the stripe lock, which is also what publishes it.
+        // thread) or was proven unreachable by the last sweep; we hold the
+        // lock, which is also what publishes it.
         unsafe { self.slots.write(id, data) };
         grown += core.index.insert(h, id, |i| node_hash(stored(i)));
         if grown != 0 {
@@ -259,7 +236,7 @@ impl<T: Node> NodeArena<T> {
     #[inline(always)]
     pub fn get(&self, id: u32) -> &T {
         debug_assert_ne!(id, TERM, "terminal has no content");
-        // SAFETY: a valid id was published after its slot write (stripe
+        // SAFETY: a valid id was published after its slot write (table
         // lock / cache-entry release); liveness is the caller's contract.
         unsafe { self.slots.get(id) }
     }
@@ -317,28 +294,23 @@ impl<T: Node> NodeArena<T> {
         // SAFETY: every id in the index was written before it was filed, and
         // `&mut self` orders this after all of them.
         let node = |id: u32| unsafe { slots.get(id) };
-        let (mut freed, mut grown) = (0, 0);
-        for stripe in &mut self.stripes {
-            let (f, g) = stripe.get_mut().sweep(
-                |id| {
-                    let keep = slots.stamp(id).load(Ordering::Relaxed) == stamp;
-                    if keep {
-                        kept(node(id));
-                    }
-                    keep
-                },
-                |id| node_hash(node(id)),
-            );
-            freed += f;
-            grown += g;
-        }
+        let (freed, grown) = get_mut(&mut self.index).sweep(
+            |id| {
+                let keep = slots.stamp(id).load(Ordering::Relaxed) == stamp;
+                if keep {
+                    kept(node(id));
+                }
+                keep
+            },
+            |id| node_hash(node(id)),
+        );
         *self.bytes.get_mut() += grown;
         *self.alive.get_mut() -= freed;
         freed
     }
 
-    /// Bytes reserved by the slab, the indexes and the free lists. One
-    /// atomic load: the counter moves where any of them grows.
+    /// Bytes reserved by the slab, the index and the free list. One atomic
+    /// load: the counter moves where any of them grows.
     pub fn memory_bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed)
     }
@@ -346,19 +318,7 @@ impl<T: Node> NodeArena<T> {
     /// [`Self::memory_bytes`] recounted from the structures themselves.
     #[cfg(test)]
     pub(crate) fn recount_bytes(&self) -> usize {
-        let held = |st: &Stripe<FreeListIndex>| st.lock(&self.stall).bytes();
-        self.slots.allocated_bytes() + self.stripes.iter().map(held).sum::<usize>()
-    }
-
-    /// Per-stripe occupancy and lock-contention counters (telemetry).
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.stripes
-            .iter()
-            .map(|st| ShardStats {
-                live: st.lock(&self.stall).index.len(),
-                contended: st.contended(),
-            })
-            .collect()
+        self.slots.allocated_bytes() + lock(&self.index).bytes()
     }
 }
 
@@ -427,7 +387,7 @@ mod tests {
     #[test]
     fn ids_are_slot_indices_in_allocation_order() {
         let a: NodeArena<VNode> = NodeArena::default();
-        // Far past the first regrow of every stripe (16 x 48 entries).
+        // Far past the index's first regrows (768 entries, then 1536, ...).
         for i in 0..5000u32 {
             assert_eq!(a.get_or_insert(vnode((i % 7) as u8, i, TERM)), i);
         }
@@ -444,8 +404,8 @@ mod tests {
         let x = a.get_or_insert(vnode(0, TERM, TERM));
         assert_eq!(a.sweep(99, |_| {}), 1, "nothing marked: frees x");
         assert_eq!(a.len(), 0);
-        // Same content hashes to the same stripe, whose free list holds the
-        // slot: a recycled id and a fresh index entry, no second slot.
+        // The free list holds the slot: a recycled id and a fresh index
+        // entry, no second slot.
         let y = a.get_or_insert(vnode(0, TERM, TERM));
         assert_eq!(x, y, "slot must be reused");
         assert_eq!(a.len(), 1);
@@ -464,19 +424,6 @@ mod tests {
         assert_eq!(a.mark_reachable([other, mid], 3), 1);
         assert_eq!(a.mark_reachable([top, other], 4), 4);
         assert_eq!(a.mark_reachable([TERM], 5), 0);
-    }
-
-    #[test]
-    fn shard_stats_sum_to_totals() {
-        let a: NodeArena<VNode> = NodeArena::default();
-        for l in 0..100u8 {
-            a.get_or_insert(vnode(l, TERM, TERM));
-        }
-        let stats = a.shard_stats();
-        assert_eq!(stats.len(), NODE_SHARDS);
-        assert_eq!(stats.iter().map(|s| s.live).sum::<usize>(), 100);
-        // 100 distinct contents should spread over more than one stripe.
-        assert!(stats.iter().filter(|s| s.live > 0).count() > 1);
     }
 
     #[test]
@@ -527,7 +474,7 @@ mod tests {
     #[test]
     fn concurrent_overlapping_inserts_across_regrows_get_one_id_per_content() {
         // 8 threads, released together, each insert 3/4 of 24 000 distinct
-        // contents in its own order: every stripe regrows several times
+        // contents in its own order: the index regrows several times
         // under contention and every content is raced for by 6 threads.
         const N: u32 = 24_000;
         let a: NodeArena<VNode> = NodeArena::default();

@@ -1,12 +1,14 @@
 //! The DD package: node construction with normalization, gate-DD building,
 //! DD <-> array conversion, traversals, and garbage collection.
 //!
-//! All construction and arithmetic paths take `&self` and are safe to call
-//! from many threads sharing one package: the unique tables and the complex
-//! table are sharded and lock-striped, the compute caches are lossy
-//! seq-locked slots, and traversal stamps are atomic. Only the
-//! stop-the-world operations — [`DdPackage::gc_if_due`], [`DdPackage::gc`]
-//! and [`DdPackage::flush_caches`] — require `&mut self`.
+//! A package has one writer, the thread that runs the DD phase; it stays
+//! `Sync` because the conversion reads it from pool workers. So all
+//! construction and arithmetic paths take `&self` and are safe to call
+//! from many threads: the unique tables and the complex table each sit
+//! behind one lock, the compute caches are lossy seq-locked slots, and
+//! traversal stamps are atomic. Only the stop-the-world operations —
+//! [`DdPackage::gc_if_due`], [`DdPackage::gc`] and
+//! [`DdPackage::flush_caches`] — require `&mut self`.
 
 use crate::ctable::{CIdx, ComplexTable};
 use crate::fxhash::{hash_u64, FxHashMap};
@@ -768,22 +770,14 @@ impl DdPackage {
         self.compute.stats()
     }
 
-    /// Per-shard occupancy/contention snapshots of the two node arenas
-    /// (vector, matrix).
-    pub fn shard_stats(&self) -> (Vec<crate::node::ShardStats>, Vec<crate::node::ShardStats>) {
-        (self.v.shard_stats(), self.m.shard_stats())
-    }
-
-    /// Total lock-contention events observed across the unique-table and
-    /// complex-table shards.
+    /// Always 0: a package has one writer, so no table lock is contended.
+    /// Kept because the benchmark harness still reads it.
     pub fn contention_events(&self) -> u64 {
-        let arena = |s: &[crate::node::ShardStats]| s.iter().map(|x| x.contended).sum::<u64>();
-        let (vs, ms) = self.shard_stats();
-        arena(&vs) + arena(&ms) + self.ct.contended()
+        0
     }
 
     /// Publishes this package's statistics (node/table sizes, compute-table
-    /// hit rates, per-shard contention/occupancy) as gauges in the global
+    /// hit rates) as gauges in the global
     /// [`qtelemetry`] metrics registry. Call at snapshot boundaries (end of
     /// run, `--metrics-out` dump).
     pub fn publish_metrics(&self) {
@@ -810,16 +804,6 @@ impl DdPackage {
         gauge("dd.ct_mm_hit_rate").set(ratio(c.mm_hits, c.mm_lookups));
         gauge("dd.ct_add_lookups").set(c.add_lookups as f64);
         gauge("dd.ct_add_hit_rate").set(ratio(c.add_hits, c.add_lookups));
-        // Sharding observability: lock contention and occupancy skew.
-        let (vs, ms) = self.shard_stats();
-        let contended =
-            |st: &[crate::node::ShardStats]| st.iter().map(|x| x.contended).sum::<u64>();
-        let max_live =
-            |st: &[crate::node::ShardStats]| st.iter().map(|x| x.live).max().unwrap_or(0);
-        gauge("dd.unique_contended").set((contended(&vs) + contended(&ms)) as f64);
-        gauge("dd.ctable_contended").set(self.ct.contended() as f64);
-        gauge("dd.shard_max_v_nodes").set(max_live(&vs) as f64);
-        gauge("dd.shard_max_m_nodes").set(max_live(&ms) as f64);
     }
 }
 
@@ -1324,22 +1308,6 @@ mod tests {
         assert!(s2.v_nodes < s1.v_nodes);
         assert_eq!(s2.peak_v_nodes, s1.peak_v_nodes);
         assert!(s2.memory_bytes > 0);
-    }
-
-    #[test]
-    fn contention_counters_start_at_zero() {
-        let p = DdPackage::default();
-        let _ = p.basis_state(6, 9);
-        // Single-threaded use never contends a shard lock.
-        assert_eq!(p.contention_events(), 0);
-        let (vs, ms) = p.shard_stats();
-        assert_eq!(vs.len(), crate::node::NODE_SHARDS);
-        assert_eq!(ms.len(), crate::node::NODE_SHARDS);
-        assert_eq!(
-            vs.iter().map(|s| s.live).sum::<usize>(),
-            p.stats().v_nodes,
-            "shard occupancy must sum to the live node count"
-        );
     }
 
     #[test]

@@ -1,36 +1,36 @@
-//! Shared-memory building blocks for the concurrent DD package: the one
-//! storage layer under both interning tables, the unique table of
-//! [`crate::node::NodeArena`] and [`crate::ctable::ComplexTable`].
+//! Shared-memory building blocks for the DD package: the one storage layer
+//! under both interning tables, the unique table of
+//! [`crate::node::NodeArena`] and [`crate::ctable::ComplexTable`]. A
+//! package has one writer, but stays `Sync`: the conversion reads it from
+//! pool workers.
 //!
 //! * [`SlotVec`] is a segmented, append-only slot store: segments are
 //!   allocated on demand (doubling in size) and *never* moved or freed while
 //!   the structure is alive, so readers can dereference slots without taking
-//!   any lock while writers append behind a stripe lock. This is what lets
-//!   both tables hand out stable, dense `u32` indices whose contents are
-//!   readable from any thread.
+//!   any lock while a writer appends behind the table's lock. This is what
+//!   lets both tables hand out stable, dense `u32` indices whose contents
+//!   are readable from any thread.
 //! * [`TagIndex`] is the index over such a store: an open-addressed array of
 //!   `hash tag << 32 | idx + 1` words. It stores no key — a tag match is
 //!   confirmed against the slot by the caller — and holds the only probe
 //!   loop of the crate. [`FreeListIndex`] pairs it with the free list of
-//!   the slots a sweep released, and is what each stripe's lock guards.
-//! * [`Stripe`] is the lock a table puts around each of its indexes, with
-//!   the contention count (and, under telemetry, wait time) both report.
+//!   the slots a sweep released, and is what each table's one lock guards.
 //!
 //! Safety model (stated once here, relied on by the callers):
 //!
 //! * A slot is written at most once between publications — either when its
 //!   index is freshly allocated (no other thread knows the index yet) or
-//!   when a recycled slot is re-filled under the lock of the stripe whose
+//!   when a recycled slot is re-filled under the table's lock, after a
 //!   stop-the-world sweep proved it unreachable.
 //! * An index only *escapes* to other threads through a synchronizing
-//!   structure (a stripe mutex, or a seq-lock-validated compute-cache entry
-//!   whose final store is `Release`), so the slot write happens-before
-//!   every cross-thread read of that slot.
+//!   structure (the table's mutex, or a seq-lock-validated compute-cache
+//!   entry whose final store is `Release`), so the slot write
+//!   happens-before every cross-thread read of that slot.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// log2 of the first segment's slot count.
 const SEG0_BITS: u32 = 10;
@@ -117,7 +117,7 @@ impl<T, S: Default> SlotVec<T, S> {
     ///
     /// # Safety
     /// The caller must hold exclusive ownership of slot `i` (freshly
-    /// reserved index, or recycled slot re-filled under the shard lock) and
+    /// reserved index, or recycled slot re-filled under the table's lock) and
     /// must have called [`Self::ensure`] for it.
     #[inline(always)]
     pub(crate) unsafe fn write(&self, i: u32, v: T) {
@@ -157,11 +157,9 @@ impl<T> SlotVec<T> {
 
 /// Open-addressed, linearly probed index from a 64-bit hash to slot
 /// indices: words of `hash tag << 32 | idx + 1`, `0` = empty, load at most
-/// 3/4. The low hash bits pick the home word and the top 32 are the tag
-/// (the tables pick the stripe by the top 4, [`stripe_of`], so the words of
-/// one index differ in the other 28). The key is not stored, which is also why the
-/// array is regrown (and swept) by asking the caller to re-hash what the
-/// indices point at.
+/// 3/4. The low hash bits pick the home word and the top 32 are the tag.
+/// The key is not stored, which is also why the array is regrown (and
+/// swept) by asking the caller to re-hash what the indices point at.
 pub(crate) struct TagIndex {
     words: Box<[u64]>,
     len: usize,
@@ -252,10 +250,10 @@ impl TagIndex {
     }
 }
 
-/// The lock-protected part of one stripe of an interning table: its
-/// [`TagIndex`] and the slots its sweeps freed. A freed slot is handed out
-/// again only by [`Self::take_slot`] under this stripe's lock, which is
-/// what keeps [`SlotVec`]'s one-writer rule for recycled slots.
+/// The lock-protected part of an interning table: its [`TagIndex`] and the
+/// slots its sweeps freed. A freed slot is handed out again only by
+/// [`Self::take_slot`] under the table's lock, which is what keeps
+/// [`SlotVec`]'s one-writer rule for recycled slots.
 pub(crate) struct FreeListIndex {
     pub(crate) index: TagIndex,
     free: Vec<u32>,
@@ -270,8 +268,8 @@ impl FreeListIndex {
         }
     }
 
-    /// A slot of `slots` for a new entry: one this stripe's sweeps freed,
-    /// else the next fresh one of `next`, whose segment is made sure of.
+    /// A slot of `slots` for a new entry: one a sweep freed, else the next
+    /// fresh one of `next`, whose segment is made sure of.
     /// Returns the slot and the bytes `slots` grew by.
     #[inline(always)]
     pub(crate) fn take_slot<T, S: Default>(
@@ -321,17 +319,6 @@ impl FreeListIndex {
     }
 }
 
-/// Lock stripes of an interning table.
-pub(crate) const STRIPES: usize = 16;
-
-/// The stripe a hash belongs to: its top 4 bits (see [`TagIndex`] for the
-/// rest of the split).
-#[inline(always)]
-pub(crate) fn stripe_of(h: u64) -> usize {
-    const _: () = assert!(STRIPES == 1 << 4);
-    (h >> 60) as usize
-}
-
 /// Locks `m` without poisoning: a holder that panicked leaves the state as
 /// it was at that point and later lockers proceed (as in `qarray::pool`).
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -341,56 +328,6 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// [`lock`] for an exclusive borrow (stop-the-world paths).
 pub(crate) fn get_mut<T>(m: &mut Mutex<T>) -> &mut T {
     m.get_mut().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// One lock stripe of an interning table: the state it guards and how often
-/// a locker found it held. Like [`lock`], it does not poison.
-pub(crate) struct Stripe<T> {
-    state: Mutex<T>,
-    contended: AtomicU64,
-}
-
-impl<T> Stripe<T> {
-    pub(crate) fn new(state: T) -> Self {
-        Stripe {
-            state: Mutex::new(state),
-            contended: AtomicU64::new(0),
-        }
-    }
-
-    /// Locks the stripe. A wait is counted, and timed into `stall` when
-    /// telemetry is on: the two clock reads stay off the uncontended path
-    /// and cost one relaxed load on the already-blocking one.
-    #[inline(always)]
-    pub(crate) fn lock(&self, stall: &qtelemetry::Histogram) -> MutexGuard<'_, T> {
-        match self.state.try_lock() {
-            Ok(g) => g,
-            Err(TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(TryLockError::WouldBlock) => self.wait(stall),
-        }
-    }
-
-    #[cold]
-    fn wait(&self, stall: &qtelemetry::Histogram) -> MutexGuard<'_, T> {
-        self.contended.fetch_add(1, Ordering::Relaxed);
-        if !qtelemetry::enabled() {
-            return lock(&self.state);
-        }
-        let t0 = std::time::Instant::now();
-        let g = lock(&self.state);
-        stall.observe(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        g
-    }
-
-    /// The guarded state through an exclusive borrow (stop-the-world paths).
-    pub(crate) fn get_mut(&mut self) -> &mut T {
-        get_mut(&mut self.state)
-    }
-
-    /// Times [`Self::lock`] had to wait.
-    pub(crate) fn contended(&self) -> u64 {
-        self.contended.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -539,47 +476,17 @@ mod tests {
     }
 
     #[test]
-    fn stripe_counts_a_wait_only_when_the_lock_is_held() {
-        let stripe = Stripe::new(0u32);
-        let stall = qtelemetry::Histogram::new();
-        *stripe.lock(&stall) += 1;
-        assert_eq!(stripe.contended(), 0);
-        let held = stripe.lock(&stall);
-        std::thread::scope(|s| {
-            let waiter = s.spawn(|| *stripe.lock(&stall) += 1);
-            while stripe.contended() == 0 {
-                std::thread::yield_now();
-            }
-            drop(held);
-            waiter.join().unwrap();
-        });
-        assert_eq!(stripe.contended(), 1);
-        let mut stripe = stripe;
-        assert_eq!(*stripe.get_mut(), 2);
-    }
-
-    #[test]
-    fn a_panic_under_the_guard_leaves_the_stripe_usable() {
-        let mut stripe = Stripe::new(7u32);
-        let stall = qtelemetry::Histogram::new();
+    fn a_panic_under_the_guard_leaves_the_lock_usable() {
+        let mut m = Mutex::new(7u32);
         let dies = || {
-            *stripe.lock(&stall) += 1;
-            let _held = stripe.lock(&stall);
-            panic!("dies holding the stripe");
+            *lock(&m) += 1;
+            let _held = lock(&m);
+            panic!("dies holding the lock");
         };
         assert!(std::thread::scope(|s| s.spawn(dies).join()).is_err());
-        // The free path (`try_lock`) and the waiting one both see the state
-        // the dead thread left, not a poisoned-lock panic.
-        let held = stripe.lock(&stall);
-        assert_eq!(*held, 8);
-        std::thread::scope(|s| {
-            let waiter = s.spawn(|| *stripe.lock(&stall) += 1);
-            while stripe.contended() == 0 {
-                std::thread::yield_now();
-            }
-            drop(held);
-            waiter.join().unwrap();
-        });
-        assert_eq!(*stripe.get_mut(), 9);
+        // Later lockers, shared and exclusive, see the state the dead
+        // thread left, not a poisoned-lock panic.
+        *lock(&m) += 1;
+        assert_eq!(*get_mut(&mut m), 9);
     }
 }

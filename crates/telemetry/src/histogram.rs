@@ -24,7 +24,7 @@
 //!   per-job histograms into a fleet view).
 //!
 //! Units are the caller's choice and belong in the metric name
-//! (`serve.queue_wait_us`, `dd.unique_stall_ns`).
+//! (`serve.queue_wait_us`, `sim.gate_dd_us`).
 
 use crate::json::Writer;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -55,8 +55,7 @@ pub use chrome::chrome_trace_json;
 pub use event::{Event, WorkerFill};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use metrics::{
-    counter, gauge, histogram, metrics_json, reset_metrics, set_label, Counter, Gauge,
-    MetricsRegistry,
+    counter, gauge, metrics_json, reset_metrics, set_label, Counter, Gauge, MetricsRegistry,
 };
 pub use sink::{
     add_sink, clear_sinks, emit, enabled, flush_sinks, remove_sink, EventSink, JsonlSink, Recorder,

@@ -137,7 +137,7 @@ impl MetricsRegistry {
     }
 
     /// Gets (or registers) the histogram named `name`. Include the unit in
-    /// the name (`serve.queue_wait_us`, `dd.unique_stall_ns`); the buckets
+    /// the name (`serve.queue_wait_us`, `sim.gate_dd_us`); the buckets
     /// are base-2 logarithmic over the full `u64` range, so no per-metric
     /// bucket configuration exists or is needed.
     pub fn histogram(&self, name: &str) -> Histogram {
@@ -249,11 +249,6 @@ pub fn counter(name: &str) -> Counter {
 /// Gets (or registers) a gauge in the [`global`] registry.
 pub fn gauge(name: &str) -> Gauge {
     global().gauge(name)
-}
-
-/// Gets (or registers) a histogram in the [`global`] registry.
-pub fn histogram(name: &str) -> Histogram {
-    global().histogram(name)
 }
 
 /// Sets a string label in the [`global`] registry.

@@ -183,14 +183,10 @@ fn a_sweep_after_every_gate_keeps_the_state_and_reuses_value_slots() {
                     "weight {w:?} read {v:?} before the sweep and {now:?} after"
                 );
             }
-            // Freed slots are taken again: the slots stay within the
-            // most values ever held at once, up to what the per-shard
-            // free lists leave unevenly spread.
+            // Freed slots are taken first: the slots stay within the most
+            // values ever held at once.
             let slots = pkg.stats().complex_slots;
-            assert!(
-                slots <= 2 * peak + 64,
-                "{slots} slots for a peak of {peak} values"
-            );
+            assert!(slots <= peak, "{slots} slots for a peak of {peak} values");
         }
         let got = pkg.vector_to_array(state, n);
         assert!(state_distance(&got, &want) < TOL);

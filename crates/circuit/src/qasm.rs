@@ -174,6 +174,20 @@ enum Expr {
 }
 
 impl Expr {
+    /// The value of a gate parameter: [`Self::eval`], refused unless it is
+    /// finite (an infinity on the way that ends finite, as in `1/(1/0)`,
+    /// is fine). A NaN angle builds a NaN gate matrix, which the engines
+    /// would carry into every amplitude.
+    fn eval_param(&self, env: &HashMap<String, f64>, line: usize) -> Result<f64> {
+        match self.eval(env, line)? {
+            v if v.is_finite() => Ok(v),
+            v => Err(QasmError {
+                message: format!("gate parameter evaluates to {v}"),
+                line,
+            }),
+        }
+    }
+
     fn eval(&self, env: &HashMap<String, f64>, line: usize) -> Result<f64> {
         Ok(match self {
             Expr::Num(v) => *v,
@@ -698,7 +712,7 @@ impl Builder {
                 let sub_params: Vec<f64> = call
                     .params
                     .iter()
-                    .map(|e| e.eval(&env, call.line))
+                    .map(|e| e.eval_param(&env, call.line))
                     .collect::<Result<_>>()?;
                 let sub_qubits: Vec<usize> = call
                     .args
@@ -915,7 +929,7 @@ pub fn parse_qasm_full(src: &str) -> std::result::Result<(Circuit, usize), QasmE
         let params: Vec<f64> = call
             .params
             .iter()
-            .map(|e| e.eval(&empty_env, call.line))
+            .map(|e| e.eval_param(&empty_env, call.line))
             .collect::<Result<_>>()?;
         // Resolve operands; broadcast whole registers.
         let resolved: Vec<Vec<usize>> = call

@@ -84,6 +84,22 @@ fn malformed_inputs() -> Vec<(&'static str, String)> {
             "recursive gate definition",
             "OPENQASM 2.0;\nqreg q[1];\ngate loop a { loop a; }\nloop q[0];".into(),
         ),
+        (
+            "parameter 0/0",
+            "OPENQASM 2.0;\nqreg q[2];\nrx(0/0) q[1];".into(),
+        ),
+        (
+            "parameter overflowing to infinity",
+            "OPENQASM 2.0;\nqreg q[2];\nrx(1e308*10) q[1];".into(),
+        ),
+        (
+            "parameter ln(0)",
+            "OPENQASM 2.0;\nqreg q[1];\nu1(ln(0)) q[0];".into(),
+        ),
+        (
+            "non-finite parameter inside a custom gate body",
+            "OPENQASM 2.0;\nqreg q[1];\ngate g(t) a { rz(t/0) a; }\ng(1) q[0];".into(),
+        ),
         ("deeply nested parens", deep_parens),
         ("deep unary chain", deep_unary),
         ("deep pow chain", deep_pow),
@@ -117,6 +133,27 @@ fn malformed_sources_error_via_full_parse_too() {
     for (label, src) in malformed_inputs() {
         assert!(parse_qasm_full(&src).is_err(), "{label}: expected error");
     }
+}
+
+#[test]
+fn a_non_finite_parameter_is_refused_on_its_gate_line() {
+    // In the program (line 4) and in a custom gate's body (line 3).
+    for (call, body, line) in [
+        ("rx(0/0) q[1]", "rz(t) a", 4),
+        ("rx(1e308*10) q[1]", "rz(t) a", 4),
+        ("u1(ln(0)) q[1]", "rz(t) a", 4),
+        ("g(1) q[1]", "rz(t/0) a", 3),
+    ] {
+        let src = format!(
+            "OPENQASM 2.0;\nqreg q[3];\ngate g(t) a {{ {body}; }}\nh q[0]; {call}; cx q[0], q[1];\n"
+        );
+        let err = parse_qasm(&src).expect_err(call);
+        assert_eq!(err.line, line, "{call} / {body}: {}", err.message);
+        assert!(err.message.contains("parameter"), "{call}: {}", err.message);
+    }
+    // An infinity on the way that ends finite is a legal angle.
+    let src = "OPENQASM 2.0;\nqreg q[1];\nrz(1/(1/0)) q[0];\nrz(exp(-1/0)) q[0];\n";
+    assert_eq!(parse_qasm(src).expect("finite angles").num_gates(), 2);
 }
 
 #[test]

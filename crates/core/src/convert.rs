@@ -11,8 +11,10 @@
 //!   group); the right half is then produced by a SIMD-friendly scalar
 //!   multiplication of the left half.
 //!
-//! Planning is a cheap O(t + #scalar-tasks) descent; the exponential work
-//! (filling 2^n amplitudes) is done by the pool workers on disjoint ranges.
+//! Planning is a cheap O(t + #scalar-tasks) descent on the package; the
+//! exponential work (filling 2^n amplitudes) is done by the pool workers on
+//! disjoint ranges, reading the DD through the package's borrowed
+//! [`VectorView`] (the package itself has one owner and is not `Sync`).
 //!
 //! **Write-once, block-wise fill** (our deviation; DESIGN.md §2). The
 //! output buffer may hold anything: every amplitude is written exactly
@@ -33,7 +35,7 @@ use crate::pool::ThreadPool;
 use qarray::vecops;
 use qcircuit::Complex64;
 use qdd::fxhash::FxHashMap;
-use qdd::{DdPackage, VEdge};
+use qdd::{DdPackage, VEdge, VectorView};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -201,7 +203,7 @@ impl ConversionPlan {
             return;
         }
         let w = weight * pkg.cval(edge.w);
-        let node = *pkg.v_node(edge.n);
+        let node = pkg.v_node(edge.n);
         let half = out.len() / 2;
         debug_assert_eq!(half, 1usize << node.level, "no level skipping");
         let (left, right) = (out.start..out.start + half, out.start + half..out.end);
@@ -247,26 +249,26 @@ impl Tables {
     /// Writes the sub-vector of `edge`, scaled by `weight`, into `dst` —
     /// every element exactly once, below the table boundary by one scaling
     /// of the node's table.
-    fn fill(&mut self, pkg: &DdPackage, edge: VEdge, weight: Complex64, dst: &mut [Complex64]) {
+    fn fill(&mut self, view: &VectorView, edge: VEdge, weight: Complex64, dst: &mut [Complex64]) {
         if edge.is_zero() || edge.is_terminal() {
-            walk(pkg, edge, weight, dst);
+            walk(view, edge, weight, dst);
             return;
         }
-        let w = weight * pkg.cval(edge.w);
-        let node = pkg.v_node(edge.n);
+        let w = weight * view.weight(edge.w);
+        let node = view.node(edge.n);
         if node.level < TABLE_LEVEL {
-            let at = self.table(pkg, edge.n, dst.len());
+            let at = self.table(view, edge.n, dst.len());
             vecops::scale(dst, w, &self.amps[at..at + dst.len()]);
             return;
         }
         let (lo, hi) = dst.split_at_mut(dst.len() / 2);
-        self.fill(pkg, node.e[0], w, lo);
-        self.fill(pkg, node.e[1], w, hi);
+        self.fill(view, node.e[0], w, lo);
+        self.fill(view, node.e[1], w, hi);
     }
 
     /// Offset of the `len`-amplitude table of node `id`, written by one
     /// walk of its sub-DD on first use.
-    fn table(&mut self, pkg: &DdPackage, id: u32, len: usize) -> usize {
+    fn table(&mut self, view: &VectorView, id: u32, len: usize) -> usize {
         if let Some(&at) = self.at.get(&id) {
             return at;
         }
@@ -278,9 +280,9 @@ impl Tables {
         self.amps.resize(at + len, Complex64::ZERO);
         debug_assert!(self.amps.len() <= TABLE_CAP);
         let (lo, hi) = self.amps[at..].split_at_mut(len / 2);
-        let node = pkg.v_node(id);
-        walk(pkg, node.e[0], Complex64::ONE, lo);
-        walk(pkg, node.e[1], Complex64::ONE, hi);
+        let node = view.node(id);
+        walk(view, node.e[0], Complex64::ONE, lo);
+        walk(view, node.e[1], Complex64::ONE, hi);
         self.at.insert(id, at);
         self.built += 1;
         at
@@ -289,21 +291,21 @@ impl Tables {
 
 /// Writes the sub-vector of `edge`, scaled by `weight`, into `dst` one
 /// amplitude at a time (a zero edge as its zero run).
-fn walk(pkg: &DdPackage, edge: VEdge, weight: Complex64, dst: &mut [Complex64]) {
+fn walk(view: &VectorView, edge: VEdge, weight: Complex64, dst: &mut [Complex64]) {
     if edge.is_zero() {
         dst.fill(Complex64::ZERO);
         return;
     }
-    let w = weight * pkg.cval(edge.w);
+    let w = weight * view.weight(edge.w);
     if edge.is_terminal() {
         dst[0] = w;
         return;
     }
-    let node = pkg.v_node(edge.n);
+    let node = view.node(edge.n);
     debug_assert_eq!(dst.len(), 2usize << node.level, "no level skipping");
     let (lo, hi) = dst.split_at_mut(dst.len() / 2);
-    walk(pkg, node.e[0], w, lo);
-    walk(pkg, node.e[1], w, hi);
+    walk(view, node.e[0], w, lo);
+    walk(view, node.e[1], w, hi);
 }
 
 /// One piece of a group's phase-1 share: a fill task (`None`: a zero run)
@@ -312,11 +314,11 @@ type Piece<'a> = (Option<&'a FillTask>, &'a mut [Complex64]);
 
 /// Phase 1 for one group: its zero runs and fill tasks. Returns the number
 /// of tables the group built.
-fn fill_group(pkg: &DdPackage, share: Vec<Piece<'_>>) -> usize {
+fn fill_group(view: &VectorView, share: Vec<Piece<'_>>) -> usize {
     let mut tables = Tables::default();
     for (task, dst) in share {
         match task {
-            Some(task) => tables.fill(pkg, task.edge, task.weight, dst),
+            Some(task) => tables.fill(view, task.edge, task.weight, dst),
             None => dst.fill(Complex64::ZERO),
         }
     }
@@ -402,15 +404,17 @@ pub fn dd_to_array_parallel_sharded_into_with(
         Vec::new()
     };
     let shares = plan.carve(pkg, out);
-    pool.for_each_part(shares.into_iter().enumerate(), |(g, share)| {
-        if g == 0 && ctx.fires(crate::faults::SITE_CONVERT_WORKER).is_some() {
-            panic!("fault injection: conversion worker panic");
-        }
-        let t0 = timed.then(Instant::now);
-        fill_group(pkg, share);
-        if let Some(t0) = t0 {
-            clocks[g].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
+    pkg.with_vector_view(|view| {
+        pool.for_each_part(shares.into_iter().enumerate(), |(g, share)| {
+            if g == 0 && ctx.fires(crate::faults::SITE_CONVERT_WORKER).is_some() {
+                panic!("fault injection: conversion worker panic");
+            }
+            let t0 = timed.then(Instant::now);
+            fill_group(view, share);
+            if let Some(t0) = t0 {
+                clocks[g].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            }
+        })
     });
     // Phase 2: scalar multiplications, deepest first (a shallower task's
     // source region contains the deeper tasks' destinations). Each task
@@ -564,7 +568,8 @@ mod tests {
         assert_eq!((distinct + 1) << TABLE_LEVEL, 2 * TABLE_CAP);
         let plan = ConversionPlan::build(&pkg, e, n, 1);
         let mut out = vec![Complex64::new(f64::NAN, 0.0); 1 << n];
-        let tables = fill_group(&pkg, plan.carve(&pkg, &mut out).remove(0));
+        let share = plan.carve(&pkg, &mut out).remove(0);
+        let tables = pkg.with_vector_view(|view| fill_group(view, share));
         assert_eq!(
             tables,
             distinct + 1,
@@ -601,7 +606,7 @@ mod tests {
             let plan = ConversionPlan::build(&pkg, e, n, shards);
             for (g, share) in plan.carve(&pkg, &mut out).into_iter().enumerate() {
                 let roots: Vec<VEdge> = plan.fill[g].iter().map(|t| t.edge).collect();
-                let tables = fill_group(&pkg, share);
+                let tables = pkg.with_vector_view(|view| fill_group(view, share));
                 let distinct = boundary_nodes(&pkg, &roots).len();
                 assert_eq!(tables, distinct, "s={shards} g={g}");
             }

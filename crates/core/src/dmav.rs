@@ -240,7 +240,7 @@ impl Compiler<'_> {
         if let Some(&i) = self.index.get(&id) {
             return i;
         }
-        let node = *self.pkg.m_node(id);
+        let node = self.pkg.m_node(id);
         let l = node.level as usize;
         let w = node.e.map(|e| self.pkg.cval(e.w));
         let kron_child = |e: &MEdge| {

@@ -57,7 +57,7 @@ impl DdPackage {
         for level in (0..by_level.len()).rev() {
             for &id in &by_level[level] {
                 let m = *mass.get(&id).unwrap_or(&0.0);
-                let node = *self.v_node(id);
+                let node = self.v_node(id);
                 for e in node.e {
                     if !e.is_zero() && !e.is_terminal() {
                         *mass.entry(e.n).or_insert(0.0) += m * self.cval(e.w).norm_sqr();
@@ -115,7 +115,7 @@ impl DdPackage {
         if let Some(&e) = memo.get(&id) {
             return e;
         }
-        let node = *self.v_node(id);
+        let node = self.v_node(id);
         let my_mass = *mass.get(&id).unwrap_or(&0.0);
         let mut edges = [VEdge::ZERO; 2];
         for (b, e) in node.e.iter().enumerate() {

@@ -23,31 +23,27 @@
 //! value is within `EDGE` of: one cell for all but ~0.4 % of uniformly
 //! placed values, four at a corner.
 //!
-//! ## Concurrency
+//! ## Storage
 //!
-//! Values live in one append-only store (so [`CIdx`] stays a dense index
-//! and `get` is lock-free); the cell index is one tag index
-//! (`crate::sync::TagIndex`: the cell key is not stored, a tag match is
-//! confirmed against the value itself, and a regrow re-keys the stored
-//! values) behind one lock. A package has one writer, but the table stays
-//! `Sync`: a lookup holds the lock from its first probe to its insert, so
-//! an insert is atomic with respect to every probe that could have found
-//! it.
+//! Values live in one `Vec` (so [`CIdx`] stays a dense index); the cell
+//! index is one tag index (`crate::index::TagIndex`: the cell key is not
+//! stored, a tag match is confirmed against the value itself, and a regrow
+//! re-keys the stored values). The table has one owner: `lookup` takes
+//! `&self` through `RefCell`s, so the table is `Send` and not `Sync`.
 //!
 //! ## Sweeping
 //!
 //! The package's stop-the-world sweep (`ComplexTable::sweep`) hands over
 //! a `ValueMarks` bitmap of the values live nodes and root edges still
 //! store. The index is rebuilt with only those, and the unmarked indices
-//! go onto the free list, where the next insert takes them — under the
-//! table's lock, the store's one-writer rule. A live value keeps its [`CIdx`];
+//! go onto the free list, where the next insert takes them. A live value
+//! keeps its [`CIdx`];
 //! [`CIdx::ZERO`] and [`CIdx::ONE`] are never freed.
 
 use crate::fxhash::hash_pair;
-use crate::sync::{get_mut, lock, FreeListIndex, SlotVec};
+use crate::index::FreeListIndex;
 use qcircuit::Complex64;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::{Cell, RefCell};
 
 /// Index of an interned complex value.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -142,22 +138,19 @@ fn cell_hash(kr: i64, ki: i64) -> u64 {
     hash_pair(kr as u64, ki as u64)
 }
 
-/// Interning table for complex edge weights. All methods take `&self` and
-/// are safe to call from many threads.
+/// Interning table for complex edge weights.
 pub struct ComplexTable {
-    /// Global value store: `CIdx` is a dense index into this. A sweep marks
-    /// values in a transient [`ValueMarks`], so the slots carry no stamp.
-    values: SlotVec<Complex64, ()>,
-    /// Value slots allocated so far (the next fresh index).
-    next: AtomicU32,
+    /// Value store: `CIdx` is a dense index into this. A sweep marks values
+    /// in a transient [`ValueMarks`], so the slots carry no stamp.
+    values: RefCell<Vec<Complex64>>,
     /// Values filed in the index (allocated slots minus the free list).
-    live: AtomicUsize,
+    live: Cell<usize>,
     /// Cell hash -> value index, and the indices the sweeps freed.
-    index: Mutex<FreeListIndex>,
-    /// Bytes reserved by the value segments, the index and the free list,
+    index: RefCell<FreeListIndex>,
+    /// Bytes reserved by the value store, the index and the free list,
     /// updated where any of them grows so that [`Self::memory_bytes`] is
     /// one load.
-    bytes: AtomicUsize,
+    bytes: Cell<usize>,
     tol: f64,
     /// Cells per unit length: `1 / (CELL_TOLS * tol)`.
     inv_cell: f64,
@@ -174,11 +167,10 @@ impl ComplexTable {
     pub fn new(tol: f64) -> Self {
         assert!(tol > 0.0);
         let t = ComplexTable {
-            values: SlotVec::default(),
-            next: AtomicU32::new(0),
-            live: AtomicUsize::new(0),
-            index: Mutex::new(FreeListIndex::new(INITIAL_SLOTS)),
-            bytes: AtomicUsize::new(INITIAL_SLOTS * 8),
+            values: RefCell::default(),
+            live: Cell::new(0),
+            index: RefCell::new(FreeListIndex::new(INITIAL_SLOTS)),
+            bytes: Cell::new(INITIAL_SLOTS * 8),
             tol,
             inv_cell: 1.0 / (CELL_TOLS * tol),
         };
@@ -187,7 +179,7 @@ impl ComplexTable {
         // tolerance of one finds it here).
         for (v, want) in [(Complex64::ZERO, CIdx::ZERO), (Complex64::ONE, CIdx::ONE)] {
             let h = place(v, t.inv_cell).home();
-            let got = t.alloc_value(v, h, &mut lock(&t.index));
+            let got = t.alloc_value(v, h, &mut t.index.borrow_mut());
             debug_assert_eq!(got, want);
         }
         t
@@ -200,12 +192,12 @@ impl ComplexTable {
 
     /// Number of distinct values stored (live or not yet swept).
     pub fn len(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
+        self.live.get()
     }
 
     /// Value slots allocated: [`Self::len`] plus the free lists.
     pub fn slots(&self) -> usize {
-        self.next.load(Ordering::Relaxed) as usize
+        self.values.borrow().len()
     }
 
     /// True when only the pre-interned constants exist.
@@ -213,48 +205,40 @@ impl ComplexTable {
         self.len() <= 2
     }
 
-    /// The value behind an index. Lock-free.
+    /// The value behind an index.
     #[inline(always)]
     pub fn get(&self, idx: CIdx) -> Complex64 {
-        debug_assert!((idx.0 as usize) < self.slots());
-        // SAFETY: a valid index was published after its slot write (the
-        // allocating thread wrote the value before the index escaped
-        // through the table's unlock or a cache-entry release, or filed it
-        // in the index whose lock `find` and a regrow hold while they read);
-        // the slot is re-written only after a sweep proved it unmarked.
-        unsafe { *self.values.get(idx.0) }
+        self.values.borrow()[idx.0 as usize]
     }
 
-    /// Walks the chain of cell hash `h` in the locked `index` for a stored
-    /// value within tolerance of `v`.
+    /// The value store, borrowed for a read-only view.
+    pub(crate) fn values(&self) -> std::cell::Ref<'_, Vec<Complex64>> {
+        self.values.borrow()
+    }
+
+    /// Walks the chain of cell hash `h` in `index` for a stored value
+    /// within tolerance of `v`.
     #[inline]
     fn find(&self, index: &FreeListIndex, h: u64, v: Complex64) -> Option<CIdx> {
-        // An index in `index` was written before it was filed under the lock
-        // we hold (`concurrent_interning_is_canonical`).
         index
             .index
             .find(h, |idx| self.get(CIdx(idx)).approx_eq(v, self.tol))
             .map(CIdx)
     }
 
-    /// Stores `v` in a slot the locked `index` freed, or else in a fresh
-    /// one, and files it under its home cell (hash `h`).
+    /// Stores `v` in a slot `index` freed, or else in a fresh one, and
+    /// files it under its home cell (hash `h`).
     fn alloc_value(&self, v: Complex64, h: u64, index: &mut FreeListIndex) -> CIdx {
-        let (idx, mut grown) = index.take_slot(&self.next, &self.values);
-        // SAFETY: `idx` is either freshly reserved by `take_slot` or
-        // was proven unmarked by the last sweep, and we hold the table's
-        // lock; it is published only by the insert below / the caller's use
-        // (`recycled_slots_take_new_values_and_live_ones_keep_theirs`).
-        unsafe { self.values.write(idx, v) };
+        let (idx, mut grown) = index.store(&mut self.values.borrow_mut(), v);
         // A regrow re-keys every filed value, as `find` reads them
         // (`every_value_stays_findable_across_three_regrows`).
         grown += index
             .index
             .insert(h, idx, |i| place(self.get(CIdx(i)), self.inv_cell).home());
         if grown != 0 {
-            self.bytes.fetch_add(grown, Ordering::Relaxed);
+            self.bytes.set(self.bytes.get() + grown);
         }
-        self.live.fetch_add(1, Ordering::Relaxed);
+        self.live.set(self.live.get() + 1);
         CIdx(idx)
     }
 
@@ -271,7 +255,7 @@ impl ComplexTable {
         }
         let p = place(v, self.inv_cell);
         let h = p.home();
-        let mut index = lock(&self.index);
+        let mut index = self.index.borrow_mut();
         let mut found = self.find(&index, h, v);
         if found.is_none() && p.dr | p.di != 0 {
             found = self.find_across_sides(&index, v, &p);
@@ -324,28 +308,20 @@ impl ComplexTable {
     /// Returns the number freed. Stop-the-world (`&mut self`): the caller
     /// marked every value a live node or a held edge stores.
     pub(crate) fn sweep(&mut self, marks: &ValueMarks) -> usize {
-        let (values, inv_cell) = (&self.values, self.inv_cell);
-        let (freed, grown) = get_mut(&mut self.index).sweep(
+        let (values, inv_cell) = (self.values.get_mut(), self.inv_cell);
+        let (freed, grown) = self.index.get_mut().sweep(
             |idx| idx <= CIdx::ONE.0 || marks.get(idx),
-            // SAFETY: every filed index was written before it was filed,
-            // and `&mut self` orders this after all of them.
-            |i| place(unsafe { *values.get(i) }, inv_cell).home(),
+            |i| place(values[i as usize], inv_cell).home(),
         );
         *self.bytes.get_mut() += grown;
         *self.live.get_mut() -= freed;
         freed
     }
 
-    /// Bytes reserved by the table (value segments, index and free list).
-    /// One atomic load: the counter moves where any of them grows.
+    /// Bytes reserved by the table (value store, index and free list).
+    /// One load: the counter moves where any of them grows.
     pub fn memory_bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// [`Self::memory_bytes`] recounted from the structures themselves.
-    #[cfg(test)]
-    pub(crate) fn recount_bytes(&self) -> usize {
-        self.values.allocated_bytes() + lock(&self.index).bytes()
+        self.bytes.get()
     }
 }
 
@@ -353,6 +329,19 @@ impl ComplexTable {
 mod tests {
     use super::*;
     use qcircuit::prop::Gen;
+
+    impl ComplexTable {
+        /// [`Self::memory_bytes`] recounted from the structures themselves.
+        pub(crate) fn recount_bytes(&self) -> usize {
+            self.values.borrow().capacity() * std::mem::size_of::<Complex64>()
+                + self.index.borrow().bytes()
+        }
+
+        /// The indices the sweeps freed that no value has taken again.
+        pub(crate) fn free_indices(&self) -> Vec<u32> {
+            self.index.borrow().free().to_vec()
+        }
+    }
 
     #[test]
     fn constants_have_fixed_indices() {
@@ -459,7 +448,7 @@ mod tests {
         let value = |i: usize| Complex64::new(i as f64 * 1.7e-3 - 4.0, (i as f64 * 0.37).sin());
         let idxs: Vec<CIdx> = (0..6000).map(|i| t.lookup(value(i))).collect();
         assert_eq!(t.len(), 2 + 6000);
-        let words = lock(&t.index).index.words();
+        let words = t.index.borrow().index.words();
         assert!(
             words >= INITIAL_SLOTS << 3,
             "the index regrew to only {words}"
@@ -512,53 +501,6 @@ mod tests {
         assert_eq!(t.lookup(Complex64::new(1.0 + 1e-12, 0.0)), CIdx::ONE);
         assert_eq!(t.lookup(Complex64::new(-1e-12, 1e-12)), CIdx::ZERO);
         assert_eq!(t.get(CIdx::ONE), Complex64::ONE);
-    }
-
-    #[test]
-    fn concurrent_interning_is_canonical() {
-        let t = ComplexTable::default();
-        // Pairs within tolerance of each other on opposite sides of a cell
-        // side (every fourth one of a corner): whichever of a pair lands
-        // first must be what all 8 threads get for both.
-        let pairs: Vec<[Complex64; 2]> = (0..200)
-            .map(|i| {
-                let k = 1000 + 37 * i as i64;
-                let im = |d: f64| if i % 4 == 0 { at_cell(-k, d) } else { -0.5 };
-                [
-                    Complex64::new(at_cell(k, -2e-4), im(-2e-4)),
-                    Complex64::new(at_cell(k, 2e-4), im(2e-4)),
-                ]
-            })
-            .collect();
-        // 8 threads intern the same value set — the grid values in order,
-        // the pairs in opposite orders on alternating threads, released
-        // together; every value must resolve to one index everywhere.
-        let start = std::sync::Barrier::new(8);
-        let per_thread: Vec<Vec<CIdx>> = std::thread::scope(|s| {
-            let hs: Vec<_> = (0..8)
-                .map(|tid| {
-                    let (t, pairs, start) = (&t, &pairs, &start);
-                    s.spawn(move || {
-                        start.wait();
-                        let mut got: Vec<CIdx> = (0..500)
-                            .map(|i| t.lookup(Complex64::new(i as f64 * 0.01, -0.5)))
-                            .collect();
-                        for p in pairs {
-                            let first = t.lookup(p[tid % 2]);
-                            let second = t.lookup(p[1 - tid % 2]);
-                            assert_eq!(first, second, "a pair within tolerance split");
-                            got.push(first);
-                        }
-                        got
-                    })
-                })
-                .collect();
-            hs.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for other in &per_thread[1..] {
-            assert_eq!(&per_thread[0], other);
-        }
-        assert_eq!(t.len(), 2 + 500 + pairs.len());
     }
 
     /// Position inside a cell: interior, hugging the lower side, or

@@ -42,8 +42,8 @@ impl DdPackage {
         if let Some(&v) = memo.get(&(an, bn)) {
             return v;
         }
-        let a = *self.v_node(an);
-        let b = *self.v_node(bn);
+        let a = self.v_node(an);
+        let b = self.v_node(bn);
         debug_assert_eq!(a.level, b.level);
         let mut acc = Complex64::ZERO;
         for i in 0..2 {
@@ -100,7 +100,7 @@ impl DdPackage {
         if e.is_terminal() {
             return w.conj() * flat[offset];
         }
-        let node = *self.v_node(e.n);
+        let node = self.v_node(e.n);
         let len = 1usize << (node.level as usize + 1);
         if len <= (1 << FLAT_BLOCK_QUBITS) {
             let block = blocks.entry(e.n).or_insert_with(|| {
@@ -191,7 +191,7 @@ impl DdPackage {
         if let Some(&e) = memo.get(&id) {
             return e;
         }
-        let node = *self.m_node(id);
+        let node = self.m_node(id);
         let mut es = [MEdge::ZERO; 4];
         for i in 0..2usize {
             for j in 0..2usize {

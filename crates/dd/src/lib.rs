@@ -26,12 +26,13 @@
 //! tables rely on.
 
 #![warn(missing_docs)]
-#![warn(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod approx;
 pub mod ctable;
 pub mod dot;
 pub mod fxhash;
+mod index;
 pub mod inner;
 pub mod mac;
 pub mod node;
@@ -40,7 +41,6 @@ pub mod package;
 pub mod sampling;
 pub mod serialize;
 pub mod sim;
-mod sync;
 pub mod verify;
 
 pub use approx::ApproxResult;
@@ -48,7 +48,7 @@ pub use ctable::{CIdx, ComplexTable};
 pub use mac::{mac_count, MacTable};
 pub use node::{MEdge, MNode, VEdge, VNode, TERM};
 pub use ops::ComputeStats;
-pub use package::{DdPackage, PackageStats};
+pub use package::{DdPackage, PackageStats, VectorView};
 pub use qcircuit::rng::SplitMix64;
 pub use sim::{DdSimStats, DdSimulator};
 pub use verify::{check_equivalence, circuit_unitary_dd, unitaries_equal, Equivalence};

@@ -48,7 +48,7 @@ impl MacTable {
         if let Some(&c) = self.memo.get(&n) {
             return c;
         }
-        let node = *pkg.m_node(n);
+        let node = pkg.m_node(n);
         let mut total = 0u64;
         for e in node.e {
             if !e.is_zero() {

@@ -1,26 +1,24 @@
 //! DD nodes, edges, and the unique-table arena.
 //!
 //! Vector nodes have two outgoing edges, matrix nodes four (row-major).
-//! Nodes live in one slab per arena whose slot index is the node's `u32`
+//! Nodes live in one `Vec` per arena whose position is the node's `u32`
 //! id; a unique table maps node *content* (level + edges) to its id, so
 //! structurally identical sub-DDs are shared — the defining property of a
 //! decision diagram.
 //!
-//! The unique table is one tag index (`crate::sync::TagIndex`, the
-//! structure the complex table files values in) and free list behind one
-//! lock. A package has one writer, but stays `Sync` for the conversion's
-//! readers: `get` reads the slab without any lock, only inserts take the
-//! lock, and mark stamps are atomic. The sweep is stop-the-world
-//! (`&mut self`).
+//! The unique table is one tag index (`crate::index::TagIndex`, the
+//! structure the complex table files values in) and a free list. An arena
+//! has one owner: reads, inserts and marks take `&self` through
+//! `RefCell`s and `Cell`s, which make it `Send` and not `Sync`, and the
+//! sweep takes `&mut self`. The conversion's workers read the nodes
+//! through a borrowed slice ([`crate::package::VectorView`]).
 
 use crate::ctable::CIdx;
 use crate::fxhash::{hash_u64, FxHasher};
-use crate::sync::{get_mut, lock, FreeListIndex, SlotVec};
+use crate::index::FreeListIndex;
 use qcircuit::Complex64;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Sentinel node id of the terminal node ("1" in Figure 2 of the paper).
 pub const TERM: u32 = u32::MAX;
@@ -156,38 +154,41 @@ macro_rules! node_impl {
 node_impl!(VNode);
 node_impl!(MNode);
 
-thread_local! {
-    /// The mark walk's stack, kept between calls: the per-gate size probe
-    /// (`DdPackage::vector_dd_size`) allocates nothing once it is warm.
-    static MARK_STACK: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+/// One node slot: the content and the stamp of the last mark walk that
+/// reached it (0: none yet).
+#[derive(Clone, Copy)]
+pub(crate) struct Slot<T> {
+    pub(crate) node: T,
+    stamp: u32,
 }
 
 /// Slab arena with structural sharing (unique table) and mark/sweep
 /// support: one slot store whose index *is* the node id, and an index from
-/// content to id. Inserts, reads, and marks take `&self` and are safe to
-/// call from many threads; the sweep is stop-the-world.
+/// content to id. Inserts, reads and marks take `&self`; the sweep takes
+/// `&mut self`.
 pub struct NodeArena<T: Node> {
-    slots: SlotVec<T>,
-    /// Slots allocated so far (the next fresh id).
-    next: AtomicU32,
+    slots: RefCell<Vec<Slot<T>>>,
     /// Hash of node content -> id, and the ids the sweeps freed.
-    index: Mutex<FreeListIndex>,
-    alive: AtomicUsize,
-    peak_alive: AtomicUsize,
+    index: RefCell<FreeListIndex>,
+    /// The mark walk's stack, kept between calls: the per-gate size probe
+    /// (`DdPackage::vector_dd_size`) allocates nothing once it is warm.
+    stack: Cell<Vec<u32>>,
+    alive: Cell<usize>,
+    peak_alive: Cell<usize>,
     /// Bytes reserved by the slab, the index and the free list, updated
     /// where any of them grows so that [`Self::memory_bytes`] is one load.
-    bytes: AtomicUsize,
+    bytes: Cell<usize>,
 }
 
 impl<T: Node> Default for NodeArena<T> {
     fn default() -> Self {
         NodeArena {
-            slots: SlotVec::default(),
-            next: AtomicU32::new(0),
-            index: Mutex::new(FreeListIndex::new(INITIAL_WORDS)),
-            alive: AtomicUsize::new(0),
-            peak_alive: AtomicUsize::new(0),
-            bytes: AtomicUsize::new(INITIAL_WORDS * 8),
+            slots: RefCell::default(),
+            index: RefCell::new(FreeListIndex::new(INITIAL_WORDS)),
+            stack: Cell::default(),
+            alive: Cell::new(0),
+            peak_alive: Cell::new(0),
+            bytes: Cell::new(INITIAL_WORDS * 8),
         }
     }
 }
@@ -204,46 +205,46 @@ fn node_hash<T: Hash>(data: &T) -> u64 {
 
 impl<T: Node> NodeArena<T> {
     /// Returns the id of a node with this content, inserting if new.
-    /// Concurrent callers inserting equal content all receive the same id.
     #[inline]
     pub fn get_or_insert(&self, data: T) -> u32 {
         let h = node_hash(&data);
-        let mut core = lock(&self.index);
-        // SAFETY: `stored` only reads ids filed in the index (and `id`
-        // below, written before it is filed), and an id is written before
-        // it is filed, under the lock we hold
-        // (`concurrent_overlapping_inserts_across_regrows_get_one_id_per_content`).
-        let stored = |id: u32| unsafe { self.slots.get(id) };
-        if let Some(id) = core.index.find(h, |id| stored(id) == &data) {
+        let mut core = self.index.borrow_mut();
+        if let Some(id) = core.index.find(h, |id| self.get(id) == data) {
             return id;
         }
-        // Fresh ids stop short of `TERM` (`SlotVec::ensure`'s assert).
-        let (id, mut grown) = core.take_slot(&self.next, &self.slots);
-        // SAFETY: `id` is either freshly allocated (unknown to every other
-        // thread) or was proven unreachable by the last sweep; we hold the
-        // lock, which is also what publishes it.
-        unsafe { self.slots.write(id, data) };
-        grown += core.index.insert(h, id, |i| node_hash(stored(i)));
+        // Fresh ids stop short of `TERM` (`FreeListIndex::store`).
+        let (id, mut grown) = core.store(
+            &mut self.slots.borrow_mut(),
+            Slot {
+                node: data,
+                stamp: 0,
+            },
+        );
+        grown += core.index.insert(h, id, |i| node_hash(&self.get(i)));
         if grown != 0 {
-            self.bytes.fetch_add(grown, Ordering::Relaxed);
+            self.bytes.set(self.bytes.get() + grown);
         }
-        let alive = self.alive.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_alive.fetch_max(alive, Ordering::Relaxed);
+        let alive = self.alive.get() + 1;
+        self.alive.set(alive);
+        self.peak_alive.set(self.peak_alive.get().max(alive));
         id
     }
 
-    /// Content of a node. Lock-free.
+    /// Content of a node.
     #[inline(always)]
-    pub fn get(&self, id: u32) -> &T {
+    pub fn get(&self, id: u32) -> T {
         debug_assert_ne!(id, TERM, "terminal has no content");
-        // SAFETY: a valid id was published after its slot write (table
-        // lock / cache-entry release); liveness is the caller's contract.
-        unsafe { self.slots.get(id) }
+        self.slots.borrow()[id as usize].node
+    }
+
+    /// The slot store, borrowed for a read-only view.
+    pub(crate) fn slots(&self) -> std::cell::Ref<'_, Vec<Slot<T>>> {
+        self.slots.borrow()
     }
 
     /// Number of live (reachable-or-not-yet-collected) nodes.
     pub fn len(&self) -> usize {
-        self.alive.load(Ordering::Relaxed)
+        self.alive.get()
     }
 
     /// True when no nodes are live.
@@ -253,78 +254,85 @@ impl<T: Node> NodeArena<T> {
 
     /// High-water mark of live nodes.
     pub fn peak(&self) -> usize {
-        self.peak_alive.load(Ordering::Relaxed)
-    }
-
-    /// Marks `id` with `stamp`; returns `true` when it was not yet marked
-    /// (i.e. the caller should recurse into its children). Safe to call
-    /// concurrently — exactly one of the racing markers gets `true`.
-    #[inline(always)]
-    fn mark(&self, id: u32, stamp: u32) -> bool {
-        id != TERM && self.slots.stamp(id).swap(stamp, Ordering::Relaxed) != stamp
+        self.peak_alive.get()
     }
 
     /// Marks every node reachable from `roots` with `stamp` and returns how
     /// many this call marked (nodes already carrying `stamp` are neither
     /// counted nor walked again).
     pub fn mark_reachable(&self, roots: impl IntoIterator<Item = u32>, stamp: u32) -> usize {
-        let mut stack = MARK_STACK.take();
+        let mut slots = self.slots.borrow_mut();
+        let mut stack = self.stack.take();
         let mut marked = 0;
         for root in roots {
             stack.push(root);
             while let Some(id) = stack.pop() {
-                if self.mark(id, stamp) {
+                if id == TERM {
+                    continue;
+                }
+                let slot = &mut slots[id as usize];
+                if std::mem::replace(&mut slot.stamp, stamp) != stamp {
                     marked += 1;
-                    stack.extend(self.get(id).children());
+                    stack.extend(slot.node.children());
                 }
             }
         }
-        MARK_STACK.set(stack);
+        self.stack.set(stack);
         marked
     }
 
     /// Frees every node *not* carrying `stamp` and hands each kept one to
     /// `kept`. Returns the number freed.
     ///
-    /// Stop-the-world: requires `&mut self`, so no concurrent readers or
-    /// inserters can exist. The caller must have marked all roots (and
-    /// their transitive children) with `stamp` first.
+    /// The caller must have marked all roots (and their transitive
+    /// children) with `stamp` first.
     pub fn sweep(&mut self, stamp: u32, mut kept: impl FnMut(&T)) -> usize {
-        let slots = &self.slots;
-        // SAFETY: every id in the index was written before it was filed, and
-        // `&mut self` orders this after all of them.
-        let node = |id: u32| unsafe { slots.get(id) };
-        let (freed, grown) = get_mut(&mut self.index).sweep(
+        let slots = self.slots.get_mut();
+        let (freed, grown) = self.index.get_mut().sweep(
             |id| {
-                let keep = slots.stamp(id).load(Ordering::Relaxed) == stamp;
+                let slot = &slots[id as usize];
+                let keep = slot.stamp == stamp;
                 if keep {
-                    kept(node(id));
+                    kept(&slot.node);
                 }
                 keep
             },
-            |id| node_hash(node(id)),
+            |id| node_hash(&slots[id as usize].node),
         );
         *self.bytes.get_mut() += grown;
         *self.alive.get_mut() -= freed;
         freed
     }
 
-    /// Bytes reserved by the slab, the index and the free list. One atomic
-    /// load: the counter moves where any of them grows.
+    /// Bytes reserved by the slab, the index and the free list. One load:
+    /// the counter moves where any of them grows.
     pub fn memory_bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// [`Self::memory_bytes`] recounted from the structures themselves.
-    #[cfg(test)]
-    pub(crate) fn recount_bytes(&self) -> usize {
-        self.slots.allocated_bytes() + lock(&self.index).bytes()
+        self.bytes.get()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T: Node> NodeArena<T> {
+        /// [`Self::memory_bytes`] recounted from the structures themselves.
+        pub(crate) fn recount_bytes(&self) -> usize {
+            self.slots.borrow().capacity() * std::mem::size_of::<Slot<T>>()
+                + self.index.borrow().bytes()
+        }
+
+        /// The ids the sweeps freed that no node has taken again.
+        pub(crate) fn free_ids(&self) -> Vec<u32> {
+            self.index.borrow().free().to_vec()
+        }
+
+        /// The id the unique table files `data` under, if any.
+        pub(crate) fn find(&self, data: T) -> Option<u32> {
+            let core = self.index.borrow();
+            core.index.find(node_hash(&data), |id| self.get(id) == data)
+        }
+    }
 
     fn vnode(level: u8, a: u32, b: u32) -> VNode {
         VNode {
@@ -365,7 +373,7 @@ mod tests {
         for l in 0..64u8 {
             let id = a.get_or_insert(vnode(l, TERM, TERM));
             assert_ne!(id, TERM);
-            assert_eq!(*a.get(id), vnode(l, TERM, TERM));
+            assert_eq!(a.get(id), vnode(l, TERM, TERM));
         }
     }
 
@@ -376,8 +384,8 @@ mod tests {
         let _dead = a.get_or_insert(vnode(1, TERM, TERM));
         assert_eq!(a.len(), 2);
         let stamp = 7;
-        assert!(a.mark(keep, stamp));
-        assert!(!a.mark(keep, stamp), "second mark reports already-marked");
+        assert_eq!(a.mark_reachable([keep], stamp), 1);
+        assert_eq!(a.mark_reachable([keep], stamp), 0, "already marked");
         let freed = a.sweep(stamp, |_| {});
         assert_eq!(freed, 1);
         assert_eq!(a.len(), 1);
@@ -393,7 +401,7 @@ mod tests {
         }
         for i in 0..5000u32 {
             assert_eq!(a.get_or_insert(vnode((i % 7) as u8, i, TERM)), i, "hit");
-            assert_eq!(*a.get(i), vnode((i % 7) as u8, i, TERM));
+            assert_eq!(a.get(i), vnode((i % 7) as u8, i, TERM));
         }
         assert_eq!(a.len(), 5000);
     }
@@ -459,52 +467,28 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_inserts_of_same_content_get_one_id() {
-        let a: NodeArena<VNode> = NodeArena::default();
-        let ids: Vec<u32> = std::thread::scope(|s| {
-            let hs: Vec<_> = (0..8)
-                .map(|_| s.spawn(|| a.get_or_insert(vnode(3, TERM, TERM))))
-                .collect();
-            hs.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert!(ids.windows(2).all(|w| w[0] == w[1]));
-        assert_eq!(a.len(), 1);
-    }
-
-    #[test]
-    fn concurrent_overlapping_inserts_across_regrows_get_one_id_per_content() {
-        // 8 threads, released together, each insert 3/4 of 24 000 distinct
-        // contents in its own order: the index regrows several times
-        // under contention and every content is raced for by 6 threads.
+    fn overlapping_inserts_across_regrows_get_one_id_per_content() {
+        // 8 passes, each over 3/4 of 24 000 distinct contents in its own
+        // order: the index regrows several times during the first passes,
+        // and every content is inserted by 6 of them.
         const N: u32 = 24_000;
         let a: NodeArena<VNode> = NodeArena::default();
         let content = |i: u32| vnode((i % 11) as u8, i, i / 3);
-        let start = std::sync::Barrier::new(8);
-        let per_thread: Vec<Vec<(u32, u32)>> = std::thread::scope(|s| {
-            let hs: Vec<_> = (0..8u32)
-                .map(|t| {
-                    let (a, start) = (&a, &start);
-                    s.spawn(move || {
-                        start.wait();
-                        (0..N)
-                            .map(|k| (k * 7 + t * 3001) % N)
-                            .filter(|i| i % 8 != t && i % 8 != (t + 1) % 8)
-                            .map(|i| (i, a.get_or_insert(content(i))))
-                            .collect()
-                    })
-                })
-                .collect();
-            hs.into_iter().map(|h| h.join().unwrap()).collect()
-        });
         let mut id_of = vec![TERM; N as usize];
-        for (i, id) in per_thread.into_iter().flatten() {
-            assert!(id < N, "ids are dense");
-            assert_eq!(*a.get(id), content(i));
-            let seen = std::mem::replace(&mut id_of[i as usize], id);
-            assert!(
-                seen == TERM || seen == id,
-                "content {i} got ids {seen} and {id}"
-            );
+        for t in 0..8u32 {
+            for i in (0..N)
+                .map(|k| (k * 7 + t * 3001) % N)
+                .filter(|i| i % 8 != t && i % 8 != (t + 1) % 8)
+            {
+                let id = a.get_or_insert(content(i));
+                assert!(id < N, "ids are dense");
+                assert_eq!(a.get(id), content(i));
+                let seen = std::mem::replace(&mut id_of[i as usize], id);
+                assert!(
+                    seen == TERM || seen == id,
+                    "content {i} got ids {seen} and {id}"
+                );
+            }
         }
         assert!(
             id_of.iter().all(|&id| id != TERM),

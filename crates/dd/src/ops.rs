@@ -12,149 +12,92 @@
 //! (`make_vnode_lazy` / `make_mnode_lazy`) and once where a public function
 //! hands an interned edge back.
 //!
-//! The caches are safe for concurrent *lossy* access: each slot is a tiny
-//! seq-lock (sequence counter + atomically stored key/value words). Racing
-//! writers skip the insert (the cache is allowed to lose entries), and a
-//! reader accepts a hit only when the sequence was stable and even across
-//! its key/value loads — so a hit can only ever return the value that was
-//! stored together with exactly that key.
+//! The caches are plain direct-mapped slot arrays: a collision overwrites,
+//! and a hit is a slot whose stored key equals the probe's. A package has
+//! one owner, so a probe and an insert are a read and a write of one slot
+//! (`RefCell`, for the `&self` the arithmetic takes).
 
 use crate::ctable::CIdx;
 use crate::fxhash::{hash_pair, hash_u64};
 use crate::node::{Lazy, MEdge, VEdge, TERM};
 use crate::package::DdPackage;
 use qcircuit::Complex64;
-use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
 
-/// One direct-mapped cache slot: a seq-lock over `K` key words and a
-/// `(node, re, im)` result. `seq == 0` means never written; odd means a
-/// write is in flight; even (> 0) means stable. All-zero bytes are the
-/// empty slot, and the alignment stays natural (8), so a slot array comes
-/// straight from `calloc` (see [`zeroed_slots`]). `K = 1` is 32 bytes,
-/// `K = 3` is 48.
-struct CacheSlot<const K: usize> {
-    seq: AtomicU32,
-    node: AtomicU32,
-    key: [AtomicU64; K],
-    re: AtomicU64,
-    im: AtomicU64,
-}
-
-/// `n` empty slots, allocated zeroed: the allocator hands large zeroed
-/// requests to the kernel as untouched pages, so a table costs nothing
-/// until its slots are written (building each slot in a loop faulted in
-/// every page of every table at package construction).
-fn zeroed_slots<const K: usize>(n: usize) -> Box<[CacheSlot<K>]> {
-    assert!(n > 0);
-    let layout = Layout::array::<CacheSlot<K>>(n).expect("slot array fits the address space");
-    // SAFETY: `layout` has non-zero size (`n > 0`, a slot is >= 32 bytes).
-    // A slot holds only atomic integers, for which every bit pattern —
-    // all-zero included — is a valid value, so the zeroed block is `n`
-    // initialized slots; it was allocated by the global allocator with
-    // exactly the layout `Box<[CacheSlot<K>]>` frees it with.
-    unsafe {
-        let p = alloc_zeroed(layout) as *mut CacheSlot<K>;
-        if p.is_null() {
-            handle_alloc_error(layout);
-        }
-        Box::from_raw(std::ptr::slice_from_raw_parts_mut(p, n))
-    }
-}
-
-/// A fixed-size direct-mapped cache with seq-locked slots: collisions
-/// overwrite, concurrent writers to one slot lose (lossy insert). This
-/// keeps the DDSIM compute-table design — bounded memory, O(1) lookup, no
-/// eviction bookkeeping — while allowing concurrent `&self` access.
-struct ConcurrentMap<const K: usize> {
-    slots: Box<[CacheSlot<K>]>,
+/// A direct-mapped cache over `W`-word slots: word 0 is `1 << 32 | node`
+/// (0 = empty), words `1..W - 2` the key, the last two the result
+/// weight's bits. `K`-word keys take `W = K + 3`: 32 bytes for the
+/// multiply tables, 48 for the addition tables. This keeps the DDSIM
+/// compute-table design — bounded memory, O(1) lookup, no eviction
+/// bookkeeping.
+struct CacheMap<const W: usize> {
+    /// All zero when allocated: `vec!` of zeros is one `calloc`, which the
+    /// kernel backs with pages only where slots are written (building each
+    /// slot in a loop faulted in every page of every table at package
+    /// construction).
+    slots: RefCell<Box<[[u64; W]]>>,
     mask: u64,
-    lookups: AtomicU64,
-    hits: AtomicU64,
+    lookups: Cell<u64>,
+    hits: Cell<u64>,
     /// What `lookups` read when the table was last empty. Every insert site
     /// probes the same table first (a result is stored where its lookup
     /// missed), so `lookups == empty_at` means nothing was written since.
     empty_at: u64,
 }
 
-impl<const K: usize> ConcurrentMap<K> {
+/// Flags a written slot in word 0.
+const FULL: u64 = 1 << 32;
+
+impl<const W: usize> CacheMap<W> {
     fn new(bits: u32) -> Self {
-        ConcurrentMap {
-            slots: zeroed_slots(1usize << bits),
+        CacheMap {
+            slots: RefCell::new(vec![[0; W]; 1 << bits].into_boxed_slice()),
             mask: (1u64 << bits) - 1,
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
+            lookups: Cell::new(0),
+            hits: Cell::new(0),
             empty_at: 0,
         }
     }
 
     #[inline(always)]
-    fn lookup(&self, key: [u64; K], hash: u64) -> Option<Lazy> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(hash & self.mask) as usize];
-        let s1 = slot.seq.load(Ordering::Acquire);
-        if s1 == 0 || s1 & 1 == 1 {
+    fn lookup(&self, key: &[u64], hash: u64) -> Option<Lazy> {
+        self.lookups.set(self.lookups.get() + 1);
+        let slot = self.slots.borrow()[(hash & self.mask) as usize];
+        if slot[0] & FULL == 0 || slot[1..W - 2] != *key {
             return None;
         }
-        let stored: [u64; K] = std::array::from_fn(|i| slot.key[i].load(Ordering::Relaxed));
-        let n = slot.node.load(Ordering::Relaxed);
-        let re = slot.re.load(Ordering::Relaxed);
-        let im = slot.im.load(Ordering::Relaxed);
-        // Validate: the loads above belong to the generation we started
-        // with — otherwise a writer interleaved and they may be torn.
-        fence(Ordering::Acquire);
-        if slot.seq.load(Ordering::Relaxed) != s1 || stored != key {
-            return None;
-        }
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.hits.set(self.hits.get() + 1);
         Some(Lazy {
-            n,
-            w: Complex64::new(f64::from_bits(re), f64::from_bits(im)),
+            n: slot[0] as u32,
+            w: Complex64::new(f64::from_bits(slot[W - 2]), f64::from_bits(slot[W - 1])),
         })
     }
 
     #[inline(always)]
-    fn insert(&self, key: [u64; K], hash: u64, val: Lazy) {
+    fn insert(&self, key: &[u64], hash: u64, val: Lazy) {
         debug_assert_ne!(
-            self.lookups.load(Ordering::Relaxed),
+            self.lookups.get(),
             self.empty_at,
             "an insert follows a lookup of the same table"
         );
-        let slot = &self.slots[(hash & self.mask) as usize];
-        let s = slot.seq.load(Ordering::Relaxed);
-        if s & 1 == 1 {
-            return; // another writer owns the slot: lossy skip
-        }
-        // Acquire on success orders the data stores below after the
-        // counter becomes odd.
-        if slot
-            .seq
-            .compare_exchange(s, s.wrapping_add(1), Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        for (word, k) in slot.key.iter().zip(key) {
-            word.store(k, Ordering::Relaxed);
-        }
-        slot.node.store(val.n, Ordering::Relaxed);
-        slot.re.store(val.w.re.to_bits(), Ordering::Relaxed);
-        slot.im.store(val.w.im.to_bits(), Ordering::Relaxed);
-        slot.seq.store(s.wrapping_add(2), Ordering::Release);
+        let slot = &mut self.slots.borrow_mut()[(hash & self.mask) as usize];
+        slot[0] = FULL | val.n as u64;
+        slot[1..W - 2].copy_from_slice(key);
+        slot[W - 2] = val.w.re.to_bits();
+        slot[W - 1] = val.w.im.to_bits();
     }
 
     /// Drops every entry and says whether there could be any. A table not
     /// probed since it was last empty is left alone: storing into every
     /// slot would fault in pages `calloc` never had to back (the `mm` and
-    /// `add_m` tables of a run that multiplies no matrices). Exclusive
-    /// access means no readers can observe the intermediate states.
+    /// `add_m` tables of a run that multiplies no matrices).
     fn clear(&mut self) -> bool {
-        let probes = *self.lookups.get_mut();
+        let probes = self.lookups.get();
         if probes == self.empty_at {
             return false;
         }
-        for s in self.slots.iter_mut() {
-            *s.seq.get_mut() = 0;
+        for s in self.slots.get_mut().iter_mut() {
+            s[0] = 0;
         }
         self.empty_at = probes;
         true
@@ -164,13 +107,16 @@ impl<const K: usize> ConcurrentMap<K> {
     /// the memory-pressure ladder to actually release cache memory (a plain
     /// `clear` keeps the capacity).
     fn shrink_to_bits(&mut self, bits: u32) {
-        self.slots = zeroed_slots(1usize << bits);
-        self.mask = (1u64 << bits) - 1;
-        self.empty_at = *self.lookups.get_mut();
+        *self = CacheMap {
+            lookups: self.lookups.clone(),
+            hits: self.hits.clone(),
+            empty_at: self.lookups.get(),
+            ..CacheMap::new(bits)
+        };
     }
 
     fn memory_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<CacheSlot<K>>()
+        self.slots.borrow().len() * std::mem::size_of::<[u64; W]>()
     }
 }
 
@@ -204,28 +150,28 @@ fn add_key(an: u32, bn: u32, ratio: Complex64, inv_tol: f64) -> ([u64; 3], u64) 
 const MUL_BITS: u32 = 12;
 const ADD_BITS: u32 = 11;
 
-/// Operation caches of a package. Concurrent lossy access via `&self`.
+/// Operation caches of a package.
 pub(crate) struct ComputeTables {
-    mv: ConcurrentMap<1>,
-    mm: ConcurrentMap<1>,
-    add_v: ConcurrentMap<3>,
-    add_m: ConcurrentMap<3>,
+    mv: CacheMap<4>,
+    mm: CacheMap<4>,
+    add_v: CacheMap<6>,
+    add_m: CacheMap<6>,
 }
 
 impl Default for ComputeTables {
     fn default() -> Self {
         ComputeTables {
-            mv: ConcurrentMap::new(MUL_BITS),
-            mm: ConcurrentMap::new(MUL_BITS),
-            add_v: ConcurrentMap::new(ADD_BITS),
-            add_m: ConcurrentMap::new(ADD_BITS),
+            mv: CacheMap::new(MUL_BITS),
+            mm: CacheMap::new(MUL_BITS),
+            add_v: CacheMap::new(ADD_BITS),
+            add_m: CacheMap::new(ADD_BITS),
         }
     }
 }
 
 impl ComputeTables {
     /// Empties the tables; which of `[mv, mm, add_v, add_m]` held anything
-    /// to drop (see [`ConcurrentMap::clear`]).
+    /// to drop (see [`CacheMap::clear`]).
     pub(crate) fn clear(&mut self) -> [bool; 4] {
         [
             self.mv.clear(),
@@ -246,11 +192,8 @@ impl ComputeTables {
     }
 
     pub(crate) fn stats(&self) -> ComputeStats {
-        fn ld<const K: usize>(m: &ConcurrentMap<K>) -> (u64, u64) {
-            (
-                m.lookups.load(Ordering::Relaxed),
-                m.hits.load(Ordering::Relaxed),
-            )
+        fn ld<const W: usize>(m: &CacheMap<W>) -> (u64, u64) {
+            (m.lookups.get(), m.hits.get())
         }
         let (mvl, mvh) = ld(&self.mv);
         let (mml, mmh) = ld(&self.mm);
@@ -439,11 +382,11 @@ impl DdPackage {
 
     fn add_v_rec(&self, an: u32, bn: u32, ratio: Complex64) -> Lazy {
         let (key, hash) = add_key(an, bn, ratio, self.inv_tol);
-        if let Some(hit) = self.compute.add_v.lookup(key, hash) {
+        if let Some(hit) = self.compute.add_v.lookup(&key, hash) {
             return hit;
         }
-        let av = *self.v.get(an);
-        let bv = *self.v.get(bn);
+        let av = self.v.get(an);
+        let bv = self.v.get(bn);
         debug_assert_eq!(
             av.level, bv.level,
             "level-skipped DDs are not produced here"
@@ -453,7 +396,7 @@ impl DdPackage {
             self.add_v(self.lazy_v(av.e[i]), be)
         });
         let r = self.make_vnode_lazy(av.level, es);
-        self.compute.add_v.insert(key, hash, r);
+        self.compute.add_v.insert(&key, hash, r);
         r
     }
 
@@ -495,18 +438,18 @@ impl DdPackage {
 
     fn add_m_rec(&self, an: u32, bn: u32, ratio: Complex64) -> Lazy {
         let (key, hash) = add_key(an, bn, ratio, self.inv_tol);
-        if let Some(hit) = self.compute.add_m.lookup(key, hash) {
+        if let Some(hit) = self.compute.add_m.lookup(&key, hash) {
             return hit;
         }
-        let am = *self.m.get(an);
-        let bm = *self.m.get(bn);
+        let am = self.m.get(an);
+        let bm = self.m.get(bn);
         debug_assert_eq!(am.level, bm.level);
         let es = std::array::from_fn(|i| {
             let be = self.weighted(bm.e[i].n, self.weight(bm.e[i].w) * ratio);
             self.add_m(self.lazy_m(am.e[i]), be)
         });
         let r = self.make_mnode_lazy(am.level, es);
-        self.compute.add_m.insert(key, hash, r);
+        self.compute.add_m.insert(&key, hash, r);
         r
     }
 
@@ -541,11 +484,11 @@ impl DdPackage {
         debug_assert_ne!(vn, TERM);
         let key = [pack_u32s(mn, vn)];
         let hash = hash_pair(mn as u64, vn as u64);
-        if let Some(hit) = self.compute.mv.lookup(key, hash) {
+        if let Some(hit) = self.compute.mv.lookup(&key, hash) {
             return hit;
         }
-        let mnode = *self.m.get(mn);
-        let vnode = *self.v.get(vn);
+        let mnode = self.m.get(mn);
+        let vnode = self.v.get(vn);
         debug_assert_eq!(mnode.level, vnode.level);
         let below = mnode.level.wrapping_sub(1);
         let ve = [self.lazy_v(vnode.e[0]), self.lazy_v(vnode.e[1])];
@@ -555,7 +498,7 @@ impl DdPackage {
             self.add_v(p0, p1)
         });
         let r = self.make_vnode_lazy(mnode.level, es);
-        self.compute.mv.insert(key, hash, r);
+        self.compute.mv.insert(&key, hash, r);
         r
     }
 
@@ -590,11 +533,11 @@ impl DdPackage {
         debug_assert_ne!(bn, TERM);
         let key = [pack_u32s(an, bn)];
         let hash = hash_pair(an as u64, bn as u64);
-        if let Some(hit) = self.compute.mm.lookup(key, hash) {
+        if let Some(hit) = self.compute.mm.lookup(&key, hash) {
             return hit;
         }
-        let am = *self.m.get(an);
-        let bm = *self.m.get(bn);
+        let am = self.m.get(an);
+        let bm = self.m.get(bn);
         debug_assert_eq!(am.level, bm.level);
         let below = am.level.wrapping_sub(1);
         let be: [Lazy; 4] = std::array::from_fn(|k| self.lazy_m(bm.e[k]));
@@ -605,7 +548,7 @@ impl DdPackage {
             self.add_m(p0, p1)
         });
         let r = self.make_mnode_lazy(am.level, es);
-        self.compute.mm.insert(key, hash, r);
+        self.compute.mm.insert(&key, hash, r);
         r
     }
 
@@ -634,6 +577,33 @@ mod tests {
     use super::*;
     use qcircuit::gate::{Control, Gate, GateKind};
     use qcircuit::{dense, generators, Complex64};
+
+    impl<const W: usize> CacheMap<W> {
+        /// Per held entry: the result's node id and the two the key packs
+        /// into its first word.
+        fn nodes(&self) -> Vec<[u32; 3]> {
+            let slots = self.slots.borrow();
+            let full = slots.iter().filter(|s| s[0] & FULL != 0);
+            full.map(|s| [s[0] as u32, (s[1] >> 32) as u32, s[1] as u32])
+                .collect()
+        }
+    }
+
+    impl ComputeTables {
+        /// The node ids the tables hold, in keys and results: `(vector,
+        /// matrix)`.
+        pub(crate) fn held_nodes(&self) -> (Vec<u32>, Vec<u32>) {
+            let (mut v, mut m) = (Vec::new(), Vec::new());
+            for [r, a, b] in self.mv.nodes() {
+                v.extend([r, b]);
+                m.push(a);
+            }
+            self.add_v.nodes().iter().for_each(|ids| v.extend(ids));
+            self.mm.nodes().iter().for_each(|ids| m.extend(ids));
+            self.add_m.nodes().iter().for_each(|ids| m.extend(ids));
+            (v, m)
+        }
+    }
 
     const TOL: f64 = 1e-9;
 
@@ -1002,87 +972,5 @@ mod tests {
         let got = p.vector_to_array(state, n);
         let want = dense::simulate(&c);
         assert!(close(&got, &want));
-    }
-
-    /// Hammers one `ConcurrentMap<K>` from 8 threads with keys whose correct
-    /// `(node, re, im)` is derivable from the key; every hit must satisfy
-    /// that relation in all three words (a torn read would violate it).
-    fn hammer<const K: usize>() {
-        let map = ConcurrentMap::<K>::new(6); // tiny: maximal slot contention
-        let f = |key: [u64; K]| {
-            let k = key.iter().fold(0u64, |h, &w| hash_pair(h, w));
-            Lazy {
-                n: k as u32,
-                w: Complex64::new((k >> 11) as f64, -((k >> 40) as f64)),
-            }
-        };
-        std::thread::scope(|s| {
-            for t in 0..8u64 {
-                let map = &map;
-                s.spawn(move || {
-                    let mut x = t.wrapping_mul(0x243F_6A88_85A3_08D3) | 1;
-                    for _ in 0..200_000 {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        let key: [u64; K] = std::array::from_fn(|i| (x >> (8 * i)) & 0xFF);
-                        let hash = key.iter().fold(0, |h, &w| hash_pair(h, w));
-                        if let Some(v) = map.lookup(key, hash) {
-                            assert_eq!(v, f(key), "hit returned a value not stored with its key");
-                        } else {
-                            map.insert(key, hash, f(key));
-                        }
-                    }
-                });
-            }
-        });
-        // The cache saw real traffic.
-        assert!(map.lookups.load(Ordering::Relaxed) >= 8 * 200_000);
-        assert!(map.hits.load(Ordering::Relaxed) > 0);
-    }
-
-    #[test]
-    fn concurrent_cache_hits_are_exact_key_matches() {
-        assert_eq!(std::mem::size_of::<CacheSlot<1>>(), 32);
-        assert_eq!(std::mem::size_of::<CacheSlot<3>>(), 48);
-        hammer::<1>(); // mv / mm
-        hammer::<3>(); // add_v / add_m
-    }
-
-    #[test]
-    fn concurrent_mul_mv_matches_sequential() {
-        // Many threads apply the same gates to the same states through one
-        // shared package; results must equal an isolated sequential run.
-        for seed in [3u64, 17, 99] {
-            let n = 5;
-            let c = generators::random_circuit(n, 40, seed);
-            let seq = DdPackage::default();
-            let mut want = seq.basis_state(n, 0);
-            for g in c.iter() {
-                want = seq.apply_gate(want, g, n);
-            }
-            let want = seq.vector_to_array(want, n);
-
-            let shared = DdPackage::default();
-            let results: Vec<Vec<Complex64>> = std::thread::scope(|s| {
-                let hs: Vec<_> = (0..4)
-                    .map(|_| {
-                        let c = &c;
-                        let shared = &shared;
-                        s.spawn(move || {
-                            let mut st = shared.basis_state(n, 0);
-                            for g in c.iter() {
-                                st = shared.apply_gate(st, g, n);
-                            }
-                            shared.vector_to_array(st, n)
-                        })
-                    })
-                    .collect();
-                hs.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            for r in results {
-                assert!(close(&r, &want), "seed {seed}");
-            }
-        }
     }
 }

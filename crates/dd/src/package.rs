@@ -1,23 +1,24 @@
 //! The DD package: node construction with normalization, gate-DD building,
 //! DD <-> array conversion, traversals, and garbage collection.
 //!
-//! A package has one writer, the thread that runs the DD phase; it stays
-//! `Sync` because the conversion reads it from pool workers. So all
-//! construction and arithmetic paths take `&self` and are safe to call
-//! from many threads: the unique tables and the complex table each sit
-//! behind one lock, the compute caches are lossy seq-locked slots, and
-//! traversal stamps are atomic. Only the stop-the-world operations —
+//! A package has one owner, the thread that runs the DD phase. Its
+//! construction and arithmetic paths take `&self` and write through
+//! `RefCell`s and `Cell`s (the unique tables, the complex table, the
+//! compute caches, the gate memo, the counters), so the package is `Send`
+//! — a served job's simulator moves to its worker — and not `Sync`: the
+//! compiler, not a publication protocol, proves that one thread writes it.
+//! The conversion's pool workers read it through a [`VectorView`], plain
+//! slices of the node and value stores borrowed for one closure
+//! ([`DdPackage::with_vector_view`]). Only the sweeps —
 //! [`DdPackage::gc_if_due`], [`DdPackage::gc`] and
 //! [`DdPackage::flush_caches`] — require `&mut self`.
 
 use crate::ctable::{CIdx, ComplexTable};
 use crate::fxhash::{hash_u64, FxHashMap};
-use crate::node::{Lazy, MEdge, MNode, Node, NodeArena, VEdge, VNode, TERM};
+use crate::node::{Lazy, MEdge, MNode, Node, NodeArena, Slot, VEdge, VNode, TERM};
 use crate::ops::ComputeTables;
-use crate::sync::{get_mut, lock};
 use qcircuit::{Complex64, Gate, Mat2};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::{Cell, RefCell};
 
 /// Memory/size statistics of a [`DdPackage`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -87,7 +88,7 @@ impl GateKey {
 /// Direct-mapped memo of built gate DDs: a circuit repeats few distinct
 /// gates, so the second build of one is a probe here instead of `4t + n`
 /// `make_mnode` calls. Entries hold node ids and die with every sweep.
-struct GateMemo(Mutex<Box<[MemoEntry]>>);
+struct GateMemo(RefCell<Box<[MemoEntry]>>);
 
 /// A key's words, then the root edge as `n << 32 | w`; all zero when
 /// empty. 128 B, so the memo is one zeroed 128 KiB allocation, which
@@ -97,13 +98,13 @@ type MemoEntry = [u64; 16];
 
 impl GateMemo {
     fn new() -> Self {
-        GateMemo(Mutex::new(
+        GateMemo(RefCell::new(
             vec![[0; 16]; GATE_MEMO_SLOTS].into_boxed_slice(),
         ))
     }
 
     fn get(&self, key: &GateKey) -> Option<MEdge> {
-        let entry = &lock(&self.0)[key.slot()];
+        let entry = &self.0.borrow()[key.slot()];
         let e = entry[KEY_WORDS];
         (entry[..KEY_WORDS] == key.0).then_some(MEdge {
             n: (e >> 32) as u32,
@@ -112,13 +113,13 @@ impl GateMemo {
     }
 
     fn put(&self, key: GateKey, e: MEdge) {
-        let entry = &mut lock(&self.0)[key.slot()];
+        let entry = &mut self.0.borrow_mut()[key.slot()];
         entry[..KEY_WORDS].copy_from_slice(&key.0);
         entry[KEY_WORDS] = (e.n as u64) << 32 | e.w.0 as u64;
     }
 
     fn clear(&mut self) {
-        get_mut(&mut self.0).fill([0; 16]);
+        self.0.get_mut().fill([0; 16]);
     }
 
     fn memory_bytes(&self) -> usize {
@@ -131,6 +132,15 @@ impl GateMemo {
 /// Owns the complex table, the vector/matrix node arenas with their unique
 /// tables, and the operation caches. All DD values (states and gate
 /// matrices) produced by one package share structure with each other.
+///
+/// A package is `Send` (a simulator moves to the thread that runs it) and
+/// not `Sync`: it has one owner, and other threads read its vector nodes
+/// only through [`Self::with_vector_view`].
+///
+/// ```compile_fail,E0277
+/// fn shared_across_threads<T: Sync>() {}
+/// shared_across_threads::<qdd::DdPackage>();
+/// ```
 pub struct DdPackage {
     pub(crate) ct: ComplexTable,
     pub(crate) v: NodeArena<VNode>,
@@ -140,18 +150,15 @@ pub struct DdPackage {
     /// round their ratio to.
     pub(crate) inv_tol: f64,
     /// Cached identity chains: `id_cache[l]` = identity DD over levels `0..l`.
-    id_cache: Mutex<Vec<MEdge>>,
+    id_cache: RefCell<Vec<MEdge>>,
     /// `id_nodes[l]` = id of the identity node at level `l` (top node of
-    /// `id_cache[l + 1]`), [`TERM`] until built: the lock-free view of the
-    /// chain the multiply recursions and DMAV plan compilation compare node
-    /// ids against. `Relaxed` on both sides — a reader only compares the id
-    /// with one it already holds (never follows it), and a reader that still
-    /// sees `TERM` merely skips the short-circuit.
-    id_nodes: [AtomicU32; 256],
+    /// `id_cache[l + 1]`), [`TERM`] until built: what the multiply
+    /// recursions and DMAV plan compilation compare node ids against.
+    id_nodes: [Cell<u32>; 256],
     gate_memo: GateMemo,
     /// Calls of [`Self::stats`] so far (see [`Self::stats_reads`]).
-    stats_reads: AtomicU64,
-    stamp: AtomicU32,
+    stats_reads: Cell<u64>,
+    stamp: Cell<u32>,
     /// Bumped by every [`Self::gc`] sweep. Node ids are recycled by the
     /// sweep, so anything keyed by node id (e.g. the DMAV plan cache) must
     /// be dropped when this changes.
@@ -163,12 +170,34 @@ pub struct DdPackage {
     telemetry_id: u64,
 }
 
-// The package is shared by reference across DD worker threads; every
-// `&self` path goes through the sharded/atomic structures above.
+// A served job's simulator, and with it its package, moves to the worker
+// that runs it.
 const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<DdPackage>();
+    const fn assert_send<T: Send>() {}
+    assert_send::<DdPackage>();
 };
+
+/// A read-only view of a package's vector nodes and weights, borrowed for
+/// one [`DdPackage::with_vector_view`] call: plain slices, so it is `Sync`
+/// and pool workers share it.
+pub struct VectorView<'a> {
+    nodes: &'a [Slot<VNode>],
+    values: &'a [Complex64],
+}
+
+impl VectorView<'_> {
+    /// A vector node's content ([`DdPackage::v_node`]).
+    #[inline(always)]
+    pub fn node(&self, id: u32) -> VNode {
+        self.nodes[id as usize].node
+    }
+
+    /// The value behind an interned weight ([`DdPackage::cval`]).
+    #[inline(always)]
+    pub fn weight(&self, w: CIdx) -> Complex64 {
+        self.values[w.0 as usize]
+    }
+}
 
 impl Default for DdPackage {
     fn default() -> Self {
@@ -185,11 +214,11 @@ impl DdPackage {
             m: NodeArena::default(),
             compute: ComputeTables::default(),
             inv_tol: 1.0 / tolerance,
-            id_cache: Mutex::new(vec![MEdge::terminal(CIdx::ONE)]),
-            id_nodes: std::array::from_fn(|_| AtomicU32::new(TERM)),
+            id_cache: RefCell::new(vec![MEdge::terminal(CIdx::ONE)]),
+            id_nodes: std::array::from_fn(|_| Cell::new(TERM)),
             gate_memo: GateMemo::new(),
-            stats_reads: AtomicU64::new(0),
-            stamp: AtomicU32::new(0),
+            stats_reads: Cell::new(0),
+            stamp: Cell::new(0),
             gc_epoch: 0,
             sweep_at: SWEEP_FLOOR,
             telemetry_id: qtelemetry::next_id(),
@@ -224,16 +253,28 @@ impl DdPackage {
         self.ct.lookup(v)
     }
 
-    /// Read access to a vector node's content.
+    /// A vector node's content.
     #[inline(always)]
-    pub fn v_node(&self, id: u32) -> &VNode {
+    pub fn v_node(&self, id: u32) -> VNode {
         self.v.get(id)
     }
 
-    /// Read access to a matrix node's content.
+    /// A matrix node's content.
     #[inline(always)]
-    pub fn m_node(&self, id: u32) -> &MNode {
+    pub fn m_node(&self, id: u32) -> MNode {
         self.m.get(id)
+    }
+
+    /// Runs `f` on a read-only view of the vector nodes and the weights —
+    /// what the conversion's pool workers share. The view borrows the two
+    /// stores for the call: inserting a node or a weight inside `f` panics,
+    /// and the borrow ends when `f` returns or unwinds.
+    pub fn with_vector_view<R>(&self, f: impl FnOnce(&VectorView<'_>) -> R) -> R {
+        let (nodes, values) = (self.v.slots(), self.ct.values());
+        f(&VectorView {
+            nodes: &nodes,
+            values: &values,
+        })
     }
 
     // ---- node construction with normalization ------------------------------
@@ -480,7 +521,7 @@ impl DdPackage {
         if let Some(&r) = memo.get(&id) {
             return r;
         }
-        let node = *self.v.get(id);
+        let node = self.v.get(id);
         let level = node.level as usize;
         let mut child = |c: VEdge| match c.is_zero() {
             true => VEdge::ZERO,
@@ -533,12 +574,12 @@ impl DdPackage {
 
     /// Identity DD over levels `0..l` (an `l`-qubit identity matrix).
     pub fn identity_dd(&self, l: usize) -> MEdge {
-        let mut cache = lock(&self.id_cache);
+        let mut cache = self.id_cache.borrow_mut();
         while cache.len() <= l {
             let prev = *cache.last().unwrap();
             let level = cache.len() - 1;
             let e = self.make_mnode(level as u8, [prev, MEdge::ZERO, MEdge::ZERO, prev]);
-            self.id_nodes[level].store(e.n, Ordering::Relaxed);
+            self.id_nodes[level].set(e.n);
             cache.push(e);
         }
         cache[l]
@@ -550,7 +591,7 @@ impl DdPackage {
     /// node.
     #[inline(always)]
     pub(crate) fn identity_at(&self, level: u8) -> u32 {
-        self.id_nodes[level as usize].load(Ordering::Relaxed)
+        self.id_nodes[level as usize].get()
     }
 
     /// Snapshot of the identity chain: entry `l` is the id of the identity
@@ -562,7 +603,7 @@ impl DdPackage {
         self.id_nodes
             .iter()
             .take(n)
-            .map(|id| id.load(Ordering::Relaxed))
+            .map(Cell::get)
             .take_while(|&id| id != TERM)
             .collect()
     }
@@ -648,13 +689,14 @@ impl DdPackage {
     // ---- traversal / statistics -----------------------------------------------
 
     pub(crate) fn next_stamp(&self) -> u32 {
-        let s = self.stamp.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
-        if s != 0 {
-            return s;
-        }
-        // Extremely rare wrap: skip stamp 0 (the slot-initial value). Stale
-        // stamps can only cause extra (harmless) re-marks.
-        self.stamp.fetch_add(1, Ordering::Relaxed).wrapping_add(1)
+        // On the (extremely rare) wrap, skip stamp 0, the slot-initial
+        // value. Stale stamps can only cause extra (harmless) re-marks.
+        let s = match self.stamp.get().wrapping_add(1) {
+            0 => 1,
+            s => s,
+        };
+        self.stamp.set(s);
+        s
     }
 
     /// Number of DD nodes reachable from a vector edge — the paper's
@@ -683,13 +725,11 @@ impl DdPackage {
     /// its index. The operation caches and the gate memo are emptied.
     /// Returns `(vector_nodes_freed, matrix_nodes_freed)`.
     ///
-    /// Stop-the-world by construction: `&mut self` means no other thread
-    /// holds the package, so no insert/read can race the sweep.
     pub fn gc(&mut self, v_roots: &[VEdge], m_roots: &[MEdge]) -> (usize, usize) {
         let sweep_t0 =
             qtelemetry::enabled().then(|| (qtelemetry::now_us(), std::time::Instant::now()));
         let stamp = self.next_stamp();
-        let id_chain = get_mut(&mut self.id_cache);
+        let id_chain = self.id_cache.get_mut();
         let mut marks = self.ct.marks();
         v_roots.iter().for_each(|e| marks.set(e.w));
         m_roots
@@ -743,7 +783,7 @@ impl DdPackage {
     /// are counters the arenas and the complex table keep current as they
     /// grow, so the per-gate driver can afford to read this every step.
     pub fn stats(&self) -> PackageStats {
-        self.stats_reads.fetch_add(1, Ordering::Relaxed);
+        self.stats_reads.set(self.stats_reads.get() + 1);
         PackageStats {
             v_nodes: self.v.len(),
             m_nodes: self.m.len(),
@@ -762,7 +802,7 @@ impl DdPackage {
     /// How many times [`Self::stats`] has been called — what the driver's
     /// "one read per gate step" rule is tested against.
     pub fn stats_reads(&self) -> u64 {
-        self.stats_reads.load(Ordering::Relaxed)
+        self.stats_reads.get()
     }
 
     /// Hit/miss counters of the operation caches.
@@ -770,8 +810,8 @@ impl DdPackage {
         self.compute.stats()
     }
 
-    /// Always 0: a package has one writer, so no table lock is contended.
-    /// Kept because the benchmark harness still reads it.
+    /// Always 0: a package has one owner, so nothing is contended. Kept
+    /// because the benchmark harness still reads it.
     pub fn contention_events(&self) -> u64 {
         0
     }
@@ -812,6 +852,129 @@ mod tests {
     use super::*;
     use qcircuit::gate::{Control, GateKind};
     use qcircuit::{dense, Circuit};
+    use std::collections::HashSet;
+
+    impl GateMemo {
+        /// The root node ids of the memoized gate DDs.
+        fn held_nodes(&self) -> Vec<u32> {
+            let entries = self.0.borrow();
+            let full = entries.iter().filter(|e| e[KEY_WORDS - 1] != 0);
+            full.map(|e| (e[KEY_WORDS] >> 32) as u32).collect()
+        }
+    }
+
+    /// Checks one arena against its free list: every live node (a slot the
+    /// sweeps did not free) is the id the unique table returns for its
+    /// content and stores neither a freed node nor a weight in
+    /// `freed_weights`, and no root reaches a freed node. Returns the
+    /// weights the live nodes store.
+    fn check_arena<T: Node + std::fmt::Debug>(
+        arena: &NodeArena<T>,
+        roots: impl IntoIterator<Item = u32>,
+        held: &[u32],
+        freed_weights: &HashSet<u32>,
+        what: &str,
+    ) -> Vec<CIdx> {
+        let freed: HashSet<u32> = arena.free_ids().into_iter().collect();
+        let mut stored = Vec::new();
+        let slots = arena.slots().len() as u32;
+        for id in (0..slots).filter(|id| !freed.contains(id)) {
+            let node = arena.get(id);
+            assert_eq!(arena.find(node), Some(id), "{what} {id} {node:?}: filing");
+            for c in node.children() {
+                assert!(!freed.contains(&c), "{what} {id} stores freed node {c}");
+            }
+            for w in node.weights() {
+                assert!(
+                    !freed_weights.contains(&w.0),
+                    "{what} {id} stores freed {w:?}"
+                );
+                stored.push(w);
+            }
+        }
+        let (mut stack, mut seen): (Vec<u32>, HashSet<u32>) =
+            (roots.into_iter().collect(), HashSet::new());
+        while let Some(id) = stack.pop() {
+            if id != TERM && seen.insert(id) {
+                assert!(
+                    !freed.contains(&id),
+                    "a {what} root reaches freed node {id}"
+                );
+                stack.extend(arena.get(id).children());
+            }
+        }
+        for id in held.iter().filter(|&&id| id != TERM) {
+            assert!(!freed.contains(id), "a cache holds freed {what} {id}");
+        }
+        stored
+    }
+
+    /// The storage invariants of `p` while the caller holds `v_roots` and
+    /// `m_roots`: every live node is filed under its own content, no freed
+    /// node or value is reachable from the roots or stored by a live node,
+    /// every stored weight's `lookup` returns its own index, and neither
+    /// the compute tables nor the gate memo hold a freed node id.
+    pub(crate) fn assert_consistent(p: &DdPackage, v_roots: &[VEdge], m_roots: &[MEdge]) {
+        let freed_weights: HashSet<u32> = p.ct.free_indices().into_iter().collect();
+        let (held_v, mut held_m) = p.compute.held_nodes();
+        held_m.extend(p.gate_memo.held_nodes());
+        held_m.extend(p.id_cache.borrow().iter().map(|e| e.n));
+        let mut weights = check_arena(
+            &p.v,
+            v_roots.iter().map(|e| e.n),
+            &held_v,
+            &freed_weights,
+            "vector node",
+        );
+        weights.extend(check_arena(
+            &p.m,
+            m_roots.iter().map(|e| e.n),
+            &held_m,
+            &freed_weights,
+            "matrix node",
+        ));
+        weights.extend(
+            v_roots
+                .iter()
+                .map(|e| e.w)
+                .chain(m_roots.iter().map(|e| e.w)),
+        );
+        for w in weights {
+            assert!(!freed_weights.contains(&w.0), "a root stores freed {w:?}");
+            assert_eq!(
+                p.ct.lookup(p.ct.get(w)),
+                w,
+                "{w:?} = {:?}: filing",
+                p.ct.get(w)
+            );
+        }
+    }
+
+    #[test]
+    fn storage_stays_consistent_across_gates_and_sweeps() {
+        qcircuit::prop::check(64, |g| {
+            let n = g.rng.range(2..7);
+            let c = g.circuit(n, 1..48);
+            let mut p = DdPackage::default();
+            let mut s = p.basis_state(n, 0);
+            // The product of the gates since the last reset: matrix roots
+            // that die at the reset, so matrix slots are freed and reused.
+            let mut product = p.identity_dd(n);
+            for (i, gate) in c.iter().enumerate() {
+                let gd = p.gate_dd(gate, n);
+                s = p.mul_mv(gd, s);
+                product = match i % 5 {
+                    4 => p.identity_dd(n),
+                    _ => p.mul_mm(gd, product),
+                };
+                assert_consistent(&p, &[s], &[product]);
+                p.gc(&[s], &[product]);
+                assert_consistent(&p, &[s], &[product]);
+            }
+            let want = dense::simulate(&c);
+            assert!(close(&p.vector_to_array(s, n), &want), "{c}");
+        });
+    }
 
     const TOL: f64 = 1e-10;
 
@@ -885,7 +1048,7 @@ mod tests {
         }
         // A sweep recycles node ids, so it empties the memo.
         p.gc(&[], &[e]);
-        assert!(lock(&p.gate_memo.0).iter().all(|e| *e == [0; 16]));
+        assert!(p.gate_memo.0.borrow().iter().all(|e| *e == [0; 16]));
         assert_eq!(p.gate_dd(&g, n), e, "rebuilt onto the surviving nodes");
         // Too wide for the key's masks: built every time, still canonical.
         let wide = Gate::controlled(GateKind::Z, 130, vec![Control::pos(0)]);

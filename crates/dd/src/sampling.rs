@@ -96,7 +96,7 @@ impl DdPackage {
         if w.norm_sqr() * self.heaviest_path_sqr(e.n, heaviest) * (1.0 + SLACK) < top.floor() {
             return;
         }
-        let node = *self.v_node(e.n);
+        let node = self.v_node(e.n);
         self.top_rec(node.e[0], index, w, heaviest, top);
         self.top_rec(node.e[1], index | 1usize << node.level, w, heaviest, top);
     }
@@ -110,7 +110,7 @@ impl DdPackage {
         if let Some(&b) = memo.get(&nid) {
             return b;
         }
-        let node = *self.v_node(nid);
+        let node = self.v_node(nid);
         let mut best = 0.0f64;
         for e in node.e {
             if !e.is_zero() {
@@ -136,7 +136,7 @@ impl DdPackage {
         if let Some(&p) = memo.get(&nid) {
             return p;
         }
-        let node = *self.v_node(nid);
+        let node = self.v_node(nid);
         let p = if node.level as usize == q {
             self.cval(node.e[1].w).norm_sqr()
         } else {
@@ -205,7 +205,7 @@ impl DdPackage {
         if let Some(&v) = memo.get(&nid) {
             return v;
         }
-        let node = *self.v_node(nid);
+        let node = self.v_node(nid);
         let flip = (mask >> node.level) & 1 == 1;
         let mut acc = 0.0;
         for (b, e) in node.e.iter().enumerate() {

@@ -38,7 +38,7 @@ pub fn write_vector_dd(
         if id == TERM || seen.insert(id, ()).is_some() {
             return;
         }
-        let node = *pkg.v_node(id);
+        let node = pkg.v_node(id);
         visit(pkg, node.e[0].n, seen, order);
         visit(pkg, node.e[1].n, seen, order);
         order.push(id);

@@ -30,10 +30,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// What escapes the accounting by design, 4.3-5.0 KiB together: the stripe
-/// headers of the two arenas and the complex table, one inline segment
-/// directory per slot store (three of them), the identity chain, telemetry
-/// handles and the mark walk's retained stack (a few entries per DD level).
+/// What escapes the accounting by design: the identity chain, telemetry
+/// handles and the mark walks' retained stacks (a few entries per DD
+/// level).
 /// Everything that grows with the state is counted exactly — the tables
 /// model no allocator or std container.
 const SLACK: usize = 8 << 10;

@@ -123,6 +123,31 @@ fn qasm_file_round_trip_through_cli() {
 }
 
 #[test]
+fn a_non_finite_gate_parameter_is_a_parse_error() {
+    let dir = std::env::temp_dir().join(format!("flatdd_cli_nan_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("nan.qasm");
+    std::fs::write(
+        &path,
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\nrx(0/0) q[1];\ncx q[0],q[1];\n",
+    )
+    .unwrap();
+    // Sampling panicked on the NaN state, a plain run printed no outcome and
+    // the array engine printed `p = NaN`; each is refused at parse time.
+    for extra in [&["--shots", "4"][..], &[], &["--engine", "array"]] {
+        let out = cli()
+            .args(["run", path.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{extra:?}: {stderr}");
+        assert!(stderr.contains("line 5"), "{extra:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn bad_spec_fails_cleanly() {
     let out = cli().args(["run", "bogus:5"]).output().unwrap();
     assert!(!out.status.success());

@@ -12,7 +12,8 @@ use flatdd::{
     FusionPolicy, GovernorConfig, Phase,
 };
 use qcircuit::complex::state_distance;
-use qcircuit::{dense, generators, Circuit};
+use qcircuit::gate::{Gate, GateKind};
+use qcircuit::{dense, generators, Circuit, Complex64};
 use std::sync::Mutex;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -117,6 +118,18 @@ fn conversion_worker_panic_is_contained() {
         other => panic!("expected WorkerPanic, got {other}"),
     }
     assert_eq!(err.exit_code(), 10);
+    // The panic unwound through the package's borrowed read view: the same
+    // simulator's package interns and multiplies again (a borrow left
+    // behind would panic on the first insert).
+    let pkg = sim.package();
+    let w = Complex64::new(0.123, -0.456);
+    assert_eq!(pkg.cval(pkg.clookup(w)), w);
+    let h = pkg.gate_dd(&Gate::new(GateKind::H, 3), 8);
+    let plus = pkg.mul_mv(h, pkg.basis_state(8, 0));
+    for index in [0, 8] {
+        let a = pkg.amplitude(plus, index);
+        assert!((a.re - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12 && a.im == 0.0);
+    }
     // The fault was one-shot (`Once` default): the simulator is still
     // usable and a fresh run now converts and completes.
     faults::clear();

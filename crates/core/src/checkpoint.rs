@@ -28,13 +28,18 @@
 //!
 //! ## Atomic installation
 //!
-//! A checkpoint is written to `<path>.tmp`, fsync'd, then renamed over
-//! `<path>` (and the parent directory fsync'd), so `<path>` always holds
-//! either the previous complete checkpoint or the new complete one — a
-//! crash mid-write can never leave a half-written file under the real
-//! name. Every structural defect a torn or bit-flipped file *can* exhibit
-//! is detected at load time by the section CRCs and bounds checks and
-//! surfaced as [`FlatDdError::CorruptCheckpoint`], never a panic.
+//! A write has two halves. [`stage_checkpoint`] encodes and checksums the
+//! checkpoint into a staging file (`<path>.tmp`, or `<path>.1.tmp` while
+//! the other is being installed) with no `fsync`; [`Staged::install`]
+//! fsyncs it, renames it over `<path>` and fsyncs the parent directory, so
+//! `<path>` always holds either the previous complete checkpoint or the
+//! new complete one — a crash mid-write can never leave a half-written
+//! file under the real name. A synchronous write is the two halves back to
+//! back; a served job's periodic checkpoints are installed on an installer
+//! thread, handed over through an [`InstallMailbox`]. Every structural
+//! defect a torn or bit-flipped file *can* exhibit is detected at load
+//! time by the section CRCs and bounds checks and surfaced as
+//! [`FlatDdError::CorruptCheckpoint`], never a panic.
 
 use crate::error::FlatDdError;
 use crate::ewma::EwmaState;
@@ -44,6 +49,7 @@ use qcircuit::{Circuit, Complex64};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 const MAGIC: &[u8; 6] = b"FDCP1\0";
 const VERSION: u32 = 2;
@@ -56,7 +62,8 @@ const FLAT_CHUNK: usize = 1 << 15;
 /// When the simulator writes checkpoints, and where.
 #[derive(Clone, Debug)]
 pub struct CheckpointPolicy {
-    /// Installed checkpoint file (the `*.tmp` sibling is transient).
+    /// Installed checkpoint file (the `*.tmp` staging siblings are
+    /// transient).
     pub path: PathBuf,
     /// Write a checkpoint every this many applied gates (`None` = only on
     /// breach/signal).
@@ -339,41 +346,164 @@ pub fn write_checkpoint(
     header: &CheckpointHeader,
     payload: CheckpointPayload<'_>,
 ) -> Result<u64, FlatDdError> {
-    write_checkpoint_probed(path, header, payload, &faults::fires)
+    stage_checkpoint(path, 0, header, payload)?.install(&faults::fires)
 }
 
-/// [`write_checkpoint`] with corruption hooks routed through a per-run
-/// context instead of the global `FLATDD_FAULTS` registry.
-pub fn write_checkpoint_with(
-    path: &Path,
-    header: &CheckpointHeader,
-    payload: CheckpointPayload<'_>,
-    ctx: &crate::RunContext,
-) -> Result<u64, FlatDdError> {
-    write_checkpoint_probed(path, header, payload, &|site| ctx.fires(site))
+/// A checkpoint encoded, checksummed and written into one of its path's
+/// two staging files, with no `fsync` yet: [`Staged::install`] makes it
+/// durable and installs it, [`Staged::discard`] drops it.
+pub struct Staged {
+    path: PathBuf,
+    tmp: PathBuf,
+    slot: usize,
+    file: File,
+    bytes: u64,
 }
 
-fn write_checkpoint_probed(
+/// Staging file `slot` (0 or 1) of `path`: `<path>.tmp` or
+/// `<path>.1.tmp`. Both end in `.tmp`, so [`sweep_stale_tmp`] finds them.
+fn staging_path(path: &Path, slot: usize) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(if slot == 0 { ".tmp" } else { ".1.tmp" });
+    PathBuf::from(os)
+}
+
+/// Removes the checkpoint at `path` and both its staging files, whichever
+/// exist.
+pub fn remove_checkpoint(path: &Path) {
+    for p in [
+        path.to_path_buf(),
+        staging_path(path, 0),
+        staging_path(path, 1),
+    ] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+/// The stage half of a write: encodes `header` and `payload`, checksums
+/// them and `write(2)`s them into staging file `slot` of `path`. Nothing is
+/// synced, so the bytes sit in the page cache until the install.
+pub fn stage_checkpoint(
     path: &Path,
+    slot: usize,
     header: &CheckpointHeader,
     payload: CheckpointPayload<'_>,
+) -> Result<Staged, FlatDdError> {
+    let tmp = staging_path(path, slot);
+    let file = File::create(&tmp).map_err(FlatDdError::Io)?;
+    let empty = Staged {
+        path: path.to_path_buf(),
+        tmp,
+        slot,
+        file,
+        bytes: 0,
+    };
+    empty.restage(header, payload)
+}
+
+impl Staged {
+    /// Size of the staged file in bytes.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Stages a newer checkpoint of the same path over this one, in place:
+    /// the file is rewritten from its start and cut to the new length, so
+    /// replacing a checkpoint nobody installed costs no file creation.
+    pub fn restage(
+        mut self,
+        header: &CheckpointHeader,
+        payload: CheckpointPayload<'_>,
+    ) -> Result<Staged, FlatDdError> {
+        let written = (&self.file)
+            .seek(SeekFrom::Start(0))
+            .and_then(|_| write_tmp(&self.file, header, payload))
+            .and_then(|bytes| {
+                if bytes < self.bytes {
+                    self.file.set_len(bytes)?;
+                }
+                Ok(bytes)
+            });
+        match written {
+            Ok(bytes) => {
+                self.bytes = bytes;
+                Ok(self)
+            }
+            Err(e) => {
+                self.discard();
+                Err(FlatDdError::Io(e))
+            }
+        }
+    }
+
+    /// The install half of a write: `fsync` of the staged file, the
+    /// corruption and ENOSPC fault hooks, `rename(2)` over the path and
+    /// `fsync` of its directory, so the path always holds the previous
+    /// complete checkpoint or this one. Returns the installed size; on an
+    /// error the staging file is gone.
+    pub fn install(
+        self,
+        probe: &dyn Fn(&str) -> Option<faults::FaultAction>,
+    ) -> Result<u64, FlatDdError> {
+        let Staged {
+            path,
+            tmp,
+            file,
+            bytes,
+            ..
+        } = self;
+        let installed = install_tmp(&path, &tmp, file, bytes, probe);
+        if installed.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        installed
+    }
+
+    /// [`Self::install`] under `ctx`'s fault registry, timed from the
+    /// `fsync` to the installed header into `sim.ckpt_install_us`. With
+    /// `verify` the installed header is read back first, so a torn write
+    /// the install reported as done fails here.
+    pub fn install_with(self, ctx: &crate::RunContext, verify: bool) -> Result<u64, FlatDdError> {
+        let started = std::time::Instant::now();
+        let path = self.path.clone();
+        let bytes = self.install(&|site| ctx.fires(site))?;
+        if verify {
+            read_header(&path)?;
+        }
+        ctx.metrics()
+            .histogram("sim.ckpt_install_us")
+            .observe(started.elapsed().as_micros() as u64);
+        Ok(bytes)
+    }
+
+    /// Drops the staged checkpoint unused, with its staging file.
+    pub fn discard(self) {
+        let _ = std::fs::remove_file(&self.tmp);
+    }
+}
+
+fn install_tmp(
+    path: &Path,
+    tmp: &Path,
+    file: File,
+    bytes: u64,
     probe: &dyn Fn(&str) -> Option<faults::FaultAction>,
 ) -> Result<u64, FlatDdError> {
-    let tmp = tmp_path(path);
-    let bytes = write_tmp(&tmp, header, payload).map_err(FlatDdError::Io)?;
+    file.sync_all().map_err(FlatDdError::Io)?;
+    drop(file);
     // Deterministic corruption hooks: damage the fully-written temp file
     // exactly where a torn write or a flipped medium bit would, then let
     // the normal installation proceed — the *loader* must catch it.
     if let Some(faults::FaultAction::Truncate(len)) = probe(faults::SITE_CKPT_TRUNCATE) {
         let f = OpenOptions::new()
             .write(true)
-            .open(&tmp)
+            .open(tmp)
             .map_err(FlatDdError::Io)?;
         f.set_len(len.min(bytes)).map_err(FlatDdError::Io)?;
         f.sync_all().map_err(FlatDdError::Io)?;
     }
     if let Some(faults::FaultAction::BitFlip(bit)) = probe(faults::SITE_CKPT_BITFLIP) {
-        flip_bit(&tmp, bit).map_err(FlatDdError::Io)?;
+        flip_bit(tmp, bit).map_err(FlatDdError::Io)?;
     }
     // Disk-full at installation time: the temp file exists but the rename
     // is denied. The temp is removed (as a real ENOSPC cleanup would) so
@@ -381,7 +511,7 @@ fn write_checkpoint_probed(
     // The `panic` action instead models the process dying at the install
     // point (the seam the serve crash-loop quarantine is tested through).
     if let Some(action) = probe(faults::SITE_CKPT_ENOSPC) {
-        let _ = std::fs::remove_file(&tmp);
+        let _ = std::fs::remove_file(tmp);
         if action == faults::FaultAction::Panic {
             panic!("fault injection: crash installing checkpoint");
         }
@@ -394,15 +524,141 @@ fn write_checkpoint_probed(
             ),
         )));
     }
-    std::fs::rename(&tmp, path).map_err(FlatDdError::Io)?;
+    std::fs::rename(tmp, path).map_err(FlatDdError::Io)?;
     sync_parent_dir(path);
     Ok(std::fs::metadata(path).map(|m| m.len()).unwrap_or(bytes))
 }
 
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".tmp");
-    PathBuf::from(os)
+/// The newest-wins hand-off between a job thread, which stages its
+/// periodic checkpoints, and an installer thread running [`Self::serve`],
+/// which installs them one at a time (DESIGN.md §10.2). It holds at most
+/// one pending checkpoint, which a newer one replaces; with the one in
+/// flight that makes at most two staging files per path, one per slot.
+#[derive(Default)]
+pub struct InstallMailbox {
+    mail: Mutex<Mail>,
+    cv: Condvar,
+}
+
+/// One periodic install's outcome: the installed size, or why it failed.
+pub(crate) type InstallOutcome = Result<u64, FlatDdError>;
+
+#[derive(Default)]
+struct Mail {
+    pending: Option<Staged>,
+    /// Staging slot of the checkpoint being installed.
+    in_flight: Option<usize>,
+    /// Outcomes the job thread has not read yet, oldest first.
+    outcomes: Vec<InstallOutcome>,
+    /// Set by the job side: install what is pending, then leave.
+    closed: bool,
+    /// Set once the installer has left [`InstallMailbox::serve`], also by
+    /// a panic.
+    gone: bool,
+}
+
+impl InstallMailbox {
+    fn lock(&self) -> MutexGuard<'_, Mail> {
+        self.mail.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The lock for the job side, which must not wait on an installer that
+    /// died: a panic there (say the `checkpoint.enospc:panic` fault)
+    /// becomes a panic of the job thread too.
+    fn lock_live(&self) -> MutexGuard<'_, Mail> {
+        let mail = self.lock();
+        if mail.gone && !mail.closed {
+            drop(mail);
+            panic!("the checkpoint installer died");
+        }
+        mail
+    }
+
+    /// The installer loop: takes the pending checkpoint, installs it and
+    /// reads its header back under `ctx`'s fault registry, posts the
+    /// outcome, and returns once the mailbox is closed and empty.
+    pub fn serve(&self, ctx: &crate::RunContext) {
+        struct Gone<'a>(&'a InstallMailbox);
+        impl Drop for Gone<'_> {
+            fn drop(&mut self) {
+                let mut mail = self.0.lock();
+                mail.gone = true;
+                mail.in_flight = None;
+                drop(mail);
+                self.0.cv.notify_all();
+            }
+        }
+        let _gone = Gone(self);
+        loop {
+            let staged = {
+                let mut mail = self.lock();
+                loop {
+                    if let Some(staged) = mail.pending.take() {
+                        mail.in_flight = Some(staged.slot);
+                        break staged;
+                    }
+                    if mail.closed {
+                        return;
+                    }
+                    mail = self.cv.wait(mail).unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            let outcome = staged.install_with(ctx, true);
+            let mut mail = self.lock();
+            mail.in_flight = None;
+            mail.outcomes.push(outcome);
+            drop(mail);
+            self.cv.notify_all();
+        }
+    }
+
+    /// Closes the mailbox: the installer installs what is pending and
+    /// leaves [`Self::serve`].
+    pub fn close(&self) {
+        self.lock().closed = true;
+        self.cv.notify_all();
+    }
+
+    /// Takes the pending checkpoint back — the job thread restages over it
+    /// or discards it — and names the staging slot free for the next one:
+    /// the pending one's, else the one not in flight.
+    pub(crate) fn take_pending(&self) -> (Option<Staged>, usize) {
+        let mut mail = self.lock_live();
+        let pending = mail.pending.take();
+        let slot = match &pending {
+            Some(staged) => staged.slot,
+            None => mail.in_flight.map_or(0, |s| 1 - s),
+        };
+        (pending, slot)
+    }
+
+    /// Hands `staged` to the installer (staged into the slot
+    /// [`Self::take_pending`] named).
+    pub(crate) fn post(&self, staged: Staged) {
+        let mut mail = self.lock_live();
+        debug_assert!(mail.pending.is_none() && mail.in_flight != Some(staged.slot));
+        mail.pending = Some(staged);
+        drop(mail);
+        self.cv.notify_all();
+    }
+
+    /// The outcomes posted since the last read, and whether the installer
+    /// is idle (nothing pending, nothing in flight). With `wait`, first
+    /// blocks until it is.
+    pub(crate) fn outcomes(&self, wait: bool) -> (Vec<InstallOutcome>, bool) {
+        let mut mail = self.lock_live();
+        loop {
+            let idle = mail.pending.is_none() && mail.in_flight.is_none();
+            if idle || !wait {
+                return (std::mem::take(&mut mail.outcomes), idle);
+            }
+            if mail.gone {
+                drop(mail);
+                panic!("the checkpoint installer died");
+            }
+            mail = self.cv.wait(mail).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 /// Deletes stale `*.tmp` checkpoint files under `dir`, returning the
@@ -460,20 +716,21 @@ fn decode_flat_chunk(bytes: &[u8], dst: &mut [Complex64]) -> bool {
     ok
 }
 
-fn encode_flat_chunk(block: &[Complex64], out: &mut Vec<u8>) {
-    out.reserve(block.len() * 16);
-    for a in block {
-        out.extend_from_slice(&a.re.to_le_bytes());
-        out.extend_from_slice(&a.im.to_le_bytes());
+fn encode_flat_chunk(block: &[Complex64], out: &mut [u8]) {
+    debug_assert_eq!(out.len(), block.len() * 16);
+    for (a, dst) in block.iter().zip(out.chunks_exact_mut(16)) {
+        dst[..8].copy_from_slice(&a.re.to_le_bytes());
+        dst[8..].copy_from_slice(&a.im.to_le_bytes());
     }
 }
 
+/// Writes the whole file from `file`'s current position; returns its
+/// length.
 fn write_tmp(
-    tmp: &Path,
+    file: &File,
     header: &CheckpointHeader,
     payload: CheckpointPayload<'_>,
 ) -> io::Result<u64> {
-    let file = File::create(tmp)?;
     let mut w = BufWriter::new(file);
     w.write_all(MAGIC)?;
     w.write_all(&VERSION.to_le_bytes())?;
@@ -484,30 +741,30 @@ fn write_tmp(
     w.write_all(&crc32(&hb).to_le_bytes())?;
 
     let mut crc = Crc32::new();
-    match payload {
+    let payload_len = match payload {
         CheckpointPayload::Dd(bytes) => {
             w.write_all(&[0u8])?;
             w.write_all(&(bytes.len() as u64).to_le_bytes())?;
             crc.update(bytes);
             w.write_all(bytes)?;
+            bytes.len()
         }
         CheckpointPayload::Flat { amps } => {
             w.write_all(&[1u8])?;
             w.write_all(&((amps.len() * 16) as u64).to_le_bytes())?;
-            let mut chunk = Vec::with_capacity(FLAT_CHUNK.min(amps.len()) * 16);
+            let mut chunk = vec![0u8; FLAT_CHUNK.min(amps.len()) * 16];
             for block in amps.chunks(FLAT_CHUNK) {
-                chunk.clear();
-                encode_flat_chunk(block, &mut chunk);
-                crc.update(&chunk);
-                w.write_all(&chunk)?;
+                let bytes = &mut chunk[..block.len() * 16];
+                encode_flat_chunk(block, bytes);
+                crc.update(bytes);
+                w.write_all(bytes)?;
             }
+            amps.len() * 16
         }
-    }
+    };
     w.write_all(&crc.finish().to_le_bytes())?;
     w.flush()?;
-    let file = w.into_inner().map_err(|e| e.into_error())?;
-    file.sync_all()?;
-    Ok(file.metadata()?.len())
+    Ok((MAGIC.len() + 4 + 4 + hb.len() + 4 + 1 + 8 + payload_len + 4) as u64)
 }
 
 fn sync_parent_dir(path: &Path) {
@@ -907,7 +1164,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(bytes, std::fs::metadata(&path).unwrap().len());
-        assert!(!tmp_path(&path).exists(), "tmp file must be renamed away");
+        assert!(
+            !staging_path(&path, 0).exists(),
+            "tmp file must be renamed away"
+        );
         let (h, state) = read_checkpoint(&path).unwrap();
         assert_eq!(h, header(Phase::Dmav));
         match state {

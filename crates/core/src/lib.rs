@@ -89,8 +89,8 @@ pub use qtelemetry as telemetry;
 
 pub use checkpoint::{
     circuit_fingerprint, config_fingerprint, read_checkpoint, read_header, sweep_stale_tmp,
-    write_checkpoint, write_checkpoint_with, CheckpointHeader, CheckpointPayload, CheckpointPolicy,
-    CheckpointState,
+    write_checkpoint, CheckpointHeader, CheckpointPayload, CheckpointPolicy, CheckpointState,
+    InstallMailbox,
 };
 pub use context::RunContext;
 pub use convert::{

@@ -39,7 +39,9 @@ pub mod stream;
 pub use qtelemetry::json;
 
 pub use jobs::{JobRecord, JobResult, JobSpec, JobState};
-pub use scheduler::{CancelOutcome, Scheduler, SchedulerHandle, ServeConfig, SubmitError};
+pub use scheduler::{
+    with_installer, CancelOutcome, Scheduler, SchedulerHandle, ServeConfig, SubmitError,
+};
 
 use json::Json;
 

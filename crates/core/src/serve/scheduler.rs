@@ -22,9 +22,13 @@
 //!   every non-terminal record is re-admitted, resuming from its
 //!   checkpoint when one is installed. [`Scheduler::drain`] is the
 //!   flip side: checkpoint everything running, persist, exit cleanly.
+//!   A job that reaches a terminal state takes its checkpoint with it.
+//! * **Checkpoint installs** — a job with periodic checkpoints runs with
+//!   one installer thread ([`with_installer`]), so its `fsync`s overlap
+//!   the simulation instead of pacing it.
 
 use super::jobs::{JobRecord, JobResult, JobSpec, JobState};
-use crate::checkpoint::{self, CheckpointPolicy};
+use crate::checkpoint::{self, CheckpointPolicy, InstallMailbox};
 use crate::context::RunContext;
 use crate::error::FlatDdError;
 use crate::govern::GovernorConfig;
@@ -236,6 +240,10 @@ impl Scheduler {
                     }
                 }
             }
+            if rec.state.is_terminal() {
+                // A terminal job's checkpoint has served its purpose.
+                checkpoint::remove_checkpoint(&JobRecord::ckpt_path(&cfg.spool, rec.id));
+            }
             state.records.insert(rec.id, rec);
         }
 
@@ -351,6 +359,7 @@ impl SchedulerHandle {
             st.est.remove(&id);
             st.enqueued_at.remove(&id);
             let spool = self.inner.cfg.spool.clone();
+            checkpoint::remove_checkpoint(&JobRecord::ckpt_path(&spool, id));
             if let Some(rec) = st.records.get_mut(&id) {
                 rec.state = JobState::Cancelled;
                 let _ = rec.persist(&spool);
@@ -663,6 +672,7 @@ fn worker_loop(inner: &Inner) {
             }
             if rec.state.is_terminal() {
                 st.est.remove(&id);
+                checkpoint::remove_checkpoint(&JobRecord::ckpt_path(&spool, id));
             }
             let _ = rec.persist(&spool);
             st.records.insert(id, rec);
@@ -755,14 +765,21 @@ fn execute_job(
         policy = policy.every(g);
     }
     policy.rng_seed = spec.seed;
+    let periodic = policy.every_gates.is_some();
     sim.set_checkpoint_policy(Some(policy));
 
-    let run = if resumed {
-        sim.run_from(&circuit)
-    } else {
-        sim.run(&circuit)
+    let run = |sim: &mut FlatDdSimulator| {
+        if resumed {
+            sim.run_from(&circuit)
+        } else {
+            sim.run(&circuit)
+        }
     };
-    let outcome = run?;
+    let outcome = if periodic {
+        with_installer(&mut sim, run)
+    } else {
+        run(&mut sim)
+    }?;
 
     let mut result = JobResult {
         gates_applied: outcome.gates_applied,
@@ -783,7 +800,37 @@ fn execute_job(
         .collect();
     sim.publish_metrics();
     result.metrics_json = ctx.metrics().to_json();
-    // The run is complete; its checkpoint has served its purpose.
-    let _ = std::fs::remove_file(&ckpt);
     Ok(result)
+}
+
+/// Runs `run` on `sim` with a checkpoint installer attached: one scoped
+/// thread that installs the simulator's periodic checkpoints while `run`
+/// simulates on (DESIGN.md §10.2). The installer leaves when `run` returns
+/// or unwinds, and a panic on it reaches the caller through the scope's
+/// join. Should the thread not start, the installs run inline.
+pub fn with_installer<R>(
+    sim: &mut FlatDdSimulator,
+    run: impl FnOnce(&mut FlatDdSimulator) -> R,
+) -> R {
+    struct Close<'a>(&'a InstallMailbox);
+    impl Drop for Close<'_> {
+        fn drop(&mut self) {
+            self.0.close();
+        }
+    }
+    let mailbox = Arc::new(InstallMailbox::default());
+    let ctx = sim.context().clone();
+    std::thread::scope(|s| {
+        let installer = std::thread::Builder::new()
+            .name("flatdd-ckpt-installer".into())
+            .spawn_scoped(s, || mailbox.serve(&ctx));
+        if installer.is_err() {
+            return run(sim);
+        }
+        let _close = Close(&mailbox);
+        sim.attach_installer(Some(Arc::clone(&mailbox)));
+        let out = run(sim);
+        sim.attach_installer(None);
+        out
+    })
 }

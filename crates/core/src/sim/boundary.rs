@@ -4,6 +4,7 @@
 //! and the gate boundary" tabulates which error can leave at each stage and
 //! where the cursor is).
 
+use super::persist::Installs;
 use super::{Core, GateTrace, Phase, PhaseState};
 use crate::checkpoint::CheckpointPolicy;
 use crate::context::Progress;
@@ -46,8 +47,10 @@ pub(crate) struct Boundary {
     pub(super) ckpt: Option<CheckpointPolicy>,
     /// Gates applied since the last written checkpoint.
     pub(super) gates_since_ckpt: usize,
-    /// Path of the most recently written (or resumed-from) checkpoint.
+    /// Path of the most recently installed (or resumed-from) checkpoint.
     pub(super) last_checkpoint: Option<PathBuf>,
+    /// Where periodic checkpoints install, and their retry state.
+    pub(super) installs: Installs,
     /// Fingerprint of the circuit an enclosing run is processing, stamped
     /// into checkpoints so resume can validate; 0 when no run provided one.
     pub(super) active_circuit_hash: u64,
@@ -67,6 +70,7 @@ impl Boundary {
             ckpt: None,
             gates_since_ckpt: 0,
             last_checkpoint: None,
+            installs: Installs::default(),
             active_circuit_hash: 0,
             hist_gate_dd: metrics.histogram("sim.gate_dd_us"),
             hist_gate_dmav: metrics.histogram("sim.gate_dmav_us"),
@@ -157,9 +161,7 @@ impl Boundary {
 
         self.gates_since_ckpt += report.gates;
         if let Some(every) = self.ckpt.as_ref().and_then(|p| p.every_gates) {
-            if self.gates_since_ckpt >= every {
-                self.periodic_checkpoint(core, phase);
-            }
+            self.periodic_checkpoint(core, phase, every);
         }
         Ok(report.gates)
     }

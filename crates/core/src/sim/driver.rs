@@ -63,7 +63,8 @@ impl FlatDdSimulator {
     /// start/end events, and — when a resumable error ends the run under
     /// an `on_breach` checkpoint policy — writes a final checkpoint at the
     /// (still consistent) gate boundary the error left the state at, so
-    /// the run can be picked up with `--resume-from`.
+    /// the run can be picked up with `--resume-from`. It returns only once
+    /// the newest checkpoint staged for an installer is installed.
     fn run_span(&mut self, circuit: &Circuit, span: Span) -> Result<RunOutcome, FlatDdError> {
         if circuit.num_qubits() != self.core.n {
             return Err(FlatDdError::InvalidInput(format!(
@@ -163,6 +164,7 @@ impl FlatDdSimulator {
                 }
             }
         }
+        self.boundary.finish_installs(&self.core, &self.phase);
         let outcome = result.map(|()| self.core.snapshot(self.phase.phase()));
         self.core.run_total = None;
         outcome

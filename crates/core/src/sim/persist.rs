@@ -1,16 +1,19 @@
 //! Checkpointing of the driver: policy, the FDCP1 write at the current
-//! gate boundary, the best-effort periodic write, and resume.
+//! gate boundary, the best-effort periodic write (staged here, installed
+//! here or on an attached installer), and resume.
 
 use super::active::Fixed;
 use super::{Boundary, Core, DdPhase, FlatDdConfig, FlatDdSimulator, FlatPhase, PhaseState};
 use crate::checkpoint::{
-    self, CheckpointHeader, CheckpointPayload, CheckpointPolicy, CheckpointState,
+    self, CheckpointHeader, CheckpointPayload, CheckpointPolicy, CheckpointState, InstallMailbox,
+    InstallOutcome, Staged,
 };
 use crate::context::RunContext;
 use crate::error::FlatDdError;
 use qcircuit::Circuit;
 use std::path::Path;
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Starts timing a checkpoint operation: the telemetry-clock start (only
 /// when telemetry is on) and the wall clock.
@@ -41,14 +44,33 @@ fn checkpoint_event(
     }
 }
 
+/// The job thread's side of periodic checkpoint installs (DESIGN.md
+/// §10.2): where installs run, and the retry state of failed ones.
+#[derive(Default)]
+pub(crate) struct Installs {
+    /// The installer serving this simulator; `None` installs inline, on
+    /// the job thread.
+    mailbox: Option<Arc<InstallMailbox>>,
+    /// A checkpoint handed to the installer has an outcome still to read.
+    outstanding: bool,
+    /// Failed periodic installs in a row.
+    failures: u32,
+    /// When the retry of a failed install may re-stage.
+    retry_at: Option<Instant>,
+}
+
 impl Boundary {
-    /// Writes a checkpoint of `(core, phase)` to the policy path.
-    fn save_checkpoint(&mut self, core: &Core, phase: &PhaseState) -> Result<u64, FlatDdError> {
-        let policy = self
-            .ckpt
-            .clone()
-            .ok_or_else(|| FlatDdError::InvalidInput("no checkpoint policy configured".into()))?;
-        let started = stopwatch();
+    /// Encodes the checkpoint of `(core, phase)` straight from the live
+    /// state into staging `slot` of `path`, or over `pending`, a staged
+    /// checkpoint of that slot no installer took.
+    fn stage(
+        &self,
+        core: &Core,
+        phase: &PhaseState,
+        path: &Path,
+        rng_seed: u64,
+        (pending, slot): (Option<Staged>, usize),
+    ) -> Result<Staged, FlatDdError> {
         let header = CheckpointHeader {
             circuit_hash: self.active_circuit_hash,
             config_fingerprint: checkpoint::config_fingerprint(&core.cfg),
@@ -60,7 +82,7 @@ impl Boundary {
                 PhaseState::Dd(dd) => dd.ewma.state(),
                 PhaseState::Flat(flat) => flat.ewma,
             },
-            rng_seed: policy.rng_seed,
+            rng_seed,
             rng_pos: 0,
             stats: core.stats,
         };
@@ -77,74 +99,202 @@ impl Boundary {
                 CheckpointPayload::Flat { amps: &amps }
             }
         };
-        let bytes = checkpoint::write_checkpoint_with(&policy.path, &header, payload, &core.ctx)?;
+        match pending {
+            Some(staged) => staged.restage(&header, payload),
+            None => checkpoint::stage_checkpoint(path, slot, &header, payload),
+        }
+    }
+
+    /// Accounts a checkpoint written on the job thread: `sim.ckpt_write_us`
+    /// times what the job thread paid (the stage, plus the install when it
+    /// ran inline).
+    fn note_write(
+        &self,
+        core: &Core,
+        phase: &PhaseState,
+        started: (Option<f64>, Instant),
+        bytes: u64,
+    ) {
         let dur_us = started.1.elapsed().as_secs_f64() * 1e6;
-        self.gates_since_ckpt = 0;
-        self.last_checkpoint = Some(policy.path);
         self.hist_ckpt_write.observe(dur_us as u64);
         let metrics = core.ctx.metrics();
         metrics.counter("checkpoint.writes").inc();
         metrics.gauge("checkpoint.bytes").set(bytes as f64);
         metrics.gauge("checkpoint.write_us").set(dur_us);
         checkpoint_event(core, phase, "write", started, bytes);
+    }
+
+    /// Writes a checkpoint of `(core, phase)` to the policy path now, on the
+    /// job thread: drops a pending periodic checkpoint and waits for the one
+    /// in flight first, so no late periodic install can overwrite this one.
+    fn save_checkpoint(&mut self, core: &Core, phase: &PhaseState) -> Result<u64, FlatDdError> {
+        let policy = self
+            .ckpt
+            .clone()
+            .ok_or_else(|| FlatDdError::InvalidInput("no checkpoint policy configured".into()))?;
+        self.drain_installs(core, true);
+        let started = stopwatch();
+        let staged = self.stage(core, phase, &policy.path, policy.rng_seed, (None, 0))?;
+        let bytes = staged.install_with(&core.ctx, false)?;
+        // A newer checkpoint is durable: earlier failed installs need no
+        // retry.
+        self.installs.failures = 0;
+        self.installs.retry_at = None;
+        self.gates_since_ckpt = 0;
+        self.last_checkpoint = Some(policy.path);
+        self.note_write(core, phase, started, bytes);
         Ok(bytes)
     }
 
-    /// Periodic checkpoint write, best-effort: a transient failure (disk
-    /// full, permissions, a torn write caught by post-install header
-    /// verification) must not abort a run whose state is perfectly healthy.
-    /// Failed attempts are retried up to `policy.write_retries` times with
-    /// a doubling backoff (capped at
-    /// [`CheckpointPolicy::MAX_RETRY_BACKOFF_MS`]); if every attempt fails
-    /// the error is logged and counted while the previously installed
-    /// checkpoint stays valid. The cadence counter resets either way, so
-    /// the next attempt comes a full interval later instead of on every
-    /// subsequent gate.
-    pub(super) fn periodic_checkpoint(&mut self, core: &Core, phase: &PhaseState) {
-        let Some((path, retries, mut backoff_ms)) = self
-            .ckpt
-            .as_ref()
-            .map(|p| (p.path.clone(), p.write_retries, p.retry_backoff_ms))
+    /// The periodic checkpoint stage, after every step under a policy with
+    /// `every_gates`. Reads the outcomes of finished installs, then stages
+    /// a checkpoint when one is due, or when a failed install's retry is
+    /// (its backoff has elapsed and no newer checkpoint is on its way).
+    /// Periodic checkpoints are best-effort: a failed install (disk full,
+    /// permissions, a torn write caught by the header read-back) is counted
+    /// and retried, never fails the run, and the previously installed
+    /// checkpoint stays valid.
+    pub(super) fn periodic_checkpoint(&mut self, core: &Core, phase: &PhaseState, every: usize) {
+        if self.installs.outstanding {
+            self.read_installs(core, false);
+        }
+        let due = self.gates_since_ckpt >= every;
+        let retry_due = !self.installs.outstanding
+            && self
+                .installs
+                .retry_at
+                .is_some_and(|at| Instant::now() >= at);
+        if due || retry_due {
+            self.stage_periodic(core, phase, due);
+        }
+    }
+
+    /// Stages a periodic checkpoint (a due one moves the cadence, a retry
+    /// does not) and installs it here, or hands it to the installer when
+    /// one is attached, in place of a pending one.
+    fn stage_periodic(&mut self, core: &Core, phase: &PhaseState, due: bool) {
+        self.installs.retry_at = None;
+        let Some((path, rng_seed)) = self.ckpt.as_ref().map(|p| (p.path.clone(), p.rng_seed))
         else {
             return;
         };
-        let mut last_err: Option<FlatDdError> = None;
-        for attempt in 0..=retries {
-            if attempt > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
-                backoff_ms = (backoff_ms * 2).min(CheckpointPolicy::MAX_RETRY_BACKOFF_MS);
-                core.ctx.metrics().counter("checkpoint.write_retries").inc();
+        if due {
+            self.gates_since_ckpt = 0;
+        }
+        let started = stopwatch();
+        let staging = match &self.installs.mailbox {
+            Some(mailbox) => mailbox.take_pending(),
+            None => (None, 0),
+        };
+        if staging.0.is_some() {
+            core.ctx.metrics().counter("checkpoint.superseded").inc();
+        }
+        let staged = match self.stage(core, phase, &path, rng_seed, staging) {
+            Ok(staged) => staged,
+            Err(e) => return self.note_install(core, Err(e)),
+        };
+        let bytes = staged.bytes();
+        match &self.installs.mailbox {
+            Some(mailbox) => {
+                mailbox.post(staged);
+                self.installs.outstanding = true;
+                self.note_write(core, phase, started, bytes);
             }
-            // `save_checkpoint` reports write-path errors; a write that
-            // "succeeded" can still have been torn by a crash-adjacent
-            // failure mode, so verify the installed header before trusting
-            // it. The header CRC covers the cursor and phase — cheap, and
-            // exactly what `resume_from` checks first.
-            let result = self
-                .save_checkpoint(core, phase)
-                .and_then(|_| checkpoint::read_header(&path));
-            match result {
-                Ok(_) => {
-                    if attempt > 0 {
-                        eprintln!("[flatdd] periodic checkpoint succeeded on retry {attempt}");
-                    }
-                    return;
-                }
-                Err(e) => {
-                    core.ctx
-                        .metrics()
-                        .counter("checkpoint.write_failures")
-                        .inc();
-                    last_err = Some(e);
-                }
+            None => {
+                let outcome = staged.install_with(&core.ctx, true);
+                self.note_write(core, phase, started, bytes);
+                self.note_install(core, outcome);
             }
         }
-        self.gates_since_ckpt = 0;
-        if let Some(e) = last_err {
-            eprintln!(
-                "[flatdd] periodic checkpoint failed after {} attempt(s) (run continues): {e}",
-                retries + 1
-            );
+    }
+
+    /// The drain point at the end of a run: waits until the newest staged
+    /// checkpoint is installed, so the file a run leaves is its last due
+    /// cursor's. Should that install have failed with retries left, the
+    /// run has no later boundary to retry at: the retry waits out its
+    /// backoff here, at the end cursor.
+    pub(super) fn finish_installs(&mut self, core: &Core, phase: &PhaseState) {
+        self.drain_installs(core, false);
+        while let Some(at) = self.installs.retry_at {
+            std::thread::sleep(at.saturating_duration_since(Instant::now()));
+            self.stage_periodic(core, phase, false);
+            self.drain_installs(core, false);
+        }
+    }
+
+    /// Reads the installer's outcomes; with `wait`, once it is idle. A
+    /// no-op without an installer.
+    fn read_installs(&mut self, core: &Core, wait: bool) {
+        let Some(mailbox) = &self.installs.mailbox else {
+            return;
+        };
+        let (outcomes, idle) = mailbox.outcomes(wait);
+        self.installs.outstanding = !idle;
+        for outcome in outcomes {
+            self.note_install(core, outcome);
+        }
+    }
+
+    /// A drain point: waits until the installer has installed the newest
+    /// staged checkpoint, or with `drop_pending` discards a pending one and
+    /// waits only for the one in flight.
+    pub(super) fn drain_installs(&mut self, core: &Core, drop_pending: bool) {
+        if drop_pending {
+            if let Some(old) = self
+                .installs
+                .mailbox
+                .as_ref()
+                .and_then(|m| m.take_pending().0)
+            {
+                old.discard();
+                core.ctx.metrics().counter("checkpoint.superseded").inc();
+            }
+        }
+        self.read_installs(core, true);
+    }
+
+    /// Accounts one periodic install's outcome. An install that follows a
+    /// failed one is its retry (`checkpoint.write_retries`). A failure arms
+    /// a retry `retry_backoff_ms` later, doubling per failure in a row (up
+    /// to [`CheckpointPolicy::MAX_RETRY_BACKOFF_MS`]), until
+    /// `write_retries` retries have failed too; then it is logged, and the
+    /// next due checkpoint starts afresh.
+    fn note_install(&mut self, core: &Core, outcome: InstallOutcome) {
+        let Some(policy) = &self.ckpt else {
+            return;
+        };
+        let metrics = core.ctx.metrics();
+        let failures = self.installs.failures;
+        if failures > 0 {
+            metrics.counter("checkpoint.write_retries").inc();
+        }
+        match outcome {
+            Ok(_) => {
+                if failures > 0 {
+                    eprintln!("[flatdd] periodic checkpoint succeeded on retry {failures}");
+                }
+                self.installs.failures = 0;
+                self.installs.retry_at = None;
+                self.last_checkpoint = Some(policy.path.clone());
+            }
+            Err(e) => {
+                metrics.counter("checkpoint.write_failures").inc();
+                let failures = failures + 1;
+                if failures <= policy.write_retries {
+                    let backoff_ms = (policy.retry_backoff_ms << (failures - 1).min(16))
+                        .min(CheckpointPolicy::MAX_RETRY_BACKOFF_MS);
+                    self.installs.failures = failures;
+                    self.installs.retry_at =
+                        Some(Instant::now() + Duration::from_millis(backoff_ms));
+                } else {
+                    eprintln!(
+                        "[flatdd] periodic checkpoint failed after {failures} attempt(s) \
+                         (run continues): {e}"
+                    );
+                    self.installs.failures = 0;
+                    self.installs.retry_at = None;
+                }
+            }
         }
     }
 }
@@ -155,8 +305,23 @@ impl FlatDdSimulator {
     /// and — when `on_breach` is set — once more when a resumable error
     /// (budget breach or polled signal) ends a [`Self::run`].
     pub fn set_checkpoint_policy(&mut self, policy: Option<CheckpointPolicy>) {
+        self.boundary.drain_installs(&self.core, false);
         self.boundary.ckpt = policy;
         self.boundary.gates_since_ckpt = 0;
+        self.boundary.installs.failures = 0;
+        self.boundary.installs.retry_at = None;
+    }
+
+    /// Hands the installs of this simulator's periodic checkpoints to an
+    /// installer thread serving `mailbox` ([`InstallMailbox::serve`]), or
+    /// with `None` back to the calling thread, after the installs under way
+    /// are done. Each due checkpoint is still staged on the calling thread,
+    /// straight from the live state; only the durability wait (`fsync`,
+    /// rename, directory `fsync`, header read-back) moves, and the end of
+    /// every run waits for the newest checkpoint's install.
+    pub fn attach_installer(&mut self, mailbox: Option<Arc<InstallMailbox>>) {
+        self.boundary.drain_installs(&self.core, false);
+        self.boundary.installs.mailbox = mailbox;
     }
 
     /// The active checkpoint policy.

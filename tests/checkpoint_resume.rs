@@ -4,6 +4,7 @@
 //! conversion boundary), and corrupted or mismatched checkpoints must be
 //! rejected with typed errors — never a panic.
 
+use flatdd::serve::with_installer;
 use flatdd::{
     CheckpointPolicy, ConversionPolicy, FlatDdConfig, FlatDdError, FlatDdSimulator, FusionPolicy,
     Phase,
@@ -354,4 +355,160 @@ fn a_version_2_flat_checkpoint_from_a_full_width_writer_still_resumes() {
         panic!("a flat checkpoint");
     };
     assert!(state_distance(&v, &before) < TOL);
+}
+
+/// The files next to `path` whose names extend it: its staging files.
+fn staging_siblings(path: &std::path::Path) -> Vec<String> {
+    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+    std::fs::read_dir(path.parent().unwrap())
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with(&name) && n.ends_with(".tmp"))
+        .collect()
+}
+
+/// Runs `c` from scratch on an isolated context with a periodic policy,
+/// its installs inline or on an installer thread. Returns the simulator
+/// and, read as `run()` returns (before the installer is detached), the
+/// installed cursor and the staging files left.
+fn periodic_run(
+    c: &Circuit,
+    cfg: FlatDdConfig,
+    path: &PathBuf,
+    every: usize,
+    installer: bool,
+) -> (FlatDdSimulator, u64, Vec<String>) {
+    let ctx = flatdd::RunContext::isolated();
+    let mut sim = FlatDdSimulator::try_new_with(c.num_qubits(), cfg, ctx).unwrap();
+    sim.set_checkpoint_policy(Some(CheckpointPolicy::at(path).every(every)));
+    let run = |sim: &mut FlatDdSimulator| {
+        sim.run(c).unwrap();
+        let cursor = flatdd::read_header(path).unwrap().gate_cursor;
+        (cursor, staging_siblings(path))
+    };
+    let (cursor, staging) = if installer {
+        with_installer(&mut sim, run)
+    } else {
+        run(&mut sim)
+    };
+    (sim, cursor, staging)
+}
+
+/// With an installer attached, a run stages every due checkpoint as the
+/// inline run writes it, and returns only once the newest is installed: the
+/// file is the last due cursor's, no staging file is left, the amplitudes
+/// are the inline run's bit for bit, and every staged checkpoint was either
+/// installed or replaced by a newer one before its install.
+#[test]
+fn an_installer_leaves_the_last_due_checkpoint_and_the_inline_amplitudes() {
+    let every = 4;
+    for (spec, conversion) in [
+        ("vqe:10,3", ConversionPolicy::AtGate(40)),
+        ("grover:8", ConversionPolicy::Never),
+    ] {
+        let c = generators::from_spec(spec, 5).unwrap();
+        let cfg = FlatDdConfig {
+            threads: 1,
+            conversion,
+            ..Default::default()
+        };
+        let (inline_path, path) = (tmp_ckpt("inline"), tmp_ckpt("installer"));
+        let (inline, inline_cursor, _) = periodic_run(&c, cfg, &inline_path, every, false);
+        let (sim, cursor, staging) = periodic_run(&c, cfg, &path, every, true);
+
+        let last_due = (c.num_gates() / every * every) as u64;
+        assert_eq!(cursor, last_due, "{spec}");
+        assert_eq!(inline_cursor, last_due, "{spec}");
+        assert!(staging.is_empty(), "{spec}: {staging:?}");
+        assert!(
+            sim.amplitudes() == inline.amplitudes(),
+            "{spec}: amplitudes differ"
+        );
+
+        let metrics = sim.context().metrics();
+        let writes = metrics.counter("checkpoint.writes").get();
+        let superseded = metrics.counter("checkpoint.superseded").get();
+        let installs = metrics.histogram("sim.ckpt_install_us").count();
+        assert_eq!(
+            writes,
+            (c.num_gates() / every) as u64,
+            "{spec}: one per due cursor"
+        );
+        assert_eq!(writes, superseded + installs, "{spec}");
+        assert_eq!(
+            metrics.counter("checkpoint.write_failures").get(),
+            0,
+            "{spec}"
+        );
+        let inline_metrics = inline.context().metrics();
+        assert_eq!(
+            inline_metrics.counter("checkpoint.writes").get(),
+            writes,
+            "{spec}"
+        );
+        assert_eq!(
+            inline_metrics.histogram("sim.ckpt_install_us").count(),
+            writes,
+            "{spec}"
+        );
+        for p in [inline_path, path] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+}
+
+/// A preemption (a cancel on the run's context, as the daemon's scheduler
+/// raises it) lands while periodic checkpoints are being staged and
+/// installed: the on-breach write drops the pending one, waits for the one
+/// in flight, and installs the breach cursor's checkpoint, which no late
+/// periodic install overwrites; the job resumes from it to the
+/// uninterrupted amplitudes.
+#[test]
+fn a_preemption_after_async_installs_leaves_the_breach_checkpoint() {
+    let c = generators::from_spec("random:10,20000", 3).unwrap();
+    let cfg = FlatDdConfig {
+        threads: 1,
+        ..Default::default()
+    };
+    let mut clean = FlatDdSimulator::try_new(10, cfg).unwrap();
+    clean.run(&c).unwrap();
+    let want = clean.amplitudes();
+
+    let path = tmp_ckpt("preempted");
+    let ctx = flatdd::RunContext::isolated();
+    let mut sim = FlatDdSimulator::try_new_with(10, cfg, ctx.clone()).unwrap();
+    sim.set_checkpoint_policy(Some(CheckpointPolicy::at(&path).every(8)));
+    let err = std::thread::scope(|s| {
+        s.spawn(|| {
+            let writes = ctx.metrics().counter("checkpoint.writes");
+            let installs = ctx.metrics().histogram("sim.ckpt_install_us");
+            while writes.get() < 4 || installs.count() < 1 {
+                std::thread::yield_now();
+            }
+            ctx.cancel(flatdd::signal::SIGTERM);
+        });
+        with_installer(&mut sim, |sim| sim.run(&c)).unwrap_err()
+    });
+    let FlatDdError::Interrupted { partial, .. } = err else {
+        panic!("expected a preemption, got {err}");
+    };
+    let breach = partial.gates_applied;
+    assert!(breach < c.num_gates(), "the run finished before the cancel");
+    let header = flatdd::read_header(&path).unwrap();
+    assert_eq!(header.gate_cursor as usize, breach);
+    assert!(
+        staging_siblings(&path).is_empty(),
+        "{:?}",
+        staging_siblings(&path)
+    );
+
+    let (mut resumed, _) = FlatDdSimulator::resume_from(&path, cfg, &c).unwrap();
+    resumed.run_from(&c).unwrap();
+    let d = state_distance(&resumed.amplitudes(), &want);
+    assert!(
+        d < TOL,
+        "resumed state deviates by {d:.3e} (breach at {breach})"
+    );
+    let _ = std::fs::remove_file(&path);
 }

@@ -6,12 +6,29 @@
 //! header verification in the retry loop can catch it. Armed to fire on
 //! the first hit only, the first periodic attempt installs a corrupt file
 //! and the retry must replace it with a good one.
+//!
+//! Both cases run twice: with the installs inline on the running thread
+//! (the CLI and library default), and on an installer thread
+//! (`serve::with_installer`, as the daemon runs a job). The assertions are
+//! the same, because both go through one retry path.
 
+use flatdd::serve::with_installer;
 use flatdd::{
-    read_header, CheckpointPolicy, ConversionPolicy, FlatDdConfig, FlatDdSimulator, RunContext,
+    read_header, CheckpointPolicy, ConversionPolicy, FlatDdConfig, FlatDdError, FlatDdSimulator,
+    RunContext, RunOutcome,
 };
 use qcircuit::complex::state_distance;
 use qcircuit::Circuit;
+
+/// Runs `c` on `sim` with its checkpoints installed inline or, with
+/// `installer`, on an installer thread.
+fn run(sim: &mut FlatDdSimulator, c: &Circuit, installer: bool) -> Result<RunOutcome, FlatDdError> {
+    if installer {
+        with_installer(sim, |sim| sim.run(c))
+    } else {
+        sim.run(c)
+    }
+}
 
 fn layered_circuit(n: usize) -> Circuit {
     let mut c = Circuit::new(n);
@@ -29,6 +46,12 @@ fn layered_circuit(n: usize) -> Circuit {
 
 #[test]
 fn transient_truncate_is_retried_and_the_run_completes() {
+    for installer in [false, true] {
+        transient_truncate_is_retried(installer);
+    }
+}
+
+fn transient_truncate_is_retried(installer: bool) {
     let c = layered_circuit(6);
     let cfg = FlatDdConfig {
         threads: 1,
@@ -40,7 +63,7 @@ fn transient_truncate_is_retried_and_the_run_completes() {
     let want = clean.amplitudes();
 
     let path = std::env::temp_dir().join(format!(
-        "flatdd-ckpt-retry-test-{}.ckpt",
+        "flatdd-ckpt-retry-test-{}-{installer}.ckpt",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);
@@ -52,8 +75,7 @@ fn transient_truncate_is_retried_and_the_run_completes() {
         .unwrap();
     let mut sim = FlatDdSimulator::try_new_with(6, cfg, ctx.clone()).unwrap();
     sim.set_checkpoint_policy(Some(CheckpointPolicy::at(&path).every(5).retries(2, 1)));
-    sim.run(&c)
-        .expect("a transient checkpoint failure must not fail the run");
+    run(&mut sim, &c, installer).expect("a transient checkpoint failure must not fail the run");
 
     // The verification loop saw the torn install and retried.
     assert!(
@@ -80,6 +102,12 @@ fn transient_truncate_is_retried_and_the_run_completes() {
 /// best-effort), and the failure is visible in the per-job metrics.
 #[test]
 fn exhausted_retries_leave_run_alive_and_failures_counted() {
+    for installer in [false, true] {
+        exhausted_retries_leave_run_alive(installer);
+    }
+}
+
+fn exhausted_retries_leave_run_alive(installer: bool) {
     let c = layered_circuit(6);
     let cfg = FlatDdConfig {
         threads: 1,
@@ -87,7 +115,7 @@ fn exhausted_retries_leave_run_alive_and_failures_counted() {
         ..Default::default()
     };
     let path = std::env::temp_dir().join(format!(
-        "flatdd-ckpt-retry-exhaust-{}.ckpt",
+        "flatdd-ckpt-retry-exhaust-{}-{installer}.ckpt",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);
@@ -97,7 +125,7 @@ fn exhausted_retries_leave_run_alive_and_failures_counted() {
         .unwrap();
     let mut sim = FlatDdSimulator::try_new_with(6, cfg, ctx.clone()).unwrap();
     sim.set_checkpoint_policy(Some(CheckpointPolicy::at(&path).every(5).retries(1, 1)));
-    sim.run(&c)
+    run(&mut sim, &c, installer)
         .expect("even unrecoverable periodic-checkpoint failures must not fail the run");
 
     let failures = ctx.metrics().counter("checkpoint.write_failures").get();

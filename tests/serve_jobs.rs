@@ -430,3 +430,73 @@ fn wide_regular_job_is_read_out_without_materializing_the_state() {
     daemon.drain(Duration::from_secs(30));
     std::fs::remove_dir_all(&spool).ok();
 }
+
+/// The names of job `id`'s checkpoint and staging files in `spool`.
+fn checkpoint_files(spool: &std::path::Path, id: u64) -> Vec<String> {
+    let prefix = format!("job-{id}.ckpt");
+    std::fs::read_dir(spool)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with(&prefix))
+        .collect()
+}
+
+#[test]
+fn terminal_jobs_leave_no_checkpoint_in_the_spool() {
+    let spool = fresh_spool("ckpt-cleanup");
+    let daemon = Daemon::start(&spool, &["--workers", "1", "--retry-max", "1"]);
+    let port = daemon.port;
+
+    // A running job cancelled once a periodic checkpoint is installed: the
+    // cancel writes one more (on breach), and the terminal transition must
+    // take the checkpoint and its staging files away.
+    let (code, body) = http(
+        port,
+        "POST",
+        "/jobs",
+        Some(r#"{"circuit":"supremacy:18,40","seed":9,"threads":1,"checkpoint_every":10}"#),
+    );
+    assert_eq!(code, 202, "{body}");
+    let cancelled = job_id(&body);
+    let installed = spool.join(format!("job-{cancelled}.ckpt"));
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while !installed.exists() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no checkpoint installed"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (code, body) = http(port, "POST", &format!("/jobs/{cancelled}/cancel"), None);
+    assert_eq!(code, 200, "{body}");
+    let status = wait_terminal(port, cancelled, Duration::from_secs(60));
+    assert_eq!(job_state(&status), "cancelled", "{status}");
+    assert_eq!(
+        checkpoint_files(&spool, cancelled),
+        Vec::<String>::new(),
+        "{status}"
+    );
+
+    // A crash-loop job poisoned at the checkpoint install point.
+    let (code, body) = http(
+        port,
+        "POST",
+        "/jobs",
+        Some(
+            r#"{"circuit":"ghz:10","threads":1,"checkpoint_every":4,"faults":"checkpoint.enospc:panic:always"}"#,
+        ),
+    );
+    assert_eq!(code, 202, "{body}");
+    let poisoned = job_id(&body);
+    let status = wait_terminal(port, poisoned, Duration::from_secs(60));
+    assert_eq!(job_state(&status), "failed", "{status}");
+    assert_eq!(
+        checkpoint_files(&spool, poisoned),
+        Vec::<String>::new(),
+        "{status}"
+    );
+
+    daemon.drain(Duration::from_secs(30));
+    std::fs::remove_dir_all(&spool).ok();
+}

@@ -16,9 +16,6 @@ pub struct ArraySimulator {
     pool: ThreadPool,
     /// Gate-kernel dispatch granularity (defaults to the thread count).
     shards: usize,
-    /// Cached handle on the global `array.gates` counter (one registry
-    /// lookup per simulator, one relaxed add per gate).
-    gates_applied: qtelemetry::Counter,
 }
 
 impl ArraySimulator {
@@ -56,7 +53,6 @@ impl ArraySimulator {
             n,
             pool,
             shards,
-            gates_applied: qtelemetry::counter("array.gates"),
         })
     }
 
@@ -70,7 +66,6 @@ impl ArraySimulator {
             n,
             shards: pool.size(),
             pool,
-            gates_applied: qtelemetry::counter("array.gates"),
         }
     }
 
@@ -107,7 +102,6 @@ impl ArraySimulator {
 
     /// Applies one gate in place.
     pub fn apply(&mut self, gate: &Gate) {
-        self.gates_applied.inc();
         apply_gate_pooled(&mut self.state, gate, &self.pool, self.shards);
     }
 

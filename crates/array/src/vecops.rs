@@ -83,15 +83,10 @@ fn detect() -> Backend {
 }
 
 /// The backend in use, selected on first call and fixed for the process
-/// lifetime. The selection is recorded as the `array.vecops_backend` label
-/// in the global metrics registry.
+/// lifetime.
 #[inline]
 pub fn backend() -> Backend {
-    *BACKEND.get_or_init(|| {
-        let b = detect();
-        qtelemetry::set_label("array.vecops_backend", b.name());
-        b
-    })
+    *BACKEND.get_or_init(detect)
 }
 
 macro_rules! dispatch {

@@ -1201,10 +1201,11 @@ fn main() {
     let runs = blocked_runs(reps, backend, &mut json);
     let widened = widen_block(reps, backend, &mut json);
     let dd = dd_tables(reps, &mut json);
-    // Embed the unified metrics registry (vecops backend label, DD package
-    // gauges) in the results file.
-    pkg.publish_metrics();
-    json.set_meta_raw(flatdd::telemetry::metrics_json());
+    // Embed the unified metrics registry (DD package gauges) in the
+    // results file.
+    let registry = flatdd::telemetry::metrics::global();
+    flatdd::publish_package_metrics(&pkg, registry);
+    json.set_meta_raw(registry.to_json());
     let path = args
         .json
         .clone()

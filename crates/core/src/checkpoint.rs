@@ -80,6 +80,12 @@ pub struct CheckpointPolicy {
     /// Backoff before the first retry, doubling per attempt (capped at
     /// [`CheckpointPolicy::MAX_RETRY_BACKOFF_MS`]).
     pub retry_backoff_ms: u64,
+    /// Whether a run that completes returns only once its newest periodic
+    /// checkpoint is installed (the default). A caller that deletes the
+    /// file when the run completes (the daemon, on `done`) clears it: the
+    /// run then drops a checkpoint still waiting for its install, and only
+    /// the one in flight finishes.
+    pub install_on_completion: bool,
 }
 
 impl CheckpointPolicy {
@@ -95,6 +101,7 @@ impl CheckpointPolicy {
             rng_seed: 0,
             write_retries: 2,
             retry_backoff_ms: 10,
+            install_on_completion: true,
         }
     }
 

@@ -180,16 +180,15 @@ impl RunContext {
 
     /// Probes a fault site: the scoped registry first, then — only for
     /// process contexts — the global `FLATDD_FAULTS` registry. Isolated
-    /// contexts never observe globally armed faults.
+    /// contexts never observe globally armed faults. A fired site counts
+    /// in this run's `faults.injected`.
     #[inline]
     pub fn fires(&self, site: &str) -> Option<crate::faults::FaultAction> {
-        if let Some(a) = self.faults.fires(site) {
-            return Some(a);
-        }
-        if self.follow_process_signals {
-            return crate::faults::fires(site);
-        }
-        None
+        let action = self.faults.fires(site).or_else(|| {
+            self.follow_process_signals
+                .then(|| crate::faults::fires(site))?
+        });
+        action.inspect(|_| self.metrics.counter("faults.injected").inc())
     }
 
     /// Requests cancellation of this run, as if signal `sig` (use
@@ -197,6 +196,14 @@ impl RunContext {
     /// The simulator honors it at its next gate / fused-matrix boundary.
     pub fn cancel(&self, sig: i32) {
         self.cancel.store(sig, Ordering::Relaxed);
+    }
+
+    /// Cancels this run for good, as SIGKILL would: it stops at its next
+    /// boundary like [`Self::cancel`], but writes no on-breach checkpoint
+    /// and drops a periodic one still waiting for its install, since no
+    /// one will resume it (the daemon's user cancel).
+    pub fn abandon(&self) {
+        self.cancel(signal::SIGKILL);
     }
 
     /// True if cancellation is currently requested (without consuming it).
@@ -390,6 +397,11 @@ mod tests {
         let ctx = RunContext::isolated();
         ctx.metrics().counter("test.ctx.gates").add(7);
         assert_eq!(ctx.metrics().counter("test.ctx.gates").get(), 7);
-        assert_eq!(qtelemetry::counter("test.ctx.gates").get(), 0);
+        assert_eq!(
+            qtelemetry::metrics::global()
+                .counter("test.ctx.gates")
+                .get(),
+            0
+        );
     }
 }

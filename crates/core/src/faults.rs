@@ -198,7 +198,6 @@ impl FaultRegistry {
         rule.fired = true;
         let action = rule.action;
         drop(guard);
-        qtelemetry::counter("faults.injected").inc();
         if qtelemetry::enabled() {
             qtelemetry::emit(qtelemetry::Event::Fault {
                 ts_us: qtelemetry::now_us(),

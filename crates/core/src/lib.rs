@@ -108,6 +108,6 @@ pub use fusion::{fuse_dmav_aware, fuse_k_operations, no_fusion, FusedGates};
 pub use govern::{Breach, GovernorConfig, ResourceGovernor};
 pub use pool::{clamp_shards, clamp_threads, ThreadPool};
 pub use sim::{
-    simulate, try_simulate, ConversionPolicy, FlatDdConfig, FlatDdSimulator, FlatDdStats,
-    FusionPolicy, GateTrace, Phase,
+    publish_package_metrics, simulate, try_simulate, ConversionPolicy, FlatDdConfig,
+    FlatDdSimulator, FlatDdStats, FusionPolicy, GateTrace, Phase,
 };

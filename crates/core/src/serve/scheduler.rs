@@ -142,9 +142,12 @@ struct Inner {
     state: Mutex<SchedState>,
     cv: Condvar,
     metrics: MetricsRegistry,
-    /// Cached handles into `metrics` (one lookup at startup).
+    /// Cached handles into `metrics` (one lookup at startup; the two
+    /// counters are bumped at two transitions each).
     hist_queue_wait: qtelemetry::Histogram,
     hist_run: qtelemetry::Histogram,
+    jobs_cancelled: qtelemetry::Counter,
+    jobs_failed: qtelemetry::Counter,
     draining: AtomicBool,
     /// Daemon start instant, for `/healthz` uptime reporting.
     started: Instant,
@@ -253,6 +256,8 @@ impl Scheduler {
             cv: Condvar::new(),
             hist_queue_wait: metrics.histogram("serve.queue_wait_us"),
             hist_run: metrics.histogram("serve.run_us"),
+            jobs_cancelled: metrics.counter("serve.jobs_cancelled"),
+            jobs_failed: metrics.counter("serve.jobs_failed"),
             metrics,
             draining: AtomicBool::new(false),
             started: Instant::now(),
@@ -351,8 +356,9 @@ impl SchedulerHandle {
         }
         st.cancelled.insert(id);
         if let Some(ctx) = st.ctxs.get(&id) {
-            // Running: interrupt at the next gate boundary.
-            ctx.cancel(signal::SIGTERM);
+            // Running: stop at the next gate boundary, leaving no
+            // checkpoint (the terminal transition would delete it).
+            ctx.abandon();
         } else {
             // Queued or preempted: finalize immediately.
             st.queue.retain(|&q| q != id);
@@ -364,7 +370,7 @@ impl SchedulerHandle {
                 rec.state = JobState::Cancelled;
                 let _ = rec.persist(&spool);
             }
-            self.inner.metrics.counter("serve.jobs_cancelled").inc();
+            self.inner.jobs_cancelled.inc();
             self.publish_gauges(&st);
         }
         drop(st);
@@ -556,9 +562,6 @@ fn worker_loop(inner: &Inner) {
                     if let Some(t) = st.enqueued_at.remove(&id) {
                         let wait_us = t.elapsed().as_micros().min(u64::MAX as u128) as u64;
                         inner.hist_queue_wait.observe(wait_us);
-                        ctx.metrics()
-                            .gauge("serve.queue_wait_us")
-                            .set(wait_us as f64);
                     }
                     st.ctxs.insert(id, ctx.clone());
                     st.job_ctxs.insert(id, ctx.clone());
@@ -607,7 +610,7 @@ fn worker_loop(inner: &Inner) {
                 Ok(Err(FlatDdError::Interrupted { .. })) => {
                     if was_cancelled {
                         rec.state = JobState::Cancelled;
-                        inner.metrics.counter("serve.jobs_cancelled").inc();
+                        inner.jobs_cancelled.inc();
                     } else {
                         // Preemption or drain: the on-breach checkpoint is
                         // installed; park the job for a later worker (or
@@ -638,7 +641,7 @@ fn worker_loop(inner: &Inner) {
                     rec.state = JobState::Failed;
                     rec.exit_code = Some(e.exit_code());
                     rec.error = Some(e.to_string());
-                    inner.metrics.counter("serve.jobs_failed").inc();
+                    inner.jobs_failed.inc();
                 }
                 Err(_panic) => {
                     // Crash-loop containment: a panicking job gets
@@ -665,7 +668,7 @@ fn worker_loop(inner: &Inner) {
                             "worker thread panicked repeatedly (crash-loop poisoned after {} attempts)",
                             rec.panics
                         ));
-                        inner.metrics.counter("serve.jobs_failed").inc();
+                        inner.jobs_failed.inc();
                         inner.metrics.counter("serve.jobs_poisoned").inc();
                     }
                 }
@@ -765,6 +768,9 @@ fn execute_job(
         policy = policy.every(g);
     }
     policy.rng_seed = spec.seed;
+    // A job that completes is `done` and its checkpoint deleted: it need
+    // not wait for the newest one's install.
+    policy.install_on_completion = false;
     let periodic = policy.every_gates.is_some();
     sim.set_checkpoint_policy(Some(policy));
 

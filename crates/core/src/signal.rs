@@ -28,6 +28,10 @@ use std::sync::atomic::{AtomicI32, Ordering};
 pub const SIGINT: i32 = 2;
 /// SIGTERM signal number (POSIX).
 pub const SIGTERM: i32 = 15;
+/// SIGKILL signal number (POSIX). Never handled here; a run cancelled with
+/// it ([`crate::RunContext::abandon`]) stops like a killed process, leaving
+/// no final checkpoint.
+pub const SIGKILL: i32 = 9;
 
 /// Last received signal number; 0 = none.
 static PENDING: AtomicI32 = AtomicI32::new(0);

@@ -37,7 +37,7 @@ pub(super) fn progress_due(
 
 /// Per-simulator state of the boundary stages.
 pub(crate) struct Boundary {
-    /// Per-gate trace (filled only under `cfg.trace`).
+    /// The per-step records (kept only under `cfg.trace`).
     pub(super) traces: Vec<GateTrace>,
     /// Wall clock (`None` until the first) and gate cursor of the last
     /// published progress sample.
@@ -81,7 +81,7 @@ impl Boundary {
     /// Runs one step of `phase` at the cursor, whose gates start `gates`,
     /// and returns the number of circuit gates it consumed. Stage order:
     /// cancel poll, deadline, the step itself (including a policy
-    /// conversion and its forced progress sample), trace + telemetry,
+    /// conversion and its forced progress sample), the step's record,
     /// cursor advance, progress throttle, rooted GC when the package's rule
     /// says it is due, memory ladder, health
     /// watchdog, periodic checkpoint. Both exits before the step leave the
@@ -109,43 +109,16 @@ impl Boundary {
             .check_deadline()
             .map_err(|b| core.breach_to_error(b, phase.phase()))?;
 
-        let telemetry = qtelemetry::enabled();
-        let start = (core.cfg.trace || telemetry).then(Instant::now);
-        let ts_us = telemetry.then(qtelemetry::now_us);
-        let ran_in = phase.phase();
-        let report = phase.step(core, gates, self.gates_until_due(core))?;
-        if phase.phase() != ran_in {
+        let ts_us = core.recording().then(qtelemetry::now_us);
+        let mut report = phase.step(core, gates, self.gates_until_due(core))?;
+        if phase.phase() != report.phase {
             // Phase edge: the conversion forces a progress sample.
             self.publish_progress(core, phase, true);
         }
-
-        let seconds = start.map(|s| s.elapsed().as_secs_f64()).unwrap_or(0.0);
-        if core.cfg.trace {
-            self.traces.push(GateTrace {
-                gate_index: core.cursor,
-                gates: report.gates,
-                phase: ran_in,
-                seconds,
-                dd_size: report.dd_size,
-            });
-        }
-        if telemetry {
-            match ran_in {
-                Phase::Dd => self.hist_gate_dd.observe((seconds * 1e6) as u64),
-                Phase::Dmav => self.hist_gate_dmav.observe((seconds * 1e6) as u64),
-            }
-            qtelemetry::emit(qtelemetry::Event::Gate {
-                sim: core.telemetry_id,
-                ts_us: ts_us.unwrap_or(0.0),
-                dur_us: seconds * 1e6,
-                index: core.cursor,
-                gates: report.gates,
-                phase: ran_in.label(),
-                dd_size: report.dd_size,
-                ewma: report.ewma,
-                plan_hit: report.plan_hit,
-                fused: report.fused,
-            });
+        if let Some(ts_us) = ts_us {
+            report.ts_us = ts_us;
+            report.seconds = (qtelemetry::now_us() - ts_us).max(0.0) / 1e6;
+            self.record(core, report);
         }
 
         core.cursor += report.gates;
@@ -164,6 +137,34 @@ impl Boundary {
             self.periodic_checkpoint(core, phase, every);
         }
         Ok(report.gates)
+    }
+
+    /// Renders a step's record into every view that asked for it: the
+    /// trace under `cfg.trace`, the phase's latency histogram, and the
+    /// `gate` event when a sink is installed.
+    fn record(&mut self, core: &Core, r: GateTrace) {
+        let dur_us = r.seconds * 1e6;
+        match r.phase {
+            Phase::Dd => self.hist_gate_dd.observe(dur_us as u64),
+            Phase::Dmav => self.hist_gate_dmav.observe(dur_us as u64),
+        }
+        if qtelemetry::enabled() {
+            qtelemetry::emit(qtelemetry::Event::Gate {
+                sim: core.telemetry_id,
+                ts_us: r.ts_us,
+                dur_us,
+                index: r.gate_index,
+                gates: r.gates,
+                phase: r.phase.label(),
+                dd_size: r.dd_size,
+                ewma: r.ewma,
+                plan_hit: r.plan_hit,
+                fused: r.fused,
+            });
+        }
+        if core.cfg.trace {
+            self.traces.push(r);
+        }
     }
 
     /// Most gates the next step may fold into a run: [`MAX_RUN_GATES`], cut
@@ -385,7 +386,6 @@ fn approx_truncate(
         core.stats.fidelity = product;
         core.stats.approx_truncations += 1;
         core.ctx.metrics().counter("core.approx_truncations").inc();
-        core.ctx.metrics().gauge("sim.fidelity").set(product);
         // Per-step fidelity histogram (integer buckets → parts per
         // million; 1e6 = lossless).
         core.ctx

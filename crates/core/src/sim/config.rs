@@ -62,7 +62,10 @@ pub struct FlatDdConfig {
     pub conversion: ConversionPolicy,
     /// Gate fusion in the DMAV phase (only applies to [`super::FlatDdSimulator::run`]).
     pub fusion: FusionPolicy,
-    /// Record a per-gate trace (Figure 11 instrumentation).
+    /// Keep the per-step record ([`GateTrace`], Figure 11 instrumentation):
+    /// one record per boundary step, held until the next run. Also what
+    /// fills the `sim.gate_*_us` and `sim.plan_build_us` histograms when no
+    /// event sink is installed.
     pub trace: bool,
     /// GC period (in DDMMs) during fusion.
     pub fusion_gc_every: usize,
@@ -107,8 +110,11 @@ impl Phase {
     }
 }
 
-/// One trace record per boundary step (the Figure 11 data): a gate, or in
-/// the flat phase a fused block or a run of in-place matrices.
+/// The one record of a boundary step (the Figure 11 data): a gate, or in
+/// the flat phase a fused block or a run of in-place matrices. Built when
+/// `FlatDdConfig::trace` is set or an event sink is installed; kept in
+/// [`super::FlatDdSimulator::traces`] under `trace`, and the step's latency
+/// histogram and `gate` event are rendered from it.
 #[derive(Clone, Copy, Debug)]
 pub struct GateTrace {
     /// Index of the step's first gate in application order.
@@ -118,8 +124,36 @@ pub struct GateTrace {
     pub gates: usize,
     /// Phase the step ran in.
     pub phase: Phase,
+    /// Step start on the telemetry clock (µs, [`qtelemetry::now_us`]).
+    pub ts_us: f64,
     /// Wall-clock seconds for the whole step.
     pub seconds: f64,
     /// State-vector DD size after the gate (DD phase only).
     pub dd_size: Option<usize>,
+    /// EWMA monitor value after the gate (DD phase only).
+    pub ewma: Option<f64>,
+    /// Whether the DMAV plan lookup hit (flat phase only; a run's only if
+    /// every matrix hit).
+    pub plan_hit: Option<bool>,
+    /// The step applied fused blocks rather than circuit gates.
+    pub fused: bool,
+}
+
+impl GateTrace {
+    /// The record of a step at `core`'s cursor that applied `gates` in
+    /// `phase`, before the boundary times it and the phase fills in what
+    /// it knows.
+    pub(super) fn untimed(core: &super::Core, gates: usize, phase: Phase) -> Self {
+        GateTrace {
+            gate_index: core.cursor,
+            gates,
+            phase,
+            ts_us: 0.0,
+            seconds: 0.0,
+            dd_size: None,
+            ewma: None,
+            plan_hit: None,
+            fused: false,
+        }
+    }
 }

@@ -7,6 +7,7 @@
 use super::{FlatDdSimulator, FlatDdStats, FusionPolicy, PhaseState};
 use crate::checkpoint;
 use crate::error::{FlatDdError, RunOutcome};
+use crate::signal::SIGKILL;
 use qcircuit::{Circuit, Gate};
 
 /// Which slice of the circuit a run covers.
@@ -64,7 +65,10 @@ impl FlatDdSimulator {
     /// an `on_breach` checkpoint policy — writes a final checkpoint at the
     /// (still consistent) gate boundary the error left the state at, so
     /// the run can be picked up with `--resume-from`. It returns only once
-    /// the newest checkpoint staged for an installer is installed.
+    /// the newest checkpoint staged for an installer is installed, unless
+    /// no one will read it: a run abandoned ([`crate::RunContext::abandon`])
+    /// writes no final checkpoint, and it and a completed run under a
+    /// policy without `install_on_completion` drop a pending one.
     fn run_span(&mut self, circuit: &Circuit, span: Span) -> Result<RunOutcome, FlatDdError> {
         if circuit.num_qubits() != self.core.n {
             return Err(FlatDdError::InvalidInput(format!(
@@ -150,21 +154,28 @@ impl FlatDdSimulator {
                 ok: result.is_ok(),
             });
         }
+        // What the run leaves: an abandoned run (a user's cancel) nothing, a
+        // completed one its newest checkpoint unless the caller discards it.
+        let policy = self.boundary.ckpt.as_ref();
+        let (on_breach, keep) = (
+            policy.is_some_and(|p| p.on_breach),
+            match &result {
+                Ok(()) => policy.is_none_or(|p| p.install_on_completion),
+                Err(FlatDdError::Interrupted { signal, .. }) => *signal != SIGKILL,
+                Err(_) => true,
+            },
+        );
         if let Err(e) = &result {
-            if e.is_resumable() && self.boundary.ckpt.as_ref().is_some_and(|p| p.on_breach) {
+            if keep && on_breach && e.is_resumable() {
                 // Best-effort: the original error is what the caller must
                 // see; a failed final checkpoint only costs resumability.
                 if let Err(ce) = self.save_checkpoint() {
-                    self.core
-                        .ctx
-                        .metrics()
-                        .counter("checkpoint.write_failures")
-                        .inc();
+                    super::persist::note_write_failure(&self.core);
                     eprintln!("[flatdd] failed to write checkpoint on breach: {ce}");
                 }
             }
         }
-        self.boundary.finish_installs(&self.core, &self.phase);
+        self.boundary.finish_installs(&self.core, &self.phase, keep);
         let outcome = result.map(|()| self.core.snapshot(self.phase.phase()));
         self.core.run_total = None;
         outcome

@@ -5,7 +5,7 @@
 //! gate that superposes a fixed one widens it back in, in place.
 
 use super::active::{Fixed, Reduced};
-use super::{Core, FusionPolicy, Phase, StepReport};
+use super::{Core, FusionPolicy, GateTrace, Phase};
 use crate::cost::CostModel;
 use crate::dmav::{dmav_in_place, dmav_no_cache, dmav_run_in_place, DmavAssignment, BLOCK_LEVEL};
 use crate::error::FlatDdError;
@@ -94,9 +94,7 @@ impl FlatPhase {
         if first {
             core.stats.fused_matrices = 0;
         }
-        let telemetry = qtelemetry::enabled();
-        let fuse_ts = telemetry.then(qtelemetry::now_us);
-        let fuse_t0 = telemetry.then(Instant::now);
+        let fuse_ts = qtelemetry::enabled().then(qtelemetry::now_us);
         // Each reduced gate carries the circuit gates it stands for (itself
         // and the skipped or factored ones before it) and their effect.
         let mut fixed = self.fixed;
@@ -139,13 +137,11 @@ impl FlatPhase {
         debug_assert_eq!(fused.gate_counts.iter().sum::<usize>(), reduced.len());
         let spanned: usize = counts.iter().sum();
         core.stats.fused_matrices += fused.matrices.len();
-        if telemetry {
+        if let Some(ts_us) = fuse_ts {
             qtelemetry::emit(qtelemetry::Event::Fusion {
                 sim: core.telemetry_id,
-                ts_us: fuse_ts.unwrap_or(0.0),
-                dur_us: fuse_t0
-                    .map(|t| t.elapsed().as_secs_f64() * 1e6)
-                    .unwrap_or(0.0),
+                ts_us,
+                dur_us: (qtelemetry::now_us() - ts_us).max(0.0),
                 gates_in: spanned,
                 matrices_out: fused.matrices.len(),
             });
@@ -194,7 +190,7 @@ impl FlatPhase {
         core: &mut Core,
         gates: &[Gate],
         budget: usize,
-    ) -> Result<StepReport, FlatDdError> {
+    ) -> Result<GateTrace, FlatDdError> {
         let report = self.advance(core, gates, budget)?;
         if core.ctx.fires(faults::SITE_STATE_NAN).is_some() {
             if let Some(a) = self.v.first_mut() {
@@ -210,7 +206,7 @@ impl FlatPhase {
         core: &mut Core,
         gates: &[Gate],
         budget: usize,
-    ) -> Result<StepReport, FlatDdError> {
+    ) -> Result<GateTrace, FlatDdError> {
         let fused = self.next < self.fused.len();
         // The fixed set as the step leaves it, committed once its matrices
         // have run.
@@ -273,12 +269,10 @@ impl FlatPhase {
         for _ in 0..bypassed {
             account(core, 0.0, true, true);
         }
-        Ok(StepReport {
-            gates: folded,
-            dd_size: None,
-            ewma: None,
+        Ok(GateTrace {
             plan_hit: Some(run.iter().all(|looked| looked.hit)),
             fused,
+            ..GateTrace::untimed(core, folded, Phase::Dmav)
         })
     }
 
@@ -291,7 +285,7 @@ impl FlatPhase {
         core: &mut Core,
         gate: &Gate,
         q: usize,
-    ) -> Result<StepReport, FlatDdError> {
+    ) -> Result<GateTrace, FlatDdError> {
         let (b, m) = (self.fixed.bit(q), gate.kind.matrix());
         let lone = gate.controls.iter().all(|c| self.fixed.holds(c.qubit));
         let column = match lone {
@@ -311,12 +305,9 @@ impl FlatPhase {
             self.dmav(core, std::slice::from_ref(&looked))?;
             looked.hit
         };
-        Ok(StepReport {
-            gates: 1,
-            dd_size: None,
-            ewma: None,
+        Ok(GateTrace {
             plan_hit: Some(hit),
-            fused: false,
+            ..GateTrace::untimed(core, 1, Phase::Dmav)
         })
     }
 
@@ -399,10 +390,10 @@ impl FlatPhase {
     /// shard, so the memo keys plans by shard count); a miss builds it (see
     /// [`PlanCache`]).
     fn lookup(&mut self, core: &Core, m: MEdge) -> Result<Lookup, FlatDdError> {
-        // Clock read for the plan-build histogram rides behind `enabled()`
-        // (the overhead contract); the observe itself lands only on misses,
+        // Timed when the step is recorded (`cfg.trace` or a sink, the
+        // overhead contract); the observe itself lands only on misses,
         // where a plan was actually built.
-        let t0 = qtelemetry::enabled().then(Instant::now);
+        let t0 = core.recording().then(Instant::now);
         let looked = self
             .plans
             .lookup(&core.pkg, m, self.width(), self.v.shards())?;

@@ -11,8 +11,8 @@
 //! (`phase::convert`) is the only transition between them; and every
 //! step — one gate, or one block of a fused span — runs inside the single
 //! `Boundary`, which applies the [`ResourceGovernor`] in one fixed order:
-//! cancel poll and wall-clock deadline before the step; after it trace and
-//! telemetry, cursor advance, progress, rooted GC, the memory ladder
+//! cancel poll and wall-clock deadline before the step; after it the
+//! step's one record, cursor advance, progress, rooted GC, the memory ladder
 //! (scratch release, sweep, compute-table flush, then — when armed — the
 //! approximation rung) and the numerical-health watchdog, and the periodic
 //! checkpoint. A DD-to-array conversion that would bust the memory budget
@@ -32,12 +32,12 @@ mod stats;
 mod tests;
 
 pub use config::{ConversionPolicy, FlatDdConfig, FusionPolicy, GateTrace, Phase};
-pub use stats::FlatDdStats;
+pub use stats::{publish_package_metrics, FlatDdStats};
 
 pub(crate) use boundary::Boundary;
 pub(crate) use dd_phase::DdPhase;
 pub(crate) use flat_phase::FlatPhase;
-pub(crate) use phase::{PhaseState, StepReport};
+pub(crate) use phase::PhaseState;
 
 use crate::context::RunContext;
 use crate::convert::dd_to_array_grouped;
@@ -147,6 +147,12 @@ impl Core {
             phase,
             stats: self.stats(),
         }
+    }
+
+    /// Whether steps build their record ([`GateTrace`]) and plan builds
+    /// are timed: under `cfg.trace`, or when an event sink is installed.
+    fn recording(&self) -> bool {
+        self.cfg.trace || qtelemetry::enabled()
     }
 
     /// Emits a governor telemetry event (no-op when telemetry is off).
@@ -294,7 +300,7 @@ impl FlatDdSimulator {
             if start_flat {
                 // The flat state would bust the budget before the first
                 // gate: refuse and start DD-based instead.
-                core.stats.conversion_refusals += 1;
+                core.refuse_conversion(held);
                 core.conversion_blocked = true;
             }
             PhaseState::Dd(DdPhase::new(core.pkg.basis_state(n, 0), &cfg))
@@ -512,7 +518,8 @@ impl FlatDdSimulator {
     }
 
     /// Publishes a gauge snapshot of this simulator (run stats, plan cache,
-    /// governor, DD package) into the run context's metrics registry.
+    /// governor, DD package, vector-kernel backend) into the run context's
+    /// metrics registry.
     pub fn publish_metrics(&self) {
         let (core, m) = (&self.core, self.core.ctx.metrics());
         self.stats().publish_gauges(m);
@@ -532,10 +539,8 @@ impl FlatDdSimulator {
         if let Some(b) = core.gov.config().memory_budget_bytes {
             m.gauge("governor.memory_budget_bytes").set(b as f64);
         }
-        // Forces backend detection so the `array.vecops_backend` label is
-        // present even for runs that never left the DD phase.
-        let _ = vecops::backend();
-        core.pkg.publish_metrics();
+        m.set_label("array.vecops_backend", vecops::backend().name());
+        publish_package_metrics(&core.pkg, m);
     }
 }
 

@@ -15,33 +15,34 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Starts timing a checkpoint operation: the telemetry-clock start (only
-/// when telemetry is on) and the wall clock.
-fn stopwatch() -> (Option<f64>, Instant) {
-    let ts_us = qtelemetry::enabled().then(qtelemetry::now_us);
-    (ts_us, Instant::now())
-}
-
-/// Emits a checkpoint telemetry event (no-op when telemetry was off at the
-/// start of the operation).
-fn checkpoint_event(
-    core: &Core,
-    phase: &PhaseState,
-    op: &'static str,
-    started: (Option<f64>, Instant),
-    bytes: u64,
-) {
-    if let Some(ts_us) = started.0 {
+/// Emits a checkpoint telemetry event for an operation that started at
+/// `ts_us` on the telemetry clock (no-op without a sink).
+fn checkpoint_event(core: &Core, phase: &PhaseState, op: &'static str, ts_us: f64, bytes: u64) {
+    if qtelemetry::enabled() {
         qtelemetry::emit(qtelemetry::Event::Checkpoint {
             sim: core.telemetry_id,
             ts_us,
-            dur_us: started.1.elapsed().as_secs_f64() * 1e6,
+            dur_us: (qtelemetry::now_us() - ts_us).max(0.0),
             op,
             bytes,
             gate_cursor: core.cursor,
             phase: phase.phase().label(),
         });
     }
+}
+
+/// Counts a staged checkpoint that a newer one replaced, or that the end
+/// of a run dropped, before its install.
+fn note_superseded(core: &Core) {
+    core.ctx.metrics().counter("checkpoint.superseded").inc();
+}
+
+/// Counts a checkpoint write or install that failed.
+pub(super) fn note_write_failure(core: &Core) {
+    core.ctx
+        .metrics()
+        .counter("checkpoint.write_failures")
+        .inc();
 }
 
 /// The job thread's side of periodic checkpoint installs (DESIGN.md
@@ -108,19 +109,12 @@ impl Boundary {
     /// Accounts a checkpoint written on the job thread: `sim.ckpt_write_us`
     /// times what the job thread paid (the stage, plus the install when it
     /// ran inline).
-    fn note_write(
-        &self,
-        core: &Core,
-        phase: &PhaseState,
-        started: (Option<f64>, Instant),
-        bytes: u64,
-    ) {
-        let dur_us = started.1.elapsed().as_secs_f64() * 1e6;
+    fn note_write(&self, core: &Core, phase: &PhaseState, started: f64, bytes: u64) {
+        let dur_us = (qtelemetry::now_us() - started).max(0.0);
         self.hist_ckpt_write.observe(dur_us as u64);
         let metrics = core.ctx.metrics();
         metrics.counter("checkpoint.writes").inc();
         metrics.gauge("checkpoint.bytes").set(bytes as f64);
-        metrics.gauge("checkpoint.write_us").set(dur_us);
         checkpoint_event(core, phase, "write", started, bytes);
     }
 
@@ -133,7 +127,7 @@ impl Boundary {
             .clone()
             .ok_or_else(|| FlatDdError::InvalidInput("no checkpoint policy configured".into()))?;
         self.drain_installs(core, true);
-        let started = stopwatch();
+        let started = qtelemetry::now_us();
         let staged = self.stage(core, phase, &policy.path, policy.rng_seed, (None, 0))?;
         let bytes = staged.install_with(&core.ctx, false)?;
         // A newer checkpoint is durable: earlier failed installs need no
@@ -181,13 +175,13 @@ impl Boundary {
         if due {
             self.gates_since_ckpt = 0;
         }
-        let started = stopwatch();
+        let started = qtelemetry::now_us();
         let staging = match &self.installs.mailbox {
             Some(mailbox) => mailbox.take_pending(),
             None => (None, 0),
         };
         if staging.0.is_some() {
-            core.ctx.metrics().counter("checkpoint.superseded").inc();
+            note_superseded(core);
         }
         let staged = match self.stage(core, phase, &path, rng_seed, staging) {
             Ok(staged) => staged,
@@ -208,13 +202,18 @@ impl Boundary {
         }
     }
 
-    /// The drain point at the end of a run: waits until the newest staged
-    /// checkpoint is installed, so the file a run leaves is its last due
-    /// cursor's. Should that install have failed with retries left, the
-    /// run has no later boundary to retry at: the retry waits out its
-    /// backoff here, at the end cursor.
-    pub(super) fn finish_installs(&mut self, core: &Core, phase: &PhaseState) {
-        self.drain_installs(core, false);
+    /// The drain point at the end of a run: with `keep`, waits until the
+    /// newest staged checkpoint is installed, so the file a run leaves is
+    /// its last due cursor's. Should that install have failed with retries
+    /// left, the run has no later boundary to retry at: the retry waits out
+    /// its backoff here, at the end cursor. Without `keep`, a pending
+    /// checkpoint is dropped and only the one in flight is waited for.
+    pub(super) fn finish_installs(&mut self, core: &Core, phase: &PhaseState, keep: bool) {
+        self.drain_installs(core, !keep);
+        if !keep {
+            self.installs.failures = 0;
+            self.installs.retry_at = None;
+        }
         while let Some(at) = self.installs.retry_at {
             std::thread::sleep(at.saturating_duration_since(Instant::now()));
             self.stage_periodic(core, phase, false);
@@ -247,7 +246,7 @@ impl Boundary {
                 .and_then(|m| m.take_pending().0)
             {
                 old.discard();
-                core.ctx.metrics().counter("checkpoint.superseded").inc();
+                note_superseded(core);
             }
         }
         self.read_installs(core, true);
@@ -278,7 +277,7 @@ impl Boundary {
                 self.last_checkpoint = Some(policy.path.clone());
             }
             Err(e) => {
-                metrics.counter("checkpoint.write_failures").inc();
+                note_write_failure(core);
                 let failures = failures + 1;
                 if failures <= policy.write_retries {
                     let backoff_ms = (policy.retry_backoff_ms << (failures - 1).min(16))
@@ -368,7 +367,7 @@ impl FlatDdSimulator {
         circuit: &Circuit,
         ctx: RunContext,
     ) -> Result<(Self, CheckpointHeader), FlatDdError> {
-        let started = stopwatch();
+        let started = qtelemetry::now_us();
         let (header, state) = checkpoint::read_checkpoint(path)?;
         if header.n as usize != circuit.num_qubits() {
             return Err(FlatDdError::InvalidInput(format!(

@@ -6,7 +6,7 @@
 
 use super::active::Fixed;
 use super::flat_phase::{shards_at, try_flat_buffer};
-use super::{Core, DdPhase, FlatPhase, Phase};
+use super::{Core, DdPhase, FlatPhase, GateTrace, Phase};
 use crate::error::FlatDdError;
 use qcircuit::{Complex64, Gate};
 use qdd::{MEdge, VEdge};
@@ -23,21 +23,6 @@ pub(crate) enum PhaseState {
     Flat(FlatPhase),
 }
 
-/// What one step did, for the boundary's trace, telemetry and cursor.
-pub(crate) struct StepReport {
-    /// Circuit gates the step consumed (a fused block or a run folds
-    /// several).
-    pub(super) gates: usize,
-    /// State-DD size after the gate (DD phase only).
-    pub(super) dd_size: Option<usize>,
-    /// Monitor value after the gate (DD phase only).
-    pub(super) ewma: Option<f64>,
-    /// Whether the DMAV plan lookup hit (flat phase only).
-    pub(super) plan_hit: Option<bool>,
-    /// The step applied fused blocks rather than circuit gates.
-    pub(super) fused: bool,
-}
-
 impl PhaseState {
     /// The public phase label of the current state.
     pub(super) fn phase(&self) -> Phase {
@@ -51,12 +36,13 @@ impl PhaseState {
     /// (followed by the conversion when the policy asks for it and the
     /// budget admits it), or a flat step — a gate, the pending fused block,
     /// or a run of in-place matrices folding at most `budget` gates.
+    /// Returns the step's record, which the boundary times.
     pub(super) fn step(
         &mut self,
         core: &mut Core,
         gates: &[Gate],
         budget: usize,
-    ) -> Result<StepReport, FlatDdError> {
+    ) -> Result<GateTrace, FlatDdError> {
         match self {
             PhaseState::Flat(flat) => flat.step(core, gates, budget),
             PhaseState::Dd(dd) => {
@@ -65,12 +51,10 @@ impl PhaseState {
                 if wanted && !core.conversion_blocked {
                     convert_on_policy(core, self, size, ewma)?;
                 }
-                Ok(StepReport {
-                    gates: 1,
+                Ok(GateTrace {
                     dd_size: Some(size),
                     ewma: Some(ewma),
-                    plan_hit: None,
-                    fused: false,
+                    ..GateTrace::untimed(core, 1, Phase::Dd)
                 })
             }
         }
@@ -85,18 +69,33 @@ impl PhaseState {
         }
     }
 
-    /// The one package sweep: everything not reachable from the current
-    /// phase's roots is reclaimed; the plan memo, keyed by node id, sees it
-    /// through the package's GC epoch.
+    /// The one package sweep of the driver: everything not reachable from
+    /// the current phase's roots is reclaimed; the plan memo, keyed by node
+    /// id, sees it through the package's GC epoch. With a sink installed
+    /// the sweep is a `gc_sweep` event under the simulator's id (fusion's
+    /// own sweeps are counted by the package and run inside its `fusion`
+    /// event).
     pub(super) fn collect(&self, core: &mut Core) {
         let (vectors, matrices) = self.roots();
-        core.pkg.gc(vectors, matrices);
+        let ts_us = qtelemetry::enabled().then(qtelemetry::now_us);
+        let (v_freed, m_freed) = core.pkg.gc(vectors, matrices);
+        if let Some(ts_us) = ts_us {
+            qtelemetry::emit(qtelemetry::Event::GcSweep {
+                sim: core.telemetry_id,
+                ts_us,
+                dur_us: (qtelemetry::now_us() - ts_us).max(0.0),
+                v_freed,
+                m_freed,
+                epoch: core.pkg.gc_epoch(),
+            });
+        }
     }
 
     /// [`Self::collect`] when the package's sweep rule says it is due.
     pub(super) fn collect_if_due(&self, core: &mut Core) {
-        let (vectors, matrices) = self.roots();
-        core.pkg.gc_if_due(vectors, matrices);
+        if core.pkg.gc_due() {
+            self.collect(core);
+        }
     }
 
     /// The degradation ladder's first rungs: release DMAV scratch, sweep

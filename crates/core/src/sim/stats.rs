@@ -1,7 +1,11 @@
 //! Run statistics, listed once: the struct, its defaults, the
 //! [`FlatDdStats::to_json`] keys and the `sim.*` gauges are all generated
 //! from the one field table below, so a new field reaches every output or
-//! does not compile.
+//! does not compile. A field a live `core.*` counter already reports, or
+//! one that always reads 0, is `json` only: one name per fact.
+
+use qdd::DdPackage;
+use qtelemetry::MetricsRegistry;
 
 /// How one table row is rendered.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -52,9 +56,9 @@ macro_rules! stats_table {
 
 stats_table! {
     /// Gates executed in the DD phase.
-    gates_dd: usize = 0, Count, gauge;
+    gates_dd: usize = 0, Count, json;
     /// DMAV multiplications executed (post-fusion matrices count once).
-    gates_dmav: usize = 0, Count, gauge;
+    gates_dmav: usize = 0, Count, json;
     /// Gate index after which the conversion happened (`None` = never).
     converted_at: Option<usize> = None, OptCount, gauge;
     /// Wall-clock seconds of the DD-to-array conversion.
@@ -62,12 +66,12 @@ stats_table! {
     /// DMAVs that used the cached kernel (Algorithm 2). Always 0: the
     /// simulator runs Algorithm 1 only; kept for the checkpoint header and
     /// the stats JSON.
-    cached_dmavs: usize = 0, Count, gauge;
+    cached_dmavs: usize = 0, Count, json;
     /// DMAVs that used the plain kernel (Algorithm 1): every DMAV.
-    uncached_dmavs: usize = 0, Count, gauge;
+    uncached_dmavs: usize = 0, Count, json;
     /// Total cache hits across cached DMAVs. Always 0, like
     /// `cached_dmavs`.
-    cache_hits: usize = 0, Count, gauge;
+    cache_hits: usize = 0, Count, json;
     /// Matrices produced by fusion (0 when fusion is off).
     fused_matrices: usize = 0, Count, gauge;
     /// Total modeled DMAV cost accumulated: Eq. 5's `K1 / t` (MACs per
@@ -77,10 +81,10 @@ stats_table! {
     peak_state_dd_size: usize = 0, Count, gauge;
     /// DD-to-array conversions refused because the flat buffers would not
     /// fit in the memory budget (the run then stays in DD mode).
-    conversion_refusals: usize = 0, Count, gauge;
+    conversion_refusals: usize = 0, Count, json;
     /// Times the memory-pressure degradation ladder (compute-table flush +
     /// GC + scratch release) ran in response to a budget breach.
-    pressure_gcs: usize = 0, Count, gauge;
+    pressure_gcs: usize = 0, Count, json;
     /// DMAV plan-cache lookups answered by a memoized assignment (the
     /// recursive `Assign`/`AssignCache` descent was skipped).
     dmav_plan_hits: usize = 0, Count, gauge;
@@ -106,7 +110,7 @@ stats_table! {
     ct_add_hit_rate: f64 = 0.0, Real, gauge;
     /// Times the approximation rung truncated the DD state under memory
     /// pressure (0 = the run is exact).
-    approx_truncations: usize = 0, Count, gauge;
+    approx_truncations: usize = 0, Count, json;
     /// Cumulative fidelity product across every approximation-rung
     /// truncation. Exactly `1.0` for exact runs; the governor aborts before
     /// this would drop below the configured floor.
@@ -143,7 +147,7 @@ impl FlatDdStats {
     }
 
     /// Publishes the `sim.<name>` gauge of every table row that carries one.
-    pub(crate) fn publish_gauges(&self, metrics: &qtelemetry::MetricsRegistry) {
+    pub(crate) fn publish_gauges(&self, metrics: &MetricsRegistry) {
         for (name, value, gauge) in self.fields() {
             let v = match value {
                 StatValue::Count(v) => v as f64,
@@ -155,6 +159,25 @@ impl FlatDdStats {
             }
         }
     }
+}
+
+/// Publishes the `dd.*` gauges of `pkg` into `metrics`: sizes, peaks and
+/// memory, and what its sweeps and flushes did (the run's compute-table
+/// traffic is in [`FlatDdStats`]). [`crate::FlatDdSimulator::publish_metrics`]
+/// calls it for the simulator's package; any other owner of a package
+/// (the CLI's `dd` engine) calls it for its own.
+pub fn publish_package_metrics(pkg: &DdPackage, metrics: &MetricsRegistry) {
+    let (s, m) = (pkg.stats(), metrics);
+    m.gauge("dd.v_nodes").set(s.v_nodes as f64);
+    m.gauge("dd.m_nodes").set(s.m_nodes as f64);
+    m.gauge("dd.peak_v_nodes").set(s.peak_v_nodes as f64);
+    m.gauge("dd.peak_m_nodes").set(s.peak_m_nodes as f64);
+    m.gauge("dd.complex_values").set(s.complex_values as f64);
+    m.gauge("dd.memory_bytes").set(s.memory_bytes as f64);
+    m.gauge("dd.gc_sweeps").set(s.gc_sweeps as f64);
+    m.gauge("dd.gc_nodes_freed").set(s.gc_nodes_freed as f64);
+    m.gauge("dd.gc_values_freed").set(s.gc_values_freed as f64);
+    m.gauge("dd.cache_flushes").set(s.cache_flushes as f64);
 }
 
 #[cfg(test)]
@@ -254,15 +277,11 @@ mod tests {
 
     #[test]
     fn gauges_keep_their_names() {
-        let m = qtelemetry::MetricsRegistry::new();
+        let m = MetricsRegistry::new();
         FlatDdStats::default().publish_gauges(&m);
         let mut names: Vec<String> = m.gauges_snapshot().into_iter().map(|(n, _)| n).collect();
         names.sort();
         let mut want = vec![
-            "sim.approx_truncations",
-            "sim.cache_hits",
-            "sim.cached_dmavs",
-            "sim.conversion_refusals",
             "sim.conversion_seconds",
             "sim.converted_at",
             "sim.ct_add_hit_rate",
@@ -272,12 +291,8 @@ mod tests {
             "sim.dmav_plan_misses",
             "sim.fidelity",
             "sim.fused_matrices",
-            "sim.gates_dd",
-            "sim.gates_dmav",
             "sim.modeled_cost",
             "sim.peak_state_dd_size",
-            "sim.pressure_gcs",
-            "sim.uncached_dmavs",
         ];
         want.sort();
         assert_eq!(names, want);

@@ -814,3 +814,10 @@ fn observables_measurement_reconversion_and_checkpoints_see_the_full_state() {
     assert!(twin.reconvert_to_dd().is_some());
     assert!(state_distance(&twin.amplitudes(), &dense::simulate(&c)) < 1e-12);
 }
+
+/// The documented cost of `trace` (and so of `--metrics-out`): one record
+/// of at most 80 bytes per boundary step.
+#[test]
+fn a_step_record_is_at_most_80_bytes() {
+    assert!(std::mem::size_of::<GateTrace>() <= 80);
+}

@@ -39,6 +39,15 @@ pub struct PackageStats {
     /// Bytes reserved by all DD structures: both node arenas, the complex
     /// table, the compute caches and the gate memo.
     pub memory_bytes: usize,
+    /// Sweeps run so far ([`DdPackage::gc`], also the ones fusion runs):
+    /// the GC epoch.
+    pub gc_sweeps: u64,
+    /// Vector and matrix nodes those sweeps freed.
+    pub gc_nodes_freed: u64,
+    /// Interned weights those sweeps freed.
+    pub gc_values_freed: u64,
+    /// Compute-table flushes ([`DdPackage::flush_caches`]).
+    pub cache_flushes: u64,
 }
 
 /// Entries of the gate-DD memo (power of two).
@@ -163,11 +172,14 @@ pub struct DdPackage {
     /// sweep, so anything keyed by node id (e.g. the DMAV plan cache) must
     /// be dropped when this changes.
     gc_epoch: u64,
+    /// Nodes and weights freed by the sweeps so far, and compute-table
+    /// flushes ([`PackageStats`]).
+    gc_nodes_freed: u64,
+    gc_values_freed: u64,
+    cache_flushes: u64,
     /// Live nodes above which [`Self::gc_if_due`] sweeps: twice the live
     /// count the last sweep left, and at least [`SWEEP_FLOOR`].
     sweep_at: usize,
-    /// Process-unique id stamped on this package's telemetry events.
-    telemetry_id: u64,
 }
 
 // A served job's simulator, and with it its package, moves to the worker
@@ -220,15 +232,11 @@ impl DdPackage {
             stats_reads: Cell::new(0),
             stamp: Cell::new(0),
             gc_epoch: 0,
+            gc_nodes_freed: 0,
+            gc_values_freed: 0,
+            cache_flushes: 0,
             sweep_at: SWEEP_FLOOR,
-            telemetry_id: qtelemetry::next_id(),
         }
-    }
-
-    /// Process-unique id identifying this package in telemetry events.
-    #[inline(always)]
-    pub fn telemetry_id(&self) -> u64 {
-        self.telemetry_id
     }
 
     /// Monotone garbage-collection epoch: incremented by every [`Self::gc`]
@@ -716,18 +724,21 @@ impl DdPackage {
     /// hold — every edge they will use after the call. Returns what the
     /// sweep freed, `None` when none was due.
     pub fn gc_if_due(&mut self, v_roots: &[VEdge], m_roots: &[MEdge]) -> Option<(usize, usize)> {
-        (self.v.len() + self.m.len() > self.sweep_at).then(|| self.gc(v_roots, m_roots))
+        self.gc_due().then(|| self.gc(v_roots, m_roots))
+    }
+
+    /// Whether the sweep rule of [`Self::gc_if_due`] asks for a sweep now.
+    pub fn gc_due(&self) -> bool {
+        self.v.len() + self.m.len() > self.sweep_at
     }
 
     /// Marks and sweeps: frees every node unreachable from the given roots,
     /// and every interned value that neither a live node nor a root edge
     /// stores ([`CIdx::ZERO`] and [`CIdx::ONE`] stay). A live value keeps
     /// its index. The operation caches and the gate memo are emptied.
-    /// Returns `(vector_nodes_freed, matrix_nodes_freed)`.
-    ///
+    /// Returns `(vector_nodes_freed, matrix_nodes_freed)`; the totals are
+    /// counted in [`PackageStats`].
     pub fn gc(&mut self, v_roots: &[VEdge], m_roots: &[MEdge]) -> (usize, usize) {
-        let sweep_t0 =
-            qtelemetry::enabled().then(|| (qtelemetry::now_us(), std::time::Instant::now()));
         let stamp = self.next_stamp();
         let id_chain = self.id_cache.get_mut();
         let mut marks = self.ct.marks();
@@ -750,19 +761,8 @@ impl DdPackage {
         self.gate_memo.clear();
         self.gc_epoch += 1;
         self.sweep_at = (2 * (self.v.len() + self.m.len())).max(SWEEP_FLOOR);
-        qtelemetry::counter("dd.gc_sweeps").inc();
-        qtelemetry::counter("dd.gc_nodes_freed").add((fv + fm) as u64);
-        qtelemetry::counter("dd.gc_values_freed").add(fw as u64);
-        if let Some((ts_us, t0)) = sweep_t0 {
-            qtelemetry::emit(qtelemetry::Event::GcSweep {
-                pkg: self.telemetry_id,
-                ts_us,
-                dur_us: t0.elapsed().as_secs_f64() * 1e6,
-                v_freed: fv,
-                m_freed: fm,
-                epoch: self.gc_epoch,
-            });
-        }
+        self.gc_nodes_freed += (fv + fm) as u64;
+        self.gc_values_freed += fw as u64;
         (fv, fm)
     }
 
@@ -775,7 +775,7 @@ impl DdPackage {
     pub fn flush_caches(&mut self) -> usize {
         let before = self.compute.memory_bytes();
         self.compute.shrink_for_pressure();
-        qtelemetry::counter("dd.cache_flushes").inc();
+        self.cache_flushes += 1;
         before.saturating_sub(self.compute.memory_bytes())
     }
 
@@ -796,6 +796,10 @@ impl DdPackage {
                 + self.ct.memory_bytes()
                 + self.compute.memory_bytes()
                 + self.gate_memo.memory_bytes(),
+            gc_sweeps: self.gc_epoch,
+            gc_nodes_freed: self.gc_nodes_freed,
+            gc_values_freed: self.gc_values_freed,
+            cache_flushes: self.cache_flushes,
         }
     }
 
@@ -814,36 +818,6 @@ impl DdPackage {
     /// because the benchmark harness still reads it.
     pub fn contention_events(&self) -> u64 {
         0
-    }
-
-    /// Publishes this package's statistics (node/table sizes, compute-table
-    /// hit rates) as gauges in the global
-    /// [`qtelemetry`] metrics registry. Call at snapshot boundaries (end of
-    /// run, `--metrics-out` dump).
-    pub fn publish_metrics(&self) {
-        use qtelemetry::gauge;
-        fn ratio(hits: u64, lookups: u64) -> f64 {
-            if lookups == 0 {
-                0.0
-            } else {
-                hits as f64 / lookups as f64
-            }
-        }
-        let s = self.stats();
-        gauge("dd.v_nodes").set(s.v_nodes as f64);
-        gauge("dd.m_nodes").set(s.m_nodes as f64);
-        gauge("dd.nodes").set((s.v_nodes + s.m_nodes) as f64);
-        gauge("dd.peak_v_nodes").set(s.peak_v_nodes as f64);
-        gauge("dd.peak_m_nodes").set(s.peak_m_nodes as f64);
-        gauge("dd.complex_values").set(s.complex_values as f64);
-        gauge("dd.memory_bytes").set(s.memory_bytes as f64);
-        let c = self.compute_stats();
-        gauge("dd.ct_mv_lookups").set(c.mv_lookups as f64);
-        gauge("dd.ct_mv_hit_rate").set(ratio(c.mv_hits, c.mv_lookups));
-        gauge("dd.ct_mm_lookups").set(c.mm_lookups as f64);
-        gauge("dd.ct_mm_hit_rate").set(ratio(c.mm_hits, c.mm_lookups));
-        gauge("dd.ct_add_lookups").set(c.add_lookups as f64);
-        gauge("dd.ct_add_hit_rate").set(ratio(c.add_hits, c.add_lookups));
     }
 }
 

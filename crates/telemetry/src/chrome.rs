@@ -5,7 +5,7 @@
 //! Layout: each simulator is a *process* (pid = simulator id) with fixed
 //! *threads* — tid 0 carries the DD/DMAV phase spans, conversion and fusion
 //! spans, and phase-transition markers; tid 1 carries per-gate spans; tid 2
-//! GC sweeps (pid = DD-package id); tid 3 governor and watchdog instants;
+//! GC sweeps; tid 3 governor and watchdog instants;
 //! tid `10 + w` the conversion fill sub-span of worker `w`.
 
 use crate::event::Event;
@@ -60,6 +60,7 @@ struct SimTimeline {
     max_ts: f64,
     max_worker: Option<usize>,
     has_spans: bool,
+    has_gc: bool,
 }
 
 impl SimTimeline {
@@ -82,7 +83,6 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
     let t = &mut Writer::new(&mut out);
     t.begin_obj().key("traceEvents").begin_arr();
     let mut sims: BTreeMap<u64, SimTimeline> = BTreeMap::new();
-    let mut gc_pids: Vec<u64> = Vec::new();
 
     for e in events {
         match e {
@@ -224,17 +224,17 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 close(t);
             }
             Event::GcSweep {
-                pkg,
+                sim,
                 ts_us,
                 dur_us,
                 v_freed,
                 m_freed,
                 epoch,
             } => {
-                if !gc_pids.contains(pkg) {
-                    gc_pids.push(*pkg);
-                }
-                span(t, "gc_sweep", *pkg, TID_GC, *ts_us, *dur_us);
+                let tl = sims.entry(*sim).or_default();
+                tl.see(*ts_us + *dur_us);
+                tl.has_gc = true;
+                span(t, "gc_sweep", *sim, TID_GC, *ts_us, *dur_us);
                 t.key("v_freed").uint(*v_freed as u64);
                 t.key("m_freed").uint(*m_freed as u64);
                 t.key("epoch").uint(*epoch);
@@ -361,15 +361,15 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
         if tl.has_spans {
             thread_name(t, *sim, TID_SPANS, "spans");
         }
+        if tl.has_gc {
+            thread_name(t, *sim, TID_GC, "dd gc");
+        }
         if let Some(max_w) = tl.max_worker {
             for w in 0..=max_w {
                 let name = format!("conversion worker {w}");
                 thread_name(t, *sim, TID_WORKER_BASE + w as u64, &name);
             }
         }
-    }
-    for pid in gc_pids {
-        thread_name(t, pid, TID_GC, "dd gc");
     }
 
     t.end_arr().end_obj();

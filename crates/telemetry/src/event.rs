@@ -2,7 +2,7 @@
 //!
 //! Every event carries a `ts_us` timestamp on the process-wide telemetry
 //! clock ([`crate::now_us`]) and, where applicable, the id of the emitting
-//! simulator or DD package ([`crate::next_id`]). Span-like events
+//! simulator ([`crate::next_id`]). Span-like events
 //! (gates, conversions, fusion, GC sweeps) stamp their *start* time plus a
 //! `dur_us` duration, which is what the Chrome-trace exporter needs.
 
@@ -129,8 +129,8 @@ pub enum Event {
     },
     /// A DD garbage-collection sweep.
     GcSweep {
-        /// Emitting DD-package id.
-        pkg: u64,
+        /// Emitting simulator id (the simulator whose package swept).
+        sim: u64,
         /// Sweep start timestamp (µs).
         ts_us: f64,
         /// Sweep duration (µs).
@@ -353,14 +353,14 @@ impl Event {
                 w.key("matrices_out").uint(*matrices_out as u64);
             }
             Event::GcSweep {
-                pkg,
+                sim,
                 ts_us,
                 dur_us,
                 v_freed,
                 m_freed,
                 epoch,
             } => {
-                w.key("pkg").uint(*pkg).key("ts_us").num(*ts_us);
+                w.key("sim").uint(*sim).key("ts_us").num(*ts_us);
                 w.key("dur_us").num(*dur_us);
                 w.key("v_freed").uint(*v_freed as u64);
                 w.key("m_freed").uint(*m_freed as u64);

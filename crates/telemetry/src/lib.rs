@@ -1,6 +1,7 @@
 //! # qtelemetry — unified telemetry for the FlatDD stack
 //!
-//! Three coordinated surfaces, shared by every crate of the workspace:
+//! Three coordinated surfaces, written by `flatdd` (the DD and array
+//! crates do no telemetry: they return data, and `flatdd` records it):
 //!
 //! * **Structured events** ([`event::Event`]): per-gate records, phase
 //!   transitions, DD-to-array conversions (with a per-worker load-balance
@@ -54,9 +55,7 @@ pub mod span;
 pub use chrome::chrome_trace_json;
 pub use event::{Event, WorkerFill};
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use metrics::{
-    counter, gauge, metrics_json, reset_metrics, set_label, Counter, Gauge, MetricsRegistry,
-};
+pub use metrics::{metrics_json, reset_metrics, Counter, Gauge, MetricsRegistry};
 pub use sink::{
     add_sink, clear_sinks, emit, enabled, flush_sinks, remove_sink, EventSink, JsonlSink, Recorder,
     SinkId,
@@ -77,8 +76,8 @@ pub fn now_us() -> f64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_secs_f64() * 1e6
 }
 
-/// Hands out process-unique ids for telemetry sources (simulators, DD
-/// packages), so events from concurrent instances can be told apart.
+/// Hands out process-unique ids for telemetry sources (simulators), so
+/// events from concurrent instances can be told apart.
 pub fn next_id() -> u64 {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }

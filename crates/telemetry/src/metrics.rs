@@ -10,15 +10,14 @@
 //! Historically there was one process-global registry; multi-tenant serving
 //! needs one registry *per job* so stats don't bleed between concurrent
 //! simulations. [`MetricsRegistry`] is the instantiable form (cheap to
-//! clone — clones share storage), and the module-level free functions
-//! ([`counter`], [`gauge`], ...) keep the old single-tenant surface alive by
-//! delegating to [`global`].
+//! clone — clones share storage), and [`global`] is the process registry
+//! of single-tenant runs ([`metrics_json`] and [`reset_metrics`] act on it).
 //!
 //! [`MetricsRegistry::to_json`] serializes a registry with sorted keys, so
 //! the output is stable across runs and directly diffable / `jq`-able:
 //!
 //! ```json
-//! {"counters":{"dd.gc_sweeps":3,...},"gauges":{"sim.gates_dmav":120,...},
+//! {"counters":{"core.gates_dmav":120,...},"gauges":{"dd.gc_sweeps":3,...},
 //!  "histograms":{...},"labels":{"array.vecops_backend":"avx2"}}
 //! ```
 
@@ -118,7 +117,8 @@ impl MetricsRegistry {
     }
 
     /// Gets (or registers) the counter named `name`. Dotted names namespace
-    /// by component: `dd.gc_sweeps`, `core.conversions`, `array.gates`.
+    /// by component: `core.conversions`, `checkpoint.writes`,
+    /// `serve.jobs_completed`.
     pub fn counter(&self, name: &str) -> Counter {
         let mut map = lock(&self.inner.counters);
         Counter(Arc::clone(
@@ -241,21 +241,6 @@ pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
-/// Gets (or registers) a counter in the [`global`] registry.
-pub fn counter(name: &str) -> Counter {
-    global().counter(name)
-}
-
-/// Gets (or registers) a gauge in the [`global`] registry.
-pub fn gauge(name: &str) -> Gauge {
-    global().gauge(name)
-}
-
-/// Sets a string label in the [`global`] registry.
-pub fn set_label(name: &str, value: impl Into<String>) {
-    global().set_label(name, value);
-}
-
 /// Resets the [`global`] registry (see [`MetricsRegistry::reset`]).
 pub fn reset_metrics() {
     global().reset();
@@ -273,18 +258,18 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_round_trip() {
-        let c = counter("test.metrics.count");
+        let c = global().counter("test.metrics.count");
         let before = c.get();
         c.inc();
         c.add(2);
         assert_eq!(c.get(), before + 3);
         // A second lookup shares the same atomic.
-        assert_eq!(counter("test.metrics.count").get(), before + 3);
+        assert_eq!(global().counter("test.metrics.count").get(), before + 3);
 
-        let g = gauge("test.metrics.gauge");
+        let g = global().gauge("test.metrics.gauge");
         g.set(2.5);
         assert_eq!(g.get(), 2.5);
-        set_label("test.metrics.label", "hello");
+        global().set_label("test.metrics.label", "hello");
 
         let json = json::parse(&metrics_json()).unwrap();
         let at = |section: &str, name: &str| json.get(section)?.get(name).cloned();
@@ -324,8 +309,8 @@ mod tests {
 
     #[test]
     fn json_keys_are_sorted() {
-        gauge("test.sort.b").set(1.0);
-        gauge("test.sort.a").set(1.0);
+        global().gauge("test.sort.b").set(1.0);
+        global().gauge("test.sort.a").set(1.0);
         let json = metrics_json();
         let a = json.find("test.sort.a").unwrap();
         let b = json.find("test.sort.b").unwrap();
@@ -344,7 +329,7 @@ mod tests {
         assert!(a.same_as(&a.clone()));
 
         // The global registry is untouched by scoped writes.
-        let g = counter("test.scope.hits").get();
+        let g = global().counter("test.scope.hits").get();
         assert_eq!(g, 0);
 
         // Clones share storage.

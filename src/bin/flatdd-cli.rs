@@ -22,6 +22,8 @@
 //!   --trace-out <path>         write a Chrome-trace (chrome://tracing,
 //!                              Perfetto) timeline of the run
 //!   --metrics-out <path|->     write the unified metrics registry as JSON
+//!                              (keeps one record per gate step, so the
+//!                              per-step histograms count every step)
 //!   --events-out <path>        write the structured event stream as JSONL
 //!   --memory-budget-mb <mb>    cap engine-accounted memory (flatdd engine)
 //!   --rss-budget-mb <mb>       cap process RSS (flatdd engine)
@@ -368,8 +370,12 @@ fn cmd_run(args: &[String]) {
             if let Some(f) = o.approx_fidelity_floor {
                 governor.approx_fidelity_floor = Some(f);
             }
+            // `--metrics-out` asks for the per-step record, so the per-step
+            // histograms count every step with no event sink installed
+            // (one record per step, held until the run ends).
             let mut cfg = FlatDdConfig {
                 threads: o.threads,
+                trace: o.metrics_out.is_some(),
                 governor,
                 ..Default::default()
             };
@@ -523,7 +529,7 @@ fn cmd_run(args: &[String]) {
             if o.stats_json.is_some() {
                 eprintln!("--stats-json: only supported by the flatdd engine");
             }
-            sim.package().publish_metrics();
+            flatdd::publish_package_metrics(sim.package(), flatdd::telemetry::metrics::global());
             for label in &o.expect {
                 match PauliString::parse(label) {
                     Some(p) => {

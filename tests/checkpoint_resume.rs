@@ -512,3 +512,70 @@ fn a_preemption_after_async_installs_leaves_the_breach_checkpoint() {
     );
     let _ = std::fs::remove_file(&path);
 }
+
+/// A cancel that abandons the run ([`flatdd::RunContext::abandon`], the
+/// daemon's user cancel) installs no checkpoint; a plain cancel (a
+/// preemption or drain) installs the breach cursor's.
+#[test]
+fn an_abandoned_run_installs_no_checkpoint() {
+    let c = generators::from_spec("dnn:8,2", 4).unwrap();
+    let cfg = FlatDdConfig {
+        threads: 1,
+        ..Default::default()
+    };
+    for abandon in [true, false] {
+        let path = tmp_ckpt("cancel");
+        let ctx = flatdd::RunContext::isolated();
+        let mut sim = FlatDdSimulator::try_new_with(8, cfg, ctx.clone()).unwrap();
+        sim.set_checkpoint_policy(Some(CheckpointPolicy::at(&path)));
+        if abandon {
+            ctx.abandon();
+        } else {
+            ctx.cancel(flatdd::signal::SIGTERM);
+        }
+        let err = sim.run(&c).unwrap_err();
+        assert!(matches!(err, FlatDdError::Interrupted { .. }), "{err}");
+        let writes = ctx.metrics().counter("checkpoint.writes").get();
+        if abandon {
+            assert!(!path.exists(), "an abandoned run left {}", path.display());
+            assert_eq!(writes, 0);
+        } else {
+            assert_eq!(flatdd::read_header(&path).unwrap().gate_cursor, 0);
+            assert_eq!(writes, 1);
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// Under a policy without `install_on_completion` a completed run waits for
+/// no pending install: with an installer that never takes one, every
+/// staged checkpoint is superseded — by the next, the last by the end of
+/// the run — and none is installed or left staged.
+#[test]
+fn a_run_whose_caller_discards_the_checkpoint_waits_for_no_pending_install() {
+    let c = generators::from_spec("grover:8", 5).unwrap();
+    let cfg = FlatDdConfig {
+        threads: 1,
+        ..Default::default()
+    };
+    let path = tmp_ckpt("discarded");
+    let mut sim = FlatDdSimulator::try_new_with(8, cfg, flatdd::RunContext::isolated()).unwrap();
+    let mut policy = CheckpointPolicy::at(&path).every(4);
+    policy.install_on_completion = false;
+    sim.set_checkpoint_policy(Some(policy));
+    sim.attach_installer(Some(std::sync::Arc::new(flatdd::InstallMailbox::default())));
+    sim.run(&c).unwrap();
+    sim.attach_installer(None);
+
+    let metrics = sim.context().metrics();
+    let writes = metrics.counter("checkpoint.writes").get();
+    assert_eq!(writes, (c.num_gates() / 4) as u64);
+    assert_eq!(metrics.counter("checkpoint.superseded").get(), writes);
+    assert_eq!(metrics.histogram("sim.ckpt_install_us").count(), 0);
+    assert!(!path.exists());
+    assert!(
+        staging_siblings(&path).is_empty(),
+        "{:?}",
+        staging_siblings(&path)
+    );
+}

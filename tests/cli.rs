@@ -218,7 +218,10 @@ fn telemetry_flags_write_valid_files() {
         Some(Json::Num(1.0)),
         "{metrics}"
     );
-    assert!(section("gauges", "sim.gates_dmav").is_some(), "{metrics}");
+    assert!(
+        section("counters", "core.gates_dmav").is_some(),
+        "{metrics}"
+    );
     let events = std::fs::read_to_string(&events).unwrap();
     assert!(events.lines().count() > 2);
     assert!(events.lines().all(|l| l.starts_with("{\"type\":\"")));
@@ -243,4 +246,85 @@ fn flatdd_trace_env_var_enables_event_stream() {
     std::fs::remove_file(&path).ok();
     assert!(events.contains("\"type\":\"run_start\""), "{events}");
     assert!(events.contains("\"type\":\"run_end\""));
+}
+
+/// `--metrics-out` alone (no event sink) keeps one record per step, so the
+/// per-step histograms count every step — one DD step per DD gate — and
+/// every plan build is timed: one per plan-cache miss.
+#[test]
+fn metrics_out_alone_counts_every_step() {
+    let dir = std::env::temp_dir().join(format!("flatdd_cli_steps_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (metrics, stats) = (dir.join("metrics.json"), dir.join("stats.json"));
+    run_split(&[
+        "run",
+        "dnn:10,3",
+        "--seed",
+        "1",
+        "--threads",
+        "1",
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+        "--stats-json",
+        stats.to_str().unwrap(),
+    ]);
+    let text = std::fs::read_to_string(&metrics).unwrap();
+    let m = json::parse(&text).unwrap();
+    let s = json::parse(&std::fs::read_to_string(&stats).unwrap()).unwrap();
+    let read = |v: &Json, path: &[&str]| {
+        path.iter()
+            .try_fold(v.clone(), |v, k| v.get(k).cloned())
+            .and_then(|v| v.as_u64())
+            .unwrap_or_else(|| panic!("no {path:?} in {text}"))
+    };
+    let steps = |name: &str| read(&m, &["histograms", name, "count"]);
+    let (gates_dd, gates_dmav) = (read(&s, &["gates_dd"]), read(&s, &["gates_dmav"]));
+    assert!(gates_dd > 0 && gates_dmav > 0, "dnn:10,3 must convert");
+    assert_eq!(steps("sim.gate_dd_us"), gates_dd);
+    assert_eq!(read(&m, &["counters", "core.gates_dd"]), gates_dd);
+    // A flat step is one matrix or a blocked run of several.
+    let flat_steps = steps("sim.gate_dmav_us");
+    assert!((1..=gates_dmav).contains(&flat_steps), "{flat_steps}");
+    let misses = read(&s, &["dmav_plan_misses"]);
+    assert!(misses > 0);
+    assert_eq!(steps("sim.plan_build_us"), misses);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The Chrome trace draws a run's sweeps in the run's own process: the
+/// `gc_sweep` events carry the simulator's id, as its gates do.
+#[test]
+fn trace_out_puts_the_sweeps_on_the_run_pid() {
+    let dir = std::env::temp_dir().join(format!("flatdd_cli_gc_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("trace.json");
+    run_split(&[
+        "run",
+        "supremacy:12,10",
+        "--seed",
+        "1",
+        "--no-convert",
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ]);
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let Some(Json::Arr(entries)) = json::parse(&text).unwrap().get("traceEvents").cloned() else {
+        panic!("no traceEvents array: {text}");
+    };
+    let pids = |name: &str| -> Vec<u64> {
+        entries
+            .iter()
+            .filter(|e| e.get("name") == Some(&name.into()))
+            .map(|e| e.get("pid").and_then(Json::as_u64).unwrap())
+            .collect()
+    };
+    let (gates, sweeps) = (pids("dd gate"), pids("gc_sweep"));
+    assert!(!gates.is_empty() && !sweeps.is_empty(), "{text}");
+    assert!(gates.iter().all(|&p| p == gates[0]));
+    assert!(
+        sweeps.iter().all(|&p| p == gates[0]),
+        "{sweeps:?} vs {}",
+        gates[0]
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

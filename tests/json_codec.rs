@@ -114,7 +114,7 @@ fn every_event() -> Vec<Event> {
             matrices_out: 9,
         },
         Event::GcSweep {
-            pkg: 2,
+            sim: 2,
             ts_us: 2.0,
             dur_us: 1.0,
             v_freed: 10,
@@ -263,7 +263,7 @@ fn every_emitter_parses_with_its_keys_in_order() {
         ],
         &["type", "sim", "ts_us", "dur_us", "gates_in", "matrices_out"],
         &[
-            "type", "pkg", "ts_us", "dur_us", "v_freed", "m_freed", "epoch",
+            "type", "sim", "ts_us", "dur_us", "v_freed", "m_freed", "epoch",
         ],
         &["type", "sim", "ts_us", "action", "detail"],
         &["type", "sim", "ts_us", "norm", "ok"],

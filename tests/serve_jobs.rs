@@ -239,13 +239,15 @@ fn crash_loop_is_poisoned_after_the_retry_budget() {
 
     // The injected `panic` action at the checkpoint install point models
     // the worker dying mid-job on every attempt: attempt 1 panics and
-    // re-queues, attempt 2 panics and exhausts the retry budget.
+    // re-queues, attempt 2 panics and exhausts the retry budget. The job
+    // runs long enough (1,463 gates) for an install to start mid-run: a
+    // job that completes drops the checkpoint still waiting for one.
     let (code, body) = http(
         port,
         "POST",
         "/jobs",
         Some(
-            r#"{"circuit":"ghz:10","threads":1,"checkpoint_every":4,"faults":"checkpoint.enospc:panic:always"}"#,
+            r#"{"circuit":"grover:10","threads":1,"checkpoint_every":4,"faults":"checkpoint.enospc:panic:always"}"#,
         ),
     );
     assert_eq!(code, 202, "{body}");
@@ -449,8 +451,8 @@ fn terminal_jobs_leave_no_checkpoint_in_the_spool() {
     let port = daemon.port;
 
     // A running job cancelled once a periodic checkpoint is installed: the
-    // cancel writes one more (on breach), and the terminal transition must
-    // take the checkpoint and its staging files away.
+    // cancel writes no more (nothing will resume it), and the terminal
+    // transition must take the checkpoint and its staging files away.
     let (code, body) = http(
         port,
         "POST",
@@ -478,13 +480,14 @@ fn terminal_jobs_leave_no_checkpoint_in_the_spool() {
         "{status}"
     );
 
-    // A crash-loop job poisoned at the checkpoint install point.
+    // A crash-loop job poisoned at the checkpoint install point (long
+    // enough for an install to start mid-run).
     let (code, body) = http(
         port,
         "POST",
         "/jobs",
         Some(
-            r#"{"circuit":"ghz:10","threads":1,"checkpoint_every":4,"faults":"checkpoint.enospc:panic:always"}"#,
+            r#"{"circuit":"grover:10","threads":1,"checkpoint_every":4,"faults":"checkpoint.enospc:panic:always"}"#,
         ),
     );
     assert_eq!(code, 202, "{body}");
@@ -497,6 +500,78 @@ fn terminal_jobs_leave_no_checkpoint_in_the_spool() {
         "{status}"
     );
 
+    daemon.drain(Duration::from_secs(30));
+    std::fs::remove_dir_all(&spool).ok();
+}
+
+/// A served job publishes its DD package into its own registry: the
+/// Prometheus scrape carries `dd.*` series under the job's label, and the
+/// daemon's own series carry none (nothing writes the process-global
+/// registry the daemon never exposes).
+#[test]
+fn a_finished_job_exposes_its_dd_series_under_its_label() {
+    let spool = fresh_spool("dd-series");
+    let daemon = Daemon::start(&spool, &["--workers", "1"]);
+    let port = daemon.port;
+    let (code, body) = http(
+        port,
+        "POST",
+        "/jobs",
+        Some(r#"{"circuit":"supremacy:12,10","seed":1,"threads":1}"#),
+    );
+    assert_eq!(code, 202, "{body}");
+    let id = job_id(&body);
+    let status = wait_terminal(port, id, Duration::from_secs(60));
+    assert_eq!(job_state(&status), "done", "{status}");
+
+    let (code, text) = http(port, "GET", "/metrics?format=prometheus", None);
+    assert_eq!(code, 200);
+    for series in ["flatdd_dd_memory_bytes", "flatdd_dd_gc_sweeps"] {
+        let job = format!("{series}{{job=\"{id}\"}} ");
+        assert!(
+            text.lines().any(|l| l.starts_with(&job)),
+            "no {job} in\n{text}"
+        );
+        assert!(
+            !text.lines().any(|l| l.starts_with(&format!("{series} "))),
+            "the daemon's own registry carries {series}:\n{text}"
+        );
+    }
+    daemon.drain(Duration::from_secs(30));
+    std::fs::remove_dir_all(&spool).ok();
+}
+
+/// A job that completes is `done` and its checkpoint deleted; its registry
+/// accounts for every checkpoint it staged: installed, or superseded (by a
+/// newer one, or dropped when the run completed).
+#[test]
+fn a_done_job_accounts_for_every_staged_checkpoint() {
+    let spool = fresh_spool("done-ckpt");
+    let daemon = Daemon::start(&spool, &["--workers", "1"]);
+    let port = daemon.port;
+    let (code, body) = http(
+        port,
+        "POST",
+        "/jobs",
+        Some(r#"{"circuit":"grover:8","seed":3,"threads":1,"checkpoint_every":4}"#),
+    );
+    assert_eq!(code, 202, "{body}");
+    let id = job_id(&body);
+    let status = wait_terminal(port, id, Duration::from_secs(60));
+    assert_eq!(job_state(&status), "done", "{status}");
+    let total = field_u64(&status, &["result", "total_gates"]).unwrap();
+    let metric = |section: &str, name: &str, key: Option<&str>| {
+        let mut path = vec!["result", "metrics", section, name];
+        path.extend(key);
+        field_u64(&status, &path).unwrap_or(0)
+    };
+    let writes = metric("counters", "checkpoint.writes", None);
+    let superseded = metric("counters", "checkpoint.superseded", None);
+    let installs = metric("histograms", "sim.ckpt_install_us", Some("count"));
+    assert_eq!(writes, total / 4, "one write per due cursor: {status}");
+    assert_eq!(writes, superseded + installs, "{status}");
+    assert_eq!(metric("counters", "checkpoint.write_failures", None), 0);
+    assert_eq!(checkpoint_files(&spool, id), Vec::<String>::new());
     daemon.drain(Duration::from_secs(30));
     std::fs::remove_dir_all(&spool).ok();
 }

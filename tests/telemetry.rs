@@ -205,11 +205,12 @@ fn chrome_trace_renders_phases_and_workers() {
 fn metrics_registry_round_trips_and_resets() {
     // Unique names so concurrent tests mutating engine metrics cannot
     // interfere with the values asserted here.
-    let ctr = telemetry::counter("test.roundtrip_counter");
+    let global = telemetry::metrics::global();
+    let ctr = global.counter("test.roundtrip_counter");
     ctr.add(41);
     ctr.inc();
-    telemetry::gauge("test.roundtrip_gauge").set(2.5);
-    telemetry::set_label("test.roundtrip_label", "hello \"world\"");
+    global.gauge("test.roundtrip_gauge").set(2.5);
+    global.set_label("test.roundtrip_label", "hello \"world\"");
     let text = telemetry::metrics_json();
     assert!(text.starts_with("{\"counters\":{"), "{text}");
     let m = json::parse(&text).unwrap();
@@ -234,4 +235,34 @@ fn metrics_registry_round_trips_and_resets() {
         at(&m, "counters", "test.roundtrip_counter"),
         Some(Json::Num(0.0))
     );
+}
+
+/// Under `trace` with no sink installed, each step's one record feeds every
+/// view: the trace, the per-phase latency histograms of the run's
+/// registry (one observation per record), and the plan-build histogram
+/// (one per plan-cache miss).
+#[test]
+fn the_step_record_feeds_every_view() {
+    let _g = sink_lock();
+    let c = irregular_circuit();
+    let ctx = flatdd::RunContext::isolated();
+    let cfg = FlatDdConfig {
+        threads: 1,
+        trace: true,
+        ..Default::default()
+    };
+    let mut sim = FlatDdSimulator::try_new_with(10, cfg, ctx.clone()).unwrap();
+    let stats = sim.run(&c).expect("run").stats;
+    let records = |phase| sim.traces().iter().filter(|t| t.phase == phase).count() as u64;
+    let observed = |name: &str| ctx.metrics().histogram(name).count();
+    let (dd, flat) = (records(flatdd::Phase::Dd), records(flatdd::Phase::Dmav));
+    assert!(dd > 0 && flat > 0, "DNN must convert");
+    assert_eq!(observed("sim.gate_dd_us"), dd);
+    assert_eq!(observed("sim.gate_dmav_us"), flat);
+    assert_eq!(
+        sim.traces().iter().map(|t| t.gates).sum::<usize>(),
+        c.num_gates()
+    );
+    assert!(stats.dmav_plan_misses > 0);
+    assert_eq!(observed("sim.plan_build_us"), stats.dmav_plan_misses as u64);
 }

@@ -10,24 +10,15 @@
 //! FlatDD picks caching per gate by evaluating both equations and choosing
 //! the minimum.
 //!
-//! Fusion prices a matrix by the walk its DMAV will take
-//! ([`CostModel::walk_cost`]). Eq. 5 models one out-of-place walk, but a
-//! matrix whose assignment runs in place updates the state where it lies
-//! and pays about half as much per modelled MAC ([`OUT_OF_PLACE_PRICE`]).
-//! This is a deviation from the paper, which prices every DMAV by `C1`
-//! (DESIGN.md §2). `min(C1, C2)` still picks Algorithm 1 or 2 per matrix,
-//! and `FlatDdStats::modeled_cost` still sums it.
+//! Fusion prices a matrix by the geometry its DMAV will run at
+//! ([`CostModel::walk_cost`]): the flat phase runs every matrix in place,
+//! on the widest group count where it has an in-place form, and a matrix
+//! with none cannot run at all. This is a deviation from the paper, which
+//! prices every DMAV by `C1` at `t` (DESIGN.md §2).
 
-use crate::dmav::runs_in_place;
+use crate::dmav::in_place_groups;
 use crate::dmav_cache::DmavCacheAssignment;
 use qdd::{DdPackage, MEdge, MacTable};
-
-/// What a modelled MAC costs on the write-once walk into `W`, in units of
-/// its cost on the in-place walk. PR 24 measured 0.7–1.9 ns per MAC out of
-/// place against 0.34–0.98 in place (EXPERIMENTS.md, "DMAV in place"):
-/// 1.8–2.0 to one for dense gates, the class a general product is made of,
-/// and more (up to 4.5) for diagonal and controlled ones.
-pub const OUT_OF_PLACE_PRICE: f64 = 2.0;
 
 /// Tunables of the cost model.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -79,9 +70,10 @@ impl CostModel {
     }
 
     /// The price fusion charges a DMAV of `m` over `n` qubits in `t` groups:
-    /// Eq. 5's `K1 / t` when its assignment at `t` groups runs in place
-    /// ([`crate::DmavAssignment::in_place`]), [`OUT_OF_PLACE_PRICE`] times
-    /// that when it takes the write-once walk.
+    /// Eq. 5's `K1 / t'` at the widest `t'` of `t, t/2, ..., 1` whose
+    /// assignment runs in place ([`crate::DmavAssignment::in_place`]), the
+    /// geometry the flat phase's plan narrows to; infinite when there is
+    /// none, so fusion never builds a product the flat phase cannot run.
     pub fn walk_cost(
         &self,
         pkg: &DdPackage,
@@ -90,11 +82,9 @@ impl CostModel {
         n: usize,
         t: usize,
     ) -> f64 {
-        let c1 = self.cost_no_cache(mac.count(pkg, m), t);
-        if runs_in_place(pkg, m, n, t) {
-            c1
-        } else {
-            OUT_OF_PLACE_PRICE * c1
+        match in_place_groups(pkg, m, n, t) {
+            Some(groups) => self.cost_no_cache(mac.count(pkg, m), groups),
+            None => f64::INFINITY,
         }
     }
 
@@ -231,20 +221,23 @@ mod tests {
     }
 
     #[test]
-    fn the_walk_price_doubles_eq_5_off_the_in_place_walk() {
-        // H on qubit 2 runs in place at one group; H on the top qubit at two
-        // groups gives each group two tasks, and the product of two H's on
-        // different qubits is a general block: both take the write-once walk.
+    fn the_walk_price_is_eq_5_at_the_widest_in_place_geometry() {
+        // H on qubit 2 runs in place at two groups; H on the top qubit
+        // crosses the border there and runs in place on one group; the
+        // product of two H's on neighbouring qubits is a dense block with
+        // no in-place form at any group count.
         use qdd::mac_count;
         let (pkg, cm) = (DdPackage::default(), CostModel::default());
         let mut mac = MacTable::default();
         let n = 6;
         let h = |q| pkg.gate_dd(&Gate::new(GateKind::H, q), n);
         let eq5 = |m, t| cm.cost_no_cache(mac_count(&pkg, m), t);
+        for (m, groups) in [(h(2), 2), (h(n - 1), 1)] {
+            assert_eq!(cm.walk_cost(&pkg, &mut mac, m, n, 2), eq5(m, groups));
+        }
         let product = pkg.mul_mm(h(2), h(3));
-        for (m, t, factor) in [(h(2), 1, 1.0), (h(n - 1), 2, 2.0), (product, 1, 2.0)] {
-            let price = cm.walk_cost(&pkg, &mut mac, m, n, t);
-            assert_eq!(price, factor * eq5(m, t));
+        for t in [1, 2, 4] {
+            assert_eq!(cm.walk_cost(&pkg, &mut mac, product, n, t), f64::INFINITY);
         }
     }
 

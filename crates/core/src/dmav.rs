@@ -1300,11 +1300,21 @@ fn compile_row_space(
     })
 }
 
-/// Whether `m`'s assignment over `n` qubits in `t` groups is
-/// [`DmavAssignment::in_place`], without building its tiles (`false` for a
-/// geometry no assignment exists for).
-pub(crate) fn runs_in_place(pkg: &DdPackage, m: MEdge, n: usize, t: usize) -> bool {
-    compile_row_space(pkg, m, n, t).is_ok_and(|plan| plan.in_place)
+/// The group counts a plan at `t` groups narrows through: `t, t/2, ..., 1`.
+pub(crate) fn narrowing(t: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(t), |&g| (g > 1).then_some(g / 2))
+}
+
+/// The widest group count of [`narrowing`]`(t)` at which `m`'s assignment
+/// over `n` qubits is [`DmavAssignment::in_place`], found without building
+/// tiles; `None` when `m` has no in-place form (or `t` no assignment).
+pub(crate) fn in_place_groups(pkg: &DdPackage, m: MEdge, n: usize, t: usize) -> Option<usize> {
+    for g in narrowing(t) {
+        if compile_row_space(pkg, m, n, g).ok()?.in_place {
+            return Some(g);
+        }
+    }
+    None
 }
 
 /// Heap bytes of the per-task vectors (edge, index, weight product, entry)

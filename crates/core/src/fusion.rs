@@ -8,18 +8,21 @@
 //! separate DMAV costs (Figures 9 and 10 show both directions). FlatDD's
 //! DMAV-aware fusion greedily fuses while that cost does not grow.
 //!
-//! The paper's Algorithm 3 costs a matrix by Eq. 5 alone. Here every matrix
-//! is priced by the walk its DMAV will take ([`CostModel::walk_cost`]): a
-//! single gate runs in place, so a product survives only if it is no
-//! dearer than its parts *under the walk it takes*. A diagonal stays
-//! diagonal and in place, so a CX–RZ–CX ladder still folds into one
-//! matrix; two dense gates on different qubits make a general block that
-//! runs out of place at twice the price, and stay apart (DESIGN.md §2).
+//! The paper's Algorithm 3 costs a matrix by Eq. 5 at `t` groups. Here
+//! every matrix is priced at the geometry its DMAV will run at
+//! ([`CostModel::walk_cost`]): the flat phase runs every matrix in place,
+//! on the widest group count where it can, so a product survives only if
+//! it is no dearer than its parts *there*, and a product with no in-place
+//! form is never kept. A diagonal stays diagonal and in place, so a
+//! CX–RZ–CX ladder still folds into one matrix; two dense gates on
+//! different qubits make a general block with no in-place form, and stay
+//! apart (DESIGN.md §2).
 //!
 //! The k-operations strategy of Zulehner & Wille (DATE'19) fuses every `k`
 //! consecutive gates unconditionally; it is the comparison point of
-//! Table 2. All three functions report `total_cost` in the same walk-priced
-//! units.
+//! Table 2. Here a chunk also closes before a gate that would leave its
+//! product without an in-place form. All three functions report
+//! `total_cost` in the same walk-priced units.
 
 use crate::cost::CostModel;
 use qcircuit::Gate;
@@ -56,8 +59,9 @@ impl FusedGates {
 
 /// DMAV-aware gate fusion (Algorithm 3): fuse the running matrix with the
 /// next gate iff the fused DMAV is priced no dearer than the two separate
-/// DMAVs (`C_i + C_p >= C_ip`), each priced by the walk it takes over `t`
-/// groups ([`CostModel::walk_cost`]).
+/// DMAVs (`C_i + C_p >= C_ip`), each priced at the geometry it runs at from
+/// `t` groups ([`CostModel::walk_cost`]; a product with no in-place form
+/// is priced infinite, so it is never kept).
 ///
 /// `gc_every` bounds DD growth during fusion: after that many DDMMs the
 /// package is garbage-collected with the surviving matrices as roots.
@@ -121,7 +125,9 @@ pub fn fuse_dmav_aware(
 }
 
 /// The k-operations baseline: fuse every `k` consecutive gates via DDMM,
-/// unconditionally.
+/// unconditionally — except that a chunk closes early, before the gate
+/// that would leave its product with no in-place form
+/// ([`CostModel::walk_cost`] infinite), which \[100\] does not do.
 pub fn fuse_k_operations(
     pkg: &mut DdPackage,
     gates: &[Gate],
@@ -137,23 +143,39 @@ pub fn fuse_k_operations(
     let mut counts: Vec<usize> = Vec::new();
     let mut total_cost = 0.0f64;
     let mut ddmm_since_gc = 0usize;
-    for chunk in gates.chunks(k) {
-        let mut m = pkg.gate_dd(&chunk[0], n);
-        for gate in &chunk[1..] {
-            let gd = pkg.gate_dd(gate, n);
-            m = pkg.mul_mm(gd, m);
-            ddmm_since_gc += 1;
-            if ddmm_since_gc >= gc_every {
-                let mut roots = out.clone();
-                roots.push(m);
-                pkg.gc(&[], &roots);
-                mac.clear();
-                ddmm_since_gc = 0;
+    // The open chunk: its product, price and gate count.
+    let mut open: Option<(MEdge, f64, usize)> = None;
+    for gate in gates {
+        let m_i = pkg.gate_dd(gate, n);
+        let grown = match open {
+            Some((m, _, folded)) if folded < k => {
+                let m_ip = pkg.mul_mm(m_i, m);
+                ddmm_since_gc += 1;
+                let c_ip = model.walk_cost(pkg, &mut mac, m_ip, n, t);
+                c_ip.is_finite().then_some((m_ip, c_ip, folded + 1))
             }
+            _ => None,
+        };
+        open = Some(grown.unwrap_or_else(|| {
+            if let Some((m, c, folded)) = open {
+                out.push(m);
+                counts.push(folded);
+                total_cost += c;
+            }
+            (m_i, model.walk_cost(pkg, &mut mac, m_i, n, t), 1)
+        }));
+        if ddmm_since_gc >= gc_every {
+            let mut roots = out.clone();
+            roots.extend(open.map(|(m, _, _)| m));
+            pkg.gc(&[], &roots);
+            mac.clear();
+            ddmm_since_gc = 0;
         }
-        total_cost += model.walk_cost(pkg, &mut mac, m, n, t);
+    }
+    if let Some((m, c, folded)) = open {
         out.push(m);
-        counts.push(chunk.len());
+        counts.push(folded);
+        total_cost += c;
     }
     FusedGates {
         matrices: out,
@@ -238,7 +260,8 @@ mod tests {
         for k in [1usize, 2, 4, 7] {
             let mut pkg = DdPackage::default();
             let fused = fuse_k_operations(&mut pkg, c.gates(), n, 4, k, &CostModel::default(), 64);
-            assert_eq!(fused.len(), c.num_gates().div_ceil(k));
+            assert!(fused.len() >= c.num_gates().div_ceil(k));
+            assert!(fused.gate_counts.iter().all(|&folded| folded <= k));
             let got = apply_fused(&pkg, &fused, n);
             let want = dense::simulate(&c);
             assert!(state_distance(&got, &want) < TOL, "k={k}");
@@ -298,30 +321,46 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_dense_gates_stay_apart_at_one_group() {
-        // Each RY runs in place for 2 MACs per amplitude; their 4x4
-        // product would take the write-once walk for 4, priced 8.
-        let n = 6;
-        let mut c = qcircuit::Circuit::new(n);
-        c.ry(0.3, 2).ry(1.2, 3);
-        let (_, fused) = fuse(c.gates(), n, 1);
-        assert_eq!(fused.gate_counts, [1, 1]);
-    }
-
-    #[test]
-    fn dense_gates_on_one_pair_fuse_where_they_run_out_of_place() {
-        // At four groups an RY on either of the two top qubits crosses the
-        // border and takes the write-once walk on its own: the 4x4 block
-        // of all eight costs what one of them costs.
+    fn adjacent_dense_gates_stay_apart_at_every_group_count() {
+        // Each RY runs in place on its own; their 4x4 product has no
+        // in-place form at any group count, so neither fusion keeps it.
         let n = 6;
         let mut c = qcircuit::Circuit::new(n);
         for k in 0..4 {
             c.ry(0.3 + k as f64, n - 1).ry(1.1 - k as f64, n - 2);
         }
-        let (pkg, fused) = fuse(c.gates(), n, 4);
-        assert_eq!(fused.gate_counts, [8]);
-        let asg = crate::DmavAssignment::build(&pkg, fused.matrices[0], n, 4);
-        assert!(!asg.in_place());
+        for t in [1usize, 2, 4] {
+            let (_, fused) = fuse(c.gates(), n, t);
+            assert_eq!(fused.gate_counts, [1; 8], "t={t}");
+            let mut pkg = DdPackage::default();
+            let k_ops = fuse_k_operations(&mut pkg, c.gates(), n, t, 4, &CostModel::default(), 64);
+            assert_eq!(k_ops.gate_counts, [1; 8], "t={t}");
+        }
+    }
+
+    #[test]
+    fn every_fused_matrix_has_an_in_place_form() {
+        // Under a price that admits matrices with no in-place form `knn`
+        // folds into one dense product; here every matrix either policy
+        // emits runs in place at some group count.
+        let cm = CostModel::default();
+        for c in [generators::knn(2, 5), generators::knn(3, 6)] {
+            let n = c.num_qubits();
+            for t in [1usize, 2] {
+                let mut pkg = DdPackage::default();
+                let aware = fuse_dmav_aware(&mut pkg, c.gates(), n, t, &cm, 64);
+                let mut k_pkg = DdPackage::default();
+                let k_ops = fuse_k_operations(&mut k_pkg, c.gates(), n, t, 4, &cm, 64);
+                for (pkg, fused) in [(&pkg, &aware), (&k_pkg, &k_ops)] {
+                    for &m in &fused.matrices {
+                        let groups = crate::dmav::in_place_groups(pkg, m, n, t);
+                        assert!(groups.is_some(), "{} t={t}", c.name());
+                    }
+                    let got = apply_fused(pkg, fused, n);
+                    assert!(state_distance(&got, &dense::simulate(&c)) < TOL);
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! The task lists and compiled program Algorithm 1 runs for a gate matrix
 //! are properties of the *matrix DD*, and DDs are canonical: a repeated gate
 //! produces the identical root edge. The memo keeps, per `(root edge, n,
-//! shards)`, the assignment and the Eq. 5 cost `K1 / t` it charges, so a
-//! repeat is one lookup: no descent, no compile, no MAC count. (The engine
-//! runs Algorithm 1 only; Algorithm 2 is the standalone
+//! shards)`, the plan the flat phase runs — the assignment at the widest of
+//! `shards, shards/2, ..., 1` groups that runs in place, so the state is the
+//! only vector — and the Eq. 5 cost `K1 / t` it charges at those `t`
+//! groups, so a repeat is one lookup: no descent, no compile, no MAC count.
+//! (The engine runs Algorithm 1 only; Algorithm 2 is the standalone
 //! [`crate::dmav_cache`] kernel, DESIGN.md §2.)
 //!
 //! One invalidation rule. Node ids are recycled by [`DdPackage::gc`], which
@@ -18,7 +20,7 @@
 //! charges them like any other cache.
 
 use crate::cost::CostModel;
-use crate::dmav::DmavAssignment;
+use crate::dmav::{narrowing, DmavAssignment};
 use crate::error::FlatDdError;
 use qdd::fxhash::FxHashMap;
 use qdd::{mac_count, DdPackage, MEdge};
@@ -35,12 +37,12 @@ const ENTRY_OVERHEAD: usize = 128;
 
 /// What one lookup hands back.
 pub(crate) struct Lookup {
-    /// The assignment, shared with the memo: a run of matrices holds
-    /// several at once, and one the memo dropped (past its cap) lives as
-    /// long as that.
+    /// The assignment, in place, shared with the memo: a run of matrices
+    /// holds several at once, and one the memo dropped (past its cap) lives
+    /// as long as that. Its `t` is the group count it narrowed to.
     pub(crate) plan: Arc<DmavAssignment>,
     /// What one application adds to `FlatDdStats::modeled_cost`: Eq. 5's
-    /// `K1 / t`.
+    /// `K1 / t` at the plan's `t`.
     pub(crate) cost: f64,
     /// The memo answered; a miss planned.
     pub(crate) hit: bool,
@@ -50,8 +52,8 @@ pub(crate) struct Lookup {
 /// garbage collection.
 pub(crate) struct PlanCache {
     /// Per matrix root edge (node id + interned weight — canonical DDs make
-    /// this a complete identity), qubit count and group count: the
-    /// assignment and its modeled cost per application.
+    /// this a complete identity), qubit count and requested group count:
+    /// the in-place assignment and its modeled cost per application.
     map: FxHashMap<(MEdge, usize, usize), (Arc<DmavAssignment>, f64)>,
     /// GC epoch the current contents were built under.
     epoch: u64,
@@ -70,9 +72,11 @@ impl PlanCache {
         }
     }
 
-    /// The plan for `(m, n, t)`, planned and memoized on a miss. A geometry
-    /// no plan exists for is [`FlatDdError::InvalidInput`], and nothing is
-    /// stored.
+    /// The plan for `(m, n, t)`, planned and memoized on a miss: the first
+    /// assignment at `t, t/2, ..., 1` groups that is
+    /// [`DmavAssignment::in_place`] (at one group every single gate's is).
+    /// A geometry no plan exists for, or a matrix with no in-place form, is
+    /// [`FlatDdError::InvalidInput`], and nothing is stored.
     pub(crate) fn lookup(
         &mut self,
         pkg: &DdPackage,
@@ -91,8 +95,18 @@ impl PlanCache {
                 hit: true,
             });
         }
-        let plan = Arc::new(DmavAssignment::try_build(pkg, m, n, t)?);
-        let cost = CostModel::default().cost_no_cache(mac_count(pkg, m), t);
+        let mut planned = None;
+        for g in narrowing(t) {
+            let plan = DmavAssignment::try_build(pkg, m, n, g)?;
+            if plan.in_place() {
+                planned = Some(plan);
+                break;
+            }
+        }
+        let plan = Arc::new(planned.ok_or_else(|| {
+            FlatDdError::InvalidInput("a DMAV matrix has no in-place form".into())
+        })?);
+        let cost = CostModel::default().cost_no_cache(mac_count(pkg, m), plan.t);
         let bytes = ENTRY_OVERHEAD + plan.memory_bytes();
         if self.bytes + bytes > self.cap {
             self.clear();
@@ -127,7 +141,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dmav::dmav_no_cache;
+    use crate::dmav::dmav_in_place;
     use crate::pool::ThreadPool;
     use qcircuit::gate::{Gate, GateKind};
     use qcircuit::Complex64;
@@ -135,30 +149,32 @@ mod tests {
     const N: usize = 12;
     const T: usize = 4;
 
-    /// `plan` applied to a fixed state.
+    /// `plan` applied in place to a fixed state.
     fn apply(plan: &DmavAssignment) -> Vec<Complex64> {
-        let v: Vec<Complex64> = (0..1usize << N)
+        let mut v: Vec<Complex64> = (0..1usize << N)
             .map(|i| Complex64::new(0.5 - (i % 7) as f64, (i % 5) as f64 / 3.0))
             .collect();
-        let mut w = vec![Complex64::ZERO; v.len()];
-        dmav_no_cache(&DdPackage::default(), plan, &v, &mut w, &ThreadPool::new(2));
-        w
+        dmav_in_place(plan, &mut v, &ThreadPool::new(2));
+        v
     }
 
     #[test]
     fn a_hit_runs_what_a_fresh_plan_runs_and_charges_eq_5() {
-        // T on the top qubit repeats nothing; H there repeats a full-size
-        // identity block per group (where Eq. 6 would pick Algorithm 2).
-        // Both get the Algorithm 1 assignment and `K1 / t`.
+        // T on the top qubit is diagonal and runs in place at T groups; H
+        // there crosses the shard border, so its plan narrows to the one
+        // group where it runs in place. Both charge `K1 / t` at the groups
+        // they run on.
         let pkg = DdPackage::default();
         let mut plans = PlanCache::new();
-        for kind in [GateKind::T, GateKind::H] {
+        for (kind, groups) in [(GateKind::T, T), (GateKind::H, 1)] {
             let m = pkg.gate_dd(&Gate::new(kind, N - 1), N);
-            let want = apply(&DmavAssignment::try_build(&pkg, m, N, T).unwrap());
-            let k1_per_group = mac_count(&pkg, m) as f64 / T as f64;
+            assert_eq!(DmavAssignment::build(&pkg, m, N, T).in_place(), groups == T);
+            let want = apply(&DmavAssignment::build(&pkg, m, N, groups));
+            let k1_per_group = mac_count(&pkg, m) as f64 / groups as f64;
             for expect_hit in [false, true] {
                 let looked = plans.lookup(&pkg, m, N, T).unwrap();
                 assert_eq!(looked.hit, expect_hit);
+                assert_eq!(looked.plan.t, groups, "{kind:?}");
                 assert!(
                     apply(&looked.plan) == want,
                     "bit-identical to the fresh plan"
@@ -202,20 +218,21 @@ mod tests {
 
     #[test]
     fn compiled_program_is_charged_to_the_memo() {
-        // A fused product of entangling layers compiles to tens of general
-        // nodes; a single-qubit gate to a handful of Kronecker ops. Same
-        // geometry, same task count: the difference is the program.
+        // A fused diagonal of ZZ rotations on every pair compiles to tens
+        // of general nodes; a single-qubit gate to a handful of Kronecker
+        // ops. Same geometry, same task count: the difference is the
+        // program.
         use qcircuit::gate::Control;
         let n = 6;
         let pkg = DdPackage::default();
         let gate = pkg.gate_dd(&Gate::new(GateKind::H, 2), n);
         let mut fused = pkg.identity_dd(n);
-        for layer in 0..2 {
-            for q in 0..n {
-                let ry = Gate::new(GateKind::RY(0.3 + q as f64 + 0.5 * layer as f64), q);
-                let cx = Gate::controlled(GateKind::X, (q + 1) % n, vec![Control::pos(q)]);
-                for g in [ry, cx] {
-                    fused = pkg.mul_mm(pkg.gate_dd(&g, n), fused);
+        for q in 0..n {
+            for r in q + 1..n {
+                let cx = Gate::controlled(GateKind::X, r, vec![Control::pos(q)]);
+                let rz = Gate::new(GateKind::RZ(0.3 + q as f64 + 0.7 * r as f64), r);
+                for g in [&cx, &rz, &cx] {
+                    fused = pkg.mul_mm(pkg.gate_dd(g, n), fused);
                 }
             }
         }
@@ -233,5 +250,17 @@ mod tests {
         let ((small_tasks, small), (big_tasks, big)) = (held(gate), held(fused));
         assert_eq!(small_tasks, big_tasks);
         assert!(big > small);
+    }
+
+    #[test]
+    fn a_matrix_with_no_in_place_form_is_refused_and_not_stored() {
+        // H (x) H on two neighbouring qubits is a dense 4x4 block: no group
+        // count runs it in place.
+        let pkg = DdPackage::default();
+        let h = |q| pkg.gate_dd(&Gate::new(GateKind::H, q), N);
+        let mut plans = PlanCache::new();
+        let r = plans.lookup(&pkg, pkg.mul_mm(h(2), h(3)), N, T);
+        assert!(matches!(r, Err(FlatDdError::InvalidInput(_))));
+        assert_eq!((plans.len(), plans.memory_bytes()), (0, 0));
     }
 }

@@ -468,11 +468,9 @@ pub fn build_circuit(spec: &JobSpec) -> Result<Circuit, FlatDdError> {
 
 /// Builds the spec's circuit once — which validates it — and returns the
 /// admission estimate in bytes: the job's own budget when it declares one,
-/// else two flat `2^n` buffers plus fixed overhead — the worst case: a job
-/// on one flat shard holds the state alone, one whose shards make gates
-/// cross their border also the DMAV output vector, and which it is shows
-/// only gate by gate. Rejects jobs that can never fit under the server
-/// budget (they would starve forever).
+/// else the one flat `2^n` buffer its flat phase holds plus fixed
+/// overhead. Rejects jobs that can never fit under the server budget (they
+/// would starve forever).
 fn job_estimate(cfg: &ServeConfig, spec: &JobSpec) -> Result<u64, String> {
     const OVERHEAD: u64 = 32 << 20;
     let n = build_circuit(spec).map_err(|e| e.to_string())?.num_qubits() as u32;
@@ -480,7 +478,7 @@ fn job_estimate(cfg: &ServeConfig, spec: &JobSpec) -> Result<u64, String> {
         Some(mb) => mb << 20,
         None => {
             let amps = 1u64.checked_shl(n).unwrap_or(u64::MAX);
-            amps.saturating_mul(32).saturating_add(OVERHEAD)
+            amps.saturating_mul(16).saturating_add(OVERHEAD)
         }
     };
     if est > cfg.memory_budget_bytes {

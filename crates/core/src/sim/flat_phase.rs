@@ -1,17 +1,19 @@
 //! The flat phase: DMAV — DD gate matrices multiplied onto the array state
 //! (Section 3.2) — on single gates or on the blocks of a fused span
-//! (Section 3.3), consecutive in-place matrices as one blocked run. The
-//! array holds only the qubits not fixed in a basis state ([`Fixed`]); a
-//! gate that superposes a fixed one widens it back in, in place.
+//! (Section 3.3), consecutive matrices that share the shard geometry as one
+//! blocked run. Every matrix runs in place: the state is the phase's one
+//! vector. The array holds only the qubits not fixed in a basis state
+//! ([`Fixed`]); a gate that superposes a fixed one widens it back in, in
+//! place.
 
 use super::active::{Fixed, Reduced};
 use super::{Core, FusionPolicy, GateTrace, Phase};
 use crate::cost::CostModel;
-use crate::dmav::{dmav_in_place, dmav_no_cache, dmav_run_in_place, DmavAssignment, BLOCK_LEVEL};
+use crate::dmav::{dmav_in_place, dmav_run_in_place, DmavAssignment, BLOCK_LEVEL};
 use crate::error::FlatDdError;
 use crate::ewma::EwmaState;
 use crate::faults;
-use crate::fusion::{fuse_dmav_aware, fuse_k_operations, no_fusion, FusedGates};
+use crate::fusion::{fuse_dmav_aware, fuse_k_operations, FusedGates};
 use crate::plan_cache::{Lookup, PlanCache};
 use crate::pool::ThreadPool;
 use qarray::{vecops, ShardedState};
@@ -27,10 +29,6 @@ pub(crate) struct FlatPhase {
     v: ShardedState,
     /// The qubits held out of `v`, their values and the pending factor.
     fixed: Fixed,
-    /// Output buffer of the out-of-place DMAV walks, swapped with `v` after
-    /// each. Allocated by the first of them ([`output_vector`]): a run whose
-    /// every matrix has an in-place form holds one vector.
-    w: Option<ShardedState>,
     plans: PlanCache,
     /// Matrices of the current fused span and the gates each folds; the
     /// ones from `next` on are still pending (and are the phase's GC roots).
@@ -49,9 +47,10 @@ pub(crate) struct FlatPhase {
     pub(super) ewma: EwmaState,
 }
 
-/// Whether a plan can join a blocked run at [`BLOCK_LEVEL`].
-fn joins_runs(plan: &DmavAssignment) -> bool {
-    plan.in_place() && plan.mixing_level() <= BLOCK_LEVEL
+/// Whether a plan can join a blocked run at [`BLOCK_LEVEL`] over `shards`
+/// groups: a plan the lookup narrowed to fewer groups runs on its own.
+fn joins_runs(plan: &DmavAssignment, shards: usize) -> bool {
+    plan.t == shards && plan.mixing_level() <= BLOCK_LEVEL
 }
 
 /// Shard count of the flat state at `width` active qubits: the configured
@@ -67,7 +66,6 @@ impl FlatPhase {
         FlatPhase {
             v,
             fixed,
-            w: None,
             plans: PlanCache::new(),
             fused: Vec::new(),
             gate_counts: Vec::new(),
@@ -90,6 +88,7 @@ impl FlatPhase {
     /// with no gate left to fuse loads nothing and the steps take the gates
     /// one at a time. `first` marks a run's first span, which restarts
     /// [`FlatDdStats::fused_matrices`](super::FlatDdStats::fused_matrices).
+    /// The driver calls it only under a fusion policy.
     pub(super) fn fuse(&mut self, core: &mut Core, gates: &[Gate], first: bool) {
         if first {
             core.stats.fused_matrices = 0;
@@ -123,16 +122,15 @@ impl FlatPhase {
         };
         *count += held;
         *last = (last.0 * effect.0, last.1 ^ effect.1);
-        // Priced over the shard geometry its plans will use (one group per
-        // shard): whether a matrix runs in place depends on it.
+        // Priced over the shard geometry its plans start from (one group per
+        // shard): where a matrix runs in place depends on it.
         let (pkg, n, t) = (&mut core.pkg, self.width(), self.v.shards());
         let (model, gc_every) = (&CostModel::default(), core.cfg.fusion_gc_every);
         let fused: FusedGates = match core.cfg.fusion {
-            FusionPolicy::DmavAware => fuse_dmav_aware(pkg, &reduced, n, t, model, gc_every),
             FusionPolicy::KOperations(k) => {
                 fuse_k_operations(pkg, &reduced, n, t, k, model, gc_every)
             }
-            FusionPolicy::None => no_fusion(pkg, &reduced, n, t, model),
+            _ => fuse_dmav_aware(pkg, &reduced, n, t, model, gc_every),
         };
         debug_assert_eq!(fused.gate_counts.iter().sum::<usize>(), reduced.len());
         let spanned: usize = counts.iter().sum();
@@ -182,9 +180,10 @@ impl FlatPhase {
     /// pending fused blocks when a span is loaded, otherwise the gates'
     /// own, reduced against the fixed qubits: a skipped or factored gate
     /// costs no matrix, and one that widens a fixed qubit is a step of its
-    /// own. The first matrix that has no place in a blocked run is applied
-    /// on its own; otherwise every following matrix that has one and fits
-    /// the budget joins it — a run, applied block by block in one dispatch.
+    /// own. The first matrix that has no place in a blocked run (it mixes
+    /// above the block, or its plan narrowed to fewer groups) is applied on
+    /// its own; otherwise every following matrix that has one and fits the
+    /// budget joins it — a run, applied block by block in one dispatch.
     pub(super) fn step(
         &mut self,
         core: &mut Core,
@@ -245,7 +244,7 @@ impl FlatPhase {
                     }
                 },
             };
-            let joins = joins_runs(&looked.plan);
+            let joins = joins_runs(&looked.plan, self.v.shards());
             if i > 0 && !joins {
                 self.peeked = Some(looked);
                 break;
@@ -257,7 +256,7 @@ impl FlatPhase {
             }
         }
         if !run.is_empty() {
-            self.dmav(core, &run)?;
+            self.dmav(core, &run);
         }
         if fused {
             for &(c, flip) in &self.effects[self.next..self.next + run.len()] {
@@ -267,7 +266,7 @@ impl FlatPhase {
         }
         self.fixed = fixed;
         for _ in 0..bypassed {
-            account(core, 0.0, true, true);
+            account(core, 0.0, true);
         }
         Ok(GateTrace {
             plan_hit: Some(run.iter().all(|looked| looked.hit)),
@@ -294,7 +293,7 @@ impl FlatPhase {
         };
         self.widen(core, q, column);
         let hit = if lone {
-            account(core, 0.0, true, true);
+            account(core, 0.0, true);
             true
         } else {
             let Reduced::Gate(g) = self.fixed.reduce(gate) else {
@@ -302,7 +301,7 @@ impl FlatPhase {
             };
             let m = core.pkg.gate_dd(&g, self.width());
             let looked = self.lookup(core, m)?;
-            self.dmav(core, std::slice::from_ref(&looked))?;
+            self.dmav(core, std::slice::from_ref(&looked));
             looked.hit
         };
         Ok(GateTrace {
@@ -386,8 +385,9 @@ impl FlatPhase {
         &mut self.v
     }
 
-    /// The plan of `m` over the shard geometry (one assignment group per
-    /// shard, so the memo keys plans by shard count); a miss builds it (see
+    /// The in-place plan of `m` from the shard geometry (one assignment
+    /// group per shard, narrowed where the matrix crosses the shard border,
+    /// so the memo keys plans by shard count); a miss builds it (see
     /// [`PlanCache`]).
     fn lookup(&mut self, core: &Core, m: MEdge) -> Result<Lookup, FlatDdError> {
         // Timed when the step is recorded (`cfg.trace` or a sink, the
@@ -403,49 +403,31 @@ impl FlatPhase {
         Ok(looked)
     }
 
-    /// `v <- M_k * ... * M_1 * v` for the looked-up `run`, then account
-    /// every matrix. A run of several is in place by construction and runs
-    /// block by block; a plan with an in-place form runs on `v` itself; the
-    /// others write `w` (allocated here on first need — an error from that
-    /// leaves `v` as it was), cut to `v`'s width, and swap.
-    fn dmav(&mut self, core: &mut Core, run: &[Lookup]) -> Result<(), FlatDdError> {
-        let (pkg, pool) = (&core.pkg, &core.pool);
-        let first = &run[0].plan;
-        if run.len() > 1 {
-            let asgs: Vec<&DmavAssignment> = run.iter().map(|looked| &*looked.plan).collect();
-            dmav_run_in_place(&asgs, &mut self.v, pool, BLOCK_LEVEL);
-        } else if first.in_place() {
-            dmav_in_place(first, &mut self.v, pool);
-        } else {
-            let held = self.memory_bytes();
-            let w = output_vector(&mut self.w, core, held)?;
-            w.set_active(self.v.len(), self.v.shards());
-            dmav_no_cache(pkg, first, &self.v, w, pool);
-            std::mem::swap(&mut self.v, w);
+    /// `v <- M_k * ... * M_1 * v` in place for the looked-up `run`, then
+    /// account every matrix: a run of several block by block, one matrix on
+    /// the groups its plan narrowed to.
+    fn dmav(&mut self, core: &mut Core, run: &[Lookup]) {
+        match run {
+            [one] => dmav_in_place(&one.plan, &mut self.v, &core.pool),
+            _ => {
+                let asgs: Vec<&DmavAssignment> = run.iter().map(|looked| &*looked.plan).collect();
+                dmav_run_in_place(&asgs, &mut self.v, &core.pool, BLOCK_LEVEL);
+            }
         }
         for looked in run {
-            account(core, looked.cost, looked.hit, looked.plan.in_place());
+            account(core, looked.cost, looked.hit);
         }
-        Ok(())
     }
 
-    /// The scratch rung of the memory-pressure ladder: the DMAV output
-    /// vector (the next out-of-place walk allocates it again, if the budget
-    /// then admits it) and the memoized plans go, the state stays.
-    pub(super) fn release_scratch(&mut self) {
-        self.w = None;
+    /// The scratch rung of the memory-pressure ladder: the memoized plans
+    /// go, the state stays.
+    pub(super) fn clear_plans(&mut self) {
         self.plans.clear();
     }
 
-    /// Resident bytes of the state and, once allocated, the output vector.
-    pub(super) fn vector_bytes(&self) -> usize {
-        let w = self.w.as_ref().map_or(0, ShardedState::capacity);
-        (self.v.capacity() + w) * std::mem::size_of::<Complex64>()
-    }
-
-    /// Resident bytes of the phase's vectors and plan memo.
+    /// Resident bytes of the phase's one vector and plan memo.
     pub(super) fn memory_bytes(&self) -> usize {
-        self.vector_bytes() + self.plans.memory_bytes()
+        self.v.capacity() * std::mem::size_of::<Complex64>() + self.plans.memory_bytes()
     }
 
     /// Plans memoized and the bytes charged for them (for the metrics
@@ -469,16 +451,12 @@ impl FlatPhase {
 }
 
 /// Accounts one flat-phase matrix of modelled `cost`: a DMAV, or a gate the
-/// fixed qubits reduced to no matrix (cost 0, nothing to look up, in
-/// place), so the counters still add up to the gates and blocks consumed.
-fn account(core: &mut Core, cost: f64, hit: bool, in_place: bool) {
+/// fixed qubits reduced to no matrix (cost 0, nothing to look up), so the
+/// counters still add up to the gates and blocks consumed.
+fn account(core: &mut Core, cost: f64, hit: bool) {
     let stats = &mut core.stats;
     stats.modeled_cost += cost;
     stats.uncached_dmavs += 1;
-    // An in-place matrix is a DMAV that needed no `W`.
-    if in_place {
-        core.ctr_dmav_in_place.inc();
-    }
     if hit {
         stats.dmav_plan_hits += 1;
     } else {
@@ -486,35 +464,6 @@ fn account(core: &mut Core, cost: f64, hit: bool, in_place: bool) {
     }
     stats.gates_dmav += 1;
     core.ctr_gates_dmav.inc();
-}
-
-/// The flat phase's output vector, allocated on first need: admission
-/// against the memory budget on top of what is held now (`held` flat-phase
-/// bytes plus the package), then [`try_flat_buffer`]. Both refusals are
-/// typed and happen before the gate that asked touches the state.
-fn output_vector<'a>(
-    w: &'a mut Option<ShardedState>,
-    core: &Core,
-    held: usize,
-) -> Result<&'a mut ShardedState, FlatDdError> {
-    // (The package is read only under a budget: an unbudgeted step reads
-    // its statistics once, at the boundary.)
-    if let (None, Some(budget_bytes)) = (&w, core.gov.config().memory_budget_bytes) {
-        let used = core.pkg.stats().memory_bytes + held;
-        let need = (1usize << core.n) * std::mem::size_of::<Complex64>();
-        if !core.gov.admits_allocation(used, need) {
-            return Err(FlatDdError::MemoryBudgetExceeded {
-                budget_bytes,
-                observed_bytes: used.saturating_add(need),
-                context: "DMAV output vector",
-                partial: Box::new(core.snapshot(Phase::Dmav)),
-            });
-        }
-    }
-    match w {
-        Some(w) => Ok(w),
-        None => Ok(w.insert(try_flat_buffer(core, "DMAV output vector")?)),
-    }
 }
 
 /// Fallibly allocates a zeroed, sharded flat buffer: the pool's workers

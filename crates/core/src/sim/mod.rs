@@ -94,23 +94,16 @@ pub(crate) struct Core {
     /// relaxed add per gate).
     ctr_gates_dd: qtelemetry::Counter,
     ctr_gates_dmav: qtelemetry::Counter,
-    ctr_dmav_in_place: qtelemetry::Counter,
     hist_convert: qtelemetry::Histogram,
     hist_plan_build: qtelemetry::Histogram,
 }
 
 impl Core {
-    /// Bytes of flat `2^n` vectors the flat phase of this configuration will
-    /// hold, which is what entering it asks the memory budget for: the state
-    /// alone when every DMAV is a single gate's on one group — each then has
-    /// an in-place form ([`crate::DmavAssignment::in_place`]) — else the
-    /// state and the out-of-place walks' output vector. (Should a one-vector
-    /// run meet a matrix without an in-place form after all, the output
-    /// vector is admitted or refused when that gate asks for it.)
+    /// Bytes the flat phase holds beside its plans, which is what entering
+    /// it asks the memory budget for: the state, one `2^n` vector — every
+    /// DMAV runs in place ([`crate::DmavAssignment::in_place`]).
     fn flat_phase_bytes(&self) -> usize {
-        let in_place = self.cfg.fusion == FusionPolicy::None && self.shards == 1;
-        let vectors = if in_place { 1 } else { 2 };
-        vectors * (1usize << self.n) * std::mem::size_of::<Complex64>()
+        (1usize << self.n) * std::mem::size_of::<Complex64>()
     }
 
     /// Run statistics including the DD compute-table hit rates (computed
@@ -284,7 +277,6 @@ impl FlatDdSimulator {
             phase_start_us: 0.0,
             ctr_gates_dd: metrics.counter("core.gates_dd"),
             ctr_gates_dmav: metrics.counter("core.gates_dmav"),
-            ctr_dmav_in_place: metrics.counter("core.dmav_in_place"),
             hist_convert: metrics.histogram("sim.conversion_us"),
             hist_plan_build: metrics.histogram("sim.plan_build_us"),
             ctx,

@@ -98,12 +98,12 @@ impl PhaseState {
         }
     }
 
-    /// The degradation ladder's first rungs: release DMAV scratch, sweep
+    /// The degradation ladder's first rungs: clear the plan memo, sweep
     /// dead DD nodes, and shrink the compute tables (the only rung that
     /// lowers *capacity*, which is what the accounting measures).
     pub(super) fn relieve_pressure(&mut self, core: &mut Core) {
         if let PhaseState::Flat(flat) = self {
-            flat.release_scratch();
+            flat.clear_plans();
         }
         self.collect(core);
         core.pkg.flush_caches();
@@ -114,8 +114,8 @@ impl PhaseState {
         });
     }
 
-    /// Bytes the phase holds outside the package (the flat phase's arrays,
-    /// scratch and caches).
+    /// Bytes the phase holds outside the package (the flat phase's state
+    /// and plan memo).
     pub(super) fn flat_bytes(&self) -> usize {
         match self {
             PhaseState::Dd(_) => 0,

@@ -62,7 +62,8 @@ fn a_gate_eq_6_prices_below_eq_5_still_runs_algorithm_1() {
     // H on the top qubit at two groups repeats one identity block per
     // group: Eq. 6 prices it at 3,584 MACs per group against Eq. 5's 4,096,
     // so `min(C1, C2)` would send it to Algorithm 2. The engine runs
-    // Algorithm 1 and charges Eq. 5.
+    // Algorithm 1, in place on the one group whose block holds the top
+    // qubit, and charges Eq. 5 there.
     let n = 12;
     let mut c = Circuit::new(n);
     c.h(n - 1);
@@ -76,7 +77,7 @@ fn a_gate_eq_6_prices_below_eq_5_still_runs_algorithm_1() {
     sim.run(&c).unwrap();
     let st = sim.stats();
     assert_eq!((st.gates_dmav, st.cached_dmavs, st.cache_hits), (1, 0, 0));
-    assert_eq!(st.modeled_cost, 4096.0);
+    assert_eq!(st.modeled_cost, 8192.0);
     assert!(state_distance(&sim.amplitudes(), &dense::simulate(&c)) < 1e-12);
 }
 
@@ -201,10 +202,16 @@ fn modeled_cost_sums_eq_5_on_real_workloads() {
     let st = sim.stats();
     assert_eq!((st.cached_dmavs, st.uncached_dmavs), (0, st.gates_dmav));
     assert_eq!(st.gates_dmav, c.num_gates());
+    // Each gate at the groups its plan narrows to: the ones on the top two
+    // qubits cross the border of four groups.
     let pkg = DdPackage::default();
     let k1_per_group: f64 = c
         .iter()
-        .map(|g| qdd::mac_count(&pkg, pkg.gate_dd(g, n)) as f64 / t as f64)
+        .map(|g| {
+            let m = pkg.gate_dd(g, n);
+            let groups = crate::dmav::in_place_groups(&pkg, m, n, t).unwrap();
+            qdd::mac_count(&pkg, m) as f64 / groups as f64
+        })
         .sum();
     assert_eq!(st.modeled_cost, k1_per_group);
 }
@@ -247,36 +254,39 @@ fn memory_accounting_is_positive() {
 }
 
 #[test]
-fn a_run_that_never_fuses_holds_one_state_vector() {
-    // Every single-gate matrix has an in-place form on one shard, so the
-    // output vector of the out-of-place walk is never allocated.
+fn every_fusion_policy_and_geometry_holds_one_state_vector() {
+    // Two shards make supremacy's gates on the top qubit cross the shard
+    // border, and fusion builds products; every matrix still runs in place
+    // on the state, whose buffer is the flat phase's only vector.
     let n = 12;
     let c = generators::supremacy_n(n, 6, 1);
-    let mut sim = FlatDdSimulator::new(n, cfg(1));
-    sim.run(&c).unwrap();
-    let PhaseState::Flat(flat) = &sim.phase else {
-        panic!("supremacy converts");
-    };
+    let want = dense::simulate(&c);
     let one_vector = (1usize << n) * std::mem::size_of::<Complex64>();
-    assert!(flat.vector_bytes() < one_vector * 11 / 10);
-    let stats = sim.stats();
-    assert!(stats.gates_dmav > 0);
-    assert_eq!(stats.cached_dmavs + stats.uncached_dmavs, stats.gates_dmav);
-    assert!(state_distance(&sim.amplitudes(), &dense::simulate(&c)) < 1e-12);
-    // The same run on two shards meets gates that cross the shard border.
-    let mut sharded = FlatDdSimulator::new(
-        n,
-        FlatDdConfig {
-            flat_shards: 2,
-            ..cfg(2)
-        },
-    );
-    sharded.run(&c).unwrap();
-    let PhaseState::Flat(flat) = &sharded.phase else {
-        panic!("supremacy converts");
-    };
-    assert_eq!(flat.vector_bytes(), 2 * one_vector);
-    assert!(state_distance(&sharded.amplitudes(), &dense::simulate(&c)) < 1e-12);
+    for fusion in [
+        FusionPolicy::None,
+        FusionPolicy::DmavAware,
+        FusionPolicy::KOperations(4),
+    ] {
+        for (threads, flat_shards) in [(1, 1), (2, 2), (4, 0)] {
+            let config = FlatDdConfig {
+                fusion,
+                flat_shards,
+                ..cfg(threads)
+            };
+            let mut sim = FlatDdSimulator::new(n, config);
+            sim.run(&c).unwrap();
+            let PhaseState::Flat(flat) = &sim.phase else {
+                panic!("supremacy converts");
+            };
+            let case = format!("{fusion:?} threads={threads} shards={flat_shards}");
+            let (_, plan_bytes) = flat.plan_memo_size();
+            assert_eq!(flat.memory_bytes() - plan_bytes, one_vector, "{case}");
+            let stats = sim.stats();
+            assert!(stats.gates_dmav > 0, "{case}");
+            assert_eq!(stats.cached_dmavs + stats.uncached_dmavs, stats.gates_dmav);
+            assert!(state_distance(&sim.amplitudes(), &want) < 1e-12, "{case}");
+        }
+    }
 }
 
 #[test]
@@ -444,17 +454,16 @@ fn zero_deadline_returns_partial_outcome() {
 
 #[test]
 fn refused_conversion_keeps_run_in_dd_mode() {
-    // Budget admits the DD tables and one 2^20 flat buffer (16 MiB) but not
-    // the two a two-thread run holds (2 * 16 MiB), so the forced AtGate
-    // conversion must be refused and the run still complete correctly in
-    // DD mode.
+    // Budget admits the DD tables but not the one 2^20 flat buffer
+    // (16 MiB) a two-thread run holds, so the forced AtGate conversion must
+    // be refused and the run still complete correctly in DD mode.
     let n = 20;
     let mut g = cfg(2);
     g.conversion = ConversionPolicy::AtGate(3);
-    g.governor.memory_budget_bytes = Some(24 * 1024 * 1024);
+    g.governor.memory_budget_bytes = Some(12 * 1024 * 1024);
     let mut sim = FlatDdSimulator::new(n, g);
     let c = generators::ghz(n);
-    let outcome = sim.run(&c).expect("GHZ DD tables fit 24 MiB");
+    let outcome = sim.run(&c).expect("GHZ DD tables fit 12 MiB");
     assert!(outcome.is_complete());
     assert_eq!(sim.phase(), Phase::Dd, "conversion must have been refused");
     assert!(sim.stats().conversion_refusals >= 1);

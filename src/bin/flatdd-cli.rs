@@ -182,14 +182,14 @@ fn parse_run_opts(args: &[String]) -> RunOpts {
         };
         match a.as_str() {
             "--engine" => o.engine = val("--engine"),
-            "--threads" => o.threads = val("--threads").parse().unwrap_or(4),
+            "--threads" => o.threads = parse_or_die("--threads", &val("--threads")),
             "--flat-shards" => {
                 o.flat_shards =
                     Some(parse_or_die::<usize>("--flat-shards", &val("--flat-shards")).max(1))
             }
-            "--shots" => o.shots = val("--shots").parse().unwrap_or(0),
-            "--top" => o.top = val("--top").parse().unwrap_or(8),
-            "--seed" => o.seed = val("--seed").parse().unwrap_or(42),
+            "--shots" => o.shots = parse_or_die("--shots", &val("--shots")),
+            "--top" => o.top = parse_or_die("--top", &val("--top")),
+            "--seed" => o.seed = parse_or_die("--seed", &val("--seed")),
             "--expect" => o.expect.push(val("--expect")),
             "--stats" => o.stats = true,
             "--stats-json" => o.stats_json = Some(val("--stats-json")),
@@ -618,7 +618,7 @@ fn cmd_gen(args: &[String]) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => seed = it.next().and_then(|s| s.parse().ok()).unwrap_or(42),
+            "--seed" => seed = parse_or_die("--seed", it.next().map_or("", String::as_str)),
             other if spec.is_empty() && !other.starts_with("--") => spec = other.to_string(),
             other => {
                 eprintln!("unknown flag `{other}`");

@@ -174,9 +174,8 @@ fn every_exit_in_every_lane_is_typed_in_sync_and_resumable() {
 }
 
 /// A budget half the plan memo under what the unbudgeted run ends up
-/// holding (state, output vector, package, plans) is busted mid-span (after
-/// the third of seven steps): the ladder drops the output vector and the
-/// plans and sweeps the package while later fused matrices are still
+/// holding (state, package, plans) is busted mid-span: the ladder drops
+/// the plans and sweeps the package while later fused matrices are still
 /// pending. Those are the sweep's roots; the run must finish exactly.
 #[test]
 fn pressure_sweep_inside_a_fused_span_keeps_the_pending_matrices() {

@@ -243,9 +243,11 @@ fn periodic_checkpoint_mid_fused_span_resumes_exactly() {
     // Fusion folds several original gates into each DMAV matrix; the gate
     // cursor must advance matrix by matrix so a checkpoint written inside
     // the fused span resumes without re-applying (or skipping) gates.
-    // KOperations(4) + every(5) makes the cadence deterministic: with
+    // KOperations(4) + every(4) makes the cadence deterministic: with
     // conversion after gate 12 of 36, the last installed checkpoint lands
-    // at a matrix boundary strictly inside the fused span.
+    // at a matrix boundary strictly inside the fused span. (A k-operations
+    // chunk closes early where its product would have no in-place form, so
+    // this span is 16 matrices of one to four gates.)
     let c = layered_circuit(6);
     assert_eq!(c.num_gates(), 36);
     let cfg = FlatDdConfig {
@@ -260,7 +262,7 @@ fn periodic_checkpoint_mid_fused_span_resumes_exactly() {
 
     let path = tmp_ckpt("fused-periodic");
     let mut sim = FlatDdSimulator::try_new(6, cfg).unwrap();
-    sim.set_checkpoint_policy(Some(CheckpointPolicy::at(&path).every(5)));
+    sim.set_checkpoint_policy(Some(CheckpointPolicy::at(&path).every(4)));
     sim.run(&c).unwrap();
 
     let header = flatdd::read_header(&path).unwrap();

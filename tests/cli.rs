@@ -155,6 +155,21 @@ fn bad_spec_fails_cleanly() {
 }
 
 #[test]
+fn an_unparsable_numeric_flag_is_a_usage_error() {
+    for (flag, raw) in [
+        ("--threads", "abc"),
+        ("--seed", "xyz"),
+        ("--top", "q"),
+        ("--shots", "w"),
+    ] {
+        let out = cli().args(["run", "ghz:3", flag, raw]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag} {raw}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+    }
+}
+
+#[test]
 fn stats_flag_prints_structured_stats() {
     let (stdout, stderr) = run_split(&["run", "dnn:8,3", "--stats", "--threads", "2"]);
     // Human-readable stats belong on stderr, keeping stdout machine-clean.

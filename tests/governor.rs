@@ -1,8 +1,7 @@
 //! End-to-end resource-governor behavior at paper-relevant scale.
 //!
-//! The headline guarantee (ISSUE acceptance): a 26-qubit run whose memory
-//! budget cannot hold the 2^26-amplitude flat array (1 GiB of Complex64,
-//! times two for the conversion scratch buffer) must still complete — the
+//! The headline guarantee: a 26-qubit run whose memory budget cannot hold
+//! the 2^26-amplitude flat array (1 GiB of Complex64) must still complete — the
 //! governor refuses the DD-to-array conversion, records the refusal, and
 //! the run finishes in DD mode instead of aborting or getting OOM-killed.
 
@@ -24,7 +23,7 @@ fn governed(budget_bytes: usize) -> GovernorConfig {
 #[test]
 fn qubits_26_under_1gib_budget_complete_in_dd_mode() {
     // GHZ stays regular, so the DD itself is tiny; AtGate(3) forces a
-    // conversion attempt that needs 2 * 2^26 * 16 B = 2 GiB — far over the
+    // conversion attempt that needs 2^26 * 16 B = 1 GiB — far over the
     // 256 MiB budget. The run must degrade to DD-only, not fail.
     let n = 26;
     let budget = 256usize << 20;
@@ -92,53 +91,44 @@ fn env_lookup_governs_without_code_changes() {
 
 #[test]
 fn conversion_admission_asks_for_the_vectors_the_run_will_hold() {
-    // GHZ keeps the DD tiny, so the budget is about the flat vectors: at
-    // n = 20 one is 16 MiB, and the package's tables account at most 8 MiB
+    // GHZ keeps the DD tiny, so the budget is about the flat vector: at
+    // n = 20 it is 16 MiB, and the package's tables account at most 8 MiB
     // more (less once the ladder's flush has shrunk them). 28 MiB holds one
-    // vector and never two.
+    // vector and never two — and one is all the flat phase holds, fused or
+    // not, on one shard or two (every matrix runs in place).
     let n = 20;
     let c = generators::ghz(n);
-    let cfg = FlatDdConfig {
-        threads: 1,
-        conversion: ConversionPolicy::AtGate(3),
-        governor: governed(28 << 20),
-        ..Default::default()
-    };
-
-    // No fusion on one shard: every gate runs in place, the state is the
-    // only vector, and it fits.
-    let mut sim = FlatDdSimulator::try_new(n, cfg).unwrap();
-    sim.run(&c).unwrap();
-    assert_eq!(sim.phase(), Phase::Dmav);
-    assert_eq!(sim.stats().conversion_refusals, 0);
-    assert!(sim.stats().converted_at.is_some());
-    assert!(state_distance(&sim.amplitudes(), &dense::simulate(&c)) < 1e-12);
-
-    // Fused matrices take the out-of-place walk, so the same budget cannot
-    // hold the run: refused where the conversion asks, not at the first
-    // fused block, and the run completes DD-based.
-    let fused = FlatDdConfig {
-        fusion: FusionPolicy::DmavAware,
-        ..cfg
-    };
-    let mut sim = FlatDdSimulator::try_new(n, fused).unwrap();
-    let outcome = sim.run(&c).unwrap();
-    assert!(outcome.is_complete());
-    assert_eq!(sim.phase(), Phase::Dd);
-    assert_eq!(sim.stats().conversion_refusals, 1);
-    assert_eq!(sim.stats().converted_at, None);
-    assert_eq!(sim.stats().gates_dmav, 0);
+    for fusion in [FusionPolicy::None, FusionPolicy::DmavAware] {
+        for threads in [1, 2] {
+            let cfg = FlatDdConfig {
+                threads,
+                fusion,
+                conversion: ConversionPolicy::AtGate(3),
+                governor: governed(28 << 20),
+                ..Default::default()
+            };
+            let case = format!("{fusion:?} threads={threads}");
+            let mut sim = FlatDdSimulator::try_new(n, cfg).unwrap();
+            assert!(sim.run(&c).unwrap().is_complete(), "{case}");
+            assert_eq!(sim.phase(), Phase::Dmav, "{case}");
+            assert_eq!(sim.stats().conversion_refusals, 0, "{case}");
+            assert!(sim.stats().converted_at.is_some(), "{case}");
+            let d = state_distance(&sim.amplitudes(), &dense::simulate(&c));
+            assert!(d < 1e-12, "{case}: {d:e}");
+        }
+    }
 }
 
 #[test]
-fn output_vector_refused_at_the_point_of_need_is_typed_and_resumable() {
-    // A flat checkpoint resumes with the state alone; under a budget that
-    // cannot hold a second vector the first out-of-place block is refused
-    // before it runs, with the cursor and the state where the checkpoint
-    // left them. Priced by the walk it will take, fusion leaves `dnn`'s
-    // rotations and diagonal layers in place; what still fuses into a
-    // matrix without an in-place form is a permutation — here a SWAP
-    // written as three CXs, which opens the span after the cut.
+fn flat_phase_over_budget_is_typed_and_resumable() {
+    // A flat checkpoint resumes with the state alone. What follows the cut
+    // opens with a SWAP written as three CXs, which fusion once folded into
+    // a permutation with no in-place form; now every fused matrix runs in
+    // place, so a budget of one vector and a half runs the rest of the
+    // circuit. A budget of one vector cannot hold the resumed state beside
+    // the package, whatever the ladder frees: the first step breaches it,
+    // typed, with the cursor and the partial outcome in step, and the run
+    // resumes from its on-breach checkpoint.
     let n = 12;
     let mut c = generators::dnn(n, 1, 3);
     let cut = c.num_gates();
@@ -150,42 +140,51 @@ fn output_vector_refused_at_the_point_of_need_is_typed_and_resumable() {
         fusion: FusionPolicy::DmavAware,
         ..Default::default()
     };
-    let path = std::env::temp_dir().join(format!(
-        "flatdd-governor-test-{}-output-vector.ckpt",
-        std::process::id()
-    ));
+    let path = |tag: &str| {
+        std::env::temp_dir().join(format!(
+            "flatdd-governor-test-{}-{tag}.ckpt",
+            std::process::id()
+        ))
+    };
+    let (at_cut, breach) = (path("cut"), path("breach"));
     let mut first = FlatDdSimulator::try_new(n, unbudgeted).unwrap();
-    first.set_checkpoint_policy(Some(CheckpointPolicy::at(&path)));
+    first.set_checkpoint_policy(Some(CheckpointPolicy::at(&at_cut)));
     first.run_prefix(&c, cut).unwrap();
     assert_eq!(first.phase(), Phase::Dmav);
     first.save_checkpoint().unwrap();
-    let at_cut = first.amplitudes();
+    let want = dense::simulate(&c);
 
-    // The governor is not part of the checkpoint's config fingerprint.
-    let mut budgeted = unbudgeted;
-    // The DD phase's footprint plus one and a half vectors: no relief is
-    // attempted at the point of need, so the tables count in full.
+    // The governor is not part of the checkpoint's config fingerprint. The
+    // DD phase's footprint counts in full: nothing relieves it first.
     let dd_phase = FlatDdSimulator::try_new(n, unbudgeted)
         .unwrap()
         .memory_bytes();
-    budgeted.governor = governed(dd_phase + 3 * (1usize << n) * 16 / 2);
-    let (mut resumed, _) = FlatDdSimulator::resume_from(&path, budgeted, &c).unwrap();
+    let vector = (1usize << n) * 16;
+    let mut budgeted = unbudgeted;
+    budgeted.governor = governed(dd_phase + 3 * vector / 2);
+    let (mut resumed, _) = FlatDdSimulator::resume_from(&at_cut, budgeted, &c).unwrap();
+    assert!(resumed.run_from(&c).unwrap().is_complete());
+    assert!(resumed.stats().fused_matrices > 0);
+    assert!(state_distance(&resumed.amplitudes(), &want) < 1e-12);
+
+    budgeted.governor = governed(vector);
+    let (mut resumed, _) = FlatDdSimulator::resume_from(&at_cut, budgeted, &c).unwrap();
+    resumed.set_checkpoint_policy(Some(CheckpointPolicy::at(&breach)));
     let err = resumed.run_from(&c).unwrap_err();
     match &err {
-        FlatDdError::MemoryBudgetExceeded {
-            context, partial, ..
-        } => {
-            assert_eq!(*context, "DMAV output vector");
-            assert_eq!(partial.gates_applied, cut);
+        FlatDdError::MemoryBudgetExceeded { partial, .. } => {
+            assert_eq!(partial.gates_applied, resumed.gates_applied());
+            assert!(partial.gates_applied >= cut);
             assert_eq!(partial.phase, Phase::Dmav);
         }
         other => panic!("expected MemoryBudgetExceeded, got {other}"),
     }
     assert!(err.is_resumable());
-    assert_eq!(resumed.gates_applied(), cut);
-    assert!(
-        resumed.amplitudes() == at_cut,
-        "the refused gate moved the state"
-    );
-    let _ = std::fs::remove_file(&path);
+    let (mut again, _) = FlatDdSimulator::resume_from(&breach, unbudgeted, &c).unwrap();
+    assert_eq!(again.gates_applied(), resumed.gates_applied());
+    again.run_from(&c).unwrap();
+    assert!(state_distance(&again.amplitudes(), &want) < 1e-12);
+    for p in [at_cut, breach] {
+        let _ = std::fs::remove_file(p);
+    }
 }

@@ -10,7 +10,8 @@
 //! array engines to 1e-12, its readers with their oracles, and itself bit
 //! for bit wherever the design promises it (DESIGN.md §6). Every other pair
 //! of runs is held to 1e-12 and the cases whose bits differ are counted per
-//! pair and printed (`--nocapture`).
+//! pair and printed (`--nocapture`). A run that ends in the flat phase, the
+//! resumed one included, holds exactly one `2^n`-amplitude vector.
 
 mod oracles;
 
@@ -203,6 +204,15 @@ fn compare(pairs: &mut BTreeMap<String, [usize; 2]>, pair: &str, a: &[Complex64]
     *seen = [seen[0] + 1, seen[1] + usize::from(!same_bits(a, b))];
 }
 
+/// Bytes of the flat phase's vectors, from public reads: the simulator's
+/// account less the package's and the plan memo's gauge.
+fn flat_vector_bytes(sim: &FlatDdSimulator) -> usize {
+    sim.publish_metrics();
+    let metrics = sim.context().metrics();
+    let plans = metrics.gauge("plan_cache.memory_bytes").get() as usize;
+    sim.memory_bytes() - sim.package().stats().memory_bytes - plans
+}
+
 /// Runs `c` under `cfg` and returns the simulator; with `telemetry` a
 /// recorder sink listens (and must hear the run) and the trace is on.
 fn run(c: &Circuit, mut cfg: FlatDdConfig, telemetry: bool) -> FlatDdSimulator {
@@ -276,6 +286,11 @@ fn every_configuration_reaches_the_dense_state() {
             (0, stats.gates_dmav),
             "{case}: every DMAV is an Algorithm 1 walk"
         );
+        let one_vector = (1usize << n) * std::mem::size_of::<Complex64>();
+        if sim.phase() == Phase::Dmav {
+            let held = flat_vector_bytes(&sim);
+            assert_eq!(held, one_vector, "{case}: the flat phase holds one vector");
+        }
 
         // Its readers.
         oracles::assert_top_amplitudes_match_the_oracles(&sim, &case);
@@ -324,6 +339,13 @@ fn every_configuration_reaches_the_dense_state() {
         let _ = std::fs::remove_file(&path);
         let flat_checkpoint = resumed.phase() == Phase::Dmav;
         resumed.run_from(&c).unwrap();
+        if resumed.phase() == Phase::Dmav {
+            let held = flat_vector_bytes(&resumed);
+            assert_eq!(
+                held, one_vector,
+                "{case}: resumed at gate {cut}, one vector"
+            );
+        }
         let after = resumed.amplitudes();
         let d = state_distance(&after, &got);
         assert!(d < tol, "{case}: resumed at gate {cut}, {d:e} away");
@@ -332,11 +354,10 @@ fn every_configuration_reaches_the_dense_state() {
 
         let metrics = sim.context().metrics();
         let counter = |name: &str| metrics.counter(name).get();
-        let (in_place, widenings) = (counter("core.dmav_in_place"), counter("sim.widenings"));
+        let widenings = counter("sim.widenings");
         let active = metrics.gauge("sim.active_qubits").get() as u64;
         let (converted, fused) = (stats.converted_at.is_some(), stats.fused_matrices > 0);
         let never = conv == ConversionPolicy::Never && sim.phase() == Phase::Dd;
-        let out_of_place = stats.uncached_dmavs as u64 > in_place;
         let dmav_aware = fused && fus == FusionPolicy::DmavAware;
         let k_operations = fused && matches!(fus, FusionPolicy::KOperations(_));
         let folds = sim
@@ -348,8 +369,7 @@ fn every_configuration_reaches_the_dense_state() {
         for (what, hit) in [
             ("conversion", converted),
             ("Never ending in DD", never),
-            ("in-place DMAV", in_place > 0),
-            ("out-of-place DMAV", out_of_place),
+            ("flat-phase DMAV", stats.gates_dmav > 0),
             ("DmavAware fusion", dmav_aware),
             ("KOperations fusion", k_operations),
             ("flat step of several gates", folds),

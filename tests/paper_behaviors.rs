@@ -228,3 +228,26 @@ fn never_policy_is_ddsim_equivalent() {
     let b = qdd::sim::simulate(&c);
     assert!(qcircuit::complex::state_distance(&a, &b) < 1e-10);
 }
+
+#[test]
+fn dmav_aware_fusion_keeps_knn_in_several_small_matrices() {
+    // After knn converts, its controlled swaps fold into a permutation with
+    // no in-place form; a price that kept such products folded the whole
+    // flat phase into one matrix of 7,712 (m = 6) to 117,983 (m = 8) peak
+    // matrix nodes. Fusion now refuses them: the flat phase runs 15-21
+    // matrices and the package peaks at a few hundred matrix nodes.
+    for m in 6..=8 {
+        let c = generators::knn(m, 7);
+        let cfg = FlatDdConfig {
+            threads: 1,
+            fusion: FusionPolicy::DmavAware,
+            ..Default::default()
+        };
+        let mut sim = FlatDdSimulator::new(c.num_qubits(), cfg);
+        sim.run(&c).unwrap();
+        assert!(sim.stats().converted_at.is_some(), "knn({m}) converts");
+        assert!(sim.stats().fused_matrices > 1, "knn({m}): one product");
+        let peak = sim.package().stats().peak_m_nodes;
+        assert!(peak < 2_000, "knn({m}): {peak} peak matrix nodes");
+    }
+}

@@ -53,10 +53,9 @@ pub struct Progress {
     pub governor_rung: u32,
     /// Flat-state shard count in use (0 during the DD phase).
     pub shard_fill: usize,
-    /// Run span id (see [`qtelemetry::Span`]); 0 before the run starts.
-    pub run_span: u64,
-    /// Current phase span id; 0 before the run starts.
-    pub phase_span: u64,
+    /// Telemetry id of the publishing simulator, the `sim` of its events
+    /// (`FlatDdSimulator::telemetry_id`).
+    pub sim: u64,
 }
 
 impl Progress {
@@ -73,8 +72,7 @@ impl Progress {
             w.key("dd_nodes").uint(self.dd_nodes as u64);
             w.key("governor_rung").uint(self.governor_rung.into());
             w.key("shard_fill").uint(self.shard_fill as u64);
-            w.key("run_span").uint(self.run_span);
-            w.key("phase_span").uint(self.phase_span).end_obj();
+            w.key("sim").uint(self.sim).end_obj();
         })
     }
 }
@@ -339,8 +337,7 @@ mod tests {
             dd_nodes: 4,
             governor_rung: 0,
             shard_fill: 0,
-            run_span: 1,
-            phase_span: 2,
+            sim: 1,
         }
     }
 
@@ -388,7 +385,7 @@ mod tests {
         assert!(j.starts_with("{\"event\":\"progress\",\"seq\":1,"), "{j}");
         assert!(j.contains("\"gate\":7"));
         assert!(j.contains("\"phase\":\"dd\""));
-        assert!(j.contains("\"run_span\":1"));
+        assert!(j.contains("\"sim\":1"));
         assert!(j.ends_with('}'));
     }
 

@@ -725,8 +725,11 @@ fn execute_job(
     if let Some(f) = spec.approx_fidelity_floor {
         governor.approx_fidelity_floor = Some(f);
     }
+    // `trace` keeps one record per step, so the job's per-step latency
+    // histograms count every step, as under the CLI's `--metrics-out`.
     let mut cfg = FlatDdConfig {
         threads: spec.threads,
+        trace: true,
         governor,
         ..Default::default()
     };

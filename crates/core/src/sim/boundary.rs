@@ -225,8 +225,7 @@ impl Boundary {
             dd_nodes,
             governor_rung,
             shard_fill,
-            run_span: core.run_span.id,
-            phase_span: core.phase_span.id,
+            sim: core.telemetry_id,
         });
         (self.progress_at, self.progress_cursor) = (Some(now), core.cursor);
     }

@@ -112,18 +112,11 @@ impl FlatDdSimulator {
             self.boundary.active_circuit_hash = checkpoint::circuit_fingerprint(circuit);
         }
 
-        // Span identities exist even with no sink installed: the daemon's
-        // NDJSON progress stream carries the ids while timed Span *events*
-        // stay behind `enabled()`.
         let core = &mut self.core;
-        core.run_span = qtelemetry::Span::root();
-        core.phase_span = core.run_span.child();
-        let run_start_us = qtelemetry::now_us();
-        core.phase_start_us = run_start_us;
         if qtelemetry::enabled() {
             qtelemetry::emit(qtelemetry::Event::RunStart {
                 sim: core.telemetry_id,
-                ts_us: run_start_us,
+                ts_us: qtelemetry::now_us(),
                 qubits: core.n,
                 threads: core.t,
                 gates: gates.len(),
@@ -137,14 +130,6 @@ impl FlatDdSimulator {
             flat.clear_fused();
         }
         self.boundary.publish_progress(core, phase, true);
-        let phase_name = match phase {
-            PhaseState::Dd(_) => "phase.dd",
-            PhaseState::Flat(_) => "phase.dmav",
-        };
-        core.end_span(core.phase_span, phase_name, core.phase_start_us);
-        core.end_span(core.run_span, "run", run_start_us);
-        core.run_span = qtelemetry::Span::none();
-        core.phase_span = qtelemetry::Span::none();
         if qtelemetry::enabled() {
             qtelemetry::emit(qtelemetry::Event::RunEnd {
                 sim: core.telemetry_id,

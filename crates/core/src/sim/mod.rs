@@ -82,14 +82,6 @@ pub(crate) struct Core {
     conversion_blocked: bool,
     /// Process-unique id stamped on this simulator's telemetry events.
     telemetry_id: u64,
-    /// Span of the enclosing `run`/`run_from` ([`qtelemetry::Span::none`]
-    /// outside a run); progress samples and span events carry its id so
-    /// concurrent jobs' traces stay separable.
-    run_span: qtelemetry::Span,
-    /// Span of the current phase segment (DD or DMAV) within the run.
-    phase_span: qtelemetry::Span,
-    /// Telemetry-clock µs at which `phase_span` started.
-    phase_start_us: f64,
     /// Cached metric handles (one registry lookup per simulator, one
     /// relaxed add per gate).
     ctr_gates_dd: qtelemetry::Counter,
@@ -196,27 +188,6 @@ impl Core {
             format!("at_gate={} memory_bytes={memory_bytes}", self.cursor)
         });
     }
-
-    /// Emits a timed [`qtelemetry::Event::Span`] for `span`.
-    fn emit_span(&self, span: qtelemetry::Span, name: &'static str, ts_us: f64, dur_us: f64) {
-        qtelemetry::emit(qtelemetry::Event::Span {
-            sim: self.telemetry_id,
-            ts_us,
-            dur_us,
-            id: span.id,
-            parent: span.parent,
-            name,
-        });
-    }
-
-    /// Closes `span` now (no-op for [`qtelemetry::Span::none`] or when
-    /// telemetry is off).
-    fn end_span(&self, span: qtelemetry::Span, name: &'static str, start_us: f64) {
-        if !span.is_none() && qtelemetry::enabled() {
-            let dur_us = (qtelemetry::now_us() - start_us).max(0.0);
-            self.emit_span(span, name, start_us, dur_us);
-        }
-    }
 }
 
 /// The FlatDD hybrid simulator.
@@ -272,9 +243,6 @@ impl FlatDdSimulator {
             run_total: None,
             conversion_blocked: false,
             telemetry_id: qtelemetry::next_id(),
-            run_span: qtelemetry::Span::none(),
-            phase_span: qtelemetry::Span::none(),
-            phase_start_us: 0.0,
             ctr_gates_dd: metrics.counter("core.gates_dd"),
             ctr_gates_dmav: metrics.counter("core.gates_dmav"),
             hist_convert: metrics.histogram("sim.conversion_us"),
@@ -370,12 +338,13 @@ impl FlatDdSimulator {
     }
 
     /// Forces the DD-to-DMAV conversion (parallel DD-to-array, Section
-    /// 3.1.2), regardless of policy. The memory budget still applies: a
+    /// 3.1.2), regardless of policy; its `conversion` event names the
+    /// policy `"manual"`. The memory budget still applies: a
     /// conversion that cannot fit is counted as a refusal and returned as
     /// [`FlatDdError::MemoryBudgetExceeded`] (callers on the automatic path
     /// treat that as "stay in DD mode").
     pub fn convert_now(&mut self) -> Result<(), FlatDdError> {
-        phase::convert(&mut self.core, &mut self.phase)
+        phase::convert(&mut self.core, &mut self.phase, None)
     }
 
     /// Converts the state back from the flat array to a DD (the reverse of

@@ -129,13 +129,18 @@ impl PhaseState {
     }
 }
 
-/// Converts the DD phase in `*phase` into a flat phase, regardless of
-/// policy (no-op when already flat). The memory budget still applies: a
-/// conversion that cannot fit — by admission or by allocator refusal — is
-/// counted as a refusal, leaves the DD phase untouched, and returns the
-/// typed error (callers on the automatic path treat that as "stay in DD
-/// mode").
-pub(super) fn convert(core: &mut Core, phase: &mut PhaseState) -> Result<(), FlatDdError> {
+/// Converts the DD phase in `*phase` into a flat phase (no-op when already
+/// flat). `policy` is the DD size and EWMA value the conversion policy
+/// fired on, `None` for a forced conversion; the `conversion` event
+/// records it. The memory budget still applies: a conversion that cannot
+/// fit — by admission or by allocator refusal — is counted as a refusal,
+/// leaves the DD phase untouched, and returns the typed error (callers on
+/// the automatic path treat that as "stay in DD mode").
+pub(super) fn convert(
+    core: &mut Core,
+    phase: &mut PhaseState,
+    policy: Option<(usize, f64)>,
+) -> Result<(), FlatDdError> {
     let PhaseState::Dd(dd) = &*phase else {
         return Ok(());
     };
@@ -208,34 +213,17 @@ pub(super) fn convert(core: &mut Core, phase: &mut PhaseState) -> Result<(), Fla
                 dur_us: breakdown.worker_nanos.get(i).copied().unwrap_or(0) as f64 / 1e3,
             })
             .collect();
-        let conv_start_us = ts_us.unwrap_or(0.0);
-        let dur_us = core.stats.conversion_seconds * 1e6;
         qtelemetry::emit(qtelemetry::Event::Conversion {
             sim: core.telemetry_id,
-            ts_us: conv_start_us,
-            dur_us,
+            ts_us: ts_us.unwrap_or(0.0),
+            dur_us: core.stats.conversion_seconds * 1e6,
             at_gate: core.cursor,
+            policy: policy.map_or("manual", |_| core.cfg.conversion.label()),
+            dd_size: policy.map(|(size, _)| size),
+            ewma: policy.map(|(_, ewma)| ewma),
             workers,
             scalar_tasks: breakdown.scalar_tasks,
         });
-        // Span tree for the conversion: one span under the run (a root span
-        // outside a run), one child per fill worker, so the trace viewer
-        // separates concurrent jobs' conversions.
-        let conv_span = if core.run_span.is_none() {
-            qtelemetry::Span::root()
-        } else {
-            core.run_span.child()
-        };
-        for &nanos in breakdown.worker_nanos.iter() {
-            let worker = conv_span.child();
-            core.emit_span(
-                worker,
-                "conversion.worker",
-                conv_start_us,
-                nanos as f64 / 1e3,
-            );
-        }
-        core.emit_span(conv_span, "conversion", conv_start_us, dur_us);
     }
     let fixed = Fixed {
         mask,
@@ -248,38 +236,16 @@ pub(super) fn convert(core: &mut Core, phase: &mut PhaseState) -> Result<(), Fla
     Ok(())
 }
 
-/// The automatic path: converts because the policy asked. A transition is
-/// announced as a [`qtelemetry::Event::PhaseTransition`]
-/// (`FlatDdStats::converted_at` is the record when telemetry is off) and
-/// rotates the phase span; a refusal pins the run to the DD phase and is
-/// not an error.
+/// The automatic path: converts because the policy asked, at `dd_size`
+/// and `ewma`; a refusal pins the run to the DD phase and is not an error.
 pub(super) fn convert_on_policy(
     core: &mut Core,
     phase: &mut PhaseState,
     dd_size: usize,
     ewma: f64,
 ) -> Result<(), FlatDdError> {
-    match convert(core, phase) {
-        Ok(()) => {
-            if qtelemetry::enabled() {
-                qtelemetry::emit(qtelemetry::Event::PhaseTransition {
-                    sim: core.telemetry_id,
-                    ts_us: qtelemetry::now_us(),
-                    at_gate: core.cursor,
-                    dd_size,
-                    ewma,
-                    policy: core.cfg.conversion.label(),
-                });
-            }
-            // Rotate the phase span: the DD segment ends here, the DMAV
-            // segment starts (inside a run only).
-            core.end_span(core.phase_span, "phase.dd", core.phase_start_us);
-            if !core.run_span.is_none() {
-                core.phase_span = core.run_span.child();
-                core.phase_start_us = qtelemetry::now_us();
-            }
-            Ok(())
-        }
+    match convert(core, phase, Some((dd_size, ewma))) {
+        Ok(()) => Ok(()),
         Err(FlatDdError::MemoryBudgetExceeded { .. } | FlatDdError::AllocationFailed { .. }) => {
             // Graceful degradation: stay DD-based and stop re-attempting
             // on every subsequent gate.

@@ -3,10 +3,12 @@
 //! [`chrome_trace_json`] renders a recorded event stream as a JSON object
 //! with a `traceEvents` array, loadable in `chrome://tracing` or Perfetto.
 //! Layout: each simulator is a *process* (pid = simulator id) with fixed
-//! *threads* — tid 0 carries the DD/DMAV phase spans, conversion and fusion
-//! spans, and phase-transition markers; tid 1 carries per-gate spans; tid 2
-//! GC sweeps; tid 3 governor and watchdog instants;
-//! tid `10 + w` the conversion fill sub-span of worker `w`.
+//! *threads* — tid 0 carries each run's DD/DMAV phase spans, the
+//! conversion, fusion and checkpoint spans, and the run start/end
+//! instants; tid 1 carries per-gate spans; tid 2 GC sweeps; tid 3 governor
+//! and watchdog instants; tid `10 + w` the conversion fill of worker `w`.
+//! Every event is drawn once; the phase spans are the only derived
+//! entries.
 
 use crate::event::Event;
 use crate::json::Writer;
@@ -16,7 +18,6 @@ const TID_PHASES: u64 = 0;
 const TID_GATES: u64 = 1;
 const TID_GC: u64 = 2;
 const TID_GOVERNOR: u64 = 3;
-const TID_SPANS: u64 = 4;
 const TID_WORKER_BASE: u64 = 10;
 
 /// Opens one `traceEvents` entry with its `name, ph, pid, tid` header.
@@ -51,15 +52,38 @@ fn thread_name(w: &mut Writer, pid: u64, tid: u64, name: &str) {
     close(w);
 }
 
-/// Per-simulator bookkeeping for the derived DD/DMAV phase spans.
+/// A run between its `run_start` and `run_end`: where it started, in
+/// which phase, and the conversion inside it, if any.
+struct Run {
+    start: f64,
+    phase: &'static str,
+    conv: Option<(f64, f64)>, // (start ts, dur)
+}
+
+impl Run {
+    /// The run's phase spans, ending at `end` (see [`chrome_trace_json`]).
+    fn draw(&self, w: &mut Writer, sim: u64, end: f64) {
+        let mut phase = |name: &str, from: f64, to: f64| {
+            span(w, name, sim, TID_PHASES, from, to - from);
+            close(w);
+        };
+        match self.conv {
+            Some((ts, dur)) => {
+                phase("dd phase", self.start, ts);
+                phase("dmav phase", ts + dur, end);
+            }
+            None if self.phase == "dmav" => phase("dmav phase", self.start, end),
+            None => phase("dd phase", self.start, end),
+        }
+    }
+}
+
+/// Per-simulator bookkeeping: the open run and the tracks to name.
 #[derive(Default)]
 struct SimTimeline {
-    start: Option<(f64, &'static str)>,
-    conv: Option<(f64, f64)>, // (start ts, dur)
-    end: Option<f64>,
+    run: Option<Run>,
     max_ts: f64,
     max_worker: Option<usize>,
-    has_spans: bool,
     has_gc: bool,
 }
 
@@ -73,11 +97,12 @@ impl SimTimeline {
 
 /// Renders `events` as a Chrome-trace JSON document.
 ///
-/// In addition to one entry per recorded event, the exporter derives
-/// top-level phase spans per simulator: with a conversion recorded, a
-/// `"dd phase"` span from run start to conversion start and a
-/// `"dmav phase"` span from conversion end to run end; without one, a
-/// single span covering the whole run, named after its starting phase.
+/// In addition to one entry per recorded event, the exporter derives each
+/// run's phase spans from that run's own `run_start`, `conversion` and
+/// `run_end`: with a conversion, `"dd phase"` up to its start and
+/// `"dmav phase"` from its end; without one, a single span named after the
+/// starting phase. A run the stream does not end closes at the
+/// simulator's last recorded timestamp.
 pub fn chrome_trace_json(events: &[Event]) -> String {
     let mut out = String::new();
     let t = &mut Writer::new(&mut out);
@@ -95,9 +120,11 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 phase,
             } => {
                 let tl = sims.entry(*sim).or_default();
-                if tl.start.is_none() {
-                    tl.start = Some((*ts_us, phase));
-                }
+                tl.run = Some(Run {
+                    start: *ts_us,
+                    phase,
+                    conv: None,
+                });
                 tl.see(*ts_us);
                 instant(t, "run_start", *sim, TID_PHASES, *ts_us);
                 t.key("qubits").uint(*qubits as u64);
@@ -113,7 +140,9 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 ok,
             } => {
                 let tl = sims.entry(*sim).or_default();
-                tl.end = Some(*ts_us);
+                if let Some(run) = tl.run.take() {
+                    run.draw(t, *sim, *ts_us);
+                }
                 tl.see(*ts_us);
                 instant(t, "run_end", *sim, TID_PHASES, *ts_us);
                 t.key("gates_applied").uint(*gates_applied as u64);
@@ -160,37 +189,31 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 }
                 close(t);
             }
-            Event::PhaseTransition {
-                sim,
-                ts_us,
-                at_gate,
-                dd_size,
-                ewma,
-                policy,
-            } => {
-                sims.entry(*sim).or_default().see(*ts_us);
-                instant(t, "phase_transition", *sim, TID_PHASES, *ts_us);
-                t.key("at_gate").uint(*at_gate as u64);
-                t.key("dd_size").uint(*dd_size as u64);
-                t.key("ewma").num(*ewma);
-                t.key("policy").string(policy);
-                close(t);
-            }
             Event::Conversion {
                 sim,
                 ts_us,
                 dur_us,
                 at_gate,
+                policy,
+                dd_size,
+                ewma,
                 workers,
                 scalar_tasks,
             } => {
                 let tl = sims.entry(*sim).or_default();
-                if tl.conv.is_none() {
-                    tl.conv = Some((*ts_us, *dur_us));
+                if let Some(run) = &mut tl.run {
+                    run.conv = Some((*ts_us, *dur_us));
                 }
                 tl.see(*ts_us + *dur_us);
                 span(t, "conversion", *sim, TID_PHASES, *ts_us, *dur_us);
                 t.key("at_gate").uint(*at_gate as u64);
+                t.key("policy").string(policy);
+                if let Some(s) = dd_size {
+                    t.key("dd_size").uint(*s as u64);
+                }
+                if let Some(e) = ewma {
+                    t.key("ewma").num(*e);
+                }
                 t.key("workers").uint(workers.len() as u64);
                 t.key("scalar_tasks").uint(*scalar_tasks as u64);
                 close(t);
@@ -299,68 +322,17 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 t.key("action").string(action);
                 close(t);
             }
-            Event::Span {
-                sim,
-                ts_us,
-                dur_us,
-                id,
-                parent,
-                name,
-            } => {
-                let tl = sims.entry(*sim).or_default();
-                tl.has_spans = true;
-                tl.see(*ts_us + *dur_us);
-                span(t, name, *sim, TID_SPANS, *ts_us, *dur_us);
-                t.key("span").uint(*id);
-                t.key("parent").uint(*parent);
-                close(t);
-            }
         }
     }
 
-    // Derived phase spans + thread-name metadata.
+    // Runs the stream leaves open, and thread-name metadata.
     for (sim, tl) in &sims {
-        if let Some((start_ts, start_phase)) = tl.start {
-            let end_ts = tl.end.unwrap_or(tl.max_ts);
-            match tl.conv {
-                Some((conv_ts, conv_dur)) => {
-                    span(
-                        t,
-                        "dd phase",
-                        *sim,
-                        TID_PHASES,
-                        start_ts,
-                        conv_ts - start_ts,
-                    );
-                    close(t);
-                    let dmav_start = conv_ts + conv_dur;
-                    span(
-                        t,
-                        "dmav phase",
-                        *sim,
-                        TID_PHASES,
-                        dmav_start,
-                        end_ts - dmav_start,
-                    );
-                    close(t);
-                }
-                None => {
-                    let name = if start_phase == "dmav" {
-                        "dmav phase"
-                    } else {
-                        "dd phase"
-                    };
-                    span(t, name, *sim, TID_PHASES, start_ts, end_ts - start_ts);
-                    close(t);
-                }
-            }
+        if let Some(run) = &tl.run {
+            run.draw(t, *sim, tl.max_ts);
         }
         thread_name(t, *sim, TID_PHASES, "phases");
         thread_name(t, *sim, TID_GATES, "gates");
         thread_name(t, *sim, TID_GOVERNOR, "governor/watchdog");
-        if tl.has_spans {
-            thread_name(t, *sim, TID_SPANS, "spans");
-        }
         if tl.has_gc {
             thread_name(t, *sim, TID_GC, "dd gc");
         }
@@ -380,6 +352,7 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
 mod tests {
     use super::*;
     use crate::event::WorkerFill;
+    use crate::json::{self, Json};
 
     #[test]
     fn empty_stream_is_valid_shell() {
@@ -410,19 +383,14 @@ mod tests {
                 plan_hit: None,
                 fused: false,
             },
-            Event::PhaseTransition {
-                sim: 3,
-                ts_us: 4.0,
-                at_gate: 1,
-                dd_size: 8,
-                ewma: 7.5,
-                policy: "ewma",
-            },
             Event::Conversion {
                 sim: 3,
                 ts_us: 4.0,
                 dur_us: 6.0,
                 at_gate: 1,
+                policy: "ewma",
+                dd_size: Some(8),
+                ewma: Some(7.5),
                 workers: vec![WorkerFill {
                     worker: 0,
                     tasks: 4,
@@ -474,41 +442,70 @@ mod tests {
         assert!(s.contains("\"name\":\"fill\""));
         assert!(s.contains("\"name\":\"dd phase\""));
         assert!(s.contains("\"name\":\"dmav phase\""));
-        assert!(s.contains("\"name\":\"phase_transition\""));
+        assert!(s.contains("\"policy\":\"ewma\""));
         assert!(s.contains("\"name\":\"conversion worker 0\""));
         assert!(s.contains("\"plan_hit\":\"hit\""));
         // Worker fill sub-span lands on tid 10.
         assert!(s.contains("\"tid\":10"));
     }
 
+    /// Each run's phase spans come from that run's own events: two runs
+    /// of one simulator with an idle gap between them, the first
+    /// converting, draw `dd phase` and `dmav phase` inside the first and a
+    /// second `dmav phase` inside the second, none across the gap.
     #[test]
-    fn span_events_render_on_their_own_track() {
-        let run = crate::span::Span::root();
-        let phase = run.child();
+    fn phase_spans_stay_inside_their_run() {
+        let start = |ts_us, phase| Event::RunStart {
+            sim: 4,
+            ts_us,
+            qubits: 2,
+            threads: 1,
+            gates: 2,
+            phase,
+        };
+        let end = |ts_us| Event::RunEnd {
+            sim: 4,
+            ts_us,
+            gates_applied: 2,
+            phase: "dmav",
+            ok: true,
+        };
         let events = vec![
-            Event::Span {
-                sim: 5,
-                ts_us: 0.0,
-                dur_us: 10.0,
-                id: run.id,
-                parent: run.parent,
-                name: "run",
+            start(0.0, "dd"),
+            Event::Conversion {
+                sim: 4,
+                ts_us: 2.0,
+                dur_us: 1.0,
+                at_gate: 1,
+                policy: "manual",
+                dd_size: None,
+                ewma: None,
+                workers: Vec::new(),
+                scalar_tasks: 0,
             },
-            Event::Span {
-                sim: 5,
-                ts_us: 0.0,
-                dur_us: 4.0,
-                id: phase.id,
-                parent: phase.parent,
-                name: "phase.dd",
-            },
+            end(5.0),
+            start(100.0, "dmav"),
+            end(110.0),
         ];
         let s = chrome_trace_json(&events);
-        assert!(s.contains("\"name\":\"run\""));
-        assert!(s.contains("\"name\":\"phase.dd\""));
-        assert!(s.contains(&format!("\"parent\":{}", run.id)));
-        assert!(s.contains("\"tid\":4"), "span track is tid 4");
-        assert!(s.contains("\"name\":\"spans\""), "span track is named");
+        let Some(Json::Arr(entries)) = json::parse(&s).unwrap().get("traceEvents").cloned() else {
+            panic!("{s}");
+        };
+        let phases: Vec<(&str, f64, f64)> = entries
+            .iter()
+            .filter_map(|e| {
+                let name = e.get("name")?.as_str().filter(|n| n.ends_with(" phase"))?;
+                Some((name, e.get("ts")?.as_f64()?, e.get("dur")?.as_f64()?))
+            })
+            .collect();
+        assert_eq!(
+            phases,
+            [
+                ("dd phase", 0.0, 2.0),
+                ("dmav phase", 3.0, 2.0),
+                ("dmav phase", 100.0, 10.0)
+            ]
+        );
     }
 
     #[test]

@@ -84,22 +84,8 @@ pub enum Event {
         /// original circuit gate.
         fused: bool,
     },
-    /// The conversion policy fired: the run switches from DD to DMAV.
-    PhaseTransition {
-        /// Emitting simulator id.
-        sim: u64,
-        /// Timestamp (µs).
-        ts_us: f64,
-        /// Gate index after which the transition happens.
-        at_gate: usize,
-        /// State-vector DD size at the transition.
-        dd_size: usize,
-        /// EWMA monitor value at the transition.
-        ewma: f64,
-        /// Conversion policy label (`"ewma"`, `"at-gate"`, ...).
-        policy: &'static str,
-    },
-    /// The parallel DD-to-array conversion, with its load-balance breakdown.
+    /// The DD-to-DMAV transition: the parallel DD-to-array conversion,
+    /// why it ran, and its load-balance breakdown.
     Conversion {
         /// Emitting simulator id.
         sim: u64,
@@ -109,6 +95,13 @@ pub enum Event {
         dur_us: f64,
         /// Gate index after which the conversion ran.
         at_gate: usize,
+        /// What asked for it: the conversion policy's label (`"ewma"`,
+        /// `"at-gate"`, ...), or `"manual"` for a forced conversion.
+        policy: &'static str,
+        /// State-vector DD size the policy saw (`None` when manual).
+        dd_size: Option<usize>,
+        /// EWMA monitor value the policy saw (`None` when manual).
+        ewma: Option<f64>,
         /// Per-worker fill spans.
         workers: Vec<WorkerFill>,
         /// Deferred scalar-multiplication tasks (the Figure 4b optimization).
@@ -192,25 +185,6 @@ pub enum Event {
         /// Action label (`error`, `panic`, `nan`, `truncate`, `bitflip`).
         action: &'static str,
     },
-    /// A completed span: the run → phase → conversion-worker hierarchy,
-    /// emitted at span *end* with the start timestamp and duration already
-    /// measured. `id`/`parent` come from [`crate::span::Span`], so traces
-    /// from concurrent jobs in one daemon stay separable per job.
-    Span {
-        /// Emitting simulator id.
-        sim: u64,
-        /// Span start timestamp (µs).
-        ts_us: f64,
-        /// Span duration (µs).
-        dur_us: f64,
-        /// Process-unique span id.
-        id: u64,
-        /// Owning span id ([`crate::span::NO_PARENT`] for run roots).
-        parent: u64,
-        /// Span name (`"run"`, `"phase.dd"`, `"phase.dmav"`,
-        /// `"conversion"`, `"conversion.worker"`).
-        name: &'static str,
-    },
 }
 
 impl Event {
@@ -220,7 +194,6 @@ impl Event {
             Event::RunStart { .. } => "run_start",
             Event::RunEnd { .. } => "run_end",
             Event::Gate { .. } => "gate",
-            Event::PhaseTransition { .. } => "phase_transition",
             Event::Conversion { .. } => "conversion",
             Event::Fusion { .. } => "fusion",
             Event::GcSweep { .. } => "gc_sweep",
@@ -234,7 +207,6 @@ impl Event {
                 }
             }
             Event::Fault { .. } => "fault_injected",
-            Event::Span { .. } => "span",
         }
     }
 
@@ -304,24 +276,14 @@ impl Event {
                     w.key("fused").bool(true);
                 }
             }
-            Event::PhaseTransition {
-                sim,
-                ts_us,
-                at_gate,
-                dd_size,
-                ewma,
-                policy,
-            } => {
-                w.key("sim").uint(*sim).key("ts_us").num(*ts_us);
-                w.key("at_gate").uint(*at_gate as u64);
-                w.key("dd_size").uint(*dd_size as u64);
-                w.key("ewma").num(*ewma).key("policy").string(policy);
-            }
             Event::Conversion {
                 sim,
                 ts_us,
                 dur_us,
                 at_gate,
+                policy,
+                dd_size,
+                ewma,
                 workers,
                 scalar_tasks,
             } => {
@@ -330,6 +292,14 @@ impl Event {
                     .num(*dur_us)
                     .key("at_gate")
                     .uint(*at_gate as u64);
+                // A forced conversion writes null, not nothing, for the
+                // policy state it did not have.
+                w.key("policy").string(policy).key("dd_size");
+                match dd_size {
+                    Some(s) => w.uint(*s as u64),
+                    None => w.null(),
+                };
+                w.key("ewma").num(ewma.unwrap_or(f64::NAN)); // NaN is null
                 w.key("scalar_tasks").uint(*scalar_tasks as u64);
                 w.key("workers").begin_arr();
                 for f in workers {
@@ -406,18 +376,6 @@ impl Event {
                 w.key("ts_us").num(*ts_us).key("site").string(site);
                 w.key("action").string(action);
             }
-            Event::Span {
-                sim,
-                ts_us,
-                dur_us,
-                id,
-                parent,
-                name,
-            } => {
-                w.key("sim").uint(*sim).key("ts_us").num(*ts_us);
-                w.key("dur_us").num(*dur_us).key("id").uint(*id);
-                w.key("parent").uint(*parent).key("name").string(name);
-            }
         }
         w.end_obj();
         o
@@ -461,6 +419,9 @@ mod tests {
             ts_us: 0.0,
             dur_us: 100.0,
             at_gate: 9,
+            policy: "ewma",
+            dd_size: Some(300),
+            ewma: Some(212.5),
             workers: vec![
                 WorkerFill {
                     worker: 0,
@@ -480,6 +441,25 @@ mod tests {
         let s = e.to_jsonl();
         assert!(s.contains("\"workers\":[{\"worker\":0,\"tasks\":3,\"amps\":4096,\"dur_us\":50}"));
         assert!(s.contains("\"scalar_tasks\":1"));
+        assert!(s.contains("\"at_gate\":9,\"policy\":\"ewma\",\"dd_size\":300,\"ewma\":212.5,"));
+
+        // A forced conversion names no policy state: null, not omitted.
+        let manual = Event::Conversion {
+            sim: 1,
+            ts_us: 0.0,
+            dur_us: 100.0,
+            at_gate: 9,
+            policy: "manual",
+            dd_size: None,
+            ewma: None,
+            workers: Vec::new(),
+            scalar_tasks: 0,
+        };
+        let s = manual.to_jsonl();
+        assert!(
+            s.contains("\"policy\":\"manual\",\"dd_size\":null,\"ewma\":null,"),
+            "{s}"
+        );
     }
 
     #[test]
@@ -519,23 +499,6 @@ mod tests {
         assert!(s.starts_with("{\"type\":\"fault_injected\""), "{s}");
         assert!(s.contains("\"site\":\"alloc.flat\""));
         assert!(s.contains("\"action\":\"error\""));
-    }
-
-    #[test]
-    fn span_event_jsonl_shape() {
-        let e = Event::Span {
-            sim: 3,
-            ts_us: 5.0,
-            dur_us: 20.0,
-            id: 101,
-            parent: 100,
-            name: "phase.dd",
-        };
-        let s = e.to_jsonl();
-        assert!(s.starts_with("{\"type\":\"span\""), "{s}");
-        assert!(s.contains("\"id\":101"));
-        assert!(s.contains("\"parent\":100"));
-        assert!(s.contains("\"name\":\"phase.dd\""));
     }
 
     #[test]

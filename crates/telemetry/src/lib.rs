@@ -3,16 +3,16 @@
 //! Three coordinated surfaces, written by `flatdd` (the DD and array
 //! crates do no telemetry: they return data, and `flatdd` records it):
 //!
-//! * **Structured events** ([`event::Event`]): per-gate records, phase
-//!   transitions, DD-to-array conversions (with a per-worker load-balance
-//!   breakdown), garbage-collection sweeps, resource-governor decisions,
-//!   and watchdog checks. Events flow through pluggable [`sink::EventSink`]s
+//! * **Structured events** ([`event::Event`]): run starts and ends,
+//!   per-gate records, the DD-to-array conversion (why it ran, with a
+//!   per-worker load-balance breakdown), garbage-collection sweeps,
+//!   resource-governor decisions, and watchdog checks. Events flow through pluggable [`sink::EventSink`]s
 //!   — a JSONL file writer ([`sink::JsonlSink`]) and an in-memory recorder
 //!   ([`sink::Recorder`]) ship with the crate.
 //! * **Chrome-trace export** ([`chrome::chrome_trace_json`]): renders a
 //!   recorded event stream as a `chrome://tracing` / Perfetto timeline —
-//!   the DD phase, the conversion (with per-worker fill sub-spans), DMAV
-//!   gate spans, fusion groups, GC sweeps.
+//!   each run's DD and DMAV phases, the conversion (with per-worker fill
+//!   sub-spans), DMAV gate spans, fusion groups, GC sweeps.
 //! * **Metrics registry** ([`metrics`]): process-global named counters,
 //!   gauges, and labels backed by relaxed atomics, snapshot-able at any
 //!   point and serialized to stable (sorted-key) JSON.
@@ -50,7 +50,6 @@ pub mod json;
 pub mod metrics;
 pub mod prometheus;
 pub mod sink;
-pub mod span;
 
 pub use chrome::chrome_trace_json;
 pub use event::{Event, WorkerFill};
@@ -60,7 +59,6 @@ pub use sink::{
     add_sink, clear_sinks, emit, enabled, flush_sinks, remove_sink, EventSink, JsonlSink, Recorder,
     SinkId,
 };
-pub use span::Span;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -70,7 +68,7 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Microseconds since the process-wide telemetry epoch (the first call to
-/// this function). All event timestamps share this clock, so spans from
+/// this function). All event timestamps share this clock, so events from
 /// different components line up on one timeline.
 pub fn now_us() -> f64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_secs_f64() * 1e6

@@ -242,12 +242,12 @@ fn layered_circuit(n: usize) -> Circuit {
 fn periodic_checkpoint_mid_fused_span_resumes_exactly() {
     // Fusion folds several original gates into each DMAV matrix; the gate
     // cursor must advance matrix by matrix so a checkpoint written inside
-    // the fused span resumes without re-applying (or skipping) gates.
-    // KOperations(4) + every(4) makes the cadence deterministic: with
-    // conversion after gate 12 of 36, the last installed checkpoint lands
-    // at a matrix boundary strictly inside the fused span. (A k-operations
-    // chunk closes early where its product would have no in-place form, so
-    // this span is 16 matrices of one to four gates.)
+    // the fused span resumes without re-applying (or skipping) gates. The
+    // cadence comes from a traced clean run: `every` = its last fused-step
+    // boundary `b` inside the span, past the span's middle, so the one
+    // checkpoint falls due at `b` (the DD phase steps gate by gate, and a
+    // flat step folds no further than the next due cursor) and the next
+    // one would fall past the end.
     let c = layered_circuit(6);
     assert_eq!(c.num_gates(), 36);
     let cfg = FlatDdConfig {
@@ -256,19 +256,31 @@ fn periodic_checkpoint_mid_fused_span_resumes_exactly() {
         fusion: FusionPolicy::KOperations(4),
         ..Default::default()
     };
-    let mut clean = FlatDdSimulator::try_new(6, cfg).unwrap();
+    let mut clean = FlatDdSimulator::try_new(6, FlatDdConfig { trace: true, ..cfg }).unwrap();
     clean.run(&c).unwrap();
     let want = clean.amplitudes();
+    let boundaries: Vec<usize> = clean
+        .traces()
+        .iter()
+        .filter(|t| t.fused)
+        .map(|t| t.gate_index + t.gates)
+        .filter(|&b| b > 12 && b < c.num_gates())
+        .collect();
+    let every = *boundaries
+        .last()
+        .expect("a fused step ends inside the span");
+    assert!(2 * every > c.num_gates(), "boundaries {boundaries:?}");
 
     let path = tmp_ckpt("fused-periodic");
     let mut sim = FlatDdSimulator::try_new(6, cfg).unwrap();
-    sim.set_checkpoint_policy(Some(CheckpointPolicy::at(&path).every(4)));
+    sim.set_checkpoint_policy(Some(CheckpointPolicy::at(&path).every(every)));
     sim.run(&c).unwrap();
 
     let header = flatdd::read_header(&path).unwrap();
     assert!(
-        header.gate_cursor > 12 && (header.gate_cursor as usize) < c.num_gates(),
-        "checkpoint cursor {} should sit strictly inside the fused flat span",
+        boundaries.contains(&(header.gate_cursor as usize)),
+        "checkpoint cursor {} should be a fused-step boundary inside the \
+         fused flat span {boundaries:?}",
         header.gate_cursor
     );
     assert_eq!(header.phase, Phase::Dmav);

@@ -219,12 +219,14 @@ fn telemetry_flags_write_valid_files() {
     let Some(Json::Arr(entries)) = json::parse(&trace).unwrap().get("traceEvents").cloned() else {
         panic!("no traceEvents array: {trace}");
     };
-    assert!(
+    let named = |n: &str| {
         entries
             .iter()
-            .any(|e| e.get("name") == Some(&"dmav phase".into())),
-        "DNN must convert"
-    );
+            .filter(|e| e.get("name") == Some(&n.into()))
+            .count()
+    };
+    assert_eq!(named("dmav phase"), 1, "DNN must convert");
+    assert_eq!(named("conversion"), 1, "one conversion entry");
     let metrics = std::fs::read_to_string(&metrics).unwrap();
     let m = json::parse(&metrics).unwrap();
     let section = |name: &str, key: &str| m.get(name).and_then(|s| s.get(key)).cloned();
@@ -240,11 +242,15 @@ fn telemetry_flags_write_valid_files() {
     let events = std::fs::read_to_string(&events).unwrap();
     assert!(events.lines().count() > 2);
     assert!(events.lines().all(|l| l.starts_with("{\"type\":\"")));
-    let types: Vec<Json> = events
+    let conversions: Vec<Json> = events
         .lines()
-        .map(|l| json::parse(l).unwrap().get("type").cloned().unwrap())
+        .map(|l| json::parse(l).unwrap())
+        .filter(|e| e.get("type") == Some(&"conversion".into()))
         .collect();
-    assert!(types.contains(&"phase_transition".into()));
+    assert_eq!(conversions.len(), 1, "{events}");
+    assert_eq!(conversions[0].get("policy"), Some(&"ewma".into()));
+    assert!(conversions[0].get("dd_size").and_then(Json::as_u64) > Some(0));
+    assert!(!events.contains("\"type\":\"span\""), "{events}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -90,19 +90,14 @@ fn every_event() -> Vec<Event> {
             plan_hit: Some(true),
             fused: true,
         },
-        Event::PhaseTransition {
-            sim: 1,
-            ts_us: 3.0,
-            at_gate: 12,
-            dd_size: 200,
-            ewma: 150.25,
-            policy: "ewma",
-        },
         Event::Conversion {
             sim: 1,
             ts_us: 3.0,
             dur_us: 6.0,
             at_gate: 12,
+            policy: "ewma",
+            dd_size: Some(200),
+            ewma: Some(150.25),
             workers: vec![worker],
             scalar_tasks: 2,
         },
@@ -155,14 +150,6 @@ fn every_event() -> Vec<Event> {
             ts_us: 8.0,
             site: "alloc.flat".into(),
             action: "error",
-        },
-        Event::Span {
-            sim: 1,
-            ts_us: 0.5,
-            dur_us: 9.0,
-            id: 11,
-            parent: 10,
-            name: "phase.dd",
         },
         Event::RunEnd {
             sim: 1,
@@ -241,7 +228,7 @@ const STATS_KEYS: [&str; 26] = [
 #[test]
 fn every_emitter_parses_with_its_keys_in_order() {
     // JSONL events: `type` first, then the fields in declaration order.
-    let event_keys: [&[&str]; 13] = [
+    let event_keys: [&[&str]; 11] = [
         &[
             "type", "sim", "ts_us", "qubits", "threads", "gates", "phase",
         ],
@@ -250,14 +237,14 @@ fn every_emitter_parses_with_its_keys_in_order() {
             "plan_hit", "fused",
         ],
         &[
-            "type", "sim", "ts_us", "at_gate", "dd_size", "ewma", "policy",
-        ],
-        &[
             "type",
             "sim",
             "ts_us",
             "dur_us",
             "at_gate",
+            "policy",
+            "dd_size",
+            "ewma",
             "scalar_tasks",
             "workers",
         ],
@@ -286,7 +273,6 @@ fn every_emitter_parses_with_its_keys_in_order() {
             "phase",
         ],
         &["type", "ts_us", "site", "action"],
-        &["type", "sim", "ts_us", "dur_us", "id", "parent", "name"],
         &["type", "sim", "ts_us", "gates_applied", "phase", "ok"],
     ];
     let events = every_event();
@@ -295,20 +281,20 @@ fn every_emitter_parses_with_its_keys_in_order() {
         let v = parses_with_keys(&line, keys);
         assert_eq!(v.get("type"), Some(&e.kind().into()), "{line}");
     }
-    let conversion = events[3].to_jsonl();
+    let conversion = events[2].to_jsonl();
     assert_eq!(
         object_keys(&conversion)[1],
         ["worker", "tasks", "amps", "dur_us"]
     );
-    let governor = parse(&events[6].to_jsonl()).unwrap();
+    let governor = parse(&events[5].to_jsonl()).unwrap();
     assert_eq!(governor.get("detail"), Some(&"say \"no\"\n\u{1}".into()));
-    let watchdog = parse(&events[7].to_jsonl()).unwrap();
+    let watchdog = parse(&events[6].to_jsonl()).unwrap();
     assert_eq!(
         watchdog.get("norm"),
         Some(&Json::Null),
         "NaN is written as null"
     );
-    let checkpoint = parse(&events[8].to_jsonl()).unwrap();
+    let checkpoint = parse(&events[7].to_jsonl()).unwrap();
     assert_eq!(
         checkpoint.get("bytes"),
         Some(&Json::Num((1u64 << 40) as f64))
@@ -381,8 +367,7 @@ fn every_emitter_parses_with_its_keys_in_order() {
         dd_nodes: 4,
         governor_rung: 1,
         shard_fill: 0,
-        run_span: 1,
-        phase_span: 2,
+        sim: 1,
     };
     let v = parses_with_keys(
         &p.to_json(),
@@ -397,8 +382,7 @@ fn every_emitter_parses_with_its_keys_in_order() {
             "dd_nodes",
             "governor_rung",
             "shard_fill",
-            "run_span",
-            "phase_span",
+            "sim",
         ],
     );
     assert_eq!(v.get("ts_us"), Some(&Json::Num(12.0)), "rounded to µs");

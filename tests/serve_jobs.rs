@@ -575,3 +575,35 @@ fn a_done_job_accounts_for_every_staged_checkpoint() {
     daemon.drain(Duration::from_secs(30));
     std::fs::remove_dir_all(&spool).ok();
 }
+
+/// A served job records one latency observation per step in its own
+/// registry, as the CLI does under `--metrics-out`: a job that runs both
+/// phases counts every DD gate in `sim.gate_dd_us` and its flat steps in
+/// `sim.gate_dmav_us`.
+#[test]
+fn a_done_job_records_its_per_step_histograms() {
+    let spool = fresh_spool("step-hists");
+    let daemon = Daemon::start(&spool, &["--workers", "1"]);
+    let port = daemon.port;
+    let (code, body) = http(
+        port,
+        "POST",
+        "/jobs",
+        Some(r#"{"circuit":"dnn:10,3","seed":1,"threads":1}"#),
+    );
+    assert_eq!(code, 202, "{body}");
+    let id = job_id(&body);
+    let status = wait_terminal(port, id, Duration::from_secs(60));
+    assert_eq!(job_state(&status), "done", "{status}");
+    let read = |path: &[&str]| field_u64(&status, path).unwrap_or(0);
+    let steps = |name| read(&["result", "metrics", "histograms", name, "count"]);
+    let gates_dd = read(&["result", "stats", "gates_dd"]);
+    assert!(
+        gates_dd > 0 && read(&["result", "stats", "gates_dmav"]) > 0,
+        "dnn:10,3 must convert: {status}"
+    );
+    assert_eq!(steps("sim.gate_dd_us"), gates_dd, "{status}");
+    assert!(steps("sim.gate_dmav_us") > 0, "{status}");
+    daemon.drain(Duration::from_secs(30));
+    std::fs::remove_dir_all(&spool).ok();
+}

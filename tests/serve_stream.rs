@@ -146,10 +146,12 @@ fn stream_survives_reconnect_without_seq_gap() {
     // `resume_from + 1` — nothing skipped, nothing replayed.
     let mut second = EventStream::open(port, id, resume_from);
     let mut ended = saw_end_early;
+    let mut sims = std::collections::BTreeSet::new();
     let deadline = Instant::now() + Duration::from_secs(120);
     while let Some(line) = second.next_line() {
         if let Some(s) = seq_of(&line) {
             seqs.push(s);
+            sims.insert(field_u64(&line, &["sim"]));
         }
         if field(&line, &["event"]) == Some("end".into()) {
             ended = true;
@@ -168,7 +170,12 @@ fn stream_survives_reconnect_without_seq_gap() {
         );
     }
 
-    // Progress lines carry the span ids that tie them to the trace.
+    // Every sample names the job's simulator: the `sim` (Chrome-trace
+    // pid) of its telemetry events.
+    assert!(
+        sims.len() <= 1 && !sims.contains(&None),
+        "progress lines carry one sim id: {sims:?}"
+    );
     let (code, status) = http(port, "GET", &format!("/jobs/{id}"), None);
     assert_eq!(code, 200, "{status}");
 

@@ -77,19 +77,23 @@ fn conversion_and_run_events_emitted_exactly_once() {
     telemetry::remove_sink(id);
 
     let mut conversions = 0;
-    let mut transitions = 0;
     let mut starts = 0;
     let mut ends = 0;
     let mut gates = 0;
     for e in rec.events() {
         match e {
-            Event::Conversion { sim, at_gate, .. } if sim == me => {
+            Event::Conversion {
+                sim,
+                at_gate,
+                policy,
+                dd_size,
+                ewma,
+                ..
+            } if sim == me => {
                 conversions += 1;
                 assert_eq!(at_gate, 4, "AtGate(5) converts after the 5th gate");
-            }
-            Event::PhaseTransition { sim, policy, .. } if sim == me => {
-                transitions += 1;
                 assert_eq!(policy, "at-gate");
+                assert!(dd_size.is_some_and(|s| s > 0) && ewma.is_some());
             }
             Event::RunStart { sim, .. } if sim == me => starts += 1,
             Event::RunEnd { sim, ok, .. } if sim == me => {
@@ -103,7 +107,6 @@ fn conversion_and_run_events_emitted_exactly_once() {
         }
     }
     assert_eq!(conversions, 1, "conversion event exactly once");
-    assert_eq!(transitions, 1, "phase-transition event exactly once");
     assert_eq!((starts, ends), (1, 1));
     assert_eq!(
         gates,
@@ -199,6 +202,85 @@ fn chrome_trace_renders_phases_and_workers() {
         .iter()
         .find(|e| e.get("args").and_then(|a| a.get("name")) == Some(&"conversion worker 0".into()));
     assert!(worker_track.is_some(), "missing conversion worker 0");
+}
+
+/// One simulator converts inside a `run_prefix` and finishes with
+/// `run_from`. The Chrome trace draws each fact once —
+/// one `conversion`, one `fill` per worker, no track of its own for spans
+/// — and every phase span lies inside its own run's `run_start` ..
+/// `run_end`, none across the gap between the runs.
+#[test]
+fn chrome_trace_draws_one_timeline_per_run() {
+    let _g = sink_lock();
+    let rec = telemetry::Recorder::new();
+    let id = telemetry::add_sink(rec.sink());
+    let c = irregular_circuit();
+    let mut sim = FlatDdSimulator::new(
+        10,
+        FlatDdConfig {
+            threads: 2,
+            conversion: ConversionPolicy::AtGate(5),
+            ..Default::default()
+        },
+    );
+    sim.run_prefix(&c, c.num_gates() / 2).expect("prefix");
+    assert_eq!(
+        sim.phase(),
+        flatdd::Phase::Dmav,
+        "converts inside the prefix"
+    );
+    sim.run_from(&c).expect("rest");
+    let me = sim.telemetry_id();
+    telemetry::remove_sink(id);
+
+    let trace = telemetry::chrome_trace_json(&rec.events());
+    let Some(Json::Arr(entries)) = json::parse(&trace).unwrap().get("traceEvents").cloned() else {
+        panic!("no traceEvents array");
+    };
+    let num = |e: &Json, k: &str| e.get(k).and_then(Json::as_f64).unwrap_or(0.0);
+    // (name, tid, ts, dur) of this simulator's entries, metadata excluded.
+    let mine: Vec<(&str, u64, f64, f64)> = entries
+        .iter()
+        .filter(|e| e.get("pid").and_then(Json::as_u64) == Some(me))
+        .filter(|e| e.get("ph") != Some(&"M".into()))
+        .map(|e| {
+            let name = e.get("name").and_then(Json::as_str).unwrap();
+            (name, num(e, "tid") as u64, num(e, "ts"), num(e, "dur"))
+        })
+        .collect();
+    let named = |n: &'static str| mine.iter().filter(move |e| e.0 == n);
+    let starts: Vec<f64> = named("run_start").map(|e| e.2).collect();
+    let ends: Vec<f64> = named("run_end").map(|e| e.2).collect();
+    assert_eq!((starts.len(), ends.len()), (2, 2), "two runs");
+    let runs: Vec<(f64, f64)> = starts.into_iter().zip(ends).collect();
+    let phases: Vec<_> = mine
+        .iter()
+        .filter(|e| e.0 == "dd phase" || e.0 == "dmav phase")
+        .collect();
+    assert_eq!(
+        phases.iter().map(|e| e.0).collect::<Vec<_>>(),
+        ["dd phase", "dmav phase", "dmav phase"]
+    );
+    // The exporter writes a span's `dur` as end - start: allow the sum
+    // its rounding.
+    let eps = 1e-6;
+    for &&(name, _, ts, dur) in &phases {
+        assert!(
+            runs.iter().any(|&(s, e)| s <= ts + eps && ts + dur <= e + eps),
+            "{name} at {ts}+{dur} lies outside every run {runs:?}"
+        );
+    }
+    assert_eq!(named("conversion").count(), 1, "one conversion entry");
+    let fills: Vec<u64> = named("fill").map(|e| e.1).collect();
+    let tracks: std::collections::BTreeSet<u64> = fills.iter().copied().collect();
+    assert!(!fills.is_empty());
+    assert_eq!(tracks.len(), fills.len(), "one fill per worker: {fills:?}");
+    assert!(
+        !entries
+            .iter()
+            .any(|e| e.get("args").and_then(|a| a.get("name")) == Some(&"spans".into())),
+        "no spans track"
+    );
 }
 
 #[test]

@@ -196,6 +196,116 @@ pub fn apply_2x2(lo: &mut [Complex64], hi: &mut [Complex64], m: &[Complex64; 4])
     dispatch!(scalar::apply_2x2(lo, hi, m), avx2::apply_2x2(lo, hi, m))
 }
 
+/// One real 2x2 of a [`real_2x2_group`]: `(lo, hi) <- m * (lo, hi)` on
+/// every pair of amplitudes `half` apart in each `2 * half`-sized block —
+/// `I (x) m (x) I_half`, a one-qubit gate on the qubit of bit `half`.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Real2x2 {
+    /// Distance between the two amplitudes of a pair: a power of two of at
+    /// least 2, so each side of a pair fills whole registers.
+    pub half: usize,
+    /// The entries, row-major.
+    pub m: [f64; 4],
+}
+
+impl Real2x2 {
+    /// `m` on pairs `half` apart, when that is a [`Real2x2`]: every entry
+    /// real, `m` not diagonal (a diagonal scales only the run its entry
+    /// that is not 1 covers) and `half >= 2`.
+    pub fn of(m: &[Complex64; 4], half: usize) -> Option<Self> {
+        let real = m.iter().all(|x| x.im == 0.0);
+        let mixes = !(m[1].is_zero() && m[2].is_zero());
+        (real && mixes && half >= 2 && half.is_power_of_two()).then(|| Real2x2 {
+            half,
+            m: m.map(|x| x.re),
+        })
+    }
+}
+
+/// Most matrices one [`real_2x2_group`] applies per register load: three
+/// hold a group's eight registers and twelve broadcast entries in the
+/// sixteen of AVX2 (EXPERIMENTS.md, "Real one-qubit groups").
+pub const REAL_GROUP: usize = 3;
+
+/// `v <- group[k-1] * ... * group[0] * v` for 1 to [`REAL_GROUP`] real 2x2s
+/// on distinct halves, in one pass: each set of `2^k` amplitudes the group
+/// mixes is loaded once, taken through every matrix in order, and stored
+/// once. Every amplitude is the one [`apply_2x2`] per matrix leaves, with
+/// the entries as complex numbers (the same products, summed in the same
+/// order; only the sign of an exact zero may differ), at half the
+/// multiplies and none of the shuffles.
+///
+/// # Panics
+/// Unless the group holds 1 to [`REAL_GROUP`] matrices whose halves are
+/// distinct powers of two of at least 2, and twice the widest divides
+/// `v.len()`.
+pub fn real_2x2_group(v: &mut [Complex64], group: &[Real2x2]) {
+    let widest = group.iter().map(|g| g.half).max().unwrap_or(0);
+    let distinct = group.iter().enumerate().all(|(j, g)| {
+        g.half >= 2 && g.half.is_power_of_two() && group[..j].iter().all(|e| e.half != g.half)
+    });
+    assert!(
+        distinct && widest > 0 && group.len() <= REAL_GROUP && v.len().is_multiple_of(2 * widest),
+        "a real group is 1 to {REAL_GROUP} matrices on distinct halves that divide the vector"
+    );
+    match group {
+        [a] => dispatch!(scalar::real_group(v, &[*a]), avx2::real_group(v, &[*a])),
+        [a, b] => dispatch!(
+            scalar::real_group(v, &[*a, *b]),
+            avx2::real_group(v, &[*a, *b])
+        ),
+        [a, b, c] => dispatch!(
+            scalar::real_group(v, &[*a, *b, *c]),
+            avx2::real_group(v, &[*a, *b, *c])
+        ),
+        _ => unreachable!("group length checked above"),
+    }
+}
+
+/// Where the amplitudes a group of `K` matrices mixes lie in a vector of
+/// `len` elements (amplitudes, or registers of two), the halves counted in
+/// elements: from every base [`Self::bases`] yields, `2^K` runs of
+/// [`Self::run`] elements start at `base + off[r]`, bit `j` of `r` the side
+/// of gate `j`'s pairs the run lies on, all within `base..base + span`.
+struct GroupLayout<const K: usize> {
+    off: [usize; 1 << REAL_GROUP],
+    /// The halves, ascending: the bits of an index a base leaves zero.
+    bits: [usize; K],
+    run: usize,
+    span: usize,
+    bases: usize,
+}
+
+impl<const K: usize> GroupLayout<K> {
+    fn new(halves: [usize; K], len: usize) -> Self {
+        let mut off = [0; 1 << REAL_GROUP];
+        for (r, off) in off.iter_mut().enumerate().take(1 << K) {
+            *off = (0..K)
+                .filter(|j| (r >> j) & 1 == 1)
+                .map(|j| halves[j])
+                .sum();
+        }
+        let mut bits = halves;
+        bits.sort_unstable();
+        GroupLayout {
+            off,
+            bits,
+            run: bits[0],
+            span: off[(1 << K) - 1] + bits[0],
+            bases: (len >> K) / bits[0],
+        }
+    }
+
+    /// The start of every `run`: its index with a zero bit inserted at each
+    /// half, lowest first.
+    fn bases(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.bases).map(move |o| {
+            let deposit = |at: usize, h: &usize| (at & (h - 1)) | ((at & !(h - 1)) << 1);
+            self.bits.iter().fold(o * self.run, deposit)
+        })
+    }
+}
+
 /// Longest period the tiled kernels ([`PairTile`], [`mul_diag_tiled`])
 /// accept: 16 amplitudes, eight register positions of the AVX2 kernels.
 pub const MAX_TILE: usize = 16;
@@ -542,6 +652,40 @@ pub(crate) mod scalar {
         }
     }
 
+    /// `(a0, a1)` through the real 2x2 `m`: the products and sums of
+    /// [`apply_2x2`] on real entries.
+    #[inline(always)]
+    fn real_mul(a0: Complex64, a1: Complex64, m: &[f64; 4]) -> (Complex64, Complex64) {
+        (
+            Complex64::new(m[0] * a0.re + m[1] * a1.re, m[0] * a0.im + m[1] * a1.im),
+            Complex64::new(m[2] * a0.re + m[3] * a1.re, m[2] * a0.im + m[3] * a1.im),
+        )
+    }
+
+    pub fn real_group<const K: usize>(v: &mut [Complex64], group: &[super::Real2x2; K]) {
+        let layout = super::GroupLayout::new(group.map(|g| g.half), v.len());
+        let (off, r_len) = (&layout.off, 1 << K);
+        let mut x = [Complex64::ZERO; 1 << super::REAL_GROUP];
+        for base in layout.bases() {
+            let span = &mut v[base..base + layout.span];
+            for i in 0..layout.run {
+                for r in 0..r_len {
+                    x[r] = span[i + off[r]];
+                }
+                for (j, g) in group.iter().enumerate() {
+                    for r in 0..r_len {
+                        if (r >> j) & 1 == 0 {
+                            (x[r], x[r | 1 << j]) = real_mul(x[r], x[r | 1 << j], &g.m);
+                        }
+                    }
+                }
+                for r in 0..r_len {
+                    span[i + off[r]] = x[r];
+                }
+            }
+        }
+    }
+
     pub fn pairs2x2(v: &mut [Complex64], m: &[Complex64; 4]) {
         for pair in v.chunks_exact_mut(2) {
             let (a0, a1) = (pair[0], pair[1]);
@@ -639,7 +783,7 @@ pub(crate) mod scalar {
 /// into this module, which `dispatch!` makes after runtime detection.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{scalar, Complex64, DiagTable, PairTable, PairTile, MAX_TILE};
+    use super::{scalar, Complex64, DiagTable, PairTable, PairTile, Real2x2, MAX_TILE};
     use std::arch::x86_64::*;
 
     /// The register of two amplitudes.
@@ -869,6 +1013,86 @@ mod avx2 {
         }
         let i = n / 2 * 2;
         scalar::apply_2x2(&mut lo[i..n], &mut hi[i..n], m);
+    }
+
+    /// A register of `lo` amplitudes and one of `hi` through a real 2x2
+    /// (`m`: its entries, broadcast): [`pair_mul`]'s products and sums,
+    /// which on real entries round alike.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn real_pair(a0: __m256d, a1: __m256d, m: &[__m256d; 4]) -> (__m256d, __m256d) {
+        (
+            _mm256_add_pd(_mm256_mul_pd(a0, m[0]), _mm256_mul_pd(a1, m[1])),
+            _mm256_add_pd(_mm256_mul_pd(a0, m[2]), _mm256_mul_pd(a1, m[3])),
+        )
+    }
+
+    /// The broadcast entries of `K` real matrices.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn real_regs<const K: usize>(m: &[[f64; 4]; K]) -> [[__m256d; 4]; K] {
+        let mut c = [[_mm256_setzero_pd(); 4]; K];
+        for (c, m) in c.iter_mut().zip(m) {
+            for (c, &x) in c.iter_mut().zip(m) {
+                *c = _mm256_set1_pd(x);
+            }
+        }
+        c
+    }
+
+    /// Registers of `lo` and `hi` amplitudes through the real 2x2 `c`.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn real_pairs(lo: &mut [[Complex64; 2]], hi: &mut [[Complex64; 2]], c: &[__m256d; 4]) {
+        for (l, h) in lo.iter_mut().zip(hi) {
+            let (new_lo, new_hi) = real_pair(load(l), load(h), c);
+            store(l, new_lo);
+            store(h, new_hi);
+        }
+    }
+
+    /// [`scalar::real_group`] a register at a time: the halves, even,
+    /// count registers here. No closure calls a kernel: it would carry the
+    /// kernel's features, and a generic `std` fn without them (an
+    /// iterator adapter, `array::map`) could not inline it.
+    #[target_feature(enable = "avx2,fma")]
+    pub fn real_group<const K: usize>(v: &mut [Complex64], group: &[Real2x2; K]) {
+        let mut m = [[0.0; 4]; K];
+        let mut halves = [0; K];
+        for ((m, h), g) in m.iter_mut().zip(&mut halves).zip(group) {
+            (*m, *h) = (g.m, g.half / 2);
+        }
+        let c = real_regs(&m);
+        let regs = regs_mut(v);
+        if K == 1 {
+            // One matrix: its runs are whole blocks' halves.
+            for block in regs.chunks_exact_mut(2 * halves[0]) {
+                let (lo, hi) = block.split_at_mut(halves[0]);
+                real_pairs(lo, hi, &c[0]);
+            }
+            return;
+        }
+        let layout = super::GroupLayout::new(halves, regs.len());
+        let (off, r_len) = (&layout.off, 1 << K);
+        let mut x = [_mm256_setzero_pd(); 1 << super::REAL_GROUP];
+        for base in layout.bases() {
+            let span = &mut regs[base..base + layout.span];
+            for i in 0..layout.run {
+                for r in 0..r_len {
+                    x[r] = load(&span[i + off[r]]);
+                }
+                for (j, c) in c.iter().enumerate() {
+                    for r in 0..r_len {
+                        if (r >> j) & 1 == 0 {
+                            (x[r], x[r | 1 << j]) = real_pair(x[r], x[r | 1 << j], c);
+                        }
+                    }
+                }
+                for r in 0..r_len {
+                    store(&mut span[i + off[r]], x[r]);
+                }
+            }
+        }
     }
 
     /// The matrix *columns* of `m` for [`pair_out`]: `[m0, m2]` and
@@ -1258,6 +1482,112 @@ mod tests {
                 "len {len}"
             );
         });
+    }
+
+    /// A real, non-diagonal 2x2 (a rotation's entries, scaled).
+    fn rand_real(seed: u64) -> [f64; 4] {
+        let r = rand_vec(2, seed);
+        [r[0].re, -r[0].im, r[1].im, r[1].re]
+    }
+
+    /// `g` applied the way the complex kernel applies it: [`apply_2x2`] on
+    /// every block, the entries as complex numbers.
+    fn complex_pass(v: &mut [Complex64], g: &Real2x2) {
+        let m = g.m.map(|x| Complex64::new(x, 0.0));
+        for block in v.chunks_exact_mut(2 * g.half) {
+            let (lo, hi) = block.split_at_mut(g.half);
+            apply_2x2(lo, hi, &m);
+        }
+    }
+
+    /// Groups of 1 to [`REAL_GROUP`] matrices in every order of their
+    /// halves (2 to 32), over 1 to 3 blocks of the widest.
+    fn real_groups() -> Vec<Vec<Real2x2>> {
+        let halves = [2usize, 4, 8, 16, 32];
+        let mut groups = Vec::new();
+        for (a, &ha) in halves.iter().enumerate() {
+            groups.push(vec![ha]);
+            for (b, &hb) in halves.iter().enumerate().filter(|&(b, _)| b != a) {
+                groups.push(vec![ha, hb]);
+                for (_, &hc) in halves.iter().enumerate().filter(|&(c, _)| c != a && c != b) {
+                    groups.push(vec![ha, hb, hc]);
+                }
+            }
+        }
+        groups
+            .into_iter()
+            .enumerate()
+            .map(|(i, hs)| {
+                hs.iter()
+                    .enumerate()
+                    .map(|(j, &half)| Real2x2 {
+                        half,
+                        m: rand_real(211 + 7 * i as u64 + j as u64),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `kernel(v, group)` against the complex kernel one matrix at a time,
+    /// `==` amplitude for amplitude.
+    fn check_real_group(kernel: impl Fn(&mut [Complex64], &[Real2x2])) {
+        for group in real_groups() {
+            let widest = group.iter().map(|g| g.half).max().unwrap();
+            for blocks in 1..=3usize {
+                let v = rand_vec(2 * widest * blocks, 223);
+                let mut got = v.clone();
+                kernel(&mut got, &group);
+                let mut want = v;
+                for g in &group {
+                    complex_pass(&mut want, g);
+                }
+                let halves: Vec<usize> = group.iter().map(|g| g.half).collect();
+                assert!(got == want, "halves {halves:?} blocks {blocks}");
+            }
+        }
+    }
+
+    #[test]
+    fn real_groups_equal_the_complex_kernel() {
+        check_real_group(scalar_real_group);
+        check_real_group(real_2x2_group);
+    }
+
+    /// [`real_2x2_group`] on the portable path, whatever the dispatcher
+    /// picked.
+    fn scalar_real_group(v: &mut [Complex64], group: &[Real2x2]) {
+        match group {
+            [x] => scalar::real_group(v, &[*x]),
+            [x, y] => scalar::real_group(v, &[*x, *y]),
+            [x, y, z] => scalar::real_group(v, &[*x, *y, *z]),
+            _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn real_2x2_of_takes_only_real_mixing_matrices() {
+        let ry = [0.8, -0.6, 0.6, 0.8].map(|x| Complex64::new(x, 0.0));
+        assert_eq!(
+            Real2x2::of(&ry, 4).map(|g| g.m),
+            Some([0.8, -0.6, 0.6, 0.8])
+        );
+        assert_eq!(Real2x2::of(&ry, 1), None, "qubit 0 keeps pairs2x2");
+        let mut complex = ry;
+        complex[1].im = 1e-300;
+        assert_eq!(Real2x2::of(&complex, 4), None);
+        let diag = [ry[0], Complex64::ZERO, Complex64::ZERO, ry[3]];
+        assert_eq!(Real2x2::of(&diag, 4), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct halves")]
+    fn real_group_refuses_two_matrices_on_one_half() {
+        let g = Real2x2 {
+            half: 4,
+            m: rand_real(239),
+        };
+        real_2x2_group(&mut rand_vec(16, 241), &[g, g]);
     }
 
     /// `kernel(acc, w, m, v, half)` against the scalar reference: `half`
@@ -1650,6 +1980,12 @@ mod tests {
         check_mul_diag(|v, d| avx2::mul_diag_tiled(v, d));
         check_diag_table(|t, v, f| avx2::diag_table_apply(t, v, f));
         check_pair_table(|t, v, f| avx2::pair_table_apply(t, v, f));
+        check_real_group(|v, group| match group {
+            [x] => avx2::real_group(v, &[*x]),
+            [x, y] => avx2::real_group(v, &[*x, *y]),
+            [x, y, z] => avx2::real_group(v, &[*x, *y, *z]),
+            _ => unreachable!(),
+        });
         let mut wa: [Complex64; 2] = rand_vec(2, 79).try_into().unwrap();
         let mut wb = wa;
         let v = rand_vec(2, 83);

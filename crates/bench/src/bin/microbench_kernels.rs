@@ -11,7 +11,10 @@
 //! one matrix at a time and in blocked runs at block levels 12–18, with the
 //! share of matrices that joined a run), a `widen` block (the flat phase's
 //! widen-and-apply of an uncontrolled 2x2 into 2^16–2^21 amplitudes against
-//! one in-place 2x2 pass at the new width), under the SIMD
+//! one in-place 2x2 pass at the new width), a `one_qubit_groups` block
+//! (RYs as complex 2x2 passes against one real group of 1–3, at 2^10,
+//! 2^16 and 2^20 amplitudes), a `diag_shapes` block (the slow diagonal
+//! shapes of ROADMAP item 3(d) at 2^16, recorded), under the SIMD
 //! backend selected at startup (`FLATDD_SIMD={auto,scalar,avx2}`), and a
 //! `dd_tables` block (the DD
 //! phase's fixed per-operation costs: complex-table `lookup` hit / miss and
@@ -41,7 +44,9 @@
 //! run at memory speed, not walk the DD per amplitude), when widening a
 //! state by a qubit at its middle bit while applying a one-qubit gate costs
 //! more than 1.8x one in-place 2x2 pass over the widened state (the widen
-//! kernel must stream, not move single amplitudes), when
+//! kernel must stream, not move single amplitudes), when three real
+//! one-qubit matrices in one group cost more than 0.85x the three as
+//! complex passes at 2^16 (a group must share its register loads), when
 //! `stats()` at 10^6 values costs more than 3x what it costs at 10^3 (the
 //! driver reads it every gate, so it must not walk the tables), when a memoized `gate_dd` costs more than 1/5 of
 //! a first build, when a T on the top qubit of the saturated state costs
@@ -436,21 +441,32 @@ fn flat_tail(c: &qcircuit::Circuit, fuse: bool) -> (Vec<Complex64>, Vec<(DmavAss
     (state, plans)
 }
 
-/// The plans cut into runs at `level` the way the engine cuts them:
-/// maximal sequences of in-place plans that mix rows only below the level,
-/// at most 64 gates each (a run of one for everything else).
-fn runs_at(plans: &[(DmavAssignment, usize)], level: usize) -> Vec<Vec<&DmavAssignment>> {
+/// The plans cut into runs at `level` the way the engine cuts them, each
+/// with the block level it runs at: maximal sequences of in-place plans
+/// that mix rows only below the level (blocked runs at it), up to
+/// `REAL_GROUP` real one-qubit plans after one that mixes above it (a group
+/// streamed at the tail's width), at most 64 gates each (a run of one for
+/// everything else).
+fn runs_at(plans: &[(DmavAssignment, usize)], level: usize) -> Vec<(Vec<&DmavAssignment>, usize)> {
+    let n = plans.first().map_or(0, |(asg, _)| asg.n);
     let joins = |asg: &DmavAssignment| asg.in_place() && asg.mixing_level() <= level;
-    let mut runs: Vec<Vec<&DmavAssignment>> = Vec::new();
+    let mut runs: Vec<(Vec<&DmavAssignment>, usize)> = Vec::new();
     let mut folded = 0;
     for (asg, gates) in plans {
+        let takes = |run: &[&DmavAssignment]| match (joins(run[0]), joins(asg)) {
+            (true, joined) => joined,
+            (false, true) => false,
+            (false, false) => {
+                run[0].real_one_qubit() && asg.real_one_qubit() && run.len() < vecops::REAL_GROUP
+            }
+        };
         match runs.last_mut() {
-            Some(run) if joins(asg) && joins(run[0]) && folded + gates <= 64 => {
+            Some((run, _)) if folded + gates <= 64 && takes(run) => {
                 run.push(asg);
                 folded += gates;
             }
             _ => {
-                runs.push(vec![asg]);
+                runs.push((vec![asg], if joins(asg) { level } else { n }));
                 folded = *gates;
             }
         }
@@ -485,15 +501,14 @@ impl Tail<'_> {
 
     fn blocked(
         &self,
-        runs: &[Vec<&DmavAssignment>],
-        level: usize,
+        runs: &[(Vec<&DmavAssignment>, usize)],
         v: &mut [Complex64],
         w: &mut [Complex64],
     ) {
-        for run in runs {
+        for (run, level) in runs {
             match &run[..] {
                 [asg] => self.one(asg, v, w),
-                _ => dmav_run_in_place(run, v, self.pool, level),
+                _ => dmav_run_in_place(run, v, self.pool, *level),
             }
         }
     }
@@ -567,21 +582,21 @@ fn blocked_runs(reps: usize, backend: &str, json: &mut JsonWriter) -> Vec<RunRow
             let runs = runs_at(&plans, level);
             let joined = runs
                 .iter()
-                .filter(|r| r.len() > 1)
-                .map(Vec::len)
+                .filter(|(r, _)| r.len() > 1)
+                .map(|(r, _)| r.len())
                 .sum::<usize>();
             let share = joined as f64 / plans.len() as f64;
             let (ms, per) = if level == BLOCK_LEVEL {
                 let (ms, per) = time_interleaved(
                     reps,
                     &mut v,
-                    |v| walk.blocked(&runs, level, v, &mut w),
+                    |v| walk.blocked(&runs, v, &mut w),
                     |v| walk.per_matrix(v, &mut w2),
                 );
                 (ms * 1e3, per * 1e3)
             } else {
                 let ms = time_median(reps, || {
-                    walk.blocked(&runs, level, &mut v, &mut w);
+                    walk.blocked(&runs, &mut v, &mut w);
                     1
                 });
                 (ms.0 * 1e3, per)
@@ -662,6 +677,155 @@ fn widen_block(reps: usize, backend: &str, json: &mut JsonWriter) -> Vec<WidenRo
     );
     table.print();
     rows
+}
+
+/// Amplitude counts (log2) of the `one_qubit_groups` block.
+const GROUP_NS: [usize; 3] = [10, 16, 20];
+/// Qubits of the `one_qubit_groups` block's matrices, in the order a group
+/// takes them: one whose pairs sit in adjacent registers, and two wider.
+const GROUP_QUBITS: [usize; 3] = [1, 4, 7];
+/// Amplitude count (log2) [`MAX_GROUP_RATIO`] is held at: the block of a
+/// blocked run ([`BLOCK_LEVEL`]).
+const CHECK_GROUP_N: usize = 16;
+/// `--check`: largest accepted (a group of three real 2x2s in one pass) /
+/// (the three as complex 2x2 passes, the path of a complex `Kron`), per
+/// amplitude and matrix at 2^[`CHECK_GROUP_N`], timed in turns. Under AVX2
+/// the group costs 0.63-0.72 of the complex passes, the portable loops
+/// (SSE2) 0.43-0.46 (EXPERIMENTS.md, "Real one-qubit groups"). A group
+/// that fell back to a pass per matrix, or to complex arithmetic, reads
+/// about 1.
+const MAX_GROUP_RATIO: f64 = 0.85;
+
+/// One row of the `one_qubit_groups` block, ns per amplitude and matrix.
+struct GroupRow {
+    n: usize,
+    size: usize,
+    complex: f64,
+    real: f64,
+}
+
+/// Real one-qubit matrices (RYs) on [`GROUP_QUBITS`] of a `2^n` state, n in
+/// [`GROUP_NS`], one thread: the first 1, 2 or 3 of them as complex 2x2
+/// passes (`PairTile::apply_blocks`, the path a complex `Kron` takes)
+/// against one `vecops::real_2x2_group`, timed in turns.
+fn one_qubit_groups(reps: usize, backend: &str, json: &mut JsonWriter) -> Vec<GroupRow> {
+    let mut table = Table::new(vec!["n", "group", "complex_ns", "real_ns", "ratio"]);
+    let mut rows = Vec::new();
+    for n in GROUP_NS {
+        let dim = 1usize << n;
+        let mut v = vec![Complex64::ZERO; dim];
+        fill(&mut v);
+        // Orthogonal, so repeated timing keeps the state's norm.
+        let group: Vec<vecops::Real2x2> = GROUP_QUBITS
+            .iter()
+            .enumerate()
+            .map(|(j, &q)| {
+                let m = GateKind::RY(0.4 + 0.3 * j as f64).matrix();
+                vecops::Real2x2::of(&m, 1 << q).expect("an RY off qubit 0 is real")
+            })
+            .collect();
+        // Enough passes per timing that a 2^10 state is not all timer.
+        let passes = (1usize << 22) / dim;
+        for size in 1..=vecops::REAL_GROUP {
+            let tiles: Vec<(vecops::PairTile, usize)> = group[..size]
+                .iter()
+                .map(|g| {
+                    let m = g.m.map(|x| Complex64::new(x, 0.0));
+                    (vecops::PairTile::new(&[m]), g.half)
+                })
+                .collect();
+            let (complex, real) = time_interleaved(
+                reps,
+                &mut v,
+                |v| {
+                    for _ in 0..passes {
+                        for (tile, half) in &tiles {
+                            tile.apply_blocks(v, *half);
+                        }
+                    }
+                },
+                |v| {
+                    for _ in 0..passes {
+                        vecops::real_2x2_group(v, &group[..size]);
+                    }
+                },
+            );
+            let per = (passes * size * dim) as f64;
+            let [complex, real] = [complex, real].map(|s| s * 1e9 / per);
+            table.row(vec![
+                n.to_string(),
+                size.to_string(),
+                format!("{complex:.3}"),
+                format!("{real:.3}"),
+                format!("{:.2}", real / complex),
+            ]);
+            json.record(vec![
+                ("kernel", "one_qubit_groups".into()),
+                ("backend", backend.into()),
+                ("n", n.into()),
+                ("group", size.into()),
+                ("complex_ns_per_amp_gate", complex.into()),
+                ("real_ns_per_amp_gate", real.into()),
+            ]);
+            rows.push(GroupRow {
+                n,
+                size,
+                complex,
+                real,
+            });
+        }
+    }
+    println!(
+        "\none_qubit_groups — RYs on qubits {GROUP_QUBITS:?}, complex passes against one real group, ns per amplitude and matrix"
+    );
+    table.print();
+    rows
+}
+
+/// Diagonal gates whose in-place DMAV costs far more per amplitude than the
+/// same gate on other qubits, at 2^16 amplitudes, one thread: CZ 3 -> 4
+/// (`supremacy_flat` runs it) against CZ 8 -> 9, CZ 0 -> 5, and T on qubit 0
+/// against T on qubit 12. Recorded as the baseline of the slow diagonal
+/// shapes (ROADMAP item 3), not checked.
+fn diag_shapes(reps: usize, backend: &str, json: &mut JsonWriter) {
+    let n = 16;
+    let dim = 1usize << n;
+    let pkg = DdPackage::default();
+    let pool = ThreadPool::new(1);
+    let mut v = vec![Complex64::ZERO; dim];
+    fill(&mut v);
+    let cz = |c: usize, t: usize| Gate::controlled(GateKind::Z, t, vec![Control::pos(c)]);
+    let shapes = [
+        ("cz_3_4", cz(3, 4)),
+        ("cz_8_9", cz(8, 9)),
+        ("cz_0_5", cz(0, 5)),
+        ("t_0", Gate::new(GateKind::T, 0)),
+        ("t_12", Gate::new(GateKind::T, 12)),
+    ];
+    let mut table = Table::new(vec!["gate", "ns_per_amp"]);
+    for (name, gate) in shapes {
+        let plan = DmavAssignment::build(&pkg, pkg.gate_dd(&gate, n), n, 1);
+        // 64 passes a timing; every gate is unitary, so the state stays finite.
+        let (secs, _) = time_median(reps, || {
+            for _ in 0..64 {
+                dmav_in_place(&plan, &mut v, &pool);
+            }
+            dim
+        });
+        let ns = secs * 1e9 / (64 * dim) as f64;
+        table.row(vec![name.into(), format!("{ns:.3}")]);
+        json.record(vec![
+            ("kernel", "diag_shapes".into()),
+            ("backend", backend.into()),
+            ("gate", name.into()),
+            ("n", n.into()),
+            ("dmav_in_place_ns_per_amp", ns.into()),
+        ]);
+    }
+    println!(
+        "\ndiag_shapes — slow diagonal shapes, in-place DMAV, n = {n}, 1 thread, ns per amplitude"
+    );
+    table.print();
 }
 
 /// Qubit counts of the `convert` block.
@@ -1200,6 +1364,8 @@ fn main() {
     let fused = fused_blocks(reps, backend, &mut json);
     let runs = blocked_runs(reps, backend, &mut json);
     let widened = widen_block(reps, backend, &mut json);
+    let groups = one_qubit_groups(reps, backend, &mut json);
+    diag_shapes(reps, backend, &mut json);
     let dd = dd_tables(reps, &mut json);
     // Embed the unified metrics registry (DD package gauges) in the
     // results file.
@@ -1293,6 +1459,17 @@ fn main() {
                 MAX_WIDEN_RATIO,
             );
         }
+        let three = groups
+            .iter()
+            .find(|r| r.n == CHECK_GROUP_N && r.size == vecops::REAL_GROUP);
+        hold(
+            format!(
+                "{} real one-qubit matrices in one group / as complex passes at 2^{CHECK_GROUP_N}",
+                vecops::REAL_GROUP
+            ),
+            three.map_or(f64::NAN, |r| r.real / r.complex),
+            MAX_GROUP_RATIO,
+        );
         let stats_ratio = dd.stats_large / dd.stats_small;
         println!(
             "check: stats() at 10^6 interned values / at 10^3 = {stats_ratio:.2} (limit {MAX_STATS_RATIO})"

@@ -32,7 +32,7 @@
 
 use crate::error::FlatDdError;
 use crate::pool::ThreadPool;
-use qarray::vecops::{self, PairTile};
+use qarray::vecops::{self, PairTile, Real2x2, REAL_GROUP};
 use qcircuit::Complex64;
 use qdd::fxhash::FxHashMap;
 use qdd::{DdPackage, MEdge, TERM};
@@ -742,6 +742,15 @@ impl Program {
         Entry { op, f }
     }
 
+    /// The real one-qubit matrix [`Self::run_in_place`] applies at entry
+    /// `e`, when it applies one: a `Kron` whose `f * u` is a [`Real2x2`].
+    fn real_kron(&self, e: Entry) -> Option<Real2x2> {
+        match self.ops.get(e.op as usize)?.op {
+            Op::Kron { half, u } => Real2x2::of(&u.map(|x| e.f * x), half),
+            _ => None,
+        }
+    }
+
     /// `v = f * (I (x) B) * v` for a base node `B` of `block` amplitudes,
     /// resolved once instead of entered per block: a tiled `B` is one kernel
     /// call over the whole span, a diagonal `B` of at most [`TILE`]
@@ -1029,11 +1038,15 @@ fn diagonals(child: &[u32; 4], w: &[Complex64; 4], f: Complex64) -> [Diag; 4] {
 
 /// In-place `I (x) m (x) I_half` over `v`. A diagonal `m` multiplies only the
 /// runs whose entry is not 1 (T touches half of `v`, the Z block of a CZ a
-/// quarter of the state).
+/// quarter of the state); a real one above qubit 0 (RY, H, X) runs in real
+/// arithmetic ([`Real2x2`]), which leaves every amplitude as the complex
+/// kernel does.
 fn kron_in_place(v: &mut [Complex64], m: &[Complex64; 4], half: usize) {
     if !(m[1].is_zero() && m[2].is_zero()) {
         if half == 1 {
             vecops::pairs2x2(v, m);
+        } else if let Some(real) = Real2x2::of(m, half) {
+            vecops::real_2x2_group(v, &[real]);
         } else if v.len() == 2 * half {
             // One block (a `Kron` entered per block of a chain above it):
             // not worth preparing a tile for.
@@ -1196,6 +1209,8 @@ pub struct DmavAssignment {
     in_place: bool,
     /// Largest [`Node::mix`] of the groups' entries.
     mix: usize,
+    /// In place, and every group's entry is a real one-qubit matrix.
+    real_one_qubit: bool,
 }
 
 impl DmavAssignment {
@@ -1224,6 +1239,7 @@ impl DmavAssignment {
             .map(|e| program.ops.get(e.op as usize).map_or(0, |node| node.mix))
             .max()
             .unwrap_or(0);
+        let real_one_qubit = in_place && entries.iter().all(|e| program.real_kron(e[0]).is_some());
         Ok(DmavAssignment {
             t,
             h: (1usize << n) / t,
@@ -1235,6 +1251,7 @@ impl DmavAssignment {
             entries,
             in_place,
             mix: mix.into(),
+            real_one_qubit,
         })
     }
 
@@ -1253,6 +1270,15 @@ impl DmavAssignment {
     /// whose structure crosses the border level, are not.
     pub fn in_place(&self) -> bool {
         self.in_place
+    }
+
+    /// Whether the plan is in place and applies, on every group, one real
+    /// one-qubit matrix above qubit 0 (an RY, H or X, or a same-qubit
+    /// product of them): a matrix [`dmav_run_in_place`] takes with up to
+    /// [`REAL_GROUP`]` - 1` more such on other qubits in one register pass,
+    /// so a run of them streams the state once whatever level they mix at.
+    pub fn real_one_qubit(&self) -> bool {
+        self.real_one_qubit
     }
 
     /// Total number of tasks across threads.
@@ -1382,9 +1408,10 @@ pub const BLOCK_LEVEL: usize = 16;
 /// amplitudes and takes each block through every matrix of the run in
 /// order, so a block is loaded once per run instead of once per matrix.
 /// Each matrix runs the in-place walk (`Program::run_in_place`) entered
-/// where it meets the block, so the state comes out as one
-/// [`dmav_in_place`] per matrix leaves it (amplitude for amplitude, at
-/// blocks of at least two AVX2 registers).
+/// where it meets the block — consecutive real one-qubit matrices on
+/// distinct qubits as one [`vecops::real_2x2_group`] pass — so the state
+/// comes out as one [`dmav_in_place`] per matrix leaves it (amplitude for
+/// amplitude, at blocks of at least two AVX2 registers).
 ///
 /// # Panics
 /// Unless every assignment is [`DmavAssignment::in_place`] over the same
@@ -1414,12 +1441,49 @@ pub fn dmav_run_in_place(
     // asserted above).
     pool.for_each_part(v.chunks_exact_mut(h).enumerate(), |(g, rows)| {
         for (b, v_b) in rows.chunks_exact_mut(block).enumerate() {
+            let mut group = RealGroup::default();
             for asg in run {
                 let entry = asg.program.enter(asg.entries[g][0], h, b * block, block);
-                asg.program.run_in_place(entry.op, entry.f, v_b);
+                match asg.program.real_kron(entry) {
+                    Some(m) => group.push(m, v_b),
+                    None => {
+                        group.flush(v_b);
+                        asg.program.run_in_place(entry.op, entry.f, v_b);
+                    }
+                }
             }
+            group.flush(v_b);
         }
     });
+}
+
+/// Consecutive real one-qubit matrices of a run on distinct qubits, held
+/// until a matrix that cannot join arrives and then applied to the block in
+/// one [`vecops::real_2x2_group`] pass.
+#[derive(Default)]
+struct RealGroup {
+    gates: [Real2x2; REAL_GROUP],
+    len: usize,
+}
+
+impl RealGroup {
+    /// Adds `m`, applying the group to `v` first when `m` cannot join it
+    /// (full, or a matrix on `m`'s qubit already in it).
+    fn push(&mut self, m: Real2x2, v: &mut [Complex64]) {
+        if self.len == REAL_GROUP || self.gates[..self.len].iter().any(|g| g.half == m.half) {
+            self.flush(v);
+        }
+        self.gates[self.len] = m;
+        self.len += 1;
+    }
+
+    /// Applies the held matrices to `v`, in order, and empties the group.
+    fn flush(&mut self, v: &mut [Complex64]) {
+        if self.len > 0 {
+            vecops::real_2x2_group(v, &self.gates[..self.len]);
+        }
+        self.len = 0;
+    }
 }
 
 /// Convenience: assignment + execution in one call.
@@ -2056,22 +2120,47 @@ mod tests {
         joined
     }
 
+    /// `layers` layers of one RY, H or X on every qubit, the qubits of a
+    /// layer in a random order.
+    fn real_layers(n: usize, layers: usize, rng: &mut qcircuit::rng::Rng) -> qcircuit::Circuit {
+        let mut c = qcircuit::Circuit::named(n, format!("real_layers_{n}"));
+        for _ in 0..layers {
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, rng.range(0..i + 1));
+            }
+            for q in order {
+                match rng.range(0..3) {
+                    0 => c.ry(rng.f64_in(0.0..6.0), q),
+                    1 => c.h(q),
+                    _ => c.x(q),
+                };
+            }
+        }
+        c
+    }
+
     #[test]
     fn blocked_runs_match_the_per_matrix_walk_at_every_level() {
-        // Table 1 families and random circuits at n = 8-14, fused by the
-        // walk-priced rule or left as gates, planned over 1, 2 or 4 groups:
-        // at every block level from 2 to n, the runs leave the state as the
-        // matrices applied one at a time leave it, amplitude for amplitude,
-        // and that is the dense simulation's to 1e-12. A plan joins a run
-        // only at a level no plan-time tile of it is wider than.
+        // Table 1 families, random circuits and layers of real one-qubit
+        // gates at n = 8-14, fused by the walk-priced rule or left as gates,
+        // planned over 1, 2 or 4 groups: at every block level from 2 to n,
+        // the runs leave the state as the matrices applied one at a time
+        // leave it, amplitude for amplitude, and that is the dense
+        // simulation's to 1e-12. A plan joins a run only at a level no
+        // plan-time tile of it is wider than. The real layers put a real
+        // one-qubit matrix on every qubit, so at every level the run's
+        // blocks take groups of them (`RealGroup`) in every order of their
+        // qubits.
         qcircuit::prop::check(32, |g| {
             let n = g.rng.range(8..15);
             let seed = g.rng.next_u64();
-            let c = match g.rng.range(0..5) {
+            let c = match g.rng.range(0..6) {
                 0 => generators::random_circuit(n, g.rng.range(10..60), seed),
                 1 => generators::supremacy_n(n, g.rng.range(2..6), seed),
                 2 => generators::dnn(n, g.rng.range(1..3), seed),
                 3 => generators::qft(n),
+                4 => real_layers(n, g.rng.range(1..4), &mut g.rng),
                 _ => generators::knn(n / 2, seed),
             };
             let n = c.num_qubits();

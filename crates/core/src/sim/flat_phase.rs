@@ -16,7 +16,8 @@ use crate::faults;
 use crate::fusion::{fuse_dmav_aware, fuse_k_operations, FusedGates};
 use crate::plan_cache::{Lookup, PlanCache};
 use crate::pool::ThreadPool;
-use qarray::{vecops, ShardedState};
+use qarray::vecops::{self, REAL_GROUP};
+use qarray::ShardedState;
 use qcircuit::{Complex64, Gate};
 use qdd::MEdge;
 use std::borrow::Cow;
@@ -47,10 +48,29 @@ pub(crate) struct FlatPhase {
     pub(super) ewma: EwmaState,
 }
 
-/// Whether a plan can join a blocked run at [`BLOCK_LEVEL`] over `shards`
-/// groups: a plan the lookup narrowed to fewer groups runs on its own.
-fn joins_runs(plan: &DmavAssignment, shards: usize) -> bool {
-    plan.t == shards && plan.mixing_level() <= BLOCK_LEVEL
+/// What a step's matrices run as: a blocked run at [`BLOCK_LEVEL`], or a
+/// streamed group of up to [`REAL_GROUP`] real one-qubit matrices, one
+/// block per shard.
+#[derive(Clone, Copy, PartialEq)]
+enum Join {
+    Run,
+    Group,
+}
+
+impl Join {
+    /// What `plan` over `shards` groups can be part of: a run when it mixes
+    /// at or below the block, a group when it is a real one-qubit matrix
+    /// that mixes above it; nothing (it runs alone) otherwise, and when the
+    /// lookup narrowed it to fewer groups.
+    fn of(plan: &DmavAssignment, shards: usize) -> Option<Join> {
+        if plan.t != shards {
+            None
+        } else if plan.mixing_level() <= BLOCK_LEVEL {
+            Some(Join::Run)
+        } else {
+            plan.real_one_qubit().then_some(Join::Group)
+        }
+    }
 }
 
 /// Shard count of the flat state at `width` active qubits: the configured
@@ -180,10 +200,13 @@ impl FlatPhase {
     /// pending fused blocks when a span is loaded, otherwise the gates'
     /// own, reduced against the fixed qubits: a skipped or factored gate
     /// costs no matrix, and one that widens a fixed qubit is a step of its
-    /// own. The first matrix that has no place in a blocked run (it mixes
-    /// above the block, or its plan narrowed to fewer groups) is applied on
-    /// its own; otherwise every following matrix that has one and fits the
-    /// budget joins it — a run, applied block by block in one dispatch.
+    /// own. A first matrix that mixes at or below the block opens a run:
+    /// every following one that does too and fits the budget joins it, and
+    /// the run is applied block by block in one dispatch. A real one-qubit
+    /// matrix that mixes above the block opens a group: up to
+    /// [`REAL_GROUP`]` - 1` following ones join it, streamed together in one
+    /// pass. Any other first matrix (or one whose plan narrowed to fewer
+    /// groups) is applied on its own.
     pub(super) fn step(
         &mut self,
         core: &mut Core,
@@ -212,8 +235,12 @@ impl FlatPhase {
         let mut fixed = self.fixed;
         let mut run: Vec<Lookup> = Vec::new();
         let (mut folded, mut bypassed) = (0, 0);
+        let mut join = None;
         loop {
             let i = run.len();
+            if join == Some(Join::Group) && i == REAL_GROUP {
+                break;
+            }
             let pending = if fused {
                 self.gate_counts.get(self.next + i).copied()
             } else {
@@ -244,19 +271,24 @@ impl FlatPhase {
                     }
                 },
             };
-            let joins = joins_runs(&looked.plan, self.v.shards());
-            if i > 0 && !joins {
+            let kind = Join::of(&looked.plan, self.v.shards());
+            if i > 0 && kind != join {
                 self.peeked = Some(looked);
                 break;
             }
+            join = kind;
             run.push(looked);
             folded += k;
-            if !joins {
+            if join.is_none() {
                 break;
             }
         }
         if !run.is_empty() {
-            self.dmav(core, &run);
+            let level = match join {
+                Some(Join::Group) => self.width(),
+                _ => BLOCK_LEVEL,
+            };
+            self.dmav(core, &run, level);
         }
         if fused {
             for &(c, flip) in &self.effects[self.next..self.next + run.len()] {
@@ -301,7 +333,7 @@ impl FlatPhase {
             };
             let m = core.pkg.gate_dd(&g, self.width());
             let looked = self.lookup(core, m)?;
-            self.dmav(core, std::slice::from_ref(&looked));
+            self.dmav(core, std::slice::from_ref(&looked), BLOCK_LEVEL);
             looked.hit
         };
         Ok(GateTrace {
@@ -404,14 +436,14 @@ impl FlatPhase {
     }
 
     /// `v <- M_k * ... * M_1 * v` in place for the looked-up `run`, then
-    /// account every matrix: a run of several block by block, one matrix on
-    /// the groups its plan narrowed to.
-    fn dmav(&mut self, core: &mut Core, run: &[Lookup]) {
+    /// account every matrix: a run of several in blocks of `2^level`, one
+    /// matrix on the groups its plan narrowed to.
+    fn dmav(&mut self, core: &mut Core, run: &[Lookup], level: usize) {
         match run {
             [one] => dmav_in_place(&one.plan, &mut self.v, &core.pool),
             _ => {
                 let asgs: Vec<&DmavAssignment> = run.iter().map(|looked| &*looked.plan).collect();
-                dmav_run_in_place(&asgs, &mut self.v, &core.pool, BLOCK_LEVEL);
+                dmav_run_in_place(&asgs, &mut self.v, &core.pool, level);
             }
         }
         for looked in run {

@@ -830,3 +830,99 @@ fn observables_measurement_reconversion_and_checkpoints_see_the_full_state() {
 fn a_step_record_is_at_most_80_bytes() {
     assert!(std::mem::size_of::<GateTrace>() <= 80);
 }
+
+/// `dnn(18, 2, 5)` from `|0...0>` under `fusion`, traced, in a run context of
+/// its own, converting where the EWMA rule says (in layer 1's rotations): a
+/// health check every `health_every` gates, and a checkpoint every `every`
+/// gates into `ckpt` when given.
+fn dnn_18(
+    fusion: FusionPolicy,
+    health_every: usize,
+    ckpt: Option<(&std::path::Path, usize)>,
+) -> FlatDdSimulator {
+    let mut config = FlatDdConfig {
+        threads: 1,
+        fusion,
+        trace: true,
+        ..cfg(1)
+    };
+    config.governor.health_check_every = health_every;
+    let mut sim = FlatDdSimulator::try_new_with(18, config, crate::RunContext::isolated()).unwrap();
+    if let Some((path, every)) = ckpt {
+        sim.set_checkpoint_policy(Some(crate::CheckpointPolicy::at(path).every(every)));
+    }
+    sim.run(&generators::dnn(18, 2, 5)).unwrap();
+    sim
+}
+
+#[test]
+fn real_one_qubit_matrices_above_the_block_stream_as_one_step() {
+    // The RYs on qubits 16 and 17 mix above the 2^16 block; the two of a
+    // layer are one streamed group (one step, its `gates` the two
+    // matrices'). A health check every gate cuts every step to one matrix,
+    // each applied alone with `dmav_in_place`: the amplitudes are those,
+    // bit for bit, and the counters are the ones a pass per matrix
+    // reported (pinned). A checkpoint due between the two cuts the group
+    // there.
+    let high = 18 + 69 + 16; // RY on qubit 16 of layer 1, in the flat phase
+    let dir = std::env::temp_dir();
+    for (fusion, matrices, cost) in [
+        (FusionPolicy::None, 64, 20_185_088.0),
+        (FusionPolicy::DmavAware, 14, 7_077_888.0),
+    ] {
+        let grouped = dnn_18(fusion, usize::MAX, None);
+        let alone = dnn_18(fusion, 1, None);
+        assert!(grouped.amplitudes() == alone.amplitudes(), "{fusion:?}");
+        let dmav_steps = |sim: &FlatDdSimulator| {
+            let steps = sim.traces().iter().filter(|t| t.phase == Phase::Dmav);
+            steps.cloned().collect::<Vec<GateTrace>>()
+        };
+        assert_eq!(
+            dmav_steps(&alone).len(),
+            matrices,
+            "{fusion:?}: one matrix a step"
+        );
+        let counters = |sim: &FlatDdSimulator| {
+            let s = sim.stats();
+            assert_eq!(s.dmav_plan_hits + s.dmav_plan_misses, s.gates_dmav);
+            (
+                s.gates_dmav,
+                s.dmav_plan_hits,
+                s.dmav_plan_misses,
+                s.modeled_cost,
+            )
+        };
+        assert_eq!(counters(&grouped), counters(&alone), "{fusion:?}");
+        assert_eq!(
+            (counters(&grouped).0, counters(&grouped).3),
+            (matrices, cost)
+        );
+        let steps = dmav_steps(&grouped);
+        let step = steps.iter().find(|t| t.gate_index == high);
+        let one_each: usize = dmav_steps(&alone)
+            .iter()
+            .filter(|t| (high..high + 2).contains(&t.gate_index))
+            .map(|t| t.gates)
+            .sum();
+        assert_eq!(step.map(|t| t.gates), Some(2), "{fusion:?}: {steps:?}");
+        assert_eq!(one_each, 2, "{fusion:?}");
+
+        let path = dir.join(format!("flatdd-group-cut-{}.fdcp", std::process::id()));
+        let cut = dnn_18(fusion, usize::MAX, Some((&path, high + 1)));
+        let header = crate::checkpoint::read_header(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(header.gate_cursor, high as u64 + 1, "{fusion:?}");
+        let at = |i: usize| {
+            cut.traces()
+                .iter()
+                .find(|t| t.gate_index == i)
+                .map(|t| t.gates)
+        };
+        assert_eq!(
+            (at(high), at(high + 1).is_some()),
+            (Some(1), true),
+            "{fusion:?}"
+        );
+        assert!(cut.amplitudes() == alone.amplitudes(), "{fusion:?}");
+    }
+}

@@ -1,7 +1,7 @@
 //! Vectorized complex primitives shared by every hot loop of the stack.
 //!
 //! The DMAV kernels (identity blocks, cached-buffer scaling, partial-buffer
-//! summation), the DD-to-array conversion's scalar tasks, the array gate
+//! summation), the DD-to-array conversion's table scales, the array gate
 //! kernels, and the numerical-health watchdog all reduce to a handful of
 //! complex BLAS-1-style primitives. Each primitive here has a portable
 //! scalar implementation and an x86-64 AVX2+FMA implementation; the backend
@@ -115,7 +115,7 @@ pub fn axpy(dst: &mut [Complex64], f: Complex64, src: &[Complex64]) {
     dispatch!(scalar::axpy(dst, f, src), avx2::axpy(dst, f, src))
 }
 
-/// `dst[i] = f * src[i]` — cached-buffer reuse and conversion scalar tasks.
+/// `dst[i] = f * src[i]` — cached-buffer reuse and conversion table scales.
 #[inline]
 pub fn scale(dst: &mut [Complex64], f: Complex64, src: &[Complex64]) {
     debug_assert_eq!(dst.len(), src.len());

@@ -2,7 +2,7 @@
 //! split into allocate + fault, zero pass and fill, at n = 18, 21, 24 on
 //! the `knn` and `dnn` states at their conversion point), ns/amplitude for
 //! the hot vecops primitives
-//! (`axpy`, `mac2x2`, `sum_into`, the conversion scalar task), a whole
+//! (`axpy`, `mac2x2`, `sum_into`, the conversion's table scale), a whole
 //! per-gate DMAV application, a `dmav_by_target` block (one gate at
 //! n = 20 per target qubit: DMAV plain, DMAV cached, DMAV in place, the
 //! array kernel), a `fused_blocks` block (`dnn`'s fused matrices at n = 20
@@ -1302,8 +1302,8 @@ fn main() {
     });
     report("axpy", secs, amps, &mut json);
 
-    // conversion scalar task: dst = f * src (phase 2 of the parallel
-    // DD-to-array conversion writes every amplitude exactly like this).
+    // conversion table occurrence: dst = f * src (the parallel DD-to-array
+    // conversion writes each repeated boundary sub-DD exactly like this).
     let (secs, amps) = time_median(reps, || {
         for _ in 0..iters {
             vecops::scale(&mut w, f, &v);

@@ -959,15 +959,49 @@ pub fn parse_qasm_full(src: &str) -> std::result::Result<(Circuit, usize), QasmE
     Ok((b.circuit, b.measurements))
 }
 
-/// Serializes a circuit back to OpenQASM 2.0 (controls beyond Toffoli are
-/// emitted as comments since qelib1 has no generic multi-control syntax).
-pub fn to_qasm(c: &Circuit) -> String {
+/// A gate [`to_qasm`] cannot write exactly, up to global phase, in the
+/// OpenQASM 2.0 this module parses: a negative control, more controls than
+/// `ccx` / `ccz` take, a controlled gate with no controlled form, or an
+/// explicit `Unitary` matrix.
+#[derive(Debug, Clone, PartialEq)]
+pub struct UnwritableGate {
+    /// Index of the gate in the circuit.
+    pub index: usize,
+    /// The gate, as [`Gate`]'s `Display` writes it.
+    pub gate: String,
+}
+
+impl fmt::Display for UnwritableGate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "gate {} (`{}`) has no exact OpenQASM 2.0 form",
+            self.index, self.gate
+        )
+    }
+}
+
+impl std::error::Error for UnwritableGate {}
+
+/// Serializes a circuit to OpenQASM 2.0 that [`parse_qasm`] reads back as
+/// the same state, up to global phase: an uncontrolled gate may be written
+/// as another that differs from it by a phase (`sy` as `ry(pi/2)`), a
+/// controlled one only as itself. Refuses the whole circuit at the first
+/// gate it cannot write that way.
+pub fn to_qasm(c: &Circuit) -> std::result::Result<String, UnwritableGate> {
     use std::fmt::Write;
     let mut s = String::new();
     let _ = writeln!(s, "OPENQASM 2.0;");
     let _ = writeln!(s, "include \"qelib1.inc\";");
     let _ = writeln!(s, "qreg q[{}];", c.num_qubits());
-    for g in c.iter() {
+    for (index, g) in c.iter().enumerate() {
+        let unwritable = || UnwritableGate {
+            index,
+            gate: g.to_string(),
+        };
+        if g.controls.iter().any(|x| !x.positive) {
+            return Err(unwritable());
+        }
         let tgt = g.target;
         let ctl: Vec<usize> = g.controls.iter().map(|x| x.qubit).collect();
         let line = match (g.kind, ctl.len()) {
@@ -978,6 +1012,7 @@ pub fn to_qasm(c: &Circuit) -> String {
             (GateKind::Y, 1) => format!("cy q[{}],q[{tgt}];", ctl[0]),
             (GateKind::Z, 0) => format!("z q[{tgt}];"),
             (GateKind::Z, 1) => format!("cz q[{}],q[{tgt}];", ctl[0]),
+            (GateKind::Z, 2) => format!("ccz q[{}],q[{}],q[{tgt}];", ctl[0], ctl[1]),
             (GateKind::H, 0) => format!("h q[{tgt}];"),
             (GateKind::H, 1) => format!("ch q[{}],q[{tgt}];", ctl[0]),
             (GateKind::S, 0) => format!("s q[{tgt}];"),
@@ -986,6 +1021,10 @@ pub fn to_qasm(c: &Circuit) -> String {
             (GateKind::Tdg, 0) => format!("tdg q[{tgt}];"),
             (GateKind::SqrtX, 0) => format!("sx q[{tgt}];"),
             (GateKind::SqrtXdg, 0) => format!("sxdg q[{tgt}];"),
+            // e^{i pi/4} RY(pi/2), e^{-i pi/4} RY(-pi/2), e^{i pi/4} U3.
+            (GateKind::SqrtY, 0) => format!("ry(pi/2) q[{tgt}];"),
+            (GateKind::SqrtYdg, 0) => format!("ry(-pi/2) q[{tgt}];"),
+            (GateKind::SqrtW, 0) => format!("u3(pi/2,-pi/4,pi/4) q[{tgt}];"),
             (GateKind::RX(t), 0) => format!("rx({t}) q[{tgt}];"),
             (GateKind::RY(t), 0) => format!("ry({t}) q[{tgt}];"),
             (GateKind::RZ(t), 0) => format!("rz({t}) q[{tgt}];"),
@@ -999,11 +1038,11 @@ pub fn to_qasm(c: &Circuit) -> String {
                 format!("cu3({a},{bb},{cc}) q[{}],q[{tgt}];", ctl[0])
             }
             (GateKind::Id, 0) => format!("id q[{tgt}];"),
-            _ => format!("// unsupported in qelib1: {g}"),
+            _ => return Err(unwritable()),
         };
         let _ = writeln!(s, "{line}");
     }
-    s
+    Ok(s)
 }
 
 #[cfg(test)]
@@ -1154,7 +1193,7 @@ mod tests {
     #[test]
     fn round_trip_ghz_through_qasm() {
         let orig = generators::ghz(5);
-        let qasm = to_qasm(&orig);
+        let qasm = to_qasm(&orig).unwrap();
         let parsed = parse_qasm(&qasm).unwrap();
         let a = simulate(&orig);
         let b = simulate(&parsed);
@@ -1162,9 +1201,50 @@ mod tests {
     }
 
     #[test]
+    fn every_written_kind_round_trips_up_to_global_phase() {
+        use crate::gate::Control;
+        use GateKind::*;
+        for kind in [
+            Id,
+            X,
+            Y,
+            Z,
+            H,
+            S,
+            Sdg,
+            T,
+            Tdg,
+            SqrtX,
+            SqrtXdg,
+            SqrtY,
+            SqrtYdg,
+            SqrtW,
+            RX(0.3),
+            RY(0.7),
+            RZ(1.1),
+            Phase(0.9),
+            U(0.4, 0.5, 0.6),
+        ] {
+            // On a state with every amplitude non-zero, so a phase error
+            // anywhere in the matrix shows.
+            let mut c = Circuit::new(2);
+            c.ry(0.4, 0).t(0).ry(1.3, 1).s(1);
+            c.push(Gate::new(kind, 0));
+            let parsed = parse_qasm(&to_qasm(&c).unwrap()).unwrap();
+            let d = state_distance_up_to_phase(&simulate(&c), &simulate(&parsed));
+            assert!(d < 1e-12, "{kind:?}: {d:e}");
+        }
+        // A negative control has no line; the error names the gate.
+        let mut c = Circuit::new(2);
+        c.h(0).push(Gate::controlled(X, 1, vec![Control::neg(0)]));
+        let e = to_qasm(&c).unwrap_err();
+        assert_eq!(e.index, 1, "{e}");
+    }
+
+    #[test]
     fn round_trip_random_circuit_through_qasm() {
         let orig = generators::random_circuit(5, 60, 99);
-        let qasm = to_qasm(&orig);
+        let qasm = to_qasm(&orig).unwrap();
         let parsed = parse_qasm(&qasm).unwrap();
         let a = simulate(&orig);
         let b = simulate(&parsed);

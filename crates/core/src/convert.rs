@@ -1,20 +1,21 @@
 //! Parallel DD-to-array conversion (Section 3.1.2, Figure 4).
 //!
 //! The state-vector DD is converted to a flat array by splitting the thread
-//! group at each DD node, with the paper's two optimizations:
+//! group at each DD node above the table boundary, with the paper's two
+//! optimizations:
 //!
 //! * **Load balancing** (Fig. 4a): at a node with a zero outgoing edge, the
 //!   thread group does *not* split — all threads follow the non-zero edge,
 //!   so no thread idles on an empty subtree.
-//! * **Scalar multiplication** (Fig. 4b): at a node whose two edges point to
-//!   the *same* child, only the left half is converted (by the whole
-//!   group); the right half is then produced by a SIMD-friendly scalar
-//!   multiplication of the left half.
+//! * **Scalar multiplication** (Fig. 4b): identical children are converted
+//!   once and scaled into place — by the weight-1 tables below, which do
+//!   this for every repeated sub-DD, not only for siblings.
 //!
-//! Planning is a cheap O(t + #scalar-tasks) descent on the package; the
-//! exponential work (filling 2^n amplitudes) is done by the pool workers on
-//! disjoint ranges, reading the DD through the package's borrowed
-//! [`VectorView`] (the package itself has one owner and is not `Sync`).
+//! Planning is a cheap O(t) descent on the package that stops at the table
+//! boundary; the exponential work (filling 2^n amplitudes) is done by the
+//! pool workers on disjoint ranges, reading the DD through the package's
+//! borrowed [`VectorView`] (the package itself has one owner and is not
+//! `Sync`).
 //!
 //! **Write-once, block-wise fill** (our deviation; DESIGN.md §2). The
 //! output buffer may hold anything: every amplitude is written exactly
@@ -27,9 +28,13 @@
 //! * Each distinct node a group meets at the table boundary — the first
 //!   node below [`TABLE_LEVEL`] on a path — is materialised once per fill
 //!   group into a weight-1 table by one walk of its sub-DD; every
-//!   occurrence is then one `vecops::scale(dst, w, table)`. This is
-//!   Fig. 4b's trick extended from identical siblings to every repeated
-//!   sub-DD: the 52-node state `knn_wide` converts is 2^21 amplitudes.
+//!   occurrence is then one `vecops::scale(dst, w, table)` (the 52-node
+//!   state `knn_wide` converts is 2^21 amplitudes).
+//!
+//! **One fill at every geometry.** The plan never splits below the table
+//! boundary, so every group count multiplies the same weights in the same
+//! order onto the same boundary tables: the output is a function of the DD
+//! alone, bit for bit, whatever the thread and shard counts.
 
 use crate::pool::ThreadPool;
 use qarray::vecops;
@@ -67,29 +72,14 @@ struct FillTask {
     weight: Complex64,
 }
 
-/// A deferred scalar multiplication: `out[dst..dst+len] = factor * out[src..src+len]`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ScalarTask {
-    /// Source start index.
-    pub src: usize,
-    /// Destination start index.
-    pub dst: usize,
-    /// Segment length.
-    pub len: usize,
-    /// Multiplier (ratio of the two edge weights).
-    pub factor: Complex64,
-}
-
-/// The plan produced by the descent: per-group fill lists and zero runs,
-/// plus ordered scalar-multiplication tasks. A "group" is the dispatch
-/// unit — one state shard in the sharded flat phase, one pool thread in the
-/// legacy layout (`groups == pool.size()`). Fill ranges, zero runs and
-/// scalar destinations tile the output without overlap.
+/// The plan produced by the descent: per-group fill lists and zero runs.
+/// A "group" is the dispatch unit — one state shard in the sharded flat
+/// phase, one pool thread in the legacy layout (`groups == pool.size()`).
+/// Fill ranges and zero runs tile the output without overlap.
 pub struct ConversionPlan {
     fill: Vec<Vec<FillTask>>,
     /// Zero runs, each inside the shard of the group it is listed under.
     zero: Vec<Vec<Range<usize>>>,
-    scalar: Vec<ScalarTask>,
     dim: usize,
 }
 
@@ -111,16 +101,10 @@ impl ConversionPlan {
         let mut plan = ConversionPlan {
             fill: vec![Vec::new(); t],
             zero: vec![Vec::new(); t],
-            scalar: Vec::new(),
             dim,
         };
         plan.descend(pkg, root, 0..dim, Complex64::ONE, 0, t);
         plan
-    }
-
-    /// Number of scalar-multiplication tasks discovered.
-    pub fn scalar_tasks(&self) -> &[ScalarTask] {
-        &self.scalar
     }
 
     /// Number of fill tasks assigned to each group.
@@ -137,14 +121,13 @@ impl ConversionPlan {
             .collect()
     }
 
-    /// Cuts `out` into every group's phase-1 pieces — its zero runs (no
-    /// task) and fill tasks, each with the range it writes — in one pass
-    /// over all of them sorted by start. A group's fill tasks stay in plan
-    /// order.
+    /// Cuts `out` into every group's pieces — its zero runs (no task) and
+    /// fill tasks, each with the range it writes — in one pass over all of
+    /// them sorted by start. A group's fill tasks stay in plan order.
     ///
     /// # Panics
     /// When two pieces overlap: the plan promises they tile the output
-    /// (scalar destinations aside) without overlap.
+    /// without overlap.
     fn carve<'a>(&'a self, pkg: &DdPackage, out: &'a mut [Complex64]) -> Vec<Vec<Piece<'a>>> {
         let mut order: Vec<(usize, usize, usize, Option<&FillTask>)> = Vec::new();
         for (g, (zero, fill)) in self.zero.iter().zip(&self.fill).enumerate() {
@@ -180,7 +163,10 @@ impl ConversionPlan {
         }
     }
 
-    /// Plans the output range `out` of `edge` for groups `lo..hi`.
+    /// Plans the output range `out` of `edge` for groups `lo..hi`. An edge
+    /// into a node below [`TABLE_LEVEL`] is one fill task: splitting it
+    /// would table a deeper node and associate its weights otherwise than
+    /// the one-group fill does.
     fn descend(
         &mut self,
         pkg: &DdPackage,
@@ -194,7 +180,7 @@ impl ConversionPlan {
             self.zero_run(out);
             return;
         }
-        if hi - lo == 1 || edge.is_terminal() {
+        if hi - lo == 1 || edge.is_terminal() || pkg.v_node(edge.n).level < TABLE_LEVEL {
             self.fill[lo].push(FillTask {
                 edge,
                 index: out.start,
@@ -213,17 +199,6 @@ impl ConversionPlan {
             // half is a zero run.
             self.descend(pkg, e0, left, w, lo, hi);
             self.descend(pkg, e1, right, w, lo, hi);
-        } else if e0.n == e1.n && !e0.is_terminal() {
-            // Scalar-multiplication optimization: identical children mean
-            // the right half is a scalar multiple of the left half.
-            let factor = pkg.cval(e1.w) / pkg.cval(e0.w);
-            self.scalar.push(ScalarTask {
-                src: left.start,
-                dst: right.start,
-                len: half,
-                factor,
-            });
-            self.descend(pkg, e0, left, w, lo, hi);
         } else {
             let mid = lo + (hi - lo) / 2;
             self.descend(pkg, e0, left, w, lo, mid);
@@ -308,11 +283,11 @@ fn walk(view: &VectorView, edge: VEdge, weight: Complex64, dst: &mut [Complex64]
     walk(view, node.e[1], w, hi);
 }
 
-/// One piece of a group's phase-1 share: a fill task (`None`: a zero run)
+/// One piece of a group's share: a fill task (`None`: a zero run)
 /// and the output range it writes.
 type Piece<'a> = (Option<&'a FillTask>, &'a mut [Complex64]);
 
-/// Phase 1 for one group: its zero runs and fill tasks. Returns the number
+/// One group's fill: its zero runs and fill tasks. Returns the number
 /// of tables the group built.
 fn fill_group(view: &VectorView, share: Vec<Piece<'_>>) -> usize {
     let mut tables = Tables::default();
@@ -338,8 +313,6 @@ pub struct ConversionBreakdown {
     /// is disabled — the per-group clocks are only read when a sink is
     /// listening.
     pub worker_nanos: Vec<u64>,
-    /// Deferred scalar-multiplication tasks (the Figure 4b optimization).
-    pub scalar_tasks: usize,
 }
 
 /// Converts a vector DD into a freshly allocated flat array using the pool
@@ -391,12 +364,10 @@ pub fn dd_to_array_parallel_sharded_into_with(
     ctx: &crate::RunContext,
 ) -> ConversionBreakdown {
     assert_eq!(out.len(), 1usize << n);
-    let t = pool.size();
     let shards = shards.max(1);
     let plan = ConversionPlan::build(pkg, root, n, shards);
-    // Phase 1: parallel fill of disjoint ranges, one group per shard.
-    // Per-group wall clocks are only taken when a telemetry sink is
-    // installed.
+    // Parallel fill of disjoint ranges, one group per shard. Per-group wall
+    // clocks are only taken when a telemetry sink is installed.
     let timed = qtelemetry::enabled();
     let clocks: Vec<AtomicU64> = if timed {
         (0..shards).map(|_| AtomicU64::new(0)).collect()
@@ -416,21 +387,6 @@ pub fn dd_to_array_parallel_sharded_into_with(
             }
         })
     });
-    // Phase 2: scalar multiplications, deepest first (a shallower task's
-    // source region contains the deeper tasks' destinations). Each task
-    // copies a left sibling half into the right one, cut into one chunk per
-    // worker.
-    for st in plan.scalar.iter().rev() {
-        assert_eq!(
-            st.dst,
-            st.src + st.len,
-            "a scalar task copies a sibling half"
-        );
-        let (src, dst) = out[st.src..st.dst + st.len].split_at_mut(st.len);
-        let chunk = st.len.div_ceil(t);
-        let chunks = src.chunks(chunk).zip(dst.chunks_mut(chunk));
-        pool.for_each_part(chunks, |(src, dst)| vecops::scale(dst, st.factor, src));
-    }
     ConversionBreakdown {
         fill_tasks: plan.fill_counts(),
         amp_spans: if timed {
@@ -439,7 +395,6 @@ pub fn dd_to_array_parallel_sharded_into_with(
             Vec::new()
         },
         worker_nanos: clocks.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-        scalar_tasks: plan.scalar.len(),
     }
 }
 
@@ -483,7 +438,9 @@ mod tests {
     }
 
     /// Converts `root` into a NaN-poisoned buffer at shards {1, 2, 4, 8, 16}
-    /// x threads {1, 2, 4} and holds every result to `want` at 1e-12.
+    /// x threads {1, 2, 4}: the one-shard fill is held to `want` at 1e-12,
+    /// and every geometry to the one-shard fill bit for bit (signed zeros
+    /// included).
     fn assert_fills_poisoned(
         pkg: &DdPackage,
         root: VEdge,
@@ -492,15 +449,38 @@ mod tests {
         what: &str,
     ) {
         let ctx = crate::RunContext::default();
+        let bits = |pool: &ThreadPool, shards: usize| {
+            let mut out = vec![Complex64::new(f64::NAN, f64::NAN); 1 << n];
+            dd_to_array_parallel_sharded_into_with(pkg, root, n, pool, shards, &mut out, &ctx);
+            let err = error(&out, want);
+            assert!(err <= TOL, "{what}: t={} s={shards}: {err:e}", pool.size());
+            out.iter()
+                .map(|a| (a.re.to_bits(), a.im.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let one = bits(&ThreadPool::new(1), 1);
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(threads);
             for shards in [1, 2, 4, 8, 16] {
-                let mut out = vec![Complex64::new(f64::NAN, f64::NAN); 1 << n];
-                dd_to_array_parallel_sharded_into_with(pkg, root, n, &pool, shards, &mut out, &ctx);
-                let err = error(&out, want);
-                assert!(err <= TOL, "{what}: t={threads} s={shards}: {err:e}");
+                let got = bits(&pool, shards);
+                let moved = got.iter().zip(&one).filter(|(a, b)| a != b).count();
+                assert_eq!(moved, 0, "{what}: t={threads} s={shards}: bits moved");
             }
         }
+    }
+
+    /// `c` run in the DD phase up to where the default EWMA policy converts
+    /// (to its end when it never does).
+    fn at_ewma_point(c: &Circuit) -> DdSimulator {
+        let mut sim = DdSimulator::new(c.num_qubits());
+        let mut monitor = crate::EwmaMonitor::new(crate::EwmaConfig::default());
+        for g in c.iter() {
+            sim.apply(g);
+            if monitor.observe(sim.state_dd_size()) {
+                break;
+            }
+        }
+        sim
     }
 
     #[test]
@@ -515,6 +495,9 @@ mod tests {
             generators::dnn(8, 2, 12),
             generators::supremacy(3, 3, 8, 11),
             generators::random_circuit(9, 120, 11),
+            // Root one level above the table boundary: 8 and 16 groups
+            // meet it with groups to spare.
+            generators::random_circuit(7, 80, 11),
             plus_state(10),
         ] {
             let n = c.num_qubits();
@@ -528,6 +511,20 @@ mod tests {
         let e = pkg.basis_state(10, 0b1100110011);
         assert_fills_poisoned(&pkg, e, 10, &dense::basis_state(10, 0b1100110011), "basis");
         assert_fills_poisoned(&pkg, VEdge::ZERO, 6, &[Complex64::ZERO; 64], "zero");
+    }
+
+    #[test]
+    fn states_at_their_conversion_point_fill_alike_at_every_geometry() {
+        for c in [
+            generators::supremacy_n(16, 14, 1),
+            generators::supremacy_n(19, 20, 1),
+            generators::knn(8, 1),
+        ] {
+            let n = c.num_qubits();
+            let sim = at_ewma_point(&c);
+            let want = sim.package().vector_to_array(sim.state(), n);
+            assert_fills_poisoned(sim.package(), sim.state(), n, &want, c.name());
+        }
     }
 
     /// Distinct nodes the fill meets at the table boundary from `roots`:
@@ -621,7 +618,6 @@ mod tests {
         let plan = ConversionPlan {
             fill: vec![Vec::new(), Vec::new()],
             zero: vec![vec![0..4], vec![3..8]],
-            scalar: Vec::new(),
             dim: 8,
         };
         plan.carve(&pkg, &mut [Complex64::ZERO; 8]);
@@ -655,13 +651,18 @@ mod tests {
     #[test]
     fn sparse_state_with_zero_edges_load_balances() {
         // A basis state: every node has one zero edge, so all threads chase
-        // a single path — exactly the Fig. 4a scenario.
+        // a single path — exactly the Fig. 4a scenario — down to the table
+        // boundary, where the rest of the path is one fill task.
         let pkg = DdPackage::default();
         let e = pkg.basis_state(10, 0b1100110011);
         let pool = ThreadPool::new(4);
         let plan = ConversionPlan::build(&pkg, e, 10, 4);
-        let nonempty = plan.fill_counts().iter().filter(|&&c| c > 0).count();
-        assert_eq!(nonempty, 1, "single path must collapse to one task");
+        assert_eq!(
+            plan.fill_counts().iter().sum::<usize>(),
+            1,
+            "one path, one task"
+        );
+        assert_eq!(plan.coverage(&pkg).iter().sum::<usize>(), 1 << TABLE_LEVEL);
         // The skipped halves are zero runs, each inside its group's shard.
         for (g, runs) in plan.zero.iter().enumerate() {
             let shard = qarray::shard_range(1 << 10, 4, g);
@@ -670,31 +671,14 @@ mod tests {
                 .all(|r| shard.start <= r.start && r.end <= shard.end));
         }
         let zeros: usize = plan.zero.iter().flatten().map(|r| r.len()).sum();
-        assert_eq!(zeros, (1 << 10) - 1);
+        assert_eq!(zeros, (1 << 10) - (1 << TABLE_LEVEL));
         let out = dd_to_array_parallel(&pkg, e, 10, &pool);
         assert!(error(&out, &dense::basis_state(10, 0b1100110011)) < TOL);
     }
 
     #[test]
-    fn scalar_optimization_detected_for_product_states() {
-        // |+>^n: every node has identical children — Fig. 4b territory.
-        let n = 6;
-        let c = plus_state(n);
-        let mut sim = DdSimulator::new(n);
-        sim.run(&c);
-        let plan = ConversionPlan::build(sim.package(), sim.state(), n, 4);
-        assert!(
-            !plan.scalar_tasks().is_empty(),
-            "uniform superposition must trigger the scalar-multiplication path"
-        );
-        let pool = ThreadPool::new(4);
-        let out = dd_to_array_parallel(sim.package(), sim.state(), n, &pool);
-        assert!(error(&out, &dense::simulate(&c)) < TOL);
-    }
-
-    #[test]
-    fn nested_scalar_tasks_apply_in_the_right_order() {
-        // ghz-like plus global H wall gives nested identical-children nodes.
+    fn nested_identical_children_fill_in_place() {
+        // A global H wall plus phases gives nested identical-children nodes.
         let n = 5;
         let mut c = plus_state(n);
         c.t(0).s(2);

@@ -222,7 +222,6 @@ pub(super) fn convert(
             dd_size: policy.map(|(size, _)| size),
             ewma: policy.map(|(_, ewma)| ewma),
             workers,
-            scalar_tasks: breakdown.scalar_tasks,
         });
     }
     let fixed = Fixed {

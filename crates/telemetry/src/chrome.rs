@@ -198,7 +198,6 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 dd_size,
                 ewma,
                 workers,
-                scalar_tasks,
             } => {
                 let tl = sims.entry(*sim).or_default();
                 if let Some(run) = &mut tl.run {
@@ -215,7 +214,6 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                     t.key("ewma").num(*e);
                 }
                 t.key("workers").uint(workers.len() as u64);
-                t.key("scalar_tasks").uint(*scalar_tasks as u64);
                 close(t);
                 for w in workers {
                     let cur = tl.max_worker.map_or(0, |m| m.max(w.worker));
@@ -397,7 +395,6 @@ mod tests {
                     amps: 16,
                     dur_us: 5.0,
                 }],
-                scalar_tasks: 2,
             },
             Event::Gate {
                 sim: 3,
@@ -481,7 +478,6 @@ mod tests {
                 dd_size: None,
                 ewma: None,
                 workers: Vec::new(),
-                scalar_tasks: 0,
             },
             end(5.0),
             start(100.0, "dmav"),

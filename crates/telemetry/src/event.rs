@@ -104,8 +104,6 @@ pub enum Event {
         ewma: Option<f64>,
         /// Per-worker fill spans.
         workers: Vec<WorkerFill>,
-        /// Deferred scalar-multiplication tasks (the Figure 4b optimization).
-        scalar_tasks: usize,
     },
     /// A gate-fusion pass (DMAV-aware or k-operations).
     Fusion {
@@ -285,7 +283,6 @@ impl Event {
                 dd_size,
                 ewma,
                 workers,
-                scalar_tasks,
             } => {
                 w.key("sim").uint(*sim).key("ts_us").num(*ts_us);
                 w.key("dur_us")
@@ -300,7 +297,6 @@ impl Event {
                     None => w.null(),
                 };
                 w.key("ewma").num(ewma.unwrap_or(f64::NAN)); // NaN is null
-                w.key("scalar_tasks").uint(*scalar_tasks as u64);
                 w.key("workers").begin_arr();
                 for f in workers {
                     w.begin_obj().key("worker").uint(f.worker as u64);
@@ -436,11 +432,9 @@ mod tests {
                     dur_us: 48.0,
                 },
             ],
-            scalar_tasks: 1,
         };
         let s = e.to_jsonl();
         assert!(s.contains("\"workers\":[{\"worker\":0,\"tasks\":3,\"amps\":4096,\"dur_us\":50}"));
-        assert!(s.contains("\"scalar_tasks\":1"));
         assert!(s.contains("\"at_gate\":9,\"policy\":\"ewma\",\"dd_size\":300,\"ewma\":212.5,"));
 
         // A forced conversion names no policy state: null, not omitted.
@@ -453,7 +447,6 @@ mod tests {
             dd_size: None,
             ewma: None,
             workers: Vec::new(),
-            scalar_tasks: 0,
         };
         let s = manual.to_jsonl();
         assert!(

@@ -631,7 +631,13 @@ fn cmd_gen(args: &[String]) {
         std::process::exit(2);
     }
     let c = load_circuit(&spec, seed);
-    print!("{}", qasm::to_qasm(&c));
+    match qasm::to_qasm(&c) {
+        Ok(text) => print!("{text}"),
+        Err(e) => {
+            eprintln!("gen: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 fn cmd_list() {
@@ -647,6 +653,10 @@ fn cmd_list() {
         (
             "supremacy:N,cycles",
             "Google-style random circuit (irregular)",
+        ),
+        (
+            "sycamore:N,cycles",
+            "Sycamore-style random circuit (fSim couplers)",
         ),
         ("grover:N[,marked]", "Grover search"),
         ("wstate:N", "W state"),

@@ -106,6 +106,21 @@ fn gen_emits_parseable_qasm() {
 }
 
 #[test]
+fn gen_refuses_a_circuit_it_cannot_write() {
+    // Grover's oracle is a Z with seven controls: no OpenQASM 2.0 line.
+    let out = cli().args(["gen", "grover:8"]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing on stdout");
+    assert!(stderr.contains("no exact OpenQASM 2.0 form"), "{stderr}");
+    // Supremacy's sqrt(Y) is written as RY(pi/2), a global phase away.
+    let qasm = run_split(&["gen", "supremacy:9,4"]).0;
+    let c = qcircuit::parse_qasm(&qasm).unwrap();
+    let want = qcircuit::generators::from_spec("supremacy:9,4", 42).unwrap();
+    assert_eq!(c.num_gates(), want.num_gates());
+}
+
+#[test]
 fn qasm_file_round_trip_through_cli() {
     let dir = std::env::temp_dir().join("flatdd_cli_test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -118,7 +118,7 @@ fn unitaries_equal_and_miter_agree() {
 #[test]
 fn qasm_round_trip_preserves_equivalence_up_to_phase() {
     let c = generators::random_circuit(4, 30, 77);
-    let qasm = qcircuit::qasm::to_qasm(&c);
+    let qasm = qcircuit::qasm::to_qasm(&c).unwrap();
     let parsed = qcircuit::parse_qasm(&qasm).unwrap();
     assert!(check_equivalence(&c, &parsed).is_equivalent());
 }

@@ -99,7 +99,6 @@ fn every_event() -> Vec<Event> {
             dd_size: Some(200),
             ewma: Some(150.25),
             workers: vec![worker],
-            scalar_tasks: 2,
         },
         Event::Fusion {
             sim: 1,
@@ -237,16 +236,7 @@ fn every_emitter_parses_with_its_keys_in_order() {
             "plan_hit", "fused",
         ],
         &[
-            "type",
-            "sim",
-            "ts_us",
-            "dur_us",
-            "at_gate",
-            "policy",
-            "dd_size",
-            "ewma",
-            "scalar_tasks",
-            "workers",
+            "type", "sim", "ts_us", "dur_us", "at_gate", "policy", "dd_size", "ewma", "workers",
         ],
         &["type", "sim", "ts_us", "dur_us", "gates_in", "matrices_out"],
         &[

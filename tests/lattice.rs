@@ -306,10 +306,13 @@ fn every_configuration_reaches_the_dense_state() {
 
         // The twin run. The design promises the same bits on a rerun, with
         // telemetry off against on, with the floor unset against armed but
-        // unpressured, and at another thread count when the flat phase has
-        // one shard.
+        // unpressured, at any geometry when the run ends in the DD phase
+        // (the conversion fill is a function of the DD alone), and at
+        // another thread count when the flat phase has one shard.
         let mut twin = geometry;
-        if twin.flat_shards == 1 {
+        if sim.phase() == Phase::Dd {
+            twin = Geometry::draw(g);
+        } else if twin.flat_shards == 1 {
             twin.threads = [1, 2, 4, 16][g.rng.range(0..4)];
         }
         let mut unarmed = base;

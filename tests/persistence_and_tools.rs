@@ -116,7 +116,7 @@ fn qasm_edge_cases() {
 
 #[test]
 fn equivalence_checking_validates_peephole_on_qasm_inputs() {
-    let src = qcircuit::qasm::to_qasm(&generators::qft(5));
+    let src = qcircuit::qasm::to_qasm(&generators::qft(5)).unwrap();
     let parsed = parse_qasm(&src).unwrap();
     let optimized = qcircuit::transform::peephole_optimize(&parsed);
     assert!(qdd::check_equivalence(&parsed, &optimized).is_equivalent());

@@ -96,15 +96,47 @@ fn ghz_qasm_matches_generator() {
     assert!(state_distance(&a, &b) < 1e-12);
 }
 
+/// The families `flatdd-cli list` names.
+fn listed_families() -> Vec<String> {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_flatdd-cli"))
+        .arg("list")
+        .output()
+        .expect("flatdd-cli list runs");
+    let text = String::from_utf8(out.stdout).unwrap();
+    text.lines()
+        .skip(1)
+        .filter_map(|l| l.trim_start().split_once(':').map(|(f, _)| f.to_string()))
+        .collect()
+}
+
 #[test]
 fn generator_to_qasm_to_engines_round_trip() {
-    for c in [
-        qcircuit::generators::qft(5),
-        qcircuit::generators::w_state(5),
-        qcircuit::generators::random_circuit(5, 40, 77),
-    ] {
-        let qasm = qcircuit::qasm::to_qasm(&c);
-        let parsed = parse_qasm(&qasm).unwrap_or_else(|e| panic!("{}: {e}", c.name()));
+    // Every listed family, at 7 qubits (families round to their own
+    // shape) with its default parameters: written exactly, up to global
+    // phase, or refused at a gate OpenQASM 2.0 cannot write.
+    let families = listed_families();
+    assert!(families.len() >= 16, "{families:?}");
+    let mut refused = Vec::new();
+    for family in &families {
+        let c = qcircuit::generators::from_spec(&format!("{family}:7"), 5).unwrap();
+        let qasm = match qcircuit::qasm::to_qasm(&c) {
+            Ok(qasm) => qasm,
+            Err(e) => {
+                let gate = &c.gates()[e.index];
+                assert!(
+                    gate.controls.len() > 2 || gate.controls.iter().any(|k| !k.positive),
+                    "{family}: refused {e}"
+                );
+                refused.push(family.as_str());
+                continue;
+            }
+        };
+        assert!(
+            qasm.lines().all(|l| !l.trim_start().starts_with("//")),
+            "{family}: a comment line"
+        );
+        let parsed = parse_qasm(&qasm).unwrap_or_else(|e| panic!("{family}: {e}"));
+        assert_eq!(parsed.num_gates(), c.num_gates(), "{family}");
         let want = dense::simulate(&c);
         let got = flatdd::simulate(
             &parsed,
@@ -113,13 +145,11 @@ fn generator_to_qasm_to_engines_round_trip() {
                 ..Default::default()
             },
         );
-        // to_qasm may shift global phase through gate identities.
-        assert!(
-            qcircuit::complex::state_distance_up_to_phase(&got, &want) < 1e-8,
-            "{}",
-            c.name()
-        );
+        // An uncontrolled gate may be written with another global phase.
+        let d = qcircuit::complex::state_distance_up_to_phase(&got, &want);
+        assert!(d < 1e-12, "{family}: {d:e}");
     }
+    assert_eq!(refused, ["grover"], "multi-controlled Z has no qelib1 form");
 }
 
 #[test]

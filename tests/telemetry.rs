@@ -266,7 +266,8 @@ fn chrome_trace_draws_one_timeline_per_run() {
     let eps = 1e-6;
     for &&(name, _, ts, dur) in &phases {
         assert!(
-            runs.iter().any(|&(s, e)| s <= ts + eps && ts + dur <= e + eps),
+            runs.iter()
+                .any(|&(s, e)| s <= ts + eps && ts + dur <= e + eps),
             "{name} at {ts}+{dur} lies outside every run {runs:?}"
         );
     }

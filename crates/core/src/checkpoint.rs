@@ -291,9 +291,11 @@ pub fn circuit_fingerprint(circuit: &Circuit) -> u64 {
 }
 
 /// Fingerprint of the result-relevant simulator configuration. Thread
-/// count, trace/telemetry flags, and governor budgets are excluded: they
-/// change performance, not the final state, so a resume may legitimately
-/// use different values (e.g. a larger memory budget after a breach).
+/// and shard counts, trace/telemetry flags, and governor budgets are
+/// excluded: they change performance, not the final state (bit for bit on
+/// an unfused run, to 1e-12 on a fused one; DESIGN.md §6), so a resume may
+/// legitimately use different values (e.g. a larger memory budget after a
+/// breach).
 /// `CostModel` stands where the retired kernel policy was rendered, so
 /// files written under its default still resume.
 pub fn config_fingerprint(cfg: &crate::sim::FlatDdConfig) -> u64 {

@@ -798,7 +798,9 @@ impl Program {
     /// the four diagonals `d` over `lo.len()` amplitudes. All four constant:
     /// one 2x2 for the region (nothing for the identity: the control-off
     /// part of the state is never loaded). A joint period of at most
-    /// [`TILE`] that the region repeats: one tiled kernel call. A longer
+    /// [`TILE`], a region of one period included: one tiled kernel call,
+    /// so every pair goes through the same `vecops` arithmetic whatever
+    /// the width of the group that reaches it. A longer
     /// period the region repeats: resolved once into a [`PairPlan`] and
     /// replayed. Otherwise — no repetition at this level, or a period too
     /// irregular to resolve — each half of each period on its own.
@@ -810,22 +812,6 @@ impl Program {
             return pair_const(lo, hi, &d.map(|(_, c)| c));
         }
         if period == len && self.tiled_pairs(&d, lo, hi) {
-            return;
-        }
-        if period == len && len <= TILE {
-            // One period and no more (the bottom of an irregular diagonal,
-            // a fused product under the target): straight from the four
-            // flattened diagonals — preparing a tile for a single use costs
-            // more than its 16 pairs.
-            let mut flat = [[Complex64::ZERO; TILE]; 4];
-            for (k, &d_k) in d.iter().enumerate() {
-                self.flatten(d_k, &mut flat[k][..len]);
-            }
-            for (i, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
-                let (a0, a1) = (*l, *h);
-                *l = flat[0][i] * a0 + flat[1][i] * a1;
-                *h = flat[2][i] * a0 + flat[3][i] * a1;
-            }
             return;
         }
         if period <= TILE {
@@ -1722,9 +1708,19 @@ mod tests {
                     dense::apply_gate(&mut want, &g);
                     let pkg = DdPackage::default();
                     let m = pkg.gate_dd(&g, n);
+                    // The one-group in-place result: every group count that
+                    // runs in place must end on its bits.
+                    let mut one_group: Option<Vec<u64>> = None;
                     for (t, pool) in geometries {
                         let (variants, in_place) = all_variants(&pkg, m, n, t, &pools[pool], &v);
                         assert!(in_place || t > 1, "{g}: no in-place form at one group");
+                        if in_place {
+                            let got = &variants.last().expect("the in-place variant").1;
+                            let bits = got.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]);
+                            let bits: Vec<u64> = bits.collect();
+                            let want_bits = one_group.get_or_insert_with(|| bits.clone());
+                            assert!(bits == *want_bits, "{g} t={t}: in place changed bits");
+                        }
                         // The guard that keeps the single-gate workloads on
                         // the walk they were tuned on.
                         let tiles = DmavAssignment::build(&pkg, m, n, t).program.tiles.len();

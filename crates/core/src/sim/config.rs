@@ -54,9 +54,12 @@ pub struct FlatDdConfig {
     /// DMAV, gate kernels, measurement, the health watchdog, and
     /// checkpoint chunking. `0` (the default) follows the worker-thread
     /// count; explicit values are clamped like a thread count (power of
-    /// two, `log2 s < n`). Numerically the shard count is inert: `1`
-    /// reproduces the serial path bit-for-bit, any other value agrees to
-    /// rounding of the per-shard partial sums.
+    /// two, `log2 s < n`). Numerically the shard count is inert: an
+    /// unfused run, or one that ends in the DD phase, ends on the same
+    /// bits at every value; a fused run's amplitudes agree with `1` to
+    /// 1e-12 (a plan-time tile wider than a shard is entered below its
+    /// node). Readers that sum over shards (`norm_sqr`, the marginals,
+    /// `measure_qubit`) sum in shard order.
     pub flat_shards: usize,
     /// Conversion timing.
     pub conversion: ConversionPolicy,

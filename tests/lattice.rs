@@ -8,10 +8,13 @@
 //! under a second geometry, the fidelity floor armed at 1.0 or unset, and a
 //! telemetry sink on or off. The run must agree with the dense, DD and
 //! array engines to 1e-12, its readers with their oracles, and itself bit
-//! for bit wherever the design promises it (DESIGN.md §6). Every other pair
-//! of runs is held to 1e-12 and the cases whose bits differ are counted per
-//! pair and printed (`--nocapture`). A run that ends in the flat phase, the
-//! resumed one included, holds exactly one `2^n`-amplitude vector.
+//! for bit wherever the design promises it (DESIGN.md §6): a twin run ends
+//! on the same bits at any geometry when it is unfused or ends in the DD
+//! phase. Every other pair of runs — the resumes, labelled by the phase of
+//! their checkpoint and by fusion policy — is held to 1e-12 and the cases
+//! whose bits differ are counted per pair and printed (`--nocapture`). A
+//! run that ends in the flat phase, the resumed one included, holds exactly
+//! one `2^n`-amplitude vector.
 
 mod oracles;
 
@@ -307,10 +310,12 @@ fn every_configuration_reaches_the_dense_state() {
         // The twin run. The design promises the same bits on a rerun, with
         // telemetry off against on, with the floor unset against armed but
         // unpressured, at any geometry when the run ends in the DD phase
-        // (the conversion fill is a function of the DD alone), and at
-        // another thread count when the flat phase has one shard.
+        // (the conversion fill is a function of the DD alone) or is
+        // unfused (every in-place pair goes through one kernel per shape,
+        // whatever the width of a group), and at another thread count when
+        // a fused flat phase has one shard.
         let mut twin = geometry;
-        if sim.phase() == Phase::Dd {
+        if sim.phase() == Phase::Dd || fus == FusionPolicy::None {
             twin = Geometry::draw(g);
         } else if twin.flat_shards == 1 {
             twin.threads = [1, 2, 4, 16][g.rng.range(0..4)];
@@ -352,7 +357,16 @@ fn every_configuration_reaches_the_dense_state() {
         let after = resumed.amplitudes();
         let d = state_distance(&after, &got);
         assert!(d < tol, "{case}: resumed at gate {cut}, {d:e} away");
-        let pair = format!("resume, {}", geometry.change(resumed_at));
+        let fusion = match fus {
+            FusionPolicy::None => "unfused",
+            FusionPolicy::DmavAware => "DmavAware",
+            FusionPolicy::KOperations(_) => "KOperations",
+        };
+        let pair = format!(
+            "resume from {}, {fusion}, {}",
+            if flat_checkpoint { "flat" } else { "DD" },
+            geometry.change(resumed_at)
+        );
         compare(&mut pairs, &pair, &after, &got);
 
         let metrics = sim.context().metrics();

@@ -306,8 +306,9 @@ impl<const K: usize> GroupLayout<K> {
     }
 }
 
-/// Longest period the tiled kernels ([`PairTile`], [`mul_diag_tiled`])
-/// accept: 16 amplitudes, eight register positions of the AVX2 kernels.
+/// Longest period of the one-use tables the in-place walk builds per call
+/// ([`PairTable::with`], [`DiagTable::with`]): 16 pairs or amplitudes, eight
+/// register positions of the AVX2 loops, so a table fits on the stack.
 pub const MAX_TILE: usize = 16;
 
 /// Whether `m` is exactly the 2x2 identity: a pair it would leave as it is,
@@ -315,11 +316,6 @@ pub const MAX_TILE: usize = 16;
 #[inline]
 pub fn is_identity(m: &[Complex64; 4]) -> bool {
     m[0] == Complex64::ONE && m[3] == Complex64::ONE && m[1].is_zero() && m[2].is_zero()
-}
-
-/// Whether `p` is a period the tiled kernels accept.
-fn tile_period_ok(p: usize) -> bool {
-    p.is_power_of_two() && p <= MAX_TILE
 }
 
 /// In-place 2x2 on adjacent pairs, `(v[2k], v[2k+1]) <- m * (v[2k], v[2k+1])`:
@@ -330,110 +326,6 @@ pub fn pairs2x2(v: &mut [Complex64], m: &[Complex64; 4]) {
     dispatch!(scalar::pairs2x2(v, m), avx2::pairs2x2(v, m))
 }
 
-/// A short period of 2x2 matrices, prepared once and applied to any number
-/// of runs: [`apply_2x2`] with a matrix per position,
-/// `(lo[i], hi[i]) <- tile[i % p] * (lo[i], hi[i])`. This is a gate
-/// controlled from *below* its target in the in-place DMAV walk: the 2x2 a
-/// pair sees depends on the low bits of its index (identity where a control
-/// is off), so the lanes of a register carry different matrices. Positions
-/// whose matrix is exactly the identity are not touched. A period of 1 is a
-/// plain `U (x) I`.
-///
-/// Preparing costs a few hundred bytes of table writes; a walk that meets
-/// the same period in many small regions keeps the value.
-pub struct PairTile {
-    /// The period's matrices, row-major (`p` of them are meaningful).
-    tile: [[Complex64; 4]; MAX_TILE],
-    p: usize,
-    /// Per amplitude of the period: its matrix is the exact identity.
-    identity: [bool; MAX_TILE],
-    /// Per register position (amplitudes `2r, 2r + 1` of the period; a
-    /// period of 1 fills both lanes with its one matrix): `[re, im]` of the
-    /// four matrix entries, lane `k` holding amplitude `k`'s. Plain arrays,
-    /// so the type is the same on every target; the AVX2 kernels load them.
-    coef: [[[f64; 4]; 8]; MAX_TILE / 2],
-    /// Register positions both of whose matrices are the identity.
-    skip: [bool; MAX_TILE / 2],
-    positions: usize,
-}
-
-impl PairTile {
-    /// Prepares the period `tile`.
-    ///
-    /// # Panics
-    /// Unless `tile.len()` is a power of two `<= MAX_TILE`.
-    pub fn new(tile: &[[Complex64; 4]]) -> Self {
-        let p = tile.len();
-        assert!(tile_period_ok(p));
-        let mut t = PairTile {
-            tile: [[Complex64::ZERO; 4]; MAX_TILE],
-            p,
-            identity: [false; MAX_TILE],
-            coef: [[[0.0; 4]; 8]; MAX_TILE / 2],
-            skip: [false; MAX_TILE / 2],
-            positions: p.div_ceil(2),
-        };
-        t.tile[..p].copy_from_slice(tile);
-        for (id, m) in t.identity.iter_mut().zip(tile) {
-            *id = is_identity(m);
-        }
-        for r in 0..t.positions {
-            let (j0, j1) = ((2 * r) % p, (2 * r + 1) % p);
-            let (a, b) = (&tile[j0], &tile[j1]);
-            for k in 0..4 {
-                t.coef[r][2 * k] = [a[k].re, a[k].re, b[k].re, b[k].re];
-                t.coef[r][2 * k + 1] = [a[k].im, a[k].im, b[k].im, b[k].im];
-            }
-            t.skip[r] = t.identity[j0] && t.identity[j1];
-        }
-        t
-    }
-
-    /// `(lo[i], hi[i]) <- tile[i % p] * (lo[i], hi[i])`.
-    ///
-    /// # Panics
-    /// Unless `lo.len() == hi.len()` and the period divides it (the AVX2
-    /// loop steps by the period without a tail, so this is asserted in
-    /// release builds too).
-    #[inline]
-    pub fn apply(&self, lo: &mut [Complex64], hi: &mut [Complex64]) {
-        assert!(lo.len() == hi.len() && lo.len().is_multiple_of(self.p));
-        dispatch!(
-            scalar::pair_tile_run(self, lo, hi),
-            avx2::pair_tile_apply(self, lo, hi)
-        )
-    }
-
-    /// [`Self::apply`] on every `2 * half`-sized block of `v`, the two
-    /// `half`-long runs of a block as `lo` and `hi` — the in-place
-    /// counterpart of [`block2x2`], with the block loop inside the kernel so
-    /// that a run of two amplitudes costs one register pass, not one call.
-    ///
-    /// # Panics
-    /// Unless the period divides `half` and `2 * half` divides `v.len()`.
-    #[inline]
-    pub fn apply_blocks(&self, v: &mut [Complex64], half: usize) {
-        assert!(half > 0 && half.is_multiple_of(self.p) && v.len().is_multiple_of(2 * half));
-        dispatch!(
-            scalar::pair_tile_blocks(self, v, half),
-            avx2::pair_tile_blocks(self, v, half)
-        )
-    }
-}
-
-/// `v[i] <- d[i % p] * v[i]` with `p = d.len()`: a diagonal gate matrix whose
-/// entries repeat with a short period (T or CZ on low qubits), flattened once
-/// per gate. Register positions whose factors are exactly 1 are not touched.
-///
-/// # Panics
-/// Unless `p` is a power of two `<= MAX_TILE` that divides `v.len()`.
-#[inline]
-pub fn mul_diag_tiled(v: &mut [Complex64], d: &[Complex64]) {
-    let p = d.len();
-    assert!(tile_period_ok(p) && v.len().is_multiple_of(p));
-    dispatch!(scalar::mul_diag_tiled(v, d), avx2::mul_diag_tiled(v, d))
-}
-
 /// Two complex numbers in the broadcast layout of the AVX2 kernels:
 /// `[a.re, a.re, b.re, b.re]` and `[a.im, a.im, b.im, b.im]` — one register
 /// each, multiplied into a register of two amplitudes with one shuffle.
@@ -441,123 +333,262 @@ fn lanes(a: Complex64, b: Complex64) -> [[f64; 4]; 2] {
     [[a.re, a.re, b.re, b.re], [a.im, a.im, b.im, b.im]]
 }
 
-/// The order [`DiagTable`] keeps four consecutive entries in.
-const SPLIT_ORDER: [usize; 4] = [0, 2, 1, 3];
-
-/// A dense diagonal of any length `p` that is a multiple of 4, prepared
-/// once per plan (the plan-time tile of an irregular fused diagonal,
-/// DESIGN.md §8.1) and applied to every `p`-amplitude block of a vector
-/// under one factor.
-#[derive(Debug)]
-pub struct DiagTable {
-    /// Per four consecutive entries `a, b, c, d`: the real parts as
-    /// `[a, c, b, d]` ([`SPLIT_ORDER`]), then the imaginary parts. That is
-    /// the order unpacking two registers of amplitudes (`[a, b]`, `[c, d]`)
-    /// into one of real and one of imaginary parts leaves them in, so the
-    /// table is multiplied in without a shuffle of its own, at 16 bytes an
-    /// entry.
-    coef: Vec<[[f64; 4]; 2]>,
+/// One register position of a [`PairTable`]: the 2x2 matrices of two
+/// consecutive pairs, entry `k` of both as [`lanes`] at `[2k]` (real parts)
+/// and `[2k + 1]` (imaginary) — the registers the AVX2 loop loads. Aligned
+/// to a register, so no load straddles a cache line (unaligned, the flag
+/// put every table entry at another offset and a plan-time tile ran up to
+/// a third slower).
+#[derive(Clone, Copy, Debug)]
+#[repr(align(32))]
+pub struct PairCoef {
+    lanes: [[f64; 4]; 8],
+    /// Both matrices are exactly the identity: under a factor of 1 the
+    /// position is not touched.
+    identity: bool,
 }
 
-impl DiagTable {
-    /// Prepares the diagonal `d`.
-    ///
-    /// # Panics
-    /// Unless `d.len()` is a non-zero multiple of 4.
-    pub fn new(d: &[Complex64]) -> Self {
-        assert!(!d.is_empty() && d.len().is_multiple_of(4));
-        let coef = d
-            .chunks_exact(4)
-            .map(|x| {
-                let split = SPLIT_ORDER.map(|k| x[k]);
-                [split.map(|c| c.re), split.map(|c| c.im)]
-            })
-            .collect();
-        DiagTable { coef }
-    }
-
-    /// Entries of the diagonal: the period it repeats with over `v`.
-    pub fn period(&self) -> usize {
-        4 * self.coef.len()
-    }
-
-    /// Heap bytes of the table.
-    pub fn memory_bytes(&self) -> usize {
-        self.coef.capacity() * std::mem::size_of::<[[f64; 4]; 2]>()
-    }
-
-    /// `v[i] <- f * d[i % p] * v[i]`.
-    ///
-    /// # Panics
-    /// Unless `p` divides `v.len()` (the AVX2 loop steps by it).
+impl PairCoef {
+    /// Position `r` of the period `mats`: pairs `2r` and `2r + 1` modulo
+    /// the period (a period of one fills both lanes).
     #[inline]
-    pub fn apply(&self, v: &mut [Complex64], f: Complex64) {
-        assert!(v.len().is_multiple_of(self.period()));
-        dispatch!(
-            scalar::diag_table_apply(self, v, f),
-            avx2::diag_table_apply(self, v, f)
-        )
+    fn of(mats: &[[Complex64; 4]], r: usize) -> Self {
+        let wrap = mats.len() - 1;
+        let (a, b) = (&mats[(2 * r) & wrap], &mats[(2 * r + 1) & wrap]);
+        let l = |k: usize| lanes(a[k], b[k]);
+        let [l0, l1, l2, l3] = [l(0), l(1), l(2), l(3)];
+        PairCoef {
+            lanes: [l0[0], l0[1], l1[0], l1[1], l2[0], l2[1], l3[0], l3[1]],
+            identity: is_identity(a) && is_identity(b),
+        }
+    }
+
+    /// The matrix of the position's first (`lane` 0) or second pair.
+    fn matrix(&self, lane: usize) -> [Complex64; 4] {
+        let c = &self.lanes;
+        std::array::from_fn(|k| Complex64::new(c[2 * k][2 * lane], c[2 * k + 1][2 * lane]))
     }
 }
 
-/// 2x2 matrices, one per amplitude pair of a span at one stride, prepared
-/// once per plan: the span is cut into blocks of `2 * stride` amplitudes,
-/// and pair `j = b * stride + i` is `(v[2 * stride * b + i],
-/// v[2 * stride * b + stride + i])` — the plan-time tile of a node whose
-/// only non-diagonal level is one pair stride (an `RY` folded with an
-/// irregular diagonal, DESIGN.md §8.1). Unlike [`PairTile`] the matrices do
-/// not repeat: a table is as long as the span it covers.
+/// Entries of a table of period `p` (a power of two), `per` to an entry.
+#[inline]
+fn table_len(p: usize, per: usize) -> usize {
+    assert!(p.is_power_of_two(), "a table's period is a power of two");
+    p.div_ceil(per)
+}
+
+/// Calls `run` with the `n` entries `entry(0..n)` in an array on the
+/// stack, `n` one of 1, 2, 4 or 8 (a one-use table of at most
+/// [`MAX_TILE`] pairs or amplitudes): each entry is written once, and
+/// nothing is zeroed or allocated.
+#[inline]
+fn on_stack<T, R>(n: usize, entry: impl Fn(usize) -> T, run: impl FnOnce(&[T]) -> R) -> R {
+    let e = entry;
+    match n {
+        1 => run(&[e(0)]),
+        2 => run(&[e(0), e(1)]),
+        4 => run(&[e(0), e(1), e(2), e(3)]),
+        8 => run(&[e(0), e(1), e(2), e(3), e(4), e(5), e(6), e(7)]),
+        _ => panic!("a one-use table has at most {MAX_TILE} pairs or amplitudes"),
+    }
+}
+
+/// 2x2 matrices on the amplitude pairs of a vector cut into blocks of
+/// `2 * half`: pair `i < half` of block `b` is `(v[2*half*b + i],
+/// v[2*half*b + half + i])`, and it takes entry `(b*half + i) mod len` of
+/// the table's `len` matrices (a power of two). That one rule covers:
+///
+/// * one 2x2 on every block (`len` 1): a gate `U (x) I_half`;
+/// * a short period (`len <= MAX_TILE`, dividing `half`): a gate controlled
+///   from *below* its target, whose 2x2 depends on the low bits of a pair's
+///   index (the identity where a control is off), built per call;
+/// * one 2x2 per pair of a span (`len` its pairs, `half` the stride): the
+///   plan-time tile of a node with one non-diagonal pair stride (an `RY`
+///   folded with an irregular diagonal, DESIGN.md §8.1).
+///
+/// The entries live in a plan's `Vec` ([`Self::new`]) or in an array on
+/// the stack ([`Self::with`]); both run the same loops.
 #[derive(Debug)]
-pub struct PairTable {
-    /// Per two consecutive pairs `j, j + 1`: entry `k` of their matrices as
-    /// [`lanes`] at `[2k]` (real parts) and `[2k + 1]` (imaginary) — the
-    /// layout of one [`PairTile`] register position.
-    coef: Vec<[[f64; 4]; 8]>,
-    stride: usize,
+pub struct PairTable<C = Vec<PairCoef>> {
+    coef: C,
 }
 
 impl PairTable {
-    /// Prepares one matrix per pair, in pair order.
+    /// The table of `mats`, one matrix per pair in pair order, kept.
     ///
     /// # Panics
-    /// Unless `stride` is a power of two and `mats.len()` a non-zero, even
-    /// multiple of it.
-    pub fn new(mats: &[[Complex64; 4]], stride: usize) -> Self {
-        let pairs = mats.len();
-        assert!(stride.is_power_of_two() && pairs > 0);
-        assert!(pairs.is_multiple_of(2) && pairs.is_multiple_of(stride));
-        let coef = mats
-            .chunks_exact(2)
-            .map(|m| {
-                let entries: [[[f64; 4]; 2]; 4] = std::array::from_fn(|k| lanes(m[0][k], m[1][k]));
-                std::array::from_fn(|x| entries[x / 2][x % 2])
-            })
-            .collect();
-        PairTable { coef, stride }
+    /// Unless `mats.len()` is a power of two.
+    pub fn new(mats: &[[Complex64; 4]]) -> Self {
+        let n = table_len(mats.len(), 2);
+        PairTable {
+            coef: (0..n).map(|r| PairCoef::of(mats, r)).collect(),
+        }
     }
 
-    /// Amplitudes the table covers.
-    pub fn span(&self) -> usize {
-        4 * self.coef.len()
+    /// Calls `run` with the one-use table of `mats`, built on the stack: only
+    /// the positions the period uses are written, and nothing is allocated.
+    ///
+    /// # Panics
+    /// Unless `mats.len()` is a power of two of at most [`MAX_TILE`].
+    pub fn with<R>(mats: &[[Complex64; 4]], run: impl FnOnce(PairTable<&[PairCoef]>) -> R) -> R {
+        let n = table_len(mats.len(), 2);
+        on_stack(n, |r| PairCoef::of(mats, r), |coef| run(PairTable { coef }))
     }
 
     /// Heap bytes of the table.
     pub fn memory_bytes(&self) -> usize {
-        self.coef.capacity() * std::mem::size_of::<[[f64; 4]; 8]>()
+        self.coef.capacity() * std::mem::size_of::<PairCoef>()
     }
+}
 
-    /// `(lo, hi) <- f * m_j * (lo, hi)` for every pair `j` of every
-    /// [`Self::span`]-sized block of `v`.
+impl<C: AsRef<[PairCoef]>> PairTable<C> {
+    /// `(lo, hi) <- m_j * f * (lo, hi)` on every pair of every `2 * half`-sized
+    /// block of `v`, `m_j` the table's entry for the pair (above). Positions
+    /// whose two matrices are exactly the identity are not touched under a
+    /// factor of 1.
     ///
     /// # Panics
-    /// Unless the span divides `v.len()`.
+    /// Unless `half` is a power of two and `2 * half` divides `v.len()`, and
+    /// at `half == 1` the pairs are even in number (the AVX2 loop steps by
+    /// registers without a tail, so this is asserted in release builds too).
+    #[inline]
+    pub fn apply(&self, v: &mut [Complex64], half: usize, f: Complex64) {
+        assert!(
+            half.is_power_of_two() && v.len().is_multiple_of(2 * half.max(2)),
+            "a pair table runs over whole blocks of register pairs"
+        );
+        let coef = self.coef.as_ref();
+        dispatch!(
+            scalar::pair_table(coef, blocks(v, half), f),
+            avx2::pair_table(coef, v, half, f)
+        )
+    }
+
+    /// [`Self::apply`] on one block whose halves `lo` and `hi` lie apart (a
+    /// region of a pair walk): pair `i` is `(lo[i], hi[i])`.
+    ///
+    /// # Panics
+    /// Unless `lo` and `hi` have one even length.
+    #[inline]
+    pub fn apply_runs(&self, lo: &mut [Complex64], hi: &mut [Complex64], f: Complex64) {
+        assert!(
+            lo.len() == hi.len() && lo.len().is_multiple_of(2),
+            "a pair table runs over whole registers"
+        );
+        let coef = self.coef.as_ref();
+        dispatch!(
+            scalar::pair_table(coef, std::iter::once((lo, hi)), f),
+            avx2::pair_runs(coef, std::iter::once((lo, hi)), f)
+        )
+    }
+}
+
+/// The two halves of every `2 * half`-sized block of `v`.
+fn blocks(
+    v: &mut [Complex64],
+    half: usize,
+) -> impl Iterator<Item = (&mut [Complex64], &mut [Complex64])> {
+    v.chunks_exact_mut(2 * half)
+        .map(move |b| b.split_at_mut(half))
+}
+
+/// The order [`DiagCoef`] keeps four consecutive entries in.
+const SPLIT_ORDER: [usize; 4] = [0, 2, 1, 3];
+
+/// Four consecutive entries `a, b, c, d` of a [`DiagTable`]: the real parts
+/// as `[a, c, b, d]` ([`SPLIT_ORDER`]), then the imaginary parts — the
+/// order unpacking two registers of amplitudes (`[a, b]`, `[c, d]`) into
+/// one of real and one of imaginary parts leaves them in, so the entries
+/// are multiplied in without a shuffle of their own. Aligned to a register
+/// as [`PairCoef`] is: 24 bytes an entry.
+#[derive(Clone, Copy, Debug)]
+#[repr(align(32))]
+pub struct DiagCoef {
+    lanes: [[f64; 4]; 2],
+    /// Per register (`a, b` and `c, d`): both entries are exactly 1, so
+    /// under a factor of 1 it is not touched.
+    ones: [bool; 2],
+}
+
+impl DiagCoef {
+    /// Entries `4q .. 4q + 4` of the diagonal `d`, modulo its period (a
+    /// shorter one repeated).
+    #[inline]
+    fn of(d: &[Complex64], q: usize) -> Self {
+        let e = |k: usize| d[(4 * q + k) & (d.len() - 1)];
+        let split = SPLIT_ORDER.map(e);
+        let one = |k: usize| e(k) == Complex64::ONE;
+        DiagCoef {
+            lanes: [split.map(|c| c.re), split.map(|c| c.im)],
+            ones: [one(0) && one(1), one(2) && one(3)],
+        }
+    }
+}
+
+/// A diagonal of `p` entries (a power of two), applied as `v[i] <- f *
+/// d[i mod p] * v[i]`. Two shapes share it:
+///
+/// * a short period (`p <= MAX_TILE`) with the factor folded into the
+///   entries: T or CZ on low qubits, the bottom of an irregular diagonal,
+///   built per call;
+/// * the plan-time tile of an irregular fused diagonal (`p` its span,
+///   DESIGN.md §8.1), applied under each occurrence's factor.
+///
+/// The entries live in a plan's `Vec` ([`Self::new`]) or in an array on
+/// the stack ([`Self::with`]); both run the same loops.
+#[derive(Debug)]
+pub struct DiagTable<C = Vec<DiagCoef>> {
+    coef: C,
+}
+
+impl DiagTable {
+    /// The table of the diagonal `d`, kept.
+    ///
+    /// # Panics
+    /// Unless `d.len()` is a power of two.
+    pub fn new(d: &[Complex64]) -> Self {
+        let n = table_len(d.len(), 4);
+        DiagTable {
+            coef: (0..n).map(|q| DiagCoef::of(d, q)).collect(),
+        }
+    }
+
+    /// Calls `run` with the one-use table of `d`, built on the stack:
+    /// nothing is allocated.
+    ///
+    /// # Panics
+    /// Unless `d.len()` is a power of two of at most [`MAX_TILE`].
+    pub fn with<R>(d: &[Complex64], run: impl FnOnce(DiagTable<&[DiagCoef]>) -> R) -> R {
+        let n = table_len(d.len(), 4);
+        on_stack(n, |q| DiagCoef::of(d, q), |coef| run(DiagTable { coef }))
+    }
+
+    /// Heap bytes of the table.
+    pub fn memory_bytes(&self) -> usize {
+        self.coef.capacity() * std::mem::size_of::<DiagCoef>()
+    }
+}
+
+impl<C: AsRef<[DiagCoef]>> DiagTable<C> {
+    /// Entries the diagonal repeats after (four for a shorter period).
+    pub fn period(&self) -> usize {
+        4 * self.coef.as_ref().len()
+    }
+
+    /// `v[i] <- f * d[i mod p] * v[i]`: `f` folded into the entry, then the
+    /// amplitude through it. Registers whose two entries are exactly 1 are
+    /// not touched under a factor of 1.
+    ///
+    /// # Panics
+    /// Unless `v.len()` is even (the AVX2 loop steps by registers).
     #[inline]
     pub fn apply(&self, v: &mut [Complex64], f: Complex64) {
-        assert!(v.len().is_multiple_of(self.span()));
-        dispatch!(
-            scalar::pair_table_apply(self, v, f),
-            avx2::pair_table_apply(self, v, f)
-        )
+        assert!(
+            v.len().is_multiple_of(2),
+            "a diagonal table runs over whole registers"
+        );
+        let coef = self.coef.as_ref();
+        dispatch!(scalar::diag_table(coef, v, f), avx2::diag_table(coef, v, f))
     }
 }
 
@@ -566,35 +597,48 @@ impl PairTable {
 pub(crate) mod scalar {
     use super::Complex64;
 
-    pub fn diag_table_apply(t: &super::DiagTable, v: &mut [Complex64], f: Complex64) {
-        for block in v.chunks_exact_mut(t.period()) {
-            for (x, [re, im]) in block.chunks_exact_mut(4).zip(&t.coef) {
-                // `f * d` four lanes at a time (the compiler vectorizes
-                // this), then one product per amplitude.
-                let fd_re: [f64; 4] = std::array::from_fn(|k| f.re * re[k] - f.im * im[k]);
-                let fd_im: [f64; 4] = std::array::from_fn(|k| f.re * im[k] + f.im * re[k]);
-                for (a, lane) in x.iter_mut().zip(super::SPLIT_ORDER) {
-                    *a = Complex64::new(fd_re[lane], fd_im[lane]) * *a;
+    pub fn diag_table(coef: &[super::DiagCoef], v: &mut [Complex64], f: Complex64) {
+        let mask = coef.len() - 1;
+        for (q, x) in v.chunks_mut(4).enumerate() {
+            let c = &coef[q & mask];
+            let [re, im] = c.lanes;
+            // `f * d` four lanes at a time (the compiler vectorizes this).
+            let fd_re: [f64; 4] = std::array::from_fn(|l| f.re * re[l] - f.im * im[l]);
+            let fd_im: [f64; 4] = std::array::from_fn(|l| f.re * im[l] + f.im * re[l]);
+            for (k, a) in x.iter_mut().enumerate() {
+                let l = super::SPLIT_ORDER[k];
+                if f != Complex64::ONE {
+                    *a = Complex64::new(fd_re[l], fd_im[l]) * *a;
+                } else if !c.ones[k / 2] {
+                    *a = Complex64::new(re[l], im[l]) * *a;
                 }
             }
         }
     }
 
-    pub fn pair_table_apply(t: &super::PairTable, v: &mut [Complex64], f: Complex64) {
-        let (s, shift) = (t.stride, t.stride.trailing_zeros());
-        for span in v.chunks_exact_mut(t.span()) {
-            for (r, c) in t.coef.iter().enumerate() {
-                for lane in 0..2 {
-                    // Pair `j` is `span[at]` and `span[at + s]`.
-                    let j = 2 * r + lane;
-                    let at = ((j >> shift) << (shift + 1)) + (j & (s - 1));
-                    let m: [Complex64; 4] = std::array::from_fn(|k| {
-                        Complex64::new(c[2 * k][2 * lane], c[2 * k + 1][2 * lane])
-                    });
-                    let (a0, a1) = (f * span[at], f * span[at + s]);
-                    span[at] = m[0] * a0 + m[1] * a1;
-                    span[at + s] = m[2] * a0 + m[3] * a1;
+    /// Pair `g`, counted across the runs, takes lane `g % 2` of position
+    /// `g / 2` modulo the table.
+    pub fn pair_table<'a>(
+        coef: &[super::PairCoef],
+        runs: impl Iterator<Item = (&'a mut [Complex64], &'a mut [Complex64])>,
+        f: Complex64,
+    ) {
+        let mask = coef.len() - 1;
+        let mut g = 0;
+        for (lo, hi) in runs {
+            for (l, h) in lo.iter_mut().zip(hi) {
+                let c = &coef[(g / 2) & mask];
+                if f != Complex64::ONE || !c.identity {
+                    let m = c.matrix(g % 2);
+                    let (a0, a1) = if f == Complex64::ONE {
+                        (*l, *h)
+                    } else {
+                        (f * *l, f * *h)
+                    };
+                    *l = m[0] * a0 + m[1] * a1;
+                    *h = m[2] * a0 + m[3] * a1;
                 }
+                g += 1;
             }
         }
     }
@@ -694,38 +738,6 @@ pub(crate) mod scalar {
         }
     }
 
-    pub fn pair_tile_run(t: &super::PairTile, lo: &mut [Complex64], hi: &mut [Complex64]) {
-        if t.p == 1 {
-            return apply_2x2(lo, hi, &t.tile[0]);
-        }
-        let (tile, identity) = (&t.tile[..t.p], &t.identity[..t.p]);
-        for (lo_t, hi_t) in lo.chunks_exact_mut(t.p).zip(hi.chunks_exact_mut(t.p)) {
-            for (((l, h), m), &identity) in lo_t.iter_mut().zip(hi_t).zip(tile).zip(identity) {
-                if identity {
-                    continue;
-                }
-                let (a0, a1) = (*l, *h);
-                *l = m[0] * a0 + m[1] * a1;
-                *h = m[2] * a0 + m[3] * a1;
-            }
-        }
-    }
-
-    pub fn pair_tile_blocks(t: &super::PairTile, v: &mut [Complex64], half: usize) {
-        for block in v.chunks_exact_mut(2 * half) {
-            let (lo, hi) = block.split_at_mut(half);
-            pair_tile_run(t, lo, hi);
-        }
-    }
-
-    pub fn mul_diag_tiled(v: &mut [Complex64], d: &[Complex64]) {
-        for t in v.chunks_exact_mut(d.len()) {
-            for (a, &f) in t.iter_mut().zip(d) {
-                *a = f * *a;
-            }
-        }
-    }
-
     /// One block of [`block2x2`]: `(w_lo, w_hi) (+)= m * (v_lo, v_hi)`.
     #[inline(always)]
     pub fn block2x2_one<const ACC: bool>(
@@ -783,7 +795,7 @@ pub(crate) mod scalar {
 /// into this module, which `dispatch!` makes after runtime detection.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{scalar, Complex64, DiagTable, PairTable, PairTile, Real2x2, MAX_TILE};
+    use super::{scalar, Complex64, DiagCoef, PairCoef, Real2x2};
     use std::arch::x86_64::*;
 
     /// The register of two amplitudes.
@@ -848,7 +860,7 @@ mod avx2 {
 
     /// The registers of a 2x2 matrix applied to a register of `lo`
     /// amplitudes and one of `hi`: `[re, im]` broadcasts of `m0` to `m3`,
-    /// the [`PairTile`] layout of a period of 1.
+    /// the [`PairCoef`] layout of a single matrix.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
     fn matrix_regs(m: &[Complex64; 4]) -> [__m256d; 8] {
@@ -992,11 +1004,11 @@ mod avx2 {
         )
     }
 
-    /// [`pair_mul`] on the registers `lo` and `hi`, in place.
+    /// [`pair_mul`] on the registers `lo` and `hi` through `f`, in place.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
-    fn pair_step(lo: &mut [Complex64; 2], hi: &mut [Complex64; 2], c: &[__m256d; 8]) {
-        let (new_lo, new_hi) = pair_mul(load(lo), load(hi), c);
+    fn pair_step(lo: &mut [Complex64; 2], hi: &mut [Complex64; 2], c: &[__m256d; 8], f: Factor) {
+        let (new_lo, new_hi) = pair_mul(scaled(load(lo), f), scaled(load(hi), f), c);
         store(lo, new_lo);
         store(hi, new_hi);
     }
@@ -1009,7 +1021,7 @@ mod avx2 {
             .iter_mut()
             .zip(regs_mut(&mut hi[..n]))
         {
-            pair_step(l, h, &c);
+            pair_step(l, h, &c, None);
         }
         let i = n / 2 * 2;
         scalar::apply_2x2(&mut lo[i..n], &mut hi[i..n], m);
@@ -1127,155 +1139,137 @@ mod avx2 {
         }
     }
 
-    /// Register positions of a period: [`MAX_TILE`] amplitudes, two a register.
-    const POSITIONS: usize = MAX_TILE / 2;
+    /// A factor in broadcast registers (`[f.re; 4]`, `[f.im; 4]`), or
+    /// `None` for a factor of 1, which is not multiplied in.
+    type Factor = Option<(__m256d, __m256d)>;
 
-    /// Pairs of runs `lo` and `hi` of one length, even and a multiple of
-    /// the period, so whole passes over the table cover them.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
-    fn pair_runs<'a>(
-        t: &PairTile,
+    fn factor(f: Complex64) -> Factor {
+        (f != Complex64::ONE).then(|| (_mm256_set1_pd(f.re), _mm256_set1_pd(f.im)))
+    }
+
+    /// `x * f` for a register of two amplitudes.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn scaled(x: __m256d, f: Factor) -> __m256d {
+        match f {
+            Some((f_re, f_im)) => cmul_bcast(x, f_re, f_im),
+            None => x,
+        }
+    }
+
+    /// Runs of pairs `(lo[i], hi[i])`, each of an even length; pair `g`,
+    /// counted across the runs, takes position `g / 2` of the table.
+    #[target_feature(enable = "avx2,fma")]
+    pub fn pair_runs<'a>(
+        coef: &[PairCoef],
         runs: impl Iterator<Item = (&'a mut [Complex64], &'a mut [Complex64])>,
+        f: Complex64,
     ) {
-        if t.positions == 1 {
-            let c = load_lanes(&t.coef[0]);
-            for (lo, hi) in runs {
-                for (l, h) in regs_mut(lo).iter_mut().zip(regs_mut(hi)) {
-                    pair_step(l, h, &c);
+        let f = factor(f);
+        if let [c] = coef {
+            // One position: its registers stay loaded for the whole call.
+            if f.is_some() || !c.identity {
+                let c = load_lanes(&c.lanes);
+                for (lo, hi) in runs {
+                    for (l, h) in regs_mut(lo).iter_mut().zip(regs_mut(hi)) {
+                        pair_step(l, h, &c, f);
+                    }
                 }
             }
             return;
         }
+        let mask = coef.len() - 1;
+        let mut r = 0;
         for (lo, hi) in runs {
-            let (lo, hi) = (regs_mut(lo), regs_mut(hi));
-            let periods = lo
-                .chunks_exact_mut(t.positions)
-                .zip(hi.chunks_exact_mut(t.positions));
-            for (lo, hi) in periods {
-                for (((l, h), c), &skip) in lo.iter_mut().zip(hi).zip(&t.coef).zip(&t.skip) {
-                    if !skip {
-                        pair_step(l, h, &load_lanes(c));
-                    }
+            for (l, h) in regs_mut(lo).iter_mut().zip(regs_mut(hi)) {
+                let c = &coef[r & mask];
+                if f.is_some() || !c.identity {
+                    pair_step(l, h, &load_lanes(&c.lanes), f);
                 }
+                r += 1;
             }
         }
     }
 
+    /// [`pair_runs`] on the blocks of `v`. At `half == 1` a block is one
+    /// adjacent pair: two blocks, `[lo_0, hi_0]` and `[lo_1, hi_1]`, are
+    /// split into a `lo` and a `hi` register and back.
     #[target_feature(enable = "avx2,fma")]
-    pub fn pair_tile_apply(t: &PairTile, lo: &mut [Complex64], hi: &mut [Complex64]) {
-        let len = lo.len().min(hi.len());
-        if len % 2 == 1 {
-            // Only a period of 1 divides an odd length.
-            return scalar::pair_tile_run(t, lo, hi);
+    pub fn pair_table(coef: &[PairCoef], v: &mut [Complex64], half: usize, f: Complex64) {
+        if half > 1 {
+            return pair_runs(coef, super::blocks(v, half), f);
         }
-        pair_runs(t, std::iter::once((&mut lo[..len], &mut hi[..len])));
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub fn pair_tile_blocks(t: &PairTile, v: &mut [Complex64], half: usize) {
-        if half % 2 == 1 {
-            return scalar::pair_tile_blocks(t, v, half);
-        }
-        pair_runs(
-            t,
-            v.chunks_exact_mut(2 * half)
-                .map(|block| block.split_at_mut(half)),
-        );
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub fn diag_table_apply(t: &DiagTable, v: &mut [Complex64], f: Complex64) {
-        let (f_re, f_im) = (_mm256_set1_pd(f.re), _mm256_set1_pd(f.im));
-        for block in v.chunks_exact_mut(t.period()) {
-            let quads = regs_mut(block).as_chunks_mut().0.iter_mut();
-            for ([a, b], c) in quads.zip(&t.coef) {
-                let (x0, x1) = (load(a), load(b));
-                // Real and imaginary parts in `DiagTable`'s order.
-                let (re, im) = (_mm256_unpacklo_pd(x0, x1), _mm256_unpackhi_pd(x0, x1));
-                let y_re = _mm256_fmsub_pd(re, f_re, _mm256_mul_pd(im, f_im));
-                let y_im = _mm256_fmadd_pd(re, f_im, _mm256_mul_pd(im, f_re));
-                let [t_re, t_im] = load_lanes(c);
-                let z_re = _mm256_fmsub_pd(y_re, t_re, _mm256_mul_pd(y_im, t_im));
-                let z_im = _mm256_fmadd_pd(y_re, t_im, _mm256_mul_pd(y_im, t_re));
-                store(a, _mm256_unpacklo_pd(z_re, z_im));
-                store(b, _mm256_unpackhi_pd(z_re, z_im));
-            }
-        }
-    }
-
-    /// Two pairs, `lo = [lo_j, lo_j+1]` and `hi = [hi_j, hi_j+1]`, through
-    /// `f` and their matrices (`c`: [`PairTable`]'s entry for `j, j + 1`).
-    #[target_feature(enable = "avx2,fma")]
-    #[inline]
-    fn table_step(
-        lo: __m256d,
-        hi: __m256d,
-        c: &[[f64; 4]; 8],
-        f: Option<(__m256d, __m256d)>,
-    ) -> (__m256d, __m256d) {
-        let (lo, hi) = match f {
-            Some((f_re, f_im)) => (cmul_bcast(lo, f_re, f_im), cmul_bcast(hi, f_re, f_im)),
-            None => (lo, hi),
-        };
-        pair_mul(lo, hi, &load_lanes(c))
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub fn pair_table_apply(t: &PairTable, v: &mut [Complex64], f: Complex64) {
-        let f = (f != Complex64::ONE).then(|| (_mm256_set1_pd(f.re), _mm256_set1_pd(f.im)));
-        let s = t.stride;
-        for span in v.chunks_exact_mut(t.span()) {
-            if s == 1 {
-                // Pairs `2r, 2r + 1` are amplitudes `4r .. 4r + 4`: split
-                // the two registers into a `lo` and a `hi` one and back.
-                let quads = regs_mut(span).as_chunks_mut().0.iter_mut();
-                for ([x, y], c) in quads.zip(&t.coef) {
-                    let (a, b) = (load(x), load(y));
-                    let lo = _mm256_permute2f128_pd(a, b, 0x20);
-                    let hi = _mm256_permute2f128_pd(a, b, 0x31);
-                    let (lo, hi) = table_step(lo, hi, c, f);
-                    store(x, _mm256_permute2f128_pd(lo, hi, 0x20));
-                    store(y, _mm256_permute2f128_pd(lo, hi, 0x31));
-                }
+        let f = factor(f);
+        let mask = coef.len() - 1;
+        let quads = regs_mut(v).as_chunks_mut().0.iter_mut();
+        for (r, [x, y]) in quads.enumerate() {
+            let c = &coef[r & mask];
+            if f.is_none() && c.identity {
                 continue;
             }
-            // Block `b` of `2 * s` amplitudes holds pairs `b*s .. (b+1)*s`,
-            // two a table entry.
-            for (block, coef) in span.chunks_exact_mut(2 * s).zip(t.coef.chunks_exact(s / 2)) {
-                let (lo, hi) = block.split_at_mut(s);
-                for ((l, h), c) in regs_mut(lo).iter_mut().zip(regs_mut(hi)).zip(coef) {
-                    let (new_lo, new_hi) = table_step(load(l), load(h), c, f);
-                    store(l, new_lo);
-                    store(h, new_hi);
-                }
-            }
+            let (a, b) = (load(x), load(y));
+            let lo = scaled(_mm256_permute2f128_pd(a, b, 0x20), f);
+            let hi = scaled(_mm256_permute2f128_pd(a, b, 0x31), f);
+            let (lo, hi) = pair_mul(lo, hi, &load_lanes(&c.lanes));
+            store(x, _mm256_permute2f128_pd(lo, hi, 0x20));
+            store(y, _mm256_permute2f128_pd(lo, hi, 0x31));
         }
     }
 
+    /// `x * t` with the real and imaginary parts of four amplitudes in
+    /// separate registers: lane by lane the products and the fused
+    /// operation of [`cmul_bcast`].
     #[target_feature(enable = "avx2,fma")]
-    pub fn mul_diag_tiled(v: &mut [Complex64], d: &[Complex64]) {
-        let period = d.len();
-        if period == 1 {
-            return scale_in_place(v, d[0]);
-        }
-        let positions = period / 2;
-        let mut re = [_mm256_setzero_pd(); POSITIONS];
-        let mut im = [_mm256_setzero_pd(); POSITIONS];
-        let mut skip = [false; POSITIONS];
-        for r in 0..positions {
-            let (a, b) = (d[2 * r], d[2 * r + 1]);
-            re[r] = _mm256_setr_pd(a.re, a.re, b.re, b.re);
-            im[r] = _mm256_setr_pd(a.im, a.im, b.im, b.im);
-            skip[r] = a == Complex64::ONE && b == Complex64::ONE;
-        }
-        for block in v.chunks_exact_mut(period) {
-            let block = regs_mut(block);
-            for r in 0..positions {
-                if !skip[r] {
-                    let x = &mut block[r];
-                    store(x, cmul_bcast(load(x), re[r], im[r]));
+    #[inline]
+    fn cmul_split(re: __m256d, im: __m256d, t_re: __m256d, t_im: __m256d) -> (__m256d, __m256d) {
+        (
+            _mm256_fmsub_pd(re, t_re, _mm256_mul_pd(im, t_im)),
+            _mm256_fmadd_pd(im, t_re, _mm256_mul_pd(re, t_im)),
+        )
+    }
+
+    /// The registers `[a, b]` and `[c, d]` through their entries `t`
+    /// ([`DiagCoef`]'s registers) with `f` folded in.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn diag_quad(x0: __m256d, x1: __m256d, t: &[__m256d; 2], f: Factor) -> (__m256d, __m256d) {
+        let (t_re, t_im) = match f {
+            Some((f_re, f_im)) => cmul_split(t[0], t[1], f_re, f_im),
+            None => (t[0], t[1]),
+        };
+        let (re, im) = (_mm256_unpacklo_pd(x0, x1), _mm256_unpackhi_pd(x0, x1));
+        let (re, im) = cmul_split(re, im, t_re, t_im);
+        (_mm256_unpacklo_pd(re, im), _mm256_unpackhi_pd(re, im))
+    }
+
+    /// Four amplitudes at a time; a last register of two takes the first
+    /// half of its entry, in the same lanes.
+    #[target_feature(enable = "avx2,fma")]
+    pub fn diag_table(coef: &[DiagCoef], v: &mut [Complex64], f: Complex64) {
+        let f = factor(f);
+        let mask = coef.len() - 1;
+        let (quads, tail) = regs_mut(v).as_chunks_mut();
+        for (q, [a, b]) in quads.iter_mut().enumerate() {
+            let c = &coef[q & mask];
+            // The registers a factor of 1 leaves alone.
+            let kept = if f.is_none() { c.ones } else { [false; 2] };
+            if kept != [true; 2] {
+                let (x, y) = diag_quad(load(a), load(b), &load_lanes(&c.lanes), f);
+                if !kept[0] {
+                    store(a, x);
                 }
+                if !kept[1] {
+                    store(b, y);
+                }
+            }
+        }
+        if let [a] = tail {
+            let c = &coef[quads.len() & mask];
+            if f.is_some() || !c.ones[0] {
+                let x = load(a);
+                store(a, diag_quad(x, x, &load_lanes(&c.lanes), f).0);
             }
         }
     }
@@ -1657,7 +1651,7 @@ mod tests {
     }
 
     /// A period of `p` matrices with every third one the exact identity (the
-    /// positions a tiled kernel may skip).
+    /// positions a table may skip).
     fn rand_tile(p: usize, seed: u64) -> Vec<[Complex64; 4]> {
         let identity = [
             Complex64::ONE,
@@ -1678,73 +1672,257 @@ mod tests {
             .collect()
     }
 
-    /// `kernel(lo, hi, tile)` against the defining formula, over periods
-    /// 1..=16 and 1-5 periods per run (a run of one amplitude included).
-    fn check_apply_tiled(kernel: impl Fn(&mut [Complex64], &mut [Complex64], &[[Complex64; 4]])) {
-        for p in [1usize, 2, 4, 8, 16] {
-            let tile = rand_tile(p, 109 + p as u64);
-            for periods in 1..=5usize {
-                let len = p * periods;
-                let (lo, hi) = (rand_vec(len, 113), rand_vec(len, 127));
-                let (mut lo_got, mut hi_got) = (lo.clone(), hi.clone());
-                kernel(&mut lo_got, &mut hi_got, &tile);
-                for i in 0..len {
-                    let m = &tile[i % p];
+    /// The factors every table case runs under: 1 (a one-use table, the
+    /// factor folded into its entries) and not (a plan-time tile).
+    const FACTORS: [Complex64; 2] = [Complex64::ONE, Complex64::new(-0.7, 0.4)];
+
+    /// The pair-table cases `(len, half, blocks)`: periods 1 to 16 (one-use
+    /// tables; a period-1 table is a 2x2 on every block) and 32 to 64 (a
+    /// plan-time span), every half from 1 to 32, 1 to 4 blocks (an even
+    /// count at half 1). A period need not divide the half.
+    fn pair_cases() -> Vec<(usize, usize, usize)> {
+        let mut cases = Vec::new();
+        for len in [1usize, 2, 4, 8, 16, 32, 64] {
+            for half in [1usize, 2, 4, 8, 16, 32] {
+                for blocks in (1..=4usize).filter(|b| half > 1 || b % 2 == 0) {
+                    cases.push((len, half, blocks));
+                }
+            }
+        }
+        cases
+    }
+
+    /// `kernel(coef, v, half, f)` against the defining formula on every
+    /// [`pair_cases`] case: pair `i` of block `b` takes matrix `(b * half +
+    /// i) mod len` under `f`.
+    fn check_pair_table(kernel: impl Fn(&[PairCoef], &mut [Complex64], usize, Complex64)) {
+        for (len, half, blocks) in pair_cases() {
+            let mats = rand_tile(len, 109 + len as u64);
+            let table = PairTable::new(&mats);
+            for f in FACTORS {
+                let v = rand_vec(2 * half * blocks, 113);
+                let mut got = v.clone();
+                kernel(&table.coef, &mut got, half, f);
+                for (i, &g) in got.iter().enumerate() {
+                    let (b, row, k) = (i / (2 * half), i / half % 2, i % half);
+                    let base = i - row * half;
+                    let m = &mats[(b * half + k) % len];
+                    let want = m[2 * row] * (f * v[base]) + m[2 * row + 1] * (f * v[base + half]);
                     assert!(
-                        close(lo_got[i], m[0] * lo[i] + m[1] * hi[i])
-                            && close(hi_got[i], m[2] * lo[i] + m[3] * hi[i]),
-                        "p {p} len {len} at {i}"
+                        close(g, want),
+                        "len {len} half {half} blocks {blocks} at {i}"
                     );
                 }
             }
         }
     }
 
-    /// `kernel(v, tile, half)` against the defining formula: every period
-    /// that divides `half`, halves 1..=32, 1-3 blocks.
-    fn check_block_tiled(kernel: impl Fn(&mut [Complex64], &[[Complex64; 4]], usize)) {
-        for half in [1usize, 2, 4, 8, 16, 32] {
-            for p in [1usize, 2, 4, 8, 16] {
-                if p > half {
-                    continue;
-                }
-                let tile = rand_tile(p, 131 + p as u64);
-                for blocks in 1..=3usize {
-                    let v = rand_vec(2 * half * blocks, 137);
-                    let mut got = v.clone();
-                    kernel(&mut got, &tile, half);
-                    for (i, &g) in got.iter().enumerate() {
-                        let (row, j) = ((i / half) % 2, i % half);
-                        let base = i - row * half;
-                        let m = &tile[j % p];
-                        let want = m[2 * row] * v[base] + m[2 * row + 1] * v[base + half];
-                        assert!(close(g, want), "half {half} p {p} blocks {blocks} at {i}");
+    /// `kernel(coef, lo, hi, f)` against the defining formula: pair `i` takes
+    /// matrix `i mod len`, over runs of even lengths a period need not divide
+    /// (a run of 6 under a period of 4 included).
+    fn check_pair_runs(
+        kernel: impl Fn(&[PairCoef], &mut [Complex64], &mut [Complex64], Complex64),
+    ) {
+        for len in [1usize, 2, 4, 8, 16] {
+            let mats = rand_tile(len, 163 + len as u64);
+            let table = PairTable::new(&mats);
+            for run in [2usize, 4, 6, 8, 16, 34] {
+                for f in FACTORS {
+                    let (lo, hi) = (rand_vec(run, 167), rand_vec(run, 173));
+                    let (mut lo_got, mut hi_got) = (lo.clone(), hi.clone());
+                    kernel(&table.coef, &mut lo_got, &mut hi_got, f);
+                    for i in 0..run {
+                        let m = &mats[i % len];
+                        let (a0, a1) = (f * lo[i], f * hi[i]);
+                        assert!(
+                            close(lo_got[i], m[0] * a0 + m[1] * a1)
+                                && close(hi_got[i], m[2] * a0 + m[3] * a1),
+                            "len {len} run {run} at {i}"
+                        );
                     }
                 }
             }
         }
     }
 
-    /// `kernel(v, d)` against `v[i] * d[i % p]`, with runs of exact ones in
-    /// the diagonal (the positions the kernel may skip).
-    fn check_mul_diag(kernel: impl Fn(&mut [Complex64], &[Complex64])) {
-        for p in [1usize, 2, 4, 8, 16] {
-            let mut d = rand_vec(p, 139 + p as u64);
-            // Elements 2 and 3 of every four: a whole register of ones.
-            for (j, f) in d.iter_mut().enumerate() {
-                if j % 4 >= 2 {
-                    *f = Complex64::ONE;
-                }
+    /// A diagonal of `p` entries, the last two of every four exactly 1 (a
+    /// register a factor of 1 leaves alone).
+    fn rand_diag(p: usize, seed: u64) -> Vec<Complex64> {
+        let mut d = rand_vec(p, seed);
+        for (j, x) in d.iter_mut().enumerate() {
+            if j % 4 >= 2 {
+                *x = Complex64::ONE;
             }
-            for periods in 1..=5usize {
-                let v = rand_vec(p * periods, 149);
-                let mut got = v.clone();
-                kernel(&mut got, &d);
-                for (i, &g) in got.iter().enumerate() {
-                    assert!(close(g, d[i % p] * v[i]), "p {p} at {i}");
+        }
+        d
+    }
+
+    /// `kernel(coef, v, f)` against `f * d[i mod p] * v[i]`: periods 1 to 64,
+    /// vectors of one register, of six amplitudes, and of 1 to 5 periods.
+    /// Under a factor of 1 a register of two exact ones keeps its bits.
+    fn check_diag_table(kernel: impl Fn(&[DiagCoef], &mut [Complex64], Complex64)) {
+        for p in [1usize, 2, 4, 8, 16, 32, 64] {
+            let d = rand_diag(p, 139 + p as u64);
+            let table = DiagTable::new(&d);
+            let lens = [2, 6].into_iter().chain((1..=5).map(|k| k * p));
+            for len in lens.filter(|len| len % 2 == 0) {
+                for f in FACTORS {
+                    let v = rand_vec(len, 149);
+                    let mut got = v.clone();
+                    kernel(&table.coef, &mut got, f);
+                    for (i, &g) in got.iter().enumerate() {
+                        assert!(close(g, d[i % p] * (f * v[i])), "p {p} len {len} at {i}");
+                        let ones = |j: usize| d[j % p] == Complex64::ONE;
+                        if f == Complex64::ONE && ones(i & !1) && ones(i | 1) {
+                            assert_eq!(g, v[i], "p {p} len {len}: a register of ones touched");
+                        }
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn pair_table_matches_the_defining_formula() {
+        check_pair_table(|c, v, half, f| scalar::pair_table(c, blocks(v, half), f));
+        check_pair_table(|c, v, half, f| PairTable { coef: c }.apply(v, half, f));
+        check_pair_runs(|c, lo, hi, f| scalar::pair_table(c, std::iter::once((lo, hi)), f));
+        check_pair_runs(|c, lo, hi, f| PairTable { coef: c }.apply_runs(lo, hi, f));
+    }
+
+    #[test]
+    fn diag_table_matches_the_defining_formula() {
+        check_diag_table(scalar::diag_table);
+        check_diag_table(|c, v, f| DiagTable { coef: c }.apply(v, f));
+    }
+
+    /// The amplitudes of `v` as bits.
+    fn bits(v: &[Complex64]) -> Vec<[u64; 2]> {
+        v.iter().map(|z| [z.re.to_bits(), z.im.to_bits()]).collect()
+    }
+
+    #[test]
+    fn a_tables_bits_do_not_depend_on_the_call_shape() {
+        // The in-place walk reaches one pair through a period or through a
+        // plan-time span, in one region or in a call over many blocks, with
+        // a table on the stack or in a plan, depending on how wide a group's
+        // rows are. All of them must leave the same bits, under the
+        // dispatched backend (CI runs both).
+        for len in [1usize, 2, 4, 8, 16] {
+            let mats = rand_tile(len, 251 + len as u64);
+            for half in [2usize, 4, 8, 16, 32].into_iter().filter(|&h| h >= len) {
+                for blocks in [1usize, 2, 4] {
+                    let v = rand_vec(2 * half * blocks, 257);
+                    for f in FACTORS {
+                        let case = format!("pairs: len {len} half {half} blocks {blocks} f {f:?}");
+                        let mut want = v.clone();
+                        PairTable::new(&mats).apply(&mut want, half, f);
+                        let want = bits(&want);
+                        // The whole span as one plan-time table.
+                        let span: Vec<_> = (0..half * blocks).map(|g| mats[g % len]).collect();
+                        let mut got = v.clone();
+                        PairTable::new(&span).apply(&mut got, half, f);
+                        assert_eq!(bits(&got), want, "{case}: whole span");
+                        // One region at a time, by either entry point.
+                        let (mut runs, mut one_block) = (v.clone(), v.clone());
+                        let table = PairTable::new(&mats);
+                        for block in runs.chunks_exact_mut(2 * half) {
+                            let (lo, hi) = block.split_at_mut(half);
+                            table.apply_runs(lo, hi, f);
+                        }
+                        for block in one_block.chunks_exact_mut(2 * half) {
+                            table.apply(block, half, f);
+                        }
+                        assert_eq!(bits(&runs), want, "{case}: per region");
+                        assert_eq!(bits(&one_block), want, "{case}: per block");
+                        // A one-use table on the stack.
+                        let mut got = v.clone();
+                        PairTable::with(&mats, |t| t.apply(&mut got, half, f));
+                        assert_eq!(bits(&got), want, "{case}: stack table");
+                    }
+                }
+            }
+        }
+        for p in [2usize, 4, 8, 16] {
+            let d = rand_diag(p, 263 + p as u64);
+            for blocks in [1usize, 2, 8] {
+                let v = rand_vec(p * blocks, 269);
+                for f in FACTORS {
+                    let case = format!("diagonal: p {p} blocks {blocks} f {f:?}");
+                    let mut want = v.clone();
+                    DiagTable::new(&d).apply(&mut want, f);
+                    let want = bits(&want);
+                    let span: Vec<_> = (0..v.len()).map(|i| d[i % p]).collect();
+                    let mut got = v.clone();
+                    DiagTable::new(&span).apply(&mut got, f);
+                    assert_eq!(bits(&got), want, "{case}: whole span");
+                    let mut got = v.clone();
+                    for block in got.chunks_exact_mut(p) {
+                        DiagTable::new(&d).apply(block, f);
+                    }
+                    assert_eq!(bits(&got), want, "{case}: per period");
+                    let mut got = v.clone();
+                    DiagTable::with(&d, |t| t.apply(&mut got, f));
+                    assert_eq!(bits(&got), want, "{case}: stack table");
+                }
+            }
+        }
+        // A register on its own takes the lanes it takes among four, and a
+        // constant diagonal is `scale_in_place` (the factor a run's block
+        // meets inside a diagonal `Kron`).
+        let (d, v) = (rand_vec(2, 271), rand_vec(8, 277));
+        let mut want = v.clone();
+        DiagTable::new(&d).apply(&mut want, Complex64::ONE);
+        let mut got = v.clone();
+        for reg in got.chunks_exact_mut(2) {
+            DiagTable::new(&d).apply(reg, Complex64::ONE);
+        }
+        assert_eq!(bits(&got), bits(&want), "diagonal: per register");
+        let c = d[0];
+        let (mut got, mut want) = (v.clone(), v);
+        DiagTable::new(&[c]).apply(&mut got, Complex64::ONE);
+        scale_in_place(&mut want, c);
+        assert_eq!(bits(&got), bits(&want), "diagonal: a constant");
+    }
+
+    #[test]
+    fn tables_refuse_what_their_loops_cannot_step_through() {
+        let mats = rand_tile(4, 281);
+        let table = PairTable::new(&mats);
+        let one = Complex64::ONE;
+        refused("a period of three pairs", || {
+            drop(PairTable::new(&rand_tile(3, 283)))
+        });
+        refused("a one-use table over the stack's limit", || {
+            PairTable::with(&rand_tile(2 * MAX_TILE, 283), |_| ())
+        });
+        refused("an odd run", || {
+            table.apply_runs(&mut rand_vec(5, 1), &mut rand_vec(5, 2), one)
+        });
+        refused("runs of two lengths", || {
+            table.apply_runs(&mut rand_vec(6, 1), &mut rand_vec(4, 2), one)
+        });
+        refused("a block that does not divide the vector", || {
+            table.apply(&mut rand_vec(24, 3), 8, one)
+        });
+        refused("a half not a power of two", || {
+            table.apply(&mut rand_vec(12, 3), 3, one)
+        });
+        refused("an odd count of adjacent pairs", || {
+            table.apply(&mut rand_vec(6, 3), 1, one)
+        });
+        refused("a diagonal of six entries", || {
+            drop(DiagTable::new(&rand_vec(6, 4)))
+        });
+        refused("an odd vector under a diagonal", || {
+            DiagTable::new(&rand_vec(4, 5)).apply(&mut rand_vec(5, 6), one)
+        });
+    }
+
+    /// Asserts that `call` panics.
+    fn refused(what: &str, call: impl FnOnce()) {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call));
+        assert!(caught.is_err(), "{what} was accepted");
     }
 
     /// `kernel(v, m)` against the defining formula on 0-4 pairs and on odd
@@ -1769,109 +1947,10 @@ mod tests {
         }
     }
 
-    /// `kernel(table, v, f)` against `f * d[i % p] * v[i]`: periods 4 to 64,
-    /// 1-3 blocks, `f` of 1 and not.
-    fn check_diag_table(kernel: impl Fn(&DiagTable, &mut [Complex64], Complex64)) {
-        for p in [4usize, 8, 32, 64] {
-            let d = rand_vec(p, 179 + p as u64);
-            let table = DiagTable::new(&d);
-            assert_eq!(table.period(), p);
-            for f in [Complex64::ONE, Complex64::new(0.3, -1.1)] {
-                for blocks in 1..=3usize {
-                    let v = rand_vec(p * blocks, 181);
-                    let mut got = v.clone();
-                    kernel(&table, &mut got, f);
-                    for (i, &g) in got.iter().enumerate() {
-                        assert!(close(g, f * d[i % p] * v[i]), "p {p} f {f:?} at {i}");
-                    }
-                }
-            }
-        }
-    }
-
-    /// Random matrices, one per pair of a span of `pairs` pairs.
-    fn rand_mats(pairs: usize, seed: u64) -> Vec<[Complex64; 4]> {
-        rand_vec(4 * pairs, seed)
-            .chunks_exact(4)
-            .map(|m| m.try_into().unwrap())
-            .collect()
-    }
-
-    /// `kernel(table, v, f)` against the defining formula: strides 1 to 16
-    /// over spans of 1-4 blocks, 1-3 spans, `f` of 1 and not.
-    fn check_pair_table(kernel: impl Fn(&PairTable, &mut [Complex64], Complex64)) {
-        for stride in [1usize, 2, 4, 16] {
-            for blocks in 1..=4usize {
-                let pairs = stride * blocks;
-                if pairs % 2 == 1 {
-                    continue;
-                }
-                let mats = rand_mats(pairs, 191 + pairs as u64);
-                let table = PairTable::new(&mats, stride);
-                assert_eq!(table.span(), 2 * pairs);
-                for f in [Complex64::ONE, Complex64::new(-0.7, 0.4)] {
-                    for spans in 1..=3usize {
-                        let v = rand_vec(2 * pairs * spans, 193);
-                        let mut got = v.clone();
-                        kernel(&table, &mut got, f);
-                        for (i, &g) in got.iter().enumerate() {
-                            let at = i % (2 * pairs);
-                            let (b, row, k) = (at / (2 * stride), at / stride % 2, at % stride);
-                            let base = i - row * stride;
-                            let m = &mats[b * stride + k];
-                            let want =
-                                f * (m[2 * row] * v[base] + m[2 * row + 1] * v[base + stride]);
-                            assert!(close(g, want), "stride {stride} pairs {pairs} at {i}");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn diag_table_matches_the_defining_formula() {
-        check_diag_table(scalar::diag_table_apply);
-        check_diag_table(|t, v, f| t.apply(v, f));
-    }
-
-    #[test]
-    fn pair_table_matches_the_defining_formula() {
-        check_pair_table(scalar::pair_table_apply);
-        check_pair_table(|t, v, f| t.apply(v, f));
-    }
-
-    #[test]
-    #[should_panic]
-    fn pair_table_refuses_an_odd_pair_count() {
-        PairTable::new(&rand_mats(3, 197), 1);
-    }
-
     #[test]
     fn pairs2x2_matches_scalar_reference() {
         check_pairs2x2(scalar::pairs2x2);
         check_pairs2x2(pairs2x2);
-    }
-
-    #[test]
-    fn pair_tile_matches_the_defining_formula() {
-        check_apply_tiled(|lo, hi, tile| scalar::pair_tile_run(&PairTile::new(tile), lo, hi));
-        check_apply_tiled(|lo, hi, tile| PairTile::new(tile).apply(lo, hi));
-        check_block_tiled(|v, tile, half| scalar::pair_tile_blocks(&PairTile::new(tile), v, half));
-        check_block_tiled(|v, tile, half| PairTile::new(tile).apply_blocks(v, half));
-    }
-
-    #[test]
-    fn mul_diag_tiled_matches_scalar_reference() {
-        check_mul_diag(scalar::mul_diag_tiled);
-        check_mul_diag(mul_diag_tiled);
-    }
-
-    #[test]
-    #[should_panic]
-    fn pair_tile_refuses_a_period_that_does_not_divide_the_run() {
-        let tile = rand_tile(4, 163);
-        PairTile::new(&tile).apply(&mut rand_vec(6, 167), &mut rand_vec(6, 173));
     }
 
     #[test]
@@ -1975,11 +2054,9 @@ mod tests {
             }
         });
         check_pairs2x2(|v, m| avx2::pairs2x2(v, m));
-        check_apply_tiled(|lo, hi, tile| avx2::pair_tile_apply(&PairTile::new(tile), lo, hi));
-        check_block_tiled(|v, tile, half| avx2::pair_tile_blocks(&PairTile::new(tile), v, half));
-        check_mul_diag(|v, d| avx2::mul_diag_tiled(v, d));
-        check_diag_table(|t, v, f| avx2::diag_table_apply(t, v, f));
-        check_pair_table(|t, v, f| avx2::pair_table_apply(t, v, f));
+        check_pair_table(|c, v, half, f| avx2::pair_table(c, v, half, f));
+        check_pair_runs(|c, lo, hi, f| avx2::pair_runs(c, std::iter::once((lo, hi)), f));
+        check_diag_table(|c, v, f| avx2::diag_table(c, v, f));
         check_real_group(|v, group| match group {
             [x] => avx2::real_group(v, &[*x]),
             [x, y] => avx2::real_group(v, &[*x, *y]),

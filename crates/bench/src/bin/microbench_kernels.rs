@@ -13,7 +13,10 @@
 //! widen-and-apply of an uncontrolled 2x2 into 2^16–2^21 amplitudes against
 //! one in-place 2x2 pass at the new width), a `one_qubit_groups` block
 //! (RYs as complex 2x2 passes against one real group of 1–3, at 2^10,
-//! 2^16 and 2^20 amplitudes), a `diag_shapes` block (the slow diagonal
+//! 2^16 and 2^20 amplitudes), a `pair_table_prep` block (a period of four
+//! complex 2x2s on one 8-amplitude block: the apply of a prepared
+//! `vecops::PairTable` against a one-use table prepared on the stack and
+//! applied, ns per call), a `diag_shapes` block (the slow diagonal
 //! shapes of ROADMAP item 3(d) at 2^16, recorded), under the SIMD
 //! backend selected at startup (`FLATDD_SIMD={auto,scalar,avx2}`), and a
 //! `dd_tables` block (the DD
@@ -46,7 +49,9 @@
 //! more than 1.8x one in-place 2x2 pass over the widened state (the widen
 //! kernel must stream, not move single amplitudes), when three real
 //! one-qubit matrices in one group cost more than 0.85x the three as
-//! complex passes at 2^16 (a group must share its register loads), when
+//! complex passes at 2^16 (a group must share its register loads), when a
+//! one-use period-4 pair table costs more than 3x the apply of a prepared
+//! one (a one-use table must be cheap to prepare), when
 //! `stats()` at 10^6 values costs more than 3x what it costs at 10^3 (the
 //! driver reads it every gate, so it must not walk the tables), when a memoized `gate_dd` costs more than 1/5 of
 //! a first build, when a T on the top qubit of the saturated state costs
@@ -706,7 +711,7 @@ struct GroupRow {
 
 /// Real one-qubit matrices (RYs) on [`GROUP_QUBITS`] of a `2^n` state, n in
 /// [`GROUP_NS`], one thread: the first 1, 2 or 3 of them as complex 2x2
-/// passes (`PairTile::apply_blocks`, the path a complex `Kron` takes)
+/// passes (`PairTable::apply` of one matrix, the path a complex `Kron` takes)
 /// against one `vecops::real_2x2_group`, timed in turns.
 fn one_qubit_groups(reps: usize, backend: &str, json: &mut JsonWriter) -> Vec<GroupRow> {
     let mut table = Table::new(vec!["n", "group", "complex_ns", "real_ns", "ratio"]);
@@ -727,11 +732,11 @@ fn one_qubit_groups(reps: usize, backend: &str, json: &mut JsonWriter) -> Vec<Gr
         // Enough passes per timing that a 2^10 state is not all timer.
         let passes = (1usize << 22) / dim;
         for size in 1..=vecops::REAL_GROUP {
-            let tiles: Vec<(vecops::PairTile, usize)> = group[..size]
+            let tiles: Vec<(vecops::PairTable, usize)> = group[..size]
                 .iter()
                 .map(|g| {
                     let m = g.m.map(|x| Complex64::new(x, 0.0));
-                    (vecops::PairTile::new(&[m]), g.half)
+                    (vecops::PairTable::new(&[m]), g.half)
                 })
                 .collect();
             let (complex, real) = time_interleaved(
@@ -740,7 +745,7 @@ fn one_qubit_groups(reps: usize, backend: &str, json: &mut JsonWriter) -> Vec<Gr
                 |v| {
                     for _ in 0..passes {
                         for (tile, half) in &tiles {
-                            tile.apply_blocks(v, *half);
+                            tile.apply(v, *half, Complex64::ONE);
                         }
                     }
                 },
@@ -780,6 +785,73 @@ fn one_qubit_groups(reps: usize, backend: &str, json: &mut JsonWriter) -> Vec<Gr
     );
     table.print();
     rows
+}
+
+/// Pairs in the period of the `pair_table_prep` block.
+const PREP_PERIOD: usize = 4;
+/// `--check`: largest accepted (a one-use period-4 pair table, prepared on
+/// the stack and applied to one period) / (the same apply of a prepared
+/// table), per call. A one-use table costs 1.5-2.8x the apply alone on
+/// the reference box (EXPERIMENTS.md, "One pair table and one diagonal
+/// table"); a preparation that zeroes or copies a whole
+/// [`vecops::MAX_TILE`] table, as the retired per-call tile did, reads
+/// 4-9.
+const MAX_PREP_RATIO: f64 = 3.0;
+
+/// The in-place walk's one-use pair tables: a period of
+/// [`PREP_PERIOD`] complex 2x2s on one `2 * PREP_PERIOD`-amplitude block,
+/// the region a control below the target leaves when the walk meets a
+/// single period, one thread, ns per call: the apply of a prepared table
+/// against preparing the table on the stack and applying it, timed in
+/// turns. Returns the two.
+fn pair_table_prep(reps: usize, backend: &str, json: &mut JsonWriter) -> (f64, f64) {
+    let mats: Vec<[Complex64; 4]> = (0..PREP_PERIOD)
+        .map(|j| GateKind::U(0.3 + j as f64, 0.7, -0.2 * j as f64).matrix())
+        .collect();
+    let prepared = vecops::PairTable::new(&mats);
+    let mut v = vec![Complex64::ZERO; 1 << 10];
+    fill(&mut v);
+    let (block, passes) = (2 * PREP_PERIOD, 1 << 10);
+    let (apply, one_use) = time_interleaved(
+        reps,
+        &mut v,
+        |v| {
+            for _ in 0..passes {
+                for b in v.chunks_exact_mut(block) {
+                    prepared.apply(b, PREP_PERIOD, Complex64::ONE);
+                }
+            }
+        },
+        |v| {
+            for _ in 0..passes {
+                for b in v.chunks_exact_mut(block) {
+                    let mats = std::hint::black_box(&mats[..]);
+                    vecops::PairTable::with(mats, |t| t.apply(b, PREP_PERIOD, Complex64::ONE));
+                }
+            }
+        },
+    );
+    let calls = (passes * v.len() / block) as f64;
+    let [apply, one_use] = [apply, one_use].map(|s| s * 1e9 / calls);
+    let mut table = Table::new(vec!["pair table, period 4", "ns_per_call"]);
+    table.row(vec![
+        "apply of a prepared table".into(),
+        format!("{apply:.1}"),
+    ]);
+    table.row(vec![
+        "one-use table: prepare + apply".into(),
+        format!("{one_use:.1}"),
+    ]);
+    json.record(vec![
+        ("kernel", "pair_table_prep".into()),
+        ("backend", backend.into()),
+        ("period", PREP_PERIOD.into()),
+        ("apply_ns_per_call", apply.into()),
+        ("one_use_ns_per_call", one_use.into()),
+    ]);
+    println!("\npair_table_prep — one period of {PREP_PERIOD} complex 2x2s on {block} amplitudes, ns per call");
+    table.print();
+    (apply, one_use)
 }
 
 /// Diagonal gates whose in-place DMAV costs far more per amplitude than the
@@ -1365,6 +1437,7 @@ fn main() {
     let runs = blocked_runs(reps, backend, &mut json);
     let widened = widen_block(reps, backend, &mut json);
     let groups = one_qubit_groups(reps, backend, &mut json);
+    let (prepared_apply, one_use) = pair_table_prep(reps, backend, &mut json);
     diag_shapes(reps, backend, &mut json);
     let dd = dd_tables(reps, &mut json);
     // Embed the unified metrics registry (DD package gauges) in the
@@ -1469,6 +1542,11 @@ fn main() {
             ),
             three.map_or(f64::NAN, |r| r.real / r.complex),
             MAX_GROUP_RATIO,
+        );
+        hold(
+            format!("one-use period-{PREP_PERIOD} pair table: prepare + apply / apply of a prepared table"),
+            one_use / prepared_apply,
+            MAX_PREP_RATIO,
         );
         let stats_ratio = dd.stats_large / dd.stats_small;
         println!(

@@ -32,7 +32,7 @@
 
 use crate::error::FlatDdError;
 use crate::pool::ThreadPool;
-use qarray::vecops::{self, PairTile, Real2x2, REAL_GROUP};
+use qarray::vecops::{self, DiagTable, PairTable, Real2x2, REAL_GROUP};
 use qcircuit::Complex64;
 use qdd::fxhash::FxHashMap;
 use qdd::{DdPackage, MEdge, TERM};
@@ -112,9 +112,9 @@ struct Node {
 #[derive(Debug)]
 enum Tile {
     /// The diagonal's entries.
-    Diag(vecops::DiagTable),
-    /// One 2x2 per pair at the node's stride.
-    Pairs(vecops::PairTable),
+    Diag(DiagTable),
+    /// One 2x2 per pair at the node's stride (the table's `half`).
+    Pairs(PairTable, usize),
 }
 
 impl Tile {
@@ -122,14 +122,14 @@ impl Tile {
     fn apply(&self, v: &mut [Complex64], f: Complex64) {
         match self {
             Tile::Diag(d) => d.apply(v, f),
-            Tile::Pairs(table) => table.apply(v, f),
+            Tile::Pairs(table, stride) => table.apply(v, *stride, f),
         }
     }
 
     fn memory_bytes(&self) -> usize {
         match self {
             Tile::Diag(d) => d.memory_bytes(),
-            Tile::Pairs(table) => table.memory_bytes(),
+            Tile::Pairs(table, _) => table.memory_bytes(),
         }
     }
 }
@@ -139,8 +139,8 @@ impl Tile {
 /// tiles, so the single-gate workloads keep the walk they were tuned on.
 const GATE_DEPTH: u8 = 3;
 
-/// Largest span of a plan-time tile: 2^10 amplitudes, 32 KiB as a diagonal
-/// and 64 KiB as a pair table in the kernels' layout, so a tile streams
+/// Largest span of a plan-time tile: 2^10 amplitudes, 24 KiB as a diagonal
+/// and 72 KiB as a pair table in the kernels' layout, so a tile streams
 /// from L1/L2.
 const TILE_SPAN: usize = 1 << 10;
 
@@ -153,7 +153,8 @@ const TILE_BYTES: usize = 1 << 20;
 type Diag = (u32, Complex64);
 
 /// Diagonals whose period is at most this many amplitudes are flattened to
-/// a dense tile and applied by one tiled kernel instead of walked.
+/// a one-use table on the stack and applied by one kernel call instead of
+/// walked.
 const TILE: usize = vecops::MAX_TILE;
 
 /// Most leaves a [`PairPlan`] may hold. The gates this serves — controls
@@ -171,7 +172,7 @@ struct PairPlan {
     span: usize,
     leaves: Vec<Leaf>,
     /// The distinct prepared periods, with the diagonals each came from.
-    tiles: Vec<([Diag; 4], PairTile)>,
+    tiles: Vec<([Diag; 4], PairTable)>,
 }
 
 /// `len` pairs from offset `at` of every period, and what to do to them.
@@ -202,7 +203,7 @@ impl PairPlan {
                 );
                 match &leaf.step {
                     Step::Const(m) => pair_const(lo, hi, m),
-                    Step::Tile(i) => self.tiles[*i].1.apply(lo, hi),
+                    Step::Tile(i) => self.tiles[*i].1.apply_runs(lo, hi, Complex64::ONE),
                 }
             }
         }
@@ -399,19 +400,19 @@ impl Program {
             None => {
                 let mut d = vec![Complex64::ZERO; span];
                 self.flatten((op, Complex64::ONE), &mut d);
-                Tile::Diag(vecops::DiagTable::new(&d))
+                Tile::Diag(DiagTable::new(&d))
             }
             Some(s) => {
                 let mut pairs = vec![[Complex64::ZERO; 4]; span / 2];
                 self.fill_pairs((op, Complex64::ONE), s, &mut pairs);
-                Tile::Pairs(vecops::PairTable::new(&pairs, s))
+                Tile::Pairs(PairTable::new(&pairs), s)
             }
         }
     }
 
     /// Writes the 2x2 of every pair at stride `s` of the region under `d` —
     /// a diagonal, or a node with that [`Node::stride`] — into `out`, one
-    /// entry per pair in [`vecops::PairTable`] order.
+    /// entry per pair in [`PairTable`] order.
     fn fill_pairs(&self, d: Diag, s: usize, out: &mut [[Complex64; 4]]) {
         let (op, c) = d;
         if self.diag(op) {
@@ -658,12 +659,14 @@ impl Program {
         if let Some(tile) = node.tile {
             return self.tiles[tile as usize].apply(v, f);
         }
-        if node.diag && v.len() <= TILE && !matches!(node.op, Op::Identity) {
-            // The bottom of an irregular diagonal (a fused product of phase
-            // gates): one dense multiply instead of a descent to its pairs.
+        if node.diag && !matches!(node.op, Op::Identity) && self.period(op, v.len()) <= TILE {
+            // A diagonal that repeats within `TILE` amplitudes (T or CZ on
+            // low qubits, the bottom of a fused product of phase gates): one
+            // period flattened, one table call over the span.
+            let period = self.period(op, v.len());
             let mut d = [Complex64::ZERO; TILE];
-            self.flatten((op, f), &mut d[..v.len()]);
-            return vecops::mul_diag_tiled(v, &d[..v.len()]);
+            self.flatten((op, f), &mut d[..period]);
+            return DiagTable::with(&d[..period], |t| t.apply(v, Complex64::ONE));
         }
         match node.op {
             Op::Identity => {
@@ -753,24 +756,15 @@ impl Program {
 
     /// `v = f * (I (x) B) * v` for a base node `B` of `block` amplitudes,
     /// resolved once instead of entered per block: a tiled `B` is one kernel
-    /// call over the whole span, a diagonal `B` of at most [`TILE`]
-    /// amplitudes becomes one dense diagonal, a `B` of four
-    /// diagonal blocks one prepared period (every block in one kernel call)
-    /// or one [`PairPlan`] (replayed per block). `false` (nothing done) for
-    /// any other base.
+    /// call over the whole span, a `B` of four diagonal blocks one prepared
+    /// period (every block in one kernel call) or one [`PairPlan`]
+    /// (replayed per block). `false` (nothing done) for any other base (a
+    /// diagonal `B` of at most [`TILE`] amplitudes never gets here: the
+    /// `Lift` over it is one diagonal table call).
     fn blocks_in_place(&self, base: u32, f: Complex64, v: &mut [Complex64], block: usize) -> bool {
         let node = &self.ops[base as usize];
         if let Some(tile) = node.tile {
             self.tiles[tile as usize].apply(v, f);
-            return true;
-        }
-        if node.diag {
-            if block > TILE {
-                return false;
-            }
-            let mut d = [Complex64::ZERO; TILE];
-            self.flatten((base, f), &mut d[..block]);
-            vecops::mul_diag_tiled(v, &d[..block]);
             return true;
         }
         let Op::General { child, w } = node.op else {
@@ -782,7 +776,8 @@ impl Program {
         let (d, half) = (diagonals(&child, &w, f), block / 2);
         let period = self.joint_period(&d, half);
         if period <= TILE {
-            self.tile(&d, period).apply_blocks(v, half);
+            let tile = self.tile(&d, period);
+            PairTable::with(&tile[..period], |t| t.apply(v, half, Complex64::ONE));
         } else if let Some(plan) = self.pair_plan(d, period) {
             for v_b in v.chunks_exact_mut(block) {
                 let (lo, hi) = v_b.split_at_mut(half);
@@ -815,7 +810,8 @@ impl Program {
             return;
         }
         if period <= TILE {
-            return self.tile(&d, period).apply(lo, hi);
+            let tile = self.tile(&d, period);
+            return PairTable::with(&tile[..period], |t| t.apply_runs(lo, hi, Complex64::ONE));
         }
         if period < len {
             if let Some(plan) = self.pair_plan(d, period) {
@@ -852,7 +848,7 @@ impl Program {
         };
         // A shared diagonal's tile (`Some(None)` for a constant, whose
         // value the factors carry).
-        let tile = |op: u32| -> Option<Option<&vecops::DiagTable>> {
+        let tile = |op: u32| -> Option<Option<&DiagTable>> {
             if op == TERM || op == NO_CHILD {
                 return Some(None);
             }
@@ -863,7 +859,7 @@ impl Program {
                 _ => None,
             }
         };
-        let through = |v: &mut [Complex64], t: Option<&vecops::DiagTable>| {
+        let through = |v: &mut [Complex64], t: Option<&DiagTable>| {
             if let Some(t) = t {
                 t.apply(v, Complex64::ONE);
             }
@@ -916,7 +912,7 @@ impl Program {
             p if p <= TILE => {
                 let known = plan.tiles.iter().position(|(from, _)| *from == d);
                 Step::Tile(known.unwrap_or_else(|| {
-                    plan.tiles.push((d, self.tile(&d, p)));
+                    plan.tiles.push((d, PairTable::new(&self.tile(&d, p)[..p])));
                     plan.tiles.len() - 1
                 }))
             }
@@ -936,9 +932,9 @@ impl Program {
         d.iter().fold(1, |p, &(op, _)| p.max(self.period(op, len)))
     }
 
-    /// One period (`p` amplitudes) of the 2x2 matrices the diagonals `d`
-    /// form, prepared for the tiled kernel.
-    fn tile(&self, d: &[Diag; 4], p: usize) -> PairTile {
+    /// One period (the first `p` amplitudes) of the 2x2 matrices the
+    /// diagonals `d` form.
+    fn tile(&self, d: &[Diag; 4], p: usize) -> [[Complex64; 4]; TILE] {
         let mut tile = [[Complex64::ZERO; 4]; TILE];
         let mut flat = [Complex64::ZERO; TILE];
         for (k, &d_k) in d.iter().enumerate() {
@@ -947,7 +943,7 @@ impl Program {
                 m[k] = x;
             }
         }
-        PairTile::new(&tile[..p])
+        tile
     }
 
     /// Period of the diagonal under `op` over a region of `len` amplitudes
@@ -1024,29 +1020,21 @@ fn diagonals(child: &[u32; 4], w: &[Complex64; 4], f: Complex64) -> [Diag; 4] {
 
 /// In-place `I (x) m (x) I_half` over `v`. A diagonal `m` multiplies only the
 /// runs whose entry is not 1 (T touches half of `v`, the Z block of a CZ a
-/// quarter of the state); a real one above qubit 0 (RY, H, X) runs in real
-/// arithmetic ([`Real2x2`]), which leaves every amplitude as the complex
-/// kernel does.
+/// quarter of the state; blocks of at most [`TILE`] amplitudes never get
+/// here, they are one diagonal table call); a real one above qubit 0 (RY,
+/// H, X) runs in real arithmetic ([`Real2x2`]), which leaves every
+/// amplitude as the complex kernel does.
 fn kron_in_place(v: &mut [Complex64], m: &[Complex64; 4], half: usize) {
     if !(m[1].is_zero() && m[2].is_zero()) {
         if half == 1 {
             vecops::pairs2x2(v, m);
         } else if let Some(real) = Real2x2::of(m, half) {
             vecops::real_2x2_group(v, &[real]);
-        } else if v.len() == 2 * half {
-            // One block (a `Kron` entered per block of a chain above it):
-            // not worth preparing a tile for.
-            let (lo, hi) = v.split_at_mut(half);
-            vecops::apply_2x2(lo, hi, m);
         } else {
-            PairTile::new(std::slice::from_ref(m)).apply_blocks(v, half);
+            PairTable::with(std::slice::from_ref(m), |t| {
+                t.apply(v, half, Complex64::ONE)
+            });
         }
-    } else if 2 * half <= TILE {
-        let mut d = [m[0]; TILE];
-        for run in d.chunks_exact_mut(2 * half) {
-            run[half..].fill(m[3]);
-        }
-        vecops::mul_diag_tiled(v, &d[..2 * half]);
     } else {
         for block in v.chunks_exact_mut(2 * half) {
             let (lo, hi) = block.split_at_mut(half);
